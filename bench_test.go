@@ -476,7 +476,8 @@ func BenchmarkFutureWork_HybridStratify(b *testing.B) {
 func BenchmarkFutureWork_HybridSweeper(b *testing.B) {
 	prop, field := benchSetup(b, 8, 4, 2, 20)
 	dev := gpu.NewDevice(gpu.TeslaC2050())
-	sw := gpu.NewSweeper(dev, prop, field, rng.New(15), gpu.SweeperOptions{ClusterK: 10})
+	sw := update.NewSweeperOn(prop, field, rng.New(15), update.Options{ClusterK: 10, PrePivot: true},
+		gpu.NewBackend(gpu.GroupOf(dev), false))
 	dev.Reset()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

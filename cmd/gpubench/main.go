@@ -42,6 +42,7 @@ import (
 	"questgo/internal/lattice"
 	"questgo/internal/mat"
 	"questgo/internal/rng"
+	"questgo/internal/update"
 )
 
 func main() {
@@ -297,8 +298,9 @@ func chainSeries(jsonPath string) bool {
 		var flops, sig float64
 		for c := 0; c < chains; c++ {
 			prop, field, _ := setup(n, l, uint64(1000+c))
-			sw := gpu.NewSweeper(grp.Devs[owners[c]], prop, field, rng.New(uint64(77+c)),
-				gpu.SweeperOptions{ClusterK: k, UseGraphs: graphs})
+			sw := update.NewSweeperOn(prop, field, rng.New(uint64(77+c)),
+				update.Options{ClusterK: k, PrePivot: true},
+				gpu.NewBackend(gpu.GroupOf(grp.Devs[owners[c]]), graphs))
 			sw.Sweep()
 			sig += fieldSum(field) + matSum(sw.GreenUp()) + matSum(sw.GreenDn())
 		}

@@ -13,6 +13,7 @@ var fixtureCases = []struct {
 	{HotAlloc, "hotalloc"},
 	{PoolPair, "poolpair"},
 	{ObsCharge, "obscharge"},
+	{ObsCharge, "obscharge_gpu"},
 	{DimCheck, "dimcheck"},
 	{RngDiscipline, "rngdiscipline"},
 	{RngDiscipline, "rngdiscipline_ok"},

@@ -102,24 +102,29 @@ func runStreamOrder(pass *Pass) error {
 // streamOrderExempt reports whether fd is allowed to write clock state: a
 // method on *Stream or *Graph, or the (*Device).Reset re-baseline.
 func streamOrderExempt(fd *ast.FuncDecl) bool {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return false
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	id, ok := t.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	switch id.Name {
+	switch recvTypeName(fd) {
 	case "Stream", "Graph":
 		return true
 	case "Device":
 		return fd.Name.Name == "Reset"
 	}
 	return false
+}
+
+// recvTypeName returns the name of fd's receiver type (pointer stripped), or
+// "" for a plain function.
+func recvTypeName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return ""
+	}
+	t := fd.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }
 
 // clockFieldSelector reports whether e is a selector of a guarded clock

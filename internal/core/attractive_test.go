@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -99,5 +100,35 @@ func TestAttractiveDopedSignFree(t *testing.T) {
 	}
 	if res.Density >= 1 {
 		t.Fatalf("mu = -1 should dope below half filling: %v", res.Density)
+	}
+}
+
+// TestAttractiveErrorBarsNonNegative: error bars scale with |U|, not U. For
+// U < 0 the potential-energy error must stay non-negative and must widen,
+// not shrink, the total-energy error — on the single-walker path and the
+// merged one alike.
+func TestAttractiveErrorBarsNonNegative(t *testing.T) {
+	cfg := Config{
+		Nx: 2, Ny: 2, Layers: 1, T: 1,
+		U: -4, Mu: 0, Beta: 2, L: 8,
+		WarmSweeps: 10, MeasSweeps: 40,
+		ClusterK: 4, Delay: 4, PrePivot: true,
+		Seed: 5,
+	}
+	for walkers := 1; walkers <= 2; walkers++ {
+		res, err := Run(context.Background(), cfg, WithWalkers(walkers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.DoubleOccErr <= 0 {
+			t.Fatalf("walkers=%d: test needs a nonzero docc error, got %v", walkers, res.DoubleOccErr)
+		}
+		if want := math.Abs(cfg.U) * res.DoubleOccErr; res.PotentialErr != want {
+			t.Fatalf("walkers=%d: PotentialErr = %v, want |U|*DoubleOccErr = %v", walkers, res.PotentialErr, want)
+		}
+		if res.EnergyErr < res.KineticErr || res.EnergyErr != res.KineticErr+res.PotentialErr {
+			t.Fatalf("walkers=%d: EnergyErr %v must be KineticErr %v + PotentialErr %v",
+				walkers, res.EnergyErr, res.KineticErr, res.PotentialErr)
+		}
 	}
 }

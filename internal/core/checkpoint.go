@@ -33,7 +33,7 @@ type Checkpoint struct {
 }
 
 // Checkpoint snapshots the current chain state. Call it between sweeps
-// (e.g. from a RunProgress callback after the sweep completes).
+// (e.g. from a WithProgress callback after the sweep completes).
 func (s *Simulation) Checkpoint() *Checkpoint {
 	c := &Checkpoint{
 		Config:   s.cfg,

@@ -29,10 +29,10 @@ func TestDeviceConfigValidate(t *testing.T) {
 }
 
 // TestDeviceRunMatchesAcrossShardingAndGraphs runs the same tiny
-// simulation on the CPU-free device engine with 1 and 2 simulated
-// devices, graphs off and on: the Markov chain — and therefore every
-// observable — must be identical, and the per-device telemetry must be
-// populated.
+// simulation over the device backend with 1 and 2 simulated devices,
+// graphs off and on, and over the host backend: the Markov chain — and
+// therefore every observable — must be identical, and the per-device
+// telemetry must be populated.
 func TestDeviceRunMatchesAcrossShardingAndGraphs(t *testing.T) {
 	base := DefaultConfig()
 	base.Nx, base.Ny = 3, 3
@@ -55,6 +55,10 @@ func TestDeviceRunMatchesAcrossShardingAndGraphs(t *testing.T) {
 	ref := run(1, false)
 	if len(ref.Metrics.Devices) != 1 {
 		t.Fatalf("expected 1 device metrics entry, got %d", len(ref.Metrics.Devices))
+	}
+	if host := run(0, false); host.Density != ref.Density || host.DoubleOcc != ref.DoubleOcc ||
+		host.Kinetic != ref.Kinetic || host.Acceptance != ref.Acceptance || len(host.Metrics.Devices) != 0 {
+		t.Fatal("host-backend run diverged from the single-device run")
 	}
 	for _, tc := range []struct {
 		devices int

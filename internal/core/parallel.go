@@ -1,36 +1,19 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"questgo/internal/stats"
 )
 
-// RunParallel runs `walkers` statistically independent Markov chains of the
-// same configuration concurrently (seeds derived deterministically from
-// cfg.Seed) and merges their results. This is the embarrassingly parallel
-// axis of DQMC the paper's multicore platform also exploits between nodes:
-// within one chain the linear algebra parallelizes, across chains the
-// sampling does.
-//
-// Error bars on merged scalars are the standard error across walker means
-// (each walker is an independent estimate); this requires walkers >= 2 for
-// nonzero errors. Vector observables are merged the same way element-wise.
-//
-// Deprecated: RunParallel is a compatibility wrapper over
-// Run(ctx, cfg, WithWalkers(walkers)); call Run directly — it is the one
-// canonical entry point, and it also carries a context.
-func RunParallel(cfg Config, walkers int) (*Results, error) {
-	if walkers < 1 {
-		return nil, fmt.Errorf("core: need at least one walker")
-	}
-	return Run(context.Background(), cfg, WithWalkers(walkers))
-}
-
-// MergeResults combines independent runs of the same configuration into
-// one estimate.
+// MergeResults combines independent runs of the same configuration —
+// statistically independent Markov chains, the embarrassingly parallel axis
+// of DQMC the paper's multicore platform also exploits between nodes — into
+// one estimate. Error bars on merged scalars are the standard error across
+// the runs' means (each run is an independent estimate), so they are nonzero
+// only for two or more runs; vector observables merge the same way
+// element-wise.
 func MergeResults(rs []*Results) (*Results, error) {
 	if len(rs) == 0 {
 		return nil, fmt.Errorf("core: nothing to merge")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -18,7 +19,7 @@ func TestRunParallelMergesWalkers(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	cfg := parallelTestConfig()
-	res, err := RunParallel(cfg, 3)
+	res, err := Run(context.Background(), cfg, WithWalkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +40,11 @@ func TestRunParallelMergesWalkers(t *testing.T) {
 func TestRunParallelDeterministic(t *testing.T) {
 	cfg := parallelTestConfig()
 	cfg.WarmSweeps, cfg.MeasSweeps = 5, 10
-	r1, err := RunParallel(cfg, 2)
+	r1, err := Run(context.Background(), cfg, WithWalkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunParallel(cfg, 2)
+	r2, err := Run(context.Background(), cfg, WithWalkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func withSeed(cfg Config, s uint64) Config {
 func TestRunParallelSingleWalker(t *testing.T) {
 	cfg := parallelTestConfig()
 	cfg.WarmSweeps, cfg.MeasSweeps = 3, 6
-	res, err := RunParallel(cfg, 1)
+	res, err := Run(context.Background(), cfg, WithWalkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +88,9 @@ func TestRunParallelSingleWalker(t *testing.T) {
 }
 
 func TestRunParallelValidation(t *testing.T) {
-	if _, err := RunParallel(parallelTestConfig(), 0); err == nil {
-		t.Fatal("zero walkers should fail")
-	}
 	bad := parallelTestConfig()
 	bad.Nx = 0
-	if _, err := RunParallel(bad, 2); err == nil {
+	if _, err := Run(context.Background(), bad, WithWalkers(2)); err == nil {
 		t.Fatal("invalid config should fail")
 	}
 }
@@ -120,11 +118,11 @@ func TestMergeResultsErrorShrinks(t *testing.T) {
 	// shrinks ~1/sqrt(W); tolerate noise by requiring no blow-up).
 	cfg := parallelTestConfig()
 	cfg.MeasSweeps = 40
-	r2, err := RunParallel(cfg, 2)
+	r2, err := Run(context.Background(), cfg, WithWalkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r6, err := RunParallel(cfg, 6)
+	r6, err := Run(context.Background(), cfg, WithWalkers(6))
 	if err != nil {
 		t.Fatal(err)
 	}

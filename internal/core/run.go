@@ -53,8 +53,7 @@ func WalkerSeed(base uint64, w int) uint64 {
 
 // Run is the unified entry point of the pipeline: it validates and builds
 // the simulation, executes the schedule under ctx, and returns Results
-// carrying the metrics document. It subsumes the older Simulation.Run /
-// RunProgress / RunParallel trio (kept as thin wrappers).
+// carrying the metrics document.
 func Run(ctx context.Context, cfg Config, options ...RunOption) (*Results, error) {
 	var ro runOptions
 	for _, opt := range options {

@@ -14,7 +14,6 @@ import (
 	"questgo/internal/gpu"
 	"questgo/internal/hubbard"
 	"questgo/internal/lattice"
-	"questgo/internal/mat"
 	"questgo/internal/measure"
 	"questgo/internal/obs"
 	"questgo/internal/profile"
@@ -73,8 +72,8 @@ type Config struct {
 	// 0 disables it.
 	StabilityCheckEvery int
 
-	// Devices, when >= 1, runs the sweeps on that many simulated
-	// accelerators (internal/gpu) instead of the CPU sweeper: level-3 work
+	// Devices, when >= 1, runs the sweeper over that many simulated
+	// accelerators (internal/gpu) instead of the host kernels: level-3 work
 	// — wrapping, clustering, delayed-update flushes — executes through the
 	// device cost model, sharded across the group when Devices > 1. The
 	// physics is identical (the simulated device computes on the host); the
@@ -202,27 +201,6 @@ type Results struct {
 	Prof *profile.Profile
 }
 
-// sweeper is the Markov-chain engine surface shared by the CPU sweeper
-// (update.Sweeper) and the device-offloaded one (gpu.Sweeper): everything
-// the run loop, the autopilot and the checkpointing need. The two produce
-// the same physics; Config.Devices selects the engine.
-type sweeper interface {
-	Sweep()
-	Sign() float64
-	SetSign(float64)
-	GreenUp() *mat.Dense
-	GreenDn() *mat.Dense
-	AcceptanceRate() float64
-	Counters() (accepted, proposed int64)
-	SetCounters(accepted, proposed int64)
-	MaxWrapDrift() float64
-	ClusterK() int
-	SetClusterK(int) int
-	StabilityEvery() int
-	SetStabilityEvery(int)
-	SetBoundaryHook(func())
-}
-
 // Simulation is a configured DQMC run.
 type Simulation struct {
 	cfg     Config
@@ -231,30 +209,18 @@ type Simulation struct {
 	prop    *hubbard.Propagator
 	field   *hubbard.Field
 	rng     *rng.Rand
-	sweeper sweeper
+	sweeper *update.Sweeper
 	group   *gpu.Group // nil unless cfg.Devices >= 1
 	col     *obs.Collector
 	pilot   *autopilot.Controller // nil unless cfg.Autopilot
 }
 
-// newSweeper builds the configured sweep engine: the device group sweeper
-// when cfg.Devices >= 1 (sharded over that many simulated accelerators),
-// the CPU sweeper otherwise. Shared by New and Resume so a resumed run
-// lands on the same engine it checkpointed from.
-func newSweeper(cfg Config, prop *hubbard.Propagator, field *hubbard.Field, r *rng.Rand, col *obs.Collector, clusterK, stabEvery int) (sweeper, *gpu.Group) {
-	if cfg.Devices >= 1 {
-		g := gpu.NewGroup(cfg.Devices, gpu.TeslaC2050())
-		return gpu.NewGroupSweeper(g, prop, field, r, gpu.SweeperOptions{
-			ClusterK:       clusterK,
-			Delay:          cfg.Delay,
-			NoStack:        cfg.NoStack,
-			SerialSpins:    cfg.SerialSpins,
-			UseGraphs:      cfg.UseGraphs,
-			Obs:            col,
-			StabilityEvery: stabEvery,
-		}), g
-	}
-	return update.NewSweeper(prop, field, r, update.Options{
+// newSweeper builds the Markov chain over the configured backend: the
+// device group (sharded over cfg.Devices simulated accelerators) when
+// cfg.Devices >= 1, the host kernels otherwise. Shared by New and Resume so a
+// resumed run lands on the same backend it checkpointed from.
+func newSweeper(cfg Config, prop *hubbard.Propagator, field *hubbard.Field, r *rng.Rand, col *obs.Collector, clusterK, stabEvery int) (*update.Sweeper, *gpu.Group) {
+	opts := update.Options{
 		ClusterK:       clusterK,
 		Delay:          cfg.Delay,
 		PrePivot:       cfg.PrePivot,
@@ -262,7 +228,12 @@ func newSweeper(cfg Config, prop *hubbard.Propagator, field *hubbard.Field, r *r
 		SerialSpins:    cfg.SerialSpins,
 		Obs:            col,
 		StabilityEvery: stabEvery,
-	}), nil
+	}
+	if cfg.Devices >= 1 {
+		g := gpu.NewGroup(cfg.Devices, gpu.TeslaC2050())
+		return update.NewSweeperOn(prop, field, r, opts, gpu.NewBackend(g, cfg.UseGraphs)), g
+	}
+	return update.NewSweeper(prop, field, r, opts), nil
 }
 
 // New builds the lattice, propagators and initial field for the
@@ -358,7 +329,7 @@ func (s *Simulation) autopilotStep() {
 	s.sweeper.SetStabilityEvery(a.CheckEvery)
 }
 
-// Progress reports a running simulation's position; see RunProgress. Each
+// Progress reports a running simulation's position; see WithProgress. Each
 // report carries a live snapshot of the phase-timing breakdown, so callers
 // can stream "where is the time going" alongside "how far along are we".
 type Progress struct {
@@ -373,14 +344,8 @@ type Progress struct {
 }
 
 // Run executes the full schedule and returns the results.
-func (s *Simulation) Run() *Results { return s.RunProgress(nil) }
-
-// Deprecated: RunProgress is Run with a progress callback; the package-level
-// Run(ctx, cfg, WithProgress(cb)) is the canonical spelling — it validates,
-// builds and executes in one call and can be canceled. RunProgress remains
-// for callers that manage a Simulation directly (e.g. around checkpoints).
-func (s *Simulation) RunProgress(cb func(Progress)) *Results {
-	res, _ := s.RunContext(context.Background(), cb)
+func (s *Simulation) Run() *Results {
+	res, _ := s.RunContext(context.Background(), nil) // an uncanceled run cannot fail
 	return res
 }
 
@@ -534,7 +499,7 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 	res.LocalMoment, res.LocalMomentErr = signedAverage(moment, signs)
 	res.SAF, res.SAFErr = signedAverage(saf, signs)
 	res.Potential = s.cfg.U * res.DoubleOcc
-	res.PotentialErr = s.cfg.U * res.DoubleOccErr
+	res.PotentialErr = math.Abs(s.cfg.U) * res.DoubleOccErr
 	res.Energy = res.Kinetic + res.Potential
 	res.EnergyErr = res.KineticErr + res.PotentialErr
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -145,19 +146,17 @@ func TestProgressCallback(t *testing.T) {
 	cfg.Nx, cfg.Ny = 2, 2
 	cfg.L = 4
 	cfg.WarmSweeps, cfg.MeasSweeps = 3, 5
-	sim, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var warm, meas int
-	sim.RunProgress(func(p Progress) {
+	if _, err := Run(context.Background(), cfg, WithProgress(func(p Progress) {
 		switch p.Stage {
 		case "warmup":
 			warm++
 		case "measure":
 			meas++
 		}
-	})
+	})); err != nil {
+		t.Fatal(err)
+	}
 	if warm != 3 || meas != 5 {
 		t.Fatalf("progress callbacks: warm=%d meas=%d", warm, meas)
 	}

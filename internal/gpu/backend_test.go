@@ -1,31 +1,45 @@
 package gpu
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
+	"questgo/internal/greens"
 	"questgo/internal/hubbard"
 	"questgo/internal/mat"
-	"questgo/internal/measure"
 	"questgo/internal/obs"
 	"questgo/internal/rng"
 	"questgo/internal/update"
 )
 
+// deviceSweeper builds the Markov chain over the device backend. PrePivot is
+// forced on: the hybrid full rebuild stratifies with Algorithm 3 only, and
+// core.Config.Validate enforces the same for device runs.
+func deviceSweeper(g *Group, p *hubbard.Propagator, f *hubbard.Field, r *rng.Rand, opts update.Options, graphs bool) *update.Sweeper {
+	opts.PrePivot = true
+	return update.NewSweeperOn(p, f, r, opts, NewBackend(g, graphs))
+}
+
+// freshCPU evaluates the boundary-0 Green's function of the sweeper's
+// current field from scratch on the host.
+func freshCPU(sw *update.Sweeper, sigma hubbard.Spin) *mat.Dense {
+	return greens.NewClusterSet(sw.Prop, sw.Field, sigma, sw.ClusterK()).GreenAt(0, true)
+}
+
 func TestHybridSweeperGreenConsistency(t *testing.T) {
 	p, f := testSetup(t, 3, 3, 4, 2, 8, 51)
 	dev := NewDevice(TeslaC2050())
-	sw := NewSweeper(dev, p, f, rng.New(5), SweeperOptions{ClusterK: 4, Delay: 3})
+	sw := deviceSweeper(GroupOf(dev), p, f, rng.New(5), update.Options{ClusterK: 4, Delay: 3}, false)
 	for i := 0; i < 3; i++ {
 		sw.Sweep()
 	}
 	// The incrementally maintained G must match a fresh CPU evaluation of
 	// the final field.
-	fresh := sw.freshCPU(hubbard.Up)
+	fresh := freshCPU(sw, hubbard.Up)
 	if d := mat.RelDiff(sw.GreenUp(), fresh); d > 1e-8 {
 		t.Fatalf("hybrid sweeper G drifted: %g", d)
 	}
-	fresh = sw.freshCPU(hubbard.Down)
+	fresh = freshCPU(sw, hubbard.Down)
 	if d := mat.RelDiff(sw.GreenDn(), fresh); d > 1e-8 {
 		t.Fatalf("hybrid sweeper spin-down G drifted: %g", d)
 	}
@@ -43,7 +57,7 @@ func TestHybridSweeperGreenConsistency(t *testing.T) {
 func TestHybridSweeperSetClusterK(t *testing.T) {
 	p, f := testSetup(t, 3, 3, 4, 2, 12, 57)
 	dev := NewDevice(TeslaC2050())
-	sw := NewSweeper(dev, p, f, rng.New(13), SweeperOptions{ClusterK: 4, Delay: 3})
+	sw := deviceSweeper(GroupOf(dev), p, f, rng.New(13), update.Options{ClusterK: 4, Delay: 3}, false)
 	sw.Sweep()
 	for _, k := range []int{2, 6, 3} {
 		if got := sw.SetClusterK(k); got != k {
@@ -53,7 +67,7 @@ func TestHybridSweeperSetClusterK(t *testing.T) {
 			t.Fatalf("ClusterK() = %d, want %d", sw.ClusterK(), k)
 		}
 		sw.Sweep()
-		fresh := sw.freshCPU(hubbard.Up)
+		fresh := freshCPU(sw, hubbard.Up)
 		if d := mat.RelDiff(sw.GreenUp(), fresh); d > 1e-8 {
 			t.Fatalf("k=%d: hybrid G drifted after resize: %g", k, d)
 		}
@@ -62,51 +76,6 @@ func TestHybridSweeperSetClusterK(t *testing.T) {
 	if got := sw.SetClusterK(5); got != 4 {
 		t.Fatalf("SetClusterK(5) = %d on L=12, want 4", got)
 	}
-}
-
-func TestHybridSweeperPhysicsAgreesWithCPU(t *testing.T) {
-	// Same model, independent chains: observables must agree within
-	// combined statistical errors.
-	run := func(hybrid bool) (docc, saf float64) {
-		p, f := testSetup(t, 4, 4, 4, 2, 16, 53)
-		r := rng.New(77)
-		var dSum, sSum float64
-		const warm, meas = 30, 80
-		if hybrid {
-			dev := NewDevice(TeslaC2050())
-			sw := NewSweeper(dev, p, f, r, SweeperOptions{ClusterK: 8})
-			for i := 0; i < warm; i++ {
-				sw.Sweep()
-			}
-			for i := 0; i < meas; i++ {
-				sw.Sweep()
-				et := measure.Measure(p.Model.Lat, sw.GreenUp(), sw.GreenDn(), sw.Sign())
-				dSum += et.DoubleOcc / meas
-				sSum += et.AFStructureFactor() / meas
-			}
-		} else {
-			sw := update.NewSweeper(p, f, r, update.Options{ClusterK: 8})
-			for i := 0; i < warm; i++ {
-				sw.Sweep()
-			}
-			for i := 0; i < meas; i++ {
-				sw.Sweep()
-				et := measure.Measure(p.Model.Lat, sw.GreenUp(), sw.GreenDn(), sw.Sign())
-				dSum += et.DoubleOcc / meas
-				sSum += et.AFStructureFactor() / meas
-			}
-		}
-		return dSum, sSum
-	}
-	dH, sH := run(true)
-	dC, sC := run(false)
-	if math.Abs(dH-dC) > 0.01 {
-		t.Fatalf("double occupancy: hybrid %v vs CPU %v", dH, dC)
-	}
-	if math.Abs(sH-sC) > 0.4 {
-		t.Fatalf("S(pi,pi): hybrid %v vs CPU %v", sH, sC)
-	}
-	t.Logf("hybrid vs CPU: docc %.4f/%.4f, S_AF %.3f/%.3f", dH, dC, sH, sC)
 }
 
 // fieldsEqual compares two auxiliary-field configurations exactly.
@@ -121,8 +90,7 @@ func fieldsEqual(a, b *hubbard.Field) bool {
 	return true
 }
 
-// TestSweeperDeviceAndGraphInvariance is the tentpole acceptance test:
-// the physical trajectory (auxiliary field and both Green's functions)
+// TestSweeperDeviceAndGraphInvariance: the physical trajectory (auxiliary field and both Green's functions)
 // must be bitwise identical across 1, 2 and 4 devices and with command
 // graphs off or on — sharding and graphs shape modeled time only. The
 // stack refresh path and the NoStack full-rebuild path (which shards the
@@ -132,8 +100,8 @@ func TestSweeperDeviceAndGraphInvariance(t *testing.T) {
 		run := func(nd int, graphs bool) (*hubbard.Field, *mat.Dense, *mat.Dense) {
 			p, f := testSetup(t, 3, 3, 4, 2, 8, 61)
 			grp := NewGroup(nd, TeslaC2050())
-			sw := NewGroupSweeper(grp, p, f, rng.New(11),
-				SweeperOptions{ClusterK: 4, Delay: 3, NoStack: noStack, UseGraphs: graphs})
+			sw := deviceSweeper(grp, p, f, rng.New(11),
+				update.Options{ClusterK: 4, Delay: 3, NoStack: noStack}, graphs)
 			sw.Sweep()
 			sw.Sweep()
 			return f, sw.GreenUp().Clone(), sw.GreenDn().Clone()
@@ -165,8 +133,8 @@ func TestSweeperSteadyDeviceMemory(t *testing.T) {
 	for _, noStack := range []bool{false, true} {
 		p, f := testSetup(t, 3, 3, 4, 2, 8, 67)
 		grp := NewGroup(4, TeslaC2050())
-		sw := NewGroupSweeper(grp, p, f, rng.New(29),
-			SweeperOptions{ClusterK: 4, Delay: 3, NoStack: noStack, UseGraphs: true})
+		sw := deviceSweeper(grp, p, f, rng.New(29),
+			update.Options{ClusterK: 4, Delay: 3, NoStack: noStack}, true)
 		sw.Sweep()
 		alloc := make([]int64, grp.Size())
 		high := make([]int64, grp.Size())
@@ -200,10 +168,10 @@ func TestSweeperSteadyDeviceMemory(t *testing.T) {
 // and the final Green's function consistent with a fresh CPU evaluation.
 func TestShardedSetClusterKUnderAutopilot(t *testing.T) {
 	schedule := []int{2, 4, 1}
-	run := func(nd int) (*hubbard.Field, *Sweeper) {
+	run := func(nd int) (*hubbard.Field, *update.Sweeper) {
 		p, f := testSetup(t, 3, 3, 4, 2, 8, 71)
 		grp := NewGroup(nd, TeslaC2050())
-		sw := NewGroupSweeper(grp, p, f, rng.New(19), SweeperOptions{ClusterK: 4, Delay: 3, UseGraphs: true})
+		sw := deviceSweeper(grp, p, f, rng.New(19), update.Options{ClusterK: 4, Delay: 3}, true)
 		sw.Sweep()
 		for _, k := range schedule {
 			if got := sw.SetClusterK(k); got != k {
@@ -222,7 +190,7 @@ func TestShardedSetClusterKUnderAutopilot(t *testing.T) {
 		if !sw.GreenUp().EqualApprox(swRef.GreenUp(), 0) || !sw.GreenDn().EqualApprox(swRef.GreenDn(), 0) {
 			t.Fatalf("devices=%d: Green's functions diverged under the k schedule", nd)
 		}
-		fresh := sw.freshCPU(hubbard.Up)
+		fresh := freshCPU(sw, hubbard.Up)
 		if d := mat.RelDiff(sw.GreenUp(), fresh); d > 1e-8 {
 			t.Fatalf("devices=%d: sharded G inconsistent with CPU after resizes: %g", nd, d)
 		}
@@ -233,7 +201,7 @@ func TestHybridSweeperProfile(t *testing.T) {
 	p, f := testSetup(t, 3, 3, 4, 2, 8, 57)
 	col := obs.New()
 	dev := NewDevice(TeslaC2050())
-	sw := NewSweeper(dev, p, f, rng.New(3), SweeperOptions{ClusterK: 4, Obs: col})
+	sw := deviceSweeper(GroupOf(dev), p, f, rng.New(3), update.Options{ClusterK: 4, Obs: col}, false)
 	col.Reset()
 	sw.Sweep()
 	pd := col.PhaseDurations()
@@ -247,5 +215,90 @@ func TestHybridSweeperProfile(t *testing.T) {
 	if d[obs.OpDeviceKernels] == 0 || d[obs.OpDeviceBytes] == 0 || d[obs.OpDeviceFlops] == 0 {
 		t.Fatalf("device op counters not populated: kernels=%d bytes=%d flops=%d",
 			d[obs.OpDeviceKernels], d[obs.OpDeviceBytes], d[obs.OpDeviceFlops])
+	}
+}
+
+// TestCrossEngineBitwise runs the one Sweeper over the host backend and over
+// device backends {1, 2, 4 devices} x {graphs off, on} in lockstep, through a
+// schedule with mid-run SetClusterK calls (one a non-divisor request) and a
+// SetStabilityEvery change, with the stability probes live. On the stack
+// path every engine must agree bitwise after every sweep on the auxiliary
+// field, G up/down, the sign, the counters and the cluster size. On the
+// NoStack path the device engines must agree bitwise among themselves, and
+// with the host — whose full rebuild is the all-CPU stratification instead
+// of the hybrid one — on the field and counters exactly and on G to 1e-12.
+func TestCrossEngineBitwise(t *testing.T) {
+	type engine struct {
+		name string
+		f    *hubbard.Field
+		sw   *update.Sweeper
+	}
+	// One step per sweep; k > 0 requests a cluster size first (7 does not
+	// divide L=12 and snaps to 6), every > 0 a new residual-check cadence.
+	schedule := []struct{ k, every int }{{}, {}, {k: 2}, {k: 7, every: 1}, {}, {k: 3}, {k: 4, every: 5}}
+	for _, tc := range []struct {
+		nx, ny  int
+		u       float64
+		noStack bool
+	}{
+		{3, 3, 4, false},
+		{4, 2, 6, false},
+		{3, 3, 4, true},
+	} {
+		opts := func() update.Options {
+			return update.Options{ClusterK: 4, Delay: 3, PrePivot: true, NoStack: tc.noStack,
+				Obs: obs.New(), StabilityEvery: 2}
+		}
+		p, f0 := testSetup(t, tc.nx, tc.ny, tc.u, 2, 12, 83)
+		engines := []*engine{{name: "host", f: f0.Clone()}}
+		engines[0].sw = update.NewSweeper(p, engines[0].f, rng.New(31), opts())
+		for _, nd := range []int{1, 2, 4} {
+			for _, graphs := range []bool{false, true} {
+				e := &engine{name: fmt.Sprintf("devices=%d graphs=%v", nd, graphs), f: f0.Clone()}
+				e.sw = deviceSweeper(NewGroup(nd, TeslaC2050()), p, e.f, rng.New(31), opts(), graphs)
+				engines = append(engines, e)
+			}
+		}
+		for step, sc := range schedule {
+			for _, e := range engines {
+				if sc.k > 0 {
+					e.sw.SetClusterK(sc.k)
+				}
+				if sc.every > 0 {
+					e.sw.SetStabilityEvery(sc.every)
+				}
+				e.sw.Sweep()
+			}
+			for i, e := range engines[1:] {
+				// Device engines compare against the first device engine on
+				// the NoStack path, everything against the host otherwise.
+				ref := engines[0]
+				if tc.noStack && i > 0 {
+					ref = engines[1]
+				}
+				label := fmt.Sprintf("%dx%d noStack=%v step %d: %s vs %s", tc.nx, tc.ny, tc.noStack, step, e.name, ref.name)
+				if !fieldsEqual(e.f, ref.f) {
+					t.Fatalf("%s: auxiliary field diverged", label)
+				}
+				ea, ep := e.sw.Counters()
+				ra, rp := ref.sw.Counters()
+				if ea != ra || ep != rp || e.sw.Sign() != ref.sw.Sign() || e.sw.ClusterK() != ref.sw.ClusterK() {
+					t.Fatalf("%s: counters %d/%d sign %v k %d, want %d/%d sign %v k %d", label,
+						ea, ep, e.sw.Sign(), e.sw.ClusterK(), ra, rp, ref.sw.Sign(), ref.sw.ClusterK())
+				}
+				tol := 0.0
+				if tc.noStack && ref == engines[0] {
+					tol = 1e-12
+				}
+				dUp := mat.RelDiff(e.sw.GreenUp(), ref.sw.GreenUp())
+				dDn := mat.RelDiff(e.sw.GreenDn(), ref.sw.GreenDn())
+				if !(dUp <= tol && dDn <= tol) { // a NaN fails too
+					t.Fatalf("%s: Green's functions differ by %g / %g (tolerance %g)", label, dUp, dDn, tol)
+				}
+			}
+		}
+		if k := engines[0].sw.ClusterK(); k != 4 {
+			t.Fatalf("schedule ended at k=%d, want 4", k)
+		}
 	}
 }

@@ -1,24 +1,31 @@
-// Package update implements the Metropolis sweep of the DQMC algorithm
-// (Algorithm 1 of the paper): single HS-field flips accepted with the
-// determinant ratio computed from the equal-time Green's function, with the
-// rank-1 updates *delayed* into blocked rank-nd updates so the O(N^3) of
-// update work per slice runs at GEMM speed instead of GER speed.
+// Package update owns the Markov chain of the DQMC algorithm (Algorithm 1 of
+// the paper): one Sweeper carries the Metropolis loop, the host-side delayed
+// rank-1 accumulators, the fermion sign, the accept/propose counters, the
+// refresh scheduling and the drift/residual probes — everything that is
+// serial and latency-bound. The level-3 work of a sweep (wrapping, cluster
+// products, the blocked flush G += U*W^T that turns nd rank-1 updates into
+// one GEMM, and the full-rebuild reference refresh) goes through a per-spin
+// Backend, so the same chain runs on the host kernels (NewSweeper) or on
+// simulated accelerators (NewSweeperOn with gpu.NewBackend) — the paper's
+// hybrid split of Section VI — and produces the same numbers bit for bit on
+// the stack path.
 //
 // Two optimizations sit on top of the paper's Algorithm 1:
 //
-//   - The per-boundary stratified refresh goes through greens.StratStack,
-//     which caches suffix UDT decompositions (built once per sweep) and
-//     extends a prefix UDT by one cluster per boundary, so each refresh
-//     costs O(1) cluster-UDT steps instead of re-running the whole
-//     L/k-cluster chain. Options.NoStack restores the full-rebuild
-//     reference path.
+//   - The per-boundary stratified refresh goes through greens.StratStack
+//     over the backend's clusters, which caches suffix UDT decompositions
+//     (built once per sweep) and extends a prefix UDT by one cluster per
+//     boundary, so each refresh costs O(1) cluster-UDT steps instead of
+//     re-running the whole L/k-cluster chain. Options.NoStack restores the
+//     backend's full-rebuild reference path.
 //   - The heavy per-spin phases — wrapping, delayed-update flushes,
 //     cluster recomputation, stratified refreshes, and the column/row
 //     assembly of accepted flips — are independent between the up and down
 //     sectors and fork onto the parallel pool (parallel.Pair). Only the
 //     per-site Metropolis ratio, which needs both spins' effective
 //     diagonal, stays synchronous. Options.SerialSpins restores the serial
-//     ordering.
+//     ordering. Each spin owns its backend, so no scratch is shared across
+//     the fork.
 package update
 
 import (
@@ -32,27 +39,80 @@ import (
 	"questgo/internal/rng"
 )
 
-// spinState carries the per-spin Green's function and the delayed-update
-// buffers: the effective Green's function during a slice is
-// G_eff(i,j) = G(i,j) + sum_t U(i,t)*W(j,t) with t < m pending updates.
-type spinState struct {
-	sigma hubbard.Spin
-	g     *mat.Dense
-	u, w  *mat.Dense // N x nd accumulators
-	m     int        // pending update count
-	col   []float64  // scratch: effective column i
-	row   []float64  // scratch: effective row i
+// Backend is one spin sector's level-3 engine: it owns the sector's cluster
+// products (the embedded greens.ClusterSource, which the Sweeper's
+// stratification stack and stability probes read) and runs the O(N^3)
+// phases of the sweep on them. The field and the spin are bound at
+// construction. Methods are called from one goroutine at a time per
+// backend; the two spins' backends run concurrently.
+type Backend interface {
+	greens.ClusterSource
+	// Wrap advances g to slice s: G <- B_s G B_s^{-1}.
+	Wrap(g *mat.Dense, s int)
+	// Flush applies the delayed block update accumulated on slice s,
+	// G += U[:, :m] * W[:, :m]^T.
+	Flush(g, u, w *mat.Dense, m, s int)
+	// Recompute rebuilds cluster c from the current field.
+	Recompute(c int)
+	// GreenAtInto evaluates the Green's function at cluster boundary c into dst
+	// by stratifying the whole cluster chain (the NoStack reference refresh).
+	GreenAtInto(dst *mat.Dense, c int)
+	// SetClusterK rebuilds the cluster products at size k (a divisor of L).
+	SetClusterK(k int)
 }
 
-func newSpinState(sigma hubbard.Spin, n, nd int) *spinState {
-	return &spinState{
-		sigma: sigma,
-		g:     mat.New(n, n),
-		u:     mat.New(n, nd),
-		w:     mat.New(n, nd),
-		col:   make([]float64, n),
-		row:   make([]float64, n),
+// NewBackend constructs one spin's Backend over the sweeper's propagator and
+// field, with the cluster size k and delay block nd the sweeper settled on.
+type NewBackend func(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, k, nd int) Backend
+
+// host is the CPU Backend: greens.ClusterSet, greens.Wrapper and blas.Gemm.
+type host struct {
+	prop     *hubbard.Propagator
+	field    *hubbard.Field
+	sigma    hubbard.Spin
+	prePivot bool
+	cs       *greens.ClusterSet
+	wrap     *greens.Wrapper
+}
+
+func newHost(prePivot bool) NewBackend {
+	return func(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, k, _ int) Backend {
+		return &host{
+			prop: p, field: f, sigma: sigma, prePivot: prePivot,
+			cs:   greens.NewClusterSet(p, f, sigma, k),
+			wrap: greens.NewWrapper(p),
+		}
 	}
+}
+
+func (h *host) Clusters() int                     { return h.cs.NC }
+func (h *host) Cluster(c int) *mat.Dense          { return h.cs.Cluster(c) }
+func (h *host) Wrap(g *mat.Dense, s int)          { h.wrap.Wrap(g, h.field, h.sigma, s) }
+func (h *host) Recompute(c int)                   { h.cs.Recompute(h.field, c) }
+func (h *host) GreenAtInto(dst *mat.Dense, c int) { h.cs.GreenAtInto(dst, c, h.prePivot) }
+func (h *host) SetClusterK(k int)                 { h.cs = greens.NewClusterSet(h.prop, h.field, h.sigma, k) }
+
+func (h *host) Flush(g, u, w *mat.Dense, m, _ int) {
+	blas.Gemm(false, true, 1, u.View(0, 0, u.Rows, m), w.View(0, 0, w.Rows, m), 1, g)
+}
+
+// spinState carries one spin's Green's function, its backend and
+// stratification stack, and the delayed-update buffers: the effective
+// Green's function during a slice is
+// G_eff(i,j) = G(i,j) + sum_t U(i,t)*W(j,t) with t < m pending updates.
+type spinState struct {
+	be    Backend
+	st    *greens.StratStack // nil on the NoStack path
+	g     *mat.Dense
+	u, w  *mat.Dense   // N x nd accumulators
+	m     int          // pending update count
+	fac   float64      // alpha/d of the flip being accepted (operand of acceptFn)
+	chain []*mat.Dense // residual-probe scratch: the chain at a boundary
+
+	// Pre-bound closures for the spin fork, so the per-site and per-slice
+	// hot paths allocate nothing; their operands are fac above and the
+	// Sweeper's slice/flipSite/cluster/boundary fields.
+	wrapFn, flushFn, acceptFn, clusterFn, refreshFn, advanceFn func()
 }
 
 // effDiag returns G_eff(i,i).
@@ -66,14 +126,26 @@ func (s *spinState) effDiag(i int) float64 {
 	return gii
 }
 
-// effColRow fills s.col with G_eff(:, i) and s.row with G_eff(i, :).
+// push appends the accepted flip at site i with amplitude factor = alpha/d:
+// it assembles the effective column G_eff(:, i) and row G_eff(i, :) straight
+// into the next u/w columns and scales them into the rank-1 pair. With our
+// wrapping convention the updated slice's B_l sits *leftmost* in the cyclic
+// product, M' = (I + alpha*e_i*e_i^T*(I-G)) * M, so
+//
+//	G' = G - (alpha/d) * (G e_i) * (e_i - G^T e_i)^T.
+//
+// (The paper's Section II-B prints the transposed variant, which belongs to
+// the convention where the flipped slice is rightmost; the determinant
+// ratio d = 1 + alpha*(1 - G_ii) is identical in both.)
 //
 //qmc:hot
-func (s *spinState) effColRow(i int) {
+func (s *spinState) push(i int, factor float64) {
 	n := s.g.Rows
-	copy(s.col, s.g.Col(i))
+	uc := s.u.Col(s.m)
+	wc := s.w.Col(s.m)
+	copy(uc, s.g.Col(i))
 	for r := 0; r < n; r++ {
-		s.row[r] = s.g.At(i, r)
+		wc[r] = s.g.At(i, r)
 	}
 	for t := 0; t < s.m; t++ {
 		ut := s.u.Col(t)
@@ -81,56 +153,42 @@ func (s *spinState) effColRow(i int) {
 		wi := wt[i]
 		ui := ut[i]
 		for r := 0; r < n; r++ {
-			s.col[r] += ut[r] * wi
-			s.row[r] += wt[r] * ui
+			uc[r] += ut[r] * wi
+			wc[r] += wt[r] * ui
 		}
 	}
-}
-
-// push appends the accepted flip at site i with amplitude factor = alpha/d.
-// With our wrapping convention the updated slice's B_l sits *leftmost* in
-// the cyclic product, M' = (I + alpha*e_i*e_i^T*(I-G)) * M, so
-//
-//	G' = G - (alpha/d) * (G e_i) * (e_i - G^T e_i)^T.
-//
-// (The paper's Section II-B prints the transposed variant, which belongs to
-// the convention where the flipped slice is rightmost; the determinant
-// ratio d = 1 + alpha*(1 - G_ii) is identical in both.) effColRow must have
-// been called for this i first.
-//
-//qmc:hot
-func (s *spinState) push(i int, factor float64) {
-	uc := s.u.Col(s.m)
-	wc := s.w.Col(s.m)
-	for r := range uc {
-		uc[r] = -factor * s.col[r]
-		wc[r] = -s.row[r]
+	for r := 0; r < n; r++ {
+		uc[r] *= -factor
+		wc[r] = -wc[r]
 	}
 	wc[i] += 1
 	s.m++
 }
 
-// flush applies the pending block update G += U * W^T and resets the count.
+// flush applies the pending block update G += U * W^T through the backend
+// (slice selects the owning device on a sharded backend) and resets the
+// count.
 //
 //qmc:charges OpDelayedFlushes
 //qmc:hot
-func (s *spinState) flush() {
+func (s *spinState) flush(slice int) {
 	if s.m == 0 {
 		return
 	}
 	obs.Add(obs.OpDelayedFlushes, 1)
-	uv := s.u.View(0, 0, s.u.Rows, s.m)
-	wv := s.w.View(0, 0, s.w.Rows, s.m)
-	blas.Gemm(false, true, 1, uv, wv, 1, s.g)
+	s.be.Flush(s.g, s.u, s.w, s.m, slice)
 	s.m = 0
 }
 
-// accept assembles and queues the rank-1 update for an accepted flip.
-//
-//qmc:hot
-func (s *spinState) accept(i int, factor float64) {
-	s.effColRow(i)
-	s.push(i, factor)
+// chainAt lists the backend's clusters in application order for boundary c
+// (see greens.ClusterSet.Chain) into the spin's reusable scratch.
+func (s *spinState) chainAt(c int) []*mat.Dense {
+	nc := s.be.Clusters()
+	s.chain = s.chain[:0]
+	for i := 0; i < nc; i++ {
+		s.chain = append(s.chain, s.be.Cluster((c+i)%nc))
+	}
+	return s.chain
 }
 
 // Options configures a Sweeper.
@@ -174,29 +232,15 @@ type Sweeper struct {
 
 	opts     Options
 	up, dn   *spinState
-	csUp     *greens.ClusterSet
-	csDn     *greens.ClusterSet
-	stUp     *greens.StratStack
-	stDn     *greens.StratStack
-	wrapUp   *greens.Wrapper // per-spin wrappers: scratch must not be shared
-	wrapDn   *greens.Wrapper // when the spin phases fork onto the pool
 	sign     float64
 	accepted int64
 	proposed int64
 
-	// Pre-bound closures for the spin fork, so the per-site and per-slice
-	// hot paths allocate nothing; the operands live in the fields below.
-	wrapUpFn, wrapDnFn     func()
-	flushUpFn, flushDnFn   func()
-	acceptUpFn, acceptDnFn func()
-	clusterUpFn, clusterDn func()
-	refreshUpFn, refreshDn func()
-	advanceUpFn, advanceDn func()
-	wrapSlice              int     // slice for wrapXFn
-	flipSite               int     // site for acceptXFn
-	facUp, facDn           float64 // alpha/d factors for acceptXFn
-	cluster                int     // cluster for clusterXFn
-	boundary               int     // boundary for refreshXFn (reference path)
+	// Operands of the per-spin pre-bound closures (see spinState).
+	slice    int // slice being wrapped / flushed
+	flipSite int // site of the flip being accepted
+	cluster  int // cluster being recomputed
+	boundary int // boundary being refreshed
 
 	// boundaryHook, when set, runs after every stratified refresh (i.e. at
 	// every cluster boundary) with the Green's functions freshly
@@ -213,9 +257,16 @@ type Sweeper struct {
 	checkStrat bool
 }
 
-// NewSweeper prepares a sweeper and computes the initial Green's functions
-// by full stratification.
+// NewSweeper prepares a sweeper over the host backend and computes the
+// initial Green's functions by full stratification.
 func NewSweeper(p *hubbard.Propagator, f *hubbard.Field, r *rng.Rand, opts Options) *Sweeper {
+	return NewSweeperOn(p, f, r, opts, newHost(opts.PrePivot))
+}
+
+// NewSweeperOn is NewSweeper over the per-spin backends mk constructs (one
+// call per spin, with the cluster size and delay block snapped to the
+// model).
+func NewSweeperOn(p *hubbard.Propagator, f *hubbard.Field, r *rng.Rand, opts Options, mk NewBackend) *Sweeper {
 	if opts.ClusterK < 1 {
 		opts.ClusterK = 10
 	}
@@ -225,51 +276,39 @@ func NewSweeper(p *hubbard.Propagator, f *hubbard.Field, r *rng.Rand, opts Optio
 	if opts.Delay < 1 {
 		opts.Delay = 32
 	}
-	n := p.Model.N()
-	if opts.Delay > n {
+	if n := p.Model.N(); opts.Delay > n {
 		opts.Delay = n
 	}
-	sw := &Sweeper{
-		Prop:  p,
-		Field: f,
-		Rng:   r,
-		opts:  opts,
-		up:    newSpinState(hubbard.Up, n, opts.Delay),
-		dn:    newSpinState(hubbard.Down, n, opts.Delay),
-		sign:  1,
-	}
-	cstart := opts.Obs.Begin()
-	sw.csUp = greens.NewClusterSet(p, f, hubbard.Up, opts.ClusterK)
-	sw.csDn = greens.NewClusterSet(p, f, hubbard.Down, opts.ClusterK)
-	opts.Obs.End(obs.PhaseCluster, cstart)
-	sw.wrapUp = greens.NewWrapper(p)
-	sw.wrapDn = greens.NewWrapper(p)
-	if !opts.NoStack {
-		sstart := opts.Obs.Begin()
-		sw.stUp = greens.NewStratStack(sw.csUp, opts.PrePivot)
-		sw.stDn = greens.NewStratStack(sw.csDn, opts.PrePivot)
-		sw.stUp.Obs = opts.Obs
-		sw.stDn.Obs = opts.Obs
-		opts.Obs.End(obs.PhaseRefresh, sstart)
-	}
-
-	sw.wrapUpFn = func() { sw.wrapUp.Wrap(sw.up.g, sw.Field, hubbard.Up, sw.wrapSlice) }
-	sw.wrapDnFn = func() { sw.wrapDn.Wrap(sw.dn.g, sw.Field, hubbard.Down, sw.wrapSlice) }
-	sw.flushUpFn = func() { sw.up.flush() }
-	sw.flushDnFn = func() { sw.dn.flush() }
-	sw.acceptUpFn = func() { sw.up.accept(sw.flipSite, sw.facUp) }
-	sw.acceptDnFn = func() { sw.dn.accept(sw.flipSite, sw.facDn) }
-	sw.clusterUpFn = func() { sw.csUp.Recompute(sw.Field, sw.cluster) }
-	sw.clusterDn = func() { sw.csDn.Recompute(sw.Field, sw.cluster) }
-	sw.refreshUpFn = func() { sw.refreshSpin(sw.up, sw.csUp, sw.stUp, true) }
-	sw.refreshDn = func() { sw.refreshSpin(sw.dn, sw.csDn, sw.stDn, false) }
-	if !opts.NoStack {
-		sw.advanceUpFn = func() { sw.stUp.Advance() }
-		sw.advanceDn = func() { sw.stDn.Advance() }
-	}
-
-	sw.refresh()
+	sw := &Sweeper{Prop: p, Field: f, Rng: r, opts: opts, sign: 1}
+	sw.up = sw.newSpin(mk, hubbard.Up)
+	sw.dn = sw.newSpin(mk, hubbard.Down)
+	sw.refresh(0)
 	return sw
+}
+
+// newSpin builds one spin sector: backend (cluster products), stack, Green's
+// function and accumulators, and binds the sector's fork closures.
+func (sw *Sweeper) newSpin(mk NewBackend, sigma hubbard.Spin) *spinState {
+	o := sw.opts
+	n := sw.Prop.Model.N()
+	s := &spinState{g: mat.New(n, n), u: mat.New(n, o.Delay), w: mat.New(n, o.Delay)}
+	cstart := o.Obs.Begin()
+	s.be = mk(sw.Prop, sw.Field, sigma, o.ClusterK, o.Delay)
+	o.Obs.End(obs.PhaseCluster, cstart)
+	if !o.NoStack {
+		sstart := o.Obs.Begin()
+		s.st = greens.NewStratStack(s.be, o.PrePivot)
+		s.st.Obs = o.Obs
+		o.Obs.End(obs.PhaseRefresh, sstart)
+		s.advanceFn = s.st.Advance
+	}
+	s.wrapFn = func() { s.be.Wrap(s.g, sw.slice) }
+	s.flushFn = func() { s.flush(sw.slice) }
+	s.acceptFn = func() { s.push(sw.flipSite, s.fac) }
+	s.clusterFn = func() { s.be.Recompute(sw.cluster) }
+	// The wrap-drift diagnostic samples the spin-up sector only.
+	s.refreshFn = func() { sw.refreshSpin(s, sigma == hubbard.Up) }
+	return s
 }
 
 // fork runs the two per-spin closures through the pool, or serially when
@@ -284,23 +323,23 @@ func (sw *Sweeper) fork(up, dn func()) {
 }
 
 // refreshSpin recomputes one spin's Green's function by stratification at
-// the current boundary and records the drift of the wrapped copy (spin-up
-// only, matching the original diagnostic).
-func (sw *Sweeper) refreshSpin(s *spinState, cs *greens.ClusterSet, st *greens.StratStack, trackDrift bool) {
+// the current boundary and, when trackDrift is set, records the drift of
+// the wrapped copy.
+func (sw *Sweeper) refreshSpin(s *spinState, trackDrift bool) {
 	n := s.g.Rows
 	gNew := mat.GetScratch(n, n)
-	if st != nil {
-		st.GreenInto(gNew)
+	if s.st != nil {
+		s.st.GreenInto(gNew)
 		if trackDrift && sw.checkStrat {
 			// Sampled stability check: the stack's amortized answer against
-			// a from-scratch stratification of the same cluster chain.
+			// a from-scratch host stratification of the same cluster chain.
 			ref := mat.GetScratch(n, n)
-			cs.GreenAtInto(ref, sw.boundary, sw.opts.PrePivot)
+			greens.GreenInto(ref, s.chainAt(sw.boundary), sw.opts.PrePivot)
 			sw.opts.Obs.SampleStratResidual(mat.RelDiff(gNew, ref))
 			mat.PutScratch(ref)
 		}
 	} else {
-		cs.GreenAtInto(gNew, sw.boundary, sw.opts.PrePivot)
+		s.be.GreenAtInto(gNew, sw.boundary)
 	}
 	if trackDrift && sw.proposed > 0 {
 		d := mat.RelDiff(s.g, gNew)
@@ -316,13 +355,14 @@ func (sw *Sweeper) refreshSpin(s *spinState, cs *greens.ClusterSet, st *greens.S
 	mat.PutScratch(gNew)
 }
 
-// refresh recomputes both Green's functions at the current boundary.
-func (sw *Sweeper) refresh() {
+// refresh recomputes both Green's functions at cluster boundary c.
+func (sw *Sweeper) refresh(c int) {
 	start := sw.opts.Obs.Begin()
+	sw.boundary = c
 	sw.boundaries++
 	sw.checkStrat = sw.opts.StabilityEvery > 0 && sw.opts.Obs.Enabled() &&
 		sw.boundaries%int64(sw.opts.StabilityEvery) == 0
-	sw.fork(sw.refreshUpFn, sw.refreshDn)
+	sw.fork(sw.up.refreshFn, sw.dn.refreshFn)
 	sw.checkStrat = false
 	sw.opts.Obs.End(obs.PhaseRefresh, start)
 }
@@ -347,32 +387,31 @@ func (sw *Sweeper) Sweep() {
 	for s := 0; s < model.L; s++ {
 		// Wrap both spins into slice s: G <- B_s G B_s^{-1}.
 		wstart := sw.opts.Obs.Begin()
-		sw.wrapSlice = s
-		sw.fork(sw.wrapUpFn, sw.wrapDnFn)
+		sw.slice = s
+		sw.fork(sw.up.wrapFn, sw.dn.wrapFn)
 		sw.opts.Obs.End(obs.PhaseWrap, wstart)
 
 		ustart := sw.opts.Obs.Begin()
 		for i := 0; i < n; i++ {
 			sw.proposeFlip(s, i)
 		}
-		sw.fork(sw.flushUpFn, sw.flushDnFn)
+		sw.fork(sw.up.flushFn, sw.dn.flushFn)
 		sw.opts.Obs.End(obs.PhaseFlush, ustart)
 
 		if (s+1)%k == 0 {
 			c := s / k
 			cstart := sw.opts.Obs.Begin()
 			sw.cluster = c
-			sw.fork(sw.clusterUpFn, sw.clusterDn)
+			sw.fork(sw.up.clusterFn, sw.dn.clusterFn)
 			sw.opts.Obs.End(obs.PhaseCluster, cstart)
-			if sw.stUp != nil {
+			if sw.up.st != nil {
 				// One prefix extension per boundary; GreenInto (inside
 				// refresh) combines it with the cached suffix.
 				sstart := sw.opts.Obs.Begin()
-				sw.fork(sw.advanceUpFn, sw.advanceDn)
+				sw.fork(sw.up.advanceFn, sw.dn.advanceFn)
 				sw.opts.Obs.End(obs.PhaseRefresh, sstart)
 			}
-			sw.boundary = (c + 1) % sw.csUp.NC
-			sw.refresh()
+			sw.refresh((c + 1) % sw.up.be.Clusters())
 			if sw.boundaryHook != nil {
 				sw.boundaryHook()
 			}
@@ -404,12 +443,12 @@ func (sw *Sweeper) proposeFlip(s, i int) {
 		sw.sign = -sw.sign
 	}
 	sw.flipSite = i
-	sw.facUp = aUp / dUp
-	sw.facDn = aDn / dDn
-	sw.fork(sw.acceptUpFn, sw.acceptDnFn)
+	sw.up.fac = aUp / dUp
+	sw.dn.fac = aDn / dDn
+	sw.fork(sw.up.acceptFn, sw.dn.acceptFn)
 	sw.Field.Flip(s, i)
 	if sw.up.m == sw.opts.Delay {
-		sw.fork(sw.flushUpFn, sw.flushDnFn)
+		sw.fork(sw.up.flushFn, sw.dn.flushFn)
 	}
 }
 
@@ -471,11 +510,9 @@ func (sw *Sweeper) SetStabilityEvery(n int) {
 // autopilot's actuator. k is decremented to the nearest divisor of L (like
 // NewSweeper) and returned. Call only between sweeps: the Green's
 // functions then sit at cluster boundary 0, which is independent of the
-// clustering, so the resize rebuilds the per-spin cluster sets and
+// clustering, so the resize rebuilds the backends' cluster products and
 // retargets the stratification stacks without touching G or the field —
-// the Markov chain continues exactly where it was. The pre-bound spin
-// closures read the cluster-set and stack fields at call time, so no
-// rebinding is needed.
+// the Markov chain continues exactly where it was.
 func (sw *Sweeper) SetClusterK(k int) int {
 	if k < 1 {
 		k = 1
@@ -488,15 +525,14 @@ func (sw *Sweeper) SetClusterK(k int) int {
 	}
 	sw.opts.ClusterK = k
 	cstart := sw.opts.Obs.Begin()
-	sw.csUp = greens.NewClusterSet(sw.Prop, sw.Field, hubbard.Up, k)
-	sw.csDn = greens.NewClusterSet(sw.Prop, sw.Field, hubbard.Down, k)
+	sw.up.be.SetClusterK(k)
+	sw.dn.be.SetClusterK(k)
 	sw.opts.Obs.End(obs.PhaseCluster, cstart)
-	if sw.stUp != nil {
+	if sw.up.st != nil {
 		sstart := sw.opts.Obs.Begin()
-		sw.stUp.Retarget(sw.csUp)
-		sw.stDn.Retarget(sw.csDn)
+		sw.up.st.Retarget(sw.up.be)
+		sw.dn.st.Retarget(sw.dn.be)
 		sw.opts.Obs.End(obs.PhaseRefresh, sstart)
 	}
-	sw.boundary = 0
 	return k
 }

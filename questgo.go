@@ -25,8 +25,8 @@
 //
 // Run accepts options (WithProgress, WithWalkers, WithCheckpointOnCancel)
 // and stops cleanly at the next sweep when ctx is canceled. Run is the one
-// canonical entry point; the older NewSimulation / Simulation.Run /
-// RunParallel / RunProgress surface remains available but is deprecated.
+// canonical entry point; NewSimulation / Simulation.RunContext remain for
+// callers that manage a Simulation directly (e.g. around checkpoints).
 //
 // Config round-trips through a canonical JSON wire format (snake_case keys
 // matching the QUEST input-file vocabulary, stamped with schema_version)
@@ -55,7 +55,7 @@ type Results = core.Results
 // Simulation is a configured DQMC run.
 type Simulation = core.Simulation
 
-// Progress reports a running simulation's position to RunProgress callbacks.
+// Progress reports a running simulation's position to WithProgress callbacks.
 type Progress = core.Progress
 
 // Checkpoint captures the Markov-chain state of a simulation for restart
@@ -122,15 +122,6 @@ func NewConfig(opts ...ConfigOption) (Config, error) { return core.NewConfig(opt
 // returns Results carrying the metrics document.
 func Run(ctx context.Context, cfg Config, opts ...RunOption) (*Results, error) {
 	return core.Run(ctx, cfg, opts...)
-}
-
-// RunParallel runs independent walkers of the same configuration
-// concurrently and merges their statistics.
-//
-// Deprecated: use Run(ctx, cfg, WithWalkers(walkers)); it is the same
-// computation with context cancellation and progress reporting.
-func RunParallel(cfg Config, walkers int) (*Results, error) {
-	return core.RunParallel(cfg, walkers)
 }
 
 // Resume reconstructs a simulation from a checkpoint so the Markov chain
