@@ -7,9 +7,9 @@ import (
 	"questgo/internal/rng"
 )
 
-// FuzzGemmPackedVsNaive drives the packed GEMM (and the small-product
-// fallback it dispatches to) against the reference triple loop over
-// fuzzer-chosen shapes, transpose flags, scalars and data seeds. The two
+// FuzzGemmPackedVsNaive drives the packed GEMM against the reference triple
+// loop over fuzzer-chosen shapes (both sides of the pool cutoff, every
+// partial-tile remainder), transpose flags, scalars and data seeds. The two
 // must agree to 1e-12 relative to the accumulation length — the packed
 // kernel reorders the sum but performs the same floating-point work.
 func FuzzGemmPackedVsNaive(f *testing.F) {
@@ -18,6 +18,13 @@ func FuzzGemmPackedVsNaive(f *testing.F) {
 	f.Add(uint8(64), uint8(64), uint8(64), uint64(3), -0.5, 1.0, false, true)
 	f.Add(uint8(33), uint8(17), uint8(65), uint64(4), 2.0, -1.0, true, true)
 	f.Add(uint8(96), uint8(2), uint8(47), uint64(5), 1.0, 0.5, false, false)
+	// m = m8+1 etc.: 64x64x63 runs inline, 64^3 is the first pooled product.
+	f.Add(uint8(63), uint8(63), uint8(62), uint64(6), 1.0, 0.0, false, false)
+	f.Add(uint8(63), uint8(63), uint8(63), uint64(7), 1.0, 0.0, true, false)
+	// Partial tiles in both kernels (m mod 8, m mod 4, n mod 4) at k = 1..3.
+	f.Add(uint8(12), uint8(6), uint8(0), uint64(8), 1.0, 1.0, false, false)
+	f.Add(uint8(10), uint8(4), uint8(1), uint64(9), -1.0, 0.5, false, true)
+	f.Add(uint8(14), uint8(5), uint8(2), uint64(10), 0.5, 0.0, true, true)
 	f.Fuzz(func(t *testing.T, m8, n8, k8 uint8, seed uint64, alpha, beta float64, ta, tb bool) {
 		m := int(m8%96) + 1
 		n := int(n8%96) + 1

@@ -19,9 +19,15 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 //go:noescape
 func xgetbv0() (eax, edx uint32)
 
-// microKernel8x4 adapts the assembly kernel to the generic signature.
-func microKernel8x4(kc int, a, b, c []float64, ldc int) {
-	dgemm8x4asm(int64(kc), &a[0], &b[0], &c[0], int64(ldc))
+// microKernel runs the kernel init selected: C[r + q*ldc] += sum_k
+// a[k*mr+r] * b[k*nr+q] over one packed micro-panel pair. It must stay a
+// plain function (see runMacro).
+func microKernel(kc int, a, b, c []float64, ldc int) {
+	if kernMR == 8 {
+		dgemm8x4asm(int64(kc), &a[0], &b[0], &c[0], int64(ldc))
+	} else {
+		microKernel4x4(kc, a, b, c, ldc)
+	}
 }
 
 func init() {
@@ -47,5 +53,5 @@ func init() {
 	if b7&avx2Bit == 0 {
 		return
 	}
-	kernMR, kernNR, microKernel = 8, 4, microKernel8x4
+	kernMR, kernNR = 8, 4
 }

@@ -17,14 +17,19 @@ package blas
 // same as plain ones and nothing is ever materialized. Packed micro-panels
 // store A k-major in mr-tall stripes (element (r, k) at [k*mr+r]) and B
 // k-major in nr-wide stripes (element (k, q) at [k*nr+q]); padding rows and
-// columns are zero-filled so the micro-kernel always runs full tiles, and
-// only the write-back respects the true edge.
+// columns are zero-filled so the micro-kernel always runs full tiles; a
+// partial tile runs it into an mr x nr spill tile and only the write-back
+// respects the true edge.
 //
-// The micro-kernel itself is selected at startup: an AVX2+FMA 8x4 assembly
-// kernel on capable amd64 hardware (gemm_amd64.s), otherwise the portable
-// 4x4 Go kernel below. Contexts (including the packing buffers and the
-// parallel-loop closures) are pooled so a steady-state Gemm call performs
-// zero heap allocations.
+// Every shape takes this one path. The micro-kernel is selected at startup:
+// an AVX2+FMA 8x4 assembly kernel on capable amd64 hardware (gemm_amd64.s),
+// otherwise the portable 4x4 Go kernel below. The only shape-dependent
+// decision is whether the loops are offered to the parallel pool at all
+// (gemmPoolMin); the pool only ever splits a loop over whole micro-panels,
+// so which kernel and which k-blocking compute a given C tile — and hence
+// every bit of the result — is independent of GOMAXPROCS and pool load.
+// Contexts (including the packing buffers and the parallel-loop closures)
+// are pooled so a steady-state Gemm call performs zero heap allocations.
 
 import (
 	"sync"
@@ -41,17 +46,23 @@ const (
 	gemmNC = 1024
 )
 
-// Micro-tile dimensions, set at init by the per-arch kernel selection.
-// kernMR*kernNR accumulators live in registers across the whole KC loop.
-var (
-	kernMR      = 4
-	kernNR      = 4
-	microKernel = microKernel4x4
-)
+// gemmPoolMin is the smallest m*n*k whose loops (beta pre-pass, packing,
+// macro sweep) are offered to the parallel pool. Below it a hand-off plus
+// the wake-up costs more than the product itself (64^3 is ~20 us of kernel
+// time), so the calling goroutine runs every loop inline.
+const gemmPoolMin = 64 * 64 * 64
 
-// maxMR bounds kernMR across all kernel choices (edge buffers are sized
-// statically with it).
-const maxMR = 8
+// Micro-tile dimensions, set at init by the per-arch kernel selection
+// (microKernel, in gemm_amd64.go / gemm_generic.go, dispatches on them).
+// kernMR*kernNR accumulators live in registers across the whole KC loop.
+var kernMR, kernNR = 4, 4
+
+// maxMR and maxNR bound the tile across all kernel choices; the spill tile
+// for partial tiles is sized statically with them.
+const (
+	maxMR = 8
+	maxNR = 4
+)
 
 // gemmCtx carries one Gemm call's state. The closures are created once per
 // context (in the pool's New) so per-call dispatch into the worker pool
@@ -90,6 +101,16 @@ func growBuf(buf []float64, n int) []float64 {
 	return make([]float64, n)
 }
 
+// loop runs body over [0, n): through the pool for a product large enough
+// to repay the hand-off, inline otherwise.
+func (ctx *gemmCtx) loop(n, grain int, body func(lo, hi int)) {
+	if ctx.m*ctx.n*ctx.k >= gemmPoolMin {
+		parallel.For(n, grain, body)
+	} else {
+		body(0, n)
+	}
+}
+
 // runPacked drives the blocked loops. Packing B is parallel over its
 // micro-panels; packing A is serial (it is O(mc*kc), negligible against the
 // O(mc*kc*nb) macro sweep it feeds); the macro sweep is parallel over B
@@ -104,14 +125,14 @@ func (ctx *gemmCtx) runPacked() {
 			ctx.pc = pc
 			ctx.kc = min(gemmKC, ctx.k-pc)
 			ctx.bp = growBuf(ctx.bp, npan*nr*ctx.kc)
-			parallel.For(npan, 8, ctx.packBBody)
+			ctx.loop(npan, 8, ctx.packBBody)
 			for ic := 0; ic < ctx.m; ic += gemmMC {
 				ctx.ic = ic
 				ctx.mb = min(gemmMC, ctx.m-ic)
 				mpan := (ctx.mb + mr - 1) / mr
 				ctx.ap = growBuf(ctx.ap, mpan*mr*ctx.kc)
 				ctx.runPackA()
-				parallel.For(npan, 2, ctx.macroBody)
+				ctx.loop(npan, 2, ctx.macroBody)
 			}
 		}
 	}
@@ -190,10 +211,13 @@ func (ctx *gemmCtx) runPackA() {
 }
 
 // runMacro sweeps B micro-panels [plo, phi) against every packed A panel of
-// the current slab. Full tiles go straight to the register kernel; edge
-// tiles (bottom rows / last columns) use the buffer-free scalar kernel.
+// the current slab. Full tiles accumulate straight into C; a partial tile
+// (bottom rows / last columns) runs the same kernel over the zero-padded
+// panels into the spill tile and adds back its iw x jw corner. microKernel
+// is called directly, not through a func value, so spill stays on the stack.
 func (ctx *gemmCtx) runMacro(plo, phi int) {
 	mr, nr, kc := kernMR, kernNR, ctx.kc
+	var spill [maxMR * maxNR]float64
 	mpan := (ctx.mb + mr - 1) / mr
 	for p := plo; p < phi; p++ {
 		bpanel := ctx.bp[p*nr*kc : (p+1)*nr*kc]
@@ -205,8 +229,15 @@ func (ctx *gemmCtx) runMacro(plo, phi int) {
 			iw := min(mr, ctx.ic+ctx.mb-i0)
 			if iw == mr && jw == nr {
 				microKernel(kc, apanel, bpanel, ctx.cData[i0+j0*ctx.cs:], ctx.cs)
-			} else {
-				microKernelEdge(kc, iw, jw, mr, nr, apanel, bpanel, ctx.cData[i0+j0*ctx.cs:], ctx.cs)
+				continue
+			}
+			spill = [maxMR * maxNR]float64{}
+			microKernel(kc, apanel, bpanel, spill[:], mr)
+			for q := 0; q < jw; q++ {
+				col := ctx.cData[i0+(j0+q)*ctx.cs:][:iw]
+				for r := range col {
+					col[r] += spill[q*mr+r]
+				}
 			}
 		}
 	}
@@ -258,21 +289,6 @@ func microKernel4x4(kc int, a, b, c []float64, ldc int) {
 	c[3*ldc+1] += c13
 	c[3*ldc+2] += c23
 	c[3*ldc+3] += c33
-}
-
-// microKernelEdge handles partial tiles (iw <= mr rows, jw <= nr columns)
-// without a spill buffer: one dot product per surviving C element over the
-// zero-padded packed panels.
-func microKernelEdge(kc, iw, jw, mr, nr int, a, b, c []float64, ldc int) {
-	for q := 0; q < jw; q++ {
-		for r := 0; r < iw; r++ {
-			var s float64
-			for kk := 0; kk < kc; kk++ {
-				s += a[kk*mr+r] * b[kk*nr+q]
-			}
-			c[r+q*ldc] += s
-		}
-	}
 }
 
 func min(a, b int) int {

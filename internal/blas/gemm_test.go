@@ -12,8 +12,9 @@ import (
 )
 
 // gemmShapes spans the micro-kernel edge cases: dimensions below, at, and
-// just past the MR/NR tile widths, shapes straddling the small-product
-// threshold, and degenerate 1-row/1-column extents.
+// just past the MR/NR tile widths, shapes straddling the pool cutoff
+// (gemmPoolMin), degenerate 1-row/1-column extents and, appended by init,
+// every partial-tile remainder of both kernels.
 var gemmShapes = []struct{ m, n, k int }{
 	{1, 1, 1},
 	{1, 9, 1},
@@ -27,15 +28,31 @@ var gemmShapes = []struct{ m, n, k int }{
 	{16, 16, 16},
 	{17, 33, 9},
 	{31, 32, 33},
-	{33, 33, 33},   // just past gemmSmallLimit: packed path
-	{65, 100, 31},  // packed, edge tiles on both borders
-	{129, 65, 100}, // packed, m past MC
+	{33, 33, 33},
+	{64, 64, 63},   // last product the caller runs inline
+	{64, 64, 64},   // gemmPoolMin: first product offered to the pool
+	{61, 67, 65},   // pooled, partial tiles on both borders
+	{65, 100, 31},  // inline, partial tiles on both borders
+	{129, 65, 100}, // m past MC
 	{100, 129, 65},
+	{70, 40, 300}, // k past KC: two k slabs accumulate into each tile
+}
+
+// Every remainder m mod 8 and m mod 4 (the 8x4 and 4x4 kernels' row tiles)
+// against every n mod 4, behind one full tile, at k = 1..3.
+func init() {
+	for m := 9; m <= 16; m++ {
+		for n := 5; n <= 8; n++ {
+			for k := 1; k <= 3; k++ {
+				gemmShapes = append(gemmShapes, struct{ m, n, k int }{m, n, k})
+			}
+		}
+	}
 }
 
 // TestGemmEdgeCasesVsNaive sweeps shapes x trans combos x alpha/beta values
 // against the reference triple loop. This covers m, n, k not divisible by
-// the register tile, both kernel paths, and the beta pre-pass.
+// the register tile, inline and pooled dispatch, and the beta pre-pass.
 func TestGemmEdgeCasesVsNaive(t *testing.T) {
 	r := rng.New(42)
 	for _, sh := range gemmShapes {
@@ -73,7 +90,7 @@ func TestGemmEdgeCasesVsNaive(t *testing.T) {
 // so NaN/Inf garbage in the destination cannot leak into the result.
 func TestGemmBetaZeroClearsNaN(t *testing.T) {
 	r := rng.New(7)
-	for _, n := range []int{8, 64} { // small and packed paths
+	for _, n := range []int{8, 36, 64} { // inline, partial tiles, pooled
 		a := randomDense(r, n, n)
 		b := randomDense(r, n, n)
 		c := mat.New(n, n)
@@ -100,25 +117,108 @@ func TestGemmNoAllocSteadyState(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc counts only meaningful without -race")
 	}
 	r := rng.New(11)
-	n := 128 // comfortably in the packed path
-	a := randomDense(r, n, n)
-	b := randomDense(r, n, n)
-	c := mat.New(n, n)
-	for _, tc := range []struct {
-		name   string
-		ta, tb bool
-	}{
-		{"NN", false, false},
-		{"TN", true, false},
-		{"NT", false, true},
+	// 16: the 4x4-lattice size, all full tiles, inline. 36: partial tiles
+	// on both borders (the spill tile must stay on the stack). 128: pooled.
+	for _, n := range []int{16, 36, 128} {
+		a := randomDense(r, n, n)
+		b := randomDense(r, n, n)
+		c := mat.New(n, n)
+		for _, tc := range []struct {
+			name   string
+			ta, tb bool
+		}{
+			{"NN", false, false},
+			{"TN", true, false},
+			{"NT", false, true},
+		} {
+			// Warm the pools outside the measured runs.
+			Gemm(tc.ta, tc.tb, 1, a, b, 0, c)
+			allocs := testing.AllocsPerRun(10, func() {
+				Gemm(tc.ta, tc.tb, 1, a, b, 0.5, c)
+			})
+			if allocs != 0 {
+				t.Errorf("n=%d %s: Gemm allocated %.1f objects per call, want 0", n, tc.name, allocs)
+			}
+		}
+	}
+}
+
+// TestGemmBitwiseAcrossDispatch pins the invariant every relative bitwise
+// guarantee of the stack rests on (host = device, serial = parallel spins,
+// resume = continuous, service job = direct Run): whether and how the pool
+// splits a product never changes which kernel or k-blocking computes a C
+// tile, so the result is identical bit for bit at GOMAXPROCS 1, 2 and 4
+// and when every pool worker is busy and the loops degrade to the caller.
+func TestGemmBitwiseAcrossDispatch(t *testing.T) {
+	type operands struct {
+		ta, tb  bool
+		a, b, c *mat.Dense
+	}
+	r := rng.New(23)
+	var cases []operands
+	for _, sh := range []struct{ m, n, k int }{
+		{16, 16, 16},   // inline, full tiles
+		{36, 36, 36},   // inline, partial tiles
+		{64, 64, 64},   // at the pool cutoff
+		{61, 131, 70},  // pooled, partial tiles, several chunks
+		{150, 70, 300}, // pooled, m past MC, two k slabs
 	} {
-		// Warm the pools outside the measured runs.
-		Gemm(tc.ta, tc.tb, 1, a, b, 0, c)
-		allocs := testing.AllocsPerRun(10, func() {
-			Gemm(tc.ta, tc.tb, 1, a, b, 0.5, c)
-		})
-		if allocs != 0 {
-			t.Errorf("%s: Gemm allocated %.1f objects per call, want 0", tc.name, allocs)
+		for _, ta := range []bool{false, true} {
+			for _, tb := range []bool{false, true} {
+				ar, ac := sh.m, sh.k
+				if ta {
+					ar, ac = ac, ar
+				}
+				br, bc := sh.k, sh.n
+				if tb {
+					br, bc = bc, br
+				}
+				cases = append(cases, operands{ta, tb, randomDense(r, ar, ac), randomDense(r, br, bc), randomDense(r, sh.m, sh.n)})
+			}
+		}
+	}
+	product := func(o operands) *mat.Dense {
+		c := o.c.Clone()
+		Gemm(o.ta, o.tb, 1.25, o.a, o.b, 0.5, c)
+		return c
+	}
+	same := func(x, y *mat.Dense) bool {
+		for j := 0; j < x.Cols; j++ {
+			xc, yc := x.Col(j), y.Col(j)
+			for i := range xc {
+				if math.Float64bits(xc[i]) != math.Float64bits(yc[i]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	want := make([]*mat.Dense, len(cases))
+	for i, o := range cases {
+		want[i] = product(o)
+	}
+	for _, procs := range []int{2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for i, o := range cases {
+			if !same(product(o), want[i]) {
+				t.Errorf("GOMAXPROCS=%d: %dx%d ta=%v tb=%v differs from the serial bits", procs, o.c.Rows, o.c.Cols, o.ta, o.tb)
+			}
+		}
+	}
+	// Saturated pool: every worker (and the caller) is inside a For body
+	// issuing products, so nested loops find no idle worker.
+	got := make([]*mat.Dense, len(cases))
+	parallel.For(len(cases), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			got[i] = product(cases[i])
+		}
+	})
+	for i, o := range cases {
+		if !same(got[i], want[i]) {
+			t.Errorf("saturated pool: %dx%d ta=%v tb=%v differs from the serial bits", o.c.Rows, o.c.Cols, o.ta, o.tb)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"questgo/internal/check"
 	"questgo/internal/mat"
 	"questgo/internal/obs"
-	"questgo/internal/parallel"
 )
 
 // Gemm computes C = alpha*op(A)*op(B) + beta*C, the workhorse of the
@@ -50,14 +49,10 @@ func Gemm(transA, transB bool, alpha float64, a, b *mat.Dense, beta float64, c *
 	// beta == 0 zeroes without reading C (NaN/Inf in uninitialized C must
 	// not leak into the result, matching reference BLAS).
 	if beta != 1 {
-		parallel.For(n, 8, ctx.scaleBody)
+		ctx.loop(n, 8, ctx.scaleBody)
 	}
 	if alpha != 0 && k != 0 {
-		if m*n*k <= gemmSmallLimit {
-			ctx.runSmall()
-		} else {
-			ctx.runPacked()
-		}
+		ctx.runPacked()
 	}
 	ctx.aData, ctx.bData, ctx.cData = nil, nil, nil
 	gemmCtxPool.Put(ctx)
@@ -74,11 +69,6 @@ func GemmTN(alpha float64, a, b *mat.Dense, beta float64, c *mat.Dense) {
 	Gemm(true, false, alpha, a, b, beta, c)
 }
 
-// gemmSmallLimit routes products with m*n*k at or below it (roughly 32^3)
-// to the direct loops in runSmall: packing latency is not worth amortizing
-// for the small block-reflector and delayed-update shapes.
-const gemmSmallLimit = 32 * 32 * 32
-
 // runScale folds beta into columns [jlo, jhi) of C.
 func (ctx *gemmCtx) runScale(jlo, jhi int) {
 	for j := jlo; j < jhi; j++ {
@@ -90,64 +80,6 @@ func (ctx *gemmCtx) runScale(jlo, jhi int) {
 		} else {
 			for i := range col {
 				col[i] *= ctx.beta
-			}
-		}
-	}
-}
-
-// runSmall accumulates alpha*op(A)*op(B) into C with direct loops (beta has
-// already been applied). Each trans combination gets the loop order that
-// keeps the innermost accesses stride-1 where possible.
-func (ctx *gemmCtx) runSmall() {
-	m, n, k := ctx.m, ctx.n, ctx.k
-	alpha := ctx.alpha
-	a, as := ctx.aData, ctx.as
-	b, bs := ctx.bData, ctx.bs
-	c, cs := ctx.cData, ctx.cs
-	switch {
-	case !ctx.transA && !ctx.transB:
-		for j := 0; j < n; j++ {
-			cj := c[j*cs : j*cs+m]
-			bj := b[j*bs:]
-			for l := 0; l < k; l++ {
-				if f := alpha * bj[l]; f != 0 {
-					al := a[l*as : l*as+m]
-					for i := range cj {
-						cj[i] += f * al[i]
-					}
-				}
-			}
-		}
-	case !ctx.transA && ctx.transB:
-		for j := 0; j < n; j++ {
-			cj := c[j*cs : j*cs+m]
-			for l := 0; l < k; l++ {
-				if f := alpha * b[j+l*bs]; f != 0 {
-					al := a[l*as : l*as+m]
-					for i := range cj {
-						cj[i] += f * al[i]
-					}
-				}
-			}
-		}
-	case ctx.transA && !ctx.transB:
-		for j := 0; j < n; j++ {
-			cj := c[j*cs : j*cs+m]
-			bj := b[j*bs : j*bs+k]
-			for i := 0; i < m; i++ {
-				cj[i] += alpha * Dot(a[i*as:i*as+k], bj)
-			}
-		}
-	default: // transA && transB
-		for j := 0; j < n; j++ {
-			cj := c[j*cs : j*cs+m]
-			for i := 0; i < m; i++ {
-				ai := a[i*as : i*as+k]
-				var s float64
-				for l := 0; l < k; l++ {
-					s += ai[l] * b[j+l*bs]
-				}
-				cj[i] += alpha * s
 			}
 		}
 	}

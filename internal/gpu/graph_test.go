@@ -3,6 +3,7 @@ package gpu
 import (
 	"testing"
 
+	"questgo/internal/blas"
 	"questgo/internal/hubbard"
 	"questgo/internal/mat"
 	"questgo/internal/rng"
@@ -124,19 +125,11 @@ func TestGraphRebind(t *testing.T) {
 	}
 }
 
-// square returns h*h on the host, the reference for the graph GEMM.
+// square returns h*h from the host blas.Gemm. The graph GEMM is compared
+// with it bitwise: the device never changes the numbers.
 func square(h *mat.Dense) *mat.Dense {
-	n := h.Rows
-	out := mat.New(n, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			var s float64
-			for k := 0; k < n; k++ {
-				s += h.At(i, k) * h.At(k, j)
-			}
-			out.Set(i, j, s)
-		}
-	}
+	out := mat.New(h.Rows, h.Rows)
+	blas.Gemm(false, false, 1, h, h, 0, out)
 	return out
 }
 

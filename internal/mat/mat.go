@@ -65,12 +65,24 @@ func (m *Dense) Set(i, j int, v float64) { m.Data[i+j*m.Stride] = v }
 func (m *Dense) Col(j int) []float64 { return m.Data[j*m.Stride : j*m.Stride+m.Rows] }
 
 // View returns a sub-matrix view of rows [i, i+r) and columns [j, j+c)
-// sharing storage with m.
+// sharing storage with m. It must stay within the inlining budget: an
+// inlined View whose result does not outlive the caller is a stack value,
+// not a heap object, and the factorizations take hundreds of views per
+// sweep. That is why the panic value is a viewRangeError formatted on
+// demand — a fmt.Sprintf here, or even a call to a //go:noinline helper
+// (57 of the budget's 80), puts View over.
 func (m *Dense) View(i, j, r, c int) *Dense {
 	if i < 0 || j < 0 || r < 0 || c < 0 || i+r > m.Rows || j+c > m.Cols {
-		panic(fmt.Sprintf("mat: view out of range (%d,%d,%d,%d) of %dx%d", i, j, r, c, m.Rows, m.Cols))
+		panic(viewRangeError{i, j, r, c, m.Rows, m.Cols})
 	}
 	return &Dense{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[i+j*m.Stride:]}
+}
+
+// viewRangeError is the panic value of an out-of-range View.
+type viewRangeError struct{ i, j, r, c, rows, cols int }
+
+func (e viewRangeError) Error() string {
+	return fmt.Sprintf("mat: view out of range (%d,%d,%d,%d) of %dx%d", e.i, e.j, e.r, e.c, e.rows, e.cols)
 }
 
 // Clone returns a deep copy with a tight stride.

@@ -35,8 +35,9 @@ type Estimate struct {
 // index order — so the same landed set always yields the same bytes, and
 // the final merge is independent of worker scheduling.
 type Aggregator struct {
-	results []*core.Results
+	results []*core.Results // nil once released
 	landed  int
+	last    *Estimate // the estimate at release
 }
 
 // NewAggregator prepares an aggregator for n shards.
@@ -71,6 +72,13 @@ func (a *Aggregator) landedInOrder() []*core.Results {
 // Estimate computes the streaming aggregate over the landed shards (nil if
 // none landed yet).
 func (a *Aggregator) Estimate() *Estimate {
+	if a.results == nil {
+		if a.last == nil {
+			return nil
+		}
+		e := *a.last
+		return &e
+	}
 	rs := a.landedInOrder()
 	if len(rs) == 0 {
 		return nil
@@ -98,6 +106,13 @@ func (a *Aggregator) Estimate() *Estimate {
 	e.SAF, e.SAFErr = pick(func(r *core.Results) float64 { return r.SAF })
 	e.AvgSign, _ = pick(func(r *core.Results) float64 { return r.AvgSign })
 	return e
+}
+
+// release drops the shard results once the job is terminal, keeping the
+// landed count and the last estimate so status documents read as before.
+func (a *Aggregator) release() {
+	a.last = a.Estimate()
+	a.results = nil
 }
 
 // Final merges all shards into the job's result document. Every shard must

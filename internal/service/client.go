@@ -178,9 +178,7 @@ func (c *Client) WaitResult(ctx context.Context, id string) (*JobResult, error) 
 	if err != ErrNotDone && !strings.Contains(err.Error(), ErrNotDone.Error()) {
 		return nil, err
 	}
-	err = c.Stream(ctx, id, func(e Event) bool {
-		return !(e.Type == "state" && e.Shard == -1 && e.State.terminal())
-	})
+	err = c.Stream(ctx, id, func(e Event) bool { return !e.terminal() })
 	if err != nil {
 		return nil, err
 	}

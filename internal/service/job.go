@@ -144,6 +144,11 @@ type Event struct {
 	Error         string    `json:"error,omitempty"`
 }
 
+// terminal reports whether e is the job-level event that ends a stream.
+func (e Event) terminal() bool {
+	return e.Type == "state" && e.Shard == -1 && e.State.terminal()
+}
+
 // maxBufferedEvents bounds each job's event replay buffer.
 const maxBufferedEvents = 1024
 
@@ -215,19 +220,31 @@ func newJob(id string, req JobRequest, hash string, ckptDir string) *job {
 // state transitions happen under the lock elsewhere).
 func (j *job) cancelCtx() { j.cancel() }
 
-// emit appends an event under the job lock and wakes stream readers.
+// emit appends an event under the job lock and wakes stream readers. The
+// terminal state event is the job's last: it replaces the replay buffer (a
+// reader that has not caught up sees Seq jump to it, as the stream contract
+// allows) and freezes the aggregate, so a finished job retains its status
+// and result and nothing a live job needed. The table keeps RetainJobs of
+// them, which is why this is not left to eviction.
 //
 //qmc:locked(mu)
 func (j *job) emit(e Event) {
+	if j.state.terminal() && !e.terminal() {
+		return // a shard winding down after the job retired
+	}
 	e.SchemaVersion = JobSchemaVersion
 	e.Seq = j.nextSeq
 	e.ID = j.id
 	j.nextSeq++
-	j.events = append(j.events, e)
-	if len(j.events) > maxBufferedEvents {
-		drop := len(j.events) - maxBufferedEvents
-		j.events = j.events[drop:]
-		j.firstSeq += drop
+	if e.terminal() {
+		j.events, j.firstSeq = []Event{e}, e.Seq
+		j.agg.release()
+	} else {
+		j.events = append(j.events, e)
+		if drop := len(j.events) - maxBufferedEvents; drop > 0 {
+			j.events = j.events[drop:]
+			j.firstSeq += drop
+		}
 	}
 	close(j.notify)
 	j.notify = make(chan struct{})

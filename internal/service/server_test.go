@@ -246,16 +246,31 @@ func TestFinishedJobRetention(t *testing.T) {
 }
 
 // TestStreamDeliversOrderedEventsToTerminal follows the chunked feed and
-// checks sequencing and the terminal tail.
+// checks sequencing and the terminal tail. A finished job keeps only its
+// terminal event, so the reader has to be attached while the job is live:
+// the job waits behind a long blocker on the single worker until its
+// "queued" event has reached the reader, and has two shards so that one
+// partial estimate is emitted apart from the terminal transition.
 func TestStreamDeliversOrderedEventsToTerminal(t *testing.T) {
 	cfg := fastConfig()
 	_, cl := newTestServer(t, Options{Workers: 1})
-	st, err := cl.Submit(context.Background(), JobRequest{Config: cfg, Tag: "stream-test"})
+	long := fastConfig()
+	long.Seed, long.WarmSweeps, long.MeasSweeps = 8, 50000, 50000
+	blocker, err := cl.Submit(context.Background(), JobRequest{Config: long})
+	if err != nil {
+		t.Fatalf("submit blocker: %v", err)
+	}
+	st, err := cl.Submit(context.Background(), JobRequest{Config: cfg, Shards: 2, Tag: "stream-test"})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	var events []Event
 	err = cl.Stream(context.Background(), st.ID, func(e Event) bool {
+		if len(events) == 0 {
+			if _, cerr := cl.Cancel(context.Background(), blocker.ID); cerr != nil {
+				t.Errorf("cancel blocker: %v", cerr)
+			}
+		}
 		events = append(events, e)
 		return true
 	})

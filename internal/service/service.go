@@ -33,14 +33,16 @@ import (
 )
 
 // Options configures a Server. The zero value is usable: it runs
-// runtime.NumCPU() workers, caches 256 results, retains the 512 most
+// runtime.NumCPU() workers, caches 512 results, retains the 512 most
 // recent finished jobs, and checkpoints into a private temporary directory
 // that is removed on Close.
 type Options struct {
 	// Workers bounds the number of shards executing concurrently
 	// (default runtime.NumCPU()).
 	Workers int
-	// CacheSize is the result-cache capacity in entries (default 256;
+	// CacheSize is the result-cache capacity in entries (default 512, the
+	// RetainJobs default: a retained job holds its result document anyway,
+	// so a smaller cache only forgets results that are still in memory;
 	// negative disables caching).
 	CacheSize int
 	// CheckpointDir is where per-shard restart files live. Empty means a
@@ -68,7 +70,7 @@ func (o Options) withDefaults() Options {
 		o.Workers = runtime.NumCPU()
 	}
 	if o.CacheSize == 0 {
-		o.CacheSize = 256
+		o.CacheSize = 512
 	}
 	if o.MaxRestarts <= 0 {
 		o.MaxRestarts = 3

@@ -419,6 +419,13 @@ func (sw *Sweeper) Sweep() {
 	}
 }
 
+// acceptForkMin is the smallest N*(m+1) — a push is about 4*N*(m+1) scalar
+// flops — at which an accepted flip's two pushes are worth a pool hand-off
+// (a hand-off plus the worker's wake-up costs a few microseconds). Below it
+// the two run back to back on the caller; the arithmetic per spin is the
+// same either way.
+const acceptForkMin = 2048
+
 // proposeFlip carries out the Metropolis step for h[s][i].
 //
 //qmc:hot
@@ -445,7 +452,12 @@ func (sw *Sweeper) proposeFlip(s, i int) {
 	sw.flipSite = i
 	sw.up.fac = aUp / dUp
 	sw.dn.fac = aDn / dDn
-	sw.fork(sw.up.acceptFn, sw.dn.acceptFn)
+	if sw.up.g.Rows*(sw.up.m+1) >= acceptForkMin {
+		sw.fork(sw.up.acceptFn, sw.dn.acceptFn)
+	} else {
+		sw.up.acceptFn()
+		sw.dn.acceptFn()
+	}
 	sw.Field.Flip(s, i)
 	if sw.up.m == sw.opts.Delay {
 		sw.fork(sw.up.flushFn, sw.dn.flushFn)

@@ -26,6 +26,11 @@ go run ./cmd/qmclint -json BENCH_lint.json ./...
 go test -race ./internal/parallel/ ./internal/blas/ ./internal/update/ ./internal/greens/ ./internal/obs/ ./internal/autopilot/ ./internal/core/ ./internal/gpu/ ./internal/service/ ./internal/analysis/
 echo "== Verify: qmcdebug sanitizer build (NaN/Inf scans, drift asserts, pool bookkeeping)"
 go test -tags qmcdebug ./internal/...
+# The portable 4x4 micro-kernel (and its partial-tile path) never executes
+# on an amd64 box otherwise; the consumers ride along because the kernel's
+# rounding differs from the FMA one.
+echo "== Verify: portable micro-kernel build (-tags purego)"
+go test -tags purego ./internal/blas/ ./internal/lapack/ ./internal/greens/ ./internal/update/
 echo "== Verify: fuzz kernels against reference implementations (10s each)"
 go test ./internal/blas/ -run NoSuchTest -fuzz 'FuzzGemmPackedVsNaive$' -fuzztime 10s
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzQRReconstruct$' -fuzztime 10s
@@ -33,7 +38,8 @@ go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzGetrf$' -fuzztime 10s
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzQRPBlockedVsLevel2$' -fuzztime 10s
 # -qrpgate 512 fails the run if the blocked level-3 QRP ever drops below the
 # retained level-2 reference at N=512 (the DQMC sweet-spot size).
-go run ./cmd/kernels -sizes 64,128,256,512,1024 -reps 2 -json BENCH_gemm.json -qrpgate 512
+# 16 and 36 are the sizes service jobs run at (4x4, and 6x6 with partial tiles).
+go run ./cmd/kernels -sizes 16,36,64,128,256,512,1024 -reps 2 -json BENCH_gemm.json -qrpgate 512
 go run ./cmd/sweep -json BENCH_sweep.json -bsizes $BSIZES -bsweeps 2
 echo "== Verify: metrics instrumentation overhead gate (<2% on the sweep hot path)"
 go run ./cmd/sweep -obscheck -obsnx 8 -obsreps 3 -obsmax 2
