@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	dqmcd [-addr 127.0.0.1:8517] [-workers N] [-cache 512]
+//	dqmcd [-addr 127.0.0.1:8517] [-workers N] [-cache 256]
 //	      [-ckptdir DIR] [-maxrestarts 3] [-retain 512]
 //
 // Endpoints (all documents carry schema_version):
@@ -40,7 +40,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8517", "listen address")
 	workers := flag.Int("workers", 0, "worker pool size (0 = NumCPU)")
-	cache := flag.Int("cache", 512, "result cache capacity in entries (negative disables)")
+	cache := flag.Int("cache", 256, "result cache capacity in entries (negative disables)")
 	ckptDir := flag.String("ckptdir", "", "shard checkpoint directory (empty = private temp dir)")
 	maxRestarts := flag.Int("maxrestarts", 3, "max resume attempts per shard before the job fails")
 	retain := flag.Int("retain", 512, "finished jobs kept for status/result reads (negative retains all)")

@@ -65,12 +65,8 @@ func (m *Dense) Set(i, j int, v float64) { m.Data[i+j*m.Stride] = v }
 func (m *Dense) Col(j int) []float64 { return m.Data[j*m.Stride : j*m.Stride+m.Rows] }
 
 // View returns a sub-matrix view of rows [i, i+r) and columns [j, j+c)
-// sharing storage with m. It must stay within the inlining budget: an
-// inlined View whose result does not outlive the caller is a stack value,
-// not a heap object, and the factorizations take hundreds of views per
-// sweep. That is why the panic value is a viewRangeError formatted on
-// demand — a fmt.Sprintf here, or even a call to a //go:noinline helper
-// (57 of the budget's 80), puts View over.
+// sharing storage with m. It must stay inlinable so that views are stack
+// values; keep formatting out of the body.
 func (m *Dense) View(i, j, r, c int) *Dense {
 	if i < 0 || j < 0 || r < 0 || c < 0 || i+r > m.Rows || j+c > m.Cols {
 		panic(viewRangeError{i, j, r, c, m.Rows, m.Cols})

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
 
 	"questgo/internal/core"
 )
@@ -247,29 +249,34 @@ func TestFinishedJobRetention(t *testing.T) {
 
 // TestStreamDeliversOrderedEventsToTerminal follows the chunked feed and
 // checks sequencing and the terminal tail. A finished job keeps only its
-// terminal event, so the reader has to be attached while the job is live:
-// the job waits behind a long blocker on the single worker until its
-// "queued" event has reached the reader, and has two shards so that one
-// partial estimate is emitted apart from the terminal transition.
+// terminal event, so the job must not finish before the reader has shard
+// 0's events: the fault hook holds shard 1 on the single worker after its
+// first sweep until the reader has received a partial estimate (everything
+// shard 0 emitted precedes that in the replay buffer).
 func TestStreamDeliversOrderedEventsToTerminal(t *testing.T) {
 	cfg := fastConfig()
-	_, cl := newTestServer(t, Options{Workers: 1})
-	long := fastConfig()
-	long.Seed, long.WarmSweeps, long.MeasSweeps = 8, 50000, 50000
-	blocker, err := cl.Submit(context.Background(), JobRequest{Config: long})
-	if err != nil {
-		t.Fatalf("submit blocker: %v", err)
-	}
+	gotPartial := make(chan struct{})
+	_, cl := newTestServer(t, Options{
+		Workers: 1,
+		FaultHook: func(_ string, shard, _ int) bool {
+			if shard == 1 {
+				select {
+				case <-gotPartial:
+				case <-time.After(30 * time.Second): // fail on the assertions below, not by hanging
+				}
+			}
+			return false
+		},
+	})
 	st, err := cl.Submit(context.Background(), JobRequest{Config: cfg, Shards: 2, Tag: "stream-test"})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	var events []Event
+	var once sync.Once
 	err = cl.Stream(context.Background(), st.ID, func(e Event) bool {
-		if len(events) == 0 {
-			if _, cerr := cl.Cancel(context.Background(), blocker.ID); cerr != nil {
-				t.Errorf("cancel blocker: %v", cerr)
-			}
+		if e.Type == "partial" {
+			once.Do(func() { close(gotPartial) })
 		}
 		events = append(events, e)
 		return true

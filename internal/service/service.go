@@ -33,17 +33,15 @@ import (
 )
 
 // Options configures a Server. The zero value is usable: it runs
-// runtime.NumCPU() workers, caches 512 results, retains the 512 most
-// recent finished jobs, and checkpoints into a private temporary directory
-// that is removed on Close.
+// runtime.NumCPU() workers, retains the 512 most recent finished jobs,
+// caches as many results, and checkpoints into a private temporary
+// directory that is removed on Close.
 type Options struct {
 	// Workers bounds the number of shards executing concurrently
 	// (default runtime.NumCPU()).
 	Workers int
-	// CacheSize is the result-cache capacity in entries (default 512, the
-	// RetainJobs default: a retained job holds its result document anyway,
-	// so a smaller cache only forgets results that are still in memory;
-	// negative disables caching).
+	// CacheSize is the result-cache capacity in entries (default: the
+	// larger of 256 and RetainJobs; negative disables caching).
 	CacheSize int
 	// CheckpointDir is where per-shard restart files live. Empty means a
 	// private os.MkdirTemp directory owned (and removed) by the server.
@@ -69,14 +67,16 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
 	}
-	if o.CacheSize == 0 {
-		o.CacheSize = 512
-	}
 	if o.MaxRestarts <= 0 {
 		o.MaxRestarts = 3
 	}
 	if o.RetainJobs == 0 {
 		o.RetainJobs = 512
+	}
+	if o.CacheSize == 0 {
+		// The cache stores the pointer a retained job already holds, so
+		// fewer entries than that only forget results still in memory.
+		o.CacheSize = max(256, o.RetainJobs)
 	}
 	return o
 }

@@ -87,34 +87,24 @@ func TestStackSweepUsesFewerUDTSteps(t *testing.T) {
 // goroutine* executes each sector's arithmetic, never the arithmetic
 // itself, so the parallel and serial sweeps must be bit-for-bit identical
 // — same fields, same Green's functions, same sign. Run with -race this
-// also exercises the concurrent wrap/flush/refresh phases. The 3x3 lattice
-// never reaches acceptForkMin (its accepted flips push inline); on the
-// 10x10 one a block starts inline and forks once N*(m+1) crosses it.
+// also exercises the concurrent wrap/flush/refresh phases.
 func TestSpinParallelMatchesSerial(t *testing.T) {
-	for _, tc := range []struct{ nx, l, k, delay, sweeps int }{
-		{3, 12, 4, 8, 3},
-		{10, 4, 2, 32, 1},
-	} {
-		p, f1 := setup(t, tc.nx, tc.nx, 4, 2, tc.l, 53)
-		if n := p.Model.N(); (n*tc.delay >= acceptForkMin) != (tc.nx == 10) {
-			t.Fatalf("N=%d delay=%d no longer on the intended side of acceptForkMin=%d", n, tc.delay, acceptForkMin)
-		}
-		f2 := f1.Clone()
-		par := NewSweeper(p, f1, rng.New(13), Options{ClusterK: tc.k, Delay: tc.delay})
-		ser := NewSweeper(p, f2, rng.New(13), Options{ClusterK: tc.k, Delay: tc.delay, SerialSpins: true})
-		for s := 0; s < tc.sweeps; s++ {
-			par.Sweep()
-			ser.Sweep()
-		}
-		fieldsEqual(t, f1, f2, "parallel vs serial spins")
-		if par.Sign() != ser.Sign() {
-			t.Fatalf("signs differ: %v vs %v", par.Sign(), ser.Sign())
-		}
-		if d := mat.RelDiff(par.GreenUp(), ser.GreenUp()); d != 0 {
-			t.Fatalf("spin-up G not bitwise identical: %g", d)
-		}
-		if d := mat.RelDiff(par.GreenDn(), ser.GreenDn()); d != 0 {
-			t.Fatalf("spin-down G not bitwise identical: %g", d)
-		}
+	p, f1 := setup(t, 3, 3, 4, 2, 12, 53)
+	f2 := f1.Clone()
+	par := NewSweeper(p, f1, rng.New(13), Options{ClusterK: 4, Delay: 8})
+	ser := NewSweeper(p, f2, rng.New(13), Options{ClusterK: 4, Delay: 8, SerialSpins: true})
+	for s := 0; s < 3; s++ {
+		par.Sweep()
+		ser.Sweep()
+	}
+	fieldsEqual(t, f1, f2, "parallel vs serial spins")
+	if par.Sign() != ser.Sign() {
+		t.Fatalf("signs differ: %v vs %v", par.Sign(), ser.Sign())
+	}
+	if d := mat.RelDiff(par.GreenUp(), ser.GreenUp()); d != 0 {
+		t.Fatalf("spin-up G not bitwise identical: %g", d)
+	}
+	if d := mat.RelDiff(par.GreenDn(), ser.GreenDn()); d != 0 {
+		t.Fatalf("spin-down G not bitwise identical: %g", d)
 	}
 }

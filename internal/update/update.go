@@ -106,13 +106,12 @@ type spinState struct {
 	g     *mat.Dense
 	u, w  *mat.Dense   // N x nd accumulators
 	m     int          // pending update count
-	fac   float64      // alpha/d of the flip being accepted (operand of acceptFn)
 	chain []*mat.Dense // residual-probe scratch: the chain at a boundary
 
-	// Pre-bound closures for the spin fork, so the per-site and per-slice
-	// hot paths allocate nothing; their operands are fac above and the
-	// Sweeper's slice/flipSite/cluster/boundary fields.
-	wrapFn, flushFn, acceptFn, clusterFn, refreshFn, advanceFn func()
+	// Pre-bound closures for the spin fork, so the per-slice hot paths
+	// allocate nothing; their operands are the Sweeper's
+	// slice/cluster/boundary fields.
+	wrapFn, flushFn, clusterFn, refreshFn, advanceFn func()
 }
 
 // effDiag returns G_eff(i,i).
@@ -238,7 +237,6 @@ type Sweeper struct {
 
 	// Operands of the per-spin pre-bound closures (see spinState).
 	slice    int // slice being wrapped / flushed
-	flipSite int // site of the flip being accepted
 	cluster  int // cluster being recomputed
 	boundary int // boundary being refreshed
 
@@ -304,7 +302,6 @@ func (sw *Sweeper) newSpin(mk NewBackend, sigma hubbard.Spin) *spinState {
 	}
 	s.wrapFn = func() { s.be.Wrap(s.g, sw.slice) }
 	s.flushFn = func() { s.flush(sw.slice) }
-	s.acceptFn = func() { s.push(sw.flipSite, s.fac) }
 	s.clusterFn = func() { s.be.Recompute(sw.cluster) }
 	// The wrap-drift diagnostic samples the spin-up sector only.
 	s.refreshFn = func() { sw.refreshSpin(s, sigma == hubbard.Up) }
@@ -419,13 +416,6 @@ func (sw *Sweeper) Sweep() {
 	}
 }
 
-// acceptForkMin is the smallest N*(m+1) — a push is about 4*N*(m+1) scalar
-// flops — at which an accepted flip's two pushes are worth a pool hand-off
-// (a hand-off plus the worker's wake-up costs a few microseconds). Below it
-// the two run back to back on the caller; the arithmetic per spin is the
-// same either way.
-const acceptForkMin = 2048
-
 // proposeFlip carries out the Metropolis step for h[s][i].
 //
 //qmc:hot
@@ -444,20 +434,14 @@ func (sw *Sweeper) proposeFlip(s, i int) {
 	if ar < 1 && sw.Rng.Float64() >= ar {
 		return
 	}
-	// Accepted: the two spins' column/row assembly is independent.
+	// Accepted. A push is about 4*N*(m+1) flops — cheaper than a pool
+	// hand-off even at N=144 — so the two run back to back here.
 	sw.accepted++
 	if r < 0 {
 		sw.sign = -sw.sign
 	}
-	sw.flipSite = i
-	sw.up.fac = aUp / dUp
-	sw.dn.fac = aDn / dDn
-	if sw.up.g.Rows*(sw.up.m+1) >= acceptForkMin {
-		sw.fork(sw.up.acceptFn, sw.dn.acceptFn)
-	} else {
-		sw.up.acceptFn()
-		sw.dn.acceptFn()
-	}
+	sw.up.push(i, aUp/dUp)
+	sw.dn.push(i, aDn/dDn)
 	sw.Field.Flip(s, i)
 	if sw.up.m == sw.opts.Delay {
 		sw.fork(sw.up.flushFn, sw.dn.flushFn)
