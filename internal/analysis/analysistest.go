@@ -35,41 +35,34 @@ type TB interface {
 
 var wantRE = regexp.MustCompile(`// want (.+)$`)
 
+// Every fixture load shares one file set and one source importer: the
+// importer type-checks each imported package — the standard library
+// included — from source once and caches it, so a test binary pays for the
+// standard library once instead of once per fixture. Fixture tests do not
+// run in parallel (the importer is not safe for concurrent use).
+var (
+	fixtureFset     = token.NewFileSet()
+	fixtureImporter = importer.ForCompiler(fixtureFset, "source", nil)
+)
+
 // RunFixture analyzes testdata/<dir> with a and compares diagnostics
 // against the fixture's want comments.
 func RunFixture(t TB, a *Analyzer, dir string) {
 	t.Helper()
-	pattern := filepath.Join("testdata", dir, "*.go")
-	names, err := filepath.Glob(pattern)
-	if err != nil || len(names) == 0 {
-		t.Fatalf("no fixture files match %s", pattern)
-	}
-	sort.Strings(names)
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	pkgPath := "fixture/" + dir
+	pkg := loadFixturePackage(t, dir)
 	type want struct {
 		substr  string
 		matched bool
 	}
 	wants := make(map[string][]*want) // "file:line" -> expectations
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parse %s: %v", name, err)
-		}
-		files = append(files, f)
+	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if rest, ok := strings.CutPrefix(c.Text, "//qmclint:path "); ok {
-					pkgPath = strings.TrimSpace(rest)
-				}
 				m := wantRE.FindStringSubmatch(c.Text)
 				if m == nil {
 					continue
 				}
-				pos := fset.Position(c.Pos())
+				pos := pkg.Fset.Position(c.Pos())
 				key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
 				for _, q := range splitQuoted(m[1]) {
 					wants[key] = append(wants[key], &want{substr: q})
@@ -78,7 +71,6 @@ func RunFixture(t TB, a *Analyzer, dir string) {
 		}
 	}
 
-	pkg := typeCheck(fset, importer.ForCompiler(fset, "source", nil), pkgPath, filepath.Dir(names[0]), files)
 	diags, err := RunAnalyzers([]*LoadedPackage{pkg}, []*Analyzer{a})
 	if err != nil {
 		t.Fatalf("run %s on %s: %v", a.Name, dir, err)
@@ -108,8 +100,8 @@ func RunFixture(t TB, a *Analyzer, dir string) {
 }
 
 // loadFixturePackage parses and type-checks one testdata fixture package
-// the same way RunFixture does (honoring //qmclint:path), for tests that
-// drive RunAnalyzers over several packages at once.
+// (honoring //qmclint:path), for RunFixture and for tests that drive
+// RunAnalyzers over several packages at once.
 func loadFixturePackage(t TB, dir string) *LoadedPackage {
 	t.Helper()
 	pattern := filepath.Join("testdata", dir, "*.go")
@@ -118,11 +110,10 @@ func loadFixturePackage(t TB, dir string) *LoadedPackage {
 		t.Fatalf("no fixture files match %s", pattern)
 	}
 	sort.Strings(names)
-	fset := token.NewFileSet()
 	var files []*ast.File
 	pkgPath := "fixture/" + dir
 	for _, name := range names {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		f, err := parser.ParseFile(fixtureFset, name, nil, parser.ParseComments)
 		if err != nil {
 			t.Fatalf("parse %s: %v", name, err)
 		}
@@ -135,7 +126,7 @@ func loadFixturePackage(t TB, dir string) *LoadedPackage {
 			}
 		}
 	}
-	return typeCheck(fset, importer.ForCompiler(fset, "source", nil), pkgPath, filepath.Dir(names[0]), files)
+	return typeCheck(fixtureFset, fixtureImporter, pkgPath, filepath.Dir(names[0]), files)
 }
 
 // splitQuoted extracts the double-quoted substrings of a want clause, e.g.

@@ -2,9 +2,7 @@ package analysis
 
 import (
 	"go/ast"
-	"go/importer"
 	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,12 +18,11 @@ func analyzeTempFile(t *testing.T, a *Analyzer, src string) (string, []Diagnosti
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+	f, err := parser.ParseFile(fixtureFset, path, nil, parser.ParseComments)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	pkg := typeCheck(fset, importer.ForCompiler(fset, "source", nil), "fixture/fixtmp", dir, []*ast.File{f})
+	pkg := typeCheck(fixtureFset, fixtureImporter, "fixture/fixtmp", dir, []*ast.File{f})
 	diags, err := RunAnalyzers([]*LoadedPackage{pkg}, []*Analyzer{a})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -65,12 +62,11 @@ func TestApplyFixesInsertDefer(t *testing.T) {
 	if !strings.Contains(string(out), "defer cancel()") {
 		t.Fatalf("fixed file lacks defer cancel():\n%s", out)
 	}
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+	f, err := parser.ParseFile(fixtureFset, path, nil, parser.ParseComments)
 	if err != nil {
 		t.Fatalf("reparse fixed file: %v", err)
 	}
-	pkg := typeCheck(fset, importer.ForCompiler(fset, "source", nil), "fixture/fixtmp", filepath.Dir(path), []*ast.File{f})
+	pkg := typeCheck(fixtureFset, fixtureImporter, "fixture/fixtmp", filepath.Dir(path), []*ast.File{f})
 	again, err := RunAnalyzers([]*LoadedPackage{pkg}, []*Analyzer{CtxFlow})
 	if err != nil {
 		t.Fatalf("re-run: %v", err)
@@ -115,12 +111,11 @@ func TestApplyFixesSwapClassification(t *testing.T) {
 	if ci < 0 || ii < 0 || ii > ci {
 		t.Fatalf("classification was not hoisted above cancel():\n%s", out)
 	}
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+	f, err := parser.ParseFile(fixtureFset, path, nil, parser.ParseComments)
 	if err != nil {
 		t.Fatalf("reparse fixed file: %v", err)
 	}
-	pkg := typeCheck(fset, importer.ForCompiler(fset, "source", nil), "fixture/fixtmp", filepath.Dir(path), []*ast.File{f})
+	pkg := typeCheck(fixtureFset, fixtureImporter, "fixture/fixtmp", filepath.Dir(path), []*ast.File{f})
 	again, err := RunAnalyzers([]*LoadedPackage{pkg}, []*Analyzer{CtxFlow})
 	if err != nil {
 		t.Fatalf("re-run: %v", err)

@@ -69,7 +69,6 @@ var obsKernelRegistry = map[string]map[string]string{
 		"Accelerator.Wrap": "OpWraps",
 		"QRFactorHybrid":   "OpQRFactorizations",
 		"Replay":           "OpGraphReplays",
-		"PeerCopy":         "OpPeerBytes",
 	},
 }
 

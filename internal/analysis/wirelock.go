@@ -52,7 +52,7 @@ var wireRegistry = map[string]wireDoc{
 	"questgo/internal/core": {
 		Manifest: "core.manifest",
 		Roots: []wireRoot{
-			{"configWire", "ConfigSchemaVersion"},
+			{"Config", "ConfigSchemaVersion"},
 			{"resultsJSON", "ResultsSchemaVersion"},
 		},
 	},

@@ -20,7 +20,6 @@ func autopilotTestConfig() Config {
 // TestAutopilotValidate covers the new Config rules.
 func TestAutopilotValidate(t *testing.T) {
 	bad := []func(*Config){
-		func(c *Config) { c.Autopilot, c.NoStack = true, true },
 		func(c *Config) { c.AutopilotMinK = -1 },
 		func(c *Config) { c.AutopilotMaxK = -2 },
 		func(c *Config) { c.AutopilotMinK, c.AutopilotMaxK = 6, 3 },

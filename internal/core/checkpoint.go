@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"questgo/internal/autopilot"
+	"questgo/internal/obs"
 )
 
 // Checkpoint captures the complete Markov-chain state of a simulation: the
@@ -100,10 +101,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // schedule through the checkpointed Config (adjust WarmSweeps/MeasSweeps
 // before calling if needed).
 func Resume(c *Checkpoint) (*Simulation, error) {
-	if err := c.Config.Validate(); err != nil {
-		return nil, err
-	}
-	sim, err := New(c.Config)
+	sim, err := newBase(c.Config, obs.New())
 	if err != nil {
 		return nil, err
 	}
@@ -123,23 +121,13 @@ func Resume(c *Checkpoint) (*Simulation, error) {
 		}
 	}
 	sim.rng.Restore(c.RngState)
-	// Rebuild the sweeper state (clusters + Green's functions) from the
-	// restored field, and restore the tracked sign. The collector is reused
-	// and re-baselined so the resumed run's metrics start clean. A restored
-	// autopilot overrides the config's k and cadence with the adapted values
-	// so the resumed chain continues where the controller left off.
-	clusterK := c.Config.ClusterK
-	stabEvery := c.Config.StabilityCheckEvery
-	if c.Config.Autopilot && stabEvery == 0 {
-		stabEvery = 4 // same blind-controller default as newWithCollector
-	}
+	// A restored autopilot overrides the config's k and cadence with the
+	// adapted values, so the sweeper — built once, from the restored field —
+	// continues where the controller left off.
 	if c.Autopilot != nil && sim.pilot != nil {
 		sim.pilot.Restore(*c.Autopilot)
-		clusterK = sim.pilot.K()
-		stabEvery = sim.pilot.CheckEvery()
 	}
-	sim.col.Reset()
-	sim.sweeper, sim.group = newSweeper(c.Config, sim.prop, sim.field, sim.rng, sim.col, clusterK, stabEvery)
+	sim.startSweeper()
 	sim.sweeper.SetSign(c.Sign)
 	sim.sweeper.SetCounters(c.Accepted, c.Proposed)
 	return sim, nil

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"path/filepath"
 	"testing"
+
+	"questgo/internal/obs"
 )
 
 func checkpointTestConfig() Config {
@@ -58,6 +60,39 @@ func TestResumeReproducesUninterruptedRun(t *testing.T) {
 	if res.DoubleOcc != refRes.DoubleOcc || res.Kinetic != refRes.Kinetic || res.SAF != refRes.SAF {
 		t.Fatalf("resumed run diverged:\n  straight: docc=%v kin=%v\n  resumed:  docc=%v kin=%v",
 			refRes.DoubleOcc, refRes.Kinetic, res.DoubleOcc, res.Kinetic)
+	}
+}
+
+// TestResumeBuildsOneSweeper: restoring a chain costs the set-up New pays —
+// one set of clusters, one stack, one initial refresh — not twice that. The
+// op counters are process-global, so the two constructions are bracketed
+// one after the other (no test in this package runs in parallel).
+func TestResumeBuildsOneSweeper(t *testing.T) {
+	for _, devices := range []int{0, 2} {
+		cfg := checkpointTestConfig()
+		cfg.Devices = devices
+		before := obs.Counts()
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := obs.Counts().Sub(before)
+		ck := sim.Checkpoint()
+
+		before = obs.Counts()
+		if _, err := Resume(ck); err != nil {
+			t.Fatal(err)
+		}
+		resumed := obs.Counts().Sub(before)
+		ops := []obs.Op{obs.OpUDTSteps, obs.OpGemmCalls}
+		if devices > 0 {
+			ops = append(ops, obs.OpDeviceKernels)
+		}
+		for _, op := range ops {
+			if resumed[op] != fresh[op] || fresh[op] == 0 {
+				t.Errorf("devices=%d: Resume charged %d %s, New charged %d", devices, resumed[op], op, fresh[op])
+			}
+		}
 	}
 }
 

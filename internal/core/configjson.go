@@ -13,102 +13,24 @@ import (
 // document. The major is bumped on any change that renames, retypes or
 // removes a field; adding a field bumps the minor only (decoders ignore
 // fields they don't know, so minors are forward- and backward-readable).
-const ConfigSchemaVersion = "1.0"
+// 2.0 removed the oracle-only "nostack" key.
+const ConfigSchemaVersion = "2.0"
 
-// configWire is the canonical JSON shape of a Config: every field, fixed
-// snake_case names aligned with the QUEST-style input-file keys, no
-// omitempty (canonical documents always carry the full field set, which is
-// what makes the content hash stable). The reflection-based coverage test
-// in configjson_test.go fails the build of any Config field that is not
-// mirrored here, so nothing can silently escape the wire format or the
-// hash.
-type configWire struct {
-	SchemaVersion string `json:"schema_version,omitempty"`
+// plainConfig is Config without its JSON methods: encoding/json walks the
+// tagged fields themselves.
+type plainConfig Config
 
-	Nx     int     `json:"nx"`
-	Ny     int     `json:"ny"`
-	Layers int     `json:"layers"`
-	T      float64 `json:"t"`
-	Ty     float64 `json:"ty"`
-	TPrime float64 `json:"tprime"`
-	Tperp  float64 `json:"tperp"`
-
-	U    float64 `json:"u"`
-	Mu   float64 `json:"mu"`
-	Beta float64 `json:"beta"`
-	L    int     `json:"l"`
-
-	WarmSweeps int `json:"warm"`
-	MeasSweeps int `json:"meas"`
-
-	ClusterK            int  `json:"k"`
-	Delay               int  `json:"delay"`
-	PrePivot            bool `json:"prepivot"`
-	NoStack             bool `json:"nostack"`
-	SerialSpins         bool `json:"serial_spins"`
-	MeasureBoundaries   bool `json:"measure_boundaries"`
-	MeasureDynamics     bool `json:"measure_dynamics"`
-	StabilityCheckEvery int  `json:"stability_check_every"`
-
-	Devices   int  `json:"devices"`
-	UseGraphs bool `json:"graphs"`
-
-	Autopilot             bool    `json:"autopilot"`
-	AutopilotMinK         int     `json:"autopilot_min_k"`
-	AutopilotMaxK         int     `json:"autopilot_max_k"`
-	AutopilotCondCeil     float64 `json:"autopilot_cond_ceil"`
-	AutopilotDriftCeil    float64 `json:"autopilot_drift_ceil"`
-	AutopilotResidualCeil float64 `json:"autopilot_residual_ceil"`
-
-	Seed uint64 `json:"seed"`
-}
-
-func (c Config) wire() configWire {
-	return configWire{
-		Nx: c.Nx, Ny: c.Ny, Layers: c.Layers,
-		T: c.T, Ty: c.Ty, TPrime: c.TPrime, Tperp: c.Tperp,
-		U: c.U, Mu: c.Mu, Beta: c.Beta, L: c.L,
-		WarmSweeps: c.WarmSweeps, MeasSweeps: c.MeasSweeps,
-		ClusterK: c.ClusterK, Delay: c.Delay,
-		PrePivot: c.PrePivot, NoStack: c.NoStack, SerialSpins: c.SerialSpins,
-		MeasureBoundaries: c.MeasureBoundaries, MeasureDynamics: c.MeasureDynamics,
-		StabilityCheckEvery: c.StabilityCheckEvery,
-		Devices:             c.Devices, UseGraphs: c.UseGraphs,
-		Autopilot:     c.Autopilot,
-		AutopilotMinK: c.AutopilotMinK, AutopilotMaxK: c.AutopilotMaxK,
-		AutopilotCondCeil: c.AutopilotCondCeil, AutopilotDriftCeil: c.AutopilotDriftCeil,
-		AutopilotResidualCeil: c.AutopilotResidualCeil,
-		Seed:                  c.Seed,
-	}
-}
-
-func (w configWire) config() Config {
-	return Config{
-		Nx: w.Nx, Ny: w.Ny, Layers: w.Layers,
-		T: w.T, Ty: w.Ty, TPrime: w.TPrime, Tperp: w.Tperp,
-		U: w.U, Mu: w.Mu, Beta: w.Beta, L: w.L,
-		WarmSweeps: w.WarmSweeps, MeasSweeps: w.MeasSweeps,
-		ClusterK: w.ClusterK, Delay: w.Delay,
-		PrePivot: w.PrePivot, NoStack: w.NoStack, SerialSpins: w.SerialSpins,
-		MeasureBoundaries: w.MeasureBoundaries, MeasureDynamics: w.MeasureDynamics,
-		StabilityCheckEvery: w.StabilityCheckEvery,
-		Devices:             w.Devices, UseGraphs: w.UseGraphs,
-		Autopilot:     w.Autopilot,
-		AutopilotMinK: w.AutopilotMinK, AutopilotMaxK: w.AutopilotMaxK,
-		AutopilotCondCeil: w.AutopilotCondCeil, AutopilotDriftCeil: w.AutopilotDriftCeil,
-		AutopilotResidualCeil: w.AutopilotResidualCeil,
-		Seed:                  w.Seed,
-	}
-}
-
-// MarshalJSON emits the canonical wire form of the configuration: stable
-// snake_case field names matching the input-file keys, a schema_version
-// stamp, every field always present. This is the shape the service job API
-// accepts and the results document embeds.
+// MarshalJSON emits the canonical wire form of the configuration: a
+// schema_version stamp, then every field under the stable snake_case names
+// of the struct tags. This is the shape the service job API accepts and the
+// results document embeds.
 func (c Config) MarshalJSON() ([]byte, error) {
-	w := c.wire()
-	w.SchemaVersion = ConfigSchemaVersion
-	return json.Marshal(w)
+	fields, err := json.Marshal(plainConfig(c))
+	if err != nil {
+		return nil, err
+	}
+	const stamp = `{"schema_version":"` + ConfigSchemaVersion + `",`
+	return append([]byte(stamp), fields[1:]...), nil
 }
 
 // UnmarshalJSON decodes the canonical wire form. A missing schema_version
@@ -116,28 +38,30 @@ func (c Config) MarshalJSON() ([]byte, error) {
 // convenient); an incompatible major is rejected. Unknown fields are
 // ignored, which is what makes minor version bumps additive.
 func (c *Config) UnmarshalJSON(data []byte) error {
-	var w configWire
+	w := struct {
+		SchemaVersion string `json:"schema_version"`
+		*plainConfig
+	}{plainConfig: new(plainConfig)}
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
 	if err := schema.Check(w.SchemaVersion, ConfigSchemaVersion); err != nil {
 		return fmt.Errorf("core: config: %w", err)
 	}
-	*c = w.config()
+	*c = Config(*w.plainConfig)
 	return nil
 }
 
 // CanonicalJSON returns the hash input of the configuration: the wire form
-// with the schema_version stamp elided (two configs describing the same
+// without the schema_version stamp (two configs describing the same
 // physics must hash equal across compatible wire revisions). The field
-// order is the wire struct's declaration order, so the bytes are
-// deterministic for a given Config value.
+// order is Config's declaration order, so the bytes are deterministic for a
+// given Config value.
 func (c Config) CanonicalJSON() []byte {
-	data, err := json.Marshal(c.wire())
+	data, err := json.Marshal(plainConfig(c))
 	if err != nil {
-		// The wire struct is plain ints/floats/bools; Marshal cannot fail
-		// unless a field of an unsupported kind is added, which the coverage
-		// test rejects first.
+		// Config is plain ints/floats/bools; only a NaN or Inf float fails
+		// to encode, and hashing one is a caller bug.
 		panic(fmt.Sprintf("core: canonical config encoding failed: %v", err))
 	}
 	return data

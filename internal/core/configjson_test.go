@@ -8,72 +8,65 @@ import (
 	"testing"
 )
 
-// populateConfig sets every field of a Config to a distinctive nonzero
-// value by reflection (the same trick as the checkpoint coverage guard), so
-// a field that is dropped anywhere in a round trip cannot hide behind a
-// zero value.
-func populateConfig(t *testing.T) Config {
-	t.Helper()
-	var cfg Config
-	v := reflect.ValueOf(&cfg).Elem()
-	tp := v.Type()
-	for i := 0; i < tp.NumField(); i++ {
-		f := tp.Field(i)
-		fv := v.Field(i)
-		switch f.Type.Kind() {
-		case reflect.Int:
-			fv.SetInt(int64(100 + i))
-		case reflect.Uint64:
-			fv.SetUint(uint64(200 + i))
-		case reflect.Float64:
-			fv.SetFloat(0.5 + float64(i))
-		case reflect.Bool:
-			fv.SetBool(true)
-		default:
-			t.Fatalf("Config field %q has kind %s: teach this test (and the wire struct) to carry it", f.Name, f.Type.Kind())
+// TestConfigGoldenEncoding pins the wire bytes, the hash input and the hash
+// of the default configuration and of one with every field set. The strings
+// are the Config 1.0 encoder's output for the same values with the "nostack"
+// key cut out and the stamp changed to 2.0, so encoding through Config's own
+// tags changed nothing else; the hashes are the SHA-256 of the canonical
+// strings, computed outside this package.
+func TestConfigGoldenEncoding(t *testing.T) {
+	full := Config{
+		Nx: 6, Ny: 5, Layers: 2, T: 1.25, Ty: 0.75, TPrime: -0.3, Tperp: 0.5,
+		U: 6.5, Mu: -0.125, Beta: 7.5, L: 60,
+		WarmSweeps: 11, MeasSweeps: 23,
+		ClusterK: 6, Delay: 16, PrePivot: true, SerialSpins: true,
+		MeasureBoundaries: true, MeasureDynamics: true, StabilityCheckEvery: 3,
+		Devices: 2, UseGraphs: true,
+		Autopilot: true, AutopilotMinK: 2, AutopilotMaxK: 12,
+		AutopilotCondCeil: 250, AutopilotDriftCeil: 1e-5, AutopilotResidualCeil: 1e-8,
+		Seed: 18446744073709551557,
+	}
+	if v := reflect.ValueOf(full); v.NumField() != 29 {
+		t.Fatalf("Config has %d fields, want 29: extend the golden config", v.NumField())
+	} else {
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).IsZero() {
+				t.Fatalf("golden config leaves %s zero", v.Type().Field(i).Name)
+			}
 		}
 	}
-	return cfg
-}
-
-// TestConfigWireFieldCoverage (satellite 2) is the wire-format drift guard:
-// every Config field must survive a canonical JSON round trip AND move the
-// content hash when it changes. A new Config field that is not mirrored in
-// configWire fails both legs here instead of silently escaping the wire
-// format and the cache key.
-func TestConfigWireFieldCoverage(t *testing.T) {
-	base := populateConfig(t)
-
-	data, err := json.Marshal(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Config
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, base) {
-		t.Fatalf("Config did not round-trip through the wire format:\n  sent: %+v\n  got:  %+v", base, back)
-	}
-
-	baseHash := base.Hash()
-	v := reflect.ValueOf(&base).Elem()
-	tp := v.Type()
-	for i := 0; i < tp.NumField(); i++ {
-		mod := base // copy
-		mv := reflect.ValueOf(&mod).Elem().Field(i)
-		switch tp.Field(i).Type.Kind() {
-		case reflect.Int:
-			mv.SetInt(mv.Int() + 1)
-		case reflect.Uint64:
-			mv.SetUint(mv.Uint() + 1)
-		case reflect.Float64:
-			mv.SetFloat(mv.Float() + 1)
-		case reflect.Bool:
-			mv.SetBool(!mv.Bool())
+	for _, tc := range []struct {
+		name            string
+		cfg             Config
+		canonical, hash string
+	}{
+		{"default", DefaultConfig(),
+			`{"nx":4,"ny":4,"layers":1,"t":1,"ty":0,"tprime":0,"tperp":0,"u":4,"mu":0,"beta":2,"l":10,"warm":50,"meas":100,"k":10,"delay":32,"prepivot":true,"serial_spins":false,"measure_boundaries":true,"measure_dynamics":false,"stability_check_every":0,"devices":0,"graphs":false,"autopilot":false,"autopilot_min_k":0,"autopilot_max_k":0,"autopilot_cond_ceil":0,"autopilot_drift_ceil":0,"autopilot_residual_ceil":0,"seed":1}`,
+			"89db71ac65aa220bbe7a9d12076c86ceb569b81ec09932ac7b2541d3cbe49309"},
+		{"full", full,
+			`{"nx":6,"ny":5,"layers":2,"t":1.25,"ty":0.75,"tprime":-0.3,"tperp":0.5,"u":6.5,"mu":-0.125,"beta":7.5,"l":60,"warm":11,"meas":23,"k":6,"delay":16,"prepivot":true,"serial_spins":true,"measure_boundaries":true,"measure_dynamics":true,"stability_check_every":3,"devices":2,"graphs":true,"autopilot":true,"autopilot_min_k":2,"autopilot_max_k":12,"autopilot_cond_ceil":250,"autopilot_drift_ceil":0.00001,"autopilot_residual_ceil":1e-8,"seed":18446744073709551557}`,
+			"ffb47282d1d3fe78ca836bc271108627a398ae4595120187d385452e413e9277"},
+	} {
+		if got := string(tc.cfg.CanonicalJSON()); got != tc.canonical {
+			t.Errorf("%s: CanonicalJSON\n got %s\nwant %s", tc.name, got, tc.canonical)
 		}
-		if mod.Hash() == baseHash {
-			t.Fatalf("Config field %q does not reach the content hash: add it to configWire", tp.Field(i).Name)
+		if got := tc.cfg.Hash(); got != tc.hash {
+			t.Errorf("%s: Hash = %s, want %s", tc.name, got, tc.hash)
+		}
+		wire := `{"schema_version":"2.0",` + tc.canonical[1:]
+		data, err := json.Marshal(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != wire {
+			t.Errorf("%s: MarshalJSON\n got %s\nwant %s", tc.name, data, wire)
+		}
+		var back Config
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		if back != tc.cfg {
+			t.Errorf("%s: wire round trip\n sent %+v\n got  %+v", tc.name, tc.cfg, back)
 		}
 	}
 }
@@ -127,14 +120,21 @@ func TestConfigUnmarshalVersioning(t *testing.T) {
 	if c.Nx != 3 || c.Ny != 5 {
 		t.Fatalf("versionless config mis-decoded: %+v", c)
 	}
+	// A decode replaces the whole value: absent keys read as zero.
+	if err := json.Unmarshal([]byte(`{"nx":2}`), &c); err != nil || c.Ny != 0 {
+		t.Fatalf("decode kept a stale field: %+v (%v)", c, err)
+	}
 	// Same major: accepted even with a newer minor.
-	if err := json.Unmarshal([]byte(`{"schema_version":"1.9","nx":2}`), &c); err != nil {
+	if err := json.Unmarshal([]byte(`{"schema_version":"2.9","nx":2}`), &c); err != nil {
 		t.Fatalf("minor skew rejected: %v", err)
 	}
-	// Unknown major: rejected.
-	if err := json.Unmarshal([]byte(`{"schema_version":"2.0","nx":2}`), &c); err == nil ||
-		!strings.Contains(err.Error(), "incompatible") {
-		t.Fatalf("unknown major not rejected: %v", err)
+	// Another major — the 1.0 documents that could carry "nostack", and the
+	// future — is rejected.
+	for _, v := range []string{"1.0", "3.0"} {
+		err := json.Unmarshal([]byte(`{"schema_version":"`+v+`","nx":2}`), &c)
+		if err == nil || !strings.Contains(err.Error(), "incompatible") {
+			t.Fatalf("major %s not rejected: %v", v, err)
+		}
 	}
 	// Unknown fields are ignored (minor bumps are additive).
 	if err := json.Unmarshal([]byte(`{"nx":4,"from_the_future":true}`), &c); err != nil {

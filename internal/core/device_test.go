@@ -21,10 +21,12 @@ func TestDeviceConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("UseGraphs without a device should be invalid")
 	}
-	bad = good
-	bad.PrePivot = false
-	if bad.Validate() == nil {
-		t.Fatal("device sweeper without PrePivot should be invalid")
+	// The device backend never stratifies, so Algorithm 2 is as valid there
+	// as on the host.
+	qrp := good
+	qrp.PrePivot = false
+	if err := qrp.Validate(); err != nil {
+		t.Fatalf("device config without PrePivot invalid: %v", err)
 	}
 }
 
@@ -84,6 +86,32 @@ func TestDeviceRunMatchesAcrossShardingAndGraphs(t *testing.T) {
 					tc.devices, res.Metrics.Devices[0].LaunchOverheadMS, ungraphed.Metrics.Devices[0].LaunchOverheadMS)
 			}
 		}
+	}
+}
+
+// TestDeviceRunWithoutPrePivot: a device run under Algorithm 2 (QRP
+// stratification, on the host like every stratification) is bitwise the host
+// run of the same configuration.
+func TestDeviceRunWithoutPrePivot(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nx, cfg.Ny = 3, 3
+	cfg.L, cfg.Beta = 8, 1
+	cfg.ClusterK = 4
+	cfg.WarmSweeps, cfg.MeasSweeps = 4, 8
+	cfg.Seed = 9
+	cfg.PrePivot = false
+	host, err := runOnce(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Devices = 1
+	dev, err := runOnce(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dev.Density != host.Density || dev.DoubleOcc != host.DoubleOcc || dev.Kinetic != host.Kinetic ||
+		dev.SAF != host.SAF || dev.AvgSign != host.AvgSign || dev.Acceptance != host.Acceptance {
+		t.Fatalf("device run without PrePivot diverged from the host run:\n dev  %+v\n host %+v", dev, host)
 	}
 }
 

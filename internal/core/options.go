@@ -84,12 +84,6 @@ func WithPrePivot(on bool) ConfigOption {
 	return func(c *Config) { c.PrePivot = on }
 }
 
-// WithNoStack disables the prefix/suffix UDT stratification stack
-// (full-rebuild reference path).
-func WithNoStack(on bool) ConfigOption {
-	return func(c *Config) { c.NoStack = on }
-}
-
 // WithSerialSpins disables the concurrent up/down spin phases.
 func WithSerialSpins(on bool) ConfigOption {
 	return func(c *Config) { c.SerialSpins = on }

@@ -24,53 +24,56 @@ import (
 
 // Config specifies a DQMC simulation. The zero value is not runnable; use
 // DefaultConfig as a starting point.
+//
+// The struct is its own wire document: the JSON tags are the fixed
+// snake_case names of the QUEST-style input-file keys, every field is always
+// emitted (no omitempty) in declaration order, and that encoding is what
+// CanonicalJSON hashes — so a field added here reaches the wire format and
+// the content hash by construction.
 type Config struct {
 	// Lattice geometry.
-	Nx, Ny int
-	Layers int     // 1 for the standard 2D model
-	T      float64 // in-plane hopping (x direction, and y unless Ty set)
-	Ty     float64 // anisotropic y hopping (0 = same as T)
-	TPrime float64 // next-nearest-neighbor (diagonal) hopping t'
-	Tperp  float64 // inter-layer hopping (ignored when Layers == 1)
+	Nx     int     `json:"nx"`
+	Ny     int     `json:"ny"`
+	Layers int     `json:"layers"` // 1 for the standard 2D model
+	T      float64 `json:"t"`      // in-plane hopping (x direction, and y unless Ty set)
+	Ty     float64 `json:"ty"`     // anisotropic y hopping (0 = same as T)
+	TPrime float64 `json:"tprime"` // next-nearest-neighbor (diagonal) hopping t'
+	Tperp  float64 `json:"tperp"`  // inter-layer hopping (ignored when Layers == 1)
 
 	// Hamiltonian and temperature.
-	U    float64
-	Mu   float64
-	Beta float64
-	L    int // imaginary-time slices
+	U    float64 `json:"u"`
+	Mu   float64 `json:"mu"`
+	Beta float64 `json:"beta"`
+	L    int     `json:"l"` // imaginary-time slices
 
 	// Monte Carlo schedule. The paper's production runs use 1000 warmup
 	// and 2000 measurement sweeps.
-	WarmSweeps int
-	MeasSweeps int
+	WarmSweeps int `json:"warm"`
+	MeasSweeps int `json:"meas"`
 
 	// Algorithm knobs.
-	ClusterK int  // matrix clustering size k (= wrapping count l); 10 in the paper
-	Delay    int  // delayed-update block size
-	PrePivot bool // true: Algorithm 3 (the paper's method); false: Algorithm 2
-	// NoStack disables the prefix/suffix UDT stratification stack and
-	// recomputes every boundary Green's function by full re-stratification
-	// of the cluster chain (the reference path; slower, same physics).
-	NoStack bool
+	ClusterK int  `json:"k"`        // matrix clustering size k (= wrapping count l); 10 in the paper
+	Delay    int  `json:"delay"`    // delayed-update block size
+	PrePivot bool `json:"prepivot"` // true: Algorithm 3 (the paper's method); false: Algorithm 2
 	// SerialSpins disables the concurrent execution of the up/down spin
 	// phases inside each sweep (reference path; identical arithmetic).
-	SerialSpins bool
+	SerialSpins bool `json:"serial_spins"`
 	// MeasureBoundaries takes equal-time measurements at every cluster
 	// boundary of a measurement sweep (L/k per sweep, averaged) instead of
 	// once at its end — QUEST's variance-reduction practice. DefaultConfig
 	// enables it.
-	MeasureBoundaries bool
+	MeasureBoundaries bool `json:"measure_boundaries"`
 	// MeasureDynamics additionally measures the time-displaced Green's
 	// function G(d, tau) for tau = k, 2k, ..., L/2 slices once per
 	// measurement sweep (QUEST's "dynamic" observables). Off by default —
 	// each tau costs a full two-sided stratified evaluation per spin.
-	MeasureDynamics bool
+	MeasureDynamics bool `json:"measure_dynamics"`
 	// StabilityCheckEvery, when positive, compares the amortized stack
 	// Green's function against a full stratified rebuild every that many
 	// cluster boundaries and records the residual in the run metrics. Each
 	// check costs one extra whole-chain stratification, so it is sampled;
 	// 0 disables it.
-	StabilityCheckEvery int
+	StabilityCheckEvery int `json:"stability_check_every"`
 
 	// Devices, when >= 1, runs the sweeper over that many simulated
 	// accelerators (internal/gpu) instead of the host kernels: level-3 work
@@ -78,31 +81,31 @@ type Config struct {
 	// device cost model, sharded across the group when Devices > 1. The
 	// physics is identical (the simulated device computes on the host); the
 	// run metrics gain a per-device counter section. 0 keeps the CPU path.
-	Devices int
+	Devices int `json:"devices"`
 	// UseGraphs captures the device wrap/cluster launch sequences into
 	// command graphs and replays them for a single launch overhead per call
 	// (requires Devices >= 1). Modeled-time only; never changes numbers.
-	UseGraphs bool
+	UseGraphs bool `json:"graphs"`
 
 	// Autopilot enables the stability feedback controller
 	// (internal/autopilot): the run's live telemetry — wrap drift, strat
 	// residual, UDT condition — adapts ClusterK and StabilityCheckEvery
-	// between sweeps instead of holding the hand-tuned values. Requires the
-	// stratification stack (incompatible with NoStack) and a single walker.
-	// When on and StabilityCheckEvery is 0, the cadence starts at 4.
-	Autopilot bool
+	// between sweeps instead of holding the hand-tuned values. Requires a
+	// single walker. When on and StabilityCheckEvery is 0, the cadence
+	// starts at 4.
+	Autopilot bool `json:"autopilot"`
 	// AutopilotMinK / AutopilotMaxK bound the adapted cluster size
 	// (0 = controller defaults: 1 and the configured ClusterK).
-	AutopilotMinK int
-	AutopilotMaxK int
+	AutopilotMinK int `json:"autopilot_min_k"`
+	AutopilotMaxK int `json:"autopilot_max_k"`
 	// AutopilotCondCeil (log10), AutopilotDriftCeil and
 	// AutopilotResidualCeil are the shrink thresholds (0 = controller
 	// defaults: 280, 1e-3, 1e-9).
-	AutopilotCondCeil     float64
-	AutopilotDriftCeil    float64
-	AutopilotResidualCeil float64
+	AutopilotCondCeil     float64 `json:"autopilot_cond_ceil"`
+	AutopilotDriftCeil    float64 `json:"autopilot_drift_ceil"`
+	AutopilotResidualCeil float64 `json:"autopilot_residual_ceil"`
 
-	Seed uint64
+	Seed uint64 `json:"seed"`
 }
 
 // DefaultConfig returns the paper's canonical small test: half-filled 2D
@@ -141,8 +144,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: delay block size must be >= 0 (0 = default), got %d", c.Delay)
 	case c.StabilityCheckEvery < 0:
 		return fmt.Errorf("core: stability check cadence must be >= 0 (0 = off), got %d", c.StabilityCheckEvery)
-	case c.Autopilot && c.NoStack:
-		return fmt.Errorf("core: autopilot needs the stratification stack (NoStack must be false)")
 	case c.AutopilotMinK < 0 || c.AutopilotMaxK < 0:
 		return fmt.Errorf("core: autopilot k bounds must be >= 0 (0 = default), got min %d max %d", c.AutopilotMinK, c.AutopilotMaxK)
 	case c.AutopilotMinK > 0 && c.AutopilotMaxK > 0 && c.AutopilotMinK > c.AutopilotMaxK:
@@ -151,8 +152,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: device count must be >= 0 (0 = CPU sweeper), got %d", c.Devices)
 	case c.UseGraphs && c.Devices < 1:
 		return fmt.Errorf("core: command graphs need a device (set Devices >= 1)")
-	case c.Devices >= 1 && !c.PrePivot:
-		return fmt.Errorf("core: the device sweeper stratifies with Algorithm 3 only (PrePivot must be true)")
 	case math.IsNaN(c.AutopilotCondCeil) || c.AutopilotCondCeil < 0 ||
 		math.IsNaN(c.AutopilotDriftCeil) || c.AutopilotDriftCeil < 0 ||
 		math.IsNaN(c.AutopilotResidualCeil) || c.AutopilotResidualCeil < 0:
@@ -215,29 +214,8 @@ type Simulation struct {
 	pilot   *autopilot.Controller // nil unless cfg.Autopilot
 }
 
-// newSweeper builds the Markov chain over the configured backend: the
-// device group (sharded over cfg.Devices simulated accelerators) when
-// cfg.Devices >= 1, the host kernels otherwise. Shared by New and Resume so a
-// resumed run lands on the same backend it checkpointed from.
-func newSweeper(cfg Config, prop *hubbard.Propagator, field *hubbard.Field, r *rng.Rand, col *obs.Collector, clusterK, stabEvery int) (*update.Sweeper, *gpu.Group) {
-	opts := update.Options{
-		ClusterK:       clusterK,
-		Delay:          cfg.Delay,
-		PrePivot:       cfg.PrePivot,
-		NoStack:        cfg.NoStack,
-		SerialSpins:    cfg.SerialSpins,
-		Obs:            col,
-		StabilityEvery: stabEvery,
-	}
-	if cfg.Devices >= 1 {
-		g := gpu.NewGroup(cfg.Devices, gpu.TeslaC2050())
-		return update.NewSweeperOn(prop, field, r, opts, gpu.NewBackend(g, cfg.UseGraphs)), g
-	}
-	return update.NewSweeper(prop, field, r, opts), nil
-}
-
-// New builds the lattice, propagators and initial field for the
-// configuration.
+// New builds the lattice, propagators, initial field and Markov chain for
+// the configuration.
 func New(cfg Config) (*Simulation, error) {
 	return newWithCollector(cfg, obs.New())
 }
@@ -246,6 +224,20 @@ func New(cfg Config) (*Simulation, error) {
 // walkers of one run can share a single collector (keeping the run-level
 // op-counter deltas exact — the counters are process-global).
 func newWithCollector(cfg Config, col *obs.Collector) (*Simulation, error) {
+	sim, err := newBase(cfg, col)
+	if err != nil {
+		return nil, err
+	}
+	sim.startSweeper()
+	return sim, nil
+}
+
+// newBase builds everything of a Simulation but its sweeper — geometry,
+// model, propagator, the seeded RNG with the random initial field, and the
+// autopilot controller — so New and Resume each construct the expensive
+// part (clusters, stack, initial refresh, device group) exactly once, Resume
+// after it has restored the checkpointed field.
+func newBase(cfg Config, col *obs.Collector) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -268,17 +260,23 @@ func newWithCollector(cfg Config, col *obs.Collector) (*Simulation, error) {
 	prop := hubbard.NewPropagator(model)
 	r := rng.New(cfg.Seed)
 	field := hubbard.NewRandomField(cfg.L, model.N(), r)
-	stabEvery := cfg.StabilityCheckEvery
-	if cfg.Autopilot && stabEvery == 0 {
-		stabEvery = 4 // the controller is blind without residual samples
-	}
-	sw, group := newSweeper(cfg, prop, field, r, col, cfg.ClusterK, stabEvery)
-	sim := &Simulation{cfg: cfg, lat: lat, model: model, prop: prop, field: field, rng: r, sweeper: sw, group: group, col: col}
+	sim := &Simulation{cfg: cfg, lat: lat, model: model, prop: prop, field: field, rng: r, col: col}
 	if cfg.Autopilot {
-		pilot, err := autopilot.New(autopilot.Config{
+		// The controller wants a divisor of L where Config takes any k
+		// (0 = the sweeper's default of 10, rounded down to a divisor).
+		k := cfg.ClusterK
+		if k < 1 {
+			k = 10
+		}
+		for cfg.L%k != 0 {
+			k--
+		}
+		// A zero cadence takes the controller's default: it is blind
+		// without residual samples.
+		sim.pilot, err = autopilot.New(autopilot.Config{
 			L:                 cfg.L,
-			InitialK:          sw.ClusterK(), // sweeper has already snapped k to a divisor of L
-			InitialCheckEvery: stabEvery,
+			InitialK:          k,
+			InitialCheckEvery: cfg.StabilityCheckEvery,
 			MinK:              cfg.AutopilotMinK,
 			MaxK:              cfg.AutopilotMaxK,
 			CondCeilLog10:     cfg.AutopilotCondCeil,
@@ -288,10 +286,37 @@ func newWithCollector(cfg Config, col *obs.Collector) (*Simulation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: autopilot: %w", err)
 		}
-		sim.pilot = pilot
-		col.SetStabilityListener(pilot)
 	}
 	return sim, nil
+}
+
+// startSweeper builds the Markov chain from the current field over the
+// configured backend — the device group (sharded over cfg.Devices simulated
+// accelerators) when cfg.Devices >= 1, the host kernels otherwise — at the
+// controller's cluster size and check cadence, or the config's without one.
+func (s *Simulation) startSweeper() {
+	opts := update.Options{
+		ClusterK:       s.cfg.ClusterK,
+		Delay:          s.cfg.Delay,
+		PrePivot:       s.cfg.PrePivot,
+		SerialSpins:    s.cfg.SerialSpins,
+		Obs:            s.col,
+		StabilityEvery: s.cfg.StabilityCheckEvery,
+	}
+	if s.pilot != nil {
+		opts.ClusterK, opts.StabilityEvery = s.pilot.K(), s.pilot.CheckEvery()
+	}
+	if s.cfg.Devices >= 1 {
+		s.group = gpu.NewGroup(s.cfg.Devices, gpu.TeslaC2050())
+		s.sweeper = update.NewSweeperOn(s.prop, s.field, s.rng, opts, gpu.NewBackend(s.group, s.cfg.UseGraphs))
+	} else {
+		s.sweeper = update.NewSweeper(s.prop, s.field, s.rng, opts)
+	}
+	if s.pilot != nil {
+		// Attached only now: the construction's own refresh is not part of
+		// any sweep's stability window.
+		s.col.SetStabilityListener(s.pilot)
+	}
 }
 
 // Model exposes the underlying Hubbard model (read-only use).

@@ -1,7 +1,6 @@
 package gpu
 
 import (
-	"questgo/internal/greens"
 	"questgo/internal/hubbard"
 	"questgo/internal/mat"
 	"questgo/internal/update"
@@ -20,15 +19,15 @@ import (
 // card. With more, the Scheduler splits the devices between the spin
 // sectors (per-spin sharding) and each sector deals its cluster blocks
 // round-robin over its pool (per-slice-block sharding): the wraps and
-// flushes of a slice run on the device owning its cluster block, and the
-// NoStack stratification walks the chain across owners over the peer link.
-// Because every device executes the identical host arithmetic, the Markov
-// chain is bitwise independent of the device count and of command-graph
-// mode — sharding and graphs move modeled time, never numbers — and on the
-// stack path bitwise equal to the host backend's, which the tests verify.
+// flushes of a slice run on the device owning its cluster block.
+// Stratification never runs here — the Sweeper refreshes G on the host from
+// the clusters this backend builds. Because every device executes the
+// identical host arithmetic, the Markov chain is bitwise independent of the
+// device count and of command-graph mode — sharding and graphs move modeled
+// time, never numbers — and bitwise equal to the host backend's, which the
+// tests verify.
 type backend struct {
 	*ClusterSet // rebuilt by SetClusterK
-	grp         *Group
 	field       *hubbard.Field
 	sigma       hubbard.Spin
 	accs        []*Accelerator
@@ -44,7 +43,7 @@ type backend struct {
 func NewBackend(g *Group, graphs bool) update.NewBackend {
 	return func(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, k, nd int) update.Backend {
 		n := p.Model.N()
-		b := &backend{grp: g, field: f, sigma: sigma}
+		b := &backend{field: f, sigma: sigma}
 		for _, dev := range (Scheduler{G: g}).SpinPool(sigma) {
 			acc := NewAccelerator(dev, p)
 			acc.EnableGraphs(graphs)
@@ -80,20 +79,6 @@ func (b *backend) Flush(g, u, w *mat.Dense, m, s int) {
 	dev.SetMatrix(dwV, w.View(0, 0, n, m))
 	dev.Dgemm(false, true, 1, duV, dwV, 1, dg)
 	dev.GetMatrix(g, dg)
-}
-
-// GreenAtInto is the hybrid CPU+device re-stratification of the whole chain at
-// boundary c (Algorithm 3 only), sharded across the pool when it has more
-// than one device.
-func (b *backend) GreenAtInto(dst *mat.Dense, c int) {
-	dev := b.accs[0].Dev
-	var udt *greens.UDT
-	if len(b.accs) > 1 {
-		udt = StratifyHybridSharded(b.grp, b.ClusterSet, c)
-	} else {
-		udt = StratifyHybrid(dev, b.Chain(c))
-	}
-	dst.CopyFrom(GreenFromUDTHybrid(dev, udt))
 }
 
 // SetClusterK rebuilds the device cluster set — with the same sharding — on

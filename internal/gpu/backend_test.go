@@ -12,9 +12,8 @@ import (
 	"questgo/internal/update"
 )
 
-// deviceSweeper builds the Markov chain over the device backend. PrePivot is
-// forced on: the hybrid full rebuild stratifies with Algorithm 3 only, and
-// core.Config.Validate enforces the same for device runs.
+// deviceSweeper builds the Markov chain over the device backend, with the
+// paper's Algorithm 3 stratification on the host.
 func deviceSweeper(g *Group, p *hubbard.Propagator, f *hubbard.Field, r *rng.Rand, opts update.Options, graphs bool) *update.Sweeper {
 	opts.PrePivot = true
 	return update.NewSweeperOn(p, f, r, opts, NewBackend(g, graphs))
@@ -93,8 +92,7 @@ func fieldsEqual(a, b *hubbard.Field) bool {
 // TestSweeperDeviceAndGraphInvariance: the physical trajectory (auxiliary field and both Green's functions)
 // must be bitwise identical across 1, 2 and 4 devices and with command
 // graphs off or on — sharding and graphs shape modeled time only. The
-// stack refresh path and the NoStack full-rebuild path (which shards the
-// stratification chain over the peer link) are both pinned.
+// stack refresh path and the NoStack full-rebuild path are both pinned.
 func TestSweeperDeviceAndGraphInvariance(t *testing.T) {
 	for _, noStack := range []bool{false, true} {
 		run := func(nd int, graphs bool) (*hubbard.Field, *mat.Dense, *mat.Dense) {
@@ -127,8 +125,7 @@ func TestSweeperDeviceAndGraphInvariance(t *testing.T) {
 // TestSweeperSteadyDeviceMemory asserts the device footprint reaches
 // steady state: after the first sweep, further sweeps — and a cluster-size
 // resize — neither allocate net device memory nor raise the high-water
-// mark. Covers the stack path and the NoStack path (whose sharded
-// stratification allocates scratch per refresh and must free all of it).
+// mark. Covers the stack path and the NoStack path.
 func TestSweeperSteadyDeviceMemory(t *testing.T) {
 	for _, noStack := range []bool{false, true} {
 		p, f := testSetup(t, 3, 3, 4, 2, 8, 67)
@@ -222,11 +219,10 @@ func TestHybridSweeperProfile(t *testing.T) {
 // device backends {1, 2, 4 devices} x {graphs off, on} in lockstep, through a
 // schedule with mid-run SetClusterK calls (one a non-divisor request) and a
 // SetStabilityEvery change, with the stability probes live. On the stack
-// path every engine must agree bitwise after every sweep on the auxiliary
-// field, G up/down, the sign, the counters and the cluster size. On the
-// NoStack path the device engines must agree bitwise among themselves, and
-// with the host — whose full rebuild is the all-CPU stratification instead
-// of the hybrid one — on the field and counters exactly and on G to 1e-12.
+// path and on the NoStack full-rebuild path alike, every engine must agree
+// bitwise with the host after every sweep on the auxiliary field, G up/down,
+// the sign, the counters and the cluster size: stratification is one host
+// code path whatever builds the clusters.
 func TestCrossEngineBitwise(t *testing.T) {
 	type engine struct {
 		name string
@@ -269,13 +265,8 @@ func TestCrossEngineBitwise(t *testing.T) {
 				}
 				e.sw.Sweep()
 			}
-			for i, e := range engines[1:] {
-				// Device engines compare against the first device engine on
-				// the NoStack path, everything against the host otherwise.
-				ref := engines[0]
-				if tc.noStack && i > 0 {
-					ref = engines[1]
-				}
+			ref := engines[0]
+			for _, e := range engines[1:] {
 				label := fmt.Sprintf("%dx%d noStack=%v step %d: %s vs %s", tc.nx, tc.ny, tc.noStack, step, e.name, ref.name)
 				if !fieldsEqual(e.f, ref.f) {
 					t.Fatalf("%s: auxiliary field diverged", label)
@@ -286,14 +277,10 @@ func TestCrossEngineBitwise(t *testing.T) {
 					t.Fatalf("%s: counters %d/%d sign %v k %d, want %d/%d sign %v k %d", label,
 						ea, ep, e.sw.Sign(), e.sw.ClusterK(), ra, rp, ref.sw.Sign(), ref.sw.ClusterK())
 				}
-				tol := 0.0
-				if tc.noStack && ref == engines[0] {
-					tol = 1e-12
-				}
 				dUp := mat.RelDiff(e.sw.GreenUp(), ref.sw.GreenUp())
 				dDn := mat.RelDiff(e.sw.GreenDn(), ref.sw.GreenDn())
-				if !(dUp <= tol && dDn <= tol) { // a NaN fails too
-					t.Fatalf("%s: Green's functions differ by %g / %g (tolerance %g)", label, dUp, dDn, tol)
+				if !(dUp == 0 && dDn == 0) { // a NaN fails too
+					t.Fatalf("%s: Green's functions differ by %g / %g", label, dUp, dDn)
 				}
 			}
 		}

@@ -152,31 +152,9 @@ func (h *HybridQR) applyPanelColsDevice(p *lapack.Panel, rowStart int, q *Matrix
 // updates, Q accumulation and T updates on the device; only the panel
 // factorizations, the column-norm sort and the diagonal bookkeeping stay
 // on the host. Input chain as for greens.StratifyPrePivot (application
-// order); returns the UDT on the host.
+// order); returns the UDT on the host. All device scratch is freed on exit,
+// so the footprint is steady across calls.
 func StratifyHybrid(dev *Device, chain []*mat.Dense) *greens.UDT {
-	return stratifyHybridOn(nil, nil, dev, chain)
-}
-
-// StratifyHybridSharded walks the stratification chain across the devices
-// that own each cluster block (per-slice-block sharding): step i runs on
-// the device that built chain element i, and the running Q factor crosses
-// the inter-device link whenever ownership changes. The arithmetic — and
-// therefore the result — is bitwise identical to StratifyHybrid on one
-// device; only the modeled charges move.
-func StratifyHybridSharded(g *Group, cs *ClusterSet, boundary int) *greens.UDT {
-	chain := cs.Chain(boundary)
-	devs := make([]*Device, len(chain))
-	for i := range chain {
-		devs[i] = cs.AccFor((boundary + i) % cs.NC).Dev
-	}
-	return stratifyHybridOn(g, devs, devs[0], chain)
-}
-
-// stratifyHybridOn is the shared implementation: devs[i] (when non-nil)
-// names the device executing chain step i, dev0 the device of the first
-// factorization. All device scratch is freed on exit, so the footprint is
-// steady across refreshes.
-func stratifyHybridOn(g *Group, devs []*Device, dev0 *Device, chain []*mat.Dense) *greens.UDT {
 	if len(chain) == 0 {
 		panic("gpu: empty chain")
 	}
@@ -203,7 +181,6 @@ func stratifyHybridOn(g *Group, devs []*Device, dev0 *Device, chain []*mat.Dense
 	qrp.Release()
 	lapack.PutPivot(&jpvt)
 
-	dev := dev0
 	dq := dev.Malloc(n, n)
 	dev.SetMatrix(dq, qHost)
 	dc := dev.Malloc(n, n)
@@ -217,26 +194,6 @@ func stratifyHybridOn(g *Group, devs []*Device, dev0 *Device, chain []*mat.Dense
 	tTmp := mat.New(n, n)
 
 	for i := 1; i < len(chain); i++ {
-		if devs != nil && devs[i] != dev {
-			// The running Q migrates to the device owning this cluster
-			// block over the peer link; the per-device scratch follows.
-			next := devs[i]
-			nq := next.Malloc(n, n)
-			g.PeerCopy(nq, dq)
-			dq.Free()
-			dc.Free()
-			db.Free()
-			dvec.Free()
-			dtm.Free()
-			dres.Free()
-			dev = next
-			dq = nq
-			dc = dev.Malloc(n, n)
-			db = dev.Malloc(n, n)
-			dvec = dev.Malloc(n, 1)
-			dtm = dev.Malloc(n, n)
-			dres = dev.Malloc(n, n)
-		}
 		// C = (B_i * Q) * D on the device.
 		dev.SetMatrix(db, chain[i])
 		dev.Dgemm(false, false, 1, db, dq, 0, dc)

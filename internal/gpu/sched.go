@@ -2,102 +2,42 @@ package gpu
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"questgo/internal/hubbard"
-	"questgo/internal/obs"
 )
-
-// LinkModel is the cost model of the inter-accelerator interconnect:
-// peer-to-peer copies over the PCIe switch (cudaMemcpyPeer). On the
-// paper-era hardware a P2P copy crosses the same PCIe fabric as a host
-// staging copy but skips the double hop through host memory, so the
-// default link is modestly faster than two host transfers.
-type LinkModel struct {
-	BytesPerSec float64
-	Latency     time.Duration
-}
-
-// DefaultLink returns the PCIe peer-to-peer model matching TeslaC2050-era
-// boards: one fabric crossing at host-transfer bandwidth and latency,
-// versus the 2x cost of staging through the host.
-func DefaultLink() LinkModel {
-	return LinkModel{BytesPerSec: 6e9, Latency: 8 * time.Microsecond}
-}
 
 // Group is a set of simulated accelerators sharing one node: the
 // multi-GPU configuration of the scale-out experiments (per-spin,
-// per-chain and per-slice-block sharding). All devices share a cost model;
-// peer traffic is charged against the LinkModel.
+// per-chain and per-slice-block sharding). All devices share a cost model
+// and never exchange data: every sharding axis keeps a device's operands
+// on that device.
 type Group struct {
 	Devs []*Device
-	Link LinkModel
-
-	peerBytes int64 // atomic
 }
 
-// NewGroup creates n identical devices with the given cost model and the
-// default interconnect.
+// NewGroup creates n identical devices with the given cost model.
 func NewGroup(n int, model DeviceModel) *Group {
 	if n < 1 {
 		panic(fmt.Sprintf("gpu: group needs at least one device, got %d", n))
 	}
-	g := &Group{Devs: make([]*Device, n), Link: DefaultLink()}
+	g := &Group{Devs: make([]*Device, n)}
 	for i := range g.Devs {
 		g.Devs[i] = NewDevice(model)
 	}
 	return g
 }
 
-// GroupOf wraps existing devices (sharing the default link model).
+// GroupOf wraps existing devices.
 func GroupOf(devs ...*Device) *Group {
 	if len(devs) == 0 {
 		panic("gpu: empty device group")
 	}
-	return &Group{Devs: devs, Link: DefaultLink()}
+	return &Group{Devs: devs}
 }
 
 // Size returns the number of devices.
 func (g *Group) Size() int { return len(g.Devs) }
-
-// PeerCopy moves a device matrix payload from src to an equally-shaped
-// destination on another device, charging the inter-device link: latency
-// plus bytes over link bandwidth, occupying both DMA engines. On the same
-// device it degenerates to a plain device copy.
-//
-//qmc:charges OpPeerBytes
-func (g *Group) PeerCopy(dst, src *Matrix) {
-	if dst.rows != src.rows || dst.cols != src.cols {
-		panic(fmt.Sprintf("gpu: PeerCopy dimension mismatch: src is %dx%d but dst is %dx%d", src.rows, src.cols, dst.rows, dst.cols))
-	}
-	if dst.dev == src.dev {
-		dst.dev.Dcopy(dst, src)
-		return
-	}
-	bytes := int64(src.rows) * int64(src.cols) * 8
-	obs.Add(obs.OpPeerBytes, bytes)
-	atomic.AddInt64(&g.peerBytes, bytes)
-	dst.m.CopyFrom(src.m)
-	lat := int64(g.Link.Latency)
-	ns := lat + int64(float64(bytes)/g.Link.BytesPerSec*1e9)
-	src.dev.s0.chargePeer(ns, lat, bytes)
-	dst.dev.s0.chargePeer(ns, lat, bytes)
-}
-
-// chargePeer occupies this stream and its device's DMA engine for one side
-// of a peer-to-peer copy. The link latency is fixed interconnect overhead,
-// so it counts toward LaunchOverhead like a host-transfer latency does.
-func (s *Stream) chargePeer(ns, latNS, bytes int64) {
-	d := s.dev
-	atomic.AddInt64(&d.xferBusyNS, ns)
-	atomic.AddInt64(&d.launchNS, latNS)
-	atomic.AddInt64(&d.transferred, bytes)
-	s.advance(ns)
-}
-
-// PeerBytes returns the total bytes moved over the inter-device link.
-func (g *Group) PeerBytes() int64 { return atomic.LoadInt64(&g.peerBytes) }
 
 // Clock returns the modeled wall clock of the whole group: the slowest
 // device (they run concurrently).
@@ -120,12 +60,11 @@ func (g *Group) LaunchOverhead() time.Duration {
 	return t
 }
 
-// Reset resets every device clock (peer counters included).
+// Reset resets every device clock.
 func (g *Group) Reset() {
 	for _, d := range g.Devs {
 		d.Reset()
 	}
-	atomic.StoreInt64(&g.peerBytes, 0)
 }
 
 // --- placement ----------------------------------------------------------
@@ -136,10 +75,9 @@ func (g *Group) Reset() {
 //   - per-spin: SpinPool splits the devices between the two spin sectors
 //     (the sectors are independent within a sweep, so this needs no
 //     inter-device traffic at all);
-//   - per-slice-block: PlaceClusters deals a spin's NC cluster blocks
-//     round-robin over the sector's pool, so cluster builds, the wraps and
-//     flushes of those slices, and the stratification steps that consume
-//     each cluster all run on the device that owns it;
+//   - per-slice-block: a spin's NC cluster blocks are dealt round-robin
+//     over the sector's pool (ClusterSet.AccFor), so a cluster's build and
+//     the wraps and flushes of its slices run on the device that owns it;
 //   - per-chain: PlaceChains deals independent Markov chains over whole
 //     devices (embarrassingly parallel, the Wendt/Drut-style scale-out).
 type Scheduler struct {
@@ -163,16 +101,6 @@ func (sc Scheduler) SpinPool(sigma hubbard.Spin) []*Device {
 	return sc.G.Devs[half:]
 }
 
-// PlaceClusters deals nc cluster blocks round-robin over a pool, returning
-// the pool index owning each block.
-func (sc Scheduler) PlaceClusters(pool []*Device, nc int) []int {
-	owners := make([]int, nc)
-	for c := range owners {
-		owners[c] = c % len(pool)
-	}
-	return owners
-}
-
 // PlaceChains deals independent Markov chains over the whole group,
 // returning the device index for each chain.
 func (sc Scheduler) PlaceChains(chains int) []int {
@@ -181,25 +109,4 @@ func (sc Scheduler) PlaceChains(chains int) []int {
 		owners[c] = c % len(sc.G.Devs)
 	}
 	return owners
-}
-
-// ChainCrossCost estimates the modeled cost of walking a stratification
-// chain whose consecutive clusters live on different devices: crossings
-// peer copies of the running n x n Q factor (plus the T update each
-// crossing drags along). The scheduler uses it to decide whether sharded
-// stratification beats gathering every cluster onto one device first
-// (GatherCost); for round-robin block placement the chain crosses devices
-// on nearly every step, so gathering wins only when the link is much
-// slower than its default.
-func (sc Scheduler) ChainCrossCost(n, crossings int) time.Duration {
-	bytes := int64(n) * int64(n) * 8 * 2
-	per := time.Duration(int64(sc.G.Link.Latency) + int64(float64(bytes)/sc.G.Link.BytesPerSec*1e9))
-	return time.Duration(crossings) * per
-}
-
-// GatherCost estimates moving nc-1 remote n x n clusters onto one device.
-func (sc Scheduler) GatherCost(n, nc int) time.Duration {
-	bytes := int64(n) * int64(n) * 8
-	per := time.Duration(int64(sc.G.Link.Latency) + int64(float64(bytes)/sc.G.Link.BytesPerSec*1e9))
-	return time.Duration(nc-1) * per
 }

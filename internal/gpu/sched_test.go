@@ -4,52 +4,7 @@ import (
 	"testing"
 
 	"questgo/internal/hubbard"
-	"questgo/internal/mat"
-	"questgo/internal/rng"
 )
-
-// TestPeerCopyMovesDataAndChargesLink checks the inter-device transfer:
-// the payload arrives intact, the peer-byte ledger counts it, and both
-// devices' DMA engines (plus the link-latency overhead) are charged.
-func TestPeerCopyMovesDataAndChargesLink(t *testing.T) {
-	g := NewGroup(2, TeslaC2050())
-	n := 32
-	src := g.Devs[0].Malloc(n, n)
-	dst := g.Devs[1].Malloc(n, n)
-	h := randomDense(rng.New(6), n)
-	g.Devs[0].SetMatrix(src, h)
-	g.Devs[0].Reset()
-	g.Devs[1].Reset()
-
-	g.PeerCopy(dst, src)
-
-	back := mat.New(n, n)
-	g.Devs[1].GetMatrix(back, dst)
-	if !back.EqualApprox(h, 0) {
-		t.Fatal("peer copy corrupted the payload")
-	}
-	if g.PeerBytes() != int64(n)*int64(n)*8 {
-		t.Fatalf("peer bytes = %d, want %d", g.PeerBytes(), n*n*8)
-	}
-	if g.Devs[0].BusyTransfer() == 0 || g.Devs[1].BusyTransfer() == 0 {
-		t.Fatal("both DMA engines must be occupied by a peer copy")
-	}
-	if g.Devs[0].LaunchOverhead() < g.Link.Latency {
-		t.Fatal("link latency must count toward launch overhead")
-	}
-}
-
-// TestPeerCopySameDeviceDegenerates: within one device it is a plain
-// device copy and no link traffic is recorded.
-func TestPeerCopySameDeviceDegenerates(t *testing.T) {
-	g := NewGroup(1, TeslaC2050())
-	a := g.Devs[0].Malloc(4, 4)
-	b := g.Devs[0].Malloc(4, 4)
-	g.PeerCopy(b, a)
-	if g.PeerBytes() != 0 {
-		t.Fatalf("same-device copy counted %d peer bytes", g.PeerBytes())
-	}
-}
 
 // TestSpinPoolSplit checks the per-spin device split: 1 device serves both
 // sectors, 2 gives each its own card, 4 gives each sector two.
@@ -73,16 +28,11 @@ func TestSpinPoolSplit(t *testing.T) {
 	}
 }
 
-// TestPlacementRoundRobin checks the cluster-block and chain dealing.
+// TestPlacementRoundRobin checks the chain dealing (the cluster-block
+// dealing is pinned by TestShardedClusterSetMatchesSingleDevice).
 func TestPlacementRoundRobin(t *testing.T) {
 	g := NewGroup(4, TeslaC2050())
 	sc := Scheduler{G: g}
-	owners := sc.PlaceClusters(g.Devs[:2], 5)
-	for c, o := range owners {
-		if o != c%2 {
-			t.Fatalf("cluster %d owner %d, want %d", c, o, c%2)
-		}
-	}
 	chains := sc.PlaceChains(6)
 	for c, o := range chains {
 		if o != c%4 {
@@ -109,39 +59,5 @@ func TestShardedClusterSetMatchesSingleDevice(t *testing.T) {
 	}
 	if cs2.AccFor(0) != accs[0] || cs2.AccFor(1) != accs[1] || cs2.AccFor(2) != accs[0] {
 		t.Fatal("cluster blocks not dealt round-robin")
-	}
-}
-
-// TestShardedStratifyMatchesSingleDevice: walking the stratification
-// chain across device owners (peer-copying the running Q factor) must
-// produce bitwise the single-device result, with real link traffic.
-func TestShardedStratifyMatchesSingleDevice(t *testing.T) {
-	p, f := testSetup(t, 3, 3, 4, 4, 16, 33)
-	dev := NewDevice(TeslaC2050())
-	cs1 := NewClusterSet(NewAccelerator(dev, p), f, hubbard.Up, 4)
-	g1 := GreenFromUDTHybrid(dev, StratifyHybrid(dev, cs1.Chain(1)))
-
-	grp := NewGroup(2, TeslaC2050())
-	accs := []*Accelerator{NewAccelerator(grp.Devs[0], p), NewAccelerator(grp.Devs[1], p)}
-	cs2 := NewClusterSetSharded(accs, f, hubbard.Up, 4)
-	g2 := GreenFromUDTHybrid(accs[0].Dev, StratifyHybridSharded(grp, cs2, 1))
-
-	if !g2.EqualApprox(g1, 0) {
-		t.Fatal("sharded stratification changed the Green's function")
-	}
-	if grp.PeerBytes() == 0 {
-		t.Fatal("round-robin chain must cross the peer link")
-	}
-}
-
-// TestSchedulerCostHeuristics: the crossing/gather estimates scale with
-// their drivers (sanity for the placement decision they inform).
-func TestSchedulerCostHeuristics(t *testing.T) {
-	sc := Scheduler{G: NewGroup(2, TeslaC2050())}
-	if sc.ChainCrossCost(64, 4) <= sc.ChainCrossCost(64, 2) {
-		t.Fatal("crossing cost must grow with crossings")
-	}
-	if sc.GatherCost(64, 8) <= sc.GatherCost(64, 4) {
-		t.Fatal("gather cost must grow with cluster count")
 	}
 }

@@ -4,14 +4,12 @@ import (
 	"fmt"
 
 	"questgo/internal/core"
-	"questgo/internal/stats"
 )
 
 // Estimate is the streaming cross-shard aggregate published while a job
-// runs: sign-weighted scalar observables with cross-shard standard errors
-// (each shard is an independent chain whose own errors already carry the
-// jackknife/binning of its sweep series; across shards the spread of the
-// independent estimates is the honest error). With one landed shard the
+// runs: the scalar observables of core.MergeResults over the shards landed
+// so far (each shard is an independent chain; across shards the spread of
+// the independent estimates is the honest error). With one landed shard the
 // shard's own jackknife errors are reported.
 type Estimate struct {
 	SchemaVersion string `json:"schema_version,omitempty"`
@@ -83,29 +81,21 @@ func (a *Aggregator) Estimate() *Estimate {
 	if len(rs) == 0 {
 		return nil
 	}
-	e := &Estimate{SchemaVersion: JobSchemaVersion, Shards: len(rs)}
-	if len(rs) == 1 {
-		r := rs[0]
-		e.Density, e.DensityErr = r.Density, r.DensityErr
-		e.DoubleOcc, e.DoubleOccErr = r.DoubleOcc, r.DoubleOccErr
-		e.Energy, e.EnergyErr = r.Energy, r.EnergyErr
-		e.SAF, e.SAFErr = r.SAF, r.SAFErr
-		e.AvgSign = r.AvgSign
-		return e
+	// The same merge as Final, so a partial over the full landed set reads
+	// exactly as the result document does. A merge that fails (shards of
+	// different shapes) has no estimate; Final reports the error.
+	m, err := core.MergeResults(rs)
+	if err != nil {
+		return nil
 	}
-	pick := func(f func(*core.Results) float64) (float64, float64) {
-		xs := make([]float64, len(rs))
-		for i, r := range rs {
-			xs[i] = f(r)
-		}
-		return stats.Mean(xs), stats.StdErr(xs)
+	return &Estimate{
+		SchemaVersion: JobSchemaVersion, Shards: len(rs),
+		Density: m.Density, DensityErr: m.DensityErr,
+		DoubleOcc: m.DoubleOcc, DoubleOccErr: m.DoubleOccErr,
+		Energy: m.Energy, EnergyErr: m.EnergyErr,
+		SAF: m.SAF, SAFErr: m.SAFErr,
+		AvgSign: m.AvgSign,
 	}
-	e.Density, e.DensityErr = pick(func(r *core.Results) float64 { return r.Density })
-	e.DoubleOcc, e.DoubleOccErr = pick(func(r *core.Results) float64 { return r.DoubleOcc })
-	e.Energy, e.EnergyErr = pick(func(r *core.Results) float64 { return r.Energy })
-	e.SAF, e.SAFErr = pick(func(r *core.Results) float64 { return r.SAF })
-	e.AvgSign, _ = pick(func(r *core.Results) float64 { return r.AvgSign })
-	return e
 }
 
 // release drops the shard results once the job is terminal, keeping the

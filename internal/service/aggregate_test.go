@@ -97,3 +97,47 @@ func TestAggregatorDoubleLandPanics(t *testing.T) {
 	a.Land(0, &core.Results{})
 	a.Land(0, &core.Results{})
 }
+
+// TestTerminalEstimateEqualsResult: the estimate on a finished job's terminal
+// event and status is the result document's own numbers, field for field —
+// one cross-shard merge, not two that can disagree (energy_err was the
+// spread of shard energies in the stream and kinetic_err + potential_err in
+// the document).
+func TestTerminalEstimateEqualsResult(t *testing.T) {
+	cfg := fastConfig()
+	cfg.WarmSweeps, cfg.MeasSweeps = 2, 6
+	_, cl := newTestServer(t, Options{Workers: 2})
+	for _, shards := range []int{2, 3} {
+		st, err := cl.Submit(context.Background(), JobRequest{Config: cfg, Shards: shards, NoCache: true})
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		res, err := cl.WaitResult(context.Background(), st.ID)
+		if err != nil {
+			t.Fatalf("wait: %v", err)
+		}
+		r := res.Results
+		want := Estimate{
+			SchemaVersion: JobSchemaVersion, Shards: shards,
+			Density: r.Density, DensityErr: r.DensityErr,
+			DoubleOcc: r.DoubleOcc, DoubleOccErr: r.DoubleOccErr,
+			Energy: r.Energy, EnergyErr: r.EnergyErr,
+			SAF: r.SAF, SAFErr: r.SAFErr,
+			AvgSign: r.AvgSign,
+		}
+		var last Event
+		if err := cl.Stream(context.Background(), st.ID, func(e Event) bool { last = e; return true }); err != nil {
+			t.Fatalf("stream: %v", err)
+		}
+		if !last.terminal() || last.Partial == nil || *last.Partial != want {
+			t.Errorf("%d shards: terminal event %+v\n carries %+v\n result is %+v", shards, last, last.Partial, want)
+		}
+		final, err := cl.Status(context.Background(), st.ID)
+		if err != nil {
+			t.Fatalf("status: %v", err)
+		}
+		if final.Partial == nil || *final.Partial != want {
+			t.Errorf("%d shards: status estimate %+v, result is %+v", shards, final.Partial, want)
+		}
+	}
+}

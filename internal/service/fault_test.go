@@ -78,6 +78,49 @@ func TestShardFaultRecoveryBitwise(t *testing.T) {
 	}
 }
 
+// TestStaleCheckpointIgnored: job ids restart at j000001 with every server,
+// so a reused CheckpointDir can hold a dead server's file at a new shard's
+// path. A checkpoint of another configuration must not be resumed into the
+// job: the shard starts fresh and lands bitwise on the direct run.
+func TestStaleCheckpointIgnored(t *testing.T) {
+	cfg := fastConfig()
+	want, err := core.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("direct run: %v", err)
+	}
+
+	other := cfg
+	other.Nx, other.Ny = 6, 6
+	stale, err := core.New(other)
+	if err != nil {
+		t.Fatalf("stale sim: %v", err)
+	}
+	ckptDir := t.TempDir()
+	path := filepath.Join(ckptDir, "j000001-shard0000.ckpt")
+	if err := stale.Checkpoint().Save(path); err != nil {
+		t.Fatalf("plant checkpoint: %v", err)
+	}
+
+	_, cl := newTestServer(t, Options{Workers: 1, CheckpointDir: ckptDir})
+	st, err := cl.Submit(context.Background(), JobRequest{Config: cfg, NoCache: true})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if st.ID != "j000001" {
+		t.Fatalf("first job id = %s, the planted file is not at its path", st.ID)
+	}
+	res, err := cl.WaitResult(context.Background(), st.ID)
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if got, wantB := resultsBytes(t, res.Results), resultsBytes(t, want); string(got) != string(wantB) {
+		t.Errorf("job resumed a foreign checkpoint:\n got %s\nwant %s", got, wantB)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("foreign checkpoint left behind: %v", err)
+	}
+}
+
 // TestShardFaultBudgetExhausted: a shard that keeps dying fails the job
 // once MaxRestarts is spent, instead of looping forever.
 func TestShardFaultBudgetExhausted(t *testing.T) {

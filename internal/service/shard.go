@@ -29,7 +29,7 @@ import (
 func (s *Server) runShard(ctx context.Context, j *job, sh *shardState) (*core.Results, error) {
 	var (
 		sim *core.Simulation
-		cfg core.Config
+		cfg = sh.cfg
 		err error
 	)
 	if _, statErr := os.Stat(sh.ckptPath); statErr == nil {
@@ -37,17 +37,26 @@ func (s *Server) runShard(ctx context.Context, j *job, sh *shardState) (*core.Re
 		if lerr != nil {
 			return nil, fmt.Errorf("shard checkpoint: %w", lerr)
 		}
-		// The checkpointed Config already carries the remaining schedule
-		// (adjusted at save time below).
-		if sim, err = core.Resume(ck); err != nil {
-			return nil, fmt.Errorf("shard resume: %w", err)
+		// Job ids restart with every server, so a reused CheckpointDir can
+		// hold another job's file at this path. Only the remaining warmup
+		// schedule (adjusted at save time below) may differ from the shard's
+		// own config; anything else is a foreign file and the shard starts
+		// fresh.
+		own := ck.Config
+		own.WarmSweeps = sh.cfg.WarmSweeps
+		if own == sh.cfg {
+			if sim, err = core.Resume(ck); err != nil {
+				return nil, fmt.Errorf("shard resume: %w", err)
+			}
+			cfg = ck.Config
+		} else {
+			_ = os.Remove(sh.ckptPath) // best effort: a finished run removes it again
 		}
-		cfg = ck.Config
-	} else {
+	}
+	if sim == nil {
 		if sim, err = core.New(sh.cfg); err != nil {
 			return nil, err
 		}
-		cfg = sh.cfg
 	}
 
 	// measStart is the resume point for faults inside the atomic

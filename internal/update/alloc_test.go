@@ -17,7 +17,7 @@ import (
 func TestHostFlushNoAlloc(t *testing.T) {
 	p, f := setup(t, 4, 4, 4, 4, 8, 3)
 	n := p.Model.N()
-	h := newHost(false)(p, f, hubbard.Up, 4, n)
+	h := newHost(p, f, hubbard.Up, 4, n)
 	r := rng.New(5)
 	g, u, w := mat.New(n, n), mat.New(n, n), mat.New(n, n)
 	for _, x := range []*mat.Dense{g, u, w} {

@@ -3,12 +3,12 @@
 // rank-1 accumulators, the fermion sign, the accept/propose counters, the
 // refresh scheduling and the drift/residual probes — everything that is
 // serial and latency-bound. The level-3 work of a sweep (wrapping, cluster
-// products, the blocked flush G += U*W^T that turns nd rank-1 updates into
-// one GEMM, and the full-rebuild reference refresh) goes through a per-spin
-// Backend, so the same chain runs on the host kernels (NewSweeper) or on
-// simulated accelerators (NewSweeperOn with gpu.NewBackend) — the paper's
-// hybrid split of Section VI — and produces the same numbers bit for bit on
-// the stack path.
+// products and the blocked flush G += U*W^T that turns nd rank-1 updates
+// into one GEMM) goes through a per-spin Backend, so the same chain runs on
+// the host kernels (NewSweeper) or on simulated accelerators (NewSweeperOn
+// with gpu.NewBackend) — the paper's hybrid split of Section VI — and
+// produces the same numbers bit for bit: stratification stays with the
+// host on every backend.
 //
 // Two optimizations sit on top of the paper's Algorithm 1:
 //
@@ -17,7 +17,7 @@
 //     (built once per sweep) and extends a prefix UDT by one cluster per
 //     boundary, so each refresh costs O(1) cluster-UDT steps instead of
 //     re-running the whole L/k-cluster chain. Options.NoStack restores the
-//     backend's full-rebuild reference path.
+//     full-rebuild reference: greens.GreenInto over the backend's chain.
 //   - The heavy per-spin phases — wrapping, delayed-update flushes,
 //     cluster recomputation, stratified refreshes, and the column/row
 //     assembly of accepted flips — are independent between the up and down
@@ -54,9 +54,6 @@ type Backend interface {
 	Flush(g, u, w *mat.Dense, m, s int)
 	// Recompute rebuilds cluster c from the current field.
 	Recompute(c int)
-	// GreenAtInto evaluates the Green's function at cluster boundary c into dst
-	// by stratifying the whole cluster chain (the NoStack reference refresh).
-	GreenAtInto(dst *mat.Dense, c int)
 	// SetClusterK rebuilds the cluster products at size k (a divisor of L).
 	SetClusterK(k int)
 }
@@ -67,30 +64,26 @@ type NewBackend func(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin
 
 // host is the CPU Backend: greens.ClusterSet, greens.Wrapper and blas.Gemm.
 type host struct {
-	prop     *hubbard.Propagator
-	field    *hubbard.Field
-	sigma    hubbard.Spin
-	prePivot bool
-	cs       *greens.ClusterSet
-	wrap     *greens.Wrapper
+	prop  *hubbard.Propagator
+	field *hubbard.Field
+	sigma hubbard.Spin
+	cs    *greens.ClusterSet
+	wrap  *greens.Wrapper
 }
 
-func newHost(prePivot bool) NewBackend {
-	return func(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, k, _ int) Backend {
-		return &host{
-			prop: p, field: f, sigma: sigma, prePivot: prePivot,
-			cs:   greens.NewClusterSet(p, f, sigma, k),
-			wrap: greens.NewWrapper(p),
-		}
+func newHost(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, k, _ int) Backend {
+	return &host{
+		prop: p, field: f, sigma: sigma,
+		cs:   greens.NewClusterSet(p, f, sigma, k),
+		wrap: greens.NewWrapper(p),
 	}
 }
 
-func (h *host) Clusters() int                     { return h.cs.NC }
-func (h *host) Cluster(c int) *mat.Dense          { return h.cs.Cluster(c) }
-func (h *host) Wrap(g *mat.Dense, s int)          { h.wrap.Wrap(g, h.field, h.sigma, s) }
-func (h *host) Recompute(c int)                   { h.cs.Recompute(h.field, c) }
-func (h *host) GreenAtInto(dst *mat.Dense, c int) { h.cs.GreenAtInto(dst, c, h.prePivot) }
-func (h *host) SetClusterK(k int)                 { h.cs = greens.NewClusterSet(h.prop, h.field, h.sigma, k) }
+func (h *host) Clusters() int            { return h.cs.NC }
+func (h *host) Cluster(c int) *mat.Dense { return h.cs.Cluster(c) }
+func (h *host) Wrap(g *mat.Dense, s int) { h.wrap.Wrap(g, h.field, h.sigma, s) }
+func (h *host) Recompute(c int)          { h.cs.Recompute(h.field, c) }
+func (h *host) SetClusterK(k int)        { h.cs = greens.NewClusterSet(h.prop, h.field, h.sigma, k) }
 
 func (h *host) Flush(g, u, w *mat.Dense, m, _ int) {
 	blas.Gemm(false, true, 1, u.View(0, 0, u.Rows, m), w.View(0, 0, w.Rows, m), 1, g)
@@ -106,7 +99,7 @@ type spinState struct {
 	g     *mat.Dense
 	u, w  *mat.Dense   // N x nd accumulators
 	m     int          // pending update count
-	chain []*mat.Dense // residual-probe scratch: the chain at a boundary
+	chain []*mat.Dense // full-rebuild scratch: the chain at a boundary
 
 	// Pre-bound closures for the spin fork, so the per-slice hot paths
 	// allocate nothing; their operands are the Sweeper's
@@ -202,9 +195,9 @@ type Options struct {
 	// Algorithm 2 QRP reference (false) for stratified recomputations.
 	PrePivot bool
 	// NoStack disables the prefix/suffix UDT stack and recomputes every
-	// boundary Green's function by full stratification of the cluster
-	// chain — the pre-stack reference path, kept for accuracy
-	// cross-checks and baseline benchmarks.
+	// boundary Green's function by full host stratification of the
+	// backend's cluster chain — the pre-stack reference path, kept for
+	// accuracy cross-checks and baseline benchmarks.
 	NoStack bool
 	// SerialSpins disables the concurrent execution of the up/down spin
 	// phases (reference/baseline path; the arithmetic is identical either
@@ -258,7 +251,7 @@ type Sweeper struct {
 // NewSweeper prepares a sweeper over the host backend and computes the
 // initial Green's functions by full stratification.
 func NewSweeper(p *hubbard.Propagator, f *hubbard.Field, r *rng.Rand, opts Options) *Sweeper {
-	return NewSweeperOn(p, f, r, opts, newHost(opts.PrePivot))
+	return NewSweeperOn(p, f, r, opts, newHost)
 }
 
 // NewSweeperOn is NewSweeper over the per-spin backends mk constructs (one
@@ -336,7 +329,7 @@ func (sw *Sweeper) refreshSpin(s *spinState, trackDrift bool) {
 			mat.PutScratch(ref)
 		}
 	} else {
-		s.be.GreenAtInto(gNew, sw.boundary)
+		greens.GreenInto(gNew, s.chainAt(sw.boundary), sw.opts.PrePivot)
 	}
 	if trackDrift && sw.proposed > 0 {
 		d := mat.RelDiff(s.g, gNew)

@@ -89,7 +89,6 @@ var (
 	WithClusterK          = core.WithClusterK
 	WithDelay             = core.WithDelay
 	WithPrePivot          = core.WithPrePivot
-	WithNoStack           = core.WithNoStack
 	WithSerialSpins       = core.WithSerialSpins
 	WithMeasureBoundaries = core.WithMeasureBoundaries
 	WithMeasureDynamics   = core.WithMeasureDynamics
