@@ -407,12 +407,12 @@ func BenchmarkFig10_HybridGreens(b *testing.B) {
 	prop, field := benchSetup(b, nx, 4, 4, 40)
 	dev := gpu.NewDevice(gpu.TeslaC2050())
 	acc := gpu.NewAccelerator(dev, prop)
-	cs := gpu.NewClusterSet(acc, field, hubbard.Up, 10)
+	cs := greens.NewClusterSetWith(prop, field, hubbard.Up, 10, acc.Cluster)
 	dev.Reset()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cs.Recompute(field, i%cs.NC)
-		cs.GreenAt(i % cs.NC)
+		cs.GreenAt(i%cs.NC, true)
 	}
 	b.StopTimer()
 	total := (b.Elapsed() - dev.RealTime() + dev.Clock()).Seconds()
@@ -441,11 +441,12 @@ func BenchmarkFutureWork_HybridQR(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			a := randomMatrix(41, n)
 			dev := gpu.NewDevice(gpu.TeslaC2050())
+			st := dev.NewStream()
 			da := dev.Malloc(n, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dev.SetMatrix(da, a)
-				gpu.QRFactorHybrid(dev, da)
+				st.SetMatrix(da, a)
+				gpu.QRFactorHybrid(st, da)
 			}
 			b.StopTimer()
 			b.ReportMetric(dev.GFlopsRate(), "modeled-GF/s")
@@ -461,9 +462,10 @@ func BenchmarkFutureWork_HybridStratify(b *testing.B) {
 	cs := greens.NewClusterSet(prop, field, hubbard.Up, 10)
 	chain := cs.Chain(0)
 	dev := gpu.NewDevice(gpu.TeslaC2050())
+	st := dev.NewStream()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gpu.StratifyHybrid(dev, chain)
+		gpu.StratifyHybrid(st, chain)
 	}
 	b.StopTimer()
 	b.ReportMetric(dev.GFlopsRate(), "modeled-GF/s")

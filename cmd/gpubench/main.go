@@ -135,10 +135,11 @@ func figure9(sizes []int, k int, jsonPath string) {
 		da := dev.Malloc(n, n)
 		db := dev.Malloc(n, n)
 		dc := dev.Malloc(n, n)
-		dev.SetMatrix(da, g)
-		dev.SetMatrix(db, g)
-		dev.Dgemm(false, false, 1, da, db, 0, dc)
-		dev.GetMatrix(g, dc)
+		st := dev.NewStream()
+		st.SetMatrix(da, g)
+		st.SetMatrix(db, g)
+		st.Dgemm(false, false, 1, da, db, 0, dc)
+		st.GetMatrix(g, dc)
 		gemmGF := dev.GFlopsRate()
 		emit(jsonPath, "device-gemm", n, k, dev.Clock().Seconds(), float64(dev.Flops()))
 
@@ -168,7 +169,7 @@ func figure10(sizes []int, k, l int, jsonPath string) {
 		}
 		dev := gpu.NewDevice(gpu.TeslaC2050())
 		acc := gpu.NewAccelerator(dev, prop)
-		gcs := gpu.NewClusterSet(acc, field, hubbard.Up, k)
+		gcs := greens.NewClusterSetWith(prop, field, hubbard.Up, k, acc.Cluster)
 		nc := gcs.NC
 
 		// Hybrid: rebuild one cluster on the device (the recycling cost of
@@ -176,7 +177,7 @@ func figure10(sizes []int, k, l int, jsonPath string) {
 		dev.Reset()
 		start := time.Now()
 		gcs.Recompute(field, 0)
-		gcs.GreenAt(0)
+		gcs.GreenAt(0, true)
 		// Host wall time minus the host cost of *executing* the simulated
 		// kernels (that execution stands in for the device's work, whose
 		// cost is the modeled clock).

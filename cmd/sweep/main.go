@@ -19,19 +19,20 @@
 //	sweep -json BENCH_sweep.json -bsizes 8,12,16 -bsweeps 2
 //
 // With -obscheck, the command instead measures the overhead of the metrics
-// instrumentation (enabled collector vs disabled) on the hot sweep path and
-// fails if it exceeds -obsmax percent — the regression gate wired into
-// reproduce.sh:
+// instrumentation (enabled collector vs disabled) on the hot sweep path of
+// an 8x8 lattice and fails if it exceeds 2 percent — the regression gate
+// wired into reproduce.sh:
 //
-//	sweep -obscheck -obsmax 2
+//	sweep -obscheck
 //
 // With -autopilot, the command instead runs the stability-autopilot
-// ablation: one fixed-k run and one autopilot run of the same chain, each
-// appending a benchutil.Record to the named file. With -apgate it fails
-// unless the controller held the strat residual under -apres without
-// checking more often or running slower than the fixed baseline:
+// ablation (4x4, beta=32, L=160, k=10, check cadence 2): one fixed-k run and
+// one autopilot run of the same chain, each appending a benchutil.Record to
+// the named file. With -apgate it fails unless the controller held the strat
+// residual under 1e-8 without checking more often or running slower than the
+// fixed baseline:
 //
-//	sweep -autopilot BENCH_autopilot.json -apbeta 32 -apgate
+//	sweep -autopilot BENCH_autopilot.json -apgate
 package main
 
 import (
@@ -75,24 +76,12 @@ func main() {
 	bk := flag.Int("bk", 5, "benchmark cluster size k")
 	bsweeps := flag.Int("bsweeps", 2, "timed sweeps per configuration")
 	obscheck := flag.Bool("obscheck", false, "overhead mode: gate metrics instrumentation cost on the sweep hot path")
-	obsmax := flag.Float64("obsmax", 2.0, "maximum tolerated instrumentation overhead, percent")
-	obsnx := flag.Int("obsnx", 8, "overhead mode: lattice linear size")
-	obsreps := flag.Int("obsreps", 3, "overhead mode: interleaved repetitions per variant")
 	apPath := flag.String("autopilot", "", "ablation mode: append autopilot-vs-fixed records to this file")
-	apnx := flag.Int("apnx", 4, "ablation lattice linear size")
-	apbeta := flag.Float64("apbeta", 32, "ablation inverse temperature")
-	apl := flag.Int("apl", 160, "ablation time slices")
-	apk := flag.Int("apk", 10, "ablation initial cluster size k")
-	apcheck := flag.Int("apcheck", 2, "ablation fixed stability-check cadence")
-	apwarm := flag.Int("apwarm", 5, "ablation warmup sweeps")
-	apmeas := flag.Int("apmeas", 15, "ablation measurement sweeps")
 	apgate := flag.Bool("apgate", false, "fail unless the autopilot matches the fixed run's residual, checks and wall time")
-	apres := flag.Float64("apres", 1e-8, "ablation max tolerated strat residual")
 	flag.Parse()
 
 	if *apPath != "" {
-		if err := runAutopilotBench(*apPath, *apnx, *apbeta, *apl, *apk, *apcheck,
-			*apwarm, *apmeas, *apres, *apgate); err != nil {
+		if err := runAutopilotBench(*apPath, *apgate); err != nil {
 			fmt.Fprintln(os.Stderr, "sweep:", err)
 			os.Exit(1)
 		}
@@ -100,7 +89,7 @@ func main() {
 	}
 
 	if *obscheck {
-		if err := runObsCheck(*obsnx, *bl, *bk, *bsweeps, *obsreps, *obsmax); err != nil {
+		if err := runObsCheck(*bl, *bk, *bsweeps); err != nil {
 			fmt.Fprintln(os.Stderr, "sweep:", err)
 			os.Exit(1)
 		}
@@ -283,7 +272,14 @@ func runSweepBench(path, sizesFlag string, l, k, sweeps int) error {
 // earns its keep — residual held under maxRes, no more residual checks than
 // the fixed baseline (the adapted cadence is never denser), and wall time
 // within 10% of the fixed run.
-func runAutopilotBench(path string, nx int, beta float64, l, k, check, warm, meas int, maxRes float64, gate bool) error {
+func runAutopilotBench(path string, gate bool) error {
+	// The one workload reproduce.sh records and gates on.
+	const (
+		nx, beta, l = 4, 32.0, 160
+		k, check    = 10, 2 // initial cluster size, fixed stability-check cadence
+		warm, meas  = 5, 15
+		maxRes      = 1e-8 // max tolerated strat residual
+	)
 	base, err := questgo.NewConfig(
 		questgo.WithLattice(nx, nx),
 		questgo.WithInteraction(4, 0),
@@ -385,16 +381,18 @@ func runAutopilotBench(path string, nx int, beta float64, l, k, check, warm, mea
 // reads per sweep phase, so the measured overhead should be far below the
 // gate; taking the minimum over interleaved repetitions suppresses
 // scheduler noise.
-func runObsCheck(nx, l, k, sweeps, reps int, maxPct float64) error {
+func runObsCheck(l, k, sweeps int) error {
+	const (
+		nx     = 8   // lattice linear size
+		reps   = 3   // interleaved repetitions per variant
+		maxPct = 2.0 // maximum tolerated overhead, percent
+	)
 	prop, n, err := sweepSetup(nx, l)
 	if err != nil {
 		return err
 	}
 	if sweeps < 1 {
 		sweeps = 1
-	}
-	if reps < 1 {
-		reps = 1
 	}
 	bestOff, bestOn := math.Inf(1), math.Inf(1)
 	for r := 0; r < reps; r++ {

@@ -52,10 +52,8 @@ var obsKernelRegistry = map[string]map[string]string{
 		"QRPFactorLevel2": "OpQRPFactorizations",
 	},
 	pkgGreens: {
-		"Wrap":        "OpWraps",
-		"initUDT":     "OpUDTSteps",
-		"extendUDT":   "OpUDTSteps",
-		"combineInto": "OpUDTSteps",
+		"Wrap":     "OpWraps",
+		"gradedQR": "OpUDTSteps",
 	},
 	pkgUpdate: {
 		"flush": "OpDelayedFlushes",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"questgo/internal/profile"
 	"questgo/internal/stats"
 )
 
@@ -21,7 +22,19 @@ func MergeResults(rs []*Results) (*Results, error) {
 	if len(rs) == 1 {
 		return rs[0], nil
 	}
-	out := &Results{Config: rs[0].Config, Prof: rs[0].Prof}
+	out := &Results{Config: rs[0].Config}
+	// The merged run's profile is every run's phase time, not walker 0's.
+	for _, r := range rs {
+		if r.Prof == nil {
+			continue
+		}
+		if out.Prof == nil {
+			out.Prof = profile.New()
+		}
+		for c := profile.Category(0); c < profile.NumCategories; c++ {
+			out.Prof.Add(c, r.Prof.Duration(c))
+		}
+	}
 	pick := func(f func(*Results) float64) (mean, err float64) {
 		xs := make([]float64, len(rs))
 		for i, r := range rs {

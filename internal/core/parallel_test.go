@@ -5,6 +5,9 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
+
+	"questgo/internal/profile"
 )
 
 func parallelTestConfig() Config {
@@ -110,6 +113,35 @@ func TestMergeResultsShapeMismatch(t *testing.T) {
 	}
 	if _, err := MergeResults([]*Results{r1, r2}); err == nil {
 		t.Fatal("mismatched shapes must be rejected")
+	}
+}
+
+// TestMergeResultsSumsProfiles: the merged run's phase profile is the sum
+// of the runs' (it was walker 0's alone), and a run without one adds nothing.
+func TestMergeResultsSumsProfiles(t *testing.T) {
+	cfg := parallelTestConfig()
+	cfg.WarmSweeps, cfg.MeasSweeps = 2, 4
+	mk := func(wrap, meas time.Duration) *Results {
+		r, err := runOnce(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Prof = profile.New()
+		r.Prof.Add(profile.Wrapping, wrap)
+		r.Prof.Add(profile.Measurement, meas)
+		return r
+	}
+	bare := mk(0, 0)
+	bare.Prof = nil
+	m, err := MergeResults([]*Results{mk(3*time.Second, time.Second), bare, mk(time.Second, 5*time.Second)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, me := m.Prof.Duration(profile.Wrapping), m.Prof.Duration(profile.Measurement); w != 4*time.Second || me != 6*time.Second {
+		t.Fatalf("merged profile wrap %v meas %v, want 4s and 6s", w, me)
+	}
+	if pc := m.Prof.Percentages(); pc[profile.Wrapping] != 40 {
+		t.Fatalf("merged wrapping share %v%%, want 40%% (walker 0 alone reads 75%%)", pc[profile.Wrapping])
 	}
 }
 

@@ -262,20 +262,12 @@ func newBase(cfg Config, col *obs.Collector) (*Simulation, error) {
 	field := hubbard.NewRandomField(cfg.L, model.N(), r)
 	sim := &Simulation{cfg: cfg, lat: lat, model: model, prop: prop, field: field, rng: r, col: col}
 	if cfg.Autopilot {
-		// The controller wants a divisor of L where Config takes any k
-		// (0 = the sweeper's default of 10, rounded down to a divisor).
-		k := cfg.ClusterK
-		if k < 1 {
-			k = 10
-		}
-		for cfg.L%k != 0 {
-			k--
-		}
-		// A zero cadence takes the controller's default: it is blind
-		// without residual samples.
+		// The controller wants a divisor of L where Config takes any k. A
+		// zero cadence takes the controller's default: it is blind without
+		// residual samples.
 		sim.pilot, err = autopilot.New(autopilot.Config{
 			L:                 cfg.L,
-			InitialK:          k,
+			InitialK:          update.SnapClusterK(cfg.L, cfg.ClusterK),
 			InitialCheckEvery: cfg.StabilityCheckEvery,
 			MinK:              cfg.AutopilotMinK,
 			MaxK:              cfg.AutopilotMaxK,

@@ -80,7 +80,6 @@ type Device struct {
 
 	mu      sync.Mutex // guards the stream list only
 	streams []*Stream  //qmc:guarded(mu)
-	s0      *Stream    // default stream backing the legacy synchronous API
 
 	// Modeled clock state, all atomic nanosecond/count cells. Written only
 	// by Stream and Graph methods (and Reset) — the qmclint streamorder
@@ -103,9 +102,7 @@ func NewDevice(model DeviceModel) *Device {
 	if model.TransferBytesPerSec <= 0 || model.GemmFlopsPerSec <= 0 || model.MemBytesPerSec <= 0 {
 		panic("gpu: cost model rates must be positive")
 	}
-	d := &Device{model: model}
-	d.s0 = d.NewStream()
-	return d
+	return &Device{model: model}
 }
 
 // Model returns the device's cost-model parameters.
@@ -162,32 +159,6 @@ func (d *Device) AllocBytes() int64 { return atomic.LoadInt64(&d.allocBytes) }
 // MaxAllocBytes returns the high-water allocation mark — the modeled
 // device memory footprint.
 func (d *Device) MaxAllocBytes() int64 { return atomic.LoadInt64(&d.maxAllocBytes) }
-
-// SetMatrix copies a host matrix to the device (cublasSetMatrix) on the
-// default stream.
-func (d *Device) SetMatrix(dst *Matrix, src *mat.Dense) { d.s0.SetMatrix(dst, src) }
-
-// GetMatrix copies a device matrix back to the host (cublasGetMatrix) on
-// the default stream.
-func (d *Device) GetMatrix(dst *mat.Dense, src *Matrix) { d.s0.GetMatrix(dst, src) }
-
-// SetVector uploads a host vector (cublasSetVector), e.g. the V_l diagonal.
-func (d *Device) SetVector(dst *Matrix, src []float64) { d.s0.SetVector(dst, src) }
-
-// Dgemm computes C = alpha*op(A)*op(B) + beta*C on the device.
-func (d *Device) Dgemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
-	d.s0.Dgemm(transA, transB, alpha, a, b, beta, c)
-}
-
-// Dcopy copies src into dst on the device.
-func (d *Device) Dcopy(dst, src *Matrix) { d.s0.Dcopy(dst, src) }
-
-// ScaleRows is the paper's Algorithm 5 CUDA kernel: dst = diag(v) * src.
-func (d *Device) ScaleRows(dst, src *Matrix, v *Matrix) { d.s0.ScaleRows(dst, src, v) }
-
-// ScaleRowsCols is the paper's Algorithm 7 kernel:
-// G = diag(v) * G * diag(v)^{-1}.
-func (d *Device) ScaleRowsCols(g *Matrix, v *Matrix) { d.s0.ScaleRowsCols(g, v) }
 
 func (d *Device) checkOwned(a *Matrix) {
 	if a.dev != d {

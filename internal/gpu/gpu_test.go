@@ -36,12 +36,13 @@ func randomDense(r *rng.Rand, n int) *mat.Dense {
 
 func TestTransferRoundTrip(t *testing.T) {
 	d := NewDevice(TeslaC2050())
+	st := d.NewStream()
 	r := rng.New(1)
 	h := randomDense(r, 8)
 	dm := d.Malloc(8, 8)
-	d.SetMatrix(dm, h)
+	st.SetMatrix(dm, h)
 	back := mat.New(8, 8)
-	d.GetMatrix(back, dm)
+	st.GetMatrix(back, dm)
 	if !back.EqualApprox(h, 0) {
 		t.Fatal("transfer round trip corrupted data")
 	}
@@ -55,14 +56,15 @@ func TestTransferRoundTrip(t *testing.T) {
 
 func TestDeviceGemmMatchesHost(t *testing.T) {
 	d := NewDevice(TeslaC2050())
+	st := d.NewStream()
 	r := rng.New(2)
 	a, b := randomDense(r, 12), randomDense(r, 12)
 	da, db, dc := d.Malloc(12, 12), d.Malloc(12, 12), d.Malloc(12, 12)
-	d.SetMatrix(da, a)
-	d.SetMatrix(db, b)
-	d.Dgemm(false, false, 1, da, db, 0, dc)
+	st.SetMatrix(da, a)
+	st.SetMatrix(db, b)
+	st.Dgemm(false, false, 1, da, db, 0, dc)
 	got := mat.New(12, 12)
-	d.GetMatrix(got, dc)
+	st.GetMatrix(got, dc)
 	// Host reference.
 	want := mat.New(12, 12)
 	for j := 0; j < 12; j++ {
@@ -81,15 +83,16 @@ func TestDeviceGemmMatchesHost(t *testing.T) {
 
 func TestScaleRowsKernel(t *testing.T) {
 	d := NewDevice(TeslaC2050())
+	st := d.NewStream()
 	r := rng.New(3)
 	src := randomDense(r, 6)
 	v := []float64{1, 2, 3, 4, 5, 6}
 	dsrc, ddst, dv := d.Malloc(6, 6), d.Malloc(6, 6), d.Malloc(6, 1)
-	d.SetMatrix(dsrc, src)
-	d.SetVector(dv, v)
-	d.ScaleRows(ddst, dsrc, dv)
+	st.SetMatrix(dsrc, src)
+	st.SetVector(dv, v)
+	st.ScaleRows(ddst, dsrc, dv)
 	got := mat.New(6, 6)
-	d.GetMatrix(got, ddst)
+	st.GetMatrix(got, ddst)
 	want := src.Clone()
 	want.ScaleRows(v)
 	if !got.EqualApprox(want, 0) {
@@ -99,15 +102,16 @@ func TestScaleRowsKernel(t *testing.T) {
 
 func TestScaleRowsColsKernel(t *testing.T) {
 	d := NewDevice(TeslaC2050())
+	st := d.NewStream()
 	r := rng.New(4)
 	g := randomDense(r, 5)
 	v := []float64{2, 0.5, 3, 1.5, 4}
 	dg, dv := d.Malloc(5, 5), d.Malloc(5, 1)
-	d.SetMatrix(dg, g)
-	d.SetVector(dv, v)
-	d.ScaleRowsCols(dg, dv)
+	st.SetMatrix(dg, g)
+	st.SetVector(dv, v)
+	st.ScaleRowsCols(dg, dv)
 	got := mat.New(5, 5)
-	d.GetMatrix(got, dg)
+	st.GetMatrix(got, dg)
 	want := g.Clone()
 	want.ScaleRows(v)
 	inv := make([]float64, 5)
@@ -125,11 +129,47 @@ func TestAcceleratorClusterMatchesCPU(t *testing.T) {
 	dev := NewDevice(TeslaC2050())
 	acc := NewAccelerator(dev, p)
 	cpu := greens.NewClusterSet(p, f, hubbard.Up, 4)
-	gpuCS := NewClusterSet(acc, f, hubbard.Up, 4)
+	gpuCS := greens.NewClusterSetWith(p, f, hubbard.Up, 4, acc.Cluster)
 	for c := 0; c < 2; c++ {
 		if d := mat.RelDiff(gpuCS.Cluster(c), cpu.Cluster(c)); d > 1e-13 {
 			t.Fatalf("cluster %d: GPU vs CPU diff %g", c, d)
 		}
+	}
+}
+
+// TestClusterBuilderParity: the one greens.ClusterSet gives bitwise the same
+// blocks whether the host product or the device kernel (graphs off and on)
+// multiplies them, at odd and even ping-pong depths, and rebuilding block c
+// after a flip in its slices changes block c only.
+func TestClusterBuilderParity(t *testing.T) {
+	const l = 40
+	p, f := testSetup(t, 3, 3, 4, 2, l, 17)
+	for _, k := range []int{1, 2, 5, 8, 10} {
+		host := greens.NewClusterSet(p, f, hubbard.Down, k)
+		sets := []*greens.ClusterSet{host}
+		for _, graphs := range []bool{false, true} {
+			acc := NewAccelerator(NewDevice(TeslaC2050()), p)
+			acc.EnableGraphs(graphs)
+			sets = append(sets, greens.NewClusterSetWith(p, f, hubbard.Down, k, acc.Cluster))
+		}
+		before := make([]*mat.Dense, host.NC)
+		for c := range before {
+			before[c] = host.Cluster(c).Clone()
+		}
+		const c = 1
+		f.Flip(c*k+k-1, 4)
+		for i, cs := range sets {
+			cs.Recompute(f, c)
+			for b := 0; b < cs.NC; b++ {
+				if !cs.Cluster(b).EqualApprox(host.Cluster(b), 0) {
+					t.Fatalf("k=%d builder %d: block %d differs from the host product", k, i, b)
+				}
+				if same := cs.Cluster(b).EqualApprox(before[b], 0); same != (b != c) {
+					t.Fatalf("k=%d builder %d: block %d unchanged=%v after a flip in block %d", k, i, b, same, c)
+				}
+			}
+		}
+		f.Flip(c*k+k-1, 4)
 	}
 }
 
@@ -155,9 +195,9 @@ func TestHybridGreenMatchesCPU(t *testing.T) {
 	p, f := testSetup(t, 3, 3, 4, 4, 16, 9)
 	dev := NewDevice(TeslaC2050())
 	acc := NewAccelerator(dev, p)
-	gpuCS := NewClusterSet(acc, f, hubbard.Up, 4)
+	gpuCS := greens.NewClusterSetWith(p, f, hubbard.Up, 4, acc.Cluster)
 	cpuCS := greens.NewClusterSet(p, f, hubbard.Up, 4)
-	gGPU := gpuCS.GreenAt(0)
+	gGPU := gpuCS.GreenAt(0, true)
 	gCPU := cpuCS.GreenAt(0, true)
 	if d := mat.RelDiff(gGPU, gCPU); d > 1e-11 {
 		t.Fatalf("hybrid G vs CPU G diff %g", d)
@@ -202,11 +242,12 @@ func TestCostModelShapes(t *testing.T) {
 
 func TestClockMonotonicAndReset(t *testing.T) {
 	d := NewDevice(TeslaC2050())
+	st := d.NewStream()
 	m := d.Malloc(4, 4)
 	h := mat.New(4, 4)
 	var prev time.Duration
 	for i := 0; i < 3; i++ {
-		d.SetMatrix(m, h)
+		st.SetMatrix(m, h)
 		if d.Clock() <= prev {
 			t.Fatal("clock must advance")
 		}
@@ -220,6 +261,7 @@ func TestClockMonotonicAndReset(t *testing.T) {
 
 func TestCrossDevicePanics(t *testing.T) {
 	d1 := NewDevice(TeslaC2050())
+	st := d1.NewStream()
 	d2 := NewDevice(TeslaC2050())
 	a := d1.Malloc(2, 2)
 	b := d2.Malloc(2, 2)
@@ -228,5 +270,5 @@ func TestCrossDevicePanics(t *testing.T) {
 			t.Fatal("expected panic for cross-device operands")
 		}
 	}()
-	d1.Dgemm(false, false, 1, a, b, 0, a)
+	st.Dgemm(false, false, 1, a, b, 0, a)
 }

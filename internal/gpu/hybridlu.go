@@ -20,22 +20,23 @@ const hybridLUBlock = 32
 
 // HybridLU is a device-resident LU factorization with partial pivoting.
 type HybridLU struct {
-	dev *Device
+	s   *Stream
 	a   *Matrix
 	piv []int
 	n   int
 }
 
-// LUFactorHybrid factors the square device matrix a in place: the panel
-// (including pivot search and row swaps, which are latency-bound) runs on
-// the CPU on a downloaded strip; the trailing update is one device TRSM
-// substitute (small triangular solve on CPU) plus a device GEMM.
-func LUFactorHybrid(dev *Device, a *Matrix) *HybridLU {
+// LUFactorHybrid factors the square device matrix a in place on stream s
+// (Solve issues there too): the panel (including pivot search and row
+// swaps, which are latency-bound) runs on the CPU on a downloaded strip; the
+// trailing update is one device TRSM substitute (small triangular solve on
+// CPU) plus a device GEMM.
+func LUFactorHybrid(s *Stream, a *Matrix) *HybridLU {
 	n := a.rows
 	if a.cols != n {
 		panic(fmt.Sprintf("gpu: LUFactorHybrid expects a square matrix, got %dx%d", a.rows, a.cols))
 	}
-	h := &HybridLU{dev: dev, a: a, piv: make([]int, n), n: n}
+	h := &HybridLU{s: s, a: a, piv: make([]int, n), n: n}
 	panel := mat.New(n, hybridLUBlock)
 	for j := 0; j < n; j += hybridLUBlock {
 		jb := hybridLUBlock
@@ -44,7 +45,7 @@ func LUFactorHybrid(dev *Device, a *Matrix) *HybridLU {
 		}
 		// Download the full-height panel columns [j, j+jb).
 		ph := panel.View(0, 0, n, jb)
-		dev.GetSub(ph, a, 0, j)
+		s.GetSub(ph, a, 0, j)
 		// Factor rows [j, n) of the panel on the CPU with partial
 		// pivoting; record global pivots and apply the swaps to the whole
 		// panel (rows above j belong to U and swap too... they do not:
@@ -84,27 +85,27 @@ func LUFactorHybrid(dev *Device, a *Matrix) *HybridLU {
 			}
 		}
 		// Upload the factored panel.
-		dev.SetSub(a, 0, j, ph)
+		s.SetSub(a, 0, j, ph)
 		// Apply this panel's row swaps to the rest of the matrix on the
 		// device (left of the panel and right of it).
 		for c := 0; c < jb; c++ {
 			if p := h.piv[j+c]; p != j+c {
-				dev.SwapRows(a, j+c, p, 0, j)
-				dev.SwapRows(a, j+c, p, j+jb, n)
+				s.SwapRows(a, j+c, p, 0, j)
+				s.SwapRows(a, j+c, p, j+jb, n)
 			}
 		}
 		if j+jb < n {
 			// U block row: solve L11 U12 = A12 on the CPU (jb x (n-j-jb),
 			// small triangular work), then the trailing GEMM on the device.
 			a12 := mat.New(jb, n-j-jb)
-			dev.GetSub(a12, a, j, j+jb)
+			s.GetSub(a12, a, j, j+jb)
 			l11 := ph.View(j, 0, jb, jb)
 			trsmLowerUnit(l11, a12)
-			dev.SetSub(a, j, j+jb, a12)
+			s.SetSub(a, j, j+jb, a12)
 			l21 := a.Sub(j+jb, j, n-j-jb, jb)
 			u12 := a.Sub(j, j+jb, jb, n-j-jb)
 			a22 := a.Sub(j+jb, j+jb, n-j-jb, n-j-jb)
-			dev.Dgemm(false, false, -1, l21, u12, 1, a22)
+			s.Dgemm(false, false, -1, l21, u12, 1, a22)
 		}
 	}
 	return h
@@ -132,11 +133,11 @@ func trsmLowerUnit(l, b *mat.Dense) {
 // applying the pivots and both triangular solves through device-resident
 // blocked operations (block solves on CPU, bulk GEMMs on device).
 func (h *HybridLU) Solve(b *Matrix) {
-	dev := h.dev
+	s := h.s
 	n := h.n
 	for i := 0; i < n; i++ {
 		if p := h.piv[i]; p != i {
-			dev.SwapRows(b, i, p, 0, b.cols)
+			s.SwapRows(b, i, p, 0, b.cols)
 		}
 	}
 	// Forward substitution, blocked: for each diagonal block solve on the
@@ -149,16 +150,16 @@ func (h *HybridLU) Solve(b *Matrix) {
 			jb = n - j
 		}
 		hb := host.View(0, 0, jb, b.cols)
-		dev.GetSub(hb, b, j, 0)
+		s.GetSub(hb, b, j, 0)
 		dl := diag.View(0, 0, jb, jb)
-		dev.GetSub(dl, h.a, j, j)
+		s.GetSub(dl, h.a, j, j)
 		trsmLowerUnit(dl, hb)
-		dev.SetSub(b, j, 0, hb)
+		s.SetSub(b, j, 0, hb)
 		if j+jb < n {
 			l21 := h.a.Sub(j+jb, j, n-j-jb, jb)
 			bj := b.Sub(j, 0, jb, b.cols)
 			brest := b.Sub(j+jb, 0, n-j-jb, b.cols)
-			dev.Dgemm(false, false, -1, l21, bj, 1, brest)
+			s.Dgemm(false, false, -1, l21, bj, 1, brest)
 		}
 	}
 	// Back substitution.
@@ -169,16 +170,16 @@ func (h *HybridLU) Solve(b *Matrix) {
 			jb = n - j
 		}
 		hb := host.View(0, 0, jb, b.cols)
-		dev.GetSub(hb, b, j, 0)
+		s.GetSub(hb, b, j, 0)
 		du := diag.View(0, 0, jb, jb)
-		dev.GetSub(du, h.a, j, j)
+		s.GetSub(du, h.a, j, j)
 		trsmUpper(du, hb)
-		dev.SetSub(b, j, 0, hb)
+		s.SetSub(b, j, 0, hb)
 		if j > 0 {
 			u01 := h.a.Sub(0, j, j, jb)
 			bj := b.Sub(j, 0, jb, b.cols)
 			babove := b.Sub(0, 0, j, b.cols)
-			dev.Dgemm(false, false, -1, u01, bj, 1, babove)
+			s.Dgemm(false, false, -1, u01, bj, 1, babove)
 		}
 	}
 }
@@ -203,9 +204,10 @@ func trsmUpper(u, b *mat.Dense) {
 }
 
 // GreenFromUDTHybrid forms G = (D_b Q^T + D_s T)^{-1} D_b Q^T with the
-// level-3 work on the device: upload Q^T and T, scale rows with the device
-// kernel, and run the hybrid LU solve.
-func GreenFromUDTHybrid(dev *Device, u *greens.UDT) *mat.Dense {
+// level-3 work on the device, issued on stream s: upload Q^T and T, scale
+// rows with the device kernel, and run the hybrid LU solve.
+func GreenFromUDTHybrid(s *Stream, u *greens.UDT) *mat.Dense {
+	dev := s.dev
 	n := u.Q.Rows
 	db := make([]float64, n)
 	ds := make([]float64, n)
@@ -220,24 +222,24 @@ func GreenFromUDTHybrid(dev *Device, u *greens.UDT) *mat.Dense {
 	}
 	qt := u.Q.Transpose()
 	dqt := dev.Malloc(n, n)
-	dev.SetMatrix(dqt, qt)
+	s.SetMatrix(dqt, qt)
 	vb := dev.Malloc(n, 1)
-	dev.SetVector(vb, db)
+	s.SetVector(vb, db)
 	dqtScaled := dev.Malloc(n, n)
-	dev.ScaleRows(dqtScaled, dqt, vb) // D_b Q^T
+	s.ScaleRows(dqtScaled, dqt, vb) // D_b Q^T
 	dt := dev.Malloc(n, n)
-	dev.SetMatrix(dt, u.T)
+	s.SetMatrix(dt, u.T)
 	vs := dev.Malloc(n, 1)
-	dev.SetVector(vs, ds)
+	s.SetVector(vs, ds)
 	m := dev.Malloc(n, n)
-	dev.ScaleRows(m, dt, vs) // D_s T
-	dev.Axpy(1, dqtScaled, m)
+	s.ScaleRows(m, dt, vs) // D_s T
+	s.Axpy(1, dqtScaled, m)
 	rhs := dev.Malloc(n, n)
-	dev.Dcopy(rhs, dqtScaled)
-	lu := LUFactorHybrid(dev, m)
+	s.Dcopy(rhs, dqtScaled)
+	lu := LUFactorHybrid(s, m)
 	lu.Solve(rhs)
 	out := mat.New(n, n)
-	dev.GetMatrix(out, rhs)
+	s.GetMatrix(out, rhs)
 	dqt.Free()
 	vb.Free()
 	dqtScaled.Free()
@@ -251,6 +253,6 @@ func GreenFromUDTHybrid(dev *Device, u *greens.UDT) *mat.Dense {
 // GreenHybrid is the complete hybrid Algorithm 3 Green's function
 // evaluation: device stratification followed by the device-offloaded
 // stabilized solve.
-func GreenHybrid(dev *Device, chain []*mat.Dense) *mat.Dense {
-	return GreenFromUDTHybrid(dev, StratifyHybrid(dev, chain))
+func GreenHybrid(s *Stream, chain []*mat.Dense) *mat.Dense {
+	return GreenFromUDTHybrid(s, StratifyHybrid(s, chain))
 }

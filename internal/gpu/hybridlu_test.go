@@ -36,14 +36,15 @@ func TestHybridLUSolveMatchesCPU(t *testing.T) {
 			}
 		}
 		dev := NewDevice(TeslaC2050())
+		st := dev.NewStream()
 		da := dev.Malloc(n, n)
-		dev.SetMatrix(da, a)
+		st.SetMatrix(da, a)
 		db := dev.Malloc(n, n)
-		dev.SetMatrix(db, b)
-		lu := LUFactorHybrid(dev, da)
+		st.SetMatrix(db, b)
+		lu := LUFactorHybrid(st, da)
 		lu.Solve(db)
 		got := mat.New(n, n)
-		dev.GetMatrix(got, db)
+		st.GetMatrix(got, db)
 		if d := mat.RelDiff(got, x); d > 1e-9 {
 			t.Fatalf("n=%d: hybrid LU solve rel diff %g", n, d)
 		}
@@ -70,14 +71,15 @@ func TestHybridLUNeedsPivoting(t *testing.T) {
 		b.Set(i, 0, s)
 	}
 	dev := NewDevice(TeslaC2050())
+	st := dev.NewStream()
 	da := dev.Malloc(3, 3)
-	dev.SetMatrix(da, a)
+	st.SetMatrix(da, a)
 	db := dev.Malloc(3, 1)
-	dev.SetMatrix(db, b)
-	lu := LUFactorHybrid(dev, da)
+	st.SetMatrix(db, b)
+	lu := LUFactorHybrid(st, da)
 	lu.Solve(db)
 	got := mat.New(3, 1)
-	dev.GetMatrix(got, db)
+	st.GetMatrix(got, db)
 	if d := mat.RelDiff(got, x); d > 1e-12 {
 		t.Fatalf("pivoted hybrid LU wrong: %g", d)
 	}
@@ -89,7 +91,8 @@ func TestGreenHybridMatchesCPU(t *testing.T) {
 	chain := cs.Chain(0)
 	gCPU := greens.Green(chain)
 	dev := NewDevice(TeslaC2050())
-	gHyb := GreenHybrid(dev, chain)
+	st := dev.NewStream()
+	gHyb := GreenHybrid(st, chain)
 	if d := mat.RelDiff(gHyb, gCPU); d > 1e-9 {
 		t.Fatalf("hybrid full G differs from CPU: %g", d)
 	}
@@ -100,23 +103,24 @@ func TestGreenHybridMatchesCPU(t *testing.T) {
 
 func TestDeviceAxpyAndSwapRows(t *testing.T) {
 	dev := NewDevice(TeslaC2050())
+	st := dev.NewStream()
 	r := rng.New(43)
 	a := randomDense(r, 5)
 	b := randomDense(r, 5)
 	da := dev.Malloc(5, 5)
 	db := dev.Malloc(5, 5)
-	dev.SetMatrix(da, a)
-	dev.SetMatrix(db, b)
-	dev.Axpy(2, da, db)
+	st.SetMatrix(da, a)
+	st.SetMatrix(db, b)
+	st.Axpy(2, da, db)
 	want := b.Clone()
 	want.Add(2, a)
 	got := mat.New(5, 5)
-	dev.GetMatrix(got, db)
+	st.GetMatrix(got, db)
 	if !got.EqualApprox(want, 1e-15) {
 		t.Fatal("device Axpy wrong")
 	}
-	dev.SwapRows(da, 0, 4, 1, 3)
-	dev.GetMatrix(got, da)
+	st.SwapRows(da, 0, 4, 1, 3)
+	st.GetMatrix(got, da)
 	if got.At(0, 1) != a.At(4, 1) || got.At(4, 2) != a.At(0, 2) || got.At(0, 0) != a.At(0, 0) {
 		t.Fatal("device SwapRows wrong")
 	}

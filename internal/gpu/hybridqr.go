@@ -25,24 +25,25 @@ const hybridQRBlock = 32
 // QRFactorHybrid: R on and above the diagonal of A, panels' reflectors
 // kept host-side for re-application.
 type HybridQR struct {
-	dev    *Device
+	s      *Stream
 	a      *Matrix // factored matrix on the device
 	panels []*lapack.Panel
 	starts []int
 	m, n   int
 }
 
-// QRFactorHybrid factors the device-resident matrix a in place. Per panel:
+// QRFactorHybrid factors the device-resident matrix a in place, issuing on
+// stream s (as does everything later done with the result). Per panel:
 // download the panel (m-j x nb strip), factor it on the CPU, upload V and
 // T, and update the trailing matrix with three device GEMMs. It performs a
 // full QR without going through lapack.QRFactor, so it charges the
 // factorization counter itself (the device GEMMs charge their own flops).
 //
 //qmc:charges OpQRFactorizations
-func QRFactorHybrid(dev *Device, a *Matrix) *HybridQR {
+func QRFactorHybrid(s *Stream, a *Matrix) *HybridQR {
 	obs.Add(obs.OpQRFactorizations, 1)
 	m, n := a.rows, a.cols
-	h := &HybridQR{dev: dev, a: a, m: m, n: n}
+	h := &HybridQR{s: s, a: a, m: m, n: n}
 	k := m
 	if n < k {
 		k = n
@@ -56,10 +57,10 @@ func QRFactorHybrid(dev *Device, a *Matrix) *HybridQR {
 		rows := m - j
 		// Download the panel strip.
 		ph := hostPanel.View(0, 0, rows, jb)
-		dev.GetSub(ph, a, j, j)
+		s.GetSub(ph, a, j, j)
 		panel := lapack.FactorPanel(ph)
 		// Write the factored panel (R + reflectors) back.
-		dev.SetSub(a, j, j, ph)
+		s.SetSub(a, j, j, ph)
 		h.panels = append(h.panels, panel)
 		h.starts = append(h.starts, j)
 		if j+jb < n {
@@ -74,19 +75,19 @@ func QRFactorHybrid(dev *Device, a *Matrix) *HybridQR {
 // scratch is freed before returning so repeated factorizations hold the
 // device footprint steady.
 func (h *HybridQR) applyPanelDevice(p *lapack.Panel, rowStart, colStart, cols int, trans bool) {
-	dev := h.dev
+	s, dev := h.s, h.s.dev
 	rows := h.m - rowStart
 	jb := p.V.Cols
 	dv := dev.Malloc(rows, jb)
-	dev.SetMatrix(dv, p.V)
+	s.SetMatrix(dv, p.V)
 	dt := dev.Malloc(jb, jb)
-	dev.SetMatrix(dt, p.T)
+	s.SetMatrix(dt, p.T)
 	sub := h.a.Sub(rowStart, colStart, rows, cols)
 	w := dev.Malloc(jb, cols)
 	w2 := dev.Malloc(jb, cols)
-	dev.Dgemm(true, false, 1, dv, sub, 0, w)    // W = V^T C
-	dev.Dgemm(trans, false, 1, dt, w, 0, w2)    // W2 = op(T) W
-	dev.Dgemm(false, false, -1, dv, w2, 1, sub) // C -= V W2
+	s.Dgemm(true, false, 1, dv, sub, 0, w)    // W = V^T C
+	s.Dgemm(trans, false, 1, dt, w, 0, w2)    // W2 = op(T) W
+	s.Dgemm(false, false, -1, dv, w2, 1, sub) // C -= V W2
 	dv.Free()
 	dt.Free()
 	w.Free()
@@ -96,7 +97,7 @@ func (h *HybridQR) applyPanelDevice(p *lapack.Panel, rowStart, colStart, cols in
 // R extracts the upper triangular factor to the host.
 func (h *HybridQR) R() *mat.Dense {
 	host := mat.New(h.m, h.n)
-	h.dev.GetMatrix(host, h.a)
+	h.s.GetMatrix(host, h.a)
 	k := h.m
 	if h.n < k {
 		k = h.n
@@ -119,7 +120,7 @@ func (h *HybridQR) FormQDevice(q *Matrix) {
 	if q.rows != h.m || q.cols != h.m {
 		panic(fmt.Sprintf("gpu: FormQDevice expects a %dx%d destination, got %dx%d", h.m, h.m, q.rows, q.cols))
 	}
-	h.dev.SetMatrix(q, mat.Identity(h.m))
+	h.s.SetMatrix(q, mat.Identity(h.m))
 	for i := len(h.panels) - 1; i >= 0; i-- {
 		j := h.starts[i]
 		h.applyPanelColsDevice(h.panels[i], j, q)
@@ -129,19 +130,19 @@ func (h *HybridQR) FormQDevice(q *Matrix) {
 // applyPanelColsDevice applies (I - V T V^T) to rows [rowStart, m) of the
 // full-width device matrix q, freeing its scratch like applyPanelDevice.
 func (h *HybridQR) applyPanelColsDevice(p *lapack.Panel, rowStart int, q *Matrix) {
-	dev := h.dev
+	s, dev := h.s, h.s.dev
 	rows := h.m - rowStart
 	jb := p.V.Cols
 	dv := dev.Malloc(rows, jb)
-	dev.SetMatrix(dv, p.V)
+	s.SetMatrix(dv, p.V)
 	dt := dev.Malloc(jb, jb)
-	dev.SetMatrix(dt, p.T)
+	s.SetMatrix(dt, p.T)
 	sub := q.Sub(rowStart, 0, rows, q.cols)
 	w := dev.Malloc(jb, q.cols)
 	w2 := dev.Malloc(jb, q.cols)
-	dev.Dgemm(true, false, 1, dv, sub, 0, w)
-	dev.Dgemm(false, false, 1, dt, w, 0, w2)
-	dev.Dgemm(false, false, -1, dv, w2, 1, sub)
+	s.Dgemm(true, false, 1, dv, sub, 0, w)
+	s.Dgemm(false, false, 1, dt, w, 0, w2)
+	s.Dgemm(false, false, -1, dv, w2, 1, sub)
 	dv.Free()
 	dt.Free()
 	w.Free()
@@ -151,10 +152,11 @@ func (h *HybridQR) applyPanelColsDevice(p *lapack.Panel, rowStart int, q *Matrix
 // StratifyHybrid runs Algorithm 3 with the chain products, trailing
 // updates, Q accumulation and T updates on the device; only the panel
 // factorizations, the column-norm sort and the diagonal bookkeeping stay
-// on the host. Input chain as for greens.StratifyPrePivot (application
-// order); returns the UDT on the host. All device scratch is freed on exit,
-// so the footprint is steady across calls.
-func StratifyHybrid(dev *Device, chain []*mat.Dense) *greens.UDT {
+// on the host, everything issued on stream s. Input chain as for
+// greens.StratifyPrePivot (application order); returns the UDT on the host.
+// All device scratch is freed on exit, so the footprint is steady across
+// calls.
+func StratifyHybrid(s *Stream, chain []*mat.Dense) *greens.UDT {
 	if len(chain) == 0 {
 		panic("gpu: empty chain")
 	}
@@ -181,8 +183,9 @@ func StratifyHybrid(dev *Device, chain []*mat.Dense) *greens.UDT {
 	qrp.Release()
 	lapack.PutPivot(&jpvt)
 
+	dev := s.dev
 	dq := dev.Malloc(n, n)
-	dev.SetMatrix(dq, qHost)
+	s.SetMatrix(dq, qHost)
 	dc := dev.Malloc(n, n)
 	db := dev.Malloc(n, n)
 	dvec := dev.Malloc(n, 1)
@@ -195,33 +198,33 @@ func StratifyHybrid(dev *Device, chain []*mat.Dense) *greens.UDT {
 
 	for i := 1; i < len(chain); i++ {
 		// C = (B_i * Q) * D on the device.
-		dev.SetMatrix(db, chain[i])
-		dev.Dgemm(false, false, 1, db, dq, 0, dc)
-		dev.SetVector(dvec, d)
-		dev.ScaleCols(dc, dvec)
+		s.SetMatrix(db, chain[i])
+		s.Dgemm(false, false, 1, db, dq, 0, dc)
+		s.SetVector(dvec, d)
+		s.ScaleCols(dc, dvec)
 		// Column norms on the device, sort on the host (tiny data).
-		dev.ColumnNorms(dc, norms)
+		s.ColumnNorms(dc, norms)
 		for j := range perm {
 			perm[j] = j
 		}
 		sort.SliceStable(perm, func(a, b int) bool { return norms[perm[a]] > norms[perm[b]] })
-		dev.PermuteCols(dc, perm)
+		s.PermuteCols(dc, perm)
 		// Hybrid QR of the permuted C, in place on the device.
-		h := QRFactorHybrid(dev, dc)
+		h := QRFactorHybrid(s, dc)
 		rr := h.R()
 		rr.Diagonal(d)
 		scaleInvRowsHost(rr, d)
 		// T update on the device: T = (D^{-1} R) (P^T T).
 		permuteRowsHost(tTmp, tHost, perm)
-		dev.SetMatrix(db, rr)
-		dev.SetMatrix(dtm, tTmp)
-		dev.Dgemm(false, false, 1, db, dtm, 0, dres)
-		dev.GetMatrix(tHost, dres)
+		s.SetMatrix(db, rr)
+		s.SetMatrix(dtm, tTmp)
+		s.Dgemm(false, false, 1, db, dtm, 0, dres)
+		s.GetMatrix(tHost, dres)
 		// Q for the next step.
 		h.FormQDevice(dq)
 	}
 	qOut := mat.New(n, n)
-	dev.GetMatrix(qOut, dq)
+	s.GetMatrix(qOut, dq)
 	dq.Free()
 	dc.Free()
 	db.Free()

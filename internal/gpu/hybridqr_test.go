@@ -17,9 +17,10 @@ func TestHybridQRMatchesCPU(t *testing.T) {
 	for _, n := range []int{16, 33, 64, 100} {
 		a := randomDense(r, n)
 		dev := NewDevice(TeslaC2050())
+		st := dev.NewStream()
 		da := dev.Malloc(n, n)
-		dev.SetMatrix(da, a)
-		h := QRFactorHybrid(dev, da)
+		st.SetMatrix(da, a)
+		h := QRFactorHybrid(st, da)
 		rHybrid := h.R()
 		cpu := lapack.QRFactor(a.Clone())
 		rCPU := cpu.R()
@@ -34,13 +35,14 @@ func TestHybridQRFormQOrthogonalAndReconstructs(t *testing.T) {
 	n := 48
 	a := randomDense(r, n)
 	dev := NewDevice(TeslaC2050())
+	st := dev.NewStream()
 	da := dev.Malloc(n, n)
-	dev.SetMatrix(da, a)
-	h := QRFactorHybrid(dev, da)
+	st.SetMatrix(da, a)
+	h := QRFactorHybrid(st, da)
 	dq := dev.Malloc(n, n)
 	h.FormQDevice(dq)
 	q := mat.New(n, n)
-	dev.GetMatrix(q, dq)
+	st.GetMatrix(q, dq)
 	// Orthogonality.
 	qtq := mat.New(n, n)
 	blas.Gemm(true, false, 1, q, q, 0, qtq)
@@ -65,7 +67,8 @@ func TestStratifyHybridMatchesCPU(t *testing.T) {
 	}
 	cpu := greens.StratifyPrePivot(chain)
 	dev := NewDevice(TeslaC2050())
-	hyb := StratifyHybrid(dev, chain)
+	st := dev.NewStream()
+	hyb := StratifyHybrid(st, chain)
 	for i := range cpu.D {
 		if math.Abs(hyb.D[i]-cpu.D[i]) > 1e-9*math.Abs(cpu.D[i]) {
 			t.Fatalf("D[%d]: hybrid %g vs cpu %g", i, hyb.D[i], cpu.D[i])
@@ -83,27 +86,28 @@ func TestStratifyHybridMatchesCPU(t *testing.T) {
 
 func TestDeviceExtKernels(t *testing.T) {
 	dev := NewDevice(TeslaC2050())
+	st := dev.NewStream()
 	r := rng.New(25)
 	a := randomDense(r, 6)
 	da := dev.Malloc(6, 6)
-	dev.SetMatrix(da, a)
+	st.SetMatrix(da, a)
 
 	// ScaleCols.
 	v := []float64{1, 2, 3, 4, 5, 6}
 	dv := dev.Malloc(6, 1)
-	dev.SetVector(dv, v)
-	dev.ScaleCols(da, dv)
+	st.SetVector(dv, v)
+	st.ScaleCols(da, dv)
 	want := a.Clone()
 	want.ScaleCols(v)
 	got := mat.New(6, 6)
-	dev.GetMatrix(got, da)
+	st.GetMatrix(got, da)
 	if !got.EqualApprox(want, 0) {
 		t.Fatal("device ScaleCols wrong")
 	}
 
 	// ColumnNorms.
 	norms := make([]float64, 6)
-	dev.ColumnNorms(da, norms)
+	st.ColumnNorms(da, norms)
 	for j := 0; j < 6; j++ {
 		w := blas.Nrm2(want.Col(j))
 		if math.Abs(norms[j]-w) > 1e-13 {
@@ -113,8 +117,8 @@ func TestDeviceExtKernels(t *testing.T) {
 
 	// PermuteCols.
 	perm := []int{5, 4, 3, 2, 1, 0}
-	dev.PermuteCols(da, perm)
-	dev.GetMatrix(got, da)
+	st.PermuteCols(da, perm)
+	st.GetMatrix(got, da)
 	for j := 0; j < 6; j++ {
 		for i := 0; i < 6; i++ {
 			if got.At(i, j) != want.At(i, perm[j]) {
@@ -125,13 +129,13 @@ func TestDeviceExtKernels(t *testing.T) {
 
 	// Sub-matrix transfers.
 	sub := mat.New(2, 3)
-	dev.GetSub(sub, da, 1, 2)
+	st.GetSub(sub, da, 1, 2)
 	if sub.At(0, 0) != got.At(1, 2) {
 		t.Fatal("GetSub wrong")
 	}
 	sub.Set(0, 0, 42)
-	dev.SetSub(da, 1, 2, sub)
-	dev.GetMatrix(got, da)
+	st.SetSub(da, 1, 2, sub)
+	st.GetMatrix(got, da)
 	if got.At(1, 2) != 42 {
 		t.Fatal("SetSub wrong")
 	}
@@ -139,6 +143,7 @@ func TestDeviceExtKernels(t *testing.T) {
 
 func TestMatrixSubSharesStorage(t *testing.T) {
 	dev := NewDevice(TeslaC2050())
+	st := dev.NewStream()
 	da := dev.Malloc(4, 4)
 	sub := da.Sub(1, 1, 2, 2)
 	if sub.Rows() != 2 || sub.Cols() != 2 {
@@ -146,9 +151,9 @@ func TestMatrixSubSharesStorage(t *testing.T) {
 	}
 	host := mat.New(2, 2)
 	host.Set(0, 0, 7)
-	dev.SetMatrix(sub, host)
+	st.SetMatrix(sub, host)
 	full := mat.New(4, 4)
-	dev.GetMatrix(full, da)
+	st.GetMatrix(full, da)
 	if full.At(1, 1) != 7 {
 		t.Fatal("Sub does not alias parent")
 	}

@@ -1,9 +1,6 @@
 package gpu
 
 import (
-	"fmt"
-
-	"questgo/internal/greens"
 	"questgo/internal/hubbard"
 	"questgo/internal/mat"
 	"questgo/internal/obs"
@@ -95,18 +92,9 @@ func NewAccelerator(dev *Device, prop *hubbard.Propagator) *Accelerator {
 func (acc *Accelerator) EnableGraphs(on bool) {
 	acc.graphs = on
 	if !on {
-		acc.InvalidateGraphs()
+		acc.wrapGraph, acc.wrapBound = nil, nil
+		acc.clGraph, acc.clBound, acc.clK = nil, nil, 0
 	}
-}
-
-// InvalidateGraphs drops the captured graphs (required after a cluster-size
-// change; the next call re-captures).
-func (acc *Accelerator) InvalidateGraphs() {
-	acc.wrapGraph = nil
-	acc.wrapBound = nil
-	acc.clGraph = nil
-	acc.clBound = nil
-	acc.clK = 0
 }
 
 // Cluster computes the matrix cluster
@@ -115,9 +103,9 @@ func (acc *Accelerator) InvalidateGraphs() {
 //
 // on the device (the paper's Algorithm 4, using the Algorithm 5 row-scaling
 // kernel instead of per-row Dscal calls) and stores the result into dst on
-// the host. Only the k diagonal V_l vectors and the result cross the bus,
-// and the upload of V_{l+1} overlaps the GEMM absorbing B_l (double
-// buffering on the copy stream).
+// the host — a greens.BlockFunc. Only the k diagonal V_l vectors and the
+// result cross the bus, and the upload of V_{l+1} overlaps the GEMM
+// absorbing B_l (double buffering on the copy stream).
 func (acc *Accelerator) Cluster(dst *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, base, k int) {
 	acc.cp.f, acc.cp.sigma, acc.cp.base = f, sigma, base
 	if acc.graphs {
@@ -218,75 +206,4 @@ func (acc *Accelerator) captureWrap(g *mat.Dense) {
 	acc.wrapGraph = acc.Dev.NewGraph()
 	acc.wrapBound = g
 	acc.wrapGraph.Capture(func() { acc.issueWrap(g) }, acc.comp, acc.xfer)
-}
-
-// ClusterSet mirrors greens.ClusterSet but builds the cluster products on
-// the device; it satisfies the same recompute-on-change recycling contract.
-// With more than one accelerator the cluster blocks are dealt round-robin
-// (per-slice-block sharding): cluster c is built — and its slices wrapped
-// and flushed — on the device owning it.
-type ClusterSet struct {
-	K        int
-	NC       int
-	sigma    hubbard.Spin
-	accs     []*Accelerator
-	clusters []*mat.Dense
-}
-
-// NewClusterSet builds all clusters for one spin on a single accelerator.
-func NewClusterSet(acc *Accelerator, f *hubbard.Field, sigma hubbard.Spin, k int) *ClusterSet {
-	return NewClusterSetSharded([]*Accelerator{acc}, f, sigma, k)
-}
-
-// NewClusterSetSharded builds the clusters for one spin round-robin over a
-// pool of accelerators (one per device of the spin's scheduler pool).
-func NewClusterSetSharded(accs []*Accelerator, f *hubbard.Field, sigma hubbard.Spin, k int) *ClusterSet {
-	if len(accs) == 0 {
-		panic("gpu: cluster set needs at least one accelerator")
-	}
-	l := accs[0].prop.Model.L
-	if k < 1 || l%k != 0 {
-		panic(fmt.Sprintf("gpu: cluster size %d must divide the slice count %d", k, l))
-	}
-	n := accs[0].prop.Model.N()
-	cs := &ClusterSet{K: k, NC: l / k, sigma: sigma, accs: accs, clusters: make([]*mat.Dense, l/k)}
-	for c := range cs.clusters {
-		cs.clusters[c] = mat.New(n, n)
-		cs.Recompute(f, c)
-	}
-	return cs
-}
-
-// AccFor returns the accelerator owning cluster block c.
-func (cs *ClusterSet) AccFor(c int) *Accelerator { return cs.accs[c%len(cs.accs)] }
-
-// Recompute rebuilds cluster c on its owning device.
-func (cs *ClusterSet) Recompute(f *hubbard.Field, c int) {
-	cs.AccFor(c).Cluster(cs.clusters[c], f, cs.sigma, c*cs.K, cs.K)
-}
-
-// Cluster returns the host copy of cluster c.
-func (cs *ClusterSet) Cluster(c int) *mat.Dense { return cs.clusters[c] }
-
-// Clusters returns NC, satisfying the greens.ClusterSource interface so a
-// greens.StratStack can maintain prefix/suffix UDTs over device-built
-// clusters.
-func (cs *ClusterSet) Clusters() int { return cs.NC }
-
-// Chain returns the clusters in application order for boundary c (see
-// greens.ClusterSet.Chain).
-func (cs *ClusterSet) Chain(c int) []*mat.Dense {
-	out := make([]*mat.Dense, 0, cs.NC)
-	for i := 0; i < cs.NC; i++ {
-		out = append(out, cs.clusters[(c+i)%cs.NC])
-	}
-	return out
-}
-
-// GreenAt evaluates the stratified Green's function at boundary c: the
-// cluster products come from the device, the pre-pivoted stratification
-// (Algorithm 3) runs on the host — the hybrid split of the paper's
-// Section VI-C.
-func (cs *ClusterSet) GreenAt(c int) *mat.Dense {
-	return greens.Green(cs.Chain(c))
 }

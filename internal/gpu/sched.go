@@ -76,7 +76,7 @@ func (g *Group) Reset() {
 //     (the sectors are independent within a sweep, so this needs no
 //     inter-device traffic at all);
 //   - per-slice-block: a spin's NC cluster blocks are dealt round-robin
-//     over the sector's pool (ClusterSet.AccFor), so a cluster's build and
+//     over the sector's pool (backend.owner), so a cluster's build and
 //     the wraps and flushes of its slices run on the device that owns it;
 //   - per-chain: PlaceChains deals independent Markov chains over whole
 //     devices (embarrassingly parallel, the Wendt/Drut-style scale-out).

@@ -3,6 +3,7 @@ package gpu
 import (
 	"testing"
 
+	"questgo/internal/greens"
 	"questgo/internal/hubbard"
 )
 
@@ -42,22 +43,25 @@ func TestPlacementRoundRobin(t *testing.T) {
 }
 
 // TestShardedClusterSetMatchesSingleDevice: dealing the cluster blocks
-// over two devices must build bitwise the same products as one device.
+// over a two-device pool must build bitwise the same products as one
+// device, round-robin (each pool device builds half of the four blocks).
 func TestShardedClusterSetMatchesSingleDevice(t *testing.T) {
 	p, f := testSetup(t, 3, 3, 4, 4, 16, 31)
-	dev := NewDevice(TeslaC2050())
-	cs1 := NewClusterSet(NewAccelerator(dev, p), f, hubbard.Up, 4)
-
-	grp := NewGroup(2, TeslaC2050())
-	accs := []*Accelerator{NewAccelerator(grp.Devs[0], p), NewAccelerator(grp.Devs[1], p)}
-	cs2 := NewClusterSetSharded(accs, f, hubbard.Up, 4)
+	build := func(g *Group) *greens.ClusterSet {
+		be := NewBackend(g, false)(p, hubbard.Up, 3)
+		return greens.NewClusterSetWith(p, f, hubbard.Up, 4, be.Cluster)
+	}
+	cs1 := build(NewGroup(1, TeslaC2050()))
+	grp := NewGroup(4, TeslaC2050()) // spin-up pool: devices 0 and 1
+	cs2 := build(grp)
 
 	for c := 0; c < cs1.NC; c++ {
 		if !cs2.Cluster(c).EqualApprox(cs1.Cluster(c), 0) {
 			t.Fatalf("cluster %d differs between 1 and 2 devices", c)
 		}
 	}
-	if cs2.AccFor(0) != accs[0] || cs2.AccFor(1) != accs[1] || cs2.AccFor(2) != accs[0] {
-		t.Fatal("cluster blocks not dealt round-robin")
+	k0, k1 := grp.Devs[0].Kernels(), grp.Devs[1].Kernels()
+	if k0 == 0 || k0 != k1 || grp.Devs[2].Kernels() != 0 {
+		t.Fatalf("cluster blocks not dealt round-robin over the pool: kernels %d / %d / %d", k0, k1, grp.Devs[2].Kernels())
 	}
 }

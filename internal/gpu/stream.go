@@ -19,10 +19,9 @@ import (
 // asynchronous — so the numerics are identical no matter how work is
 // distributed over streams.
 //
-// The clock cells are atomic: two goroutines may share a stream (the
-// legacy Device methods funnel through the default stream from both spin
-// forks), in which case their ops serialize on it in arrival order, the
-// pre-stream behavior.
+// A stream is the only way to issue device work: there is no default
+// stream. The clock cells are atomic, so two goroutines may share one, in
+// which case their ops serialize on it in arrival order.
 type Stream struct {
 	dev     *Device
 	clockNS int64  // atomic: this stream's critical-path time

@@ -108,6 +108,7 @@ func TestHostNodeRunsInline(t *testing.T) {
 // TestFreedMatrixPanics checks the use-after-free guard on stream ops.
 func TestFreedMatrixPanics(t *testing.T) {
 	d := NewDevice(TeslaC2050())
+	st := d.NewStream()
 	m := d.Malloc(4, 4)
 	before := d.AllocBytes()
 	m.Free()
@@ -120,5 +121,5 @@ func TestFreedMatrixPanics(t *testing.T) {
 			t.Fatal("expected panic on freed-matrix use")
 		}
 	}()
-	d.SetMatrix(m, mat.New(4, 4))
+	st.SetMatrix(m, mat.New(4, 4))
 }

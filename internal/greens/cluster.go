@@ -8,6 +8,14 @@ import (
 	"questgo/internal/obs"
 )
 
+// BlockFunc multiplies one cluster block from the current field,
+//
+//	dst = B_{base+k-1} ... B_{base+1} B_{base}   (0-based slices),
+//
+// for one spin species. (*Wrapper).Cluster is the host product; a device
+// engine's cluster kernel has the same shape.
+type BlockFunc func(dst *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, base, k int)
+
 // ClusterSet stores the products of k consecutive B matrices,
 //
 //	Bhat_c = B_{ck+k} * ... * B_{ck+2} * B_{ck+1}   (1-based slice labels),
@@ -16,73 +24,56 @@ import (
 // (Section III-A2), and so unchanged clusters can be *recycled* across
 // Green's function recomputations and across sweeps (Section III-B2): when
 // only the slices of cluster c were re-sampled, only Bhat_c is rebuilt.
+// It is the one owner of cluster storage and chain order whatever engine
+// multiplies the blocks.
 type ClusterSet struct {
 	K        int // slices per cluster
 	NC       int // number of clusters = L/K
 	sigma    hubbard.Spin
 	prop     *hubbard.Propagator
+	build    BlockFunc
 	clusters []*mat.Dense
 	chain    []*mat.Dense // reused by Chain (rebuilt on every call)
-	tmp      *mat.Dense
-	v        []float64
 }
 
-// NewClusterSet builds all cluster products for one spin species. L must be
-// divisible by k.
+// NewClusterSet builds all cluster products for one spin species with the
+// host block product. L must be divisible by k.
 func NewClusterSet(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, k int) *ClusterSet {
-	l := p.Model.L
+	return NewClusterSetWith(p, f, sigma, k, NewWrapper(p).Cluster)
+}
+
+// NewClusterSetWith is NewClusterSet with the blocks multiplied by build
+// (a device's cluster kernel, say).
+func NewClusterSetWith(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, k int, build BlockFunc) *ClusterSet {
+	cs := &ClusterSet{sigma: sigma, prop: p, build: build}
+	cs.SetK(f, k)
+	return cs
+}
+
+// SetK rebuilds every block at cluster size k, which must divide L.
+func (cs *ClusterSet) SetK(f *hubbard.Field, k int) {
+	l := cs.prop.Model.L
 	if k < 1 || l%k != 0 {
 		panic(fmt.Sprintf("greens: cluster size %d must divide the slice count %d", k, l))
 	}
-	n := p.Model.N()
-	cs := &ClusterSet{
-		K:        k,
-		NC:       l / k,
-		sigma:    sigma,
-		prop:     p,
-		clusters: make([]*mat.Dense, l/k),
-		chain:    make([]*mat.Dense, l/k),
-		tmp:      mat.New(n, n),
-		v:        make([]float64, n),
-	}
+	n := cs.prop.Model.N()
+	cs.K, cs.NC = k, l/k
+	cs.clusters = make([]*mat.Dense, cs.NC)
+	cs.chain = make([]*mat.Dense, cs.NC)
 	for c := range cs.clusters {
 		cs.clusters[c] = mat.New(n, n)
 		cs.Recompute(f, c)
 	}
-	return cs
 }
 
-// Recompute rebuilds cluster c from the current field. This is the
-// CPU analogue of the paper's Algorithm 4 (the GPU version lives in
-// internal/gpu): A = B_{ck+k} ... B_{ck+1} built by alternating GEMMs with
-// the fixed kinetic propagator and diagonal row scalings.
+// Recompute rebuilds cluster c from the current field (the paper's
+// Algorithm 4 when the builder is a device's).
 func (cs *ClusterSet) Recompute(f *hubbard.Field, c int) {
-	a, spare := cs.clusters[c], cs.tmp
-	base := c * cs.K
-	// A = V_{base} * Bkin
-	a.CopyFrom(cs.prop.Bkin)
-	cs.prop.VDiag(cs.sigma, f, base, cs.v)
-	a.ScaleRows(cs.v)
-	for j := 1; j < cs.K; j++ {
-		// A = V_{base+j} * (Bkin * A)
-		blas.Gemm(false, false, 1, cs.prop.Bkin, a, 0, spare)
-		cs.prop.VDiag(cs.sigma, f, base+j, cs.v)
-		spare.ScaleRows(cs.v)
-		a, spare = spare, a
-	}
-	if a != cs.clusters[c] {
-		// The result landed in the scratch buffer: adopt it as the stored
-		// cluster and keep the old cluster matrix as future scratch.
-		cs.clusters[c], cs.tmp = a, spare
-	}
+	cs.build(cs.clusters[c], f, cs.sigma, c*cs.K, cs.K)
 }
 
 // Cluster returns the stored product for cluster c (do not modify).
 func (cs *ClusterSet) Cluster(c int) *mat.Dense { return cs.clusters[c] }
-
-// Clusters returns NC, satisfying the ClusterSource interface consumed by
-// StratStack.
-func (cs *ClusterSet) Clusters() int { return cs.NC }
 
 // Chain returns the cluster matrices in the application order that makes
 //
@@ -117,7 +108,10 @@ func (cs *ClusterSet) GreenAtInto(dst *mat.Dense, c int, prePivot bool) {
 	GreenInto(dst, cs.Chain(c), prePivot)
 }
 
-// Wrapper advances an equal-time Green's function from slice l-1 to l:
+// Wrapper is the host's pair of level-3 sweep kernels over one propagator
+// and one set of scratch — the block product (Cluster) and the wrap — with
+// the shapes of the device's (gpu.Accelerator). The wrap advances an
+// equal-time Green's function from slice l-1 to l:
 //
 //	G_l = B_l G_{l-1} B_l^{-1}
 //	    = V_l Bkin G Bkin^{-1} V_l^{-1}
@@ -142,6 +136,29 @@ type Wrapper struct {
 func NewWrapper(p *hubbard.Propagator) *Wrapper {
 	n := p.Model.N()
 	return &Wrapper{prop: p, tmp: mat.New(n, n), v: make([]float64, n)}
+}
+
+// Cluster is the host BlockFunc: dst = B_{base+k-1} ... B_{base}, built by
+// alternating GEMMs with the fixed kinetic propagator and diagonal row
+// scalings (the CPU analogue of the paper's Algorithm 4). The product
+// ping-pongs between dst and the wrapper's scratch, starting on whichever
+// side makes it land in dst.
+func (w *Wrapper) Cluster(dst *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, base, k int) {
+	a, spare := dst, w.tmp
+	if k%2 == 0 {
+		a, spare = spare, a
+	}
+	// A = V_{base} * Bkin
+	a.CopyFrom(w.prop.Bkin)
+	w.prop.VDiag(sigma, f, base, w.v)
+	a.ScaleRows(w.v)
+	for j := 1; j < k; j++ {
+		// A = V_{base+j} * (Bkin * A)
+		blas.Gemm(false, false, 1, w.prop.Bkin, a, 0, spare)
+		w.prop.VDiag(sigma, f, base+j, w.v)
+		spare.ScaleRows(w.v)
+		a, spare = spare, a
+	}
 }
 
 // Wrap overwrites g with B_l G B_l^{-1} for the given slice and spin.

@@ -104,7 +104,7 @@ func (w *DisplacedWalker) refactor() {
 	blas.Gemm(false, false, 1, r, pt, 0, w.t)
 	qr.FormQ(w.q)
 	qr.Release()
-	putPerm(perm)
+	lapack.PutPivot(&perm)
 	w.sinceRefactor = 0
 }
 

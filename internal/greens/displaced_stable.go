@@ -53,13 +53,13 @@ func DisplacedGreen(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin,
 		k = 1
 	}
 	if l == L {
-		g0 := GreenFromUDT(StratifyPrePivot(forwardClusters(p, f, sigma, 0, L, k)))
+		g0 := GreenFromUDT(StratifyPrePivot(sliceBlocks(p, f, sigma, 0, L, k)))
 		out := mat.Identity(p.Model.N())
 		out.Add(-1, g0)
 		return out
 	}
-	udt1 := StratifyPrePivot(forwardClusters(p, f, sigma, 0, l, k))
-	udt2 := StratifyPrePivot(forwardClusters(p, f, sigma, l, L, k))
+	udt1 := StratifyPrePivot(sliceBlocks(p, f, sigma, 0, l, k))
+	udt2 := StratifyPrePivot(sliceBlocks(p, f, sigma, l, L, k))
 	return invertFactoredSum(udt1, udt2)
 }
 
@@ -86,45 +86,32 @@ func DisplacedGreenReverse(p *hubbard.Propagator, f *hubbard.Field, sigma hubbar
 		// degenerates to P1 + I with P1 the full chain:
 		// G(0, beta) = -(P1 + I)^{-1}... but (I + P1)^{-1} = G(0), so
 		// G(0, beta) = -G(0), which is the antiperiodic image.
-		out = GreenFromUDT(StratifyPrePivot(forwardClusters(p, f, sigma, 0, L, k)))
+		out = GreenFromUDT(StratifyPrePivot(sliceBlocks(p, f, sigma, 0, L, k)))
 	} else {
-		udt1 := StratifyPrePivot(forwardClusters(p, f, sigma, 0, l, k))
-		udt2 := StratifyPrePivot(forwardClusters(p, f, sigma, l, L, k))
+		udt1 := StratifyPrePivot(sliceBlocks(p, f, sigma, 0, l, k))
+		udt2 := StratifyPrePivot(sliceBlocks(p, f, sigma, l, L, k))
 		out = invertFactoredSum(udt2, udt1)
 	}
 	out.Scale(-1)
 	return out
 }
 
-// forwardClusters splits slices [lo, hi) into clusters of at most k and
-// returns the cluster matrices in application order (lowest slices first).
-func forwardClusters(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, lo, hi, k int) []*mat.Dense {
+// sliceBlocks splits slices [lo, hi) into clusters of at most k (the last
+// may be short) and returns the host block products in application order
+// (lowest slices first).
+func sliceBlocks(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, lo, hi, k int) []*mat.Dense {
+	w := NewWrapper(p)
+	n := p.Model.N()
 	out := make([]*mat.Dense, 0, (hi-lo+k-1)/k)
 	for base := lo; base < hi; base += k {
-		end := base + k
-		if end > hi {
-			end = hi
+		if base+k > hi {
+			k = hi - base
 		}
-		out = append(out, forwardCluster(p, f, sigma, base, end))
+		b := mat.New(n, n)
+		w.Cluster(b, f, sigma, base, k)
+		out = append(out, b)
 	}
 	return out
-}
-
-// forwardCluster builds B_{hi} ... B_{lo+1} (slices lo..hi-1, 0-based).
-func forwardCluster(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, lo, hi int) *mat.Dense {
-	n := p.Model.N()
-	a := p.Bkin.Clone()
-	v := make([]float64, n)
-	p.VDiag(sigma, f, lo, v)
-	a.ScaleRows(v)
-	tmp := mat.New(n, n)
-	for s := lo + 1; s < hi; s++ {
-		blas.Gemm(false, false, 1, p.Bkin, a, 0, tmp)
-		p.VDiag(sigma, f, s, v)
-		tmp.ScaleRows(v)
-		a, tmp = tmp, a
-	}
-	return a
 }
 
 func identityUDT(n int) *UDT {

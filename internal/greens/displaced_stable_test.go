@@ -10,11 +10,11 @@ import (
 	"questgo/internal/rng"
 )
 
-// bigDisplaced computes B_l ... B_1 (I + B_L ... B_1)^{-1} entirely in
-// high precision — G(0) is never rounded to float64 before the chain
+// bigChain returns B_l ... B_1 and G(0) = (I + B_L ... B_1)^{-1} entirely
+// in high precision — G(0) is never rounded to float64 before the chain
 // multiplication (rounding it would inject eps*||B_l...B_1|| error into
 // the "reference", swamping the quantity under test).
-func bigDisplaced(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, l int, prec uint) *mat.Dense {
+func bigChain(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, l int, prec uint) (partial, g0 [][]*big.Float) {
 	n := p.Model.N()
 	bs := make([]*mat.Dense, p.Model.L)
 	for i := range bs {
@@ -22,7 +22,6 @@ func bigDisplaced(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, l
 	}
 	// Full product in big precision.
 	prod := bigFromDense(bs[0], prec)
-	var partial [][]*big.Float
 	if l == 0 {
 		partial = bigFromDense(mat.Identity(n), prec)
 	}
@@ -40,16 +39,35 @@ func bigDisplaced(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, l
 	for i := 0; i < n; i++ {
 		prod[i][i].Add(prod[i][i], one)
 	}
-	g0 := bigInverse(prod, prec)
-	res := bigMul(partial, g0, prec)
-	out := mat.New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			v, _ := res[i][j].Float64()
+	return partial, bigInverse(prod, prec)
+}
+
+func bigToDense(a [][]*big.Float) *mat.Dense {
+	out := mat.New(len(a), len(a[0]))
+	for i := range a {
+		for j := range a[i] {
+			v, _ := a[i][j].Float64()
 			out.Set(i, j, v)
 		}
 	}
 	return out
+}
+
+// bigDisplaced computes G(tau_l, 0) = B_l ... B_1 G(0) in high precision.
+func bigDisplaced(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, l int, prec uint) *mat.Dense {
+	partial, g0 := bigChain(p, f, sigma, l, prec)
+	return bigToDense(bigMul(partial, g0, prec))
+}
+
+// bigDisplacedReverse computes G(0, tau_l) = -(I - G(0)) (B_l ... B_1)^{-1}
+// in high precision.
+func bigDisplacedReverse(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, l int, prec uint) *mat.Dense {
+	partial, g0 := bigChain(p, f, sigma, l, prec)
+	one := new(big.Float).SetPrec(prec).SetInt64(1)
+	for i := range g0 {
+		g0[i][i].Sub(g0[i][i], one) // G(0) - I
+	}
+	return bigToDense(bigMul(g0, bigInverse(partial, prec), prec))
 }
 
 func cloneBig(a [][]*big.Float, prec uint) [][]*big.Float {
@@ -77,6 +95,24 @@ func TestDisplacedGreenMatchesBigFloat(t *testing.T) {
 		want := bigDisplaced(p, f, hubbard.Up, l, 256)
 		if d := mat.RelDiff(got, want); d > 1e-10 {
 			t.Fatalf("l=%d: stable displaced G rel diff %g", l, d)
+		}
+	}
+}
+
+// TestDisplacedShortLastBlock: with l (and L - l) not multiples of k both
+// chains end in a short block — the host block product at a depth other
+// than k. Forward and reverse functions must still track the 256-bit
+// reference.
+func TestDisplacedShortLastBlock(t *testing.T) {
+	p, f, _ := testChain(t, 2, 2, 6, 4, 25, 59)
+	for _, k := range []int{4, 10} {
+		for _, l := range []int{3, 13, 22} {
+			if d := mat.RelDiff(DisplacedGreen(p, f, hubbard.Down, l, k), bigDisplaced(p, f, hubbard.Down, l, 256)); !(d <= 1e-10) {
+				t.Fatalf("k=%d l=%d: G(tau,0) rel diff %g", k, l, d)
+			}
+			if d := mat.RelDiff(DisplacedGreenReverse(p, f, hubbard.Down, l, k), bigDisplacedReverse(p, f, hubbard.Down, l, 256)); !(d <= 1e-10) {
+				t.Fatalf("k=%d l=%d: G(0,tau) rel diff %g", k, l, d)
+			}
 		}
 	}
 }

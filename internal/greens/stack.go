@@ -11,17 +11,6 @@ import (
 	"questgo/internal/obs"
 )
 
-// ClusterSource is the slice of the ClusterSet contract the stratification
-// stack needs: a fixed number of cluster products, addressable by index.
-// Both greens.ClusterSet (host) and gpu.ClusterSet (device-built clusters)
-// satisfy it.
-type ClusterSource interface {
-	// Clusters returns the number of cluster products NC = L/k.
-	Clusters() int
-	// Cluster returns the stored product for cluster c (not modified).
-	Cluster(c int) *mat.Dense
-}
-
 // StratStack amortizes the per-boundary stratified Green's function
 // recomputation of a sweep (Section III cluster recycling; Bauer,
 // SciPost 2020, arXiv:2003.05286).
@@ -55,7 +44,7 @@ type ClusterSource interface {
 // stratification of Chain(0) — and then rolls: the suffix stack is rebuilt
 // from the now-current clusters and the prefix is reset for the next sweep.
 type StratStack struct {
-	src      ClusterSource
+	src      *ClusterSet
 	prePivot bool // Algorithm 3 (true) vs Algorithm 2 (false) steps
 	n        int
 	nc       int
@@ -75,16 +64,11 @@ type StratStack struct {
 // NewStratStack builds the suffix decompositions for the source's current
 // clusters. prePivot selects the same pivoting policy as the sweeper's
 // stratified refresh (Algorithm 3 vs Algorithm 2).
-func NewStratStack(src ClusterSource, prePivot bool) *StratStack {
-	nc := src.Clusters()
+func NewStratStack(src *ClusterSet, prePivot bool) *StratStack {
 	n := src.Cluster(0).Rows
-	st := &StratStack{src: src, prePivot: prePivot, n: n, nc: nc}
+	st := &StratStack{prePivot: prePivot, n: n}
 	st.prefix = UDT{Q: mat.New(n, n), D: make([]float64, n), T: mat.New(n, n)}
-	st.suf = make([]UDT, nc)
-	for j := 1; j < nc; j++ {
-		st.suf[j] = UDT{Q: mat.New(n, n), D: make([]float64, n), T: mat.New(n, n)}
-	}
-	st.Rebuild()
+	st.Retarget(src)
 	return st
 }
 
@@ -92,23 +76,22 @@ func NewStratStack(src ClusterSource, prePivot bool) *StratStack {
 // GreenInto evaluates boundary Filled (mod NC).
 func (st *StratStack) Filled() int { return st.filled }
 
-// Retarget re-sources the stack onto src — a cluster set with a different
-// cluster count NC (a different k over the same L) but the same matrix
-// dimension — resizing the suffix snapshots and rebuilding them from src's
-// current clusters. This is the resize path of the stability autopilot:
-// call it only between sweeps (the prefix is discarded). The attached Obs
-// collector is kept.
-func (st *StratStack) Retarget(src ClusterSource) {
+// Retarget re-sources the stack onto src — the same set after a SetK, or
+// another one: a different cluster count NC (a different k over the same
+// L) but the same matrix dimension — resizing the suffix snapshots and
+// rebuilding them from src's current clusters. This is the resize path of
+// the stability autopilot: call it only between sweeps (the prefix is
+// discarded). The attached Obs collector is kept.
+func (st *StratStack) Retarget(src *ClusterSet) {
 	n := src.Cluster(0).Rows
 	if n != st.n {
 		panic(fmt.Sprintf("greens: StratStack.Retarget dimension change %d -> %d", st.n, n))
 	}
-	nc := src.Clusters()
 	st.src = src
-	if nc != st.nc {
-		st.nc = nc
-		st.suf = make([]UDT, nc)
-		for j := 1; j < nc; j++ {
+	if src.NC != st.nc {
+		st.nc = src.NC
+		st.suf = make([]UDT, st.nc)
+		for j := 1; j < st.nc; j++ {
 			st.suf[j] = UDT{Q: mat.New(n, n), D: make([]float64, n), T: mat.New(n, n)}
 		}
 	}
@@ -188,11 +171,7 @@ func (st *StratStack) GreenInto(dst *mat.Dense) {
 		if !st.fresh {
 			st.Rebuild()
 		}
-		chain := make([]*mat.Dense, st.nc)
-		for i := range chain {
-			chain[i] = st.src.Cluster(i)
-		}
-		GreenInto(dst, chain, st.prePivot)
+		GreenInto(dst, st.src.Chain(0), st.prePivot)
 	case st.filled == st.nc:
 		st.sampleCond(st.prefix.D)
 		GreenFromUDTInto(dst, &st.prefix)
@@ -217,7 +196,6 @@ func (st *StratStack) GreenInto(dst *mat.Dense) {
 // pivoting policy, giving P = (Q1 q) d (t Qs^T) — a single UDT for the
 // whole chain, finished by the stabilized inversion.
 //
-//qmc:charges OpUDTSteps
 //qmc:hot
 func (st *StratStack) combineInto(dst *mat.Dense, c int) {
 	n := st.n
@@ -238,32 +216,14 @@ func (st *StratStack) combineInto(dst *mat.Dense, c int) {
 	m.ScaleRows(st.prefix.D)
 	m.ScaleCols(suf.D)
 
-	var qr *lapack.QR
-	var perm []int
-	if st.prePivot {
-		perm = descendingNormPerm(m)
-		permuteColsGather(tmp, m, perm)
-		m.CopyFrom(tmp)
-		qr = lapack.QRFactor(m)
-	} else {
-		qr, perm = lapack.QRPFactor(m)
-	}
 	d := getVec(n)
-	qr.RInto(r)
-	r.Diagonal(d)
-	scaleInvRows(r, d)
+	qmid := tmp // the pre-pivot gather scratch, free again for Q
+	perm := gradedQR(m, tmp, r, qmid, d, !st.prePivot)
 	// that = (d^{-1} R) P^T: scatter column j back to original position.
-	for j := 0; j < n; j++ {
-		copy(that.Col(perm[j]), r.Col(j))
+	for j, p := range perm {
+		copy(that.Col(p), r.Col(j))
 	}
-	qmid := tmp // free again after the permuted copy above
-	qr.FormQ(qmid)
-	qr.Release()
-	if st.prePivot {
-		putPerm(perm)
-	} else {
-		lapack.PutPivot(&perm)
-	}
+	lapack.PutPivot(&perm)
 
 	// Q_new = Q1 * q, T_new = that * Qs^T.
 	qNew := mat.GetScratch(n, n)
@@ -276,7 +236,6 @@ func (st *StratStack) combineInto(dst *mat.Dense, c int) {
 	mat.PutScratch(qNew)
 	mat.PutScratch(tNew)
 	putVec(d)
-	obs.Add(obs.OpUDTSteps, 1)
 }
 
 // sampleCond reports the condition estimate log10(max|D|/min|D|) of a

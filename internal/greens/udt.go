@@ -71,23 +71,6 @@ func putVec(v []float64) {
 	vecPool.Put(&v)
 }
 
-// permPool does the same for the pre-pivot permutation vectors.
-var permPool sync.Pool
-
-func getPerm(n int) []int {
-	if p, ok := permPool.Get().(*[]int); ok && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]int, n)
-}
-
-func putPerm(p []int) {
-	if cap(p) == 0 {
-		return
-	}
-	permPool.Put(&p)
-}
-
 // scaleInvRows overwrites r with diag(d)^{-1} * r, guarding exact zeros
 // (a structurally singular slice product would produce a zero pivot). The
 // inverse diagonal lives in pooled scratch — this runs in the innermost
@@ -144,30 +127,53 @@ func StratifyPrePivot(bs []*mat.Dense) *UDT {
 	return stratify(bs, false)
 }
 
+// gradedQR is the factorization every cluster-UDT step shares. It factors
+// work (overwritten) as work * P = Q R under the step's pivot policy — QR
+// with column pivoting (Algorithm 2, and the first step of every chain), or
+// Algorithm 3's descending-column-norm pre-pivot followed by the ordinary
+// blocked QR, with tmp as the n x n gather scratch — and leaves
+// d = diag(R), r = D^{-1} R and q = Q (q may be tmp). The returned
+// permutation places column j of r at original column perm[j]; the caller
+// applies it to its T factor and hands it back with lapack.PutPivot.
+//
+//qmc:charges OpUDTSteps
+//qmc:hot
+func gradedQR(work, tmp, r, q *mat.Dense, d []float64, pivot bool) []int {
+	var qr *lapack.QR
+	var perm []int
+	if pivot {
+		qr, perm = lapack.QRPFactor(work)
+	} else {
+		perm = descendingNormPerm(work)
+		permuteColsGather(tmp, work, perm)
+		work.CopyFrom(tmp)
+		qr = lapack.QRFactor(work)
+	}
+	qr.RInto(r)
+	r.Diagonal(d)
+	scaleInvRows(r, d)
+	qr.FormQ(q)
+	qr.Release()
+	obs.Add(obs.OpUDTSteps, 1)
+	return perm
+}
+
 // initUDT seeds u with the decomposition of a single matrix b:
 // B = Q R P^T with column pivoting (there is no grading to exploit yet, so
 // Algorithm 2 and 3 share this step); D = diag(R), T = D^{-1} R P^T.
 // work and r are n x n scratch (work is overwritten by the factorization).
 //
-//qmc:charges OpUDTSteps
 //qmc:hot
 func initUDT(u *UDT, b *mat.Dense, work, r *mat.Dense) {
-	n := b.Rows
 	work.CopyFrom(b)
-	qr, jpvt := lapack.QRPFactor(work)
-	qr.RInto(r)
-	r.Diagonal(u.D)
-	scaleInvRows(r, u.D)
+	jpvt := gradedQR(work, nil, r, u.Q, u.D, true)
 	// T = (D^{-1} R) P^T: column j of D^{-1}R came from original column
 	// jpvt[j], so scatter it back there. Every column is written, so a
 	// dirty T buffer is fine.
-	for j := 0; j < n; j++ {
-		copy(u.T.Col(jpvt[j]), r.Col(j))
+	for j, p := range jpvt {
+		copy(u.T.Col(p), r.Col(j))
 	}
-	qr.FormQ(u.Q)
-	qr.Release()
 	lapack.PutPivot(&jpvt)
-	obs.Add(obs.OpUDTSteps, 1)
 }
 
 // extendUDT absorbs one more matrix into the decomposition from the left:
@@ -176,7 +182,6 @@ func initUDT(u *UDT, b *mat.Dense, work, r *mat.Dense) {
 // Algorithm 3 (descending-norm pre-pivot + blocked QR). work, r and tNew
 // are n x n scratch.
 //
-//qmc:charges OpUDTSteps
 //qmc:hot
 func extendUDT(u *UDT, b *mat.Dense, pivotEveryStep bool, work, r, tNew *mat.Dense) {
 	// Step 3a: C = (B Q) D. The parenthesization is essential: B * Q is a
@@ -184,32 +189,12 @@ func extendUDT(u *UDT, b *mat.Dense, pivotEveryStep bool, work, r, tNew *mat.Den
 	// final column scaling.
 	blas.Gemm(false, false, 1, b, u.Q, 0, work)
 	work.ScaleCols(u.D)
-
-	var qr *lapack.QR
-	var perm []int
-	if pivotEveryStep {
-		qr, perm = lapack.QRPFactor(work)
-	} else {
-		// Algorithm 3 step 3b: pre-pivot by descending column norm.
-		perm = descendingNormPerm(work)
-		permuteColsGather(tNew, work, perm) // tNew used as scratch here
-		work.CopyFrom(tNew)
-		qr = lapack.QRFactor(work)
-	}
-	qr.RInto(r)
-	r.Diagonal(u.D)
-	scaleInvRows(r, u.D)
+	// Step 3b (tNew doubles as the pre-pivot gather scratch).
+	perm := gradedQR(work, tNew, r, u.Q, u.D, pivotEveryStep)
 	// Step 3c/3d: T = (D^{-1} R) (P^T T_prev).
 	permuteRowsGather(tNew, u.T, perm)
 	blas.Gemm(false, false, 1, r, tNew, 0, u.T)
-	qr.FormQ(u.Q)
-	qr.Release()
-	if pivotEveryStep {
-		lapack.PutPivot(&perm)
-	} else {
-		putPerm(perm)
-	}
-	obs.Add(obs.OpUDTSteps, 1)
+	lapack.PutPivot(&perm)
 }
 
 // stratifyInto runs the full chain through u, whose Q/D/T must be
@@ -250,10 +235,10 @@ func stratify(bs []*mat.Dense, pivotEveryStep bool) *UDT {
 // descending Euclidean norm. The norms are computed in parallel — the paper
 // notes the BLAS-level loop has too little work per column and implements
 // exactly this multicore reduction in OpenMP. The returned slice comes from
-// the pool; release it with putPerm when done.
+// lapack's pivot pool; release it with lapack.PutPivot when done.
 func descendingNormPerm(c *mat.Dense) []int {
 	norms := lapack.ColumnNorms(c, getVec(c.Cols))
-	perm := getPerm(len(norms))
+	perm := lapack.GetPivot(len(norms))
 	for i := range perm {
 		perm[i] = i
 	}

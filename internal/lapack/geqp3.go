@@ -56,7 +56,7 @@ func QRPFactor(a *mat.Dense) (*QR, []int) {
 	m, n := a.Rows, a.Cols
 	k := min(m, n)
 	tau := getTau(k)
-	jpvt := getPivot(n)
+	jpvt := GetPivot(n)
 	wk := mat.GetScratch(n, 3)
 	norms := wk.Data[0:n]      // partial (trailing) column norms
 	onorms := wk.Data[n : 2*n] // reference norms for the safeguard
@@ -246,7 +246,7 @@ func QRPFactorLevel2(a *mat.Dense) (*QR, []int) {
 	m, n := a.Rows, a.Cols
 	k := min(m, n)
 	tau := getTau(k)
-	jpvt := getPivot(n)
+	jpvt := GetPivot(n)
 	wk := mat.GetScratch(n, 3) // pooled: norms | onorms | gemv workspace
 	norms := wk.Data[0:n]      // partial (trailing) column norms
 	onorms := wk.Data[n : 2*n] // reference norms for the safeguard

@@ -10,7 +10,7 @@ import "sync"
 // allocated fresh on every call because they escape in the returned QR.
 // The stratification call sites consume both within the same step, so the
 // buffers are recycled through package pools instead: the factorizations
-// draw from getTau/getPivot and the call sites hand the storage back with
+// draw from getTau/GetPivot and the call sites hand the storage back with
 // QR.Release / PutPivot once the factors are dead. Callers that keep the
 // QR (tests, diagnostics) simply never release it and the buffers fall to
 // the garbage collector — correctness never depends on the pool.
@@ -54,9 +54,10 @@ func (qr *QR) Release() {
 // pivotPool recycles the permutation vectors returned by QRPFactor.
 var pivotPool sync.Pool
 
-// getPivot returns a length-n pivot slice, reusing a returned buffer when
-// one is large enough. QRPFactor initializes every entry.
-func getPivot(n int) []int {
+// GetPivot returns a length-n permutation slice with unspecified contents,
+// reusing a returned buffer when one is large enough (QRPFactor initializes
+// every entry; so must any other caller). Hand it back with PutPivot.
+func GetPivot(n int) []int {
 	if v, ok := pivotPool.Get().(*[]int); ok && cap(*v) >= n {
 		p := (*v)[:n]
 		debugTrackPivotGet(p)
@@ -67,9 +68,9 @@ func getPivot(n int) []int {
 	return p
 }
 
-// PutPivot returns a permutation vector obtained from QRPFactor (or
-// QRPFactorLevel2) to the package pool and nils the caller's slice, making
-// a second PutPivot through the same variable a no-op. (The previous
+// PutPivot returns a permutation vector obtained from QRPFactor,
+// QRPFactorLevel2 or GetPivot to the package pool and nils the caller's
+// slice, making a second PutPivot through the same variable a no-op. (The previous
 // by-value signature made double puts silent: the same backing array
 // entered the pool twice and two later factorizations aliased it.) A
 // double put through a surviving alias is caught by the qmcdebug

@@ -15,9 +15,9 @@ import (
 // inlined mat.View) and the GEMM under them allocation-free. Race
 // instrumentation allocates on its own, hence the build tag.
 func TestHostFlushNoAlloc(t *testing.T) {
-	p, f := setup(t, 4, 4, 4, 4, 8, 3)
+	p, _ := setup(t, 4, 4, 4, 4, 8, 3)
 	n := p.Model.N()
-	h := newHost(p, f, hubbard.Up, 4, n)
+	h := newHost(p, hubbard.Up, n)
 	r := rng.New(5)
 	g, u, w := mat.New(n, n), mat.New(n, n), mat.New(n, n)
 	for _, x := range []*mat.Dense{g, u, w} {

@@ -4,20 +4,22 @@
 // refresh scheduling and the drift/residual probes — everything that is
 // serial and latency-bound. The level-3 work of a sweep (wrapping, cluster
 // products and the blocked flush G += U*W^T that turns nd rank-1 updates
-// into one GEMM) goes through a per-spin Backend, so the same chain runs on
-// the host kernels (NewSweeper) or on simulated accelerators (NewSweeperOn
-// with gpu.NewBackend) — the paper's hybrid split of Section VI — and
-// produces the same numbers bit for bit: stratification stays with the
-// host on every backend.
+// into one GEMM) goes through a per-spin Backend of three kernels, so the
+// same chain runs on the host kernels (NewSweeper) or on simulated
+// accelerators (NewSweeperOn with gpu.NewBackend) — the paper's hybrid split
+// of Section VI — and produces the same numbers bit for bit: cluster
+// storage, chain order and stratification stay with the Sweeper on every
+// backend.
 //
 // Two optimizations sit on top of the paper's Algorithm 1:
 //
 //   - The per-boundary stratified refresh goes through greens.StratStack
-//     over the backend's clusters, which caches suffix UDT decompositions
-//     (built once per sweep) and extends a prefix UDT by one cluster per
-//     boundary, so each refresh costs O(1) cluster-UDT steps instead of
-//     re-running the whole L/k-cluster chain. Options.NoStack restores the
-//     full-rebuild reference: greens.GreenInto over the backend's chain.
+//     over the spin's greens.ClusterSet, which caches suffix UDT
+//     decompositions (built once per sweep) and extends a prefix UDT by one
+//     cluster per boundary, so each refresh costs O(1) cluster-UDT steps
+//     instead of re-running the whole L/k-cluster chain. Options.NoStack
+//     restores the full-rebuild reference: greens.GreenInto over the set's
+//     chain.
 //   - The heavy per-spin phases — wrapping, delayed-update flushes,
 //     cluster recomputation, stratified refreshes, and the column/row
 //     assembly of accepted flips — are independent between the up and down
@@ -39,67 +41,49 @@ import (
 	"questgo/internal/rng"
 )
 
-// Backend is one spin sector's level-3 engine: it owns the sector's cluster
-// products (the embedded greens.ClusterSource, which the Sweeper's
-// stratification stack and stability probes read) and runs the O(N^3)
-// phases of the sweep on them. The field and the spin are bound at
-// construction. Methods are called from one goroutine at a time per
-// backend; the two spins' backends run concurrently.
+// Backend is one spin sector's level-3 engine: the three O(N^3) kernels of
+// a sweep and nothing else. It stores no clusters and knows no chain order
+// or cluster size — the Sweeper's greens.ClusterSet owns those and calls
+// Cluster as its block builder. Methods are called from one goroutine at a
+// time per backend; the two spins' backends run concurrently.
 type Backend interface {
-	greens.ClusterSource
+	// Cluster multiplies one block, dst = B_{base+k-1} ... B_{base}, from
+	// the current field (a greens.BlockFunc).
+	Cluster(dst *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, base, k int)
 	// Wrap advances g to slice s: G <- B_s G B_s^{-1}.
-	Wrap(g *mat.Dense, s int)
+	Wrap(g *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, s int)
 	// Flush applies the delayed block update accumulated on slice s,
 	// G += U[:, :m] * W[:, :m]^T.
 	Flush(g, u, w *mat.Dense, m, s int)
-	// Recompute rebuilds cluster c from the current field.
-	Recompute(c int)
-	// SetClusterK rebuilds the cluster products at size k (a divisor of L).
-	SetClusterK(k int)
 }
 
-// NewBackend constructs one spin's Backend over the sweeper's propagator and
-// field, with the cluster size k and delay block nd the sweeper settled on.
-type NewBackend func(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, k, nd int) Backend
+// NewBackend constructs one spin's Backend over the sweeper's propagator,
+// for the delay block nd the sweeper settled on.
+type NewBackend func(p *hubbard.Propagator, sigma hubbard.Spin, nd int) Backend
 
-// host is the CPU Backend: greens.ClusterSet, greens.Wrapper and blas.Gemm.
-type host struct {
-	prop  *hubbard.Propagator
-	field *hubbard.Field
-	sigma hubbard.Spin
-	cs    *greens.ClusterSet
-	wrap  *greens.Wrapper
+// host is the CPU Backend: greens.Wrapper's block product and wrap, and
+// blas.Gemm.
+type host struct{ *greens.Wrapper }
+
+func newHost(p *hubbard.Propagator, _ hubbard.Spin, _ int) Backend {
+	return host{greens.NewWrapper(p)}
 }
 
-func newHost(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, k, _ int) Backend {
-	return &host{
-		prop: p, field: f, sigma: sigma,
-		cs:   greens.NewClusterSet(p, f, sigma, k),
-		wrap: greens.NewWrapper(p),
-	}
-}
-
-func (h *host) Clusters() int            { return h.cs.NC }
-func (h *host) Cluster(c int) *mat.Dense { return h.cs.Cluster(c) }
-func (h *host) Wrap(g *mat.Dense, s int) { h.wrap.Wrap(g, h.field, h.sigma, s) }
-func (h *host) Recompute(c int)          { h.cs.Recompute(h.field, c) }
-func (h *host) SetClusterK(k int)        { h.cs = greens.NewClusterSet(h.prop, h.field, h.sigma, k) }
-
-func (h *host) Flush(g, u, w *mat.Dense, m, _ int) {
+func (host) Flush(g, u, w *mat.Dense, m, _ int) {
 	blas.Gemm(false, true, 1, u.View(0, 0, u.Rows, m), w.View(0, 0, w.Rows, m), 1, g)
 }
 
-// spinState carries one spin's Green's function, its backend and
-// stratification stack, and the delayed-update buffers: the effective
-// Green's function during a slice is
+// spinState carries one spin's Green's function, its backend, cluster
+// products and stratification stack, and the delayed-update buffers: the
+// effective Green's function during a slice is
 // G_eff(i,j) = G(i,j) + sum_t U(i,t)*W(j,t) with t < m pending updates.
 type spinState struct {
-	be    Backend
-	st    *greens.StratStack // nil on the NoStack path
-	g     *mat.Dense
-	u, w  *mat.Dense   // N x nd accumulators
-	m     int          // pending update count
-	chain []*mat.Dense // full-rebuild scratch: the chain at a boundary
+	be   Backend
+	cs   *greens.ClusterSet // built block by block by be.Cluster
+	st   *greens.StratStack // over cs; nil on the NoStack path
+	g    *mat.Dense
+	u, w *mat.Dense // N x nd accumulators
+	m    int        // pending update count
 
 	// Pre-bound closures for the spin fork, so the per-slice hot paths
 	// allocate nothing; their operands are the Sweeper's
@@ -172,17 +156,6 @@ func (s *spinState) flush(slice int) {
 	s.m = 0
 }
 
-// chainAt lists the backend's clusters in application order for boundary c
-// (see greens.ClusterSet.Chain) into the spin's reusable scratch.
-func (s *spinState) chainAt(c int) []*mat.Dense {
-	nc := s.be.Clusters()
-	s.chain = s.chain[:0]
-	for i := 0; i < nc; i++ {
-		s.chain = append(s.chain, s.be.Cluster((c+i)%nc))
-	}
-	return s.chain
-}
-
 // Options configures a Sweeper.
 type Options struct {
 	// ClusterK is the matrix clustering size k, which also sets the
@@ -196,7 +169,7 @@ type Options struct {
 	PrePivot bool
 	// NoStack disables the prefix/suffix UDT stack and recomputes every
 	// boundary Green's function by full host stratification of the
-	// backend's cluster chain — the pre-stack reference path, kept for
+	// cluster chain — the pre-stack reference path, kept for
 	// accuracy cross-checks and baseline benchmarks.
 	NoStack bool
 	// SerialSpins disables the concurrent execution of the up/down spin
@@ -254,16 +227,23 @@ func NewSweeper(p *hubbard.Propagator, f *hubbard.Field, r *rng.Rand, opts Optio
 	return NewSweeperOn(p, f, r, opts, newHost)
 }
 
+// SnapClusterK returns the cluster size a Sweeper over l slices runs for a
+// requested k: the default 10 when k < 1, decremented to the nearest divisor
+// of l.
+func SnapClusterK(l, k int) int {
+	if k < 1 {
+		k = 10
+	}
+	for l%k != 0 {
+		k--
+	}
+	return k
+}
+
 // NewSweeperOn is NewSweeper over the per-spin backends mk constructs (one
-// call per spin, with the cluster size and delay block snapped to the
-// model).
+// call per spin, with the delay block snapped to the model).
 func NewSweeperOn(p *hubbard.Propagator, f *hubbard.Field, r *rng.Rand, opts Options, mk NewBackend) *Sweeper {
-	if opts.ClusterK < 1 {
-		opts.ClusterK = 10
-	}
-	for p.Model.L%opts.ClusterK != 0 {
-		opts.ClusterK--
-	}
+	opts.ClusterK = SnapClusterK(p.Model.L, opts.ClusterK)
 	if opts.Delay < 1 {
 		opts.Delay = 32
 	}
@@ -277,25 +257,26 @@ func NewSweeperOn(p *hubbard.Propagator, f *hubbard.Field, r *rng.Rand, opts Opt
 	return sw
 }
 
-// newSpin builds one spin sector: backend (cluster products), stack, Green's
+// newSpin builds one spin sector: backend, cluster products, stack, Green's
 // function and accumulators, and binds the sector's fork closures.
 func (sw *Sweeper) newSpin(mk NewBackend, sigma hubbard.Spin) *spinState {
 	o := sw.opts
 	n := sw.Prop.Model.N()
 	s := &spinState{g: mat.New(n, n), u: mat.New(n, o.Delay), w: mat.New(n, o.Delay)}
 	cstart := o.Obs.Begin()
-	s.be = mk(sw.Prop, sw.Field, sigma, o.ClusterK, o.Delay)
+	s.be = mk(sw.Prop, sigma, o.Delay)
+	s.cs = greens.NewClusterSetWith(sw.Prop, sw.Field, sigma, o.ClusterK, s.be.Cluster)
 	o.Obs.End(obs.PhaseCluster, cstart)
 	if !o.NoStack {
 		sstart := o.Obs.Begin()
-		s.st = greens.NewStratStack(s.be, o.PrePivot)
+		s.st = greens.NewStratStack(s.cs, o.PrePivot)
 		s.st.Obs = o.Obs
 		o.Obs.End(obs.PhaseRefresh, sstart)
 		s.advanceFn = s.st.Advance
 	}
-	s.wrapFn = func() { s.be.Wrap(s.g, sw.slice) }
+	s.wrapFn = func() { s.be.Wrap(s.g, sw.Field, sigma, sw.slice) }
 	s.flushFn = func() { s.flush(sw.slice) }
-	s.clusterFn = func() { s.be.Recompute(sw.cluster) }
+	s.clusterFn = func() { s.cs.Recompute(sw.Field, sw.cluster) }
 	// The wrap-drift diagnostic samples the spin-up sector only.
 	s.refreshFn = func() { sw.refreshSpin(s, sigma == hubbard.Up) }
 	return s
@@ -324,12 +305,12 @@ func (sw *Sweeper) refreshSpin(s *spinState, trackDrift bool) {
 			// Sampled stability check: the stack's amortized answer against
 			// a from-scratch host stratification of the same cluster chain.
 			ref := mat.GetScratch(n, n)
-			greens.GreenInto(ref, s.chainAt(sw.boundary), sw.opts.PrePivot)
+			greens.GreenInto(ref, s.cs.Chain(sw.boundary), sw.opts.PrePivot)
 			sw.opts.Obs.SampleStratResidual(mat.RelDiff(gNew, ref))
 			mat.PutScratch(ref)
 		}
 	} else {
-		greens.GreenInto(gNew, s.chainAt(sw.boundary), sw.opts.PrePivot)
+		greens.GreenInto(gNew, s.cs.Chain(sw.boundary), sw.opts.PrePivot)
 	}
 	if trackDrift && sw.proposed > 0 {
 		d := mat.RelDiff(s.g, gNew)
@@ -401,7 +382,7 @@ func (sw *Sweeper) Sweep() {
 				sw.fork(sw.up.advanceFn, sw.dn.advanceFn)
 				sw.opts.Obs.End(obs.PhaseRefresh, sstart)
 			}
-			sw.refresh((c + 1) % sw.up.be.Clusters())
+			sw.refresh((c + 1) % sw.up.cs.NC)
 			if sw.boundaryHook != nil {
 				sw.boundaryHook()
 			}
@@ -496,31 +477,26 @@ func (sw *Sweeper) SetStabilityEvery(n int) {
 }
 
 // SetClusterK switches the sweeper to cluster size k — the stability
-// autopilot's actuator. k is decremented to the nearest divisor of L (like
-// NewSweeper) and returned. Call only between sweeps: the Green's
-// functions then sit at cluster boundary 0, which is independent of the
-// clustering, so the resize rebuilds the backends' cluster products and
-// retargets the stratification stacks without touching G or the field —
-// the Markov chain continues exactly where it was.
+// autopilot's actuator. k is snapped like NewSweeper's (SnapClusterK) and
+// returned. Call only between sweeps: the Green's functions then sit at
+// cluster boundary 0, which is independent of the clustering, so the resize
+// rebuilds the cluster products through the backends and retargets the
+// stratification stacks without touching G or the field — the Markov chain
+// continues exactly where it was.
 func (sw *Sweeper) SetClusterK(k int) int {
-	if k < 1 {
-		k = 1
-	}
-	for sw.Prop.Model.L%k != 0 {
-		k--
-	}
+	k = SnapClusterK(sw.Prop.Model.L, k)
 	if k == sw.opts.ClusterK {
 		return k
 	}
 	sw.opts.ClusterK = k
 	cstart := sw.opts.Obs.Begin()
-	sw.up.be.SetClusterK(k)
-	sw.dn.be.SetClusterK(k)
+	sw.up.cs.SetK(sw.Field, k)
+	sw.dn.cs.SetK(sw.Field, k)
 	sw.opts.Obs.End(obs.PhaseCluster, cstart)
 	if sw.up.st != nil {
 		sstart := sw.opts.Obs.Begin()
-		sw.up.st.Retarget(sw.up.be)
-		sw.dn.st.Retarget(sw.dn.be)
+		sw.up.st.Retarget(sw.up.cs)
+		sw.dn.st.Retarget(sw.dn.cs)
 		sw.opts.Obs.End(obs.PhaseRefresh, sstart)
 	}
 	return k

@@ -2,6 +2,7 @@ package update
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"questgo/internal/greens"
@@ -329,5 +330,19 @@ func TestSetStabilityEveryMidRun(t *testing.T) {
 				t.Fatalf("cadence change perturbed trajectory at (%d,%d)", l, i)
 			}
 		}
+	}
+}
+
+// TestBackendIsThreeKernels pins the engine seam: a Backend is the three
+// level-3 kernels and nothing else — no cluster storage, no chain order, no
+// retarget call — so the next engine implements exactly these.
+func TestBackendIsThreeKernels(t *testing.T) {
+	typ := reflect.TypeOf((*Backend)(nil)).Elem()
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		got = append(got, typ.Method(i).Name)
+	}
+	if want := []string{"Cluster", "Flush", "Wrap"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("update.Backend methods %v, want exactly %v", got, want)
 	}
 }

@@ -42,9 +42,9 @@ go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzQRPBlockedVsLevel2$' -fuzz
 go run ./cmd/kernels -sizes 16,36,64,128,256,512,1024 -reps 2 -json BENCH_gemm.json -qrpgate 512
 go run ./cmd/sweep -json BENCH_sweep.json -bsizes $BSIZES -bsweeps 2
 echo "== Verify: metrics instrumentation overhead gate (<2% on the sweep hot path)"
-go run ./cmd/sweep -obscheck -obsnx 8 -obsreps 3 -obsmax 2
+go run ./cmd/sweep -obscheck
 echo "== Verify: stability autopilot ablation (residual held, cadence no denser, no slower)"
-go run ./cmd/sweep -autopilot BENCH_autopilot.json -apbeta 32 -apl 160 -apk 10 -apcheck 2 -apgate
+go run ./cmd/sweep -autopilot BENCH_autopilot.json -apgate
 echo "== Verify: command-graph amortization + multi-device sharding gate (1/2/4 devices)"
 go run ./cmd/gpubench -gpugate -json BENCH_gpu.json
 # Service smoke benchmark: a cache hit must answer >= 50x faster than the
