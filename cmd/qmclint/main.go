@@ -1,129 +1,62 @@
 // Command qmclint runs the repo-specific static-analysis suite over the
-// given packages (default ./...) and exits non-zero on any diagnostic.
-// reproduce.sh runs it as part of the verify block, next to go vet.
+// given packages (default ./...) and exits 1 on any diagnostic, 2 when the
+// packages cannot be loaded and type-checked. reproduce.sh runs it as part
+// of the verify block, next to go vet.
 //
 // Usage:
 //
-//	go run ./cmd/qmclint [-run name,name] [-list] [-fix] [-wiregen] [-json path] [packages...]
+//	go run ./cmd/qmclint [-run name,name] [-list] [packages...]
 //
-// -fix applies the mechanically safe fixes some analyzers attach to their
-// diagnostics (ctxflow's `defer cancel()` insertion and classification
-// hoist) and reports the rewritten files; remaining findings still fail.
-// -wiregen regenerates the wirelock golden manifests after a deliberate
-// schema-version bump, and refuses when the wire surface changed but the
-// governing version constant did not. -json appends one benchutil record
-// (analyzer, package and finding counts) to the given BENCH_*.json file.
+// The files analysed are the ones `go list` selects, so a tagged build is
+// linted with GOFLAGS, e.g. GOFLAGS=-tags=purego go run ./cmd/qmclint ./internal/blas.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
-	"time"
 
 	"questgo/internal/analysis"
-	"questgo/internal/benchutil"
 )
 
 func main() {
-	runNames := flag.String("run", "", "comma-separated analyzer names or sets to run (default: all)")
+	runNames := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	fix := flag.Bool("fix", false, "apply the mechanically safe fixes and report rewritten files")
-	wiregen := flag.Bool("wiregen", false, "regenerate wirelock manifests (requires a schema-version bump when fields changed)")
-	jsonPath := flag.String("json", "", "append analyzer/finding counts as one benchutil JSON record to this file")
 	flag.Parse()
 
-	all := analysis.All()
+	analyzers := analysis.All()
 	if *list {
-		for _, a := range all {
-			fmt.Printf("%-14s wave %d  %s\n", a.Name, a.Wave, a.Doc)
+		for _, a := range analyzers {
+			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
-
-	analyzers := all
 	if *runNames != "" {
 		byName := make(map[string]*analysis.Analyzer)
-		for _, a := range all {
+		for _, a := range analyzers {
 			byName[a.Name] = a
 		}
-		analyzers = analyzers[:0:0]
+		analyzers = nil
 		for _, n := range strings.Split(*runNames, ",") {
 			a, ok := byName[strings.TrimSpace(n)]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "qmclint: unknown analyzer %q (use -list)\n", n)
-				os.Exit(2)
+				fatal(fmt.Errorf("unknown analyzer %q (use -list)", n))
 			}
 			analyzers = append(analyzers, a)
 		}
 	}
 
-	wd, err := os.Getwd()
+	pkgs, err := analysis.Load(".", flag.Args()...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "qmclint: %v\n", err)
-		os.Exit(2)
+		fatal(err)
 	}
-	patterns := flag.Args()
-	start := time.Now()
-	pkgs, err := analysis.Load(wd, patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "qmclint: %v\n", err)
-		os.Exit(2)
-	}
-	for _, p := range pkgs {
-		if p.TypeErr != nil {
-			fmt.Fprintf(os.Stderr, "qmclint: warning: %s: type checking incomplete: %v\n", p.PkgPath, p.TypeErr)
-		}
-	}
-
-	if *wiregen {
-		if err := regenManifests(wd, pkgs); err != nil {
-			fmt.Fprintf(os.Stderr, "qmclint: -wiregen: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	diags, err := analysis.RunAnalyzers(pkgs, analyzers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "qmclint: %v\n", err)
-		os.Exit(2)
+		fatal(err)
 	}
-
-	if *fix {
-		changed, err := analysis.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "qmclint: -fix: %v\n", err)
-			os.Exit(2)
-		}
-		for _, path := range changed {
-			fmt.Printf("qmclint: rewrote %s\n", path)
-		}
-		// Fixed diagnostics are resolved; only the rest still count.
-		rest := diags[:0:0]
-		for _, d := range diags {
-			if d.Fix == nil {
-				rest = append(rest, d)
-			}
-		}
-		diags = rest
-	}
-
 	for _, d := range diags {
 		fmt.Println(d)
-	}
-	if *jsonPath != "" {
-		rec := benchutil.NewRecord("lint", "qmclint", len(pkgs), time.Since(start).Seconds(), 0).
-			WithParam("analyzers", len(analyzers)).
-			WithParam("findings", len(diags))
-		if err := rec.Append(*jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "qmclint: -json: %v\n", err)
-			os.Exit(2)
-		}
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "qmclint: %d diagnostic(s)\n", len(diags))
@@ -131,55 +64,8 @@ func main() {
 	}
 }
 
-// regenManifests rewrites the golden wirelock manifest for every loaded
-// package that registers one, after verifying that any field change was
-// authorized by a schema-version bump.
-func regenManifests(wd string, pkgs []*analysis.LoadedPackage) error {
-	wireDir, err := analysisWireDir(wd)
-	if err != nil {
-		return err
-	}
-	wrote := 0
-	for _, p := range pkgs {
-		name := analysis.WireManifestName(p.PkgPath)
-		if name == "" {
-			continue
-		}
-		path := filepath.Join(wireDir, name)
-		old, readErr := os.ReadFile(path)
-		if readErr == nil {
-			if err := analysis.CheckWireBump(p, string(old)); err != nil {
-				return err
-			}
-		}
-		text := analysis.RenderWireManifest(p)
-		if text == "" {
-			continue
-		}
-		if readErr == nil && string(old) == text {
-			continue
-		}
-		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("qmclint: wrote %s\n", path)
-		wrote++
-	}
-	if wrote == 0 {
-		fmt.Println("qmclint: wire manifests already up to date")
-	}
-	return nil
-}
-
-// analysisWireDir locates internal/analysis/testdata/wire from anywhere in
-// the module, via the toolchain rather than a hardcoded relative path.
-func analysisWireDir(wd string) (string, error) {
-	cmd := exec.Command("go", "list", "-f", "{{.Dir}}", "questgo/internal/analysis")
-	cmd.Dir = wd
-	var out, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &stderr
-	if err := cmd.Run(); err != nil {
-		return "", fmt.Errorf("locating questgo/internal/analysis: %v\n%s", err, stderr.String())
-	}
-	return filepath.Join(strings.TrimSpace(out.String()), "testdata", "wire"), nil
+// fatal reports a failure to analyse at all, as distinct from a finding.
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "qmclint: %v\n", err)
+	os.Exit(2)
 }

@@ -21,8 +21,6 @@
 //     internal/obs counter, the known kernel entry points must carry the
 //     annotation, and no counter is charged without one — so the metrics
 //     document cannot silently rot.
-//   - dimcheck: provably mismatched matrix shapes at blas/mat call sites
-//     (dimensions inferred from local mat.New/GetScratch literals).
 //   - rngdiscipline: math/rand is forbidden outside internal/rng; all
 //     stochastic behavior must flow through the deterministic xoshiro
 //     streams or trajectories stop being reproducible.
@@ -33,10 +31,6 @@
 //     through the Stream/Graph execution layer (or Device.Reset), so the
 //     overlap and launch-overhead accounting always reflects an event-
 //     ordered schedule.
-//
-// Wave 2 (PR 10) covers the concurrent and wire-facing layers grown in
-// PRs 7–9:
-//
 //   - ctxflow: every context.WithCancel/WithTimeout cancel func is
 //     deferred, called, or stored; and no ctx.Err() / errors.Is(err,
 //     context.Canceled) classification runs after the corresponding
@@ -48,9 +42,11 @@
 //     channel receive/range, WaitGroup Done) or a justified waiver.
 //   - mapdet: no range over a map in the deterministic packages — map
 //     iteration order is the canonical silent determinism killer.
-//   - wirelock: versioned wire-format structs are locked against golden
-//     manifests under testdata/wire/; field drift without a schema-version
-//     bump is a finding.
+//
+// Every analyzer may assume complete type information: Load refuses a
+// package that does not type-check. The versioned wire documents are not
+// this suite's business — each owning package's TestWireLocked pins them
+// in tier-1 (see internal/wiretest).
 //
 // # Annotations
 //
@@ -84,18 +80,15 @@ import (
 type Analyzer struct {
 	Name     string
 	Doc      string
-	Wave     int // 1 = hot-path wave (PR 4), 2 = concurrency/wire wave (PR 10)
 	Messages []string
 	Run      func(*Pass) error
 }
 
-// Diagnostic is one finding, positioned for file:line:col display. Fix,
-// when non-nil, is a mechanically safe edit `qmclint -fix` may apply.
+// Diagnostic is one finding, positioned for file:line:col display.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Fix      *Fix
 }
 
 func (d Diagnostic) String() string {
@@ -108,8 +101,7 @@ type Pass struct {
 	Fset     *token.FileSet
 	Files    []*ast.File
 	PkgPath  string
-	Pkg      *types.Package // may be nil if type-checking failed badly
-	Info     *types.Info    // always non-nil; maps may be sparse on type errors
+	Info     *types.Info // complete: the package type-checked without error
 
 	diags    *[]Diagnostic
 	suppress map[string]map[int][]string // filename -> line -> allowed analyzer names
@@ -118,15 +110,6 @@ type Pass struct {
 // Reportf records a diagnostic at pos unless a //qmc:allow comment on the
 // same or the preceding line waives this analyzer.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.report(pos, nil, format, args...)
-}
-
-// ReportfFix is Reportf with an attached mechanical fix.
-func (p *Pass) ReportfFix(pos token.Pos, fix *Fix, format string, args ...interface{}) {
-	p.report(pos, fix, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, fix *Fix, format string, args ...interface{}) {
 	position := p.Fset.Position(pos)
 	if p.allowed(position) {
 		return
@@ -136,8 +119,19 @@ func (p *Pass) report(pos token.Pos, fix *Fix, format string, args ...interface{
 		Pos:      position,
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
 	})
+}
+
+// Funcs calls fn for every function declaration that has a body, in file
+// and source order.
+func (p *Pass) Funcs(fn func(fd *ast.FuncDecl)) {
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				fn(fd)
+			}
+		}
+	}
 }
 
 // Message-format coverage bookkeeping: every unsuppressed Reportf records
@@ -262,10 +256,8 @@ func directiveArgs(doc *ast.CommentGroup, prefix string) ([]string, bool) {
 }
 
 // pkgSelector resolves a selector expression like obs.Add to
-// (importPath, funcName) when its base names an imported package. When
-// type information is missing it falls back to the syntactic package name,
-// resolved through the file imports.
-func (p *Pass) pkgSelector(f *ast.File, e ast.Expr) (path, name string) {
+// (importPath, funcName) when its base names an imported package.
+func (p *Pass) pkgSelector(e ast.Expr) (path, name string) {
 	sel, ok := e.(*ast.SelectorExpr)
 	if !ok {
 		return "", ""
@@ -274,23 +266,8 @@ func (p *Pass) pkgSelector(f *ast.File, e ast.Expr) (path, name string) {
 	if !ok {
 		return "", ""
 	}
-	if p.Info != nil {
-		if pn, ok := p.Info.Uses[id].(*types.PkgName); ok {
-			return pn.Imported().Path(), sel.Sel.Name
-		}
-		if _, ok := p.Info.Uses[id]; ok {
-			return "", "" // a real object, not a package qualifier
-		}
-	}
-	for _, imp := range f.Imports {
-		ipath := strings.Trim(imp.Path.Value, `"`)
-		name := ipath[strings.LastIndex(ipath, "/")+1:]
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		if name == id.Name {
-			return ipath, sel.Sel.Name
-		}
+	if pn, ok := p.Info.Uses[id].(*types.PkgName); ok {
+		return pn.Imported().Path(), sel.Sel.Name
 	}
 	return "", ""
 }
@@ -298,16 +275,8 @@ func (p *Pass) pkgSelector(f *ast.File, e ast.Expr) (path, name string) {
 // isBuiltin reports whether id names the given predeclared function (make,
 // append, new, panic, ...), i.e. it is not shadowed by a local object.
 func (p *Pass) isBuiltin(id *ast.Ident, name string) bool {
-	if id.Name != name {
-		return false
-	}
-	if p.Info != nil {
-		if obj, ok := p.Info.Uses[id]; ok {
-			_, builtin := obj.(*types.Builtin)
-			return builtin
-		}
-	}
-	return true
+	_, builtin := p.Info.Uses[id].(*types.Builtin)
+	return builtin && id.Name == name
 }
 
 // RunAnalyzers applies every analyzer to every package and returns the
@@ -333,7 +302,6 @@ func RunAnalyzers(pkgs []*LoadedPackage, analyzers []*Analyzer) ([]Diagnostic, e
 					Fset:     pkg.Fset,
 					Files:    pkg.Files,
 					PkgPath:  pkg.PkgPath,
-					Pkg:      pkg.Types,
 					Info:     pkg.Info,
 					diags:    &perPkg[i],
 					suppress: sup,
@@ -374,7 +342,6 @@ func All() []*Analyzer {
 		HotAlloc,
 		PoolPair,
 		ObsCharge,
-		DimCheck,
 		RngDiscipline,
 		NakedPanic,
 		ErrCheck,
@@ -383,6 +350,5 @@ func All() []*Analyzer {
 		GuardedField,
 		GoLeak,
 		MapDet,
-		WireLock,
 	}
 }

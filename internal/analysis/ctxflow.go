@@ -38,9 +38,7 @@ var ctxCancelCtors = map[string]bool{
 // non-nil unconditionally, so any `ctx.Err() != nil` or
 // errors.Is(err, context.Canceled) classification sequenced after the
 // cancel call reports "canceled" for every outcome, including success.
-// The classification must be captured before canceling (qmclint -fix can
-// reorder the adjacent statement pair when it is provably side-effect
-// free).
+// The classification must be captured before canceling.
 //
 // The ordering check is lexical within one function body: a cancel that
 // only runs on some paths may produce a false positive, which is what
@@ -48,7 +46,6 @@ var ctxCancelCtors = map[string]bool{
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "cancel funcs must be deferred/called/stored; no ctx.Err()/errors.Is(Canceled) classification after cancel()",
-	Wave: 2,
 	Messages: []string{
 		msgCtxLeak,
 		msgCtxDiscard,
@@ -59,33 +56,23 @@ var CtxFlow = &Analyzer{
 }
 
 func runCtxFlow(pass *Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkCtxFlow(pass, f, fd)
-		}
-	}
+	pass.Funcs(func(fd *ast.FuncDecl) { checkCtxFlow(pass, fd) })
 	return nil
 }
 
 // ctxBinding is one `ctx, cancel := context.WithX(...)` pair in a function.
 type ctxBinding struct {
-	ctor       string // qualified constructor, e.g. "context.WithCancel"
-	assign     *ast.AssignStmt
-	ctxObj     types.Object
-	cancelObj  types.Object
-	ctxName    string
-	cancelName string
+	ctor      string // qualified constructor, e.g. "context.WithCancel"
+	assign    *ast.AssignStmt
+	ctxObj    types.Object // nil when the context is discarded
+	cancelObj types.Object
 
 	deferred bool
 	escaped  bool
 	calls    []*ast.CallExpr // plain (non-deferred) cancel() calls
 }
 
-func checkCtxFlow(pass *Pass, file *ast.File, fd *ast.FuncDecl) {
+func checkCtxFlow(pass *Pass, fd *ast.FuncDecl) {
 	var bindings []*ctxBinding
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -97,7 +84,7 @@ func checkCtxFlow(pass *Pass, file *ast.File, fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		path, sel := pass.pkgSelector(file, call.Fun)
+		path, sel := pass.pkgSelector(call.Fun)
 		ctor := path + "." + sel
 		if !ctxCancelCtors[ctor] {
 			return true
@@ -111,15 +98,11 @@ func checkCtxFlow(pass *Pass, file *ast.File, fd *ast.FuncDecl) {
 			pass.Reportf(as.Pos(), msgCtxDiscard, ctor)
 			return true
 		}
-		b := &ctxBinding{ctor: ctor, assign: as, cancelName: cancelID.Name}
+		b := &ctxBinding{ctor: ctor, assign: as, cancelObj: pass.Info.ObjectOf(cancelID)}
 		if ctxID != nil && ctxID.Name != "_" {
-			b.ctxObj = objectOf(pass, ctxID)
-			b.ctxName = ctxID.Name
+			b.ctxObj = pass.Info.ObjectOf(ctxID)
 		}
-		b.cancelObj = objectOf(pass, cancelID)
-		if b.cancelObj != nil {
-			bindings = append(bindings, b)
-		}
+		bindings = append(bindings, b)
 		return true
 	})
 	if len(bindings) == 0 {
@@ -187,7 +170,7 @@ func checkCtxFlow(pass *Pass, file *ast.File, fd *ast.FuncDecl) {
 		if !ok || defIdent[id] {
 			return true
 		}
-		b := byObj[objectOf(pass, id)]
+		b := byObj[pass.Info.ObjectOf(id)]
 		if b == nil {
 			return true
 		}
@@ -206,25 +189,20 @@ func checkCtxFlow(pass *Pass, file *ast.File, fd *ast.FuncDecl) {
 
 	for _, b := range bindings {
 		if !b.deferred && !b.escaped && len(b.calls) == 0 {
-			pass.ReportfFix(b.assign.Pos(), insertDeferFix(pass, b), msgCtxLeak, b.cancelName, b.ctor, b.cancelName)
+			pass.Reportf(b.assign.Pos(), msgCtxLeak, b.cancelObj.Name(), b.ctor, b.cancelObj.Name())
 			continue
 		}
 		if len(b.calls) == 0 {
 			continue
 		}
-		firstCancel := b.calls[0].Pos()
-		for _, c := range b.calls[1:] {
-			if c.Pos() < firstCancel {
-				firstCancel = c.Pos()
-			}
-		}
-		checkAfterCancel(pass, file, fd, b, firstCancel)
+		// Inspect walks in source order, so calls[0] is the first cancel.
+		checkAfterCancel(pass, fd, b, b.calls[0].Pos())
 	}
 }
 
 // checkAfterCancel reports classification expressions lexically after the
 // first plain cancel() call of binding b.
-func checkAfterCancel(pass *Pass, file *ast.File, fd *ast.FuncDecl, b *ctxBinding, firstCancel token.Pos) {
+func checkAfterCancel(pass *Pass, fd *ast.FuncDecl, b *ctxBinding, firstCancel token.Pos) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || call.Pos() <= firstCancel {
@@ -232,126 +210,18 @@ func checkAfterCancel(pass *Pass, file *ast.File, fd *ast.FuncDecl, b *ctxBindin
 		}
 		// ctx.Err() on the canceled context.
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Err" && len(call.Args) == 0 {
-			if id, ok := sel.X.(*ast.Ident); ok && b.ctxObj != nil && objectOf(pass, id) == b.ctxObj {
-				pass.ReportfFix(call.Pos(), swapClassificationFix(pass, fd, b, call), msgCtxErrAfterCancel, b.ctxName, b.cancelName)
+			if id, ok := sel.X.(*ast.Ident); ok && b.ctxObj != nil && pass.Info.ObjectOf(id) == b.ctxObj {
+				pass.Reportf(call.Pos(), msgCtxErrAfterCancel, b.ctxObj.Name(), b.cancelObj.Name())
 			}
 			return true
 		}
 		// errors.Is(err, context.Canceled / context.DeadlineExceeded).
-		if path, name := pass.pkgSelector(file, call.Fun); path == "errors" && name == "Is" && len(call.Args) == 2 {
-			if tpath, tname := pass.pkgSelector(file, call.Args[1]); tpath == "context" &&
+		if path, name := pass.pkgSelector(call.Fun); path == "errors" && name == "Is" && len(call.Args) == 2 {
+			if tpath, tname := pass.pkgSelector(call.Args[1]); tpath == "context" &&
 				(tname == "Canceled" || tname == "DeadlineExceeded") {
-				pass.ReportfFix(call.Pos(), swapClassificationFix(pass, fd, b, call), msgCtxIsAfterCancel, tname, b.cancelName)
+				pass.Reportf(call.Pos(), msgCtxIsAfterCancel, tname, b.cancelObj.Name())
 			}
 		}
 		return true
 	})
-}
-
-// insertDeferFix builds the `defer cancel()` insertion right after the
-// constructor assignment.
-func insertDeferFix(pass *Pass, b *ctxBinding) *Fix {
-	pos := pass.Fset.Position(b.assign.Pos())
-	end := pass.Fset.Position(b.assign.End())
-	indent := ""
-	for i := 1; i < pos.Column; i++ {
-		indent += "\t"
-	}
-	return &Fix{
-		Desc: "insert `defer " + b.cancelName + "()` after the constructor",
-		Kind: FixInsert,
-		Path: end.Filename,
-		Off:  end.Offset,
-		Text: "\n" + indent + "defer " + b.cancelName + "()",
-	}
-}
-
-// swapClassificationFix returns a statement-swap fix when the flagged
-// classification is the assignment immediately following the cancel()
-// statement and is provably safe to hoist: every call inside it is
-// ctx.Err(), errors.Is, or context.Cause, and it never references the
-// cancel func itself. Otherwise nil — the finding stays manual.
-func swapClassificationFix(pass *Pass, fd *ast.FuncDecl, b *ctxBinding, flagged *ast.CallExpr) *Fix {
-	var fix *Fix
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		block, ok := n.(*ast.BlockStmt)
-		if !ok || fix != nil {
-			return true
-		}
-		for i := 0; i+1 < len(block.List); i++ {
-			es, ok := block.List[i].(*ast.ExprStmt)
-			if !ok {
-				continue
-			}
-			cancelCall, ok := es.X.(*ast.CallExpr)
-			if !ok || len(cancelCall.Args) != 0 {
-				continue
-			}
-			id, ok := cancelCall.Fun.(*ast.Ident)
-			if !ok || objectOf(pass, id) != b.cancelObj {
-				continue
-			}
-			next, ok := block.List[i+1].(*ast.AssignStmt)
-			if !ok || flagged.Pos() < next.Pos() || flagged.End() > next.End() {
-				continue
-			}
-			if !hoistableClassification(pass, b, next) {
-				continue
-			}
-			a := pass.Fset.Position(es.Pos())
-			aEnd := pass.Fset.Position(es.End())
-			bStart := pass.Fset.Position(next.Pos())
-			bEnd := pass.Fset.Position(next.End())
-			fix = &Fix{
-				Desc:   "hoist the classification above " + b.cancelName + "()",
-				Kind:   FixSwap,
-				Path:   a.Filename,
-				AStart: a.Offset, AEnd: aEnd.Offset,
-				BStart: bStart.Offset, BEnd: bEnd.Offset,
-			}
-			return false
-		}
-		return true
-	})
-	return fix
-}
-
-// hoistableClassification reports whether the assignment may safely move
-// above the cancel call: its only calls read context/error state and it
-// does not touch the cancel func.
-func hoistableClassification(pass *Pass, b *ctxBinding, as *ast.AssignStmt) bool {
-	ok := true
-	ast.Inspect(as, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if sel, isSel := n.Fun.(*ast.SelectorExpr); isSel {
-				if sel.Sel.Name == "Err" && len(n.Args) == 0 {
-					return true
-				}
-				if id, isID := sel.X.(*ast.Ident); isID && (id.Name == "errors" || id.Name == "context") &&
-					(sel.Sel.Name == "Is" || sel.Sel.Name == "As" || sel.Sel.Name == "Cause") {
-					return true
-				}
-			}
-			ok = false
-		case *ast.Ident:
-			if objectOf(pass, n) == b.cancelObj {
-				ok = false
-			}
-		}
-		return ok
-	})
-	return ok
-}
-
-// objectOf resolves an identifier through Defs then Uses; nil when type
-// information is sparse.
-func objectOf(pass *Pass, id *ast.Ident) types.Object {
-	if pass.Info == nil {
-		return nil
-	}
-	if obj := pass.Info.Defs[id]; obj != nil {
-		return obj
-	}
-	return pass.Info.Uses[id]
 }

@@ -20,7 +20,6 @@ const msgErrDropped = "result of %s includes an error that is discarded; check i
 var ErrCheck = &Analyzer{
 	Name: "errcheck",
 	Doc:  "cmd/* and internal/service must not drop returned errors",
-	Wave: 1,
 	Messages: []string{
 		msgErrDropped,
 	},
@@ -44,9 +43,6 @@ func runErrCheck(pass *Pass) error {
 	if !checked {
 		return nil
 	}
-	if pass.Info == nil {
-		return nil
-	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var call *ast.CallExpr
@@ -61,7 +57,7 @@ func runErrCheck(pass *Pass) error {
 			if call == nil {
 				return true
 			}
-			if path, _ := pass.pkgSelector(f, call.Fun); path == "fmt" {
+			if path, _ := pass.pkgSelector(call.Fun); path == "fmt" {
 				return true
 			}
 			if builderWrite(pass, call) {
@@ -104,15 +100,11 @@ func builderWrite(pass *Pass, call *ast.CallExpr) bool {
 }
 
 func returnsError(pass *Pass, call *ast.CallExpr) bool {
-	tv, ok := pass.Info.Types[call]
-	if !ok || tv.Type == nil {
-		return false
-	}
 	isErr := func(t types.Type) bool {
 		named, ok := t.(*types.Named)
 		return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
 	}
-	switch t := tv.Type.(type) {
+	switch t := pass.Info.TypeOf(call).(type) {
 	case *types.Tuple:
 		for i := 0; i < t.Len(); i++ {
 			if isErr(t.At(i).Type()) {

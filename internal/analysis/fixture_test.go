@@ -3,13 +3,13 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
+	"testing"
 )
 
 // This file is a miniature analysistest: fixture packages live under
@@ -25,14 +25,6 @@ import (
 //
 //	//qmclint:path questgo/internal/blas
 
-// TB is the subset of *testing.T the harness needs; keeping it an
-// interface avoids importing testing into the library.
-type TB interface {
-	Helper()
-	Errorf(format string, args ...interface{})
-	Fatalf(format string, args ...interface{})
-}
-
 var wantRE = regexp.MustCompile(`// want (.+)$`)
 
 // Every fixture load shares one file set and one source importer: the
@@ -42,12 +34,12 @@ var wantRE = regexp.MustCompile(`// want (.+)$`)
 // run in parallel (the importer is not safe for concurrent use).
 var (
 	fixtureFset     = token.NewFileSet()
-	fixtureImporter = importer.ForCompiler(fixtureFset, "source", nil)
+	fixtureImporter = newImporter(fixtureFset)
 )
 
-// RunFixture analyzes testdata/<dir> with a and compares diagnostics
+// runFixture analyzes testdata/<dir> with a and compares diagnostics
 // against the fixture's want comments.
-func RunFixture(t TB, a *Analyzer, dir string) {
+func runFixture(t testing.TB, a *Analyzer, dir string) {
 	t.Helper()
 	pkg := loadFixturePackage(t, dir)
 	type want struct {
@@ -100,9 +92,9 @@ func RunFixture(t TB, a *Analyzer, dir string) {
 }
 
 // loadFixturePackage parses and type-checks one testdata fixture package
-// (honoring //qmclint:path), for RunFixture and for tests that drive
-// RunAnalyzers over several packages at once.
-func loadFixturePackage(t TB, dir string) *LoadedPackage {
+// (honoring //qmclint:path), for runFixture and for tests that drive
+// RunAnalyzers over several packages at once. Fixtures must type-check.
+func loadFixturePackage(t testing.TB, dir string) *LoadedPackage {
 	t.Helper()
 	pattern := filepath.Join("testdata", dir, "*.go")
 	names, err := filepath.Glob(pattern)
@@ -126,7 +118,11 @@ func loadFixturePackage(t TB, dir string) *LoadedPackage {
 			}
 		}
 	}
-	return typeCheck(fixtureFset, fixtureImporter, pkgPath, filepath.Dir(names[0]), files)
+	pkg, err := typeCheck(fixtureFset, fixtureImporter, pkgPath, files)
+	if err != nil {
+		t.Fatalf("fixture %s: %v", dir, err)
+	}
+	return pkg
 }
 
 // splitQuoted extracts the double-quoted substrings of a want clause, e.g.

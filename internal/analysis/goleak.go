@@ -27,7 +27,6 @@ const (
 var GoLeak = &Analyzer{
 	Name: "goleak",
 	Doc:  "every go statement needs a visible drain path (select, channel receive/range, WaitGroup Done) or a justified waiver",
-	Wave: 2,
 	Messages: []string{
 		msgGoLeakNoDrain,
 		msgGoLeakOpaque,
@@ -39,15 +38,7 @@ func runGoLeak(pass *Pass) error {
 	// Index this package's function declarations so `go worker()` can be
 	// resolved to its body.
 	decls := map[types.Object]*ast.FuncDecl{}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				if obj := pass.Info.Defs[fd.Name]; obj != nil {
-					decls[obj] = fd
-				}
-			}
-		}
-	}
+	pass.Funcs(func(fd *ast.FuncDecl) { decls[pass.Info.Defs[fd.Name]] = fd })
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
@@ -75,11 +66,11 @@ func goBody(pass *Pass, decls map[types.Object]*ast.FuncDecl, call *ast.CallExpr
 	case *ast.FuncLit:
 		return fun.Body
 	case *ast.Ident:
-		if fd := decls[objectOf(pass, fun)]; fd != nil {
+		if fd := decls[pass.Info.ObjectOf(fun)]; fd != nil {
 			return fd.Body
 		}
 	case *ast.SelectorExpr:
-		if fd := decls[objectOf(pass, fun.Sel)]; fd != nil {
+		if fd := decls[pass.Info.ObjectOf(fun.Sel)]; fd != nil {
 			return fd.Body
 		}
 	}
@@ -117,9 +108,9 @@ func hasDrainPath(pass *Pass, decls map[types.Object]*ast.FuncDecl, body *ast.Bl
 				var callee types.Object
 				switch fun := n.Fun.(type) {
 				case *ast.Ident:
-					callee = objectOf(pass, fun)
+					callee = pass.Info.ObjectOf(fun)
 				case *ast.SelectorExpr:
-					callee = objectOf(pass, fun.Sel)
+					callee = pass.Info.ObjectOf(fun.Sel)
 				}
 				if fd := decls[callee]; fd != nil && hasDrainPath(pass, decls, fd.Body, depth-1) {
 					found = true
@@ -132,13 +123,6 @@ func hasDrainPath(pass *Pass, decls map[types.Object]*ast.FuncDecl, body *ast.Bl
 }
 
 func isChanType(pass *Pass, e ast.Expr) bool {
-	if pass.Info == nil {
-		return false
-	}
-	tv, ok := pass.Info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	_, isChan := tv.Type.Underlying().(*types.Chan)
+	_, isChan := pass.Info.TypeOf(e).Underlying().(*types.Chan)
 	return isChan
 }

@@ -34,7 +34,6 @@ var (
 var GuardedField = &Analyzer{
 	Name: "guardedfield",
 	Doc:  "//qmc:guarded(mu) fields are only touched under the named mutex or a //qmc:locked(mu) contract",
-	Wave: 2,
 	Messages: []string{
 		msgGuardAccess,
 		msgGuardNoMutex,
@@ -54,15 +53,7 @@ func runGuardedField(pass *Pass) error {
 	if len(guarded) == 0 {
 		return nil
 	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkGuardedAccesses(pass, fd, guarded)
-		}
-	}
+	pass.Funcs(func(fd *ast.FuncDecl) { checkGuardedAccesses(pass, fd, guarded) })
 	return nil
 }
 
@@ -94,9 +85,7 @@ func collectGuardedFields(pass *Pass) map[types.Object]guardInfo {
 					continue
 				}
 				for _, name := range field.Names {
-					if obj := pass.Info.Defs[name]; obj != nil {
-						guarded[obj] = guardInfo{mutex: mu, structName: ts.Name.Name, field: name.Name}
-					}
+					guarded[pass.Info.Defs[name]] = guardInfo{mutex: mu, structName: ts.Name.Name, field: name.Name}
 				}
 			}
 			return true
@@ -129,11 +118,8 @@ func structHasMutex(pass *Pass, st *ast.StructType, mu string) bool {
 			if name.Name != mu {
 				continue
 			}
-			if obj := pass.Info.Defs[name]; obj != nil {
-				s := obj.Type().String()
-				if s == "sync.Mutex" || s == "sync.RWMutex" {
-					return true
-				}
+			if s := pass.Info.Defs[name].Type().String(); s == "sync.Mutex" || s == "sync.RWMutex" {
+				return true
 			}
 		}
 	}
@@ -214,16 +200,12 @@ func collectLockCalls(pass *Pass, body *ast.BlockStmt) map[string]bool {
 }
 
 // namedTypeName resolves the (pointer-dereferenced) named type of an
-// expression, or "".
+// expression, or "" (e is a package qualifier, or its type is unnamed).
 func namedTypeName(pass *Pass, e ast.Expr) string {
-	if pass.Info == nil {
+	t := pass.Info.TypeOf(e)
+	if t == nil {
 		return ""
 	}
-	tv, ok := pass.Info.Types[e]
-	if !ok || tv.Type == nil {
-		return ""
-	}
-	t := tv.Type
 	if ptr, ok := t.Underlying().(*types.Pointer); ok {
 		t = ptr.Elem()
 	}

@@ -47,7 +47,6 @@ const (
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "forbid allocations in //qmc:hot functions and the blas kernel package",
-	Wave: 1,
 	Messages: []string{
 		msgHotBuiltin,
 		msgHotFmt,
@@ -61,29 +60,17 @@ var HotAlloc = &Analyzer{
 }
 
 func runHotAlloc(pass *Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if !hasDirective(fd.Doc, "//qmc:hot") && !autoHotPackages[pass.PkgPath] {
-				continue
-			}
-			(&hotWalker{pass: pass, file: f}).walk(fd.Body, 0)
+	pass.Funcs(func(fd *ast.FuncDecl) {
+		if hasDirective(fd.Doc, "//qmc:hot") || autoHotPackages[pass.PkgPath] {
+			hotWalk(pass, fd.Body, 0)
 		}
-	}
+	})
 	return nil
 }
 
-// hotWalker traverses a hot function body tracking loop depth (a deferred
+// hotWalk traverses a hot function body tracking loop depth (a deferred
 // closure is only alloc-free when the defer is not in a loop).
-type hotWalker struct {
-	pass *Pass
-	file *ast.File
-}
-
-func (w *hotWalker) walk(n ast.Node, loopDepth int) {
+func hotWalk(pass *Pass, n ast.Node, loopDepth int) {
 	if n == nil {
 		return
 	}
@@ -95,64 +82,57 @@ func (w *hotWalker) walk(n ast.Node, loopDepth int) {
 		// the closure does not escape, so scratch-release blocks stay legal.
 		if lit, ok := n.Call.Fun.(*ast.FuncLit); ok && loopDepth == 0 {
 			for _, arg := range n.Call.Args {
-				w.walk(arg, loopDepth)
+				hotWalk(pass, arg, loopDepth)
 			}
-			w.walk(lit.Body, loopDepth)
+			hotWalk(pass, lit.Body, loopDepth)
 			return
 		}
 	case *ast.CallExpr:
 		if id, ok := n.Fun.(*ast.Ident); ok {
 			switch {
-			case w.pass.isBuiltin(id, "panic"):
+			case pass.isBuiltin(id, "panic"):
 				// Failure path: diagnostics may format freely.
 				return
-			case w.pass.isBuiltin(id, "make"), w.pass.isBuiltin(id, "append"), w.pass.isBuiltin(id, "new"):
-				w.pass.Reportf(n.Pos(), msgHotBuiltin, id.Name)
+			case pass.isBuiltin(id, "make"), pass.isBuiltin(id, "append"), pass.isBuiltin(id, "new"):
+				pass.Reportf(n.Pos(), msgHotBuiltin, id.Name)
 			}
 		}
-		if path, name := w.pass.pkgSelector(w.file, n.Fun); path == "fmt" {
-			w.pass.Reportf(n.Pos(), msgHotFmt, name)
+		if path, name := pass.pkgSelector(n.Fun); path == "fmt" {
+			pass.Reportf(n.Pos(), msgHotFmt, name)
+		}
+		// A called method is not a method value: step over the callee
+		// selector to its receiver expression.
+		if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+			hotWalk(pass, sel.X, loopDepth)
+			for _, arg := range n.Args {
+				hotWalk(pass, arg, loopDepth)
+			}
+			return
 		}
 	case *ast.CompositeLit:
 		switch n.Type.(type) {
 		case *ast.ArrayType:
 			if n.Type.(*ast.ArrayType).Len == nil {
-				w.pass.Reportf(n.Pos(), msgHotSliceLit)
+				pass.Reportf(n.Pos(), msgHotSliceLit)
 			}
 		case *ast.MapType:
-			w.pass.Reportf(n.Pos(), msgHotMapLit)
+			pass.Reportf(n.Pos(), msgHotMapLit)
 		}
 	case *ast.FuncLit:
-		w.pass.Reportf(n.Pos(), msgHotClosure)
+		pass.Reportf(n.Pos(), msgHotClosure)
 		return // the body is not on this function's hot path
 	case *ast.GoStmt:
-		w.pass.Reportf(n.Pos(), msgHotGoroutine)
+		pass.Reportf(n.Pos(), msgHotGoroutine)
 	case *ast.SelectorExpr:
 		// A method value (m.F used as a value, not called) allocates its
-		// bound receiver. Detectable only with type info.
-		if w.pass.Info != nil {
-			if sel, ok := w.pass.Info.Selections[n]; ok && sel.Kind() == types.MethodVal && !w.isCalled(n) {
-				w.pass.Reportf(n.Pos(), msgHotMethodValue, n.Sel.Name)
-			}
+		// bound receiver.
+		if sel, ok := pass.Info.Selections[n]; ok && sel.Kind() == types.MethodVal {
+			pass.Reportf(n.Pos(), msgHotMethodValue, n.Sel.Name)
 		}
 	}
 	for _, c := range childNodes(n) {
-		w.walk(c, loopDepth)
+		hotWalk(pass, c, loopDepth)
 	}
-}
-
-// isCalled reports whether sel appears as the callee of some call in the
-// enclosing file (cheap approximation: sel is a callee iff its parent call
-// records it; we just check the direct parent via re-inspection).
-func (w *hotWalker) isCalled(sel *ast.SelectorExpr) bool {
-	called := false
-	ast.Inspect(w.file, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && call.Fun == sel {
-			called = true
-		}
-		return !called
-	})
-	return called
 }
 
 // childNodes returns the direct children of n, in source order.

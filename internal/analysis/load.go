@@ -13,24 +13,23 @@ import (
 	"path/filepath"
 )
 
-// LoadedPackage is one parsed and type-checked package, ready for analysis.
+// LoadedPackage is one parsed and fully type-checked package, ready for
+// analysis.
 type LoadedPackage struct {
 	PkgPath string
-	Dir     string
 	Fset    *token.FileSet
 	Files   []*ast.File
-	Types   *types.Package
 	Info    *types.Info
-	// TypeErr holds the first type-checking error, if any. Analysis still
-	// runs (the analyzers are resilient to sparse type info), but drivers
-	// may want to surface it.
-	TypeErr error
 }
 
 // Load enumerates the packages matching patterns (go list syntax, e.g.
 // "./...") under dir, parses their non-test Go files and type-checks them
 // with the source importer. It needs only the Go toolchain — no module
 // downloads — which keeps qmclint runnable in hermetic build environments.
+// A package that does not type-check is an error: the analyzers rely on
+// complete type information, and a tree that cannot be analysed must not
+// pass. go list honours GOFLAGS, so GOFLAGS=-tags=... selects the files a
+// tagged build would compile.
 func Load(dir string, patterns ...string) ([]*LoadedPackage, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -44,7 +43,7 @@ func Load(dir string, patterns ...string) ([]*LoadedPackage, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
+	imp := newImporter(fset)
 	var pkgs []*LoadedPackage
 	dec := json.NewDecoder(&stdout)
 	for dec.More() {
@@ -67,38 +66,52 @@ func Load(dir string, patterns ...string) ([]*LoadedPackage, error) {
 			}
 			files = append(files, f)
 		}
-		pkgs = append(pkgs, typeCheck(fset, imp, meta.ImportPath, meta.Dir, files))
+		pkg, err := typeCheck(fset, imp, meta.ImportPath, files)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
 }
 
-// typeCheck runs go/types over one package, tolerating errors: a package
-// that fails to type-check fully still gets analyzed with whatever info
-// was recovered.
-func typeCheck(fset *token.FileSet, imp types.Importer, pkgPath, dir string, files []*ast.File) *LoadedPackage {
+// typeCheck runs go/types over one package and fails on the first type
+// error.
+func typeCheck(fset *token.FileSet, imp types.Importer, pkgPath string, files []*ast.File) (*LoadedPackage, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	var firstErr error
-	conf := types.Config{
-		Importer: imp,
-		Error: func(err error) {
-			if firstErr == nil {
-				firstErr = err
-			}
-		},
+	conf := types.Config{Importer: imp}
+	if _, err := conf.Check(pkgPath, fset, files, info); err != nil {
+		return nil, fmt.Errorf("%s does not type-check: %w", pkgPath, err)
 	}
-	tpkg, _ := conf.Check(pkgPath, fset, files, info)
-	return &LoadedPackage{
-		PkgPath: pkgPath,
-		Dir:     dir,
-		Fset:    fset,
-		Files:   files,
-		Types:   tpkg,
-		Info:    info,
-		TypeErr: firstErr,
+	return &LoadedPackage{PkgPath: pkgPath, Fset: fset, Files: files, Info: info}, nil
+}
+
+// cachedImporter memoizes the source importer by import path: on every call,
+// cached or not, that importer first resolves the path through go/build,
+// which costs one `go list` subprocess per module-local import.
+type cachedImporter struct {
+	src  types.Importer
+	pkgs map[string]*types.Package
+}
+
+func (c *cachedImporter) Import(path string) (*types.Package, error) {
+	if pkg := c.pkgs[path]; pkg != nil {
+		return pkg, nil
 	}
+	pkg, err := c.src.Import(path)
+	if err == nil {
+		c.pkgs[path] = pkg
+	}
+	return pkg, err
+}
+
+// newImporter returns a memoizing source importer over fset. It is not safe
+// for concurrent use.
+func newImporter(fset *token.FileSet) types.Importer {
+	return &cachedImporter{src: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*types.Package{}}
 }

@@ -31,7 +31,6 @@ var mapdetExempt = map[string]bool{
 var MapDet = &Analyzer{
 	Name: "mapdet",
 	Doc:  "no range over a map in deterministic packages; iterate sorted keys or a canonical index",
-	Wave: 2,
 	Messages: []string{
 		msgMapRange,
 	},
@@ -45,15 +44,7 @@ func runMapDet(pass *Pass) error {
 	if !strings.HasPrefix(pass.PkgPath, "questgo") && !strings.HasPrefix(pass.PkgPath, "fixture/mapdet") {
 		return nil
 	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkMapRanges(pass, fd)
-		}
-	}
+	pass.Funcs(func(fd *ast.FuncDecl) { checkMapRanges(pass, fd) })
 	return nil
 }
 
@@ -63,39 +54,23 @@ func checkMapRanges(pass *Pass, fd *ast.FuncDecl) {
 		if !ok || !isMapType(pass, rs.X) {
 			return true
 		}
-		if isMapCopyLoop(pass, rs) || isCollectThenSort(pass, fd, rs) {
+		if isMapCopyLoop(rs) || isCollectThenSort(pass, fd, rs) {
 			return true
 		}
-		pass.Reportf(rs.Pos(), msgMapRange, typeLabel(pass, rs.X))
+		pass.Reportf(rs.Pos(), msgMapRange, pass.Info.TypeOf(rs.X))
 		return true
 	})
 }
 
 func isMapType(pass *Pass, e ast.Expr) bool {
-	if pass.Info == nil {
-		return false
-	}
-	tv, ok := pass.Info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	_, isMap := tv.Type.Underlying().(*types.Map)
+	_, isMap := pass.Info.TypeOf(e).Underlying().(*types.Map)
 	return isMap
-}
-
-func typeLabel(pass *Pass, e ast.Expr) string {
-	if pass.Info != nil {
-		if tv, ok := pass.Info.Types[e]; ok && tv.Type != nil {
-			return tv.Type.String()
-		}
-	}
-	return "map"
 }
 
 // isMapCopyLoop recognizes `for k, v := range src { dst[k] = v ... }`
 // bodies: every statement assigns through an index expression, so the
 // visitation order cannot be observed.
-func isMapCopyLoop(pass *Pass, rs *ast.RangeStmt) bool {
+func isMapCopyLoop(rs *ast.RangeStmt) bool {
 	if len(rs.Body.List) == 0 {
 		return false
 	}
@@ -128,18 +103,11 @@ func isCollectThenSort(pass *Pass, fd *ast.FuncDecl, rs *ast.RangeStmt) bool {
 		if !ok || call.Pos() <= rs.End() || len(call.Args) == 0 {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		pkg, ok := sel.X.(*ast.Ident)
-		if !ok || (pkg.Name != "sort" && pkg.Name != "slices") {
+		if path, _ := pass.pkgSelector(call.Fun); path != "sort" && path != "slices" {
 			return true
 		}
 		if id, ok := call.Args[0].(*ast.Ident); ok {
-			if obj := objectOf(pass, id); obj != nil {
-				sorted[obj] = true
-			}
+			sorted[pass.Info.ObjectOf(id)] = true
 		}
 		return true
 	})
@@ -173,9 +141,7 @@ func collectAppendTargets(pass *Pass, stmts []ast.Stmt, out map[types.Object]boo
 			if !ok || !pass.isBuiltin(fun, "append") {
 				return false
 			}
-			if obj := objectOf(pass, id); obj != nil {
-				out[obj] = true
-			}
+			out[pass.Info.ObjectOf(id)] = true
 		case *ast.IfStmt:
 			if s.Else != nil || !collectAppendTargets(pass, s.Body.List, out) {
 				return false

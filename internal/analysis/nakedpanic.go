@@ -34,7 +34,6 @@ const msgNakedPanic = "shape panic %q carries no dimensions; use fmt.Sprintf wit
 var NakedPanic = &Analyzer{
 	Name: "nakedpanic",
 	Doc:  "kernel shape panics must carry the offending dimensions",
-	Wave: 1,
 	Messages: []string{
 		msgNakedPanic,
 	},

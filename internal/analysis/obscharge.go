@@ -28,7 +28,6 @@ const (
 var ObsCharge = &Analyzer{
 	Name: "obscharge",
 	Doc:  "kernel entry points must charge their internal/obs counters",
-	Wave: 1,
 	Messages: []string{
 		msgObsNotCharged,
 		msgObsMissingAnnot,
@@ -81,41 +80,35 @@ var obsChargePackages = map[string]bool{
 
 func runObsCharge(pass *Pass) error {
 	registry := obsKernelRegistry[pass.PkgPath]
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			declared, annotated := directiveArgs(fd.Doc, "//qmc:charges")
-			charged := chargedOps(pass, f, fd)
+	pass.Funcs(func(fd *ast.FuncDecl) {
+		declared, annotated := directiveArgs(fd.Doc, "//qmc:charges")
+		charged := chargedOps(pass, fd)
 
-			if annotated {
-				for _, op := range declared {
-					if !charged[op] {
-						pass.Reportf(fd.Pos(), msgObsNotCharged,
-							fd.Name.Name, op, op, gemmHint(op))
-					}
-				}
-			} else {
-				op, required := registry[recvTypeName(fd)+"."+fd.Name.Name]
-				if !required {
-					op, required = registry[fd.Name.Name]
-				}
-				if required {
-					pass.Reportf(fd.Pos(), msgObsMissingAnnot, fd.Name.Name, op)
-				}
-				if len(charged) > 0 && obsChargePackages[pass.PkgPath] {
-					ops := make([]string, 0, len(charged))
-					for op := range charged {
-						ops = append(ops, op)
-					}
-					pass.Reportf(fd.Pos(), msgObsUndeclCharges,
-						fd.Name.Name, strings.Join(ops, ","))
+		if annotated {
+			for _, op := range declared {
+				if !charged[op] {
+					pass.Reportf(fd.Pos(), msgObsNotCharged,
+						fd.Name.Name, op, op, gemmHint(op))
 				}
 			}
+			return
 		}
-	}
+		op, required := registry[recvTypeName(fd)+"."+fd.Name.Name]
+		if !required {
+			op, required = registry[fd.Name.Name]
+		}
+		if required {
+			pass.Reportf(fd.Pos(), msgObsMissingAnnot, fd.Name.Name, op)
+		}
+		if len(charged) > 0 && obsChargePackages[pass.PkgPath] {
+			ops := make([]string, 0, len(charged))
+			for op := range charged {
+				ops = append(ops, op)
+			}
+			pass.Reportf(fd.Pos(), msgObsUndeclCharges,
+				fd.Name.Name, strings.Join(ops, ","))
+		}
+	})
 	return nil
 }
 
@@ -128,14 +121,14 @@ func gemmHint(op string) string {
 
 // chargedOps returns the set of obs counter names fd's body charges.
 // obs.AddGemm counts as charging both OpGemmCalls and OpGemmFlops.
-func chargedOps(pass *Pass, file *ast.File, fd *ast.FuncDecl) map[string]bool {
+func chargedOps(pass *Pass, fd *ast.FuncDecl) map[string]bool {
 	ops := make(map[string]bool)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		path, name := pass.pkgSelector(file, call.Fun)
+		path, name := pass.pkgSelector(call.Fun)
 		if path != pkgObs {
 			return true
 		}
@@ -145,7 +138,7 @@ func chargedOps(pass *Pass, file *ast.File, fd *ast.FuncDecl) map[string]bool {
 			ops["OpGemmFlops"] = true
 		case "Add":
 			if len(call.Args) >= 1 {
-				if opPath, opName := pass.pkgSelector(file, call.Args[0]); opPath == pkgObs {
+				if opPath, opName := pass.pkgSelector(call.Args[0]); opPath == pkgObs {
 					ops[opName] = true
 				}
 			}

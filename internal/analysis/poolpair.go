@@ -24,7 +24,6 @@ const (
 var PoolPair = &Analyzer{
 	Name: "poolpair",
 	Doc:  "every mat.GetScratch needs a mat.PutScratch on the same function's paths",
-	Wave: 1,
 	Messages: []string{
 		msgPoolUnbound,
 		msgPoolEscape,
@@ -34,19 +33,11 @@ var PoolPair = &Analyzer{
 }
 
 func runPoolPair(pass *Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkPoolPairs(pass, f, fd)
-		}
-	}
+	pass.Funcs(func(fd *ast.FuncDecl) { checkPoolPairs(pass, fd) })
 	return nil
 }
 
-func checkPoolPairs(pass *Pass, file *ast.File, fd *ast.FuncDecl) {
+func checkPoolPairs(pass *Pass, fd *ast.FuncDecl) {
 	type scratch struct {
 		get *ast.CallExpr
 		put bool
@@ -55,7 +46,7 @@ func checkPoolPairs(pass *Pass, file *ast.File, fd *ast.FuncDecl) {
 	var returned []string
 
 	isMatCall := func(call *ast.CallExpr, name string) bool {
-		if path, sel := pass.pkgSelector(file, call.Fun); path == pkgMat && sel == name {
+		if path, sel := pass.pkgSelector(call.Fun); path == pkgMat && sel == name {
 			return true
 		}
 		// Inside package mat itself the calls are unqualified.

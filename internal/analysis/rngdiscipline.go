@@ -18,7 +18,6 @@ const msgRngImport = "import of %s outside internal/rng breaks deterministic tra
 var RngDiscipline = &Analyzer{
 	Name: "rngdiscipline",
 	Doc:  "math/rand is forbidden outside internal/rng",
-	Wave: 1,
 	Messages: []string{
 		msgRngImport,
 	},

@@ -23,7 +23,6 @@ const (
 var StreamOrder = &Analyzer{
 	Name: "streamorder",
 	Doc:  "Device clock state must be written through a Stream or Graph",
-	Wave: 1,
 	Messages: []string{
 		msgStreamWrite,
 		msgStreamAtomicWrite,
@@ -57,45 +56,35 @@ func runStreamOrder(pass *Pass) error {
 	if pass.PkgPath != pkgGPU {
 		return nil
 	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || streamOrderExempt(fd) {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						if name, ok := clockFieldSelector(lhs); ok {
-							pass.Reportf(lhs.Pos(), msgStreamWrite, name)
-						}
-					}
-				case *ast.IncDecStmt:
-					if name, ok := clockFieldSelector(n.X); ok {
-						pass.Reportf(n.Pos(), msgStreamWrite, name)
-					}
-				case *ast.CallExpr:
-					sel, ok := n.Fun.(*ast.SelectorExpr)
-					if !ok || !atomicWriters[sel.Sel.Name] {
-						return true
-					}
-					if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "atomic" {
-						return true
-					}
-					if len(n.Args) == 0 {
-						return true
-					}
-					if addr, ok := n.Args[0].(*ast.UnaryExpr); ok && addr.Op == token.AND {
-						if name, ok := clockFieldSelector(addr.X); ok {
-							pass.Reportf(n.Pos(), msgStreamAtomicWrite, name)
-						}
+	pass.Funcs(func(fd *ast.FuncDecl) {
+		if streamOrderExempt(fd) {
+			return
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if name, ok := clockFieldSelector(lhs); ok {
+						pass.Reportf(lhs.Pos(), msgStreamWrite, name)
 					}
 				}
-				return true
-			})
-		}
-	}
+			case *ast.IncDecStmt:
+				if name, ok := clockFieldSelector(n.X); ok {
+					pass.Reportf(n.Pos(), msgStreamWrite, name)
+				}
+			case *ast.CallExpr:
+				if path, name := pass.pkgSelector(n.Fun); path != "sync/atomic" || !atomicWriters[name] || len(n.Args) == 0 {
+					return true
+				}
+				if addr, ok := n.Args[0].(*ast.UnaryExpr); ok && addr.Op == token.AND {
+					if name, ok := clockFieldSelector(addr.X); ok {
+						pass.Reportf(n.Pos(), msgStreamAtomicWrite, name)
+					}
+				}
+			}
+			return true
+		})
+	})
 	return nil
 }
 

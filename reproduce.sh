@@ -20,17 +20,23 @@ if [ -n "$UNFORMATTED" ]; then
     exit 1
 fi
 go vet ./...
-# All 13 analyzers (waves 1+2) over the whole tree; any finding exits 1.
-# The run also appends one analyzer/finding-count record to BENCH_lint.json.
-go run ./cmd/qmclint -json BENCH_lint.json ./...
+# All 11 analyzers over the whole tree; any finding exits 1, a package that
+# does not type-check exits 2. (The wire-document lock is not here: it is
+# TestWireLocked in tier-1, `go test ./...`.)
+go run ./cmd/qmclint ./...
 go test -race ./internal/parallel/ ./internal/blas/ ./internal/update/ ./internal/greens/ ./internal/obs/ ./internal/autopilot/ ./internal/core/ ./internal/gpu/ ./internal/service/ ./internal/analysis/
 echo "== Verify: qmcdebug sanitizer build (NaN/Inf scans, drift asserts, pool bookkeeping)"
 go test -tags qmcdebug ./internal/...
+# go list honours GOFLAGS, so this lints the files the default build hides
+# (check_on.go, mat/scratch_debug.go, lapack/pool_debug.go).
+GOFLAGS=-tags=qmcdebug go run ./cmd/qmclint ./internal/...
 # The portable 4x4 micro-kernel (and its partial-tile path) never executes
 # on an amd64 box otherwise; the consumers ride along because the kernel's
 # rounding differs from the FMA one.
 echo "== Verify: portable micro-kernel build (-tags purego)"
 go test -tags purego ./internal/blas/ ./internal/lapack/ ./internal/greens/ ./internal/update/
+# ... and gemm_generic.go is invisible to hotalloc/poolpair/nakedpanic otherwise.
+GOFLAGS=-tags=purego go run ./cmd/qmclint ./internal/blas ./internal/lapack ./internal/mat
 echo "== Verify: fuzz kernels against reference implementations (10s each)"
 go test ./internal/blas/ -run NoSuchTest -fuzz 'FuzzGemmPackedVsNaive$' -fuzztime 10s
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzQRReconstruct$' -fuzztime 10s
