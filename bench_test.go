@@ -364,7 +364,7 @@ func BenchmarkFig09_GPUCluster(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			prop, field := benchSetup(b, nx, 4, 2, 20)
 			dev := gpu.NewDevice(gpu.TeslaC2050())
-			acc := gpu.NewAccelerator(dev, prop)
+			acc := gpu.NewAccelerator(dev, prop, 32, false)
 			dst := mat.New(n, n)
 			dev.Reset()
 			b.ResetTimer()
@@ -385,7 +385,7 @@ func BenchmarkFig09_GPUWrap(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			prop, field := benchSetup(b, nx, 4, 2, 20)
 			dev := gpu.NewDevice(gpu.TeslaC2050())
-			acc := gpu.NewAccelerator(dev, prop)
+			acc := gpu.NewAccelerator(dev, prop, 32, false)
 			g := randomMatrix(8, n)
 			dev.Reset()
 			b.ResetTimer()
@@ -406,7 +406,7 @@ func BenchmarkFig10_HybridGreens(b *testing.B) {
 	n := nx * nx
 	prop, field := benchSetup(b, nx, 4, 4, 40)
 	dev := gpu.NewDevice(gpu.TeslaC2050())
-	acc := gpu.NewAccelerator(dev, prop)
+	acc := gpu.NewAccelerator(dev, prop, 32, false)
 	cs := greens.NewClusterSetWith(prop, field, hubbard.Up, 10, acc.Cluster)
 	dev.Reset()
 	b.ResetTimer()
@@ -433,48 +433,10 @@ func measurePkg(lat *lattice.Lattice, sw *update.Sweeper) *measure.EqualTime {
 
 // ------------------------------------------- Section VII future work
 
-// BenchmarkFutureWork_HybridQR pins the Section VII deliverable: the
-// MAGMA-style hybrid QR (CPU panels + simulated-device trailing updates),
-// reporting the modeled device rate alongside wall time.
-func BenchmarkFutureWork_HybridQR(b *testing.B) {
-	for _, n := range []int{128, 256} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			a := randomMatrix(41, n)
-			dev := gpu.NewDevice(gpu.TeslaC2050())
-			st := dev.NewStream()
-			da := dev.Malloc(n, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st.SetMatrix(da, a)
-				gpu.QRFactorHybrid(st, da)
-			}
-			b.StopTimer()
-			b.ReportMetric(dev.GFlopsRate(), "modeled-GF/s")
-		})
-	}
-}
-
-// BenchmarkFutureWork_HybridStratify runs the whole Algorithm 3 with
-// device-resident level-3 work — the paper's "implement most of the
-// stratification procedure on the GPU".
-func BenchmarkFutureWork_HybridStratify(b *testing.B) {
-	prop, field := benchSetup(b, 8, 4, 4, 40)
-	cs := greens.NewClusterSet(prop, field, hubbard.Up, 10)
-	chain := cs.Chain(0)
-	dev := gpu.NewDevice(gpu.TeslaC2050())
-	st := dev.NewStream()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gpu.StratifyHybrid(st, chain)
-	}
-	b.StopTimer()
-	b.ReportMetric(dev.GFlopsRate(), "modeled-GF/s")
-}
-
 // BenchmarkFutureWork_HybridSweeper runs the complete device-offloaded
-// Metropolis sweep (wrapping, clustering, stratification and delayed-
-// update flushes on the simulated device) — the end state the paper's
-// conclusion projects for DQMC on GPU-accelerated nodes.
+// Metropolis sweep (wrapping, clustering and delayed-update flushes on the
+// simulated device, stratification on the host) — the part of the paper's
+// Section VII projection the production path implements.
 func BenchmarkFutureWork_HybridSweeper(b *testing.B) {
 	prop, field := benchSetup(b, 8, 4, 2, 20)
 	dev := gpu.NewDevice(gpu.TeslaC2050())

@@ -45,6 +45,9 @@ import (
 	"questgo/internal/update"
 )
 
+// delay sizes the accelerators' flush operands: update's default block.
+const delay = 32
+
 func main() {
 	fig := flag.Int("fig", 9, "figure to regenerate (9 or 10)")
 	sizesFlag := flag.String("sizes", "64,144,256,576,1024", "site counts (perfect squares)")
@@ -115,7 +118,7 @@ func figure9(sizes []int, k int, jsonPath string) {
 		}
 		_ = nx
 		dev := gpu.NewDevice(gpu.TeslaC2050())
-		acc := gpu.NewAccelerator(dev, prop)
+		acc := gpu.NewAccelerator(dev, prop, delay, false)
 
 		dev.Reset() // exclude the one-time B/B^{-1} upload, as the paper does
 		dst := mat.New(n, n)
@@ -168,7 +171,7 @@ func figure10(sizes []int, k, l int, jsonPath string) {
 			continue
 		}
 		dev := gpu.NewDevice(gpu.TeslaC2050())
-		acc := gpu.NewAccelerator(dev, prop)
+		acc := gpu.NewAccelerator(dev, prop, delay, false)
 		gcs := greens.NewClusterSetWith(prop, field, hubbard.Up, k, acc.Cluster)
 		nc := gcs.NC
 
@@ -236,8 +239,7 @@ func graphSeries(jsonPath string) bool {
 	run := func(graphs bool) (launchUS, secs, flops float64) {
 		prop, field, _ := setup(n, l, uint64(n))
 		dev := gpu.NewDevice(gpu.TeslaC2050())
-		acc := gpu.NewAccelerator(dev, prop)
-		acc.EnableGraphs(graphs)
+		acc := gpu.NewAccelerator(dev, prop, delay, graphs)
 		g := randomMatrix(n)
 		c0, c1 := mat.New(n, n), mat.New(n, n)
 		dev.Reset() // exclude the one-time B/B^{-1} upload, as the paper does
@@ -283,7 +285,7 @@ func graphSeries(jsonPath string) bool {
 }
 
 // chainSeries sweeps independent Markov chains sharded over 1, 2 and 4
-// simulated devices (Scheduler.PlaceChains), graphs off and on. The
+// simulated devices (chain c on device c mod devices), graphs off and on. The
 // modeled group clock must shrink as devices absorb chains — the gate
 // requires >= 1.6x at 2 devices — while the trajectories (auxiliary field
 // plus both Green's functions) stay bitwise identical in every
@@ -295,13 +297,12 @@ func chainSeries(jsonPath string) bool {
 	}
 	run := func(nd int, graphs bool) result {
 		grp := gpu.NewGroup(nd, gpu.TeslaC2050())
-		owners := gpu.Scheduler{G: grp}.PlaceChains(chains)
 		var flops, sig float64
 		for c := 0; c < chains; c++ {
 			prop, field, _ := setup(n, l, uint64(1000+c))
 			sw := update.NewSweeperOn(prop, field, rng.New(uint64(77+c)),
 				update.Options{ClusterK: k, PrePivot: true},
-				gpu.NewBackend(gpu.GroupOf(grp.Devs[owners[c]]), graphs))
+				gpu.NewBackend(gpu.GroupOf(grp.Devs[c%nd]), graphs))
 			sw.Sweep()
 			sig += fieldSum(field) + matSum(sw.GreenUp()) + matSum(sw.GreenDn())
 		}

@@ -64,7 +64,6 @@ var obsKernelRegistry = map[string]map[string]string{
 		// The device backend's Wrap delegates here; its Flush is charged by
 		// the one update.spinState.flush.
 		"Accelerator.Wrap": "OpWraps",
-		"QRFactorHybrid":   "OpQRFactorizations",
 		"Replay":           "OpGraphReplays",
 	},
 }

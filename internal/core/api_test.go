@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"math"
-	"os"
 	"path/filepath"
 	"testing"
 )
@@ -177,42 +176,33 @@ func TestRunCancelCheckpoints(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.json.gz")
 	ctx, cancel := context.WithCancel(context.Background())
 	sweeps := 0
-	_, err := Run(ctx, cfg,
-		WithProgress(func(p Progress) {
-			sweeps++
-			if sweeps == 5 {
-				cancel()
-			}
-		}),
-		WithCheckpointOnCancel(path))
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sim.RunContext(ctx, func(p Progress) {
+		sweeps++
+		if sweeps == 5 {
+			cancel()
+		}
+	})
 	cancel()
 	if err == nil {
 		t.Fatal("canceled run returned no error")
 	}
-	if _, serr := os.Stat(path); serr != nil {
-		t.Fatalf("checkpoint not written on cancel: %v", serr)
+	if err := sim.Checkpoint().Save(path); err != nil {
+		t.Fatalf("checkpoint not written on cancel: %v", err)
 	}
 	ck, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ck.Config.MeasSweeps = 3
-	sim, err := Resume(ck)
+	resumed, err := Resume(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := sim.Run(); res.AvgSign == 0 {
+	if res := resumed.Run(); res.AvgSign == 0 {
 		t.Fatal("resumed run produced no statistics")
-	}
-}
-
-func TestRunRejectsWalkerCheckpoint(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Nx, cfg.Ny = 2, 2
-	cfg.L = 8
-	cfg.WarmSweeps, cfg.MeasSweeps = 1, 2
-	if _, err := Run(context.Background(), cfg,
-		WithWalkers(2), WithCheckpointOnCancel("x")); err == nil {
-		t.Fatal("walkers + checkpoint-on-cancel must be rejected")
 	}
 }

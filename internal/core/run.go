@@ -13,9 +13,8 @@ import (
 type RunOption func(*runOptions)
 
 type runOptions struct {
-	progress       func(Progress)
-	walkers        int
-	checkpointPath string
+	progress func(Progress)
+	walkers  int
 }
 
 // WithProgress registers a callback invoked after every sweep with the
@@ -32,13 +31,6 @@ func WithProgress(cb func(Progress)) RunOption {
 // phase breakdown (whose coverage can exceed 1x wall — the walkers overlap).
 func WithWalkers(n int) RunOption {
 	return func(o *runOptions) { o.walkers = n }
-}
-
-// WithCheckpointOnCancel saves the Markov-chain state to path when the
-// context is canceled mid-run, so the chain can be continued with Resume.
-// Single-walker runs only.
-func WithCheckpointOnCancel(path string) RunOption {
-	return func(o *runOptions) { o.checkpointPath = path }
 }
 
 // WalkerSeed derives the RNG seed of walker (or shard) w from a base seed:
@@ -59,9 +51,6 @@ func Run(ctx context.Context, cfg Config, options ...RunOption) (*Results, error
 	for _, opt := range options {
 		opt(&ro)
 	}
-	if ro.walkers > 1 && ro.checkpointPath != "" {
-		return nil, fmt.Errorf("core: checkpoint-on-cancel supports a single walker, not %d", ro.walkers)
-	}
 	if ro.walkers > 1 && cfg.Autopilot {
 		// Walkers share one collector, so its single stability listener cannot
 		// route samples to per-walker controllers.
@@ -72,16 +61,7 @@ func Run(ctx context.Context, cfg Config, options ...RunOption) (*Results, error
 		if err != nil {
 			return nil, err
 		}
-		res, err := sim.RunContext(ctx, ro.progress)
-		if err != nil {
-			if ro.checkpointPath != "" {
-				if cerr := sim.Checkpoint().Save(ro.checkpointPath); cerr != nil {
-					return nil, fmt.Errorf("core: run canceled (%w); checkpoint failed: %v", err, cerr)
-				}
-			}
-			return nil, err
-		}
-		return res, nil
+		return sim.RunContext(ctx, ro.progress)
 	}
 
 	// Multi-walker: one shared collector baselines the op counters around

@@ -381,8 +381,7 @@ func (s *Simulation) report(cb func(Progress), stage string, sweep, total int) {
 // RunContext executes the full schedule, stopping between sweeps when ctx is
 // canceled. On cancellation it returns ctx.Err() with nil results; the
 // simulation remains in a consistent state, so the caller can Checkpoint()
-// it and resume later (package-level Run wires this up as
-// checkpoint-on-cancel).
+// it and resume later (cmd/dqmc -checkpoint does).
 func (s *Simulation) RunContext(ctx context.Context, cb func(Progress)) (*Results, error) {
 	// Re-baseline the collector so constructor work (cluster building, stack
 	// setup — or a long gap between New and Run) is excluded from the run's

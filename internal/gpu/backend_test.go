@@ -289,3 +289,65 @@ func TestCrossEngineBitwise(t *testing.T) {
 		}
 	}
 }
+
+// TestModeledClockGolden pins the modeled device accounting of the
+// production path to the nanosecond: two sweeps of a fixed 3x3, L=8, k=4,
+// delay=3 lattice through NewSweeperOn over NewBackend, for 1/2/4 devices
+// with graphs off and on. Every cell is a sum or a max of per-stream
+// atomics, so the values repeat exactly; a change that reorders the ops on
+// a stream, moves an op to another stream or changes an allocation shows
+// up here. The literals were recorded at commit 0a598e9, before the
+// Accelerator absorbed the flush lane.
+func TestModeledClockGolden(t *testing.T) {
+	type cell struct {
+		clockNS, launchNS  int64
+		kernels            int
+		transferred, flops int64
+		maxAllocBytes      int64
+	}
+	golden := map[string][]cell{
+		"devices=1 graphs=false": {
+			{4509712, 5740000, 252, 178272, 185652, 8928},
+		},
+		"devices=1 graphs=true": {
+			{2949712, 3500000, 252, 178272, 185652, 8928},
+		},
+		"devices=2 graphs=false": {
+			{2254856, 2870000, 126, 89136, 92826, 4464},
+			{2254856, 2870000, 126, 89136, 92826, 4464},
+		},
+		"devices=2 graphs=true": {
+			{1630089, 1750000, 126, 89136, 92826, 4464},
+			{1630089, 1750000, 126, 89136, 92826, 4464},
+		},
+		"devices=4 graphs=false": {
+			{1177788, 1490000, 64, 46728, 46656, 4464},
+			{1097284, 1400000, 62, 43704, 46170, 4464},
+			{1177788, 1490000, 64, 46728, 46656, 4464},
+			{1097284, 1400000, 62, 43704, 46170, 4464},
+		},
+		"devices=4 graphs=true": {
+			{860297, 930000, 64, 46728, 46656, 4464},
+			{769792, 840000, 62, 43704, 46170, 4464},
+			{860297, 930000, 64, 46728, 46656, 4464},
+			{769792, 840000, 62, 43704, 46170, 4464},
+		},
+	}
+	for _, nd := range []int{1, 2, 4} {
+		for _, graphs := range []bool{false, true} {
+			name := fmt.Sprintf("devices=%d graphs=%v", nd, graphs)
+			p, f := testSetup(t, 3, 3, 4, 2, 8, 61)
+			grp := NewGroup(nd, TeslaC2050())
+			sw := deviceSweeper(grp, p, f, rng.New(11), update.Options{ClusterK: 4, Delay: 3}, graphs)
+			sw.Sweep()
+			sw.Sweep()
+			for i, d := range grp.Devs {
+				got := cell{int64(d.Clock()), int64(d.LaunchOverhead()), d.Kernels(),
+					d.Transferred(), int64(d.Flops()), d.MaxAllocBytes()}
+				if got != golden[name][i] {
+					t.Errorf("%s device %d: modeled accounting moved:\n got %+v\nwant %+v", name, i, got, golden[name][i])
+				}
+			}
+		}
+	}
+}

@@ -23,6 +23,13 @@
 // Clock is the lower-bound makespan max(stream critical paths, engine
 // occupancies). Command graphs (graph.go) record a stream's launch
 // sequence once and replay it for a single launch overhead.
+//
+// The package is that hardware — Device, Matrix, Stream, Event, Graph and a
+// Group of devices — plus one device's implementation of the three level-3
+// kernels a sweep offloads (Accelerator: Cluster, Wrap, Flush) and the
+// router that shards a spin sector's blocks over its device pool
+// (NewBackend). Every Stream op can be captured into a Graph.
+// Stratification stays on the host, as in the paper's Section VI.
 package gpu
 
 import (
@@ -114,9 +121,6 @@ type Matrix struct {
 	m    *mat.Dense
 	rows int
 	cols int
-	// owned is the allocation size accounted to the device; 0 for views
-	// (which share a parent's storage) and for freed matrices.
-	owned int64
 }
 
 // Rows returns the matrix row count.
@@ -136,21 +140,12 @@ func (d *Device) Malloc(rows, cols int) *Matrix {
 			break
 		}
 	}
-	return &Matrix{dev: d, m: mat.New(rows, cols), rows: rows, cols: cols, owned: bytes}
+	return &Matrix{dev: d, m: mat.New(rows, cols), rows: rows, cols: cols}
 }
 
-// Free releases the device allocation (cudaFree). Safe to call twice; a
-// no-op on views, which never own storage. Any later device operation on
-// the freed matrix panics, catching use-after-free in the modeled memory
-// accounting.
-func (a *Matrix) Free() {
-	if a.owned == 0 {
-		return
-	}
-	atomic.AddInt64(&a.dev.allocBytes, -a.owned)
-	a.owned = 0
-	a.dev = nil
-	a.m = nil
+// Sub returns a view of the device matrix sharing its storage.
+func (a *Matrix) Sub(i, j, rows, cols int) *Matrix {
+	return &Matrix{dev: a.dev, m: a.m.View(i, j, rows, cols), rows: rows, cols: cols}
 }
 
 // AllocBytes returns the bytes currently allocated on the device.
@@ -162,9 +157,6 @@ func (d *Device) MaxAllocBytes() int64 { return atomic.LoadInt64(&d.maxAllocByte
 
 func (d *Device) checkOwned(a *Matrix) {
 	if a.dev != d {
-		if a.dev == nil {
-			panic("gpu: use of freed device matrix")
-		}
 		panic("gpu: matrix belongs to another device")
 	}
 }

@@ -127,7 +127,7 @@ func TestScaleRowsColsKernel(t *testing.T) {
 func TestAcceleratorClusterMatchesCPU(t *testing.T) {
 	p, f := testSetup(t, 3, 3, 4, 2, 8, 5)
 	dev := NewDevice(TeslaC2050())
-	acc := NewAccelerator(dev, p)
+	acc := NewAccelerator(dev, p, 1, false)
 	cpu := greens.NewClusterSet(p, f, hubbard.Up, 4)
 	gpuCS := greens.NewClusterSetWith(p, f, hubbard.Up, 4, acc.Cluster)
 	for c := 0; c < 2; c++ {
@@ -148,8 +148,7 @@ func TestClusterBuilderParity(t *testing.T) {
 		host := greens.NewClusterSet(p, f, hubbard.Down, k)
 		sets := []*greens.ClusterSet{host}
 		for _, graphs := range []bool{false, true} {
-			acc := NewAccelerator(NewDevice(TeslaC2050()), p)
-			acc.EnableGraphs(graphs)
+			acc := NewAccelerator(NewDevice(TeslaC2050()), p, 1, graphs)
 			sets = append(sets, greens.NewClusterSetWith(p, f, hubbard.Down, k, acc.Cluster))
 		}
 		before := make([]*mat.Dense, host.NC)
@@ -184,7 +183,7 @@ func TestAcceleratorWrapMatchesCPU(t *testing.T) {
 	w := greens.NewWrapper(p)
 	w.Wrap(gCPU, f, hubbard.Up, 0)
 	dev := NewDevice(TeslaC2050())
-	acc := NewAccelerator(dev, p)
+	acc := NewAccelerator(dev, p, 1, false)
 	acc.Wrap(gGPU, f, hubbard.Up, 0)
 	if d := mat.RelDiff(gGPU, gCPU); d > 1e-12 {
 		t.Fatalf("GPU wrap vs CPU wrap diff %g", d)
@@ -194,7 +193,7 @@ func TestAcceleratorWrapMatchesCPU(t *testing.T) {
 func TestHybridGreenMatchesCPU(t *testing.T) {
 	p, f := testSetup(t, 3, 3, 4, 4, 16, 9)
 	dev := NewDevice(TeslaC2050())
-	acc := NewAccelerator(dev, p)
+	acc := NewAccelerator(dev, p, 1, false)
 	gpuCS := greens.NewClusterSetWith(p, f, hubbard.Up, 4, acc.Cluster)
 	cpuCS := greens.NewClusterSet(p, f, hubbard.Up, 4)
 	gGPU := gpuCS.GreenAt(0, true)
@@ -210,7 +209,7 @@ func TestCostModelShapes(t *testing.T) {
 	// wrapping (2 GEMMs per full G round trip).
 	p, f := testSetup(t, 8, 8, 4, 2, 20, 11)
 	dev := NewDevice(TeslaC2050())
-	acc := NewAccelerator(dev, p)
+	acc := NewAccelerator(dev, p, 1, false)
 	n := p.Model.N()
 
 	dev.Reset()
@@ -230,7 +229,7 @@ func TestCostModelShapes(t *testing.T) {
 	// smaller lattice.
 	p2, f2 := testSetup(t, 4, 4, 4, 2, 20, 13)
 	dev2 := NewDevice(TeslaC2050())
-	acc2 := NewAccelerator(dev2, p2)
+	acc2 := NewAccelerator(dev2, p2, 1, false)
 	dev2.Reset()
 	dst2 := mat.New(16, 16)
 	acc2.Cluster(dst2, f2, hubbard.Up, 0, 10)
@@ -271,4 +270,22 @@ func TestCrossDevicePanics(t *testing.T) {
 		}
 	}()
 	st.Dgemm(false, false, 1, a, b, 0, a)
+}
+
+func TestMatrixSubSharesStorage(t *testing.T) {
+	dev := NewDevice(TeslaC2050())
+	st := dev.NewStream()
+	da := dev.Malloc(4, 4)
+	sub := da.Sub(1, 1, 2, 2)
+	if sub.Rows() != 2 || sub.Cols() != 2 {
+		t.Fatal("Sub dims wrong")
+	}
+	host := mat.New(2, 2)
+	host.Set(0, 0, 7)
+	st.SetMatrix(sub, host)
+	full := mat.New(4, 4)
+	st.GetMatrix(full, da)
+	if full.At(1, 1) != 7 {
+		t.Fatal("Sub does not alias parent")
+	}
 }

@@ -22,8 +22,8 @@ import (
 //     so a callback that reads mutable fields (the current slice index,
 //     the live auxiliary field) re-binds the *data* flowing into fixed
 //     device buffers.
-//   - RebindHost / RebindDevice swap an operand pointer across the whole
-//     graph (a new download destination, a resized scratch buffer).
+//   - RebindHost swaps a host operand pointer across the whole graph (a
+//     new download destination).
 //
 // A graph records the event topology too: Record/Wait nodes captured from
 // multiple streams replay with the same cross-stream ordering constraints,
@@ -108,32 +108,6 @@ func (g *Graph) RebindHost(from, to *mat.Dense) int {
 	for i := range g.nodes {
 		if g.nodes[i].hm == from {
 			g.nodes[i].hm = to
-			n++
-		}
-	}
-	return n
-}
-
-// RebindDevice replaces every occurrence of the device matrix from among
-// the graph's operands with to, returning how many operand slots rebound.
-func (g *Graph) RebindDevice(from, to *Matrix) int {
-	g.dev.checkOwned(to)
-	if from.rows != to.rows || from.cols != to.cols {
-		panic(fmt.Sprintf("gpu: RebindDevice shape mismatch: captured %dx%d, rebind %dx%d", from.rows, from.cols, to.rows, to.cols))
-	}
-	n := 0
-	for i := range g.nodes {
-		nd := &g.nodes[i]
-		if nd.a == from {
-			nd.a = to
-			n++
-		}
-		if nd.b == from {
-			nd.b = to
-			n++
-		}
-		if nd.c == from {
-			nd.c = to
 			n++
 		}
 	}

@@ -6,18 +6,24 @@ import (
 	"questgo/internal/obs"
 )
 
-// Accelerator owns the device-resident state of a DQMC offload session:
-// the fixed kinetic propagators B and B^{-1} are uploaded once at the start
-// of the simulation (the paper notes this amortization explicitly), and
-// scratch matrices are reused across calls.
+// Accelerator is one device's implementation of the three level-3 kernels
+// of a sweep (update.Backend) for one spin sector: matrix clustering
+// (Algorithm 4/5), wrapping (Algorithm 6/7) and the delayed-update flush
+// GEMM. It owns the device-resident state of the offload session: the fixed
+// kinetic propagators B and B^{-1} are uploaded once at the start of the
+// simulation (the paper notes this amortization explicitly), and scratch
+// and flush operands are allocated once and reused across calls, so the
+// device footprint is steady across sweeps.
 //
-// Work is issued on two streams — a compute stream for the GEMMs and
-// scaling kernels and a copy stream for host<->device traffic — with Event
-// dependencies expressing the real dataflow, so the modeled clock overlaps
-// the next diagonal upload with the current GEMM (double-buffered V
-// vectors, the cp.async pipeline idiom). With EnableGraphs the wrap and
-// cluster launch sequences are captured once into command graphs and
-// replayed for a single launch overhead; host nodes re-read the call
+// Cluster and Wrap issue on two streams — a compute stream for the GEMMs
+// and scaling kernels and a copy stream for host<->device traffic — with
+// Event dependencies expressing the real dataflow, so the modeled clock
+// overlaps the next diagonal upload with the current GEMM (double-buffered
+// V vectors, the cp.async pipeline idiom); Flush issues on a third stream
+// of its own. With graphs on, the wrap and cluster launch sequences are
+// captured once into command graphs and replayed for a single launch
+// overhead — never changing the numbers, only whether the launch overhead
+// is paid per kernel or per recorded sequence; host nodes re-read the call
 // parameters (field, slice, base) on every replay and the host operand is
 // rebound when the destination changes, so one recording serves the whole
 // sweep.
@@ -25,12 +31,13 @@ type Accelerator struct {
 	Dev  *Device
 	prop *hubbard.Propagator
 
-	comp, xfer *Stream
+	comp, xfer, fl *Stream
 
 	bKin, bInv *Matrix
 	t, a, g    *Matrix    // scratch
 	v          [2]*Matrix // double-buffered diagonal vectors
 	hostV      [2][]float64
+	dg, du, dw *Matrix // flush operands: G and the N x nd accumulators
 
 	gUp, compDone *Event
 	up, consumed  [2]*Event
@@ -57,19 +64,26 @@ type Accelerator struct {
 	clBound   *mat.Dense // host destination the cluster graph downloads to
 }
 
-// NewAccelerator uploads the kinetic propagators and allocates scratch.
-func NewAccelerator(dev *Device, prop *hubbard.Propagator) *Accelerator {
+// NewAccelerator uploads the kinetic propagators and allocates the scratch
+// and the flush operands for delay blocks of up to nd columns. graphs
+// selects command-graph capture/replay of the wrap and cluster sequences.
+func NewAccelerator(dev *Device, prop *hubbard.Propagator, nd int, graphs bool) *Accelerator {
 	n := prop.Model.N()
 	acc := &Accelerator{
 		Dev:      dev,
 		prop:     prop,
+		graphs:   graphs,
 		comp:     dev.NewStream(),
 		xfer:     dev.NewStream(),
+		fl:       dev.NewStream(),
 		bKin:     dev.Malloc(n, n),
 		bInv:     dev.Malloc(n, n),
 		t:        dev.Malloc(n, n),
 		a:        dev.Malloc(n, n),
 		g:        dev.Malloc(n, n),
+		dg:       dev.Malloc(n, n),
+		du:       dev.Malloc(n, nd),
+		dw:       dev.Malloc(n, nd),
 		gUp:      NewEvent(),
 		compDone: NewEvent(),
 	}
@@ -83,18 +97,6 @@ func NewAccelerator(dev *Device, prop *hubbard.Propagator) *Accelerator {
 	acc.comp.SetMatrix(acc.bKin, prop.Bkin)
 	acc.comp.SetMatrix(acc.bInv, prop.Binv)
 	return acc
-}
-
-// EnableGraphs switches command-graph capture/replay of the wrap and
-// cluster sequences on or off. Turning it on (or off) never changes the
-// numbers — only whether the launch overhead is paid per kernel or per
-// recorded sequence.
-func (acc *Accelerator) EnableGraphs(on bool) {
-	acc.graphs = on
-	if !on {
-		acc.wrapGraph, acc.wrapBound = nil, nil
-		acc.clGraph, acc.clBound, acc.clK = nil, nil, 0
-	}
 }
 
 // Cluster computes the matrix cluster
@@ -206,4 +208,19 @@ func (acc *Accelerator) captureWrap(g *mat.Dense) {
 	acc.wrapGraph = acc.Dev.NewGraph()
 	acc.wrapBound = g
 	acc.wrapGraph.Capture(func() { acc.issueWrap(g) }, acc.comp, acc.xfer)
+}
+
+// Flush runs G += U[:, :m] * W[:, :m]^T as a device GEMM — on real hardware
+// this is where the delayed-update trick pays off most, since the rank-nd
+// updates are pure DGEMM. The slice index is routing information for the
+// multi-device backend only.
+func (acc *Accelerator) Flush(g, u, w *mat.Dense, m, _ int) {
+	n := g.Rows
+	duV := acc.du.Sub(0, 0, n, m)
+	dwV := acc.dw.Sub(0, 0, n, m)
+	acc.fl.SetMatrix(acc.dg, g)
+	acc.fl.SetMatrix(duV, u.View(0, 0, n, m))
+	acc.fl.SetMatrix(dwV, w.View(0, 0, n, m))
+	acc.fl.Dgemm(false, true, 1, duV, dwV, 1, acc.dg)
+	acc.fl.GetMatrix(g, acc.dg)
 }

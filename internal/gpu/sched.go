@@ -67,46 +67,20 @@ func (g *Group) Reset() {
 	}
 }
 
-// --- placement ----------------------------------------------------------
-
-// Scheduler decides where work lands on a Group. The three sharding axes
-// of the scale-out design map to its methods:
-//
-//   - per-spin: SpinPool splits the devices between the two spin sectors
-//     (the sectors are independent within a sweep, so this needs no
-//     inter-device traffic at all);
-//   - per-slice-block: a spin's NC cluster blocks are dealt round-robin
-//     over the sector's pool (backend.owner), so a cluster's build and
-//     the wraps and flushes of its slices run on the device that owns it;
-//   - per-chain: PlaceChains deals independent Markov chains over whole
-//     devices (embarrassingly parallel, the Wendt/Drut-style scale-out).
-type Scheduler struct {
-	G *Group
-}
-
-// SpinPool returns the devices assigned to one spin sector: the first
-// ceil(n/2) devices to spin-up, the rest to spin-down. A single device
-// serves both sectors (two streams, one card); with 2 devices each sector
-// gets its own card; with 4, each sector shards its cluster blocks over
-// two.
-func (sc Scheduler) SpinPool(sigma hubbard.Spin) []*Device {
-	n := len(sc.G.Devs)
+// spinPool returns the devices of g assigned to one spin sector: the first
+// ceil(n/2) devices to spin-up, the rest to spin-down (the sectors are
+// independent within a sweep, so the split needs no inter-device traffic
+// at all). A single device serves both sectors (one card, three streams a
+// sector); with 2 devices each sector gets its own card; with 4, each
+// sector shards its cluster blocks over two.
+func spinPool(g *Group, sigma hubbard.Spin) []*Device {
+	n := len(g.Devs)
 	if n == 1 {
-		return sc.G.Devs
+		return g.Devs
 	}
 	half := (n + 1) / 2
 	if sigma == hubbard.Up {
-		return sc.G.Devs[:half]
+		return g.Devs[:half]
 	}
-	return sc.G.Devs[half:]
-}
-
-// PlaceChains deals independent Markov chains over the whole group,
-// returning the device index for each chain.
-func (sc Scheduler) PlaceChains(chains int) []int {
-	owners := make([]int, chains)
-	for c := range owners {
-		owners[c] = c % len(sc.G.Devs)
-	}
-	return owners
+	return g.Devs[half:]
 }

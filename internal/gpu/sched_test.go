@@ -17,27 +17,13 @@ func TestSpinPoolSplit(t *testing.T) {
 		{4, 2, 2},
 	} {
 		g := NewGroup(tc.n, TeslaC2050())
-		sc := Scheduler{G: g}
-		up := sc.SpinPool(hubbard.Up)
-		dn := sc.SpinPool(hubbard.Down)
+		up := spinPool(g, hubbard.Up)
+		dn := spinPool(g, hubbard.Down)
 		if len(up) != tc.up || len(dn) != tc.dn {
 			t.Fatalf("n=%d: pools %d/%d, want %d/%d", tc.n, len(up), len(dn), tc.up, tc.dn)
 		}
 		if tc.n > 1 && up[0] == dn[0] {
 			t.Fatalf("n=%d: spin sectors must not share a device", tc.n)
-		}
-	}
-}
-
-// TestPlacementRoundRobin checks the chain dealing (the cluster-block
-// dealing is pinned by TestShardedClusterSetMatchesSingleDevice).
-func TestPlacementRoundRobin(t *testing.T) {
-	g := NewGroup(4, TeslaC2050())
-	sc := Scheduler{G: g}
-	chains := sc.PlaceChains(6)
-	for c, o := range chains {
-		if o != c%4 {
-			t.Fatalf("chain %d owner %d, want %d", c, o, c%4)
 		}
 	}
 }

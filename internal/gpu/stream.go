@@ -37,9 +37,6 @@ func (d *Device) NewStream() *Stream {
 	return s
 }
 
-// Device returns the stream's device.
-func (s *Stream) Device() *Device { return s.dev }
-
 // Event is a cross-stream synchronization point (cudaEvent): Record stamps
 // it with the recording stream's current clock, Wait holds the waiting
 // stream back to at least that time.
@@ -120,13 +117,6 @@ func (s *Stream) Dgemm(transA, transB bool, alpha float64, a, b *Matrix, beta fl
 		transA: transA, transB: transB, alpha: alpha, beta: beta})
 }
 
-// Dcopy copies src into dst on the device.
-func (s *Stream) Dcopy(dst, src *Matrix) {
-	s.dev.checkOwned(dst)
-	s.dev.checkOwned(src)
-	s.dispatch(node{kind: nodeCopy, s: s, a: src, c: dst})
-}
-
 // ScaleRows is the paper's Algorithm 5 CUDA kernel: dst = diag(v) * src
 // with one thread per row, coalesced column-major accesses, and v cached
 // per thread. One launch, bandwidth bound (read + write of the matrix).
@@ -173,7 +163,6 @@ const (
 	nodeGetMatrix
 	nodeSetVector
 	nodeGemm
-	nodeCopy
 	nodeScaleRows
 	nodeScaleRowsCols
 	nodeHost
@@ -223,9 +212,6 @@ func (s *Stream) runNode(nd node, launch bool) {
 			m, k = k, m
 		}
 		s.chargeKernel(blas.GemmFlops(m, nd.c.cols, k), 0, launch)
-	case nodeCopy:
-		nd.c.m.CopyFrom(nd.a.m)
-		s.chargeKernel(0, 16*float64(nd.a.rows)*float64(nd.a.cols), launch)
 	case nodeScaleRows:
 		stop := s.trackReal()
 		vv := nd.b.m.Col(0)

@@ -23,10 +23,10 @@
 //	fmt.Println(res.Density, res.DoubleOcc, res.SAF)
 //	fmt.Println(res.Metrics.PhaseMS, res.Metrics.Stability.MaxWrapDrift)
 //
-// Run accepts options (WithProgress, WithWalkers, WithCheckpointOnCancel)
-// and stops cleanly at the next sweep when ctx is canceled. Run is the one
-// canonical entry point; NewSimulation / Simulation.RunContext remain for
-// callers that manage a Simulation directly (e.g. around checkpoints).
+// Run accepts options (WithProgress, WithWalkers) and stops cleanly at the
+// next sweep when ctx is canceled. Run is the one canonical entry point;
+// NewSimulation / Simulation.RunContext remain for callers that manage a
+// Simulation directly (e.g. around checkpoints).
 //
 // Config round-trips through a canonical JSON wire format (snake_case keys
 // matching the QUEST input-file vocabulary, stamped with schema_version)
@@ -39,6 +39,7 @@ package questgo
 import (
 	"context"
 	"fmt"
+	"reflect"
 
 	"questgo/internal/config"
 	"questgo/internal/core"
@@ -74,8 +75,7 @@ type Metrics = obs.Metrics
 // NewConfig and Config.With.
 type ConfigOption = core.ConfigOption
 
-// RunOption configures a Run call; see WithProgress, WithWalkers,
-// WithCheckpointOnCancel.
+// RunOption configures a Run call; see WithProgress, WithWalkers.
 type RunOption = core.RunOption
 
 // Configuration builder options (see the core package for docs).
@@ -103,9 +103,8 @@ var (
 
 // Run options.
 var (
-	WithProgress           = core.WithProgress
-	WithWalkers            = core.WithWalkers
-	WithCheckpointOnCancel = core.WithCheckpointOnCancel
+	WithProgress = core.WithProgress
+	WithWalkers  = core.WithWalkers
 )
 
 // DefaultConfig returns a small, fast, physically sensible configuration
@@ -133,8 +132,9 @@ func LoadCheckpoint(path string) (*Checkpoint, error) { return core.LoadCheckpoi
 // NewSimulation validates the configuration and prepares a simulation.
 func NewSimulation(cfg Config) (*Simulation, error) { return core.New(cfg) }
 
-// LoadConfig reads a QUEST-style "key = value" input file. Recognized keys
-// (case-insensitive, all optional, defaulting to DefaultConfig):
+// LoadConfig reads a QUEST-style "key = value" input file. The keys are
+// Config's JSON tags (case-insensitive, all optional, defaulting to
+// DefaultConfig):
 //
 //	nx, ny, layers    lattice dimensions
 //	t, ty, tprime, tperp  hoppings: nearest (x / y), diagonal (t'), inter-layer
@@ -143,9 +143,15 @@ func NewSimulation(cfg Config) (*Simulation, error) { return core.New(cfg) }
 //	k                 matrix clustering size (= wrapping count)
 //	delay             delayed-update block size
 //	prepivot          true = Algorithm 3, false = Algorithm 2
-//	autopilot         true = adapt k and check cadence from live telemetry
+//	serial_spins      true = run the two spin sectors one after the other
+//	measure_boundaries  true = measure at every cluster boundary
+//	measure_dynamics  true = also measure time-displaced G(d, tau)
+//	stability_check_every  stack-vs-rebuild residual cadence (0 = off)
 //	devices           simulated accelerators (0 = CPU sweeper)
 //	graphs            true = device command-graph capture/replay
+//	autopilot         true = adapt k and check cadence from live telemetry
+//	autopilot_min_k, autopilot_max_k  bounds on the adapted k (0 = defaults)
+//	autopilot_{cond,drift,residual}_ceil  shrink thresholds (0 = defaults)
 //	seed              RNG seed
 func LoadConfig(path string) (Config, error) {
 	f, err := config.Load(path)
@@ -193,29 +199,23 @@ func NewServiceClient(base string) *ServiceClient { return &ServiceClient{Base: 
 // job still in flight.
 var ErrJobNotDone = service.ErrNotDone
 
-// ConfigFromFile maps a parsed input file onto a Config.
+// ConfigFromFile maps a parsed input file onto a Config, field by JSON tag.
 func ConfigFromFile(f *config.File) (Config, error) {
 	cfg := core.DefaultConfig()
-	cfg.Nx = f.Int("nx", cfg.Nx)
-	cfg.Ny = f.Int("ny", cfg.Ny)
-	cfg.Layers = f.Int("layers", cfg.Layers)
-	cfg.T = f.Float("t", cfg.T)
-	cfg.Ty = f.Float("ty", cfg.Ty)
-	cfg.TPrime = f.Float("tprime", cfg.TPrime)
-	cfg.Tperp = f.Float("tperp", cfg.Tperp)
-	cfg.U = f.Float("u", cfg.U)
-	cfg.Mu = f.Float("mu", cfg.Mu)
-	cfg.Beta = f.Float("beta", cfg.Beta)
-	cfg.L = f.Int("l", cfg.L)
-	cfg.WarmSweeps = f.Int("warm", cfg.WarmSweeps)
-	cfg.MeasSweeps = f.Int("meas", cfg.MeasSweeps)
-	cfg.ClusterK = f.Int("k", cfg.ClusterK)
-	cfg.Delay = f.Int("delay", cfg.Delay)
-	cfg.PrePivot = f.Bool("prepivot", cfg.PrePivot)
-	cfg.Autopilot = f.Bool("autopilot", cfg.Autopilot)
-	cfg.Devices = f.Int("devices", cfg.Devices)
-	cfg.UseGraphs = f.Bool("graphs", cfg.UseGraphs)
-	cfg.Seed = f.Uint64("seed", cfg.Seed)
+	v := reflect.ValueOf(&cfg).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		key, fv := v.Type().Field(i).Tag.Get("json"), v.Field(i)
+		switch fv.Kind() {
+		case reflect.Int:
+			fv.SetInt(int64(f.Int(key, int(fv.Int()))))
+		case reflect.Float64:
+			fv.SetFloat(f.Float(key, fv.Float()))
+		case reflect.Bool:
+			fv.SetBool(f.Bool(key, fv.Bool()))
+		case reflect.Uint64:
+			fv.SetUint(f.Uint64(key, fv.Uint()))
+		}
+	}
 	if err := f.Err(); err != nil {
 		return cfg, err
 	}

@@ -1,9 +1,11 @@
 package questgo
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -54,6 +56,45 @@ seed = 42
 	// Defaults preserved for unspecified keys.
 	if cfg.T != 1 || !cfg.PrePivot {
 		t.Fatalf("defaults lost: %+v", cfg)
+	}
+}
+
+// TestConfigFromFileKnowsEveryKey: Config's JSON tags are the input-file
+// keys, all of them. For every field, a one-line file setting a non-default
+// value must land in that field; only a validation error is tolerated (some
+// knobs need a companion, e.g. graphs needs devices), never a config-layer
+// one such as "unknown keys".
+func TestConfigFromFileKnowsEveryKey(t *testing.T) {
+	def := reflect.ValueOf(DefaultConfig())
+	for i := 0; i < def.NumField(); i++ {
+		key := def.Type().Field(i).Tag.Get("json")
+		if key == "" {
+			t.Fatalf("Config.%s has no json tag", def.Type().Field(i).Name)
+		}
+		var want any
+		switch d := def.Field(i).Interface().(type) {
+		case int:
+			want = d + 1
+		case float64:
+			want = d + 0.5
+		case bool:
+			want = !d
+		case uint64:
+			want = d + 1
+		default:
+			t.Fatalf("Config.%s: ConfigFromFile has no mapping for kind %T", def.Type().Field(i).Name, d)
+		}
+		f, err := config.Parse(strings.NewReader(fmt.Sprintf("%s = %v\n", key, want)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := ConfigFromFile(f)
+		if err != nil && strings.Contains(err.Error(), "config:") {
+			t.Fatalf("key %q: %v", key, err)
+		}
+		if got := reflect.ValueOf(cfg).Field(i).Interface(); got != want {
+			t.Fatalf("key %q = %v landed as %v", key, want, got)
+		}
 	}
 }
 
