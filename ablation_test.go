@@ -1,9 +1,8 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
 // delayed-update block size, the matrix clustering size k (speed vs
-// stability trade-off), pre-pivoting vs per-step pivoting inside a full
-// sweep, and the checkerboard vs exact kinetic propagator. These go beyond
-// the paper's figures; they quantify why the paper's defaults (k = 10,
-// blocked delays, Algorithm 3) are the right ones.
+// stability trade-off), and pre-pivoting vs per-step pivoting inside a full
+// sweep. These go beyond the paper's figures; they quantify why the paper's
+// defaults (k = 10, blocked delays, Algorithm 3) are the right ones.
 package questgo
 
 import (
@@ -12,7 +11,6 @@ import (
 
 	"questgo/internal/greens"
 	"questgo/internal/hubbard"
-	"questgo/internal/lattice"
 	"questgo/internal/mat"
 	"questgo/internal/rng"
 	"questgo/internal/update"
@@ -73,35 +71,6 @@ func BenchmarkAblation_PrePivotVsQRP(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblation_CheckerboardPropagator compares building the kinetic
-// propagator via the exact eigendecomposition against the checkerboard
-// splitting, and reports the splitting error as a metric.
-func BenchmarkAblation_CheckerboardPropagator(b *testing.B) {
-	lat := lattice.NewSquare(8, 8, 1)
-	model, err := hubbard.NewModel(lat, 4, 0, 2, 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("exact-eig", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			hubbard.NewPropagator(model)
-		}
-	})
-	b.Run("checkerboard", func(b *testing.B) {
-		var pcb *hubbard.Propagator
-		for i := 0; i < b.N; i++ {
-			var err error
-			pcb, err = hubbard.NewPropagatorCheckerboard(model)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		exact := hubbard.NewPropagator(model)
-		b.ReportMetric(mat.RelDiff(pcb.Bkin, exact.Bkin), "split-err")
-	})
 }
 
 // BenchmarkAblation_WrapDrift measures how the wrapped Green's function

@@ -7,15 +7,14 @@ import (
 
 // Module-internal package paths the analyzers key on.
 const (
-	pkgBlas     = "questgo/internal/blas"
-	pkgLapack   = "questgo/internal/lapack"
-	pkgGreens   = "questgo/internal/greens"
-	pkgUpdate   = "questgo/internal/update"
-	pkgGPU      = "questgo/internal/gpu"
-	pkgMat      = "questgo/internal/mat"
-	pkgObs      = "questgo/internal/obs"
-	pkgParallel = "questgo/internal/parallel"
-	pkgRng      = "questgo/internal/rng"
+	pkgBlas   = "questgo/internal/blas"
+	pkgLapack = "questgo/internal/lapack"
+	pkgGreens = "questgo/internal/greens"
+	pkgUpdate = "questgo/internal/update"
+	pkgGPU    = "questgo/internal/gpu"
+	pkgMat    = "questgo/internal/mat"
+	pkgObs    = "questgo/internal/obs"
+	pkgRng    = "questgo/internal/rng"
 )
 
 // autoHotPackages are checked in full: every function is treated as if it

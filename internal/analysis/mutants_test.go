@@ -59,11 +59,11 @@ var mutants = []struct {
 		HotAlloc, "hot path calls append"},
 
 	{"deleted mat.PutScratch", "internal/greens/udt.go",
-		"\terr := s.FrobNorm()\n\tmat.PutScratch(s)\n", "\terr := s.FrobNorm()\n",
-		PoolPair, "scratch matrix s from mat.GetScratch has no mat.PutScratch"},
+		"\tmat.PutScratch(q)\n\tmat.PutScratch(t)\n", "\tmat.PutScratch(t)\n",
+		PoolPair, "scratch matrix q from mat.GetScratch has no mat.PutScratch"},
 	{"returned scratch", "internal/greens/udt.go",
-		"\tmat.PutScratch(s)\n\treturn err\n", "\tmat.PutScratch(s)\n\treturn err + s.At(0, 0)\n",
-		PoolPair, "scratch matrix s escapes via return"},
+		"\tg := mat.New(u.Q.Rows, u.Q.Rows)\n\tGreenFromUDTInto(g, u)\n", "\tg := mat.GetScratch(u.Q.Rows, u.Q.Rows)\n\tGreenFromUDTInto(g, u)\n\tmat.PutScratch(g)\n",
+		PoolPair, "scratch matrix g escapes via return"},
 
 	{"deleted obs.Add(obs.OpWraps, 1)", "internal/greens/cluster.go",
 		"\tobs.Add(obs.OpWraps, 1)\n", "\t_ = obs.OpWraps\n",
@@ -76,10 +76,11 @@ var mutants = []struct {
 		"import (\n", "import (\n\t_ \"math/rand\"\n",
 		RngDiscipline, "import of math/rand outside internal/rng"},
 
-	{"bare-string shape panic in blas", "internal/blas/level2.go",
-		`panic(fmt.Sprintf("blas: Ger dimension mismatch: A is %dx%d, len(x)=%d, len(y)=%d", m, n, len(x), len(y)))`,
-		`panic("blas: Ger dimension mismatch")`,
-		NakedPanic, `shape panic "blas: Ger dimension mismatch" carries no dimensions`},
+	{"bare-string shape panic in blas", "internal/blas/trsm.go",
+		`panic(fmt.Sprintf("blas: Trsm dimension mismatch: T is %dx%d, B is %dx%d", t.Rows, t.Cols, b.Rows, b.Cols))`,
+		`_ = fmt.Sprint(t.Rows, b.Rows) // the mutant must still import fmt
+		panic("blas: Trsm dimension mismatch")`,
+		NakedPanic, `shape panic "blas: Trsm dimension mismatch" carries no dimensions`},
 
 	{"dropped os.WriteFile error in cmd/figures", "cmd/figures/main.go",
 		"\tif err := os.WriteFile(path, []byte(content), 0o644); err != nil {\n\t\tfmt.Fprintln(os.Stderr, \"figures:\", err)\n\t\treturn\n\t}\n",

@@ -71,12 +71,6 @@ func ClusterFlops(n, k int) float64 {
 	return float64(k-1)*GemmFlops(n) + float64(k)*float64(n)*float64(n)
 }
 
-// WrapFlops is the arithmetic of one wrapping step: two GEMMs plus the
-// row/column scaling.
-func WrapFlops(n int) float64 {
-	return 2*GemmFlops(n) + 2*float64(n)*float64(n)
-}
-
 // Table accumulates aligned columns for terminal output.
 type Table struct {
 	header []string

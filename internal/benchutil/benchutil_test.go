@@ -53,9 +53,6 @@ func TestFlopFormulas(t *testing.T) {
 	if ClusterFlops(10, 1) != 100 { // zero GEMMs, one scaling
 		t.Fatalf("ClusterFlops(k=1) = %v", ClusterFlops(10, 1))
 	}
-	if WrapFlops(10) != 2*GemmFlops(10)+200 {
-		t.Fatalf("WrapFlops = %v", WrapFlops(10))
-	}
 }
 
 func TestTableRender(t *testing.T) {

@@ -108,45 +108,6 @@ func TestSwap(t *testing.T) {
 	}
 }
 
-func TestGemvNoTrans(t *testing.T) {
-	r := rng.New(1)
-	a := randomDense(r, 5, 3)
-	x := []float64{1, -2, 0.5}
-	y := make([]float64, 5)
-	Gemv(false, 1, a, x, 0, y)
-	for i := 0; i < 5; i++ {
-		want := a.At(i, 0)*x[0] + a.At(i, 1)*x[1] + a.At(i, 2)*x[2]
-		if math.Abs(y[i]-want) > 1e-14 {
-			t.Fatalf("Gemv[%d] = %v want %v", i, y[i], want)
-		}
-	}
-}
-
-func TestGemvTrans(t *testing.T) {
-	r := rng.New(2)
-	a := randomDense(r, 4, 3)
-	x := []float64{1, 2, 3, 4}
-	y := []float64{10, 10, 10}
-	Gemv(true, 2, a, x, 1, y)
-	for j := 0; j < 3; j++ {
-		want := 10.0
-		for i := 0; i < 4; i++ {
-			want += 2 * a.At(i, j) * x[i]
-		}
-		if math.Abs(y[j]-want) > 1e-13 {
-			t.Fatalf("Gemv^T[%d] = %v want %v", j, y[j], want)
-		}
-	}
-}
-
-func TestGer(t *testing.T) {
-	a := mat.New(2, 3)
-	Ger(2, []float64{1, 2}, []float64{3, 4, 5}, a)
-	if a.At(1, 2) != 20 || a.At(0, 0) != 6 {
-		t.Fatalf("Ger wrong: %v", a)
-	}
-}
-
 func TestGemmAllTranspositions(t *testing.T) {
 	r := rng.New(3)
 	m, n, k := 7, 9, 5

@@ -280,34 +280,3 @@ func TestGemmTN(t *testing.T) {
 		t.Fatal("GemmTN disagrees with naive reference")
 	}
 }
-
-func TestSyrk(t *testing.T) {
-	r := rng.New(19)
-	for _, sz := range []struct{ k, n int }{{30, 20}, {100, 70}, {64, 65}} {
-		a := randomDense(r, sz.k, sz.n)
-		// Symmetric starting C so the beta term is well-defined in both
-		// triangles.
-		c := mat.New(sz.n, sz.n)
-		for i := 0; i < sz.n; i++ {
-			for j := i; j < sz.n; j++ {
-				v := 2*r.Float64() - 1
-				c.Set(i, j, v)
-				c.Set(j, i, v)
-			}
-		}
-		want := c.Clone()
-		Syrk(1.25, a, 0.5, c)
-		gemmNaive(true, false, 1.25, a, a, 0.5, want)
-		if !c.EqualApprox(want, 1e-11) {
-			t.Fatalf("Syrk(%d,%d) disagrees with A^T A reference", sz.k, sz.n)
-		}
-		// Result must be exactly symmetric (lower mirrored from upper).
-		for i := 0; i < sz.n; i++ {
-			for j := i + 1; j < sz.n; j++ {
-				if c.At(i, j) != c.At(j, i) {
-					t.Fatalf("Syrk result not symmetric at (%d,%d)", i, j)
-				}
-			}
-		}
-	}
-}

@@ -66,12 +66,6 @@ func Load(path string) (*File, error) {
 	return Parse(fh)
 }
 
-// Has reports whether key was present.
-func (f *File) Has(key string) bool {
-	_, ok := f.values[strings.ToLower(key)]
-	return ok
-}
-
 func (f *File) lookup(key string) (string, bool) {
 	k := strings.ToLower(key)
 	v, ok := f.values[k]

@@ -54,9 +54,6 @@ func TestDefaults(t *testing.T) {
 		f.Uint64("missing", 9) != 9 {
 		t.Fatal("defaults not honored")
 	}
-	if f.Has("missing") {
-		t.Fatal("Has on missing key")
-	}
 }
 
 func TestMalformedLine(t *testing.T) {

@@ -24,6 +24,9 @@ func TestValidateRejections(t *testing.T) {
 		{"nan hopping", func(c *Config) { c.T = math.NaN() }},
 		{"inf interaction", func(c *Config) { c.U = math.Inf(-1) }},
 		{"nan mu", func(c *Config) { c.Mu = math.NaN() }},
+		{"inf ty", func(c *Config) { c.Ty = math.Inf(1) }},
+		{"nan tprime", func(c *Config) { c.TPrime = math.NaN() }},
+		{"nan tperp", func(c *Config) { c.Tperp = math.NaN() }},
 		{"negative warmup", func(c *Config) { c.WarmSweeps = -1 }},
 		{"no measurement sweeps", func(c *Config) { c.MeasSweeps = 0 }},
 		{"negative cluster k", func(c *Config) { c.ClusterK = -1 }},

@@ -172,19 +172,3 @@ func (r *Results) SaveJSON(path string) error {
 	}
 	return f.Close()
 }
-
-// LoadJSONDensity reads back just the density from a saved results file
-// (a convenience for tests and quick scripting).
-func LoadJSONDensity(path string) (float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	var v struct {
-		Density float64 `json:"density"`
-	}
-	if err := json.Unmarshal(data, &v); err != nil {
-		return 0, err
-	}
-	return v.Density, nil
-}

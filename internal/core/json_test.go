@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -48,11 +49,17 @@ func TestSaveJSON(t *testing.T) {
 	if err := res.SaveJSON(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadJSONDensity(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded != res.Density {
+	var loaded struct {
+		Density float64 `json:"density"`
+	}
+	if err := json.Unmarshal(data, &loaded); err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Density != res.Density {
 		t.Fatal("file round trip lost density")
 	}
 }

@@ -134,6 +134,10 @@ func (c Config) Validate() error {
 		math.IsNaN(c.U) || math.IsInf(c.U, 0) ||
 		math.IsNaN(c.Mu) || math.IsInf(c.Mu, 0):
 		return fmt.Errorf("core: t/U/mu must be finite (t=%v U=%v mu=%v)", c.T, c.U, c.Mu)
+	case math.IsNaN(c.Ty) || math.IsInf(c.Ty, 0) ||
+		math.IsNaN(c.TPrime) || math.IsInf(c.TPrime, 0) ||
+		math.IsNaN(c.Tperp) || math.IsInf(c.Tperp, 0):
+		return fmt.Errorf("core: ty/tprime/tperp must be finite (ty=%v tprime=%v tperp=%v)", c.Ty, c.TPrime, c.Tperp)
 	case c.WarmSweeps < 0:
 		return fmt.Errorf("core: warmup sweeps must be >= 0, got %d", c.WarmSweeps)
 	case c.MeasSweeps < 1:

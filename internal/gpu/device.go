@@ -112,9 +112,6 @@ func NewDevice(model DeviceModel) *Device {
 	return &Device{model: model}
 }
 
-// Model returns the device's cost-model parameters.
-func (d *Device) Model() DeviceModel { return d.model }
-
 // Matrix is a device-resident column-major matrix.
 type Matrix struct {
 	dev  *Device
@@ -122,12 +119,6 @@ type Matrix struct {
 	rows int
 	cols int
 }
-
-// Rows returns the matrix row count.
-func (a *Matrix) Rows() int { return a.rows }
-
-// Cols returns the matrix column count.
-func (a *Matrix) Cols() int { return a.cols }
 
 // Malloc allocates an uninitialized device matrix and accounts it against
 // the device's allocation counters (cudaMalloc).

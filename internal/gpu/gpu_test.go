@@ -277,7 +277,7 @@ func TestMatrixSubSharesStorage(t *testing.T) {
 	st := dev.NewStream()
 	da := dev.Malloc(4, 4)
 	sub := da.Sub(1, 1, 2, 2)
-	if sub.Rows() != 2 || sub.Cols() != 2 {
+	if sub.rows != 2 || sub.cols != 2 {
 		t.Fatal("Sub dims wrong")
 	}
 	host := mat.New(2, 2)

@@ -68,9 +68,6 @@ func (g *Graph) Capture(record func(), streams ...*Stream) {
 // capturing).
 func (g *Graph) add(nd node) { g.nodes = append(g.nodes, nd) }
 
-// Len returns the number of recorded nodes.
-func (g *Graph) Len() int { return len(g.nodes) }
-
 // Replay executes the recorded sequence: identical host arithmetic in
 // identical order to the ungraphed path (trajectories stay bitwise equal),
 // but the modeled clock charges the kernel-launch overhead once for the

@@ -85,8 +85,8 @@ func TestGraphRebind(t *testing.T) {
 		s.Dgemm(false, false, 1, da, da, 0, db)
 		s.GetMatrix(out1, db)
 	}, s)
-	if g.Len() != 3 {
-		t.Fatalf("captured %d nodes, want 3", g.Len())
+	if len(g.nodes) != 3 {
+		t.Fatalf("captured %d nodes, want 3", len(g.nodes))
 	}
 	if out1.EqualApprox(square(h1), 0) {
 		t.Fatal("capture must not execute")
@@ -176,7 +176,7 @@ func TestGraphReplayChargesOneLaunch(t *testing.T) {
 	d.Reset()
 	g.Replay()
 	launch := int64(d.LaunchOverhead())
-	want := int64(d.Model().KernelLaunch)
+	want := int64(d.model.KernelLaunch)
 	if launch != want {
 		t.Fatalf("replay charged %dns launch overhead, want exactly one launch (%dns)", launch, want)
 	}

@@ -51,15 +51,6 @@ func (g *Group) Clock() time.Duration {
 	return max
 }
 
-// LaunchOverhead sums the fixed launch/latency overhead across devices.
-func (g *Group) LaunchOverhead() time.Duration {
-	var t time.Duration
-	for _, d := range g.Devs {
-		t += d.LaunchOverhead()
-	}
-	return t
-}
-
 // Reset resets every device clock.
 func (g *Group) Reset() {
 	for _, d := range g.Devs {

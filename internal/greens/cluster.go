@@ -101,13 +101,6 @@ func (cs *ClusterSet) GreenAt(c int, prePivot bool) *mat.Dense {
 	return GreenQRP(chain)
 }
 
-// GreenAtInto is GreenAt writing into dst, with every UDT temporary drawn
-// from the scratch pool — the allocation-free path the sweeper's reference
-// (non-stack) refresh uses.
-func (cs *ClusterSet) GreenAtInto(dst *mat.Dense, c int, prePivot bool) {
-	GreenInto(dst, cs.Chain(c), prePivot)
-}
-
 // Wrapper is the host's pair of level-3 sweep kernels over one propagator
 // and one set of scratch — the block product (Cluster) and the wrap — with
 // the shapes of the device's (gpu.Accelerator). The wrap advances an
@@ -119,13 +112,6 @@ func (cs *ClusterSet) GreenAtInto(dst *mat.Dense, c int, prePivot bool) {
 // (Section III-B1). The two GEMMs dominate; the diagonal scalings are the
 // fine-grained operations the paper parallelizes by hand (and offloads in
 // its Algorithm 6/7 GPU variant).
-//
-// When the propagator was built via hubbard.NewPropagatorCheckerboard, the
-// wrap skips the dense GEMMs entirely: the checkerboard factors apply in
-// O(N) per column (2x2 bond rotations), turning the O(N^3) wrap into
-// O(N^2). The result is bitwise identical to multiplying the materialized
-// checkerboard matrices only up to reassociation, but both are the same
-// B_cb propagator, so the Markov chain semantics are unchanged.
 type Wrapper struct {
 	prop *hubbard.Propagator
 	tmp  *mat.Dense
@@ -167,16 +153,10 @@ func (w *Wrapper) Cluster(dst *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, 
 //qmc:hot
 func (w *Wrapper) Wrap(g *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, l int) {
 	obs.Add(obs.OpWraps, 1)
-	if cb := w.prop.CB; cb != nil {
-		// Checkerboard fast path: g = Bcb * g * Bcb^{-1} in O(N^2).
-		cb.ApplyLeft(g)
-		cb.ApplyRightInv(g)
-	} else {
-		// tmp = Bkin * G
-		blas.Gemm(false, false, 1, w.prop.Bkin, g, 0, w.tmp)
-		// g = tmp * Binv
-		blas.Gemm(false, false, 1, w.tmp, w.prop.Binv, 0, g)
-	}
+	// tmp = Bkin * G
+	blas.Gemm(false, false, 1, w.prop.Bkin, g, 0, w.tmp)
+	// g = tmp * Binv
+	blas.Gemm(false, false, 1, w.tmp, w.prop.Binv, 0, g)
 	// g = V_l g V_l^{-1}: row scale by v, column scale by 1/v.
 	w.prop.VDiag(sigma, f, l, w.v)
 	g.ScaleRows(w.v)
@@ -198,11 +178,6 @@ func (w *Wrapper) WrapInverse(g *mat.Dense, f *hubbard.Field, sigma hubbard.Spin
 		w.v[i] = 1 / w.v[i]
 	}
 	g.ScaleCols(w.v)
-	if cb := w.prop.CB; cb != nil {
-		cb.ApplyLeftInv(g)
-		cb.ApplyRight(g)
-		return
-	}
 	blas.Gemm(false, false, 1, w.prop.Binv, g, 0, w.tmp)
 	blas.Gemm(false, false, 1, w.tmp, w.prop.Bkin, 0, g)
 }

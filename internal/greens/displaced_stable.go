@@ -15,9 +15,10 @@ import (
 //	G(tau_l, 0) = B_l ... B_1 (I + B_L ... B_1)^{-1}
 //	            = ((B_l ... B_1)^{-1} + B_L ... B_{l+1})^{-1}.
 //
-// Forward propagation from G(0) (see DisplacedWalker) loses a digit or so
-// per slice once the product develops cancellations, which is fine for
-// short displacements but not for tau ~ beta/2 at strong coupling.
+// Forward propagation from G(0) — left-multiplying G(0) by B_1, B_2, ... —
+// loses a digit or so per slice once the product develops cancellations,
+// which is fine for short displacements but not for tau ~ beta/2 at strong
+// coupling.
 //
 // Here both *forward* partial products are stratified with the paper's
 // Algorithm 3,
@@ -114,14 +115,6 @@ func sliceBlocks(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, lo
 	return out
 }
 
-func identityUDT(n int) *UDT {
-	d := make([]float64, n)
-	for i := range d {
-		d[i] = 1
-	}
-	return &UDT{Q: mat.Identity(n), D: d, T: mat.Identity(n)}
-}
-
 // invertFactoredSum computes ((U1 D1 T1)^{-1} + U2 D2 T2)^{-1} with the
 // big/small splitting of Loh and Gubernatis. Writing Da = D1^{-1} (exact
 // reciprocals) and D = D^b * D^s with D^b = max(|D|, 1) carrying the sign
@@ -173,50 +166,6 @@ func invertFactoredSum(u1, u2 *UDT) *mat.Dense {
 	scaleInvRows(x, dbBig)
 	luT2, _ := lapack.LUFactor(u2.T.Clone())
 	luT2.Solve(x)
-	return x
-}
-
-// InvertUDTSum computes (Ua Da Ta + Ub Db Tb)^{-1} for two explicit UDT
-// decompositions, with the same big/small splitting:
-//
-//	A + B = Ua Da^b [ Da^s (Ta Tb^{-1}) (Db^b)^{-1}
-//	                + (Da^b)^{-1} (Ua^T Ub) Db^s ] Db^b Tb.
-//
-// Use invertFactoredSum (via DisplacedGreen) when A is the inverse of a
-// stratified product — feeding this function a UDT obtained by stratifying
-// a chain of inverse matrices loses small-scale accuracy (see the file
-// comment).
-func InvertUDTSum(a, b *UDT) *mat.Dense {
-	n := a.Q.Rows
-	daBig, daSmall := splitBigSmall(a.D)
-	dbBig, dbSmall := splitBigSmall(b.D)
-
-	// M = Ta * Tb^{-1}: solve M Tb = Ta, i.e. Tb^T M^T = Ta^T.
-	tbT := b.T.Transpose()
-	luTbT, _ := lapack.LUFactor(tbT)
-	mT := a.T.Transpose()
-	luTbT.Solve(mT)
-	m := mT.Transpose()
-	// N = Ua^T Ub (transpose absorbed by the Gemm packing).
-	nn := mat.New(n, n)
-	blas.GemmTN(1, a.Q, b.Q, 0, nn)
-
-	// C = Da^s M (Db^b)^{-1} + (Da^b)^{-1} N Db^s.
-	m.ScaleRows(daSmall)
-	scaleInvCols(m, dbBig)
-	scaleInvRows(nn, daBig)
-	nn.ScaleCols(dbSmall)
-	m.Add(1, nn)
-
-	// RHS = (Da^b)^{-1} Ua^T; solve C X = RHS.
-	x := a.Q.Transpose()
-	scaleInvRows(x, daBig)
-	luC, _ := lapack.LUFactor(m)
-	luC.Solve(x)
-	// X <- (Db^b)^{-1} X, then solve Tb G = X.
-	scaleInvRows(x, dbBig)
-	luTb, _ := lapack.LUFactor(b.T.Clone())
-	luTb.Solve(x)
 	return x
 }
 

@@ -48,8 +48,10 @@ type StratStack struct {
 	prePivot bool // Algorithm 3 (true) vs Algorithm 2 (false) steps
 	n        int
 	nc       int
-	filled   int // clusters absorbed into the prefix
-	fresh    bool
+	// filled counts the clusters absorbed into the prefix; the next
+	// GreenInto evaluates boundary filled (mod NC).
+	filled int
+	fresh  bool
 
 	prefix UDT
 	suf    []UDT // suf[j]: transposed-suffix snapshot, j = 1..NC-1
@@ -71,10 +73,6 @@ func NewStratStack(src *ClusterSet, prePivot bool) *StratStack {
 	st.Retarget(src)
 	return st
 }
-
-// Filled returns how many clusters the prefix currently covers; the next
-// GreenInto evaluates boundary Filled (mod NC).
-func (st *StratStack) Filled() int { return st.filled }
 
 // Retarget re-sources the stack onto src — the same set after a SetK, or
 // another one: a different cluster count NC (a different k over the same
@@ -129,7 +127,7 @@ func (st *StratStack) Rebuild() {
 	st.fresh = true
 }
 
-// Advance absorbs the source's cluster Filled() — which the sweeper has
+// Advance absorbs the source's cluster filled — which the sweeper has
 // just recomputed from the re-sampled field — into the prefix UDT. Exactly
 // one extension step; must be called in cluster order 0, 1, ..., NC-1.
 //
@@ -156,14 +154,14 @@ func (st *StratStack) Advance() {
 	st.fresh = false
 }
 
-// GreenInto writes the equal-time Green's function at boundary Filled()
+// GreenInto writes the equal-time Green's function at boundary filled
 // into dst (n x n).
 //
-// Filled() == 0 (only before the first Advance after construction or
+// filled == 0 (only before the first Advance after construction or
 // Rebuild): the full chain is stratified from scratch — this is the
 // initial-refresh case and is arithmetically identical to the seed path.
-// 0 < Filled() < NC: prefix and suffix are combined with one QR.
-// Filled() == NC: the prefix covers the whole chain; after evaluating it
+// 0 < filled < NC: prefix and suffix are combined with one QR.
+// filled == NC: the prefix covers the whole chain; after evaluating it
 // the stack rolls over (suffix rebuild + prefix reset) for the next sweep.
 func (st *StratStack) GreenInto(dst *mat.Dense) {
 	switch {

@@ -6,6 +6,7 @@ import (
 	"questgo/internal/hubbard"
 	"questgo/internal/lattice"
 	"questgo/internal/mat"
+	"questgo/internal/obs"
 	"questgo/internal/rng"
 )
 
@@ -49,7 +50,7 @@ func TestStratStackMatchesFullRebuild(t *testing.T) {
 
 		// The initial (filled = 0) evaluation must match boundary 0.
 		st.GreenInto(got)
-		cs.GreenAtInto(want, 0, prePivot)
+		GreenInto(want, cs.Chain(0), prePivot)
 		if d := mat.RelDiff(got, want); d != 0 {
 			t.Fatalf("prePivot=%v: initial stack G not identical to full chain: %g", prePivot, d)
 		}
@@ -60,7 +61,7 @@ func TestStratStackMatchesFullRebuild(t *testing.T) {
 				cs.Recompute(f, c)
 				st.Advance()
 				st.GreenInto(got)
-				cs.GreenAtInto(want, (c+1)%cs.NC, prePivot)
+				GreenInto(want, cs.Chain((c+1)%cs.NC), prePivot)
 				if d := mat.RelDiff(got, want); d > 1e-12 {
 					t.Fatalf("prePivot=%v sweep %d boundary %d: stack vs rebuild rel diff %g",
 						prePivot, sweep, c, d)
@@ -82,20 +83,20 @@ func TestStratStackStepCount(t *testing.T) {
 	r := rng.New(11)
 
 	st := NewStratStack(cs, true)
-	start := UDTSteps()
+	start := obs.Total(obs.OpUDTSteps)
 	for c := 0; c < nc; c++ {
 		mutateCluster(f, c, cs.K, r)
 		cs.Recompute(f, c)
 		st.Advance()
 		st.GreenInto(g)
 	}
-	stackSteps := UDTSteps() - start
+	stackSteps := obs.Total(obs.OpUDTSteps) - start
 
-	start = UDTSteps()
+	start = obs.Total(obs.OpUDTSteps)
 	for c := 0; c < nc; c++ {
-		cs.GreenAtInto(g, (c+1)%nc, true)
+		GreenInto(g, cs.Chain((c+1)%nc), true)
 	}
-	rebuildSteps := UDTSteps() - start
+	rebuildSteps := obs.Total(obs.OpUDTSteps) - start
 
 	if want := int64(nc * nc); rebuildSteps != want {
 		t.Fatalf("rebuild path: %d UDT steps, want %d", rebuildSteps, want)
@@ -127,15 +128,15 @@ func TestStratStackRetarget(t *testing.T) {
 	for _, k := range []int{2, 6, 3} {
 		cs = NewClusterSet(p, f, hubbard.Up, k)
 		st.Retarget(cs)
-		if st.Filled() != 0 {
-			t.Fatalf("k=%d: Retarget left filled=%d, want 0", k, st.Filled())
+		if st.filled != 0 {
+			t.Fatalf("k=%d: Retarget left filled=%d, want 0", k, st.filled)
 		}
 		for c := 0; c < cs.NC; c++ {
 			mutateCluster(f, c, cs.K, r)
 			cs.Recompute(f, c)
 			st.Advance()
 			st.GreenInto(got)
-			cs.GreenAtInto(want, (c+1)%cs.NC, true)
+			GreenInto(want, cs.Chain((c+1)%cs.NC), true)
 			if d := mat.RelDiff(got, want); d > 1e-12 {
 				t.Fatalf("k=%d boundary %d: retargeted stack vs rebuild rel diff %g", k, c, d)
 			}
@@ -164,7 +165,7 @@ func TestStratStackAutoRebuild(t *testing.T) {
 			st.Advance()
 			st.GreenInto(got)
 		}
-		cs.GreenAtInto(want, 0, true)
+		GreenInto(want, cs.Chain(0), true)
 		if d := mat.RelDiff(got, want); d != 0 {
 			t.Fatalf("sweep %d: post-rebuild boundary-0 G not identical to full chain: %g", sweep, d)
 		}

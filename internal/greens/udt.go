@@ -45,14 +45,6 @@ func (u *UDT) Matrix() *mat.Dense {
 	return out
 }
 
-// UDTSteps returns the cumulative cluster-UDT step count (one per matrix
-// absorbed into a decomposition, plus one per stack combine). The counter
-// lives in the obs instrumentation layer; this accessor is kept for the
-// stack tests that assert the prefix/suffix scheme performs asymptotically
-// fewer steps per sweep than the full-chain rebuild. Monotonic; take deltas
-// to compare code paths.
-func UDTSteps() int64 { return obs.Total(obs.OpUDTSteps) }
-
 // vecPool recycles the float64 work vectors (inverse diagonals, column
 // norms) that the stratification loop used to allocate on every call.
 var vecPool sync.Pool
@@ -301,24 +293,6 @@ func GreenFromUDT(u *UDT) *mat.Dense {
 	g := mat.New(u.Q.Rows, u.Q.Rows)
 	GreenFromUDTInto(g, u)
 	return g
-}
-
-// OrthoError returns ||Q^T Q - I||_F, the departure of the U factor from
-// orthogonality. It is the cheap stability diagnostic of the stratification:
-// a healthy decomposition keeps it at a small multiple of machine epsilon
-// regardless of the grading in D. The Gram matrix comes from the symmetric
-// rank-k kernel (blas.Syrk), which does roughly half the work of a full
-// Q^T * Q product.
-func (u *UDT) OrthoError() float64 {
-	n := u.Q.Cols
-	s := mat.GetScratch(n, n)
-	blas.Syrk(1, u.Q, 0, s)
-	for i := 0; i < n; i++ {
-		s.Set(i, i, s.At(i, i)-1)
-	}
-	err := s.FrobNorm()
-	mat.PutScratch(s)
-	return err
 }
 
 // Green evaluates G = (I + bs[last] ... bs[0])^{-1} with Algorithm 3

@@ -103,13 +103,7 @@ func (f *Field) Clone() *Field {
 type Propagator struct {
 	Model      *Model
 	Bkin, Binv *mat.Dense
-	// CB, when non-nil, is the checkerboard factorization Bkin/Binv were
-	// materialized from (NewPropagatorCheckerboard). Consumers with an
-	// O(N^2) sparse-apply fast path (greens.Wrapper) use it in place of
-	// dense GEMMs against Bkin/Binv; the dense matrices stay valid for
-	// every other code path.
-	CB    *Checkerboard
-	expNu [2]float64 // e^{+nu}, e^{-nu} for h = +1/-1 at sigma = +1
+	expNu      [2]float64 // e^{+nu}, e^{-nu} for h = +1/-1 at sigma = +1
 }
 
 // NewPropagator builds the kinetic propagators for the model.
@@ -172,17 +166,5 @@ func (p *Propagator) BMatrix(sigma Spin, f *Field, l int) *mat.Dense {
 	v := make([]float64, p.Model.N())
 	p.VDiag(sigma, f, l, v)
 	b.ScaleRows(v)
-	return b
-}
-
-// BMatrixInv materializes B_{l,sigma}^{-1} = exp(+dtau*K) * V_l^{-1}.
-func (p *Propagator) BMatrixInv(sigma Spin, f *Field, l int) *mat.Dense {
-	b := p.Binv.Clone()
-	v := make([]float64, p.Model.N())
-	p.VDiag(sigma, f, l, v)
-	for i := range v {
-		v[i] = 1 / v[i]
-	}
-	b.ScaleCols(v)
 	return b
 }

@@ -119,19 +119,6 @@ func TestBMatrixEqualsScaledKinetic(t *testing.T) {
 	}
 }
 
-func TestBMatrixInvIsInverse(t *testing.T) {
-	m := testModel(t, 3, 3, 4, 0.1, 2, 8)
-	p := NewPropagator(m)
-	f := NewRandomField(m.L, m.N(), rng.New(4))
-	b := p.BMatrix(Down, f, 1)
-	binv := p.BMatrixInv(Down, f, 1)
-	prod := mat.New(m.N(), m.N())
-	blas.Gemm(false, false, 1, b, binv, 0, prod)
-	if !prod.EqualApprox(mat.Identity(m.N()), 1e-11) {
-		t.Fatal("B * B^{-1} != I")
-	}
-}
-
 func TestHSDecouplingIdentity(t *testing.T) {
 	// The discrete HS transformation requires, for h = +-1:
 	//   exp(-dtau*U*(n_up - 1/2)*(n_dn - 1/2))

@@ -156,33 +156,10 @@ func (l *Lattice) KMatrix(mu float64) *mat.Dense {
 	return k
 }
 
-// Displacement returns the periodic displacement (dx, dy) from site j to
-// site i within a plane, mapped to the ranges (-Nx/2, Nx/2] etc. It panics
-// if the sites are in different layers.
-func (l *Lattice) Displacement(i, j int) (dx, dy int) {
-	xi, yi, zi := l.Coords(i)
-	xj, yj, zj := l.Coords(j)
-	if zi != zj {
-		panic("lattice: Displacement across layers")
-	}
-	dx = wrapHalf(xi-xj, l.Nx)
-	dy = wrapHalf(yi-yj, l.Ny)
-	return
-}
-
 func mod(a, n int) int {
 	a %= n
 	if a < 0 {
 		a += n
 	}
 	return a
-}
-
-// wrapHalf maps d to the symmetric interval (-n/2, n/2].
-func wrapHalf(d, n int) int {
-	d = mod(d, n)
-	if d > n/2 {
-		d -= n
-	}
-	return d
 }

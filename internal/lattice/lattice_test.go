@@ -3,7 +3,6 @@ package lattice
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestIndexCoordsRoundTrip(t *testing.T) {
@@ -104,18 +103,6 @@ func TestNeighborsCount(t *testing.T) {
 	}
 }
 
-func TestDisplacementWrap(t *testing.T) {
-	l := NewSquare(4, 4, 1)
-	dx, dy := l.Displacement(l.Index(3, 0, 0), l.Index(0, 0, 0))
-	if dx != -1 || dy != 0 {
-		t.Fatalf("displacement = (%d,%d), want (-1,0)", dx, dy)
-	}
-	dx, dy = l.Displacement(l.Index(2, 2, 0), l.Index(0, 0, 0))
-	if dx != 2 || dy != 2 {
-		t.Fatalf("displacement = (%d,%d), want (2,2)", dx, dy)
-	}
-}
-
 func TestMomentumGrid(t *testing.T) {
 	l := NewSquare(4, 4, 1)
 	pts := l.MomentumGrid()
@@ -174,19 +161,4 @@ func TestSymmetryPathPanics(t *testing.T) {
 		}
 	}()
 	NewSquare(5, 5, 1).SymmetryPath()
-}
-
-// Property: Displacement is antisymmetric under site exchange (mod the
-// half-size ambiguity on even lattices, excluded by the filter).
-func TestQuickDisplacementAntisymmetric(t *testing.T) {
-	l := NewSquare(7, 7, 1) // odd size: no +N/2 == -N/2 ambiguity
-	f := func(a, b uint8) bool {
-		i, j := int(a)%49, int(b)%49
-		dx1, dy1 := l.Displacement(i, j)
-		dx2, dy2 := l.Displacement(j, i)
-		return dx1 == -dx2 && dy1 == -dy2
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
 }

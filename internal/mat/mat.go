@@ -29,14 +29,6 @@ func New(rows, cols int) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Stride: max(rows, 1), Data: make([]float64, rows*cols)}
 }
 
-// NewFromColMajor wraps existing column-major data (not copied).
-func NewFromColMajor(rows, cols int, data []float64) *Dense {
-	if len(data) < rows*cols {
-		panic(fmt.Sprintf("mat: data too short: %dx%d needs %d floats, got %d", rows, cols, rows*cols, len(data)))
-	}
-	return &Dense{Rows: rows, Cols: cols, Stride: max(rows, 1), Data: data}
-}
-
 // Identity returns the n x n identity matrix.
 func Identity(n int) *Dense {
 	m := New(n, n)

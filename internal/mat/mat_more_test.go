@@ -5,25 +5,6 @@ import (
 	"testing"
 )
 
-func TestNewFromColMajor(t *testing.T) {
-	data := []float64{1, 2, 3, 4, 5, 6}
-	m := NewFromColMajor(2, 3, data)
-	if m.At(0, 0) != 1 || m.At(1, 0) != 2 || m.At(0, 1) != 3 || m.At(1, 2) != 6 {
-		t.Fatal("column-major wrapping wrong")
-	}
-	// Shares storage.
-	data[0] = 99
-	if m.At(0, 0) != 99 {
-		t.Fatal("NewFromColMajor must not copy")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("short data should panic")
-		}
-	}()
-	NewFromColMajor(3, 3, data)
-}
-
 func TestNewNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

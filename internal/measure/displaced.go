@@ -71,14 +71,3 @@ func displacedGFun(lat *lattice.Lattice, gup, gdn *mat.Dense) []float64 {
 func (d *Displaced) GkTau(i int) []float64 {
 	return FourierPlane(d.Lat, d.GdTau[i])
 }
-
-// LocalGTau returns the local propagator G(d=0, tau) for every measured
-// tau — the quantity whose large-tau decay rate estimates the
-// single-particle gap.
-func (d *Displaced) LocalGTau() []float64 {
-	out := make([]float64, len(d.GdTau))
-	for i, g := range d.GdTau {
-		out[i] = g[0]
-	}
-	return out
-}

@@ -166,9 +166,6 @@ func bondDensity(gup, gdn *mat.Dense, i, j int) float64 {
 	return -gup.At(j, i) - gup.At(i, j) - gdn.At(j, i) - gdn.At(i, j)
 }
 
-// PotentialWith returns the interaction energy per site U*<n_up n_dn>.
-func (e *EqualTime) PotentialWith(u float64) float64 { return u * e.DoubleOcc }
-
 // MomentumDistribution Fourier transforms GFun onto the momentum grid:
 // <n_k> = sum_d exp(i k.d) GFun(d), returned in the x-fastest grid order of
 // lattice.MomentumGrid.

@@ -43,28 +43,3 @@ func MeasurePairing(lat *lattice.Lattice, gup, gdn *mat.Dense) *Pairing {
 	}
 	return p
 }
-
-// StructureFactor returns the q = 0 pair structure factor sum_d P_s(d).
-func (p *Pairing) StructureFactor() float64 {
-	var s float64
-	for _, v := range p.Ps {
-		s += v
-	}
-	return s
-}
-
-// Vertex returns the interaction-driven part of the pair correlation:
-// P_s(d) minus its Wick-decoupled single-particle background
-// (1/N) sum_r Gup(a,r)Gdn(a,r) computed from *uncorrelated* propagators.
-// Callers pass the same map measured on a U = 0 reference; the difference
-// isolates the pairing vertex contribution.
-func (p *Pairing) Vertex(reference *Pairing) []float64 {
-	if len(reference.Ps) != len(p.Ps) {
-		panic("measure: pairing vertex reference size mismatch")
-	}
-	out := make([]float64, len(p.Ps))
-	for i := range out {
-		out[i] = p.Ps[i] - reference.Ps[i]
-	}
-	return out
-}

@@ -21,8 +21,8 @@ import (
 //
 // ChiCD stores the *full* (unsubtracted) density correlation integral; the
 // disconnected piece integrates to beta*<n_a><n_b> and must be removed at
-// the ensemble level (ChiCConnected) because the density product
-// fluctuates between configurations.
+// the ensemble level (subtract beta*<n>^2 from every bin) because the
+// density product fluctuates between configurations.
 type PairSusceptibility struct {
 	Lat  *lattice.Lattice
 	Beta float64
@@ -142,21 +142,6 @@ func (s *PairSusceptibility) PairQ0() float64 {
 	var out float64
 	for _, v := range s.PsD {
 		out += v
-	}
-	return out
-}
-
-// ChiCQ Fourier transforms the full charge correlation integral.
-func (s *PairSusceptibility) ChiCQ() []float64 { return FourierPlane(s.Lat, s.ChiCD) }
-
-// ChiCConnected returns the connected charge susceptibility map given the
-// ensemble mean density: the disconnected piece beta*<n>^2 is uniform in
-// displacement and is removed from every bin.
-func (s *PairSusceptibility) ChiCConnected(meanDensity float64) []float64 {
-	out := make([]float64, len(s.ChiCD))
-	sub := s.Beta * meanDensity * meanDensity
-	for i, v := range s.ChiCD {
-		out[i] = v - sub
 	}
 	return out
 }

@@ -53,7 +53,12 @@ func TestChargeSusceptibilityFreeFermions(t *testing.T) {
 	p := hubbard.NewPropagator(model)
 	f := hubbard.NewRandomField(L, model.N(), rng.New(23))
 	ps := MeasurePairSusceptibility(lat, p, f, 1, 10)
-	conn := ps.ChiCConnected(1.0) // half filling: <n> = 1 exactly
+	// Connected part: the disconnected piece beta*<n>^2 is uniform in
+	// displacement; half filling has <n> = 1 exactly.
+	conn := make([]float64, len(ps.ChiCD))
+	for i, v := range ps.ChiCD {
+		conn[i] = v - ps.Beta
+	}
 	chiQ := FourierPlane(lat, conn)
 	for _, kp := range lat.MomentumGrid() {
 		want := freeChiZZ(lat, beta, kp.Ix, kp.Iy)

@@ -100,11 +100,6 @@ func accumulateCzzTau(lat *lattice.Lattice, dst []float64, weight float64,
 	}
 }
 
-// ChiQ Fourier transforms the displacement-resolved susceptibility onto
-// the momentum grid; the antiferromagnetic susceptibility is the value at
-// q = (pi, pi).
-func (s *Susceptibility) ChiQ() []float64 { return FourierPlane(s.Lat, s.ChiD) }
-
 // ChiAF returns chi_zz(pi, pi).
 func (s *Susceptibility) ChiAF() float64 {
 	var out float64

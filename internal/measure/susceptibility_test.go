@@ -52,7 +52,7 @@ func TestSusceptibilityFreeFermions(t *testing.T) {
 	p := hubbard.NewPropagator(model)
 	f := hubbard.NewRandomField(L, model.N(), rng.New(11))
 	chi := MeasureSusceptibility(lat, p, f, 1, 10)
-	chiQ := chi.ChiQ()
+	chiQ := FourierPlane(lat, chi.ChiD)
 	for _, kp := range lat.MomentumGrid() {
 		want := freeChiZZ(lat, beta, kp.Ix, kp.Iy)
 		got := chiQ[kp.Ix+lat.Nx*kp.Iy]

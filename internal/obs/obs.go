@@ -408,15 +408,3 @@ func (c *Collector) SampleStratResidual(d float64) { c.SampleStability(ProbeStra
 // max|D|/min|D| of a completed decomposition — the dynamic range the
 // graded factorization keeps out of the dense arithmetic.
 func (c *Collector) SampleUDTCond(log10Cond float64) { c.SampleStability(ProbeUDTCond, log10Cond) }
-
-// StabilitySnapshot returns the stability aggregates accumulated so far as
-// a by-value metrics block. Cold path; safe on a nil collector.
-func (c *Collector) StabilitySnapshot() StabilityMetrics {
-	if c == nil {
-		return StabilityMetrics{}
-	}
-	c.mu.Lock()
-	s := c.stab
-	c.mu.Unlock()
-	return s.metrics()
-}

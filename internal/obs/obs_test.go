@@ -220,8 +220,8 @@ func TestMetricsDocumentShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Metrics
-	if err := json.Unmarshal(data, &back); err != nil {
+	back, err := DecodeMetrics(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if back.WallMS != m.WallMS || len(back.PhaseMS) != len(m.PhaseMS) {

@@ -10,10 +10,7 @@
 // are safe: inner loops that find no idle worker run serially on the caller.
 package parallel
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
 // maxWorkers reports the number of workers to use for a loop of n iterations
 // with the given minimum grain per worker.
@@ -57,30 +54,7 @@ func For(n, grain int, body func(lo, hi int)) {
 		chunk = grain
 	}
 	t := taskPool.Get().(*loopTask)
-	t.body, t.each, t.n, t.chunk, t.next = body, nil, n, chunk, 0
-	runShared(w, t)
-	t.release()
-}
-
-// ForDynamic executes body(i) for i in [0, n) with dynamic scheduling:
-// workers atomically claim blocks of the given grain. Use it when
-// per-iteration cost is irregular, e.g. pivoted panel work.
-func ForDynamic(n, grain int, body func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	w := maxWorkers(n, grain)
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	t := taskPool.Get().(*loopTask)
-	t.body, t.each, t.n, t.chunk, t.next = nil, body, n, grain, 0
+	t.body, t.n, t.chunk, t.next = body, n, chunk, 0
 	runShared(w, t)
 	t.release()
 }
@@ -117,34 +91,4 @@ func Pair(a, b func()) {
 	}
 	t.b = nil
 	pairPool.Put(t)
-}
-
-// ReduceSum computes the sum of f(i) for i in [0, n) in parallel. The
-// addition order depends on the chunking, so results can differ from the
-// serial sum by floating-point roundoff.
-func ReduceSum(n, grain int, f func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if maxWorkers(n, grain) == 1 {
-		var s float64
-		for i := 0; i < n; i++ {
-			s += f(i)
-		}
-		return s
-	}
-	var (
-		mu    sync.Mutex
-		total float64
-	)
-	For(n, grain, func(lo, hi int) {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += f(i)
-		}
-		mu.Lock()
-		total += s
-		mu.Unlock()
-	})
-	return total
 }

@@ -32,28 +32,6 @@ func TestForParallelPath(t *testing.T) {
 	})
 }
 
-func TestForDynamicParallelPath(t *testing.T) {
-	withProcs(t, 4, func() {
-		n := 513
-		hits := make([]int32, n)
-		ForDynamic(n, 2, func(i int) { atomic.AddInt32(&hits[i], 1) })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("index %d hit %d times", i, h)
-			}
-		}
-	})
-}
-
-func TestReduceSumParallelPath(t *testing.T) {
-	withProcs(t, 4, func() {
-		got := ReduceSum(10000, 1, func(i int) float64 { return float64(i) })
-		if got != 49995000 {
-			t.Fatalf("ReduceSum = %v", got)
-		}
-	})
-}
-
 func TestForGrainLimitsWorkers(t *testing.T) {
 	withProcs(t, 8, func() {
 		// Grain so large only one chunk fits: body must run exactly once
@@ -74,8 +52,4 @@ func TestForGrainLimitsWorkers(t *testing.T) {
 func TestZeroAndNegativeN(t *testing.T) {
 	For(0, 1, func(lo, hi int) { t.Fatal("must not run") })
 	For(-5, 1, func(lo, hi int) { t.Fatal("must not run") })
-	ForDynamic(0, 1, func(int) { t.Fatal("must not run") })
-	if ReduceSum(-1, 1, func(int) float64 { return 1 }) != 0 {
-		t.Fatal("negative n should reduce to 0")
-	}
 }

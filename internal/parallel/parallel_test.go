@@ -3,7 +3,6 @@ package parallel
 import (
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestForCoversRange(t *testing.T) {
@@ -19,41 +18,5 @@ func TestForCoversRange(t *testing.T) {
 				t.Fatalf("n=%d: index %d hit %d times", n, i, h)
 			}
 		}
-	}
-}
-
-func TestForDynamicCoversRange(t *testing.T) {
-	n := 257
-	var hits = make([]int32, n)
-	ForDynamic(n, 4, func(i int) { atomic.AddInt32(&hits[i], 1) })
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d hit %d times", i, h)
-		}
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	got := ReduceSum(1000, 10, func(i int) float64 { return float64(i) })
-	if got != 499500 {
-		t.Fatalf("ReduceSum = %v", got)
-	}
-	if ReduceSum(0, 1, func(int) float64 { return 1 }) != 0 {
-		t.Fatal("empty ReduceSum should be 0")
-	}
-}
-
-func TestQuickReduceMatchesSerial(t *testing.T) {
-	f := func(n uint8) bool {
-		m := int(n)
-		want := 0.0
-		for i := 0; i < m; i++ {
-			want += float64(i * i)
-		}
-		got := ReduceSum(m, 2, func(i int) float64 { return float64(i * i) })
-		return got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }

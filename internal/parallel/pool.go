@@ -1,8 +1,8 @@
 // Persistent worker pool.
 //
-// The seed implementation spawned fresh goroutines on every For/ForDynamic
-// call. That is cheap by OS-thread standards but still costs a stack
-// allocation, scheduler round trips, and a sync.WaitGroup wakeup per call —
+// The seed implementation spawned fresh goroutines on every For call. That
+// is cheap by OS-thread standards but still costs a stack allocation,
+// scheduler round trips, and a sync.WaitGroup wakeup per call —
 // and the dense kernels call For once per cache block, thousands of times
 // per DQMC sweep. The pool below keeps long-lived workers parked on an
 // unbuffered channel; a loop submits one task descriptor and the workers
@@ -39,8 +39,7 @@ type task interface {
 // and any helping workers share it by pointer and claim [lo, hi) chunks via
 // atomic adds on next.
 type loopTask struct {
-	body  func(lo, hi int) // chunked body (For); nil when each is set
-	each  func(i int)      // per-index body (ForDynamic)
+	body  func(lo, hi int)
 	n     int
 	chunk int
 	next  int64
@@ -91,13 +90,7 @@ func (t *loopTask) run() {
 		if hi > t.n {
 			hi = t.n
 		}
-		if t.each != nil {
-			for i := lo; i < hi; i++ {
-				t.each(i)
-			}
-		} else {
-			t.body(lo, hi)
-		}
+		t.body(lo, hi)
 	}
 }
 
@@ -119,10 +112,10 @@ func runShared(w int, t *loopTask) {
 	t.wg.Wait()
 }
 
-// release clears the closure references (so the pool does not pin caller
+// release clears the closure reference (so the pool does not pin caller
 // state between uses) and returns the descriptor to the pool.
 func (t *loopTask) release() {
-	t.body, t.each = nil, nil
+	t.body = nil
 	taskPool.Put(t)
 }
 

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// coverageCheck runs For and ForDynamic over n indices and verifies every
-// index is visited exactly once.
+// coverageCheck runs For over n indices and verifies every index is visited
+// exactly once.
 func coverageCheck(t *testing.T, n int) {
 	t.Helper()
 	hits := make([]int32, n)
@@ -20,15 +20,6 @@ func coverageCheck(t *testing.T, n int) {
 	for i, h := range hits {
 		if h != 1 {
 			t.Fatalf("For: index %d visited %d times", i, h)
-		}
-	}
-	dyn := make([]int32, n)
-	ForDynamic(n, 3, func(i int) {
-		atomic.AddInt32(&dyn[i], 1)
-	})
-	for i, h := range dyn {
-		if h != 1 {
-			t.Fatalf("ForDynamic: index %d visited %d times", i, h)
 		}
 	}
 }
@@ -111,24 +102,5 @@ func TestNoGoroutineGrowthAfterWarmup(t *testing.T) {
 	// slack for unrelated runtime goroutines coming and going.
 	if got := runtime.NumGoroutine(); got > base+2 {
 		t.Fatalf("goroutine count grew after warm-up: %d -> %d", base, got)
-	}
-}
-
-// TestReduceSumAcrossGOMAXPROCS pins the reduction against the serial sum at
-// each worker count.
-func TestReduceSumAcrossGOMAXPROCS(t *testing.T) {
-	old := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(old)
-	n := 5000
-	var want float64
-	for i := 0; i < n; i++ {
-		want += float64(i) * 0.5
-	}
-	for _, p := range []int{1, 2, runtime.NumCPU()} {
-		runtime.GOMAXPROCS(p)
-		got := ReduceSum(n, 16, func(i int) float64 { return float64(i) * 0.5 })
-		if diff := got - want; diff > 1e-6 || diff < -1e-6 {
-			t.Fatalf("GOMAXPROCS=%d: ReduceSum = %v, want %v", p, got, want)
-		}
 	}
 }

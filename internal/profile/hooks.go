@@ -8,8 +8,8 @@ import (
 )
 
 // The hooks below wire the standard Go profilers into the command-line
-// tools (-cpuprofile / -memprofile / -trace flags): obs answers "which DQMC
-// phase is slow", these answer "which function inside it".
+// tools (-cpuprofile / -trace flags): obs answers "which DQMC phase is
+// slow", these answer "which function inside it".
 
 // StartCPUProfile begins a CPU profile written to path and returns the
 // function that stops it and closes the file.
@@ -43,18 +43,4 @@ func StartTrace(path string) (stop func(), err error) {
 		trace.Stop()
 		f.Close()
 	}, nil
-}
-
-// WriteHeapProfile dumps the current heap profile to path (call at the end
-// of a run).
-func WriteHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -6,7 +6,6 @@ package profile
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"questgo/internal/obs"
@@ -41,34 +40,21 @@ func (c Category) Name() string {
 	return "unknown"
 }
 
-// Profile accumulates durations. Safe for concurrent use.
+// Profile accumulates durations. It is filled on one goroutine (FromPhases,
+// core.MergeResults) and is not safe for concurrent use.
 type Profile struct {
-	mu sync.Mutex
-	d  [NumCategories]time.Duration
+	d [NumCategories]time.Duration
 }
 
 // New returns an empty profile.
 func New() *Profile { return &Profile{} }
 
-// Add accumulates d into category c. A nil profile is a no-op, so timing
-// can be disabled by simply not providing one.
+// Add accumulates d into category c. A nil profile is a no-op.
 func (p *Profile) Add(c Category, d time.Duration) {
 	if p == nil {
 		return
 	}
-	p.mu.Lock()
 	p.d[c] += d
-	p.mu.Unlock()
-}
-
-// Track starts a timer for category c and returns a function that stops it;
-// use as `defer p.Track(profile.Wrapping)()`.
-func (p *Profile) Track(c Category) func() {
-	if p == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { p.Add(c, time.Since(start)) }
 }
 
 // Duration returns the accumulated time for category c.
@@ -76,8 +62,6 @@ func (p *Profile) Duration(c Category) time.Duration {
 	if p == nil {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.d[c]
 }
 
@@ -86,8 +70,6 @@ func (p *Profile) Total() time.Duration {
 	if p == nil {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var t time.Duration
 	for _, v := range p.d {
 		t += v
@@ -102,8 +84,6 @@ func (p *Profile) Percentages() [NumCategories]float64 {
 	if total == 0 {
 		return out
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for i, v := range p.d {
 		out[i] = 100 * float64(v) / float64(total)
 	}

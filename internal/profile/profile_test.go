@@ -3,7 +3,6 @@ package profile
 import (
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -51,20 +50,8 @@ func TestEmptyProfile(t *testing.T) {
 func TestNilProfileIsNoop(t *testing.T) {
 	var p *Profile
 	p.Add(Wrapping, time.Second) // must not panic
-	done := p.Track(Clustering)
-	done()
 	if p.Duration(Wrapping) != 0 || p.Total() != 0 {
 		t.Fatal("nil profile should report zero")
-	}
-}
-
-func TestTrack(t *testing.T) {
-	p := New()
-	done := p.Track(Measurement)
-	time.Sleep(2 * time.Millisecond)
-	done()
-	if p.Duration(Measurement) <= 0 {
-		t.Fatal("Track recorded nothing")
 	}
 }
 
@@ -87,23 +74,5 @@ func TestTableOutput(t *testing.T) {
 	tbl := p.Table()
 	if !strings.Contains(tbl, "Stratification") || !strings.Contains(tbl, "75.0%") {
 		t.Fatalf("table output:\n%s", tbl)
-	}
-}
-
-func TestConcurrentAdd(t *testing.T) {
-	p := New()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				p.Add(Clustering, time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if p.Duration(Clustering) != 8000*time.Microsecond {
-		t.Fatalf("concurrent adds lost time: %v", p.Duration(Clustering))
 	}
 }

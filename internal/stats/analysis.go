@@ -6,51 +6,10 @@ import (
 )
 
 // This file holds the post-processing analyses a DQMC study needs beyond
-// raw error bars: integrated autocorrelation times (to choose bin sizes
-// and sweep counts), weighted least squares, and the two extrapolations
+// raw error bars: weighted least squares and the two extrapolations
 // the paper's methodology relies on — Trotter (dtau^2 -> 0) and finite
 // size (the Figure 7 discussion extrapolates the long-distance spin
 // correlation in 1/L to decide whether bulk order survives).
-
-// IntegratedAutocorrelationTime estimates tau_int of a series by summing
-// the normalized autocorrelation function with the standard self-
-// consistent window (sum until lag > window*tau). Returns 0.5 for white
-// noise. Sweep-to-sweep observables with tau_int >> 1 need proportionally
-// more sweeps (or bigger bins) for honest error bars.
-func IntegratedAutocorrelationTime(xs []float64) float64 {
-	n := len(xs)
-	if n < 4 {
-		return 0.5
-	}
-	mean := Mean(xs)
-	var c0 float64
-	for _, x := range xs {
-		d := x - mean
-		c0 += d * d
-	}
-	c0 /= float64(n)
-	if c0 == 0 {
-		return 0.5
-	}
-	tau := 0.5
-	const window = 6.0
-	for lag := 1; lag < n/2; lag++ {
-		var c float64
-		for i := 0; i+lag < n; i++ {
-			c += (xs[i] - mean) * (xs[i+lag] - mean)
-		}
-		c /= float64(n - lag)
-		rho := c / c0
-		tau += rho
-		if float64(lag) > window*tau {
-			break
-		}
-	}
-	if tau < 0.5 {
-		tau = 0.5
-	}
-	return tau
-}
 
 // FitResult holds a weighted linear least-squares fit y = A + B*x.
 type FitResult struct {
@@ -146,11 +105,4 @@ func FiniteSizeExtrapolate(ls []int, values, errors []float64) (yInf, yInfErr fl
 		return 0, 0, ferr
 	}
 	return fit.A, fit.AErr, nil
-}
-
-// EffectiveSamples returns the equivalent number of independent samples,
-// n / (2 tau_int).
-func EffectiveSamples(xs []float64) float64 {
-	tau := IntegratedAutocorrelationTime(xs)
-	return float64(len(xs)) / (2 * tau)
 }

@@ -3,51 +3,7 @@ package stats
 import (
 	"math"
 	"testing"
-
-	"questgo/internal/rng"
 )
-
-func TestAutocorrelationWhiteNoise(t *testing.T) {
-	r := rng.New(1)
-	xs := make([]float64, 20000)
-	for i := range xs {
-		xs[i] = r.NormFloat64()
-	}
-	tau := IntegratedAutocorrelationTime(xs)
-	if tau < 0.4 || tau > 0.8 {
-		t.Fatalf("white noise tau_int = %v, want ~0.5", tau)
-	}
-}
-
-func TestAutocorrelationAR1(t *testing.T) {
-	// AR(1) with coefficient a has tau_int = (1+a)/(2(1-a)).
-	r := rng.New(2)
-	a := 0.9
-	xs := make([]float64, 100000)
-	v := 0.0
-	for i := range xs {
-		v = a*v + r.NormFloat64()
-		xs[i] = v
-	}
-	tau := IntegratedAutocorrelationTime(xs)
-	want := (1 + a) / (2 * (1 - a)) // = 9.5
-	if math.Abs(tau-want) > 0.3*want {
-		t.Fatalf("AR(1) tau_int = %v, want ~%v", tau, want)
-	}
-	eff := EffectiveSamples(xs)
-	if eff > float64(len(xs))/10 {
-		t.Fatalf("effective samples %v too large for correlated data", eff)
-	}
-}
-
-func TestAutocorrelationDegenerate(t *testing.T) {
-	if IntegratedAutocorrelationTime([]float64{1, 2}) != 0.5 {
-		t.Fatal("short series should default to 0.5")
-	}
-	if IntegratedAutocorrelationTime([]float64{3, 3, 3, 3, 3, 3}) != 0.5 {
-		t.Fatal("constant series should default to 0.5")
-	}
-}
 
 func TestLinearFitExact(t *testing.T) {
 	x := []float64{0, 1, 2, 3}

@@ -162,9 +162,6 @@ func (a *VectorAccumulator) Push(v []float64) {
 	a.samples = append(a.samples, append([]float64(nil), v...))
 }
 
-// Count returns the number of samples pushed.
-func (a *VectorAccumulator) Count() int { return len(a.samples) }
-
 // MeanVec returns the element-wise mean.
 func (a *VectorAccumulator) MeanVec() []float64 {
 	out := make([]float64, a.n)

@@ -117,8 +117,8 @@ func TestVectorAccumulator(t *testing.T) {
 	var a VectorAccumulator
 	a.Push([]float64{1, 10})
 	a.Push([]float64{3, 30})
-	if a.Count() != 2 {
-		t.Fatalf("Count = %d", a.Count())
+	if len(a.samples) != 2 {
+		t.Fatalf("%d samples, want 2", len(a.samples))
 	}
 	m := a.MeanVec()
 	if m[0] != 2 || m[1] != 20 {

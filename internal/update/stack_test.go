@@ -3,9 +3,9 @@ package update
 import (
 	"testing"
 
-	"questgo/internal/greens"
 	"questgo/internal/hubbard"
 	"questgo/internal/mat"
+	"questgo/internal/obs"
 	"questgo/internal/rng"
 )
 
@@ -61,13 +61,13 @@ func TestStackSweepUsesFewerUDTSteps(t *testing.T) {
 	stacked := NewSweeper(p, f1, rng.New(5), Options{ClusterK: 4})
 	ref := NewSweeper(p, f2, rng.New(5), Options{ClusterK: 4, NoStack: true})
 
-	start := greens.UDTSteps()
+	start := obs.Total(obs.OpUDTSteps)
 	stacked.Sweep()
-	stackSteps := greens.UDTSteps() - start
+	stackSteps := obs.Total(obs.OpUDTSteps) - start
 
-	start = greens.UDTSteps()
+	start = obs.Total(obs.OpUDTSteps)
 	ref.Sweep()
-	refSteps := greens.UDTSteps() - start
+	refSteps := obs.Total(obs.OpUDTSteps) - start
 
 	// Both spin sectors refresh at every boundary, so each path costs twice
 	// its single-spin count.

@@ -462,9 +462,6 @@ func (sw *Sweeper) MaxWrapDrift() float64 { return sw.maxWrapDrift }
 // ClusterK returns the clustering size actually in use.
 func (sw *Sweeper) ClusterK() int { return sw.opts.ClusterK }
 
-// StabilityEvery returns the residual-check cadence in use.
-func (sw *Sweeper) StabilityEvery() int { return sw.opts.StabilityEvery }
-
 // SetStabilityEvery changes the stack-vs-rebuild residual check cadence
 // (boundaries between checks; <= 0 disables). Takes effect at the next
 // refresh; the cadence never influences the Markov chain, only how often

@@ -308,17 +308,17 @@ func TestSetStabilityEveryMidRun(t *testing.T) {
 	col.Reset()
 	sw1.Sweep()
 	sw2.Sweep()
-	before := col.StabilitySnapshot().StratResidualSamples
+	before := col.Metrics().Stability.StratResidualSamples
 	if before != 1 {
 		t.Fatalf("cadence 3 over 3 boundaries: %d residual samples, want 1", before)
 	}
 	sw1.SetStabilityEvery(1)
-	if sw1.StabilityEvery() != 1 {
-		t.Fatalf("StabilityEvery() = %d, want 1", sw1.StabilityEvery())
+	if sw1.opts.StabilityEvery != 1 {
+		t.Fatalf("StabilityEvery = %d, want 1", sw1.opts.StabilityEvery)
 	}
 	sw1.Sweep()
 	sw2.Sweep()
-	after := col.StabilitySnapshot().StratResidualSamples
+	after := col.Metrics().Stability.StratResidualSamples
 	if after != before+3 {
 		t.Fatalf("cadence 1 over 3 boundaries added %d samples, want 3", after-before)
 	}

@@ -109,12 +109,14 @@ func TestConfigFromFileRejectsTypos(t *testing.T) {
 }
 
 func TestConfigFromFileValidates(t *testing.T) {
-	f, err := config.Parse(strings.NewReader("beta = -3\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ConfigFromFile(f); err == nil {
-		t.Fatal("invalid physics should be rejected")
+	for _, in := range []string{"beta = -3\n", "tprime = NaN\n"} {
+		f, err := config.Parse(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ConfigFromFile(f); err == nil {
+			t.Fatalf("invalid physics %q should be rejected", in)
+		}
 	}
 }
 
