@@ -11,10 +11,23 @@ import (
 
 	"questgo/internal/greens"
 	"questgo/internal/hubbard"
+	"questgo/internal/lattice"
 	"questgo/internal/mat"
 	"questgo/internal/rng"
 	"questgo/internal/update"
 )
+
+func benchSetup(b *testing.B, nx int, u, beta float64, l int) (*hubbard.Propagator, *hubbard.Field) {
+	b.Helper()
+	lat := lattice.NewSquare(nx, nx, 1)
+	model, err := hubbard.NewModel(lat, u, 0, beta, l)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prop := hubbard.NewPropagator(model)
+	field := hubbard.NewRandomField(l, model.N(), rng.New(9))
+	return prop, field
+}
 
 // BenchmarkAblation_DelayBlockSize sweeps the delayed-update block nd.
 // nd = 1 degenerates to plain rank-1 (GER-speed) updates; larger blocks

@@ -9,15 +9,6 @@
 //	sweep -scan beta -values 1,2,3,4 [-nx 4] [-u 4] [-walkers 2] [-chi]
 //	sweep -scan u -values 0,2,4,6 -beta 3
 //
-// With -json, the command instead runs the sweep-scale benchmark: for each
-// lattice size in -bsizes it times ms/sweep of the full Metropolis sweep in
-// two configurations — the pre-optimization baseline (full-chain
-// stratified refresh, serial spin sectors) and the production path
-// (prefix/suffix UDT stack + spin-parallel phases) — and appends one
-// benchutil.Record JSON line per configuration to the named file:
-//
-//	sweep -json BENCH_sweep.json -bsizes 8,12,16 -bsweeps 2
-//
 // With -obscheck, the command instead measures the overhead of the metrics
 // instrumentation (enabled collector vs disabled) on the hot sweep path of
 // an 8x8 lattice and fails if it exceeds 2 percent — the regression gate
@@ -41,7 +32,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -70,11 +60,6 @@ func main() {
 	chi := flag.Bool("chi", false, "also sample the spin susceptibility chi_zz(pi,pi)")
 	chiSamples := flag.Int("chisamples", 5, "sweeps sampled for chi")
 	seed := flag.Uint64("seed", 1, "RNG seed")
-	jsonPath := flag.String("json", "", "benchmark mode: append ms/sweep JSON lines to this file")
-	bsizes := flag.String("bsizes", "8,12,16", "benchmark lattice linear sizes")
-	bl := flag.Int("bl", 40, "benchmark time slices")
-	bk := flag.Int("bk", 5, "benchmark cluster size k")
-	bsweeps := flag.Int("bsweeps", 2, "timed sweeps per configuration")
 	obscheck := flag.Bool("obscheck", false, "overhead mode: gate metrics instrumentation cost on the sweep hot path")
 	apPath := flag.String("autopilot", "", "ablation mode: append autopilot-vs-fixed records to this file")
 	apgate := flag.Bool("apgate", false, "fail unless the autopilot matches the fixed run's residual, checks and wall time")
@@ -89,14 +74,7 @@ func main() {
 	}
 
 	if *obscheck {
-		if err := runObsCheck(*bl, *bk, *bsweeps); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonPath != "" {
-		if err := runSweepBench(*jsonPath, *bsizes, *bl, *bk, *bsweeps); err != nil {
+		if err := runObsCheck(); err != nil {
 			fmt.Fprintln(os.Stderr, "sweep:", err)
 			os.Exit(1)
 		}
@@ -195,7 +173,7 @@ func sampleChi(sim *questgo.Simulation, samples int) *core.ChiResult {
 	return sim.SampleSusceptibility(samples, 0)
 }
 
-// sweepSetup builds the model and a per-sweep timer for benchmark modes.
+// sweepSetup builds the model -obscheck times sweeps of.
 func sweepSetup(nx, l int) (prop *hubbard.Propagator, n int, err error) {
 	lat := lattice.NewSquare(nx, nx, 1.0)
 	model, err := hubbard.NewModel(lat, 4, 0, 0.125*float64(l), l)
@@ -216,54 +194,6 @@ func timeSweeps(prop *hubbard.Propagator, l, sweeps int, o update.Options) float
 		sw.Sweep()
 	}
 	return time.Since(start).Seconds() / float64(sweeps)
-}
-
-// runSweepBench times full Metropolis sweeps at each lattice size, baseline
-// (NoStack + SerialSpins, the pre-optimization path) vs the production
-// stack + spin-parallel path, and appends one benchutil.Record per
-// configuration.
-func runSweepBench(path, sizesFlag string, l, k, sweeps int) error {
-	sizes, err := benchutil.ParseSizes(sizesFlag)
-	if err != nil {
-		return err
-	}
-	if sweeps < 1 {
-		sweeps = 1
-	}
-	fmt.Println("Sweep-scale benchmark: ms/sweep, baseline (full rebuild, serial spins)")
-	fmt.Println("vs stacked stratification + spin-parallel pipeline")
-	fmt.Println()
-	tbl := benchutil.NewTable("N", "L", "k", "base ms/sweep", "opt ms/sweep", "speedup")
-	for _, nx := range sizes {
-		prop, n, err := sweepSetup(nx, l)
-		if err != nil {
-			return err
-		}
-		base := timeSweeps(prop, l, sweeps, update.Options{
-			ClusterK: k, PrePivot: true, NoStack: true, SerialSpins: true,
-		})
-		opt := timeSweeps(prop, l, sweeps, update.Options{
-			ClusterK: k, PrePivot: true,
-		})
-
-		tbl.AddRow(n, l, k,
-			fmt.Sprintf("%9.1f", base*1e3),
-			fmt.Sprintf("%9.1f", opt*1e3),
-			fmt.Sprintf("%5.2f", base/opt))
-		for _, pt := range []struct {
-			name string
-			secs float64
-		}{{"baseline", base}, {"stacked", opt}} {
-			rec := benchutil.NewRecord("sweep", pt.name, n, pt.secs, 0).
-				WithParam("nx", nx).WithParam("l", l).WithParam("k", k).
-				WithParam("gomaxprocs", runtime.GOMAXPROCS(0))
-			if err := rec.Append(path); err != nil {
-				return err
-			}
-		}
-	}
-	tbl.Render(os.Stdout)
-	return nil
 }
 
 // runAutopilotBench runs the stability-autopilot ablation: the same Markov
@@ -381,18 +311,17 @@ func runAutopilotBench(path string, gate bool) error {
 // reads per sweep phase, so the measured overhead should be far below the
 // gate; taking the minimum over interleaved repetitions suppresses
 // scheduler noise.
-func runObsCheck(l, k, sweeps int) error {
+func runObsCheck() error {
 	const (
-		nx     = 8   // lattice linear size
-		reps   = 3   // interleaved repetitions per variant
-		maxPct = 2.0 // maximum tolerated overhead, percent
+		nx     = 8     // lattice linear size
+		l, k   = 40, 5 // time slices, cluster size
+		sweeps = 2     // timed sweeps per batch
+		reps   = 3     // interleaved repetitions per variant
+		maxPct = 2.0   // maximum tolerated overhead, percent
 	)
 	prop, n, err := sweepSetup(nx, l)
 	if err != nil {
 		return err
-	}
-	if sweeps < 1 {
-		sweeps = 1
 	}
 	bestOff, bestOn := math.Inf(1), math.Inf(1)
 	for r := 0; r < reps; r++ {

@@ -1,10 +1,13 @@
 package questgo
 
 import (
+	"bytes"
 	"context"
 	"net/http/httptest"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -46,70 +49,54 @@ func TestCmdDQMC(t *testing.T) {
 	}
 }
 
-func TestCmdKernels(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration")
-	}
-	out := runTool(t, "./cmd/kernels", "-sizes", "32,48", "-reps", "1")
-	if !strings.Contains(out, "DGEQP3") {
-		t.Fatalf("kernels output:\n%s", out)
-	}
-}
-
-func TestCmdAccuracy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration")
-	}
-	out := runTool(t, "./cmd/accuracy", "-nx", "4", "-l", "20", "-evals", "4", "-us", "4")
-	if !strings.Contains(out, "median") {
-		t.Fatalf("accuracy output:\n%s", out)
-	}
-}
-
-func TestCmdGreens(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration")
-	}
-	out := runTool(t, "./cmd/greens", "-sizes", "16", "-l", "20", "-reps", "1")
-	if !strings.Contains(out, "Figure 3") || !strings.Contains(out, "Figure 4") {
-		t.Fatalf("greens output:\n%s", out)
-	}
-}
-
-func TestCmdScaling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration")
-	}
-	out := runTool(t, "./cmd/scaling", "-sizes", "4,16", "-l", "8", "-warm", "1", "-meas", "2")
-	if !strings.Contains(out, "Table I") || !strings.Contains(out, "nominal") {
-		t.Fatalf("scaling output:\n%s", out)
-	}
-}
-
+// TestCmdFigures draws every figure cmd/figures knows on a tiny workload and
+// looks for the headline of the table it must print.
 func TestCmdFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
 	}
-	for _, fig := range []string{"5", "6", "7"} {
-		out := runTool(t, "./cmd/figures", "-fig="+fig, "-sizes", "4",
-			"-beta", "1", "-l", "8", "-warm", "2", "-meas", "4")
-		if !strings.Contains(out, "Figure "+fig) {
-			t.Fatalf("figures -fig=%s output:\n%s", fig, out)
+	jsonPath := filepath.Join(t.TempDir(), "BENCH_gemm.json")
+	physics := []string{"-sizes", "4", "-beta", "1", "-l", "8", "-warm", "2", "-meas", "4"}
+	for _, tc := range []struct {
+		fig  string
+		args []string
+		want []string
+	}{
+		{"1", []string{"-sizes", "32,48", "-reps", "1", "-json", jsonPath}, []string{"Figure 1", "DGEQP3"}},
+		{"2", []string{"-nx", "4", "-l", "20", "-evals", "4", "-us", "4"}, []string{"Figure 2", "median"}},
+		{"3", []string{"-sizes", "16", "-l", "20", "-reps", "1"}, []string{"Figure 3", "Figure 4"}},
+		{"5", physics, []string{"Figure 5"}},
+		{"6", physics, []string{"Figure 6"}},
+		{"7", physics, []string{"Figure 7"}},
+		{"8", []string{"-sizes", "4,16", "-l", "8", "-warm", "1", "-meas", "2"}, []string{"Figure 8", "Table I", "nominal"}},
+		{"9", []string{"-sizes", "16", "-k", "4"}, []string{"Figure 9", "cluster"}},
+		{"10", []string{"-sizes", "16", "-l", "8", "-k", "4"}, []string{"Figure 10", "hybrid"}},
+	} {
+		t.Run("fig="+tc.fig, func(t *testing.T) {
+			out := runTool(t, append([]string{"./cmd/figures", "-fig=" + tc.fig}, tc.args...)...)
+			for _, want := range tc.want {
+				if !strings.Contains(out, want) {
+					t.Fatalf("figures -fig=%s output missing %q:\n%s", tc.fig, want, out)
+				}
+			}
+		})
+	}
+	// -fig=1 -json wrote one schema-checked record per kernel and size.
+	recs, err := benchutil.ReadRecords(jsonPath)
+	if err != nil {
+		t.Fatalf("read records: %v", err)
+	}
+	series := map[string]int{}
+	for _, r := range recs {
+		if r.Bench != "kernels" || r.Ms <= 0 {
+			t.Fatalf("unexpected record %+v", r)
 		}
+		series[r.Name]++
 	}
-}
-
-func TestCmdGPUBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration")
-	}
-	out := runTool(t, "./cmd/gpubench", "-fig=9", "-sizes", "16", "-k", "4")
-	if !strings.Contains(out, "cluster") {
-		t.Fatalf("gpubench fig9 output:\n%s", out)
-	}
-	out = runTool(t, "./cmd/gpubench", "-fig=10", "-sizes", "16", "-l", "8", "-k", "4")
-	if !strings.Contains(out, "hybrid") {
-		t.Fatalf("gpubench fig10 output:\n%s", out)
+	for _, name := range []string{"gemm", "geqrf", "geqp3", "geqp3_blocked"} {
+		if series[name] != 2 {
+			t.Fatalf("series %q has %d records, want one per size (2): %v", name, series[name], series)
+		}
 	}
 }
 
@@ -132,36 +119,6 @@ func TestCmdExtrapolate(t *testing.T) {
 		"-ls", "4,8", "-nx", "2", "-beta", "1", "-warm", "5", "-meas", "10")
 	if !strings.Contains(out, "extrapolation") {
 		t.Fatalf("extrapolate output:\n%s", out)
-	}
-}
-
-func TestCmdDQMCLoad(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration")
-	}
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "BENCH_service.json")
-	out := runTool(t, "./cmd/dqmcload", "-jobs", "4", "-shards", "1", "-json", jsonPath)
-	for _, want := range []string{"cache:", "speedup", "worker scaling"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("dqmcload output missing %q:\n%s", want, out)
-		}
-	}
-	recs, err := benchutil.ReadRecords(jsonPath)
-	if err != nil {
-		t.Fatalf("read records: %v", err)
-	}
-	names := map[string]bool{}
-	for _, r := range recs {
-		if r.Bench != "service" {
-			t.Fatalf("unexpected bench %q", r.Bench)
-		}
-		names[r.Name] = true
-	}
-	for _, want := range []string{"cache_cold", "cache_hit", "workload_w1", "workload_w2", "worker_scaling"} {
-		if !names[want] {
-			t.Fatalf("missing record series %q in %v", want, names)
-		}
 	}
 }
 
@@ -211,5 +168,34 @@ func TestExamplesBuild(t *testing.T) {
 	out, err := exec.Command("go", "build", "./examples/...").CombinedOutput()
 	if err != nil {
 		t.Fatalf("examples failed to build: %v\n%s", err, out)
+	}
+}
+
+// TestDocsNameExistingCommands: every cmd/<name> the docs, reproduce.sh and
+// the verify skill mention is a directory that exists. CHANGES.md, ISSUE.md
+// and ROADMAP.md from "## Recent" on are history and may name what is gone.
+func TestDocsNameExistingCommands(t *testing.T) {
+	files, err := filepath.Glob("*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, "reproduce.sh", ".claude/skills/verify/SKILL.md")
+	mention := regexp.MustCompile(`\bcmd/([a-z]+)`)
+	for _, file := range files {
+		if file == "CHANGES.md" || file == "ISSUE.md" {
+			continue
+		}
+		text, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if file == "ROADMAP.md" {
+			text, _, _ = bytes.Cut(text, []byte("\n## Recent\n"))
+		}
+		for _, m := range mention.FindAllSubmatch(text, -1) {
+			if st, err := os.Stat(filepath.Join("cmd", string(m[1]))); err != nil || !st.IsDir() {
+				t.Errorf("%s mentions %s, which is not a directory", file, m[0])
+			}
+		}
 	}
 }

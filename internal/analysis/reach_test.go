@@ -12,7 +12,7 @@ import (
 // reference or helper for code a run can reach. The value names the test.
 var keptForTests = map[string]string{
 	"questgo/internal/analysis.MessageCoverage":                 "TestMessageCoverage: every declared diagnostic fires from a fixture",
-	"questgo/internal/benchutil.ReadRecords":                    "TestCmdDQMCLoad reads back the records the binary wrote, through DecodeRecord's schema check",
+	"questgo/internal/benchutil.ReadRecords":                    "TestCmdFigures reads back the records -fig=1 -json wrote, through DecodeRecord's schema check",
 	"questgo/internal/check.Dims":                               "sanitizer stub: TestDims (-tags qmcdebug), TestDisabled",
 	"questgo/internal/check.Assertf":                            "sanitizer stub: TestAssertf (-tags qmcdebug); the release twin keeps its signature",
 	"(*questgo/internal/gpu.Device).AllocBytes":                 "TestSweeperSteadyDeviceMemory: sweeps leave device allocation flat",

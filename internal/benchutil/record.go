@@ -17,16 +17,16 @@ import (
 // Major bumps rename/retype/remove fields; minor bumps only add.
 const RecordSchemaVersion = "1.0"
 
-// Record is the unified machine-readable bench result shared by every
-// figure-regeneration harness (cmd/kernels, cmd/sweep, cmd/gpubench,
-// cmd/dqmcload). One record is one measured point; harnesses append them as
-// JSON lines so results from different commands and commits diff with the
-// same tooling. Field names are a compatibility surface; DecodeRecord and
-// ReadRecords are the read path that enforces it.
+// Record is the machine-readable bench result of the two committed series:
+// cmd/figures -fig=1 -json (BENCH_gemm.json) and cmd/sweep -autopilot
+// (BENCH_autopilot.json). One record is one measured point, appended as a
+// JSON line so results from different commits diff with the same tooling.
+// Field names are a compatibility surface; DecodeRecord and ReadRecords are
+// the read path that enforces it.
 type Record struct {
 	SchemaVersion string `json:"schema_version,omitempty"`
-	// Bench is the harness name ("kernels", "sweep", "gpubench"); Name the
-	// measured series/kernel within it ("gemm", "wrap", "cluster", ...).
+	// Bench is the series family ("kernels", "autopilot"); Name the measured
+	// series/kernel within it ("gemm", "geqrf", "fixed", ...).
 	Bench string `json:"bench"`
 	Name  string `json:"name"`
 	// N is the primary problem size (matrix dimension or site count);
@@ -114,18 +114,6 @@ func (r Record) WithParam(key string, v int) Record {
 	}
 	p[key] = v
 	r.Params = p
-	return r
-}
-
-// WithFloatParam returns a copy of the record with one named real-valued
-// parameter set.
-func (r Record) WithFloatParam(key string, v float64) Record {
-	p := make(map[string]float64, len(r.FloatParams)+1)
-	for k, old := range r.FloatParams {
-		p[k] = old
-	}
-	p[key] = v
-	r.FloatParams = p
 	return r
 }
 

@@ -131,6 +131,41 @@ func TestAutopilotClampedMatchesFixed(t *testing.T) {
 	}
 }
 
+// TestAutopilotHoldsResidualWithFewerChecks is the deterministic half of
+// `cmd/sweep -autopilot -apgate` on the gate's own workload (4x4, beta=32,
+// L=160, k=10, cadence 2, 5+15 sweeps): the controller keeps the strat
+// residual under 1e-8 and, because a quiet chain relaxes its cadence, takes
+// fewer residual samples than the fixed-cadence run (the gate asks <=; the
+// committed BENCH_autopilot.json reads 1e-10 and 61 vs 160 checks, and a
+// cadence that never relaxes would tie).
+func TestAutopilotHoldsResidualWithFewerChecks(t *testing.T) {
+	fixed, err := NewConfig(WithLattice(4, 4), WithInteraction(4, 0), WithTemperature(32, 160),
+		WithSchedule(5, 15), WithClusterK(10), WithStabilityCheck(2), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	piloted, err := fixed.With(WithAutopilot(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fres, err := Run(context.Background(), fixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pres, err := Run(context.Background(), piloted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fst, pst := fres.Metrics.Stability, pres.Metrics.Stability
+	if pst.MaxStratResidual > 1e-8 {
+		t.Errorf("autopilot let the strat residual reach %.2e (bound 1e-8)", pst.MaxStratResidual)
+	}
+	if pst.StratResidualSamples == 0 || pst.StratResidualSamples >= fst.StratResidualSamples {
+		t.Errorf("autopilot took %d residual samples, fixed cadence %d: want 0 < autopilot < fixed",
+			pst.StratResidualSamples, fst.StratResidualSamples)
+	}
+}
+
 // TestAutopilotRejectsWalkers: the walker group shares one collector whose
 // single listener cannot serve several controllers.
 func TestAutopilotRejectsWalkers(t *testing.T) {

@@ -27,8 +27,8 @@ func freshCPU(sw *update.Sweeper, sigma hubbard.Spin) *mat.Dense {
 
 func TestHybridSweeperGreenConsistency(t *testing.T) {
 	p, f := testSetup(t, 3, 3, 4, 2, 8, 51)
-	dev := NewDevice(TeslaC2050())
-	sw := deviceSweeper(GroupOf(dev), p, f, rng.New(5), update.Options{ClusterK: 4, Delay: 3}, false)
+	grp := NewGroup(1, TeslaC2050())
+	sw := deviceSweeper(grp, p, f, rng.New(5), update.Options{ClusterK: 4, Delay: 3}, false)
 	for i := 0; i < 3; i++ {
 		sw.Sweep()
 	}
@@ -45,7 +45,7 @@ func TestHybridSweeperGreenConsistency(t *testing.T) {
 	if sw.AcceptanceRate() <= 0 || sw.AcceptanceRate() >= 1 {
 		t.Fatalf("acceptance %v implausible", sw.AcceptanceRate())
 	}
-	if dev.Flops() == 0 {
+	if grp.Devs[0].Flops() == 0 {
 		t.Fatal("device unused")
 	}
 }
@@ -55,8 +55,7 @@ func TestHybridSweeperGreenConsistency(t *testing.T) {
 // CPU evaluation of the final field.
 func TestHybridSweeperSetClusterK(t *testing.T) {
 	p, f := testSetup(t, 3, 3, 4, 2, 12, 57)
-	dev := NewDevice(TeslaC2050())
-	sw := deviceSweeper(GroupOf(dev), p, f, rng.New(13), update.Options{ClusterK: 4, Delay: 3}, false)
+	sw := deviceSweeper(NewGroup(1, TeslaC2050()), p, f, rng.New(13), update.Options{ClusterK: 4, Delay: 3}, false)
 	sw.Sweep()
 	for _, k := range []int{2, 6, 3} {
 		if got := sw.SetClusterK(k); got != k {
@@ -197,8 +196,7 @@ func TestShardedSetClusterKUnderAutopilot(t *testing.T) {
 func TestHybridSweeperProfile(t *testing.T) {
 	p, f := testSetup(t, 3, 3, 4, 2, 8, 57)
 	col := obs.New()
-	dev := NewDevice(TeslaC2050())
-	sw := deviceSweeper(GroupOf(dev), p, f, rng.New(3), update.Options{ClusterK: 4, Obs: col}, false)
+	sw := deviceSweeper(NewGroup(1, TeslaC2050()), p, f, rng.New(3), update.Options{ClusterK: 4, Obs: col}, false)
 	col.Reset()
 	sw.Sweep()
 	pd := col.PhaseDurations()
@@ -333,6 +331,7 @@ func TestModeledClockGolden(t *testing.T) {
 			{769792, 840000, 62, 43704, 46170, 4464},
 		},
 	}
+	groupClock := map[string]int64{} // the slowest device: they run concurrently
 	for _, nd := range []int{1, 2, 4} {
 		for _, graphs := range []bool{false, true} {
 			name := fmt.Sprintf("devices=%d graphs=%v", nd, graphs)
@@ -347,7 +346,16 @@ func TestModeledClockGolden(t *testing.T) {
 				if got != golden[name][i] {
 					t.Errorf("%s device %d: modeled accounting moved:\n got %+v\nwant %+v", name, i, got, golden[name][i])
 				}
+				if got.clockNS > groupClock[name] {
+					groupClock[name] = got.clockNS
+				}
 			}
 		}
+	}
+	// Re-recording the literals must not hide lost scaling: a second device
+	// has to buy at least 1.6x on the sharded sweep (the golden reads 2.00x).
+	one, two := groupClock["devices=1 graphs=false"], groupClock["devices=2 graphs=false"]
+	if float64(one) < 1.6*float64(two) {
+		t.Errorf("2-device modeled speedup %.2fx < 1.6x (%d ns -> %d ns)", float64(one)/float64(two), one, two)
 	}
 }

@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"fmt"
-	"time"
 
 	"questgo/internal/hubbard"
 )
@@ -28,28 +27,8 @@ func NewGroup(n int, model DeviceModel) *Group {
 	return g
 }
 
-// GroupOf wraps existing devices.
-func GroupOf(devs ...*Device) *Group {
-	if len(devs) == 0 {
-		panic("gpu: empty device group")
-	}
-	return &Group{Devs: devs}
-}
-
 // Size returns the number of devices.
 func (g *Group) Size() int { return len(g.Devs) }
-
-// Clock returns the modeled wall clock of the whole group: the slowest
-// device (they run concurrently).
-func (g *Group) Clock() time.Duration {
-	var max time.Duration
-	for _, d := range g.Devs {
-		if c := d.Clock(); c > max {
-			max = c
-		}
-	}
-	return max
-}
 
 // Reset resets every device clock.
 func (g *Group) Reset() {

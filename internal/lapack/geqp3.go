@@ -237,7 +237,7 @@ func downdateNorms(a *mat.Dense, j, jb int, norms, onorms []float64) {
 // chosen, which is exactly the serialization the blocked QRPFactor (and,
 // more aggressively, the paper's whole-matrix pre-pivoting) removes. It is
 // kept as the equivalence oracle for the blocked path and as the baseline
-// series of cmd/kernels.
+// series of Figure 1 (cmd/figures -fig=1).
 //
 //qmc:charges OpQRPFactorizations
 //qmc:hot

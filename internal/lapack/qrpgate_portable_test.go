@@ -1,0 +1,9 @@
+//go:build !amd64 || purego
+
+package lapack
+
+// qrpGateSlack: with the portable 4x4 micro-kernel the blocked QRP only draws
+// level with the level-2 loop at N=512 (0.93x measured, runs spreading
+// 0.73-1.44x on a shared box), so this build can hold it to "not twice as
+// slow" and no tighter.
+const qrpGateSlack = 2

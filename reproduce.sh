@@ -6,13 +6,7 @@ set -e
 cd "$(dirname "$0")"
 mkdir -p results
 
-if [ "${PAPER_SCALE:-0}" = "1" ]; then
-    BSIZES=${BSIZES:-8,12,16,20,24}
-else
-    BSIZES=${BSIZES:-8,12,16}
-fi
-
-echo "== Verify: fmt, vet, qmclint, race tests, kernel + sweep regression bench"
+echo "== Verify: fmt, vet, qmclint, race tests, kernel series"
 UNFORMATTED=$(gofmt -l .)
 if [ -n "$UNFORMATTED" ]; then
     echo "gofmt: the following files need formatting:" >&2
@@ -42,22 +36,17 @@ go test ./internal/blas/ -run NoSuchTest -fuzz 'FuzzGemmPackedVsNaive$' -fuzztim
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzQRReconstruct$' -fuzztime 10s
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzGetrf$' -fuzztime 10s
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzQRPBlockedVsLevel2$' -fuzztime 10s
-# -qrpgate 512 fails the run if the blocked level-3 QRP ever drops below the
-# retained level-2 reference at N=512 (the DQMC sweet-spot size).
-# 16 and 36 are the sizes service jobs run at (4x4, and 6x6 with partial tiles).
-go run ./cmd/kernels -sizes 16,36,64,128,256,512,1024 -reps 2 -json BENCH_gemm.json -qrpgate 512
-go run ./cmd/sweep -json BENCH_sweep.json -bsizes $BSIZES -bsweeps 2
+# The multi-size kernel series. 16 and 36 are the sizes service jobs run at
+# (4x4, and 6x6 with partial tiles). (Blocked QRP >= level-2 at N=512 is
+# TestQRPBlockedNotSlowerThanLevel2 in tier-1.)
+go run ./cmd/figures -fig=1 -sizes 16,36,64,128,256,512,1024 -reps 2 -json BENCH_gemm.json
 echo "== Verify: metrics instrumentation overhead gate (<2% on the sweep hot path)"
 go run ./cmd/sweep -obscheck
 echo "== Verify: stability autopilot ablation (residual held, cadence no denser, no slower)"
 go run ./cmd/sweep -autopilot BENCH_autopilot.json -apgate
-echo "== Verify: command-graph amortization + multi-device sharding gate (1/2/4 devices)"
-go run ./cmd/gpubench -gpugate -json BENCH_gpu.json
-# Service smoke benchmark: a cache hit must answer >= 50x faster than the
-# cold execution; with 2 workers the mixed workload must clear >= 1.6x
-# faster than with 1 (enforced only on multi-core machines).
-echo "== Verify: dqmcd service gate (result cache + worker scaling)"
-go run ./cmd/dqmcload -servicegate -json BENCH_service.json
+# The command-graph/multi-device and service-cache gates are tests the
+# qmcdebug pass above already ran: TestGraphLaunchAmortization,
+# TestModeledClockGolden, TestSweeperDeviceAndGraphInvariance, TestCacheHit.
 
 if [ "${PAPER_SCALE:-0}" = "1" ]; then
     KSIZES=128,256,384,512,768,1024
@@ -77,18 +66,18 @@ else
     GPUSIZES=64,144,256,576,1024
 fi
 
-echo "== Figure 1: kernel throughput" && go run ./cmd/kernels -sizes $KSIZES -reps 2 | tee results/fig1.txt
-echo "== Figure 2: Alg2 vs Alg3 accuracy" && go run ./cmd/accuracy $ACC | tee results/fig2.txt
-echo "== Figures 3/4: Green's evaluation" && go run ./cmd/greens -sizes $GSIZES -l 40 | tee results/fig34.txt
+echo "== Figure 1: kernel throughput" && go run ./cmd/figures -fig=1 -sizes $KSIZES -reps 2 | tee results/fig1.txt
+echo "== Figure 2: Alg2 vs Alg3 accuracy" && go run ./cmd/figures -fig=2 $ACC | tee results/fig2.txt
+echo "== Figures 3/4: Green's evaluation" && go run ./cmd/figures -fig=3 -sizes $GSIZES -l 40 | tee results/fig34.txt
 echo "== Figures 5: momentum distribution (path)" && go run ./cmd/figures -fig=5 -sizes $FSIZES $FPARAMS -out results | tee results/fig5.txt
 echo "== Figure 6: momentum distribution (grid)" && go run ./cmd/figures -fig=6 -sizes $FSIZES $FPARAMS -out results | tee results/fig6.txt
 echo "== Figure 7: spin correlations" && go run ./cmd/figures -fig=7 -sizes $FSIZES -u 4 $FPARAMS -out results | tee results/fig7.txt
-echo "== Figure 8 + Table I: scaling and profile" && go run ./cmd/scaling -sizes $SSIZES -l 24 -warm 10 -meas 20 | tee results/fig8_table1.txt
-echo "== Figure 9: simulated-GPU clustering/wrapping" && go run ./cmd/gpubench -fig=9 -sizes $GPUSIZES | tee results/fig9.new
+echo "== Figure 8 + Table I: scaling and profile" && go run ./cmd/figures -fig=8 -sizes $SSIZES -l 24 -warm 10 -meas 20 | tee results/fig8_table1.txt
+echo "== Figure 9: simulated-GPU clustering/wrapping" && go run ./cmd/figures -fig=9 -sizes $GPUSIZES | tee results/fig9.new
 # Figure 9 is pure modeled clock: at the default sizes it must reproduce the
 # committed table byte for byte (a difference means the cost model or the op
 # order moved and results/fig9.txt + EXPERIMENTS.md are stale).
 [ "${PAPER_SCALE:-0}" = "1" ] || cmp results/fig9.new results/fig9.txt
 mv results/fig9.new results/fig9.txt
-echo "== Figure 10: hybrid Green's evaluation" && go run ./cmd/gpubench -fig=10 -sizes $GSIZES -l 40 | tee results/fig10.txt
+echo "== Figure 10: hybrid Green's evaluation" && go run ./cmd/figures -fig=10 -sizes $GSIZES -l 40 | tee results/fig10.txt
 echo "== done; see results/"
