@@ -25,6 +25,7 @@ var keptForTests = map[string]string{
 	"(*questgo/internal/greens.Wrapper).WrapInverse":            "TestWrapInverseRoundTrip pins Wrap against its inverse",
 	"(*questgo/internal/hubbard.Field).Clone":                   "twin fields of the stack-vs-rebuild and spin-parallel trajectory tests",
 	"(*questgo/internal/lapack.QR).R":                           "TestQRReconstruct: Q*R == A",
+	"(*questgo/internal/lapack.QR).MulQ":                        "the operator FormQ (DORGQR since PR 20, no longer MulQ on I) must equal: TestFormQAcrossPanelShapes, FuzzQRReconstruct; Q*R == A of TestQRReconstruct",
 	"(*questgo/internal/lapack.LU).LogDet":                      "TestLUDeterminant and the update tests' exact-weight reference; a run tracks ratios only",
 	"(*questgo/internal/lattice.Lattice).Neighbors":             "TestNeighborsCount: independent count of the bonds KMatrix builds",
 	"(*questgo/internal/mat.Dense).MaxAbs":                      "tolerance scale of the lapack and greens property tests",

@@ -2,6 +2,7 @@ package blas
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -241,6 +242,55 @@ func TestTrsmTransposed(t *testing.T) {
 	Trsm(false, true, true, 1, l, b2)
 	if !b2.EqualApprox(x, 1e-10) {
 		t.Fatal("transposed lower unit Trsm failed")
+	}
+}
+
+// TestTrsmBitwiseAcrossDispatch: a diagonal-block solve (and the alpha
+// pre-scale) runs on the caller below gemmPoolMin and through the pool from
+// there on; a right-hand-side column is solved by the same trsv either way,
+// so the bits cannot depend on GOMAXPROCS. Sizes sit on both sides of the
+// cutoff, and 100 has one diagonal block on each side.
+func TestTrsmBitwiseAcrossDispatch(t *testing.T) {
+	type operands struct {
+		upper, trans bool
+		alpha        float64
+		t, b         *mat.Dense
+	}
+	r := rng.New(29)
+	var cases []operands
+	for _, sh := range [][2]int{{36, 36}, {63, 63}, {64, 64}, {100, 100}, {36, 300}} {
+		n, cols := sh[0], sh[1]
+		for _, upper := range []bool{false, true} {
+			for _, trans := range []bool{false, true} {
+				for _, alpha := range []float64{1, 0.5} {
+					tm := randomDense(r, n, n)
+					for i := 0; i < n; i++ {
+						tm.Set(i, i, 2+r.Float64())
+					}
+					cases = append(cases, operands{upper, trans, alpha, tm, randomDense(r, n, cols)})
+				}
+			}
+		}
+	}
+	solve := func(o operands) *mat.Dense {
+		x := o.b.Clone()
+		Trsm(o.upper, o.trans, !o.upper, o.alpha, o.t, x)
+		return x
+	}
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	want := make([]*mat.Dense, len(cases))
+	for i, o := range cases {
+		want[i] = solve(o)
+	}
+	for _, procs := range []int{2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for i, o := range cases {
+			if !sameBits(solve(o), want[i]) {
+				t.Errorf("GOMAXPROCS=%d: n=%d cols=%d upper=%v trans=%v alpha=%g differs from the serial bits",
+					procs, o.t.Rows, o.b.Cols, o.upper, o.trans, o.alpha)
+			}
+		}
 	}
 }
 

@@ -143,6 +143,19 @@ func TestGemmNoAllocSteadyState(t *testing.T) {
 	}
 }
 
+// sameBits reports whether x and y hold identical float64 bit patterns.
+func sameBits(x, y *mat.Dense) bool {
+	for j := 0; j < x.Cols; j++ {
+		xc, yc := x.Col(j), y.Col(j)
+		for i := range xc {
+			if math.Float64bits(xc[i]) != math.Float64bits(yc[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestGemmBitwiseAcrossDispatch pins the invariant every relative bitwise
 // guarantee of the stack rests on (host = device, serial = parallel spins,
 // resume = continuous, service job = direct Run): whether and how the pool
@@ -182,18 +195,6 @@ func TestGemmBitwiseAcrossDispatch(t *testing.T) {
 		Gemm(o.ta, o.tb, 1.25, o.a, o.b, 0.5, c)
 		return c
 	}
-	same := func(x, y *mat.Dense) bool {
-		for j := 0; j < x.Cols; j++ {
-			xc, yc := x.Col(j), y.Col(j)
-			for i := range xc {
-				if math.Float64bits(xc[i]) != math.Float64bits(yc[i]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
 	want := make([]*mat.Dense, len(cases))
@@ -203,7 +204,7 @@ func TestGemmBitwiseAcrossDispatch(t *testing.T) {
 	for _, procs := range []int{2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for i, o := range cases {
-			if !same(product(o), want[i]) {
+			if !sameBits(product(o), want[i]) {
 				t.Errorf("GOMAXPROCS=%d: %dx%d ta=%v tb=%v differs from the serial bits", procs, o.c.Rows, o.c.Cols, o.ta, o.tb)
 			}
 		}
@@ -217,7 +218,7 @@ func TestGemmBitwiseAcrossDispatch(t *testing.T) {
 		}
 	})
 	for i, o := range cases {
-		if !same(got[i], want[i]) {
+		if !sameBits(got[i], want[i]) {
 			t.Errorf("saturated pool: %dx%d ta=%v tb=%v differs from the serial bits", o.c.Rows, o.c.Cols, o.ta, o.tb)
 		}
 	}

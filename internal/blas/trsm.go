@@ -38,7 +38,7 @@ func Trsm(upper, trans, unit bool, alpha float64, t, b *mat.Dense) {
 	ctx.upper, ctx.trans, ctx.unit, ctx.alpha = upper, trans, unit, alpha
 	ctx.t, ctx.b = t, b
 	if alpha != 1 {
-		parallel.For(b.Cols, 8, ctx.scaleBody)
+		ctx.forCols(n, 8, ctx.scaleBody)
 	}
 	if n <= trsmBlock {
 		ctx.solveDiag(0, n)
@@ -140,7 +140,19 @@ func (ctx *trsmCtx) runSolve(jlo, jhi int) {
 func (ctx *trsmCtx) solveDiag(k0, k1 int) {
 	ctx.k0, ctx.k1 = k0, k1
 	ctx.td = ctx.t.View(k0, k0, k1-k0, k1-k0)
-	parallel.For(ctx.b.Cols, 4, ctx.solveBody)
+	ctx.forCols((k1-k0)*(k1-k0), 4, ctx.solveBody)
+}
+
+// forCols runs body over the right-hand-side columns, each costing about
+// perCol operations: on the caller below the GEMM pool cutoff (a 36x36
+// solve is cheaper than waking a worker), through the pool from there on.
+// A column is computed by the same code either way.
+func (ctx *trsmCtx) forCols(perCol, grain int, body func(jlo, jhi int)) {
+	if ctx.b.Cols*perCol < gemmPoolMin {
+		body(0, ctx.b.Cols)
+		return
+	}
+	parallel.For(ctx.b.Cols, grain, body)
 }
 
 // trsv solves op(T) x = x in place for one right-hand side.

@@ -18,6 +18,11 @@ func FuzzQRReconstruct(f *testing.F) {
 	f.Add(uint8(33), uint8(32), uint64(3))
 	f.Add(uint8(65), uint8(64), uint64(4))
 	f.Add(uint8(80), uint8(3), uint64(5))
+	// Square 33, 36 and 65: one column past a panel, the 6x6 lattice, one
+	// past two panels — where FormQ's last panel is a sliver.
+	f.Add(uint8(32), uint8(32), uint64(6))
+	f.Add(uint8(35), uint8(35), uint64(7))
+	f.Add(uint8(64), uint8(64), uint64(8))
 	f.Fuzz(func(t *testing.T, m8, n8 uint8, seed uint64) {
 		m := int(m8%80) + 1
 		n := int(n8%80) + 1
@@ -38,6 +43,15 @@ func FuzzQRReconstruct(f *testing.F) {
 		if !qrm.EqualApprox(orig, tol) {
 			t.Fatalf("m=%d n=%d seed=%d: Q*R does not reproduce A (rel diff %.3e, tol %.3e)",
 				m, n, seed, mat.RelDiff(qrm, orig), tol)
+		}
+		// The explicit Q must be the operator MulQ applies.
+		q := mat.New(m, m)
+		qr.FormQ(q)
+		qi := mat.Identity(m)
+		qr.MulQ(false, qi)
+		if !q.EqualApprox(qi, tol) {
+			t.Fatalf("m=%d n=%d seed=%d: FormQ differs from MulQ(false, I) (rel diff %.3e, tol %.3e)",
+				m, n, seed, mat.RelDiff(q, qi), tol)
 		}
 	})
 }

@@ -12,8 +12,10 @@ import (
 
 // qrpBlock is the panel width of the blocked QRP. Like qrBlock it balances
 // the level-2 panel cost (quadratic in the width) against the per-panel
-// trailing-update and norm-downdate sweeps for DQMC matrix sizes.
-const qrpBlock = 32
+// trailing-update and norm-downdate sweeps for DQMC matrix sizes. It is
+// qrBlock by definition: both factorizations file their panels' T in the
+// one strip layout MulQ and FormQ walk.
+const qrpBlock = qrBlock
 
 // tol3z is sqrt(machine epsilon): the DGEQP3 threshold below which a
 // downdated partial column norm has lost too many digits to cancellation
@@ -55,7 +57,8 @@ func QRPFactor(a *mat.Dense) (*QR, []int) {
 	obs.Add(obs.OpQRPFactorizations, 1)
 	m, n := a.Rows, a.Cols
 	k := min(m, n)
-	tau := getTau(k)
+	qr := newQR(a)
+	tau := qr.Tau
 	jpvt := GetPivot(n)
 	wk := mat.GetScratch(n, 3)
 	norms := wk.Data[0:n]      // partial (trailing) column norms
@@ -63,13 +66,11 @@ func QRPFactor(a *mat.Dense) (*QR, []int) {
 	work := wk.Data[2*n : 3*n] // reflector workspace
 	lwk := mat.GetScratch(qrpBlock, 2)
 	v := mat.GetScratch(m, qrpBlock)
-	t := mat.GetScratch(qrpBlock, qrpBlock)
 	wrk := mat.GetScratch(2*qrpBlock, n)
 	defer func() {
 		mat.PutScratch(wk)
 		mat.PutScratch(lwk)
 		mat.PutScratch(v)
-		mat.PutScratch(t)
 		mat.PutScratch(wrk)
 	}()
 
@@ -107,8 +108,9 @@ func QRPFactor(a *mat.Dense) (*QR, []int) {
 			// Step 3: one block-reflector GEMM sweep over the trailing matrix.
 			vv := v.View(0, 0, m-j, jb)
 			copyReflectors(a.View(j, j, m-j, jb), vv)
-			tt := t.View(0, 0, jb, jb)
-			larft(vv, tau[j:j+jb], tt)
+			tt := qr.t.View(0, j, jb, jb)
+			panelT(vv, tau[j:j+jb], tt, 0, wrk)
+			qr.nt = j + jb
 			trail := a.View(j, j+jb, m-j, n-j-jb)
 			larfb(vv, tt, true, trail, wrk)
 			// Step 4: aggregated norm downdate for the next panel's pivots.
@@ -119,7 +121,7 @@ func QRPFactor(a *mat.Dense) (*QR, []int) {
 	obs.Add(obs.OpQRPPanels, panels)
 	check.Finite("lapack.QRPFactor", a)
 	check.FiniteSlice("lapack.QRPFactor tau", tau)
-	return &QR{A: a, Tau: tau}, jpvt
+	return qr, jpvt
 }
 
 // qrpPanel runs the level-2 column-pivoted QR on the pre-pivoted panel
@@ -245,7 +247,8 @@ func QRPFactorLevel2(a *mat.Dense) (*QR, []int) {
 	obs.Add(obs.OpQRPFactorizations, 1)
 	m, n := a.Rows, a.Cols
 	k := min(m, n)
-	tau := getTau(k)
+	qr := newQR(a)
+	tau := qr.Tau
 	jpvt := GetPivot(n)
 	wk := mat.GetScratch(n, 3) // pooled: norms | onorms | gemv workspace
 	norms := wk.Data[0:n]      // partial (trailing) column norms
@@ -313,20 +316,36 @@ func QRPFactorLevel2(a *mat.Dense) (*QR, []int) {
 	}
 	check.Finite("lapack.QRPFactorLevel2", a)
 	check.FiniteSlice("lapack.QRPFactorLevel2 tau", tau)
-	return &QR{A: a, Tau: tau}, jpvt
+	return qr, jpvt
 }
 
-// ColumnNorms computes the Euclidean norm of every column of a in parallel.
-// This is the pre-pivoting step of the paper's Algorithm 3: the permutation
-// that sorts these norms in descending order replaces per-step pivoting.
+// normsPoolMin is the smallest element count ColumnNorms offers to the
+// worker pool. Below it the whole sweep costs less than waking a worker —
+// about what the smallest pooled GEMM (blas.gemmPoolMin) costs, measured on
+// the dev container: N=36..100 ran 20-60% slower through the pool at
+// GOMAXPROCS=2 — so it runs on the caller, as every N <= 64 service and
+// stratification-stack size does; N=144 and up stay pooled.
+const normsPoolMin = 128 * 128
+
+// ColumnNorms computes the Euclidean norm of every column of a, in parallel
+// when there is enough of it. This is the pre-pivoting step of the paper's
+// Algorithm 3: the permutation that sorts these norms in descending order
+// replaces per-step pivoting. Each norm is one blas.Nrm2 either way, so the
+// result does not depend on the dispatch.
 func ColumnNorms(a *mat.Dense, dst []float64) []float64 {
 	if dst == nil {
 		dst = make([]float64, a.Cols)
 	}
-	parallel.For(a.Cols, 8, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			dst[j] = blas.Nrm2(a.Col(j))
-		}
-	})
+	if a.Rows*a.Cols < normsPoolMin {
+		columnNorms(a, dst, 0, a.Cols)
+		return dst
+	}
+	parallel.For(a.Cols, 8, func(lo, hi int) { columnNorms(a, dst, lo, hi) })
 	return dst
+}
+
+func columnNorms(a *mat.Dense, dst []float64, lo, hi int) {
+	for j := lo; j < hi; j++ {
+		dst[j] = blas.Nrm2(a.Col(j))
+	}
 }

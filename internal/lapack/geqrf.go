@@ -2,6 +2,7 @@ package lapack
 
 import (
 	"fmt"
+	"questgo/internal/blas"
 	"questgo/internal/check"
 	"questgo/internal/mat"
 	"questgo/internal/obs"
@@ -19,15 +20,26 @@ const qrBlock = 32
 // qrInner is the sub-panel width of the two-level panel factorization:
 // columns are eliminated unblocked qrInner at a time, and the rest of the
 // panel is updated through the compact-WY block reflector (a skinny GEMM)
-// instead of column-at-a-time larf sweeps.
+// instead of column-at-a-time larf sweeps. It is also the widest span of
+// the scalar larft: the panel's T is assembled from its sub-panels' factors
+// (panelT), never re-derived across the whole panel.
 const qrInner = 16
 
 // QR holds a Householder QR factorization computed in place: R occupies the
 // upper triangle of A and the reflector vectors V the strict lower
 // trapezoid, with scalar factors in Tau (LAPACK DGEQRF layout).
+//
+// t is the qrBlock x k strip of compact-WY factors, pooled with Tau (newQR):
+// panel j's upper triangular T sits in columns [j, j+jb). The factorization
+// writes each T as it forms it for its own trailing update and nt counts
+// the leading columns done; MulQ and FormQ read the strip and first form
+// what is missing (formT), so the first of them must not run concurrently
+// with another on the same QR.
 type QR struct {
 	A   *mat.Dense
 	Tau []float64
+	t   mat.Dense
+	nt  int
 }
 
 // QRFactor computes the blocked Householder QR factorization of a,
@@ -41,48 +53,49 @@ func QRFactor(a *mat.Dense) *QR {
 	obs.Add(obs.OpQRFactorizations, 1)
 	m, n := a.Rows, a.Cols
 	k := min(m, n)
-	// tau escapes in the returned QR; it comes from the package pool and
-	// call sites hand it back with Release. The panel/reflector scratch is
-	// identical on every call for a given shape, so it comes from the
-	// shared pool.
-	tau := getTau(k)
+	// tau and the T strip escape in the returned QR; they come from the
+	// package pool and call sites hand them back with Release. The
+	// panel/reflector scratch is identical on every call for a given shape,
+	// so it comes from the shared pool.
+	qr := newQR(a)
+	tau := qr.Tau
 	wk := mat.GetScratch(n, 1)
 	work := wk.Data[:n]
-	t := mat.GetScratch(qrBlock, qrBlock)
 	v := mat.GetScratch(m, qrBlock)
 	wrk := mat.GetScratch(2*qrBlock, n)
 	defer func() {
 		mat.PutScratch(wk)
-		mat.PutScratch(t)
 		mat.PutScratch(v)
 		mat.PutScratch(wrk)
 	}()
 	for j := 0; j < k; j += qrBlock {
 		jb := min(qrBlock, k-j)
 		panel := a.View(j, j, m-j, jb)
-		geqrPanel(panel, tau[j:j+jb], work, v, t, wrk)
+		tt := qr.t.View(0, j, jb, jb)
+		geqrPanel(panel, tau[j:j+jb], work, v, tt, wrk)
 		if j+jb < n {
 			// Copy the panel reflectors with explicit unit diagonal.
 			vv := v.View(0, 0, m-j, jb)
 			copyReflectors(panel, vv)
-			tt := t.View(0, 0, jb, jb)
-			larft(vv, tau[j:j+jb], tt)
+			panelT(vv, tau[j:j+jb], tt, (jb-1)/qrInner*qrInner, wrk)
+			qr.nt = j + jb
 			trail := a.View(j, j+jb, m-j, n-j-jb)
 			larfb(vv, tt, true, trail, wrk)
 		}
 	}
 	check.Finite("lapack.QRFactor", a)
 	check.FiniteSlice("lapack.QRFactor tau", tau)
-	return &QR{A: a, Tau: tau}
+	return qr
 }
 
 // geqrPanel factors an m x jb panel in place like geqr2, but with a second
 // level of blocking: sub-panels of qrInner columns are eliminated unblocked
 // and then applied to the rest of the panel through their compact-WY block
 // reflector, so most of the panel work runs as skinny GEMMs instead of
-// column-at-a-time larf sweeps. v, t and wrk are the caller's (larger)
-// reflector scratch; their contents are scratch here and are rebuilt by the
-// caller's whole-panel larft afterwards.
+// column-at-a-time larf sweeps. Each sub-panel's T but the last's (which no
+// update here needs) is left in its diagonal block of t, the panel's jb x jb
+// factor, for panelT to build on. v and wrk are the caller's (larger)
+// reflector scratch.
 func geqrPanel(a *mat.Dense, tau, work []float64, v, t, wrk *mat.Dense) {
 	m, jb := a.Rows, a.Cols
 	k := min(m, jb)
@@ -93,7 +106,7 @@ func geqrPanel(a *mat.Dense, tau, work []float64, v, t, wrk *mat.Dense) {
 		if j+ib < jb {
 			vv := v.View(0, 0, m-j, ib)
 			copyReflectors(sub, vv)
-			tt := t.View(0, 0, ib, ib)
+			tt := t.View(j, j, ib, ib)
 			larft(vv, tau[j:j+ib], tt)
 			trail := a.View(j, j+ib, m-j, jb-j-ib)
 			larfb(vv, tt, true, trail, wrk)
@@ -172,6 +185,20 @@ func (qr *QR) RInto(r *mat.Dense) {
 	}
 }
 
+// formT forms the T of every panel the factorization did not: always the
+// last (no trailing update needed it), all of them after QRPFactorLevel2.
+// v and work are the caller's m x qrBlock and 2*qrBlock x >=qrInner scratch.
+func (qr *QR) formT(v, work *mat.Dense) {
+	m, k := qr.A.Rows, len(qr.Tau)
+	for j := qr.nt; j < k; j += qrBlock {
+		jb := min(qrBlock, k-j)
+		vv := v.View(0, 0, m-j, jb)
+		copyReflectors(qr.A.View(j, j, m-j, jb), vv)
+		panelT(vv, qr.Tau[j:j+jb], qr.t.View(0, j, jb, jb), 0, work)
+	}
+	qr.nt = k
+}
+
 // MulQ applies Q (trans=false) or Q^T (trans=true) from the left to c in
 // place, using the block reflectors (DORMQR, side = left).
 //
@@ -183,44 +210,78 @@ func (qr *QR) MulQ(trans bool, c *mat.Dense) {
 	}
 	k := len(qr.Tau)
 	v := mat.GetScratch(m, qrBlock)
-	t := mat.GetScratch(qrBlock, qrBlock)
-	wrk := mat.GetScratch(2*qrBlock, c.Cols)
+	wrk := mat.GetScratch(2*qrBlock, max(c.Cols, qrInner))
 	defer func() {
 		mat.PutScratch(v)
-		mat.PutScratch(t)
 		mat.PutScratch(wrk)
 	}()
-	//qmc:allow hotalloc -- one closure per MulQ call, amortized over O(m n k) reflector work
-	apply := func(j, jb int) {
+	qr.formT(v, wrk)
+	np := (k + qrBlock - 1) / qrBlock
+	for p := 0; p < np; p++ {
+		// Q^T = H_k^T ... H_1^T takes the panels in forward order,
+		// Q = H_1 ... H_k in reverse.
+		j := p * qrBlock
+		if !trans {
+			j = (np - 1 - p) * qrBlock
+		}
+		jb := min(qrBlock, k-j)
 		vv := v.View(0, 0, m-j, jb)
 		copyReflectors(qr.A.View(j, j, m-j, jb), vv)
-		tt := t.View(0, 0, jb, jb)
-		larft(vv, qr.Tau[j:j+jb], tt)
-		sub := c.View(j, 0, m-j, c.Cols)
-		larfb(vv, tt, trans, sub, wrk)
-	}
-	if trans {
-		// Q^T = H_k^T ... H_1^T: blocks in forward order.
-		for j := 0; j < k; j += qrBlock {
-			apply(j, min(qrBlock, k-j))
-		}
-		return
-	}
-	// Q = H_1 ... H_k: blocks in reverse order.
-	first := ((k - 1) / qrBlock) * qrBlock
-	for j := first; j >= 0; j -= qrBlock {
-		apply(j, min(qrBlock, k-j))
+		larfb(vv, qr.t.View(0, j, jb, jb), trans, c.View(j, 0, m-j, c.Cols), wrk)
 	}
 }
 
-// FormQ writes the explicit m x m orthogonal factor into q.
+// FormQ writes the explicit m x m orthogonal factor into q (DORGQR).
+// Panels are walked last to first: Q[j:, j+jb:] already holds the product
+// of the later panels and Q[:j, j:] is zero, so panel j is applied to that
+// trailing block alone, and its own columns — H applied to E = [I; 0] — are
+// E - V (T V1^T), V1 being the unit lower triangle on top of V. That product
+// of two triangles is formed by hand, with no V^T C GEMM: (4/3)m^3 flops in
+// all, where applying Q to a full identity costs 2m^3.
+//
+//qmc:hot
 func (qr *QR) FormQ(q *mat.Dense) {
 	m := qr.A.Rows
 	if q.Rows != m || q.Cols != m {
 		panic(fmt.Sprintf("lapack: FormQ expects a %dx%d destination, got %dx%d", m, m, q.Rows, q.Cols))
 	}
+	k := len(qr.Tau)
+	v := mat.GetScratch(m, qrBlock)
+	wrk := mat.GetScratch(2*qrBlock, max(m, qrInner))
+	defer func() {
+		mat.PutScratch(v)
+		mat.PutScratch(wrk)
+	}()
+	qr.formT(v, wrk)
 	q.SetIdentity()
-	qr.MulQ(false, q)
+	for j := (k - 1) / qrBlock * qrBlock; j >= 0 && j < k; j -= qrBlock {
+		jb := min(qrBlock, k-j)
+		vv := v.View(0, 0, m-j, jb)
+		copyReflectors(qr.A.View(j, j, m-j, jb), vv)
+		tt := qr.t.View(0, j, jb, jb)
+		nc := m - j - jb
+		w2 := wrk.View(qrBlock, 0, jb, m-j)
+		// w2 = T [V1^T | V^T Q[j:, j+jb:]]: column c of the triangular part
+		// is the combination of T's first c+1 columns by row c of V1.
+		for c := 0; c < jb; c++ {
+			wc := w2.Col(c)
+			for i := range wc {
+				wc[i] = 0
+			}
+			for r := 0; r <= c; r++ {
+				x, tr := vv.Col(r)[c], tt.Col(r)[:r+1]
+				for i, tv := range tr {
+					wc[i] += x * tv
+				}
+			}
+		}
+		if nc > 0 {
+			w := wrk.View(0, 0, jb, nc)
+			blas.GemmTN(1, vv, q.View(j, j+jb, m-j, nc), 0, w)
+			blas.Gemm(false, false, 1, tt, w, 0, w2.View(0, jb, jb, nc))
+		}
+		blas.Gemm(false, false, -1, vv, w2, 1, q.View(j, j, m-j, m-j))
+	}
 }
 
 func min(a, b int) int {

@@ -67,41 +67,66 @@ func larf(v []float64, tau float64, c *mat.Dense, work []float64) {
 
 // larft forms the upper triangular factor T of the block reflector
 // H = H_1 H_2 ... H_k = I - V*T*V^T ("forward, columnwise" storage).
-// V is m x k with the reflectors below the unit diagonal; tau holds the
-// scalar factors.
+// V is m x k with the reflectors below the diagonal (nothing on or above it
+// is read); tau holds the scalar factors. Only the upper triangle of t is
+// written.
+//
+//qmc:hot
 func larft(v *mat.Dense, tau []float64, t *mat.Dense) {
-	k := v.Cols
-	m := v.Rows
-	for i := 0; i < k; i++ {
-		if tau[i] == 0 {
-			for j := 0; j <= i; j++ {
-				t.Set(j, i, 0)
+	for i, ti := range tau {
+		tc := t.Col(i)[:i+1]
+		if ti == 0 {
+			for j := range tc {
+				tc[j] = 0
 			}
 			continue
 		}
-		// t[0:i, i] = -tau[i] * V[:, 0:i]^T * v_i  (v_i has unit at row i)
-		vi := v.Col(i)
+		// tc[0:i] = -tau[i] * V[:, 0:i]^T * v_i. v_j and v_i overlap from
+		// row i down, where v_i has its unit element.
+		vi := v.Col(i)[i+1:]
 		for j := 0; j < i; j++ {
 			vj := v.Col(j)
-			// v_j is zero above row j and unit at row j; v_i is zero above
-			// row i and unit at row i. Their overlap starts at row i.
-			s := vj[i] // v_j[i] * v_i[i] with v_i[i] = 1
-			for r := i + 1; r < m; r++ {
-				s += vj[r] * vi[r]
-			}
-			t.Set(j, i, -tau[i]*s)
+			tc[j] = -ti * (vj[i] + blas.Dot(vj[i+1:], vi))
 		}
-		// t[0:i, i] = T[0:i, 0:i] * t[0:i, i]. T is upper triangular, so
-		// row j of the product only reads entries r >= j; overwriting in
-		// increasing j is safe in place.
-		for j := 0; j < i; j++ {
-			s := 0.0
-			for r := j; r < i; r++ {
-				s += t.At(j, r) * t.At(r, i)
-			}
-			t.Set(j, i, s)
+		// tc[0:i] = T[0:i, 0:i] * tc[0:i] in place, one column of T per
+		// entry: tc[r] is still the original when column r is swept in,
+		// because earlier columns only touch entries above their own.
+		for r := 0; r < i; r++ {
+			x, tr := tc[r], t.Col(r)
+			blas.Axpy(x, tr[:r], tc[:r])
+			tc[r] = tr[r] * x
 		}
-		t.Set(i, i, tau[i])
+		tc[i] = ti
+	}
+}
+
+// panelT completes the jb x jb compact-WY factor t of a panel whose
+// reflectors v holds explicitly (copyReflectors layout). The qrInner-wide
+// diagonal blocks left of column from are in place already (geqrPanel
+// formed them for its own updates); the rest come from larft, and each
+// block column above the diagonal from the two factors beside it,
+//
+//	T = [[T1, -T1 (V1^T V2) T2], [0, T2]],
+//
+// so the scalar larft never spans more than qrInner columns and the
+// O(m jb^2) inner products run as one GEMM. work is 2*qrBlock x >=qrInner.
+//
+//qmc:hot
+func panelT(v *mat.Dense, tau []float64, t *mat.Dense, from int, work *mat.Dense) {
+	m, jb := v.Rows, v.Cols
+	for j := 0; j < jb; j += qrInner {
+		ib := min(qrInner, jb-j)
+		t2 := t.View(j, j, ib, ib)
+		if j >= from {
+			larft(v.View(j, j, m-j, ib), tau[j:j+ib], t2)
+		}
+		if j > 0 {
+			w := work.View(0, 0, j, ib)
+			w2 := work.View(qrBlock, 0, j, ib)
+			blas.GemmTN(1, v.View(j, 0, m-j, j), v.View(j, j, m-j, ib), 0, w)
+			blas.Gemm(false, false, 1, t.View(0, 0, j, j), w, 0, w2)
+			blas.Gemm(false, false, -1, w2, t2, 0, t.View(0, j, j, ib))
+		}
 	}
 }
 

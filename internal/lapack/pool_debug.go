@@ -15,7 +15,8 @@ const DebugPool = true
 // backing-array identity (&s[0] survives reslicing, which is how the pools
 // hand buffers back out). A Put of storage that is already pooled is the
 // use-after-free precursor the sanitizer exists to catch — the next Get
-// would hand two owners the same backing array.
+// would hand two owners the same backing array. A QR's T strip lives behind
+// its tau in one buffer (newQR), so the tau entry covers both.
 var (
 	poolMu    sync.Mutex
 	tauLive   = map[*float64]bool{} // true = checked out, false = in pool

@@ -5,6 +5,8 @@ package lapack
 import (
 	"strings"
 	"testing"
+
+	"questgo/internal/mat"
 )
 
 // mustPanicContains runs f and asserts it panics with a message containing
@@ -45,10 +47,19 @@ func TestDoublePutPivotPanics(t *testing.T) {
 }
 
 // TestDoubleReleaseAliasPanics: releasing through two copies of the QR
-// value (so the nil-out of one copy cannot protect the other) must panic.
+// value (so the nil-out of one copy cannot protect the other) must panic —
+// for tau and, living in the same buffer, the T strip, whether the
+// factorization formed the T or FormQ did after the copy was taken.
 func TestDoubleReleaseAliasPanics(t *testing.T) {
 	qr := QRFactor(testMatrix(8, 8, 29))
 	cp := *qr
 	qr.Release()
+	mustPanicContains(t, "double put", func() { cp.Release() })
+
+	lazy, perm := QRPFactorLevel2(testMatrix(8, 8, 31))
+	PutPivot(&perm)
+	cp = *lazy
+	lazy.FormQ(mat.New(8, 8))
+	lazy.Release()
 	mustPanicContains(t, "double put", func() { cp.Release() })
 }

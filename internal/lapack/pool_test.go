@@ -21,19 +21,48 @@ func TestReleaseIdempotent(t *testing.T) {
 		t.Fatal("factorization has no tau buffer")
 	}
 	qr.Release()
-	if qr.Tau != nil {
-		t.Fatal("Release did not nil the tau reference")
+	if qr.Tau != nil || qr.t.Data != nil {
+		t.Fatal("Release did not clear the tau and T references")
 	}
 	qr.Release() // must be a no-op, not a second pool insert
 	// Two subsequent factorizations must not alias: if the double release
-	// had pooled the buffer twice, these would share tau storage.
+	// had pooled the buffer twice, these would share tau and T storage.
 	qr1 := QRFactor(testMatrix(8, 8, 5))
 	qr2 := QRFactor(testMatrix(8, 8, 7))
-	if len(qr1.Tau) > 0 && len(qr2.Tau) > 0 && &qr1.Tau[0] == &qr2.Tau[0] {
-		t.Fatal("two live factorizations share a tau buffer after double release")
+	if &qr1.Tau[0] == &qr2.Tau[0] || &qr1.t.Data[0] == &qr2.t.Data[0] {
+		t.Fatal("two live factorizations share a buffer after double release")
 	}
 	qr1.Release()
 	qr2.Release()
+}
+
+// TestStripSharesTauBuffer pins the ownership rule Release relies on: the T
+// strip is the qrBlock x k tail of tau's backing array, zeroed at birth for
+// all three factorizations, so pooling tau pools the strip and a QR whose
+// tau is empty has no strip to leak.
+func TestStripSharesTauBuffer(t *testing.T) {
+	dirty := QRFactor(testMatrix(40, 40, 19))
+	dirty.FormQ(mat.New(40, 40)) // fill every panel's T before pooling
+	dirty.Release()
+	lazy, perm := QRPFactorLevel2(testMatrix(40, 40, 21))
+	PutPivot(&perm)
+	k := len(lazy.Tau)
+	if k != 40 || len(lazy.t.Data) != qrBlock*k || &lazy.Tau[:k+1][k] != &lazy.t.Data[0] {
+		t.Fatalf("strip is %d floats, want the %d behind tau in the same array", len(lazy.t.Data), qrBlock*k)
+	}
+	if lazy.nt != 0 || lazy.t.MaxAbs() != 0 {
+		t.Fatalf("QRPFactorLevel2 forms no T: want nt=0 and a zeroed strip, got nt=%d max|T|=%g", lazy.nt, lazy.t.MaxAbs())
+	}
+	lazy.MulQ(true, testMatrix(40, 3, 23))
+	if lazy.nt != k {
+		t.Fatalf("MulQ left nt=%d, want every panel's T formed (%d)", lazy.nt, k)
+	}
+	lazy.Release()
+	empty := QRFactor(mat.New(8, 0))
+	if len(empty.t.Data) != 0 {
+		t.Fatalf("a factorization with no reflectors has a %d-float strip", len(empty.t.Data))
+	}
+	empty.Release()
 }
 
 // TestPutPivotIdempotent: PutPivot nils the caller's slice, so a second put
