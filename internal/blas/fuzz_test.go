@@ -62,3 +62,26 @@ func FuzzGemmPackedVsNaive(f *testing.F) {
 		}
 	})
 }
+
+// FuzzVecKernels drives the stride-1 layer under fuzzer-chosen lengths,
+// scalars, panel shapes and data seeds against the oracles of vec_test.go
+// (each of which already runs the operands at slice offsets 0..3).
+func FuzzVecKernels(f *testing.F) {
+	f.Add(uint16(0), uint8(0), 1.0, uint64(1))
+	f.Add(uint16(3), uint8(1), -1.0, uint64(2))
+	f.Add(uint16(36), uint8(5), 0.37, uint64(3))
+	f.Add(uint16(67), uint8(2), -2.5e-7, uint64(4))
+	f.Add(uint16(gemmKC+1), uint8(255), 3.0e5, uint64(5))
+	f.Fuzz(func(t *testing.T, n16 uint16, pad uint8, alpha float64, seed uint64) {
+		if math.IsNaN(alpha) || math.IsInf(alpha, 0) || math.Abs(alpha) > 1e100 || (alpha != 0 && math.Abs(alpha) < 1e-100) {
+			t.Skip("degenerate scalar: the oracles compare finite, normal results")
+		}
+		n := int(n16 % 600)
+		checkDot(t, n, seed)
+		checkAxpy(t, n, alpha, seed)
+		for _, w := range []int{4, 8} {
+			checkPack(t, true, n, w, w+int(pad%9), alpha, seed)
+			checkPack(t, false, n, w, n+int(pad%9), alpha, seed)
+		}
+	})
+}

@@ -19,6 +19,18 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 //go:noescape
 func xgetbv0() (eax, edx uint32)
 
+//go:noescape
+func axpyAVX2(n int64, alpha float64, x, y *float64)
+
+//go:noescape
+func dotAVX2(n int64, x, y *float64) float64
+
+//go:noescape
+func packRowsAVX2(kc int64, alpha float64, src *float64, ld int64, dst *float64, w int64)
+
+//go:noescape
+func packCols4AVX2(kc int64, alpha float64, src *float64, ld int64, dst *float64, w int64)
+
 // microKernel runs the kernel init selected: C[r + q*ldc] += sum_k
 // a[k*mr+r] * b[k*nr+q] over one packed micro-panel pair. It must stay a
 // plain function (see runMacro).
@@ -28,6 +40,57 @@ func microKernel(kc int, a, b, c []float64, ldc int) {
 	} else {
 		microKernel4x4(kc, a, b, c, ldc)
 	}
+}
+
+// axpy, dot, packRows and packCols are the stride-1 layer under the
+// micro-kernel: on the CPUs that run dgemm8x4asm (kernMR == 8) they hand a
+// non-empty vector or a full micro-panel to the AVX2 kernels of
+// gemm_amd64.s, and everything else — other CPUs, partial panels, n = 0 —
+// to the portable loops the purego build runs. Each checks the extents the
+// kernel will touch before taking an element's address. Like microKernel
+// they are plain functions: which body runs depends on the CPU and on the
+// operand's extent, never on a setting.
+
+// axpy computes y[i] += alpha*x[i] over len(x) <= len(y) elements.
+func axpy(alpha float64, x, y []float64) {
+	if n := len(x); kernMR == 8 && n > 0 {
+		_ = y[n-1]
+		axpyAVX2(int64(n), alpha, &x[0], &y[0])
+		return
+	}
+	axpyGo(alpha, x, y)
+}
+
+// dot returns x . y over len(x) <= len(y) elements.
+func dot(x, y []float64) float64 {
+	if n := len(x); kernMR == 8 && n > 0 {
+		_ = y[n-1]
+		return dotAVX2(int64(n), &x[0], &y[0])
+	}
+	return dotGo(x, y)
+}
+
+// packRows is packRowsGo with full panels (iw == w) on the vector kernel.
+func packRows(dst, src []float64, ld, kc, w, iw int, alpha float64) {
+	if kernMR == 8 && iw == w && kc > 0 {
+		_, _ = src[(kc-1)*ld+w-1], dst[kc*w-1]
+		packRowsAVX2(int64(kc), alpha, &src[0], int64(ld), &dst[0], int64(w))
+		return
+	}
+	packRowsGo(dst, src, ld, kc, w, iw, alpha)
+}
+
+// packCols is packColsGo with full panels (jw == w) on the transposing
+// kernel, four source columns at a time.
+func packCols(dst, src []float64, ld, kc, w, jw int, alpha float64) {
+	if kernMR == 8 && jw == w && kc > 0 {
+		_, _ = src[(w-1)*ld+kc-1], dst[kc*w-1]
+		for q := 0; q < w; q += 4 {
+			packCols4AVX2(int64(kc), alpha, &src[q*ld], int64(ld), &dst[q], int64(w))
+		}
+		return
+	}
+	packColsGo(dst, src, ld, kc, w, jw, alpha)
 }
 
 func init() {

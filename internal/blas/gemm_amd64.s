@@ -81,6 +81,252 @@ write:
 	VZEROUPPER
 	RET
 
+// The four stride-1 kernels below make their results a function of (n,
+// values) alone: every load and store is unaligned (no peeling on the
+// address), a vector's element count (and the transposing pack's kc) is
+// consumed as the widest blocks first and scalars last, in an order that
+// depends on the count only, and a count of 0 never reaches them (the Go
+// wrappers in gemm_amd64.go check extents first).
+
+// func axpyAVX2(n int64, alpha float64, x, y *float64)
+//
+// y[i] = fma(alpha, x[i], y[i]) for i in [0, n): one rounding per element,
+// in the vector blocks and in the scalar tail alike.
+TEXT ·axpyAVX2(SB), NOSPLIT, $0-32
+	MOVQ         n+0(FP), CX
+	VBROADCASTSD alpha+8(FP), Y0
+	MOVQ         x+16(FP), SI
+	MOVQ         y+24(FP), DI
+	SUBQ         $16, CX
+	JL           axpy4
+
+axpy16:
+	VMOVUPD     (DI), Y1
+	VMOVUPD     32(DI), Y2
+	VMOVUPD     64(DI), Y3
+	VMOVUPD     96(DI), Y4
+	VFMADD231PD (SI), Y0, Y1
+	VFMADD231PD 32(SI), Y0, Y2
+	VFMADD231PD 64(SI), Y0, Y3
+	VFMADD231PD 96(SI), Y0, Y4
+	VMOVUPD     Y1, (DI)
+	VMOVUPD     Y2, 32(DI)
+	VMOVUPD     Y3, 64(DI)
+	VMOVUPD     Y4, 96(DI)
+	ADDQ        $128, SI
+	ADDQ        $128, DI
+	SUBQ        $16, CX
+	JGE         axpy16
+
+axpy4:
+	ADDQ $12, CX
+	JL   axpy1
+
+axpy4loop:
+	VMOVUPD     (DI), Y1
+	VFMADD231PD (SI), Y0, Y1
+	VMOVUPD     Y1, (DI)
+	ADDQ        $32, SI
+	ADDQ        $32, DI
+	SUBQ        $4, CX
+	JGE         axpy4loop
+
+axpy1:
+	ADDQ $4, CX
+	JE   axpydone
+
+axpy1loop:
+	VMOVSD      (DI), X1
+	VFMADD231SD (SI), X0, X1
+	VMOVSD      X1, (DI)
+	ADDQ        $8, SI
+	ADDQ        $8, DI
+	DECQ        CX
+	JNE         axpy1loop
+
+axpydone:
+	VZEROUPPER
+	RET
+
+// func dotAVX2(n int64, x, y *float64) float64
+//
+// Fixed reduction order: 16-wide blocks accumulate into four ymm registers
+// (element i of a block into register (i/4)%4, lane i%4), 4-wide blocks
+// into the first of them, the scalar tail into a fifth accumulator; the
+// result is (((Y0+Y1)+(Y2+Y3)) folded high half onto low, lane 1 onto
+// lane 0) + tail.
+TEXT ·dotAVX2(SB), NOSPLIT, $0-32
+	MOVQ   n+0(FP), CX
+	MOVQ   x+8(FP), SI
+	MOVQ   y+16(FP), DI
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD X4, X4, X4
+	SUBQ   $16, CX
+	JL     dot4
+
+dot16:
+	VMOVUPD     (SI), Y5
+	VMOVUPD     32(SI), Y6
+	VMOVUPD     64(SI), Y7
+	VMOVUPD     96(SI), Y8
+	VFMADD231PD (DI), Y5, Y0
+	VFMADD231PD 32(DI), Y6, Y1
+	VFMADD231PD 64(DI), Y7, Y2
+	VFMADD231PD 96(DI), Y8, Y3
+	ADDQ        $128, SI
+	ADDQ        $128, DI
+	SUBQ        $16, CX
+	JGE         dot16
+
+dot4:
+	ADDQ $12, CX
+	JL   dot1
+
+dot4loop:
+	VMOVUPD     (SI), Y5
+	VFMADD231PD (DI), Y5, Y0
+	ADDQ        $32, SI
+	ADDQ        $32, DI
+	SUBQ        $4, CX
+	JGE         dot4loop
+
+dot1:
+	ADDQ $4, CX
+	JE   dotsum
+
+dot1loop:
+	VMOVSD      (SI), X5
+	VFMADD231SD (DI), X5, X4
+	ADDQ        $8, SI
+	ADDQ        $8, DI
+	DECQ        CX
+	JNE         dot1loop
+
+dotsum:
+	VADDPD       Y1, Y0, Y0
+	VADDPD       Y3, Y2, Y2
+	VADDPD       Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD       X1, X0, X0
+	VPERMILPD    $1, X0, X1
+	VADDSD       X1, X0, X0
+	VADDSD       X4, X0, X0
+	VMOVSD       X0, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func packRowsAVX2(kc int64, alpha float64, src *float64, ld int64, dst *float64, w int64)
+//
+// dst[k*w+r] = alpha*src[k*ld+r] for k in [0, kc), r in [0, w), w = 4 or 8:
+// the full-panel case of packRowsGo. A multiply rounds the same in a vector
+// lane as in a scalar register, so the packed bits are those of the Go loop.
+TEXT ·packRowsAVX2(SB), NOSPLIT, $0-48
+	MOVQ         kc+0(FP), CX
+	VBROADCASTSD alpha+8(FP), Y0
+	MOVQ         src+16(FP), SI
+	MOVQ         ld+24(FP), R8
+	MOVQ         dst+32(FP), DI
+	SHLQ         $3, R8
+	CMPQ         w+40(FP), $8
+	JEQ          rows8
+
+rows4:
+	VMULPD  (SI), Y0, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ    R8, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNE     rows4
+	VZEROUPPER
+	RET
+
+rows8:
+	VMULPD  (SI), Y0, Y1
+	VMULPD  32(SI), Y0, Y2
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	ADDQ    R8, SI
+	ADDQ    $64, DI
+	DECQ    CX
+	JNE     rows8
+	VZEROUPPER
+	RET
+
+// func packCols4AVX2(kc int64, alpha float64, src *float64, ld int64, dst *float64, w int64)
+//
+// dst[k*w+q] = alpha*src[q*ld+k] for k in [0, kc), q in [0, 4): four source
+// columns interleaved into a w-wide packed panel (packColsGo for one group
+// of four). Blocks of four k are scaled and transposed 4x4 in registers;
+// the last kc%4 go element by element.
+TEXT ·packCols4AVX2(SB), NOSPLIT, $0-48
+	MOVQ         kc+0(FP), CX
+	VBROADCASTSD alpha+8(FP), Y0
+	MOVQ         src+16(FP), SI
+	MOVQ         ld+24(FP), R8
+	MOVQ         dst+32(FP), DI
+	MOVQ         w+40(FP), R9
+	SHLQ         $3, R8
+	SHLQ         $3, R9
+	LEAQ         (SI)(R8*1), R10  // column 1
+	LEAQ         (SI)(R8*2), R11  // column 2
+	LEAQ         (R10)(R8*2), R12 // column 3
+	LEAQ         (R9)(R9*2), R13  // 3 packed rows, in bytes
+	SUBQ         $4, CX
+	JL           cols1
+
+cols4:
+	VMULPD     (SI), Y0, Y1       // a0 a1 a2 a3
+	VMULPD     (R10), Y0, Y2      // b0 b1 b2 b3
+	VMULPD     (R11), Y0, Y3      // c0 c1 c2 c3
+	VMULPD     (R12), Y0, Y4      // d0 d1 d2 d3
+	VUNPCKLPD  Y2, Y1, Y5         // a0 b0 a2 b2
+	VUNPCKHPD  Y2, Y1, Y6         // a1 b1 a3 b3
+	VUNPCKLPD  Y4, Y3, Y7         // c0 d0 c2 d2
+	VUNPCKHPD  Y4, Y3, Y8         // c1 d1 c3 d3
+	VPERM2F128 $0x20, Y7, Y5, Y1  // a0 b0 c0 d0
+	VPERM2F128 $0x20, Y8, Y6, Y2  // a1 b1 c1 d1
+	VPERM2F128 $0x31, Y7, Y5, Y3  // a2 b2 c2 d2
+	VPERM2F128 $0x31, Y8, Y6, Y4  // a3 b3 c3 d3
+	VMOVUPD    Y1, (DI)
+	VMOVUPD    Y2, (DI)(R9*1)
+	VMOVUPD    Y3, (DI)(R9*2)
+	VMOVUPD    Y4, (DI)(R13*1)
+	ADDQ       $32, SI
+	ADDQ       $32, R10
+	ADDQ       $32, R11
+	ADDQ       $32, R12
+	LEAQ       (DI)(R9*4), DI
+	SUBQ       $4, CX
+	JGE        cols4
+
+cols1:
+	ADDQ $4, CX
+	JE   colsdone
+
+cols1loop:
+	VMULSD (SI), X0, X1
+	VMULSD (R10), X0, X2
+	VMULSD (R11), X0, X3
+	VMULSD (R12), X0, X4
+	VMOVSD X1, (DI)
+	VMOVSD X2, 8(DI)
+	VMOVSD X3, 16(DI)
+	VMOVSD X4, 24(DI)
+	ADDQ   $8, SI
+	ADDQ   $8, R10
+	ADDQ   $8, R11
+	ADDQ   $8, R12
+	ADDQ   R9, DI
+	DECQ   CX
+	JNE    cols1loop
+
+colsdone:
+	VZEROUPPER
+	RET
+
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -4,3 +4,17 @@ package blas
 
 // microKernel is the portable build's only kernel (see gemm_amd64.go).
 func microKernel(kc int, a, b, c []float64, ldc int) { microKernel4x4(kc, a, b, c, ldc) }
+
+// The stride-1 layer (see gemm_amd64.go) is the portable loops alone here.
+
+func axpy(alpha float64, x, y []float64) { axpyGo(alpha, x, y) }
+
+func dot(x, y []float64) float64 { return dotGo(x, y) }
+
+func packRows(dst, src []float64, ld, kc, w, iw int, alpha float64) {
+	packRowsGo(dst, src, ld, kc, w, iw, alpha)
+}
+
+func packCols(dst, src []float64, ld, kc, w, jw int, alpha float64) {
+	packColsGo(dst, src, ld, kc, w, jw, alpha)
+}

@@ -154,21 +154,10 @@ func (ctx *gemmCtx) runPackB(plo, phi int) {
 		}
 		if !ctx.transB {
 			// op(B)(pc+k, j) = B(pc+k, j): source columns are contiguous.
-			for q := 0; q < jw; q++ {
-				src := ctx.bData[ctx.pc+(j0+q)*ctx.bs:]
-				for kk := 0; kk < kc; kk++ {
-					dst[kk*nr+q] = src[kk]
-				}
-			}
+			packCols(dst, ctx.bData[ctx.pc+j0*ctx.bs:], ctx.bs, kc, nr, jw, 1)
 		} else {
 			// op(B)(pc+k, j) = B(j, pc+k): source rows are contiguous.
-			for kk := 0; kk < kc; kk++ {
-				src := ctx.bData[j0+(ctx.pc+kk)*ctx.bs:]
-				d := dst[kk*nr : kk*nr+jw]
-				for q := range d {
-					d[q] = src[q]
-				}
-			}
+			packRows(dst, ctx.bData[j0+ctx.pc*ctx.bs:], ctx.bs, kc, nr, jw, 1)
 		}
 	}
 }
@@ -178,7 +167,6 @@ func (ctx *gemmCtx) runPackB(plo, phi int) {
 // ap[ir*mr*kc + k*mr + r]; rows past the matrix edge are zero.
 func (ctx *gemmCtx) runPackA() {
 	mr, kc := kernMR, ctx.kc
-	alpha := ctx.alpha
 	mpan := (ctx.mb + mr - 1) / mr
 	for ir := 0; ir < mpan; ir++ {
 		dst := ctx.ap[ir*mr*kc : (ir+1)*mr*kc]
@@ -191,21 +179,39 @@ func (ctx *gemmCtx) runPackA() {
 		}
 		if !ctx.transA {
 			// op(A)(i, pc+k) = A(i, pc+k): source columns are contiguous.
-			for kk := 0; kk < kc; kk++ {
-				src := ctx.aData[i0+(ctx.pc+kk)*ctx.as:]
-				d := dst[kk*mr : kk*mr+iw]
-				for r := range d {
-					d[r] = alpha * src[r]
-				}
-			}
+			packRows(dst, ctx.aData[i0+ctx.pc*ctx.as:], ctx.as, kc, mr, iw, ctx.alpha)
 		} else {
 			// op(A)(i, pc+k) = A(pc+k, i): source rows run along k.
-			for r := 0; r < iw; r++ {
-				src := ctx.aData[ctx.pc+(i0+r)*ctx.as:]
-				for kk := 0; kk < kc; kk++ {
-					dst[kk*mr+r] = alpha * src[kk]
-				}
-			}
+			packCols(dst, ctx.aData[ctx.pc+i0*ctx.as:], ctx.as, kc, mr, iw, ctx.alpha)
+		}
+	}
+}
+
+// packRowsGo is the portable packing loop for an operand whose micro-panel
+// index runs contiguously in the source (A as stored, B transposed):
+// dst[k*w+r] = alpha*src[k*ld+r] for k < kc, r < iw <= w. Entries r >= iw
+// are left alone. B passes alpha = 1, which changes no bit. packRows
+// (gemm_amd64.go / gemm_generic.go) is what the packing routines call; on
+// AVX2 hardware it hands full panels (iw == w) to a vector kernel that
+// stores the same bits.
+func packRowsGo(dst, src []float64, ld, kc, w, iw int, alpha float64) {
+	for kk := 0; kk < kc; kk++ {
+		s := src[kk*ld:]
+		d := dst[kk*w : kk*w+iw]
+		for r := range d {
+			d[r] = alpha * s[r]
+		}
+	}
+}
+
+// packColsGo is the portable packing loop for an operand whose k index
+// runs contiguously in the source (B as stored, A transposed):
+// dst[k*w+q] = alpha*src[q*ld+k] for k < kc, q < jw <= w.
+func packColsGo(dst, src []float64, ld, kc, w, jw int, alpha float64) {
+	for q := 0; q < jw; q++ {
+		s := src[q*ld:]
+		for kk := 0; kk < kc; kk++ {
+			dst[kk*w+q] = alpha * s[kk]
 		}
 	}
 }

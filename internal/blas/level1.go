@@ -6,8 +6,12 @@
 // blocked QR is mostly level 3 with a level-2 panel, and the pivoted QR is
 // level-2 bound because every pivot choice requires a matrix-vector product
 // to refresh column norms. This package reproduces that hierarchy in pure
-// Go: Gemm is blocked, unrolled, and parallel; the level 1/2 routines are
-// deliberately simple stride-1 loops.
+// Go plus one vector layer: Gemm is blocked, packed and parallel over an
+// 8x4 AVX2/FMA micro-kernel, and the stride-1 loops every other routine
+// reduces to — axpy, dot and the two packing copies — run as AVX2 kernels
+// on the same CPUs (gemm_amd64.go). The Go loops in this package are the
+// portable bodies: what a purego or non-amd64 build runs everywhere, and
+// what an AVX2 build runs on partial panels only.
 package blas
 
 import (
@@ -15,13 +19,20 @@ import (
 	"math"
 )
 
-// Dot returns x . y over n elements with unit stride.
+// Dot returns x . y over len(x) elements with unit stride.
 func Dot(x, y []float64) float64 {
+	if len(y) < len(x) {
+		panic(fmt.Sprintf("blas: Dot length mismatch: len(x)=%d len(y)=%d", len(x), len(y)))
+	}
+	return dot(x, y)
+}
+
+// dotGo is the portable body of dot: four partial sums over blocks of four,
+// the remainder into the first.
+func dotGo(x, y []float64) float64 {
 	var s0, s1, s2, s3 float64
 	n := len(x)
-	if len(y) < n {
-		panic(fmt.Sprintf("blas: Dot length mismatch: len(x)=%d len(y)=%d", n, len(y)))
-	}
+	y = y[:n]
 	i := 0
 	for ; i+4 <= n; i += 4 {
 		s0 += x[i] * y[i]
@@ -35,17 +46,22 @@ func Dot(x, y []float64) float64 {
 	return s0 + s1 + s2 + s3
 }
 
-// Axpy computes y += alpha*x.
+// Axpy computes y += alpha*x over len(x) elements.
 func Axpy(alpha float64, x, y []float64) {
 	if alpha == 0 {
 		return
 	}
-	n := len(x)
-	if len(y) < n {
-		panic(fmt.Sprintf("blas: Axpy length mismatch: len(x)=%d len(y)=%d", n, len(y)))
+	if len(y) < len(x) {
+		panic(fmt.Sprintf("blas: Axpy length mismatch: len(x)=%d len(y)=%d", len(x), len(y)))
 	}
-	for i := 0; i < n; i++ {
-		y[i] += alpha * x[i]
+	axpy(alpha, x, y)
+}
+
+// axpyGo is the portable body of axpy.
+func axpyGo(alpha float64, x, y []float64) {
+	y = y[:len(x)]
+	for i, v := range x {
+		y[i] += alpha * v
 	}
 }
 
@@ -59,8 +75,17 @@ func Scal(alpha float64, x []float64) {
 // Nrm2 returns the Euclidean norm of x, guarding against overflow and
 // underflow in the same way as the reference BLAS. The graded matrices in
 // the stratification algorithm have columns spanning many orders of
-// magnitude, so the naive sum of squares is not safe here.
+// magnitude, so the naive sum of squares is not safe in general — but it is
+// exact to rounding whenever it lands in [nrm2Lo, MaxFloat64]: no partial
+// sum overflowed, and a square small enough to have lost bits to underflow
+// is below 2^-1022 <= nrm2Lo*2^-52, under the sum's own rounding error. So
+// the sum of squares goes through dot first, and only a result outside that
+// interval (or NaN) falls through to the scaled accumulation.
 func Nrm2(x []float64) float64 {
+	const nrm2Lo = 0x1p-970
+	if ssq := dot(x, x); ssq >= nrm2Lo && ssq <= math.MaxFloat64 {
+		return math.Sqrt(ssq)
+	}
 	var scale float64
 	ssq := 1.0
 	for _, v := range x {

@@ -155,66 +155,51 @@ func (ctx *trsmCtx) forCols(perCol, grain int, body func(jlo, jhi int)) {
 	parallel.For(ctx.b.Cols, grain, body)
 }
 
-// trsv solves op(T) x = x in place for one right-hand side.
+// trsv solves op(T) x = x in place for one right-hand side. The inner
+// loops are axpy (column sweeps) and dot (transposed solves) over the part
+// of a column of T beside the diagonal.
 func trsv(upper, trans, unit bool, t *mat.Dense, x []float64) {
 	n := t.Rows
+	x = x[:n]
 	switch {
 	case !trans && !upper:
 		// Forward substitution with column access: after x[k] is final,
 		// eliminate it from the remaining entries using column k.
 		for k := 0; k < n; k++ {
-			if !unit {
-				x[k] /= t.At(k, k)
-			}
-			xk := x[k]
-			if xk == 0 {
-				continue
-			}
 			col := t.Col(k)
-			for i := k + 1; i < n; i++ {
-				x[i] -= xk * col[i]
+			if !unit {
+				x[k] /= col[k]
+			}
+			if xk := x[k]; xk != 0 {
+				axpy(-xk, col[k+1:], x[k+1:])
 			}
 		}
 	case !trans && upper:
 		for k := n - 1; k >= 0; k-- {
-			if !unit {
-				x[k] /= t.At(k, k)
-			}
-			xk := x[k]
-			if xk == 0 {
-				continue
-			}
 			col := t.Col(k)
-			for i := 0; i < k; i++ {
-				x[i] -= xk * col[i]
+			if !unit {
+				x[k] /= col[k]
+			}
+			if xk := x[k]; xk != 0 {
+				axpy(-xk, col[:k], x[:k])
 			}
 		}
 	case trans && !upper:
 		// T^T is upper triangular; dot products along columns of T.
 		for k := n - 1; k >= 0; k-- {
 			col := t.Col(k)
-			s := x[k]
-			for i := k + 1; i < n; i++ {
-				s -= col[i] * x[i]
-			}
-			if unit {
-				x[k] = s
-			} else {
-				x[k] = s / col[k]
+			x[k] -= dot(col[k+1:], x[k+1:])
+			if !unit {
+				x[k] /= col[k]
 			}
 		}
 	default: // trans && upper
 		// T^T is lower triangular.
 		for k := 0; k < n; k++ {
 			col := t.Col(k)
-			s := x[k]
-			for i := 0; i < k; i++ {
-				s -= col[i] * x[i]
-			}
-			if unit {
-				x[k] = s
-			} else {
-				x[k] = s / col[k]
+			x[k] -= dot(col[:k], x[:k])
+			if !unit {
+				x[k] /= col[k]
 			}
 		}
 	}

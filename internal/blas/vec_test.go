@@ -1,0 +1,279 @@
+package blas
+
+import (
+	"math"
+	"math/big"
+	"testing"
+
+	"questgo/internal/mat"
+	"questgo/internal/rng"
+)
+
+// The stride-1 layer (axpy, dot, packRows, packCols) has two bodies on an
+// AVX2 build and one everywhere else. The oracles below hold for whichever
+// body the build selects, and are what both TestVecKernelsMatchPortable and
+// FuzzVecKernels run:
+//
+//   - packs: bitwise the portable loop, nothing written past kc*w, nothing
+//     read outside the kc x w source window;
+//   - axpy: bitwise math.FMA(alpha, x[i], y[i]) where the vector kernel runs
+//     (kernMR == 8), within the unfused loop's two roundings of it otherwise; y[n:] untouched;
+//   - dot: within n*eps*sum|x_i*y_i| of the exact sum;
+//   - every result is the same bits whatever the operands' offset into
+//     their backing arrays (no alignment peeling).
+
+const vecPad = 8 // sentinel elements behind every operand
+
+// vecOperand places n graded random values at offset off of a fresh array
+// whose other elements are fill (NaN for sources: a read outside the slice
+// poisons the result; a finite sentinel for destinations).
+func vecOperand(r *rng.Rand, off, n int, fill float64) (back, v []float64) {
+	back = make([]float64, off+n+vecPad)
+	for i := range back {
+		back[i] = fill
+	}
+	v = back[off : off+n]
+	for i := range v {
+		v[i] = math.Ldexp(2*r.Float64()-1, int(r.Float64()*40)-20)
+	}
+	return back, v
+}
+
+func bitsEqual(x, y []float64) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// untouched reports whether every element of back outside [off, off+n) still
+// holds fill.
+func untouched(back []float64, off, n int, fill float64) bool {
+	for i, v := range back {
+		if (i < off || i >= off+n) && math.Float64bits(v) != math.Float64bits(fill) {
+			return false
+		}
+	}
+	return true
+}
+
+const sentinel = -12345.678
+
+func checkAxpy(t *testing.T, n int, alpha float64, seed uint64) {
+	t.Helper()
+	var ref []float64
+	for off := 0; off < 4; off++ {
+		r := rng.New(seed)
+		_, x := vecOperand(r, off, n, math.NaN())
+		// y sits at a different phase from x, so no pair of offsets is
+		// mutually aligned by accident.
+		yback, y := vecOperand(r, 3-off, n, sentinel)
+		want := make([]float64, n)
+		for i := range want {
+			want[i] = math.FMA(alpha, x[i], y[i])
+		}
+		axpy(alpha, x, y)
+		if !untouched(yback, 3-off, n, sentinel) {
+			t.Fatalf("axpy n=%d off=%d: wrote outside y[:n]", n, off)
+		}
+		if kernMR == 8 {
+			if !bitsEqual(y, want) {
+				t.Fatalf("axpy n=%d off=%d alpha=%v: not bitwise math.FMA", n, off, alpha)
+			}
+		} else {
+			for i := range y {
+				if d := math.Abs(y[i] - want[i]); d > 0x1p-52*(math.Abs(alpha*x[i])+math.Abs(want[i])) || math.IsNaN(d) {
+					t.Fatalf("axpy n=%d off=%d alpha=%v: y[%d]=%v, fma gives %v", n, off, alpha, i, y[i], want[i])
+				}
+			}
+		}
+		if off == 0 {
+			ref = append(ref, y...)
+		} else if !bitsEqual(y, ref) {
+			t.Fatalf("axpy n=%d alpha=%v: bits at offset %d differ from offset 0", n, alpha, off)
+		}
+	}
+}
+
+func checkDot(t *testing.T, n int, seed uint64) {
+	t.Helper()
+	var ref float64
+	for off := 0; off < 4; off++ {
+		r := rng.New(seed)
+		_, x := vecOperand(r, off, n, math.NaN())
+		_, y := vecOperand(r, 3-off, n, math.NaN())
+		got := dot(x, y)
+		exact, abs := new(big.Float).SetPrec(2048), 0.0
+		for i := range x {
+			p := new(big.Float).SetPrec(2048).Mul(big.NewFloat(x[i]), big.NewFloat(y[i]))
+			exact.Add(exact, p)
+			abs += math.Abs(x[i] * y[i])
+		}
+		diff, _ := new(big.Float).Sub(exact, big.NewFloat(got)).Float64()
+		if tol := float64(n) * 0x1p-52 * abs; math.IsNaN(got) || math.Abs(diff) > tol {
+			t.Fatalf("dot n=%d off=%d: %v is %.3e from the exact sum, tolerance %.3e", n, off, got, diff, tol)
+		}
+		if off == 0 {
+			ref = got
+		} else if math.Float64bits(got) != math.Float64bits(ref) {
+			t.Fatalf("dot n=%d: bits at offset %d differ from offset 0", n, off)
+		}
+	}
+}
+
+// checkPack runs one full micro-panel (the case the vector kernels take)
+// through pack and through the portable loop portable, from a source of
+// leading dimension ld whose elements outside the packed window are NaN.
+// rows selects the packRows layout (w contiguous source elements per k)
+// over the packCols one (kc contiguous source elements per column).
+func checkPack(t *testing.T, rows bool, kc, w, ld int, alpha float64, seed uint64) {
+	t.Helper()
+	pack, portable, major, minor := packCols, packColsGo, w, kc
+	if rows {
+		pack, portable, major, minor = packRows, packRowsGo, kc, w
+	}
+	var ref []float64
+	for off := 0; off < 4; off++ {
+		r := rng.New(seed)
+		extent := (major-1)*ld + minor
+		if extent < 0 {
+			extent = 0
+		}
+		sback, src := vecOperand(r, off, extent, math.NaN())
+		for i := range src {
+			if i%ld >= minor {
+				src[i] = math.NaN()
+			}
+		}
+		dback, dst := vecOperand(r, 3-off, kc*w, sentinel)
+		want := make([]float64, kc*w)
+		portable(want, src, ld, kc, w, w, alpha)
+		// The wrappers take the operand's tail slice, as runPackA/B pass it.
+		pack(dback[3-off:], sback[off:], ld, kc, w, w, alpha)
+		if !untouched(dback, 3-off, kc*w, sentinel) {
+			t.Fatalf("pack rows=%v kc=%d w=%d off=%d: wrote outside dst[:kc*w]", rows, kc, w, off)
+		}
+		if !bitsEqual(dst, want) {
+			t.Fatalf("pack rows=%v kc=%d w=%d ld=%d alpha=%v off=%d: differs from the portable loop", rows, kc, w, ld, alpha, off)
+		}
+		if off == 0 {
+			ref = append(ref, dst...)
+		} else if !bitsEqual(dst, ref) {
+			t.Fatalf("pack rows=%v kc=%d w=%d: bits at offset %d differ from offset 0", rows, kc, w, off)
+		}
+	}
+}
+
+// TestVecKernelsMatchPortable: every stride-1 kernel against its oracle for
+// every length (vector length, or a panel's kc) 0..67 — all 16/4/1 block
+// remainders, four times over — at slice offsets 0..3, the packs also at
+// gemmKC and one short of it, both panel widths, alpha incl. 1 and -1.
+func TestVecKernelsMatchPortable(t *testing.T) {
+	alphas := []float64{1, -1, 0.5, -2.75, 1e-3, math.Pi}
+	lengths := []int{gemmKC - 1, gemmKC}
+	for n := 0; n <= 67; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		seed := uint64(n) + 1
+		checkDot(t, n, seed)
+		for _, alpha := range alphas {
+			checkAxpy(t, n, alpha, seed)
+			for _, w := range []int{4, 8} {
+				checkPack(t, true, n, w, w+5, alpha, seed)
+				checkPack(t, false, n, w, n+3, alpha, seed)
+			}
+		}
+	}
+}
+
+// gemmPortablePacks is runPacked + Gemm's beta pass with every micro-panel
+// packed by the portable loops: same blocking, same micro-kernel, so any
+// bit it disagrees on with Gemm was changed by a pack kernel.
+func gemmPortablePacks(ta, tb bool, alpha float64, a, b *mat.Dense, beta float64, c *mat.Dense) {
+	ctx := &gemmCtx{
+		aData: a.Data, as: a.Stride, transA: ta,
+		bData: b.Data, bs: b.Stride, transB: tb,
+		cData: c.Data, cs: c.Stride,
+		alpha: alpha, beta: beta,
+		m: c.Rows, n: c.Cols, k: a.Cols,
+	}
+	if ta {
+		ctx.k = a.Rows
+	}
+	ctx.runScale(0, ctx.n)
+	mr, nr := kernMR, kernNR
+	for jc := 0; jc < ctx.n; jc += gemmNC {
+		ctx.jc, ctx.nb = jc, min(gemmNC, ctx.n-jc)
+		npan := (ctx.nb + nr - 1) / nr
+		for pc := 0; pc < ctx.k; pc += gemmKC {
+			ctx.pc, ctx.kc = pc, min(gemmKC, ctx.k-pc)
+			ctx.bp = make([]float64, npan*nr*ctx.kc)
+			for p := 0; p < npan; p++ {
+				j0 := jc + p*nr
+				jw := min(nr, jc+ctx.nb-j0)
+				dst := ctx.bp[p*nr*ctx.kc:]
+				if !tb {
+					packColsGo(dst, b.Data[pc+j0*b.Stride:], b.Stride, ctx.kc, nr, jw, 1)
+				} else {
+					packRowsGo(dst, b.Data[j0+pc*b.Stride:], b.Stride, ctx.kc, nr, jw, 1)
+				}
+			}
+			for ic := 0; ic < ctx.m; ic += gemmMC {
+				ctx.ic, ctx.mb = ic, min(gemmMC, ctx.m-ic)
+				mpan := (ctx.mb + mr - 1) / mr
+				ctx.ap = make([]float64, mpan*mr*ctx.kc)
+				for ir := 0; ir < mpan; ir++ {
+					i0 := ic + ir*mr
+					iw := min(mr, ic+ctx.mb-i0)
+					dst := ctx.ap[ir*mr*ctx.kc:]
+					if !ta {
+						packRowsGo(dst, a.Data[i0+pc*a.Stride:], a.Stride, ctx.kc, mr, iw, alpha)
+					} else {
+						packColsGo(dst, a.Data[pc+i0*a.Stride:], a.Stride, ctx.kc, mr, iw, alpha)
+					}
+				}
+				ctx.runMacro(0, npan)
+			}
+		}
+	}
+}
+
+// TestGemmPackBitwise: the pack kernels are a copy and one multiply, so
+// Gemm must produce the same bits whether its panels were packed by them or
+// by the portable loops — over every edge shape, transposition and a few
+// scalars. Together with an unchanged micro-kernel this is what keeps
+// blas.Gemm bitwise the parent commit's on the AVX2 build.
+func TestGemmPackBitwise(t *testing.T) {
+	r := rng.New(31)
+	for _, sh := range gemmShapes {
+		for _, ta := range []bool{false, true} {
+			for _, tb := range []bool{false, true} {
+				for _, alpha := range []float64{1, -1, 1.25} {
+					ar, ac := sh.m, sh.k
+					if ta {
+						ar, ac = ac, ar
+					}
+					br, bc := sh.k, sh.n
+					if tb {
+						br, bc = bc, br
+					}
+					a, b := randomDense(r, ar, ac), randomDense(r, br, bc)
+					got := randomDense(r, sh.m, sh.n)
+					want := got.Clone()
+					Gemm(ta, tb, alpha, a, b, 0.5, got)
+					gemmPortablePacks(ta, tb, alpha, a, b, 0.5, want)
+					if !sameBits(got, want) {
+						t.Fatalf("m=%d n=%d k=%d ta=%v tb=%v alpha=%v: Gemm differs from the portable-pack product",
+							sh.m, sh.n, sh.k, ta, tb, alpha)
+					}
+				}
+			}
+		}
+	}
+}

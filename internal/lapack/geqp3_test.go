@@ -178,8 +178,9 @@ func TestQRPBlockedVsLevel2Rectangular(t *testing.T) {
 // TestQRPBlockedNotSlowerThanLevel2 is the kernel regression gate at the
 // DQMC sweet-spot size: the blocked level-3 QRP on the hot path must not
 // fall behind the retained level-2 reference at N=512. The committed Figure 1
-// series reads 12.4 ms vs 43.3 ms, so a noisy machine cannot trip the bound
-// while a QRPFactor that stops spending its flops in GEMM does. The two
+// series reads about 10 ms vs 24 ms (the level-2 loop's dot/axpy are vector
+// kernels too), so a noisy machine cannot trip the bound while a QRPFactor
+// that stops spending its flops in GEMM does. The two
 // factorizations alternate so a slow phase of the machine hits both.
 func TestQRPBlockedNotSlowerThanLevel2(t *testing.T) {
 	const n, reps = 512, 3

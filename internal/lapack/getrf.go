@@ -96,13 +96,7 @@ func getf2(a *mat.Dense, j, jb int, piv []int) bool {
 		// Rank-1 update of the rest of the panel.
 		for cc := c + 1; cc < jb; cc++ {
 			ccol := a.Col(j + cc)
-			f := ccol[j+c]
-			if f == 0 {
-				continue
-			}
-			for r := j + c + 1; r < n; r++ {
-				ccol[r] -= f * col[r]
-			}
+			blas.Axpy(-ccol[j+c], col[j+c+1:n], ccol[j+c+1:n])
 		}
 	}
 	return ok

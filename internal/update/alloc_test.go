@@ -32,3 +32,22 @@ func TestHostFlushNoAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestPushNoAlloc: an accepted flip assembles its rank-1 pair with two
+// blas.Axpy per pending column; the column slices it hands across that call
+// boundary (and, on AVX2 hardware, on to assembly) must not escape.
+func TestPushNoAlloc(t *testing.T) {
+	const n, nd = 36, 32
+	r := rng.New(9)
+	s := &spinState{g: mat.New(n, n), u: mat.New(n, nd), w: mat.New(n, nd)}
+	for _, x := range []*mat.Dense{s.g, s.u, s.w} {
+		for i := range x.Data {
+			x.Data[i] = r.Float64()
+		}
+	}
+	for _, m := range []int{0, 5, nd - 1} {
+		if allocs := testing.AllocsPerRun(20, func() { s.m = m; s.push(7, 0.3) }); allocs != 0 {
+			t.Errorf("m=%d: push allocated %.1f objects per call, want 0", m, allocs)
+		}
+	}
+}

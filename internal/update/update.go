@@ -126,12 +126,8 @@ func (s *spinState) push(i int, factor float64) {
 	for t := 0; t < s.m; t++ {
 		ut := s.u.Col(t)
 		wt := s.w.Col(t)
-		wi := wt[i]
-		ui := ut[i]
-		for r := 0; r < n; r++ {
-			uc[r] += ut[r] * wi
-			wc[r] += wt[r] * ui
-		}
+		blas.Axpy(wt[i], ut, uc)
+		blas.Axpy(ut[i], wt, wc)
 	}
 	for r := 0; r < n; r++ {
 		uc[r] *= -factor

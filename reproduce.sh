@@ -24,15 +24,16 @@ go test -tags qmcdebug ./internal/...
 # go list honours GOFLAGS, so this lints the files the default build hides
 # (check_on.go, mat/scratch_debug.go, lapack/pool_debug.go).
 GOFLAGS=-tags=qmcdebug go run ./cmd/qmclint ./internal/...
-# The portable 4x4 micro-kernel (and its partial-tile path) never executes
-# on an amd64 box otherwise; the consumers ride along because the kernel's
-# rounding differs from the FMA one.
+# The portable 4x4 micro-kernel and the Go axpy/dot/pack loops never execute
+# on full panels on an amd64 box otherwise; the consumers ride along because
+# their rounding differs from the FMA kernels'.
 echo "== Verify: portable micro-kernel build (-tags purego)"
 go test -tags purego ./internal/blas/ ./internal/lapack/ ./internal/greens/ ./internal/update/
 # ... and gemm_generic.go is invisible to hotalloc/poolpair/nakedpanic otherwise.
 GOFLAGS=-tags=purego go run ./cmd/qmclint ./internal/blas ./internal/lapack ./internal/mat
 echo "== Verify: fuzz kernels against reference implementations (10s each)"
 go test ./internal/blas/ -run NoSuchTest -fuzz 'FuzzGemmPackedVsNaive$' -fuzztime 10s
+go test ./internal/blas/ -run NoSuchTest -fuzz 'FuzzVecKernels$' -fuzztime 10s
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzQRReconstruct$' -fuzztime 10s
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzGetrf$' -fuzztime 10s
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzQRPBlockedVsLevel2$' -fuzztime 10s
