@@ -16,6 +16,7 @@ import (
 	"questgo/internal/lattice"
 	"questgo/internal/measure"
 	"questgo/internal/obs"
+	"questgo/internal/parallel"
 	"questgo/internal/profile"
 	"questgo/internal/rng"
 	"questgo/internal/stats"
@@ -402,6 +403,10 @@ func (s *Simulation) RunContext(ctx context.Context, cb func(Progress)) (*Result
 // runBody is RunContext after the collector re-baseline; shared-collector
 // walkers (Run with WithWalkers) enter here directly.
 func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, error) {
+	// A chain keeps its core busy for the whole run, so the pool must not
+	// count that core as idle: see parallel.Enter.
+	parallel.Enter()
+	defer parallel.Leave()
 	for w := 0; w < s.cfg.WarmSweeps; w++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -310,7 +310,27 @@ func (c *Collector) End(p Phase, start time.Time) {
 	if c == nil {
 		return
 	}
-	atomic.AddInt64(&c.phaseNS[p], int64(time.Since(start)))
+	c.Charge(p, time.Since(start))
+}
+
+// Lap is End followed by Begin on one clock reading: it accumulates the time
+// since start into phase p and returns the stamp the next phase starts at.
+func (c *Collector) Lap(p Phase, start time.Time) time.Time {
+	if c == nil {
+		return time.Time{}
+	}
+	now := time.Now()
+	c.Charge(p, now.Sub(start))
+	return now
+}
+
+// Charge accumulates d into phase p, for callers that measured the interval
+// themselves (the spin fork splits one interval over several phases).
+func (c *Collector) Charge(p Phase, d time.Duration) {
+	if c == nil {
+		return
+	}
+	atomic.AddInt64(&c.phaseNS[p], int64(d))
 }
 
 // Finish stamps the run's wall time. Metrics taken after Finish report the

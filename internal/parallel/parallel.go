@@ -3,14 +3,14 @@
 //
 // The paper targets a two-socket six-core (12-way) shared memory node and
 // parallelizes with OpenMP; here a pool of persistent goroutines plays the
-// role of the OpenMP thread team (see pool.go). All helpers degrade
-// gracefully to serial execution when GOMAXPROCS is 1 or when the workload
-// is below the grain size, so small DQMC matrices do not pay scheduling
-// overhead, and nested calls (a parallel Gemm inside a parallel loop body)
-// are safe: inner loops that find no idle worker run serially on the caller.
+// role of the OpenMP thread team, down to the way its idle members spin
+// briefly before they sleep (see pool.go). All helpers degrade gracefully to
+// serial execution when GOMAXPROCS is 1, when every core already runs a
+// registered chain, or when the workload is below the grain size, so small
+// DQMC matrices do not pay scheduling overhead, and nested calls (a parallel
+// Gemm inside a parallel loop body) are safe: inner loops that find no idle
+// worker run serially on the caller.
 package parallel
-
-import "runtime"
 
 // maxWorkers reports the number of workers to use for a loop of n iterations
 // with the given minimum grain per worker.
@@ -18,7 +18,7 @@ func maxWorkers(n, grain int) int {
 	if grain < 1 {
 		grain = 1
 	}
-	w := runtime.GOMAXPROCS(0)
+	w := width()
 	if byGrain := n / grain; byGrain < w {
 		w = byGrain
 	}
@@ -33,10 +33,11 @@ func maxWorkers(n, grain int) int {
 // that the atomic cursor becomes contended.
 const chunksPerWorker = 4
 
-// For executes body(lo, hi) over a partition of [0, n) using up to
-// GOMAXPROCS workers from the persistent pool. Each chunk holds at least
-// grain iterations; if the loop is too small for more than one chunk the
-// body runs on the calling goroutine with no synchronization cost. A body
+// For executes body(lo, hi) over a partition of [0, n) using up to width()
+// goroutines: the caller and idle workers of the persistent pool. Each chunk
+// holds at least grain iterations; if the loop is too small for more than
+// one chunk the body runs on the calling goroutine with no synchronization
+// cost. A body
 // may be invoked several times on the same worker with different ranges.
 //
 //qmc:hot
@@ -53,9 +54,12 @@ func For(n, grain int, body func(lo, hi int)) {
 	if chunk < grain {
 		chunk = grain
 	}
-	t := taskPool.Get().(*loopTask)
-	t.body, t.n, t.chunk, t.next = body, n, chunk, 0
-	runShared(w, t)
+	t := taskPool.Get().(*task)
+	t.body, t.n, t.chunk = body, n, chunk
+	t.next.Store(0)
+	enlist(t, w-1)
+	t.run()
+	t.helpers.wait()
 	t.release()
 }
 
@@ -71,24 +75,19 @@ func For(n, grain int, body func(lo, hi int)) {
 //
 //qmc:hot
 func Pair(a, b func()) {
-	if runtime.GOMAXPROCS(0) == 1 {
+	if width() < 2 {
 		a()
 		b()
 		return
 	}
-	ensureWorkers(1)
-	t := pairPool.Get().(*pairTask)
+	t := taskPool.Get().(*task)
 	t.b = b
-	t.wg.Add(1)
-	select {
-	case workCh <- t:
-		a()
-		t.wg.Wait()
-	default:
-		t.wg.Done()
-		a()
+	forked := enlist(t, 1) == 1
+	a()
+	if forked {
+		t.helpers.wait()
+	} else {
 		b()
 	}
-	t.b = nil
-	pairPool.Put(t)
+	t.release()
 }

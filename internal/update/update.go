@@ -21,16 +21,22 @@
 //     restores the full-rebuild reference: greens.GreenInto over the set's
 //     chain.
 //   - The heavy per-spin phases — wrapping, delayed-update flushes,
-//     cluster recomputation, stratified refreshes, and the column/row
-//     assembly of accepted flips — are independent between the up and down
-//     sectors and fork onto the parallel pool (parallel.Pair). Only the
-//     per-site Metropolis ratio, which needs both spins' effective
-//     diagonal, stays synchronous. Options.SerialSpins restores the serial
-//     ordering. Each spin owns its backend, so no scratch is shared across
+//     cluster recomputation, stratified refreshes — are independent between
+//     the up and down sectors and fork onto the parallel pool
+//     (parallel.Pair), fused so that a sweep forks once per slice and once
+//     more per cluster boundary (L + NC forks) through three closures per
+//     sector: stepFn (flush slice s, wrap into s+1), boundaryFn (flush,
+//     recompute the cluster, advance the stack, refresh) and flushFn (a
+//     full delay block in mid-slice). Only the per-site Metropolis loop,
+//     which needs both spins' effective diagonal, and the boundary hook
+//     stay synchronous. Options.SerialSpins runs the same closures
+//     serially. Each spin owns its backend, so no scratch is shared across
 //     the fork.
 package update
 
 import (
+	"time"
+
 	"questgo/internal/blas"
 	"questgo/internal/check"
 	"questgo/internal/greens"
@@ -87,8 +93,27 @@ type spinState struct {
 
 	// Pre-bound closures for the spin fork, so the per-slice hot paths
 	// allocate nothing; their operands are the Sweeper's
-	// slice/cluster/boundary fields.
-	wrapFn, flushFn, clusterFn, refreshFn, advanceFn func()
+	// slice/cluster/boundary fields. stepFn flushes slice s and wraps into
+	// s+1 (with nothing pending, as at the first slice of a cluster, it is
+	// the wrap alone); boundaryFn flushes the cluster's last slice,
+	// recomputes the cluster product, advances the stack and refreshes;
+	// flushFn applies a full delay block in mid-slice.
+	stepFn, boundaryFn, flushFn func()
+
+	// dur is the time this sector spent in each phase of the fork in
+	// flight; timedFork reads and clears it at the join.
+	dur [obs.NumPhases]time.Duration
+}
+
+// lap adds the time since t to the sector's share of phase p and returns the
+// new stamp. Under a nil collector t is the zero time and stays it.
+func (s *spinState) lap(p obs.Phase, t time.Time) time.Time {
+	if t.IsZero() {
+		return t
+	}
+	now := time.Now()
+	s.dur[p] += now.Sub(t)
+	return now
 }
 
 // effDiag returns G_eff(i,i).
@@ -198,9 +223,11 @@ type Sweeper struct {
 	proposed int64
 
 	// Operands of the per-spin pre-bound closures (see spinState).
-	slice    int // slice being wrapped / flushed
+	slice    int // slice being flushed; the step wraps into slice+1
 	cluster  int // cluster being recomputed
 	boundary int // boundary being refreshed
+
+	forks int64 // calls of fork, for the fork-count tests
 
 	// boundaryHook, when set, runs after every stratified refresh (i.e. at
 	// every cluster boundary) with the Green's functions freshly
@@ -212,7 +239,7 @@ type Sweeper struct {
 	// numerical-accuracy diagnostic that motivates the wrapping limit.
 	maxWrapDrift float64
 	// boundaries counts stratified refreshes, pacing the StabilityEvery
-	// residual check; checkStrat is set for the boundaries that sample it.
+	// residual check; checkStrat says whether the current one samples it.
 	boundaries int64
 	checkStrat bool
 }
@@ -249,7 +276,10 @@ func NewSweeperOn(p *hubbard.Propagator, f *hubbard.Field, r *rng.Rand, opts Opt
 	sw := &Sweeper{Prop: p, Field: f, Rng: r, opts: opts, sign: 1}
 	sw.up = sw.newSpin(mk, hubbard.Up)
 	sw.dn = sw.newSpin(mk, hubbard.Down)
-	sw.refresh(0)
+	start := sw.opts.Obs.Begin()
+	sw.setBoundary(0)
+	sw.fork(func() { sw.refreshSpin(sw.up, true) }, func() { sw.refreshSpin(sw.dn, false) })
+	sw.opts.Obs.End(obs.PhaseRefresh, start)
 	return sw
 }
 
@@ -268,25 +298,72 @@ func (sw *Sweeper) newSpin(mk NewBackend, sigma hubbard.Spin) *spinState {
 		s.st = greens.NewStratStack(s.cs, o.PrePivot)
 		s.st.Obs = o.Obs
 		o.Obs.End(obs.PhaseRefresh, sstart)
-		s.advanceFn = s.st.Advance
 	}
-	s.wrapFn = func() { s.be.Wrap(s.g, sw.Field, sigma, sw.slice) }
-	s.flushFn = func() { s.flush(sw.slice) }
-	s.clusterFn = func() { s.cs.Recompute(sw.Field, sw.cluster) }
 	// The wrap-drift diagnostic samples the spin-up sector only.
-	s.refreshFn = func() { sw.refreshSpin(s, sigma == hubbard.Up) }
+	trackDrift := sigma == hubbard.Up
+	s.flushFn = func() { s.flush(sw.slice) }
+	s.stepFn = func() {
+		t := o.Obs.Begin()
+		s.flush(sw.slice)
+		t = s.lap(obs.PhaseFlush, t)
+		s.be.Wrap(s.g, sw.Field, sigma, sw.slice+1)
+		s.lap(obs.PhaseWrap, t)
+	}
+	s.boundaryFn = func() {
+		t := o.Obs.Begin()
+		s.flush(sw.slice)
+		t = s.lap(obs.PhaseFlush, t)
+		s.cs.Recompute(sw.Field, sw.cluster)
+		t = s.lap(obs.PhaseCluster, t)
+		if s.st != nil {
+			// One prefix extension per boundary; GreenInto (inside
+			// refreshSpin) combines it with the cached suffix.
+			s.st.Advance()
+		}
+		sw.refreshSpin(s, trackDrift)
+		s.lap(obs.PhaseRefresh, t)
+	}
 	return s
 }
 
 // fork runs the two per-spin closures through the pool, or serially when
 // the sweeper was configured with SerialSpins.
 func (sw *Sweeper) fork(up, dn func()) {
+	sw.forks++
 	if sw.opts.SerialSpins {
 		up()
 		dn()
 		return
 	}
 	parallel.Pair(up, dn)
+}
+
+// timedFork is fork under the phase timers. A fused closure spans several
+// phases and the two sectors run them concurrently, so each sector laps its
+// own phases (spinState.dur) and the join splits the fork's wall time — t
+// to now, hand-off and join wait included — over the phases in proportion
+// to the time the two sectors spent in each. It returns the stamp taken at
+// the join.
+func (sw *Sweeper) timedFork(up, dn func(), t time.Time) time.Time {
+	sw.fork(up, dn)
+	if t.IsZero() {
+		return t
+	}
+	now := time.Now()
+	var sum [obs.NumPhases]time.Duration
+	var total time.Duration
+	for p := range sum {
+		sum[p] = sw.up.dur[p] + sw.dn.dur[p]
+		sw.up.dur[p], sw.dn.dur[p] = 0, 0
+		total += sum[p]
+	}
+	scale := float64(now.Sub(t)) / float64(total)
+	for p, d := range sum {
+		if d > 0 {
+			sw.opts.Obs.Charge(obs.Phase(p), time.Duration(scale*float64(d)))
+		}
+	}
+	return now
 }
 
 // refreshSpin recomputes one spin's Green's function by stratification at
@@ -322,16 +399,13 @@ func (sw *Sweeper) refreshSpin(s *spinState, trackDrift bool) {
 	mat.PutScratch(gNew)
 }
 
-// refresh recomputes both Green's functions at cluster boundary c.
-func (sw *Sweeper) refresh(c int) {
-	start := sw.opts.Obs.Begin()
+// setBoundary makes c the boundary the next refresh recomputes and decides
+// whether that refresh samples the stack-vs-rebuild residual.
+func (sw *Sweeper) setBoundary(c int) {
 	sw.boundary = c
 	sw.boundaries++
 	sw.checkStrat = sw.opts.StabilityEvery > 0 && sw.opts.Obs.Enabled() &&
 		sw.boundaries%int64(sw.opts.StabilityEvery) == 0
-	sw.fork(sw.up.refreshFn, sw.dn.refreshFn)
-	sw.checkStrat = false
-	sw.opts.Obs.End(obs.PhaseRefresh, start)
 }
 
 // SetBoundaryHook registers h to run after every stratified refresh, when
@@ -351,37 +425,31 @@ func (sw *Sweeper) Sweep() {
 	model := sw.Prop.Model
 	n := model.N()
 	k := sw.opts.ClusterK
+	t := sw.opts.Obs.Begin()
 	for s := 0; s < model.L; s++ {
-		// Wrap both spins into slice s: G <- B_s G B_s^{-1}.
-		wstart := sw.opts.Obs.Begin()
+		if s%k == 0 {
+			// First slice of a cluster: the boundary behind it left nothing
+			// pending, so this step is the wrap into slice s alone,
+			// G <- B_s G B_s^{-1}.
+			sw.slice = s - 1
+			t = sw.timedFork(sw.up.stepFn, sw.dn.stepFn, t)
+		}
 		sw.slice = s
-		sw.fork(sw.up.wrapFn, sw.dn.wrapFn)
-		sw.opts.Obs.End(obs.PhaseWrap, wstart)
-
-		ustart := sw.opts.Obs.Begin()
 		for i := 0; i < n; i++ {
 			sw.proposeFlip(s, i)
 		}
-		sw.fork(sw.up.flushFn, sw.dn.flushFn)
-		sw.opts.Obs.End(obs.PhaseFlush, ustart)
-
-		if (s+1)%k == 0 {
-			c := s / k
-			cstart := sw.opts.Obs.Begin()
-			sw.cluster = c
-			sw.fork(sw.up.clusterFn, sw.dn.clusterFn)
-			sw.opts.Obs.End(obs.PhaseCluster, cstart)
-			if sw.up.st != nil {
-				// One prefix extension per boundary; GreenInto (inside
-				// refresh) combines it with the cached suffix.
-				sstart := sw.opts.Obs.Begin()
-				sw.fork(sw.up.advanceFn, sw.dn.advanceFn)
-				sw.opts.Obs.End(obs.PhaseRefresh, sstart)
-			}
-			sw.refresh((c + 1) % sw.up.cs.NC)
-			if sw.boundaryHook != nil {
-				sw.boundaryHook()
-			}
+		t = sw.opts.Obs.Lap(obs.PhaseFlush, t)
+		if (s+1)%k != 0 {
+			t = sw.timedFork(sw.up.stepFn, sw.dn.stepFn, t)
+			continue
+		}
+		c := s / k
+		sw.cluster = c
+		sw.setBoundary((c + 1) % sw.up.cs.NC)
+		t = sw.timedFork(sw.up.boundaryFn, sw.dn.boundaryFn, t)
+		if sw.boundaryHook != nil {
+			sw.boundaryHook()
+			t = sw.opts.Obs.Begin()
 		}
 	}
 }
@@ -404,8 +472,11 @@ func (sw *Sweeper) proposeFlip(s, i int) {
 	if ar < 1 && sw.Rng.Float64() >= ar {
 		return
 	}
-	// Accepted. A push is about 4*N*(m+1) flops — cheaper than a pool
-	// hand-off even at N=144 — so the two run back to back here.
+	// Accepted. A push is about 4*N*(m+1) flops: 0.04-0.6 us at N <= 36 and
+	// 0.25-1.8 us at N = 144 (m = 0..31), against a pool hand-off's 0.6 us
+	// round trip. Forking the pair loses below N = 144 and there gains a
+	// fraction of a microsecond on a nearly full block only, so the two run
+	// back to back.
 	sw.accepted++
 	if r < 0 {
 		sw.sign = -sw.sign

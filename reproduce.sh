@@ -19,6 +19,10 @@ go vet ./...
 # TestWireLocked in tier-1, `go test ./...`.)
 go run ./cmd/qmclint ./...
 go test -race ./internal/parallel/ ./internal/blas/ ./internal/update/ ./internal/greens/ ./internal/obs/ ./internal/autopilot/ ./internal/core/ ./internal/gpu/ ./internal/service/ ./internal/analysis/
+# Oversubscribed (4 Ps on this 2-CPU box): the regime where a careless spin
+# loop in the pool's hand-off starves its own task. -count=1 because the test
+# cache does not key on GOMAXPROCS.
+GOMAXPROCS=4 go test -count=1 -race ./internal/parallel/ ./internal/update/
 echo "== Verify: qmcdebug sanitizer build (NaN/Inf scans, drift asserts, pool bookkeeping)"
 go test -tags qmcdebug ./internal/...
 # go list honours GOFLAGS, so this lints the files the default build hides
