@@ -29,35 +29,38 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"runtime/pprof"
+	"runtime/trace"
 	"syscall"
 
 	"questgo"
-	"questgo/internal/profile"
+	"questgo/internal/obs"
 )
 
 func main() {
-	in := flag.String("in", "", "QUEST-style input file")
-	nx := flag.Int("nx", 0, "lattice x size")
-	ny := flag.Int("ny", 0, "lattice y size")
-	layers := flag.Int("layers", 0, "number of planes")
-	tperp := flag.Float64("tperp", -1, "inter-layer hopping")
-	u := flag.Float64("u", -1, "interaction U")
-	mu := flag.Float64("mu", 0, "chemical potential (set with -setmu)")
-	setMu := flag.Bool("setmu", false, "override mu from flags")
-	beta := flag.Float64("beta", -1, "inverse temperature")
-	l := flag.Int("l", 0, "time slices")
-	warm := flag.Int("warm", -1, "warmup sweeps")
-	meas := flag.Int("meas", -1, "measurement sweeps")
-	k := flag.Int("k", 0, "matrix clustering size")
-	seed := flag.Uint64("seed", 0, "RNG seed (0 keeps default)")
+	def := questgo.DefaultConfig()
+	in := flag.String("in", "", "QUEST-style input file (the defaults below then come from it)")
+	nx := flag.Int("nx", def.Nx, "lattice x size")
+	ny := flag.Int("ny", def.Ny, "lattice y size")
+	layers := flag.Int("layers", def.Layers, "number of planes")
+	tperp := flag.Float64("tperp", def.Tperp, "inter-layer hopping")
+	u := flag.Float64("u", def.U, "interaction U (negative = attractive)")
+	mu := flag.Float64("mu", def.Mu, "chemical potential")
+	beta := flag.Float64("beta", def.Beta, "inverse temperature")
+	l := flag.Int("l", def.L, "time slices")
+	warm := flag.Int("warm", def.WarmSweeps, "warmup sweeps")
+	meas := flag.Int("meas", def.MeasSweeps, "measurement sweeps")
+	k := flag.Int("k", def.ClusterK, "matrix clustering size")
+	seed := flag.Uint64("seed", def.Seed, "RNG seed")
 	qrp := flag.Bool("qrp", false, "use Algorithm 2 (QRP) instead of pre-pivoting")
 	dynamics := flag.Bool("dynamics", false, "measure time-displaced G(d,tau) as well")
 	progress := flag.Bool("progress", false, "print per-sweep progress")
 	stability := flag.Int("stability", 0, "sample the stack-vs-rebuild residual every N cluster boundaries (0 = off)")
 	auto := flag.Bool("autopilot", false, "adapt k and the stability-check cadence from live telemetry")
-	devices := flag.Int("devices", -1, "simulated accelerators to sweep on (0 = CPU sweeper)")
+	devices := flag.Int("devices", 0, "simulated accelerators to sweep on (0 = CPU sweeper)")
 	graphs := flag.Bool("graphs", false, "capture device launch sequences into command graphs (needs -devices >= 1)")
 	jsonOut := flag.String("json", "", "also write results (with phase metrics) as JSON to this file")
 	walkers := flag.Int("walkers", 1, "independent parallel Markov chains to merge")
@@ -67,7 +70,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write a runtime execution trace to this file")
 	flag.Parse()
 
-	cfg := questgo.DefaultConfig()
+	cfg := def
 	if *in != "" {
 		var err error
 		cfg, err = questgo.LoadConfig(*in)
@@ -75,99 +78,58 @@ func main() {
 			fatal(err)
 		}
 	}
-	// Command-line overrides on top of the file, via the validated builder.
-	var opts []questgo.ConfigOption
-	if *nx > 0 || *ny > 0 {
-		ox, oy := cfg.Nx, cfg.Ny
-		if *nx > 0 {
-			ox = *nx
+	// Exactly the flags given on the command line override the file: a value
+	// is never a sentinel, so -u -4, -mu 0.5 and -seed 0 mean what they say.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "nx":
+			cfg.Nx = *nx
+		case "ny":
+			cfg.Ny = *ny
+		case "layers":
+			cfg.Layers = *layers
+		case "tperp":
+			cfg.Tperp = *tperp
+		case "u":
+			cfg.U = *u
+		case "mu":
+			cfg.Mu = *mu
+		case "beta":
+			cfg.Beta = *beta
+		case "l":
+			cfg.L = *l
+		case "warm":
+			cfg.WarmSweeps = *warm
+		case "meas":
+			cfg.MeasSweeps = *meas
+		case "k":
+			cfg.ClusterK = *k
+		case "seed":
+			cfg.Seed = *seed
+		case "qrp":
+			cfg.PrePivot = !*qrp
+		case "dynamics":
+			cfg.MeasureDynamics = *dynamics
+		case "stability":
+			cfg.StabilityCheckEvery = *stability
+		case "autopilot":
+			cfg.Autopilot = *auto
+		case "devices":
+			cfg.Devices = *devices
+		case "graphs":
+			cfg.UseGraphs = *graphs
 		}
-		if *ny > 0 {
-			oy = *ny
-		}
-		opts = append(opts, questgo.WithLattice(ox, oy))
-	}
-	if *layers > 0 {
-		tp := cfg.Tperp
-		if *tperp >= 0 {
-			tp = *tperp
-		}
-		opts = append(opts, questgo.WithLayers(*layers, tp))
-	} else if *tperp >= 0 {
-		opts = append(opts, questgo.WithLayers(cfg.Layers, *tperp))
-	}
-	if *u >= 0 || *setMu {
-		ou, om := cfg.U, cfg.Mu
-		if *u >= 0 {
-			ou = *u
-		}
-		if *setMu {
-			om = *mu
-		}
-		opts = append(opts, questgo.WithInteraction(ou, om))
-	}
-	if *beta > 0 || *l > 0 {
-		ob, ol := cfg.Beta, cfg.L
-		if *beta > 0 {
-			ob = *beta
-		}
-		if *l > 0 {
-			ol = *l
-		}
-		opts = append(opts, questgo.WithTemperature(ob, ol))
-	}
-	if *warm >= 0 || *meas > 0 {
-		ow, om := cfg.WarmSweeps, cfg.MeasSweeps
-		if *warm >= 0 {
-			ow = *warm
-		}
-		if *meas > 0 {
-			om = *meas
-		}
-		opts = append(opts, questgo.WithSchedule(ow, om))
-	}
-	if *k > 0 {
-		opts = append(opts, questgo.WithClusterK(*k))
-	}
-	if *seed != 0 {
-		opts = append(opts, questgo.WithSeed(*seed))
-	}
-	if *qrp {
-		opts = append(opts, questgo.WithPrePivot(false))
-	}
-	if *dynamics {
-		opts = append(opts, questgo.WithMeasureDynamics(true))
-	}
-	if *stability > 0 {
-		opts = append(opts, questgo.WithStabilityCheck(*stability))
-	}
-	if *auto {
-		opts = append(opts, questgo.WithAutopilot(true))
-	}
-	if *devices >= 0 {
-		opts = append(opts, questgo.WithDevices(*devices))
-	}
-	if *graphs {
-		opts = append(opts, questgo.WithGraphs(true))
-	}
-	cfg, err := cfg.With(opts...)
+	})
+	err := cfg.Validate()
 	if err != nil {
 		fatal(err)
 	}
 
 	if *cpuprofile != "" {
-		stop, err := profile.StartCPUProfile(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		defer stop()
+		defer startProfiler(*cpuprofile, pprof.StartCPUProfile, pprof.StopCPUProfile)()
 	}
 	if *tracePath != "" {
-		stop, err := profile.StartTrace(*tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		defer stop()
+		defer startProfiler(*tracePath, trace.Start, trace.Stop)()
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -273,7 +235,7 @@ func main() {
 		}
 	}
 	fmt.Println("\nTable I profile:")
-	fmt.Print(res.Prof.Table())
+	fmt.Print(obs.Table(res.Metrics))
 	if *jsonOut != "" {
 		if err := res.SaveJSON(*jsonOut); err != nil {
 			fatal(fmt.Errorf("json: %w", err))
@@ -294,6 +256,25 @@ func banner(cfg questgo.Config) {
 		cfg.Beta/float64(cfg.L), cfg.ClusterK, cfg.PrePivot)
 	fmt.Printf("Schedule: %d warmup + %d measurement sweeps, seed %d\n\n",
 		cfg.WarmSweeps, cfg.MeasSweeps, cfg.Seed)
+}
+
+// startProfiler creates path and starts a Go profiler writing to it (obs
+// answers "which DQMC phase is slow", these answer "which function inside
+// it"); the returned function stops the profiler and closes the file.
+func startProfiler(path string, start func(io.Writer) error, stop func()) func() {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if err := start(f); err != nil {
+		fatal(err)
+	}
+	return func() {
+		stop()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "dqmc:", err)
+		}
+	}
 }
 
 func fatal(err error) {

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	dqmcd [-addr 127.0.0.1:8517] [-workers N] [-cache 256]
+//	dqmcd [-addr 127.0.0.1:8517] [-workers N] [-cache N]
 //	      [-ckptdir DIR] [-maxrestarts 3] [-retain 512]
 //
 // Endpoints (all documents carry schema_version):
@@ -38,28 +38,28 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8517", "listen address")
-	workers := flag.Int("workers", 0, "worker pool size (0 = NumCPU)")
-	cache := flag.Int("cache", 256, "result cache capacity in entries (negative disables)")
-	ckptDir := flag.String("ckptdir", "", "shard checkpoint directory (empty = private temp dir)")
-	maxRestarts := flag.Int("maxrestarts", 3, "max resume attempts per shard before the job fails")
-	retain := flag.Int("retain", 512, "finished jobs kept for status/result reads (negative retains all)")
-	flag.Parse()
-
-	if err := run(*addr, *workers, *cache, *ckptDir, *maxRestarts, *retain); err != nil {
+	if err := run(parseFlags(os.Args[1:])); err != nil {
 		fmt.Fprintln(os.Stderr, "dqmcd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, workers, cache int, ckptDir string, maxRestarts, retain int) error {
-	svc, err := questgo.NewServer(questgo.ServerOptions{
-		Workers:       workers,
-		CacheSize:     cache,
-		CheckpointDir: ckptDir,
-		MaxRestarts:   maxRestarts,
-		RetainJobs:    retain,
-	})
+// parseFlags maps the command line onto the listen address and the server
+// options; a flag left out keeps the server's own default.
+func parseFlags(args []string) (addr string, opts questgo.ServerOptions) {
+	fs := flag.NewFlagSet("dqmcd", flag.ExitOnError)
+	fs.StringVar(&addr, "addr", "127.0.0.1:8517", "listen address")
+	fs.IntVar(&opts.Workers, "workers", 0, "worker pool size (0 = NumCPU)")
+	fs.IntVar(&opts.CacheSize, "cache", 0, "result cache capacity in entries (0 = the larger of 256 and -retain; negative disables)")
+	fs.StringVar(&opts.CheckpointDir, "ckptdir", "", "shard checkpoint directory (empty = private temp dir)")
+	fs.IntVar(&opts.MaxRestarts, "maxrestarts", 3, "max resume attempts per shard before the job fails")
+	fs.IntVar(&opts.RetainJobs, "retain", 512, "finished jobs kept for status/result reads (negative retains all)")
+	_ = fs.Parse(args) // ExitOnError: a bad flag has already exited
+	return addr, opts
+}
+
+func run(addr string, opts questgo.ServerOptions) error {
+	svc, err := questgo.NewServer(opts)
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,7 @@ import (
 	"questgo/internal/hubbard"
 	"questgo/internal/lapack"
 	"questgo/internal/mat"
-	"questgo/internal/profile"
+	"questgo/internal/obs"
 	"questgo/internal/rng"
 	"questgo/internal/stats"
 	"questgo/internal/update"
@@ -221,8 +221,8 @@ func figure8(p params) {
 		p.u, p.l, p.warm, p.meas)
 
 	fig8 := benchutil.NewTable("N", "time (s)", "nominal N^3 (s)", "ratio")
-	header := []string{"Phase"}
-	var profiles []*profile.Profile
+	header := fmt.Sprintf("%-24s", "Phase")
+	var docs []*obs.Metrics
 	var baseTime float64
 	var baseN int
 	for _, n := range p.sizes {
@@ -230,16 +230,11 @@ func figure8(p params) {
 		if !ok {
 			continue
 		}
-		cfg, err := questgo.NewConfig(
-			questgo.WithLattice(nx, nx),
-			questgo.WithInteraction(p.u, 0),
-			questgo.WithTemperature(0.125*float64(p.l), p.l),
-			questgo.WithSchedule(p.warm, p.meas),
-			questgo.WithMeasureDynamics(true),
-		)
-		if err != nil {
-			fatal(err)
-		}
+		cfg := questgo.DefaultConfig()
+		cfg.Nx, cfg.Ny, cfg.U = nx, nx, p.u
+		cfg.Beta, cfg.L = 0.125*float64(p.l), p.l
+		cfg.WarmSweeps, cfg.MeasSweeps = p.warm, p.meas
+		cfg.MeasureDynamics = true
 		res, err := questgo.Run(context.Background(), cfg)
 		if err != nil {
 			fatal(err)
@@ -255,8 +250,8 @@ func figure8(p params) {
 			fmt.Sprintf("%.2f", elapsed),
 			fmt.Sprintf("%.2f", nominal),
 			fmt.Sprintf("%.2f", elapsed/nominal))
-		profiles = append(profiles, res.Prof)
-		header = append(header, fmt.Sprintf("N=%d", n))
+		docs = append(docs, res.Metrics)
+		header += fmt.Sprintf(" %7s", fmt.Sprintf("N=%d", n))
 	}
 	fmt.Println("Figure 8: total simulation time vs N (nominal anchored at the smallest size)")
 	fig8.Render(os.Stdout)
@@ -266,16 +261,8 @@ func figure8(p params) {
 	fmt.Println()
 
 	fmt.Println("Table I: execution-time percentage of each phase")
-	t1 := benchutil.NewTable(header...)
-	for c := profile.Category(0); c < profile.NumCategories; c++ {
-		row := []interface{}{c.Name()}
-		for _, prof := range profiles {
-			row = append(row, fmt.Sprintf("%5.1f%%", prof.Percentages()[c]))
-		}
-		t1.AddRow(row...)
-	}
-	t1.Render(os.Stdout)
-	fmt.Println()
+	fmt.Println(header)
+	fmt.Println(obs.Table(docs...))
 	fmt.Println("Expected shape (paper, Table I): stratification largest (~45%),")
 	fmt.Println("measurements ~18-20%, delayed update ~14-17%, clustering and")
 	fmt.Println("wrapping ~8-12% each.")

@@ -93,40 +93,26 @@ func main() {
 	}
 	tbl := benchutil.NewTable(header...)
 	for _, v := range values {
-		bval, uval, muval, tperpv := *beta, *u, 0.0, 0.0
-		var extra []questgo.ConfigOption
+		cfg := questgo.DefaultConfig()
+		cfg.Nx, cfg.Ny, cfg.Layers = *nx, *nx, *layers
+		cfg.U, cfg.Beta = *u, *beta
+		cfg.WarmSweeps, cfg.MeasSweeps, cfg.Seed = *warm, *meas, *seed
 		switch strings.ToLower(*scan) {
 		case "beta":
-			bval = v
+			cfg.Beta = v
 		case "u":
-			uval = v
+			cfg.U = v
 		case "mu":
-			muval = v
+			cfg.Mu = v
 		case "tprime":
-			extra = append(extra, questgo.WithHopping(1, 0, v))
+			cfg.TPrime = v
 		case "tperp":
-			tperpv = v
+			cfg.Tperp = v
 		default:
 			fmt.Fprintf(os.Stderr, "sweep: unknown parameter %q\n", *scan)
 			os.Exit(1)
 		}
-		l := int(bval / *dtau)
-		if l < 4 {
-			l = 4
-		}
-		opts := append([]questgo.ConfigOption{
-			questgo.WithLattice(*nx, *nx),
-			questgo.WithLayers(*layers, tperpv),
-			questgo.WithInteraction(uval, muval),
-			questgo.WithTemperature(bval, l),
-			questgo.WithSchedule(*warm, *meas),
-			questgo.WithSeed(*seed),
-		}, extra...)
-		cfg, err := questgo.NewConfig(opts...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
-		}
+		cfg.L = max(4, int(cfg.Beta / *dtau))
 		fmt.Fprintf(os.Stderr, "running %s = %g (L = %d)...\n", *scan, v, cfg.L)
 
 		var res *questgo.Results
@@ -210,22 +196,13 @@ func runAutopilotBench(path string, gate bool) error {
 		warm, meas  = 5, 15
 		maxRes      = 1e-8 // max tolerated strat residual
 	)
-	base, err := questgo.NewConfig(
-		questgo.WithLattice(nx, nx),
-		questgo.WithInteraction(4, 0),
-		questgo.WithTemperature(beta, l),
-		questgo.WithSchedule(warm, meas),
-		questgo.WithClusterK(k),
-		questgo.WithStabilityCheck(check),
-		questgo.WithSeed(1),
-	)
-	if err != nil {
-		return err
-	}
-	auto, err := base.With(questgo.WithAutopilot(true))
-	if err != nil {
-		return err
-	}
+	base := questgo.DefaultConfig() // U = 4, half filling, seed 1
+	base.Nx, base.Ny = nx, nx
+	base.Beta, base.L = beta, l
+	base.WarmSweeps, base.MeasSweeps = warm, meas
+	base.ClusterK, base.StabilityCheckEvery = k, check
+	auto := base
+	auto.Autopilot = true
 
 	type outcome struct {
 		res     *questgo.Results

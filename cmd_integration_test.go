@@ -37,15 +37,25 @@ func TestCmdDQMC(t *testing.T) {
 	ckptPath := filepath.Join(dir, "run.ckpt")
 	out := runTool(t, "./cmd/dqmc", "-nx", "2", "-ny", "2", "-l", "8",
 		"-warm", "3", "-meas", "6", "-json", jsonPath, "-checkpoint", ckptPath)
-	for _, want := range []string{"density", "Table I profile", "Stratification"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("dqmc output missing %q:\n%s", want, out)
+	// Table I: the paper's five row labels in the paper's order.
+	at := 0
+	for _, want := range []string{"density", "Table I profile", "Delayed rank-1 update", "Stratification", "Clustering", "Wrapping", "Physical meas."} {
+		i := strings.Index(out[at:], want)
+		if i < 0 {
+			t.Fatalf("dqmc output missing %q after byte %d:\n%s", want, at, out)
 		}
+		at += i
 	}
 	// Resume from the checkpoint.
 	out = runTool(t, "./cmd/dqmc", "-resume", ckptPath, "-warm", "0", "-meas", "3")
 	if !strings.Contains(out, "density") {
 		t.Fatalf("resumed dqmc output:\n%s", out)
+	}
+	// A flag's value is never a sentinel: the attractive model and a bare -mu.
+	out = runTool(t, "./cmd/dqmc", "-u", "-4", "-mu", "0.3", "-nx", "2", "-ny", "2", "-l", "8",
+		"-warm", "2", "-meas", "3")
+	if !strings.Contains(out, "U=-4 mu=0.3") {
+		t.Fatalf("dqmc -u -4 -mu 0.3 banner:\n%s", out)
 	}
 }
 

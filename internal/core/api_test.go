@@ -40,49 +40,7 @@ func TestValidateRejections(t *testing.T) {
 			if err := cfg.Validate(); err == nil {
 				t.Fatalf("Validate accepted a %s config", tc.name)
 			}
-			// The builder must surface the same rejection.
-			if _, err := cfg.With(); err == nil {
-				t.Fatalf("With() accepted a %s config", tc.name)
-			}
 		})
-	}
-}
-
-func TestNewConfigBuilder(t *testing.T) {
-	cfg, err := NewConfig(
-		WithLattice(6, 4),
-		WithInteraction(2, -0.5),
-		WithTemperature(3, 24),
-		WithSchedule(10, 20),
-		WithClusterK(8),
-		WithStabilityCheck(4),
-		WithSeed(99),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Nx != 6 || cfg.Ny != 4 || cfg.U != 2 || cfg.Mu != -0.5 ||
-		cfg.Beta != 3 || cfg.L != 24 || cfg.WarmSweeps != 10 || cfg.MeasSweeps != 20 ||
-		cfg.ClusterK != 8 || cfg.StabilityCheckEvery != 4 || cfg.Seed != 99 {
-		t.Fatalf("options not applied: %+v", cfg)
-	}
-	// Untouched knobs keep the paper defaults.
-	if def := DefaultConfig(); cfg.T != def.T || cfg.PrePivot != def.PrePivot {
-		t.Fatalf("defaults clobbered: T=%v PrePivot=%v", cfg.T, cfg.PrePivot)
-	}
-	if _, err := NewConfig(WithTemperature(-1, 8)); err == nil {
-		t.Fatal("NewConfig accepted a negative beta")
-	}
-	// With layers on an existing config, then an invalid override.
-	c2, err := cfg.With(WithLayers(2, 0.3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.Layers != 2 || c2.Tperp != 0.3 || cfg.Layers == 2 {
-		t.Fatalf("With must copy: c2=%+v cfg=%+v", c2, cfg)
-	}
-	if _, err := cfg.With(WithSchedule(-1, 5)); err == nil {
-		t.Fatal("With accepted a negative warmup")
 	}
 }
 

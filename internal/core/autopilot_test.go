@@ -33,15 +33,11 @@ func TestAutopilotValidate(t *testing.T) {
 			t.Errorf("bad config %d passed Validate", i)
 		}
 	}
-	good, err := NewConfig(WithAutopilot(true), WithAutopilotBounds(1, 10),
-		WithAutopilotCeilings(250, 1e-5, 1e-8))
-	if err != nil {
+	good := DefaultConfig()
+	good.Autopilot, good.AutopilotMinK, good.AutopilotMaxK = true, 1, 10
+	good.AutopilotCondCeil, good.AutopilotDriftCeil, good.AutopilotResidualCeil = 250, 1e-5, 1e-8
+	if err := good.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if !good.Autopilot || good.AutopilotMinK != 1 || good.AutopilotMaxK != 10 ||
-		good.AutopilotCondCeil != 250 || good.AutopilotDriftCeil != 1e-5 ||
-		good.AutopilotResidualCeil != 1e-8 {
-		t.Fatalf("options not applied: %+v", good)
 	}
 }
 
@@ -139,15 +135,12 @@ func TestAutopilotClampedMatchesFixed(t *testing.T) {
 // committed BENCH_autopilot.json reads 1e-10 and 61 vs 160 checks, and a
 // cadence that never relaxes would tie).
 func TestAutopilotHoldsResidualWithFewerChecks(t *testing.T) {
-	fixed, err := NewConfig(WithLattice(4, 4), WithInteraction(4, 0), WithTemperature(32, 160),
-		WithSchedule(5, 15), WithClusterK(10), WithStabilityCheck(2), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	piloted, err := fixed.With(WithAutopilot(true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fixed := DefaultConfig() // 4x4, U = 4, seed 1
+	fixed.Beta, fixed.L = 32, 160
+	fixed.WarmSweeps, fixed.MeasSweeps = 5, 15
+	fixed.ClusterK, fixed.StabilityCheckEvery = 10, 2
+	piloted := fixed
+	piloted.Autopilot = true
 	fres, err := Run(context.Background(), fixed)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"questgo/internal/profile"
+	"questgo/internal/obs"
 	"questgo/internal/stats"
 )
 
@@ -14,7 +14,8 @@ import (
 // one estimate. Error bars on merged scalars are the standard error across
 // the runs' means (each run is an independent estimate), so they are nonzero
 // only for two or more runs; vector observables merge the same way
-// element-wise.
+// element-wise, and the runs' metrics documents fold into one
+// (obs.MergeMetrics).
 func MergeResults(rs []*Results) (*Results, error) {
 	if len(rs) == 0 {
 		return nil, fmt.Errorf("core: nothing to merge")
@@ -23,18 +24,11 @@ func MergeResults(rs []*Results) (*Results, error) {
 		return rs[0], nil
 	}
 	out := &Results{Config: rs[0].Config}
-	// The merged run's profile is every run's phase time, not walker 0's.
-	for _, r := range rs {
-		if r.Prof == nil {
-			continue
-		}
-		if out.Prof == nil {
-			out.Prof = profile.New()
-		}
-		for c := profile.Category(0); c < profile.NumCategories; c++ {
-			out.Prof.Add(c, r.Prof.Duration(c))
-		}
+	docs := make([]*obs.Metrics, len(rs))
+	for i, r := range rs {
+		docs[i] = r.Metrics
 	}
+	out.Metrics = obs.MergeMetrics(docs)
 	pick := func(f func(*Results) float64) (mean, err float64) {
 		xs := make([]float64, len(rs))
 		for i, r := range rs {

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"questgo/internal/profile"
+	"questgo/internal/obs"
 )
 
 func parallelTestConfig() Config {
@@ -116,8 +116,8 @@ func TestMergeResultsShapeMismatch(t *testing.T) {
 	}
 }
 
-// TestMergeResultsSumsProfiles: the merged run's phase profile is the sum
-// of the runs' (it was walker 0's alone), and a run without one adds nothing.
+// TestMergeResultsSumsProfiles: the merged run's phase breakdown is the sum
+// of the runs' (not walker 0's alone), and a run without one adds nothing.
 func TestMergeResultsSumsProfiles(t *testing.T) {
 	cfg := parallelTestConfig()
 	cfg.WarmSweeps, cfg.MeasSweeps = 2, 4
@@ -126,22 +126,23 @@ func TestMergeResultsSumsProfiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.Prof = profile.New()
-		r.Prof.Add(profile.Wrapping, wrap)
-		r.Prof.Add(profile.Measurement, meas)
+		col := obs.New()
+		col.Charge(obs.PhaseWrap, wrap)
+		col.Charge(obs.PhaseMeasure, meas)
+		r.Metrics = col.Metrics()
 		return r
 	}
 	bare := mk(0, 0)
-	bare.Prof = nil
+	bare.Metrics = nil
 	m, err := MergeResults([]*Results{mk(3*time.Second, time.Second), bare, mk(time.Second, 5*time.Second)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w, me := m.Prof.Duration(profile.Wrapping), m.Prof.Duration(profile.Measurement); w != 4*time.Second || me != 6*time.Second {
-		t.Fatalf("merged profile wrap %v meas %v, want 4s and 6s", w, me)
+	if w, me := m.Metrics.PhaseMS["wrap"], m.Metrics.PhaseMS["measure"]; w != 4000 || me != 6000 {
+		t.Fatalf("merged phase_ms wrap %v measure %v, want 4000 and 6000", w, me)
 	}
-	if pc := m.Prof.Percentages(); pc[profile.Wrapping] != 40 {
-		t.Fatalf("merged wrapping share %v%%, want 40%% (walker 0 alone reads 75%%)", pc[profile.Wrapping])
+	if pc := m.Metrics.PhasePercent["wrap"]; pc != 40 {
+		t.Fatalf("merged wrapping share %v%%, want 40%% (walker 0 alone reads 75%%)", pc)
 	}
 }
 

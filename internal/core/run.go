@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"questgo/internal/obs"
-	"questgo/internal/profile"
 )
 
 // RunOption configures a package-level Run call.
@@ -104,6 +103,5 @@ func Run(ctx context.Context, cfg Config, options ...RunOption) (*Results, error
 	}
 	col.Finish()
 	merged.Metrics = col.Metrics()
-	merged.Prof = profile.FromPhases(col.PhaseDurations())
 	return merged, nil
 }

@@ -17,7 +17,6 @@ import (
 	"questgo/internal/measure"
 	"questgo/internal/obs"
 	"questgo/internal/parallel"
-	"questgo/internal/profile"
 	"questgo/internal/rng"
 	"questgo/internal/stats"
 	"questgo/internal/update"
@@ -168,41 +167,51 @@ func (c Config) Validate() error {
 
 // Results aggregates the Monte Carlo estimates of a finished run. Scalar
 // observables are sign-weighted ratios <O*s>/<s> with jackknife errors.
+//
+// Like Config, the struct is its own wire document: the JSON tags are the
+// keys and the declaration order is the key order (see json.go).
 type Results struct {
-	Config Config
+	Config Config `json:"config"`
 
 	// Scalar observables (per site).
-	Density, DensityErr         float64
-	DoubleOcc, DoubleOccErr     float64
-	Kinetic, KineticErr         float64
-	Potential, PotentialErr     float64
-	Energy, EnergyErr           float64 // kinetic + potential
-	LocalMoment, LocalMomentErr float64
-	SAF, SAFErr                 float64 // antiferromagnetic structure factor S(pi,pi)
+	Density        float64 `json:"density"`
+	DensityErr     float64 `json:"density_err"`
+	DoubleOcc      float64 `json:"double_occupancy"`
+	DoubleOccErr   float64 `json:"double_occupancy_err"`
+	Kinetic        float64 `json:"kinetic"`
+	KineticErr     float64 `json:"kinetic_err"`
+	Potential      float64 `json:"potential"`
+	PotentialErr   float64 `json:"potential_err"`
+	Energy         float64 `json:"energy"` // kinetic + potential
+	EnergyErr      float64 `json:"energy_err"`
+	LocalMoment    float64 `json:"local_moment"`
+	LocalMomentErr float64 `json:"local_moment_err"`
+	SAF            float64 `json:"s_af"` // antiferromagnetic structure factor S(pi,pi)
+	SAFErr         float64 `json:"s_af_err"`
 
-	AvgSign    float64
-	Acceptance float64
+	AvgSign    float64 `json:"avg_sign"`
+	Acceptance float64 `json:"acceptance"`
+	// MaxWrapDrift is a numerical diagnostic: the largest relative difference
+	// between a wrapped Green's function and its stratified recomputation.
+	MaxWrapDrift float64 `json:"max_wrap_drift"`
 
 	// Vector observables on the in-plane grids (x-fastest ordering).
-	Nk, NkErr   []float64 // momentum distribution <n_k>
-	Czz, CzzErr []float64 // spin-spin correlation C_zz(dx, dy)
+	Nk           []float64 `json:"nk"` // momentum distribution <n_k>
+	NkErr        []float64 `json:"nk_err"`
+	Czz          []float64 `json:"czz"` // spin-spin correlation C_zz(dx, dy)
+	CzzErr       []float64 `json:"czz_err"`
+	LayerDensity []float64 `json:"layer_density,omitempty"` // per-plane densities
 
 	// Dynamic observables (only when Config.MeasureDynamics): GdTau[i] is
 	// the displacement map of G(d, tau) at tau = DisplacedTaus[i] slices.
-	DisplacedTaus   []int
-	GdTau, GdTauErr [][]float64
-
-	LayerDensity []float64 // per-plane densities
-
-	// Numerical diagnostics.
-	MaxWrapDrift float64
+	DisplacedTaus []int       `json:"displaced_taus,omitempty"`
+	GdTau         [][]float64 `json:"gd_tau,omitempty"`
+	GdTauErr      [][]float64 `json:"gd_tau_err,omitempty"`
 
 	// Metrics is the run's exportable metrics document: per-phase wall-time
-	// breakdown, operation counts and stability telemetry (see obs.Metrics).
-	Metrics *obs.Metrics
-	// Prof is the paper's Table-I rendering of the same phase breakdown,
-	// derived from Metrics' underlying collector.
-	Prof *profile.Profile
+	// breakdown (the paper's Table I, see obs.Table), operation counts and
+	// stability telemetry.
+	Metrics *obs.Metrics `json:"metrics,omitempty"`
 }
 
 // Simulation is a configured DQMC run.
@@ -321,12 +330,6 @@ func (s *Simulation) Model() *hubbard.Model { return s.model }
 
 // Lattice exposes the geometry.
 func (s *Simulation) Lattice() *lattice.Lattice { return s.lat }
-
-// Profile exposes the Table-I phase timing accumulated so far (derived from
-// the run's collector).
-func (s *Simulation) Profile() *profile.Profile {
-	return profile.FromPhases(s.col.PhaseDurations())
-}
 
 // Collector exposes the run's metrics collector.
 func (s *Simulation) Collector() *obs.Collector { return s.col }
@@ -564,7 +567,6 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 			})
 		}
 	}
-	res.Prof = profile.FromPhases(s.col.PhaseDurations())
 	return res, nil
 }
 

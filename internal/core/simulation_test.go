@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"questgo/internal/lattice"
-	"questgo/internal/profile"
+	"questgo/internal/obs"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -172,14 +172,13 @@ func TestProfilePopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := sim.Run()
-	for c := profile.Category(0); c < profile.NumCategories; c++ {
-		if res.Prof.Duration(c) == 0 {
-			t.Fatalf("profile category %q empty", c.Name())
+	for p := obs.Phase(0); p < obs.NumPhases; p++ {
+		if res.Metrics.PhaseMS[p.String()] == 0 {
+			t.Fatalf("phase %q empty", p)
 		}
 	}
-	pc := res.Prof.Percentages()
 	var total float64
-	for _, v := range pc {
+	for _, v := range res.Metrics.PhasePercent {
 		total += v
 	}
 	if math.Abs(total-100) > 1e-9 {

@@ -11,7 +11,7 @@ import (
 func TestWireLocked(t *testing.T) {
 	if err := wiretest.Check("testdata/core.manifest",
 		wiretest.Root{Doc: Config{}, VersionConst: "ConfigSchemaVersion", Version: ConfigSchemaVersion},
-		wiretest.Root{Doc: resultsJSON{}, VersionConst: "ResultsSchemaVersion", Version: ResultsSchemaVersion},
+		wiretest.Root{Doc: Results{}, VersionConst: "ResultsSchemaVersion", Version: ResultsSchemaVersion},
 	); err != nil {
 		t.Fatal(err)
 	}

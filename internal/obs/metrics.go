@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"time"
 
 	"questgo/internal/schema"
@@ -10,8 +11,8 @@ import (
 
 // MetricsSchemaVersion is the wire version of the metrics document. The
 // major is bumped whenever a field is renamed, retyped or removed; purely
-// additive changes bump the minor.
-const MetricsSchemaVersion = "1.0"
+// additive changes bump the minor. 2.0 removed ops.peer_bytes.
+const MetricsSchemaVersion = "2.0"
 
 // Metrics is the stable JSON metrics document exported from a run: the
 // per-phase wall-time breakdown (the paper's Table-I rows in machine form),
@@ -81,7 +82,6 @@ type OpMetrics struct {
 	DeviceKernels     int64 `json:"device_kernels,omitempty"`
 	GraphReplays      int64 `json:"graph_replays,omitempty"`
 	GraphNodes        int64 `json:"graph_nodes,omitempty"`
-	PeerBytes         int64 `json:"peer_bytes,omitempty"`
 }
 
 // fromCounts maps an OpCounts delta onto the named document fields.
@@ -101,8 +101,25 @@ func fromCounts(d OpCounts) OpMetrics {
 		DeviceKernels:     d[OpDeviceKernels],
 		GraphReplays:      d[OpGraphReplays],
 		GraphNodes:        d[OpGraphNodes],
-		PeerBytes:         d[OpPeerBytes],
 	}
+}
+
+// add accumulates o into m field by field.
+func (m *OpMetrics) add(o OpMetrics) {
+	m.GemmCalls += o.GemmCalls
+	m.GemmFlops += o.GemmFlops
+	m.QRFactorizations += o.QRFactorizations
+	m.QRPFactorizations += o.QRPFactorizations
+	m.QRPPanels += o.QRPPanels
+	m.UDTSteps += o.UDTSteps
+	m.DelayedFlushes += o.DelayedFlushes
+	m.Wraps += o.Wraps
+	m.Sweeps += o.Sweeps
+	m.DeviceFlops += o.DeviceFlops
+	m.DeviceBytes += o.DeviceBytes
+	m.DeviceKernels += o.DeviceKernels
+	m.GraphReplays += o.GraphReplays
+	m.GraphNodes += o.GraphNodes
 }
 
 // StabilityMetrics summarizes the sampled numerical diagnostics. Zero
@@ -162,6 +179,32 @@ func (s stability) metrics() StabilityMetrics {
 	return m
 }
 
+// add folds another run's aggregates into s: the larger maximum, summed
+// sample and non-finite counts, sample-weighted means.
+func (s *StabilityMetrics) add(o StabilityMetrics) {
+	s.MaxWrapDrift = max(s.MaxWrapDrift, o.MaxWrapDrift)
+	s.WrapDriftSamples += o.WrapDriftSamples
+	s.MaxStratResidual = max(s.MaxStratResidual, o.MaxStratResidual)
+	s.MeanStratResidual = weightedMean(s.MeanStratResidual, s.StratResidualSamples, o.MeanStratResidual, o.StratResidualSamples)
+	s.StratResidualSamples += o.StratResidualSamples
+	s.MaxUDTCondLog10 = max(s.MaxUDTCondLog10, o.MaxUDTCondLog10)
+	s.MeanUDTCondLog10 = weightedMean(s.MeanUDTCondLog10, s.UDTCondSamples, o.MeanUDTCondLog10, o.UDTCondSamples)
+	s.UDTCondSamples += o.UDTCondSamples
+	s.NonFiniteWrapDrift += o.NonFiniteWrapDrift
+	s.NonFiniteStratResidual += o.NonFiniteStratResidual
+	s.NonFiniteUDTCond += o.NonFiniteUDTCond
+	s.NonFiniteSeen = s.NonFiniteSeen || o.NonFiniteSeen
+}
+
+// weightedMean combines two means over na and nb samples (0 with no samples,
+// like every mean of the document).
+func weightedMean(a float64, na int64, b float64, nb int64) float64 {
+	if na+nb == 0 {
+		return 0
+	}
+	return (a*float64(na) + b*float64(nb)) / float64(na+nb)
+}
+
 // AutopilotMetrics is the stability controller's section of the metrics
 // document: where the run ended up, how it got there, and whether the
 // controller ever had to slam the brakes. The types live here (not in
@@ -205,35 +248,87 @@ func (c *Collector) Metrics() *Metrics {
 		PhaseMS:       map[string]float64{},
 		PhasePercent:  map[string]float64{},
 	}
-	for p := Phase(0); p < NumPhases; p++ {
-		m.PhaseMS[p.String()] = 0
-		m.PhasePercent[p.String()] = 0
+	for p, d := range c.PhaseDurations() {
+		m.PhaseMS[Phase(p).String()] = float64(d) / float64(time.Millisecond)
 	}
-	if c == nil {
-		return m
+	m.WallMS = float64(c.Wall()) / float64(time.Millisecond)
+	m.Ops = fromCounts(c.OpDeltas())
+	if c != nil {
+		c.mu.Lock()
+		m.Stability = c.stab.metrics()
+		c.mu.Unlock()
 	}
-	pd := c.PhaseDurations()
-	total := pd.Sum()
+	m.derive()
+	return m
+}
+
+// derive fills the fields that are functions of the others: each phase's
+// share of the phase total, the coverage of the wall time, and the host GEMM
+// rate.
+func (m *Metrics) derive() {
+	var total float64
 	for p := Phase(0); p < NumPhases; p++ {
-		m.PhaseMS[p.String()] = float64(pd[p]) / float64(time.Millisecond)
+		total += m.PhaseMS[p.String()]
+	}
+	for p := Phase(0); p < NumPhases; p++ {
+		key := p.String()
+		m.PhasePercent[key] = 0
 		if total > 0 {
-			m.PhasePercent[p.String()] = 100 * float64(pd[p]) / float64(total)
+			m.PhasePercent[key] = 100 * m.PhaseMS[key] / total
 		}
 	}
-	wall := c.Wall()
-	m.WallMS = float64(wall) / float64(time.Millisecond)
-	if wall > 0 {
-		m.PhaseCoverage = float64(total) / float64(wall)
+	if m.WallMS > 0 {
+		m.PhaseCoverage = total / m.WallMS
+		m.GemmGFlops = float64(m.Ops.GemmFlops) / m.WallMS / 1e6
 	}
-	m.Ops = fromCounts(c.OpDeltas())
-	if secs := wall.Seconds(); secs > 0 {
-		m.GemmGFlops = float64(m.Ops.GemmFlops) / secs / 1e9
+}
+
+// MergeMetrics folds the documents of independent runs of one configuration
+// (the shards of a service job) into one: phase times summed with shares and
+// coverage recomputed, the wall time of the longest run, stability
+// aggregates folded, device sections concatenated, op counts summed and the
+// GEMM rate recomputed. Nil documents are skipped; with none to merge the
+// result is nil. The autopilot section is per chain and is not carried.
+//
+// The caveat of every shard's own document applies to the sum: the op
+// counters are process-global, so the deltas of shards that ran concurrently
+// overlap and the merged counts can exceed the job's own work.
+func MergeMetrics(docs []*Metrics) *Metrics {
+	var out *Metrics
+	for _, d := range docs {
+		if d == nil {
+			continue
+		}
+		if out == nil {
+			out = (*Collector)(nil).Metrics()
+		}
+		for p := Phase(0); p < NumPhases; p++ {
+			out.PhaseMS[p.String()] += d.PhaseMS[p.String()]
+		}
+		out.WallMS = max(out.WallMS, d.WallMS)
+		out.Ops.add(d.Ops)
+		out.Stability.add(d.Stability)
+		out.Devices = append(out.Devices, d.Devices...)
 	}
-	c.mu.Lock()
-	s := c.stab
-	c.mu.Unlock()
-	m.Stability = s.metrics()
-	return m
+	if out != nil {
+		out.derive()
+	}
+	return out
+}
+
+// Table renders the paper's Table I from metrics documents: one row per
+// phase under the paper's label and in the paper's order, one column per
+// document holding the phase's share of that run's phase time.
+func Table(docs ...*Metrics) string {
+	var sb strings.Builder
+	for _, p := range tableRows {
+		fmt.Fprintf(&sb, "%-24s", p.Label())
+		for _, d := range docs {
+			fmt.Fprintf(&sb, " %6.1f%%", d.PhasePercent[p.String()])
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
 }
 
 // DecodeMetrics parses a metrics document, rejecting incompatible schema

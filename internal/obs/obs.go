@@ -63,17 +63,28 @@ func (p Phase) String() string {
 	return "unknown"
 }
 
+// Label returns the phase's row label in the paper's Table I.
+func (p Phase) Label() string {
+	switch p {
+	case PhaseWrap:
+		return "Wrapping"
+	case PhaseFlush:
+		return "Delayed rank-1 update"
+	case PhaseCluster:
+		return "Clustering"
+	case PhaseRefresh:
+		return "Stratification"
+	case PhaseMeasure:
+		return "Physical meas."
+	}
+	return "unknown"
+}
+
+// tableRows is the row order of the paper's Table I.
+var tableRows = [NumPhases]Phase{PhaseFlush, PhaseRefresh, PhaseCluster, PhaseWrap, PhaseMeasure}
+
 // PhaseDurations is a by-value snapshot of accumulated time per phase.
 type PhaseDurations [NumPhases]time.Duration
-
-// Sum returns the total time across all phases.
-func (pd PhaseDurations) Sum() time.Duration {
-	var t time.Duration
-	for _, d := range pd {
-		t += d
-	}
-	return t
-}
 
 // Op identifies one process-global operation counter.
 type Op uint8
@@ -114,9 +125,6 @@ const (
 	// recorded nodes it executed (the launches amortized away).
 	OpGraphReplays
 	OpGraphNodes
-	// OpPeerBytes counts device<->device bytes moved over the modeled
-	// inter-accelerator link by multi-device scheduling.
-	OpPeerBytes
 	NumOps
 )
 
@@ -152,8 +160,6 @@ func (o Op) String() string {
 		return "graph_replays"
 	case OpGraphNodes:
 		return "graph_nodes"
-	case OpPeerBytes:
-		return "peer_bytes"
 	}
 	return "unknown"
 }

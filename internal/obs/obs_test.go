@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -52,8 +53,8 @@ func TestPhaseTiming(t *testing.T) {
 	if pd[PhaseWrap] < time.Millisecond {
 		t.Fatalf("wrap phase %v, want >= 1ms", pd[PhaseWrap])
 	}
-	if pd.Sum() != pd[PhaseWrap] {
-		t.Fatalf("sum %v != wrap %v", pd.Sum(), pd[PhaseWrap])
+	if pd != (PhaseDurations{PhaseWrap: pd[PhaseWrap]}) {
+		t.Fatalf("End(PhaseWrap) charged another phase: %v", pd)
 	}
 }
 
@@ -240,7 +241,7 @@ func TestNilCollectorSafe(t *testing.T) {
 	c.SampleUDTCond(1)
 	c.Reset()
 	c.Finish()
-	if c.Wall() != 0 || c.PhaseDurations().Sum() != 0 {
+	if c.Wall() != 0 || c.PhaseDurations() != (PhaseDurations{}) {
 		t.Fatal("nil collector returned nonzero state")
 	}
 	m := c.Metrics()
@@ -278,5 +279,124 @@ func TestEnabledCollectorZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled-collector hot path allocates %v/op, want 0", allocs)
+	}
+}
+
+// charged returns the document of a collector charged d[p] per phase.
+func charged(d PhaseDurations) *Metrics {
+	c := New()
+	for p, v := range d {
+		c.Charge(Phase(p), v)
+	}
+	return c.Metrics()
+}
+
+func TestPhaseLabels(t *testing.T) {
+	want := []string{"Delayed rank-1 update", "Stratification", "Clustering", "Wrapping", "Physical meas."}
+	for i, p := range tableRows {
+		if p.Label() != want[i] {
+			t.Fatalf("Table I row %d is %q, want %q", i, p.Label(), want[i])
+		}
+	}
+	if Phase(99).Label() != "unknown" {
+		t.Fatal("out-of-range phase label")
+	}
+}
+
+func TestPercentagesSumTo100(t *testing.T) {
+	m := charged(PhaseDurations{PhaseFlush: time.Second, PhaseRefresh: 2 * time.Second, PhaseMeasure: time.Second})
+	var total float64
+	for _, v := range m.PhasePercent {
+		total += v
+	}
+	if math.Abs(total-100) > 1e-9 {
+		t.Fatalf("percentages sum to %v", total)
+	}
+	if m.PhasePercent["refresh"] != 50 {
+		t.Fatalf("refresh share = %v", m.PhasePercent["refresh"])
+	}
+}
+
+// TestEmptyProfile: with no phase time the shares are 0, never NaN, so the
+// document marshals and the table renders.
+func TestEmptyProfile(t *testing.T) {
+	m := charged(PhaseDurations{})
+	for k, v := range m.PhasePercent {
+		if v != 0 {
+			t.Fatalf("empty document has %s share %v", k, v)
+		}
+	}
+	if _, err := json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if tbl := Table(m); strings.Count(tbl, "0.0%") != int(NumPhases) {
+		t.Fatalf("table of an empty document:\n%s", tbl)
+	}
+}
+
+// TestTableOutput: rows carry the paper's labels in the paper's order, one
+// column per document.
+func TestTableOutput(t *testing.T) {
+	a := charged(PhaseDurations{PhaseRefresh: 3 * time.Second, PhaseWrap: time.Second})
+	b := charged(PhaseDurations{PhaseFlush: time.Second})
+	rows := strings.Split(strings.TrimSuffix(Table(a, b), "\n"), "\n")
+	if len(rows) != int(NumPhases) {
+		t.Fatalf("table has %d rows:\n%v", len(rows), rows)
+	}
+	for i, p := range tableRows {
+		if !strings.HasPrefix(rows[i], p.Label()) {
+			t.Fatalf("row %d is %q, want label %q", i, rows[i], p.Label())
+		}
+	}
+	if f := strings.Fields(rows[0]); f[len(f)-2] != "0.0%" || f[len(f)-1] != "100.0%" {
+		t.Fatalf("delayed-update row %q, want 0.0%% and 100.0%%", rows[0])
+	}
+	if f := strings.Fields(rows[1]); f[len(f)-2] != "75.0%" || f[len(f)-1] != "0.0%" {
+		t.Fatalf("stratification row %q, want 75.0%% and 0.0%%", rows[1])
+	}
+}
+
+func TestMergeMetrics(t *testing.T) {
+	a := charged(PhaseDurations{PhaseWrap: 3 * time.Second, PhaseMeasure: time.Second})
+	a.WallMS = 5000
+	a.Ops = OpMetrics{GemmCalls: 10, GemmFlops: 4e9, Sweeps: 7, GraphNodes: 3}
+	a.Stability = StabilityMetrics{
+		MaxWrapDrift: 1e-9, WrapDriftSamples: 4,
+		MaxStratResidual: 1e-12, MeanStratResidual: 1e-13, StratResidualSamples: 1,
+		MaxUDTCondLog10: 8, MeanUDTCondLog10: 6, UDTCondSamples: 2,
+	}
+	a.Devices = []DeviceMetrics{{Device: "dev0"}}
+	a.Autopilot = &AutopilotMetrics{Enabled: true}
+	b := charged(PhaseDurations{PhaseWrap: time.Second, PhaseMeasure: 5 * time.Second})
+	b.WallMS = 8000
+	b.Ops = OpMetrics{GemmCalls: 5, GemmFlops: 4e9, Sweeps: 7, GraphNodes: 1}
+	b.Stability = StabilityMetrics{
+		MaxWrapDrift: 3e-9, WrapDriftSamples: 6,
+		MaxStratResidual: 5e-13, MeanStratResidual: 5e-13, StratResidualSamples: 3,
+		NonFiniteUDTCond: 2, NonFiniteSeen: true,
+	}
+	b.Devices = []DeviceMetrics{{Device: "dev0"}, {Device: "dev1"}}
+
+	m := MergeMetrics([]*Metrics{a, nil, b})
+	if m.SchemaVersion != MetricsSchemaVersion || m.WallMS != 8000 {
+		t.Fatalf("stamp %q wall %v, want the current version and the longest run's 8000", m.SchemaVersion, m.WallMS)
+	}
+	if m.PhaseMS["wrap"] != 4000 || m.PhaseMS["measure"] != 6000 || m.PhasePercent["wrap"] != 40 || m.PhaseCoverage != 1.25 {
+		t.Fatalf("phases %v shares %v coverage %v", m.PhaseMS, m.PhasePercent, m.PhaseCoverage)
+	}
+	if want := (OpMetrics{GemmCalls: 15, GemmFlops: 8e9, Sweeps: 14, GraphNodes: 4}); m.Ops != want || m.GemmGFlops != 1 {
+		t.Fatalf("ops %+v at %v GFlop/s, want %+v at 1", m.Ops, m.GemmGFlops, want)
+	}
+	s := m.Stability
+	if s.MaxWrapDrift != 3e-9 || s.WrapDriftSamples != 10 || s.MaxStratResidual != 1e-12 || s.StratResidualSamples != 4 ||
+		math.Abs(s.MeanStratResidual-4e-13) > 1e-25 || s.MaxUDTCondLog10 != 8 || s.MeanUDTCondLog10 != 6 ||
+		s.UDTCondSamples != 2 || s.NonFiniteUDTCond != 2 || !s.NonFiniteSeen {
+		t.Fatalf("stability %+v", s)
+	}
+	if len(m.Devices) != 3 || m.Autopilot != nil {
+		t.Fatalf("devices %v autopilot %v, want 3 concatenated and no per-chain section", m.Devices, m.Autopilot)
+	}
+	if MergeMetrics([]*Metrics{nil, nil}) != nil {
+		t.Fatal("nothing to merge must give no document")
 	}
 }

@@ -52,6 +52,40 @@ func TestAggregatorOrderIndependence(t *testing.T) {
 	}
 }
 
+// TestAggregatorFinalMergesMetrics: a 2-shard job's document carries the
+// sum of its shards' phase times (it used to carry no metrics at all), and a
+// 1-shard job is still the shard's own Results.
+func TestAggregatorFinalMergesMetrics(t *testing.T) {
+	cfg := fastConfig()
+	cfg.WarmSweeps, cfg.MeasSweeps = 2, 6
+	r0, r1 := runShardResult(t, cfg, 0), runShardResult(t, cfg, 1)
+
+	two := NewAggregator(2)
+	two.Land(1, r1)
+	two.Land(0, r0)
+	m, err := two.Final()
+	if err != nil {
+		t.Fatalf("final: %v", err)
+	}
+	if m.Metrics == nil || len(m.Metrics.PhaseMS) != len(r0.Metrics.PhaseMS) {
+		t.Fatalf("merged metrics %+v", m.Metrics)
+	}
+	for k, ms := range m.Metrics.PhaseMS {
+		if want := r0.Metrics.PhaseMS[k] + r1.Metrics.PhaseMS[k]; ms != want || ms == 0 {
+			t.Errorf("merged phase_ms[%s] = %v, want the shards' sum %v", k, ms, want)
+		}
+	}
+	if got, want := m.Metrics.Ops.Sweeps, r0.Metrics.Ops.Sweeps+r1.Metrics.Ops.Sweeps; got != want {
+		t.Errorf("merged sweeps = %d, want %d", got, want)
+	}
+
+	one := NewAggregator(1)
+	one.Land(0, r0)
+	if m, err := one.Final(); err != nil || m != r0 {
+		t.Fatalf("1-shard final = %p, %v; want the shard's own %p", m, err, r0)
+	}
+}
+
 func TestAggregatorPartialEstimate(t *testing.T) {
 	cfg := fastConfig()
 	cfg.WarmSweeps, cfg.MeasSweeps = 2, 6

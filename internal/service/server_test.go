@@ -43,11 +43,10 @@ func newTestServer(t *testing.T, opts Options) (*Server, *Client) {
 }
 
 // resultsEqual compares two results documents bitwise via their canonical
-// JSON (Prof timing is run-dependent and excluded by zeroing).
+// JSON (timing is run-dependent and excluded by zeroing).
 func resultsBytes(t *testing.T, r *core.Results) []byte {
 	t.Helper()
 	cp := *r
-	cp.Prof = nil
 	cp.Metrics = nil // wall-times differ run to run; physics must not
 	b, err := json.Marshal(&cp)
 	if err != nil {
@@ -107,6 +106,9 @@ func TestShardedJobMatchesWithWalkers(t *testing.T) {
 	}
 	if got, wantB := resultsBytes(t, res.Results), resultsBytes(t, want); string(got) != string(wantB) {
 		t.Errorf("sharded result differs from WithWalkers(%d):\n got %s\nwant %s", shards, got, wantB)
+	}
+	if m := res.Results.Metrics; m == nil || m.PhaseMS["refresh"] <= 0 || len(m.PhasePercent) == 0 {
+		t.Errorf("merged job result carries no metrics document over the wire: %+v", m)
 	}
 }
 

@@ -11,10 +11,10 @@
 package wiretest
 
 import (
-	"cmp"
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 )
 
@@ -41,10 +41,24 @@ func Check(path string, roots ...Root) error {
 	case err == nil:
 		locked, live := parse(string(old)), parse(text)
 		for _, name := range append(live.structs, locked.structs...) {
-			vc := cmp.Or(governs[name], roots[0].VersionConst) // a dropped struct: the first constant
-			if v := locked.version[vc]; locked.fields[name] != live.fields[name] && v == live.version[vc] {
+			if locked.fields[name] == live.fields[name] {
+				continue
+			}
+			// The manifest does not say which constant governed a struct
+			// that is gone, so a bump of any of its constants authorizes it.
+			vcs := []string{governs[name]}
+			if governs[name] == "" {
+				vcs = vcs[:0]
+				for _, r := range roots {
+					if !slices.Contains(vcs, r.VersionConst) {
+						vcs = append(vcs, r.VersionConst)
+					}
+				}
+			}
+			if !slices.ContainsFunc(vcs, func(vc string) bool { return locked.version[vc] != live.version[vc] }) {
+				vc := strings.Join(vcs, " or ")
 				return fmt.Errorf("%s: wire struct %s diverges from its locked manifest but %s is still %s; bump %s (minor: additive, major: rename/retype/removal), then regenerate with WIRELOCK_REGEN=1\nlocked:\n%ssource:\n%s",
-					path, name, vc, v, vc, locked.fields[name], live.fields[name])
+					path, name, vc, live.version[vcs[0]], vc, locked.fields[name], live.fields[name])
 			}
 		}
 		if !regen {

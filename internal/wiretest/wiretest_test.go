@@ -106,3 +106,26 @@ func TestSharedConstantAndClosure(t *testing.T) {
 		t.Fatalf("governs = %v", governs)
 	}
 }
+
+// TestRenamedRootUnderSecondConstant: a manifest does not record which
+// constant governed a struct that is gone, so renaming the root of the
+// second constant regenerates once that constant is bumped (and not before).
+func TestRenamedRootUnderSecondConstant(t *testing.T) {
+	type before struct {
+		X float64 `json:"x"`
+	}
+	type after struct {
+		X float64 `json:"x"`
+	}
+	path := filepath.Join(t.TempDir(), "two.manifest")
+	t.Setenv("WIRELOCK_REGEN", "1")
+	if err := Check(path, docRoot, Root{Doc: before{}, VersionConst: "SecondSchemaVersion", Version: "1.0"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Check(path, docRoot, Root{Doc: after{}, VersionConst: "SecondSchemaVersion", Version: "1.0"}); err == nil {
+		t.Fatal("a renamed root regenerated without a bump")
+	}
+	if err := Check(path, docRoot, Root{Doc: after{}, VersionConst: "SecondSchemaVersion", Version: "2.0"}); err != nil {
+		t.Fatalf("a renamed root under its bumped constant: %v", err)
+	}
+}

@@ -12,13 +12,9 @@
 //
 // Quickstart:
 //
-//	cfg, err := questgo.NewConfig(
-//		questgo.WithLattice(4, 4),
-//		questgo.WithInteraction(4, 0),
-//		questgo.WithTemperature(4, 40),
-//	)
-//	if err != nil { ... }
-//	res, err := questgo.Run(context.Background(), cfg)
+//	cfg := questgo.DefaultConfig() // half-filled 4x4, U = 4
+//	cfg.Beta, cfg.L = 4, 40
+//	res, err := questgo.Run(context.Background(), cfg) // validates cfg first
 //	if err != nil { ... }
 //	fmt.Println(res.Density, res.DoubleOcc, res.SAF)
 //	fmt.Println(res.Metrics.PhaseMS, res.Metrics.Stability.MaxWrapDrift)
@@ -71,35 +67,8 @@ type ChiResult = core.ChiResult
 // breakdown, operation counts and numerical-stability telemetry.
 type Metrics = obs.Metrics
 
-// ConfigOption adjusts one aspect of a Config under construction; see
-// NewConfig and Config.With.
-type ConfigOption = core.ConfigOption
-
 // RunOption configures a Run call; see WithProgress, WithWalkers.
 type RunOption = core.RunOption
-
-// Configuration builder options (see the core package for docs).
-var (
-	WithLattice           = core.WithLattice
-	WithLayers            = core.WithLayers
-	WithHopping           = core.WithHopping
-	WithInteraction       = core.WithInteraction
-	WithTemperature       = core.WithTemperature
-	WithSchedule          = core.WithSchedule
-	WithClusterK          = core.WithClusterK
-	WithDelay             = core.WithDelay
-	WithPrePivot          = core.WithPrePivot
-	WithSerialSpins       = core.WithSerialSpins
-	WithMeasureBoundaries = core.WithMeasureBoundaries
-	WithMeasureDynamics   = core.WithMeasureDynamics
-	WithStabilityCheck    = core.WithStabilityCheck
-	WithDevices           = core.WithDevices
-	WithGraphs            = core.WithGraphs
-	WithSeed              = core.WithSeed
-	WithAutopilot         = core.WithAutopilot
-	WithAutopilotBounds   = core.WithAutopilotBounds
-	WithAutopilotCeilings = core.WithAutopilotCeilings
-)
 
 // Run options.
 var (
@@ -110,10 +79,6 @@ var (
 // DefaultConfig returns a small, fast, physically sensible configuration
 // (half-filled 4x4 Hubbard model).
 func DefaultConfig() Config { return core.DefaultConfig() }
-
-// NewConfig builds a validated configuration from DefaultConfig plus the
-// given options.
-func NewConfig(opts ...ConfigOption) (Config, error) { return core.NewConfig(opts...) }
 
 // Run is the unified entry point: it validates and builds the simulation,
 // executes the schedule under ctx (canceling stops between sweeps), and
