@@ -71,7 +71,9 @@ func timeKernels(ks []kernel, r *rng.Rand, n, reps int) []float64 {
 // QR (pivoting serializes on column-norm updates) next to the blocked
 // variant that exists to break it: its column should sit close to DGEQRF.
 func figure1(p params) {
+	kern, mr, nr := blas.Kernel()
 	fmt.Println("Figure 1: dense kernel throughput (GFlop/s) vs matrix size")
+	fmt.Printf("micro-kernel: %s\n", kern)
 	fmt.Println()
 	tbl := benchutil.NewTable("N", "DGEMM", "DGEQRF", "QRP-L2", "QRP-BLK", "BLK/L2", "BLK/QR")
 	r := rng.New(7)
@@ -83,8 +85,11 @@ func figure1(p params) {
 			if p.json == "" {
 				continue
 			}
+			// Record.Params is integer-valued: the kernel goes in as its
+			// tile, 8x8 / 8x4 / 4x4 for avx512 / avx2 / go.
 			rec := benchutil.NewRecord("kernels", k.name, n, secs[i], k.flops(n)).
-				WithParam("gomaxprocs", runtime.GOMAXPROCS(0))
+				WithParam("gomaxprocs", runtime.GOMAXPROCS(0)).
+				WithParam("kernel_mr", mr).WithParam("kernel_nr", nr)
 			if err := rec.Append(p.json); err != nil {
 				fatal(fmt.Errorf("json append: %w", err))
 			}

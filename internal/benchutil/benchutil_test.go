@@ -3,6 +3,9 @@ package benchutil
 import (
 	"bytes"
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -87,5 +90,39 @@ func TestParseSizes(t *testing.T) {
 	}
 	if _, err := ParseSizes("0"); err == nil {
 		t.Fatal("non-positive size should fail")
+	}
+}
+
+// TestGitRevMarksDirtyTree: a record made from uncommitted code must not
+// carry the bare hash of the commit it was edited from.
+func TestGitRevMarksDirtyTree(t *testing.T) {
+	dir := t.TempDir()
+	if rev := gitRevIn(dir); rev != "" {
+		t.Fatalf("outside a checkout: %q, want \"\"", rev)
+	}
+	git := func(args ...string) {
+		t.Helper()
+		cmd := exec.Command("git", append([]string{"-c", "user.name=t", "-c", "user.email=t@t"}, args...)...)
+		cmd.Dir = dir
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Skipf("git %v: %v\n%s", args, err, out)
+		}
+	}
+	file := filepath.Join(dir, "f")
+	if err := os.WriteFile(file, []byte("a\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	git("init", "-q")
+	git("add", "f")
+	git("commit", "-q", "-m", "one")
+	clean := gitRevIn(dir)
+	if clean == "" || strings.HasSuffix(clean, "-dirty") {
+		t.Fatalf("clean tree: %q", clean)
+	}
+	if err := os.WriteFile(file, []byte("b\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rev := gitRevIn(dir); rev != clean+"-dirty" {
+		t.Fatalf("modified tree: %q, want %q", rev, clean+"-dirty")
 	}
 }

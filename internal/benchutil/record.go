@@ -125,15 +125,29 @@ var (
 	gitRev     string
 )
 
-// GitRev returns the short hash of the repository HEAD, or "" when not in a
-// git checkout. Cached after the first call.
+// GitRev returns the short hash of the repository HEAD, with "-dirty"
+// appended when the working tree differs from it (a measurement of
+// uncommitted code must not read as its parent's), or "" when not in a git
+// checkout. Cached after the first call.
 func GitRev() string {
-	gitRevOnce.Do(func() {
-		out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-		if err != nil {
-			return
-		}
-		gitRev = strings.TrimSpace(string(out))
-	})
+	gitRevOnce.Do(func() { gitRev = gitRevIn("") })
 	return gitRev
+}
+
+// gitRevIn is GitRev for the checkout at dir ("" = the working directory).
+func gitRevIn(dir string) string {
+	git := func(args ...string) (string, error) {
+		cmd := exec.Command("git", args...)
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		return strings.TrimSpace(string(out)), err
+	}
+	rev, err := git("rev-parse", "--short", "HEAD")
+	if err != nil {
+		return ""
+	}
+	if st, err := git("status", "--porcelain"); err == nil && st != "" {
+		rev += "-dirty"
+	}
+	return rev
 }

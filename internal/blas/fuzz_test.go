@@ -25,6 +25,10 @@ func FuzzGemmPackedVsNaive(f *testing.F) {
 	f.Add(uint8(12), uint8(6), uint8(0), uint64(8), 1.0, 1.0, false, false)
 	f.Add(uint8(10), uint8(4), uint8(1), uint64(9), -1.0, 0.5, false, true)
 	f.Add(uint8(14), uint8(5), uint8(2), uint64(10), 0.5, 0.0, true, true)
+	// n = 1, 7, 8, 9, 15, 17: either side of the 8x8 kernel's column tile.
+	for i, n := range []uint8{1, 7, 8, 9, 15, 17} {
+		f.Add(uint8(8+i), n-1, uint8(2+i), uint64(11+i), 1.0, 0.5, i%2 == 0, i%3 == 0)
+	}
 	f.Fuzz(func(t *testing.T, m8, n8, k8 uint8, seed uint64, alpha, beta float64, ta, tb bool) {
 		m := int(m8%96) + 1
 		n := int(n8%96) + 1

@@ -2,16 +2,28 @@
 
 package blas
 
-// Runtime selection of the AVX2+FMA micro-kernel. The assembly kernel in
-// gemm_amd64.s computes an 8x4 register tile (eight ymm accumulators, two
-// a-vector loads and four b broadcasts per k step), which is 2 FMA issues
-// per cycle on Haswell-and-later cores — the same shape BLIS uses for
-// double precision on this family. Feature detection is done with CPUID
-// and XGETBV directly (no external deps): FMA + AVX2 + OS-enabled ymm
-// state are all required.
+// Runtime selection of the micro-kernel, by what the CPU and the OS offer
+// (CPUID and XGETBV directly, no external deps):
+//
+//	avx512-8x8  dgemm8x8asm  AVX512F, and opmask + zmm state OS-enabled
+//	avx2-8x4    dgemm8x4asm  FMA + AVX2, and ymm state OS-enabled
+//	go-4x4      microKernel4x4, everything else
+//
+// The 8x4 kernel holds its tile in eight ymm accumulators (two a-vector
+// loads and four b broadcasts per k step): 2 FMA issues per cycle on
+// Haswell-and-later cores, the shape BLIS uses for double precision on that
+// family. The 8x8 kernel is the same tile height at twice the vector width:
+// eight zmm accumulators, one a load and eight broadcast-from-memory FMAs
+// per k step. Both read the same mr = 8 packed A and run the same FMA chain
+// over k for every element of C, so blas.Gemm's bits do not depend on which
+// of the two runs (TestGemmBitwiseAcrossKernels); only nr, the packed B
+// panel width, differs.
 
 //go:noescape
 func dgemm8x4asm(kc int64, a, b, c *float64, ldc int64)
+
+//go:noescape
+func dgemm8x8asm(kc int64, a, b, c *float64, ldc int64)
 
 //go:noescape
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -35,7 +47,9 @@ func packCols4AVX2(kc int64, alpha float64, src *float64, ld int64, dst *float64
 // a[k*mr+r] * b[k*nr+q] over one packed micro-panel pair. It must stay a
 // plain function (see runMacro).
 func microKernel(kc int, a, b, c []float64, ldc int) {
-	if kernMR == 8 {
+	if kernNR == 8 {
+		dgemm8x8asm(int64(kc), &a[0], &b[0], &c[0], int64(ldc))
+	} else if kernMR == 8 {
 		dgemm8x4asm(int64(kc), &a[0], &b[0], &c[0], int64(ldc))
 	} else {
 		microKernel4x4(kc, a, b, c, ldc)
@@ -43,7 +57,7 @@ func microKernel(kc int, a, b, c []float64, ldc int) {
 }
 
 // axpy, dot, packRows and packCols are the stride-1 layer under the
-// micro-kernel: on the CPUs that run dgemm8x4asm (kernMR == 8) they hand a
+// micro-kernel: on the CPUs that run an assembly kernel (kernMR == 8) they hand a
 // non-empty vector or a full micro-panel to the AVX2 kernels of
 // gemm_amd64.s, and everything else — other CPUs, partial panels, n = 0 —
 // to the portable loops the purego build runs. Each checks the extents the
@@ -117,4 +131,10 @@ func init() {
 		return
 	}
 	kernMR, kernNR = 8, 4
+	// AVX512F, with XCR0 bits 5-7 (opmask, zmm0-15 upper halves, zmm16-31)
+	// OS-enabled beside SSE and AVX.
+	const avx512fBit = 1 << 16
+	if b7&avx512fBit != 0 && xcr0&0xe6 == 0xe6 {
+		kernNR = 8
+	}
 }

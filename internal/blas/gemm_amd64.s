@@ -29,6 +29,9 @@ TEXT ·dgemm8x4asm(SB), NOSPLIT, $0-40
 	TESTQ CX, CX
 	JE    write
 
+	// The loop top sits on a cache-line boundary in every build, so the
+	// kernel's rate does not move with what the linker placed before it.
+	PCALIGN $64
 loop:
 	VMOVUPD      (SI), Y8    // a[0:4]
 	VMOVUPD      32(SI), Y9  // a[4:8]
@@ -78,6 +81,73 @@ write:
 	VMOVUPD 32(R9), Y9
 	VADDPD  Y7, Y9, Y9
 	VMOVUPD Y9, 32(R9)
+	VZEROUPPER
+	RET
+
+// func dgemm8x8asm(kc int64, a, b, c *float64, ldc int64)
+//
+// C[r + q*ldc] += sum_k a[8k+r] * b[8k+q] for r, q in [0,8): the AVX-512
+// kernel. a is the same mr=8 packed micro-panel dgemm8x4asm reads, b an nr=8
+// one. Eight zmm accumulators, one per C column, hold the tile across the k
+// loop; a k step is one 64-byte load of a and eight FMAs that broadcast
+// their b element from memory (128 flops). Element (r, q) sees the FMA chain
+// over k from zero and the one add into C that it sees in dgemm8x4asm, so
+// the two kernels store the same bits.
+TEXT ·dgemm8x8asm(SB), NOSPLIT, $0-40
+	MOVQ kc+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DI
+	MOVQ c+24(FP), DX
+	MOVQ ldc+32(FP), R8
+	SHLQ $3, R8              // ldc in bytes
+
+	VPXORQ Z0, Z0, Z0        // C[0:8, 0]
+	VPXORQ Z1, Z1, Z1        // C[0:8, 1]
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7        // C[0:8, 7]
+
+	TESTQ CX, CX
+	JE    write8
+
+	PCALIGN $64
+loop8:
+	VMOVUPD          (SI), Z8 // a[0:8]
+	VFMADD231PD.BCST (DI), Z8, Z0
+	VFMADD231PD.BCST 8(DI), Z8, Z1
+	VFMADD231PD.BCST 16(DI), Z8, Z2
+	VFMADD231PD.BCST 24(DI), Z8, Z3
+	VFMADD231PD.BCST 32(DI), Z8, Z4
+	VFMADD231PD.BCST 40(DI), Z8, Z5
+	VFMADD231PD.BCST 48(DI), Z8, Z6
+	VFMADD231PD.BCST 56(DI), Z8, Z7
+	ADDQ             $64, SI
+	ADDQ             $64, DI
+	DECQ             CX
+	JNE              loop8
+
+write8:
+	LEAQ    (R8)(R8*2), R9   // 3 columns of C, in bytes
+	LEAQ    (DX)(R8*4), R10  // column 4
+	VADDPD  (DX), Z0, Z0
+	VADDPD  (DX)(R8*1), Z1, Z1
+	VADDPD  (DX)(R8*2), Z2, Z2
+	VADDPD  (DX)(R9*1), Z3, Z3
+	VADDPD  (R10), Z4, Z4
+	VADDPD  (R10)(R8*1), Z5, Z5
+	VADDPD  (R10)(R8*2), Z6, Z6
+	VADDPD  (R10)(R9*1), Z7, Z7
+	VMOVUPD Z0, (DX)
+	VMOVUPD Z1, (DX)(R8*1)
+	VMOVUPD Z2, (DX)(R8*2)
+	VMOVUPD Z3, (DX)(R9*1)
+	VMOVUPD Z4, (R10)
+	VMOVUPD Z5, (R10)(R8*1)
+	VMOVUPD Z6, (R10)(R8*2)
+	VMOVUPD Z7, (R10)(R9*1)
 	VZEROUPPER
 	RET
 

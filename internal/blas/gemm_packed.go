@@ -21,9 +21,11 @@ package blas
 // partial tile runs it into an mr x nr spill tile and only the write-back
 // respects the true edge.
 //
-// Every shape takes this one path. The micro-kernel is selected at startup:
-// an AVX2+FMA 8x4 assembly kernel on capable amd64 hardware (gemm_amd64.s),
-// otherwise the portable 4x4 Go kernel below. The only shape-dependent
+// Every shape takes this one path. The micro-kernel is selected at startup
+// from what the CPU offers (gemm_amd64.go): an AVX-512 8x8 assembly kernel,
+// an AVX2+FMA 8x4 one, otherwise the portable 4x4 Go kernel below. The two
+// assembly kernels share mr = 8, the packed A and the per-element FMA chain
+// over k, and so produce the same bits. The only shape-dependent
 // decision is whether the loops are offered to the parallel pool at all
 // (gemmPoolMin); the pool only ever splits a loop over whole micro-panels,
 // so which kernel and which k-blocking compute a given C tile — and hence
@@ -57,11 +59,25 @@ const gemmPoolMin = 64 * 64 * 64
 // kernMR*kernNR accumulators live in registers across the whole KC loop.
 var kernMR, kernNR = 4, 4
 
+// Kernel names the micro-kernel this process runs and gives its register
+// tile, so a measurement can say what produced it.
+func Kernel() (name string, mr, nr int) {
+	switch {
+	case kernNR == 8:
+		name = "avx512-8x8"
+	case kernMR == 8:
+		name = "avx2-8x4"
+	default:
+		name = "go-4x4"
+	}
+	return name, kernMR, kernNR
+}
+
 // maxMR and maxNR bound the tile across all kernel choices; the spill tile
 // for partial tiles is sized statically with them.
 const (
 	maxMR = 8
-	maxNR = 4
+	maxNR = 8
 )
 
 // gemmCtx carries one Gemm call's state. The closures are created once per

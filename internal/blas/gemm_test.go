@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -38,11 +39,12 @@ var gemmShapes = []struct{ m, n, k int }{
 	{70, 40, 300}, // k past KC: two k slabs accumulate into each tile
 }
 
-// Every remainder m mod 8 and m mod 4 (the 8x4 and 4x4 kernels' row tiles)
-// against every n mod 4, behind one full tile, at k = 1..3.
+// Every remainder m mod 8 and m mod 4 (the 8x8/8x4 and 4x4 kernels' row
+// tiles) against every n mod 8 and n mod 4 (their column tiles), behind one
+// full tile, at k = 1..3.
 func init() {
 	for m := 9; m <= 16; m++ {
-		for n := 5; n <= 8; n++ {
+		for n := 5; n <= 16; n++ {
 			for k := 1; k <= 3; k++ {
 				gemmShapes = append(gemmShapes, struct{ m, n, k int }{m, n, k})
 			}
@@ -118,7 +120,8 @@ func TestGemmNoAllocSteadyState(t *testing.T) {
 	}
 	r := rng.New(11)
 	// 16: the 4x4-lattice size, all full tiles, inline. 36: partial tiles
-	// on both borders (the spill tile must stay on the stack). 128: pooled.
+	// on both borders (the spill tile, 64 entries under the 8x8 kernel,
+	// must stay on the stack). 128: pooled.
 	for _, n := range []int{16, 36, 128} {
 		a := randomDense(r, n, n)
 		b := randomDense(r, n, n)
@@ -154,6 +157,56 @@ func sameBits(x, y *mat.Dense) bool {
 		}
 	}
 	return true
+}
+
+// eachBitwiseCase calls f on fresh random operands for every gemmShapes
+// entry x transposition x alpha in {1, -1, 1.25}: the grid the bitwise
+// comparisons of Gemm against itself (other packs, other kernel) run over.
+// c is the product's destination; desc names the case in a failure.
+func eachBitwiseCase(seed uint64, f func(desc string, ta, tb bool, alpha float64, a, b, c *mat.Dense)) {
+	r := rng.New(seed)
+	for _, sh := range gemmShapes {
+		for _, ta := range []bool{false, true} {
+			for _, tb := range []bool{false, true} {
+				for _, alpha := range []float64{1, -1, 1.25} {
+					ar, ac := sh.m, sh.k
+					if ta {
+						ar, ac = ac, ar
+					}
+					br, bc := sh.k, sh.n
+					if tb {
+						br, bc = bc, br
+					}
+					a, b := randomDense(r, ar, ac), randomDense(r, br, bc)
+					desc := fmt.Sprintf("m=%d n=%d k=%d ta=%v tb=%v alpha=%v", sh.m, sh.n, sh.k, ta, tb, alpha)
+					f(desc, ta, tb, alpha, a, b, randomDense(r, sh.m, sh.n))
+				}
+			}
+		}
+	}
+}
+
+// TestGemmBitwiseAcrossKernels: on an AVX-512 CPU the same products through
+// the 8x4 and the 8x8 assembly kernel (kernNR switched under Gemm, so each
+// runs its own B packing, tiling and spill edges) must agree bit for bit —
+// every element is the same FMA chain over k and one add into C in both.
+// This is what keeps a trajectory computed on an AVX2-only host and on an
+// AVX-512 one the same trajectory.
+func TestGemmBitwiseAcrossKernels(t *testing.T) {
+	if kernNR != 8 {
+		t.Skipf("kernel is %dx%d: the CPU (or the build) offers no AVX-512 kernel to compare with", kernMR, kernNR)
+	}
+	defer func() { kernNR = 8 }()
+	eachBitwiseCase(37, func(desc string, ta, tb bool, alpha float64, a, b, got *mat.Dense) {
+		want := got.Clone()
+		kernNR = 4
+		Gemm(ta, tb, alpha, a, b, 0.5, want)
+		kernNR = 8
+		Gemm(ta, tb, alpha, a, b, 0.5, got)
+		if !sameBits(got, want) {
+			t.Fatalf("%s: the 8x8 kernel's product differs from the 8x4 kernel's", desc)
+		}
+	})
 }
 
 // TestGemmBitwiseAcrossDispatch pins the invariant every relative bitwise

@@ -250,30 +250,12 @@ func gemmPortablePacks(ta, tb bool, alpha float64, a, b *mat.Dense, beta float64
 // scalars. Together with an unchanged micro-kernel this is what keeps
 // blas.Gemm bitwise the parent commit's on the AVX2 build.
 func TestGemmPackBitwise(t *testing.T) {
-	r := rng.New(31)
-	for _, sh := range gemmShapes {
-		for _, ta := range []bool{false, true} {
-			for _, tb := range []bool{false, true} {
-				for _, alpha := range []float64{1, -1, 1.25} {
-					ar, ac := sh.m, sh.k
-					if ta {
-						ar, ac = ac, ar
-					}
-					br, bc := sh.k, sh.n
-					if tb {
-						br, bc = bc, br
-					}
-					a, b := randomDense(r, ar, ac), randomDense(r, br, bc)
-					got := randomDense(r, sh.m, sh.n)
-					want := got.Clone()
-					Gemm(ta, tb, alpha, a, b, 0.5, got)
-					gemmPortablePacks(ta, tb, alpha, a, b, 0.5, want)
-					if !sameBits(got, want) {
-						t.Fatalf("m=%d n=%d k=%d ta=%v tb=%v alpha=%v: Gemm differs from the portable-pack product",
-							sh.m, sh.n, sh.k, ta, tb, alpha)
-					}
-				}
-			}
+	eachBitwiseCase(31, func(desc string, ta, tb bool, alpha float64, a, b, got *mat.Dense) {
+		want := got.Clone()
+		Gemm(ta, tb, alpha, a, b, 0.5, got)
+		gemmPortablePacks(ta, tb, alpha, a, b, 0.5, want)
+		if !sameBits(got, want) {
+			t.Fatalf("%s: Gemm differs from the portable-pack product", desc)
 		}
-	}
+	})
 }

@@ -104,6 +104,7 @@ type Propagator struct {
 	Model      *Model
 	Bkin, Binv *mat.Dense
 	expNu      [2]float64 // e^{+nu}, e^{-nu} for h = +1/-1 at sigma = +1
+	exp2Nu     [2]float64 // e^{+2nu}, e^{-2nu}: what a flip multiplies V and the bosonic weight by
 }
 
 // NewPropagator builds the kinetic propagators for the model.
@@ -111,10 +112,11 @@ func NewPropagator(m *Model) *Propagator {
 	k := m.Lat.KMatrix(m.Mu)
 	bkin, binv := lapack.SymExp(k, -m.Dtau)
 	return &Propagator{
-		Model: m,
-		Bkin:  bkin,
-		Binv:  binv,
-		expNu: [2]float64{math.Exp(m.Nu), math.Exp(-m.Nu)},
+		Model:  m,
+		Bkin:   bkin,
+		Binv:   binv,
+		expNu:  [2]float64{math.Exp(m.Nu), math.Exp(-m.Nu)},
+		exp2Nu: [2]float64{math.Exp(2 * m.Nu), math.Exp(-2 * m.Nu)},
 	}
 }
 
@@ -141,12 +143,16 @@ func (p *Propagator) VDiag(sigma Spin, f *Field, l int, v []float64) {
 
 // Alpha returns the rank-1 update amplitude when h_{l,i} is flipped:
 // exp(-2*sigma*nu*h) - 1 (repulsive) or exp(-2*nu*h) - 1 for both spins
-// (attractive).
+// (attractive). h is +-1, so the exponential is one of the two NewPropagator
+// computed, not a math.Exp per proposal.
 func (p *Propagator) Alpha(sigma Spin, h float64) float64 {
 	if p.Model.Attractive() {
 		sigma = Up
 	}
-	return math.Exp(-2*float64(sigma)*p.Model.Nu*h) - 1
+	if (sigma == Up) == (h > 0) {
+		return p.exp2Nu[1] - 1
+	}
+	return p.exp2Nu[0] - 1
 }
 
 // BosonRatio returns the ratio of the field-dependent bosonic weight
@@ -157,7 +163,10 @@ func (p *Propagator) BosonRatio(h float64) float64 {
 	if !p.Model.Attractive() {
 		return 1
 	}
-	return math.Exp(2 * p.Model.Nu * h)
+	if h > 0 {
+		return p.exp2Nu[0]
+	}
+	return p.exp2Nu[1]
 }
 
 // BMatrix materializes B_{l,sigma} = V_l * exp(-dtau*K) as a dense matrix.

@@ -103,6 +103,37 @@ func TestVElemAndAlpha(t *testing.T) {
 	}
 }
 
+// TestAlphaBosonRatioExact: the flip amplitudes are tabulated once per
+// Propagator; every (sigma, h, sign of U) entry must be the bits the
+// per-proposal math.Exp formula gives, or trajectories move.
+func TestAlphaBosonRatioExact(t *testing.T) {
+	for _, u := range []float64{4, -4, 6.5, -0.3} {
+		m := testModel(t, 2, 2, u, 0.1, 2, 8)
+		p := NewPropagator(m)
+		for _, sigma := range []Spin{Up, Down} {
+			for _, h := range []float64{1, -1} {
+				s := sigma
+				if u < 0 {
+					s = Up
+				}
+				want := math.Exp(-2*float64(s)*m.Nu*h) - 1
+				if got := p.Alpha(sigma, h); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("U=%v Alpha(%d, %v) = %x, formula gives %x", u, sigma, h, got, want)
+				}
+			}
+		}
+		for _, h := range []float64{1, -1} {
+			want := 1.0
+			if u < 0 {
+				want = math.Exp(2 * m.Nu * h)
+			}
+			if got := p.BosonRatio(h); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("U=%v BosonRatio(%v) = %x, formula gives %x", u, h, got, want)
+			}
+		}
+	}
+}
+
 func TestBMatrixEqualsScaledKinetic(t *testing.T) {
 	m := testModel(t, 3, 3, 4, 0.1, 2, 8)
 	p := NewPropagator(m)

@@ -47,14 +47,16 @@ import (
 // submitter the completion count, before parking; yieldEvery is how many
 // polls pass between runtime.Gosched calls, which keep a poller from
 // holding a P that a runnable goroutine (the task itself, on an
-// oversubscribed machine) needs. Together they come to roughly 90 us on the
-// 2.1 GHz development box — longer than the Metropolis loop that separates
-// two forks of the sweep at N <= 64, far shorter than a scheduler quantum.
-// EXPERIMENTS.md ("PR 26 — spin fork") has the sweeps that chose them: the
-// gain is flat from half to 16 times this budget, and yielding less often
-// is no faster on idle cores and slower on oversubscribed ones.
+// oversubscribed machine) needs. Together they come to roughly 350 us on
+// the 2.1 GHz development box — longer than the Metropolis loop that
+// separates two forks of the sweep up to N = 144, still far shorter than a
+// scheduler quantum. EXPERIMENTS.md has the sweeps that chose them ("PR 26 —
+// spin fork", and "PR 28" for the five-workload sweep that moved the budget
+// from 1<<13): it is the smallest value on every workload's plateau, and
+// yielding less often is no faster on idle cores and slower on
+// oversubscribed ones.
 const (
-	spinPolls  = 1 << 13
+	spinPolls  = 1 << 15
 	yieldEvery = 1 << 4
 )
 

@@ -42,9 +42,10 @@ go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzQRReconstruct$' -fuzztime 
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzGetrf$' -fuzztime 10s
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzQRPBlockedVsLevel2$' -fuzztime 10s
 # The multi-size kernel series. 16 and 36 are the sizes service jobs run at
-# (4x4, and 6x6 with partial tiles). (Blocked QRP >= level-2 at N=512 is
-# TestQRPBlockedNotSlowerThanLevel2 in tier-1.)
-go run ./cmd/figures -fig=1 -sizes 16,36,64,128,256,512,1024 -reps 2 -json BENCH_gemm.json
+# (4x4, and 6x6 with partial tiles), 144 the benchmark's large_dense.
+# (Blocked QRP >= level-2 at N=512 is TestQRPBlockedNotSlowerThanLevel2 in
+# tier-1.)
+go run ./cmd/figures -fig=1 -sizes 16,36,64,128,144,256,512,1024 -reps 2 -json BENCH_gemm.json
 echo "== Verify: metrics instrumentation overhead gate (<2% on the sweep hot path)"
 go run ./cmd/sweep -obscheck
 echo "== Verify: stability autopilot ablation (residual held, cadence no denser, no slower)"
