@@ -7,6 +7,7 @@ import (
 
 	"questgo/internal/benchutil"
 	"questgo/internal/gpu"
+	"questgo/internal/gpu/hw"
 	"questgo/internal/greens"
 	"questgo/internal/hubbard"
 	"questgo/internal/mat"
@@ -27,7 +28,7 @@ func figure9(p params) {
 			continue
 		}
 		prop, field := setup(nx, 4, 0.1*float64(2*p.k), 2*p.k, rng.New(uint64(n)))
-		dev := gpu.NewDevice(gpu.TeslaC2050())
+		dev := hw.NewDevice()
 		acc := gpu.NewAccelerator(dev, prop, delay, false)
 
 		dev.Reset() // exclude the one-time B/B^{-1} upload, as the paper does
@@ -77,7 +78,7 @@ func figure10(p params) {
 			continue
 		}
 		prop, field := setup(nx, 4, 0.1*float64(p.l), p.l, rng.New(uint64(n)+1))
-		dev := gpu.NewDevice(gpu.TeslaC2050())
+		dev := hw.NewDevice()
 		acc := gpu.NewAccelerator(dev, prop, delay, false)
 		gcs := greens.NewClusterSetWith(prop, field, hubbard.Up, p.k, acc.Cluster)
 

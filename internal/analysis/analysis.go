@@ -17,20 +17,12 @@
 //     hot-path buffers must route through the mat scratch pools.
 //   - poolpair: every mat.GetScratch has a matching mat.PutScratch in the
 //     same function, and scratch never escapes through a return.
-//   - obscharge: kernels annotated //qmc:charges Op must charge that
-//     internal/obs counter, the known kernel entry points must carry the
-//     annotation, and no counter is charged without one — so the metrics
-//     document cannot silently rot.
 //   - rngdiscipline: math/rand is forbidden outside internal/rng; all
 //     stochastic behavior must flow through the deterministic xoshiro
 //     streams or trajectories stop being reproducible.
 //   - nakedpanic: kernel panics about shapes must carry the offending
 //     dimensions (fmt.Sprintf), not a bare string.
 //   - errcheck: cmd/* must not drop errors from flag/JSON/file handling.
-//   - streamorder: internal/gpu's modeled-clock state may be written only
-//     through the Stream/Graph execution layer (or Device.Reset), so the
-//     overlap and launch-overhead accounting always reflects an event-
-//     ordered schedule.
 //   - ctxflow: every context.WithCancel/WithTimeout cancel func is
 //     deferred, called, or stored; and no ctx.Err() / errors.Is(err,
 //     context.Canceled) classification runs after the corresponding
@@ -44,14 +36,17 @@
 //     iteration order is the canonical silent determinism killer.
 //
 // Every analyzer may assume complete type information: Load refuses a
-// package that does not type-check. The versioned wire documents are not
-// this suite's business — each owning package's TestWireLocked pins them
-// in tier-1 (see internal/wiretest).
+// package that does not type-check. Invariants the compiler or a test can
+// hold are not this suite's business: the versioned wire documents are
+// pinned by each owning package's TestWireLocked (see internal/wiretest),
+// the simulated device's clock cells are unexported in internal/gpu/hw so
+// only its Stream/Graph layer can advance them, and deleting any op-counter
+// charge fails a tier-1 test (internal/obs's TestKernelCharges asserts by
+// value the charges no other test pins).
 //
 // # Annotations
 //
 //	//qmc:hot                    function must be allocation-free (hotalloc)
-//	//qmc:charges Op1[,Op2...]   function charges these obs counters (obscharge)
 //	//qmc:guarded(mu)            struct field is guarded by sibling mutex mu
 //	//qmc:locked(mu)             function runs with mutex mu already held
 //	//qmc:allow name[,name] -- why   suppress named analyzers on this or the
@@ -233,28 +228,6 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 	return false
 }
 
-// directiveArgs returns the comma-separated arguments of a doc directive
-// like `//qmc:charges OpGemmCalls,OpGemmFlops`, and whether it is present.
-func directiveArgs(doc *ast.CommentGroup, prefix string) ([]string, bool) {
-	if doc == nil {
-		return nil, false
-	}
-	for _, c := range doc.List {
-		rest, ok := strings.CutPrefix(c.Text, prefix+" ")
-		if !ok {
-			continue
-		}
-		var args []string
-		for _, a := range strings.Split(rest, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				args = append(args, a)
-			}
-		}
-		return args, true
-	}
-	return nil, false
-}
-
 // pkgSelector resolves a selector expression like obs.Add to
 // (importPath, funcName) when its base names an imported package.
 func (p *Pass) pkgSelector(e ast.Expr) (path, name string) {
@@ -341,11 +314,9 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		HotAlloc,
 		PoolPair,
-		ObsCharge,
 		RngDiscipline,
 		NakedPanic,
 		ErrCheck,
-		StreamOrder,
 		CtxFlow,
 		GuardedField,
 		GoLeak,

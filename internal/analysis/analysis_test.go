@@ -15,14 +15,11 @@ var fixtureCases = []struct {
 }{
 	{HotAlloc, "hotalloc"},
 	{PoolPair, "poolpair"},
-	{ObsCharge, "obscharge"},
-	{ObsCharge, "obscharge_gpu"},
 	{RngDiscipline, "rngdiscipline"},
 	{RngDiscipline, "rngdiscipline_ok"},
 	{NakedPanic, "nakedpanic"},
 	{ErrCheck, "errcheck"},
 	{ErrCheck, "errcheck_service"},
-	{StreamOrder, "streamorder"},
 	{CtxFlow, "ctxflow"},
 	{GuardedField, "guardedfield"},
 	{GoLeak, "goleak"},
@@ -88,7 +85,7 @@ func TestMessageCoverage(t *testing.T) {
 // identical order every time.
 func TestConcurrentRunDeterministic(t *testing.T) {
 	var pkgs []*LoadedPackage
-	for _, dir := range []string{"ctxflow", "goleak", "mapdet", "guardedfield", "hotalloc", "streamorder"} {
+	for _, dir := range []string{"ctxflow", "goleak", "mapdet", "guardedfield", "hotalloc"} {
 		pkgs = append(pkgs, loadFixturePackage(t, dir))
 	}
 	baseline, err := RunAnalyzers(pkgs, All())

@@ -19,7 +19,7 @@ import (
 // import the real questgo packages — runs one analyzer, and diffs the
 // diagnostics against the expectations.
 //
-// Because several analyzers key on the package import path (obscharge only
+// Because several analyzers key on the package import path (nakedpanic only
 // fires in kernel packages, rngdiscipline exempts internal/rng, ...), a
 // fixture may pin its path with a magic first-line comment:
 //

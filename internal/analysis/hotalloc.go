@@ -12,8 +12,8 @@ const (
 	pkgGreens = "questgo/internal/greens"
 	pkgUpdate = "questgo/internal/update"
 	pkgGPU    = "questgo/internal/gpu"
+	pkgGPUHW  = "questgo/internal/gpu/hw"
 	pkgMat    = "questgo/internal/mat"
-	pkgObs    = "questgo/internal/obs"
 	pkgRng    = "questgo/internal/rng"
 )
 

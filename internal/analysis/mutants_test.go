@@ -14,15 +14,17 @@ import (
 // mutants seeds the real tree with the defects qmclint exists to catch:
 // each row rewrites one snippet of one real source file in memory, and the
 // named analyzer must report a diagnostic containing want on the mutated
-// package. The corpus is what makes "still caught" measurable when the
-// linter changes — every analyzer has a row, and the true positives the
-// suite has found in review are here by name. A row whose old snippet no
-// longer occurs exactly once fails, so the corpus cannot rot silently.
+// package. A row with a nil analyzer is a defect the compiler now owns: the
+// mutated package must fail to type-check with an error containing want.
+// The corpus is what makes "still caught" measurable when the linter
+// changes — every analyzer has a row, and the true positives the suite has
+// found in review are here by name. A row whose old snippet no longer
+// occurs exactly once fails, so the corpus cannot rot silently.
 var mutants = []struct {
 	name     string
 	file     string // relative to the module root
 	old, new string
-	analyzer *Analyzer
+	analyzer *Analyzer // nil: the mutant must not type-check
 	want     string
 }{
 	{"PR 9: runCtx.Err() classified after cancel()", "internal/service/queue.go",
@@ -65,13 +67,6 @@ var mutants = []struct {
 		"\tg := mat.New(u.Q.Rows, u.Q.Rows)\n\tGreenFromUDTInto(g, u)\n", "\tg := mat.GetScratch(u.Q.Rows, u.Q.Rows)\n\tGreenFromUDTInto(g, u)\n\tmat.PutScratch(g)\n",
 		PoolPair, "scratch matrix g escapes via return"},
 
-	{"deleted obs.Add(obs.OpWraps, 1)", "internal/greens/cluster.go",
-		"\tobs.Add(obs.OpWraps, 1)\n", "\t_ = obs.OpWraps\n",
-		ObsCharge, "Wrap declares //qmc:charges OpWraps but never calls obs.Add(obs.OpWraps"},
-	{"deleted //qmc:charges on gradedQR", "internal/greens/udt.go",
-		"//qmc:charges OpUDTSteps\n", "",
-		ObsCharge, "kernel entry point gradedQR must be annotated //qmc:charges OpUDTSteps"},
-
 	{"math/rand imported in update", "internal/update/update.go",
 		"import (\n", "import (\n\t_ \"math/rand\"\n",
 		RngDiscipline, "import of math/rand outside internal/rng"},
@@ -90,12 +85,14 @@ var mutants = []struct {
 		"\tif serr := ck.Save(sh.ckptPath); serr != nil {\n", "\tck.Save(sh.ckptPath)\n\tif serr := error(nil); serr != nil {\n",
 		ErrCheck, "result of ck.Save includes an error that is discarded"},
 
-	{"d.busyNS += 1 in a *Device method", "internal/gpu/device.go",
-		"\tmax := atomic.LoadInt64(&d.busyNS)\n", "\td.busyNS += 1\n\tmax := atomic.LoadInt64(&d.busyNS)\n",
-		StreamOrder, "write to device clock field busyNS outside a Stream/Graph method"},
-	{"atomic.AddInt64(&d.launchNS) in a *Device method", "internal/gpu/device.go",
-		"\tmax := atomic.LoadInt64(&d.busyNS)\n", "\tatomic.AddInt64(&d.launchNS, 1)\n\tmax := atomic.LoadInt64(&d.busyNS)\n",
-		StreamOrder, "atomic write to device clock field launchNS outside a Stream/Graph method"},
+	// The device clock cells are unexported in internal/gpu/hw: the engine
+	// cannot charge time outside an event-ordered stream.
+	{"acc.Dev.busyNS += 1 in Accelerator.Flush", "internal/gpu/offload.go",
+		"\tn := g.Rows\n\tduV := ", "\tacc.Dev.busyNS += 1\n\tn := g.Rows\n\tduV := ",
+		nil, "cannot refer to unexported field busyNS"},
+	{"atomic.AddInt64(&acc.Dev.launchNS) in an Accelerator method", "internal/gpu/offload.go",
+		"\t\"questgo/internal/obs\"\n)\n", "\t\"questgo/internal/obs\"\n\t\"sync/atomic\"\n)\n\nfunc (acc *Accelerator) bump() { atomic.AddInt64(&acc.Dev.launchNS, 1) }\n",
+		nil, "cannot refer to unexported field launchNS"},
 
 	{"undrained goroutine in service", "internal/service/service.go",
 		"\ts.routes()\n", "\ts.routes()\n\tgo func() {\n\t\tfor {\n\t\t}\n\t}()\n",
@@ -103,8 +100,9 @@ var mutants = []struct {
 }
 
 // TestMutantsCaught applies every mutant to the real source and demands the
-// named diagnostic in the mutated file; the unmutated package must be silent,
-// so the diagnostic is the mutation's.
+// named diagnostic in the mutated file (or, for a nil analyzer, the type
+// error); the unmutated package must be silent, so the finding is the
+// mutation's.
 func TestMutantsCaught(t *testing.T) {
 	covered := map[*Analyzer]bool{}
 	clean := map[string]bool{} // package directories already checked silent
@@ -125,6 +123,12 @@ func TestMutantsCaught(t *testing.T) {
 				}
 			}
 			mutated := bytes.Replace(src, []byte(m.old), []byte(m.new), 1)
+			if m.analyzer == nil {
+				if _, err := checkTree(t, m.file, mutated); err == nil || !strings.Contains(err.Error(), m.want) {
+					t.Fatalf("mutant type-checks or fails for another reason: %v; want an error containing %q", err, m.want)
+				}
+				return
+			}
 			diags := analyzeTree(t, []*Analyzer{m.analyzer}, m.file, mutated)
 			for _, d := range diags {
 				if strings.Contains(d.Message, m.want) && filepath.Base(d.Pos.Filename) == filepath.Base(m.file) {
@@ -146,9 +150,24 @@ var treeFiles = map[string][]*ast.File{}
 
 // analyzeTree type-checks the real package holding file — with mutated, when
 // non-nil, standing in for that file's bytes — and runs the analyzers on it.
-// It shares the fixture importer, so dependencies are type-checked once per
-// test binary, and only the default build's files are loaded.
 func analyzeTree(t *testing.T, analyzers []*Analyzer, file string, mutated []byte) []Diagnostic {
+	t.Helper()
+	pkg, err := checkTree(t, file, mutated)
+	if err != nil {
+		t.Fatalf("mutant must still compile: %v", err)
+	}
+	diags, err := RunAnalyzers([]*LoadedPackage{pkg}, analyzers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return diags
+}
+
+// checkTree type-checks the real package holding file, with mutated (when
+// non-nil) standing in for that file's bytes. It shares the fixture
+// importer, so dependencies are type-checked once per test binary, and only
+// the default build's files are loaded.
+func checkTree(t *testing.T, file string, mutated []byte) (*LoadedPackage, error) {
 	t.Helper()
 	dir := filepath.Join("..", "..", filepath.Dir(file))
 	if treeFiles[dir] == nil {
@@ -166,15 +185,7 @@ func analyzeTree(t *testing.T, analyzers []*Analyzer, file string, mutated []byt
 			files[i] = parseTreeFile(t, path, mutated)
 		}
 	}
-	pkg, err := typeCheck(fixtureFset, fixtureImporter, "questgo/"+filepath.ToSlash(filepath.Dir(file)), files)
-	if err != nil {
-		t.Fatalf("mutant must still compile: %v", err)
-	}
-	diags, err := RunAnalyzers([]*LoadedPackage{pkg}, analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return diags
+	return typeCheck(fixtureFset, fixtureImporter, "questgo/"+filepath.ToSlash(filepath.Dir(file)), files)
 }
 
 func parseTreeFile(t *testing.T, path string, src any) *ast.File {

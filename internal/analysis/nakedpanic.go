@@ -14,6 +14,7 @@ var nakedPanicPackages = map[string]bool{
 	pkgGreens: true,
 	pkgUpdate: true,
 	pkgGPU:    true,
+	pkgGPUHW:  true,
 	pkgMat:    true,
 }
 

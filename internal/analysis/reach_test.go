@@ -15,10 +15,10 @@ var keptForTests = map[string]string{
 	"questgo/internal/benchutil.ReadRecords":                    "TestCmdFigures reads back the records -fig=1 -json wrote, through DecodeRecord's schema check",
 	"questgo/internal/check.Dims":                               "sanitizer stub: TestDims (-tags qmcdebug), TestDisabled",
 	"questgo/internal/check.Assertf":                            "sanitizer stub: TestAssertf (-tags qmcdebug); the release twin keeps its signature",
-	"(*questgo/internal/gpu.Device).AllocBytes":                 "TestSweeperSteadyDeviceMemory: sweeps leave device allocation flat",
-	"(*questgo/internal/gpu.Device).BusyCompute":                "TestEngineOccupancyBoundsClock, TestStreamsOverlapIndependentEngines",
-	"(*questgo/internal/gpu.Device).BusyTransfer":               "TestStreamsOverlapIndependentEngines",
-	"(*questgo/internal/gpu.Stream).Clock":                      "TestEventOrdersStreams: per-stream critical path",
+	"(*questgo/internal/gpu/hw.Device).AllocBytes":              "TestSweeperSteadyDeviceMemory: sweeps leave device allocation flat",
+	"(*questgo/internal/gpu/hw.Device).BusyCompute":             "TestEngineOccupancyBoundsClock, TestStreamsOverlapIndependentEngines",
+	"(*questgo/internal/gpu/hw.Device).BusyTransfer":            "TestStreamsOverlapIndependentEngines",
+	"(*questgo/internal/gpu/hw.Stream).Clock":                   "TestEventOrdersStreams: per-stream critical path",
 	"questgo/internal/greens.GreenBigFloat":                     "256-bit reference of TestStratifiedMatchesBigFloatAndNaiveFails",
 	"questgo/internal/greens.GreenNaive":                        "unstratified reference of TestGreenMatchesNaiveShortChain",
 	"(*questgo/internal/greens.UDT).Matrix":                     "TestUDTReconstructsShortProduct, TestQuickFactoredSumConsistent",

@@ -18,7 +18,6 @@ import (
 // read the strided source directly while writing the contiguous packed
 // panels. C must not alias A or B.
 //
-//qmc:charges OpGemmCalls,OpGemmFlops
 //qmc:hot
 func Gemm(transA, transB bool, alpha float64, a, b *mat.Dense, beta float64, c *mat.Dense) {
 	am, ak := a.Rows, a.Cols

@@ -313,7 +313,7 @@ func (s *Simulation) startSweeper() {
 		opts.ClusterK, opts.StabilityEvery = s.pilot.K(), s.pilot.CheckEvery()
 	}
 	if s.cfg.Devices >= 1 {
-		s.group = gpu.NewGroup(s.cfg.Devices, gpu.TeslaC2050())
+		s.group = gpu.NewGroup(s.cfg.Devices)
 		s.sweeper = update.NewSweeperOn(s.prop, s.field, s.rng, opts, gpu.NewBackend(s.group, s.cfg.UseGraphs))
 	} else {
 		s.sweeper = update.NewSweeper(s.prop, s.field, s.rng, opts)

@@ -27,7 +27,7 @@ func freshCPU(sw *update.Sweeper, sigma hubbard.Spin) *mat.Dense {
 
 func TestHybridSweeperGreenConsistency(t *testing.T) {
 	p, f := testSetup(t, 3, 3, 4, 2, 8, 51)
-	grp := NewGroup(1, TeslaC2050())
+	grp := NewGroup(1)
 	sw := deviceSweeper(grp, p, f, rng.New(5), update.Options{ClusterK: 4, Delay: 3}, false)
 	for i := 0; i < 3; i++ {
 		sw.Sweep()
@@ -55,7 +55,7 @@ func TestHybridSweeperGreenConsistency(t *testing.T) {
 // CPU evaluation of the final field.
 func TestHybridSweeperSetClusterK(t *testing.T) {
 	p, f := testSetup(t, 3, 3, 4, 2, 12, 57)
-	sw := deviceSweeper(NewGroup(1, TeslaC2050()), p, f, rng.New(13), update.Options{ClusterK: 4, Delay: 3}, false)
+	sw := deviceSweeper(NewGroup(1), p, f, rng.New(13), update.Options{ClusterK: 4, Delay: 3}, false)
 	sw.Sweep()
 	for _, k := range []int{2, 6, 3} {
 		if got := sw.SetClusterK(k); got != k {
@@ -96,7 +96,7 @@ func TestSweeperDeviceAndGraphInvariance(t *testing.T) {
 	for _, noStack := range []bool{false, true} {
 		run := func(nd int, graphs bool) (*hubbard.Field, *mat.Dense, *mat.Dense) {
 			p, f := testSetup(t, 3, 3, 4, 2, 8, 61)
-			grp := NewGroup(nd, TeslaC2050())
+			grp := NewGroup(nd)
 			sw := deviceSweeper(grp, p, f, rng.New(11),
 				update.Options{ClusterK: 4, Delay: 3, NoStack: noStack}, graphs)
 			sw.Sweep()
@@ -128,7 +128,7 @@ func TestSweeperDeviceAndGraphInvariance(t *testing.T) {
 func TestSweeperSteadyDeviceMemory(t *testing.T) {
 	for _, noStack := range []bool{false, true} {
 		p, f := testSetup(t, 3, 3, 4, 2, 8, 67)
-		grp := NewGroup(4, TeslaC2050())
+		grp := NewGroup(4)
 		sw := deviceSweeper(grp, p, f, rng.New(29),
 			update.Options{ClusterK: 4, Delay: 3, NoStack: noStack}, true)
 		sw.Sweep()
@@ -166,7 +166,7 @@ func TestShardedSetClusterKUnderAutopilot(t *testing.T) {
 	schedule := []int{2, 4, 1}
 	run := func(nd int) (*hubbard.Field, *update.Sweeper) {
 		p, f := testSetup(t, 3, 3, 4, 2, 8, 71)
-		grp := NewGroup(nd, TeslaC2050())
+		grp := NewGroup(nd)
 		sw := deviceSweeper(grp, p, f, rng.New(19), update.Options{ClusterK: 4, Delay: 3}, true)
 		sw.Sweep()
 		for _, k := range schedule {
@@ -196,7 +196,7 @@ func TestShardedSetClusterKUnderAutopilot(t *testing.T) {
 func TestHybridSweeperProfile(t *testing.T) {
 	p, f := testSetup(t, 3, 3, 4, 2, 8, 57)
 	col := obs.New()
-	sw := deviceSweeper(NewGroup(1, TeslaC2050()), p, f, rng.New(3), update.Options{ClusterK: 4, Obs: col}, false)
+	sw := deviceSweeper(NewGroup(1), p, f, rng.New(3), update.Options{ClusterK: 4, Obs: col}, false)
 	col.Reset()
 	sw.Sweep()
 	pd := col.PhaseDurations()
@@ -249,7 +249,7 @@ func TestCrossEngineBitwise(t *testing.T) {
 		for _, nd := range []int{1, 2, 4} {
 			for _, graphs := range []bool{false, true} {
 				e := &engine{name: fmt.Sprintf("devices=%d graphs=%v", nd, graphs), f: f0.Clone()}
-				e.sw = deviceSweeper(NewGroup(nd, TeslaC2050()), p, e.f, rng.New(31), opts(), graphs)
+				e.sw = deviceSweeper(NewGroup(nd), p, e.f, rng.New(31), opts(), graphs)
 				engines = append(engines, e)
 			}
 		}
@@ -336,7 +336,7 @@ func TestModeledClockGolden(t *testing.T) {
 		for _, graphs := range []bool{false, true} {
 			name := fmt.Sprintf("devices=%d graphs=%v", nd, graphs)
 			p, f := testSetup(t, 3, 3, 4, 2, 8, 61)
-			grp := NewGroup(nd, TeslaC2050())
+			grp := NewGroup(nd)
 			sw := deviceSweeper(grp, p, f, rng.New(11), update.Options{ClusterK: 4, Delay: 3}, graphs)
 			sw.Sweep()
 			sw.Sweep()

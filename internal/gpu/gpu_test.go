@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"questgo/internal/gpu/hw"
 	"questgo/internal/greens"
 	"questgo/internal/hubbard"
 	"questgo/internal/lattice"
@@ -35,7 +36,7 @@ func randomDense(r *rng.Rand, n int) *mat.Dense {
 }
 
 func TestTransferRoundTrip(t *testing.T) {
-	d := NewDevice(TeslaC2050())
+	d := hw.NewDevice()
 	st := d.NewStream()
 	r := rng.New(1)
 	h := randomDense(r, 8)
@@ -55,7 +56,7 @@ func TestTransferRoundTrip(t *testing.T) {
 }
 
 func TestDeviceGemmMatchesHost(t *testing.T) {
-	d := NewDevice(TeslaC2050())
+	d := hw.NewDevice()
 	st := d.NewStream()
 	r := rng.New(2)
 	a, b := randomDense(r, 12), randomDense(r, 12)
@@ -82,7 +83,7 @@ func TestDeviceGemmMatchesHost(t *testing.T) {
 }
 
 func TestScaleRowsKernel(t *testing.T) {
-	d := NewDevice(TeslaC2050())
+	d := hw.NewDevice()
 	st := d.NewStream()
 	r := rng.New(3)
 	src := randomDense(r, 6)
@@ -101,7 +102,7 @@ func TestScaleRowsKernel(t *testing.T) {
 }
 
 func TestScaleRowsColsKernel(t *testing.T) {
-	d := NewDevice(TeslaC2050())
+	d := hw.NewDevice()
 	st := d.NewStream()
 	r := rng.New(4)
 	g := randomDense(r, 5)
@@ -126,7 +127,7 @@ func TestScaleRowsColsKernel(t *testing.T) {
 
 func TestAcceleratorClusterMatchesCPU(t *testing.T) {
 	p, f := testSetup(t, 3, 3, 4, 2, 8, 5)
-	dev := NewDevice(TeslaC2050())
+	dev := hw.NewDevice()
 	acc := NewAccelerator(dev, p, 1, false)
 	cpu := greens.NewClusterSet(p, f, hubbard.Up, 4)
 	gpuCS := greens.NewClusterSetWith(p, f, hubbard.Up, 4, acc.Cluster)
@@ -148,7 +149,7 @@ func TestClusterBuilderParity(t *testing.T) {
 		host := greens.NewClusterSet(p, f, hubbard.Down, k)
 		sets := []*greens.ClusterSet{host}
 		for _, graphs := range []bool{false, true} {
-			acc := NewAccelerator(NewDevice(TeslaC2050()), p, 1, graphs)
+			acc := NewAccelerator(hw.NewDevice(), p, 1, graphs)
 			sets = append(sets, greens.NewClusterSetWith(p, f, hubbard.Down, k, acc.Cluster))
 		}
 		before := make([]*mat.Dense, host.NC)
@@ -182,7 +183,7 @@ func TestAcceleratorWrapMatchesCPU(t *testing.T) {
 	gGPU := gCPU.Clone()
 	w := greens.NewWrapper(p)
 	w.Wrap(gCPU, f, hubbard.Up, 0)
-	dev := NewDevice(TeslaC2050())
+	dev := hw.NewDevice()
 	acc := NewAccelerator(dev, p, 1, false)
 	acc.Wrap(gGPU, f, hubbard.Up, 0)
 	if d := mat.RelDiff(gGPU, gCPU); d > 1e-12 {
@@ -192,7 +193,7 @@ func TestAcceleratorWrapMatchesCPU(t *testing.T) {
 
 func TestHybridGreenMatchesCPU(t *testing.T) {
 	p, f := testSetup(t, 3, 3, 4, 4, 16, 9)
-	dev := NewDevice(TeslaC2050())
+	dev := hw.NewDevice()
 	acc := NewAccelerator(dev, p, 1, false)
 	gpuCS := greens.NewClusterSetWith(p, f, hubbard.Up, 4, acc.Cluster)
 	cpuCS := greens.NewClusterSet(p, f, hubbard.Up, 4)
@@ -208,7 +209,7 @@ func TestCostModelShapes(t *testing.T) {
 	// per result transfer) must achieve a higher modeled rate than
 	// wrapping (2 GEMMs per full G round trip).
 	p, f := testSetup(t, 8, 8, 4, 2, 20, 11)
-	dev := NewDevice(TeslaC2050())
+	dev := hw.NewDevice()
 	acc := NewAccelerator(dev, p, 1, false)
 	n := p.Model.N()
 
@@ -228,7 +229,7 @@ func TestCostModelShapes(t *testing.T) {
 	// Rates grow with N (Figure 9's upward trend): compare against a
 	// smaller lattice.
 	p2, f2 := testSetup(t, 4, 4, 4, 2, 20, 13)
-	dev2 := NewDevice(TeslaC2050())
+	dev2 := hw.NewDevice()
 	acc2 := NewAccelerator(dev2, p2, 1, false)
 	dev2.Reset()
 	dst2 := mat.New(16, 16)
@@ -240,7 +241,7 @@ func TestCostModelShapes(t *testing.T) {
 }
 
 func TestClockMonotonicAndReset(t *testing.T) {
-	d := NewDevice(TeslaC2050())
+	d := hw.NewDevice()
 	st := d.NewStream()
 	m := d.Malloc(4, 4)
 	h := mat.New(4, 4)
@@ -259,9 +260,9 @@ func TestClockMonotonicAndReset(t *testing.T) {
 }
 
 func TestCrossDevicePanics(t *testing.T) {
-	d1 := NewDevice(TeslaC2050())
+	d1 := hw.NewDevice()
 	st := d1.NewStream()
-	d2 := NewDevice(TeslaC2050())
+	d2 := hw.NewDevice()
 	a := d1.Malloc(2, 2)
 	b := d2.Malloc(2, 2)
 	defer func() {
@@ -273,16 +274,13 @@ func TestCrossDevicePanics(t *testing.T) {
 }
 
 func TestMatrixSubSharesStorage(t *testing.T) {
-	dev := NewDevice(TeslaC2050())
+	dev := hw.NewDevice()
 	st := dev.NewStream()
 	da := dev.Malloc(4, 4)
 	sub := da.Sub(1, 1, 2, 2)
-	if sub.rows != 2 || sub.cols != 2 {
-		t.Fatal("Sub dims wrong")
-	}
 	host := mat.New(2, 2)
 	host.Set(0, 0, 7)
-	st.SetMatrix(sub, host)
+	st.SetMatrix(sub, host) // panics unless sub is 2x2
 	full := mat.New(4, 4)
 	st.GetMatrix(full, da)
 	if full.At(1, 1) != 7 {

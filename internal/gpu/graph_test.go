@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"questgo/internal/blas"
+	"questgo/internal/gpu/hw"
 	"questgo/internal/hubbard"
 	"questgo/internal/mat"
+	"questgo/internal/obs"
 	"questgo/internal/rng"
 )
 
@@ -17,7 +19,7 @@ func TestGraphReplayBitwiseIdentical(t *testing.T) {
 	p, f := testSetup(t, 3, 3, 4, 2, 8, 21)
 	n := p.Model.N()
 	run := func(graphs bool) (*mat.Dense, *mat.Dense, *mat.Dense) {
-		dev := NewDevice(TeslaC2050())
+		dev := hw.NewDevice()
 		acc := NewAccelerator(dev, p, 1, graphs)
 		g := randomDense(rng.New(9), n)
 		for l := 0; l < p.Model.L; l++ {
@@ -46,7 +48,7 @@ func TestGraphLaunchAmortization(t *testing.T) {
 	p, f := testSetup(t, 3, 3, 4, 2, 8, 23)
 	n := p.Model.N()
 	run := func(graphs bool) int64 {
-		dev := NewDevice(TeslaC2050())
+		dev := hw.NewDevice()
 		acc := NewAccelerator(dev, p, 1, graphs)
 		g := randomDense(rng.New(9), n)
 		dev.Reset() // exclude the one-time B upload
@@ -72,7 +74,7 @@ func TestGraphLaunchAmortization(t *testing.T) {
 // TestGraphRebind captures a transfer+GEMM+download sequence once and
 // retargets its host operands across replays.
 func TestGraphRebind(t *testing.T) {
-	d := NewDevice(TeslaC2050())
+	d := hw.NewDevice()
 	s := d.NewStream()
 	n := 8
 	da, db := d.Malloc(n, n), d.Malloc(n, n)
@@ -85,13 +87,14 @@ func TestGraphRebind(t *testing.T) {
 		s.Dgemm(false, false, 1, da, da, 0, db)
 		s.GetMatrix(out1, db)
 	}, s)
-	if len(g.nodes) != 3 {
-		t.Fatalf("captured %d nodes, want 3", len(g.nodes))
-	}
 	if out1.EqualApprox(square(h1), 0) {
 		t.Fatal("capture must not execute")
 	}
+	before := obs.Counts()
 	g.Replay()
+	if n := obs.Counts().Sub(before)[obs.OpGraphNodes]; n != 3 {
+		t.Fatalf("replayed %d nodes, want the 3 captured", n)
+	}
 	if !out1.EqualApprox(square(h1), 0) {
 		t.Fatal("first replay wrong")
 	}
@@ -121,7 +124,7 @@ func square(h *mat.Dense) *mat.Dense {
 
 // TestGraphRebindShapeMismatchPanics checks the rebinding guards.
 func TestGraphRebindShapeMismatchPanics(t *testing.T) {
-	d := NewDevice(TeslaC2050())
+	d := hw.NewDevice()
 	s := d.NewStream()
 	da := d.Malloc(4, 4)
 	h := mat.New(4, 4)
@@ -137,7 +140,7 @@ func TestGraphRebindShapeMismatchPanics(t *testing.T) {
 
 // TestGraphEmptyReplayPanics: replaying before capturing is a bug.
 func TestGraphEmptyReplayPanics(t *testing.T) {
-	d := NewDevice(TeslaC2050())
+	d := hw.NewDevice()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on empty replay")
@@ -149,8 +152,8 @@ func TestGraphEmptyReplayPanics(t *testing.T) {
 // TestGraphCaptureForeignStreamPanics: a graph records streams of its own
 // device only.
 func TestGraphCaptureForeignStreamPanics(t *testing.T) {
-	d1 := NewDevice(TeslaC2050())
-	d2 := NewDevice(TeslaC2050())
+	d1 := hw.NewDevice()
+	d2 := hw.NewDevice()
 	s2 := d2.NewStream()
 	defer func() {
 		if recover() == nil {
@@ -163,10 +166,12 @@ func TestGraphCaptureForeignStreamPanics(t *testing.T) {
 // TestGraphReplayChargesOneLaunch pins the replay cost model exactly: a
 // replayed k-node graph charges the kernel work plus a single launch.
 func TestGraphReplayChargesOneLaunch(t *testing.T) {
-	d := NewDevice(TeslaC2050())
+	d := hw.NewDevice()
 	s := d.NewStream()
 	n := 16
 	da, db, dc := d.Malloc(n, n), d.Malloc(n, n), d.Malloc(n, n)
+	s.Dgemm(false, false, 1, da, db, 0, dc)
+	want := int64(d.LaunchOverhead()) // one ungraphed kernel launch
 	g := d.NewGraph()
 	g.Capture(func() {
 		s.Dgemm(false, false, 1, da, db, 0, dc)
@@ -176,7 +181,6 @@ func TestGraphReplayChargesOneLaunch(t *testing.T) {
 	d.Reset()
 	g.Replay()
 	launch := int64(d.LaunchOverhead())
-	want := int64(d.model.KernelLaunch)
 	if launch != want {
 		t.Fatalf("replay charged %dns launch overhead, want exactly one launch (%dns)", launch, want)
 	}

@@ -1,6 +1,24 @@
+// Package gpu is the engine that offloads a sweep's level-3 work to the
+// simulated accelerators of internal/gpu/hw, for the paper's Section VI
+// experiments: one device's implementation of the three kernels a sweep
+// offloads (Accelerator: Cluster, Wrap, Flush) and the router that shards a
+// spin sector's blocks over a Group of devices (NewBackend).
+//
+// The paper offloads matrix clustering (Algorithms 4/5) and Green's
+// function wrapping (Algorithms 6/7) to an Nvidia Tesla C2050 through
+// CUBLAS and hand-written CUDA kernels. The modeled clock reproduces its
+// Figure 9/10 phenomena: clustering amortizes one transfer over k GEMMs and
+// approaches device GEMM throughput, wrapping pays a full Green's function
+// round trip for two GEMMs and saturates lower, and both improve with
+// matrix dimension. Stratification stays on the host, as in the paper.
+//
+// hw is the hardware, this package is the engine: it issues work only
+// through hw's exported Stream and Graph methods, so it cannot advance a
+// device clock except by an event-ordered stream operation.
 package gpu
 
 import (
+	"questgo/internal/gpu/hw"
 	"questgo/internal/hubbard"
 	"questgo/internal/mat"
 	"questgo/internal/obs"
@@ -28,19 +46,19 @@ import (
 // rebound when the destination changes, so one recording serves the whole
 // sweep.
 type Accelerator struct {
-	Dev  *Device
+	Dev  *hw.Device
 	prop *hubbard.Propagator
 
-	comp, xfer, fl *Stream
+	comp, xfer, fl *hw.Stream
 
-	bKin, bInv *Matrix
-	t, a, g    *Matrix    // scratch
-	v          [2]*Matrix // double-buffered diagonal vectors
+	bKin, bInv *hw.Matrix
+	t, a, g    *hw.Matrix    // scratch
+	v          [2]*hw.Matrix // double-buffered diagonal vectors
 	hostV      [2][]float64
-	dg, du, dw *Matrix // flush operands: G and the N x nd accumulators
+	dg, du, dw *hw.Matrix // flush operands: G and the N x nd accumulators
 
-	gUp, compDone *Event
-	up, consumed  [2]*Event
+	gUp, compDone *hw.Event
+	up, consumed  [2]*hw.Event
 
 	// Replay parameters: the wrap/cluster host nodes read these fields at
 	// execution time, so a captured graph follows the live sweep state.
@@ -57,9 +75,9 @@ type Accelerator struct {
 	wrapVFn func()
 
 	graphs    bool
-	wrapGraph *Graph
+	wrapGraph *hw.Graph
 	wrapBound *mat.Dense // host G the wrap graph transfers are bound to
-	clGraph   *Graph
+	clGraph   *hw.Graph
 	clK       int
 	clBound   *mat.Dense // host destination the cluster graph downloads to
 }
@@ -67,7 +85,7 @@ type Accelerator struct {
 // NewAccelerator uploads the kinetic propagators and allocates the scratch
 // and the flush operands for delay blocks of up to nd columns. graphs
 // selects command-graph capture/replay of the wrap and cluster sequences.
-func NewAccelerator(dev *Device, prop *hubbard.Propagator, nd int, graphs bool) *Accelerator {
+func NewAccelerator(dev *hw.Device, prop *hubbard.Propagator, nd int, graphs bool) *Accelerator {
 	n := prop.Model.N()
 	acc := &Accelerator{
 		Dev:      dev,
@@ -84,14 +102,14 @@ func NewAccelerator(dev *Device, prop *hubbard.Propagator, nd int, graphs bool) 
 		dg:       dev.Malloc(n, n),
 		du:       dev.Malloc(n, nd),
 		dw:       dev.Malloc(n, nd),
-		gUp:      NewEvent(),
-		compDone: NewEvent(),
+		gUp:      hw.NewEvent(),
+		compDone: hw.NewEvent(),
 	}
 	for i := range acc.v {
 		acc.v[i] = dev.Malloc(n, 1)
 		acc.hostV[i] = make([]float64, n)
-		acc.up[i] = NewEvent()
-		acc.consumed[i] = NewEvent()
+		acc.up[i] = hw.NewEvent()
+		acc.consumed[i] = hw.NewEvent()
 	}
 	acc.wrapVFn = func() { acc.prop.VDiag(acc.wp.sigma, acc.wp.f, acc.wp.l, acc.hostV[0]) }
 	acc.comp.SetMatrix(acc.bKin, prop.Bkin)
@@ -168,7 +186,6 @@ func (acc *Accelerator) captureCluster(dst *mat.Dense, k int) {
 // scaling kernel, download G. The V_l diagonal upload rides the copy
 // stream and overlaps the GEMMs.
 //
-//qmc:charges OpWraps
 //qmc:hot
 func (acc *Accelerator) Wrap(g *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, l int) {
 	obs.Add(obs.OpWraps, 1)

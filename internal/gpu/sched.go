@@ -3,26 +3,26 @@ package gpu
 import (
 	"fmt"
 
+	"questgo/internal/gpu/hw"
 	"questgo/internal/hubbard"
 )
 
 // Group is a set of simulated accelerators sharing one node: the
 // multi-GPU configuration of the scale-out experiments (per-spin,
-// per-chain and per-slice-block sharding). All devices share a cost model
-// and never exchange data: every sharding axis keeps a device's operands
-// on that device.
+// per-chain and per-slice-block sharding). The devices never exchange
+// data: every sharding axis keeps a device's operands on that device.
 type Group struct {
-	Devs []*Device
+	Devs []*hw.Device
 }
 
-// NewGroup creates n identical devices with the given cost model.
-func NewGroup(n int, model DeviceModel) *Group {
+// NewGroup creates n identical devices.
+func NewGroup(n int) *Group {
 	if n < 1 {
 		panic(fmt.Sprintf("gpu: group needs at least one device, got %d", n))
 	}
-	g := &Group{Devs: make([]*Device, n)}
+	g := &Group{Devs: make([]*hw.Device, n)}
 	for i := range g.Devs {
-		g.Devs[i] = NewDevice(model)
+		g.Devs[i] = hw.NewDevice()
 	}
 	return g
 }
@@ -43,7 +43,7 @@ func (g *Group) Reset() {
 // at all). A single device serves both sectors (one card, three streams a
 // sector); with 2 devices each sector gets its own card; with 4, each
 // sector shards its cluster blocks over two.
-func spinPool(g *Group, sigma hubbard.Spin) []*Device {
+func spinPool(g *Group, sigma hubbard.Spin) []*hw.Device {
 	n := len(g.Devs)
 	if n == 1 {
 		return g.Devs

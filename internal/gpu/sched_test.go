@@ -16,7 +16,7 @@ func TestSpinPoolSplit(t *testing.T) {
 		{3, 2, 1},
 		{4, 2, 2},
 	} {
-		g := NewGroup(tc.n, TeslaC2050())
+		g := NewGroup(tc.n)
 		up := spinPool(g, hubbard.Up)
 		dn := spinPool(g, hubbard.Down)
 		if len(up) != tc.up || len(dn) != tc.dn {
@@ -37,8 +37,8 @@ func TestShardedClusterSetMatchesSingleDevice(t *testing.T) {
 		be := NewBackend(g, false)(p, hubbard.Up, 3)
 		return greens.NewClusterSetWith(p, f, hubbard.Up, 4, be.Cluster)
 	}
-	cs1 := build(NewGroup(1, TeslaC2050()))
-	grp := NewGroup(4, TeslaC2050()) // spin-up pool: devices 0 and 1
+	cs1 := build(NewGroup(1))
+	grp := NewGroup(4) // spin-up pool: devices 0 and 1
 	cs2 := build(grp)
 
 	for c := 0; c < cs1.NC; c++ {

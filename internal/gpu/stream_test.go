@@ -3,6 +3,7 @@ package gpu
 import (
 	"testing"
 
+	"questgo/internal/gpu/hw"
 	"questgo/internal/rng"
 )
 
@@ -11,7 +12,7 @@ import (
 // dependency, overlap in modeled time — the device clock is the max of
 // the two engines' occupancy, not the sum.
 func TestStreamsOverlapIndependentEngines(t *testing.T) {
-	d := NewDevice(TeslaC2050())
+	d := hw.NewDevice()
 	copyS, compS := d.NewStream(), d.NewStream()
 	n := 128
 	h := randomDense(rng.New(1), n)
@@ -38,14 +39,14 @@ func TestStreamsOverlapIndependentEngines(t *testing.T) {
 // cannot run ahead of the recorded stamp, and an event dependency
 // serializes exactly the ordered pair.
 func TestEventOrdersStreams(t *testing.T) {
-	d := NewDevice(TeslaC2050())
+	d := hw.NewDevice()
 	producer, consumer := d.NewStream(), d.NewStream()
 	n := 64
 	h := randomDense(rng.New(2), n)
 	dm := d.Malloc(n, n)
 
 	producer.SetMatrix(dm, h)
-	e := NewEvent()
+	e := hw.NewEvent()
 	producer.Record(e)
 	if consumer.Clock() != 0 {
 		t.Fatalf("idle stream clock should be 0, got %v", consumer.Clock())
@@ -55,7 +56,7 @@ func TestEventOrdersStreams(t *testing.T) {
 		t.Fatalf("Wait should advance the consumer to the stamp: %v vs %v", consumer.Clock(), producer.Clock())
 	}
 	// Waiting on an older stamp never rewinds a clock.
-	stale := NewEvent()
+	stale := hw.NewEvent()
 	consumer.Wait(stale)
 	if consumer.Clock() != producer.Clock() {
 		t.Fatal("waiting on an unrecorded event must not move the clock")
@@ -67,7 +68,7 @@ func TestEventOrdersStreams(t *testing.T) {
 // bounded below by the compute-engine occupancy even though each stream's
 // own critical path is half of it.
 func TestEngineOccupancyBoundsClock(t *testing.T) {
-	d := NewDevice(TeslaC2050())
+	d := hw.NewDevice()
 	s1, s2 := d.NewStream(), d.NewStream()
 	n := 96
 	a1, b1, c1 := d.Malloc(n, n), d.Malloc(n, n), d.Malloc(n, n)
@@ -92,7 +93,7 @@ func TestEngineOccupancyBoundsClock(t *testing.T) {
 // TestHostNodeRunsInline checks that host callbacks execute at their
 // stream position and cost no modeled device time.
 func TestHostNodeRunsInline(t *testing.T) {
-	d := NewDevice(TeslaC2050())
+	d := hw.NewDevice()
 	s := d.NewStream()
 	ran := false
 	s.Host(func() { ran = true })

@@ -149,7 +149,6 @@ func (w *Wrapper) Cluster(dst *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, 
 
 // Wrap overwrites g with B_l G B_l^{-1} for the given slice and spin.
 //
-//qmc:charges OpWraps
 //qmc:hot
 func (w *Wrapper) Wrap(g *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, l int) {
 	obs.Add(obs.OpWraps, 1)

@@ -127,7 +127,6 @@ func StratifyPrePivot(bs []*mat.Dense) *UDT {
 // permutation places column j of r at original column perm[j]; the caller
 // applies it to its T factor and hands it back with lapack.PutPivot.
 //
-//qmc:charges OpUDTSteps
 //qmc:hot
 func gradedQR(work, tmp, r, q *mat.Dense, d []float64, pivot bool) []int {
 	var qr *lapack.QR

@@ -51,7 +51,6 @@ const tol3z = 1.4901161193847656e-08
 // machine precision) and the diagonal of R remains graded, which is all
 // the UDT stratification relies on.
 //
-//qmc:charges OpQRPFactorizations,OpQRPPanels
 //qmc:hot
 func QRPFactor(a *mat.Dense) (*QR, []int) {
 	obs.Add(obs.OpQRPFactorizations, 1)
@@ -241,7 +240,6 @@ func downdateNorms(a *mat.Dense, j, jb int, norms, onorms []float64) {
 // kept as the equivalence oracle for the blocked path and as the baseline
 // series of Figure 1 (cmd/figures -fig=1).
 //
-//qmc:charges OpQRPFactorizations
 //qmc:hot
 func QRPFactorLevel2(a *mat.Dense) (*QR, []int) {
 	obs.Add(obs.OpQRPFactorizations, 1)

@@ -47,7 +47,6 @@ type QR struct {
 // block reflector T formation, and a GEMM-rich trailing update — the
 // "mostly level 3" routine of the paper's Figure 1.
 //
-//qmc:charges OpQRFactorizations
 //qmc:hot
 func QRFactor(a *mat.Dense) *QR {
 	obs.Add(obs.OpQRFactorizations, 1)

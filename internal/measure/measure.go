@@ -12,7 +12,6 @@ package measure
 
 import (
 	"math"
-	"sync"
 
 	"questgo/internal/lattice"
 	"questgo/internal/mat"
@@ -111,51 +110,36 @@ func Measure(lat *lattice.Lattice, gup, gdn *mat.Dense, sign float64) *EqualTime
 
 	// Displacement-resolved correlations, translation averaged in-plane.
 	// The O(N * planeN) pair loop is the expensive part of a measurement;
-	// it parallelizes over source sites with per-worker accumulators (the
-	// same OpenMP-style split the paper applies to its fine-grained loops).
+	// it parallelizes over displacements d (the same OpenMP-style split the
+	// paper applies to its fine-grained loops). Each worker owns its output
+	// entries and sums over sources i in ascending order, so the bits do not
+	// depend on the worker count.
 	inv := 1 / float64(n)
-	type accum struct {
-		gfun, czz []float64
-	}
-	var mu sync.Mutex
-	parallel.For(n, 16, func(lo, hi int) {
-		acc := accum{gfun: make([]float64, planeN), czz: make([]float64, planeN)}
-		for i := lo; i < hi; i++ {
-			xi, yi, zi := lat.Coords(i)
-			nupI := 1 - gup.At(i, i)
-			ndnI := 1 - gdn.At(i, i)
-			mzI := nupI - ndnI
-			base := zi * planeN
-			for jp := 0; jp < planeN; jp++ {
-				j := base + jp // same-layer partner
-				xj, yj, _ := lat.Coords(j)
-				dx := modInt(xj-xi, nx)
-				dy := modInt(yj-yi, ny)
-				d := dx + nx*dy
-				// <c^dag_{i+d} c_i>: here j = i + d.
+	parallel.For(planeN, 16, func(lo, hi int) {
+		for d := lo; d < hi; d++ {
+			dx, dy := d%nx, d/nx
+			var gsum, csum float64
+			for i := 0; i < n; i++ {
+				xi, yi, zi := lat.Coords(i)
+				mzI := (1 - gup.At(i, i)) - (1 - gdn.At(i, i))
+				j := lat.Index(xi+dx, yi+dy, zi) // same-layer partner i + d
+				// <c^dag_{i+d} c_i>.
 				var delta float64
 				if i == j {
 					delta = 1
 				}
 				gfun := delta - 0.5*(gup.At(i, j)+gdn.At(i, j))
-				acc.gfun[d] += gfun * inv
+				gsum += gfun * inv
 
-				nupJ := 1 - gup.At(j, j)
-				ndnJ := 1 - gdn.At(j, j)
-				mzJ := nupJ - ndnJ
+				mzJ := (1 - gup.At(j, j)) - (1 - gdn.At(j, j))
 				czz := mzI * mzJ
 				// Same-spin Wick contractions: (delta - G(i,j)) * G(j,i).
 				czz += (delta - gup.At(i, j)) * gup.At(j, i)
 				czz += (delta - gdn.At(i, j)) * gdn.At(j, i)
-				acc.czz[d] += czz * inv
+				csum += czz * inv
 			}
+			e.GFun[d], e.Czz[d] = gsum, csum
 		}
-		mu.Lock()
-		for d := range acc.gfun {
-			e.GFun[d] += acc.gfun[d]
-			e.Czz[d] += acc.czz[d]
-		}
-		mu.Unlock()
 	})
 	return e
 }

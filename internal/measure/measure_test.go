@@ -2,6 +2,7 @@ package measure
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"questgo/internal/blas"
@@ -199,4 +200,63 @@ func TestAFStructureFactorMatchesGridPoint(t *testing.T) {
 	if math.Abs(e.AFStructureFactor()-sq[2+4*2]) > 1e-12 {
 		t.Fatal("AFStructureFactor disagrees with S(q) grid")
 	}
+}
+
+// TestMeasureBitwiseAcrossWorkers: the displacement-resolved correlations
+// are bit for bit the same at every worker count and on every repeat, and
+// equal to the serial per-source sum (ascending sources, one term per pair
+// scaled by 1/N) — the order GOMAXPROCS=1 always ran.
+func TestMeasureBitwiseAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, lat := range []*lattice.Lattice{lattice.NewSquare(6, 6, 1), lattice.NewSquare(12, 12, 1), lattice.NewMultilayer(6, 4, 2, 1, 0.5)} {
+		n, r := lat.N(), rng.New(uint64(lat.N()))
+		gup, gdn := mat.New(n, n), mat.New(n, n)
+		for _, g := range []*mat.Dense{gup, gdn} {
+			for j := 0; j < n; j++ {
+				for i := range g.Col(j) {
+					g.Col(j)[i] = 2*r.Float64() - 1
+				}
+			}
+		}
+		wantG, wantC := serialPairSums(lat, gup, gdn)
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			for rep := 0; rep < 3; rep++ {
+				e := Measure(lat, gup, gdn, 1)
+				for d := range wantG {
+					if math.Float64bits(e.GFun[d]) != math.Float64bits(wantG[d]) || math.Float64bits(e.Czz[d]) != math.Float64bits(wantC[d]) {
+						t.Fatalf("N=%d GOMAXPROCS=%d rep %d d=%d: GFun %v Czz %v, want %v %v",
+							n, procs, rep, d, e.GFun[d], e.Czz[d], wantG[d], wantC[d])
+					}
+				}
+			}
+		}
+	}
+}
+
+// serialPairSums is the pair loop as one serial pass over sources i and
+// their same-layer partners j, accumulating into the displacement of j - i.
+func serialPairSums(lat *lattice.Lattice, gup, gdn *mat.Dense) (gfun, czz []float64) {
+	n, nx, ny := lat.N(), lat.Nx, lat.Ny
+	planeN, inv := nx*ny, 1/float64(lat.N())
+	gfun, czz = make([]float64, planeN), make([]float64, planeN)
+	for i := 0; i < n; i++ {
+		xi, yi, zi := lat.Coords(i)
+		mzI := (1 - gup.At(i, i)) - (1 - gdn.At(i, i))
+		for jp := 0; jp < planeN; jp++ {
+			j := zi*planeN + jp
+			xj, yj, _ := lat.Coords(j)
+			d := modInt(xj-xi, nx) + nx*modInt(yj-yi, ny)
+			var delta float64
+			if i == j {
+				delta = 1
+			}
+			gfun[d] += (delta - 0.5*(gup.At(i, j)+gdn.At(i, j))) * inv
+			c := mzI * ((1 - gup.At(j, j)) - (1 - gdn.At(j, j)))
+			c += (delta - gup.At(i, j)) * gup.At(j, i)
+			c += (delta - gdn.At(i, j)) * gdn.At(j, i)
+			czz[d] += c * inv
+		}
+	}
+	return gfun, czz
 }

@@ -47,7 +47,7 @@ func TestForksPerSweep(t *testing.T) {
 			for _, serial := range []bool{false, true} {
 				mk := update.NewHost
 				if engine == "device" {
-					mk = gpu.NewBackend(gpu.NewGroup(2, gpu.TeslaC2050()), true)
+					mk = gpu.NewBackend(gpu.NewGroup(2), true)
 				}
 				m, err := hubbard.NewModel(lattice.NewSquare(tc.nx, tc.nx, 1), 4, 0, tc.beta, tc.l)
 				if err != nil {

@@ -166,7 +166,6 @@ func (s *spinState) push(i int, factor float64) {
 // (slice selects the owning device on a sharded backend) and resets the
 // count.
 //
-//qmc:charges OpDelayedFlushes
 //qmc:hot
 func (s *spinState) flush(slice int) {
 	if s.m == 0 {
@@ -418,7 +417,6 @@ func (sw *Sweeper) SetBoundaryHook(h func()) { sw.boundaryHook = h }
 // correspond to the full chain (cluster boundary 0), ready for equal-time
 // measurements.
 //
-//qmc:charges OpSweeps
 //qmc:hot
 func (sw *Sweeper) Sweep() {
 	obs.Add(obs.OpSweeps, 1)
