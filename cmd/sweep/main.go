@@ -15,15 +15,6 @@
 // wired into reproduce.sh:
 //
 //	sweep -obscheck
-//
-// With -autopilot, the command instead runs the stability-autopilot
-// ablation (4x4, beta=32, L=160, k=10, check cadence 2): one fixed-k run and
-// one autopilot run of the same chain, each appending a benchutil.Record to
-// the named file. With -apgate it fails unless the controller held the strat
-// residual under 1e-8 without checking more often or running slower than the
-// fixed baseline:
-//
-//	sweep -autopilot BENCH_autopilot.json -apgate
 package main
 
 import (
@@ -61,17 +52,7 @@ func main() {
 	chiSamples := flag.Int("chisamples", 5, "sweeps sampled for chi")
 	seed := flag.Uint64("seed", 1, "RNG seed")
 	obscheck := flag.Bool("obscheck", false, "overhead mode: gate metrics instrumentation cost on the sweep hot path")
-	apPath := flag.String("autopilot", "", "ablation mode: append autopilot-vs-fixed records to this file")
-	apgate := flag.Bool("apgate", false, "fail unless the autopilot matches the fixed run's residual, checks and wall time")
 	flag.Parse()
-
-	if *apPath != "" {
-		if err := runAutopilotBench(*apPath, *apgate); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *obscheck {
 		if err := runObsCheck(); err != nil {
@@ -180,105 +161,6 @@ func timeSweeps(prop *hubbard.Propagator, l, sweeps int, o update.Options) float
 		sw.Sweep()
 	}
 	return time.Since(start).Seconds() / float64(sweeps)
-}
-
-// runAutopilotBench runs the stability-autopilot ablation: the same Markov
-// chain once with fixed k and check cadence, once under the controller, and
-// appends one benchutil.Record per variant. The gate asserts the controller
-// earns its keep — residual held under maxRes, no more residual checks than
-// the fixed baseline (the adapted cadence is never denser), and wall time
-// within 10% of the fixed run.
-func runAutopilotBench(path string, gate bool) error {
-	// The one workload reproduce.sh records and gates on.
-	const (
-		nx, beta, l = 4, 32.0, 160
-		k, check    = 10, 2 // initial cluster size, fixed stability-check cadence
-		warm, meas  = 5, 15
-		maxRes      = 1e-8 // max tolerated strat residual
-	)
-	base := questgo.DefaultConfig() // U = 4, half filling, seed 1
-	base.Nx, base.Ny = nx, nx
-	base.Beta, base.L = beta, l
-	base.WarmSweeps, base.MeasSweeps = warm, meas
-	base.ClusterK, base.StabilityCheckEvery = k, check
-	auto := base
-	auto.Autopilot = true
-
-	type outcome struct {
-		res     *questgo.Results
-		secs    float64
-		checks  int64
-		maxRes  float64
-		finalK  int
-		cadence int
-	}
-	runOne := func(cfg questgo.Config) (*outcome, error) {
-		start := time.Now()
-		res, err := questgo.Run(context.Background(), cfg)
-		if err != nil {
-			return nil, err
-		}
-		o := &outcome{
-			res:     res,
-			secs:    time.Since(start).Seconds(),
-			checks:  res.Metrics.Stability.StratResidualSamples,
-			maxRes:  res.Metrics.Stability.MaxStratResidual,
-			finalK:  cfg.ClusterK,
-			cadence: cfg.StabilityCheckEvery,
-		}
-		if ap := res.Metrics.Autopilot; ap != nil && ap.Enabled {
-			o.finalK = ap.FinalK
-			o.cadence = ap.FinalCheckEvery
-		}
-		return o, nil
-	}
-
-	fmt.Printf("Autopilot ablation: %dx%d, beta=%g L=%d, k=%d check=%d, %d+%d sweeps\n\n",
-		nx, nx, beta, l, k, check, warm, meas)
-	fixed, err := runOne(base)
-	if err != nil {
-		return err
-	}
-	piloted, err := runOne(auto)
-	if err != nil {
-		return err
-	}
-
-	tbl := benchutil.NewTable("variant", "final k", "cadence", "checks", "max residual", "wall s")
-	for _, pt := range []struct {
-		name string
-		o    *outcome
-	}{{"fixed", fixed}, {"autopilot", piloted}} {
-		tbl.AddRow(pt.name, pt.o.finalK, pt.o.cadence, pt.o.checks,
-			fmt.Sprintf("%.2e", pt.o.maxRes), fmt.Sprintf("%.2f", pt.o.secs))
-		resLog := 0
-		if pt.o.maxRes > 0 {
-			resLog = int(math.Floor(math.Log10(pt.o.maxRes)))
-		}
-		rec := benchutil.NewRecord("autopilot", pt.name, nx*nx, pt.o.secs, 0).
-			WithParam("nx", nx).WithParam("l", l).WithParam("k", pt.o.finalK).
-			WithParam("beta", int(beta)).WithParam("cadence", pt.o.cadence).
-			WithParam("checks", int(pt.o.checks)).WithParam("res_log10", resLog)
-		if err := rec.Append(path); err != nil {
-			return err
-		}
-	}
-	tbl.Render(os.Stdout)
-
-	if !gate {
-		return nil
-	}
-	switch {
-	case piloted.maxRes > maxRes:
-		return fmt.Errorf("autopilot let the strat residual reach %.2e (gate %.1e)", piloted.maxRes, maxRes)
-	case piloted.checks > fixed.checks:
-		return fmt.Errorf("autopilot checked %d times, denser than the fixed baseline's %d", piloted.checks, fixed.checks)
-	case piloted.secs > 1.10*fixed.secs:
-		return fmt.Errorf("autopilot wall %.2fs exceeds fixed %.2fs by more than 10%%", piloted.secs, fixed.secs)
-	}
-	fmt.Printf("\ngate passed: residual %.2e <= %.1e, %d <= %d checks, wall %.2fs vs %.2fs\n",
-		piloted.maxRes, maxRes, piloted.checks, fixed.checks, piloted.secs, fixed.secs)
-	return nil
 }
 
 // runObsCheck interleaves timed sweep batches with the metrics collector

@@ -9,20 +9,19 @@
 // Control law, evaluated once per sweep from the window of samples the
 // sweep produced:
 //
-//   - Any non-finite sample is an emergency: k drops to the smallest
-//     admissible divisor of L, the cadence to its minimum, and the grow cap
-//     freezes there — a blown-up Green's function is not a signal to probe
-//     with.
-//   - A ceiling breach (condition, drift, or residual above its configured
-//     ceiling) shrinks k to the next smaller divisor of L and halves the
+//   - Any non-finite sample is an emergency: k and the cadence drop to 1
+//     and the grow caps freeze there — a blown-up Green's function is not
+//     a signal to probe with.
+//   - A ceiling breach (condition, drift, or residual above its ceiling)
+//     shrinks k to the next smaller divisor of L and halves the
 //     cadence interval. The breached values become hard caps: the
 //     controller never grows back to a k or a cadence that has already
 //     failed. This monotone cap is what makes oscillation impossible — the
 //     set of reachable (k, cadence) pairs only ever shrinks.
-//   - After Patience consecutive stable sweeps (every gated probe under
-//     its floor) outside a post-change cooldown, k stretches to the
-//     largest divisor of L at most twice the current k and the cadence
-//     doubles, both clamped by the caps.
+//   - After patience consecutive stable sweeps (drift and the last
+//     residual under their floors) outside a post-change cooldown, k
+//     stretches to the largest divisor of L at most twice the current k
+//     and the cadence doubles, both clamped by the caps.
 //
 // k is divisor-constrained: every step lands on a divisor of L so the
 // cluster partition stays exact. The controller is safe for concurrent
@@ -31,169 +30,36 @@
 package autopilot
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
 	"questgo/internal/obs"
 )
 
-// Config parameterizes a Controller. The zero value of every optional
-// field selects the documented default; L and InitialK are mandatory.
-type Config struct {
-	// L is the number of imaginary-time slices; every k the controller
-	// picks divides L. InitialK is the starting cluster size (must divide
-	// L); InitialCheckEvery the starting residual-check cadence in
-	// boundaries (default 4).
-	L                 int
-	InitialK          int
-	InitialCheckEvery int
-
-	// MinK/MaxK bound the cluster size (defaults 1 and InitialK: the
-	// controller shrinks below the configured k and recovers back, but
-	// never exceeds it unless MaxK is raised explicitly).
-	// MinCheckEvery/MaxCheckEvery bound the cadence (defaults 1 and 16).
-	MinK          int
-	MaxK          int
-	MinCheckEvery int
-	MaxCheckEvery int
-
-	// Patience is the number of consecutive stable sweeps required before
-	// a grow step (default 3). Cooldown is the number of sweeps after any
-	// change during which no further change is considered (default 2).
-	Patience int
-	Cooldown int
-
-	// Ceilings trigger shrink steps; floors gate grow steps. A zero
-	// ceiling or floor disables that probe's contribution. Defaults:
-	// condition ceiling 280 (log10; an overflow guard — the graded UDT
-	// absorbs condition, so it scales with beta, not k), drift ceiling
-	// 1e-3, residual ceiling 1e-9, drift floor 1e-4, residual floor
-	// 1e-10, condition floor 0 (disabled). A wrap drift of ~1e-5 is the
-	// healthy level of a well-stabilized beta = 32 chain, so the drift
-	// ceiling sits two decades above it; when a default floor would sit
-	// at or above an explicitly lowered ceiling it tracks ceiling/10.
-	CondCeilLog10  float64
-	CondFloorLog10 float64
-	DriftCeil      float64
-	DriftFloor     float64
-	ResidualCeil   float64
-	ResidualFloor  float64
-
-	// MaxDecisions caps the retained per-change decision log (default 64).
-	MaxDecisions int
-}
-
-// withDefaults returns cfg with every zero optional field replaced by its
-// default.
-func (cfg Config) withDefaults() Config {
-	if cfg.InitialCheckEvery == 0 {
-		cfg.InitialCheckEvery = 4
-	}
-	if cfg.MinK == 0 {
-		cfg.MinK = 1
-	}
-	if cfg.MaxK == 0 {
-		// The configured k is the trusted upper bound: stratification error
-		// grows exponentially in the cluster size, so a k that looks to have
-		// floors of headroom can still be one growth step from a cliff. By
-		// default the controller only shrinks below the configured k and
-		// recovers back to it; raising MaxK explicitly opts into exploring
-		// larger clusters.
-		cfg.MaxK = cfg.InitialK
-	}
-	if cfg.MinCheckEvery == 0 {
-		cfg.MinCheckEvery = 1
-	}
-	if cfg.MaxCheckEvery == 0 {
-		cfg.MaxCheckEvery = 16
-		if cfg.MaxCheckEvery < cfg.InitialCheckEvery {
-			cfg.MaxCheckEvery = cfg.InitialCheckEvery
-		}
-	}
-	if cfg.Patience == 0 {
-		cfg.Patience = 3
-	}
-	if cfg.Cooldown == 0 {
-		cfg.Cooldown = 2
-	}
-	if cfg.CondCeilLog10 == 0 {
-		cfg.CondCeilLog10 = 280
-	}
-	if cfg.DriftCeil == 0 {
-		cfg.DriftCeil = 1e-3
-	}
-	if cfg.DriftFloor == 0 {
-		cfg.DriftFloor = 1e-4
-		// Track an explicitly lowered ceiling so the default floor stays
-		// strictly below it.
-		if cfg.DriftCeil > 0 && cfg.DriftFloor >= cfg.DriftCeil {
-			cfg.DriftFloor = cfg.DriftCeil / 10
-		}
-	}
-	if cfg.ResidualCeil == 0 {
-		cfg.ResidualCeil = 1e-9
-	}
-	if cfg.ResidualFloor == 0 {
-		cfg.ResidualFloor = 1e-10
-		if cfg.ResidualCeil > 0 && cfg.ResidualFloor >= cfg.ResidualCeil {
-			cfg.ResidualFloor = cfg.ResidualCeil / 10
-		}
-	}
-	if cfg.MaxDecisions == 0 {
-		cfg.MaxDecisions = 64
-	}
-	return cfg
-}
-
-// validate checks the defaulted config for consistency.
-func (cfg Config) validate() error {
-	if cfg.L < 1 {
-		return fmt.Errorf("autopilot: L = %d, want >= 1", cfg.L)
-	}
-	if cfg.InitialK < 1 || cfg.L%cfg.InitialK != 0 {
-		return fmt.Errorf("autopilot: InitialK = %d must be a positive divisor of L = %d", cfg.InitialK, cfg.L)
-	}
-	if cfg.MinK < 1 || cfg.MinK > cfg.InitialK {
-		return fmt.Errorf("autopilot: MinK = %d, want 1 <= MinK <= InitialK = %d", cfg.MinK, cfg.InitialK)
-	}
-	if cfg.MaxK < cfg.InitialK {
-		return fmt.Errorf("autopilot: MaxK = %d, want >= InitialK = %d", cfg.MaxK, cfg.InitialK)
-	}
-	if cfg.MinCheckEvery < 1 || cfg.MinCheckEvery > cfg.InitialCheckEvery {
-		return fmt.Errorf("autopilot: MinCheckEvery = %d, want 1 <= MinCheckEvery <= InitialCheckEvery = %d",
-			cfg.MinCheckEvery, cfg.InitialCheckEvery)
-	}
-	if cfg.MaxCheckEvery < cfg.InitialCheckEvery {
-		return fmt.Errorf("autopilot: MaxCheckEvery = %d, want >= InitialCheckEvery = %d",
-			cfg.MaxCheckEvery, cfg.InitialCheckEvery)
-	}
-	if cfg.Patience < 1 || cfg.Cooldown < 0 {
-		return fmt.Errorf("autopilot: Patience = %d (want >= 1), Cooldown = %d (want >= 0)", cfg.Patience, cfg.Cooldown)
-	}
-	for _, v := range []struct {
-		name string
-		v    float64
-	}{
-		{"CondCeilLog10", cfg.CondCeilLog10}, {"CondFloorLog10", cfg.CondFloorLog10},
-		{"DriftCeil", cfg.DriftCeil}, {"DriftFloor", cfg.DriftFloor},
-		{"ResidualCeil", cfg.ResidualCeil}, {"ResidualFloor", cfg.ResidualFloor},
-	} {
-		if math.IsNaN(v.v) || v.v < 0 {
-			return fmt.Errorf("autopilot: %s = %v, want finite and >= 0", v.name, v.v)
-		}
-	}
-	if cfg.CondFloorLog10 > 0 && cfg.CondFloorLog10 >= cfg.CondCeilLog10 {
-		return fmt.Errorf("autopilot: CondFloorLog10 = %v >= CondCeilLog10 = %v", cfg.CondFloorLog10, cfg.CondCeilLog10)
-	}
-	if cfg.DriftFloor > 0 && cfg.DriftCeil > 0 && cfg.DriftFloor >= cfg.DriftCeil {
-		return fmt.Errorf("autopilot: DriftFloor = %v >= DriftCeil = %v", cfg.DriftFloor, cfg.DriftCeil)
-	}
-	if cfg.ResidualFloor > 0 && cfg.ResidualCeil > 0 && cfg.ResidualFloor >= cfg.ResidualCeil {
-		return fmt.Errorf("autopilot: ResidualFloor = %v >= ResidualCeil = %v", cfg.ResidualFloor, cfg.ResidualCeil)
-	}
-	return nil
-}
+// The control law's constants. The ceilings trigger shrink steps and the
+// floors gate grow steps. The condition ceiling (log10) is an overflow
+// guard: the graded UDT absorbs condition, so it scales with beta, not k,
+// and no condition floor gates growth. A wrap drift of ~1e-5 is the healthy
+// level of a well-stabilized beta = 32 chain, so the drift ceiling sits two
+// decades above it. The upper bounds are per run: k never exceeds the
+// configured k (stratification error grows exponentially in the cluster
+// size, so a k that looks to have decades of headroom can still be one
+// growth step from a cliff), and the cadence never exceeds
+// max(maxCheckEvery, the initial cadence).
+const (
+	patience          = 3 // consecutive stable sweeps before a grow step
+	cooldown          = 2 // sweeps after any change with no further change
+	minK              = 1
+	minCheckEvery     = 1
+	maxCheckEvery     = 16
+	defaultCheckEvery = 4 // the cadence when the config's is 0
+	condCeilLog10     = 280
+	driftCeil         = 1e-3
+	driftFloor        = 1e-4
+	residualCeil      = 1e-9
+	residualFloor     = 1e-10
+	maxDecisions      = 64 // retained per-change decision log entries
+)
 
 // State is the controller's complete mutable state, exported so checkpoints
 // can persist it (gob) and resume mid-trajectory: the adapted k and cadence
@@ -225,7 +91,9 @@ type Action struct {
 // Controller is the feedback controller. Create with New, attach with
 // obs.Collector.SetStabilityListener, call EndSweep between sweeps.
 type Controller struct {
-	cfg Config
+	// l is the number of imaginary-time slices (every k divides it); maxK
+	// and maxCheck are the run's upper bounds on k and the cadence.
+	l, maxK, maxCheck int
 
 	mu sync.Mutex
 	st State //qmc:guarded(mu)
@@ -245,23 +113,25 @@ type Controller struct {
 	decisionsDropped  bool                    //qmc:guarded(mu)
 }
 
-// New builds a controller from cfg (zero optional fields take defaults).
-func New(cfg Config) (*Controller, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
+// New builds a controller for a chain of l slices starting at cluster size
+// k (a divisor of l, which is also the largest k the controller picks) and
+// residual-check cadence checkEvery (0 selects 4).
+func New(l, k, checkEvery int) *Controller {
+	if checkEvery == 0 {
+		checkEvery = defaultCheckEvery
 	}
+	maxCheck := max(maxCheckEvery, checkEvery)
 	return &Controller{
-		cfg: cfg,
+		l: l, maxK: k, maxCheck: maxCheck,
 		st: State{
-			K:             cfg.InitialK,
-			CheckEvery:    cfg.InitialCheckEvery,
-			KCap:          cfg.MaxK,
-			CheckEveryCap: cfg.MaxCheckEvery,
+			K:             k,
+			CheckEvery:    checkEvery,
+			KCap:          k,
+			CheckEveryCap: maxCheck,
 		},
-		initialK:          cfg.InitialK,
-		initialCheckEvery: cfg.InitialCheckEvery,
-	}, nil
+		initialK:          k,
+		initialCheckEvery: checkEvery,
+	}
 }
 
 // ObserveStability implements obs.StabilityListener: it folds one sample
@@ -311,13 +181,12 @@ func (c *Controller) EndSweep() Action {
 		// freeze the caps there. No recovery path from a NaN sweep.
 		c.st.NonFinite = true
 		c.st.NonFiniteEvents++
-		k := smallestDivisorAtLeast(c.cfg.L, c.cfg.MinK)
-		c.st.K = k
-		c.st.KCap = k
-		c.st.CheckEvery = c.cfg.MinCheckEvery
-		c.st.CheckEveryCap = c.cfg.MinCheckEvery
+		c.st.K = minK
+		c.st.KCap = minK
+		c.st.CheckEvery = minCheckEvery
+		c.st.CheckEveryCap = minCheckEvery
 		c.st.StableStreak = 0
-		c.st.CooldownLeft = c.cfg.Cooldown
+		c.st.CooldownLeft = cooldown
 		if c.st.K != prevK || c.st.CheckEvery != prevCheck {
 			c.st.Shrinks++
 			c.record("non_finite", math.NaN())
@@ -331,23 +200,12 @@ func (c *Controller) EndSweep() Action {
 		// Shrink k below the breached value and never allow growth back to
 		// it; same for the cadence. Both caps are monotone non-increasing,
 		// which is the no-oscillation guarantee.
-		if kc := largestDivisorBelow(c.cfg.L, prevK, c.cfg.MinK); kc < c.st.KCap {
-			c.st.KCap = kc
-		}
-		if c.st.K > c.st.KCap {
-			c.st.K = c.st.KCap
-		}
-		if cc := maxInt(c.cfg.MinCheckEvery, prevCheck-1); cc < c.st.CheckEveryCap {
-			c.st.CheckEveryCap = cc
-		}
-		if ce := maxInt(c.cfg.MinCheckEvery, prevCheck/2); ce < c.st.CheckEvery {
-			c.st.CheckEvery = ce
-		}
-		if c.st.CheckEvery > c.st.CheckEveryCap {
-			c.st.CheckEvery = c.st.CheckEveryCap
-		}
+		c.st.KCap = min(c.st.KCap, largestDivisorBelow(c.l, prevK))
+		c.st.K = min(c.st.K, c.st.KCap)
+		c.st.CheckEveryCap = min(c.st.CheckEveryCap, max(minCheckEvery, prevCheck-1))
+		c.st.CheckEvery = min(c.st.CheckEvery, max(minCheckEvery, prevCheck/2), c.st.CheckEveryCap)
 		c.st.StableStreak = 0
-		c.st.CooldownLeft = c.cfg.Cooldown
+		c.st.CooldownLeft = cooldown
 		if c.st.K != prevK || c.st.CheckEvery != prevCheck {
 			c.st.Shrinks++
 			c.record(reason, signal)
@@ -367,23 +225,18 @@ func (c *Controller) EndSweep() Action {
 		return Action{K: c.st.K, CheckEvery: c.st.CheckEvery}
 	}
 	c.st.StableStreak++
-	if c.st.StableStreak < c.cfg.Patience {
+	if c.st.StableStreak < patience {
 		return Action{K: c.st.K, CheckEvery: c.st.CheckEvery}
 	}
 
 	// Grow: stretch k geometrically (largest divisor of L at most 2k) and
 	// double the cadence, both clamped by the hysteresis caps.
-	kTarget := minInt(2*prevK, minInt(c.cfg.MaxK, c.st.KCap))
-	if k := largestDivisorBetween(c.cfg.L, prevK, kTarget); k > prevK {
-		c.st.K = k
-	}
-	if ce := minInt(2*prevCheck, minInt(c.cfg.MaxCheckEvery, c.st.CheckEveryCap)); ce > prevCheck {
-		c.st.CheckEvery = ce
-	}
+	c.st.K = largestDivisorBetween(c.l, prevK, min(2*prevK, c.maxK, c.st.KCap))
+	c.st.CheckEvery = max(prevCheck, min(2*prevCheck, c.maxCheck, c.st.CheckEveryCap))
 	c.st.StableStreak = 0
 	if c.st.K != prevK || c.st.CheckEvery != prevCheck {
 		c.st.Grows++
-		c.st.CooldownLeft = c.cfg.Cooldown
+		c.st.CooldownLeft = cooldown
 		c.record("stable_grow", c.lastRes)
 		return Action{K: c.st.K, CheckEvery: c.st.CheckEvery, Changed: true, Reason: "stable_grow"}
 	}
@@ -391,16 +244,15 @@ func (c *Controller) EndSweep() Action {
 }
 
 // breach returns the name of the first breached ceiling in severity order
-// (residual, condition, drift), or "" if none. A zero ceiling disables the
-// probe.
+// (residual, condition, drift), or "" if none.
 func (c *Controller) breach(winMax [obs.NumProbes]float64, winN [obs.NumProbes]int64) string {
-	if c.cfg.ResidualCeil > 0 && winN[obs.ProbeStratResidual] > 0 && winMax[obs.ProbeStratResidual] > c.cfg.ResidualCeil {
+	if winN[obs.ProbeStratResidual] > 0 && winMax[obs.ProbeStratResidual] > residualCeil {
 		return "residual_ceiling"
 	}
-	if c.cfg.CondCeilLog10 > 0 && winN[obs.ProbeUDTCond] > 0 && winMax[obs.ProbeUDTCond] > c.cfg.CondCeilLog10 {
+	if winN[obs.ProbeUDTCond] > 0 && winMax[obs.ProbeUDTCond] > condCeilLog10 {
 		return "cond_ceiling"
 	}
-	if c.cfg.DriftCeil > 0 && winN[obs.ProbeWrapDrift] > 0 && winMax[obs.ProbeWrapDrift] > c.cfg.DriftCeil {
+	if winN[obs.ProbeWrapDrift] > 0 && winMax[obs.ProbeWrapDrift] > driftCeil {
 		return "drift_ceiling"
 	}
 	return ""
@@ -420,9 +272,9 @@ func (c *Controller) breachSignal(reason string, winMax [obs.NumProbes]float64) 
 }
 
 // stable reports whether the sweep window qualifies toward the growth
-// streak: at least one sample arrived, every gated probe with samples is
-// under its floor, and the last known residual (sampled sparsely, at
-// cadence frequency) is under the residual floor.
+// streak: at least one sample arrived, the sweep's drift is under its
+// floor, and the last known residual (sampled sparsely, at cadence
+// frequency) is under the residual floor.
 //
 //qmc:locked(mu)
 func (c *Controller) stable(winMax [obs.NumProbes]float64, winN [obs.NumProbes]int64) bool {
@@ -433,23 +285,17 @@ func (c *Controller) stable(winMax [obs.NumProbes]float64, winN [obs.NumProbes]i
 	if total == 0 {
 		return false
 	}
-	if c.cfg.DriftFloor > 0 && winN[obs.ProbeWrapDrift] > 0 && winMax[obs.ProbeWrapDrift] > c.cfg.DriftFloor {
+	if winN[obs.ProbeWrapDrift] > 0 && winMax[obs.ProbeWrapDrift] > driftFloor {
 		return false
 	}
-	if c.cfg.CondFloorLog10 > 0 && winN[obs.ProbeUDTCond] > 0 && winMax[obs.ProbeUDTCond] > c.cfg.CondFloorLog10 {
-		return false
-	}
-	if c.cfg.ResidualFloor > 0 && c.resSeen && c.lastRes > c.cfg.ResidualFloor {
-		return false
-	}
-	return true
+	return !c.resSeen || c.lastRes <= residualFloor
 }
 
 // record appends to the capped decision log. Caller holds c.mu.
 //
 //qmc:locked(mu)
 func (c *Controller) record(reason string, signal float64) {
-	if len(c.decisions) >= c.cfg.MaxDecisions {
+	if len(c.decisions) >= maxDecisions {
 		c.decisionsDropped = true
 		return
 	}
@@ -486,24 +332,17 @@ func (c *Controller) State() State {
 	return c.st
 }
 
-// Restore overwrites the controller state from a checkpoint, clamping the
-// restored k to a divisor of L so a hand-edited checkpoint cannot desync
-// the cluster partition.
+// Restore overwrites the controller state from a checkpoint, clamping k to
+// a divisor of L in [1, the configured k] and the cadence and both caps to
+// their bounds, so a hand-edited checkpoint can neither desync the cluster
+// partition nor run past the limits a fresh controller keeps.
 func (c *Controller) Restore(s State) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if s.K < 1 || c.cfg.L%s.K != 0 {
-		s.K = largestDivisorBetween(c.cfg.L, 0, maxInt(s.K, c.cfg.MinK))
-	}
-	if s.CheckEvery < 1 {
-		s.CheckEvery = c.cfg.MinCheckEvery
-	}
-	if s.KCap < 1 {
-		s.KCap = c.cfg.MaxK
-	}
-	if s.CheckEveryCap < 1 {
-		s.CheckEveryCap = c.cfg.MaxCheckEvery
-	}
+	s.K = largestDivisorBetween(c.l, 0, clamp(s.K, minK, c.maxK))
+	s.KCap = clamp(s.KCap, minK, c.maxK)
+	s.CheckEvery = clamp(s.CheckEvery, minCheckEvery, c.maxCheck)
+	s.CheckEveryCap = clamp(s.CheckEveryCap, minCheckEvery, c.maxCheck)
 	c.st = s
 	// The resumed run starts from the restored knobs, so the trajectory
 	// document reports them as its initial point.
@@ -531,16 +370,15 @@ func (c *Controller) MetricsDoc() *obs.AutopilotMetrics {
 	return m
 }
 
-// largestDivisorBelow returns the largest divisor of L that is < k and
-// >= min, or min-clamped smallest divisor if none is (i.e. k is already
-// minimal): the shrink step.
-func largestDivisorBelow(L, k, min int) int {
-	for d := k - 1; d >= min; d-- {
+// largestDivisorBelow returns the largest divisor of L that is < k, or
+// minK if k is already minimal: the shrink step.
+func largestDivisorBelow(L, k int) int {
+	for d := k - 1; d > minK; d-- {
 		if L%d == 0 {
 			return d
 		}
 	}
-	return smallestDivisorAtLeast(L, min)
+	return minK
 }
 
 // largestDivisorBetween returns the largest divisor of L in (lo, hi], or lo
@@ -557,30 +395,5 @@ func largestDivisorBetween(L, lo, hi int) int {
 	return lo
 }
 
-// smallestDivisorAtLeast returns the smallest divisor of L that is >= min
-// (L itself in the worst case).
-func smallestDivisorAtLeast(L, min int) int {
-	if min < 1 {
-		min = 1
-	}
-	for d := min; d <= L; d++ {
-		if L%d == 0 {
-			return d
-		}
-	}
-	return L
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+// clamp returns v limited to [lo, hi].
+func clamp(v, lo, hi int) int { return max(lo, min(v, hi)) }

@@ -8,19 +8,23 @@ import (
 	"questgo/internal/obs"
 )
 
-// newTest returns a controller with deterministic small-number tuning:
-// L=40, k=10, cadence 2, patience 2, cooldown 1.
+// newTest returns a controller over L=40 that may grow to k=20, restored
+// to k=10 and cadence 2 so both knobs have room to grow.
 func newTest(t *testing.T) *Controller {
 	t.Helper()
-	c, err := New(Config{
-		L: 40, InitialK: 10, InitialCheckEvery: 2,
-		Patience: 2, Cooldown: 1,
-		MaxK: 20, MaxCheckEvery: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(40, 20, 2)
+	c.Restore(State{K: 10, CheckEvery: 2, KCap: 20, CheckEveryCap: maxCheckEvery})
 	return c
+}
+
+// stableSweeps feeds n fully-stable sweep windows and returns the last
+// verdict.
+func stableSweeps(c *Controller, n int) Action {
+	var a Action
+	for range n {
+		a = stableSweep(c)
+	}
+	return a
 }
 
 // stableSweep feeds one fully-stable sweep window and evaluates it.
@@ -31,21 +35,33 @@ func stableSweep(c *Controller) Action {
 	return c.EndSweep()
 }
 
-func TestDefaultsAndValidate(t *testing.T) {
-	if _, err := New(Config{L: 40, InitialK: 10}); err != nil {
-		t.Fatalf("defaults rejected: %v", err)
+// TestDefaults pins what New derives from its arguments and where each
+// ceiling sits: a value at the ceiling holds, one just above it shrinks.
+func TestDefaults(t *testing.T) {
+	st := New(40, 10, 0).State()
+	if st.K != 10 || st.KCap != 10 || st.CheckEvery != 4 || st.CheckEveryCap != 16 {
+		t.Fatalf("New(40, 10, 0) state %+v, want k 10 (cap 10), cadence 4 (cap 16)", st)
 	}
-	bad := []Config{
-		{L: 0, InitialK: 1},
-		{L: 40, InitialK: 7},                                        // not a divisor
-		{L: 40, InitialK: 10, MinK: 20},                             // MinK > InitialK
-		{L: 40, InitialK: 10, MaxK: 5},                              // MaxK < InitialK
-		{L: 40, InitialK: 10, DriftCeil: math.NaN()},                // NaN threshold
-		{L: 40, InitialK: 10, ResidualFloor: 1, ResidualCeil: 1e-9}, // floor >= ceil
+	if st := New(40, 10, 32).State(); st.CheckEveryCap != 32 {
+		t.Fatalf("cadence cap %d under an initial cadence of 32, want 32", st.CheckEveryCap)
 	}
-	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
-			t.Fatalf("bad config %d accepted: %+v", i, cfg)
+	for _, tc := range []struct {
+		p       obs.StabilityProbe
+		ceil    float64
+		verdict string
+	}{
+		{obs.ProbeStratResidual, 1e-9, "residual_ceiling"},
+		{obs.ProbeUDTCond, 280, "cond_ceiling"},
+		{obs.ProbeWrapDrift, 1e-3, "drift_ceiling"},
+	} {
+		c := New(40, 10, 2)
+		c.ObserveStability(tc.p, tc.ceil)
+		if a := c.EndSweep(); a.Changed || a.Reason != "" {
+			t.Fatalf("%s at its ceiling %v acted: %+v", tc.verdict, tc.ceil, a)
+		}
+		c.ObserveStability(tc.p, tc.ceil*1.01)
+		if a := c.EndSweep(); !a.Changed || a.Reason != tc.verdict {
+			t.Fatalf("%s above its ceiling %v did not shrink: %+v", tc.verdict, tc.ceil, a)
 		}
 	}
 }
@@ -71,9 +87,9 @@ func TestShrinkOnResidualBreach(t *testing.T) {
 
 func TestGrowthNeedsPatienceAndCooldown(t *testing.T) {
 	c := newTest(t)
-	// Patience=2: the first stable sweep must not grow.
-	if a := stableSweep(c); a.Changed {
-		t.Fatalf("grew after one stable sweep: %+v", a)
+	// Patience 3: the first two stable sweeps must not grow.
+	if a := stableSweeps(c, patience-1); a.Changed {
+		t.Fatalf("grew after %d stable sweeps: %+v", patience-1, a)
 	}
 	a := stableSweep(c)
 	if !a.Changed || a.Reason != "stable_grow" {
@@ -85,9 +101,13 @@ func TestGrowthNeedsPatienceAndCooldown(t *testing.T) {
 	if a.CheckEvery != 4 {
 		t.Fatalf("grow cadence = %d, want 4", a.CheckEvery)
 	}
-	// Cooldown=1: the very next stable sweep must not change anything.
-	if a := stableSweep(c); a.Changed {
+	// Cooldown 2, then patience 3: the next four stable sweeps must not
+	// change anything, the fifth grows the cadence again.
+	if a := stableSweeps(c, cooldown+patience-1); a.Changed {
 		t.Fatalf("changed during cooldown: %+v", a)
+	}
+	if a := stableSweep(c); !a.Changed || a.CheckEvery != 8 {
+		t.Fatalf("no growth after cooldown and patience: %+v", a)
 	}
 }
 
@@ -97,9 +117,7 @@ func TestGrowthNeedsPatienceAndCooldown(t *testing.T) {
 // bouncing 10 <-> 20.
 func TestNoOscillation(t *testing.T) {
 	c := newTest(t)
-	// Grow to 20 first (patience 2).
-	stableSweep(c)
-	if a := stableSweep(c); a.K != 20 {
+	if a := stableSweeps(c, patience); a.K != 20 {
 		t.Fatalf("setup grow failed: %+v", a)
 	}
 	// k=20 breaches.
@@ -126,17 +144,17 @@ func TestNoOscillation(t *testing.T) {
 }
 
 func TestDivisorSteps(t *testing.T) {
-	cases := []struct{ L, k, min, want int }{
-		{40, 10, 1, 8},
-		{40, 8, 1, 5},
-		{40, 2, 1, 1},
-		{40, 1, 1, 1}, // already minimal: no change
-		{48, 12, 1, 8},
-		{160, 10, 1, 8},
+	cases := []struct{ L, k, want int }{
+		{40, 10, 8},
+		{40, 8, 5},
+		{40, 2, 1},
+		{40, 1, 1}, // already minimal: no change
+		{48, 12, 8},
+		{160, 10, 8},
 	}
 	for _, tc := range cases {
-		if got := largestDivisorBelow(tc.L, tc.k, tc.min); got != tc.want {
-			t.Fatalf("largestDivisorBelow(%d,%d,%d) = %d, want %d", tc.L, tc.k, tc.min, got, tc.want)
+		if got := largestDivisorBelow(tc.L, tc.k); got != tc.want {
+			t.Fatalf("largestDivisorBelow(%d,%d) = %d, want %d", tc.L, tc.k, got, tc.want)
 		}
 	}
 	growCases := []struct{ L, lo, hi, want int }{
@@ -184,8 +202,7 @@ func TestNonFiniteEmergency(t *testing.T) {
 
 func TestStateRoundTrip(t *testing.T) {
 	c := newTest(t)
-	stableSweep(c)
-	stableSweep(c) // grow
+	stableSweeps(c, patience) // grow
 	c.ObserveStability(obs.ProbeStratResidual, 1e-6)
 	c.EndSweep() // shrink
 	st := c.State()
@@ -200,18 +217,36 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreClampsBadK: a hand-edited checkpoint resumes inside the bounds
+// a fresh controller keeps — k a divisor of L no larger than the configured
+// k, the cadence and both caps within [1, max(16, initial cadence)].
 func TestRestoreClampsBadK(t *testing.T) {
-	c := newTest(t)
-	c.Restore(State{K: 7, CheckEvery: 2, KCap: 40, CheckEveryCap: 8}) // 7 does not divide 40
-	if k := c.K(); 40%k != 0 {
-		t.Fatalf("restored k = %d does not divide L", k)
+	for _, tc := range []struct {
+		name        string
+		l, k, check int
+		in, want    State
+	}{
+		{"k not a divisor", 40, 20, 2,
+			State{K: 7, CheckEvery: 2, KCap: 20, CheckEveryCap: 8},
+			State{K: 5, CheckEvery: 2, KCap: 20, CheckEveryCap: 8}},
+		{"k = L, cadence 1<<30", 12, 6, 0,
+			State{K: 12, CheckEvery: 1 << 30, KCap: 12, CheckEveryCap: 1 << 30},
+			State{K: 6, CheckEvery: 16, KCap: 6, CheckEveryCap: 16}},
+		{"zero state", 12, 6, 0,
+			State{},
+			State{K: 1, CheckEvery: 1, KCap: 1, CheckEveryCap: 1}},
+	} {
+		c := New(tc.l, tc.k, tc.check)
+		c.Restore(tc.in)
+		if got := c.State(); got != tc.want {
+			t.Errorf("%s: restored %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }
 
 func TestMetricsDocTrajectory(t *testing.T) {
 	c := newTest(t)
-	stableSweep(c)
-	stableSweep(c) // grow 10 -> 20
+	stableSweeps(c, patience) // grow 10 -> 20
 	doc := c.MetricsDoc()
 	if !doc.Enabled || doc.InitialK != 10 || doc.FinalK != 20 || doc.Grows != 1 || doc.Shrinks != 0 {
 		t.Fatalf("trajectory doc: %+v", doc)
@@ -225,13 +260,13 @@ func TestMetricsDocTrajectory(t *testing.T) {
 // the ceiling) must reset patience, not accumulate toward growth.
 func TestUnstableSweepResetsStreak(t *testing.T) {
 	c := newTest(t)
-	stableSweep(c)
+	stableSweeps(c, patience-1)
 	c.ObserveStability(obs.ProbeWrapDrift, 5e-4) // above floor 1e-4, below ceil 1e-3
 	if a := c.EndSweep(); a.Changed {
 		t.Fatalf("mid-band sweep changed knobs: %+v", a)
 	}
-	// Streak was reset: one more stable sweep must not be enough.
-	if a := stableSweep(c); a.Changed {
+	// Streak was reset: patience-1 more stable sweeps must not be enough.
+	if a := stableSweeps(c, patience-1); a.Changed {
 		t.Fatalf("grew without full patience after reset: %+v", a)
 	}
 	if a := stableSweep(c); !a.Changed {

@@ -17,16 +17,16 @@ import (
 // Major bumps rename/retype/remove fields; minor bumps only add.
 const RecordSchemaVersion = "1.0"
 
-// Record is the machine-readable bench result of the two committed series:
-// cmd/figures -fig=1 -json (BENCH_gemm.json) and cmd/sweep -autopilot
-// (BENCH_autopilot.json). One record is one measured point, appended as a
+// Record is the machine-readable bench result of the committed series,
+// cmd/figures -fig=1 -json (BENCH_gemm.json). One record is one measured
+// point, appended as a
 // JSON line so results from different commits diff with the same tooling.
 // Field names are a compatibility surface; DecodeRecord and ReadRecords are
 // the read path that enforces it.
 type Record struct {
 	SchemaVersion string `json:"schema_version,omitempty"`
-	// Bench is the series family ("kernels", "autopilot"); Name the measured
-	// series/kernel within it ("gemm", "geqrf", "fixed", ...).
+	// Bench is the series family ("kernels"); Name the measured
+	// series/kernel within it ("gemm", "geqrf", ...).
 	Bench string `json:"bench"`
 	Name  string `json:"name"`
 	// N is the primary problem size (matrix dimension or site count);

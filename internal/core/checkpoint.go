@@ -101,6 +101,14 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // schedule through the checkpointed Config (adjust WarmSweeps/MeasSweeps
 // before calling if needed).
 func Resume(c *Checkpoint) (*Simulation, error) {
+	switch {
+	case c.RngState == [4]uint64{}:
+		return nil, fmt.Errorf("core: checkpoint RNG state is all zero")
+	case c.Sign != 1 && c.Sign != -1:
+		return nil, fmt.Errorf("core: checkpoint sign %v, want +1 or -1", c.Sign)
+	case c.Accepted < 0 || c.Accepted > c.Proposed:
+		return nil, fmt.Errorf("core: checkpoint counters accepted %d of %d proposed", c.Accepted, c.Proposed)
+	}
 	sim, err := newBase(c.Config, obs.New())
 	if err != nil {
 		return nil, err

@@ -156,6 +156,26 @@ func TestResumeValidation(t *testing.T) {
 	if _, err := Resume(&bad3); err == nil {
 		t.Fatal("invalid config should fail")
 	}
+
+	// Chain state no run can produce: an all-zero RNG state (xoshiro's
+	// fixed point), a sign off +-1 (0 resumes into NaN observables), and
+	// Metropolis counters with more accepts than proposals.
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Checkpoint)
+	}{
+		{"zero rng state", func(c *Checkpoint) { c.RngState = [4]uint64{} }},
+		{"zero sign", func(c *Checkpoint) { c.Sign = 0 }},
+		{"sign 0.5", func(c *Checkpoint) { c.Sign = 0.5 }},
+		{"negative accepted", func(c *Checkpoint) { c.Accepted = -1 }},
+		{"accepted > proposed", func(c *Checkpoint) { c.Accepted = c.Proposed + 1 }},
+	} {
+		bad := *ck
+		tc.mutate(&bad)
+		if sim, err := Resume(&bad); err == nil || sim != nil {
+			t.Errorf("%s: Resume returned (%v, %v), want an error", tc.name, sim, err)
+		}
+	}
 }
 
 func TestLoadCheckpointMissing(t *testing.T) {
@@ -178,4 +198,41 @@ func TestCheckpointIsDeepCopy(t *testing.T) {
 	if ck.FieldH[0][0] != before {
 		t.Fatal("checkpoint must not alias the live field")
 	}
+}
+
+// FuzzResumeCheckpoint feeds arbitrary bytes through ReadCheckpoint and,
+// when they decode to a chain no larger than 4x4 with L <= 40, through
+// Resume: the result must be an error or a simulation, never a panic. The
+// seeds are a valid 2x2 checkpoint and its twin with an all-zero RNG state.
+func FuzzResumeCheckpoint(f *testing.F) {
+	cfg := DefaultConfig()
+	cfg.Nx, cfg.Ny, cfg.L, cfg.ClusterK = 2, 2, 8, 4
+	sim, err := New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ck := sim.Checkpoint()
+	for _, state := range [][4]uint64{ck.RngState, {}} {
+		seed := *ck
+		seed.RngState = state
+		var buf bytes.Buffer
+		if err := seed.Encode(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := ReadCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		c := ck.Config
+		if c.Nx > 4 || c.Ny > 4 || c.Layers > 4 || c.Nx*c.Ny*c.Layers > 16 || c.L > 40 || c.Devices > 2 {
+			return // keep each input cheap; size is not what this target probes
+		}
+		sim, err := Resume(ck)
+		if (err == nil) == (sim == nil) {
+			t.Fatalf("Resume returned (%v, %v): want exactly one of a simulation and an error", sim, err)
+		}
+	})
 }

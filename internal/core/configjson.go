@@ -13,8 +13,9 @@ import (
 // document. The major is bumped on any change that renames, retypes or
 // removes a field; adding a field bumps the minor only (decoders ignore
 // fields they don't know, so minors are forward- and backward-readable).
-// 2.0 removed the oracle-only "nostack" key.
-const ConfigSchemaVersion = "2.0"
+// 2.0 removed the oracle-only "nostack" key; 3.0 removed the five autopilot
+// tuning keys.
+const ConfigSchemaVersion = "3.0"
 
 // plainConfig is Config without its JSON methods: encoding/json walks the
 // tagged fields themselves.

@@ -11,9 +11,10 @@ import (
 // TestConfigGoldenEncoding pins the wire bytes, the hash input and the hash
 // of the default configuration and of one with every field set. The strings
 // are the Config 1.0 encoder's output for the same values with the "nostack"
-// key cut out and the stamp changed to 2.0, so encoding through Config's own
-// tags changed nothing else; the hashes are the SHA-256 of the canonical
-// strings, computed outside this package.
+// key and the five autopilot tuning keys cut out and the stamp changed to
+// 3.0, so encoding through Config's own tags changed nothing else; the
+// hashes are the SHA-256 of the canonical strings, computed outside this
+// package.
 func TestConfigGoldenEncoding(t *testing.T) {
 	full := Config{
 		Nx: 6, Ny: 5, Layers: 2, T: 1.25, Ty: 0.75, TPrime: -0.3, Tperp: 0.5,
@@ -22,12 +23,11 @@ func TestConfigGoldenEncoding(t *testing.T) {
 		ClusterK: 6, Delay: 16, PrePivot: true, SerialSpins: true,
 		MeasureBoundaries: true, MeasureDynamics: true, StabilityCheckEvery: 3,
 		Devices: 2, UseGraphs: true,
-		Autopilot: true, AutopilotMinK: 2, AutopilotMaxK: 12,
-		AutopilotCondCeil: 250, AutopilotDriftCeil: 1e-5, AutopilotResidualCeil: 1e-8,
-		Seed: 18446744073709551557,
+		Autopilot: true,
+		Seed:      18446744073709551557,
 	}
-	if v := reflect.ValueOf(full); v.NumField() != 29 {
-		t.Fatalf("Config has %d fields, want 29: extend the golden config", v.NumField())
+	if v := reflect.ValueOf(full); v.NumField() != 24 {
+		t.Fatalf("Config has %d fields, want 24: extend the golden config", v.NumField())
 	} else {
 		for i := 0; i < v.NumField(); i++ {
 			if v.Field(i).IsZero() {
@@ -41,11 +41,11 @@ func TestConfigGoldenEncoding(t *testing.T) {
 		canonical, hash string
 	}{
 		{"default", DefaultConfig(),
-			`{"nx":4,"ny":4,"layers":1,"t":1,"ty":0,"tprime":0,"tperp":0,"u":4,"mu":0,"beta":2,"l":10,"warm":50,"meas":100,"k":10,"delay":32,"prepivot":true,"serial_spins":false,"measure_boundaries":true,"measure_dynamics":false,"stability_check_every":0,"devices":0,"graphs":false,"autopilot":false,"autopilot_min_k":0,"autopilot_max_k":0,"autopilot_cond_ceil":0,"autopilot_drift_ceil":0,"autopilot_residual_ceil":0,"seed":1}`,
-			"89db71ac65aa220bbe7a9d12076c86ceb569b81ec09932ac7b2541d3cbe49309"},
+			`{"nx":4,"ny":4,"layers":1,"t":1,"ty":0,"tprime":0,"tperp":0,"u":4,"mu":0,"beta":2,"l":10,"warm":50,"meas":100,"k":10,"delay":32,"prepivot":true,"serial_spins":false,"measure_boundaries":true,"measure_dynamics":false,"stability_check_every":0,"devices":0,"graphs":false,"autopilot":false,"seed":1}`,
+			"2f62797aec2eb027781da7af584f07dd22c8e524cae93579fdd60d3252732ebc"},
 		{"full", full,
-			`{"nx":6,"ny":5,"layers":2,"t":1.25,"ty":0.75,"tprime":-0.3,"tperp":0.5,"u":6.5,"mu":-0.125,"beta":7.5,"l":60,"warm":11,"meas":23,"k":6,"delay":16,"prepivot":true,"serial_spins":true,"measure_boundaries":true,"measure_dynamics":true,"stability_check_every":3,"devices":2,"graphs":true,"autopilot":true,"autopilot_min_k":2,"autopilot_max_k":12,"autopilot_cond_ceil":250,"autopilot_drift_ceil":0.00001,"autopilot_residual_ceil":1e-8,"seed":18446744073709551557}`,
-			"ffb47282d1d3fe78ca836bc271108627a398ae4595120187d385452e413e9277"},
+			`{"nx":6,"ny":5,"layers":2,"t":1.25,"ty":0.75,"tprime":-0.3,"tperp":0.5,"u":6.5,"mu":-0.125,"beta":7.5,"l":60,"warm":11,"meas":23,"k":6,"delay":16,"prepivot":true,"serial_spins":true,"measure_boundaries":true,"measure_dynamics":true,"stability_check_every":3,"devices":2,"graphs":true,"autopilot":true,"seed":18446744073709551557}`,
+			"a1e59c8ba03186869958ddf5c9c3de722b79cc802c8e37b761722b3a394d774a"},
 	} {
 		if got := string(tc.cfg.CanonicalJSON()); got != tc.canonical {
 			t.Errorf("%s: CanonicalJSON\n got %s\nwant %s", tc.name, got, tc.canonical)
@@ -53,7 +53,7 @@ func TestConfigGoldenEncoding(t *testing.T) {
 		if got := tc.cfg.Hash(); got != tc.hash {
 			t.Errorf("%s: Hash = %s, want %s", tc.name, got, tc.hash)
 		}
-		wire := `{"schema_version":"2.0",` + tc.canonical[1:]
+		wire := `{"schema_version":"3.0",` + tc.canonical[1:]
 		data, err := json.Marshal(tc.cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -125,12 +125,13 @@ func TestConfigUnmarshalVersioning(t *testing.T) {
 		t.Fatalf("decode kept a stale field: %+v (%v)", c, err)
 	}
 	// Same major: accepted even with a newer minor.
-	if err := json.Unmarshal([]byte(`{"schema_version":"2.9","nx":2}`), &c); err != nil {
+	if err := json.Unmarshal([]byte(`{"schema_version":"3.9","nx":2}`), &c); err != nil {
 		t.Fatalf("minor skew rejected: %v", err)
 	}
-	// Another major — the 1.0 documents that could carry "nostack", and the
-	// future — is rejected.
-	for _, v := range []string{"1.0", "3.0"} {
+	// Another major — the 1.0 documents that could carry "nostack", the 2.0
+	// ones that could carry the autopilot tuning keys, and the future — is
+	// rejected.
+	for _, v := range []string{"1.0", "2.0", "4.0"} {
 		err := json.Unmarshal([]byte(`{"schema_version":"`+v+`","nx":2}`), &c)
 		if err == nil || !strings.Contains(err.Error(), "incompatible") {
 			t.Fatalf("major %s not rejected: %v", v, err)

@@ -90,20 +90,10 @@ type Config struct {
 	// Autopilot enables the stability feedback controller
 	// (internal/autopilot): the run's live telemetry — wrap drift, strat
 	// residual, UDT condition — adapts ClusterK and StabilityCheckEvery
-	// between sweeps instead of holding the hand-tuned values. Requires a
-	// single walker. When on and StabilityCheckEvery is 0, the cadence
-	// starts at 4.
+	// between sweeps instead of holding the hand-tuned values, never above
+	// the configured ClusterK. Requires a single walker. When on and
+	// StabilityCheckEvery is 0, the cadence starts at 4.
 	Autopilot bool `json:"autopilot"`
-	// AutopilotMinK / AutopilotMaxK bound the adapted cluster size
-	// (0 = controller defaults: 1 and the configured ClusterK).
-	AutopilotMinK int `json:"autopilot_min_k"`
-	AutopilotMaxK int `json:"autopilot_max_k"`
-	// AutopilotCondCeil (log10), AutopilotDriftCeil and
-	// AutopilotResidualCeil are the shrink thresholds (0 = controller
-	// defaults: 280, 1e-3, 1e-9).
-	AutopilotCondCeil     float64 `json:"autopilot_cond_ceil"`
-	AutopilotDriftCeil    float64 `json:"autopilot_drift_ceil"`
-	AutopilotResidualCeil float64 `json:"autopilot_residual_ceil"`
 
 	Seed uint64 `json:"seed"`
 }
@@ -148,19 +138,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: delay block size must be >= 0 (0 = default), got %d", c.Delay)
 	case c.StabilityCheckEvery < 0:
 		return fmt.Errorf("core: stability check cadence must be >= 0 (0 = off), got %d", c.StabilityCheckEvery)
-	case c.AutopilotMinK < 0 || c.AutopilotMaxK < 0:
-		return fmt.Errorf("core: autopilot k bounds must be >= 0 (0 = default), got min %d max %d", c.AutopilotMinK, c.AutopilotMaxK)
-	case c.AutopilotMinK > 0 && c.AutopilotMaxK > 0 && c.AutopilotMinK > c.AutopilotMaxK:
-		return fmt.Errorf("core: autopilot min k %d exceeds max k %d", c.AutopilotMinK, c.AutopilotMaxK)
 	case c.Devices < 0:
 		return fmt.Errorf("core: device count must be >= 0 (0 = CPU sweeper), got %d", c.Devices)
 	case c.UseGraphs && c.Devices < 1:
 		return fmt.Errorf("core: command graphs need a device (set Devices >= 1)")
-	case math.IsNaN(c.AutopilotCondCeil) || c.AutopilotCondCeil < 0 ||
-		math.IsNaN(c.AutopilotDriftCeil) || c.AutopilotDriftCeil < 0 ||
-		math.IsNaN(c.AutopilotResidualCeil) || c.AutopilotResidualCeil < 0:
-		return fmt.Errorf("core: autopilot ceilings must be >= 0 and not NaN (cond %v drift %v residual %v)",
-			c.AutopilotCondCeil, c.AutopilotDriftCeil, c.AutopilotResidualCeil)
 	}
 	return nil
 }
@@ -279,19 +260,7 @@ func newBase(cfg Config, col *obs.Collector) (*Simulation, error) {
 		// The controller wants a divisor of L where Config takes any k. A
 		// zero cadence takes the controller's default: it is blind without
 		// residual samples.
-		sim.pilot, err = autopilot.New(autopilot.Config{
-			L:                 cfg.L,
-			InitialK:          update.SnapClusterK(cfg.L, cfg.ClusterK),
-			InitialCheckEvery: cfg.StabilityCheckEvery,
-			MinK:              cfg.AutopilotMinK,
-			MaxK:              cfg.AutopilotMaxK,
-			CondCeilLog10:     cfg.AutopilotCondCeil,
-			DriftCeil:         cfg.AutopilotDriftCeil,
-			ResidualCeil:      cfg.AutopilotResidualCeil,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: autopilot: %w", err)
-		}
+		sim.pilot = autopilot.New(cfg.L, update.SnapClusterK(cfg.L, cfg.ClusterK), cfg.StabilityCheckEvery)
 	}
 	return sim, nil
 }

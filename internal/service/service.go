@@ -63,7 +63,8 @@ type Options struct {
 	FaultHook func(jobID string, shard, sweep int) bool
 }
 
-func (o Options) withDefaults() Options {
+// defaulted returns o with every unset field given its default.
+func (o Options) defaulted() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
 	}
@@ -111,7 +112,7 @@ type Server struct {
 
 // New builds a Server and starts its worker pool.
 func New(opts Options) (*Server, error) {
-	opts = opts.withDefaults()
+	opts = opts.defaulted()
 	s := &Server{
 		opts:  opts,
 		jobs:  map[string]*job{},

@@ -251,11 +251,12 @@ func NewSweeper(p *hubbard.Propagator, f *hubbard.Field, r *rng.Rand, opts Optio
 
 // SnapClusterK returns the cluster size a Sweeper over l slices runs for a
 // requested k: the default 10 when k < 1, decremented to the nearest divisor
-// of l.
+// of l (l itself when k >= l).
 func SnapClusterK(l, k int) int {
 	if k < 1 {
 		k = 10
 	}
+	k = min(k, l)
 	for l%k != 0 {
 		k--
 	}

@@ -245,6 +245,11 @@ func TestClusterKAdjusts(t *testing.T) {
 	if 9%sw.ClusterK() != 0 {
 		t.Fatalf("ClusterK %d does not divide L=9", sw.ClusterK())
 	}
+	// A k far above L (a decoded checkpoint can carry any int) snaps to L
+	// at once instead of counting down to it.
+	if k := SnapClusterK(9, math.MaxInt); k != 9 {
+		t.Fatalf("SnapClusterK(9, MaxInt) = %d, want 9", k)
+	}
 }
 
 // TestSetClusterKMidRun resizes k between sweeps — the autopilot's actuator

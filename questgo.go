@@ -114,9 +114,8 @@ func NewSimulation(cfg Config) (*Simulation, error) { return core.New(cfg) }
 //	stability_check_every  stack-vs-rebuild residual cadence (0 = off)
 //	devices           simulated accelerators (0 = CPU sweeper)
 //	graphs            true = device command-graph capture/replay
-//	autopilot         true = adapt k and check cadence from live telemetry
-//	autopilot_min_k, autopilot_max_k  bounds on the adapted k (0 = defaults)
-//	autopilot_{cond,drift,residual}_ceil  shrink thresholds (0 = defaults)
+//	autopilot         true = adapt k (up to the configured k) and check
+//	                  cadence from live telemetry
 //	seed              RNG seed
 func LoadConfig(path string) (Config, error) {
 	f, err := config.Load(path)

@@ -35,12 +35,13 @@ echo "== Verify: portable micro-kernel build (-tags purego)"
 go test -tags purego ./internal/blas/ ./internal/lapack/ ./internal/greens/ ./internal/update/
 # ... and gemm_generic.go is invisible to hotalloc/poolpair/nakedpanic otherwise.
 GOFLAGS=-tags=purego go run ./cmd/qmclint ./internal/blas ./internal/lapack ./internal/mat
-echo "== Verify: fuzz kernels against reference implementations (10s each)"
+echo "== Verify: fuzz kernels against reference implementations, checkpoint decode (10s each)"
 go test ./internal/blas/ -run NoSuchTest -fuzz 'FuzzGemmPackedVsNaive$' -fuzztime 10s
 go test ./internal/blas/ -run NoSuchTest -fuzz 'FuzzVecKernels$' -fuzztime 10s
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzQRReconstruct$' -fuzztime 10s
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzGetrf$' -fuzztime 10s
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzQRPBlockedVsLevel2$' -fuzztime 10s
+go test ./internal/core/ -run NoSuchTest -fuzz 'FuzzResumeCheckpoint$' -fuzztime 10s
 # The multi-size kernel series. 16 and 36 are the sizes service jobs run at
 # (4x4, and 6x6 with partial tiles), 144 the benchmark's large_dense.
 # (Blocked QRP >= level-2 at N=512 is TestQRPBlockedNotSlowerThanLevel2 in
@@ -48,8 +49,6 @@ go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzQRPBlockedVsLevel2$' -fuzz
 go run ./cmd/figures -fig=1 -sizes 16,36,64,128,144,256,512,1024 -reps 2 -json BENCH_gemm.json
 echo "== Verify: metrics instrumentation overhead gate (<2% on the sweep hot path)"
 go run ./cmd/sweep -obscheck
-echo "== Verify: stability autopilot ablation (residual held, cadence no denser, no slower)"
-go run ./cmd/sweep -autopilot BENCH_autopilot.json -apgate
 # The command-graph/multi-device and service-cache gates are tests the
 # qmcdebug pass above already ran: TestGraphLaunchAmortization,
 # TestModeledClockGolden, TestSweeperDeviceAndGraphInvariance, TestCacheHit.
