@@ -54,7 +54,7 @@ var mutants = []struct {
 		GuardedField, "job.firstSeq is guarded by"},
 
 	{"make in a //qmc:hot function", "internal/update/update.go",
-		"\tgii := s.g.At(i, i)\n", "\tgii := s.g.At(i, i) + make([]float64, 1)[0]\n",
+		"\tgii := s.g.Data[i+i*s.g.Stride]\n", "\tgii := s.g.Data[i+i*s.g.Stride] + make([]float64, 1)[0]\n",
 		HotAlloc, "hot path calls make"},
 	{"make in internal/blas", "internal/blas/level1.go",
 		"\tvar s0, s1, s2, s3 float64\n\tn := len(x)\n", "\tvar s0, s1, s2, s3 float64\n\tn := len(append(x, 0)) - 1\n",

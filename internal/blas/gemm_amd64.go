@@ -35,6 +35,9 @@ func xgetbv0() (eax, edx uint32)
 func axpyAVX2(n int64, alpha float64, x, y *float64)
 
 //go:noescape
+func axpyColsAVX2(n, m int64, a *float64, lda int64, x *float64, incx int64, y0 *float64, incy0 int64, scale float64, y *float64)
+
+//go:noescape
 func dotAVX2(n int64, x, y *float64) float64
 
 //go:noescape
@@ -56,7 +59,7 @@ func microKernel(kc int, a, b, c []float64, ldc int) {
 	}
 }
 
-// axpy, dot, packRows and packCols are the stride-1 layer under the
+// axpy, axpyCols, dot, packRows and packCols are the stride-1 layer under the
 // micro-kernel: on the CPUs that run an assembly kernel (kernMR == 8) they hand a
 // non-empty vector or a full micro-panel to the AVX2 kernels of
 // gemm_amd64.s, and everything else — other CPUs, partial panels, n = 0 —
@@ -73,6 +76,23 @@ func axpy(alpha float64, x, y []float64) {
 		return
 	}
 	axpyGo(alpha, x, y)
+}
+
+// axpyCols computes y[i] = scale*(y0[i*incy0] + sum_t x[t*incx]*a[t*lda+i])
+// for i < n, ±0 coefficients skipped: the m axpy calls, bitwise, in one pass
+// over y, and one multiply per element on the way out.
+func axpyCols(n, m int, a []float64, lda int, x []float64, incx int, y0 []float64, incy0 int, scale float64, y []float64) {
+	if kernMR == 8 && n > 0 {
+		_, _ = y0[(n-1)*incy0], y[n-1]
+		pa, px := &y[0], &y[0] // m = 0 reads neither a nor x, which may be empty
+		if m > 0 {
+			_, _ = a[(m-1)*lda+n-1], x[(m-1)*incx]
+			pa, px = &a[0], &x[0]
+		}
+		axpyColsAVX2(int64(n), int64(m), pa, int64(lda), px, int64(incx), &y0[0], int64(incy0), scale, &y[0])
+		return
+	}
+	axpyColsGo(n, m, a, lda, x, incx, y0, incy0, scale, y)
 }
 
 // dot returns x . y over len(x) <= len(y) elements.

@@ -151,12 +151,14 @@ write8:
 	VZEROUPPER
 	RET
 
-// The four stride-1 kernels below make their results a function of (n,
+// The five stride-1 kernels below make their results a function of (n,
 // values) alone: every load and store is unaligned (no peeling on the
 // address), a vector's element count (and the transposing pack's kc) is
 // consumed as the widest blocks first and scalars last, in an order that
 // depends on the count only, and a count of 0 never reaches them (the Go
-// wrappers in gemm_amd64.go check extents first).
+// wrappers in gemm_amd64.go check extents first). The hot loops of axpy,
+// axpyCols and dot start on a cache-line boundary, as the micro-kernels'
+// k loops do, so their rate does not move with the linker's placement.
 
 // func axpyAVX2(n int64, alpha float64, x, y *float64)
 //
@@ -170,6 +172,7 @@ TEXT ·axpyAVX2(SB), NOSPLIT, $0-32
 	SUBQ         $16, CX
 	JL           axpy4
 
+	PCALIGN $64
 axpy16:
 	VMOVUPD     (DI), Y1
 	VMOVUPD     32(DI), Y2
@@ -218,6 +221,194 @@ axpydone:
 	VZEROUPPER
 	RET
 
+// func axpyColsAVX2(n, m int64, a *float64, lda int64, x *float64, incx int64, y0 *float64, incy0 int64, scale float64, y *float64)
+//
+// y[i] = scale * (y0[i*incy0] + sum_t x[t*incx]*a[t*lda+i]) for i in
+// [0, n): each element's chain is fma(x[t*incx], a[t*lda+i], .) for t in
+// [0, m) ascending, skipping every t whose x[t*incx] is ±0 — the m
+// axpyAVX2 calls Axpy would make, bit for bit — then one multiply by scale.
+// A row block is loaded from y0 once (four contiguous loads, or sixteen
+// strided ones when incy0 is not 1), held in registers across t, scaled
+// there and stored to y once; y0 may be y itself. Rows go as 16-row blocks
+// (four ymm accumulators), then 4-row blocks, then single rows; m = 0 is
+// the gather and the scaling alone. The
+// zero test is on the bits with the sign shifted out, so a NaN coefficient
+// is never skipped.
+TEXT ·axpyColsAVX2(SB), NOSPLIT, $0-80
+	MOVQ         n+0(FP), CX
+	MOVQ         a+16(FP), SI
+	MOVQ         lda+24(FP), R8
+	MOVQ         x+32(FP), DX
+	MOVQ         incx+40(FP), R9
+	MOVQ         y0+48(FP), R13
+	MOVQ         incy0+56(FP), BX
+	VBROADCASTSD scale+64(FP), Y5
+	MOVQ         y+72(FP), DI
+	SHLQ         $3, R8      // lda in bytes
+	SHLQ         $3, R9      // incx in bytes
+	SHLQ         $3, BX      // incy0 in bytes
+	SUBQ         $16, CX
+	JL           acols4
+
+acols16:
+	CMPQ    BX, $8
+	JNE     acols16strided
+	VMOVUPD (R13), Y0
+	VMOVUPD 32(R13), Y1
+	VMOVUPD 64(R13), Y2
+	VMOVUPD 96(R13), Y3
+	ADDQ    $128, R13
+	JMP     acols16run
+
+acols16strided:
+	MOVQ        R13, AX
+	VMOVSD      (AX), X0
+	VMOVHPD     (AX)(BX*1), X0, X0
+	LEAQ        (AX)(BX*2), AX
+	VMOVSD      (AX), X6
+	VMOVHPD     (AX)(BX*1), X6, X6
+	LEAQ        (AX)(BX*2), AX
+	VINSERTF128 $1, X6, Y0, Y0
+	VMOVSD      (AX), X1
+	VMOVHPD     (AX)(BX*1), X1, X1
+	LEAQ        (AX)(BX*2), AX
+	VMOVSD      (AX), X6
+	VMOVHPD     (AX)(BX*1), X6, X6
+	LEAQ        (AX)(BX*2), AX
+	VINSERTF128 $1, X6, Y1, Y1
+	VMOVSD      (AX), X2
+	VMOVHPD     (AX)(BX*1), X2, X2
+	LEAQ        (AX)(BX*2), AX
+	VMOVSD      (AX), X6
+	VMOVHPD     (AX)(BX*1), X6, X6
+	LEAQ        (AX)(BX*2), AX
+	VINSERTF128 $1, X6, Y2, Y2
+	VMOVSD      (AX), X3
+	VMOVHPD     (AX)(BX*1), X3, X3
+	LEAQ        (AX)(BX*2), AX
+	VMOVSD      (AX), X6
+	VMOVHPD     (AX)(BX*1), X6, X6
+	LEAQ        (AX)(BX*2), AX
+	VINSERTF128 $1, X6, Y3, Y3
+	MOVQ        AX, R13
+
+acols16run:
+	MOVQ  SI, R10            // a[t*lda + block]
+	MOVQ  DX, R11            // x[t*incx]
+	MOVQ  m+8(FP), R12       // columns left
+	TESTQ R12, R12
+	JEQ   acols16store
+
+	PCALIGN $64
+acols16t:
+	MOVQ         (R11), AX
+	SHLQ         $1, AX
+	JEQ          acols16skip
+	VBROADCASTSD (R11), Y4
+	VFMADD231PD  (R10), Y4, Y0
+	VFMADD231PD  32(R10), Y4, Y1
+	VFMADD231PD  64(R10), Y4, Y2
+	VFMADD231PD  96(R10), Y4, Y3
+
+acols16skip:
+	ADDQ    R8, R10
+	ADDQ    R9, R11
+	DECQ    R12
+	JNE     acols16t
+
+acols16store:
+	VMULPD  Y5, Y0, Y0
+	VMULPD  Y5, Y1, Y1
+	VMULPD  Y5, Y2, Y2
+	VMULPD  Y5, Y3, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $16, CX
+	JGE     acols16
+
+acols4:
+	ADDQ $12, CX
+	JL   acols1
+
+acols4loop:
+	MOVQ        R13, AX
+	VMOVSD      (AX), X0
+	VMOVHPD     (AX)(BX*1), X0, X0
+	LEAQ        (AX)(BX*2), AX
+	VMOVSD      (AX), X6
+	VMOVHPD     (AX)(BX*1), X6, X6
+	LEAQ        (AX)(BX*2), AX
+	VINSERTF128 $1, X6, Y0, Y0
+	MOVQ        AX, R13
+	MOVQ        SI, R10
+	MOVQ        DX, R11
+	MOVQ        m+8(FP), R12
+	TESTQ       R12, R12
+	JEQ         acols4store
+
+acols4t:
+	MOVQ         (R11), AX
+	SHLQ         $1, AX
+	JEQ          acols4skip
+	VBROADCASTSD (R11), Y4
+	VFMADD231PD  (R10), Y4, Y0
+
+acols4skip:
+	ADDQ    R8, R10
+	ADDQ    R9, R11
+	DECQ    R12
+	JNE     acols4t
+
+acols4store:
+	VMULPD  Y5, Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JGE     acols4loop
+
+acols1:
+	ADDQ $4, CX
+	JE   acolsdone
+
+acols1loop:
+	VMOVSD (R13), X0
+	ADDQ   BX, R13
+	MOVQ   SI, R10
+	MOVQ   DX, R11
+	MOVQ   m+8(FP), R12
+	TESTQ  R12, R12
+	JEQ    acols1store
+
+acols1t:
+	MOVQ        (R11), AX
+	SHLQ        $1, AX
+	JEQ         acols1skip
+	VMOVSD      (R11), X4
+	VFMADD231SD (R10), X4, X0
+
+acols1skip:
+	ADDQ   R8, R10
+	ADDQ   R9, R11
+	DECQ   R12
+	JNE    acols1t
+
+acols1store:
+	VMULSD X5, X0, X0
+	VMOVSD X0, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	DECQ   CX
+	JNE    acols1loop
+
+acolsdone:
+	VZEROUPPER
+	RET
+
 // func dotAVX2(n int64, x, y *float64) float64
 //
 // Fixed reduction order: 16-wide blocks accumulate into four ymm registers
@@ -237,6 +428,7 @@ TEXT ·dotAVX2(SB), NOSPLIT, $0-32
 	SUBQ   $16, CX
 	JL     dot4
 
+	PCALIGN $64
 dot16:
 	VMOVUPD     (SI), Y5
 	VMOVUPD     32(SI), Y6

@@ -9,6 +9,10 @@ func microKernel(kc int, a, b, c []float64, ldc int) { microKernel4x4(kc, a, b, 
 
 func axpy(alpha float64, x, y []float64) { axpyGo(alpha, x, y) }
 
+func axpyCols(n, m int, a []float64, lda int, x []float64, incx int, y0 []float64, incy0 int, scale float64, y []float64) {
+	axpyColsGo(n, m, a, lda, x, incx, y0, incy0, scale, y)
+}
+
 func dot(x, y []float64) float64 { return dotGo(x, y) }
 
 func packRows(dst, src []float64, ld, kc, w, iw int, alpha float64) {

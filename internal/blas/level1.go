@@ -8,10 +8,11 @@
 // to refresh column norms. This package reproduces that hierarchy in pure
 // Go plus one vector layer: Gemm is blocked, packed and parallel over an
 // 8x4 AVX2/FMA micro-kernel, and the stride-1 loops every other routine
-// reduces to — axpy, dot and the two packing copies — run as AVX2 kernels
-// on the same CPUs (gemm_amd64.go). The Go loops in this package are the
-// portable bodies: what a purego or non-amd64 build runs everywhere, and
-// what an AVX2 build runs on partial panels only.
+// reduces to — axpy, its column-blocked form axpyCols, dot and the two
+// packing copies — run as AVX2 kernels on the same CPUs (gemm_amd64.go).
+// The Go loops in this package are the portable bodies: what a purego or
+// non-amd64 build runs everywhere, and what an AVX2 build runs on partial
+// panels only.
 package blas
 
 import (
@@ -62,6 +63,47 @@ func axpyGo(alpha float64, x, y []float64) {
 	y = y[:len(x)]
 	for i, v := range x {
 		y[i] += alpha * v
+	}
+}
+
+// AxpyCols computes y[i] = scale * (y0[i*incy0] + sum_t x[t*incx] * A[i, t])
+// for i < n over the m columns of the column-major n x m matrix held in a
+// with leading dimension lda. Each element's sum is bit for bit what the m
+// calls Axpy(x[t*incx], A[:n, t], y) make of it in ascending t, a column
+// whose coefficient is ±0 skipped as Axpy skips it, and the scaling is one
+// multiply after it: with y0 = y, incy0 = 1 and scale = 1, AxpyCols is those
+// calls. y0 may be y itself (incy0 1) and otherwise must not overlap it. The
+// vector kernel loads each block of rows from y0 once, keeps it in registers
+// across the columns instead of re-reading and re-writing it once per call,
+// and scales it on the way out to y.
+func AxpyCols(n, m int, a []float64, lda int, x []float64, incx int, y0 []float64, incy0 int, scale float64, y []float64) {
+	if n < 0 || m < 0 || lda < max(n, 1) || incx < 1 || incy0 < 1 {
+		panic(fmt.Sprintf("blas: AxpyCols bad shape: n=%d m=%d lda=%d incx=%d incy0=%d", n, m, lda, incx, incy0))
+	}
+	if n == 0 {
+		return
+	}
+	if len(y) < n || len(y0) < (n-1)*incy0+1 || m > 0 && (len(a) < (m-1)*lda+n || len(x) < (m-1)*incx+1) {
+		panic(fmt.Sprintf("blas: AxpyCols length mismatch: n=%d m=%d lda=%d incx=%d incy0=%d len(a)=%d len(x)=%d len(y0)=%d len(y)=%d",
+			n, m, lda, incx, incy0, len(a), len(x), len(y0), len(y)))
+	}
+	axpyCols(n, m, a, lda, x, incx, y0, incy0, scale, y)
+}
+
+// axpyColsGo is the portable body of axpyCols: the gather from y0, the Axpy
+// calls themselves, then the scaling.
+func axpyColsGo(n, m int, a []float64, lda int, x []float64, incx int, y0 []float64, incy0 int, scale float64, y []float64) {
+	y = y[:n]
+	for i := range y {
+		y[i] = y0[i*incy0]
+	}
+	for t := 0; t < m; t++ {
+		if alpha := x[t*incx]; alpha != 0 {
+			axpyGo(alpha, a[t*lda:t*lda+n], y)
+		}
+	}
+	for i := range y {
+		y[i] *= scale
 	}
 }
 

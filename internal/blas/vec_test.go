@@ -9,15 +9,20 @@ import (
 	"questgo/internal/rng"
 )
 
-// The stride-1 layer (axpy, dot, packRows, packCols) has two bodies on an
-// AVX2 build and one everywhere else. The oracles below hold for whichever
-// body the build selects, and are what both TestVecKernelsMatchPortable and
-// FuzzVecKernels run:
+// The stride-1 layer (axpy, axpyCols, dot, packRows, packCols) has two
+// bodies on an AVX2 build and one everywhere else. The oracles below hold for
+// whichever body the build selects, and are what TestVecKernelsMatchPortable,
+// TestAxpyColsMatchesAxpy and FuzzVecKernels run:
 //
 //   - packs: bitwise the portable loop, nothing written past kc*w, nothing
 //     read outside the kc x w source window;
 //   - axpy: bitwise math.FMA(alpha, x[i], y[i]) where the vector kernel runs
 //     (kernMR == 8), within the unfused loop's two roundings of it otherwise; y[n:] untouched;
+//   - axpyCols: bitwise the gather from y0, the axpy calls it replaces (±0
+//     coefficients skipped) and one multiply by the scale per element, on
+//     the selected body against axpy and on the portable body against
+//     axpyGo, whatever the coefficients (NaN, ±Inf, subnormal); nothing read
+//     outside the n x m window or y0's n strided elements, y[n:] untouched;
 //   - dot: within n*eps*sum|x_i*y_i| of the exact sum;
 //   - every result is the same bits whatever the operands' offset into
 //     their backing arrays (no alignment peeling).
@@ -96,6 +101,101 @@ func checkAxpy(t *testing.T, n int, alpha float64, seed uint64) {
 			ref = append(ref, y...)
 		} else if !bitsEqual(y, ref) {
 			t.Fatalf("axpy n=%d alpha=%v: bits at offset %d differ from offset 0", n, alpha, off)
+		}
+	}
+}
+
+// checkAxpyCols runs one n x m AxpyCols, A at leading dimension lda > n
+// with every element outside the window NaN, against what it stands for: y
+// gathered from y0, the Axpy calls, a multiply by scale — the selected body
+// against axpy, the portable body against axpyGo. incy0 0 runs in place (y0
+// is y); otherwise y0 is its own operand at that stride with NaN between its
+// elements. The coefficients mix graded values with ±0 and subnormals, and
+// with wild set also NaN and ±Inf (A then holds a few infinities too); the
+// starting values hold a few -0, which a coefficient of +0 would turn into
+// +0 if it were not skipped.
+func checkAxpyCols(t *testing.T, n, m, incx, incy0 int, scale float64, wild bool, seed uint64) {
+	t.Helper()
+	r := rng.New(seed)
+	lda := n + 1 + int(seed%3)
+	aoff, xoff, yoff := int(seed%4), int(seed/4%4), int(seed/16%4)
+	graded := func() float64 { return math.Ldexp(2*r.Float64()-1, int(r.Float64()*40)-20) }
+	specials := []float64{0, math.Copysign(0, -1), 0x1p-1060, -3e-320}
+	if wild {
+		specials = append(specials, math.NaN(), math.Inf(1), math.Inf(-1))
+	}
+	nans := func(n int) []float64 {
+		v := make([]float64, n+vecPad)
+		for i := range v {
+			v[i] = math.NaN()
+		}
+		return v
+	}
+	a := nans(aoff + m*lda)[aoff:]
+	for c := 0; c < m; c++ {
+		for i := 0; i < n; i++ {
+			a[c*lda+i] = graded()
+			if wild && r.Float64() < 0.02 {
+				a[c*lda+i] = math.Inf(1)
+			}
+		}
+	}
+	x := nans(xoff + m*incx)[xoff:] // NaN between the strided coefficients
+	for c := 0; c < m; c++ {
+		x[c*incx] = graded()
+		if r.Float64() < 0.25 {
+			x[c*incx] = specials[int(r.Float64()*float64(len(specials)))]
+		}
+	}
+	start := func() float64 {
+		if r.Float64() < 0.1 {
+			return math.Copysign(0, -1)
+		}
+		return graded()
+	}
+	yback, y := vecOperand(r, yoff, n, sentinel)
+	for i := range y {
+		y[i] = start()
+	}
+	var y0 []float64
+	if incy0 > 0 {
+		y0 = nans(3 + n*incy0)[3:]
+		for i := 0; i < n; i++ {
+			y0[i*incy0] = start()
+		}
+	}
+	for _, body := range []struct {
+		name string
+		cols func(n, m int, a []float64, lda int, x []float64, incx int, y0 []float64, incy0 int, scale float64, y []float64)
+		axpy func(alpha float64, x, y []float64)
+	}{
+		{"selected", AxpyCols, axpy},
+		{"portable", axpyColsGo, axpyGo},
+	} {
+		got := append([]float64(nil), yback...)
+		want := append([]float64(nil), yback...)
+		src, inc := got[yoff:], 1
+		if incy0 > 0 {
+			src, inc = y0, incy0
+			for i := 0; i < n; i++ {
+				want[yoff+i] = y0[i*incy0]
+			}
+		}
+		body.cols(n, m, a, lda, x, incx, src, inc, scale, got[yoff:])
+		for c := 0; c < m; c++ {
+			if alpha := x[c*incx]; alpha != 0 {
+				body.axpy(alpha, a[c*lda:c*lda+n], want[yoff:yoff+n])
+			}
+		}
+		for i := range want[yoff : yoff+n] {
+			want[yoff+i] *= scale
+		}
+		if !untouched(got, yoff, n, sentinel) {
+			t.Fatalf("axpyCols (%s) n=%d m=%d incx=%d incy0=%d: wrote outside y[:n]", body.name, n, m, incx, incy0)
+		}
+		if !bitsEqual(got, want) {
+			t.Fatalf("axpyCols (%s) n=%d m=%d lda=%d incx=%d incy0=%d scale=%v wild=%v: not bitwise the gather, %d axpy calls and the scaling\n got %v\nwant %v",
+				body.name, n, m, lda, incx, incy0, scale, wild, m, got[yoff:yoff+n], want[yoff:yoff+n])
 		}
 	}
 }
@@ -187,6 +287,28 @@ func TestVecKernelsMatchPortable(t *testing.T) {
 			for _, w := range []int{4, 8} {
 				checkPack(t, true, n, w, w+5, alpha, seed)
 				checkPack(t, false, n, w, n+3, alpha, seed)
+			}
+		}
+	}
+}
+
+// TestAxpyColsMatchesAxpy: the column-blocked axpy against the Axpy calls
+// it replaces, for every row count 0..67 (all 16/4/1 block remainders, four
+// times over) and column count 0..33 (past a full delay block), contiguous
+// and strided coefficients, tame and non-finite ones, starting values in
+// place, contiguous or strided, and the scales push uses (1 is the bare Axpy
+// calls, -1 a negation) and another.
+func TestAxpyColsMatchesAxpy(t *testing.T) {
+	scales := []float64{1, -1, -0.3}
+	for n := 0; n <= 67; n++ {
+		for m := 0; m <= 33; m++ {
+			for _, incx := range []int{1, 3} {
+				for _, wild := range []bool{false, true} {
+					seed := uint64(n*1000 + m*10 + incx)
+					for i, incy0 := range []int{0, 1, 5} { // 0: in place
+						checkAxpyCols(t, n, m, incx, incy0, scales[(int(seed)+i)%3], wild, seed)
+					}
+				}
 			}
 		}
 	}

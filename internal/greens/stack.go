@@ -8,7 +8,6 @@ import (
 	"questgo/internal/check"
 	"questgo/internal/lapack"
 	"questgo/internal/mat"
-	"questgo/internal/obs"
 )
 
 // StratStack amortizes the per-boundary stratified Green's function
@@ -56,11 +55,12 @@ type StratStack struct {
 	prefix UDT
 	suf    []UDT // suf[j]: transposed-suffix snapshot, j = 1..NC-1
 
-	// Obs, when non-nil, receives a UDT condition estimate
-	// (log10 max|D|/min|D|) for every boundary evaluation — the stability
+	// cond is the UDT condition estimate (log10 max|D|/min|D|) of the last
+	// boundary evaluation, pending while hasCond is set: the stability
 	// telemetry that shows how much dynamic range the graded decomposition
-	// is absorbing. Optional; set by the sweepers.
-	Obs *obs.Collector
+	// is absorbing. The sweeper collects it with TakeCond.
+	cond    float64
+	hasCond bool
 }
 
 // NewStratStack builds the suffix decompositions for the source's current
@@ -236,11 +236,22 @@ func (st *StratStack) combineInto(dst *mat.Dense, c int) {
 	putVec(d)
 }
 
-// sampleCond reports the condition estimate log10(max|D|/min|D|) of a
-// completed whole-chain decomposition to the attached collector. D is
-// sorted by descending magnitude by construction, but scan defensively.
+// TakeCond returns the condition estimate log10(max|D|/min|D|) of the
+// decomposition behind the last GreenInto and clears it. ok is false when
+// that evaluation left none: the initial from-scratch stratification, or a
+// D with a zero. Two spin sectors evaluate concurrently, so the sweeper
+// takes both estimates after the join and reports them in a fixed order.
+func (st *StratStack) TakeCond() (log10Cond float64, ok bool) {
+	log10Cond, ok = st.cond, st.hasCond
+	st.cond, st.hasCond = 0, false
+	return log10Cond, ok
+}
+
+// sampleCond records the condition estimate of a completed whole-chain
+// decomposition for TakeCond. D is sorted by descending magnitude by
+// construction, but scan defensively.
 func (st *StratStack) sampleCond(d []float64) {
-	if !st.Obs.Enabled() || len(d) == 0 {
+	if len(d) == 0 {
 		return
 	}
 	lo, hi := math.Abs(d[0]), math.Abs(d[0])
@@ -256,5 +267,5 @@ func (st *StratStack) sampleCond(d []float64) {
 	if lo == 0 || hi == 0 {
 		return
 	}
-	st.Obs.SampleUDTCond(math.Log10(hi / lo))
+	st.cond, st.hasCond = math.Log10(hi/lo), true
 }

@@ -51,6 +51,18 @@ type Metrics struct {
 	Devices []DeviceMetrics `json:"devices,omitempty"`
 }
 
+// WithoutTimings returns a copy of m with the fields that measure elapsed
+// time zeroed: wall_ms, phase_ms, phase_percent, phase_coverage and
+// gemm_gflops. They are the document's only declared-nondeterministic
+// fields: everything else, including any field added later, is a function
+// of the configuration and its engine, and repeats bit for bit whatever the
+// GOMAXPROCS or spin forking of a run alone in its process (the op counters
+// are process-global).
+func (m Metrics) WithoutTimings() Metrics {
+	m.WallMS, m.PhaseMS, m.PhasePercent, m.PhaseCoverage, m.GemmGFlops = 0, nil, nil, 0, 0
+	return m
+}
+
 // DeviceMetrics is one simulated accelerator's end-of-run counter snapshot:
 // the modeled clock, how much of it was fixed launch/latency overhead (the
 // part command graphs amortize), the work totals, and the memory

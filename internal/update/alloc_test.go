@@ -33,8 +33,8 @@ func TestHostFlushNoAlloc(t *testing.T) {
 	}
 }
 
-// TestPushNoAlloc: an accepted flip assembles its rank-1 pair with two
-// blas.Axpy per pending column; the column slices it hands across that call
+// TestPushNoAlloc: an accepted flip assembles its rank-1 pair with one
+// blas.AxpyCols per side; the accumulator slices it hands across that call
 // boundary (and, on AVX2 hardware, on to assembly) must not escape.
 func TestPushNoAlloc(t *testing.T) {
 	const n, nd = 36, 32

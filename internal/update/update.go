@@ -7,11 +7,12 @@
 // into one GEMM) goes through a per-spin Backend of three kernels, so the
 // same chain runs on the host kernels (NewSweeper) or on simulated
 // accelerators (NewSweeperOn with gpu.NewBackend) — the paper's hybrid split
-// of Section VI — and produces the same numbers bit for bit: cluster
-// storage, chain order and stratification stay with the Sweeper on every
-// backend.
+// of Section VI — and produces the same chain bit for bit: cluster storage,
+// chain order and stratification stay with the Sweeper on every backend.
+// (Between two refreshes the wrapped G carries each backend's own rounding
+// of V G V^-1, so the wrap-drift diagnostic is backend-specific.)
 //
-// Two optimizations sit on top of the paper's Algorithm 1:
+// Three optimizations sit on top of the paper's Algorithm 1:
 //
 //   - The per-boundary stratified refresh goes through greens.StratStack
 //     over the spin's greens.ClusterSet, which caches suffix UDT
@@ -31,7 +32,13 @@
 //     which needs both spins' effective diagonal, and the boundary hook
 //     stay synchronous. Options.SerialSpins runs the same closures
 //     serially. Each spin owns its backend, so no scratch is shared across
-//     the fork.
+//     the fork, and the stack's stability samples reach the collector after
+//     the join in a fixed order, so the metrics repeat bit for bit too.
+//   - The Metropolis loop reads G, U and W through their storage, and an
+//     accepted flip builds each side of its rank-1 pair with one
+//     blas.AxpyCols: G's column or row, the pending updates and the scaling
+//     in one register-blocked pass, bitwise the per-column blas.Axpy calls
+//     it replaced.
 package update
 
 import (
@@ -88,7 +95,7 @@ type spinState struct {
 	cs   *greens.ClusterSet // built block by block by be.Cluster
 	st   *greens.StratStack // over cs; nil on the NoStack path
 	g    *mat.Dense
-	u, w *mat.Dense // N x nd accumulators
+	u, w *mat.Dense // N x nd accumulators, one shape and so one stride
 	m    int        // pending update count
 
 	// Pre-bound closures for the spin fork, so the per-slice hot paths
@@ -120,9 +127,12 @@ func (s *spinState) lap(p obs.Phase, t time.Time) time.Time {
 //
 //qmc:hot
 func (s *spinState) effDiag(i int) float64 {
-	gii := s.g.At(i, i)
-	for t := 0; t < s.m; t++ {
-		gii += s.u.At(i, t) * s.w.At(i, t)
+	gii := s.g.Data[i+i*s.g.Stride]
+	ld := s.u.Stride
+	u := s.u.Data[i : i+s.m*ld] // row i of U: u[t*ld] = U(i, t)
+	w := s.w.Data[i : i+len(u)]
+	for k := 0; k < len(u); k += ld {
+		gii += u[k] * w[k]
 	}
 	return gii
 }
@@ -139,27 +149,34 @@ func (s *spinState) effDiag(i int) float64 {
 // the convention where the flipped slice is rightmost; the determinant
 // ratio d = 1 + alpha*(1 - G_ii) is identical in both.)
 //
+// Each side is one blas.AxpyCols: it starts from column i (U side) or row i
+// (W side) of G, read straight from G's storage, adds the pending updates
+// with row i of the other side's accumulator as coefficients, and scales by
+// -factor (U) or -1 (W) on the way out. Per element that is the FMA chain,
+// in column order, of one blas.Axpy per pending column and side, then the
+// one rounding of the scaling, so the pair is bitwise what a copy, a gather,
+// those calls and a scaling pass assembled — except for the sign bit of a
+// NaN, which a multiply by -1 keeps and a negation flips.
+//
 //qmc:hot
 func (s *spinState) push(i int, factor float64) {
-	n := s.g.Rows
-	uc := s.u.Col(s.m)
-	wc := s.w.Col(s.m)
-	copy(uc, s.g.Col(i))
-	for r := 0; r < n; r++ {
-		wc[r] = s.g.At(i, r)
-	}
-	for t := 0; t < s.m; t++ {
-		ut := s.u.Col(t)
-		wt := s.w.Col(t)
-		blas.Axpy(wt[i], ut, uc)
-		blas.Axpy(ut[i], wt, wc)
-	}
-	for r := 0; r < n; r++ {
-		uc[r] *= -factor
-		wc[r] = -wc[r]
-	}
+	n, m, ld := s.g.Rows, s.m, s.u.Stride
+	wc := s.w.Col(m)
+	blas.AxpyCols(n, m, s.u.Data[:m*ld], ld, s.w.Data[i:], ld, s.g.Col(i), 1, -factor, s.u.Col(m))
+	blas.AxpyCols(n, m, s.w.Data[:m*ld], ld, s.u.Data[i:], ld, s.g.Data[i:], s.g.Stride, -1, wc)
 	wc[i] += 1
 	s.m++
+}
+
+// reportCond hands the UDT condition estimate of the sector's last stack
+// refresh, if it left one, to col.
+func (s *spinState) reportCond(col *obs.Collector) {
+	if s.st == nil {
+		return
+	}
+	if v, ok := s.st.TakeCond(); ok {
+		col.SampleUDTCond(v)
+	}
 }
 
 // flush applies the pending block update G += U * W^T through the backend
@@ -296,7 +313,6 @@ func (sw *Sweeper) newSpin(mk NewBackend, sigma hubbard.Spin) *spinState {
 	if !o.NoStack {
 		sstart := o.Obs.Begin()
 		s.st = greens.NewStratStack(s.cs, o.PrePivot)
-		s.st.Obs = o.Obs
 		o.Obs.End(obs.PhaseRefresh, sstart)
 	}
 	// The wrap-drift diagnostic samples the spin-up sector only.
@@ -446,6 +462,10 @@ func (sw *Sweeper) Sweep() {
 		sw.cluster = c
 		sw.setBoundary((c + 1) % sw.up.cs.NC)
 		t = sw.timedFork(sw.up.boundaryFn, sw.dn.boundaryFn, t)
+		// Up before down, whichever sector's refresh finished first: the
+		// collector's running sums then repeat bit for bit.
+		sw.up.reportCond(sw.opts.Obs)
+		sw.dn.reportCond(sw.opts.Obs)
 		if sw.boundaryHook != nil {
 			sw.boundaryHook()
 			t = sw.opts.Obs.Begin()
@@ -471,11 +491,13 @@ func (sw *Sweeper) proposeFlip(s, i int) {
 	if ar < 1 && sw.Rng.Float64() >= ar {
 		return
 	}
-	// Accepted. A push is about 4*N*(m+1) flops: 0.04-0.6 us at N <= 36 and
-	// 0.25-1.8 us at N = 144 (m = 0..31), against a pool hand-off's 0.6 us
-	// round trip. Forking the pair loses below N = 144 and there gains a
-	// fraction of a microsecond on a nearly full block only, so the two run
-	// back to back.
+	// Accepted. A push is one AxpyCols pass per side, about 4*N*(m+1)
+	// flops: 0.03-0.08 us at N = 16, 0.06-0.23 us at N = 36 and 0.11-1.1 us
+	// at N = 144 from m = 0 to a full block (operands in cache, 2-CPU
+	// AVX-512 Xeon), against a pool hand-off's 0.6 us round trip. Forking
+	// the pair could gain a fraction of a microsecond on a nearly full block
+	// at N = 144 only and loses everywhere else, so the two run back to
+	// back.
 	sw.accepted++
 	if r < 0 {
 		sw.sign = -sw.sign

@@ -23,6 +23,9 @@ go test -race ./internal/parallel/ ./internal/blas/ ./internal/update/ ./interna
 # loop in the pool's hand-off starves its own task. -count=1 because the test
 # cache does not key on GOMAXPROCS.
 GOMAXPROCS=4 go test -count=1 -race ./internal/parallel/ ./internal/update/
+# One Results document per execution mode, with the race detector watching
+# the spin fork and the GEMM pool at every GOMAXPROCS the test sets.
+GOMAXPROCS=4 go test -count=1 -race -run 'TestResultsBitwiseAcrossModes$' ./internal/service/
 echo "== Verify: qmcdebug sanitizer build (NaN/Inf scans, drift asserts, pool bookkeeping)"
 go test -tags qmcdebug ./internal/...
 # go list honours GOFLAGS, so this lints the files the default build hides
