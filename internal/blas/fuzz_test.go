@@ -68,9 +68,10 @@ func FuzzGemmPackedVsNaive(f *testing.F) {
 }
 
 // FuzzVecKernels drives the stride-1 layer under fuzzer-chosen lengths,
-// scalars, panel shapes, axpyCols column counts, coefficient and
-// starting-value strides, and data seeds against the oracles of vec_test.go (each of which already runs
-// the operands at several slice offsets).
+// scalars, panel shapes, axpyCols and reflector column counts, coefficient
+// and starting-value strides, and data seeds against the oracles of
+// vec_test.go (each of which already runs the operands at several slice
+// offsets).
 func FuzzVecKernels(f *testing.F) {
 	f.Add(uint16(0), uint8(0), 1.0, uint64(1))
 	f.Add(uint16(3), uint8(1), -1.0, uint64(2))
@@ -85,6 +86,7 @@ func FuzzVecKernels(f *testing.F) {
 		checkDot(t, n, seed)
 		checkAxpy(t, n, alpha, seed)
 		checkAxpyCols(t, n, int(pad%40), 1+int(pad/40), int(seed>>1)%4, alpha, seed&1 == 1, seed)
+		checkReflector(t, n%100, int(pad%40), alpha, seed&1 == 1, seed)
 		for _, w := range []int{4, 8} {
 			checkPack(t, true, n, w, w+int(pad%9), alpha, seed)
 			checkPack(t, false, n, w, n+int(pad%9), alpha, seed)

@@ -41,6 +41,9 @@ func axpyColsAVX2(n, m int64, a *float64, lda int64, x *float64, incx int64, y0 
 func dotAVX2(n int64, x, y *float64) float64
 
 //go:noescape
+func reflectAVX2(m, n int64, v *float64, negTau float64, c *float64, ldc int64)
+
+//go:noescape
 func packRowsAVX2(kc int64, alpha float64, src *float64, ld int64, dst *float64, w int64)
 
 //go:noescape
@@ -59,14 +62,14 @@ func microKernel(kc int, a, b, c []float64, ldc int) {
 	}
 }
 
-// axpy, axpyCols, dot, packRows and packCols are the stride-1 layer under the
-// micro-kernel: on the CPUs that run an assembly kernel (kernMR == 8) they hand a
-// non-empty vector or a full micro-panel to the AVX2 kernels of
-// gemm_amd64.s, and everything else — other CPUs, partial panels, n = 0 —
-// to the portable loops the purego build runs. Each checks the extents the
-// kernel will touch before taking an element's address. Like microKernel
-// they are plain functions: which body runs depends on the CPU and on the
-// operand's extent, never on a setting.
+// axpy, axpyCols, dot, applyReflector, packRows and packCols are the
+// stride-1 layer under the micro-kernel: on the CPUs that run an assembly
+// kernel (kernMR == 8) they hand a non-empty vector or a full micro-panel to
+// the AVX2 kernels of gemm_amd64.s, and everything else — other CPUs,
+// partial panels, n = 0 — to the portable loops the purego build runs. Each
+// checks the extents the kernel will touch before taking an element's
+// address. Like microKernel they are plain functions: which body runs
+// depends on the CPU and on the operand's extent, never on a setting.
 
 // axpy computes y[i] += alpha*x[i] over len(x) <= len(y) elements.
 func axpy(alpha float64, x, y []float64) {
@@ -102,6 +105,17 @@ func dot(x, y []float64) float64 {
 		return dotAVX2(int64(n), &x[0], &y[0])
 	}
 	return dotGo(x, y)
+}
+
+// applyReflector applies I - tau*v*v^T to the m x n matrix in c (leading
+// dimension ldc): per column, the dot and the axpy Dot and Axpy would run.
+func applyReflector(m, n int, v []float64, tau float64, c []float64, ldc int) {
+	if kernMR == 8 && m > 0 && n > 0 {
+		_, _ = v[m-1], c[(n-1)*ldc+m-1]
+		reflectAVX2(int64(m), int64(n), &v[0], -tau, &c[0], int64(ldc))
+		return
+	}
+	applyReflectorGo(m, n, v, tau, c, ldc)
 }
 
 // packRows is packRowsGo with full panels (iw == w) on the vector kernel.

@@ -151,14 +151,15 @@ write8:
 	VZEROUPPER
 	RET
 
-// The five stride-1 kernels below make their results a function of (n,
+// The six stride-1 kernels below make their results a function of (n,
 // values) alone: every load and store is unaligned (no peeling on the
 // address), a vector's element count (and the transposing pack's kc) is
 // consumed as the widest blocks first and scalars last, in an order that
 // depends on the count only, and a count of 0 never reaches them (the Go
 // wrappers in gemm_amd64.go check extents first). The hot loops of axpy,
-// axpyCols and dot start on a cache-line boundary, as the micro-kernels'
-// k loops do, so their rate does not move with the linker's placement.
+// axpyCols, dot and the reflector update start on a cache-line boundary, as
+// the micro-kernels' k loops do, so their rate does not move with the
+// linker's placement.
 
 // func axpyAVX2(n int64, alpha float64, x, y *float64)
 //
@@ -406,6 +407,148 @@ acols1store:
 	JNE    acols1loop
 
 acolsdone:
+	VZEROUPPER
+	RET
+
+// func reflectAVX2(m, n int64, v *float64, negTau float64, c *float64, ldc int64)
+//
+// For each of the n columns c_j (m rows, ldc apart): w = dotAVX2(m, c_j, v),
+// alpha = negTau*w and, unless alpha is ±0, axpyAVX2(m, alpha, v, c_j) —
+// the Dot and the Axpy lapack's reflector update made per column, bit for
+// bit: the dot is dotAVX2's block order, accumulators and reduction, with
+// c_j the first factor of each FMA as it is in Dot(c_j, v); the update is
+// axpyAVX2's blocks with alpha the broadcast operand. The zero test is on
+// the bits with the sign shifted out, as in axpyColsAVX2.
+TEXT ·reflectAVX2(SB), NOSPLIT, $0-48
+	MOVQ   m+0(FP), R8
+	MOVQ   n+8(FP), R9
+	MOVQ   v+16(FP), R10
+	VMOVSD negTau+24(FP), X14
+	MOVQ   c+32(FP), DI
+	MOVQ   ldc+40(FP), R11
+	SHLQ   $3, R11           // ldc in bytes
+
+rcol:
+	MOVQ   R10, SI           // v
+	MOVQ   DI, DX            // c_j
+	MOVQ   R8, CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD X4, X4, X4
+	SUBQ   $16, CX
+	JL     rdot4
+
+	PCALIGN $64
+rdot16:
+	VMOVUPD     (DX), Y5
+	VMOVUPD     32(DX), Y6
+	VMOVUPD     64(DX), Y7
+	VMOVUPD     96(DX), Y8
+	VFMADD231PD (SI), Y5, Y0
+	VFMADD231PD 32(SI), Y6, Y1
+	VFMADD231PD 64(SI), Y7, Y2
+	VFMADD231PD 96(SI), Y8, Y3
+	ADDQ        $128, SI
+	ADDQ        $128, DX
+	SUBQ        $16, CX
+	JGE         rdot16
+
+rdot4:
+	ADDQ $12, CX
+	JL   rdot1
+
+rdot4loop:
+	VMOVUPD     (DX), Y5
+	VFMADD231PD (SI), Y5, Y0
+	ADDQ        $32, SI
+	ADDQ        $32, DX
+	SUBQ        $4, CX
+	JGE         rdot4loop
+
+rdot1:
+	ADDQ $4, CX
+	JE   rdotsum
+
+rdot1loop:
+	VMOVSD      (DX), X5
+	VFMADD231SD (SI), X5, X4
+	ADDQ        $8, SI
+	ADDQ        $8, DX
+	DECQ        CX
+	JNE         rdot1loop
+
+rdotsum:
+	VADDPD       Y1, Y0, Y0
+	VADDPD       Y3, Y2, Y2
+	VADDPD       Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD       X1, X0, X0
+	VPERMILPD    $1, X0, X1
+	VADDSD       X1, X0, X0
+	VADDSD       X4, X0, X0
+	VMULSD       X0, X14, X9 // alpha = negTau * w
+	VMOVQ        X9, AX
+	SHLQ         $1, AX
+	JEQ          rnext
+	VBROADCASTSD X9, Y9
+
+	MOVQ R10, SI
+	MOVQ DI, DX
+	MOVQ R8, CX
+	SUBQ $16, CX
+	JL   rax4
+
+	PCALIGN $64
+rax16:
+	VMOVUPD     (DX), Y1
+	VMOVUPD     32(DX), Y2
+	VMOVUPD     64(DX), Y3
+	VMOVUPD     96(DX), Y4
+	VFMADD231PD (SI), Y9, Y1
+	VFMADD231PD 32(SI), Y9, Y2
+	VFMADD231PD 64(SI), Y9, Y3
+	VFMADD231PD 96(SI), Y9, Y4
+	VMOVUPD     Y1, (DX)
+	VMOVUPD     Y2, 32(DX)
+	VMOVUPD     Y3, 64(DX)
+	VMOVUPD     Y4, 96(DX)
+	ADDQ        $128, SI
+	ADDQ        $128, DX
+	SUBQ        $16, CX
+	JGE         rax16
+
+rax4:
+	ADDQ $12, CX
+	JL   rax1
+
+rax4loop:
+	VMOVUPD     (DX), Y1
+	VFMADD231PD (SI), Y9, Y1
+	VMOVUPD     Y1, (DX)
+	ADDQ        $32, SI
+	ADDQ        $32, DX
+	SUBQ        $4, CX
+	JGE         rax4loop
+
+rax1:
+	ADDQ $4, CX
+	JE   rnext
+
+rax1loop:
+	VMOVSD      (DX), X1
+	VFMADD231SD (SI), X9, X1
+	VMOVSD      X1, (DX)
+	ADDQ        $8, SI
+	ADDQ        $8, DX
+	DECQ        CX
+	JNE         rax1loop
+
+rnext:
+	ADDQ R11, DI
+	DECQ R9
+	JNE  rcol
 	VZEROUPPER
 	RET
 

@@ -15,6 +15,10 @@ func axpyCols(n, m int, a []float64, lda int, x []float64, incx int, y0 []float6
 
 func dot(x, y []float64) float64 { return dotGo(x, y) }
 
+func applyReflector(m, n int, v []float64, tau float64, c []float64, ldc int) {
+	applyReflectorGo(m, n, v, tau, c, ldc)
+}
+
 func packRows(dst, src []float64, ld, kc, w, iw int, alpha float64) {
 	packRowsGo(dst, src, ld, kc, w, iw, alpha)
 }

@@ -8,7 +8,8 @@
 // to refresh column norms. This package reproduces that hierarchy in pure
 // Go plus one vector layer: Gemm is blocked, packed and parallel over an
 // 8x4 AVX2/FMA micro-kernel, and the stride-1 loops every other routine
-// reduces to — axpy, its column-blocked form axpyCols, dot and the two
+// reduces to — axpy, its column-blocked form axpyCols, dot, the Householder
+// reflector update that fuses a dot and an axpy per column, and the two
 // packing copies — run as AVX2 kernels on the same CPUs (gemm_amd64.go).
 // The Go loops in this package are the portable bodies: what a purego or
 // non-amd64 build runs everywhere, and what an AVX2 build runs on partial
@@ -18,6 +19,8 @@ package blas
 import (
 	"fmt"
 	"math"
+
+	"questgo/internal/mat"
 )
 
 // Dot returns x . y over len(x) elements with unit stride.
@@ -104,6 +107,37 @@ func axpyColsGo(n, m int, a []float64, lda int, x []float64, incx int, y0 []floa
 	}
 	for i := range y {
 		y[i] *= scale
+	}
+}
+
+// ApplyReflector applies the Householder reflector H = I - tau*v*v^T from
+// the left to c, len(v) = c.Rows: for each column, w = Dot(c[:, j], v) and
+// then Axpy(-tau*w, v, c[:, j]), so a column whose coefficient is ±0 is
+// skipped as Axpy skips it and tau = 0 leaves c alone. The result is bit for
+// bit those calls on every input; the vector kernel makes them in one call
+// instead of 2*c.Cols, each column's dot and update back to back while the
+// column is in cache. v must not overlap c.
+//
+//qmc:hot
+func ApplyReflector(v []float64, tau float64, c *mat.Dense) {
+	if len(v) != c.Rows {
+		panic(fmt.Sprintf("blas: ApplyReflector dimension mismatch: len(v)=%d but C is %dx%d", len(v), c.Rows, c.Cols))
+	}
+	if tau == 0 || len(v) == 0 || c.Cols == 0 {
+		return
+	}
+	applyReflector(len(v), c.Cols, v, tau, c.Data, c.Stride)
+}
+
+// applyReflectorGo is the portable body of applyReflector: the Dot and the
+// Axpy of each column of the m x n matrix in c (leading dimension ldc).
+func applyReflectorGo(m, n int, v []float64, tau float64, c []float64, ldc int) {
+	v = v[:m]
+	for j := 0; j < n; j++ {
+		col := c[j*ldc : j*ldc+m]
+		if alpha := -tau * dotGo(col, v); alpha != 0 {
+			axpyGo(alpha, v, col)
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func Trsm(upper, trans, unit bool, alpha float64, t, b *mat.Dense) {
 	// pooled context so no closure is allocated per call or per block.
 	ctx := trsmCtxPool.Get().(*trsmCtx)
 	ctx.upper, ctx.trans, ctx.unit, ctx.alpha = upper, trans, unit, alpha
-	ctx.t, ctx.b = t, b
+	ctx.t, ctx.b = *t, *b
 	if alpha != 1 {
 		ctx.forCols(n, 8, ctx.scaleBody)
 	}
@@ -102,8 +102,8 @@ func Trsm(upper, trans, unit bool, alpha float64, t, b *mat.Dense) {
 type trsmCtx struct {
 	upper, trans, unit bool
 	alpha              float64
-	t, b               *mat.Dense
-	td                 *mat.Dense // current diagonal block view
+	t, b               mat.Dense // copies of the headers: the operands do not escape
+	td                 mat.Dense // current diagonal block view
 	k0, k1             int
 	scaleBody          func(jlo, jhi int)
 	solveBody          func(jlo, jhi int)
@@ -117,7 +117,7 @@ var trsmCtxPool = sync.Pool{New: func() interface{} {
 }}
 
 func (ctx *trsmCtx) release() {
-	ctx.t, ctx.b, ctx.td = nil, nil, nil
+	ctx.t, ctx.b, ctx.td = mat.Dense{}, mat.Dense{}, mat.Dense{}
 	trsmCtxPool.Put(ctx)
 }
 
@@ -131,7 +131,7 @@ func (ctx *trsmCtx) runScale(jlo, jhi int) {
 //qmc:hot
 func (ctx *trsmCtx) runSolve(jlo, jhi int) {
 	for j := jlo; j < jhi; j++ {
-		trsv(ctx.upper, ctx.trans, ctx.unit, ctx.td, ctx.b.Col(j)[ctx.k0:ctx.k1])
+		trsv(ctx.upper, ctx.trans, ctx.unit, &ctx.td, ctx.b.Col(j)[ctx.k0:ctx.k1])
 	}
 }
 
@@ -139,7 +139,7 @@ func (ctx *trsmCtx) runSolve(jlo, jhi int) {
 // right-hand-side columns in parallel.
 func (ctx *trsmCtx) solveDiag(k0, k1 int) {
 	ctx.k0, ctx.k1 = k0, k1
-	ctx.td = ctx.t.View(k0, k0, k1-k0, k1-k0)
+	ctx.td = *ctx.t.View(k0, k0, k1-k0, k1-k0)
 	ctx.forCols((k1-k0)*(k1-k0), 4, ctx.solveBody)
 }
 

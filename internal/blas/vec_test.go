@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"testing"
@@ -9,10 +10,11 @@ import (
 	"questgo/internal/rng"
 )
 
-// The stride-1 layer (axpy, axpyCols, dot, packRows, packCols) has two
-// bodies on an AVX2 build and one everywhere else. The oracles below hold for
-// whichever body the build selects, and are what TestVecKernelsMatchPortable,
-// TestAxpyColsMatchesAxpy and FuzzVecKernels run:
+// The stride-1 layer (axpy, axpyCols, dot, applyReflector, packRows,
+// packCols) has two bodies on an AVX2 build and one everywhere else. The
+// oracles below hold for whichever body the build selects, and are what
+// TestVecKernelsMatchPortable, TestAxpyColsMatchesAxpy,
+// TestReflectorMatchesLarf and FuzzVecKernels run:
 //
 //   - packs: bitwise the portable loop, nothing written past kc*w, nothing
 //     read outside the kc x w source window;
@@ -24,6 +26,10 @@ import (
 //     axpyGo, whatever the coefficients (NaN, ±Inf, subnormal); nothing read
 //     outside the n x m window or y0's n strided elements, y[n:] untouched;
 //   - dot: within n*eps*sum|x_i*y_i| of the exact sum;
+//   - applyReflector: bitwise the per-column dot and axpy(-tau*w) it fuses
+//     (±0 coefficients skipped), the selected body against Dot and Axpy and
+//     the portable body against dotGo and axpyGo; nothing read or written
+//     outside the m x n window and v;
 //   - every result is the same bits whatever the operands' offset into
 //     their backing arrays (no alignment peeling).
 
@@ -200,6 +206,100 @@ func checkAxpyCols(t *testing.T, n, m, incx, incy0 int, scale float64, wild bool
 	}
 }
 
+// checkReflector applies one reflector of length m with scale tau to an m x
+// n matrix at leading dimension ldc > m and holds it to what it stands for:
+// per column, Dot then Axpy(-tau*w) — the selected body (ApplyReflector)
+// against Dot and Axpy, the portable body against dotGo and axpyGo. The
+// element right past each column is a finite sentinel (a read there moves
+// the dot, a write there shows) and every other element outside the window,
+// and around v, is NaN. Some columns are zero, with -0 entries a +0 update
+// would turn to +0, and some are so small against v that their dot
+// underflows: both coefficients are ±0 and must be skipped. With wild set, C
+// and v also hold NaN, ±Inf and subnormal entries.
+func checkReflector(t *testing.T, m, n int, tau float64, wild bool, seed uint64) {
+	t.Helper()
+	r := rng.New(seed)
+	ldc := m + 1 + int(seed%3)
+	coff, voff := int(seed%4), int(seed/4%4)
+	graded := func() float64 { return math.Ldexp(2*r.Float64()-1, int(r.Float64()*40)-20) }
+	specials := []float64{0x1p-1060, -3e-320, math.NaN(), math.Inf(1), math.Inf(-1)}
+	entry := func() float64 {
+		if wild && r.Float64() < 0.05 {
+			return specials[int(r.Float64()*float64(len(specials)))]
+		}
+		return graded()
+	}
+	vback := make([]float64, voff+m+vecPad)
+	for i := range vback {
+		vback[i] = math.NaN()
+	}
+	v := vback[voff : voff+m]
+	for i := range v {
+		v[i] = entry()
+	}
+	if m > 0 && r.Float64() < 0.5 {
+		v[0] = 1 // the unit head lapack stores before an update
+	}
+	back := make([]float64, coff+n*ldc+vecPad)
+	for i := range back {
+		back[i] = math.NaN()
+	}
+	for j := 0; j < n; j++ {
+		col := back[coff+j*ldc : coff+j*ldc+m]
+		kind := r.Float64()
+		for i := range col {
+			switch {
+			case kind < 0.1: // a zero column: the coefficient is ±0
+				col[i] = math.Copysign(0, r.Float64()-0.5)
+			case kind < 0.2: // a column whose dot with v underflows
+				col[i] = math.Ldexp(2*r.Float64()-1, -1070)
+			default:
+				col[i] = entry()
+			}
+		}
+		back[coff+j*ldc+m] = sentinel
+	}
+	if kind := r.Float64(); kind < 0.2 {
+		for i := range v {
+			v[i] = math.Ldexp(2*r.Float64()-1, -20) // keep the underflow columns underflowing
+		}
+	}
+	for _, body := range []struct {
+		name    string
+		reflect func(c []float64)
+		dot     func(x, y []float64) float64
+		axpy    func(alpha float64, x, y []float64)
+	}{
+		{"selected", func(c []float64) {
+			ApplyReflector(v, tau, &mat.Dense{Rows: m, Cols: n, Stride: ldc, Data: c[coff:]})
+		}, Dot, Axpy},
+		{"portable", func(c []float64) {
+			if tau != 0 {
+				applyReflectorGo(m, n, v, tau, c[coff:], ldc)
+			}
+		}, dotGo, axpyGo},
+	} {
+		got := append([]float64(nil), back...)
+		want := append([]float64(nil), back...)
+		body.reflect(got)
+		if tau != 0 {
+			w := make([]float64, n)
+			for j := range w {
+				w[j] = body.dot(want[coff+j*ldc:coff+j*ldc+m], v)
+			}
+			for j, wj := range w {
+				if alpha := -tau * wj; alpha != 0 {
+					body.axpy(alpha, v, want[coff+j*ldc:coff+j*ldc+m])
+				}
+			}
+		}
+		if !bitsEqual(got, want) {
+			t.Fatalf("reflector (%s) m=%d n=%d ldc=%d tau=%v wild=%v: not bitwise the per-column dot and axpy (or wrote outside the window)",
+				body.name, m, n, ldc, tau, wild)
+		}
+	}
+}
+
 func checkDot(t *testing.T, n int, seed uint64) {
 	t.Helper()
 	var ref float64
@@ -311,6 +411,59 @@ func TestAxpyColsMatchesAxpy(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestReflectorMatchesLarf: the fused reflector update against the Dot and
+// Axpy calls lapack's larf made per column, for every row count 0..67 (all
+// 16/4/1 block remainders, four times over) and column count 0..33, tau 0
+// (no update at all), the values Householder reflectors take (in [1, 2]) and
+// others, tame and non-finite entries.
+func TestReflectorMatchesLarf(t *testing.T) {
+	taus := []float64{0, 1, 1.5, 2, -0.75, 1e-300}
+	for m := 0; m <= 67; m++ {
+		for n := 0; n <= 33; n++ {
+			for _, wild := range []bool{false, true} {
+				seed := uint64(m*1000 + n*10 + 1)
+				if wild {
+					seed++
+				}
+				checkReflector(t, m, n, taus[int(seed/2)%len(taus)], wild, seed)
+			}
+		}
+	}
+}
+
+// BenchmarkApplyReflector times one reflector update of an m x (m-1)
+// block — the first step of an m x m geqr2 — fused, and as the per-column
+// Dot and Axpy calls it replaced:
+//
+//	go test ./internal/blas -run NONE -bench ApplyReflector -cpu 1
+func BenchmarkApplyReflector(b *testing.B) {
+	for _, m := range []int{16, 36, 64, 144} {
+		r := rng.New(uint64(m))
+		c := mat.New(m, m-1)
+		for i := range c.Data {
+			c.Data[i] = 2*r.Float64() - 1
+		}
+		v := make([]float64, m)
+		for i := range v {
+			v[i] = 2*r.Float64() - 1
+		}
+		v[0] = 1
+		tau := 2 / Dot(v, v) // H is orthogonal, so repeated updates stay bounded
+		b.Run(fmt.Sprintf("m=%d/fused", m), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ApplyReflector(v, tau, c)
+			}
+		})
+		b.Run(fmt.Sprintf("m=%d/dot+axpy", m), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < c.Cols; j++ {
+					Axpy(-tau*Dot(c.Col(j), v), v, c.Col(j))
+				}
+			}
+		})
 	}
 }
 

@@ -214,7 +214,8 @@ func (st *StratStack) combineInto(dst *mat.Dense, c int) {
 	m.ScaleRows(st.prefix.D)
 	m.ScaleCols(suf.D)
 
-	d := getVec(n)
+	dv := mat.GetScratch(n, 1)
+	d := dv.Data
 	qmid := tmp // the pre-pivot gather scratch, free again for Q
 	perm := gradedQR(m, tmp, r, qmid, d, !st.prePivot)
 	// that = (d^{-1} R) P^T: scatter column j back to original position.
@@ -233,7 +234,7 @@ func (st *StratStack) combineInto(dst *mat.Dense, c int) {
 	GreenFromUDTInto(dst, &u)
 	mat.PutScratch(qNew)
 	mat.PutScratch(tNew)
-	putVec(d)
+	mat.PutScratch(dv)
 }
 
 // TakeCond returns the condition estimate log10(max|D|/min|D|) of the

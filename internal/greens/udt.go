@@ -14,7 +14,6 @@ package greens
 
 import (
 	"math"
-	"sync"
 
 	"questgo/internal/blas"
 	"questgo/internal/check"
@@ -44,39 +43,19 @@ func (u *UDT) Matrix() *mat.Dense {
 	return out
 }
 
-// vecPool recycles the float64 work vectors (inverse diagonals, column
-// norms) that the stratification loop used to allocate on every call.
-var vecPool sync.Pool
-
-func getVec(n int) []float64 {
-	if v, ok := vecPool.Get().(*[]float64); ok && cap(*v) >= n {
-		return (*v)[:n]
-	}
-	return make([]float64, n)
-}
-
-func putVec(v []float64) {
-	if cap(v) == 0 {
-		return
-	}
-	vecPool.Put(&v)
-}
-
 // scaleInvRows overwrites r with diag(d)^{-1} * r, guarding exact zeros
-// (a structurally singular slice product would produce a zero pivot). The
-// inverse diagonal lives in pooled scratch — this runs in the innermost
-// stratification loop.
+// (a structurally singular slice product would produce a zero pivot): their
+// rows scale by the 0 GetScratch starts from. The inverse diagonal lives in
+// pooled scratch — this runs in the innermost stratification loop.
 func scaleInvRows(r *mat.Dense, d []float64) {
-	inv := getVec(len(d))
+	inv := mat.GetScratch(len(d), 1)
 	for i, v := range d {
-		if v == 0 {
-			inv[i] = 0
-		} else {
-			inv[i] = 1 / v
+		if v != 0 {
+			inv.Data[i] = 1 / v
 		}
 	}
-	r.ScaleRows(inv)
-	putVec(inv)
+	r.ScaleRows(inv.Data)
+	mat.PutScratch(inv)
 }
 
 // permuteColsGather writes dst[:, j] = src[:, perm[j]].
@@ -227,13 +206,14 @@ func stratify(bs []*mat.Dense, pivotEveryStep bool) *UDT {
 // exactly this multicore reduction in OpenMP. The returned slice comes from
 // lapack's pivot pool; release it with lapack.PutPivot when done.
 func descendingNormPerm(c *mat.Dense) []int {
-	norms := lapack.ColumnNorms(c, getVec(c.Cols))
-	perm := lapack.GetPivot(len(norms))
+	norms := mat.GetScratch(c.Cols, 1)
+	lapack.ColumnNorms(c, norms.Data)
+	perm := lapack.GetPivot(c.Cols)
 	for i := range perm {
 		perm[i] = i
 	}
-	sortByNormDesc(perm, norms)
-	putVec(norms)
+	sortByNormDesc(perm, norms.Data)
+	mat.PutScratch(norms)
 	return perm
 }
 
@@ -276,8 +256,8 @@ func sortByNormDesc(perm []int, norms []float64) {
 // the paper's step 4 in the form of Bai, Lee, Li and Xu (2010).
 func GreenFromUDTInto(dst *mat.Dense, u *UDT) {
 	n := u.Q.Rows
-	db := getVec(n)
-	ds := getVec(n)
+	dbs := mat.GetScratch(n, 2)
+	db, ds := dbs.Data[:n], dbs.Data[n:]
 	for i, v := range u.D {
 		if a := math.Abs(v); a > 1 {
 			db[i] = 1 / a
@@ -304,10 +284,10 @@ func GreenFromUDTInto(dst *mat.Dense, u *UDT) {
 		_ = err
 	}
 	lu.Solve(dst)
+	lu.Release()
 	mat.PutScratch(qt)
 	mat.PutScratch(m)
-	putVec(db)
-	putVec(ds)
+	mat.PutScratch(dbs)
 }
 
 // GreenFromUDT is GreenFromUDTInto with a freshly allocated result.
@@ -327,14 +307,14 @@ func GreenInto(dst *mat.Dense, bs []*mat.Dense, prePivot bool) {
 	n := bs[0].Rows
 	q := mat.GetScratch(n, n)
 	t := mat.GetScratch(n, n)
-	d := getVec(n)
-	u := &UDT{Q: q, D: d, T: t}
+	d := mat.GetScratch(n, 1)
+	u := &UDT{Q: q, D: d.Data, T: t}
 	stratifyInto(u, bs, !prePivot)
 	GreenFromUDTInto(dst, u)
 	check.Finite("greens.GreenInto", dst)
 	mat.PutScratch(q)
 	mat.PutScratch(t)
-	putVec(d)
+	mat.PutScratch(d)
 }
 
 // GreenQRP evaluates the same Green's function with Algorithm 2.

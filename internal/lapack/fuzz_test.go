@@ -8,10 +8,11 @@ import (
 	"questgo/internal/rng"
 )
 
-// FuzzQRReconstruct factors fuzzer-shaped random matrices with the
-// blocked QR and requires Q*R to reproduce the input. This walks the
-// panel/trailing-update boundaries (block-size straddles, tall-skinny,
-// single-column) far more densely than the fixed-size unit tests.
+// FuzzQRReconstruct factors fuzzer-shaped random matrices with QRFactor and
+// requires Q*R to reproduce the input. This walks the panel/trailing-update
+// boundaries (block-size straddles, tall-skinny, single-column) and the
+// unblocked/blocked crossover far more densely than the fixed-size unit
+// tests.
 func FuzzQRReconstruct(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint64(1))
 	f.Add(uint8(13), uint8(7), uint64(2))
@@ -23,9 +24,15 @@ func FuzzQRReconstruct(f *testing.F) {
 	f.Add(uint8(32), uint8(32), uint64(6))
 	f.Add(uint8(35), uint8(35), uint64(7))
 	f.Add(uint8(64), uint8(64), uint64(8))
+	// Either side of qrSmall, where QRFactor and FormQ switch between the
+	// unblocked and the blocked path: square, and tall over a short k.
+	f.Add(uint8(qrSmall-1), uint8(qrSmall-1), uint64(9))
+	f.Add(uint8(qrSmall), uint8(qrSmall), uint64(10))
+	f.Add(uint8(qrSmall+7), uint8(qrSmall-1), uint64(11))
+	f.Add(uint8(qrSmall+15), uint8(qrSmall+15), uint64(12))
 	f.Fuzz(func(t *testing.T, m8, n8 uint8, seed uint64) {
-		m := int(m8%80) + 1
-		n := int(n8%80) + 1
+		m := int(m8%(qrSmall+32)) + 1
+		n := int(n8%(qrSmall+32)) + 1
 		if n > m {
 			m, n = n, m // QRFactor expects m >= n
 		}

@@ -25,13 +25,15 @@ type LU struct {
 }
 
 // LUFactor computes the blocked right-looking LU factorization of the
-// square matrix a with partial pivoting, overwriting it.
-func LUFactor(a *mat.Dense) (*LU, error) {
+// square matrix a with partial pivoting, overwriting it. The factorization
+// is returned by value and Piv comes from the pivot pool, so a caller that
+// hands it back with Release factors and solves without allocating.
+func LUFactor(a *mat.Dense) (LU, error) {
 	n := a.Rows
 	if a.Cols != n {
 		panic(fmt.Sprintf("lapack: LUFactor expects a square matrix, got %dx%d", a.Rows, a.Cols))
 	}
-	piv := make([]int, n)
+	piv := GetPivot(n)
 	var singular bool
 	for j := 0; j < n; j += luBlock {
 		jb := min(luBlock, n-j)
@@ -61,7 +63,7 @@ func LUFactor(a *mat.Dense) (*LU, error) {
 			}
 		}
 	}
-	lu := &LU{A: a, Piv: piv}
+	lu := LU{A: a, Piv: piv}
 	if singular {
 		return lu, ErrSingular
 	}
@@ -101,6 +103,10 @@ func getf2(a *mat.Dense, j, jb int, piv []int) bool {
 	}
 	return ok
 }
+
+// Release returns Piv to the pivot pool (PutPivot) and clears it; the
+// factorization must not be used afterwards. A second call is a no-op.
+func (lu *LU) Release() { PutPivot(&lu.Piv) }
 
 // swapRowParts exchanges rows r1 and r2 over columns [c0, c1).
 func swapRowParts(a *mat.Dense, r1, r2 int, c0, c1 int) {

@@ -6,7 +6,6 @@
 package lapack
 
 import (
-	"fmt"
 	"math"
 
 	"questgo/internal/blas"
@@ -40,29 +39,6 @@ func larfg(alpha float64, x []float64) (beta, tau float64) {
 	blas.Scal(1/(alpha-beta), x)
 	beta *= scale
 	return beta, tau
-}
-
-// larf applies the reflector H = I - tau*v*v^T from the left to C, using
-// work of length >= C.Cols. v has implicit leading 1 at v[0].
-//
-//qmc:hot
-func larf(v []float64, tau float64, c *mat.Dense, work []float64) {
-	if tau == 0 {
-		return
-	}
-	m, n := c.Rows, c.Cols
-	if len(v) != m {
-		panic(fmt.Sprintf("lapack: larf dimension mismatch: len(v)=%d but C has %d rows", len(v), m))
-	}
-	w := work[:n]
-	// w = C^T v
-	for j := 0; j < n; j++ {
-		w[j] = blas.Dot(c.Col(j), v)
-	}
-	// C -= tau * v * w^T
-	for j := 0; j < n; j++ {
-		blas.Axpy(-tau*w[j], v, c.Col(j))
-	}
 }
 
 // larft forms the upper triangular factor T of the block reflector

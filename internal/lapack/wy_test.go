@@ -143,7 +143,7 @@ func TestPanelTMatchesLarft(t *testing.T) {
 			}
 			tau := make([]float64, jb)
 			merged := mat.New(jb, jb)
-			geqrPanel(a, tau, make([]float64, jb), mat.New(m, qrBlock), merged, mat.New(2*qrBlock, jb))
+			geqrPanel(a, tau, mat.New(m, qrBlock), merged, mat.New(2*qrBlock, jb))
 			for _, c := range zero {
 				if c < jb && tau[c] != 0 {
 					t.Fatalf("m=%d jb=%d: zero column %d got tau=%g, want 0", m, jb, c, tau[c])
