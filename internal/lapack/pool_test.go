@@ -36,6 +36,34 @@ func TestReleaseIdempotent(t *testing.T) {
 	qr2.Release()
 }
 
+// TestStaleReleaseAfterRefactor: a Release through a handle whose storage
+// a later factorization has already reused must stay a no-op. Only the
+// buffer is pooled, never the header, so the stale handle still holds its
+// nilled tau and cannot pool the live factorization's storage.
+func TestStaleReleaseAfterRefactor(t *testing.T) {
+	for _, factor := range []func(*mat.Dense) *QR{
+		QRFactor,
+		func(a *mat.Dense) *QR { qr, perm := QRPFactor(a); PutPivot(&perm); return qr },
+	} {
+		stale := factor(testMatrix(8, 8, 41))
+		stale.Release()
+		live := factor(testMatrix(8, 8, 43))
+		if live == stale {
+			t.Fatal("a new factorization reused a released QR header")
+		}
+		stale.Release() // must not pool live's buffer
+		if cap(live.Tau) == 0 {
+			t.Fatal("stale Release cleared the live factorization")
+		}
+		other := factor(testMatrix(8, 8, 47))
+		if &other.Tau[0] == &live.Tau[0] {
+			t.Fatal("stale Release pooled a live factorization's buffer")
+		}
+		live.Release()
+		other.Release()
+	}
+}
+
 // TestStripSharesTauBuffer pins the ownership rule Release relies on: the T
 // strip is the qrBlock x k tail of tau's backing array, zeroed at birth for
 // all three factorizations, so pooling tau pools the strip and a QR whose
