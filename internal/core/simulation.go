@@ -71,8 +71,9 @@ type Config struct {
 	// StabilityCheckEvery, when positive, compares the amortized stack
 	// Green's function against a full stratified rebuild every that many
 	// cluster boundaries and records the residual in the run metrics. Each
-	// check costs one extra whole-chain stratification, so it is sampled;
-	// 0 disables it.
+	// check is one extra whole-chain stratification, run on an idle core
+	// beside the sweep when there is one and inline otherwise, so it is
+	// sampled; 0 disables it.
 	StabilityCheckEvery int `json:"stability_check_every"`
 
 	// Devices, when >= 1, runs the sweeper over that many simulated

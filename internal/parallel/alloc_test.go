@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// TestHandoffNoAllocSteadyState: a warm Pair or For that really hands work
-// to a worker allocates nothing. testing.AllocsPerRun pins GOMAXPROCS to 1,
+// TestHandoffNoAllocSteadyState: a warm Pair, For or Start + Wait that
+// really hands work to a worker allocates nothing. testing.AllocsPerRun pins GOMAXPROCS to 1,
 // where nothing is handed off, so the mallocs are counted by hand over
 // enough calls to amortize a stray runtime allocation; race
 // instrumentation allocates on its own, hence the build tag.
@@ -19,6 +19,10 @@ func TestHandoffNoAllocSteadyState(t *testing.T) {
 		for name, call := range map[string]func(){
 			"Pair": func() { Pair(nop, nop) },
 			"For":  func() { For(64, 1, body) },
+			"Start": func() {
+				p := Start(nop)
+				p.Wait()
+			},
 		} {
 			for i := 0; i < 100; i++ {
 				call()
@@ -39,4 +43,16 @@ func TestHandoffNoAllocSteadyState(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestStartInlineNoAlloc: Start + Wait on the inline path (AllocsPerRun
+// runs at GOMAXPROCS 1) allocates nothing either.
+func TestStartInlineNoAlloc(t *testing.T) {
+	nop := func() {}
+	if allocs := testing.AllocsPerRun(100, func() {
+		p := Start(nop)
+		p.Wait()
+	}); allocs != 0 {
+		t.Errorf("Start + Wait allocated %.1f objects per call, want 0", allocs)
+	}
 }

@@ -9,7 +9,8 @@
 // registered chain, or when the workload is below the grain size, so small
 // DQMC matrices do not pay scheduling overhead, and nested calls (a parallel
 // Gemm inside a parallel loop body) are safe: inner loops that find no idle
-// worker run serially on the caller.
+// worker run serially on the caller. Start hands one closure to an idle
+// worker and lets the caller go on; Wait joins it.
 package parallel
 
 // maxWorkers reports the number of workers to use for a loop of n iterations
@@ -90,4 +91,46 @@ func Pair(a, b func()) {
 		b()
 	}
 	t.release()
+}
+
+// Pending is a closure handed off by Start. Its zero value, like the result
+// of a Start that ran inline, is already done.
+type Pending struct{ t *task }
+
+// Start runs f on an idle pool worker and returns without waiting for it;
+// Wait joins. When no worker is idle, or width() is below 2 (GOMAXPROCS 1,
+// or every core already running a registered chain), f runs inline before
+// Start returns. A started f occupies its worker until it returns, so
+// meanwhile a Pair or For that finds no other idle worker runs on its
+// caller, as nested calls do. It is the pool half of Pair without the
+// caller's half: the same pooled task and latch, so a steady-state call
+// allocates nothing and spawns no goroutine.
+//
+//qmc:hot
+func Start(f func()) Pending {
+	if width() < 2 {
+		f()
+		return Pending{}
+	}
+	t := taskPool.Get().(*task)
+	t.b = f
+	if enlist(t, 1) == 1 {
+		return Pending{t}
+	}
+	t.release()
+	f()
+	return Pending{}
+}
+
+// Wait returns once the closure passed to Start has run. Waiting again, or
+// on an inline or zero Pending, returns at once.
+//
+//qmc:hot
+func (p *Pending) Wait() {
+	if p.t == nil {
+		return
+	}
+	p.t.helpers.wait()
+	p.t.release()
+	p.t = nil
 }

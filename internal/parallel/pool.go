@@ -28,8 +28,8 @@
 //     it is deciding to park makes the swap fail and is picked up at once;
 //     a wake-up cannot be lost.
 //  3. Task descriptors are pooled, the claim cursor is atomic and the
-//     workers outlive the calls, so a steady-state For or Pair performs no
-//     heap allocation and spawns no goroutine.
+//     workers outlive the calls, so a steady-state For, Pair or Start
+//     performs no heap allocation and spawns no goroutine.
 //
 // Spinning only pays when a core is idle. A Markov chain registers for its
 // lifetime (Enter/Leave) and loops are offered GOMAXPROCS / chains wide, so
@@ -94,7 +94,7 @@ func (l *latch) wait() {
 
 // task is one parallel region in flight: a chunked loop (body != nil) whose
 // submitter and helpers claim [lo, hi) ranges with atomic adds on next, or
-// the forked half of a Pair (b != nil).
+// one closure (b != nil): the forked half of a Pair, or a Start.
 type task struct {
 	body     func(lo, hi int)
 	n, chunk int

@@ -54,14 +54,28 @@ func docDiff(got, want string) string {
 // filling, where the two spin sectors' stability samples differ and their
 // arrival order would show; it measures dynamics and samples the
 // stack-vs-rebuild residual, so every section of the document is populated.
+// The residual check runs beside the sweep: at cadence 1 it is joined at the
+// next boundary, at cadence 3 (NC = 4) it stays in flight across an
+// unprobed boundary and across the sweep's end, with the autopilot off and
+// on, so the controller's inputs and decisions are held too.
 func TestResultsBitwiseAcrossModes(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.Mu, cfg.Beta, cfg.L, cfg.ClusterK = 0.5, 4, 40, 10
-	cfg.WarmSweeps, cfg.MeasSweeps = 2, 4
-	cfg.MeasureDynamics, cfg.StabilityCheckEvery = true, 1
-	cfg.Seed = 13
-
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, v := range []struct {
+		every     int
+		autopilot bool
+	}{{1, false}, {3, false}, {3, true}} {
+		cfg := core.DefaultConfig()
+		cfg.Mu, cfg.Beta, cfg.L, cfg.ClusterK = 0.5, 4, 40, 10
+		cfg.WarmSweeps, cfg.MeasSweeps = 2, 4
+		cfg.MeasureDynamics, cfg.StabilityCheckEvery, cfg.Autopilot = true, v.every, v.autopilot
+		cfg.Seed = 13
+		variant := fmt.Sprintf("stability every %d, autopilot=%v", v.every, v.autopilot)
+		resultsBitwiseAcrossModes(t, variant, cfg)
+	}
+}
+
+func resultsBitwiseAcrossModes(t *testing.T, variant string, cfg core.Config) {
+	t.Helper()
 	var first []*core.Results // per engine, in its first mode
 	for _, e := range []struct {
 		name    string
@@ -71,7 +85,7 @@ func TestResultsBitwiseAcrossModes(t *testing.T) {
 		var whole, wholeFrom string
 		for _, procs := range []int{1, 2, 4} {
 			for _, serial := range []bool{false, true} {
-				mode := fmt.Sprintf("%s, GOMAXPROCS=%d, serial spins=%v", e.name, procs, serial)
+				mode := fmt.Sprintf("%s: %s, GOMAXPROCS=%d, serial spins=%v", variant, e.name, procs, serial)
 				c := cfg
 				c.Devices, c.UseGraphs, c.SerialSpins = e.devices, e.graphs, serial
 				runtime.GOMAXPROCS(procs)
@@ -80,6 +94,9 @@ func TestResultsBitwiseAcrossModes(t *testing.T) {
 					t.Fatalf("%s: %v", mode, err)
 				}
 				if doc := modeDoc(t, res, true); whole == "" {
+					if res.Metrics.Stability.StratResidualSamples == 0 {
+						t.Errorf("%s: no residual samples; the check in flight went untested", mode)
+					}
 					whole, wholeFrom = doc, mode
 					first = append(first, res)
 				} else if doc != whole {
@@ -91,19 +108,19 @@ func TestResultsBitwiseAcrossModes(t *testing.T) {
 	host, dev := *first[0], *first[1]
 	host.MaxWrapDrift, dev.MaxWrapDrift = 0, 0
 	if a, b := modeDoc(t, &dev, false), modeDoc(t, &host, false); a != b {
-		t.Errorf("device engine: document minus metrics and wrap drift differs from the host's:\n%s", docDiff(a, b))
+		t.Errorf("%s: device engine: document minus metrics and wrap drift differs from the host's:\n%s", variant, docDiff(a, b))
 	}
 
 	_, cl := newTestServer(t, Options{Workers: 1})
 	st, err := cl.Submit(context.Background(), JobRequest{Config: cfg})
 	if err != nil {
-		t.Fatalf("submit: %v", err)
+		t.Fatalf("%s: submit: %v", variant, err)
 	}
 	res, err := cl.WaitResult(context.Background(), st.ID)
 	if err != nil {
-		t.Fatalf("wait: %v", err)
+		t.Fatalf("%s: wait: %v", variant, err)
 	}
 	if a, b := modeDoc(t, res.Results, false), modeDoc(t, first[0], false); a != b {
-		t.Errorf("one-shard dqmcd job: document minus metrics differs from core.Run's:\n%s", docDiff(a, b))
+		t.Errorf("%s: one-shard dqmcd job: document minus metrics differs from core.Run's:\n%s", variant, docDiff(a, b))
 	}
 }

@@ -12,7 +12,7 @@
 // (Between two refreshes the wrapped G carries each backend's own rounding
 // of V G V^-1, so the wrap-drift diagnostic is backend-specific.)
 //
-// Three optimizations sit on top of the paper's Algorithm 1:
+// Four optimizations sit on top of the paper's Algorithm 1:
 //
 //   - The per-boundary stratified refresh goes through greens.StratStack
 //     over the spin's greens.ClusterSet, which caches suffix UDT
@@ -39,6 +39,12 @@
 //     blas.AxpyCols: G's column or row, the pending updates and the scaling
 //     in one register-blocked pass, bitwise the per-column blas.Axpy calls
 //     it replaced.
+//   - The sampled stack-vs-rebuild residual check (Options.StabilityEvery)
+//     runs beside the sweep, not inside it: the boundary's refresh snapshots
+//     what the check reads, Sweep hands the whole-chain rebuild to an idle
+//     pool worker (parallel.Start) and joins it up to two boundaries later,
+//     delivering the sample on the chain's goroutine. With no idle core the
+//     check runs inline.
 package update
 
 import (
@@ -219,8 +225,9 @@ type Options struct {
 	// StabilityEvery, when positive and Obs is enabled, compares the
 	// stack-refreshed Green's function against a full stratified rebuild
 	// every StabilityEvery cluster boundaries and records the relative
-	// residual. The check costs one extra whole-chain stratification, so it
-	// is sampled rather than continuous.
+	// residual. The rebuild is a whole-chain stratification; it runs on an
+	// idle core beside the sweep when there is one (see probe) and inline
+	// otherwise, so it is sampled rather than continuous.
 	StabilityEvery int
 }
 
@@ -258,6 +265,45 @@ type Sweeper struct {
 	// residual check; checkStrat says whether the current one samples it.
 	boundaries int64
 	checkStrat bool
+	probe      probe
+}
+
+// probe is the StabilityEvery residual check of one boundary, run beside
+// the sweep. The spin-up refresh arms it with copies of what it reads: the
+// stack's Green's function, the boundary's cluster chain (ClusterSet.Chain
+// reuses its slice) and the chain's first cluster, which the next
+// boundary's Recompute rewrites. Sweep starts it after the boundary fork
+// (parallel.Start) and joins it before the boundary after the next one,
+// whose Recompute rewrites the chain's second cluster; before arming it
+// again; and before returning. The sample reaches the collector at the join,
+// on the chain's goroutine, so its order and value are those of an inline
+// check.
+type probe struct {
+	g, ref, head *mat.Dense   // stack's G, the rebuild, chain[0]'s copy; allocated at the first arm
+	chain        []*mat.Dense // the boundary's chain with head in place of its first cluster
+	armed        bool         // snapshot taken, not yet started
+	running      bool         // started, not yet joined
+	at           int64        // Sweeper.boundaries when started
+	res          float64      // RelDiff(g, ref), valid once joined
+	pending      parallel.Pending
+	run          func() // pre-bound: the rebuild and the residual
+}
+
+// arm snapshots the check of the boundary whose chain is chain and whose
+// stack-refreshed Green's function is g.
+func (p *probe) arm(chain []*mat.Dense, g *mat.Dense) {
+	if p.g == nil {
+		n := g.Rows
+		p.g, p.ref, p.head = mat.New(n, n), mat.New(n, n), mat.New(n, n)
+	}
+	if len(p.chain) != len(chain) {
+		p.chain = make([]*mat.Dense, len(chain))
+	}
+	copy(p.chain, chain)
+	p.head.CopyFrom(chain[0])
+	p.chain[0] = p.head
+	p.g.CopyFrom(g)
+	p.armed = true
 }
 
 // NewSweeper prepares a sweeper over the host backend and computes the
@@ -293,9 +339,16 @@ func NewSweeperOn(p *hubbard.Propagator, f *hubbard.Field, r *rng.Rand, opts Opt
 	sw := &Sweeper{Prop: p, Field: f, Rng: r, opts: opts, sign: 1}
 	sw.up = sw.newSpin(mk, hubbard.Up)
 	sw.dn = sw.newSpin(mk, hubbard.Down)
+	pb := &sw.probe
+	pb.run = func() {
+		greens.GreenInto(pb.ref, pb.chain, opts.PrePivot)
+		pb.res = mat.RelDiff(pb.g, pb.ref)
+	}
 	start := sw.opts.Obs.Begin()
 	sw.setBoundary(0)
 	sw.fork(func() { sw.refreshSpin(sw.up, true) }, func() { sw.refreshSpin(sw.dn, false) })
+	sw.startProbe(true)
+	sw.joinProbe()
 	sw.opts.Obs.End(obs.PhaseRefresh, start)
 	return sw
 }
@@ -392,11 +445,9 @@ func (sw *Sweeper) refreshSpin(s *spinState, trackDrift bool) {
 		s.st.GreenInto(gNew)
 		if trackDrift && sw.checkStrat {
 			// Sampled stability check: the stack's amortized answer against
-			// a from-scratch host stratification of the same cluster chain.
-			ref := mat.GetScratch(n, n)
-			greens.GreenInto(ref, s.cs.Chain(sw.boundary), sw.opts.PrePivot)
-			sw.opts.Obs.SampleStratResidual(mat.RelDiff(gNew, ref))
-			mat.PutScratch(ref)
+			// a from-scratch host stratification of the same cluster chain,
+			// started once the fork has joined.
+			sw.probe.arm(s.cs.Chain(sw.boundary), gNew)
 		}
 	} else {
 		greens.GreenInto(gNew, s.cs.Chain(sw.boundary), sw.opts.PrePivot)
@@ -413,6 +464,46 @@ func (sw *Sweeper) refreshSpin(s *spinState, trackDrift bool) {
 	}
 	s.g.CopyFrom(gNew)
 	mat.PutScratch(gNew)
+}
+
+// startProbe starts the residual check armed at the boundary just
+// refreshed, if any: on an idle pool worker, or inline when inline is set
+// (SerialSpins, and the constructor's initial refresh) or no worker is idle.
+//
+//qmc:hot
+func (sw *Sweeper) startProbe(inline bool) {
+	p := &sw.probe
+	if !p.armed {
+		return
+	}
+	p.armed, p.running, p.at = false, true, sw.boundaries
+	if inline {
+		p.run()
+		return
+	}
+	p.pending = parallel.Start(p.run)
+}
+
+// probeDue reports whether the check in flight must be joined before the
+// fork of the boundary setBoundary just made current: that fork arms a new
+// check, or, two boundaries after the check's own, its Recompute rewrites
+// the check's second cluster.
+func (sw *Sweeper) probeDue() bool {
+	return sw.probe.running && (sw.checkStrat || sw.boundaries-sw.probe.at > 1)
+}
+
+// joinProbe waits for the check in flight, if any, and records its
+// residual.
+//
+//qmc:hot
+func (sw *Sweeper) joinProbe() {
+	p := &sw.probe
+	if !p.running {
+		return
+	}
+	p.pending.Wait()
+	p.running = false
+	sw.opts.Obs.SampleStratResidual(p.res)
 }
 
 // setBoundary makes c the boundary the next refresh recomputes and decides
@@ -461,15 +552,29 @@ func (sw *Sweeper) Sweep() {
 		c := s / k
 		sw.cluster = c
 		sw.setBoundary((c + 1) % sw.up.cs.NC)
+		if sw.probeDue() {
+			sw.joinProbe()
+			t = sw.opts.Obs.Lap(obs.PhaseRefresh, t)
+		}
 		t = sw.timedFork(sw.up.boundaryFn, sw.dn.boundaryFn, t)
 		// Up before down, whichever sector's refresh finished first: the
 		// collector's running sums then repeat bit for bit.
 		sw.up.reportCond(sw.opts.Obs)
 		sw.dn.reportCond(sw.opts.Obs)
+		sw.startProbe(sw.opts.SerialSpins)
+		// The condition reports and the check's hand-off are refresh
+		// bookkeeping; with a hook they would fall between two phases.
+		t = sw.opts.Obs.Lap(obs.PhaseRefresh, t)
 		if sw.boundaryHook != nil {
 			sw.boundaryHook()
 			t = sw.opts.Obs.Begin()
 		}
+	}
+	// No check outlives its sweep: the caller may resize the clusters, and
+	// the autopilot closes the sweep's sample window.
+	if sw.probe.running {
+		sw.joinProbe()
+		sw.opts.Obs.End(obs.PhaseRefresh, t)
 	}
 }
 

@@ -23,6 +23,10 @@ go test -race ./internal/parallel/ ./internal/blas/ ./internal/update/ ./interna
 # loop in the pool's hand-off starves its own task. -count=1 because the test
 # cache does not key on GOMAXPROCS.
 GOMAXPROCS=4 go test -count=1 -race ./internal/parallel/ ./internal/update/
+# Two Ps: the only mode in which a residual check started beside the sweep
+# holds the single pool worker, so every fork meanwhile falls back to the
+# caller (at 4 a second worker hides that path).
+GOMAXPROCS=2 go test -count=1 -race ./internal/parallel/ ./internal/update/
 # One Results document per execution mode, with the race detector watching
 # the spin fork and the GEMM pool at every GOMAXPROCS the test sets.
 GOMAXPROCS=4 go test -count=1 -race -run 'TestResultsBitwiseAcrossModes$' ./internal/service/
