@@ -110,25 +110,40 @@ func TestCmdFigures(t *testing.T) {
 	}
 }
 
-func TestCmdSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration")
-	}
-	out := runTool(t, "./cmd/sweep", "-scan", "u", "-values", "0,4",
-		"-nx", "2", "-beta", "1", "-dtau", "0.25", "-warm", "2", "-meas", "4")
-	if !strings.Contains(out, "S(pi,pi)") {
-		t.Fatalf("sweep output:\n%s", out)
-	}
-}
-
+// TestCmdExtrapolate runs the study driver once per kind of scan: the two
+// fitted discretizations and a plain parameter table, with chi and with
+// walkers.
 func TestCmdExtrapolate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
 	}
-	out := runTool(t, "./cmd/extrapolate", "-mode", "trotter", "-obs", "docc",
-		"-ls", "4,8", "-nx", "2", "-beta", "1", "-warm", "5", "-meas", "10")
-	if !strings.Contains(out, "extrapolation") {
-		t.Fatalf("extrapolate output:\n%s", out)
+	small := []string{"-nx", "2", "-beta", "1", "-dtau", "0.25", "-warm", "2", "-meas", "4"}
+	for _, tc := range []struct {
+		name string
+		args []string
+		fits bool // prints an extrapolation line
+		want []string
+	}{
+		{"scan=l", []string{"-scan", "l", "-values", "4,8", "-obs", "docc", "-nx", "2", "-beta", "1", "-warm", "5", "-meas", "10"},
+			true, []string{"dtau -> 0 extrapolation: docc"}},
+		{"scan=nx", []string{"-scan", "nx", "-values", "2,4", "-obs", "saf", "-beta", "1", "-dtau", "0.25", "-warm", "2", "-meas", "4"},
+			true, []string{"L -> infinity extrapolation: saf"}},
+		{"scan=u_chi", append([]string{"-scan", "u", "-values", "0,4", "-chi"}, small...),
+			false, []string{"S(pi,pi)", "chi_AF"}},
+		{"scan=u_walkers", append([]string{"-scan", "u", "-values", "0,4", "-walkers", "2", "-chi"}, small...),
+			false, []string{"S(pi,pi)", "n/a(walkers)"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := runTool(t, append([]string{"./cmd/extrapolate"}, tc.args...)...)
+			for _, want := range tc.want {
+				if !strings.Contains(out, want) {
+					t.Fatalf("extrapolate %v output missing %q:\n%s", tc.args, want, out)
+				}
+			}
+			if got := strings.Contains(out, "extrapolation"); got != tc.fits {
+				t.Fatalf("extrapolate %v printed a fit: %v, want %v:\n%s", tc.args, got, tc.fits, out)
+			}
+		})
 	}
 }
 

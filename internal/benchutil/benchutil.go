@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -153,8 +154,8 @@ func ParseSizes(s string) ([]int, error) {
 		if part == "" {
 			continue
 		}
-		var n int
-		if _, err := fmt.Sscanf(part, "%d", &n); err != nil || n < 1 {
+		n, err := strconv.Atoi(part)
+		if err != nil || n < 1 {
 			return nil, fmt.Errorf("benchutil: bad size %q", part)
 		}
 		out = append(out, n)

@@ -82,8 +82,11 @@ func TestParseSizes(t *testing.T) {
 	if err != nil || len(got) != 3 || got[2] != 1024 {
 		t.Fatalf("ParseSizes = %v, %v", got, err)
 	}
-	if _, err := ParseSizes("12,abc"); err == nil {
-		t.Fatal("bad token should fail")
+	// A token is an integer or an error, never the integer it starts with.
+	for _, bad := range []string{"12,abc", "4.5", "8x8", "12abc", "1e3"} {
+		if got, err := ParseSizes(bad); err == nil {
+			t.Errorf("ParseSizes(%q) = %v, want an error", bad, got)
+		}
 	}
 	if _, err := ParseSizes(""); err == nil {
 		t.Fatal("empty list should fail")

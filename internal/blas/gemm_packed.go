@@ -312,10 +312,3 @@ func microKernel4x4(kc int, a, b, c []float64, ldc int) {
 	c[3*ldc+2] += c23
 	c[3*ldc+3] += c33
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -204,10 +204,3 @@ func trsv(upper, trans, unit bool, t *mat.Dense, x []float64) {
 		}
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -342,10 +342,3 @@ func (qr *QR) formQBlocked(q *mat.Dense) {
 		blas.Gemm(false, false, -1, vv, w2, 1, q.View(j, j, m-j, m-j))
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -275,17 +275,3 @@ func (m *Dense) String() string {
 	}
 	return sb.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

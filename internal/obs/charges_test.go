@@ -11,6 +11,7 @@ import (
 	"questgo/internal/mat"
 	"questgo/internal/obs"
 	"questgo/internal/rng"
+	"questgo/internal/update"
 )
 
 // TestKernelCharges pins by value the op-counter charges that no other
@@ -92,4 +93,47 @@ func randomMatrix(rows, cols int) *mat.Dense {
 		}
 	}
 	return a
+}
+
+// TestChargesPerSweep holds the instrumentation's cost to a count that does
+// not grow with the lattice: a sweep may charge the collector a few intervals
+// per slice and per cluster boundary, never one per site. A sweep's L + NC
+// forks charge flush and wrap for each of the L slice steps and flush,
+// cluster and refresh for each of the NC boundaries, and the sweep laps
+// flush once per slice and refresh once per boundary: 3L + 4NC in all, under
+// perFork·(L + NC). A timer inside the per-site Metropolis loop adds N·L.
+func TestChargesPerSweep(t *testing.T) {
+	const (
+		sweeps  = 3
+		perFork = 4
+	)
+	for _, tc := range []struct {
+		name     string
+		nx, l, k int
+		beta     float64
+	}{
+		{"4x4 L=40 k=10", 4, 40, 10, 4},
+		{"6x6 L=160 k=8", 6, 160, 8, 16},
+	} {
+		for _, serial := range []bool{false, true} {
+			m, err := hubbard.NewModel(lattice.NewSquare(tc.nx, tc.nx, 1), 4, 0, tc.beta, tc.l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			col := obs.New()
+			f := hubbard.NewRandomField(tc.l, m.N(), rng.New(7))
+			opts := update.Options{ClusterK: tc.k, PrePivot: true, SerialSpins: serial, Obs: col}
+			sw := update.NewSweeper(hubbard.NewPropagator(m), f, rng.New(11), opts)
+			before := col.Charges()
+			for i := 0; i < sweeps; i++ {
+				sw.Sweep()
+			}
+			got := (col.Charges() - before) / sweeps
+			bound := int64(perFork * (tc.l + tc.l/tc.k))
+			if got <= 0 || got > bound {
+				t.Errorf("%s, serial=%v: %d collector charges per sweep, want 1..%d (%d per fork, L + NC forks)",
+					tc.name, serial, got, bound, perFork)
+			}
+		}
+	}
 }

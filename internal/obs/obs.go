@@ -247,6 +247,7 @@ type StabilityListener interface {
 // safe for concurrent use; the hot-path methods never allocate.
 type Collector struct {
 	phaseNS   [NumPhases]int64 // atomic
+	charges   int64            // atomic; Charge calls (End and Lap included)
 	startOps  OpCounts
 	startTime time.Time
 	wallNS    int64 // atomic; set by Finish, 0 while running
@@ -337,6 +338,7 @@ func (c *Collector) Charge(p Phase, d time.Duration) {
 		return
 	}
 	atomic.AddInt64(&c.phaseNS[p], int64(d))
+	atomic.AddInt64(&c.charges, 1)
 }
 
 // Finish stamps the run's wall time. Metrics taken after Finish report the

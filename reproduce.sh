@@ -54,11 +54,10 @@ go test ./internal/core/ -run NoSuchTest -fuzz 'FuzzResumeCheckpoint$' -fuzztime
 # (Blocked QRP >= level-2 at N=512 is TestQRPBlockedNotSlowerThanLevel2 in
 # tier-1.)
 go run ./cmd/figures -fig=1 -sizes 16,36,64,128,144,256,512,1024 -reps 2 -json BENCH_gemm.json
-echo "== Verify: metrics instrumentation overhead gate (<2% on the sweep hot path)"
-go run ./cmd/sweep -obscheck
-# The command-graph/multi-device and service-cache gates are tests the
-# qmcdebug pass above already ran: TestGraphLaunchAmortization,
-# TestModeledClockGolden, TestSweeperDeviceAndGraphInvariance, TestCacheHit.
+# The command-graph/multi-device, service-cache and instrumentation-cost
+# gates are tests the qmcdebug pass above already ran:
+# TestGraphLaunchAmortization, TestModeledClockGolden,
+# TestSweeperDeviceAndGraphInvariance, TestCacheHit, TestChargesPerSweep.
 
 if [ "${PAPER_SCALE:-0}" = "1" ]; then
     KSIZES=128,256,384,512,768,1024
