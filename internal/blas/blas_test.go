@@ -294,6 +294,125 @@ func TestTrsmBitwiseAcrossDispatch(t *testing.T) {
 	}
 }
 
+// trsvRef solves op(T) x = x for one right-hand side the way Trsm's
+// diagonal blocks were solved before the rank-1 kernel: an Axpy per pivot
+// (column sweeps) or a Dot per row (transposed solves).
+func trsvRef(upper, trans, unit bool, t *mat.Dense, x []float64) {
+	n := t.Rows
+	div := func(k int) {
+		if !unit {
+			x[k] /= t.At(k, k)
+		}
+	}
+	switch {
+	case !trans && !upper:
+		for k := 0; k < n; k++ {
+			div(k)
+			Axpy(-x[k], t.Col(k)[k+1:], x[k+1:n])
+		}
+	case !trans && upper:
+		for k := n - 1; k >= 0; k-- {
+			div(k)
+			Axpy(-x[k], t.Col(k)[:k], x[:k])
+		}
+	case trans && !upper:
+		for k := n - 1; k >= 0; k-- {
+			x[k] -= Dot(t.Col(k)[k+1:], x[k+1:n])
+			div(k)
+		}
+	default:
+		for k := 0; k < n; k++ {
+			x[k] -= Dot(t.Col(k)[:k], x[:k])
+			div(k)
+		}
+	}
+}
+
+// trsmRef is Trsm with every diagonal block solved column by column by
+// trsvRef: the same alpha pass, blocks and Gemm updates.
+func trsmRef(upper, trans, unit bool, alpha float64, t, b *mat.Dense) {
+	n := t.Rows
+	for j := 0; j < b.Cols; j++ {
+		Scal(alpha, b.Col(j))
+	}
+	solve := func(k0, k1 int) {
+		for j := 0; j < b.Cols; j++ {
+			trsvRef(upper, trans, unit, t.View(k0, k0, k1-k0, k1-k0), b.Col(j)[k0:k1])
+		}
+	}
+	forward := trans == upper // T lower, or T^T with T upper
+	if forward {
+		for k0 := 0; k0 < n; k0 += trsmBlock {
+			k1 := min(k0+trsmBlock, n)
+			solve(k0, k1)
+			if k1 == n {
+				continue
+			}
+			off := t.View(k1, k0, n-k1, k1-k0)
+			if trans {
+				off = t.View(k0, k1, k1-k0, n-k1)
+			}
+			Gemm(trans, false, -1, off, b.View(k0, 0, k1-k0, b.Cols), 1, b.View(k1, 0, n-k1, b.Cols))
+		}
+		return
+	}
+	for k1 := n; k1 > 0; k1 -= trsmBlock {
+		k0 := max(k1-trsmBlock, 0)
+		solve(k0, k1)
+		if k0 == 0 {
+			continue
+		}
+		off := t.View(0, k0, k0, k1-k0)
+		if trans {
+			off = t.View(k0, 0, k1-k0, k0)
+		}
+		Gemm(trans, false, -1, off, b.View(k0, 0, k1-k0, b.Cols), 1, b.View(0, 0, k0, b.Cols))
+	}
+}
+
+// TestTrsmMatchesPerColumnTrsv: all four Trsm variants, unit and not, against
+// trsmRef bit for bit, at every N from 1 to 70 (one diagonal block, then a
+// trsmBlock-row block and a sliver) and at 144 and 200 (three and four
+// blocks, the last partial), with right-hand-side counts on both sides of
+// the pool cutoff, alpha 1 and 0.5, and ±0 entries in B whose updates must
+// be skipped. The non-transposed diagonal blocks run pivot by pivot over
+// all columns through the rank-1 kernel, which must not move a bit.
+func TestTrsmMatchesPerColumnTrsv(t *testing.T) {
+	sizes := []int{144, 200}
+	for n := 1; n <= 70; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		r := rng.New(uint64(n) + 91)
+		tm := randomDense(r, n, n)
+		for i := 0; i < n; i++ {
+			tm.Set(i, i, 2+r.Float64())
+		}
+		for _, cols := range []int{1, 5, n + 3} {
+			b := randomDense(r, n, cols)
+			for j := 0; j < cols; j += 2 {
+				b.Col(j)[r.Intn(n)] = 0
+				b.Col(j)[r.Intn(n)] = math.Copysign(0, -1)
+			}
+			for _, upper := range []bool{false, true} {
+				for _, trans := range []bool{false, true} {
+					for _, unit := range []bool{false, true} {
+						for _, alpha := range []float64{1, 0.5} {
+							got, want := b.Clone(), b.Clone()
+							Trsm(upper, trans, unit, alpha, tm, got)
+							trsmRef(upper, trans, unit, alpha, tm, want)
+							if !sameBits(got, want) {
+								t.Fatalf("n=%d cols=%d upper=%v trans=%v unit=%v alpha=%v: Trsm differs from the per-column substitution",
+									n, cols, upper, trans, unit, alpha)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // Property: Gemm agrees with the naive triple loop on random shapes.
 func TestQuickGemmMatchesNaive(t *testing.T) {
 	f := func(seed uint16) bool {

@@ -68,8 +68,8 @@ func FuzzGemmPackedVsNaive(f *testing.F) {
 }
 
 // FuzzVecKernels drives the stride-1 layer under fuzzer-chosen lengths,
-// scalars, panel shapes, axpyCols and reflector column counts, coefficient
-// and starting-value strides, and data seeds against the oracles of
+// scalars, panel shapes, axpyCols, rank-1 and reflector column counts,
+// coefficient and starting-value strides, and data seeds against the oracles of
 // vec_test.go (each of which already runs the operands at several slice
 // offsets).
 func FuzzVecKernels(f *testing.F) {
@@ -86,6 +86,8 @@ func FuzzVecKernels(f *testing.F) {
 		checkDot(t, n, seed)
 		checkAxpy(t, n, alpha, seed)
 		checkAxpyCols(t, n, int(pad%40), 1+int(pad/40), int(seed>>1)%4, alpha, seed&1 == 1, seed)
+		checkRank1(t, n%200, int(pad%40), 1+int(pad/40), seed&1 == 1, seed)
+		checkScale(t, n%200, int(pad%40), seed&2 == 0, seed&4 == 0, seed&1 == 1, seed)
 		checkReflector(t, n%100, int(pad%40), alpha, seed&1 == 1, seed)
 		for _, w := range []int{4, 8} {
 			checkPack(t, true, n, w, w+int(pad%9), alpha, seed)

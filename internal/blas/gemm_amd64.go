@@ -38,6 +38,12 @@ func axpyAVX2(n int64, alpha float64, x, y *float64)
 func axpyColsAVX2(n, m int64, a *float64, lda int64, x *float64, incx int64, y0 *float64, incy0 int64, scale float64, y *float64)
 
 //go:noescape
+func rank1AVX2(m, n int64, x, y *float64, incy int64, a *float64, lda int64)
+
+//go:noescape
+func scaleAVX2(m, n int64, c *float64, ldc int64, r, s *float64)
+
+//go:noescape
 func dotAVX2(n int64, x, y *float64) float64
 
 //go:noescape
@@ -62,7 +68,7 @@ func microKernel(kc int, a, b, c []float64, ldc int) {
 	}
 }
 
-// axpy, axpyCols, dot, applyReflector, packRows and packCols are the
+// axpy, axpyCols, rank1, scale, dot, applyReflector, packRows and packCols are the
 // stride-1 layer under the micro-kernel: on the CPUs that run an assembly
 // kernel (kernMR == 8) they hand a non-empty vector or a full micro-panel to
 // the AVX2 kernels of gemm_amd64.s, and everything else — other CPUs,
@@ -96,6 +102,37 @@ func axpyCols(n, m int, a []float64, lda int, x []float64, incx int, y0 []float6
 		return
 	}
 	axpyColsGo(n, m, a, lda, x, incx, y0, incy0, scale, y)
+}
+
+// rank1 computes a[j*lda+i] = fma(-y[j*incy], x[i], a[j*lda+i]) for i < m,
+// j < n, columns with a ±0 coefficient skipped: the n axpy calls, bitwise.
+func rank1(m, n int, x, y []float64, incy int, a []float64, lda int) {
+	if kernMR == 8 && m > 0 && n > 0 {
+		_, _, _ = x[m-1], y[(n-1)*incy], a[(n-1)*lda+m-1]
+		rank1AVX2(int64(m), int64(n), &x[0], &y[0], int64(incy), &a[0], int64(lda))
+		return
+	}
+	rank1Go(m, n, x, y, incy, a, lda)
+}
+
+// scale computes c[j*ldc+i] = (c[j*ldc+i]*r[i])*s[j] for i < m, j < n, a
+// nil r or s left out: per element ScaleRows' and ScaleCols' multiplies.
+func scale(m, n int, c []float64, ldc int, r, s []float64) {
+	if kernMR == 8 && m > 0 && n > 0 {
+		_ = c[(n-1)*ldc+m-1]
+		var pr, ps *float64
+		if r != nil {
+			_ = r[m-1]
+			pr = &r[0]
+		}
+		if s != nil {
+			_ = s[n-1]
+			ps = &s[0]
+		}
+		scaleAVX2(int64(m), int64(n), &c[0], int64(ldc), pr, ps)
+		return
+	}
+	scaleGo(m, n, c, ldc, r, s)
 }
 
 // dot returns x . y over len(x) <= len(y) elements.

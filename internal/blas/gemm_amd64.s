@@ -151,13 +151,13 @@ write8:
 	VZEROUPPER
 	RET
 
-// The six stride-1 kernels below make their results a function of (n,
+// The eight stride-1 kernels below make their results a function of (n,
 // values) alone: every load and store is unaligned (no peeling on the
 // address), a vector's element count (and the transposing pack's kc) is
 // consumed as the widest blocks first and scalars last, in an order that
 // depends on the count only, and a count of 0 never reaches them (the Go
 // wrappers in gemm_amd64.go check extents first). The hot loops of axpy,
-// axpyCols, dot and the reflector update start on a cache-line boundary, as
+// axpyCols, rank1, dot and the reflector update start on a cache-line boundary, as
 // the micro-kernels' k loops do, so their rate does not move with the
 // linker's placement.
 
@@ -407,6 +407,168 @@ acols1store:
 	JNE    acols1loop
 
 acolsdone:
+	VZEROUPPER
+	RET
+
+// func rank1AVX2(m, n int64, x, y *float64, incy int64, a *float64, lda int64)
+//
+// For each of the n columns a_j (m rows, lda apart): alpha = -y[j*incy] and,
+// unless alpha is ±0, a_j[i] = fma(alpha, x[i], a_j[i]) in axpyAVX2's blocks
+// and operand order — the Axpy(-y_j, x, a_j) calls, bit for bit. The
+// negation flips the sign bit, as Go's unary minus does; the zero test is on
+// the bits with the sign shifted out, as in axpyColsAVX2, so a NaN
+// coefficient is never skipped.
+TEXT ·rank1AVX2(SB), NOSPLIT, $0-56
+	MOVQ m+0(FP), R8
+	MOVQ n+8(FP), R9
+	MOVQ x+16(FP), R10
+	MOVQ y+24(FP), R11
+	MOVQ incy+32(FP), R12
+	MOVQ a+40(FP), DI
+	MOVQ lda+48(FP), R13
+	SHLQ $3, R12             // incy in bytes
+	SHLQ $3, R13             // lda in bytes
+
+r1col:
+	MOVQ         (R11), AX
+	MOVQ         AX, BX
+	SHLQ         $1, BX
+	JEQ          r1next
+	BTCQ         $63, AX     // alpha = -y_j
+	VMOVQ        AX, X0
+	VBROADCASTSD X0, Y0
+	MOVQ         R10, SI     // x
+	MOVQ         DI, DX      // a_j
+	MOVQ         R8, CX
+	SUBQ         $16, CX
+	JL           r1ax4
+
+	PCALIGN $64
+r1ax16:
+	VMOVUPD     (DX), Y1
+	VMOVUPD     32(DX), Y2
+	VMOVUPD     64(DX), Y3
+	VMOVUPD     96(DX), Y4
+	VFMADD231PD (SI), Y0, Y1
+	VFMADD231PD 32(SI), Y0, Y2
+	VFMADD231PD 64(SI), Y0, Y3
+	VFMADD231PD 96(SI), Y0, Y4
+	VMOVUPD     Y1, (DX)
+	VMOVUPD     Y2, 32(DX)
+	VMOVUPD     Y3, 64(DX)
+	VMOVUPD     Y4, 96(DX)
+	ADDQ        $128, SI
+	ADDQ        $128, DX
+	SUBQ        $16, CX
+	JGE         r1ax16
+
+r1ax4:
+	ADDQ $12, CX
+	JL   r1ax1
+
+r1ax4loop:
+	VMOVUPD     (DX), Y1
+	VFMADD231PD (SI), Y0, Y1
+	VMOVUPD     Y1, (DX)
+	ADDQ        $32, SI
+	ADDQ        $32, DX
+	SUBQ        $4, CX
+	JGE         r1ax4loop
+
+r1ax1:
+	ADDQ $4, CX
+	JE   r1next
+
+r1ax1loop:
+	VMOVSD      (DX), X1
+	VFMADD231SD (SI), X0, X1
+	VMOVSD      X1, (DX)
+	ADDQ        $8, SI
+	ADDQ        $8, DX
+	DECQ        CX
+	JNE         r1ax1loop
+
+r1next:
+	ADDQ R12, R11
+	ADDQ R13, DI
+	DECQ R9
+	JNE  r1col
+	VZEROUPPER
+	RET
+
+// func scaleAVX2(m, n int64, c *float64, ldc int64, r, s *float64)
+//
+// c_j[i] = (c_j[i] * r[i]) * s[j] for each of the n columns c_j (m rows,
+// ldc apart), the row factor left out when r is nil and the column factor
+// when s is nil: per element the rounded multiplies of ScaleRows then
+// ScaleCols, which round the same in a vector lane, four rows to a vector
+// and the last m%4 one at a time.
+TEXT ·scaleAVX2(SB), NOSPLIT, $0-48
+	MOVQ m+0(FP), R8
+	MOVQ n+8(FP), R9
+	MOVQ c+16(FP), DI
+	MOVQ ldc+24(FP), R10
+	MOVQ r+32(FP), R11
+	MOVQ s+40(FP), R12
+	SHLQ $3, R10             // ldc in bytes
+
+scol:
+	MOVQ  DI, DX             // c_j
+	MOVQ  R11, SI            // r
+	MOVQ  R8, CX
+	TESTQ R12, R12
+	JEQ   s4
+	VBROADCASTSD (R12), Y1   // s_j
+	ADDQ  $8, R12
+
+s4:
+	SUBQ $4, CX
+	JL   s1
+
+s4loop:
+	VMOVUPD (DX), Y0
+	TESTQ   R11, R11
+	JEQ     s4col
+	VMULPD  (SI), Y0, Y0
+	ADDQ    $32, SI
+
+s4col:
+	TESTQ   R12, R12
+	JEQ     s4store
+	VMULPD  Y1, Y0, Y0
+
+s4store:
+	VMOVUPD Y0, (DX)
+	ADDQ    $32, DX
+	SUBQ    $4, CX
+	JGE     s4loop
+
+s1:
+	ADDQ $4, CX
+	JE   snext
+
+s1loop:
+	VMOVSD (DX), X0
+	TESTQ  R11, R11
+	JEQ    s1col
+	VMULSD (SI), X0, X0
+	ADDQ   $8, SI
+
+s1col:
+	TESTQ  R12, R12
+	JEQ    s1store
+	VMULSD X1, X0, X0
+
+s1store:
+	VMOVSD X0, (DX)
+	ADDQ   $8, DX
+	DECQ   CX
+	JNE    s1loop
+
+snext:
+	ADDQ R10, DI
+	DECQ R9
+	JNE  scol
 	VZEROUPPER
 	RET
 

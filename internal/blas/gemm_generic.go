@@ -13,6 +13,12 @@ func axpyCols(n, m int, a []float64, lda int, x []float64, incx int, y0 []float6
 	axpyColsGo(n, m, a, lda, x, incx, y0, incy0, scale, y)
 }
 
+func rank1(m, n int, x, y []float64, incy int, a []float64, lda int) {
+	rank1Go(m, n, x, y, incy, a, lda)
+}
+
+func scale(m, n int, c []float64, ldc int, r, s []float64) { scaleGo(m, n, c, ldc, r, s) }
+
 func dot(x, y []float64) float64 { return dotGo(x, y) }
 
 func applyReflector(m, n int, v []float64, tau float64, c []float64, ldc int) {

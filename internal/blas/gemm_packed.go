@@ -32,10 +32,18 @@ package blas
 // every bit of the result — is independent of GOMAXPROCS and pool load.
 // Contexts (including the packing buffers and the parallel-loop closures)
 // are pooled so a steady-state Gemm call performs zero heap allocations.
+//
+// A constant operand can skip the per-call packing: a Packed holds every
+// slab's panels of one matrix, packed once by the same runPackA/runPackB,
+// and GemmPacked points ap/bp into them instead of refilling its buffers.
+// GemmPacked also takes diagonal scalings, applied to the C tiles in the
+// macro sweep once their last k slab is in, while they are in L1.
 
 import (
+	"fmt"
 	"sync"
 
+	"questgo/internal/mat"
 	"questgo/internal/parallel"
 )
 
@@ -94,7 +102,15 @@ type gemmCtx struct {
 	pc, kc int // current k slab [pc, pc+kc)
 	ic, mb int // current row slab [ic, ic+mb)
 
-	ap, bp []float64
+	ap, bp     []float64 // the current slab's panels: the buffers below, or a Packed's
+	abuf, bbuf []float64 // this context's packing buffers
+
+	// packedA/packedB hold every slab's panels of a pre-packed operand (nil:
+	// pack per call); r and s are GemmPacked's row and column scalings (nil:
+	// none), which runMacro applies to the finished tiles when lastK is set.
+	packedA, packedB []float64
+	r, s             []float64
+	lastK            bool
 
 	scaleBody func(lo, hi int)
 	packBBody func(lo, hi int)
@@ -130,7 +146,8 @@ func (ctx *gemmCtx) loop(n, grain int, body func(lo, hi int)) {
 // runPacked drives the blocked loops. Packing B is parallel over its
 // micro-panels; packing A is serial (it is O(mc*kc), negligible against the
 // O(mc*kc*nb) macro sweep it feeds); the macro sweep is parallel over B
-// micro-panel chunks, each worker streaming the whole packed A slab.
+// micro-panel chunks, each worker streaming the whole packed A slab. A
+// pre-packed operand's slab is a window into its panels (see Packed).
 func (ctx *gemmCtx) runPacked() {
 	mr, nr := kernMR, kernNR
 	for jc := 0; jc < ctx.n; jc += gemmNC {
@@ -140,17 +157,154 @@ func (ctx *gemmCtx) runPacked() {
 		for pc := 0; pc < ctx.k; pc += gemmKC {
 			ctx.pc = pc
 			ctx.kc = min(gemmKC, ctx.k-pc)
-			ctx.bp = growBuf(ctx.bp, npan*nr*ctx.kc)
-			ctx.loop(npan, 8, ctx.packBBody)
+			ctx.lastK = pc+ctx.kc == ctx.k && (ctx.r != nil || ctx.s != nil)
+			if ctx.packedB != nil {
+				ctx.bp = ctx.packedB[pc*((ctx.n+nr-1)/nr)*nr+jc*ctx.kc:]
+			} else {
+				ctx.bbuf = growBuf(ctx.bbuf, npan*nr*ctx.kc)
+				ctx.bp = ctx.bbuf
+				ctx.loop(npan, 8, ctx.packBBody)
+			}
 			for ic := 0; ic < ctx.m; ic += gemmMC {
 				ctx.ic = ic
 				ctx.mb = min(gemmMC, ctx.m-ic)
-				mpan := (ctx.mb + mr - 1) / mr
-				ctx.ap = growBuf(ctx.ap, mpan*mr*ctx.kc)
-				ctx.runPackA()
+				if ctx.packedA != nil {
+					ctx.ap = ctx.packedA[pc*((ctx.m+mr-1)/mr)*mr+ic*ctx.kc:]
+				} else {
+					mpan := (ctx.mb + mr - 1) / mr
+					ctx.abuf = growBuf(ctx.abuf, mpan*mr*ctx.kc)
+					ctx.ap = ctx.abuf
+					ctx.runPackA()
+				}
 				ctx.loop(npan, 2, ctx.macroBody)
 			}
 		}
+	}
+}
+
+// Packed is a constant Gemm operand packed once: every k slab's
+// micro-panels of the matrix, laid out slab after slab, each slab's panels
+// in the order runPackA (the A side) or runPackB (the B side) writes them
+// with the row (column) slab at 0 spanning the whole matrix. gemmMC and
+// gemmNC are multiples of the tile, so the panels of the row slab at ic are
+// the ones from ic/mr on, and a slab's packed operand is a window into them
+// holding the bits a per-call pack would write. The panels depend on the
+// tile (mr for A, nr for B), which a Packed records: GemmPacked packs per
+// call from the source when the running kernel's tile differs. The source
+// must not change while the handle is in use; a Packed is read-only and
+// may be shared by concurrent products.
+type Packed struct {
+	src    *mat.Dense
+	sideA  bool
+	mr, nr int
+	data   []float64
+}
+
+// PackA packs a as the A operand of the products GemmPacked(p, X, ...) =
+// a·X.
+func PackA(a *mat.Dense) *Packed { return pack(a, true) }
+
+// PackB packs b as the B operand of the products GemmPacked(p, X, ...) =
+// X·b.
+func PackB(b *mat.Dense) *Packed { return pack(b, false) }
+
+func pack(src *mat.Dense, sideA bool) *Packed {
+	p := &Packed{src: src, sideA: sideA, mr: kernMR, nr: kernNR}
+	ctx := &gemmCtx{aData: src.Data, as: src.Stride, bData: src.Data, bs: src.Stride, alpha: 1}
+	if sideA {
+		mpan := (src.Rows + p.mr - 1) / p.mr
+		p.data = growBuf(nil, mpan*p.mr*src.Cols)
+		ctx.mb = src.Rows
+		for pc := 0; pc < src.Cols; pc += gemmKC {
+			ctx.pc, ctx.kc = pc, min(gemmKC, src.Cols-pc)
+			ctx.ap = p.data[pc*mpan*p.mr:]
+			ctx.runPackA()
+		}
+	} else {
+		npan := (src.Cols + p.nr - 1) / p.nr
+		p.data = growBuf(nil, npan*p.nr*src.Rows)
+		ctx.nb = src.Cols
+		for pc := 0; pc < src.Rows; pc += gemmKC {
+			ctx.pc, ctx.kc = pc, min(gemmKC, src.Rows-pc)
+			ctx.bp = p.data[pc*npan*p.nr:]
+			ctx.runPackB(0, npan)
+		}
+	}
+	return p
+}
+
+// panels returns the packed panels if they were packed for the running
+// kernel's tile, nil (pack per call) otherwise.
+func (p *Packed) panels() []float64 {
+	if p.mr != kernMR || p.nr != kernNR {
+		return nil
+	}
+	return p.data
+}
+
+// GemmPacked computes C = diag(r)·(A·B)·diag(s) with A the packed operand
+// and B = x when p was packed by PackA, A = x and B the packed operand when
+// by PackB. r and s may be nil (no scaling). The product's bits are those
+// of Gemm(false, false, 1, A, B, 0, C) followed by C.ScaleRows(r) and
+// C.ScaleCols(s): the packed panels are what Gemm packs, and the tiles are
+// scaled once their last k slab is accumulated — per element the row
+// factor, then the column factor — instead of in two more passes over C.
+// It charges obs and check.Finite as Gemm does. C must not alias A, B, r
+// or s.
+//
+//qmc:hot
+func GemmPacked(p *Packed, x *mat.Dense, r, s []float64, c *mat.Dense) {
+	if p.sideA {
+		gemm(false, false, 1, p.src, x, 0, c, p.panels(), nil, r, s)
+	} else {
+		gemm(false, false, 1, x, p.src, 0, c, nil, p.panels(), r, s)
+	}
+}
+
+// scaleBlock applies the row and column scalings to the iw x jw block of C
+// at (i0, j0).
+func (ctx *gemmCtx) scaleBlock(i0, iw, j0, jw int) {
+	var r, s []float64
+	if ctx.r != nil {
+		r = ctx.r[i0 : i0+iw]
+	}
+	if ctx.s != nil {
+		s = ctx.s[j0 : j0+jw]
+	}
+	scale(iw, jw, ctx.cData[i0+j0*ctx.cs:], ctx.cs, r, s)
+}
+
+// scaleGo is the portable body of scale: each element of the m x n matrix
+// in c (leading dimension ldc) times r[i], rounded, then times s[j] — the
+// two roundings of ScaleRows then ScaleCols; a nil r or s is left out.
+func scaleGo(m, n int, c []float64, ldc int, r, s []float64) {
+	if r == nil && s == nil {
+		return
+	}
+	for j := 0; j < n; j++ {
+		col := c[j*ldc : j*ldc+m]
+		switch {
+		case s == nil:
+			for i, ri := range r[:m] {
+				col[i] *= ri
+			}
+		case r == nil:
+			sj := s[j]
+			for i := range col {
+				col[i] *= sj
+			}
+		default:
+			sj := s[j]
+			for i, ri := range r[:m] {
+				col[i] = col[i] * ri * sj
+			}
+		}
+	}
+}
+
+func checkScaling(name string, d []float64, want int) {
+	if d != nil && len(d) != want {
+		panic(fmt.Sprintf("blas: GemmPacked %s scaling has length %d, want %d", name, len(d), want))
 	}
 }
 
@@ -235,8 +389,11 @@ func packColsGo(dst, src []float64, ld, kc, w, jw int, alpha float64) {
 // runMacro sweeps B micro-panels [plo, phi) against every packed A panel of
 // the current slab. Full tiles accumulate straight into C; a partial tile
 // (bottom rows / last columns) runs the same kernel over the zero-padded
-// panels into the spill tile and adds back its iw x jw corner. microKernel
-// is called directly, not through a func value, so spill stays on the stack.
+// panels into the spill tile and adds back its iw x jw corner. In the last k
+// slab of a scaled product a B micro-panel's column of finished tiles is
+// scaled next, while it is in L1 (scaling each tile right after its own
+// kernel call would load what the kernel is still storing). microKernel is
+// called directly, not through a func value, so spill stays on the stack.
 func (ctx *gemmCtx) runMacro(plo, phi int) {
 	mr, nr, kc := kernMR, kernNR, ctx.kc
 	var spill [maxMR * maxNR]float64
@@ -251,16 +408,19 @@ func (ctx *gemmCtx) runMacro(plo, phi int) {
 			iw := min(mr, ctx.ic+ctx.mb-i0)
 			if iw == mr && jw == nr {
 				microKernel(kc, apanel, bpanel, ctx.cData[i0+j0*ctx.cs:], ctx.cs)
-				continue
-			}
-			spill = [maxMR * maxNR]float64{}
-			microKernel(kc, apanel, bpanel, spill[:], mr)
-			for q := 0; q < jw; q++ {
-				col := ctx.cData[i0+(j0+q)*ctx.cs:][:iw]
-				for r := range col {
-					col[r] += spill[q*mr+r]
+			} else {
+				spill = [maxMR * maxNR]float64{}
+				microKernel(kc, apanel, bpanel, spill[:], mr)
+				for q := 0; q < jw; q++ {
+					col := ctx.cData[i0+(j0+q)*ctx.cs:][:iw]
+					for r := range col {
+						col[r] += spill[q*mr+r]
+					}
 				}
 			}
+		}
+		if ctx.lastK {
+			ctx.scaleBlock(ctx.ic, ctx.mb, j0, jw)
 		}
 	}
 }

@@ -186,12 +186,118 @@ func eachBitwiseCase(seed uint64, f func(desc string, ta, tb bool, alpha float64
 	}
 }
 
+// gemmScaledRef is what GemmPacked stands for: Gemm into C, then the row
+// and the column scaling passes.
+func gemmScaledRef(a, b *mat.Dense, r, s []float64, c *mat.Dense) {
+	Gemm(false, false, 1, a, b, 0, c)
+	if r != nil {
+		c.ScaleRows(r)
+	}
+	if s != nil {
+		c.ScaleCols(s)
+	}
+}
+
+// scaling returns n graded factors with a few exact powers of two, a
+// negative zero and (wild) an infinity among them, or nil for n < 0.
+func scaling(r *rng.Rand, n int, wild bool) []float64 {
+	if n < 0 {
+		return nil
+	}
+	d := make([]float64, n)
+	for i := range d {
+		d[i] = math.Ldexp(0.5+r.Float64(), int(r.Float64()*8)-4)
+		switch {
+		case i%7 == 3:
+			d[i] = -2
+		case i%11 == 5:
+			d[i] = math.Copysign(0, -1)
+		case wild && i%13 == 6:
+			d[i] = math.Inf(1)
+		}
+	}
+	return d
+}
+
+// TestGemmPackedMatchesScaledGemm: the pre-packed operand with the scalings
+// fused into the write-back against Gemm followed by ScaleRows and
+// ScaleCols, bit for bit, over every gemmShapes entry (k past gemmKC, m past
+// gemmMC, every partial tile of both kernels, both sides of the pool
+// cutoff), with the packed operand on either side and each scaling present
+// or not, C starting as NaN (the product must not read it). k = 0 scales a
+// zero product. Non-finite factors probe that each element sees the row
+// factor, then the column factor, as the two passes apply them.
+func TestGemmPackedMatchesScaledGemm(t *testing.T) {
+	r := rng.New(53)
+	shapes := append([]struct{ m, n, k int }{{3, 5, 0}}, gemmShapes...)
+	for i, sh := range shapes {
+		a, b := randomDense(r, sh.m, sh.k), mat.New(sh.k, sh.n)
+		if sh.k > 0 {
+			b = randomDense(r, sh.k, sh.n)
+		}
+		pa, pb := PackA(a), PackB(b)
+		for _, scaled := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+			rows, cols := -1, -1
+			if scaled[0] {
+				rows = sh.m
+			}
+			if scaled[1] {
+				cols = sh.n
+			}
+			rs, ss := scaling(r, rows, i%2 == 0), scaling(r, cols, i%3 == 0)
+			want := mat.New(sh.m, sh.n)
+			gemmScaledRef(a, b, rs, ss, want)
+			for _, side := range []struct {
+				name string
+				run  func(c *mat.Dense)
+			}{
+				{"packed A", func(c *mat.Dense) { GemmPacked(pa, b, rs, ss, c) }},
+				{"packed B", func(c *mat.Dense) { GemmPacked(pb, a, rs, ss, c) }},
+			} {
+				got := mat.New(sh.m, sh.n)
+				for i := range got.Data {
+					got.Data[i] = math.NaN()
+				}
+				side.run(got)
+				if !sameBits(got, want) {
+					t.Fatalf("m=%d n=%d k=%d %s rows=%v cols=%v: GemmPacked differs from Gemm + ScaleRows + ScaleCols",
+						sh.m, sh.n, sh.k, side.name, scaled[0], scaled[1])
+				}
+			}
+		}
+	}
+}
+
+// TestGemmPackedNoAllocs: a product against a packed operand, scaled or
+// not, allocates nothing at the sizes the wrap runs.
+func TestGemmPackedNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts only meaningful without -race")
+	}
+	r := rng.New(19)
+	for _, n := range []int{16, 36, 144} {
+		a, b, c := randomDense(r, n, n), randomDense(r, n, n), mat.New(n, n)
+		pa, pb, v := PackA(a), PackB(b), scaling(r, n, false)
+		GemmPacked(pa, b, v, v, c)
+		GemmPacked(pb, a, nil, v, c)
+		if allocs := testing.AllocsPerRun(10, func() {
+			GemmPacked(pa, b, v, nil, c)
+			GemmPacked(pb, a, v, v, c)
+		}); allocs != 0 {
+			t.Errorf("n=%d: GemmPacked allocated %.1f objects per call pair, want 0", n, allocs)
+		}
+	}
+}
+
 // TestGemmBitwiseAcrossKernels: on an AVX-512 CPU the same products through
 // the 8x4 and the 8x8 assembly kernel (kernNR switched under Gemm, so each
 // runs its own B packing, tiling and spill edges) must agree bit for bit —
 // every element is the same FMA chain over k and one add into C in both.
 // This is what keeps a trajectory computed on an AVX2-only host and on an
-// AVX-512 one the same trajectory.
+// AVX-512 one the same trajectory. The operands packed once (PackA/PackB,
+// under the 8x8 kernel) go through GemmPacked under both kernels too: under
+// 8x4 their panels no longer fit the tile, and the product must be packed
+// per call, not read from the stale panels.
 func TestGemmBitwiseAcrossKernels(t *testing.T) {
 	if kernNR != 8 {
 		t.Skipf("kernel is %dx%d: the CPU (or the build) offers no AVX-512 kernel to compare with", kernMR, kernNR)
@@ -207,6 +313,28 @@ func TestGemmBitwiseAcrossKernels(t *testing.T) {
 			t.Fatalf("%s: the 8x8 kernel's product differs from the 8x4 kernel's", desc)
 		}
 	})
+	r := rng.New(41)
+	for _, sh := range gemmShapes {
+		a, b := randomDense(r, sh.m, sh.k), randomDense(r, sh.k, sh.n)
+		rs, ss := scaling(r, sh.m, false), scaling(r, sh.n, false)
+		pa, pb := PackA(a), PackB(b)
+		want := mat.New(sh.m, sh.n)
+		gemmScaledRef(a, b, rs, ss, want)
+		for _, nr := range []int{4, 8} {
+			kernNR = nr
+			for _, p := range []*Packed{pa, pb} {
+				x := b
+				if p == pb {
+					x = a
+				}
+				got := mat.New(sh.m, sh.n)
+				GemmPacked(p, x, rs, ss, got)
+				if !sameBits(got, want) {
+					t.Fatalf("m=%d n=%d k=%d A side=%v: GemmPacked under the 8x%d kernel differs from the 8x8 Gemm and scaling passes", sh.m, sh.n, sh.k, p == pa, nr)
+				}
+			}
+		}
+	}
 }
 
 // TestGemmBitwiseAcrossDispatch pins the invariant every relative bitwise

@@ -8,9 +8,11 @@
 // to refresh column norms. This package reproduces that hierarchy in pure
 // Go plus one vector layer: Gemm is blocked, packed and parallel over an
 // 8x4 AVX2/FMA micro-kernel, and the stride-1 loops every other routine
-// reduces to — axpy, its column-blocked form axpyCols, dot, the Householder
-// reflector update that fuses a dot and an axpy per column, and the two
-// packing copies — run as AVX2 kernels on the same CPUs (gemm_amd64.go).
+// reduces to — axpy, its column-blocked form axpyCols, the rank-1 update
+// that makes one axpy per column, dot, the Householder reflector update
+// that fuses a dot and an axpy per column, the diagonal scalings of a
+// product's write-back, and the two packing copies — run as AVX2 kernels
+// on the same CPUs (gemm_amd64.go).
 // The Go loops in this package are the portable bodies: what a purego or
 // non-amd64 build runs everywhere, and what an AVX2 build runs on partial
 // panels only.
@@ -107,6 +109,31 @@ func axpyColsGo(n, m int, a []float64, lda int, x []float64, incx int, y0 []floa
 	}
 	for i := range y {
 		y[i] *= scale
+	}
+}
+
+// Rank1Update computes A[:, j] -= y[j*incy]*x for every column j of a,
+// len(x) = a.Rows: bit for bit the a.Cols calls Axpy(-y[j*incy], x, A[:, j])
+// in ascending j, a column whose coefficient is ±0 skipped as Axpy skips it.
+// The vector kernel makes them in one call. x and y must not overlap a.
+//
+//qmc:hot
+func Rank1Update(x, y []float64, incy int, a *mat.Dense) {
+	m, n := a.Rows, a.Cols
+	if len(x) != m || incy < 1 || n > 0 && len(y) < (n-1)*incy+1 {
+		panic(fmt.Sprintf("blas: Rank1Update dimension mismatch: len(x)=%d len(y)=%d incy=%d but A is %dx%d", len(x), len(y), incy, m, n))
+	}
+	rank1(m, n, x, y, incy, a.Data, a.Stride)
+}
+
+// rank1Go is the portable body of rank1: the Axpy calls of the m x n matrix
+// in a (leading dimension lda).
+func rank1Go(m, n int, x, y []float64, incy int, a []float64, lda int) {
+	x = x[:m]
+	for j := 0; j < n; j++ {
+		if alpha := -y[j*incy]; alpha != 0 {
+			axpyGo(alpha, x, a[j*lda:j*lda+m])
+		}
 	}
 }
 

@@ -20,6 +20,13 @@ import (
 //
 //qmc:hot
 func Gemm(transA, transB bool, alpha float64, a, b *mat.Dense, beta float64, c *mat.Dense) {
+	gemm(transA, transB, alpha, a, b, beta, c, nil, nil, nil, nil)
+}
+
+// gemm is Gemm plus GemmPacked's extras: packedA/packedB, when non-nil, are
+// that operand's panels for every slab (see Packed), and r/s the row and
+// column scalings applied after the product.
+func gemm(transA, transB bool, alpha float64, a, b *mat.Dense, beta float64, c *mat.Dense, packedA, packedB, r, s []float64) {
 	am, ak := a.Rows, a.Cols
 	if transA {
 		am, ak = ak, am
@@ -32,6 +39,8 @@ func Gemm(transA, transB bool, alpha float64, a, b *mat.Dense, beta float64, c *
 		panic(fmt.Sprintf("blas: Gemm dimension mismatch: op(A) is %dx%d, op(B) is %dx%d, C is %dx%d", am, ak, bk, bn, c.Rows, c.Cols))
 	}
 	m, n, k := am, bn, ak
+	checkScaling("row", r, m)
+	checkScaling("column", s, n)
 	if m == 0 || n == 0 {
 		return
 	}
@@ -43,6 +52,7 @@ func Gemm(transA, transB bool, alpha float64, a, b *mat.Dense, beta float64, c *
 	ctx.cData, ctx.cs = c.Data, c.Stride
 	ctx.alpha, ctx.beta = alpha, beta
 	ctx.m, ctx.n, ctx.k = m, n, k
+	ctx.packedA, ctx.packedB, ctx.r, ctx.s = packedA, packedB, r, s
 
 	// The kernels accumulate into C, so fold beta in with one pass first.
 	// beta == 0 zeroes without reading C (NaN/Inf in uninitialized C must
@@ -52,8 +62,11 @@ func Gemm(transA, transB bool, alpha float64, a, b *mat.Dense, beta float64, c *
 	}
 	if alpha != 0 && k != 0 {
 		ctx.runPacked()
+	} else if r != nil || s != nil {
+		ctx.scaleBlock(0, m, 0, n) // no k slab to scale in
 	}
 	ctx.aData, ctx.bData, ctx.cData = nil, nil, nil
+	ctx.ap, ctx.bp, ctx.packedA, ctx.packedB, ctx.r, ctx.s = nil, nil, nil, nil, nil, nil
 	gemmCtxPool.Put(ctx)
 	check.Finite("blas.Gemm", c)
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // trsmBlock is the diagonal-block size of the blocked solve: the unblocked
-// column solver handles trsmBlock rows at a time and the rest of the work is
+// solver handles trsmBlock rows at a time and the rest of the work is
 // pushed into Gemm trailing updates, which run on the packed kernel.
 const trsmBlock = 64
 
@@ -21,9 +21,9 @@ const trsmBlock = 64
 //	upper=true,  unit=false : upper triangular (LU back substitution)
 //
 // trans selects op(T) = T or T^T. The solve is blocked: each trsmBlock-sized
-// diagonal block is solved with the unblocked column routine (right-hand
-// sides in parallel), then the remaining rows are updated with one Gemm rank
-// update, so the bulk of the flops run through the packed kernel.
+// diagonal block is solved unblocked (right-hand sides in parallel; see
+// runSolve), then the remaining rows are updated with one Gemm rank update,
+// so the bulk of the flops run through the packed kernel.
 func Trsm(upper, trans, unit bool, alpha float64, t, b *mat.Dense) {
 	n := t.Rows
 	if t.Cols != n || b.Rows != n {
@@ -128,10 +128,48 @@ func (ctx *trsmCtx) runScale(jlo, jhi int) {
 	}
 }
 
+// runSolve solves the diagonal block for the right-hand sides [jlo, jhi).
+// The transposed cases run trsvT per column. The others eliminate pivot by
+// pivot across all the columns: once row k of X is final (divided by the
+// diagonal unless unit), one rank-1 call subtracts X[k, j]·T[:, k] from the
+// rows still open in every column j. Each column sees the divisions and the
+// Axpy(-X[k, j], T[:, k], X[:, j]) updates a per-column substitution makes,
+// in the same order, so the bits are that substitution's.
+//
 //qmc:hot
 func (ctx *trsmCtx) runSolve(jlo, jhi int) {
-	for j := jlo; j < jhi; j++ {
-		trsv(ctx.upper, ctx.trans, ctx.unit, &ctx.td, ctx.b.Col(j)[ctx.k0:ctx.k1])
+	td := &ctx.td
+	if ctx.trans {
+		for j := jlo; j < jhi; j++ {
+			trsvT(ctx.upper, ctx.unit, td, ctx.b.Col(j)[ctx.k0:ctx.k1])
+		}
+		return
+	}
+	n, ldb, nc := td.Rows, ctx.b.Stride, jhi-jlo
+	x := ctx.b.Data[ctx.k0+jlo*ldb:] // X[0, 0] of the block
+	if ctx.upper {
+		for k := n - 1; k >= 0; k-- {
+			col := td.Col(k)
+			ctx.divideRow(x[k:], ldb, nc, col[k])
+			rank1(k, nc, col[:k], x[k:], ldb, x, ldb)
+		}
+		return
+	}
+	for k := 0; k < n; k++ {
+		col := td.Col(k)
+		ctx.divideRow(x[k:], ldb, nc, col[k])
+		rank1(n-k-1, nc, col[k+1:n], x[k:], ldb, x[k+1:], ldb)
+	}
+}
+
+// divideRow divides the nc entries row[j*ldb] by d unless the triangle has
+// a unit diagonal.
+func (ctx *trsmCtx) divideRow(row []float64, ldb, nc int, d float64) {
+	if ctx.unit {
+		return
+	}
+	for j := 0; j < nc; j++ {
+		row[j*ldb] /= d
 	}
 }
 
@@ -155,37 +193,13 @@ func (ctx *trsmCtx) forCols(perCol, grain int, body func(jlo, jhi int)) {
 	parallel.For(ctx.b.Cols, grain, body)
 }
 
-// trsv solves op(T) x = x in place for one right-hand side. The inner
-// loops are axpy (column sweeps) and dot (transposed solves) over the part
-// of a column of T beside the diagonal.
-func trsv(upper, trans, unit bool, t *mat.Dense, x []float64) {
+// trsvT solves T^T x = x in place for one right-hand side, with dot
+// products along the part of each column of T beside the diagonal.
+func trsvT(upper, unit bool, t *mat.Dense, x []float64) {
 	n := t.Rows
 	x = x[:n]
-	switch {
-	case !trans && !upper:
-		// Forward substitution with column access: after x[k] is final,
-		// eliminate it from the remaining entries using column k.
-		for k := 0; k < n; k++ {
-			col := t.Col(k)
-			if !unit {
-				x[k] /= col[k]
-			}
-			if xk := x[k]; xk != 0 {
-				axpy(-xk, col[k+1:], x[k+1:])
-			}
-		}
-	case !trans && upper:
-		for k := n - 1; k >= 0; k-- {
-			col := t.Col(k)
-			if !unit {
-				x[k] /= col[k]
-			}
-			if xk := x[k]; xk != 0 {
-				axpy(-xk, col[:k], x[:k])
-			}
-		}
-	case trans && !upper:
-		// T^T is upper triangular; dot products along columns of T.
+	if !upper {
+		// T^T is upper triangular.
 		for k := n - 1; k >= 0; k-- {
 			col := t.Col(k)
 			x[k] -= dot(col[k+1:], x[k+1:])
@@ -193,14 +207,14 @@ func trsv(upper, trans, unit bool, t *mat.Dense, x []float64) {
 				x[k] /= col[k]
 			}
 		}
-	default: // trans && upper
-		// T^T is lower triangular.
-		for k := 0; k < n; k++ {
-			col := t.Col(k)
-			x[k] -= dot(col[:k], x[:k])
-			if !unit {
-				x[k] /= col[k]
-			}
+		return
+	}
+	// T^T is lower triangular.
+	for k := 0; k < n; k++ {
+		col := t.Col(k)
+		x[k] -= dot(col[:k], x[:k])
+		if !unit {
+			x[k] /= col[k]
 		}
 	}
 }

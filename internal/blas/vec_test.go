@@ -10,11 +10,12 @@ import (
 	"questgo/internal/rng"
 )
 
-// The stride-1 layer (axpy, axpyCols, dot, applyReflector, packRows,
-// packCols) has two bodies on an AVX2 build and one everywhere else. The
-// oracles below hold for whichever body the build selects, and are what
-// TestVecKernelsMatchPortable, TestAxpyColsMatchesAxpy,
-// TestReflectorMatchesLarf and FuzzVecKernels run:
+// The stride-1 layer (axpy, axpyCols, rank1, scale, dot, applyReflector,
+// packRows, packCols) has two bodies on an AVX2 build and one everywhere
+// else. The oracles below hold for whichever body the build selects, and are
+// what TestVecKernelsMatchPortable, TestAxpyColsMatchesAxpy,
+// TestRank1MatchesAxpy, TestScaleMatchesPasses, TestReflectorMatchesLarf and
+// FuzzVecKernels run:
 //
 //   - packs: bitwise the portable loop, nothing written past kc*w, nothing
 //     read outside the kc x w source window;
@@ -26,6 +27,13 @@ import (
 //     axpyGo, whatever the coefficients (NaN, ±Inf, subnormal); nothing read
 //     outside the n x m window or y0's n strided elements, y[n:] untouched;
 //   - dot: within n*eps*sum|x_i*y_i| of the exact sum;
+//   - rank1: bitwise the per-column axpy(-y_j) calls it replaces (±0
+//     coefficients skipped), the selected body against Axpy and the
+//     portable body against axpyGo, whatever the coefficients; nothing read
+//     or written outside the m x n window, x and y's n strided elements;
+//   - scale: bitwise the row then column multiplies of ScaleRows and
+//     ScaleCols on both bodies, whatever the factors; nothing written
+//     outside the m x n window;
 //   - applyReflector: bitwise the per-column dot and axpy(-tau*w) it fuses
 //     (±0 coefficients skipped), the selected body against Dot and Axpy and
 //     the portable body against dotGo and axpyGo; nothing read or written
@@ -202,6 +210,175 @@ func checkAxpyCols(t *testing.T, n, m, incx, incy0 int, scale float64, wild bool
 		if !bitsEqual(got, want) {
 			t.Fatalf("axpyCols (%s) n=%d m=%d lda=%d incx=%d incy0=%d scale=%v wild=%v: not bitwise the gather, %d axpy calls and the scaling\n got %v\nwant %v",
 				body.name, n, m, lda, incx, incy0, scale, wild, m, got[yoff:yoff+n], want[yoff:yoff+n])
+		}
+	}
+}
+
+// checkRank1 runs one m x n rank-1 update, A at leading dimension lda > m
+// with every element outside the window NaN but a sentinel right past each
+// column, against the a.Cols Axpy calls it stands for — the selected body
+// (Rank1Update) against Axpy, the portable body against axpyGo. The
+// coefficients sit incy apart with NaN between them and mix graded values
+// with ±0 and subnormals, and with wild set also NaN and ±Inf (x and A then
+// hold a few infinities too); A holds a few -0, which a +0 coefficient would
+// turn into +0 if it were not skipped, and x, between NaNs, sits at an
+// offset that varies with the seed.
+func checkRank1(t *testing.T, m, n, incy int, wild bool, seed uint64) {
+	t.Helper()
+	r := rng.New(seed)
+	lda := m + 1 + int(seed%3)
+	aoff, xoff := int(seed%4), int(seed/4%4)
+	graded := func() float64 { return math.Ldexp(2*r.Float64()-1, int(r.Float64()*40)-20) }
+	specials := []float64{0, math.Copysign(0, -1), 0x1p-1060, -3e-320}
+	if wild {
+		specials = append(specials, math.NaN(), math.Inf(1), math.Inf(-1))
+	}
+	nans := func(n int) []float64 {
+		v := make([]float64, n+vecPad)
+		for i := range v {
+			v[i] = math.NaN()
+		}
+		return v
+	}
+	xback := nans(xoff + m)
+	x := xback[xoff : xoff+m]
+	for i := range x {
+		x[i] = graded()
+		if wild && r.Float64() < 0.03 {
+			x[i] = math.Inf(-1)
+		}
+	}
+	y := nans(n * incy)
+	for j := 0; j < n; j++ {
+		y[j*incy] = graded()
+		if r.Float64() < 0.25 {
+			y[j*incy] = specials[int(r.Float64()*float64(len(specials)))]
+		}
+	}
+	back := nans(aoff + n*lda)
+	for j := 0; j < n; j++ {
+		col := back[aoff+j*lda : aoff+j*lda+m]
+		for i := range col {
+			switch v := r.Float64(); {
+			case v < 0.1:
+				col[i] = math.Copysign(0, -1)
+			case wild && v < 0.12:
+				col[i] = math.Inf(1)
+			default:
+				col[i] = graded()
+			}
+		}
+		back[aoff+j*lda+m] = sentinel
+	}
+	for _, body := range []struct {
+		name  string
+		rank1 func(a []float64)
+		axpy  func(alpha float64, x, y []float64)
+	}{
+		{"selected", func(a []float64) {
+			Rank1Update(x, y, incy, &mat.Dense{Rows: m, Cols: n, Stride: lda, Data: a[aoff:]})
+		}, Axpy},
+		{"portable", func(a []float64) { rank1Go(m, n, x, y, incy, a[aoff:], lda) }, axpyGo},
+	} {
+		got := append([]float64(nil), back...)
+		want := append([]float64(nil), back...)
+		body.rank1(got)
+		for j := 0; j < n; j++ {
+			if alpha := -y[j*incy]; alpha != 0 {
+				body.axpy(alpha, x, want[aoff+j*lda:aoff+j*lda+m])
+			}
+		}
+		if !bitsEqual(got, want) {
+			t.Fatalf("rank1 (%s) m=%d n=%d lda=%d incy=%d wild=%v: not bitwise the per-column Axpy calls (or wrote outside the window)",
+				body.name, m, n, lda, incy, wild)
+		}
+	}
+}
+
+// checkScale scales one m x n block, C at leading dimension ldc > m with
+// NaN outside the window but a sentinel right past each column, by row
+// factors r and column factors s (each present or nil), on both bodies,
+// against the multiplies ScaleRows then ScaleCols make per element. The
+// factors mix graded values with ±0, subnormals, ±Inf and (wild) NaN; C
+// holds a few -0 and infinities.
+func checkScale(t *testing.T, m, n int, rows, cols, wild bool, seed uint64) {
+	t.Helper()
+	r := rng.New(seed)
+	ldc := m + 1 + int(seed%3)
+	coff := int(seed % 4)
+	graded := func() float64 { return math.Ldexp(2*r.Float64()-1, int(r.Float64()*40)-20) }
+	specials := []float64{0, math.Copysign(0, -1), 0x1p-1060, math.Inf(1), math.Inf(-1)}
+	if wild {
+		specials = append(specials, math.NaN())
+	}
+	factors := func(present bool, n int) []float64 {
+		if !present {
+			return nil
+		}
+		d := make([]float64, n)
+		for i := range d {
+			d[i] = graded()
+			if r.Float64() < 0.2 {
+				d[i] = specials[int(r.Float64()*float64(len(specials)))]
+			}
+		}
+		return d
+	}
+	rs, ss := factors(rows, m), factors(cols, n)
+	back := make([]float64, coff+n*ldc+vecPad)
+	for i := range back {
+		back[i] = math.NaN()
+	}
+	for j := 0; j < n; j++ {
+		col := back[coff+j*ldc : coff+j*ldc+m]
+		for i := range col {
+			switch v := r.Float64(); {
+			case v < 0.05:
+				col[i] = math.Copysign(0, -1)
+			case v < 0.08:
+				col[i] = math.Inf(-1)
+			default:
+				col[i] = graded()
+			}
+		}
+		back[coff+j*ldc+m] = sentinel
+	}
+	want := append([]float64(nil), back...)
+	for j := 0; j < n; j++ {
+		col := want[coff+j*ldc : coff+j*ldc+m]
+		for i := range col {
+			if rs != nil {
+				col[i] *= rs[i]
+			}
+			if ss != nil {
+				col[i] *= ss[j]
+			}
+		}
+	}
+	for _, body := range []struct {
+		name  string
+		scale func(m, n int, c []float64, ldc int, r, s []float64)
+	}{{"selected", scale}, {"portable", scaleGo}} {
+		got := append([]float64(nil), back...)
+		body.scale(m, n, got[coff:], ldc, rs, ss)
+		if !bitsEqual(got, want) {
+			t.Fatalf("scale (%s) m=%d n=%d ldc=%d rows=%v cols=%v wild=%v: not bitwise the row then column multiplies (or wrote outside the window)",
+				body.name, m, n, ldc, rows, cols, wild)
+		}
+	}
+}
+
+// TestScaleMatchesPasses: the write-back scaling of GemmPacked against the
+// multiplies of ScaleRows then ScaleCols, for every row count 0..67 (all
+// 4/1 block remainders) and column count 0..17, with no factors (C is left
+// alone), row factors, column factors or both, tame and non-finite ones.
+func TestScaleMatchesPasses(t *testing.T) {
+	for m := 0; m <= 67; m++ {
+		for n := 0; n <= 17; n++ {
+			for i, rc := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+				seed := uint64(m*1000 + n*10 + i)
+				checkScale(t, m, n, rc[0], rc[1], seed%2 == 0, seed)
+			}
 		}
 	}
 }
@@ -408,6 +585,28 @@ func TestAxpyColsMatchesAxpy(t *testing.T) {
 					for i, incy0 := range []int{0, 1, 5} { // 0: in place
 						checkAxpyCols(t, n, m, incx, incy0, scales[(int(seed)+i)%3], wild, seed)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestRank1MatchesAxpy: the rank-1 update against the per-column Axpy calls
+// Trsm's substitution and getf2's panel update made, for every row count
+// 0..67 (all 16/4/1 block remainders, four times over) and column count
+// 0..33, contiguous and strided coefficients (the strided ones are a row
+// of a column-major matrix, as Trsm and getf2 pass them), tame and
+// non-finite ones.
+func TestRank1MatchesAxpy(t *testing.T) {
+	for m := 0; m <= 67; m++ {
+		for n := 0; n <= 33; n++ {
+			for _, incy := range []int{1, 7} {
+				for _, wild := range []bool{false, true} {
+					seed := uint64(m*1000 + n*10 + incy)
+					if wild {
+						seed += 5
+					}
+					checkRank1(t, m, n, incy, wild, seed)
 				}
 			}
 		}

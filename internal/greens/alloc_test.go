@@ -3,8 +3,10 @@
 package greens
 
 import (
+	"runtime"
 	"testing"
 
+	"questgo/internal/hubbard"
 	"questgo/internal/mat"
 	"questgo/internal/rng"
 )
@@ -56,6 +58,44 @@ func TestUDTStepNoAllocs(t *testing.T) {
 			tc.run() // warm the pools
 			if allocs := testing.AllocsPerRun(20, tc.run); allocs != 0 {
 				t.Errorf("n=%d: %s allocated %.1f objects per call, want 0", n, tc.name, allocs)
+			}
+		}
+	}
+}
+
+// TestWrapperNoAllocs: the wrap and the block product run against the
+// propagator's packed Bkin/Binv with the scalings in the GEMM write-back,
+// and allocate nothing at the lattice sizes the jobs and the workloads run.
+// Both spins' wrappers read the one packed pair their propagator holds:
+// building the two allocates their scratch (an N x N matrix and two
+// N-vectors each) and nothing of the size of a packed operand.
+func TestWrapperNoAllocs(t *testing.T) {
+	for _, l := range []int{4, 6, 12} {
+		p, f, _ := testChain(t, l, l, 4, 2, 8, 43)
+		n := l * l
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		up, dn := NewWrapper(p), NewWrapper(p)
+		runtime.ReadMemStats(&after)
+		// A quarter of slack covers the allocator's size classes; a packed
+		// pair would add nearly the scratch again.
+		if scratch := uint64(2 * 8 * (n*n + 2*n)); after.TotalAlloc-before.TotalAlloc > scratch+scratch/4 {
+			t.Errorf("N=%d: two wrappers allocated %d bytes, want their %d bytes of scratch (a packed pair is %d more)",
+				n, after.TotalAlloc-before.TotalAlloc, scratch, 2*8*n*n)
+		}
+		g, dst := randomDense(rng.New(47), n), mat.New(n, n)
+		for _, tc := range []struct {
+			name string
+			run  func()
+		}{
+			{"Wrap (up)", func() { up.Wrap(g, f, hubbard.Up, 3) }},
+			{"Wrap (down)", func() { dn.Wrap(g, f, hubbard.Down, 3) }},
+			{"Cluster k=4", func() { up.Cluster(dst, f, hubbard.Up, 4, 4) }},
+			{"Cluster k=3", func() { dn.Cluster(dst, f, hubbard.Down, 0, 3) }},
+		} {
+			tc.run()
+			if allocs := testing.AllocsPerRun(20, tc.run); allocs != 0 {
+				t.Errorf("N=%d: %s allocated %.1f objects per call, want 0", n, tc.name, allocs)
 			}
 		}
 	}

@@ -109,19 +109,21 @@ func (cs *ClusterSet) GreenAt(c int, prePivot bool) *mat.Dense {
 //	G_l = B_l G_{l-1} B_l^{-1}
 //	    = V_l Bkin G Bkin^{-1} V_l^{-1}
 //
-// (Section III-B1). The two GEMMs dominate; the diagonal scalings are the
-// fine-grained operations the paper parallelizes by hand (and offloads in
-// its Algorithm 6/7 GPU variant).
+// (Section III-B1). The two GEMMs dominate. They run against the
+// propagator's packed Bkin and Binv (blas.GemmPacked), and the diagonal
+// scalings — the fine-grained operations the paper parallelizes by hand and
+// offloads in its Algorithm 6/7 GPU variant — ride in those GEMMs'
+// write-back instead of separate passes over the result.
 type Wrapper struct {
-	prop *hubbard.Propagator
-	tmp  *mat.Dense
-	v    []float64
+	prop    *hubbard.Propagator
+	tmp     *mat.Dense
+	v, vinv []float64
 }
 
 // NewWrapper allocates the scratch for N x N wrapping.
 func NewWrapper(p *hubbard.Propagator) *Wrapper {
 	n := p.Model.N()
-	return &Wrapper{prop: p, tmp: mat.New(n, n), v: make([]float64, n)}
+	return &Wrapper{prop: p, tmp: mat.New(n, n), v: make([]float64, n), vinv: make([]float64, n)}
 }
 
 // Cluster is the host BlockFunc: dst = B_{base+k-1} ... B_{base}, built by
@@ -140,9 +142,8 @@ func (w *Wrapper) Cluster(dst *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, 
 	a.ScaleRows(w.v)
 	for j := 1; j < k; j++ {
 		// A = V_{base+j} * (Bkin * A)
-		blas.Gemm(false, false, 1, w.prop.Bkin, a, 0, spare)
 		w.prop.VDiag(sigma, f, base+j, w.v)
-		spare.ScaleRows(w.v)
+		blas.GemmPacked(w.prop.BkinA, a, w.v, nil, spare)
 		a, spare = spare, a
 	}
 }
@@ -153,16 +154,13 @@ func (w *Wrapper) Cluster(dst *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, 
 func (w *Wrapper) Wrap(g *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, l int) {
 	obs.Add(obs.OpWraps, 1)
 	// tmp = Bkin * G
-	blas.Gemm(false, false, 1, w.prop.Bkin, g, 0, w.tmp)
-	// g = tmp * Binv
-	blas.Gemm(false, false, 1, w.tmp, w.prop.Binv, 0, g)
-	// g = V_l g V_l^{-1}: row scale by v, column scale by 1/v.
+	blas.GemmPacked(w.prop.BkinA, g, nil, nil, w.tmp)
+	// g = V_l (tmp * Binv) V_l^{-1}
 	w.prop.VDiag(sigma, f, l, w.v)
-	g.ScaleRows(w.v)
-	for i := range w.v {
-		w.v[i] = 1 / w.v[i]
+	for i, v := range w.v {
+		w.vinv[i] = 1 / v
 	}
-	g.ScaleCols(w.v)
+	blas.GemmPacked(w.prop.BinvB, w.tmp, w.v, w.vinv, g)
 }
 
 // WrapInverse undoes Wrap: g <- B_l^{-1} G B_l, used by tests to verify the

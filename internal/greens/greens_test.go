@@ -180,6 +180,65 @@ func TestWrapMatchesFreshGreen(t *testing.T) {
 	}
 }
 
+// TestWrapperBitsMatchTwoPass: the wrap and the block product on the
+// packed propagators with the scalings in the GEMM write-back against the
+// way they were computed before — plain Gemm calls against Bkin/Binv and
+// separate ScaleRows/ScaleCols passes — bit for bit, for both spins at a
+// partial-tile size (3x3), the 6x6 jobs' size and the 12x12 one.
+func TestWrapperBitsMatchTwoPass(t *testing.T) {
+	for _, l := range []int{3, 6, 12} {
+		p, f, bs := testChain(t, l, l, 4, 2, 8, 33)
+		n := l * l
+		w, tmp := NewWrapper(p), mat.New(n, n)
+		v := make([]float64, n)
+		for _, sigma := range []hubbard.Spin{hubbard.Up, hubbard.Down} {
+			g := Green(bs)
+			want := g.Clone()
+			w.Wrap(g, f, sigma, 5)
+			blas.Gemm(false, false, 1, p.Bkin, want, 0, tmp)
+			blas.Gemm(false, false, 1, tmp, p.Binv, 0, want)
+			p.VDiag(sigma, f, 5, v)
+			want.ScaleRows(v)
+			for i := range v {
+				v[i] = 1 / v[i]
+			}
+			want.ScaleCols(v)
+			if !bitsEqual(g, want) {
+				t.Fatalf("N=%d sigma=%d: Wrap differs from the Gemm + ScaleRows + ScaleCols wrap", n, sigma)
+			}
+
+			for _, k := range []int{1, 2, 5} {
+				got, want := mat.New(n, n), mat.New(n, n)
+				w.Cluster(got, f, sigma, 1, k)
+				want.CopyFrom(p.Bkin)
+				p.VDiag(sigma, f, 1, v)
+				want.ScaleRows(v)
+				for j := 1; j < k; j++ {
+					blas.Gemm(false, false, 1, p.Bkin, want, 0, tmp)
+					p.VDiag(sigma, f, 1+j, v)
+					tmp.ScaleRows(v)
+					want.CopyFrom(tmp)
+				}
+				if !bitsEqual(got, want) {
+					t.Fatalf("N=%d sigma=%d k=%d: Cluster differs from the Gemm + ScaleRows product", n, sigma, k)
+				}
+			}
+		}
+	}
+}
+
+func bitsEqual(x, y *mat.Dense) bool {
+	for j := 0; j < x.Cols; j++ {
+		xc, yc := x.Col(j), y.Col(j)
+		for i := range xc {
+			if math.Float64bits(xc[i]) != math.Float64bits(yc[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestWrapInverseRoundTrip(t *testing.T) {
 	p, f, bs := testChain(t, 3, 3, 4, 2, 8, 31)
 	g := Green(bs)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 
+	"questgo/internal/blas"
 	"questgo/internal/lapack"
 	"questgo/internal/lattice"
 	"questgo/internal/mat"
@@ -99,12 +100,17 @@ func (f *Field) Clone() *Field {
 
 // Propagator owns the field-independent kinetic propagators
 // B = exp(-dtau*K) and B^{-1} = exp(+dtau*K), computed once per simulation
-// from the eigendecomposition of the symmetric hopping matrix K.
+// from the eigendecomposition of the symmetric hopping matrix K, and their
+// packed GEMM operands: Bkin as the left factor of the wrap's and the block
+// product's Bkin·X, Binv as the right factor of the wrap's X·Binv
+// (blas.GemmPacked), packed once and shared by both spins. Bkin and Binv
+// must not be modified.
 type Propagator struct {
-	Model      *Model
-	Bkin, Binv *mat.Dense
-	expNu      [2]float64 // e^{+nu}, e^{-nu} for h = +1/-1 at sigma = +1
-	exp2Nu     [2]float64 // e^{+2nu}, e^{-2nu}: what a flip multiplies V and the bosonic weight by
+	Model        *Model
+	Bkin, Binv   *mat.Dense
+	BkinA, BinvB *blas.Packed
+	expNu        [2]float64 // e^{+nu}, e^{-nu} for h = +1/-1 at sigma = +1
+	exp2Nu       [2]float64 // e^{+2nu}, e^{-2nu}: what a flip multiplies V and the bosonic weight by
 }
 
 // NewPropagator builds the kinetic propagators for the model.
@@ -115,6 +121,8 @@ func NewPropagator(m *Model) *Propagator {
 		Model:  m,
 		Bkin:   bkin,
 		Binv:   binv,
+		BkinA:  blas.PackA(bkin),
+		BinvB:  blas.PackB(binv),
 		expNu:  [2]float64{math.Exp(m.Nu), math.Exp(-m.Nu)},
 		exp2Nu: [2]float64{math.Exp(2 * m.Nu), math.Exp(-2 * m.Nu)},
 	}

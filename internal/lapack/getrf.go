@@ -42,14 +42,8 @@ func LUFactor(a *mat.Dense) (LU, error) {
 			singular = true
 		}
 		// Apply the panel's row swaps to the left and right of the panel.
-		for i := j; i < j+jb; i++ {
-			p := piv[i]
-			if p == i {
-				continue
-			}
-			swapRowParts(a, i, p, 0, j)
-			swapRowParts(a, i, p, j+jb, n)
-		}
+		swapRows(a, 0, j, piv, j, j+jb)
+		swapRows(a, j+jb, n, piv, j, j+jb)
 		if j+jb < n {
 			// U block row: solve L11 * U12 = A12.
 			l11 := a.View(j, j, jb, jb)
@@ -88,17 +82,17 @@ func getf2(a *mat.Dense, j, jb int, piv []int) bool {
 			continue
 		}
 		if p != j+c {
-			swapRowParts(a, j+c, p, j, j+jb)
+			swapRows(a, j, j+jb, piv, j+c, j+c+1)
 		}
 		pivv := col[j+c]
 		inv := 1 / pivv
 		for r := j + c + 1; r < n; r++ {
 			col[r] *= inv
 		}
-		// Rank-1 update of the rest of the panel.
-		for cc := c + 1; cc < jb; cc++ {
-			ccol := a.Col(j + cc)
-			blas.Axpy(-ccol[j+c], col[j+c+1:n], ccol[j+c+1:n])
+		// Rank-1 update of the rest of the panel: row j+c of it times the
+		// column below the pivot, one call over the panel's columns.
+		if c+1 < jb {
+			blas.Rank1Update(col[j+c+1:n], a.Data[j+c+(j+c+1)*a.Stride:], a.Stride, a.View(j+c+1, j+c+1, n-j-c-1, jb-c-1))
 		}
 	}
 	return ok
@@ -108,11 +102,18 @@ func getf2(a *mat.Dense, j, jb int, piv []int) bool {
 // factorization must not be used afterwards. A second call is a no-op.
 func (lu *LU) Release() { PutPivot(&lu.Piv) }
 
-// swapRowParts exchanges rows r1 and r2 over columns [c0, c1).
-func swapRowParts(a *mat.Dense, r1, r2 int, c0, c1 int) {
+// swapRows applies the interchanges of piv[k0:k1] — row i with row piv[i],
+// in ascending i — to columns [c0, c1) of a, DLASWP's way: all of them to
+// one contiguous column, then the next.
+func swapRows(a *mat.Dense, c0, c1 int, piv []int, k0, k1 int) {
+	piv = piv[k0:k1]
 	for c := c0; c < c1; c++ {
 		col := a.Col(c)
-		col[r1], col[r2] = col[r2], col[r1]
+		for i, p := range piv {
+			if i += k0; p != i {
+				col[i], col[p] = col[p], col[i]
+			}
+		}
 	}
 }
 
@@ -122,12 +123,7 @@ func (lu *LU) Solve(b *mat.Dense) {
 	if b.Rows != n {
 		panic(fmt.Sprintf("lapack: LU.Solve dimension mismatch: A is %dx%d but B has %d rows", n, n, b.Rows))
 	}
-	// Apply row interchanges to B.
-	for i := 0; i < n; i++ {
-		if p := lu.Piv[i]; p != i {
-			swapRowParts(b, i, p, 0, b.Cols)
-		}
-	}
+	swapRows(b, 0, b.Cols, lu.Piv, 0, n)      // P b
 	blas.Trsm(false, false, true, 1, lu.A, b) // L y = P b
 	blas.Trsm(true, false, false, 1, lu.A, b) // U x = y
 }

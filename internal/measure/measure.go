@@ -12,6 +12,7 @@ package measure
 
 import (
 	"math"
+	"sync"
 
 	"questgo/internal/lattice"
 	"questgo/internal/mat"
@@ -189,25 +190,52 @@ func (e *EqualTime) AFStructureFactor() float64 {
 // roundoff).
 func FourierPlane(lat *lattice.Lattice, f []float64) []float64 {
 	nx, ny := lat.Nx, lat.Ny
-	if len(f) != nx*ny {
+	planeN := nx * ny
+	if len(f) != planeN {
 		panic("measure: displacement function has wrong length")
 	}
-	out := make([]float64, nx*ny)
-	parallel.For(nx*ny, 4, func(lo, hi int) {
+	table := cosTable(nx, ny)
+	out := make([]float64, planeN)
+	parallel.For(planeN, 4, func(lo, hi int) {
 		for kidx := lo; kidx < hi; kidx++ {
-			kx := kidx % nx
-			ky := kidx / nx
+			row := table[kidx*planeN : (kidx+1)*planeN]
 			var re float64
-			for dy := 0; dy < ny; dy++ {
-				for dx := 0; dx < nx; dx++ {
-					phase := 2 * math.Pi * (float64(kx*dx)/float64(nx) + float64(ky*dy)/float64(ny))
-					re += f[dx+nx*dy] * math.Cos(phase)
-				}
+			for d, v := range f {
+				re += v * row[d]
 			}
 			out[kidx] = re
 		}
 	})
 	return out
+}
+
+// cosTables holds FourierPlane's cosine table per in-plane shape
+// [2]int{nx, ny}: built on first use, read-only after.
+var cosTables sync.Map
+
+// cosTable returns cos(k.d) for every momentum kidx and displacement d of
+// an nx x ny plane at [kidx*nx*ny + d]. Each entry is math.Cos of the
+// phase 2π(kx·dx/nx + ky·dy/ny) evaluated as below, so FourierPlane's sums
+// are bit for bit those of calling math.Cos per term, at (nx·ny)² cosines
+// per shape instead of per call.
+func cosTable(nx, ny int) []float64 {
+	key := [2]int{nx, ny}
+	if t, ok := cosTables.Load(key); ok {
+		return t.([]float64)
+	}
+	planeN := nx * ny
+	t := make([]float64, planeN*planeN)
+	for kidx := 0; kidx < planeN; kidx++ {
+		kx, ky := kidx%nx, kidx/nx
+		for dy := 0; dy < ny; dy++ {
+			for dx := 0; dx < nx; dx++ {
+				phase := 2 * math.Pi * (float64(kx*dx)/float64(nx) + float64(ky*dy)/float64(ny))
+				t[kidx*planeN+dx+nx*dy] = math.Cos(phase)
+			}
+		}
+	}
+	actual, _ := cosTables.LoadOrStore(key, t)
+	return actual.([]float64)
 }
 
 func modInt(a, n int) int {

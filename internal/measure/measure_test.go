@@ -168,6 +168,38 @@ func TestFourierPlaneDeltaFunction(t *testing.T) {
 	}
 }
 
+// TestFourierPlaneTableBitwise: the transform over the cached cosine table
+// against math.Cos evaluated per term in the same order, bit for bit, on
+// square and rectangular planes, each shape transformed twice (the second
+// call reads the cached table).
+func TestFourierPlaneTableBitwise(t *testing.T) {
+	r := rng.New(21)
+	for _, sh := range [][2]int{{1, 1}, {4, 4}, {6, 6}, {4, 6}, {5, 3}, {12, 12}} {
+		nx, ny := sh[0], sh[1]
+		lat := lattice.NewSquare(nx, ny, 1)
+		for rep := 0; rep < 2; rep++ {
+			f := make([]float64, nx*ny)
+			for i := range f {
+				f[i] = 2*r.Float64() - 1
+			}
+			got := FourierPlane(lat, f)
+			for kidx := range got {
+				kx, ky := kidx%nx, kidx/nx
+				var want float64
+				for dy := 0; dy < ny; dy++ {
+					for dx := 0; dx < nx; dx++ {
+						phase := 2 * math.Pi * (float64(kx*dx)/float64(nx) + float64(ky*dy)/float64(ny))
+						want += f[dx+nx*dy] * math.Cos(phase)
+					}
+				}
+				if math.Float64bits(got[kidx]) != math.Float64bits(want) {
+					t.Fatalf("%dx%d k=%d: %v from the table, %v from math.Cos per term", nx, ny, kidx, got[kidx], want)
+				}
+			}
+		}
+	}
+}
+
 func TestFourierPlaneParseval(t *testing.T) {
 	// sum_k f(k) = N * f(d=0).
 	lat := lattice.NewSquare(4, 6, 1)
