@@ -97,11 +97,13 @@ func randomMatrix(rows, cols int) *mat.Dense {
 
 // TestChargesPerSweep holds the instrumentation's cost to a count that does
 // not grow with the lattice: a sweep may charge the collector a few intervals
-// per slice and per cluster boundary, never one per site. A sweep's L + NC
-// forks charge flush and wrap for each of the L slice steps and flush,
-// cluster and refresh for each of the NC boundaries, and the sweep laps
-// flush once per slice and refresh once per boundary: 3L + 4NC in all, under
-// perFork·(L + NC). A timer inside the per-site Metropolis loop adds N·L.
+// per slice and per cluster boundary, never one per site. Each of the L slice
+// steps charges flush and wrap — split from a forked step's wall time on
+// 6x6, lapped as measured on the inline steps of 4x4, below update's
+// crossover — and each of the NC boundary forks flush, cluster and refresh;
+// the sweep laps flush once per slice and refresh once per boundary: exactly
+// 3L + 4NC in all, under perFork·(L + NC). Fork wait is recorded without a
+// charge. A timer inside the per-site Metropolis loop adds N·L.
 func TestChargesPerSweep(t *testing.T) {
 	const (
 		sweeps  = 3
@@ -128,11 +130,10 @@ func TestChargesPerSweep(t *testing.T) {
 			for i := 0; i < sweeps; i++ {
 				sw.Sweep()
 			}
-			got := (col.Charges() - before) / sweeps
-			bound := int64(perFork * (tc.l + tc.l/tc.k))
-			if got <= 0 || got > bound {
-				t.Errorf("%s, serial=%v: %d collector charges per sweep, want 1..%d (%d per fork, L + NC forks)",
-					tc.name, serial, got, bound, perFork)
+			got := col.Charges() - before
+			if want := int64(sweeps * (3*tc.l + 4*tc.l/tc.k)); got != want {
+				t.Errorf("%s, serial=%v: %d collector charges in %d sweeps, want 3L + 4NC = %d each, under %d·(L + NC)",
+					tc.name, serial, got, sweeps, want/sweeps, perFork)
 			}
 		}
 	}

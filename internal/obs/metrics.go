@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"questgo/internal/schema"
@@ -11,8 +12,9 @@ import (
 
 // MetricsSchemaVersion is the wire version of the metrics document. The
 // major is bumped whenever a field is renamed, retyped or removed; purely
-// additive changes bump the minor. 2.0 removed ops.peer_bytes.
-const MetricsSchemaVersion = "2.0"
+// additive changes bump the minor. 2.0 removed ops.peer_bytes; 2.1 added
+// fork_wait_ms.
+const MetricsSchemaVersion = "2.1"
 
 // Metrics is the stable JSON metrics document exported from a run: the
 // per-phase wall-time breakdown (the paper's Table-I rows in machine form),
@@ -32,6 +34,12 @@ type Metrics struct {
 	// instrumented phases account for (1.0 = everything; parallel walkers
 	// sharing one collector can exceed 1).
 	PhaseCoverage float64 `json:"phase_coverage"`
+	// ForkWaitMS is the time the timed spin forks (the per-slice steps from
+	// update's crossover N up, and every boundary) took beyond their longer
+	// sector: the pool hand-off and the join wait, or the shorter sector
+	// whenever no worker was idle. It lies inside the phase times, not beside
+	// them, and is 0 under serial spins.
+	ForkWaitMS float64 `json:"fork_wait_ms"`
 
 	Ops OpMetrics `json:"ops"`
 	// GemmGFlops is the derived host GEMM rate over the wall time.
@@ -52,14 +60,14 @@ type Metrics struct {
 }
 
 // WithoutTimings returns a copy of m with the fields that measure elapsed
-// time zeroed: wall_ms, phase_ms, phase_percent, phase_coverage and
-// gemm_gflops. They are the document's only declared-nondeterministic
-// fields: everything else, including any field added later, is a function
-// of the configuration and its engine, and repeats bit for bit whatever the
-// GOMAXPROCS or spin forking of a run alone in its process (the op counters
-// are process-global).
+// time zeroed: wall_ms, phase_ms, phase_percent, phase_coverage,
+// fork_wait_ms and gemm_gflops. They are the document's only
+// declared-nondeterministic fields: everything else, including any field
+// added later, is a function of the configuration and its engine, and
+// repeats bit for bit whatever the GOMAXPROCS or spin forking of a run alone
+// in its process (the op counters are process-global).
 func (m Metrics) WithoutTimings() Metrics {
-	m.WallMS, m.PhaseMS, m.PhasePercent, m.PhaseCoverage, m.GemmGFlops = 0, nil, nil, 0, 0
+	m.WallMS, m.PhaseMS, m.PhasePercent, m.PhaseCoverage, m.ForkWaitMS, m.GemmGFlops = 0, nil, nil, 0, 0, 0
 	return m
 }
 
@@ -266,6 +274,7 @@ func (c *Collector) Metrics() *Metrics {
 	m.WallMS = float64(c.Wall()) / float64(time.Millisecond)
 	m.Ops = fromCounts(c.OpDeltas())
 	if c != nil {
+		m.ForkWaitMS = float64(atomic.LoadInt64(&c.forkWait)) / float64(time.Millisecond)
 		c.mu.Lock()
 		m.Stability = c.stab.metrics()
 		c.mu.Unlock()
@@ -318,6 +327,7 @@ func MergeMetrics(docs []*Metrics) *Metrics {
 			out.PhaseMS[p.String()] += d.PhaseMS[p.String()]
 		}
 		out.WallMS = max(out.WallMS, d.WallMS)
+		out.ForkWaitMS += d.ForkWaitMS
 		out.Ops.add(d.Ops)
 		out.Stability.add(d.Stability)
 		out.Devices = append(out.Devices, d.Devices...)

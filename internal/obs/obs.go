@@ -248,6 +248,7 @@ type StabilityListener interface {
 type Collector struct {
 	phaseNS   [NumPhases]int64 // atomic
 	charges   int64            // atomic; Charge calls (End and Lap included)
+	forkWait  int64            // atomic ns; see AddForkWait
 	startOps  OpCounts
 	startTime time.Time
 	wallNS    int64 // atomic; set by Finish, 0 while running
@@ -292,6 +293,7 @@ func (c *Collector) Reset() {
 		atomic.StoreInt64(&c.phaseNS[i], 0)
 	}
 	atomic.StoreInt64(&c.wallNS, 0)
+	atomic.StoreInt64(&c.forkWait, 0)
 	c.startOps = Counts()
 	c.startTime = time.Now()
 	c.mu.Lock()
@@ -339,6 +341,17 @@ func (c *Collector) Charge(p Phase, d time.Duration) {
 	}
 	atomic.AddInt64(&c.phaseNS[p], int64(d))
 	atomic.AddInt64(&c.charges, 1)
+}
+
+// AddForkWait accumulates d into the run's fork wait: the wall time the
+// timed spin forks of a sweep took beyond their longer sectors. It is not a
+// phase and not a Charge — the interval lies inside the phases the forks
+// already charged.
+func (c *Collector) AddForkWait(d time.Duration) {
+	if c == nil {
+		return
+	}
+	atomic.AddInt64(&c.forkWait, int64(d))
 }
 
 // Finish stamps the run's wall time. Metrics taken after Finish report the

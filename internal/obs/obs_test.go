@@ -358,7 +358,7 @@ func TestTableOutput(t *testing.T) {
 
 func TestMergeMetrics(t *testing.T) {
 	a := charged(PhaseDurations{PhaseWrap: 3 * time.Second, PhaseMeasure: time.Second})
-	a.WallMS = 5000
+	a.WallMS, a.ForkWaitMS = 5000, 1.5
 	a.Ops = OpMetrics{GemmCalls: 10, GemmFlops: 4e9, Sweeps: 7, GraphNodes: 3}
 	a.Stability = StabilityMetrics{
 		MaxWrapDrift: 1e-9, WrapDriftSamples: 4,
@@ -368,7 +368,7 @@ func TestMergeMetrics(t *testing.T) {
 	a.Devices = []DeviceMetrics{{Device: "dev0"}}
 	a.Autopilot = &AutopilotMetrics{Enabled: true}
 	b := charged(PhaseDurations{PhaseWrap: time.Second, PhaseMeasure: 5 * time.Second})
-	b.WallMS = 8000
+	b.WallMS, b.ForkWaitMS = 8000, 2
 	b.Ops = OpMetrics{GemmCalls: 5, GemmFlops: 4e9, Sweeps: 7, GraphNodes: 1}
 	b.Stability = StabilityMetrics{
 		MaxWrapDrift: 3e-9, WrapDriftSamples: 6,
@@ -378,8 +378,12 @@ func TestMergeMetrics(t *testing.T) {
 	b.Devices = []DeviceMetrics{{Device: "dev0"}, {Device: "dev1"}}
 
 	m := MergeMetrics([]*Metrics{a, nil, b})
-	if m.SchemaVersion != MetricsSchemaVersion || m.WallMS != 8000 {
-		t.Fatalf("stamp %q wall %v, want the current version and the longest run's 8000", m.SchemaVersion, m.WallMS)
+	if m.SchemaVersion != MetricsSchemaVersion || m.WallMS != 8000 || m.ForkWaitMS != 3.5 {
+		t.Fatalf("stamp %q wall %v fork wait %v, want the current version, the longest run's 8000 and the summed 3.5",
+			m.SchemaVersion, m.WallMS, m.ForkWaitMS)
+	}
+	if w := m.WithoutTimings(); w.ForkWaitMS != 0 || w.WallMS != 0 {
+		t.Fatalf("WithoutTimings kept fork wait %v, wall %v", w.ForkWaitMS, w.WallMS)
 	}
 	if m.PhaseMS["wrap"] != 4000 || m.PhaseMS["measure"] != 6000 || m.PhasePercent["wrap"] != 40 || m.PhaseCoverage != 1.25 {
 		t.Fatalf("phases %v shares %v coverage %v", m.PhaseMS, m.PhasePercent, m.PhaseCoverage)

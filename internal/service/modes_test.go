@@ -57,19 +57,27 @@ func docDiff(got, want string) string {
 // The residual check runs beside the sweep: at cadence 1 it is joined at the
 // next boundary, at cadence 3 (NC = 4) it stays in flight across an
 // unprobed boundary and across the sweep's end, with the autopilot off and
-// on, so the controller's inputs and decisions are held too.
+// on, so the controller's inputs and decisions are held too. The 4x4 rows
+// (N = 16) run their per-slice steps inline beside a forked boundary, the
+// 6x6 row (N = 36, delay 8 so delay blocks fill in mid-slice) at update's
+// crossover, where the steps and mid-slice flushes fork too.
 func TestResultsBitwiseAcrossModes(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, v := range []struct {
+		nx, delay int
 		every     int
 		autopilot bool
-	}{{1, false}, {3, false}, {3, true}} {
+	}{{4, 0, 1, false}, {4, 0, 3, false}, {4, 0, 3, true}, {6, 8, 1, false}} {
 		cfg := core.DefaultConfig()
+		cfg.Nx, cfg.Ny = v.nx, v.nx
 		cfg.Mu, cfg.Beta, cfg.L, cfg.ClusterK = 0.5, 4, 40, 10
 		cfg.WarmSweeps, cfg.MeasSweeps = 2, 4
 		cfg.MeasureDynamics, cfg.StabilityCheckEvery, cfg.Autopilot = true, v.every, v.autopilot
 		cfg.Seed = 13
-		variant := fmt.Sprintf("stability every %d, autopilot=%v", v.every, v.autopilot)
+		if v.delay > 0 {
+			cfg.Delay = v.delay
+		}
+		variant := fmt.Sprintf("%dx%d, stability every %d, autopilot=%v", v.nx, v.nx, v.every, v.autopilot)
 		resultsBitwiseAcrossModes(t, variant, cfg)
 	}
 }

@@ -82,29 +82,3 @@ func TestStackSweepUsesFewerUDTSteps(t *testing.T) {
 		t.Fatalf("stacked sweep (%d steps) not under half the reference (%d steps)", stackSteps, refSteps)
 	}
 }
-
-// TestSpinParallelMatchesSerial: the spin fork only reorders *which
-// goroutine* executes each sector's arithmetic, never the arithmetic
-// itself, so the parallel and serial sweeps must be bit-for-bit identical
-// — same fields, same Green's functions, same sign. Run with -race this
-// also exercises the concurrent wrap/flush/refresh phases.
-func TestSpinParallelMatchesSerial(t *testing.T) {
-	p, f1 := setup(t, 3, 3, 4, 2, 12, 53)
-	f2 := f1.Clone()
-	par := NewSweeper(p, f1, rng.New(13), Options{ClusterK: 4, Delay: 8})
-	ser := NewSweeper(p, f2, rng.New(13), Options{ClusterK: 4, Delay: 8, SerialSpins: true})
-	for s := 0; s < 3; s++ {
-		par.Sweep()
-		ser.Sweep()
-	}
-	fieldsEqual(t, f1, f2, "parallel vs serial spins")
-	if par.Sign() != ser.Sign() {
-		t.Fatalf("signs differ: %v vs %v", par.Sign(), ser.Sign())
-	}
-	if d := mat.RelDiff(par.GreenUp(), ser.GreenUp()); d != 0 {
-		t.Fatalf("spin-up G not bitwise identical: %g", d)
-	}
-	if d := mat.RelDiff(par.GreenDn(), ser.GreenDn()); d != 0 {
-		t.Fatalf("spin-down G not bitwise identical: %g", d)
-	}
-}

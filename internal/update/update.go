@@ -24,16 +24,20 @@
 //   - The heavy per-spin phases — wrapping, delayed-update flushes,
 //     cluster recomputation, stratified refreshes — are independent between
 //     the up and down sectors and fork onto the parallel pool
-//     (parallel.Pair), fused so that a sweep forks once per slice and once
-//     more per cluster boundary (L + NC forks) through three closures per
-//     sector: stepFn (flush slice s, wrap into s+1), boundaryFn (flush,
-//     recompute the cluster, advance the stack, refresh) and flushFn (a
-//     full delay block in mid-slice). Only the per-site Metropolis loop,
-//     which needs both spins' effective diagonal, and the boundary hook
-//     stay synchronous. Options.SerialSpins runs the same closures
-//     serially. Each spin owns its backend, so no scratch is shared across
-//     the fork, and the stack's stability samples reach the collector after
-//     the join in a fixed order, so the metrics repeat bit for bit too.
+//     (parallel.Pair) through three closures per sector: stepFn (flush
+//     slice s, wrap into s+1), boundaryFn (flush, recompute the cluster,
+//     advance the stack, refresh) and flushFn (a full delay block in
+//     mid-slice). The boundary forks at every lattice size. The per-slice
+//     step and the mid-slice flush fork only from stepForkMinN sites up,
+//     where a sector's flush and wrap outweigh the hand-off; below it they
+//     run up then down on the chain's goroutine. A sweep therefore forks
+//     L + NC times, plus once per full delay block, from stepForkMinN sites
+//     up, and NC times below. Only the per-site Metropolis loop, which needs
+//     both spins' effective diagonal, and the boundary hook stay
+//     synchronous. Options.SerialSpins runs every fork's closures serially.
+//     Each spin owns its backend, so no scratch is shared across the fork,
+//     and the stack's stability samples reach the collector after the join
+//     in a fixed order, so the metrics repeat bit for bit too.
 //   - The Metropolis loop reads G, U and W through their storage, and an
 //     accepted flip builds each side of its rank-1 pair with one
 //     blas.AxpyCols: G's column or row, the pending updates and the scaling
@@ -216,8 +220,10 @@ type Options struct {
 	// accuracy cross-checks and baseline benchmarks.
 	NoStack bool
 	// SerialSpins disables the concurrent execution of the up/down spin
-	// phases (reference/baseline path; the arithmetic is identical either
-	// way).
+	// phases: every fork, the boundary's included, runs its two closures
+	// one after the other (reference/baseline path; the arithmetic is
+	// identical either way). Below stepForkMinN sites the per-slice steps
+	// run serially with or without it.
 	SerialSpins bool
 	// Obs, when non-nil, receives per-phase timings, operation counts and
 	// stability telemetry. A nil collector costs nothing on the hot path.
@@ -250,7 +256,9 @@ type Sweeper struct {
 	cluster  int // cluster being recomputed
 	boundary int // boundary being refreshed
 
-	forks int64 // calls of fork, for the fork-count tests
+	forkSteps bool          // N >= stepForkMinN: the per-slice steps fork (see step)
+	forks     int64         // calls of fork, for the fork-count tests
+	forkWait  time.Duration // this sweep's fork wait so far (see timedFork)
 
 	// boundaryHook, when set, runs after every stratified refresh (i.e. at
 	// every cluster boundary) with the Green's functions freshly
@@ -336,7 +344,7 @@ func NewSweeperOn(p *hubbard.Propagator, f *hubbard.Field, r *rng.Rand, opts Opt
 	if n := p.Model.N(); opts.Delay > n {
 		opts.Delay = n
 	}
-	sw := &Sweeper{Prop: p, Field: f, Rng: r, opts: opts, sign: 1}
+	sw := &Sweeper{Prop: p, Field: f, Rng: r, opts: opts, sign: 1, forkSteps: p.Model.N() >= stepForkMinN}
 	sw.up = sw.newSpin(mk, hubbard.Up)
 	sw.dn = sw.newSpin(mk, hubbard.Down)
 	pb := &sw.probe
@@ -395,6 +403,37 @@ func (sw *Sweeper) newSpin(mk NewBackend, sigma hubbard.Spin) *spinState {
 	return s
 }
 
+// stepForkMinN is the lattice size from which a slice's flush and wrap fork
+// the two spin sectors onto the pool. Below it a sector's step is a few
+// microseconds, which the hand-off and the join cost back, so the steps run
+// up then down on the chain's goroutine. BenchmarkSweepSpinFork times a bare
+// Sweep both ways at N = 16, 20, 25, 30, 36 and 64 (EXPERIMENTS.md, "the
+// spin fork only where it pays"). The constant only has to lie in (16, 36]:
+// inline steps win at N = 16 (4x4) and forked ones at N = 36 (6x6), and no
+// benchmarked workload runs between them. Where exactly the crossover lies
+// in that interval the 2-CPU measurements do not resolve: inline led at 20
+// and 25, and at 30 passes disagreed.
+const stepForkMinN = 36
+
+// step flushes slice sw.slice and wraps both sectors into sw.slice+1. From
+// stepForkMinN sites up it forks the sectors' stepFn closures (timedFork);
+// below, it runs the same kernels up then down on the chain's goroutine and
+// laps flush and wrap as measured. It returns the stamp the next phase
+// starts at.
+//
+//qmc:hot
+func (sw *Sweeper) step(t time.Time) time.Time {
+	if sw.forkSteps {
+		return sw.timedFork(sw.up.stepFn, sw.dn.stepFn, t)
+	}
+	sw.up.flush(sw.slice)
+	sw.dn.flush(sw.slice)
+	t = sw.opts.Obs.Lap(obs.PhaseFlush, t)
+	sw.up.be.Wrap(sw.up.g, sw.Field, hubbard.Up, sw.slice+1)
+	sw.dn.be.Wrap(sw.dn.g, sw.Field, hubbard.Down, sw.slice+1)
+	return sw.opts.Obs.Lap(obs.PhaseWrap, t)
+}
+
 // fork runs the two per-spin closures through the pool, or serially when
 // the sweeper was configured with SerialSpins.
 func (sw *Sweeper) fork(up, dn func()) {
@@ -411,8 +450,11 @@ func (sw *Sweeper) fork(up, dn func()) {
 // phases and the two sectors run them concurrently, so each sector laps its
 // own phases (spinState.dur) and the join splits the fork's wall time — t
 // to now, hand-off and join wait included — over the phases in proportion
-// to the time the two sectors spent in each. It returns the stamp taken at
-// the join.
+// to the time the two sectors spent in each. What the wall time exceeds the
+// longer sector by (the hand-off, the join wait, or the shorter sector when
+// no worker was idle) is fork wait, summed over the sweep and handed to the
+// collector once at its end; under SerialSpins nothing forked and nothing is
+// recorded. It returns the stamp taken at the join.
 func (sw *Sweeper) timedFork(up, dn func(), t time.Time) time.Time {
 	sw.fork(up, dn)
 	if t.IsZero() {
@@ -420,13 +462,18 @@ func (sw *Sweeper) timedFork(up, dn func(), t time.Time) time.Time {
 	}
 	now := time.Now()
 	var sum [obs.NumPhases]time.Duration
-	var total time.Duration
+	var upT, dnT time.Duration
 	for p := range sum {
+		upT += sw.up.dur[p]
+		dnT += sw.dn.dur[p]
 		sum[p] = sw.up.dur[p] + sw.dn.dur[p]
 		sw.up.dur[p], sw.dn.dur[p] = 0, 0
-		total += sum[p]
 	}
-	scale := float64(now.Sub(t)) / float64(total)
+	wall := now.Sub(t)
+	if !sw.opts.SerialSpins {
+		sw.forkWait += wall - max(upT, dnT)
+	}
+	scale := float64(wall) / float64(upT+dnT)
 	for p, d := range sum {
 		if d > 0 {
 			sw.opts.Obs.Charge(obs.Phase(p), time.Duration(scale*float64(d)))
@@ -538,7 +585,7 @@ func (sw *Sweeper) Sweep() {
 			// pending, so this step is the wrap into slice s alone,
 			// G <- B_s G B_s^{-1}.
 			sw.slice = s - 1
-			t = sw.timedFork(sw.up.stepFn, sw.dn.stepFn, t)
+			t = sw.step(t)
 		}
 		sw.slice = s
 		for i := 0; i < n; i++ {
@@ -546,7 +593,7 @@ func (sw *Sweeper) Sweep() {
 		}
 		t = sw.opts.Obs.Lap(obs.PhaseFlush, t)
 		if (s+1)%k != 0 {
-			t = sw.timedFork(sw.up.stepFn, sw.dn.stepFn, t)
+			t = sw.step(t)
 			continue
 		}
 		c := s / k
@@ -576,6 +623,8 @@ func (sw *Sweeper) Sweep() {
 		sw.joinProbe()
 		sw.opts.Obs.End(obs.PhaseRefresh, t)
 	}
+	sw.opts.Obs.AddForkWait(sw.forkWait)
+	sw.forkWait = 0
 }
 
 // proposeFlip carries out the Metropolis step for h[s][i].
@@ -610,9 +659,15 @@ func (sw *Sweeper) proposeFlip(s, i int) {
 	sw.up.push(i, aUp/dUp)
 	sw.dn.push(i, aDn/dDn)
 	sw.Field.Flip(s, i)
-	if sw.up.m == sw.opts.Delay {
-		sw.fork(sw.up.flushFn, sw.dn.flushFn)
+	if sw.up.m != sw.opts.Delay {
+		return
 	}
+	if sw.forkSteps {
+		sw.fork(sw.up.flushFn, sw.dn.flushFn)
+		return
+	}
+	sw.up.flush(s)
+	sw.dn.flush(s)
 }
 
 // GreenUp returns the spin-up equal-time Green's function (valid after

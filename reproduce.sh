@@ -30,6 +30,9 @@ GOMAXPROCS=2 go test -count=1 -race ./internal/parallel/ ./internal/update/
 # One Results document per execution mode, with the race detector watching
 # the spin fork and the GEMM pool at every GOMAXPROCS the test sets.
 GOMAXPROCS=4 go test -count=1 -race -run 'TestResultsBitwiseAcrossModes$' ./internal/service/
+# ... and at the benchmark's two Ps, where the 4x4 rows run their per-slice
+# steps inline beside a forked boundary and the 6x6 row forks both.
+GOMAXPROCS=2 go test -count=1 -race -run 'TestResultsBitwiseAcrossModes$' ./internal/service/
 echo "== Verify: qmcdebug sanitizer build (NaN/Inf scans, drift asserts, pool bookkeeping)"
 go test -tags qmcdebug ./internal/...
 # go list honours GOFLAGS, so this lints the files the default build hides
