@@ -6,8 +6,8 @@
 // gap, visible as a faster tau decay at the Fermi point.
 //
 // This exercises the stable two-sided evaluation of G(tau, 0)
-// (greens.DisplacedGreen), which stays near machine accuracy where naive
-// forward propagation of G(0) loses a digit per slice.
+// (greens.Split), which stays near machine accuracy where naive forward
+// propagation of G(0) loses a digit per slice.
 //
 // Run with:
 //

@@ -20,6 +20,7 @@ var keptForTests = map[string]string{
 	"(*questgo/internal/gpu/hw.Device).BusyTransfer":            "TestStreamsOverlapIndependentEngines",
 	"(*questgo/internal/gpu/hw.Stream).Clock":                   "TestEventOrdersStreams: per-stream critical path",
 	"questgo/internal/greens.GreenBigFloat":                     "256-bit reference of TestStratifiedMatchesBigFloatAndNaiveFails",
+	"questgo/internal/greens.DisplacedBigFloat":                 "high-precision G(tau,0)/G(0,tau) of TestDisplacedGreenMatchesBigFloat and TestSusceptibilityMatchesBigFloat",
 	"questgo/internal/greens.GreenNaive":                        "unstratified reference of TestGreenMatchesNaiveShortChain",
 	"(*questgo/internal/greens.UDT).Matrix":                     "TestUDTReconstructsShortProduct, TestQuickFactoredSumConsistent",
 	"(*questgo/internal/greens.Wrapper).WrapInverse":            "TestWrapInverseRoundTrip pins Wrap against its inverse",

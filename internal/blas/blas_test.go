@@ -186,7 +186,7 @@ func TestTrsmLowerUnit(t *testing.T) {
 	x := randomDense(r, n, 4)
 	b := mat.New(n, 4)
 	Gemm(false, false, 1, l, x, 0, b)
-	Trsm(false, false, true, 1, l, b)
+	Trsm(false, true, l, b)
 	if !b.EqualApprox(x, 1e-10) {
 		t.Fatal("lower unit Trsm failed")
 	}
@@ -205,76 +205,37 @@ func TestTrsmUpper(t *testing.T) {
 	x := randomDense(r, n, 3)
 	b := mat.New(n, 3)
 	Gemm(false, false, 1, u, x, 0, b)
-	Trsm(true, false, false, 1, u, b)
+	Trsm(true, false, u, b)
 	if !b.EqualApprox(x, 1e-10) {
 		t.Fatal("upper Trsm failed")
 	}
 }
 
-func TestTrsmTransposed(t *testing.T) {
-	r := rng.New(8)
-	n := 10
-	u := randomDense(r, n, n)
-	for i := 0; i < n; i++ {
-		u.Set(i, i, 2+r.Float64())
-		for j := 0; j < i; j++ {
-			u.Set(i, j, 0)
-		}
-	}
-	x := randomDense(r, n, 3)
-	b := mat.New(n, 3)
-	// B = U^T X; solve U^T X = B.
-	Gemm(true, false, 1, u, x, 0, b)
-	Trsm(true, true, false, 1, u, b)
-	if !b.EqualApprox(x, 1e-10) {
-		t.Fatal("transposed upper Trsm failed")
-	}
-	// Lower-unit transposed.
-	l := randomDense(r, n, n)
-	for i := 0; i < n; i++ {
-		l.Set(i, i, 1)
-		for j := i + 1; j < n; j++ {
-			l.Set(i, j, 0)
-		}
-	}
-	b2 := mat.New(n, 3)
-	Gemm(true, false, 1, l, x, 0, b2)
-	Trsm(false, true, true, 1, l, b2)
-	if !b2.EqualApprox(x, 1e-10) {
-		t.Fatal("transposed lower unit Trsm failed")
-	}
-}
-
-// TestTrsmBitwiseAcrossDispatch: a diagonal-block solve (and the alpha
-// pre-scale) runs on the caller below gemmPoolMin and through the pool from
-// there on; a right-hand-side column is solved by the same trsv either way,
-// so the bits cannot depend on GOMAXPROCS. Sizes sit on both sides of the
-// cutoff, and 100 has one diagonal block on each side.
+// TestTrsmBitwiseAcrossDispatch: a diagonal-block solve runs on the caller
+// below gemmPoolMin and through the pool from there on; a right-hand-side
+// column is solved by the same code either way, so the bits cannot depend
+// on GOMAXPROCS. Sizes sit on both sides of the cutoff, and 100 has one
+// diagonal block on each side.
 func TestTrsmBitwiseAcrossDispatch(t *testing.T) {
 	type operands struct {
-		upper, trans bool
-		alpha        float64
-		t, b         *mat.Dense
+		upper bool
+		t, b  *mat.Dense
 	}
 	r := rng.New(29)
 	var cases []operands
 	for _, sh := range [][2]int{{36, 36}, {63, 63}, {64, 64}, {100, 100}, {36, 300}} {
 		n, cols := sh[0], sh[1]
 		for _, upper := range []bool{false, true} {
-			for _, trans := range []bool{false, true} {
-				for _, alpha := range []float64{1, 0.5} {
-					tm := randomDense(r, n, n)
-					for i := 0; i < n; i++ {
-						tm.Set(i, i, 2+r.Float64())
-					}
-					cases = append(cases, operands{upper, trans, alpha, tm, randomDense(r, n, cols)})
-				}
+			tm := randomDense(r, n, n)
+			for i := 0; i < n; i++ {
+				tm.Set(i, i, 2+r.Float64())
 			}
+			cases = append(cases, operands{upper, tm, randomDense(r, n, cols)})
 		}
 	}
 	solve := func(o operands) *mat.Dense {
 		x := o.b.Clone()
-		Trsm(o.upper, o.trans, !o.upper, o.alpha, o.t, x)
+		Trsm(o.upper, !o.upper, o.t, x)
 		return x
 	}
 	old := runtime.GOMAXPROCS(1)
@@ -287,96 +248,70 @@ func TestTrsmBitwiseAcrossDispatch(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		for i, o := range cases {
 			if !sameBits(solve(o), want[i]) {
-				t.Errorf("GOMAXPROCS=%d: n=%d cols=%d upper=%v trans=%v alpha=%g differs from the serial bits",
-					procs, o.t.Rows, o.b.Cols, o.upper, o.trans, o.alpha)
+				t.Errorf("GOMAXPROCS=%d: n=%d cols=%d upper=%v differs from the serial bits",
+					procs, o.t.Rows, o.b.Cols, o.upper)
 			}
 		}
 	}
 }
 
-// trsvRef solves op(T) x = x for one right-hand side the way Trsm's
-// diagonal blocks were solved before the rank-1 kernel: an Axpy per pivot
-// (column sweeps) or a Dot per row (transposed solves).
-func trsvRef(upper, trans, unit bool, t *mat.Dense, x []float64) {
+// trsvRef solves T x = x for one right-hand side the way Trsm's diagonal
+// blocks were solved before the rank-1 kernel: an Axpy per pivot.
+func trsvRef(upper, unit bool, t *mat.Dense, x []float64) {
 	n := t.Rows
 	div := func(k int) {
 		if !unit {
 			x[k] /= t.At(k, k)
 		}
 	}
-	switch {
-	case !trans && !upper:
+	if !upper {
 		for k := 0; k < n; k++ {
 			div(k)
 			Axpy(-x[k], t.Col(k)[k+1:], x[k+1:n])
 		}
-	case !trans && upper:
-		for k := n - 1; k >= 0; k-- {
-			div(k)
-			Axpy(-x[k], t.Col(k)[:k], x[:k])
-		}
-	case trans && !upper:
-		for k := n - 1; k >= 0; k-- {
-			x[k] -= Dot(t.Col(k)[k+1:], x[k+1:n])
-			div(k)
-		}
-	default:
-		for k := 0; k < n; k++ {
-			x[k] -= Dot(t.Col(k)[:k], x[:k])
-			div(k)
-		}
+		return
+	}
+	for k := n - 1; k >= 0; k-- {
+		div(k)
+		Axpy(-x[k], t.Col(k)[:k], x[:k])
 	}
 }
 
 // trsmRef is Trsm with every diagonal block solved column by column by
-// trsvRef: the same alpha pass, blocks and Gemm updates.
-func trsmRef(upper, trans, unit bool, alpha float64, t, b *mat.Dense) {
+// trsvRef: the same blocks and Gemm updates.
+func trsmRef(upper, unit bool, t, b *mat.Dense) {
 	n := t.Rows
-	for j := 0; j < b.Cols; j++ {
-		Scal(alpha, b.Col(j))
-	}
 	solve := func(k0, k1 int) {
 		for j := 0; j < b.Cols; j++ {
-			trsvRef(upper, trans, unit, t.View(k0, k0, k1-k0, k1-k0), b.Col(j)[k0:k1])
+			trsvRef(upper, unit, t.View(k0, k0, k1-k0, k1-k0), b.Col(j)[k0:k1])
 		}
 	}
-	forward := trans == upper // T lower, or T^T with T upper
-	if forward {
+	if !upper {
 		for k0 := 0; k0 < n; k0 += trsmBlock {
 			k1 := min(k0+trsmBlock, n)
 			solve(k0, k1)
-			if k1 == n {
-				continue
+			if k1 < n {
+				Gemm(false, false, -1, t.View(k1, k0, n-k1, k1-k0), b.View(k0, 0, k1-k0, b.Cols), 1, b.View(k1, 0, n-k1, b.Cols))
 			}
-			off := t.View(k1, k0, n-k1, k1-k0)
-			if trans {
-				off = t.View(k0, k1, k1-k0, n-k1)
-			}
-			Gemm(trans, false, -1, off, b.View(k0, 0, k1-k0, b.Cols), 1, b.View(k1, 0, n-k1, b.Cols))
 		}
 		return
 	}
 	for k1 := n; k1 > 0; k1 -= trsmBlock {
 		k0 := max(k1-trsmBlock, 0)
 		solve(k0, k1)
-		if k0 == 0 {
-			continue
+		if k0 > 0 {
+			Gemm(false, false, -1, t.View(0, k0, k0, k1-k0), b.View(k0, 0, k1-k0, b.Cols), 1, b.View(0, 0, k0, b.Cols))
 		}
-		off := t.View(0, k0, k0, k1-k0)
-		if trans {
-			off = t.View(k0, 0, k1-k0, k0)
-		}
-		Gemm(trans, false, -1, off, b.View(k0, 0, k1-k0, b.Cols), 1, b.View(0, 0, k0, b.Cols))
 	}
 }
 
-// TestTrsmMatchesPerColumnTrsv: all four Trsm variants, unit and not, against
+// TestTrsmMatchesPerColumnTrsv: both Trsm variants, unit and not, against
 // trsmRef bit for bit, at every N from 1 to 70 (one diagonal block, then a
 // trsmBlock-row block and a sliver) and at 144 and 200 (three and four
 // blocks, the last partial), with right-hand-side counts on both sides of
-// the pool cutoff, alpha 1 and 0.5, and ±0 entries in B whose updates must
-// be skipped. The non-transposed diagonal blocks run pivot by pivot over
-// all columns through the rank-1 kernel, which must not move a bit.
+// the pool cutoff and ±0 entries in B whose updates must be skipped. The
+// diagonal blocks run pivot by pivot over all columns through the rank-1
+// kernel, which must not move a bit.
 func TestTrsmMatchesPerColumnTrsv(t *testing.T) {
 	sizes := []int{144, 200}
 	for n := 1; n <= 70; n++ {
@@ -395,17 +330,13 @@ func TestTrsmMatchesPerColumnTrsv(t *testing.T) {
 				b.Col(j)[r.Intn(n)] = math.Copysign(0, -1)
 			}
 			for _, upper := range []bool{false, true} {
-				for _, trans := range []bool{false, true} {
-					for _, unit := range []bool{false, true} {
-						for _, alpha := range []float64{1, 0.5} {
-							got, want := b.Clone(), b.Clone()
-							Trsm(upper, trans, unit, alpha, tm, got)
-							trsmRef(upper, trans, unit, alpha, tm, want)
-							if !sameBits(got, want) {
-								t.Fatalf("n=%d cols=%d upper=%v trans=%v unit=%v alpha=%v: Trsm differs from the per-column substitution",
-									n, cols, upper, trans, unit, alpha)
-							}
-						}
+				for _, unit := range []bool{false, true} {
+					got, want := b.Clone(), b.Clone()
+					Trsm(upper, unit, tm, got)
+					trsmRef(upper, unit, tm, want)
+					if !sameBits(got, want) {
+						t.Fatalf("n=%d cols=%d upper=%v unit=%v: Trsm differs from the per-column substitution",
+							n, cols, upper, unit)
 					}
 				}
 			}

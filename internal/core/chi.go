@@ -15,10 +15,10 @@ type ChiResult struct {
 // SampleSusceptibility runs `samples` additional sweeps, measuring the
 // imaginary-time spin susceptibility chi_zz(q) on each resulting
 // configuration (tau sampled every `every` slices; every <= 0 uses the
-// cluster size). Call after Run so the chain is equilibrated. The
-// susceptibility requires two displaced Green's function evaluations per
-// sampled tau per spin, so this costs considerably more per sweep than the
-// equal-time measurements.
+// cluster size). Call after Run so the chain is equilibrated. Every
+// sampled tau stratifies the whole chain once per spin (one greens.Split),
+// so this costs considerably more per sweep than the equal-time
+// measurements.
 func (s *Simulation) SampleSusceptibility(samples, every int) *ChiResult {
 	if samples < 1 {
 		samples = 1

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -101,27 +102,32 @@ func TestScaleRowsKernel(t *testing.T) {
 	}
 }
 
+// TestScaleRowsColsKernel: the Algorithm 7 kernel rounds every element as
+// the host's wrap does, ScaleRows by v then ScaleCols by 1/v, bit for bit.
 func TestScaleRowsColsKernel(t *testing.T) {
+	const n = 7
 	d := hw.NewDevice()
 	st := d.NewStream()
 	r := rng.New(4)
-	g := randomDense(r, 5)
-	v := []float64{2, 0.5, 3, 1.5, 4}
-	dg, dv := d.Malloc(5, 5), d.Malloc(5, 1)
+	g := randomDense(r, n)
+	v, inv := make([]float64, n), make([]float64, n)
+	for i := range v {
+		v[i] = 0.25 + 4*r.Float64()
+		inv[i] = 1 / v[i]
+	}
+	dg, dv := d.Malloc(n, n), d.Malloc(n, 1)
 	st.SetMatrix(dg, g)
 	st.SetVector(dv, v)
 	st.ScaleRowsCols(dg, dv)
-	got := mat.New(5, 5)
+	got := mat.New(n, n)
 	st.GetMatrix(got, dg)
 	want := g.Clone()
 	want.ScaleRows(v)
-	inv := make([]float64, 5)
-	for i := range v {
-		inv[i] = 1 / v[i]
-	}
 	want.ScaleCols(inv)
-	if !got.EqualApprox(want, 1e-15) {
-		t.Fatal("ScaleRowsCols kernel wrong")
+	for i, x := range got.Data {
+		if math.Float64bits(x) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("element %d: kernel %v, ScaleRows then ScaleCols %v", i, x, want.Data[i])
+		}
 	}
 }
 

@@ -132,7 +132,8 @@ func (s *Stream) ScaleRows(dst, src *Matrix, v *Matrix) {
 
 // ScaleRowsCols is the paper's Algorithm 7 kernel:
 // G = diag(v) * G * diag(v)^{-1}, with the column factor read through the
-// texture cache. In-place, one launch.
+// texture cache. In-place, one launch. Each element rounds as the host's
+// wrap write-back does: times v[i], then times 1/v[j].
 func (s *Stream) ScaleRowsCols(g *Matrix, v *Matrix) {
 	s.dev.checkOwned(g)
 	s.dev.checkOwned(v)
@@ -232,7 +233,7 @@ func (s *Stream) runNode(nd node, launch bool) {
 			col := nd.c.m.Col(j)
 			inv := 1 / vv[j]
 			for i := range col {
-				col[i] *= vv[i] * inv
+				col[i] = col[i] * vv[i] * inv
 			}
 		}
 		stop()

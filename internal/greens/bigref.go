@@ -13,20 +13,53 @@ import (
 // everything at large beta*U while both stratifications stay near machine
 // precision — the claim behind the paper's Figure 2.
 func GreenBigFloat(bs []*mat.Dense, prec uint) *mat.Dense {
+	return bigToDense(bigInverse(bigAddIdentity(bigProduct(bs, bs[0].Rows, prec), 1), prec))
+}
+
+// DisplacedBigFloat is the prec-bit reference of a Split's unequal-time
+// Green's functions: for the chain bs (application order) cut after its
+// first l matrices, l >= 1, with P1 = bs[l-1] ... bs[0] and
+// P2 = bs[last] ... bs[l], it returns
+//
+//	G(tau_l, 0) = P1 G(0),
+//	G(0, tau_l) = (G(0) - I) P1^{-1},
+//
+// with G(0) = (I + P2 P1)^{-1}, rounding to float64 only at the end: a
+// G(0) rounded before the chain multiplication would inject
+// eps*||B_l...B_1|| of error, the very amplification the two-sided
+// formulas exist to avoid. The equal-time G(tau_l, tau_l) is GreenBigFloat
+// of the rotated chain, bs[l:] then bs[:l].
+func DisplacedBigFloat(bs []*mat.Dense, l int, prec uint) (fwd, rev *mat.Dense) {
 	n := bs[0].Rows
-	p := bigFromDense(bs[0], prec)
-	for i := 1; i < len(bs); i++ {
-		p = bigMul(bigFromDense(bs[i], prec), p, prec)
+	p1, p2 := bigProduct(bs[:l], n, prec), bigProduct(bs[l:], n, prec)
+	g0 := bigInverse(bigAddIdentity(bigMul(p2, p1, prec), 1), prec)
+	fwd = bigToDense(bigMul(p1, g0, prec))
+	rev = bigToDense(bigMul(bigAddIdentity(g0, -1), bigInverse(p1, prec), prec))
+	return fwd, rev
+}
+
+// bigProduct is bs[last] ... bs[0] (exactly, from the n x n identity).
+func bigProduct(bs []*mat.Dense, n int, prec uint) [][]*big.Float {
+	p := bigFromDense(mat.Identity(n), prec)
+	for _, b := range bs {
+		p = bigMul(bigFromDense(b, prec), p, prec)
 	}
-	one := new(big.Float).SetPrec(prec).SetInt64(1)
-	for i := 0; i < n; i++ {
-		p[i][i].Add(p[i][i], one)
+	return p
+}
+
+// bigAddIdentity adds s*I to a in place and returns it.
+func bigAddIdentity(a [][]*big.Float, s int64) [][]*big.Float {
+	for i := range a {
+		a[i][i].Add(a[i][i], new(big.Float).SetInt64(s))
 	}
-	inv := bigInverse(p, prec)
-	out := mat.New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			v, _ := inv[i][j].Float64()
+	return a
+}
+
+func bigToDense(a [][]*big.Float) *mat.Dense {
+	out := mat.New(len(a), len(a))
+	for i := range a {
+		for j := range a[i] {
+			v, _ := a[i][j].Float64()
 			out.Set(i, j, v)
 		}
 	}

@@ -8,72 +8,39 @@ import (
 	"questgo/internal/mat"
 )
 
-// This file implements the fully stable evaluation of the time-displaced
-// Green's function through the two-sided graded decomposition of Loh and
-// Gubernatis (the same reference as the paper's Algorithm 2):
+// Split is the slice chain of one spin cut after slice l, each half
+// stratified once with the paper's Algorithm 3:
 //
-//	G(tau_l, 0) = B_l ... B_1 (I + B_L ... B_1)^{-1}
-//	            = ((B_l ... B_1)^{-1} + B_L ... B_{l+1})^{-1}.
+//	P1 = B_l ... B_1     = U1 D1 T1   (before tau_l),
+//	P2 = B_L ... B_{l+1} = U2 D2 T2   (after tau_l).
 //
-// Forward propagation from G(0) — left-multiplying G(0) by B_1, B_2, ... —
-// loses a digit or so per slice once the product develops cancellations,
-// which is fine for short displacements but not for tau ~ beta/2 at strong
-// coupling.
+// Every Green's function at (tau_l, 0) follows from the two decompositions,
+// by the two-sided graded evaluation of Loh and Gubernatis (the reference
+// of the paper's Algorithm 2):
 //
-// Here both *forward* partial products are stratified with the paper's
-// Algorithm 3,
+//	G(tau, 0)   = (P1^{-1} + P2)^{-1}     Forward
+//	G(0, tau)   = -(P1 + P2^{-1})^{-1}    Reverse
+//	G(tau, tau) = (I + P1 P2)^{-1}        Equal
 //
-//	P1 = B_l ... B_1     = U1 D1 T1,
-//	P2 = B_L ... B_{l+1} = U2 D2 T2,
-//
-// and the inverse of P1 enters analytically as T1^{-1} D1^{-1} U1^T —
-// a well-conditioned solve, exact diagonal reciprocals, and an orthogonal
-// transpose. (Stratifying a chain of B^{-1} matrices instead loses the
-// small-scale structure of the sum: the roundoff committed at the large
-// scale of that product is not of factor-perturbation form, and shows up
-// as ~1e-4 errors in G at strong coupling. The factored-inverse route
-// below keeps every intermediate bounded and is verified against 256-bit
-// references in the tests.)
-
-// DisplacedGreen computes G(tau_l, 0) for 1 <= l <= L with cluster size k
-// for both chains (k = 1 means one QR per slice).
-//
-// Accuracy: the achievable error tracks the conditioning of the partial
-// product, err ~ eps * kappa(B_l...B_1)-ish — the same behaviour as a
-// backward-stable algorithm, verified against 256-bit references in the
-// tests (which also measure the intrinsic sensitivity of G(tau) to 1e-15
-// input noise and find the two indistinguishable). For l = L the exact
-// antiperiodicity identity G(beta, 0) = I - G(0) is used instead, which is
-// well conditioned at any coupling.
-func DisplacedGreen(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, l, k int) *mat.Dense {
-	L := p.Model.L
-	if l < 1 || l > L {
-		panic(fmt.Sprintf("greens: displaced slice %d out of range [1, %d]", l, L))
-	}
-	if k < 1 {
-		k = 1
-	}
-	if l == L {
-		g0 := GreenFromUDT(StratifyPrePivot(sliceBlocks(p, f, sigma, 0, L, k)))
-		out := mat.Identity(p.Model.N())
-		out.Add(-1, g0)
-		return out
-	}
-	udt1 := StratifyPrePivot(sliceBlocks(p, f, sigma, 0, l, k))
-	udt2 := StratifyPrePivot(sliceBlocks(p, f, sigma, l, L, k))
-	return invertFactoredSum(udt1, udt2)
+// P1^{-1} enters analytically as T1^{-1} D1^{-1} U1^T — a well-conditioned
+// solve, exact diagonal reciprocals and an orthogonal transpose. (A
+// stratified chain of B^{-1} matrices instead loses the small-scale
+// structure of the sum, ~1e-4 errors in G at strong coupling; G(0)
+// propagated forward slice by slice loses a digit or so per slice once the
+// product develops cancellations.) The error tracks the conditioning of the
+// partial products, eps * kappa(B_l...B_1)-ish, as for a backward-stable
+// algorithm; the tests hold all three to 256- and 512-bit references. At
+// l = L the after-tau chain is empty (P2 = I) and the exact antiperiodic
+// identities G(beta, 0) = I - G(0), G(0, beta) = -G(0) and
+// G(beta, beta) = G(0) are used, well conditioned at any coupling.
+type Split struct {
+	before, after *UDT // after is nil at l = L
 }
 
-// DisplacedGreenReverse computes the "reverse" displaced Green's function
-//
-//	G(0, tau_l) = <T c(0) c^dag(tau_l)> = -(I - G(0)) (B_l ... B_1)^{-1}
-//	            = -(B_l ... B_1 + (B_L ... B_{l+1})^{-1})^{-1},
-//
-// the other ingredient of unequal-time two-particle correlators
-// (susceptibilities): <c^dag_a(tau) c_b(0)> = -G(0,tau)(b,a) for tau > 0.
-// Evaluated with the same two-sided graded machinery as DisplacedGreen,
-// with the roles of the chains exchanged.
-func DisplacedGreenReverse(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, l, k int) *mat.Dense {
+// SplitAt builds and stratifies both halves of the chain of spin sigma at
+// slice 1 <= l <= L, in blocks of at most k slices (k = 1 means one QR per
+// slice; k need not divide either half).
+func SplitAt(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, l, k int) *Split {
 	L := p.Model.L
 	if l < 1 || l > L {
 		panic(fmt.Sprintf("greens: displaced slice %d out of range [1, %d]", l, L))
@@ -81,20 +48,52 @@ func DisplacedGreenReverse(p *hubbard.Propagator, f *hubbard.Field, sigma hubbar
 	if k < 1 {
 		k = 1
 	}
+	s := &Split{before: StratifyPrePivot(sliceBlocks(p, f, sigma, 0, l, k))}
+	if l < L {
+		s.after = StratifyPrePivot(sliceBlocks(p, f, sigma, l, L, k))
+	}
+	return s
+}
+
+// Forward returns G(tau_l, 0) = <T c(tau_l) c^dag(0)>.
+func (s *Split) Forward() *mat.Dense {
+	if s.after == nil {
+		out := mat.Identity(s.before.Q.Rows)
+		out.Add(-1, GreenFromUDT(s.before))
+		return out
+	}
+	return invertFactoredSum(s.before, s.after)
+}
+
+// Reverse returns G(0, tau_l) = <T c(0) c^dag(tau_l)>
+// = -(I - G(0)) (B_l ... B_1)^{-1}, the other ingredient of unequal-time
+// two-particle correlators: <c^dag_a(tau) c_b(0)> = -G(0,tau)(b,a) for
+// tau > 0. It is the two-sided inversion with the halves' roles exchanged.
+func (s *Split) Reverse() *mat.Dense {
 	var out *mat.Dense
-	if l == L {
-		// G(0, beta) = -(I - G(beta-chain inverse + ...)) — the sum
-		// degenerates to P1 + I with P1 the full chain:
-		// G(0, beta) = -(P1 + I)^{-1}... but (I + P1)^{-1} = G(0), so
-		// G(0, beta) = -G(0), which is the antiperiodic image.
-		out = GreenFromUDT(StratifyPrePivot(sliceBlocks(p, f, sigma, 0, L, k)))
+	if s.after == nil {
+		out = GreenFromUDT(s.before)
 	} else {
-		udt1 := StratifyPrePivot(sliceBlocks(p, f, sigma, 0, l, k))
-		udt2 := StratifyPrePivot(sliceBlocks(p, f, sigma, l, L, k))
-		out = invertFactoredSum(udt2, udt1)
+		out = invertFactoredSum(s.after, s.before)
 	}
 	out.Scale(-1)
 	return out
+}
+
+// Equal returns the equal-time G(tau_l, tau_l) = (I + P1 P2)^{-1}, with
+// P1 P2 = U1 D1 T1 * U2 D2 T2 joined by one graded combine (joinGreenInto),
+// as at a StratStack boundary.
+func (s *Split) Equal() *mat.Dense {
+	u1, u2 := s.before, s.after
+	if u2 == nil {
+		return GreenFromUDT(u1)
+	}
+	n := u1.Q.Rows
+	g := mat.New(n, n)
+	d := mat.GetScratch(n, 1)
+	joinGreenInto(g, u1, u2.Q, u2.D, u2.T, false, false, d.Data)
+	mat.PutScratch(d)
+	return g
 }
 
 // sliceBlocks splits slices [lo, hi) into clusters of at most k (the last

@@ -2,7 +2,6 @@ package greens
 
 import (
 	"math"
-	"math/big"
 	"testing"
 
 	"questgo/internal/blas"
@@ -13,75 +12,23 @@ import (
 	"questgo/internal/rng"
 )
 
-// bigChain returns B_l ... B_1 and G(0) = (I + B_L ... B_1)^{-1} entirely
-// in high precision — G(0) is never rounded to float64 before the chain
-// multiplication (rounding it would inject eps*||B_l...B_1|| error into
-// the "reference", swamping the quantity under test).
-func bigChain(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, l int, prec uint) (partial, g0 [][]*big.Float) {
-	n := p.Model.N()
+// sliceChain returns B_1 ... B_L of spin sigma in application order.
+func sliceChain(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin) []*mat.Dense {
 	bs := make([]*mat.Dense, p.Model.L)
 	for i := range bs {
 		bs[i] = p.BMatrix(sigma, f, i)
 	}
-	// Full product in big precision.
-	prod := bigFromDense(bs[0], prec)
-	if l == 0 {
-		partial = bigFromDense(mat.Identity(n), prec)
-	}
-	for i := 1; i < len(bs); i++ {
-		if i == l {
-			partial = cloneBig(prod, prec)
-		}
-		prod = bigMul(bigFromDense(bs[i], prec), prod, prec)
-	}
-	if l == len(bs) {
-		partial = cloneBig(prod, prec)
-	}
-	// G0 = (I + prod)^{-1} in big precision.
-	one := new(big.Float).SetPrec(prec).SetInt64(1)
-	for i := 0; i < n; i++ {
-		prod[i][i].Add(prod[i][i], one)
-	}
-	return partial, bigInverse(prod, prec)
+	return bs
 }
 
-func bigToDense(a [][]*big.Float) *mat.Dense {
-	out := mat.New(len(a), len(a[0]))
-	for i := range a {
-		for j := range a[i] {
-			v, _ := a[i][j].Float64()
-			out.Set(i, j, v)
-		}
-	}
-	return out
-}
-
-// bigDisplaced computes G(tau_l, 0) = B_l ... B_1 G(0) in high precision.
-func bigDisplaced(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, l int, prec uint) *mat.Dense {
-	partial, g0 := bigChain(p, f, sigma, l, prec)
-	return bigToDense(bigMul(partial, g0, prec))
-}
-
-// bigDisplacedReverse computes G(0, tau_l) = -(I - G(0)) (B_l ... B_1)^{-1}
-// in high precision.
-func bigDisplacedReverse(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, l int, prec uint) *mat.Dense {
-	partial, g0 := bigChain(p, f, sigma, l, prec)
-	one := new(big.Float).SetPrec(prec).SetInt64(1)
-	for i := range g0 {
-		g0[i][i].Sub(g0[i][i], one) // G(0) - I
-	}
-	return bigToDense(bigMul(g0, bigInverse(partial, prec), prec))
-}
-
-func cloneBig(a [][]*big.Float, prec uint) [][]*big.Float {
-	out := make([][]*big.Float, len(a))
-	for i := range a {
-		out[i] = make([]*big.Float, len(a[i]))
-		for j := range a[i] {
-			out[i][j] = new(big.Float).SetPrec(prec).Set(a[i][j])
-		}
-	}
-	return out
+// bigSplit is DisplacedBigFloat of the slice chain of spin sigma cut after
+// slice l, with the equal-time G(tau_l, tau_l) from GreenBigFloat of the
+// rotated chain B_{l+1} ... B_L B_1 ... B_l.
+func bigSplit(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, l int, prec uint) (fwd, rev, equal *mat.Dense) {
+	bs := sliceChain(p, f, sigma)
+	fwd, rev = DisplacedBigFloat(bs, l, prec)
+	rotated := append(append([]*mat.Dense{}, bs[l:]...), bs[:l]...)
+	return fwd, rev, GreenBigFloat(rotated, prec)
 }
 
 func TestDisplacedGreenMatchesBigFloat(t *testing.T) {
@@ -94,8 +41,8 @@ func TestDisplacedGreenMatchesBigFloat(t *testing.T) {
 	// formula exists to avoid.)
 	p, f, _ := testChain(t, 2, 2, 8, 5, 25, 53)
 	for _, l := range []int{1, 5, 12, 20, 24, 25} {
-		got := DisplacedGreen(p, f, hubbard.Up, l, 5)
-		want := bigDisplaced(p, f, hubbard.Up, l, 256)
+		got := SplitAt(p, f, hubbard.Up, l, 5).Forward()
+		want, _, _ := bigSplit(p, f, hubbard.Up, l, 256)
 		if d := mat.RelDiff(got, want); d > 1e-10 {
 			t.Fatalf("l=%d: stable displaced G rel diff %g", l, d)
 		}
@@ -110,20 +57,43 @@ func TestDisplacedShortLastBlock(t *testing.T) {
 	p, f, _ := testChain(t, 2, 2, 6, 4, 25, 59)
 	for _, k := range []int{4, 10} {
 		for _, l := range []int{3, 13, 22} {
-			if d := mat.RelDiff(DisplacedGreen(p, f, hubbard.Down, l, k), bigDisplaced(p, f, hubbard.Down, l, 256)); !(d <= 1e-10) {
+			sp := SplitAt(p, f, hubbard.Down, l, k)
+			fwd, rev, _ := bigSplit(p, f, hubbard.Down, l, 256)
+			if d := mat.RelDiff(sp.Forward(), fwd); !(d <= 1e-10) {
 				t.Fatalf("k=%d l=%d: G(tau,0) rel diff %g", k, l, d)
 			}
-			if d := mat.RelDiff(DisplacedGreenReverse(p, f, hubbard.Down, l, k), bigDisplacedReverse(p, f, hubbard.Down, l, 256)); !(d <= 1e-10) {
+			if d := mat.RelDiff(sp.Reverse(), rev); !(d <= 1e-10) {
 				t.Fatalf("k=%d l=%d: G(0,tau) rel diff %g", k, l, d)
 			}
 		}
 	}
 }
 
+// TestSplitEqualMatchesBigFloat: the split's equal-time G(tau, tau) is the
+// graded combine of its two halves, and must track the 256-bit rotated-chain
+// reference at every cut, with k dividing neither half, at strong coupling
+// (U = 8, beta = 5). At l = L it is G(0), bit for bit the stratified
+// equal-time G of the cluster chain whenever k divides L.
+func TestSplitEqualMatchesBigFloat(t *testing.T) {
+	p, f, _ := testChain(t, 2, 2, 8, 5, 25, 53)
+	for _, k := range []int{4, 5} {
+		for _, l := range []int{1, 3, 12, 13, 22, 24, 25} {
+			_, _, want := bigSplit(p, f, hubbard.Up, l, 256)
+			if d := mat.RelDiff(SplitAt(p, f, hubbard.Up, l, k).Equal(), want); !(d <= 1e-10) {
+				t.Fatalf("k=%d l=%d: G(tau,tau) rel diff %g", k, l, d)
+			}
+		}
+	}
+	g0 := NewClusterSet(p, f, hubbard.Down, 5).GreenAt(0, true)
+	if !bitsEqual(SplitAt(p, f, hubbard.Down, p.Model.L, 5).Equal(), g0) {
+		t.Fatal("split at l = L is not bit for bit ClusterSet.GreenAt(0)")
+	}
+}
+
 func TestDisplacedGreenAntiperiodicity(t *testing.T) {
 	p, f, bs := testChain(t, 3, 3, 6, 3, 12, 67)
 	g0 := Green(bs)
-	gBeta := DisplacedGreen(p, f, hubbard.Up, p.Model.L, 4)
+	gBeta := SplitAt(p, f, hubbard.Up, p.Model.L, 4).Forward()
 	want := mat.Identity(g0.Rows)
 	want.Add(-1, g0)
 	if d := mat.RelDiff(gBeta, want); d > 1e-9 {
@@ -164,7 +134,7 @@ func TestDisplacedGreenFreeFermions(t *testing.T) {
 	f := hubbard.NewRandomField(L, model.N(), rng.New(2))
 	dtau := beta / float64(L)
 	for _, l := range []int{1, 10, 15, 30} {
-		got := DisplacedGreen(p, f, hubbard.Up, l, 10)
+		got := SplitAt(p, f, hubbard.Up, l, 10).Forward()
 		want := freeDisplaced(lat, beta, dtau*float64(l))
 		if d := mat.RelDiff(got, want); d > 1e-9 {
 			t.Fatalf("free fermions l=%d: %g", l, d)
@@ -179,5 +149,5 @@ func TestDisplacedGreenPanicsOutOfRange(t *testing.T) {
 			t.Fatal("expected panic for l = 0")
 		}
 	}()
-	DisplacedGreen(p, f, hubbard.Up, 0, 2)
+	SplitAt(p, f, hubbard.Up, 0, 2)
 }

@@ -186,55 +186,66 @@ func (st *StratStack) GreenInto(dst *mat.Dense) {
 // With prefix = Q1 D1 T1 and suffix^T = Qs Ds Ts (so the suffix itself is
 // Ts^T Ds Qs^T), the boundary chain is
 //
-//	P(c) = Q1 (D1 * T1 Ts^T * Ds) Qs^T.
+//	P(c) = Q1 (D1 * T1 Ts^T * Ds) Qs^T,
 //
-// The middle matrix mixes the two gradings but is the product of two
-// well-conditioned factors scaled on either side, exactly the shape the
-// stratification step already handles: factor it as q d t with the same
-// pivoting policy, giving P = (Q1 q) d (t Qs^T) — a single UDT for the
-// whole chain, finished by the stabilized inversion.
+// one graded combine (joinGreenInto) under the stack's pivoting policy.
 //
 //qmc:hot
 func (st *StratStack) combineInto(dst *mat.Dense, c int) {
-	n := st.n
 	suf := &st.suf[c]
+	dv := mat.GetScratch(st.n, 1)
+	joinGreenInto(dst, &st.prefix, suf.T, suf.D, suf.Q, true, !st.prePivot, dv.Data)
+	st.sampleCond(dv.Data)
+	mat.PutScratch(dv)
+}
+
+// joinGreenInto writes the Green's function (I + P)^{-1} of a chain held as
+// two graded halves,
+//
+//	P = Q1 D1 T1 * op(inner) D2 op(right),
+//
+// into dst, where op(X) is X, or X^T with trans. The middle matrix
+// M = D1 (T1 op(inner)) D2 mixes the two gradings but is a product of
+// well-conditioned factors scaled on either side, exactly the shape the
+// stratification step already handles: factor it as q d t with one graded
+// QR (pivot selects QRP over the pre-pivoted QR), giving
+// P = (Q1 q) d (t op(right)) — a single UDT for the whole chain, finished by
+// the stabilized inversion. d (length n) receives the combined grading.
+//
+//qmc:hot
+func joinGreenInto(dst *mat.Dense, left *UDT, inner *mat.Dense, d2 []float64, right *mat.Dense, trans, pivot bool, d []float64) {
+	n := inner.Rows
 	m := mat.GetScratch(n, n)
 	r := mat.GetScratch(n, n)
 	tmp := mat.GetScratch(n, n)
 	that := mat.GetScratch(n, n)
+	qNew := mat.GetScratch(n, n)
+	tNew := mat.GetScratch(n, n)
 	defer func() {
 		mat.PutScratch(m)
 		mat.PutScratch(r)
 		mat.PutScratch(tmp)
 		mat.PutScratch(that)
+		mat.PutScratch(qNew)
+		mat.PutScratch(tNew)
 	}()
 
-	// M = D1 * (T1 Ts^T) * Ds.
-	blas.Gemm(false, true, 1, st.prefix.T, suf.T, 0, m)
-	m.ScaleRows(st.prefix.D)
-	m.ScaleCols(suf.D)
-
-	dv := mat.GetScratch(n, 1)
-	d := dv.Data
+	blas.Gemm(false, trans, 1, left.T, inner, 0, m)
+	m.ScaleRows(left.D)
+	m.ScaleCols(d2)
 	qmid := tmp // the pre-pivot gather scratch, free again for Q
-	perm := gradedQR(m, tmp, r, qmid, d, !st.prePivot)
+	perm := gradedQR(m, tmp, r, qmid, d, pivot)
 	// that = (d^{-1} R) P^T: scatter column j back to original position.
 	for j, p := range perm {
 		copy(that.Col(p), r.Col(j))
 	}
 	lapack.PutPivot(&perm)
 
-	// Q_new = Q1 * q, T_new = that * Qs^T.
-	qNew := mat.GetScratch(n, n)
-	tNew := mat.GetScratch(n, n)
-	blas.Gemm(false, false, 1, st.prefix.Q, qmid, 0, qNew)
-	blas.Gemm(false, true, 1, that, suf.Q, 0, tNew)
+	// Q_new = Q1 * q, T_new = that * op(right).
+	blas.Gemm(false, false, 1, left.Q, qmid, 0, qNew)
+	blas.Gemm(false, trans, 1, that, right, 0, tNew)
 	u := UDT{Q: qNew, D: d, T: tNew}
-	st.sampleCond(d)
 	GreenFromUDTInto(dst, &u)
-	mat.PutScratch(qNew)
-	mat.PutScratch(tNew)
-	mat.PutScratch(dv)
 }
 
 // TakeCond returns the condition estimate log10(max|D|/min|D|) of the

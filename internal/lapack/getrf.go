@@ -48,7 +48,7 @@ func LUFactor(a *mat.Dense) (LU, error) {
 			// U block row: solve L11 * U12 = A12.
 			l11 := a.View(j, j, jb, jb)
 			a12 := a.View(j, j+jb, jb, n-j-jb)
-			blas.Trsm(false, false, true, 1, l11, a12)
+			blas.Trsm(false, true, l11, a12)
 			// Trailing update: A22 -= L21 * U12.
 			if j+jb < n {
 				l21 := a.View(j+jb, j, n-j-jb, jb)
@@ -123,9 +123,9 @@ func (lu *LU) Solve(b *mat.Dense) {
 	if b.Rows != n {
 		panic(fmt.Sprintf("lapack: LU.Solve dimension mismatch: A is %dx%d but B has %d rows", n, n, b.Rows))
 	}
-	swapRows(b, 0, b.Cols, lu.Piv, 0, n)      // P b
-	blas.Trsm(false, false, true, 1, lu.A, b) // L y = P b
-	blas.Trsm(true, false, false, 1, lu.A, b) // U x = y
+	swapRows(b, 0, b.Cols, lu.Piv, 0, n) // P b
+	blas.Trsm(false, true, lu.A, b)      // L y = P b
+	blas.Trsm(true, false, lu.A, b)      // U x = y
 }
 
 // LogDet returns (log|det A|, sign of det A) from the factorization.

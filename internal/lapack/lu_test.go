@@ -51,7 +51,7 @@ func luRef(a *mat.Dense) []int {
 		}
 		if j+jb < n {
 			a12 := a.View(j, j+jb, jb, n-j-jb)
-			blas.Trsm(false, false, true, 1, a.View(j, j, jb, jb), a12)
+			blas.Trsm(false, true, a.View(j, j, jb, jb), a12)
 			blas.Gemm(false, false, -1, a.View(j+jb, j, n-j-jb, jb), a12, 1, a.View(j+jb, j+jb, n-j-jb, n-j-jb))
 		}
 	}
@@ -103,8 +103,8 @@ func TestLUBitsUnmovedByRank1Kernel(t *testing.T) {
 				col[i], col[p] = col[p], col[i]
 			}
 		}
-		blas.Trsm(false, false, true, 1, want, wantX)
-		blas.Trsm(true, false, false, 1, want, wantX)
+		blas.Trsm(false, true, want, wantX)
+		blas.Trsm(true, false, want, wantX)
 		x := rhs.Clone()
 		lu.Solve(x)
 		lu.Release()

@@ -25,8 +25,8 @@ type Displaced struct {
 
 // MeasureDisplaced computes G(d, tau) for tau = every*dtau, 2*every*dtau,
 // ..., up to maxTau slices, from the current field configuration. Each
-// displaced Green's function is evaluated with the stable two-sided
-// decomposition (greens.DisplacedGreen).
+// displaced Green's function is the forward inversion of a greens.Split,
+// the stable two-sided decomposition.
 func MeasureDisplaced(lat *lattice.Lattice, p *hubbard.Propagator, f *hubbard.Field, every, maxTau, clusterK int) *Displaced {
 	if every < 1 {
 		every = 1
@@ -36,8 +36,8 @@ func MeasureDisplaced(lat *lattice.Lattice, p *hubbard.Propagator, f *hubbard.Fi
 	}
 	d := &Displaced{Lat: lat}
 	for l := every; l <= maxTau; l += every {
-		gup := greens.DisplacedGreen(p, f, hubbard.Up, l, clusterK)
-		gdn := greens.DisplacedGreen(p, f, hubbard.Down, l, clusterK)
+		gup := greens.SplitAt(p, f, hubbard.Up, l, clusterK).Forward()
+		gdn := greens.SplitAt(p, f, hubbard.Down, l, clusterK).Forward()
 		d.Taus = append(d.Taus, l)
 		d.GdTau = append(d.GdTau, displacedGFun(lat, gup, gdn))
 	}

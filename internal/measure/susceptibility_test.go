@@ -98,6 +98,72 @@ func TestSusceptibilityInteractingEnhancedAtAF(t *testing.T) {
 	if acc <= free {
 		t.Fatalf("interacting chi_AF %v should exceed free value %v", acc, free)
 	}
+	// chi(q) <= beta S(q), and |C_zz(d)| <= 1 bounds S(pi,pi) by N: a
+	// density blown up by a long wrap lands far above.
+	if bound := beta * float64(lat.N()); acc > bound {
+		t.Fatalf("interacting chi_AF %v exceeds beta*N = %v", acc, bound)
+	}
+}
+
+// TestSusceptibilityMatchesBigFloat: on an equilibrated low-temperature
+// 4x4 field (beta = 8, U = 4, L = 80) every sampled G(tau, tau) of the
+// split tracks the 512-bit rotated-chain reference, and chi_zz(d), P_s(d)
+// and chi_c(d) match the same scan assembled from 512-bit Green's
+// functions. A G(tau, tau) wrapped forward from G(0) through up to L - 1
+// slices is off by orders of magnitude here.
+func TestSusceptibilityMatchesBigFloat(t *testing.T) {
+	const prec = 512
+	lat := lattice.NewSquare(4, 4, 1)
+	beta, L, every, k := 8.0, 80, 10, 10
+	model, err := hubbard.NewModel(lat, 4, 0, beta, L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := hubbard.NewPropagator(model)
+	r := rng.New(37)
+	f := hubbard.NewRandomField(L, model.N(), r)
+	sw := newTestSweeper(p, f, r)
+	for i := 0; i < 50; i++ {
+		sw.Sweep()
+	}
+	got := MeasureSusceptibility(lat, p, f, every, k)
+
+	planeN := lat.Nx * lat.Ny
+	want := &Susceptibility{Lat: lat, Beta: beta, ChiD: make([]float64, planeN), PsD: make([]float64, planeN), ChiCD: make([]float64, planeN)}
+	weight := model.Dtau * float64(every)
+	var chain [2][]*mat.Dense
+	for s, sigma := range []hubbard.Spin{hubbard.Up, hubbard.Down} {
+		for i := 0; i < L; i++ {
+			chain[s] = append(chain[s], p.BMatrix(sigma, f, i))
+		}
+	}
+	g0Up, g0Dn := greens.GreenBigFloat(chain[0], prec), greens.GreenBigFloat(chain[1], prec)
+	want.addTau0(weight, g0Up, g0Dn)
+	for l := every; l < L; l += every {
+		var eq, gt, gr [2]*mat.Dense
+		for s, sigma := range []hubbard.Spin{hubbard.Up, hubbard.Down} {
+			bs := chain[s]
+			gt[s], gr[s] = greens.DisplacedBigFloat(bs, l, prec)
+			eq[s] = greens.GreenBigFloat(append(append([]*mat.Dense{}, bs[l:]...), bs[:l]...), prec)
+			if d := mat.RelDiff(greens.SplitAt(p, f, sigma, l, k).Equal(), eq[s]); !(d <= 1e-10) {
+				t.Errorf("l=%d sigma=%d: split G(tau,tau) rel diff %g from the 512-bit reference", l, sigma, d)
+			}
+		}
+		want.addTau(weight, g0Up, g0Dn, eq[0], eq[1], gt[0], gt[1], gr[0], gr[1])
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []float64
+	}{{"chi_zz", got.ChiD, want.ChiD}, {"P_s", got.PsD, want.PsD}, {"chi_c", got.ChiCD, want.ChiCD}} {
+		var diff, scale float64
+		for d := range c.want {
+			diff = math.Max(diff, math.Abs(c.got[d]-c.want[d]))
+			scale = math.Max(scale, math.Abs(c.want[d]))
+		}
+		if !(diff <= 1e-9*scale) {
+			t.Errorf("%s(d) differs from the 512-bit assembly by %g (scale %g)", c.name, diff, scale)
+		}
+	}
 }
 
 func TestDisplacedGreenReverseFreeFermions(t *testing.T) {
@@ -112,7 +178,7 @@ func TestDisplacedGreenReverseFreeFermions(t *testing.T) {
 	f := hubbard.NewRandomField(L, model.N(), rng.New(17))
 	dtau := beta / float64(L)
 	for _, l := range []int{1, 5, 10, 20} {
-		gr := greens.DisplacedGreenReverse(p, f, hubbard.Up, l, 5)
+		gr := greens.SplitAt(p, f, hubbard.Up, l, 5).Reverse()
 		// Diagonalize via the momentum transform of the translation
 		// average of -gr (which equals e^{tau eps} f per momentum).
 		avg := displacedGFunFromSingle(lat, gr)
@@ -156,6 +222,96 @@ func displacedGFunFromSingle(lat *lattice.Lattice, g *mat.Dense) []float64 {
 		}
 	}
 	return out
+}
+
+// freePairQ0 is the exact q = 0 s-wave pair-field susceptibility of free
+// electrons: (1/N) sum_k tanh(beta*eps/2) / (2*eps), with beta/4 at eps=0.
+func freePairQ0(lat *lattice.Lattice, beta float64) float64 {
+	var out float64
+	for _, kp := range lat.MomentumGrid() {
+		eps := -2 * (math.Cos(kp.Kx) + math.Cos(kp.Ky))
+		if math.Abs(eps) < 1e-12 {
+			out += beta / 4
+		} else {
+			out += math.Tanh(beta*eps/2) / (2 * eps)
+		}
+	}
+	return out / float64(lat.N())
+}
+
+func TestPairSusceptibilityFreeFermions(t *testing.T) {
+	lat := lattice.NewSquare(4, 4, 1)
+	beta, L := 3.0, 30
+	model, err := hubbard.NewModel(lat, 0, 0, beta, L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := hubbard.NewPropagator(model)
+	f := hubbard.NewRandomField(L, model.N(), rng.New(19))
+	ps := MeasureSusceptibility(lat, p, f, 1, 10)
+	want := freePairQ0(lat, beta)
+	got := ps.PairQ0()
+	if math.Abs(got-want) > 0.01*want+0.005 {
+		t.Fatalf("P_s(q=0) = %v want %v", got, want)
+	}
+}
+
+func TestChargeSusceptibilityFreeFermions(t *testing.T) {
+	// Free connected charge susceptibility equals the free spin
+	// susceptibility (no cross-spin terms at U = 0).
+	lat := lattice.NewSquare(4, 4, 1)
+	beta, L := 3.0, 30
+	model, err := hubbard.NewModel(lat, 0, 0, beta, L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := hubbard.NewPropagator(model)
+	f := hubbard.NewRandomField(L, model.N(), rng.New(23))
+	ps := MeasureSusceptibility(lat, p, f, 1, 10)
+	// Connected part: the disconnected piece beta*<n>^2 is uniform in
+	// displacement; half filling has <n> = 1 exactly.
+	conn := make([]float64, len(ps.ChiCD))
+	for i, v := range ps.ChiCD {
+		conn[i] = v - ps.Beta
+	}
+	chiQ := FourierPlane(lat, conn)
+	for _, kp := range lat.MomentumGrid() {
+		want := freeChiZZ(lat, beta, kp.Ix, kp.Iy)
+		got := chiQ[kp.Ix+lat.Nx*kp.Iy]
+		if math.Abs(got-want) > 0.01*want+0.01 {
+			t.Fatalf("chi_c(q=%d,%d) = %v want %v", kp.Ix, kp.Iy, got, want)
+		}
+	}
+}
+
+func TestAttractiveEnhancesPairSusceptibility(t *testing.T) {
+	// U < 0 must enhance the q = 0 pair-field susceptibility over the
+	// free value on equilibrated configurations.
+	lat := lattice.NewSquare(4, 4, 1)
+	beta, L := 3.0, 24
+	model, err := hubbard.NewModel(lat, -4, 0, beta, L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := hubbard.NewPropagator(model)
+	r := rng.New(29)
+	f := hubbard.NewRandomField(L, model.N(), r)
+	sw := newTestSweeper(p, f, r)
+	for i := 0; i < 20; i++ {
+		sw.Sweep()
+	}
+	var acc float64
+	const samples = 5
+	for s := 0; s < samples; s++ {
+		sw.Sweep()
+		acc += MeasureSusceptibility(lat, p, f, 4, 8).PairQ0()
+	}
+	acc /= samples
+	free := freePairQ0(lat, beta)
+	if acc <= free {
+		t.Fatalf("attractive P_s %v should exceed free value %v", acc, free)
+	}
+	t.Logf("P_s(q=0): attractive %.3f vs free %.3f", acc, free)
 }
 
 // newTestSweeper builds a Metropolis sweeper for equilibration in tests.

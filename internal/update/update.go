@@ -9,8 +9,6 @@
 // accelerators (NewSweeperOn with gpu.NewBackend) — the paper's hybrid split
 // of Section VI — and produces the same chain bit for bit: cluster storage,
 // chain order and stratification stay with the Sweeper on every backend.
-// (Between two refreshes the wrapped G carries each backend's own rounding
-// of V G V^-1, so the wrap-drift diagnostic is backend-specific.)
 //
 // Four optimizations sit on top of the paper's Algorithm 1:
 //

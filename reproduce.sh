@@ -40,9 +40,10 @@ go test -tags qmcdebug ./internal/...
 GOFLAGS=-tags=qmcdebug go run ./cmd/qmclint ./internal/...
 # The portable 4x4 micro-kernel and the Go axpy/dot/pack loops never execute
 # on full panels on an amd64 box otherwise; the consumers ride along because
-# their rounding differs from the FMA kernels'.
+# their rounding differs from the FMA kernels', and core's TestResultsGolden
+# holds this build to its own committed documents (testdata/golden/amd64-go).
 echo "== Verify: portable micro-kernel build (-tags purego)"
-go test -tags purego ./internal/blas/ ./internal/lapack/ ./internal/greens/ ./internal/update/
+go test -tags purego ./internal/blas/ ./internal/lapack/ ./internal/greens/ ./internal/update/ ./internal/core/
 # ... and gemm_generic.go is invisible to hotalloc/poolpair/nakedpanic otherwise.
 GOFLAGS=-tags=purego go run ./cmd/qmclint ./internal/blas ./internal/lapack ./internal/mat
 echo "== Verify: fuzz kernels against reference implementations, checkpoint decode (10s each)"
