@@ -42,24 +42,63 @@ func goldenDoc(t *testing.T, r *Results) []byte {
 
 // TestResultsGolden pins whole Results documents, minus timings, to the
 // committed testdata/golden/<family>/ files: any change that moves a bit of
-// an observable, a stability sample or an op count fails here, naming the
-// fields. The configurations are the off-half-filling dynamics run (4x4,
-// U = 4, mu = 0.5, beta = 4, L = 40, k = 10, G(d, tau) measured) on the
-// host and on two simulated devices with command graphs. GOLDEN_REGEN=1
-// rewrites the files of the running build's family instead; a change that
-// should move bits regenerates once and says which fields moved and why.
+// an observable, a stability sample, an op count or a modeled device cost
+// fails here, naming the fields. The rows are the configurations whose
+// bits earlier changes claimed to keep, with sweeps cut to fit tier-1:
+//   - dynamics_4x4: 4x4, U = 4, mu = 0.5, beta = 4, L = 40, k = 10,
+//     G(d, tau) measured, on the host and on two devices with graphs;
+//   - hubbard_4x4: the same lattice at half filling without dynamics
+//     (inline slice steps), on the host, on one device (both spin sectors
+//     on one card), on two (per-spin sharding) and on four (per-slice-block
+//     sharding), graphs on;
+//   - lowtemp_6x6: 6x6, U = 6, beta = 16, L = 160, k = 8 with the residual
+//     check every 4 boundaries (forked slice steps), autopilot off and on,
+//     on the host and on two devices with graphs.
+//
+// GOLDEN_REGEN=1 rewrites the files of the running build's family instead;
+// a change that should move bits regenerates once per family (with and
+// without -tags purego) and says which fields moved and why.
 func TestResultsGolden(t *testing.T) {
 	dir := filepath.Join("testdata", "golden", goldenFamily())
 	regen := os.Getenv("GOLDEN_REGEN") != ""
+	if _, err := os.Stat(dir); os.IsNotExist(err) && !regen {
+		t.Skipf("no golden documents for arithmetic family %s; GOLDEN_REGEN=1 go test -run TestResultsGolden ./internal/core writes them", goldenFamily())
+	}
+	dynamics := func(c *Config) {
+		c.Mu, c.Beta, c.L, c.ClusterK = 0.5, 4, 40, 10
+		c.WarmSweeps, c.MeasSweeps = 10, 20
+		c.MeasureDynamics = true
+	}
+	hubbard := func(c *Config) {
+		c.Beta, c.L, c.ClusterK = 4, 40, 10
+		c.WarmSweeps, c.MeasSweeps = 10, 20
+	}
+	lowtemp := func(c *Config) {
+		c.Nx, c.Ny, c.U, c.Beta, c.L, c.ClusterK = 6, 6, 6, 16, 160, 8
+		c.WarmSweeps, c.MeasSweeps = 2, 4
+		c.StabilityCheckEvery = 4
+	}
 	for _, e := range []struct {
-		name    string
-		devices int
-	}{{"dynamics_4x4_host", 0}, {"dynamics_4x4_devices2_graphs", 2}} {
+		name      string
+		cfg       func(*Config)
+		devices   int
+		autopilot bool
+	}{
+		{"dynamics_4x4_host", dynamics, 0, false},
+		{"dynamics_4x4_devices2_graphs", dynamics, 2, false},
+		{"hubbard_4x4_host", hubbard, 0, false},
+		{"hubbard_4x4_devices1_graphs", hubbard, 1, false},
+		{"hubbard_4x4_devices2_graphs", hubbard, 2, false},
+		{"hubbard_4x4_devices4_graphs", hubbard, 4, false},
+		{"lowtemp_6x6_host", lowtemp, 0, false},
+		{"lowtemp_6x6_devices2_graphs", lowtemp, 2, false},
+		{"lowtemp_6x6_autopilot_host", lowtemp, 0, true},
+		{"lowtemp_6x6_autopilot_devices2_graphs", lowtemp, 2, true},
+	} {
 		cfg := DefaultConfig()
-		cfg.Mu, cfg.Beta, cfg.L, cfg.ClusterK = 0.5, 4, 40, 10
-		cfg.WarmSweeps, cfg.MeasSweeps = 10, 20
-		cfg.MeasureDynamics = true
+		e.cfg(&cfg)
 		cfg.Devices, cfg.UseGraphs = e.devices, e.devices > 0
+		cfg.Autopilot = e.autopilot
 		res, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", e.name, err)
@@ -76,9 +115,6 @@ func TestResultsGolden(t *testing.T) {
 			continue
 		}
 		want, err := os.ReadFile(path)
-		if os.IsNotExist(err) {
-			t.Skipf("no golden documents for arithmetic family %s; GOLDEN_REGEN=1 go test -run TestResultsGolden ./internal/core writes them", goldenFamily())
-		}
 		if err != nil {
 			t.Fatal(err)
 		}
