@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"questgo/internal/check"
 	"questgo/internal/mat"
 	"questgo/internal/parallel"
 	"questgo/internal/rng"
@@ -226,7 +228,9 @@ func scaling(r *rng.Rand, n int, wild bool) []float64 {
 // cutoff), with the packed operand on either side and each scaling present
 // or not, C starting as NaN (the product must not read it). k = 0 scales a
 // zero product. Non-finite factors probe that each element sees the row
-// factor, then the column factor, as the two passes apply them.
+// factor, then the column factor, as the two passes apply them; under the
+// qmcdebug sanitizer a non-finite product must also raise the panic naming
+// blas.Gemm, after the product is written.
 func TestGemmPackedMatchesScaledGemm(t *testing.T) {
 	r := rng.New(53)
 	shapes := append([]struct{ m, n, k int }{{3, 5, 0}}, gemmShapes...)
@@ -258,7 +262,12 @@ func TestGemmPackedMatchesScaledGemm(t *testing.T) {
 				for i := range got.Data {
 					got.Data[i] = math.NaN()
 				}
-				side.run(got)
+				msg := panicMessage(func() { side.run(got) })
+				if wantPanic := check.Enabled && !allFinite(want); (msg != "") != wantPanic ||
+					wantPanic && !strings.Contains(msg, "blas.Gemm") {
+					t.Fatalf("m=%d n=%d k=%d %s rows=%v cols=%v: panic %q, want the sanitizer's blas.Gemm panic: %v",
+						sh.m, sh.n, sh.k, side.name, scaled[0], scaled[1], msg, wantPanic)
+				}
 				if !sameBits(got, want) {
 					t.Fatalf("m=%d n=%d k=%d %s rows=%v cols=%v: GemmPacked differs from Gemm + ScaleRows + ScaleCols",
 						sh.m, sh.n, sh.k, side.name, scaled[0], scaled[1])
@@ -266,6 +275,29 @@ func TestGemmPackedMatchesScaledGemm(t *testing.T) {
 			}
 		}
 	}
+}
+
+// panicMessage runs f and returns what it panicked with, "" if it returned.
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// allFinite reports whether m holds no NaN or Inf.
+func allFinite(m *mat.Dense) bool {
+	for j := 0; j < m.Cols; j++ {
+		for _, v := range m.Col(j) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestGemmPackedNoAllocs: a product against a packed operand, scaled or
