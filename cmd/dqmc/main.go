@@ -61,7 +61,7 @@ func main() {
 	stability := flag.Int("stability", 0, "sample the stack-vs-rebuild residual every N cluster boundaries (0 = off)")
 	auto := flag.Bool("autopilot", false, "adapt k and the stability-check cadence from live telemetry")
 	devices := flag.Int("devices", 0, "simulated accelerators to sweep on (0 = CPU sweeper)")
-	graphs := flag.Bool("graphs", false, "capture device launch sequences into command graphs (needs -devices >= 1)")
+	graphs := flag.Bool("graphs", false, "launch each device wrap/cluster call as one command graph (needs -devices >= 1)")
 	jsonOut := flag.String("json", "", "also write results (with phase metrics) as JSON to this file")
 	walkers := flag.Int("walkers", 1, "independent parallel Markov chains to merge")
 	ckptOut := flag.String("checkpoint", "", "write a restart file here after the run (or on interrupt)")

@@ -83,8 +83,8 @@ type Config struct {
 	// physics is identical (the simulated device computes on the host); the
 	// run metrics gain a per-device counter section. 0 keeps the CPU path.
 	Devices int `json:"devices"`
-	// UseGraphs captures the device wrap/cluster launch sequences into
-	// command graphs and replays them for a single launch overhead per call
+	// UseGraphs launches each device wrap/cluster call as one command
+	// graph, for a single launch overhead per call
 	// (requires Devices >= 1). Modeled-time only; never changes numbers.
 	UseGraphs bool `json:"graphs"`
 

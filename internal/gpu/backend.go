@@ -29,9 +29,9 @@ type backend struct {
 }
 
 // NewBackend returns the update.NewBackend that places each spin sector on
-// its share of g's devices. graphs captures the wrap and cluster launch
-// sequences into device command graphs and replays them for a single launch
-// overhead per call — purely a modeled-time optimization.
+// its share of g's devices. graphs launches each wrap and cluster call as
+// one device command graph, for a single launch overhead per call — purely
+// a modeled-time optimization.
 func NewBackend(g *Group, graphs bool) update.NewBackend {
 	return func(p *hubbard.Propagator, sigma hubbard.Spin, nd int) update.Backend {
 		b := &backend{}
@@ -45,8 +45,8 @@ func NewBackend(g *Group, graphs bool) update.NewBackend {
 // owner returns the accelerator whose device built slice s's cluster block.
 func (b *backend) owner(s int) *Accelerator { return b.accs[(s/b.k)%len(b.accs)] }
 
-// Cluster builds the block on its round-robin owner (re-capturing the
-// device's cluster graph when k changed) and remembers k for owner.
+// Cluster builds the block on its round-robin owner and remembers k for
+// owner.
 func (b *backend) Cluster(dst *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, base, k int) {
 	b.k = k
 	b.owner(base).Cluster(dst, f, sigma, base, k)

@@ -2,8 +2,8 @@ package gpu
 
 import (
 	"testing"
+	"time"
 
-	"questgo/internal/blas"
 	"questgo/internal/gpu/hw"
 	"questgo/internal/hubbard"
 	"questgo/internal/mat"
@@ -11,10 +11,10 @@ import (
 	"questgo/internal/rng"
 )
 
-// TestGraphReplayBitwiseIdentical checks the tentpole's cardinal rule:
-// capturing the wrap and cluster sequences into command graphs and
-// replaying them produces bit-for-bit the numbers of the ungraphed path —
-// graphs move modeled time, never results.
+// TestGraphReplayBitwiseIdentical checks the cardinal rule of command
+// graphs: launching each wrap and cluster call as one graph produces
+// bit-for-bit the numbers of the ungraphed path — graphs move modeled time,
+// never results.
 func TestGraphReplayBitwiseIdentical(t *testing.T) {
 	p, f := testSetup(t, 3, 3, 4, 2, 8, 21)
 	n := p.Model.N()
@@ -41,9 +41,9 @@ func TestGraphReplayBitwiseIdentical(t *testing.T) {
 }
 
 // TestGraphLaunchAmortization pins the modeled effect the graphs exist
-// for: replaying the recorded wrap/cluster sequences must remove at least
-// 90% of the per-launch and per-transfer-latency overhead (one launch per
-// replay instead of one per kernel and per transaction).
+// for: graphed wrap/cluster calls must remove at least 90% of the
+// per-launch and per-transfer-latency overhead (one launch per call
+// instead of one per kernel and per transaction).
 func TestGraphLaunchAmortization(t *testing.T) {
 	p, f := testSetup(t, 3, 3, 4, 2, 8, 23)
 	n := p.Model.N()
@@ -71,120 +71,143 @@ func TestGraphLaunchAmortization(t *testing.T) {
 	}
 }
 
-// TestGraphRebind captures a transfer+GEMM+download sequence once and
-// retargets its host operands across replays.
-func TestGraphRebind(t *testing.T) {
-	d := hw.NewDevice()
-	s := d.NewStream()
-	n := 8
-	da, db := d.Malloc(n, n), d.Malloc(n, n)
-	h1 := randomDense(rng.New(4), n)
-	out1 := mat.New(n, n)
-
-	g := d.NewGraph()
-	g.Capture(func() {
-		s.SetMatrix(da, h1)
-		s.Dgemm(false, false, 1, da, da, 0, db)
-		s.GetMatrix(out1, db)
-	}, s)
-	if out1.EqualApprox(square(h1), 0) {
-		t.Fatal("capture must not execute")
-	}
-	before := obs.Counts()
-	g.Replay()
-	if n := obs.Counts().Sub(before)[obs.OpGraphNodes]; n != 3 {
-		t.Fatalf("replayed %d nodes, want the 3 captured", n)
-	}
-	if !out1.EqualApprox(square(h1), 0) {
-		t.Fatal("first replay wrong")
-	}
-
-	// Rebind the upload source and the download destination, replay again.
-	h2 := randomDense(rng.New(5), n)
-	out2 := mat.New(n, n)
-	if got := g.RebindHost(h1, h2); got != 1 {
-		t.Fatalf("RebindHost(h1) rebound %d nodes, want 1", got)
-	}
-	if got := g.RebindHost(out1, out2); got != 1 {
-		t.Fatalf("RebindHost(out1) rebound %d nodes, want 1", got)
-	}
-	g.Replay()
-	if !out2.EqualApprox(square(h2), 0) {
-		t.Fatal("replay after host rebind wrong")
-	}
+// graphOperands are one call's device buffers, host data and events.
+type graphOperands struct {
+	a, b, c, v *hw.Matrix
+	h, out     *mat.Dense
+	hv         []float64
+	e          [3]*hw.Event
 }
 
-// square returns h*h from the host blas.Gemm. The graph GEMM is compared
-// with it bitwise: the device never changes the numbers.
-func square(h *mat.Dense) *mat.Dense {
-	out := mat.New(h.Rows, h.Rows)
-	blas.Gemm(false, false, 1, h, h, 0, out)
-	return out
+func newGraphOperands(d *hw.Device, n int) *graphOperands {
+	x := &graphOperands{
+		a: d.Malloc(n, n), b: d.Malloc(n, n), c: d.Malloc(n, n), v: d.Malloc(n, 1),
+		h: randomDense(rng.New(4), n), out: mat.New(n, n), hv: make([]float64, n),
+	}
+	for i := range x.e {
+		x.e[i] = hw.NewEvent()
+	}
+	return x
 }
 
-// TestGraphRebindShapeMismatchPanics checks the rebinding guards.
-func TestGraphRebindShapeMismatchPanics(t *testing.T) {
-	d := hw.NewDevice()
-	s := d.NewStream()
-	da := d.Malloc(4, 4)
-	h := mat.New(4, 4)
-	g := d.NewGraph()
-	g.Capture(func() { s.SetMatrix(da, h) }, s)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on shape-mismatched rebind")
-		}
+// TestGraphCallCharges pins what a graphed call charges against the same
+// ops issued ungraphed on a fresh device: exactly one kernel launch of
+// fixed overhead and no transfer latency; the same kernels, flops and
+// bytes; one graph replay and one graph node per op, Host, Record and Wait
+// included; and the same numbers. Each row is one dependency chain over
+// two streams that ends with both streams joined, so every fixed overhead
+// lies on the path to each stream's clock: the graphed clocks are the
+// ungraphed ones minus the fixed overheads, plus the one launch.
+func TestGraphCallCharges(t *testing.T) {
+	const n = 16
+	oneLaunch := func() time.Duration {
+		d := hw.NewDevice()
+		x := newGraphOperands(d, n)
+		d.NewStream().Dgemm(false, false, 1, x.a, x.b, 0, x.c)
+		return d.LaunchOverhead()
 	}()
-	g.RebindHost(h, mat.New(4, 5))
+	for _, tc := range []struct {
+		name         string
+		ops, kernels int
+		issue        func(s0, s1 *hw.Stream, x *graphOperands)
+	}{
+		{"three kernels", 5, 3, func(s0, s1 *hw.Stream, x *graphOperands) {
+			s0.Dgemm(false, false, 1, x.a, x.b, 0, x.c)
+			s0.Dgemm(false, false, 1, x.a, x.c, 0, x.b)
+			s0.Dgemm(false, false, 1, x.a, x.b, 0, x.c)
+			s0.Record(x.e[2])
+			s1.Wait(x.e[2])
+		}},
+		{"transfers, kernels, host and events", 13, 2, func(s0, s1 *hw.Stream, x *graphOperands) {
+			s0.SetMatrix(x.a, x.h)
+			s0.Host(func() { x.hv[0], x.hv[n-1] = 2, 0.5 })
+			s0.SetVector(x.v, x.hv)
+			s0.Record(x.e[0])
+			s1.Wait(x.e[0])
+			s1.Dgemm(false, false, 1, x.a, x.a, 0, x.c)
+			s1.ScaleRows(x.b, x.c, x.v)
+			s1.Record(x.e[1])
+			s0.Wait(x.e[1])
+			s0.GetMatrix(x.out, x.b)
+			s0.Record(x.e[2])
+			s1.Wait(x.e[2])
+			s1.Host(func() {})
+		}},
+		{"host and events only", 3, 0, func(s0, s1 *hw.Stream, x *graphOperands) {
+			s0.Host(func() {})
+			s0.Record(x.e[2])
+			s1.Wait(x.e[2])
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			type run struct {
+				dev    *hw.Device
+				clocks [2]time.Duration
+				ops    obs.OpCounts
+				out    *mat.Dense
+			}
+			call := func(graphed bool) run {
+				d := hw.NewDevice()
+				s0, s1 := d.NewStream(), d.NewStream()
+				x := newGraphOperands(d, n)
+				before := obs.Counts()
+				if graphed {
+					g := d.NewGraph(s0, s1)
+					g.Begin()
+					tc.issue(s0, s1, x)
+					g.End()
+				} else {
+					tc.issue(s0, s1, x)
+				}
+				return run{d, [2]time.Duration{s0.Clock(), s1.Clock()}, obs.Counts().Sub(before), x.out}
+			}
+			off, on := call(false), call(true)
+			if got := on.dev.LaunchOverhead(); got != oneLaunch {
+				t.Errorf("graphed call charged %v of fixed overhead, want one launch (%v)", got, oneLaunch)
+			}
+			if on.dev.Kernels() != tc.kernels || off.dev.Kernels() != tc.kernels {
+				t.Errorf("kernels: graphed %d, ungraphed %d, want %d", on.dev.Kernels(), off.dev.Kernels(), tc.kernels)
+			}
+			if on.dev.Flops() != off.dev.Flops() || on.dev.Transferred() != off.dev.Transferred() {
+				t.Errorf("graphed work %v flops / %d bytes, ungraphed %v / %d",
+					on.dev.Flops(), on.dev.Transferred(), off.dev.Flops(), off.dev.Transferred())
+			}
+			for op, want := range map[obs.Op][2]int64{
+				obs.OpGraphReplays:  {1, 0},
+				obs.OpGraphNodes:    {int64(tc.ops), 0},
+				obs.OpDeviceKernels: {int64(tc.kernels), int64(tc.kernels)},
+				obs.OpDeviceBytes:   {off.ops[obs.OpDeviceBytes], off.ops[obs.OpDeviceBytes]},
+			} {
+				if on.ops[op] != want[0] || off.ops[op] != want[1] {
+					t.Errorf("%s: graphed %+d, ungraphed %+d, want %+d and %+d", op, on.ops[op], off.ops[op], want[0], want[1])
+				}
+			}
+			shift := off.dev.LaunchOverhead() - oneLaunch
+			for i := range on.clocks {
+				if on.clocks[i] != off.clocks[i]-shift {
+					t.Errorf("stream %d clock: graphed %v, want ungraphed %v minus %v of fixed overhead plus one launch",
+						i, on.clocks[i], off.clocks[i], off.dev.LaunchOverhead())
+				}
+			}
+			if on.dev.Clock() != off.dev.Clock()-shift {
+				t.Errorf("device clock: graphed %v, ungraphed %v, want a %v shift", on.dev.Clock(), off.dev.Clock(), shift)
+			}
+			if !on.out.EqualApprox(off.out, 0) {
+				t.Error("graphed call changed the downloaded result")
+			}
+		})
+	}
 }
 
-// TestGraphEmptyReplayPanics: replaying before capturing is a bug.
-func TestGraphEmptyReplayPanics(t *testing.T) {
-	d := hw.NewDevice()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on empty replay")
-		}
-	}()
-	d.NewGraph().Replay()
-}
-
-// TestGraphCaptureForeignStreamPanics: a graph records streams of its own
+// TestGraphForeignStreamPanics: a graph launches over streams of its own
 // device only.
-func TestGraphCaptureForeignStreamPanics(t *testing.T) {
+func TestGraphForeignStreamPanics(t *testing.T) {
 	d1 := hw.NewDevice()
 	d2 := hw.NewDevice()
-	s2 := d2.NewStream()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic on cross-device capture")
+			t.Fatal("expected panic on a graph over another device's stream")
 		}
 	}()
-	d1.NewGraph().Capture(func() {}, s2)
-}
-
-// TestGraphReplayChargesOneLaunch pins the replay cost model exactly: a
-// replayed k-node graph charges the kernel work plus a single launch.
-func TestGraphReplayChargesOneLaunch(t *testing.T) {
-	d := hw.NewDevice()
-	s := d.NewStream()
-	n := 16
-	da, db, dc := d.Malloc(n, n), d.Malloc(n, n), d.Malloc(n, n)
-	s.Dgemm(false, false, 1, da, db, 0, dc)
-	want := int64(d.LaunchOverhead()) // one ungraphed kernel launch
-	g := d.NewGraph()
-	g.Capture(func() {
-		s.Dgemm(false, false, 1, da, db, 0, dc)
-		s.Dgemm(false, false, 1, da, dc, 0, db)
-		s.Dgemm(false, false, 1, da, db, 0, dc)
-	}, s)
-	d.Reset()
-	g.Replay()
-	launch := int64(d.LaunchOverhead())
-	if launch != want {
-		t.Fatalf("replay charged %dns launch overhead, want exactly one launch (%dns)", launch, want)
-	}
-	if d.Kernels() != 3 {
-		t.Fatalf("replay ran %d kernels, want 3", d.Kernels())
-	}
+	d1.NewGraph(d1.NewStream(), d2.NewStream())
 }

@@ -12,8 +12,9 @@
 // accumulators (compute and DMA) so concurrent streams can overlap in time
 // but never exceed the card's aggregate throughput; its Clock is the
 // lower-bound makespan max(stream critical paths, engine occupancies).
-// Command graphs (graph.go) record a stream's launch sequence once and
-// replay it for a single launch overhead.
+// A command graph (graph.go) brackets one call's ops on its streams and
+// charges them a single launch overhead instead of one per kernel and
+// transfer; the ops still run once each, in issue order.
 //
 // The clock cells are unexported and written only by Stream and Graph
 // methods (and Device.Reset): the package boundary is what keeps the
@@ -151,8 +152,7 @@ func (d *Device) BusyTransfer() time.Duration {
 }
 
 // LaunchOverhead returns the total fixed kernel-launch and transfer-latency
-// overhead charged since Reset — the quantity command-graph replay
-// amortizes away.
+// overhead charged since Reset — the quantity command graphs amortize away.
 func (d *Device) LaunchOverhead() time.Duration {
 	return time.Duration(atomic.LoadInt64(&d.launchNS))
 }

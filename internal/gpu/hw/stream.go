@@ -24,8 +24,8 @@ import (
 // which case their ops serialize on it in arrival order.
 type Stream struct {
 	dev     *Device
-	clockNS int64  // atomic: this stream's critical-path time
-	capture *Graph // non-nil while recording into a command graph
+	clockNS int64 // atomic: this stream's critical-path time
+	graphed bool  // between a Graph's Begin and End; only the graphed caller issues then
 }
 
 // NewStream creates an independent command stream on the device.
@@ -47,35 +47,25 @@ type Event struct {
 // NewEvent returns an unrecorded event.
 func NewEvent() *Event { return &Event{} }
 
-// Record stamps e with the stream's current modeled time (or records a
-// stamp node while capturing).
+// Record stamps e with the stream's current modeled time.
 func (s *Stream) Record(e *Event) {
-	if g := s.capture; g != nil {
-		g.add(node{kind: nodeRecord, s: s, ev: e})
-		return
-	}
-	s.runNode(node{kind: nodeRecord, s: s, ev: e}, true)
+	s.issue()
+	atomic.StoreInt64(&e.ns, atomic.LoadInt64(&s.clockNS))
 }
 
 // Wait orders the stream after e: its clock cannot run ahead of the
 // recorded stamp (cudaStreamWaitEvent).
 func (s *Stream) Wait(e *Event) {
-	if g := s.capture; g != nil {
-		g.add(node{kind: nodeWait, s: s, ev: e})
-		return
-	}
-	s.runNode(node{kind: nodeWait, s: s, ev: e}, true)
+	s.issue()
+	s.waitUntil(atomic.LoadInt64(&e.ns))
 }
 
-// Host enqueues a host callback (cudaLaunchHostFunc): fn runs on the CPU
-// at its position in the stream, costs no modeled device time, and — when
-// captured into a Graph — re-executes on every Replay, which is how
-// replays re-read mutable parameters (the "operand rebinding" host half).
+// Host runs a host callback at its position in the stream
+// (cudaLaunchHostFunc): fn runs on the CPU before the next op is issued and
+// costs no modeled device time. Inside a graphed call it counts as a graph
+// node, as a host node of a CUDA graph does.
 func (s *Stream) Host(fn func()) {
-	if g := s.capture; g != nil {
-		g.add(node{kind: nodeHost, s: s, fn: fn})
-		return
-	}
+	s.issue()
 	fn()
 }
 
@@ -87,7 +77,8 @@ func (s *Stream) SetMatrix(dst *Matrix, src *mat.Dense) {
 	if dst.rows != src.Rows || dst.cols != src.Cols {
 		panic(fmt.Sprintf("hw: SetMatrix dimension mismatch: device matrix is %dx%d but host source is %dx%d", dst.rows, dst.cols, src.Rows, src.Cols))
 	}
-	s.dispatch(node{kind: nodeSetMatrix, s: s, c: dst, hm: src})
+	dst.m.CopyFrom(src)
+	s.chargeTransfer(int64(src.Rows) * int64(src.Cols) * 8)
 }
 
 // GetMatrix copies a device matrix back to the host (cublasGetMatrixAsync).
@@ -96,7 +87,9 @@ func (s *Stream) GetMatrix(dst *mat.Dense, src *Matrix) {
 	if dst.Rows != src.rows || dst.Cols != src.cols {
 		panic(fmt.Sprintf("hw: GetMatrix dimension mismatch: host destination is %dx%d but device matrix is %dx%d", dst.Rows, dst.Cols, src.rows, src.cols))
 	}
-	s.dispatch(node{kind: nodeGetMatrix, s: s, a: src, hm: dst})
+	dst.CopyFrom(src.m)
+	s.chargeTransfer(int64(src.rows) * int64(src.cols) * 8)
+	check.Finite("hw.GetMatrix", dst)
 }
 
 // SetVector uploads a host vector (cublasSetVectorAsync).
@@ -105,7 +98,8 @@ func (s *Stream) SetVector(dst *Matrix, src []float64) {
 	if dst.cols != 1 || dst.rows != len(src) {
 		panic(fmt.Sprintf("hw: SetVector dimension mismatch: device vector is %dx%d but len(src)=%d", dst.rows, dst.cols, len(src)))
 	}
-	s.dispatch(node{kind: nodeSetVector, s: s, c: dst, hv: src})
+	copy(dst.m.Col(0), src)
+	s.chargeTransfer(int64(len(src)) * 8)
 }
 
 // Dgemm computes C = alpha*op(A)*op(B) + beta*C on the device.
@@ -113,8 +107,14 @@ func (s *Stream) Dgemm(transA, transB bool, alpha float64, a, b *Matrix, beta fl
 	s.dev.checkOwned(a)
 	s.dev.checkOwned(b)
 	s.dev.checkOwned(c)
-	s.dispatch(node{kind: nodeGemm, s: s, a: a, b: b, c: c,
-		transA: transA, transB: transB, alpha: alpha, beta: beta})
+	stop := s.trackReal()
+	blas.Gemm(transA, transB, alpha, a.m, b.m, beta, c.m)
+	stop()
+	m, k := a.rows, a.cols
+	if transA {
+		m, k = k, m
+	}
+	s.chargeKernel(blas.GemmFlops(m, c.cols, k), 0)
 }
 
 // ScaleRows is the paper's Algorithm 5 CUDA kernel: dst = diag(v) * src
@@ -127,7 +127,17 @@ func (s *Stream) ScaleRows(dst, src *Matrix, v *Matrix) {
 	if v.cols != 1 || v.rows != src.rows || dst.rows != src.rows || dst.cols != src.cols {
 		panic(fmt.Sprintf("hw: ScaleRows dimension mismatch: src is %dx%d, dst is %dx%d, v is %dx%d", src.rows, src.cols, dst.rows, dst.cols, v.rows, v.cols))
 	}
-	s.dispatch(node{kind: nodeScaleRows, s: s, a: src, b: v, c: dst})
+	stop := s.trackReal()
+	vv := v.m.Col(0)
+	for j := 0; j < src.cols; j++ {
+		sc := src.m.Col(j)
+		dc := dst.m.Col(j)
+		for i := range sc {
+			dc[i] = vv[i] * sc[i]
+		}
+	}
+	stop()
+	s.chargeKernel(float64(src.rows)*float64(src.cols), 16*float64(src.rows)*float64(src.cols))
 }
 
 // ScaleRowsCols is the paper's Algorithm 7 kernel:
@@ -140,112 +150,17 @@ func (s *Stream) ScaleRowsCols(g *Matrix, v *Matrix) {
 	if v.cols != 1 || v.rows != g.rows || g.rows != g.cols {
 		panic(fmt.Sprintf("hw: ScaleRowsCols dimension mismatch: g is %dx%d, v is %dx%d", g.rows, g.cols, v.rows, v.cols))
 	}
-	s.dispatch(node{kind: nodeScaleRowsCols, s: s, b: v, c: g})
-}
-
-// dispatch records the node while capturing, otherwise executes it
-// immediately with full per-launch overhead.
-func (s *Stream) dispatch(nd node) {
-	if g := s.capture; g != nil {
-		g.add(nd)
-		return
+	stop := s.trackReal()
+	vv := v.m.Col(0)
+	for j := 0; j < g.cols; j++ {
+		col := g.m.Col(j)
+		inv := 1 / vv[j]
+		for i := range col {
+			col[i] = col[i] * vv[i] * inv
+		}
 	}
-	s.runNode(nd, true)
-}
-
-// --- command nodes ------------------------------------------------------
-
-// nodeKind enumerates the operations a stream can enqueue; command graphs
-// store them as data so Replay can re-execute with rebound operands.
-type nodeKind uint8
-
-const (
-	nodeSetMatrix nodeKind = iota
-	nodeGetMatrix
-	nodeSetVector
-	nodeGemm
-	nodeScaleRows
-	nodeScaleRowsCols
-	nodeHost
-	nodeRecord
-	nodeWait
-)
-
-// node is one recorded (or immediately executed) stream operation. Device
-// operands sit in a/b/c (c is always the destination), host operands in
-// hm/hv, and host callbacks in fn.
-type node struct {
-	kind           nodeKind
-	s              *Stream
-	a, b, c        *Matrix
-	hm             *mat.Dense
-	hv             []float64
-	transA, transB bool
-	alpha, beta    float64
-	ev             *Event
-	fn             func()
-}
-
-// runNode validates nothing (the public entry points already did), executes
-// the node's data movement or arithmetic on the host, and charges the
-// modeled clock. launch=false is the graph-replay path: the work is
-// charged at full bandwidth/throughput but without the per-launch or
-// per-transfer fixed overhead, which the replay pays once for the whole
-// graph.
-func (s *Stream) runNode(nd node, launch bool) {
-	switch nd.kind {
-	case nodeSetMatrix:
-		nd.c.m.CopyFrom(nd.hm)
-		s.chargeTransfer(int64(nd.hm.Rows)*int64(nd.hm.Cols)*8, launch)
-	case nodeGetMatrix:
-		nd.hm.CopyFrom(nd.a.m)
-		s.chargeTransfer(int64(nd.a.rows)*int64(nd.a.cols)*8, launch)
-		check.Finite("hw.GetMatrix", nd.hm)
-	case nodeSetVector:
-		copy(nd.c.m.Col(0), nd.hv)
-		s.chargeTransfer(int64(len(nd.hv))*8, launch)
-	case nodeGemm:
-		stop := s.trackReal()
-		blas.Gemm(nd.transA, nd.transB, nd.alpha, nd.a.m, nd.b.m, nd.beta, nd.c.m)
-		stop()
-		m, k := nd.a.rows, nd.a.cols
-		if nd.transA {
-			m, k = k, m
-		}
-		s.chargeKernel(blas.GemmFlops(m, nd.c.cols, k), 0, launch)
-	case nodeScaleRows:
-		stop := s.trackReal()
-		vv := nd.b.m.Col(0)
-		for j := 0; j < nd.a.cols; j++ {
-			sc := nd.a.m.Col(j)
-			dc := nd.c.m.Col(j)
-			for i := range sc {
-				dc[i] = vv[i] * sc[i]
-			}
-		}
-		stop()
-		s.chargeKernel(float64(nd.a.rows)*float64(nd.a.cols),
-			16*float64(nd.a.rows)*float64(nd.a.cols), launch)
-	case nodeScaleRowsCols:
-		stop := s.trackReal()
-		vv := nd.b.m.Col(0)
-		for j := 0; j < nd.c.cols; j++ {
-			col := nd.c.m.Col(j)
-			inv := 1 / vv[j]
-			for i := range col {
-				col[i] = col[i] * vv[i] * inv
-			}
-		}
-		stop()
-		s.chargeKernel(2*float64(nd.c.rows)*float64(nd.c.cols),
-			16*float64(nd.c.rows)*float64(nd.c.cols), launch)
-	case nodeHost:
-		nd.fn()
-	case nodeRecord:
-		atomic.StoreInt64(&nd.ev.ns, atomic.LoadInt64(&s.clockNS))
-	case nodeWait:
-		s.waitUntil(atomic.LoadInt64(&nd.ev.ns))
-	}
+	stop()
+	s.chargeKernel(2*float64(g.rows)*float64(g.cols), 16*float64(g.rows)*float64(g.cols))
 }
 
 // --- modeled-clock charging --------------------------------------------
@@ -263,13 +178,25 @@ func (s *Stream) waitUntil(ns int64) {
 	}
 }
 
+// issue counts an op: inside a graphed call it is one graph node and pays
+// no fixed overhead of its own (the graph's launch covers it); otherwise
+// issue reports that it pays its own launch or transfer latency.
+func (s *Stream) issue() (fixed bool) {
+	if s.graphed {
+		obs.Add(obs.OpGraphNodes, 1)
+		return false
+	}
+	return true
+}
+
 // chargeTransfer advances the stream and the DMA engine for a bytes-sized
-// host<->device copy; launch adds the fixed per-transaction latency.
-func (s *Stream) chargeTransfer(bytes int64, launch bool) {
+// host<->device copy, plus the fixed per-transaction latency outside a
+// graphed call.
+func (s *Stream) chargeTransfer(bytes int64) {
 	obs.Add(obs.OpDeviceBytes, bytes)
 	d := s.dev
 	ns := int64(float64(bytes) / transferBytesPerSec * 1e9)
-	if launch {
+	if s.issue() {
 		lat := int64(transferLatency)
 		ns += lat
 		atomic.AddInt64(&d.launchNS, lat)
@@ -281,8 +208,8 @@ func (s *Stream) chargeTransfer(bytes int64, launch bool) {
 
 // chargeKernel advances the stream and the compute engine for one kernel:
 // the run time is whichever resource (flops or memory traffic) bottlenecks,
-// plus the fixed launch cost when launch is set.
-func (s *Stream) chargeKernel(flops, memBytes float64, launch bool) {
+// plus the fixed launch cost outside a graphed call.
+func (s *Stream) chargeKernel(flops, memBytes float64) {
 	obs.Add(obs.OpDeviceKernels, 1)
 	obs.Add(obs.OpDeviceFlops, int64(flops))
 	d := s.dev
@@ -291,7 +218,7 @@ func (s *Stream) chargeKernel(flops, memBytes float64, launch bool) {
 		t = m
 	}
 	ns := int64(t * 1e9)
-	if launch {
+	if s.issue() {
 		l := int64(kernelLaunch)
 		ns += l
 		atomic.AddInt64(&d.launchNS, l)

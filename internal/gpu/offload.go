@@ -38,13 +38,10 @@ import (
 // Event dependencies expressing the real dataflow, so the modeled clock
 // overlaps the next diagonal upload with the current GEMM (double-buffered
 // V vectors, the cp.async pipeline idiom); Flush issues on a third stream
-// of its own. With graphs on, the wrap and cluster launch sequences are
-// captured once into command graphs and replayed for a single launch
-// overhead — never changing the numbers, only whether the launch overhead
-// is paid per kernel or per recorded sequence; host nodes re-read the call
-// parameters (field, slice, base) on every replay and the host operand is
-// rebound when the destination changes, so one recording serves the whole
-// sweep.
+// of its own. With graphs on, each Wrap and Cluster call is one command
+// graph launch over the copy and compute streams: the same ops run in the
+// same order, and only the launch overhead moves, from one per kernel and
+// transfer to one per call.
 type Accelerator struct {
 	Dev  *hw.Device
 	prop *hubbard.Propagator
@@ -60,37 +57,17 @@ type Accelerator struct {
 	gUp, compDone *hw.Event
 	up, consumed  [2]*hw.Event
 
-	// Replay parameters: the wrap/cluster host nodes read these fields at
-	// execution time, so a captured graph follows the live sweep state.
-	wp struct {
-		f     *hubbard.Field
-		sigma hubbard.Spin
-		l     int
-	}
-	cp struct {
-		f     *hubbard.Field
-		sigma hubbard.Spin
-		base  int
-	}
-	wrapVFn func()
-
-	graphs    bool
-	wrapGraph *hw.Graph
-	wrapBound *mat.Dense // host G the wrap graph transfers are bound to
-	clGraph   *hw.Graph
-	clK       int
-	clBound   *mat.Dense // host destination the cluster graph downloads to
+	graph *hw.Graph // nil unless graphs: brackets each Wrap and Cluster call
 }
 
 // NewAccelerator uploads the kinetic propagators and allocates the scratch
 // and the flush operands for delay blocks of up to nd columns. graphs
-// selects command-graph capture/replay of the wrap and cluster sequences.
+// launches each wrap and cluster call as one command graph.
 func NewAccelerator(dev *hw.Device, prop *hubbard.Propagator, nd int, graphs bool) *Accelerator {
 	n := prop.Model.N()
 	acc := &Accelerator{
 		Dev:      dev,
 		prop:     prop,
-		graphs:   graphs,
 		comp:     dev.NewStream(),
 		xfer:     dev.NewStream(),
 		fl:       dev.NewStream(),
@@ -111,7 +88,9 @@ func NewAccelerator(dev *hw.Device, prop *hubbard.Propagator, nd int, graphs boo
 		acc.up[i] = hw.NewEvent()
 		acc.consumed[i] = hw.NewEvent()
 	}
-	acc.wrapVFn = func() { acc.prop.VDiag(acc.wp.sigma, acc.wp.f, acc.wp.l, acc.hostV[0]) }
+	if graphs {
+		acc.graph = dev.NewGraph(acc.xfer, acc.comp)
+	}
 	acc.comp.SetMatrix(acc.bKin, prop.Bkin)
 	acc.comp.SetMatrix(acc.bInv, prop.Binv)
 	return acc
@@ -127,34 +106,23 @@ func NewAccelerator(dev *hw.Device, prop *hubbard.Propagator, nd int, graphs boo
 // result cross the bus, and the upload of V_{l+1} overlaps the GEMM
 // absorbing B_l (double buffering on the copy stream).
 func (acc *Accelerator) Cluster(dst *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, base, k int) {
-	acc.cp.f, acc.cp.sigma, acc.cp.base = f, sigma, base
-	if acc.graphs {
-		if acc.clGraph == nil || acc.clK != k {
-			acc.captureCluster(dst, k)
-		} else if acc.clBound != dst {
-			acc.clGraph.RebindHost(acc.clBound, dst)
-			acc.clBound = dst
-		}
-		acc.clGraph.Replay()
-		return
+	if acc.graph != nil {
+		acc.graph.Begin()
+		defer acc.graph.End()
 	}
-	acc.issueCluster(dst, k)
+	acc.issueCluster(dst, f, sigma, base, k)
 }
 
-// issueCluster emits the cluster pipeline on the two streams (directly, or
-// into a capturing graph). The host VDiag nodes read acc.cp at execution
-// time and each captures only its slice offset j, so a recorded graph
-// re-parameterizes per replay.
-func (acc *Accelerator) issueCluster(dst *mat.Dense, k int) {
+// issueCluster emits the cluster pipeline on the two streams.
+func (acc *Accelerator) issueCluster(dst *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, base, k int) {
 	for j := 0; j < k; j++ {
-		j := j
 		buf := j & 1
 		if j >= 2 {
 			// The buffer is reused from iteration j-2: its upload must not
 			// start before the compute stream consumed it.
 			acc.xfer.Wait(acc.consumed[buf])
 		}
-		acc.xfer.Host(func() { acc.prop.VDiag(acc.cp.sigma, acc.cp.f, acc.cp.base+j, acc.hostV[buf]) })
+		acc.xfer.Host(func() { acc.prop.VDiag(sigma, f, base+j, acc.hostV[buf]) })
 		acc.xfer.SetVector(acc.v[buf], acc.hostV[buf])
 		acc.xfer.Record(acc.up[buf])
 		acc.comp.Wait(acc.up[buf])
@@ -171,15 +139,6 @@ func (acc *Accelerator) issueCluster(dst *mat.Dense, k int) {
 	acc.comp.GetMatrix(dst, acc.a)
 }
 
-// captureCluster records the k-slice cluster pipeline into a command graph
-// bound to dst.
-func (acc *Accelerator) captureCluster(dst *mat.Dense, k int) {
-	acc.clGraph = acc.Dev.NewGraph()
-	acc.clK = k
-	acc.clBound = dst
-	acc.clGraph.Capture(func() { acc.issueCluster(dst, k) }, acc.comp, acc.xfer)
-}
-
 // Wrap advances the equal-time Green's function G <- B_l G B_l^{-1} on the
 // device (Algorithm 6, with the Algorithm 7 combined row/column scaling
 // kernel): upload G, two GEMMs against the resident propagators, one
@@ -189,25 +148,18 @@ func (acc *Accelerator) captureCluster(dst *mat.Dense, k int) {
 //qmc:hot
 func (acc *Accelerator) Wrap(g *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, l int) {
 	obs.Add(obs.OpWraps, 1)
-	acc.wp.f, acc.wp.sigma, acc.wp.l = f, sigma, l
-	if acc.graphs {
-		if acc.wrapGraph == nil {
-			acc.captureWrap(g)
-		} else if acc.wrapBound != g {
-			acc.wrapGraph.RebindHost(acc.wrapBound, g)
-			acc.wrapBound = g
-		}
-		acc.wrapGraph.Replay()
-		return
+	if acc.graph != nil {
+		acc.graph.Begin()
+		defer acc.graph.End()
 	}
-	acc.issueWrap(g)
+	acc.issueWrap(g, f, sigma, l)
 }
 
 // issueWrap emits the wrap sequence on the two streams.
-func (acc *Accelerator) issueWrap(g *mat.Dense) {
+func (acc *Accelerator) issueWrap(g *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, l int) {
 	acc.xfer.SetMatrix(acc.g, g)
 	acc.xfer.Record(acc.gUp)
-	acc.xfer.Host(acc.wrapVFn)
+	acc.xfer.Host(func() { acc.prop.VDiag(sigma, f, l, acc.hostV[0]) })
 	acc.xfer.SetVector(acc.v[0], acc.hostV[0])
 	acc.xfer.Record(acc.up[0])
 	acc.comp.Wait(acc.gUp)
@@ -218,13 +170,6 @@ func (acc *Accelerator) issueWrap(g *mat.Dense) {
 	acc.comp.Record(acc.compDone)
 	acc.xfer.Wait(acc.compDone)
 	acc.xfer.GetMatrix(g, acc.g)
-}
-
-// captureWrap records the wrap sequence into a command graph bound to g.
-func (acc *Accelerator) captureWrap(g *mat.Dense) {
-	acc.wrapGraph = acc.Dev.NewGraph()
-	acc.wrapBound = g
-	acc.wrapGraph.Capture(func() { acc.issueWrap(g) }, acc.comp, acc.xfer)
 }
 
 // Flush runs G += U[:, :m] * W[:, :m]^T as a device GEMM — on real hardware

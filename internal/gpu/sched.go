@@ -8,8 +8,8 @@ import (
 )
 
 // Group is a set of simulated accelerators sharing one node: the
-// multi-GPU configuration of the scale-out experiments (per-spin,
-// per-chain and per-slice-block sharding). The devices never exchange
+// multi-GPU configuration of the scale-out experiments (per-spin and
+// per-slice-block sharding). The devices never exchange
 // data: every sharding axis keeps a device's operands on that device.
 type Group struct {
 	Devs []*hw.Device

@@ -25,17 +25,18 @@ func TestKernelCharges(t *testing.T) {
 		prepare func(t *testing.T) func() // builds the input; the returned call is measured
 		want    map[obs.Op]int64
 	}{
-		{"hw.Graph.Replay", func(t *testing.T) func() {
+		{"hw.Graph.Begin", func(t *testing.T) func() {
 			d := hw.NewDevice()
 			s := d.NewStream()
 			a, b, c := d.Malloc(4, 4), d.Malloc(4, 4), d.Malloc(4, 4)
-			g := d.NewGraph()
-			g.Capture(func() {
+			g := d.NewGraph(s)
+			return func() {
+				g.Begin()
 				s.Dgemm(false, false, 1, a, b, 0, c)
 				s.Dgemm(false, false, 1, a, c, 0, b)
 				s.Dgemm(false, false, 1, a, b, 0, c)
-			}, s)
-			return g.Replay
+				g.End()
+			}
 		}, map[obs.Op]int64{obs.OpGraphReplays: 1, obs.OpGraphNodes: 3}},
 
 		{"gpu.Accelerator.Wrap", func(t *testing.T) func() {

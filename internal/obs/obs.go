@@ -120,9 +120,9 @@ const (
 	OpDeviceFlops
 	OpDeviceBytes
 	OpDeviceKernels
-	// OpGraphReplays / OpGraphNodes are charged by command-graph replay:
-	// one replay per launch of a recorded sequence, plus the number of
-	// recorded nodes it executed (the launches amortized away).
+	// OpGraphReplays / OpGraphNodes are charged by command-graph launches:
+	// one replay per graphed call, plus one node per op the call issued
+	// (the launches amortized away).
 	OpGraphReplays
 	OpGraphNodes
 	NumOps

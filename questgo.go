@@ -113,7 +113,7 @@ func NewSimulation(cfg Config) (*Simulation, error) { return core.New(cfg) }
 //	measure_dynamics  true = also measure time-displaced G(d, tau)
 //	stability_check_every  stack-vs-rebuild residual cadence (0 = off)
 //	devices           simulated accelerators (0 = CPU sweeper)
-//	graphs            true = device command-graph capture/replay
+//	graphs            true = one device command-graph launch per wrap/cluster call
 //	autopilot         true = adapt k (up to the configured k) and check
 //	                  cadence from live telemetry
 //	seed              RNG seed
