@@ -211,3 +211,17 @@ func TestGraphForeignStreamPanics(t *testing.T) {
 	}()
 	d1.NewGraph(d1.NewStream(), d2.NewStream())
 }
+
+// TestGraphNestedBeginPanics: a graphed call cannot open inside another on
+// the same stream, whose End would close both.
+func TestGraphNestedBeginPanics(t *testing.T) {
+	d := hw.NewDevice()
+	s := d.NewStream()
+	d.NewGraph(s).Begin()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a nested graphed call")
+		}
+	}()
+	d.NewGraph(s).Begin()
+}
