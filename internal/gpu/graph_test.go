@@ -33,10 +33,10 @@ func TestGraphReplayBitwiseIdentical(t *testing.T) {
 	gOff, c0Off, c1Off := run(false)
 	gOn, c0On, c1On := run(true)
 	if !gOn.EqualApprox(gOff, 0) {
-		t.Fatal("graph-replayed wraps changed the Green's function")
+		t.Fatal("graphed wraps changed the Green's function")
 	}
 	if !c0On.EqualApprox(c0Off, 0) || !c1On.EqualApprox(c1Off, 0) {
-		t.Fatal("graph-replayed cluster build changed the product")
+		t.Fatal("graphed cluster build changed the product")
 	}
 }
 
@@ -66,7 +66,7 @@ func TestGraphLaunchAmortization(t *testing.T) {
 		t.Fatalf("launch overhead not charged: off=%d on=%d", off, on)
 	}
 	if on*10 > off {
-		t.Fatalf("graph replay kept %.1f%% of launch overhead, want <= 10%% (off %dns, on %dns)",
+		t.Fatalf("graphed calls kept %.1f%% of launch overhead, want <= 10%% (off %dns, on %dns)",
 			100*float64(on)/float64(off), off, on)
 	}
 }
