@@ -174,7 +174,10 @@ func main() {
 		}
 		banner(cfg)
 		if res, err = sim.RunContext(ctx, cb); err != nil {
-			if *ckptOut != "" {
+			// An interrupted chain is saved to resume; an unstable one is
+			// not worth resuming.
+			var unstable *questgo.ErrUnstable
+			if *ckptOut != "" && !errors.As(err, &unstable) {
 				if serr := sim.Checkpoint().Save(*ckptOut); serr == nil {
 					fmt.Fprintf(os.Stderr, "dqmc: %v; checkpoint written to %s\n", err, *ckptOut)
 					os.Exit(1)

@@ -59,6 +59,47 @@ func TestCmdDQMC(t *testing.T) {
 	}
 }
 
+// TestCmdDQMCUnstable: a chain that leaves the stable regime (4x4, U = 8,
+// beta = 20, L = 200 at k = 20 or k = L) makes cmd/dqmc exit nonzero with
+// the reason on stderr and write neither the -json document nor a
+// checkpoint of the tripped state, on the host and on two simulated devices
+// with command graphs; under the autopilot the same chain completes.
+func TestCmdDQMCUnstable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "dqmc")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/dqmc").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	rows := []string{"-nx", "4", "-ny", "4", "-u", "8", "-beta", "20", "-l", "200", "-warm", "2", "-meas", "4"}
+	for _, dev := range [][]string{nil, {"-devices", "2", "-graphs"}} {
+		for _, k := range []string{"20", "200"} {
+			jsonPath, ckptPath := filepath.Join(dir, "out.json"), filepath.Join(dir, "run.ckpt")
+			args := append(append(append([]string{}, rows...), dev...), "-k", k, "-json", jsonPath, "-checkpoint", ckptPath)
+			var stderr bytes.Buffer
+			cmd := exec.Command(bin, args...)
+			cmd.Stderr = &stderr
+			if err := cmd.Run(); err == nil {
+				t.Fatalf("dqmc %v exited 0, want a failure", args)
+			}
+			if !strings.Contains(stderr.String(), "unstable") {
+				t.Errorf("dqmc %v: stderr does not name the instability:\n%s", args, stderr.String())
+			}
+			for _, p := range []string{jsonPath, ckptPath} {
+				if _, err := os.Stat(p); err == nil {
+					t.Errorf("dqmc %v: wrote %s from the tripped state", args, filepath.Base(p))
+				}
+			}
+		}
+		args := append(append(append([]string{}, rows...), dev...), "-k", "20", "-autopilot", "-stability", "2")
+		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+			t.Fatalf("dqmc %v: %v\n%s", args, err, out)
+		}
+	}
+}
+
 // TestCmdFigures draws every figure cmd/figures knows on a tiny workload and
 // looks for the headline of the table it must print.
 func TestCmdFigures(t *testing.T) {

@@ -20,10 +20,10 @@ package blas
 // panel width, differs.
 
 //go:noescape
-func dgemm8x4asm(kc int64, a, b, c *float64, ldc int64)
+func dgemm8x4asm(kc int64, a, b, c *float64, ldc, mode, iw, jw int64, r, s *float64)
 
 //go:noescape
-func dgemm8x8asm(kc int64, a, b, c *float64, ldc int64)
+func dgemm8x8asm(kc int64, a, b, c *float64, ldc, mode, iw, jw int64, r, s *float64)
 
 //go:noescape
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -41,9 +41,6 @@ func axpyColsAVX2(n, m int64, a *float64, lda int64, x *float64, incx int64, y0 
 func rank1AVX2(m, n int64, x, y *float64, incy int64, a *float64, lda int64)
 
 //go:noescape
-func scaleAVX2(m, n int64, c *float64, ldc int64, r, s *float64)
-
-//go:noescape
 func dotAVX2(n int64, x, y *float64) float64
 
 //go:noescape
@@ -55,20 +52,30 @@ func packRowsAVX2(kc int64, alpha float64, src *float64, ld int64, dst *float64,
 //go:noescape
 func packCols4AVX2(kc int64, alpha float64, src *float64, ld int64, dst *float64, w int64)
 
-// microKernel runs the kernel init selected: C[r + q*ldc] += sum_k
-// a[k*mr+r] * b[k*nr+q] over one packed micro-panel pair. It must stay a
-// plain function (see runMacro).
-func microKernel(kc int, a, b, c []float64, ldc int) {
+// microKernel runs the kernel init selected on one packed micro-panel pair
+// and writes the tile back into C by mode (see runMacro): r and s are the
+// tile's row and column factors, nil for none. It must stay a plain
+// function (see runMacro).
+func microKernel(kc int, a, b, c []float64, ldc, mode, iw, jw int, r, s []float64) {
+	if kernMR != 8 {
+		microKernel4x4(kc, a, b, c, ldc, mode, iw, jw, r, s)
+		return
+	}
+	var pr, ps *float64
+	if r != nil {
+		pr = &r[0]
+	}
+	if s != nil {
+		ps = &s[0]
+	}
 	if kernNR == 8 {
-		dgemm8x8asm(int64(kc), &a[0], &b[0], &c[0], int64(ldc))
-	} else if kernMR == 8 {
-		dgemm8x4asm(int64(kc), &a[0], &b[0], &c[0], int64(ldc))
+		dgemm8x8asm(int64(kc), &a[0], &b[0], &c[0], int64(ldc), int64(mode), int64(iw), int64(jw), pr, ps)
 	} else {
-		microKernel4x4(kc, a, b, c, ldc)
+		dgemm8x4asm(int64(kc), &a[0], &b[0], &c[0], int64(ldc), int64(mode), int64(iw), int64(jw), pr, ps)
 	}
 }
 
-// axpy, axpyCols, rank1, scale, dot, applyReflector, packRows and packCols are the
+// axpy, axpyCols, rank1, dot, applyReflector, packRows and packCols are the
 // stride-1 layer under the micro-kernel: on the CPUs that run an assembly
 // kernel (kernMR == 8) they hand a non-empty vector or a full micro-panel to
 // the AVX2 kernels of gemm_amd64.s, and everything else — other CPUs,
@@ -113,26 +120,6 @@ func rank1(m, n int, x, y []float64, incy int, a []float64, lda int) {
 		return
 	}
 	rank1Go(m, n, x, y, incy, a, lda)
-}
-
-// scale computes c[j*ldc+i] = (c[j*ldc+i]*r[i])*s[j] for i < m, j < n, a
-// nil r or s left out: per element ScaleRows' and ScaleCols' multiplies.
-func scale(m, n int, c []float64, ldc int, r, s []float64) {
-	if kernMR == 8 && m > 0 && n > 0 {
-		_ = c[(n-1)*ldc+m-1]
-		var pr, ps *float64
-		if r != nil {
-			_ = r[m-1]
-			pr = &r[0]
-		}
-		if s != nil {
-			_ = s[n-1]
-			ps = &s[0]
-		}
-		scaleAVX2(int64(m), int64(n), &c[0], int64(ldc), pr, ps)
-		return
-	}
-	scaleGo(m, n, c, ldc, r, s)
 }
 
 // dot returns x . y over len(x) <= len(y) elements.

@@ -2,14 +2,52 @@
 
 #include "textflag.h"
 
-// func dgemm8x4asm(kc int64, a, b, c *float64, ldc int64)
+// The two micro-kernels finish their tile in the register write-back. Each
+// element keeps the FMA chain over k that starts from zero (acc); mode,
+// iw x jw (the live corner of the tile), r and s (the row and column
+// factors from the tile's corner, nil for none) then say how it reaches C:
 //
-// C[r + q*ldc] += sum_k a[8k+r] * b[4k+q] for r in [0,8), q in [0,4).
+//	mode 0          C + acc                      (full tile, accumulate)
+//	mode wbZero     acc + 0                      (first k slab of beta = 0: C is not read)
+//	mode wbEdge     C + (acc + 0), rows < iw and columns < jw only
+//	then            (. * r[i]) * s[j], each factor left out when nil
+//
+// which are the bits the zero pass, the spill tile's add-back and the
+// scaling pass gave when they were separate passes over C. The full tile
+// stores whole columns; an edge tile masks its rows (ymm masks here, an
+// opmask in the AVX-512 kernel) and counts its columns, shifting the next
+// column's accumulators down after each store, so nothing outside the
+// iw x jw corner of C, r or s is read or written. mode bits: 1 wbZero,
+// 2 wbEdge (gemm_packed.go).
+
+// edgeMask<>+8*(8-iw) holds eight qwords whose first iw are all ones: the
+// row masks of an edge tile, two ymm halves of the 8-row tile.
+DATA edgeMask<>+0(SB)/8, $-1
+DATA edgeMask<>+8(SB)/8, $-1
+DATA edgeMask<>+16(SB)/8, $-1
+DATA edgeMask<>+24(SB)/8, $-1
+DATA edgeMask<>+32(SB)/8, $-1
+DATA edgeMask<>+40(SB)/8, $-1
+DATA edgeMask<>+48(SB)/8, $-1
+DATA edgeMask<>+56(SB)/8, $-1
+DATA edgeMask<>+64(SB)/8, $0
+DATA edgeMask<>+72(SB)/8, $0
+DATA edgeMask<>+80(SB)/8, $0
+DATA edgeMask<>+88(SB)/8, $0
+DATA edgeMask<>+96(SB)/8, $0
+DATA edgeMask<>+104(SB)/8, $0
+DATA edgeMask<>+112(SB)/8, $0
+DATA edgeMask<>+120(SB)/8, $0
+GLOBL edgeMask<>(SB), RODATA|NOPTR, $128
+
+// func dgemm8x4asm(kc int64, a, b, c *float64, ldc, mode, iw, jw int64, r, s *float64)
+//
+// The 8x4 tile of sum_k a[8k+r] * b[4k+q], written back into C as above.
 // a is an mr=8 packed micro-panel (k-major stripes of 8), b an nr=4 packed
 // micro-panel (k-major stripes of 4); see gemm_packed.go for the layout.
 // Eight ymm accumulators hold the full 8x4 tile across the k loop; each
 // iteration issues 2 vector loads, 4 broadcasts and 8 FMAs (64 flops).
-TEXT ·dgemm8x4asm(SB), NOSPLIT, $0-40
+TEXT ·dgemm8x4asm(SB), NOSPLIT, $0-80
 	MOVQ kc+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DI
@@ -53,47 +91,159 @@ loop:
 	JNE          loop
 
 write:
+	MOVQ mode+40(FP), AX
+	MOVQ r+64(FP), R11
+	MOVQ s+72(FP), R12
+	MOVQ AX, BX
+	ORQ  R11, BX
+	ORQ  R12, BX             // BX = 0: mode 0 and no factors, the flush's
+	JNE  finish4             // case, one test from the k loop to the adds
+
+add4:
+	MOVQ   DX, R9
+	VADDPD (R9), Y0, Y0
+	VADDPD 32(R9), Y1, Y1
+	ADDQ   R8, R9
+	VADDPD (R9), Y2, Y2
+	VADDPD 32(R9), Y3, Y3
+	ADDQ   R8, R9
+	VADDPD (R9), Y4, Y4
+	VADDPD 32(R9), Y5, Y5
+	ADDQ   R8, R9
+	VADDPD (R9), Y6, Y6
+	VADDPD 32(R9), Y7, Y7
+	TESTQ  BX, BX
+	JNE    rows4
+
+store4:
 	MOVQ    DX, R9
-	VMOVUPD (R9), Y8
-	VADDPD  Y0, Y8, Y8
-	VMOVUPD Y8, (R9)
-	VMOVUPD 32(R9), Y9
-	VADDPD  Y1, Y9, Y9
-	VMOVUPD Y9, 32(R9)
+	VMOVUPD Y0, (R9)
+	VMOVUPD Y1, 32(R9)
 	ADDQ    R8, R9
-	VMOVUPD (R9), Y8
-	VADDPD  Y2, Y8, Y8
-	VMOVUPD Y8, (R9)
-	VMOVUPD 32(R9), Y9
-	VADDPD  Y3, Y9, Y9
-	VMOVUPD Y9, 32(R9)
+	VMOVUPD Y2, (R9)
+	VMOVUPD Y3, 32(R9)
 	ADDQ    R8, R9
-	VMOVUPD (R9), Y8
-	VADDPD  Y4, Y8, Y8
-	VMOVUPD Y8, (R9)
-	VMOVUPD 32(R9), Y9
-	VADDPD  Y5, Y9, Y9
-	VMOVUPD Y9, 32(R9)
+	VMOVUPD Y4, (R9)
+	VMOVUPD Y5, 32(R9)
 	ADDQ    R8, R9
-	VMOVUPD (R9), Y8
-	VADDPD  Y6, Y8, Y8
-	VMOVUPD Y8, (R9)
-	VMOVUPD 32(R9), Y9
-	VADDPD  Y7, Y9, Y9
-	VMOVUPD Y9, 32(R9)
+	VMOVUPD Y6, (R9)
+	VMOVUPD Y7, 32(R9)
 	VZEROUPPER
 	RET
 
-// func dgemm8x8asm(kc int64, a, b, c *float64, ldc int64)
+finish4:
+	TESTQ  $2, AX
+	JNE    edge4
+	TESTQ  $1, AX
+	JEQ    add4
+	VXORPD Y8, Y8, Y8
+	VADDPD Y8, Y0, Y0
+	VADDPD Y8, Y1, Y1
+	VADDPD Y8, Y2, Y2
+	VADDPD Y8, Y3, Y3
+	VADDPD Y8, Y4, Y4
+	VADDPD Y8, Y5, Y5
+	VADDPD Y8, Y6, Y6
+	VADDPD Y8, Y7, Y7
+
+rows4:
+	TESTQ   R11, R11
+	JEQ     cols4
+	VMOVUPD (R11), Y8
+	VMOVUPD 32(R11), Y9
+	VMULPD  Y8, Y0, Y0
+	VMULPD  Y9, Y1, Y1
+	VMULPD  Y8, Y2, Y2
+	VMULPD  Y9, Y3, Y3
+	VMULPD  Y8, Y4, Y4
+	VMULPD  Y9, Y5, Y5
+	VMULPD  Y8, Y6, Y6
+	VMULPD  Y9, Y7, Y7
+
+cols4:
+	TESTQ        R12, R12
+	JEQ          store4
+	VBROADCASTSD (R12), Y8
+	VBROADCASTSD 8(R12), Y9
+	VBROADCASTSD 16(R12), Y10
+	VBROADCASTSD 24(R12), Y11
+	VMULPD       Y8, Y0, Y0
+	VMULPD       Y8, Y1, Y1
+	VMULPD       Y9, Y2, Y2
+	VMULPD       Y9, Y3, Y3
+	VMULPD       Y10, Y4, Y4
+	VMULPD       Y10, Y5, Y5
+	VMULPD       Y11, Y6, Y6
+	VMULPD       Y11, Y7, Y7
+	JMP          store4
+
+	// Edge tile: Y9/Y10 mask the iw live rows, r's are loaded under them,
+	// and the jw live columns go one at a time from Y0/Y1.
+edge4:
+	MOVQ       $8, BX
+	SUBQ       iw+48(FP), BX
+	LEAQ       edgeMask<>(SB), R9
+	LEAQ       (R9)(BX*8), R9
+	VMOVUPD    (R9), Y9
+	VMOVUPD    32(R9), Y10
+	TESTQ      R11, R11
+	JEQ        ecols4
+	VMASKMOVPD (R11), Y9, Y11
+	VMASKMOVPD 32(R11), Y10, Y12
+
+ecols4:
+	MOVQ   jw+56(FP), CX
+	VXORPD Y8, Y8, Y8
+
+ecol4:
+	VADDPD     Y8, Y0, Y0
+	VADDPD     Y8, Y1, Y1
+	TESTQ      $1, AX
+	JNE        erows4
+	VMASKMOVPD (DX), Y9, Y13
+	VMASKMOVPD 32(DX), Y10, Y14
+	VADDPD     Y13, Y0, Y0
+	VADDPD     Y14, Y1, Y1
+
+erows4:
+	TESTQ  R11, R11
+	JEQ    ecol4s
+	VMULPD Y11, Y0, Y0
+	VMULPD Y12, Y1, Y1
+
+ecol4s:
+	TESTQ        R12, R12
+	JEQ          ecol4store
+	VBROADCASTSD (R12), Y15
+	VMULPD       Y15, Y0, Y0
+	VMULPD       Y15, Y1, Y1
+	ADDQ         $8, R12
+
+ecol4store:
+	VMASKMOVPD Y0, Y9, (DX)
+	VMASKMOVPD Y1, Y10, 32(DX)
+	VMOVAPD    Y2, Y0
+	VMOVAPD    Y3, Y1
+	VMOVAPD    Y4, Y2
+	VMOVAPD    Y5, Y3
+	VMOVAPD    Y6, Y4
+	VMOVAPD    Y7, Y5
+	ADDQ       R8, DX
+	DECQ       CX
+	JNE        ecol4
+	VZEROUPPER
+	RET
+
+// func dgemm8x8asm(kc int64, a, b, c *float64, ldc, mode, iw, jw int64, r, s *float64)
 //
-// C[r + q*ldc] += sum_k a[8k+r] * b[8k+q] for r, q in [0,8): the AVX-512
-// kernel. a is the same mr=8 packed micro-panel dgemm8x4asm reads, b an nr=8
-// one. Eight zmm accumulators, one per C column, hold the tile across the k
-// loop; a k step is one 64-byte load of a and eight FMAs that broadcast
-// their b element from memory (128 flops). Element (r, q) sees the FMA chain
-// over k from zero and the one add into C that it sees in dgemm8x4asm, so
-// the two kernels store the same bits.
-TEXT ·dgemm8x8asm(SB), NOSPLIT, $0-40
+// The 8x8 tile of sum_k a[8k+r] * b[8k+q], written back into C as above:
+// the AVX-512 kernel. a is the same mr=8 packed micro-panel dgemm8x4asm
+// reads, b an nr=8 one. Eight zmm accumulators, one per C column, hold the
+// tile across the k loop; a k step is one 64-byte load of a and eight FMAs
+// that broadcast their b element from memory (128 flops). Element (r, q)
+// sees the FMA chain over k from zero and the write-back it sees in
+// dgemm8x4asm, so the two kernels store the same bits.
+TEXT ·dgemm8x8asm(SB), NOSPLIT, $0-80
 	MOVQ kc+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DI
@@ -130,16 +280,29 @@ loop8:
 	JNE              loop8
 
 write8:
-	LEAQ    (R8)(R8*2), R9   // 3 columns of C, in bytes
-	LEAQ    (DX)(R8*4), R10  // column 4
-	VADDPD  (DX), Z0, Z0
-	VADDPD  (DX)(R8*1), Z1, Z1
-	VADDPD  (DX)(R8*2), Z2, Z2
-	VADDPD  (DX)(R9*1), Z3, Z3
-	VADDPD  (R10), Z4, Z4
-	VADDPD  (R10)(R8*1), Z5, Z5
-	VADDPD  (R10)(R8*2), Z6, Z6
-	VADDPD  (R10)(R9*1), Z7, Z7
+	MOVQ mode+40(FP), AX
+	MOVQ r+64(FP), R11
+	MOVQ s+72(FP), R12
+	LEAQ (R8)(R8*2), R9      // 3 columns of C, in bytes
+	LEAQ (DX)(R8*4), R10     // column 4
+	MOVQ AX, BX
+	ORQ  R11, BX
+	ORQ  R12, BX             // BX = 0: mode 0 and no factors, the flush's
+	JNE  finish8             // case, one test from the k loop to the adds
+
+add8:
+	VADDPD (DX), Z0, Z0
+	VADDPD (DX)(R8*1), Z1, Z1
+	VADDPD (DX)(R8*2), Z2, Z2
+	VADDPD (DX)(R9*1), Z3, Z3
+	VADDPD (R10), Z4, Z4
+	VADDPD (R10)(R8*1), Z5, Z5
+	VADDPD (R10)(R8*2), Z6, Z6
+	VADDPD (R10)(R9*1), Z7, Z7
+	TESTQ  BX, BX
+	JNE    rows8
+
+store8:
 	VMOVUPD Z0, (DX)
 	VMOVUPD Z1, (DX)(R8*1)
 	VMOVUPD Z2, (DX)(R8*2)
@@ -148,6 +311,96 @@ write8:
 	VMOVUPD Z5, (R10)(R8*1)
 	VMOVUPD Z6, (R10)(R8*2)
 	VMOVUPD Z7, (R10)(R9*1)
+	VZEROUPPER
+	RET
+
+finish8:
+	TESTQ  $2, AX
+	JNE    edge8
+	TESTQ  $1, AX
+	JEQ    add8
+	VPXORQ Z8, Z8, Z8
+	VADDPD Z8, Z0, Z0
+	VADDPD Z8, Z1, Z1
+	VADDPD Z8, Z2, Z2
+	VADDPD Z8, Z3, Z3
+	VADDPD Z8, Z4, Z4
+	VADDPD Z8, Z5, Z5
+	VADDPD Z8, Z6, Z6
+	VADDPD Z8, Z7, Z7
+
+rows8:
+	TESTQ   R11, R11
+	JEQ     cols8
+	VMOVUPD (R11), Z8
+	VMULPD  Z8, Z0, Z0
+	VMULPD  Z8, Z1, Z1
+	VMULPD  Z8, Z2, Z2
+	VMULPD  Z8, Z3, Z3
+	VMULPD  Z8, Z4, Z4
+	VMULPD  Z8, Z5, Z5
+	VMULPD  Z8, Z6, Z6
+	VMULPD  Z8, Z7, Z7
+
+cols8:
+	TESTQ       R12, R12
+	JEQ         store8
+	VMULPD.BCST (R12), Z0, Z0
+	VMULPD.BCST 8(R12), Z1, Z1
+	VMULPD.BCST 16(R12), Z2, Z2
+	VMULPD.BCST 24(R12), Z3, Z3
+	VMULPD.BCST 32(R12), Z4, Z4
+	VMULPD.BCST 40(R12), Z5, Z5
+	VMULPD.BCST 48(R12), Z6, Z6
+	VMULPD.BCST 56(R12), Z7, Z7
+	JMP         store8
+
+	// Edge tile: K1 masks the iw live rows, r is loaded under it, and the
+	// jw live columns go one at a time from Z0.
+edge8:
+	MOVQ  iw+48(FP), CX
+	MOVQ  $1, BX
+	SHLQ  CX, BX
+	DECQ  BX
+	KMOVW BX, K1
+	TESTQ R11, R11
+	JEQ   ecols8
+	VMOVUPD.Z (R11), K1, Z10
+
+ecols8:
+	MOVQ   jw+56(FP), CX
+	VPXORQ Z8, Z8, Z8
+
+ecol8:
+	VADDPD    Z8, Z0, Z0
+	TESTQ     $1, AX
+	JNE       erows8
+	VMOVUPD.Z (DX), K1, Z9
+	VADDPD    Z9, Z0, Z0
+
+erows8:
+	TESTQ  R11, R11
+	JEQ    ecol8s
+	VMULPD Z10, Z0, Z0
+
+ecol8s:
+	TESTQ       R12, R12
+	JEQ         ecol8store
+	VMULPD.BCST (R12), Z0, Z0
+	ADDQ        $8, R12
+
+ecol8store:
+	VMOVUPD Z0, K1, (DX)
+	VMOVAPD Z1, Z0
+	VMOVAPD Z2, Z1
+	VMOVAPD Z3, Z2
+	VMOVAPD Z4, Z3
+	VMOVAPD Z5, Z4
+	VMOVAPD Z6, Z5
+	VMOVAPD Z7, Z6
+	ADDQ    R8, DX
+	DECQ    CX
+	JNE     ecol8
 	VZEROUPPER
 	RET
 
@@ -493,82 +746,6 @@ r1next:
 	ADDQ R13, DI
 	DECQ R9
 	JNE  r1col
-	VZEROUPPER
-	RET
-
-// func scaleAVX2(m, n int64, c *float64, ldc int64, r, s *float64)
-//
-// c_j[i] = (c_j[i] * r[i]) * s[j] for each of the n columns c_j (m rows,
-// ldc apart), the row factor left out when r is nil and the column factor
-// when s is nil: per element the rounded multiplies of ScaleRows then
-// ScaleCols, which round the same in a vector lane, four rows to a vector
-// and the last m%4 one at a time.
-TEXT ·scaleAVX2(SB), NOSPLIT, $0-48
-	MOVQ m+0(FP), R8
-	MOVQ n+8(FP), R9
-	MOVQ c+16(FP), DI
-	MOVQ ldc+24(FP), R10
-	MOVQ r+32(FP), R11
-	MOVQ s+40(FP), R12
-	SHLQ $3, R10             // ldc in bytes
-
-scol:
-	MOVQ  DI, DX             // c_j
-	MOVQ  R11, SI            // r
-	MOVQ  R8, CX
-	TESTQ R12, R12
-	JEQ   s4
-	VBROADCASTSD (R12), Y1   // s_j
-	ADDQ  $8, R12
-
-s4:
-	SUBQ $4, CX
-	JL   s1
-
-s4loop:
-	VMOVUPD (DX), Y0
-	TESTQ   R11, R11
-	JEQ     s4col
-	VMULPD  (SI), Y0, Y0
-	ADDQ    $32, SI
-
-s4col:
-	TESTQ   R12, R12
-	JEQ     s4store
-	VMULPD  Y1, Y0, Y0
-
-s4store:
-	VMOVUPD Y0, (DX)
-	ADDQ    $32, DX
-	SUBQ    $4, CX
-	JGE     s4loop
-
-s1:
-	ADDQ $4, CX
-	JE   snext
-
-s1loop:
-	VMOVSD (DX), X0
-	TESTQ  R11, R11
-	JEQ    s1col
-	VMULSD (SI), X0, X0
-	ADDQ   $8, SI
-
-s1col:
-	TESTQ  R12, R12
-	JEQ    s1store
-	VMULSD X1, X0, X0
-
-s1store:
-	VMOVSD X0, (DX)
-	ADDQ   $8, DX
-	DECQ   CX
-	JNE    s1loop
-
-snext:
-	ADDQ R10, DI
-	DECQ R9
-	JNE  scol
 	VZEROUPPER
 	RET
 

@@ -15,14 +15,15 @@ import (
 var asmKernels = []struct {
 	name string
 	nr   int
-	run  func(kc int64, a, b, c *float64, ldc int64)
+	run  func(kc int64, a, b, c *float64, ldc, mode, iw, jw int64, r, s *float64)
 }{
 	{"dgemm8x4asm", 4, dgemm8x4asm},
 	{"dgemm8x8asm", 8, dgemm8x8asm},
 }
 
 // TestAsmMicroKernelTile drives each assembly micro-kernel on bare packed
-// panels, away from the blocking around it: the 8 x nr tile must be the FMA
+// panels, away from the blocking around it, in the full-tile accumulating
+// write-back (mode 0, no scalings): the 8 x nr tile must be the FMA
 // chain over k from zero plus one add into C, bit for bit; nothing outside
 // the tile may change when ldc is wider than it; kc = 0 must add exactly
 // zero; the panels must not be read past kc (NaN sits behind them); and a
@@ -53,7 +54,7 @@ func TestAsmMicroKernelTile(t *testing.T) {
 				}
 			}
 			// One past the last element keeps &x[0] legal at kc = 0.
-			kern.run(int64(kc), &a[:1][0], &b[:1][0], &c[0], ldc)
+			kern.run(int64(kc), &a[:1][0], &b[:1][0], &c[0], ldc, 0, mr, int64(nr), nil, nil)
 			if !untouched(cback, 3, ldc*nr, sentinel) {
 				t.Fatalf("%s kc=%d: wrote outside the C window", kern.name, kc)
 			}
@@ -72,7 +73,7 @@ func TestAsmMicroKernelTile(t *testing.T) {
 			a[k*mr+3] = math.NaN()
 			b[k*nr+nr-1] = math.Inf(1)
 		}
-		kern.run(kc, &a[0], &b[0], &c[0], mr)
+		kern.run(kc, &a[0], &b[0], &c[0], mr, 0, mr, int64(nr), nil, nil)
 		for q := 0; q < nr; q++ {
 			for i := 0; i < mr; i++ {
 				v := c[q*mr+i]

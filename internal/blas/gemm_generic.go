@@ -3,7 +3,9 @@
 package blas
 
 // microKernel is the portable build's only kernel (see gemm_amd64.go).
-func microKernel(kc int, a, b, c []float64, ldc int) { microKernel4x4(kc, a, b, c, ldc) }
+func microKernel(kc int, a, b, c []float64, ldc, mode, iw, jw int, r, s []float64) {
+	microKernel4x4(kc, a, b, c, ldc, mode, iw, jw, r, s)
+}
 
 // The stride-1 layer (see gemm_amd64.go) is the portable loops alone here.
 
@@ -16,8 +18,6 @@ func axpyCols(n, m int, a []float64, lda int, x []float64, incx int, y0 []float6
 func rank1(m, n int, x, y []float64, incy int, a []float64, lda int) {
 	rank1Go(m, n, x, y, incy, a, lda)
 }
-
-func scale(m, n int, c []float64, ldc int, r, s []float64) { scaleGo(m, n, c, ldc, r, s) }
 
 func dot(x, y []float64) float64 { return dotGo(x, y) }
 

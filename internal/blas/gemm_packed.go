@@ -10,16 +10,27 @@ package blas
 //	    for ic over M in MC rows:
 //	      pack alpha*op(A)[ic:ic+MC, pc:]  -> ap (L2-resident, mr-tall micro-panels)
 //	      for jr, ir over micro-panels:     // parallel over jr chunks
-//	        C[ir, jr] += ap[ir] * bp[jr]    // register-blocked micro-kernel
+//	        C[ir, jr] += ap[ir] * bp[jr]    // register-blocked micro-kernel,
+//	                                        // finished in its write-back
 //
 // Both packing routines read the strided operand directly — transA/transB
 // only swap which index runs contiguously — so transposed operands cost the
 // same as plain ones and nothing is ever materialized. Packed micro-panels
 // store A k-major in mr-tall stripes (element (r, k) at [k*mr+r]) and B
 // k-major in nr-wide stripes (element (k, q) at [k*nr+q]); padding rows and
-// columns are zero-filled so the micro-kernel always runs full tiles; a
-// partial tile runs it into an mr x nr spill tile and only the write-back
-// respects the true edge.
+// columns are zero-filled so the micro-kernel always runs full tiles, and
+// only its write-back respects the true edge of a partial tile.
+//
+// The write-back is where each C tile is finished, once per k slab, from the
+// registers: the first slab of a beta = 0 product stores the tile without
+// reading C, a partial tile loads and stores only its live rows and columns
+// (masked rows, counted columns), and the last slab of a GemmPacked product
+// multiplies in the row and then the column factors before the store. No
+// pass over C precedes or follows the sweep, except beta's for beta not in
+// {0, 1}. Per element the bits must be those of separate passes — zero C,
+// accumulate a partial tile into a zeroed spill tile and add it back, scale
+// the rows then the columns — which writeback_test.go keeps as the
+// reference: runMacro lists the rule.
 //
 // Every shape takes this one path. The micro-kernel is selected at startup
 // from what the CPU offers (gemm_amd64.go): an AVX-512 8x8 assembly kernel,
@@ -36,8 +47,8 @@ package blas
 // A constant operand can skip the per-call packing: a Packed holds every
 // slab's panels of one matrix, packed once by the same runPackA/runPackB,
 // and GemmPacked points ap/bp into them instead of refilling its buffers.
-// GemmPacked also takes diagonal scalings, applied to the C tiles in the
-// macro sweep once their last k slab is in, while they are in L1.
+// GemmPacked and GemmScaled also take diagonal scalings, applied in the
+// write-back of each tile's last k slab.
 
 import (
 	"fmt"
@@ -56,7 +67,7 @@ const (
 	gemmNC = 1024
 )
 
-// gemmPoolMin is the smallest m*n*k whose loops (beta pre-pass, packing,
+// gemmPoolMin is the smallest m*n*k whose loops (beta pass, packing,
 // macro sweep) are offered to the parallel pool. Below it a hand-off plus
 // the wake-up costs more than the product itself (64^3 is ~20 us of kernel
 // time), so the calling goroutine runs every loop inline.
@@ -81,11 +92,10 @@ func Kernel() (name string, mr, nr int) {
 	return name, kernMR, kernNR
 }
 
-// maxMR and maxNR bound the tile across all kernel choices; the spill tile
-// for partial tiles is sized statically with them.
+// Write-back modes of a micro-kernel call (runMacro): bits of mode.
 const (
-	maxMR = 8
-	maxNR = 8
+	wbZero = 1 << iota // first k slab of a beta = 0 product: C is not read
+	wbEdge             // partial tile: only iw x jw of C is live
 )
 
 // gemmCtx carries one Gemm call's state. The closures are created once per
@@ -106,11 +116,11 @@ type gemmCtx struct {
 	abuf, bbuf []float64 // this context's packing buffers
 
 	// packedA/packedB hold every slab's panels of a pre-packed operand (nil:
-	// pack per call); r and s are GemmPacked's row and column scalings (nil:
-	// none), which runMacro applies to the finished tiles when lastK is set.
+	// pack per call); r and s are the row and column scalings (nil: none),
+	// which runMacro hands to the write-back of the last k slab.
 	packedA, packedB []float64
 	r, s             []float64
-	lastK            bool
+	lastK            bool // the current k slab is the last
 
 	scaleBody func(lo, hi int)
 	packBBody func(lo, hi int)
@@ -157,7 +167,7 @@ func (ctx *gemmCtx) runPacked() {
 		for pc := 0; pc < ctx.k; pc += gemmKC {
 			ctx.pc = pc
 			ctx.kc = min(gemmKC, ctx.k-pc)
-			ctx.lastK = pc+ctx.kc == ctx.k && (ctx.r != nil || ctx.s != nil)
+			ctx.lastK = pc+ctx.kc == ctx.k
 			if ctx.packedB != nil {
 				ctx.bp = ctx.packedB[pc*((ctx.n+nr-1)/nr)*nr+jc*ctx.kc:]
 			} else {
@@ -245,12 +255,9 @@ func (p *Packed) panels() []float64 {
 // GemmPacked computes C = diag(r)·(A·B)·diag(s) with A the packed operand
 // and B = x when p was packed by PackA, A = x and B the packed operand when
 // by PackB. r and s may be nil (no scaling). The product's bits are those
-// of Gemm(false, false, 1, A, B, 0, C) followed by C.ScaleRows(r) and
-// C.ScaleCols(s): the packed panels are what Gemm packs, and the tiles are
-// scaled once their last k slab is accumulated — per element the row
-// factor, then the column factor — instead of in two more passes over C.
-// It charges obs and check.Finite as Gemm does. C must not alias A, B, r
-// or s.
+// of GemmScaled(false, false, A, B, r, s, C): the packed panels are what
+// Gemm packs. It charges obs and check.Finite as Gemm does. C must not
+// alias A, B, r or s.
 //
 //qmc:hot
 func GemmPacked(p *Packed, x *mat.Dense, r, s []float64, c *mat.Dense) {
@@ -261,50 +268,9 @@ func GemmPacked(p *Packed, x *mat.Dense, r, s []float64, c *mat.Dense) {
 	}
 }
 
-// scaleBlock applies the row and column scalings to the iw x jw block of C
-// at (i0, j0).
-func (ctx *gemmCtx) scaleBlock(i0, iw, j0, jw int) {
-	var r, s []float64
-	if ctx.r != nil {
-		r = ctx.r[i0 : i0+iw]
-	}
-	if ctx.s != nil {
-		s = ctx.s[j0 : j0+jw]
-	}
-	scale(iw, jw, ctx.cData[i0+j0*ctx.cs:], ctx.cs, r, s)
-}
-
-// scaleGo is the portable body of scale: each element of the m x n matrix
-// in c (leading dimension ldc) times r[i], rounded, then times s[j] — the
-// two roundings of ScaleRows then ScaleCols; a nil r or s is left out.
-func scaleGo(m, n int, c []float64, ldc int, r, s []float64) {
-	if r == nil && s == nil {
-		return
-	}
-	for j := 0; j < n; j++ {
-		col := c[j*ldc : j*ldc+m]
-		switch {
-		case s == nil:
-			for i, ri := range r[:m] {
-				col[i] *= ri
-			}
-		case r == nil:
-			sj := s[j]
-			for i := range col {
-				col[i] *= sj
-			}
-		default:
-			sj := s[j]
-			for i, ri := range r[:m] {
-				col[i] = col[i] * ri * sj
-			}
-		}
-	}
-}
-
 func checkScaling(name string, d []float64, want int) {
 	if d != nil && len(d) != want {
-		panic(fmt.Sprintf("blas: GemmPacked %s scaling has length %d, want %d", name, len(d), want))
+		panic(fmt.Sprintf("blas: GemmPacked/GemmScaled %s scaling has length %d, want %d", name, len(d), want))
 	}
 }
 
@@ -387,48 +353,56 @@ func packColsGo(dst, src []float64, ld, kc, w, jw int, alpha float64) {
 }
 
 // runMacro sweeps B micro-panels [plo, phi) against every packed A panel of
-// the current slab. Full tiles accumulate straight into C; a partial tile
-// (bottom rows / last columns) runs the same kernel over the zero-padded
-// panels into the spill tile and adds back its iw x jw corner. In the last k
-// slab of a scaled product a B micro-panel's column of finished tiles is
-// scaled next, while it is in L1 (scaling each tile right after its own
-// kernel call would load what the kernel is still storing). microKernel is
-// called directly, not through a func value, so spill stays on the stack.
+// the current slab. Each micro-kernel call finishes its tile in the
+// write-back, per element from acc, the FMA chain over this slab's k:
+//
+//	full tile               C + acc
+//	first slab, beta = 0    acc + 0           (C is not read)
+//	partial tile            C + (acc + 0)     (acc + 0 on the first slab of beta = 0)
+//	last slab, scaled       then (. * r[i]) * s[j]
+//
+// the bits of a zero pass, a zeroed spill tile added into C (0 + acc turns
+// an underflowed -0 sum into +0, which a -0 in C then sees) and a
+// row-then-column scaling pass. microKernel is called directly, not through
+// a func value, so the loop allocates nothing.
 func (ctx *gemmCtx) runMacro(plo, phi int) {
 	mr, nr, kc := kernMR, kernNR, ctx.kc
-	var spill [maxMR * maxNR]float64
 	mpan := (ctx.mb + mr - 1) / mr
+	first := 0
+	if ctx.pc == 0 && ctx.beta == 0 {
+		first = wbZero
+	}
 	for p := plo; p < phi; p++ {
 		bpanel := ctx.bp[p*nr*kc : (p+1)*nr*kc]
 		j0 := ctx.jc + p*nr
 		jw := min(nr, ctx.jc+ctx.nb-j0)
+		var s []float64
+		if ctx.lastK && ctx.s != nil {
+			s = ctx.s[j0 : j0+jw]
+		}
 		for ir := 0; ir < mpan; ir++ {
 			apanel := ctx.ap[ir*mr*kc : (ir+1)*mr*kc]
 			i0 := ctx.ic + ir*mr
 			iw := min(mr, ctx.ic+ctx.mb-i0)
-			if iw == mr && jw == nr {
-				microKernel(kc, apanel, bpanel, ctx.cData[i0+j0*ctx.cs:], ctx.cs)
-			} else {
-				spill = [maxMR * maxNR]float64{}
-				microKernel(kc, apanel, bpanel, spill[:], mr)
-				for q := 0; q < jw; q++ {
-					col := ctx.cData[i0+(j0+q)*ctx.cs:][:iw]
-					for r := range col {
-						col[r] += spill[q*mr+r]
-					}
-				}
+			mode := first
+			if iw < mr || jw < nr {
+				mode |= wbEdge
 			}
-		}
-		if ctx.lastK {
-			ctx.scaleBlock(ctx.ic, ctx.mb, j0, jw)
+			var r []float64
+			if ctx.lastK && ctx.r != nil {
+				r = ctx.r[i0 : i0+iw]
+			}
+			microKernel(kc, apanel, bpanel, ctx.cData[i0+j0*ctx.cs:], ctx.cs, mode, iw, jw, r, s)
 		}
 	}
 }
 
-// microKernel4x4 is the portable register-blocked kernel:
-// C[r + q*ldc] += sum_k a[k*4+r] * b[k*4+q] with all 16 accumulators in
-// locals, fully unrolled over the tile.
-func microKernel4x4(kc int, a, b, c []float64, ldc int) {
+// microKernel4x4 is the portable register-blocked kernel: the 4x4 tile of
+// sum_k a[k*4+r] * b[k*4+q], all 16 accumulators in locals, fully unrolled
+// over the tile, written back into C by mode as runMacro describes. A full
+// unscaled tile adds straight from the locals; every other write-back goes
+// through writeBack.
+func microKernel4x4(kc int, a, b, c []float64, ldc, mode, iw, jw int, r, s []float64) {
 	var c00, c01, c02, c03 float64
 	var c10, c11, c12, c13 float64
 	var c20, c21, c22, c23 float64
@@ -455,6 +429,16 @@ func microKernel4x4(kc int, a, b, c []float64, ldc int) {
 		c23 += a2 * b3
 		c33 += a3 * b3
 	}
+	if mode != 0 || r != nil || s != nil {
+		acc := [16]float64{
+			c00, c10, c20, c30,
+			c01, c11, c21, c31,
+			c02, c12, c22, c32,
+			c03, c13, c23, c33,
+		}
+		writeBack(&acc, c, ldc, mode, iw, jw, r, s)
+		return
+	}
 	c[0] += c00
 	c[1] += c10
 	c[2] += c20
@@ -471,4 +455,28 @@ func microKernel4x4(kc int, a, b, c []float64, ldc int) {
 	c[3*ldc+1] += c13
 	c[3*ldc+2] += c23
 	c[3*ldc+3] += c33
+}
+
+// writeBack stores the iw x jw corner of a 4x4 tile of accumulators
+// (column-major) into C by mode, then the scalings, as runMacro describes.
+func writeBack(acc *[16]float64, c []float64, ldc, mode, iw, jw int, r, s []float64) {
+	for q := 0; q < jw; q++ {
+		col := c[q*ldc : q*ldc+iw]
+		for i := range col {
+			v := acc[q*4+i]
+			if mode != 0 {
+				v += 0
+			}
+			if mode&wbZero == 0 {
+				v += col[i]
+			}
+			if r != nil {
+				v *= r[i]
+			}
+			if s != nil {
+				v *= s[q]
+			}
+			col[i] = v
+		}
+	}
 }

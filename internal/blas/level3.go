@@ -23,9 +23,9 @@ func Gemm(transA, transB bool, alpha float64, a, b *mat.Dense, beta float64, c *
 	gemm(transA, transB, alpha, a, b, beta, c, nil, nil, nil, nil)
 }
 
-// gemm is Gemm plus GemmPacked's extras: packedA/packedB, when non-nil, are
-// that operand's panels for every slab (see Packed), and r/s the row and
-// column scalings applied after the product.
+// gemm is Gemm plus GemmPacked's and GemmScaled's extras: packedA/packedB,
+// when non-nil, are that operand's panels for every slab (see Packed), and
+// r/s the row and column scalings applied after the product.
 func gemm(transA, transB bool, alpha float64, a, b *mat.Dense, beta float64, c *mat.Dense, packedA, packedB, r, s []float64) {
 	am, ak := a.Rows, a.Cols
 	if transA {
@@ -54,21 +54,49 @@ func gemm(transA, transB bool, alpha float64, a, b *mat.Dense, beta float64, c *
 	ctx.m, ctx.n, ctx.k = m, n, k
 	ctx.packedA, ctx.packedB, ctx.r, ctx.s = packedA, packedB, r, s
 
-	// The kernels accumulate into C, so fold beta in with one pass first.
-	// beta == 0 zeroes without reading C (NaN/Inf in uninitialized C must
-	// not leak into the result, matching reference BLAS).
-	if beta != 1 {
-		ctx.loop(n, 8, ctx.scaleBody)
-	}
-	if alpha != 0 && k != 0 {
+	switch {
+	case alpha == 0 || k == 0:
+		// No k slab to write back: C = beta*C, then the scalings. beta = 0
+		// zeroes without reading C (NaN/Inf in uninitialized C must not
+		// leak into the result, matching reference BLAS).
+		switch beta {
+		case 0:
+			c.Zero()
+		case 1:
+		default:
+			c.Scale(beta)
+		}
+		if r != nil {
+			c.ScaleRows(r)
+		}
+		if s != nil {
+			c.ScaleCols(s)
+		}
+	default:
+		// The write-back accumulates into C, stores beta = 0's first slab
+		// without reading C and scales in the last slab (runMacro); any
+		// other beta is folded in with one pass first.
+		if beta != 0 && beta != 1 {
+			ctx.loop(n, 8, ctx.scaleBody)
+		}
 		ctx.runPacked()
-	} else if r != nil || s != nil {
-		ctx.scaleBlock(0, m, 0, n) // no k slab to scale in
 	}
 	ctx.aData, ctx.bData, ctx.cData = nil, nil, nil
 	ctx.ap, ctx.bp, ctx.packedA, ctx.packedB, ctx.r, ctx.s = nil, nil, nil, nil, nil, nil
 	gemmCtxPool.Put(ctx)
 	check.Finite("blas.Gemm", c)
+}
+
+// GemmScaled computes C = diag(r)*op(A)*op(B)*diag(s), bit for bit
+// Gemm(transA, transB, 1, A, B, 0, C) followed by C.ScaleRows(r) and
+// C.ScaleCols(s): each element of the product times its row factor,
+// rounded, then times its column factor, in the write-back of the tile's
+// last k slab instead of two more passes over C. r and s may be nil (no
+// scaling). C must not alias A, B, r or s.
+//
+//qmc:hot
+func GemmScaled(transA, transB bool, a, b *mat.Dense, r, s []float64, c *mat.Dense) {
+	gemm(transA, transB, 1, a, b, 0, c, nil, nil, r, s)
 }
 
 // GemmTN computes C = alpha*A^T*B + beta*C. It is a named entry for the
@@ -81,18 +109,12 @@ func GemmTN(alpha float64, a, b *mat.Dense, beta float64, c *mat.Dense) {
 	Gemm(true, false, alpha, a, b, beta, c)
 }
 
-// runScale folds beta into columns [jlo, jhi) of C.
+// runScale folds beta (not 0 or 1) into columns [jlo, jhi) of C.
 func (ctx *gemmCtx) runScale(jlo, jhi int) {
 	for j := jlo; j < jhi; j++ {
 		col := ctx.cData[j*ctx.cs : j*ctx.cs+ctx.m]
-		if ctx.beta == 0 {
-			for i := range col {
-				col[i] = 0
-			}
-		} else {
-			for i := range col {
-				col[i] *= ctx.beta
-			}
+		for i := range col {
+			col[i] *= ctx.beta
 		}
 	}
 }

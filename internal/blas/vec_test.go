@@ -10,11 +10,11 @@ import (
 	"questgo/internal/rng"
 )
 
-// The stride-1 layer (axpy, axpyCols, rank1, scale, dot, applyReflector,
+// The stride-1 layer (axpy, axpyCols, rank1, dot, applyReflector,
 // packRows, packCols) has two bodies on an AVX2 build and one everywhere
 // else. The oracles below hold for whichever body the build selects, and are
 // what TestVecKernelsMatchPortable, TestAxpyColsMatchesAxpy,
-// TestRank1MatchesAxpy, TestScaleMatchesPasses, TestReflectorMatchesLarf and
+// TestRank1MatchesAxpy, TestReflectorMatchesLarf and
 // FuzzVecKernels run:
 //
 //   - packs: bitwise the portable loop, nothing written past kc*w, nothing
@@ -31,9 +31,6 @@ import (
 //     coefficients skipped), the selected body against Axpy and the
 //     portable body against axpyGo, whatever the coefficients; nothing read
 //     or written outside the m x n window, x and y's n strided elements;
-//   - scale: bitwise the row then column multiplies of ScaleRows and
-//     ScaleCols on both bodies, whatever the factors; nothing written
-//     outside the m x n window;
 //   - applyReflector: bitwise the per-column dot and axpy(-tau*w) it fuses
 //     (±0 coefficients skipped), the selected body against Dot and Axpy and
 //     the portable body against dotGo and axpyGo; nothing read or written
@@ -291,94 +288,6 @@ func checkRank1(t *testing.T, m, n, incy int, wild bool, seed uint64) {
 		if !bitsEqual(got, want) {
 			t.Fatalf("rank1 (%s) m=%d n=%d lda=%d incy=%d wild=%v: not bitwise the per-column Axpy calls (or wrote outside the window)",
 				body.name, m, n, lda, incy, wild)
-		}
-	}
-}
-
-// checkScale scales one m x n block, C at leading dimension ldc > m with
-// NaN outside the window but a sentinel right past each column, by row
-// factors r and column factors s (each present or nil), on both bodies,
-// against the multiplies ScaleRows then ScaleCols make per element. The
-// factors mix graded values with ±0, subnormals, ±Inf and (wild) NaN; C
-// holds a few -0 and infinities.
-func checkScale(t *testing.T, m, n int, rows, cols, wild bool, seed uint64) {
-	t.Helper()
-	r := rng.New(seed)
-	ldc := m + 1 + int(seed%3)
-	coff := int(seed % 4)
-	graded := func() float64 { return math.Ldexp(2*r.Float64()-1, int(r.Float64()*40)-20) }
-	specials := []float64{0, math.Copysign(0, -1), 0x1p-1060, math.Inf(1), math.Inf(-1)}
-	if wild {
-		specials = append(specials, math.NaN())
-	}
-	factors := func(present bool, n int) []float64 {
-		if !present {
-			return nil
-		}
-		d := make([]float64, n)
-		for i := range d {
-			d[i] = graded()
-			if r.Float64() < 0.2 {
-				d[i] = specials[int(r.Float64()*float64(len(specials)))]
-			}
-		}
-		return d
-	}
-	rs, ss := factors(rows, m), factors(cols, n)
-	back := make([]float64, coff+n*ldc+vecPad)
-	for i := range back {
-		back[i] = math.NaN()
-	}
-	for j := 0; j < n; j++ {
-		col := back[coff+j*ldc : coff+j*ldc+m]
-		for i := range col {
-			switch v := r.Float64(); {
-			case v < 0.05:
-				col[i] = math.Copysign(0, -1)
-			case v < 0.08:
-				col[i] = math.Inf(-1)
-			default:
-				col[i] = graded()
-			}
-		}
-		back[coff+j*ldc+m] = sentinel
-	}
-	want := append([]float64(nil), back...)
-	for j := 0; j < n; j++ {
-		col := want[coff+j*ldc : coff+j*ldc+m]
-		for i := range col {
-			if rs != nil {
-				col[i] *= rs[i]
-			}
-			if ss != nil {
-				col[i] *= ss[j]
-			}
-		}
-	}
-	for _, body := range []struct {
-		name  string
-		scale func(m, n int, c []float64, ldc int, r, s []float64)
-	}{{"selected", scale}, {"portable", scaleGo}} {
-		got := append([]float64(nil), back...)
-		body.scale(m, n, got[coff:], ldc, rs, ss)
-		if !bitsEqual(got, want) {
-			t.Fatalf("scale (%s) m=%d n=%d ldc=%d rows=%v cols=%v wild=%v: not bitwise the row then column multiplies (or wrote outside the window)",
-				body.name, m, n, ldc, rows, cols, wild)
-		}
-	}
-}
-
-// TestScaleMatchesPasses: the write-back scaling of GemmPacked against the
-// multiplies of ScaleRows then ScaleCols, for every row count 0..67 (all
-// 4/1 block remainders) and column count 0..17, with no factors (C is left
-// alone), row factors, column factors or both, tame and non-finite ones.
-func TestScaleMatchesPasses(t *testing.T) {
-	for m := 0; m <= 67; m++ {
-		for n := 0; n <= 17; n++ {
-			for i, rc := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
-				seed := uint64(m*1000 + n*10 + i)
-				checkScale(t, m, n, rc[0], rc[1], seed%2 == 0, seed)
-			}
 		}
 	}
 }

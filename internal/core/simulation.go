@@ -338,9 +338,14 @@ type Progress struct {
 	Wall   time.Duration
 }
 
-// Run executes the full schedule and returns the results.
+// Run executes the full schedule and returns the results. An uncanceled
+// run fails only on an *ErrUnstable, which Run panics with; RunContext
+// returns it.
 func (s *Simulation) Run() *Results {
-	res, _ := s.RunContext(context.Background(), nil) // an uncanceled run cannot fail
+	res, err := s.RunContext(context.Background(), nil)
+	if err != nil {
+		panic(err)
+	}
 	return res
 }
 
@@ -359,7 +364,9 @@ func (s *Simulation) report(cb func(Progress), stage string, sweep, total int) {
 // RunContext executes the full schedule, stopping between sweeps when ctx is
 // canceled. On cancellation it returns ctx.Err() with nil results; the
 // simulation remains in a consistent state, so the caller can Checkpoint()
-// it and resume later (cmd/dqmc -checkpoint does).
+// it and resume later (cmd/dqmc -checkpoint does). A chain that fails the
+// stability checks after a sweep returns an *ErrUnstable, also with nil
+// results; its state is not worth a checkpoint.
 func (s *Simulation) RunContext(ctx context.Context, cb func(Progress)) (*Results, error) {
 	// Re-baseline the collector so constructor work (cluster building, stack
 	// setup — or a long gap between New and Run) is excluded from the run's
@@ -386,6 +393,9 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 		}
 		s.sweeper.Sweep()
 		s.autopilotStep()
+		if err := s.checkStable(w + 1); err != nil {
+			return nil, err
+		}
 		s.report(cb, "warmup", w+1, s.cfg.WarmSweeps)
 	}
 
@@ -418,6 +428,9 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 		collected = collected[:0]
 		s.sweeper.Sweep()
 		s.autopilotStep()
+		if err := s.checkStable(s.cfg.WarmSweeps + m + 1); err != nil {
+			return nil, err
+		}
 		if len(collected) == 0 {
 			takeMeasurement()
 		}

@@ -1,0 +1,111 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"questgo/internal/check"
+)
+
+// unstableConfig is the low-temperature 4x4 chain (U = 8, beta = 20,
+// L = 200) on which clustering k slices per wrap run leaves the stable
+// regime: k = 20 drifts past MaxStableWrapDrift within a sweep, k = 200
+// overflows it.
+func unstableConfig(k, devices int) Config {
+	cfg := DefaultConfig()
+	cfg.Nx, cfg.Ny, cfg.U, cfg.Mu, cfg.Beta, cfg.L = 4, 4, 8, 0, 20, 200
+	cfg.WarmSweeps, cfg.MeasSweeps, cfg.ClusterK = 2, 4, k
+	if devices > 0 {
+		cfg.Devices, cfg.UseGraphs = devices, true
+	}
+	return cfg
+}
+
+// TestRunFailsUnstable: Run returns an *ErrUnstable, and no Results, for a
+// chain whose wrap drift leaves the stable regime, on the host and on two
+// simulated devices with command graphs; the same chain under the
+// autopilot (which shrinks k in response) completes. Under qmcdebug the
+// sanitizer stops the k = L chain first.
+func TestRunFailsUnstable(t *testing.T) {
+	for _, devices := range []int{0, 2} {
+		for _, k := range []int{20, 200} {
+			if check.Enabled && k == 200 {
+				// The qmcdebug sanitizer's drift tolerance (5e-2) stops
+				// this chain inside its first sweep, before Run's check.
+				if msg := panicMessage(func() { _, _ = Run(context.Background(), unstableConfig(k, devices)) }); !strings.Contains(msg, "drift") {
+					t.Fatalf("devices=%d k=%d under qmcdebug: panic %q, want the sanitizer's drift panic", devices, k, msg)
+				}
+				continue
+			}
+			res, err := Run(context.Background(), unstableConfig(k, devices))
+			var u *ErrUnstable
+			if !errors.As(err, &u) || res != nil {
+				t.Fatalf("devices=%d k=%d: Run returned %v, %v; want nil results and an *ErrUnstable", devices, k, res != nil, err)
+			}
+			if u.Drift <= MaxStableWrapDrift || u.Sweep < 1 || !strings.Contains(u.Error(), "wrap drift") {
+				t.Errorf("devices=%d k=%d: %+v: want the drift past %g named after a sweep", devices, k, u, MaxStableWrapDrift)
+			}
+		}
+		cfg := unstableConfig(20, devices)
+		cfg.Autopilot, cfg.StabilityCheckEvery = true, 2
+		res, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("devices=%d: k=20 under the autopilot: %v", devices, err)
+		}
+		if res.MaxWrapDrift <= MaxStableWrapDrift || math.Abs(res.AvgSign-1) > 1e-12 {
+			t.Errorf("devices=%d: autopilot run: drift %g, sign %g; want a drift past %g the autopilot answered, and sign 1",
+				devices, res.MaxWrapDrift, res.AvgSign, MaxStableWrapDrift)
+		}
+	}
+}
+
+// panicMessage runs f and returns what it panicked with, "" if it returned.
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestCheckStableSign: a negative sign trips the check only on a model
+// whose weight cannot be negative.
+func TestCheckStableSign(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		edit   func(*Config)
+		unsafe bool
+	}{
+		{"half filling", func(*Config) {}, true},
+		{"attractive, doped", func(c *Config) { c.U, c.Mu = -4, 0.5 }, true},
+		{"doped", func(c *Config) { c.Mu = 0.5 }, false},
+		{"t'", func(c *Config) { c.TPrime = -0.2 }, false},
+		{"odd Nx", func(c *Config) { c.Nx = 3 }, false},
+	} {
+		cfg := DefaultConfig()
+		cfg.Beta, cfg.L = 1, 8
+		tc.edit(&cfg)
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := sim.checkStable(1); err != nil {
+			t.Fatalf("%s: a fresh chain failed the check: %v", tc.name, err)
+		}
+		sim.sweeper.SetSign(-1)
+		err = sim.checkStable(1)
+		var u *ErrUnstable
+		if got := errors.As(err, &u); got != tc.unsafe {
+			t.Errorf("%s: negative sign gave %v, want an *ErrUnstable: %v", tc.name, err, tc.unsafe)
+		}
+	}
+	if signFree(Config{U: 4, Mu: 0, Nx: 4, Ny: 4}) != true || signFree(Config{U: 4, Mu: 0, Nx: 4, Ny: 5}) {
+		t.Errorf("signFree: half filling needs both extents even")
+	}
+}

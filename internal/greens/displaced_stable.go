@@ -145,15 +145,18 @@ func invertFactoredSum(u1, u2 *UDT) *mat.Dense {
 	mT := u1.Q.Clone()
 	luT2T.Solve(mT)
 	m := mT.Transpose()
-	// N = T1 * U2.
-	nn := mat.New(n, n)
-	blas.Gemm(false, false, 1, u1.T, u2.Q, 0, nn)
-
-	// C = Da^s M (Db^b)^{-1} + (Da^b)^{-1} N Db^s.
+	// C = Da^s M (Db^b)^{-1} + (Da^b)^{-1} N Db^s, N = T1 * U2 with its
+	// scalings in the product's write-back.
 	m.ScaleRows(daSmall)
 	scaleInvCols(m, dbBig)
-	scaleInvRows(nn, daBig)
-	nn.ScaleCols(dbSmall)
+	invBig := make([]float64, n)
+	for i, v := range daBig {
+		if v != 0 {
+			invBig[i] = 1 / v
+		}
+	}
+	nn := mat.New(n, n)
+	blas.GemmScaled(false, false, u1.T, u2.Q, invBig, dbSmall, nn)
 	m.Add(1, nn)
 
 	// RHS = (Da^b)^{-1} T1; solve C X = RHS.

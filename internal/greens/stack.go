@@ -230,9 +230,7 @@ func joinGreenInto(dst *mat.Dense, left *UDT, inner *mat.Dense, d2 []float64, ri
 		mat.PutScratch(tNew)
 	}()
 
-	blas.Gemm(false, trans, 1, left.T, inner, 0, m)
-	m.ScaleRows(left.D)
-	m.ScaleCols(d2)
+	blas.GemmScaled(false, trans, left.T, inner, left.D, d2, m)
 	qmid := tmp // the pre-pivot gather scratch, free again for Q
 	perm := gradedQR(m, tmp, r, qmid, d, pivot)
 	// that = (d^{-1} R) P^T: scatter column j back to original position.

@@ -156,8 +156,7 @@ func extendUDT(u *UDT, b *mat.Dense, pivotEveryStep bool, work, r, tNew *mat.Den
 	// Step 3a: C = (B Q) D. The parenthesization is essential: B * Q is a
 	// product of well-scaled matrices, and the graded D enters only as a
 	// final column scaling.
-	blas.Gemm(false, false, 1, b, u.Q, 0, work)
-	work.ScaleCols(u.D)
+	blas.GemmScaled(false, false, b, u.Q, nil, u.D, work)
 	// Step 3b (tNew doubles as the pre-pivot gather scratch).
 	perm := gradedQR(work, tNew, r, u.Q, u.D, pivotEveryStep)
 	// Step 3c/3d: T = (D^{-1} R) (P^T T_prev).

@@ -315,7 +315,7 @@ func (s *Server) runTask(t *shardTask) {
 }
 
 // finishJob merges the landed shards, stores the result, caches it and
-// retires the job. Caller holds j.mu.
+// retires the job, releasing its context. Caller holds j.mu.
 //
 //qmc:locked(mu)
 func (s *Server) finishJob(j *job) {
@@ -340,6 +340,10 @@ func (s *Server) finishJob(j *job) {
 	s.nDone.Add(1)
 	j.emit(Event{Type: "state", Shard: -1, State: StateDone, Partial: j.agg.Estimate()})
 	s.cleanupJobFiles(j)
+	// Release the context as failJob does: the children map runTask's
+	// WithCancel allocated in it would otherwise live as long as the
+	// retained job.
+	j.cancel()
 }
 
 // failJob retires the job with an error, canceling the remaining shards.

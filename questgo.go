@@ -63,6 +63,12 @@ type Checkpoint = core.Checkpoint
 // Simulation.SampleSusceptibility.
 type ChiResult = core.ChiResult
 
+// ErrUnstable is the error Run returns when the chain's numerics fail the
+// checks after a sweep (non-finite or excessive wrap drift, a negative sign
+// where the weight cannot be negative); reach it with errors.As. See
+// core.ErrUnstable.
+type ErrUnstable = core.ErrUnstable
+
 // Metrics is the exportable metrics document of a run: per-phase wall-time
 // breakdown, operation counts and numerical-stability telemetry.
 type Metrics = obs.Metrics
@@ -82,7 +88,8 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 
 // Run is the unified entry point: it validates and builds the simulation,
 // executes the schedule under ctx (canceling stops between sweeps), and
-// returns Results carrying the metrics document.
+// returns Results carrying the metrics document, or an *ErrUnstable when
+// the chain's numerics fail.
 func Run(ctx context.Context, cfg Config, opts ...RunOption) (*Results, error) {
 	return core.Run(ctx, cfg, opts...)
 }

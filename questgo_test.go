@@ -1,6 +1,8 @@
 package questgo
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -24,6 +26,19 @@ func TestDefaultConfigRuns(t *testing.T) {
 	res := sim.Run()
 	if math.IsNaN(res.Density) || res.AvgSign == 0 {
 		t.Fatalf("bad results: %+v", res)
+	}
+}
+
+// TestRunUnstableThroughFacade: the stability checks' error reaches a
+// caller of the facade's Run as an *ErrUnstable.
+func TestRunUnstableThroughFacade(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nx, cfg.Ny, cfg.U, cfg.Mu, cfg.Beta, cfg.L = 4, 4, 8, 0, 20, 200
+	cfg.WarmSweeps, cfg.MeasSweeps, cfg.ClusterK = 2, 4, 20
+	res, err := Run(context.Background(), cfg)
+	var u *ErrUnstable
+	if !errors.As(err, &u) || res != nil {
+		t.Fatalf("Run at k = 20: %v (results %v), want an *ErrUnstable and no results", err, res != nil)
 	}
 }
 
