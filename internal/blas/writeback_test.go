@@ -14,7 +14,8 @@ import (
 // to it bit for bit: beta folded into C by a pass first (beta = 0 zeroes
 // without reading C), every tile accumulated by the kernel's plain add —
 // a partial one into a zeroed spill tile that a Go loop adds back — and the
-// row then column scalings applied by a pass once the last k slab is in.
+// row then column scalings applied by ScaleRows and ScaleCols once the
+// product is in.
 
 // gemmTwoPass is gemm (the scaled entry included) computed by the separate
 // passes. The panels are packed by the same runPackA/runPackB and the tiles
@@ -61,7 +62,12 @@ func gemmTwoPass(ta, tb bool, alpha float64, a, b *mat.Dense, beta float64, c *m
 			}
 		}
 	}
-	scaleTwoPass(c.Rows, c.Cols, c.Data, c.Stride, r, s)
+	if r != nil {
+		c.ScaleRows(r)
+	}
+	if s != nil {
+		c.ScaleCols(s)
+	}
 }
 
 // macroTwoPass is runMacro with the spill tile: full tiles accumulate
@@ -90,23 +96,6 @@ func macroTwoPass(ctx *gemmCtx) {
 				for i := range col {
 					col[i] += spill[q*mr+i]
 				}
-			}
-		}
-	}
-}
-
-// scaleTwoPass is the scaling pass: each element of the m x n matrix in c
-// (leading dimension ldc) times r[i], rounded, then times s[j] — the two
-// roundings of ScaleRows then ScaleCols; a nil r or s is left out.
-func scaleTwoPass(m, n int, c []float64, ldc int, r, s []float64) {
-	for j := 0; j < n; j++ {
-		col := c[j*ldc : j*ldc+m]
-		for i := range col {
-			if r != nil {
-				col[i] *= r[i]
-			}
-			if s != nil {
-				col[i] *= s[j]
 			}
 		}
 	}
