@@ -148,15 +148,9 @@ func invertFactoredSum(u1, u2 *UDT) *mat.Dense {
 	// C = Da^s M (Db^b)^{-1} + (Da^b)^{-1} N Db^s, N = T1 * U2 with its
 	// scalings in the product's write-back.
 	m.ScaleRows(daSmall)
-	scaleInvCols(m, dbBig)
-	invBig := make([]float64, n)
-	for i, v := range daBig {
-		if v != 0 {
-			invBig[i] = 1 / v
-		}
-	}
+	m.ScaleCols(reciprocals(dbBig))
 	nn := mat.New(n, n)
-	blas.GemmScaled(false, false, u1.T, u2.Q, invBig, dbSmall, nn)
+	blas.GemmScaled(false, false, u1.T, u2.Q, reciprocals(daBig), dbSmall, nn)
 	m.Add(1, nn)
 
 	// RHS = (Da^b)^{-1} T1; solve C X = RHS.
@@ -196,15 +190,13 @@ func splitBigSmall(d []float64) (big, small []float64) {
 	return
 }
 
-// scaleInvCols scales column j of m by 1/d[j], guarding zeros.
-func scaleInvCols(m *mat.Dense, d []float64) {
+// reciprocals returns 1/d[i] for each element, 0 for a zero.
+func reciprocals(d []float64) []float64 {
 	inv := make([]float64, len(d))
 	for i, v := range d {
-		if v == 0 {
-			inv[i] = 0
-		} else {
+		if v != 0 {
 			inv[i] = 1 / v
 		}
 	}
-	m.ScaleCols(inv)
+	return inv
 }
