@@ -87,7 +87,7 @@ func figure10(p params) {
 		dev.Reset()
 		start := time.Now()
 		gcs.Recompute(field, 0)
-		gcs.GreenAt(0, true)
+		green(gcs.Chain(0), true)
 		// Host wall time minus the host cost of *executing* the simulated
 		// kernels (that execution stands in for the device's work, whose
 		// cost is the modeled clock).
@@ -100,7 +100,7 @@ func figure10(p params) {
 		cpuCS := greens.NewClusterSet(prop, field, hubbard.Up, p.k)
 		startCPU := time.Now()
 		cpuCS.Recompute(field, 0)
-		cpuCS.GreenAt(0, true)
+		green(cpuCS.Chain(0), true)
 		cpuSec := time.Since(startCPU).Seconds()
 
 		tbl.AddRow(n,

@@ -145,10 +145,13 @@ func sampleDiffs(p params, u, beta float64) []float64 {
 	var diffs []float64
 	for len(diffs) < p.evals {
 		sw.Sweep()
+		if err := sw.Err(); err != nil {
+			fatal(err)
+		}
 		cs := greens.NewClusterSet(prop, field, hubbard.Up, sw.ClusterK())
 		for c := 0; c < cs.NC && len(diffs) < p.evals; c++ {
-			g2 := cs.GreenAt(c, false)
-			g3 := cs.GreenAt(c, true)
+			g2 := green(cs.Chain(c), false)
+			g3 := green(cs.Chain(c), true)
 			diffs = append(diffs, mat.RelDiff(g3, g2))
 		}
 	}
@@ -177,16 +180,16 @@ func figures3and4(p params) {
 			bs[i] = prop.BMatrix(hubbard.Up, field, i)
 		}
 		alg2Sec := benchutil.TimeIt(p.reps, 300*time.Millisecond, func() {
-			greens.GreenQRP(bs)
+			green(bs, false)
 		})
 
 		// Clustered variants (clusters prebuilt = the recycling case).
 		cs := greens.NewClusterSet(prop, field, hubbard.Up, p.k)
 		alg2cSec := benchutil.TimeIt(p.reps, 300*time.Millisecond, func() {
-			cs.GreenAt(0, false)
+			green(cs.Chain(0), false)
 		})
 		alg3cSec := benchutil.TimeIt(p.reps, 300*time.Millisecond, func() {
-			cs.GreenAt(0, true)
+			green(cs.Chain(0), true)
 		})
 
 		t3.AddRow(n,

@@ -47,6 +47,7 @@ import (
 	"path/filepath"
 
 	"questgo/internal/benchutil"
+	"questgo/internal/greens"
 	"questgo/internal/hubbard"
 	"questgo/internal/lattice"
 	"questgo/internal/mat"
@@ -162,6 +163,16 @@ func writeFile(dir, name, content string) {
 		return
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+}
+
+// green is greens.Green over one of the figures' chains, all regular: a
+// singular final solve ends the run.
+func green(bs []*mat.Dense, prePivot bool) *mat.Dense {
+	g, err := greens.Green(bs, prePivot)
+	if err != nil {
+		fatal(err)
+	}
+	return g
 }
 
 // squareSide returns the linear size of an N-site square lattice, reporting

@@ -31,6 +31,14 @@ type LoadedPackage struct {
 // pass. go list honours GOFLAGS, so GOFLAGS=-tags=... selects the files a
 // tagged build would compile.
 func Load(dir string, patterns ...string) ([]*LoadedPackage, error) {
+	fset := token.NewFileSet()
+	return load(dir, fset, newImporter(fset), patterns...)
+}
+
+// load is Load over a caller's file set and importer (one of newImporter's
+// over that set), so that one importer's cache — the standard library
+// type-checked from source — serves several loads.
+func load(dir string, fset *token.FileSet, imp types.Importer, patterns ...string) ([]*LoadedPackage, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -42,8 +50,6 @@ func Load(dir string, patterns ...string) ([]*LoadedPackage, error) {
 		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
 	}
 
-	fset := token.NewFileSet()
-	imp := newImporter(fset)
 	var pkgs []*LoadedPackage
 	dec := json.NewDecoder(&stdout)
 	for dec.More() {

@@ -64,7 +64,7 @@ var mutants = []struct {
 		"\tmat.PutScratch(q)\n\tmat.PutScratch(t)\n", "\tmat.PutScratch(t)\n",
 		PoolPair, "scratch matrix q from mat.GetScratch has no mat.PutScratch"},
 	{"returned scratch", "internal/greens/udt.go",
-		"\tg := mat.New(u.Q.Rows, u.Q.Rows)\n\tGreenFromUDTInto(g, u)\n", "\tg := mat.GetScratch(u.Q.Rows, u.Q.Rows)\n\tGreenFromUDTInto(g, u)\n\tmat.PutScratch(g)\n",
+		"\tg := mat.New(n, n)\n\treturn g, GreenInto(g, bs, prePivot)\n", "\tg := mat.GetScratch(n, n)\n\terr := GreenInto(g, bs, prePivot)\n\tmat.PutScratch(g)\n\treturn g, err\n",
 		PoolPair, "scratch matrix g escapes via return"},
 
 	{"math/rand imported in update", "internal/update/update.go",

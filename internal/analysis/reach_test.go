@@ -43,9 +43,11 @@ var keptForTests = map[string]string{
 // TestInternalFuncsReferenced fails when a func or method under internal/ is
 // referenced by no non-test file of the module, is not an exported method of
 // a type the questgo facade aliases, and has no keptForTests row. A call
-// through an interface counts for every method of that name.
+// through an interface counts for every method of that name. The module is
+// loaded through the fixtures' importer, whose cache of the standard
+// library the fixture and mutant tests share.
 func TestInternalFuncsReferenced(t *testing.T) {
-	pkgs, err := Load("../..", "./...")
+	pkgs, err := load("../..", fixtureFset, fixtureImporter, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}

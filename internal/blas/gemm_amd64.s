@@ -7,13 +7,13 @@
 // iw x jw (the live corner of the tile), r and s (the row and column
 // factors from the tile's corner, nil for none) then say how it reaches C:
 //
-//	mode 0          C + acc                      (full tile, accumulate)
+//	mode 0          C + acc                      (accumulate)
 //	mode wbZero     acc + 0                      (first k slab of beta = 0: C is not read)
-//	mode wbEdge     C + (acc + 0), rows < iw and columns < jw only
+//	mode wbEdge     the same, rows < iw and columns < jw only
 //	then            (. * r[i]) * s[j], each factor left out when nil
 //
-// which are the bits the zero pass, the spill tile's add-back and the
-// scaling pass gave when they were separate passes over C. The full tile
+// which are the bits the zero pass and the scaling pass gave when they
+// were separate passes over C, whatever the tile's width. The full tile
 // stores whole columns; an edge tile masks its rows (ymm masks here, an
 // opmask in the AVX-512 kernel) and counts its columns, shifting the next
 // column's accumulators down after each store, so nothing outside the
@@ -196,10 +196,13 @@ ecols4:
 	VXORPD Y8, Y8, Y8
 
 ecol4:
+	TESTQ      $1, AX
+	JEQ        eadd4
 	VADDPD     Y8, Y0, Y0
 	VADDPD     Y8, Y1, Y1
-	TESTQ      $1, AX
-	JNE        erows4
+	JMP        erows4
+
+eadd4:
 	VMASKMOVPD (DX), Y9, Y13
 	VMASKMOVPD 32(DX), Y10, Y14
 	VADDPD     Y13, Y0, Y0
@@ -372,9 +375,12 @@ ecols8:
 	VPXORQ Z8, Z8, Z8
 
 ecol8:
-	VADDPD    Z8, Z0, Z0
 	TESTQ     $1, AX
-	JNE       erows8
+	JEQ       eadd8
+	VADDPD    Z8, Z0, Z0
+	JMP       erows8
+
+eadd8:
 	VMOVUPD.Z (DX), K1, Z9
 	VADDPD    Z9, Z0, Z0
 

@@ -354,17 +354,18 @@ func packColsGo(dst, src []float64, ld, kc, w, jw int, alpha float64) {
 
 // runMacro sweeps B micro-panels [plo, phi) against every packed A panel of
 // the current slab. Each micro-kernel call finishes its tile in the
-// write-back, per element from acc, the FMA chain over this slab's k:
+// write-back, per element from acc, the FMA chain over this slab's k, by
+// two rules that hold for full and partial tiles alike (a partial one
+// stores only its iw x jw corner):
 //
-//	full tile               C + acc
+//	C read                  C + acc
 //	first slab, beta = 0    acc + 0           (C is not read)
-//	partial tile            C + (acc + 0)     (acc + 0 on the first slab of beta = 0)
 //	last slab, scaled       then (. * r[i]) * s[j]
 //
-// the bits of a zero pass, a zeroed spill tile added into C (0 + acc turns
-// an underflowed -0 sum into +0, which a -0 in C then sees) and a
-// row-then-column scaling pass. microKernel is called directly, not through
-// a func value, so the loop allocates nothing.
+// the bits of a zero pass added into and a row-then-column scaling pass;
+// so the tile width never shows in C, the signed zero of an underflowed sum
+// included. microKernel is called directly, not through a func value, so
+// the loop allocates nothing.
 func (ctx *gemmCtx) runMacro(plo, phi int) {
 	mr, nr, kc := kernMR, kernNR, ctx.kc
 	mpan := (ctx.mb + mr - 1) / mr
@@ -464,10 +465,9 @@ func writeBack(acc *[16]float64, c []float64, ldc, mode, iw, jw int, r, s []floa
 		col := c[q*ldc : q*ldc+iw]
 		for i := range col {
 			v := acc[q*4+i]
-			if mode != 0 {
+			if mode&wbZero != 0 {
 				v += 0
-			}
-			if mode&wbZero == 0 {
+			} else {
 				v += col[i]
 			}
 			if r != nil {

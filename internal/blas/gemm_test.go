@@ -367,6 +367,31 @@ func TestGemmBitwiseAcrossKernels(t *testing.T) {
 			}
 		}
 	}
+	// Signed zeros: -1e-200 * 1e-200 underflows to -0, and -0 + -0 is -0.
+	// Columns 8..11 of this 12-wide product are a partial tile under the
+	// 8x8 kernel and a full one under the 8x4; both must store C + acc.
+	a, b := mat.New(8, 1), mat.New(1, 12)
+	for i := range a.Data {
+		a.Data[i] = -1e-200
+	}
+	for i := range b.Data {
+		b.Data[i] = 1e-200
+	}
+	for _, nr := range []int{4, 8} {
+		kernNR = nr
+		c := mat.New(8, 12)
+		for i := range c.Data {
+			c.Data[i] = math.Copysign(0, -1)
+		}
+		Gemm(false, false, 1, a, b, 1, c)
+		for j := 0; j < c.Cols; j++ {
+			for i := 0; i < c.Rows; i++ {
+				if v := c.At(i, j); v != 0 || !math.Signbit(v) {
+					t.Fatalf("8x%d kernel: -0 + (-1e-200 * 1e-200) stored %g at (%d,%d), want -0", nr, v, i, j)
+				}
+			}
+		}
+	}
 }
 
 // TestGemmBitwiseAcrossDispatch pins the invariant every relative bitwise
@@ -479,18 +504,5 @@ func TestGemmInsideParallelFor(t *testing.T) {
 		if !cs[i].EqualApprox(wants[i], 1e-11) {
 			t.Fatalf("task %d: nested Gemm result corrupted", i)
 		}
-	}
-}
-
-func TestGemmTN(t *testing.T) {
-	r := rng.New(17)
-	a := randomDense(r, 40, 24)
-	b := randomDense(r, 40, 32)
-	c := randomDense(r, 24, 32)
-	want := c.Clone()
-	GemmTN(1.5, a, b, 0.5, c)
-	gemmNaive(true, false, 1.5, a, b, 0.5, want)
-	if !c.EqualApprox(want, 1e-12) {
-		t.Fatal("GemmTN disagrees with naive reference")
 	}
 }

@@ -99,16 +99,6 @@ func GemmScaled(transA, transB bool, a, b *mat.Dense, r, s []float64, c *mat.Den
 	gemm(transA, transB, 1, a, b, 0, c, nil, nil, r, s)
 }
 
-// GemmTN computes C = alpha*A^T*B + beta*C. It is a named entry for the
-// common UDT/block-reflector pattern where one operand is reused transposed
-// (W = V^T C, N = Q_a^T Q_b); the transpose is handled during packing, so
-// this costs exactly the same as the NN case.
-//
-//qmc:hot
-func GemmTN(alpha float64, a, b *mat.Dense, beta float64, c *mat.Dense) {
-	Gemm(true, false, alpha, a, b, beta, c)
-}
-
 // runScale folds beta (not 0 or 1) into columns [jlo, jhi) of C.
 func (ctx *gemmCtx) runScale(jlo, jhi int) {
 	for j := jlo; j < jhi; j++ {

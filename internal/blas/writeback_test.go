@@ -13,9 +13,9 @@ import (
 // reference below is the write-back they replaced, kept here to hold them
 // to it bit for bit: beta folded into C by a pass first (beta = 0 zeroes
 // without reading C), every tile accumulated by the kernel's plain add —
-// a partial one into a zeroed spill tile that a Go loop adds back — and the
-// row then column scalings applied by ScaleRows and ScaleCols once the
-// product is in.
+// a partial one into a spill tile that a Go loop adds back — and the row
+// then column scalings applied by ScaleRows and ScaleCols once the product
+// is in.
 
 // gemmTwoPass is gemm (the scaled entry included) computed by the separate
 // passes. The panels are packed by the same runPackA/runPackB and the tiles
@@ -71,8 +71,10 @@ func gemmTwoPass(ta, tb bool, alpha float64, a, b *mat.Dense, beta float64, c *m
 }
 
 // macroTwoPass is runMacro with the spill tile: full tiles accumulate
-// straight into C, a partial one runs the kernel into a zeroed mr x nr
-// tile and adds back its iw x jw corner.
+// straight into C, a partial one runs the kernel into an mr x nr tile of -0
+// and adds back its iw x jw corner. -0 + acc is acc for every acc, -0
+// included, so a partial tile adds C + acc as a full one does (a zeroed
+// tile would add C + (acc + 0), which turns an underflowed -0 sum into +0).
 func macroTwoPass(ctx *gemmCtx) {
 	mr, nr, kc := kernMR, kernNR, ctx.kc
 	mpan := (ctx.mb + mr - 1) / mr
@@ -90,6 +92,9 @@ func macroTwoPass(ctx *gemmCtx) {
 				continue
 			}
 			spill := make([]float64, mr*nr)
+			for i := range spill {
+				spill[i] = math.Copysign(0, -1)
+			}
 			microKernel(kc, apanel, bpanel, spill, mr, 0, mr, nr, nil, nil)
 			for q := 0; q < jw; q++ {
 				col := ctx.cData[i0+(j0+q)*ctx.cs:][:iw]
@@ -135,7 +140,8 @@ func tinyCol(j int) bool { return j%3 == 0 }
 // rows of op(A) and the tinyCol columns of op(B) hold tiny magnitudes of
 // opposite sign, so at each crossing every product underflows to -0 and the
 // kernels' FMA chain ends at -0 (for alpha > 0): the sum on which C + acc
-// and C + (acc + 0) differ.
+// and C + (acc + 0) differ, and so on which a write-back that let the tile
+// width choose between them would show.
 func signedZeroOperands(r *rng.Rand, m, n, k int, ta, tb bool) (a, b *mat.Dense) {
 	ar, ac := m, k
 	if ta {

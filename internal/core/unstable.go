@@ -14,7 +14,8 @@ import (
 const MaxStableWrapDrift = 1e-3
 
 // ErrUnstable is the error Run (and RunContext) returns when the chain's
-// numerics fail between two sweeps: the wrap drift is non-finite, or past
+// numerics fail between two sweeps: a stratified refresh met a singular
+// I + B...B (update.Sweeper.Err), the wrap drift is non-finite, or past
 // MaxStableWrapDrift with the autopilot off, or the fermion sign turned
 // negative on a model whose weight cannot be negative (see signFree). No
 // Results are returned: the measurements of such a chain are not
@@ -44,7 +45,9 @@ func signFree(cfg Config) bool {
 func (s *Simulation) checkStable(sweep int) error {
 	drift, sign := s.sweeper.MaxWrapDrift(), s.sweeper.Sign()
 	var reason string
-	switch {
+	switch err := s.sweeper.Err(); {
+	case err != nil:
+		reason = fmt.Sprintf("singular stratified refresh: %v", err)
 	case math.IsNaN(drift) || math.IsInf(drift, 0):
 		reason = fmt.Sprintf("wrap drift is %v", drift)
 	case s.pilot == nil && drift > MaxStableWrapDrift:

@@ -9,6 +9,10 @@ import (
 	"testing"
 
 	"questgo/internal/check"
+	"questgo/internal/hubbard"
+	"questgo/internal/lapack"
+	"questgo/internal/mat"
+	"questgo/internal/update"
 )
 
 // unstableConfig is the low-temperature 4x4 chain (U = 8, beta = 20,
@@ -107,5 +111,50 @@ func TestCheckStableSign(t *testing.T) {
 	}
 	if signFree(Config{U: 4, Mu: 0, Nx: 4, Ny: 4}) != true || signFree(Config{U: 4, Mu: 0, Nx: 4, Ny: 5}) {
 		t.Errorf("signFree: half filling needs both extents even")
+	}
+}
+
+// negIBackend builds every cluster as -I and wraps and flushes nothing:
+// with one cluster per chain, I + B is singular at every boundary.
+type negIBackend struct{}
+
+func (negIBackend) Cluster(dst *mat.Dense, _ *hubbard.Field, _ hubbard.Spin, _, _ int) {
+	dst.SetIdentity()
+	dst.Scale(-1)
+}
+func (negIBackend) Wrap(*mat.Dense, *hubbard.Field, hubbard.Spin, int) {}
+func (negIBackend) Flush(_, _, _ *mat.Dense, _, _ int)                 {}
+
+// TestCheckStableSingular: a chain whose stratified refresh met a singular
+// I + B...B fails the check with an *ErrUnstable whose reason says so. The
+// singular chain is a sweeper over
+// negIBackend put in the simulation's place; its spins run serially, so
+// under qmcdebug the sanitizer's panic on the non-finite G reaches this
+// goroutine.
+func TestCheckStableSingular(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Beta, cfg.L = 1, 8
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(*hubbard.Propagator, hubbard.Spin, int) update.Backend { return negIBackend{} }
+	build := func() {
+		sim.sweeper = update.NewSweeperOn(sim.prop, sim.field, sim.rng, update.Options{ClusterK: 8, SerialSpins: true}, mk)
+	}
+	if check.Enabled {
+		if msg := panicMessage(build); !strings.Contains(msg, "greens.") {
+			t.Fatalf("under qmcdebug: panic %q, want the sanitizer's", msg)
+		}
+		return
+	}
+	build()
+	if !errors.Is(sim.sweeper.Err(), lapack.ErrSingular) {
+		t.Fatalf("sweeper over -I clusters: Err() = %v, want lapack.ErrSingular", sim.sweeper.Err())
+	}
+	err = sim.checkStable(1)
+	var u *ErrUnstable
+	if !errors.As(err, &u) || !strings.Contains(u.Reason, "singular") {
+		t.Fatalf("checkStable = %v, want an *ErrUnstable with a singular reason", err)
 	}
 }

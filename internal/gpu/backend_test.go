@@ -21,8 +21,13 @@ func deviceSweeper(g *Group, p *hubbard.Propagator, f *hubbard.Field, r *rng.Ran
 
 // freshCPU evaluates the boundary-0 Green's function of the sweeper's
 // current field from scratch on the host.
-func freshCPU(sw *update.Sweeper, sigma hubbard.Spin) *mat.Dense {
-	return greens.NewClusterSet(sw.Prop, sw.Field, sigma, sw.ClusterK()).GreenAt(0, true)
+func freshCPU(t *testing.T, sw *update.Sweeper, sigma hubbard.Spin) *mat.Dense {
+	t.Helper()
+	g, err := greens.Green(greens.NewClusterSet(sw.Prop, sw.Field, sigma, sw.ClusterK()).Chain(0), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func TestHybridSweeperGreenConsistency(t *testing.T) {
@@ -34,11 +39,11 @@ func TestHybridSweeperGreenConsistency(t *testing.T) {
 	}
 	// The incrementally maintained G must match a fresh CPU evaluation of
 	// the final field.
-	fresh := freshCPU(sw, hubbard.Up)
+	fresh := freshCPU(t, sw, hubbard.Up)
 	if d := mat.RelDiff(sw.GreenUp(), fresh); d > 1e-8 {
 		t.Fatalf("hybrid sweeper G drifted: %g", d)
 	}
-	fresh = freshCPU(sw, hubbard.Down)
+	fresh = freshCPU(t, sw, hubbard.Down)
 	if d := mat.RelDiff(sw.GreenDn(), fresh); d > 1e-8 {
 		t.Fatalf("hybrid sweeper spin-down G drifted: %g", d)
 	}
@@ -65,7 +70,7 @@ func TestHybridSweeperSetClusterK(t *testing.T) {
 			t.Fatalf("ClusterK() = %d, want %d", sw.ClusterK(), k)
 		}
 		sw.Sweep()
-		fresh := freshCPU(sw, hubbard.Up)
+		fresh := freshCPU(t, sw, hubbard.Up)
 		if d := mat.RelDiff(sw.GreenUp(), fresh); d > 1e-8 {
 			t.Fatalf("k=%d: hybrid G drifted after resize: %g", k, d)
 		}
@@ -90,32 +95,28 @@ func fieldsEqual(a, b *hubbard.Field) bool {
 
 // TestSweeperDeviceAndGraphInvariance: the physical trajectory (auxiliary field and both Green's functions)
 // must be bitwise identical across 1, 2 and 4 devices and with command
-// graphs off or on — sharding and graphs shape modeled time only. The
-// stack refresh path and the NoStack full-rebuild path are both pinned.
+// graphs off or on — sharding and graphs shape modeled time only.
 func TestSweeperDeviceAndGraphInvariance(t *testing.T) {
-	for _, noStack := range []bool{false, true} {
-		run := func(nd int, graphs bool) (*hubbard.Field, *mat.Dense, *mat.Dense) {
-			p, f := testSetup(t, 3, 3, 4, 2, 8, 61)
-			grp := NewGroup(nd)
-			sw := deviceSweeper(grp, p, f, rng.New(11),
-				update.Options{ClusterK: 4, Delay: 3, NoStack: noStack}, graphs)
-			sw.Sweep()
-			sw.Sweep()
-			return f, sw.GreenUp().Clone(), sw.GreenDn().Clone()
-		}
-		fRef, gUpRef, gDnRef := run(1, false)
-		for _, nd := range []int{1, 2, 4} {
-			for _, graphs := range []bool{false, true} {
-				if nd == 1 && !graphs {
-					continue
-				}
-				f, gUp, gDn := run(nd, graphs)
-				if !fieldsEqual(f, fRef) {
-					t.Fatalf("noStack=%v devices=%d graphs=%v: auxiliary field diverged", noStack, nd, graphs)
-				}
-				if !gUp.EqualApprox(gUpRef, 0) || !gDn.EqualApprox(gDnRef, 0) {
-					t.Fatalf("noStack=%v devices=%d graphs=%v: Green's functions diverged", noStack, nd, graphs)
-				}
+	run := func(nd int, graphs bool) (*hubbard.Field, *mat.Dense, *mat.Dense) {
+		p, f := testSetup(t, 3, 3, 4, 2, 8, 61)
+		grp := NewGroup(nd)
+		sw := deviceSweeper(grp, p, f, rng.New(11), update.Options{ClusterK: 4, Delay: 3}, graphs)
+		sw.Sweep()
+		sw.Sweep()
+		return f, sw.GreenUp().Clone(), sw.GreenDn().Clone()
+	}
+	fRef, gUpRef, gDnRef := run(1, false)
+	for _, nd := range []int{1, 2, 4} {
+		for _, graphs := range []bool{false, true} {
+			if nd == 1 && !graphs {
+				continue
+			}
+			f, gUp, gDn := run(nd, graphs)
+			if !fieldsEqual(f, fRef) {
+				t.Fatalf("devices=%d graphs=%v: auxiliary field diverged", nd, graphs)
+			}
+			if !gUp.EqualApprox(gUpRef, 0) || !gDn.EqualApprox(gDnRef, 0) {
+				t.Fatalf("devices=%d graphs=%v: Green's functions diverged", nd, graphs)
 			}
 		}
 	}
@@ -124,35 +125,32 @@ func TestSweeperDeviceAndGraphInvariance(t *testing.T) {
 // TestSweeperSteadyDeviceMemory asserts the device footprint reaches
 // steady state: after the first sweep, further sweeps — and a cluster-size
 // resize — neither allocate net device memory nor raise the high-water
-// mark. Covers the stack path and the NoStack path.
+// mark.
 func TestSweeperSteadyDeviceMemory(t *testing.T) {
-	for _, noStack := range []bool{false, true} {
-		p, f := testSetup(t, 3, 3, 4, 2, 8, 67)
-		grp := NewGroup(4)
-		sw := deviceSweeper(grp, p, f, rng.New(29),
-			update.Options{ClusterK: 4, Delay: 3, NoStack: noStack}, true)
-		sw.Sweep()
-		alloc := make([]int64, grp.Size())
-		high := make([]int64, grp.Size())
-		for i, d := range grp.Devs {
-			alloc[i], high[i] = d.AllocBytes(), d.MaxAllocBytes()
-			if alloc[i] == 0 {
-				t.Fatalf("noStack=%v: device %d unused", noStack, i)
-			}
+	p, f := testSetup(t, 3, 3, 4, 2, 8, 67)
+	grp := NewGroup(4)
+	sw := deviceSweeper(grp, p, f, rng.New(29), update.Options{ClusterK: 4, Delay: 3}, true)
+	sw.Sweep()
+	alloc := make([]int64, grp.Size())
+	high := make([]int64, grp.Size())
+	for i, d := range grp.Devs {
+		alloc[i], high[i] = d.AllocBytes(), d.MaxAllocBytes()
+		if alloc[i] == 0 {
+			t.Fatalf("device %d unused", i)
 		}
-		sw.Sweep()
-		sw.SetClusterK(2)
-		sw.Sweep()
-		sw.Sweep()
-		for i, d := range grp.Devs {
-			if d.AllocBytes() != alloc[i] {
-				t.Fatalf("noStack=%v: device %d allocation drifted %d -> %d bytes (leak or double free)",
-					noStack, i, alloc[i], d.AllocBytes())
-			}
-			if d.MaxAllocBytes() != high[i] {
-				t.Fatalf("noStack=%v: device %d high-water grew %d -> %d bytes after warmup",
-					noStack, i, high[i], d.MaxAllocBytes())
-			}
+	}
+	sw.Sweep()
+	sw.SetClusterK(2)
+	sw.Sweep()
+	sw.Sweep()
+	for i, d := range grp.Devs {
+		if d.AllocBytes() != alloc[i] {
+			t.Fatalf("device %d allocation drifted %d -> %d bytes (leak or double free)",
+				i, alloc[i], d.AllocBytes())
+		}
+		if d.MaxAllocBytes() != high[i] {
+			t.Fatalf("device %d high-water grew %d -> %d bytes after warmup",
+				i, high[i], d.MaxAllocBytes())
 		}
 	}
 }
@@ -186,7 +184,7 @@ func TestShardedSetClusterKUnderAutopilot(t *testing.T) {
 		if !sw.GreenUp().EqualApprox(swRef.GreenUp(), 0) || !sw.GreenDn().EqualApprox(swRef.GreenDn(), 0) {
 			t.Fatalf("devices=%d: Green's functions diverged under the k schedule", nd)
 		}
-		fresh := freshCPU(sw, hubbard.Up)
+		fresh := freshCPU(t, sw, hubbard.Up)
 		if d := mat.RelDiff(sw.GreenUp(), fresh); d > 1e-8 {
 			t.Fatalf("devices=%d: sharded G inconsistent with CPU after resizes: %g", nd, d)
 		}
@@ -216,11 +214,10 @@ func TestHybridSweeperProfile(t *testing.T) {
 // TestCrossEngineBitwise runs the one Sweeper over the host backend and over
 // device backends {1, 2, 4 devices} x {graphs off, on} in lockstep, through a
 // schedule with mid-run SetClusterK calls (one a non-divisor request) and a
-// SetStabilityEvery change, with the stability probes live. On the stack
-// path and on the NoStack full-rebuild path alike, every engine must agree
-// bitwise with the host after every sweep on the auxiliary field, G up/down,
-// the sign, the counters and the cluster size: stratification is one host
-// code path whatever builds the clusters.
+// SetStabilityEvery change, with the stability probes live. Every engine
+// must agree bitwise with the host after every sweep on the auxiliary field,
+// G up/down, the sign, the counters and the cluster size: stratification is
+// one host code path whatever builds the clusters.
 func TestCrossEngineBitwise(t *testing.T) {
 	type engine struct {
 		name string
@@ -231,17 +228,14 @@ func TestCrossEngineBitwise(t *testing.T) {
 	// divide L=12 and snaps to 6), every > 0 a new residual-check cadence.
 	schedule := []struct{ k, every int }{{}, {}, {k: 2}, {k: 7, every: 1}, {}, {k: 3}, {k: 4, every: 5}}
 	for _, tc := range []struct {
-		nx, ny  int
-		u       float64
-		noStack bool
+		nx, ny int
+		u      float64
 	}{
-		{3, 3, 4, false},
-		{4, 2, 6, false},
-		{3, 3, 4, true},
+		{3, 3, 4},
+		{4, 2, 6},
 	} {
 		opts := func() update.Options {
-			return update.Options{ClusterK: 4, Delay: 3, PrePivot: true, NoStack: tc.noStack,
-				Obs: obs.New(), StabilityEvery: 2}
+			return update.Options{ClusterK: 4, Delay: 3, PrePivot: true, Obs: obs.New(), StabilityEvery: 2}
 		}
 		p, f0 := testSetup(t, tc.nx, tc.ny, tc.u, 2, 12, 83)
 		engines := []*engine{{name: "host", f: f0.Clone()}}
@@ -265,7 +259,7 @@ func TestCrossEngineBitwise(t *testing.T) {
 			}
 			ref := engines[0]
 			for _, e := range engines[1:] {
-				label := fmt.Sprintf("%dx%d noStack=%v step %d: %s vs %s", tc.nx, tc.ny, tc.noStack, step, e.name, ref.name)
+				label := fmt.Sprintf("%dx%d step %d: %s vs %s", tc.nx, tc.ny, step, e.name, ref.name)
 				if !fieldsEqual(e.f, ref.f) {
 					t.Fatalf("%s: auxiliary field diverged", label)
 				}

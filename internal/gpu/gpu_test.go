@@ -185,7 +185,10 @@ func TestAcceleratorWrapMatchesCPU(t *testing.T) {
 	for i := range bs {
 		bs[i] = p.BMatrix(hubbard.Up, f, i)
 	}
-	gCPU := greens.Green(bs)
+	gCPU, err := greens.Green(bs, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gGPU := gCPU.Clone()
 	w := greens.NewWrapper(p)
 	w.Wrap(gCPU, f, hubbard.Up, 0)
@@ -203,8 +206,11 @@ func TestHybridGreenMatchesCPU(t *testing.T) {
 	acc := NewAccelerator(dev, p, 1, false)
 	gpuCS := greens.NewClusterSetWith(p, f, hubbard.Up, 4, acc.Cluster)
 	cpuCS := greens.NewClusterSet(p, f, hubbard.Up, 4)
-	gGPU := gpuCS.GreenAt(0, true)
-	gCPU := cpuCS.GreenAt(0, true)
+	gGPU, errGPU := greens.Green(gpuCS.Chain(0), true)
+	gCPU, errCPU := greens.Green(cpuCS.Chain(0), true)
+	if errGPU != nil || errCPU != nil {
+		t.Fatal(errGPU, errCPU)
+	}
 	if d := mat.RelDiff(gGPU, gCPU); d > 1e-11 {
 		t.Fatalf("hybrid G vs CPU G diff %g", d)
 	}

@@ -51,9 +51,9 @@ func TestUDTStepNoAllocs(t *testing.T) {
 			name string
 			run  func()
 		}{
-			{"extendUDT (pre-pivot)", func() { extendUDT(u, b, false, work, r, tNew) }},
-			{"extendUDT (pivoted)", func() { extendUDT(u, b, true, work, r, tNew) }},
-			{"GreenFromUDTInto", func() { GreenFromUDTInto(g, u) }},
+			{"extendUDT (pre-pivot)", func() { extendUDT(u, b, true, work, r, tNew) }},
+			{"extendUDT (pivoted)", func() { extendUDT(u, b, false, work, r, tNew) }},
+			{"GreenFromUDTInto", func() { _ = GreenFromUDTInto(g, u) }},
 		} {
 			tc.run() // warm the pools
 			if allocs := testing.AllocsPerRun(20, tc.run); allocs != 0 {

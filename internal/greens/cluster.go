@@ -90,17 +90,6 @@ func (cs *ClusterSet) Chain(c int) []*mat.Dense {
 	return cs.chain
 }
 
-// GreenAt evaluates the stratified Green's function after cluster c with
-// Algorithm 3 (prePivot=true is the production path; false selects the
-// Algorithm 2 reference).
-func (cs *ClusterSet) GreenAt(c int, prePivot bool) *mat.Dense {
-	chain := cs.Chain(c)
-	if prePivot {
-		return Green(chain)
-	}
-	return GreenQRP(chain)
-}
-
 // Wrapper is the host's pair of level-3 sweep kernels over one propagator
 // and one set of scratch — the block product (Cluster) and the wrap — with
 // the shapes of the device's (gpu.Accelerator). The wrap advances an

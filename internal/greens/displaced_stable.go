@@ -48,9 +48,9 @@ func SplitAt(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, l, k i
 	if k < 1 {
 		k = 1
 	}
-	s := &Split{before: StratifyPrePivot(sliceBlocks(p, f, sigma, 0, l, k))}
+	s := &Split{before: Stratify(sliceBlocks(p, f, sigma, 0, l, k), true)}
 	if l < L {
-		s.after = StratifyPrePivot(sliceBlocks(p, f, sigma, l, L, k))
+		s.after = Stratify(sliceBlocks(p, f, sigma, l, L, k), true)
 	}
 	return s
 }
@@ -59,7 +59,7 @@ func SplitAt(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, l, k i
 func (s *Split) Forward() *mat.Dense {
 	if s.after == nil {
 		out := mat.Identity(s.before.Q.Rows)
-		out.Add(-1, GreenFromUDT(s.before))
+		out.Add(-1, s.green0())
 		return out
 	}
 	return invertFactoredSum(s.before, s.after)
@@ -72,7 +72,7 @@ func (s *Split) Forward() *mat.Dense {
 func (s *Split) Reverse() *mat.Dense {
 	var out *mat.Dense
 	if s.after == nil {
-		out = GreenFromUDT(s.before)
+		out = s.green0()
 	} else {
 		out = invertFactoredSum(s.after, s.before)
 	}
@@ -86,13 +86,23 @@ func (s *Split) Reverse() *mat.Dense {
 func (s *Split) Equal() *mat.Dense {
 	u1, u2 := s.before, s.after
 	if u2 == nil {
-		return GreenFromUDT(u1)
+		return s.green0()
 	}
 	n := u1.Q.Rows
 	g := mat.New(n, n)
 	d := mat.GetScratch(n, 1)
-	joinGreenInto(g, u1, u2.Q, u2.D, u2.T, false, false, d.Data)
+	_ = joinGreenInto(g, u1, u2.Q, u2.D, u2.T, false, true, d.Data) // unreported, as in green0
 	mat.PutScratch(d)
+	return g
+}
+
+// green0 returns the whole chain's G(0) = (I + P1)^{-1} at l = L. Like the
+// solves of invertFactoredSum, the displaced layer does not yet report a
+// singular final solve.
+func (s *Split) green0() *mat.Dense {
+	n := s.before.Q.Rows
+	g := mat.New(n, n)
+	_ = GreenFromUDTInto(g, s.before)
 	return g
 }
 

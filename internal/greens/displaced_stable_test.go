@@ -84,15 +84,15 @@ func TestSplitEqualMatchesBigFloat(t *testing.T) {
 			}
 		}
 	}
-	g0 := NewClusterSet(p, f, hubbard.Down, 5).GreenAt(0, true)
+	g0 := green(t, NewClusterSet(p, f, hubbard.Down, 5).Chain(0), true)
 	if !bitsEqual(SplitAt(p, f, hubbard.Down, p.Model.L, 5).Equal(), g0) {
-		t.Fatal("split at l = L is not bit for bit ClusterSet.GreenAt(0)")
+		t.Fatal("split at l = L is not bit for bit the stratified G of the cluster chain")
 	}
 }
 
 func TestDisplacedGreenAntiperiodicity(t *testing.T) {
 	p, f, bs := testChain(t, 3, 3, 6, 3, 12, 67)
-	g0 := Green(bs)
+	g0 := green(t, bs, true)
 	gBeta := SplitAt(p, f, hubbard.Up, p.Model.L, 4).Forward()
 	want := mat.Identity(g0.Rows)
 	want.Add(-1, g0)

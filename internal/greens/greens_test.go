@@ -1,16 +1,31 @@
 package greens
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"questgo/internal/blas"
+	"questgo/internal/check"
 	"questgo/internal/hubbard"
+	"questgo/internal/lapack"
 	"questgo/internal/lattice"
 	"questgo/internal/mat"
 	"questgo/internal/rng"
 )
+
+// green is Green for a chain the test knows to be regular.
+func green(t *testing.T, bs []*mat.Dense, prePivot bool) *mat.Dense {
+	t.Helper()
+	g, err := Green(bs, prePivot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
 
 func randomDense(r *rng.Rand, n int) *mat.Dense {
 	m := mat.New(n, n)
@@ -50,7 +65,7 @@ func TestUDTReconstructsShortProduct(t *testing.T) {
 		blas.Gemm(false, false, 1, bs[i], prod, 0, tmp)
 		prod, tmp = tmp, prod
 	}
-	for _, udt := range []*UDT{StratifyQRP(bs), StratifyPrePivot(bs)} {
+	for _, udt := range []*UDT{Stratify(bs, false), Stratify(bs, true)} {
 		rec := udt.Matrix()
 		if d := mat.RelDiff(rec, prod); d > 1e-12 {
 			t.Fatalf("UDT does not reconstruct the product: rel diff %g", d)
@@ -63,7 +78,7 @@ func TestUDTReconstructsShortProduct(t *testing.T) {
 func orthoError(q *mat.Dense) float64 {
 	n := q.Cols
 	s := mat.New(n, n)
-	blas.GemmTN(1, q, q, 0, s)
+	blas.Gemm(true, false, 1, q, q, 0, s)
 	for i := 0; i < n; i++ {
 		s.Set(i, i, s.At(i, i)-1)
 	}
@@ -75,7 +90,7 @@ func orthoError(q *mat.Dense) float64 {
 // grading, and O(1) for a deliberately non-orthogonal factor.
 func TestOrthoError(t *testing.T) {
 	_, _, bs := testChain(t, 4, 4, 6, 8, 40, 17)
-	for name, udt := range map[string]*UDT{"qrp": StratifyQRP(bs), "prepivot": StratifyPrePivot(bs)} {
+	for name, udt := range map[string]*UDT{"qrp": Stratify(bs, false), "prepivot": Stratify(bs, true)} {
 		if e := orthoError(udt.Q); e > 1e-12 {
 			t.Fatalf("%s: Q lost orthogonality: ||Q^T Q - I||_F = %g", name, e)
 		}
@@ -87,7 +102,7 @@ func TestOrthoError(t *testing.T) {
 
 func TestStratifyDGraded(t *testing.T) {
 	_, _, bs := testChain(t, 4, 4, 6, 8, 40, 13)
-	for name, udt := range map[string]*UDT{"qrp": StratifyQRP(bs), "prepivot": StratifyPrePivot(bs)} {
+	for name, udt := range map[string]*UDT{"qrp": Stratify(bs, false), "prepivot": Stratify(bs, true)} {
 		for i := 1; i < len(udt.D); i++ {
 			if math.Abs(udt.D[i]) > math.Abs(udt.D[i-1])*(1+1e-9) {
 				t.Fatalf("%s: D not graded at %d: |%g| > |%g|", name, i, udt.D[i], udt.D[i-1])
@@ -107,8 +122,8 @@ func TestGreenMatchesNaiveShortChain(t *testing.T) {
 	// three evaluations must coincide.
 	_, _, bs := testChain(t, 3, 3, 2, 0.5, 4, 17)
 	gn := GreenNaive(bs)
-	g2 := GreenQRP(bs)
-	g3 := Green(bs)
+	g2 := green(t, bs, false)
+	g3 := green(t, bs, true)
 	if d := mat.RelDiff(g2, gn); d > 1e-11 {
 		t.Fatalf("Algorithm 2 vs naive: rel diff %g", d)
 	}
@@ -122,8 +137,8 @@ func TestAlg3MatchesAlg2LongChain(t *testing.T) {
 	// stratifications agree to ~1e-12 relative difference in G.
 	for _, u := range []float64{2, 4, 8} {
 		_, _, bs := testChain(t, 4, 4, u, 8, 40, 19)
-		g2 := GreenQRP(bs)
-		g3 := Green(bs)
+		g2 := green(t, bs, false)
+		g3 := green(t, bs, true)
 		if d := mat.RelDiff(g3, g2); d > 1e-9 {
 			t.Fatalf("U=%g: Alg2 vs Alg3 rel diff %g", u, d)
 		}
@@ -136,8 +151,8 @@ func TestStratifiedMatchesBigFloatAndNaiveFails(t *testing.T) {
 	// stratified evaluations track the 256-bit reference.
 	_, _, bs := testChain(t, 2, 2, 8, 10, 50, 23)
 	ref := GreenBigFloat(bs, 256)
-	g2 := GreenQRP(bs)
-	g3 := Green(bs)
+	g2 := green(t, bs, false)
+	g3 := green(t, bs, true)
 	gn := GreenNaive(bs)
 	d2 := mat.RelDiff(g2, ref)
 	d3 := mat.RelDiff(g3, ref)
@@ -158,7 +173,7 @@ func TestGreenIdentityChain(t *testing.T) {
 	// With B = I, G = (I + I)^{-1} = I/2.
 	n := 6
 	bs := []*mat.Dense{mat.Identity(n), mat.Identity(n), mat.Identity(n)}
-	g := Green(bs)
+	g := green(t, bs, true)
 	want := mat.Identity(n)
 	want.Scale(0.5)
 	if !g.EqualApprox(want, 1e-13) {
@@ -166,15 +181,71 @@ func TestGreenIdentityChain(t *testing.T) {
 	}
 }
 
+// TestSingularChainReportsError: for the chain [-I], I + B = 0, so the
+// final solve's matrix is singular; GreenInto, Green and a StratStack over
+// clusters of -I return lapack.ErrSingular at every boundary, under both
+// pivot policies, and a regular chain returns nil. Under qmcdebug the
+// sanitizer stops the non-finite G first.
+func TestSingularChainReportsError(t *testing.T) {
+	n := 4
+	g := mat.New(n, n)
+	if err := GreenInto(g, []*mat.Dense{mat.Identity(n)}, true); err != nil {
+		t.Fatalf("regular chain [I]: %v", err)
+	}
+	negI := func(dst *mat.Dense, _ *hubbard.Field, _ hubbard.Spin, _, _ int) {
+		dst.SetIdentity()
+		dst.Scale(-1)
+	}
+	chain := []*mat.Dense{mat.New(n, n)}
+	negI(chain[0], nil, hubbard.Up, 0, 1)
+	p, f, _ := testChain(t, 2, 2, 4, 1, 3, 5)
+	for _, prePivot := range []bool{false, true} {
+		if check.Enabled {
+			if msg := panicMessage(func() { _ = GreenInto(g, chain, prePivot) }); !strings.Contains(msg, "greens.GreenInto") {
+				t.Fatalf("prePivot=%v under qmcdebug: panic %q, want the sanitizer's", prePivot, msg)
+			}
+			continue
+		}
+		if err := GreenInto(g, chain, prePivot); !errors.Is(err, lapack.ErrSingular) {
+			t.Fatalf("prePivot=%v: GreenInto([-I]) returned %v, want lapack.ErrSingular", prePivot, err)
+		}
+		if _, err := Green(chain, prePivot); !errors.Is(err, lapack.ErrSingular) {
+			t.Fatalf("prePivot=%v: Green([-I]) returned %v, want lapack.ErrSingular", prePivot, err)
+		}
+		// Three clusters of -I (L = 3, k = 1): every boundary's chain is -I.
+		st := NewStratStack(NewClusterSetWith(p, f, hubbard.Up, 1, negI), prePivot)
+		if err := st.GreenInto(g); !errors.Is(err, lapack.ErrSingular) {
+			t.Fatalf("prePivot=%v: initial stack refresh returned %v, want lapack.ErrSingular", prePivot, err)
+		}
+		for c := 0; c < 3; c++ {
+			st.Advance()
+			if err := st.GreenInto(g); !errors.Is(err, lapack.ErrSingular) {
+				t.Fatalf("prePivot=%v boundary %d: stack refresh returned %v, want lapack.ErrSingular", prePivot, c+1, err)
+			}
+		}
+	}
+}
+
+// panicMessage runs f and returns what it panicked with, "" if it returned.
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
 func TestWrapMatchesFreshGreen(t *testing.T) {
 	p, f, bs := testChain(t, 3, 3, 4, 2, 8, 29)
 	// G_0 = (I + B8...B1)^{-1}; wrap by B_1 gives
 	// G_1 = (I + B1 B8 ... B2)^{-1}, which we also evaluate fresh.
-	g := Green(bs)
+	g := green(t, bs, true)
 	w := NewWrapper(p)
 	w.Wrap(g, f, hubbard.Up, 0)
 	rot := append(append([]*mat.Dense{}, bs[1:]...), bs[0])
-	fresh := Green(rot)
+	fresh := green(t, rot, true)
 	if d := mat.RelDiff(g, fresh); d > 1e-9 {
 		t.Fatalf("wrapped vs fresh G: rel diff %g", d)
 	}
@@ -192,7 +263,7 @@ func TestWrapperBitsMatchTwoPass(t *testing.T) {
 		w, tmp := NewWrapper(p), mat.New(n, n)
 		v := make([]float64, n)
 		for _, sigma := range []hubbard.Spin{hubbard.Up, hubbard.Down} {
-			g := Green(bs)
+			g := green(t, bs, true)
 			want := g.Clone()
 			w.Wrap(g, f, sigma, 5)
 			blas.Gemm(false, false, 1, p.Bkin, want, 0, tmp)
@@ -241,7 +312,7 @@ func bitsEqual(x, y *mat.Dense) bool {
 
 func TestWrapInverseRoundTrip(t *testing.T) {
 	p, f, bs := testChain(t, 3, 3, 4, 2, 8, 31)
-	g := Green(bs)
+	g := green(t, bs, true)
 	orig := g.Clone()
 	w := NewWrapper(p)
 	w.Wrap(g, f, hubbard.Up, 3)
@@ -272,13 +343,13 @@ func TestClusterProductMatchesSliceProduct(t *testing.T) {
 
 func TestClusteredGreenMatchesUnclustered(t *testing.T) {
 	p, f, bs := testChain(t, 3, 3, 4, 4, 16, 41)
-	g1 := Green(bs) // k = 1: every slice its own matrix
+	g1 := green(t, bs, true) // k = 1: every slice its own matrix
 	cs := NewClusterSet(p, f, hubbard.Up, 4)
-	g4 := cs.GreenAt(0, true)
+	g4 := green(t, cs.Chain(0), true)
 	if d := mat.RelDiff(g4, g1); d > 1e-10 {
 		t.Fatalf("clustered (k=4) vs unclustered G: rel diff %g", d)
 	}
-	g4qrp := cs.GreenAt(0, false)
+	g4qrp := green(t, cs.Chain(0), false)
 	if d := mat.RelDiff(g4qrp, g1); d > 1e-10 {
 		t.Fatalf("clustered QRP vs unclustered G: rel diff %g", d)
 	}
@@ -339,8 +410,8 @@ func TestQuickGreenConsistency(t *testing.T) {
 			bs[i] = b
 		}
 		gn := GreenNaive(bs)
-		g3 := Green(bs)
-		g2 := GreenQRP(bs)
+		g3 := green(t, bs, true)
+		g2 := green(t, bs, false)
 		return mat.RelDiff(g3, gn) < 1e-9 && mat.RelDiff(g2, gn) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

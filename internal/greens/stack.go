@@ -50,7 +50,6 @@ type StratStack struct {
 	// filled counts the clusters absorbed into the prefix; the next
 	// GreenInto evaluates boundary filled (mod NC).
 	filled int
-	fresh  bool
 
 	prefix UDT
 	suf    []UDT // suf[j]: transposed-suffix snapshot, j = 1..NC-1
@@ -120,11 +119,10 @@ func (st *StratStack) Rebuild() {
 			u.Q.CopyFrom(st.suf[j+1].Q)
 			copy(u.D, st.suf[j+1].D)
 			u.T.CopyFrom(st.suf[j+1].T)
-			extendUDT(u, bt, !st.prePivot, work, r, tNew)
+			extendUDT(u, bt, st.prePivot, work, r, tNew)
 		}
 	}
 	st.filled = 0
-	st.fresh = true
 }
 
 // Advance absorbs the source's cluster filled — which the sweeper has
@@ -148,10 +146,9 @@ func (st *StratStack) Advance() {
 	if st.filled == 0 {
 		initUDT(&st.prefix, b, work, r)
 	} else {
-		extendUDT(&st.prefix, b, !st.prePivot, work, r, tNew)
+		extendUDT(&st.prefix, b, st.prePivot, work, r, tNew)
 	}
 	st.filled++
-	st.fresh = false
 }
 
 // GreenInto writes the equal-time Green's function at boundary filled
@@ -163,21 +160,22 @@ func (st *StratStack) Advance() {
 // 0 < filled < NC: prefix and suffix are combined with one QR.
 // filled == NC: the prefix covers the whole chain; after evaluating it
 // the stack rolls over (suffix rebuild + prefix reset) for the next sweep.
-func (st *StratStack) GreenInto(dst *mat.Dense) {
+// The error is that of a singular final solve (GreenFromUDTInto); dst is
+// written and the stack advances either way.
+func (st *StratStack) GreenInto(dst *mat.Dense) error {
+	var err error
 	switch {
 	case st.filled == 0:
-		if !st.fresh {
-			st.Rebuild()
-		}
-		GreenInto(dst, st.src.Chain(0), st.prePivot)
+		err = GreenInto(dst, st.src.Chain(0), st.prePivot)
 	case st.filled == st.nc:
 		st.sampleCond(st.prefix.D)
-		GreenFromUDTInto(dst, &st.prefix)
+		err = GreenFromUDTInto(dst, &st.prefix)
 		st.Rebuild()
 	default:
-		st.combineInto(dst, st.filled)
+		err = st.combineInto(dst, st.filled)
 	}
 	check.Finite("greens.StratStack.GreenInto", dst)
+	return err
 }
 
 // combineInto evaluates G at boundary c from the prefix UDT and the
@@ -191,12 +189,13 @@ func (st *StratStack) GreenInto(dst *mat.Dense) {
 // one graded combine (joinGreenInto) under the stack's pivoting policy.
 //
 //qmc:hot
-func (st *StratStack) combineInto(dst *mat.Dense, c int) {
+func (st *StratStack) combineInto(dst *mat.Dense, c int) error {
 	suf := &st.suf[c]
 	dv := mat.GetScratch(st.n, 1)
-	joinGreenInto(dst, &st.prefix, suf.T, suf.D, suf.Q, true, !st.prePivot, dv.Data)
+	err := joinGreenInto(dst, &st.prefix, suf.T, suf.D, suf.Q, true, st.prePivot, dv.Data)
 	st.sampleCond(dv.Data)
 	mat.PutScratch(dv)
+	return err
 }
 
 // joinGreenInto writes the Green's function (I + P)^{-1} of a chain held as
@@ -208,12 +207,13 @@ func (st *StratStack) combineInto(dst *mat.Dense, c int) {
 // M = D1 (T1 op(inner)) D2 mixes the two gradings but is a product of
 // well-conditioned factors scaled on either side, exactly the shape the
 // stratification step already handles: factor it as q d t with one graded
-// QR (pivot selects QRP over the pre-pivoted QR), giving
+// QR (prePivot selects the pre-pivoted QR over QRP), giving
 // P = (Q1 q) d (t op(right)) — a single UDT for the whole chain, finished by
-// the stabilized inversion. d (length n) receives the combined grading.
+// the stabilized inversion, whose error it returns. d (length n) receives
+// the combined grading.
 //
 //qmc:hot
-func joinGreenInto(dst *mat.Dense, left *UDT, inner *mat.Dense, d2 []float64, right *mat.Dense, trans, pivot bool, d []float64) {
+func joinGreenInto(dst *mat.Dense, left *UDT, inner *mat.Dense, d2 []float64, right *mat.Dense, trans, prePivot bool, d []float64) error {
 	n := inner.Rows
 	m := mat.GetScratch(n, n)
 	r := mat.GetScratch(n, n)
@@ -232,7 +232,7 @@ func joinGreenInto(dst *mat.Dense, left *UDT, inner *mat.Dense, d2 []float64, ri
 
 	blas.GemmScaled(false, trans, left.T, inner, left.D, d2, m)
 	qmid := tmp // the pre-pivot gather scratch, free again for Q
-	perm := gradedQR(m, tmp, r, qmid, d, pivot)
+	perm := gradedQR(m, tmp, r, qmid, d, prePivot)
 	// that = (d^{-1} R) P^T: scatter column j back to original position.
 	for j, p := range perm {
 		copy(that.Col(p), r.Col(j))
@@ -243,7 +243,7 @@ func joinGreenInto(dst *mat.Dense, left *UDT, inner *mat.Dense, d2 []float64, ri
 	blas.Gemm(false, false, 1, left.Q, qmid, 0, qNew)
 	blas.Gemm(false, trans, 1, that, right, 0, tNew)
 	u := UDT{Q: qNew, D: d, T: tNew}
-	GreenFromUDTInto(dst, &u)
+	return GreenFromUDTInto(dst, &u)
 }
 
 // TakeCond returns the condition estimate log10(max|D|/min|D|) of the

@@ -77,46 +77,48 @@ func permuteRowsGather(dst, src *mat.Dense, perm []int) {
 	}
 }
 
-// StratifyQRP runs Algorithm 2 on the matrices bs, given in application
-// order (bs[0] is applied first, i.e. the product is
+// Stratify runs the stratification on the matrices bs, given in
+// application order (bs[0] is applied first, i.e. the product is
 // bs[len-1] * ... * bs[1] * bs[0]), and returns its UDT decomposition.
-// Every step uses the QR factorization with column pivoting — since the
-// level-3 rewrite of lapack.QRPFactor this path rides the blocked panel
-// factorization too, so choosing Algorithm 2 no longer forfeits the packed
-// GEMM throughput.
-func StratifyQRP(bs []*mat.Dense) *UDT {
-	return stratify(bs, true)
+// prePivot selects the paper's Algorithm 3: the first factorization still
+// pivots (there is no grading to exploit yet), every subsequent step sorts
+// the columns of C_i by descending norm up front and then runs the ordinary
+// blocked QR, which removes the level-2 pivoting bottleneck while the
+// progressive grading keeps the decomposition stable. Without it every step
+// is Algorithm 2's QR with column pivoting — since the level-3 rewrite of
+// lapack.QRPFactor that rides the blocked panel factorization too.
+func Stratify(bs []*mat.Dense, prePivot bool) *UDT {
+	if len(bs) == 0 {
+		panic("greens: empty matrix chain")
+	}
+	n := bs[0].Rows
+	// Q, D, T escape in the returned UDT.
+	u := &UDT{Q: mat.New(n, n), D: make([]float64, n), T: mat.New(n, n)}
+	stratifyInto(u, bs, prePivot)
+	return u
 }
 
-// StratifyPrePivot runs Algorithm 3: the first factorization still pivots
-// (there is no grading to exploit yet), every subsequent step sorts the
-// columns of C_i by descending norm up front and then runs the ordinary
-// blocked QR. This removes the level-2 pivoting bottleneck while the
-// progressive grading keeps the decomposition stable.
-func StratifyPrePivot(bs []*mat.Dense) *UDT {
-	return stratify(bs, false)
-}
-
-// gradedQR is the factorization every cluster-UDT step shares. It factors
-// work (overwritten) as work * P = Q R under the step's pivot policy — QR
-// with column pivoting (Algorithm 2, and the first step of every chain), or
-// Algorithm 3's descending-column-norm pre-pivot followed by the ordinary
-// blocked QR, with tmp as the n x n gather scratch — and leaves
-// d = diag(R), r = D^{-1} R and q = Q (q may be tmp). The returned
-// permutation places column j of r at original column perm[j]; the caller
-// applies it to its T factor and hands it back with lapack.PutPivot.
+// gradedQR is the factorization every cluster-UDT step shares and the one
+// place a step chooses its pivoting. It factors work (overwritten) as
+// work * P = Q R — with Algorithm 3's descending-column-norm pre-pivot
+// followed by the ordinary blocked QR when prePivot is set (tmp is the
+// n x n gather scratch), else with QR with column pivoting (Algorithm 2,
+// and the first step of every chain) — and leaves d = diag(R),
+// r = D^{-1} R and q = Q (q may be tmp). The returned permutation places
+// column j of r at original column perm[j]; the caller applies it to its T
+// factor and hands it back with lapack.PutPivot.
 //
 //qmc:hot
-func gradedQR(work, tmp, r, q *mat.Dense, d []float64, pivot bool) []int {
+func gradedQR(work, tmp, r, q *mat.Dense, d []float64, prePivot bool) []int {
 	var qr *lapack.QR
 	var perm []int
-	if pivot {
-		qr, perm = lapack.QRPFactor(work)
-	} else {
+	if prePivot {
 		perm = descendingNormPerm(work)
 		permuteColsGather(tmp, work, perm)
 		work.CopyFrom(tmp)
 		qr = lapack.QRFactor(work)
+	} else {
+		qr, perm = lapack.QRPFactor(work)
 	}
 	qr.RInto(r)
 	r.Diagonal(d)
@@ -135,7 +137,7 @@ func gradedQR(work, tmp, r, q *mat.Dense, d []float64, pivot bool) []int {
 //qmc:hot
 func initUDT(u *UDT, b *mat.Dense, work, r *mat.Dense) {
 	work.CopyFrom(b)
-	jpvt := gradedQR(work, nil, r, u.Q, u.D, true)
+	jpvt := gradedQR(work, nil, r, u.Q, u.D, false)
 	// T = (D^{-1} R) P^T: column j of D^{-1}R came from original column
 	// jpvt[j], so scatter it back there. Every column is written, so a
 	// dirty T buffer is fine.
@@ -147,18 +149,18 @@ func initUDT(u *UDT, b *mat.Dense, work, r *mat.Dense) {
 
 // extendUDT absorbs one more matrix into the decomposition from the left:
 // u <- UDT of (b * Q D T). This is the per-cluster step 3 of the
-// stratification algorithms; pivotEveryStep selects Algorithm 2 (QRP) vs
-// Algorithm 3 (descending-norm pre-pivot + blocked QR). work, r and tNew
-// are n x n scratch.
+// stratification algorithms; prePivot selects Algorithm 3 (descending-norm
+// pre-pivot + blocked QR) vs Algorithm 2 (QRP). work, r and tNew are n x n
+// scratch.
 //
 //qmc:hot
-func extendUDT(u *UDT, b *mat.Dense, pivotEveryStep bool, work, r, tNew *mat.Dense) {
+func extendUDT(u *UDT, b *mat.Dense, prePivot bool, work, r, tNew *mat.Dense) {
 	// Step 3a: C = (B Q) D. The parenthesization is essential: B * Q is a
 	// product of well-scaled matrices, and the graded D enters only as a
 	// final column scaling.
 	blas.GemmScaled(false, false, b, u.Q, nil, u.D, work)
 	// Step 3b (tNew doubles as the pre-pivot gather scratch).
-	perm := gradedQR(work, tNew, r, u.Q, u.D, pivotEveryStep)
+	perm := gradedQR(work, tNew, r, u.Q, u.D, prePivot)
 	// Step 3c/3d: T = (D^{-1} R) (P^T T_prev).
 	permuteRowsGather(tNew, u.T, perm)
 	blas.Gemm(false, false, 1, r, tNew, 0, u.T)
@@ -169,7 +171,7 @@ func extendUDT(u *UDT, b *mat.Dense, pivotEveryStep bool, work, r, tNew *mat.Den
 // preallocated n x n / n; every temporary comes from the scratch pool.
 //
 //qmc:hot
-func stratifyInto(u *UDT, bs []*mat.Dense, pivotEveryStep bool) {
+func stratifyInto(u *UDT, bs []*mat.Dense, prePivot bool) {
 	if len(bs) == 0 {
 		panic("greens: empty matrix chain")
 	}
@@ -184,19 +186,8 @@ func stratifyInto(u *UDT, bs []*mat.Dense, pivotEveryStep bool) {
 	}()
 	initUDT(u, bs[0], work, r)
 	for i := 1; i < len(bs); i++ {
-		extendUDT(u, bs[i], pivotEveryStep, work, r, tNew)
+		extendUDT(u, bs[i], prePivot, work, r, tNew)
 	}
-}
-
-func stratify(bs []*mat.Dense, pivotEveryStep bool) *UDT {
-	if len(bs) == 0 {
-		panic("greens: empty matrix chain")
-	}
-	n := bs[0].Rows
-	// Q, D, T escape in the returned UDT.
-	u := &UDT{Q: mat.New(n, n), D: make([]float64, n), T: mat.New(n, n)}
-	stratifyInto(u, bs, pivotEveryStep)
-	return u
 }
 
 // descendingNormPerm returns the permutation that sorts the columns of c by
@@ -253,7 +244,11 @@ func sortByNormDesc(perm []int, norms []float64) {
 //
 // a solve whose matrix mixes only O(1)-sized entries. This is algebraically
 // the paper's step 4 in the form of Bai, Lee, Li and Xu (2010).
-func GreenFromUDTInto(dst *mat.Dense, u *UDT) {
+//
+// A singular M means the configuration has a genuinely singular
+// I + B...B: dst is still written, NaNs and infinities propagated as LAPACK
+// does, and LUFactor's error is returned.
+func GreenFromUDTInto(dst *mat.Dense, u *UDT) error {
 	n := u.Q.Rows
 	dbs := mat.GetScratch(n, 2)
 	db, ds := dbs.Data[:n], dbs.Data[n:]
@@ -276,48 +271,40 @@ func GreenFromUDTInto(dst *mat.Dense, u *UDT) {
 	m.Add(1, qt)
 	dst.CopyFrom(qt)
 	lu, err := lapack.LUFactor(m)
-	if err != nil {
-		// A singular M means the configuration has a genuinely singular
-		// I + B...B; propagate NaNs rather than abort, matching LAPACK
-		// behaviour. (Never observed for physical parameters.)
-		_ = err
-	}
 	lu.Solve(dst)
 	lu.Release()
 	mat.PutScratch(qt)
 	mat.PutScratch(m)
 	mat.PutScratch(dbs)
+	return err
 }
 
-// GreenFromUDT is GreenFromUDTInto with a freshly allocated result.
-func GreenFromUDT(u *UDT) *mat.Dense {
-	g := mat.New(u.Q.Rows, u.Q.Rows)
-	GreenFromUDTInto(g, u)
-	return g
+// Green evaluates G = (I + bs[last] ... bs[0])^{-1} into a new matrix, with
+// Algorithm 3 when prePivot is set (the production path) and Algorithm 2
+// otherwise. The error is GreenInto's.
+func Green(bs []*mat.Dense, prePivot bool) (*mat.Dense, error) {
+	n := bs[0].Rows
+	g := mat.New(n, n)
+	return g, GreenInto(g, bs, prePivot)
 }
-
-// Green evaluates G = (I + bs[last] ... bs[0])^{-1} with Algorithm 3
-// (the production path). Use GreenQRP for the Algorithm 2 reference.
-func Green(bs []*mat.Dense) *mat.Dense { return GreenFromUDT(StratifyPrePivot(bs)) }
 
 // GreenInto is Green writing into dst, with the intermediate UDT factors
-// drawn from the scratch pool (nothing escapes).
-func GreenInto(dst *mat.Dense, bs []*mat.Dense, prePivot bool) {
+// drawn from the scratch pool (nothing escapes). It returns the error of a
+// singular final solve (GreenFromUDTInto).
+func GreenInto(dst *mat.Dense, bs []*mat.Dense, prePivot bool) error {
 	n := bs[0].Rows
 	q := mat.GetScratch(n, n)
 	t := mat.GetScratch(n, n)
 	d := mat.GetScratch(n, 1)
 	u := &UDT{Q: q, D: d.Data, T: t}
-	stratifyInto(u, bs, !prePivot)
-	GreenFromUDTInto(dst, u)
+	stratifyInto(u, bs, prePivot)
+	err := GreenFromUDTInto(dst, u)
 	check.Finite("greens.GreenInto", dst)
 	mat.PutScratch(q)
 	mat.PutScratch(t)
 	mat.PutScratch(d)
+	return err
 }
-
-// GreenQRP evaluates the same Green's function with Algorithm 2.
-func GreenQRP(bs []*mat.Dense) *mat.Dense { return GreenFromUDT(StratifyQRP(bs)) }
 
 // GreenNaive forms the product and inverts I + P directly, with no
 // stratification. It is the obvious algorithm that loses all accuracy at

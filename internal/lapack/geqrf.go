@@ -336,7 +336,7 @@ func (qr *QR) formQBlocked(q *mat.Dense) {
 		}
 		if nc > 0 {
 			w := wrk.View(0, 0, jb, nc)
-			blas.GemmTN(1, vv, q.View(j, j+jb, m-j, nc), 0, w)
+			blas.Gemm(true, false, 1, vv, q.View(j, j+jb, m-j, nc), 0, w)
 			blas.Gemm(false, false, 1, tt, w, 0, w2.View(0, jb, jb, nc))
 		}
 		blas.Gemm(false, false, -1, vv, w2, 1, q.View(j, j, m-j, m-j))

@@ -99,7 +99,7 @@ func panelT(v *mat.Dense, tau []float64, t *mat.Dense, from int, work *mat.Dense
 		if j > 0 {
 			w := work.View(0, 0, j, ib)
 			w2 := work.View(qrBlock, 0, j, ib)
-			blas.GemmTN(1, v.View(j, 0, m-j, j), v.View(j, j, m-j, ib), 0, w)
+			blas.Gemm(true, false, 1, v.View(j, 0, m-j, j), v.View(j, j, m-j, ib), 0, w)
 			blas.Gemm(false, false, 1, t.View(0, 0, j, j), w, 0, w2)
 			blas.Gemm(false, false, -1, w2, t2, 0, t.View(0, j, j, ib))
 		}
@@ -119,7 +119,7 @@ func larfb(v *mat.Dense, t *mat.Dense, trans bool, c *mat.Dense, work *mat.Dense
 	w := work.View(0, 0, k, n)
 	w2 := work.View(k, 0, k, n)
 	// W = V^T C (the transpose is absorbed by the Gemm packing)
-	blas.GemmTN(1, v, c, 0, w)
+	blas.Gemm(true, false, 1, v, c, 0, w)
 	// W2 = op(T) W, with T upper triangular (treated densely; k is small).
 	blas.Gemm(trans, false, 1, t, w, 0, w2)
 	// C -= V W2

@@ -124,7 +124,12 @@ func TestMeasureOnInteractingConfig(t *testing.T) {
 		bsUp[i] = p.BMatrix(hubbard.Up, f, i)
 		bsDn[i] = p.BMatrix(hubbard.Down, f, i)
 	}
-	e := Measure(lat, greens.Green(bsUp), greens.Green(bsDn), 1)
+	gUp, errUp := greens.Green(bsUp, true)
+	gDn, errDn := greens.Green(bsDn, true)
+	if errUp != nil || errDn != nil {
+		t.Fatal(errUp, errDn)
+	}
+	e := Measure(lat, gUp, gDn, 1)
 	if e.Density() < 0 || e.Density() > 2 {
 		t.Fatalf("density %v unphysical", e.Density())
 	}

@@ -16,9 +16,9 @@
 //     over the spin's greens.ClusterSet, which caches suffix UDT
 //     decompositions (built once per sweep) and extends a prefix UDT by one
 //     cluster per boundary, so each refresh costs O(1) cluster-UDT steps
-//     instead of re-running the whole L/k-cluster chain. Options.NoStack
-//     restores the full-rebuild reference: greens.GreenInto over the set's
-//     chain.
+//     instead of re-running the whole L/k-cluster chain. It is the only
+//     refresh path; the full rebuild, greens.GreenInto over the set's chain,
+//     is the reference the sampled residual check compares it against.
 //   - The heavy per-spin phases — wrapping, delayed-update flushes,
 //     cluster recomputation, stratified refreshes — are independent between
 //     the up and down sectors and fork onto the parallel pool
@@ -101,10 +101,11 @@ func (host) Flush(g, u, w *mat.Dense, m, _ int) {
 type spinState struct {
 	be   Backend
 	cs   *greens.ClusterSet // built block by block by be.Cluster
-	st   *greens.StratStack // over cs; nil on the NoStack path
+	st   *greens.StratStack // over cs
 	g    *mat.Dense
 	u, w *mat.Dense // N x nd accumulators, one shape and so one stride
 	m    int        // pending update count
+	err  error      // the first error a refresh of this sector returned
 
 	// Pre-bound closures for the spin fork, so the per-slice hot paths
 	// allocate nothing; their operands are the Sweeper's
@@ -176,14 +177,15 @@ func (s *spinState) push(i int, factor float64) {
 	s.m++
 }
 
-// reportCond hands the UDT condition estimate of the sector's last stack
-// refresh, if it left one, to col.
-func (s *spinState) reportCond(col *obs.Collector) {
-	if s.st == nil {
-		return
-	}
+// report hands what the sector's last refresh left to the chain's
+// goroutine: its UDT condition estimate, if any, to the collector, and its
+// first error to the sweeper's, if that has none yet.
+func (sw *Sweeper) report(s *spinState) {
 	if v, ok := s.st.TakeCond(); ok {
-		col.SampleUDTCond(v)
+		sw.opts.Obs.SampleUDTCond(v)
+	}
+	if sw.err == nil {
+		sw.err = s.err
 	}
 }
 
@@ -212,11 +214,6 @@ type Options struct {
 	// PrePivot selects Algorithm 3 (true, the paper's method) or the
 	// Algorithm 2 QRP reference (false) for stratified recomputations.
 	PrePivot bool
-	// NoStack disables the prefix/suffix UDT stack and recomputes every
-	// boundary Green's function by full host stratification of the
-	// cluster chain — the pre-stack reference path, kept for
-	// accuracy cross-checks and baseline benchmarks.
-	NoStack bool
 	// SerialSpins disables the concurrent execution of the up/down spin
 	// phases: every fork, the boundary's included, runs its two closures
 	// one after the other (reference/baseline path; the arithmetic is
@@ -267,6 +264,8 @@ type Sweeper struct {
 	// wrapped Green's function and its stratified recomputation — the
 	// numerical-accuracy diagnostic that motivates the wrapping limit.
 	maxWrapDrift float64
+	// err is the first error a stratified refresh returned (see Err).
+	err error
 	// boundaries counts stratified refreshes, pacing the StabilityEvery
 	// residual check; checkStrat says whether the current one samples it.
 	boundaries int64
@@ -347,12 +346,15 @@ func NewSweeperOn(p *hubbard.Propagator, f *hubbard.Field, r *rng.Rand, opts Opt
 	sw.dn = sw.newSpin(mk, hubbard.Down)
 	pb := &sw.probe
 	pb.run = func() {
-		greens.GreenInto(pb.ref, pb.chain, opts.PrePivot)
+		// A singular rebuild shows as a non-finite residual.
+		_ = greens.GreenInto(pb.ref, pb.chain, opts.PrePivot)
 		pb.res = mat.RelDiff(pb.g, pb.ref)
 	}
 	start := sw.opts.Obs.Begin()
 	sw.setBoundary(0)
 	sw.fork(func() { sw.refreshSpin(sw.up, true) }, func() { sw.refreshSpin(sw.dn, false) })
+	sw.report(sw.up)
+	sw.report(sw.dn)
 	sw.startProbe(true)
 	sw.joinProbe()
 	sw.opts.Obs.End(obs.PhaseRefresh, start)
@@ -369,11 +371,9 @@ func (sw *Sweeper) newSpin(mk NewBackend, sigma hubbard.Spin) *spinState {
 	s.be = mk(sw.Prop, sigma, o.Delay)
 	s.cs = greens.NewClusterSetWith(sw.Prop, sw.Field, sigma, o.ClusterK, s.be.Cluster)
 	o.Obs.End(obs.PhaseCluster, cstart)
-	if !o.NoStack {
-		sstart := o.Obs.Begin()
-		s.st = greens.NewStratStack(s.cs, o.PrePivot)
-		o.Obs.End(obs.PhaseRefresh, sstart)
-	}
+	sstart := o.Obs.Begin()
+	s.st = greens.NewStratStack(s.cs, o.PrePivot)
+	o.Obs.End(obs.PhaseRefresh, sstart)
 	// The wrap-drift diagnostic samples the spin-up sector only.
 	trackDrift := sigma == hubbard.Up
 	s.flushFn = func() { s.flush(sw.slice) }
@@ -390,11 +390,9 @@ func (sw *Sweeper) newSpin(mk NewBackend, sigma hubbard.Spin) *spinState {
 		t = s.lap(obs.PhaseFlush, t)
 		s.cs.Recompute(sw.Field, sw.cluster)
 		t = s.lap(obs.PhaseCluster, t)
-		if s.st != nil {
-			// One prefix extension per boundary; GreenInto (inside
-			// refreshSpin) combines it with the cached suffix.
-			s.st.Advance()
-		}
+		// One prefix extension per boundary; GreenInto (inside refreshSpin)
+		// combines it with the cached suffix.
+		s.st.Advance()
 		sw.refreshSpin(s, trackDrift)
 		s.lap(obs.PhaseRefresh, t)
 	}
@@ -480,22 +478,20 @@ func (sw *Sweeper) timedFork(up, dn func(), t time.Time) time.Time {
 	return now
 }
 
-// refreshSpin recomputes one spin's Green's function by stratification at
-// the current boundary and, when trackDrift is set, records the drift of
-// the wrapped copy.
+// refreshSpin recomputes one spin's Green's function from the stack at the
+// current boundary, keeping the sector's first error, and, when trackDrift
+// is set, records the drift of the wrapped copy.
 func (sw *Sweeper) refreshSpin(s *spinState, trackDrift bool) {
 	n := s.g.Rows
 	gNew := mat.GetScratch(n, n)
-	if s.st != nil {
-		s.st.GreenInto(gNew)
-		if trackDrift && sw.checkStrat {
-			// Sampled stability check: the stack's amortized answer against
-			// a from-scratch host stratification of the same cluster chain,
-			// started once the fork has joined.
-			sw.probe.arm(s.cs.Chain(sw.boundary), gNew)
-		}
-	} else {
-		greens.GreenInto(gNew, s.cs.Chain(sw.boundary), sw.opts.PrePivot)
+	if err := s.st.GreenInto(gNew); err != nil && s.err == nil {
+		s.err = err
+	}
+	if trackDrift && sw.checkStrat {
+		// Sampled stability check: the stack's amortized answer against a
+		// from-scratch host stratification of the same cluster chain,
+		// started once the fork has joined.
+		sw.probe.arm(s.cs.Chain(sw.boundary), gNew)
 	}
 	if trackDrift && sw.proposed > 0 {
 		d := mat.RelDiff(s.g, gNew)
@@ -603,9 +599,10 @@ func (sw *Sweeper) Sweep() {
 		}
 		t = sw.timedFork(sw.up.boundaryFn, sw.dn.boundaryFn, t)
 		// Up before down, whichever sector's refresh finished first: the
-		// collector's running sums then repeat bit for bit.
-		sw.up.reportCond(sw.opts.Obs)
-		sw.dn.reportCond(sw.opts.Obs)
+		// collector's running sums and the first error then repeat bit for
+		// bit.
+		sw.report(sw.up)
+		sw.report(sw.dn)
 		sw.startProbe(sw.opts.SerialSpins)
 		// The condition reports and the check's hand-off are refresh
 		// bookkeeping; with a hook they would fall between two phases.
@@ -705,6 +702,11 @@ func (sw *Sweeper) SetCounters(accepted, proposed int64) {
 // wrapped Green's function and its stratified recomputation.
 func (sw *Sweeper) MaxWrapDrift() float64 { return sw.maxWrapDrift }
 
+// Err returns the first error a stratified refresh returned (up before down
+// at one boundary), or nil: lapack.ErrSingular where I + B...B is singular.
+// The chain runs on over the non-finite G, so callers check between sweeps.
+func (sw *Sweeper) Err() error { return sw.err }
+
 // ClusterK returns the clustering size actually in use.
 func (sw *Sweeper) ClusterK() int { return sw.opts.ClusterK }
 
@@ -736,11 +738,9 @@ func (sw *Sweeper) SetClusterK(k int) int {
 	sw.up.cs.SetK(sw.Field, k)
 	sw.dn.cs.SetK(sw.Field, k)
 	sw.opts.Obs.End(obs.PhaseCluster, cstart)
-	if sw.up.st != nil {
-		sstart := sw.opts.Obs.Begin()
-		sw.up.st.Retarget(sw.up.cs)
-		sw.dn.st.Retarget(sw.dn.cs)
-		sw.opts.Obs.End(obs.PhaseRefresh, sstart)
-	}
+	sstart := sw.opts.Obs.Begin()
+	sw.up.st.Retarget(sw.up.cs)
+	sw.dn.st.Retarget(sw.dn.cs)
+	sw.opts.Obs.End(obs.PhaseRefresh, sstart)
 	return k
 }

@@ -1,10 +1,14 @@
 package update
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"questgo/internal/check"
 	"questgo/internal/greens"
 	"questgo/internal/hubbard"
 	"questgo/internal/lapack"
@@ -24,6 +28,17 @@ func setup(t *testing.T, nx, ny int, u, beta float64, l int, seed uint64) (*hubb
 	p := hubbard.NewPropagator(m)
 	f := hubbard.NewRandomField(l, m.N(), rng.New(seed))
 	return p, f
+}
+
+// green is greens.Green, Algorithm 3, for a chain the test knows to be
+// regular.
+func green(t *testing.T, bs []*mat.Dense) *mat.Dense {
+	t.Helper()
+	g, err := greens.Green(bs, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // detM computes log|det(I + B_L...B_1)| and its sign directly.
@@ -75,7 +90,7 @@ func TestMetropolisRatioMatchesDeterminants(t *testing.T) {
 	for i := range bs {
 		bs[i] = p.BMatrix(hubbard.Up, f, i)
 	}
-	g := greens.Green(bs)
+	g := green(t, bs)
 	w := greens.NewWrapper(p)
 	w.Wrap(g, f, hubbard.Up, 0)
 
@@ -110,14 +125,14 @@ func TestSweepKeepsGreenConsistent(t *testing.T) {
 	for i := range bs {
 		bs[i] = p.BMatrix(hubbard.Up, f, i)
 	}
-	fresh := greens.Green(bs)
+	fresh := green(t, bs)
 	if d := mat.RelDiff(sw.GreenUp(), fresh); d > 1e-8 {
 		t.Fatalf("spin-up G drifted from fresh evaluation: %g", d)
 	}
 	for i := range bs {
 		bs[i] = p.BMatrix(hubbard.Down, f, i)
 	}
-	fresh = greens.Green(bs)
+	fresh = green(t, bs)
 	if d := mat.RelDiff(sw.GreenDn(), fresh); d > 1e-8 {
 		t.Fatalf("spin-down G drifted from fresh evaluation: %g", d)
 	}
@@ -253,35 +268,27 @@ func TestClusterKAdjusts(t *testing.T) {
 }
 
 // TestSetClusterKMidRun resizes k between sweeps — the autopilot's actuator
-// path — and checks (a) the Green's functions stay consistent with a fresh
-// full-chain evaluation after further sweeps at the new k, (b) the stacked
-// and no-stack sweepers resized identically walk the same trajectory, and
-// (c) k is snapped to a divisor of L.
+// path — and checks (a) the stack refresh after each resize agrees with the
+// full rebuild at every boundary (the cadence-1 residual check), (b) the
+// Green's functions stay consistent with a fresh full-chain evaluation
+// after further sweeps at the new k, and (c) k is snapped to a divisor of L.
 func TestSetClusterKMidRun(t *testing.T) {
 	p, f1 := setup(t, 3, 3, 4, 2, 12, 43)
-	f2 := f1.Clone()
-	sw1 := NewSweeper(p, f1, rng.New(17), Options{ClusterK: 4, PrePivot: true})
-	sw2 := NewSweeper(p, f2, rng.New(17), Options{ClusterK: 4, PrePivot: true, NoStack: true})
+	col := obs.New()
+	sw1 := NewSweeper(p, f1, rng.New(17), Options{ClusterK: 4, PrePivot: true, Obs: col, StabilityEvery: 1})
 	for s := 0; s < 2; s++ {
 		sw1.Sweep()
-		sw2.Sweep()
 	}
 	for _, k := range []int{2, 6, 3} {
 		if got := sw1.SetClusterK(k); got != k {
 			t.Fatalf("SetClusterK(%d) = %d on L=12", k, got)
 		}
-		sw2.SetClusterK(k)
+		col.Reset()
 		sw1.Sweep()
-		sw2.Sweep()
-		if d := mat.RelDiff(sw1.GreenUp(), sw2.GreenUp()); d > 1e-9 {
-			t.Fatalf("k=%d: stacked vs no-stack G diverged after resize: %g", k, d)
-		}
-	}
-	for l := 0; l < f1.L; l++ {
-		for i := 0; i < f1.N; i++ {
-			if f1.H[l][i] != f2.H[l][i] {
-				t.Fatalf("fields diverged at (%d,%d) after resizes", l, i)
-			}
+		st := col.Metrics().Stability
+		if st.StratResidualSamples != int64(12/k) || st.NonFiniteSeen || !(st.MaxStratResidual <= 1e-9) {
+			t.Fatalf("k=%d: %d residual samples (want %d), max %g (want <= 1e-9), non-finite %v",
+				k, st.StratResidualSamples, 12/k, st.MaxStratResidual, st.NonFiniteSeen)
 		}
 	}
 	// Final consistency against a from-scratch evaluation of the chain.
@@ -289,7 +296,7 @@ func TestSetClusterKMidRun(t *testing.T) {
 	for i := range bs {
 		bs[i] = p.BMatrix(hubbard.Up, f1, i)
 	}
-	fresh := greens.Green(bs)
+	fresh := green(t, bs)
 	if d := mat.RelDiff(sw1.GreenUp(), fresh); d > 1e-8 {
 		t.Fatalf("resized sweeper G drifted from fresh evaluation: %g", d)
 	}
@@ -350,4 +357,73 @@ func TestBackendIsThreeKernels(t *testing.T) {
 	if want := []string{"Cluster", "Flush", "Wrap"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("update.Backend methods %v, want exactly %v", got, want)
 	}
+}
+
+// singularDown is the host backend whose spin-down blocks become -I once on
+// is set: with one cluster (k = L) the down sector's I + B is then singular.
+type singularDown struct {
+	Backend
+	on *bool
+}
+
+func (b singularDown) Cluster(dst *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, base, k int) {
+	if *b.on && sigma == hubbard.Down {
+		dst.SetIdentity()
+		dst.Scale(-1)
+		return
+	}
+	b.Backend.Cluster(dst, f, sigma, base, k)
+}
+
+// TestSingularRefreshSetsErr: a stratified refresh whose final solve is
+// singular reaches Sweeper.Err as lapack.ErrSingular, from the constructor's
+// refresh and from a sweep's boundary. The singular sector is the down one,
+// which the wrap drift never samples: the drift stays finite. Under qmcdebug
+// the sanitizer stops the non-finite G first (the spins run serially, so
+// the panic reaches this goroutine).
+func TestSingularRefreshSetsErr(t *testing.T) {
+	for _, atStart := range []bool{true, false} {
+		p, f := setup(t, 2, 2, 4, 1, 4, 3)
+		on := atStart
+		mk := func(p *hubbard.Propagator, sigma hubbard.Spin, nd int) Backend {
+			return singularDown{newHost(p, sigma, nd), &on}
+		}
+		opts := Options{ClusterK: 4, SerialSpins: true}
+		if check.Enabled {
+			msg := panicMessage(func() {
+				sw := NewSweeperOn(p, f, rng.New(1), opts, mk)
+				on = true
+				sw.Sweep()
+			})
+			if !strings.Contains(msg, "greens.") {
+				t.Fatalf("atStart=%v under qmcdebug: panic %q, want the sanitizer's", atStart, msg)
+			}
+			continue
+		}
+		sw := NewSweeperOn(p, f, rng.New(1), opts, mk)
+		if !atStart {
+			if err := sw.Err(); err != nil {
+				t.Fatalf("regular chain: Err() = %v", err)
+			}
+			on = true
+			sw.Sweep()
+		}
+		if err := sw.Err(); !errors.Is(err, lapack.ErrSingular) {
+			t.Fatalf("atStart=%v: Err() = %v, want lapack.ErrSingular", atStart, err)
+		}
+		if d := sw.MaxWrapDrift(); math.IsNaN(d) || math.IsInf(d, 0) {
+			t.Fatalf("atStart=%v: wrap drift %g; the up sector is regular", atStart, d)
+		}
+	}
+}
+
+// panicMessage runs f and returns what it panicked with, "" if it returned.
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
 }
