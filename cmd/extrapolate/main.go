@@ -212,6 +212,9 @@ func run(cfg questgo.Config, walkers int, chi bool, chiSamples int) (*questgo.Re
 	if !chi {
 		return res, "", nil
 	}
-	cr := sim.SampleSusceptibility(chiSamples, 0)
+	cr, err := sim.SampleSusceptibility(chiSamples, 0)
+	if err != nil {
+		return nil, "", err
+	}
 	return res, fmt.Sprintf("%.3f+-%.3f", cr.AF, cr.AFErr), nil
 }

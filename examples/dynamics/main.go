@@ -52,7 +52,10 @@ func main() {
 		var taus []int
 		for i := 0; i < sweeps; i++ {
 			sw.Sweep()
-			d := measure.MeasureDisplaced(lat, prop, field, 4, slices/2, 8)
+			d, err := measure.MeasureDisplaced(lat, prop, field, 4, slices/2, 8)
+			if err != nil {
+				log.Fatal(err)
+			}
 			taus = d.Taus
 			// Flatten [tau][k] for the accumulator: keep two momenta.
 			kFS := 1 + nx*1 // (pi/2, pi/2) on a 4x4 grid

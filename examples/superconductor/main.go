@@ -49,7 +49,10 @@ func main() {
 		const samples = 8
 		for s := 0; s < samples; s++ {
 			sw.Sweep()
-			p := measure.MeasureSusceptibility(lat, prop, field, 4, 8)
+			p, err := measure.MeasureSusceptibility(lat, prop, field, 4, 8)
+			if err != nil {
+				log.Fatal(err)
+			}
 			ps += p.PairQ0() / samples
 			et := measure.Measure(lat, sw.GreenUp(), sw.GreenDn(), sw.Sign())
 			docc += et.DoubleOcc / samples

@@ -29,6 +29,7 @@ var keptForTests = map[string]string{
 	"(*questgo/internal/lapack.QR).MulQ":                        "the operator FormQ (DORGQR since PR 20, no longer MulQ on I) must equal: TestFormQAcrossPanelShapes, FuzzQRReconstruct; Q*R == A of TestQRReconstruct",
 	"(*questgo/internal/lapack.LU).LogDet":                      "TestLUDeterminant and the update tests' exact-weight reference; a run tracks ratios only",
 	"(*questgo/internal/lattice.Lattice).Neighbors":             "TestNeighborsCount: independent count of the bonds KMatrix builds",
+	"(*questgo/internal/mat.Dense).FrobNorm":                    "TestRelDiffMatchesFrobNorm: the one-pass RelDiff against FrobNorm of the difference, bit for bit",
 	"(*questgo/internal/mat.Dense).MaxAbs":                      "tolerance scale of the lapack and greens property tests",
 	"(*questgo/internal/mat.Dense).EqualApprox":                 "matrix comparison of the blas/lapack/gpu/greens tests",
 	"questgo/internal/mat.Diag":                                 "input of TestSymEigDiagonal and TestSymExpZeroIsIdentity",

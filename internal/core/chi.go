@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"questgo/internal/measure"
 	"questgo/internal/obs"
 )
@@ -18,8 +20,9 @@ type ChiResult struct {
 // cluster size). Call after Run so the chain is equilibrated. Every
 // sampled tau stratifies the whole chain once per spin (one greens.Split),
 // so this costs considerably more per sweep than the equal-time
-// measurements.
-func (s *Simulation) SampleSusceptibility(samples, every int) *ChiResult {
+// measurements. A singular split fails it with an *ErrUnstable (its Sweep
+// counts Run's sweeps and the samples so far) and no result.
+func (s *Simulation) SampleSusceptibility(samples, every int) (*ChiResult, error) {
 	if samples < 1 {
 		samples = 1
 	}
@@ -30,15 +33,21 @@ func (s *Simulation) SampleSusceptibility(samples, every int) *ChiResult {
 	for i := 0; i < samples; i++ {
 		s.sweeper.Sweep()
 		start := s.col.Begin()
-		chi := measure.MeasureSusceptibility(s.lat, s.prop, s.field, every, s.sweeper.ClusterK())
+		chi, err := measure.MeasureSusceptibility(s.lat, s.prop, s.field, every, s.sweeper.ClusterK())
+		if err != nil {
+			s.sweeper.Join()
+			return nil, &ErrUnstable{Sweep: s.cfg.WarmSweeps + s.cfg.MeasSweeps + i + 1, Drift: s.sweeper.MaxWrapDrift(), Sign: s.sweeper.Sign(),
+				Reason: fmt.Sprintf("singular displaced Green's function: %v", err)}
+		}
 		sg := s.sweeper.Sign()
 		af = append(af, sg*chi.ChiAF())
 		uni = append(uni, sg*chi.ChiUniform())
 		signs = append(signs, sg)
 		s.col.End(obs.PhaseMeasure, start)
 	}
+	s.sweeper.Join()
 	res := &ChiResult{Samples: samples}
 	res.AF, res.AFErr = signedAverage(af, signs)
 	res.Uniform, res.UniformErr = signedAverage(uni, signs)
-	return res
+	return res, nil
 }

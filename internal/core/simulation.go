@@ -14,6 +14,7 @@ import (
 	"questgo/internal/gpu"
 	"questgo/internal/hubbard"
 	"questgo/internal/lattice"
+	"questgo/internal/mat"
 	"questgo/internal/measure"
 	"questgo/internal/obs"
 	"questgo/internal/parallel"
@@ -195,6 +196,10 @@ type Results struct {
 	// stability telemetry.
 	Metrics *obs.Metrics `json:"metrics,omitempty"`
 }
+
+// measureDisplaced is the dynamic measurement a measurement sweep takes
+// with Config.MeasureDynamics; tests swap it to reach the singular case.
+var measureDisplaced = measure.MeasureDisplaced
 
 // Simulation is a configured DQMC run.
 type Simulation struct {
@@ -387,6 +392,10 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 	// count that core as idle: see parallel.Enter.
 	parallel.Enter()
 	defer parallel.Leave()
+	// Every return joins the stacks' roll the last sweep left running, so
+	// the process-global op counts it adds to are complete (the Results
+	// path joins before it reads them).
+	defer s.sweeper.Join()
 	for w := 0; w < s.cfg.WarmSweeps; w++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -407,35 +416,45 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 	)
 	// Per-sweep collection: with MeasureBoundaries every cluster boundary
 	// contributes one sample (L/k per sweep) and the sweep records their
-	// average; otherwise a single measurement is taken after the sweep.
-	var collected []*measure.EqualTime
-	takeMeasurement := func() {
-		start := s.col.Begin()
-		sign := s.sweeper.Sign()
-		collected = append(collected, measure.Measure(s.lat, s.sweeper.GreenUp(), s.sweeper.GreenDn(), sign))
-		s.col.End(obs.PhaseMeasure, start)
+	// average; otherwise a single measurement is taken after the sweep. The
+	// records are reused from sweep to sweep. The boundary hook may run on a
+	// pool worker beside the chain (update.BoundaryHook): it writes only
+	// recs and taken, which this goroutine reads once Sweep has returned.
+	var recs []*measure.EqualTime
+	taken := 0
+	record := func(gup, gdn *mat.Dense, sign float64) {
+		if taken == len(recs) {
+			recs = append(recs, new(measure.EqualTime))
+		}
+		measure.MeasureInto(recs[taken], s.lat, gup, gdn, sign)
+		taken++
 	}
 	if s.cfg.MeasureBoundaries {
-		s.sweeper.SetBoundaryHook(takeMeasurement)
+		s.sweeper.SetBoundaryHook(record)
 		defer s.sweeper.SetBoundaryHook(nil)
 	}
+	planeN := s.lat.Nx * s.lat.Ny
+	nk, etnk := make([]float64, planeN), make([]float64, planeN)
+	czz := make([]float64, planeN)
+	layers := make([]float64, s.lat.Layers)
 	var dynAcc stats.VectorAccumulator
 	var dynTaus []int
 	for m := 0; m < s.cfg.MeasSweeps; m++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		collected = collected[:0]
+		taken = 0
 		s.sweeper.Sweep()
 		s.autopilotStep()
-		if err := s.checkStable(s.cfg.WarmSweeps + m + 1); err != nil {
+		sweep := s.cfg.WarmSweeps + m + 1
+		if err := s.checkStable(sweep); err != nil {
 			return nil, err
 		}
-		if len(collected) == 0 {
-			takeMeasurement()
+		start := s.col.Begin()
+		if taken == 0 {
+			record(s.sweeper.GreenUp(), s.sweeper.GreenDn(), s.sweeper.Sign())
 		}
 		if s.cfg.MeasureDynamics {
-			dstart := s.col.Begin()
 			k := s.sweeper.ClusterK()
 			// Ensure at least one tau fits in (0, L/2].
 			every := k
@@ -443,7 +462,11 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 				every = s.cfg.L / 2
 			}
 			if every >= 1 {
-				md := measure.MeasureDisplaced(s.lat, s.prop, s.field, every, s.cfg.L/2, k)
+				md, err := measureDisplaced(s.lat, s.prop, s.field, every, s.cfg.L/2, k)
+				if err != nil {
+					return nil, &ErrUnstable{Sweep: sweep, Drift: s.sweeper.MaxWrapDrift(), Sign: s.sweeper.Sign(),
+						Reason: fmt.Sprintf("singular displaced Green's function: %v", err)}
+				}
 				if len(md.Taus) > 0 {
 					dynTaus = md.Taus
 					sg := s.sweeper.Sign()
@@ -456,15 +479,14 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 					dynAcc.Push(flat)
 				}
 			}
-			s.col.End(obs.PhaseMeasure, dstart)
 		}
 		// Average the sweep's samples, sign weighted.
-		inv := 1 / float64(len(collected))
+		inv := 1 / float64(taken)
 		var sSign, sDen, sDocc, sKin, sMom, sSAF float64
-		nk := make([]float64, len(collected[0].GFun))
-		czz := make([]float64, len(collected[0].Czz))
-		layers := make([]float64, len(collected[0].LayerDensity))
-		for _, et := range collected {
+		clear(nk)
+		clear(czz)
+		clear(layers)
+		for _, et := range recs[:taken] {
 			sg := et.Sign
 			sSign += sg * inv
 			sDen += sg * et.Density() * inv
@@ -472,7 +494,7 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 			sKin += sg * et.Kinetic * inv
 			sMom += sg * et.LocalMoment * inv
 			sSAF += sg * et.AFStructureFactor() * inv
-			etnk := et.MomentumDistribution()
+			et.MomentumDistributionInto(etnk)
 			for i := range nk {
 				nk[i] += sg * etnk[i] * inv
 			}
@@ -492,9 +514,11 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 		nkAcc.Push(nk)
 		czzAcc.Push(czz)
 		layerAcc.Push(layers)
+		s.col.End(obs.PhaseMeasure, start)
 		s.report(cb, "measure", m+1, s.cfg.MeasSweeps)
 	}
 
+	s.sweeper.Join()
 	// The final statistics (jackknife errors, vector averages) belong to the
 	// measurement phase of the breakdown.
 	fstart := s.col.Begin()

@@ -11,7 +11,9 @@ import (
 	"questgo/internal/check"
 	"questgo/internal/hubbard"
 	"questgo/internal/lapack"
+	"questgo/internal/lattice"
 	"questgo/internal/mat"
+	"questgo/internal/measure"
 	"questgo/internal/update"
 )
 
@@ -156,5 +158,36 @@ func TestCheckStableSingular(t *testing.T) {
 	var u *ErrUnstable
 	if !errors.As(err, &u) || !strings.Contains(u.Reason, "singular") {
 		t.Fatalf("checkStable = %v, want an *ErrUnstable with a singular reason", err)
+	}
+}
+
+// TestRunFailsSingularDisplaced: a measurement sweep whose displaced
+// Green's function meets a singular two-sided inversion fails the run with
+// an *ErrUnstable, "singular displaced Green's function", and no Results.
+// The singular split is reached through the measureDisplaced seam, which
+// here fails the second measurement sweep's call with the error a split's
+// LU would keep (greens.TestSplitSingularReportsError holds the splits to
+// it); the first call measures for real.
+func TestRunFailsSingularDisplaced(t *testing.T) {
+	defer func(f func(*lattice.Lattice, *hubbard.Propagator, *hubbard.Field, int, int, int) (*measure.Displaced, error)) {
+		measureDisplaced = f
+	}(measureDisplaced)
+	calls := 0
+	measureDisplaced = func(lat *lattice.Lattice, p *hubbard.Propagator, f *hubbard.Field, every, maxTau, k int) (*measure.Displaced, error) {
+		if calls++; calls == 2 {
+			return nil, fmt.Errorf("greens split: %w", lapack.ErrSingular)
+		}
+		return measure.MeasureDisplaced(lat, p, f, every, maxTau, k)
+	}
+	cfg := DefaultConfig()
+	cfg.Beta, cfg.L = 1, 8
+	cfg.WarmSweeps, cfg.MeasSweeps, cfg.MeasureDynamics = 1, 4, true
+	res, err := Run(context.Background(), cfg)
+	var u *ErrUnstable
+	if !errors.As(err, &u) || res != nil {
+		t.Fatalf("Run = %v, %v; want no Results and an *ErrUnstable", res, err)
+	}
+	if !strings.Contains(u.Reason, "singular displaced Green's function") || u.Sweep != 3 || calls != 2 {
+		t.Fatalf("ErrUnstable after sweep %d (%d calls): %q", u.Sweep, calls, u.Reason)
 	}
 }

@@ -33,8 +33,23 @@ import (
 // l = L the after-tau chain is empty (P2 = I) and the exact antiperiodic
 // identities G(beta, 0) = I - G(0), G(0, beta) = -G(0) and
 // G(beta, beta) = G(0) are used, well conditioned at any coupling.
+//
+// A singular solve (lapack.ErrSingular) still returns the non-finite G it
+// produced; the split keeps the first such error for Err.
 type Split struct {
 	before, after *UDT // after is nil at l = L
+	err           error
+}
+
+// Err returns the first error a Green's function of this split returned,
+// or nil.
+func (s *Split) Err() error { return s.err }
+
+// keep records err unless an earlier one is already kept.
+func (s *Split) keep(err error) {
+	if s.err == nil {
+		s.err = err
+	}
 }
 
 // SplitAt builds and stratifies both halves of the chain of spin sigma at
@@ -62,7 +77,9 @@ func (s *Split) Forward() *mat.Dense {
 		out.Add(-1, s.green0())
 		return out
 	}
-	return invertFactoredSum(s.before, s.after)
+	g, err := invertFactoredSum(s.before, s.after)
+	s.keep(err)
+	return g
 }
 
 // Reverse returns G(0, tau_l) = <T c(0) c^dag(tau_l)>
@@ -74,7 +91,9 @@ func (s *Split) Reverse() *mat.Dense {
 	if s.after == nil {
 		out = s.green0()
 	} else {
-		out = invertFactoredSum(s.after, s.before)
+		var err error
+		out, err = invertFactoredSum(s.after, s.before)
+		s.keep(err)
 	}
 	out.Scale(-1)
 	return out
@@ -91,18 +110,16 @@ func (s *Split) Equal() *mat.Dense {
 	n := u1.Q.Rows
 	g := mat.New(n, n)
 	d := mat.GetScratch(n, 1)
-	_ = joinGreenInto(g, u1, u2.Q, u2.D, u2.T, false, true, d.Data) // unreported, as in green0
+	s.keep(joinGreenInto(g, u1, u2.Q, u2.D, u2.T, false, true, d.Data))
 	mat.PutScratch(d)
 	return g
 }
 
-// green0 returns the whole chain's G(0) = (I + P1)^{-1} at l = L. Like the
-// solves of invertFactoredSum, the displaced layer does not yet report a
-// singular final solve.
+// green0 returns the whole chain's G(0) = (I + P1)^{-1} at l = L.
 func (s *Split) green0() *mat.Dense {
 	n := s.before.Q.Rows
 	g := mat.New(n, n)
-	_ = GreenFromUDTInto(g, s.before)
+	s.keep(GreenFromUDTInto(g, s.before))
 	return g
 }
 
@@ -136,7 +153,10 @@ func sliceBlocks(p *hubbard.Propagator, f *hubbard.Field, sigma hubbard.Spin, lo
 // by one in magnitude with well-conditioned matrices, and
 //
 //	G = T2^{-1} (Db^b)^{-1} C^{-1} (Da^b)^{-1} T1.
-func invertFactoredSum(u1, u2 *UDT) *mat.Dense {
+//
+// The error is the first of its three LU factorizations' (a singular C
+// where the sum itself is singular); the solves run on either way.
+func invertFactoredSum(u1, u2 *UDT) (*mat.Dense, error) {
 	n := u1.Q.Rows
 	da := make([]float64, n)
 	for i, v := range u1.D {
@@ -151,7 +171,7 @@ func invertFactoredSum(u1, u2 *UDT) *mat.Dense {
 
 	// M = U1^T * T2^{-1}: solve M T2 = U1^T, i.e. T2^T M^T = U1.
 	t2T := u2.T.Transpose()
-	luT2T, _ := lapack.LUFactor(t2T)
+	luT2T, err := lapack.LUFactor(t2T)
 	mT := u1.Q.Clone()
 	luT2T.Solve(mT)
 	m := mT.Transpose()
@@ -166,13 +186,19 @@ func invertFactoredSum(u1, u2 *UDT) *mat.Dense {
 	// RHS = (Da^b)^{-1} T1; solve C X = RHS.
 	x := u1.T.Clone()
 	scaleInvRows(x, daBig)
-	luC, _ := lapack.LUFactor(m)
+	luC, errC := lapack.LUFactor(m)
 	luC.Solve(x)
 	// X <- (Db^b)^{-1} X, then solve T2 G = X.
 	scaleInvRows(x, dbBig)
-	luT2, _ := lapack.LUFactor(u2.T.Clone())
+	luT2, errT2 := lapack.LUFactor(u2.T.Clone())
 	luT2.Solve(x)
-	return x
+	if err == nil {
+		err = errC
+	}
+	if err == nil {
+		err = errT2
+	}
+	return x, err
 }
 
 // splitBigSmall returns (D^b, D^s) with D^b = max(|d|, 1) carrying the

@@ -1,10 +1,12 @@
 package greens
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"questgo/internal/blas"
+	"questgo/internal/check"
 	"questgo/internal/hubbard"
 	"questgo/internal/lapack"
 	"questgo/internal/lattice"
@@ -150,4 +152,48 @@ func TestDisplacedGreenPanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	SplitAt(p, f, hubbard.Up, 0, 2)
+}
+
+// TestSplitSingularReportsError: a split whose two-sided sum is singular
+// keeps lapack.ErrSingular for Err. With P1 = I and P2 = -I the sums of
+// Forward (P1^{-1} + P2), Reverse (P1 + P2^{-1}) and Equal (I + P1 P2) are
+// all zero; with the after-tau chain empty and P1 = -I, green0's I + P1 is.
+// Each method is checked on a fresh split, so the error is its own, and a
+// regular split (P2 = I) keeps nil. Under qmcdebug a sanitizer may stop the
+// non-finite G first, which counts as failing loudly too.
+func TestSplitSingularReportsError(t *testing.T) {
+	const n = 4
+	negI := mat.Identity(n)
+	negI.Scale(-1)
+	udt := func(b *mat.Dense) *UDT { return Stratify([]*mat.Dense{b}, true) }
+	for _, tc := range []struct {
+		name  string
+		after *mat.Dense // nil: l = L, green0
+		p1    *mat.Dense
+		want  bool
+	}{
+		{"P1 = I, P2 = -I", negI, mat.Identity(n), true},
+		{"P1 = -I, l = L", nil, negI, true},
+		{"P1 = I, P2 = I", mat.Identity(n), mat.Identity(n), false},
+	} {
+		for _, m := range []struct {
+			name string
+			call func(s *Split) *mat.Dense
+		}{{"Forward", (*Split).Forward}, {"Reverse", (*Split).Reverse}, {"Equal", (*Split).Equal}} {
+			s := &Split{before: udt(tc.p1)}
+			if tc.after != nil {
+				s.after = udt(tc.after)
+			}
+			if check.Enabled {
+				if msg := panicMessage(func() { m.call(s) }); msg != "" {
+					continue
+				}
+			} else {
+				m.call(s)
+			}
+			if got := errors.Is(s.Err(), lapack.ErrSingular); got != tc.want {
+				t.Errorf("%s: %s kept %v, want singular=%v", tc.name, m.name, s.Err(), tc.want)
+			}
+		}
+	}
 }

@@ -42,6 +42,9 @@ import (
 // prefix alone — arithmetically identical to the from-scratch
 // stratification of Chain(0) — and then rolls: the suffix stack is rebuilt
 // from the now-current clusters and the prefix is reset for the next sweep.
+// GreenUnrolledInto evaluates without rolling, for a caller that runs the
+// roll (Rebuild) itself, off the critical path; update.Sweeper does below
+// its spin-fork crossover.
 type StratStack struct {
 	src      *ClusterSet
 	prePivot bool // Algorithm 3 (true) vs Algorithm 2 (false) steps
@@ -132,7 +135,7 @@ func (st *StratStack) Rebuild() {
 //qmc:hot
 func (st *StratStack) Advance() {
 	if st.filled >= st.nc {
-		panic("greens: StratStack.Advance past the last cluster (missing GreenInto roll?)")
+		panic("greens: StratStack.Advance past the last cluster (missing roll: GreenInto or Rebuild)")
 	}
 	work := mat.GetScratch(st.n, st.n)
 	r := mat.GetScratch(st.n, st.n)
@@ -163,6 +166,20 @@ func (st *StratStack) Advance() {
 // The error is that of a singular final solve (GreenFromUDTInto); dst is
 // written and the stack advances either way.
 func (st *StratStack) GreenInto(dst *mat.Dense) error {
+	err := st.GreenUnrolledInto(dst)
+	if st.filled == st.nc {
+		st.Rebuild()
+	}
+	return err
+}
+
+// GreenUnrolledInto is GreenInto without the roll: at filled == NC it
+// evaluates the full prefix and leaves the stack as it is, so the caller
+// can run Rebuild later, off the critical path. Until that Rebuild, Advance
+// panics.
+//
+//qmc:hot
+func (st *StratStack) GreenUnrolledInto(dst *mat.Dense) error {
 	var err error
 	switch {
 	case st.filled == 0:
@@ -170,7 +187,6 @@ func (st *StratStack) GreenInto(dst *mat.Dense) error {
 	case st.filled == st.nc:
 		st.sampleCond(st.prefix.D)
 		err = GreenFromUDTInto(dst, &st.prefix)
-		st.Rebuild()
 	default:
 		err = st.combineInto(dst, st.filled)
 	}

@@ -33,8 +33,9 @@ func foldMomentum(i, n int) float64 {
 }
 
 // SymmetryPath returns the momentum grid indices (into the x-fastest
-// ordering used by MomentumGrid and by measure.MomentumDistribution) along
-// the path (0,0) -> (pi,pi) -> (pi,0) -> (0,0) of the paper's Figure 5,
+// ordering used by MomentumGrid and by the measure package's momentum
+// distribution) along the path (0,0) -> (pi,pi) -> (pi,0) -> (0,0) of the
+// paper's Figure 5,
 // together with the cumulative arc length at each point for plotting.
 // The lattice must be square with even linear size so that (pi,pi) and
 // (pi,0) are grid points.

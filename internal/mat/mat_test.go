@@ -173,6 +173,61 @@ func TestRelDiff(t *testing.T) {
 	}
 }
 
+// TestRelDiffMatchesFrobNorm: the one-pass RelDiff is bit for bit the
+// FrobNorm of the difference matrix m + (-1)*b over FrobNorm(b), the
+// two-pass form it replaced, and allocates nothing: on random matrices with
+// zeros, on views with a wider stride, across 1e-300 to 1e300 gradings
+// (the scaled sums' rescaling branch), against a zero b, and with NaN and Inf
+// entries.
+func TestRelDiffMatchesFrobNorm(t *testing.T) {
+	twoPass := func(m, b *Dense) float64 {
+		d := m.Clone()
+		d.Add(-1, b)
+		nb := b.FrobNorm()
+		if nb == 0 {
+			return d.FrobNorm()
+		}
+		return d.FrobNorm() / nb
+	}
+	r := rng.New(29)
+	for trial := 0; trial < 200; trial++ {
+		rows, cols := 1+r.Intn(12), 1+r.Intn(12)
+		m, b := New(rows+2, cols+1).View(1, 1, rows, cols), New(rows, cols)
+		for j := 0; j < cols; j++ {
+			for i := 0; i < rows; i++ {
+				scale := math.Pow(10, float64(r.Intn(601)-300))
+				switch r.Intn(6) {
+				case 0: // exact zero in b, the difference, or both
+					m.Set(i, j, 0)
+				case 1:
+					v := 2*r.Float64() - 1
+					m.Set(i, j, v)
+					b.Set(i, j, v)
+				default:
+					m.Set(i, j, scale*(2*r.Float64()-1))
+					b.Set(i, j, scale*(2*r.Float64()-1))
+				}
+			}
+		}
+		switch trial {
+		case 0:
+			b.Zero()
+		case 1:
+			m.Set(0, 0, math.NaN())
+		case 2:
+			b.Set(0, 0, math.Inf(1))
+		}
+		got, want := RelDiff(m, b), twoPass(m, b)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d (%dx%d): RelDiff %v, two-pass %v", trial, rows, cols, got, want)
+		}
+	}
+	m, b := randomDense(r, 16, 16), randomDense(r, 16, 16)
+	if a := testing.AllocsPerRun(10, func() { RelDiff(m, b) }); a != 0 {
+		t.Fatalf("RelDiff allocates %v times per call", a)
+	}
+}
+
 func TestMaxAbs(t *testing.T) {
 	m := New(2, 2)
 	m.Set(0, 1, -7)

@@ -26,8 +26,10 @@ type Displaced struct {
 // MeasureDisplaced computes G(d, tau) for tau = every*dtau, 2*every*dtau,
 // ..., up to maxTau slices, from the current field configuration. Each
 // displaced Green's function is the forward inversion of a greens.Split,
-// the stable two-sided decomposition.
-func MeasureDisplaced(lat *lattice.Lattice, p *hubbard.Propagator, f *hubbard.Field, every, maxTau, clusterK int) *Displaced {
+// the stable two-sided decomposition. A singular inversion fails the
+// measurement with its error (lapack.ErrSingular), and no Displaced is
+// returned.
+func MeasureDisplaced(lat *lattice.Lattice, p *hubbard.Propagator, f *hubbard.Field, every, maxTau, clusterK int) (*Displaced, error) {
 	if every < 1 {
 		every = 1
 	}
@@ -36,12 +38,16 @@ func MeasureDisplaced(lat *lattice.Lattice, p *hubbard.Propagator, f *hubbard.Fi
 	}
 	d := &Displaced{Lat: lat}
 	for l := every; l <= maxTau; l += every {
-		gup := greens.SplitAt(p, f, hubbard.Up, l, clusterK).Forward()
-		gdn := greens.SplitAt(p, f, hubbard.Down, l, clusterK).Forward()
+		up := greens.SplitAt(p, f, hubbard.Up, l, clusterK)
+		dn := greens.SplitAt(p, f, hubbard.Down, l, clusterK)
+		gup, gdn := up.Forward(), dn.Forward()
+		if err := firstErr(up, dn); err != nil {
+			return nil, err
+		}
 		d.Taus = append(d.Taus, l)
 		d.GdTau = append(d.GdTau, displacedGFun(lat, gup, gdn))
 	}
-	return d
+	return d, nil
 }
 
 // displacedGFun translation-averages <c_{r+d}(tau) c^dag_r(0)> =

@@ -19,7 +19,7 @@ func TestMeasureDisplacedFreeFermions(t *testing.T) {
 	}
 	p := hubbard.NewPropagator(model)
 	f := hubbard.NewRandomField(L, model.N(), rng.New(3))
-	d := MeasureDisplaced(lat, p, f, 5, L, 5)
+	d := mustDisplaced(t, lat, p, f, 5, L, 5)
 	if len(d.Taus) != 4 {
 		t.Fatalf("taus = %v", d.Taus)
 	}
@@ -54,7 +54,7 @@ func TestLocalGTauDecays(t *testing.T) {
 	}
 	p := hubbard.NewPropagator(model)
 	f := hubbard.NewRandomField(L, model.N(), rng.New(4))
-	d := MeasureDisplaced(lat, p, f, 2, L/2, 4)
+	d := mustDisplaced(t, lat, p, f, 2, L/2, 4)
 	loc := make([]float64, len(d.GdTau)) // local propagator G(d=0, tau)
 	for i, g := range d.GdTau {
 		loc[i] = g[0]
@@ -79,7 +79,7 @@ func TestMeasureDisplacedInteracting(t *testing.T) {
 	}
 	p := hubbard.NewPropagator(model)
 	f := hubbard.NewRandomField(8, 4, rng.New(5))
-	d := MeasureDisplaced(lat, p, f, 1, 8, 4)
+	d := mustDisplaced(t, lat, p, f, 1, 8, 4)
 	if len(d.Taus) != 8 || len(d.GdTau[0]) != 4 {
 		t.Fatalf("shapes: %v %v", d.Taus, len(d.GdTau[0]))
 	}
@@ -130,4 +130,15 @@ func TestPairingTranslationConsistency(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mustDisplaced is MeasureDisplaced for configurations whose splits are
+// regular: an error fails the test.
+func mustDisplaced(t testing.TB, lat *lattice.Lattice, p *hubbard.Propagator, f *hubbard.Field, every, maxTau, clusterK int) *Displaced {
+	t.Helper()
+	d, err := MeasureDisplaced(lat, p, f, every, maxTau, clusterK)
+	if err != nil {
+		t.Fatalf("MeasureDisplaced: %v", err)
+	}
+	return d
 }

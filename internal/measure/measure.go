@@ -13,6 +13,7 @@ package measure
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"questgo/internal/lattice"
 	"questgo/internal/mat"
@@ -46,20 +47,33 @@ type EqualTime struct {
 func (e *EqualTime) Density() float64 { return e.DensityUp + e.DensityDn }
 
 // Measure computes all equal-time observables from the two spin Green's
-// functions of the current configuration.
+// functions of the current configuration, into a new record.
 func Measure(lat *lattice.Lattice, gup, gdn *mat.Dense, sign float64) *EqualTime {
+	e := new(EqualTime)
+	MeasureInto(e, lat, gup, gdn, sign)
+	return e
+}
+
+// pairGrain is the fewest displacements one worker of MeasureInto's pair
+// loop takes.
+const pairGrain = 16
+
+// MeasureInto is Measure into a caller-owned record: every field of e is
+// overwritten, and its slices are reused when they have the lattice's
+// lengths, so a record measured again at the same lattice allocates nothing.
+func MeasureInto(e *EqualTime, lat *lattice.Lattice, gup, gdn *mat.Dense, sign float64) {
 	n := lat.N()
 	if gup.Rows != n || gdn.Rows != n {
 		panic("measure: Green's function dimension mismatch")
 	}
 	nx, ny, nl := lat.Nx, lat.Ny, lat.Layers
 	planeN := nx * ny
-	e := &EqualTime{
+	*e = EqualTime{
 		Lat:          lat,
 		Sign:         sign,
-		LayerDensity: make([]float64, nl),
-		GFun:         make([]float64, planeN),
-		Czz:          make([]float64, planeN),
+		LayerDensity: zeroed(e.LayerDensity, nl),
+		GFun:         zeroed(e.GFun, planeN),
+		Czz:          zeroed(e.Czz, planeN),
 	}
 
 	// Site-local quantities.
@@ -114,35 +128,53 @@ func Measure(lat *lattice.Lattice, gup, gdn *mat.Dense, sign float64) *EqualTime
 	// it parallelizes over displacements d (the same OpenMP-style split the
 	// paper applies to its fine-grained loops). Each worker owns its output
 	// entries and sums over sources i in ascending order, so the bits do not
-	// depend on the worker count.
-	inv := 1 / float64(n)
-	parallel.For(planeN, 16, func(lo, hi int) {
-		for d := lo; d < hi; d++ {
-			dx, dy := d%nx, d/nx
-			var gsum, csum float64
-			for i := 0; i < n; i++ {
-				xi, yi, zi := lat.Coords(i)
-				mzI := (1 - gup.At(i, i)) - (1 - gdn.At(i, i))
-				j := lat.Index(xi+dx, yi+dy, zi) // same-layer partner i + d
-				// <c^dag_{i+d} c_i>.
-				var delta float64
-				if i == j {
-					delta = 1
-				}
-				gfun := delta - 0.5*(gup.At(i, j)+gdn.At(i, j))
-				gsum += gfun * inv
+	// depend on the worker count. A plane too small for two workers runs the
+	// loop directly, without the closure a parallel.For would allocate.
+	if planeN < 2*pairGrain {
+		e.pairSums(gup, gdn, 0, planeN)
+		return
+	}
+	parallel.For(planeN, pairGrain, func(lo, hi int) { e.pairSums(gup, gdn, lo, hi) })
+}
 
-				mzJ := (1 - gup.At(j, j)) - (1 - gdn.At(j, j))
-				czz := mzI * mzJ
-				// Same-spin Wick contractions: (delta - G(i,j)) * G(j,i).
-				czz += (delta - gup.At(i, j)) * gup.At(j, i)
-				czz += (delta - gdn.At(i, j)) * gdn.At(j, i)
-				csum += czz * inv
+// zeroed returns v cleared if it has length n, a new zero slice otherwise.
+func zeroed(v []float64, n int) []float64 {
+	if len(v) != n {
+		return make([]float64, n)
+	}
+	clear(v)
+	return v
+}
+
+// pairSums fills GFun[d] and Czz[d] for the displacements d in [lo, hi).
+func (e *EqualTime) pairSums(gup, gdn *mat.Dense, lo, hi int) {
+	lat := e.Lat
+	n, nx := lat.N(), lat.Nx
+	inv := 1 / float64(n)
+	for d := lo; d < hi; d++ {
+		dx, dy := d%nx, d/nx
+		var gsum, csum float64
+		for i := 0; i < n; i++ {
+			xi, yi, zi := lat.Coords(i)
+			mzI := (1 - gup.At(i, i)) - (1 - gdn.At(i, i))
+			j := lat.Index(xi+dx, yi+dy, zi) // same-layer partner i + d
+			// <c^dag_{i+d} c_i>.
+			var delta float64
+			if i == j {
+				delta = 1
 			}
-			e.GFun[d], e.Czz[d] = gsum, csum
+			gfun := delta - 0.5*(gup.At(i, j)+gdn.At(i, j))
+			gsum += gfun * inv
+
+			mzJ := (1 - gup.At(j, j)) - (1 - gdn.At(j, j))
+			czz := mzI * mzJ
+			// Same-spin Wick contractions: (delta - G(i,j)) * G(j,i).
+			czz += (delta - gup.At(i, j)) * gup.At(j, i)
+			czz += (delta - gdn.At(i, j)) * gdn.At(j, i)
+			csum += czz * inv
 		}
-	})
-	return e
+		e.GFun[d], e.Czz[d] = gsum, csum
+	}
 }
 
 // bondDensity returns <c^dag_i c_j> + <c^dag_j c_i> summed over both spins
@@ -151,11 +183,11 @@ func bondDensity(gup, gdn *mat.Dense, i, j int) float64 {
 	return -gup.At(j, i) - gup.At(i, j) - gdn.At(j, i) - gdn.At(i, j)
 }
 
-// MomentumDistribution Fourier transforms GFun onto the momentum grid:
-// <n_k> = sum_d exp(i k.d) GFun(d), returned in the x-fastest grid order of
-// lattice.MomentumGrid.
-func (e *EqualTime) MomentumDistribution() []float64 {
-	return FourierPlane(e.Lat, e.GFun)
+// MomentumDistributionInto Fourier transforms GFun onto the momentum grid,
+// <n_k> = sum_d exp(i k.d) GFun(d), and writes it into dst (length Nx*Ny)
+// in the x-fastest grid order of lattice.MomentumGrid.
+func (e *EqualTime) MomentumDistributionInto(dst []float64) {
+	FourierPlaneInto(dst, e.Lat, e.GFun)
 }
 
 // SpinStructureFactor returns S(q) = sum_d exp(i q.d) Czz(d) on the grid;
@@ -189,29 +221,59 @@ func (e *EqualTime) AFStructureFactor() float64 {
 // makes the result real; the imaginary part is discarded (it vanishes to
 // roundoff).
 func FourierPlane(lat *lattice.Lattice, f []float64) []float64 {
-	nx, ny := lat.Nx, lat.Ny
-	planeN := nx * ny
-	if len(f) != planeN {
-		panic("measure: displacement function has wrong length")
-	}
-	table := cosTable(nx, ny)
-	out := make([]float64, planeN)
-	parallel.For(planeN, 4, func(lo, hi int) {
-		for kidx := lo; kidx < hi; kidx++ {
-			row := table[kidx*planeN : (kidx+1)*planeN]
-			var re float64
-			for d, v := range f {
-				re += v * row[d]
-			}
-			out[kidx] = re
-		}
-	})
+	out := make([]float64, lat.Nx*lat.Ny)
+	FourierPlaneInto(out, lat, f)
 	return out
 }
 
+// fourierParMin is the plane size from which FourierPlaneInto splits its
+// rows over the pool: below 8x8 a transform is a few thousand multiply-adds,
+// about what one hand-off costs.
+const fourierParMin = 64
+
+// FourierPlaneInto is FourierPlane into dst (length Nx*Ny). Each output is
+// one ascending sum over the cached cosine row, whoever computes it, so the
+// bits do not depend on the split.
+func FourierPlaneInto(dst []float64, lat *lattice.Lattice, f []float64) {
+	nx, ny := lat.Nx, lat.Ny
+	planeN := nx * ny
+	if len(f) != planeN || len(dst) != planeN {
+		panic("measure: displacement function has wrong length")
+	}
+	table := cosTable(nx, ny)
+	if planeN < fourierParMin {
+		fourierRows(dst, table, f, 0, planeN)
+		return
+	}
+	parallel.For(planeN, 4, func(lo, hi int) { fourierRows(dst, table, f, lo, hi) })
+}
+
+// fourierRows writes the momenta [lo, hi) of the transform of f into out.
+func fourierRows(out, table, f []float64, lo, hi int) {
+	planeN := len(f)
+	for kidx := lo; kidx < hi; kidx++ {
+		row := table[kidx*planeN : (kidx+1)*planeN]
+		var re float64
+		for d, v := range f {
+			re += v * row[d]
+		}
+		out[kidx] = re
+	}
+}
+
 // cosTables holds FourierPlane's cosine table per in-plane shape
-// [2]int{nx, ny}: built on first use, read-only after.
-var cosTables sync.Map
+// [2]int{nx, ny}: built on first use, read-only after. lastCos caches the
+// most recent shape's entry, so the steady state of one run finds its table
+// without boxing a map key.
+var (
+	cosTables sync.Map
+	lastCos   atomic.Pointer[cosEntry]
+)
+
+type cosEntry struct {
+	nx, ny int
+	t      []float64
+}
 
 // cosTable returns cos(k.d) for every momentum kidx and displacement d of
 // an nx x ny plane at [kidx*nx*ny + d]. Each entry is math.Cos of the
@@ -219,8 +281,12 @@ var cosTables sync.Map
 // are bit for bit those of calling math.Cos per term, at (nx·ny)² cosines
 // per shape instead of per call.
 func cosTable(nx, ny int) []float64 {
+	if e := lastCos.Load(); e != nil && e.nx == nx && e.ny == ny {
+		return e.t
+	}
 	key := [2]int{nx, ny}
 	if t, ok := cosTables.Load(key); ok {
+		lastCos.Store(&cosEntry{nx, ny, t.([]float64)})
 		return t.([]float64)
 	}
 	planeN := nx * ny
@@ -235,6 +301,7 @@ func cosTable(nx, ny int) []float64 {
 		}
 	}
 	actual, _ := cosTables.LoadOrStore(key, t)
+	lastCos.Store(&cosEntry{nx, ny, actual.([]float64)})
 	return actual.([]float64)
 }
 

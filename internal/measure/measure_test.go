@@ -3,6 +3,7 @@ package measure
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"questgo/internal/blas"
@@ -51,7 +52,8 @@ func TestFreeFermionMomentumDistribution(t *testing.T) {
 	mu, beta := 0.3, 3.0
 	g := freeGreens(lat, mu, beta)
 	e := Measure(lat, g, g, 1)
-	nk := e.MomentumDistribution()
+	nk := make([]float64, lat.Nx*lat.Ny)
+	e.MomentumDistributionInto(nk)
 	for _, p := range lat.MomentumGrid() {
 		eps := -2*(math.Cos(p.Kx)+math.Cos(p.Ky)) - mu
 		want := 1 / (1 + math.Exp(beta*eps))
@@ -296,4 +298,65 @@ func serialPairSums(lat *lattice.Lattice, gup, gdn *mat.Dense) (gfun, czz []floa
 		}
 	}
 	return gfun, czz
+}
+
+// TestMeasureIntoReusesRecord: MeasureInto over a record last filled from
+// other Green's functions, or on another lattice, is bit for bit a fresh
+// Measure, on planes below and above the pair loop's parallel split (4x4,
+// 6x6), with two layers and with t'; and once the record has the lattice's
+// shape, a measurement and its momentum distribution allocate nothing at
+// 4x4.
+func TestMeasureIntoReusesRecord(t *testing.T) {
+	r := rng.New(31)
+	randomG := func(n int) *mat.Dense {
+		g := mat.New(n, n)
+		for i := range g.Data {
+			g.Data[i] = 2*r.Float64() - 1
+		}
+		return g
+	}
+	bits := func(v []float64) []uint64 {
+		out := make([]uint64, len(v))
+		for i, x := range v {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	same := func(a, b *EqualTime) bool {
+		scalars := func(e *EqualTime) []float64 {
+			return []float64{e.Sign, e.DensityUp, e.DensityDn, e.DoubleOcc, e.Kinetic, e.LocalMoment}
+		}
+		return a.Lat == b.Lat && slices.Equal(bits(scalars(a)), bits(scalars(b))) &&
+			slices.Equal(bits(a.LayerDensity), bits(b.LayerDensity)) &&
+			slices.Equal(bits(a.GFun), bits(b.GFun)) && slices.Equal(bits(a.Czz), bits(b.Czz))
+	}
+	rec := new(EqualTime)
+	for _, lat := range []*lattice.Lattice{
+		lattice.NewSquare(4, 4, 1),
+		lattice.NewSquare(6, 6, 1),
+		lattice.NewMultilayer(4, 4, 2, 1, 0.5),
+		lattice.NewSquare(4, 4, 1).WithTPrime(-0.2),
+	} {
+		n := lat.N()
+		for rep := 0; rep < 2; rep++ {
+			gup, gdn := randomG(n), randomG(n)
+			MeasureInto(rec, lat, gup, gdn, -1)
+			if want := Measure(lat, gup, gdn, -1); !same(rec, want) {
+				t.Fatalf("%dx%dx%d, rep %d: MeasureInto over a used record differs from Measure", lat.Nx, lat.Ny, lat.Layers, rep)
+			}
+		}
+	}
+	lat := lattice.NewSquare(4, 4, 1)
+	gup, gdn := randomG(16), randomG(16)
+	MeasureInto(rec, lat, gup, gdn, 1)
+	nk := make([]float64, 16)
+	if a := testing.AllocsPerRun(10, func() {
+		MeasureInto(rec, lat, gup, gdn, 1)
+		rec.MomentumDistributionInto(nk)
+	}); a != 0 {
+		t.Fatalf("a warm 4x4 measurement allocates %v times", a)
+	}
+	if want := FourierPlane(lat, rec.GFun); !slices.Equal(bits(nk), bits(want)) {
+		t.Fatal("MomentumDistributionInto differs from FourierPlane of GFun")
+	}
 }

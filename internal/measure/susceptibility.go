@@ -49,8 +49,10 @@ type Susceptibility struct {
 // MeasureSusceptibility computes chi_zz, P_s and chi_c for the current
 // configuration, sampling tau every `every` slices (1 = every slice; larger
 // values trade accuracy for the cost of the splits). clusterK is the
-// stratification block size; it need not divide the slice count.
-func MeasureSusceptibility(lat *lattice.Lattice, p *hubbard.Propagator, f *hubbard.Field, every, clusterK int) *Susceptibility {
+// stratification block size; it need not divide the slice count. A split
+// whose two-sided inversion is singular fails the measurement with its
+// error (lapack.ErrSingular), and no Susceptibility is returned.
+func MeasureSusceptibility(lat *lattice.Lattice, p *hubbard.Propagator, f *hubbard.Field, every, clusterK int) (*Susceptibility, error) {
 	if every < 1 {
 		every = 1
 	}
@@ -65,15 +67,34 @@ func MeasureSusceptibility(lat *lattice.Lattice, p *hubbard.Propagator, f *hubba
 	}
 	weight := p.Model.Dtau * float64(every)
 	// G(0) = G(beta, beta), the split after the last slice.
-	g0Up := greens.SplitAt(p, f, hubbard.Up, L, clusterK).Equal()
-	g0Dn := greens.SplitAt(p, f, hubbard.Down, L, clusterK).Equal()
+	up0 := greens.SplitAt(p, f, hubbard.Up, L, clusterK)
+	dn0 := greens.SplitAt(p, f, hubbard.Down, L, clusterK)
+	g0Up, g0Dn := up0.Equal(), dn0.Equal()
+	if err := firstErr(up0, dn0); err != nil {
+		return nil, err
+	}
 	s.addTau0(weight, g0Up, g0Dn)
 	for l := every; l < L; l += every {
 		up := greens.SplitAt(p, f, hubbard.Up, l, clusterK)
 		dn := greens.SplitAt(p, f, hubbard.Down, l, clusterK)
-		s.addTau(weight, g0Up, g0Dn, up.Equal(), dn.Equal(), up.Forward(), dn.Forward(), up.Reverse(), dn.Reverse())
+		eqUp, eqDn := up.Equal(), dn.Equal()
+		gtUp, gtDn := up.Forward(), dn.Forward()
+		grUp, grDn := up.Reverse(), dn.Reverse()
+		if err := firstErr(up, dn); err != nil {
+			return nil, err
+		}
+		s.addTau(weight, g0Up, g0Dn, eqUp, eqDn, gtUp, gtDn, grUp, grDn)
 	}
-	return s
+	return s, nil
+}
+
+// firstErr returns the first error the two spins' splits kept, up before
+// down.
+func firstErr(up, dn *greens.Split) error {
+	if err := up.Err(); err != nil {
+		return err
+	}
+	return dn.Err()
 }
 
 // addTau0 adds the weighted tau = 0 terms: the equal-time C_zz and pair

@@ -51,7 +51,7 @@ func TestSusceptibilityFreeFermions(t *testing.T) {
 	}
 	p := hubbard.NewPropagator(model)
 	f := hubbard.NewRandomField(L, model.N(), rng.New(11))
-	chi := MeasureSusceptibility(lat, p, f, 1, 10)
+	chi := mustSusceptibility(t, lat, p, f, 1, 10)
 	chiQ := FourierPlane(lat, chi.ChiD)
 	for _, kp := range lat.MomentumGrid() {
 		want := freeChiZZ(lat, beta, kp.Ix, kp.Iy)
@@ -90,7 +90,7 @@ func TestSusceptibilityInteractingEnhancedAtAF(t *testing.T) {
 	const samples = 5
 	for s := 0; s < samples; s++ {
 		swDrv.Sweep()
-		chi := MeasureSusceptibility(lat, p, f, 4, 8)
+		chi := mustSusceptibility(t, lat, p, f, 4, 8)
 		acc += chi.ChiAF()
 	}
 	acc /= samples
@@ -126,7 +126,7 @@ func TestSusceptibilityMatchesBigFloat(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		sw.Sweep()
 	}
-	got := MeasureSusceptibility(lat, p, f, every, k)
+	got := mustSusceptibility(t, lat, p, f, every, k)
 
 	planeN := lat.Nx * lat.Ny
 	want := &Susceptibility{Lat: lat, Beta: beta, ChiD: make([]float64, planeN), PsD: make([]float64, planeN), ChiCD: make([]float64, planeN)}
@@ -248,7 +248,7 @@ func TestPairSusceptibilityFreeFermions(t *testing.T) {
 	}
 	p := hubbard.NewPropagator(model)
 	f := hubbard.NewRandomField(L, model.N(), rng.New(19))
-	ps := MeasureSusceptibility(lat, p, f, 1, 10)
+	ps := mustSusceptibility(t, lat, p, f, 1, 10)
 	want := freePairQ0(lat, beta)
 	got := ps.PairQ0()
 	if math.Abs(got-want) > 0.01*want+0.005 {
@@ -267,7 +267,7 @@ func TestChargeSusceptibilityFreeFermions(t *testing.T) {
 	}
 	p := hubbard.NewPropagator(model)
 	f := hubbard.NewRandomField(L, model.N(), rng.New(23))
-	ps := MeasureSusceptibility(lat, p, f, 1, 10)
+	ps := mustSusceptibility(t, lat, p, f, 1, 10)
 	// Connected part: the disconnected piece beta*<n>^2 is uniform in
 	// displacement; half filling has <n> = 1 exactly.
 	conn := make([]float64, len(ps.ChiCD))
@@ -304,7 +304,7 @@ func TestAttractiveEnhancesPairSusceptibility(t *testing.T) {
 	const samples = 5
 	for s := 0; s < samples; s++ {
 		sw.Sweep()
-		acc += MeasureSusceptibility(lat, p, f, 4, 8).PairQ0()
+		acc += mustSusceptibility(t, lat, p, f, 4, 8).PairQ0()
 	}
 	acc /= samples
 	free := freePairQ0(lat, beta)
@@ -317,4 +317,15 @@ func TestAttractiveEnhancesPairSusceptibility(t *testing.T) {
 // newTestSweeper builds a Metropolis sweeper for equilibration in tests.
 func newTestSweeper(p *hubbard.Propagator, f *hubbard.Field, r *rng.Rand) *update.Sweeper {
 	return update.NewSweeper(p, f, r, update.Options{ClusterK: 8})
+}
+
+// mustSusceptibility is MeasureSusceptibility for configurations whose
+// splits are regular: an error fails the test.
+func mustSusceptibility(t testing.TB, lat *lattice.Lattice, p *hubbard.Propagator, f *hubbard.Field, every, clusterK int) *Susceptibility {
+	t.Helper()
+	s, err := MeasureSusceptibility(lat, p, f, every, clusterK)
+	if err != nil {
+		t.Fatalf("MeasureSusceptibility: %v", err)
+	}
+	return s
 }

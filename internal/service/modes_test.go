@@ -42,23 +42,27 @@ func docDiff(got, want string) string {
 }
 
 // TestResultsBitwiseAcrossModes: one Results document per configuration,
-// whatever executes it. Within an engine (the host kernels; two simulated
-// devices with command graphs) the whole document minus its timings is
-// byte-identical across GOMAXPROCS 1/2/4 and forked or serial spins. Between
-// core.Run and a one-shard dqmcd job, and across the engines, everything but
-// the metrics is: the device's combined V G V^-1 scaling kernel
-// (Algorithm 7) rounds each element as the host's wrap write-back does, so
-// even the drift of the wrapped copy against the stratified refresh
-// (max_wrap_drift) is engine-independent. The config sits off half
-// filling, where the two spin sectors' stability samples differ and their
-// arrival order would show; it measures dynamics and samples the
-// stack-vs-rebuild residual, so every section of the document is populated.
-// The residual check runs beside the sweep: at cadence 1 it is joined at the
-// next boundary, at cadence 3 (NC = 4) it stays in flight across an
-// unprobed boundary and across the sweep's end, with the autopilot off and
-// on, so the controller's inputs and decisions are held too. The 4x4 rows
-// (N = 16) run their per-slice steps inline beside a forked boundary, the
-// 6x6 row (N = 36, delay 8 so delay blocks fill in mid-slice) at update's
+// whatever executes it. Within an engine (the host kernels; one simulated
+// device with and without command graphs; two with them) the whole document
+// minus its timings is byte-identical across GOMAXPROCS 1/2/4 and forked or
+// serial spins. Between core.Run and a one-shard dqmcd job, and across the
+// engines, everything but the metrics is: the device's combined V G V^-1
+// scaling kernel (Algorithm 7) rounds each element as the host's wrap
+// write-back does, so even the drift of the wrapped copy against the
+// stratified refresh (max_wrap_drift) is engine-independent. The config
+// sits off half filling, where the two spin sectors' stability samples
+// differ and their arrival order would show; it measures dynamics and
+// samples the stack-vs-rebuild residual, so every section of the document
+// is populated. The residual check runs beside the sweep: at cadence 1 it
+// is joined at the next boundary, at cadence 3 (NC = 4) it stays in flight
+// across an unprobed boundary and across the sweep's end, with the
+// autopilot off and on, so the controller's inputs and decisions are held
+// too. The 4x4 rows (N = 16) run their per-slice steps inline beside a
+// forked boundary, and with them the stacks' roll and the boundary
+// measurements beside the chain: with the check off no probe competes for
+// the worker, and one of those rows checkpoints at the end of the warm-up,
+// with the last roll in flight, and resumes from the checkpoint. The 6x6
+// row (N = 36, delay 8 so delay blocks fill in mid-slice) sits at update's
 // crossover, where the steps and mid-slice flushes fork too.
 func TestResultsBitwiseAcrossModes(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -66,7 +70,11 @@ func TestResultsBitwiseAcrossModes(t *testing.T) {
 		nx, delay int
 		every     int
 		autopilot bool
-	}{{4, 0, 1, false}, {4, 0, 3, false}, {4, 0, 3, true}, {6, 8, 1, false}} {
+		resume    bool
+	}{
+		{4, 0, 1, false, false}, {4, 0, 3, false, false}, {4, 0, 3, true, false},
+		{4, 0, 0, false, false}, {4, 0, 0, false, true}, {6, 8, 1, false, false},
+	} {
 		cfg := core.DefaultConfig()
 		cfg.Nx, cfg.Ny = v.nx, v.nx
 		cfg.Mu, cfg.Beta, cfg.L, cfg.ClusterK = 0.5, 4, 40, 10
@@ -77,18 +85,53 @@ func TestResultsBitwiseAcrossModes(t *testing.T) {
 			cfg.Delay = v.delay
 		}
 		variant := fmt.Sprintf("%dx%d, stability every %d, autopilot=%v", v.nx, v.nx, v.every, v.autopilot)
-		resultsBitwiseAcrossModes(t, variant, cfg)
+		run := func(c core.Config) (*core.Results, error) { return core.Run(context.Background(), c) }
+		if v.resume {
+			variant += ", checkpoint and resume"
+			run = runResumed
+		}
+		resultsBitwiseAcrossModes(t, variant, cfg, run)
 	}
 }
 
-func resultsBitwiseAcrossModes(t *testing.T, variant string, cfg core.Config) {
+// runResumed runs cfg's warm-up, checkpoints from the progress callback
+// after its last sweep — while that sweep's stack roll is still in flight
+// where it runs beside the chain — and runs the measurement sweeps on the
+// chain resumed from the checkpoint.
+func runResumed(cfg core.Config) (*core.Results, error) {
+	sim, err := core.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ck *core.Checkpoint
+	_, err = sim.RunContext(ctx, func(p core.Progress) {
+		if p.Stage == "warmup" && p.Sweep == cfg.WarmSweeps {
+			ck = sim.Checkpoint()
+			cancel()
+		}
+	})
+	if ck == nil {
+		return nil, fmt.Errorf("no checkpoint taken: %v", err)
+	}
+	ck.Config.WarmSweeps = 0
+	resumed, err := core.Resume(ck)
+	if err != nil {
+		return nil, err
+	}
+	return resumed.RunContext(context.Background(), nil)
+}
+
+func resultsBitwiseAcrossModes(t *testing.T, variant string, cfg core.Config, run func(core.Config) (*core.Results, error)) {
 	t.Helper()
 	var first []*core.Results // per engine, in its first mode
+	var firstName []string
 	for _, e := range []struct {
 		name    string
 		devices int
 		graphs  bool
-	}{{"host", 0, false}, {"2 devices + graphs", 2, true}} {
+	}{{"host", 0, false}, {"1 device", 1, false}, {"1 device + graphs", 1, true}, {"2 devices + graphs", 2, true}} {
 		var whole, wholeFrom string
 		for _, procs := range []int{1, 2, 4} {
 			for _, serial := range []bool{false, true} {
@@ -96,24 +139,26 @@ func resultsBitwiseAcrossModes(t *testing.T, variant string, cfg core.Config) {
 				c := cfg
 				c.Devices, c.UseGraphs, c.SerialSpins = e.devices, e.graphs, serial
 				runtime.GOMAXPROCS(procs)
-				res, err := core.Run(context.Background(), c)
+				res, err := run(c)
 				if err != nil {
 					t.Fatalf("%s: %v", mode, err)
 				}
 				if doc := modeDoc(t, res, true); whole == "" {
-					if res.Metrics.Stability.StratResidualSamples == 0 {
-						t.Errorf("%s: no residual samples; the check in flight went untested", mode)
+					if (res.Metrics.Stability.StratResidualSamples == 0) != (cfg.StabilityCheckEvery == 0) {
+						t.Errorf("%s: %d residual samples at cadence %d", mode, res.Metrics.Stability.StratResidualSamples, cfg.StabilityCheckEvery)
 					}
 					whole, wholeFrom = doc, mode
-					first = append(first, res)
+					first, firstName = append(first, res), append(firstName, e.name)
 				} else if doc != whole {
 					t.Errorf("%s: document minus timings differs from %s:\n%s", mode, wholeFrom, docDiff(doc, whole))
 				}
 			}
 		}
 	}
-	if a, b := modeDoc(t, first[1], false), modeDoc(t, first[0], false); a != b {
-		t.Errorf("%s: device engine: document minus metrics differs from the host's:\n%s", variant, docDiff(a, b))
+	for i := 1; i < len(first); i++ {
+		if a, b := modeDoc(t, first[i], false), modeDoc(t, first[0], false); a != b {
+			t.Errorf("%s: %s engine: document minus metrics differs from the host's:\n%s", variant, firstName[i], docDiff(a, b))
+		}
 	}
 
 	_, cl := newTestServer(t, Options{Workers: 1})
@@ -121,11 +166,24 @@ func resultsBitwiseAcrossModes(t *testing.T, variant string, cfg core.Config) {
 	if err != nil {
 		t.Fatalf("%s: submit: %v", variant, err)
 	}
-	res, err := cl.WaitResult(context.Background(), st.ID)
+	job, err := cl.WaitResult(context.Background(), st.ID)
 	if err != nil {
 		t.Fatalf("%s: wait: %v", variant, err)
 	}
-	if a, b := modeDoc(t, res.Results, false), modeDoc(t, first[0], false); a != b {
-		t.Errorf("%s: one-shard dqmcd job: document minus metrics differs from core.Run's:\n%s", variant, docDiff(a, b))
+	res := job.Results
+	a, b := modeDoc(t, res, false), modeDoc(t, first[0], false)
+	if first[0].Config.WarmSweeps != cfg.WarmSweeps {
+		// A resumed chain's document differs from an uninterrupted one's
+		// only where the resume shows: the schedule it was given and the
+		// drift of the warm-up it did not run.
+		norm := func(r *core.Results) string {
+			cp := *r
+			cp.Config.WarmSweeps, cp.MaxWrapDrift = 0, 0
+			return modeDoc(t, &cp, false)
+		}
+		a, b = norm(res), norm(first[0])
+	}
+	if a != b {
+		t.Errorf("%s: one-shard dqmcd job: document minus metrics differs from the host run's:\n%s", variant, docDiff(a, b))
 	}
 }

@@ -17,3 +17,7 @@ func (sw *Sweeper) Forks() int64 { return sw.forks }
 // N: forked per-slice steps and mid-slice flushes (true) or inline ones
 // (false), so the two can be compared at the same lattice size.
 func (sw *Sweeper) SetForkSteps(fork bool) { sw.forkSteps = fork }
+
+// SetOnRoll makes f run first on the stacks' deferred roll, on whichever
+// goroutine runs it, so a test can hold the roll in flight.
+func (sw *Sweeper) SetOnRoll(f func()) { sw.roll.onRun = f }

@@ -39,6 +39,7 @@ func TestStackSweepUsesFewerUDTSteps(t *testing.T) {
 	sw := NewSweeper(p, f, rng.New(5), Options{ClusterK: 4})
 	start := obs.Total(obs.OpUDTSteps)
 	sw.Sweep()
+	sw.Join() // the roll may run beside the chain past Sweep's return
 	steps := obs.Total(obs.OpUDTSteps) - start
 	// Both spin sectors refresh at every boundary.
 	nc := int64(p.Model.L / sw.ClusterK()) // 10

@@ -10,7 +10,7 @@
 // of Section VI — and produces the same chain bit for bit: cluster storage,
 // chain order and stratification stay with the Sweeper on every backend.
 //
-// Four optimizations sit on top of the paper's Algorithm 1:
+// Five optimizations sit on top of the paper's Algorithm 1:
 //
 //   - The per-boundary stratified refresh goes through greens.StratStack
 //     over the spin's greens.ClusterSet, which caches suffix UDT
@@ -47,6 +47,16 @@
 //     pool worker (parallel.Start) and joins it up to two boundaries later,
 //     delivering the sample on the chain's goroutine. With no idle core the
 //     check runs inline.
+//   - Below stepForkMinN, where the per-slice steps run inline and the pool
+//     worker would idle between the boundary forks, the sweep's other
+//     off-path work runs beside the chain too (offCore): the stacks' roll,
+//     the suffix rebuild at boundary 0 that the next sweep needs only at
+//     its first boundary, and the boundary hooks, which no later step of
+//     the sweep reads. Each is handed to an idle worker (parallel.Start)
+//     and joined before anything reads what it writes or needs its worker;
+//     with no idle worker it runs inline, so nothing changes under
+//     SerialSpins, with another chain on every core, or from stepForkMinN
+//     up.
 package update
 
 import (
@@ -255,11 +265,19 @@ type Sweeper struct {
 	forks     int64         // calls of fork, for the fork-count tests
 	forkWait  time.Duration // this sweep's fork wait so far (see timedFork)
 
+	// roll is the stacks' roll deferred from boundary 0 (see offCore);
+	// rollWait is the chain's wait at its in-sweep join, charged to the
+	// boundary fork's refresh share (timedFork).
+	roll     roll
+	rollWait time.Duration
+
 	// boundaryHook, when set, runs after every stratified refresh (i.e. at
 	// every cluster boundary) with the Green's functions freshly
 	// recomputed — the natural place for equal-time measurements, which
-	// QUEST takes on multiple slices per sweep to reduce variance.
-	boundaryHook func()
+	// QUEST takes on multiple slices per sweep to reduce variance. hook
+	// carries its off-core runs.
+	boundaryHook BoundaryHook
+	hook         hookRun
 	// maxWrapDrift records the largest relative difference between the
 	// wrapped Green's function and its stratified recomputation — the
 	// numerical-accuracy diagnostic that motivates the wrapping limit.
@@ -292,6 +310,39 @@ type probe struct {
 	res          float64      // RelDiff(g, ref), valid once joined
 	pending      parallel.Pending
 	run          func() // pre-bound: the rebuild and the residual
+}
+
+// roll is the suffix rebuild of both spins' stacks after boundary 0, run
+// beside the chain (offCore). Sweep starts it after the boundary-0 fork and
+// joins it before the next boundary fork, whose Advance needs a rolled stack
+// (the first, of the next sweep); SetClusterK and Join join it too. It is
+// registered with the collector while in flight (obs.BeginOffCore), so the
+// op counts a collector reports include it even before a join.
+type roll struct {
+	running bool
+	pending parallel.Pending
+	run     func() // pre-bound: Rebuild up, then down
+	onRun   func() // test-only: runs first on the roll's goroutine
+}
+
+// BoundaryHook receives the Green's functions of a boundary just refreshed
+// and the fermion sign there. Below stepForkMinN it may run on a pool worker
+// beside the chain, over copies: it must not keep gup or gdn past its
+// return, and it must not touch what the chain's goroutine uses between
+// sweeps (the Sweeper, the obs.Collector) — whatever it writes is the
+// caller's to read once Sweep has returned. Hooks run one at a time, in
+// boundary order.
+type BoundaryHook func(gup, gdn *mat.Dense, sign float64)
+
+// hookRun is a boundary hook's run beside the chain: the snapshot it reads,
+// allocated at the first, and the run in flight, joined before the next
+// boundary's fork.
+type hookRun struct {
+	gup, gdn *mat.Dense
+	sign     float64
+	running  bool
+	pending  parallel.Pending
+	run      func() // pre-bound: the hook over the snapshot
 }
 
 // arm snapshots the check of the boundary whose chain is chain and whose
@@ -350,6 +401,16 @@ func NewSweeperOn(p *hubbard.Propagator, f *hubbard.Field, r *rng.Rand, opts Opt
 		_ = greens.GreenInto(pb.ref, pb.chain, opts.PrePivot)
 		pb.res = mat.RelDiff(pb.g, pb.ref)
 	}
+	sw.roll.run = func() {
+		if sw.roll.onRun != nil {
+			sw.roll.onRun()
+		}
+		sw.up.st.Rebuild()
+		sw.dn.st.Rebuild()
+		sw.opts.Obs.EndOffCore()
+	}
+	hk := &sw.hook
+	hk.run = func() { sw.boundaryHook(hk.gup, hk.gdn, hk.sign) }
 	start := sw.opts.Obs.Begin()
 	sw.setBoundary(0)
 	sw.fork(func() { sw.refreshSpin(sw.up, true) }, func() { sw.refreshSpin(sw.dn, false) })
@@ -390,10 +451,15 @@ func (sw *Sweeper) newSpin(mk NewBackend, sigma hubbard.Spin) *spinState {
 		t = s.lap(obs.PhaseFlush, t)
 		s.cs.Recompute(sw.Field, sw.cluster)
 		t = s.lap(obs.PhaseCluster, t)
-		// One prefix extension per boundary; GreenInto (inside refreshSpin)
-		// combines it with the cached suffix.
+		// One prefix extension per boundary; refreshSpin combines it with
+		// the cached suffix. At boundary 0 the prefix spans the chain and
+		// the stack rolls for the next sweep, here or, off-core, after the
+		// fork (see Sweep).
 		s.st.Advance()
 		sw.refreshSpin(s, trackDrift)
+		if sw.boundary == 0 && !sw.offCore() {
+			s.st.Rebuild()
+		}
 		s.lap(obs.PhaseRefresh, t)
 	}
 	return s
@@ -410,6 +476,14 @@ func (sw *Sweeper) newSpin(mk NewBackend, sigma hubbard.Spin) *spinState {
 // in that interval the 2-CPU measurements do not resolve: inline led at 20
 // and 25, and at 30 passes disagreed.
 const stepForkMinN = 36
+
+// offCore reports whether the sweep's off-path work — the stacks' roll and
+// the boundary hooks — is handed to an idle pool worker beside the chain:
+// where the per-slice steps run inline (below stepForkMinN), so the worker
+// is free between the boundary forks, and the spins fork at all (not under
+// SerialSpins). Either way the work is the same arithmetic on the same
+// operands.
+func (sw *Sweeper) offCore() bool { return !sw.forkSteps && !sw.opts.SerialSpins }
 
 // step flushes slice sw.slice and wraps both sectors into sw.slice+1. From
 // stepForkMinN sites up it forks the sectors' stepFn closures (timedFork);
@@ -446,11 +520,14 @@ func (sw *Sweeper) fork(up, dn func()) {
 // phases and the two sectors run them concurrently, so each sector laps its
 // own phases (spinState.dur) and the join splits the fork's wall time — t
 // to now, hand-off and join wait included — over the phases in proportion
-// to the time the two sectors spent in each. What the wall time exceeds the
-// longer sector by (the hand-off, the join wait, or the shorter sector when
-// no worker was idle) is fork wait, summed over the sweep and handed to the
-// collector once at its end; under SerialSpins nothing forked and nothing is
-// recorded. It returns the stamp taken at the join.
+// to the time the two sectors spent in each; a boundary fork's refresh share
+// also takes the chain's wait at the roll's join just before it (rollWait),
+// so that wait is refresh time without a charge of its own. What the wall
+// time exceeds the longer sector by (the hand-off, the join wait, or the
+// shorter sector when no worker was idle) is fork wait, summed over the
+// sweep and handed to the collector once at its end; under SerialSpins
+// nothing forked and nothing is recorded. It returns the stamp taken at the
+// join.
 func (sw *Sweeper) timedFork(up, dn func(), t time.Time) time.Time {
 	sw.fork(up, dn)
 	if t.IsZero() {
@@ -471,20 +548,27 @@ func (sw *Sweeper) timedFork(up, dn func(), t time.Time) time.Time {
 	}
 	scale := float64(wall) / float64(upT+dnT)
 	for p, d := range sum {
-		if d > 0 {
-			sw.opts.Obs.Charge(obs.Phase(p), time.Duration(scale*float64(d)))
+		if d == 0 {
+			continue
 		}
+		c := time.Duration(scale * float64(d))
+		if obs.Phase(p) == obs.PhaseRefresh {
+			c += sw.rollWait
+			sw.rollWait = 0
+		}
+		sw.opts.Obs.Charge(obs.Phase(p), c)
 	}
 	return now
 }
 
 // refreshSpin recomputes one spin's Green's function from the stack at the
 // current boundary, keeping the sector's first error, and, when trackDrift
-// is set, records the drift of the wrapped copy.
+// is set, records the drift of the wrapped copy. It leaves the stack's roll
+// to the caller.
 func (sw *Sweeper) refreshSpin(s *spinState, trackDrift bool) {
 	n := s.g.Rows
 	gNew := mat.GetScratch(n, n)
-	if err := s.st.GreenInto(gNew); err != nil && s.err == nil {
+	if err := s.st.GreenUnrolledInto(gNew); err != nil && s.err == nil {
 		s.err = err
 	}
 	if trackDrift && sw.checkStrat {
@@ -556,15 +640,17 @@ func (sw *Sweeper) setBoundary(c int) {
 		sw.boundaries%int64(sw.opts.StabilityEvery) == 0
 }
 
-// SetBoundaryHook registers h to run after every stratified refresh, when
-// GreenUp/GreenDn hold freshly recomputed Green's functions. Pass nil to
-// disable. Used for per-boundary equal-time measurements.
-func (sw *Sweeper) SetBoundaryHook(h func()) { sw.boundaryHook = h }
+// SetBoundaryHook registers h to run after every stratified refresh, with
+// the freshly recomputed Green's functions and the sign. Pass nil to
+// disable. Used for per-boundary equal-time measurements; see BoundaryHook
+// for what h may touch.
+func (sw *Sweeper) SetBoundaryHook(h BoundaryHook) { sw.boundaryHook = h }
 
 // Sweep performs one full sweep: every (slice, site) pair is visited once
 // and a flip is proposed (Algorithm 1). On return the Green's functions
 // correspond to the full chain (cluster boundary 0), ready for equal-time
-// measurements.
+// measurements, and every boundary hook of the sweep has returned. The
+// stacks' roll may still be running (offCore); Join waits for it.
 //
 //qmc:hot
 func (sw *Sweeper) Sweep() {
@@ -597,19 +683,36 @@ func (sw *Sweeper) Sweep() {
 			sw.joinProbe()
 			t = sw.opts.Obs.Lap(obs.PhaseRefresh, t)
 		}
+		// The fork needs the worker, and its Advance a rolled stack.
+		if sw.hook.running {
+			sw.hook.pending.Wait()
+			sw.hook.running = false
+			t = sw.opts.Obs.Lap(obs.PhaseMeasure, t)
+		}
+		if sw.roll.running {
+			t = sw.joinRollBeforeFork(t)
+		}
 		t = sw.timedFork(sw.up.boundaryFn, sw.dn.boundaryFn, t)
 		// Up before down, whichever sector's refresh finished first: the
 		// collector's running sums and the first error then repeat bit for
 		// bit.
 		sw.report(sw.up)
 		sw.report(sw.dn)
+		if sw.boundary == 0 && sw.offCore() {
+			// The roll takes the worker first, so this boundary's hook runs
+			// inline beside it. The collector counts its ops whole
+			// (BeginOffCore) whenever they are read.
+			sw.opts.Obs.BeginOffCore()
+			sw.roll.running = true
+			sw.roll.pending = parallel.Start(sw.roll.run)
+		}
 		sw.startProbe(sw.opts.SerialSpins)
-		// The condition reports and the check's hand-off are refresh
-		// bookkeeping; with a hook they would fall between two phases.
+		// The condition reports and the hand-offs are refresh bookkeeping;
+		// with a hook they would fall between two phases.
 		t = sw.opts.Obs.Lap(obs.PhaseRefresh, t)
 		if sw.boundaryHook != nil {
-			sw.boundaryHook()
-			t = sw.opts.Obs.Begin()
+			sw.runHook()
+			t = sw.opts.Obs.Lap(obs.PhaseMeasure, t)
 		}
 	}
 	// No check outlives its sweep: the caller may resize the clusters, and
@@ -620,6 +723,67 @@ func (sw *Sweeper) Sweep() {
 	}
 	sw.opts.Obs.AddForkWait(sw.forkWait)
 	sw.forkWait = 0
+}
+
+// runHook runs the boundary hook: offCore, at every boundary but the
+// sweep's last (boundary 0, whose roll holds the worker and after which
+// Sweep returns), over a snapshot on an idle worker, and inline otherwise.
+//
+//qmc:hot
+func (sw *Sweeper) runHook() {
+	if sw.boundary == 0 || !sw.offCore() {
+		sw.boundaryHook(sw.up.g, sw.dn.g, sw.sign)
+		return
+	}
+	hk := &sw.hook
+	if hk.gup == nil {
+		n := sw.up.g.Rows
+		hk.gup, hk.gdn = mat.New(n, n), mat.New(n, n)
+	}
+	hk.gup.CopyFrom(sw.up.g)
+	hk.gdn.CopyFrom(sw.dn.g)
+	hk.sign = sw.sign
+	hk.running = true
+	hk.pending = parallel.Start(hk.run)
+}
+
+// joinRollBeforeFork joins the roll in flight before a boundary fork and
+// returns the stamp the fork starts at; the wait from t goes to the fork's
+// refresh share (rollWait).
+func (sw *Sweeper) joinRollBeforeFork(t time.Time) time.Time {
+	sw.joinRoll()
+	if t.IsZero() {
+		return t
+	}
+	now := time.Now()
+	sw.rollWait += now.Sub(t)
+	return now
+}
+
+// joinRoll waits for the roll in flight, if any.
+//
+//qmc:hot
+func (sw *Sweeper) joinRoll() {
+	if !sw.roll.running {
+		return
+	}
+	sw.roll.pending.Wait()
+	sw.roll.running = false
+}
+
+// Join waits for the off-core work a sweep left running (the stacks' roll,
+// see offCore) and charges the wait to the refresh phase. The next sweep's
+// first boundary fork and SetClusterK join it by themselves; call Join
+// before reading the process-global op counts the roll adds to
+// (obs.Counts, obs.Total), before a checkpoint, and before the chain is
+// dropped. Joining with nothing in flight costs nothing.
+func (sw *Sweeper) Join() {
+	if !sw.roll.running {
+		return
+	}
+	start := sw.opts.Obs.Begin()
+	sw.joinRoll()
+	sw.opts.Obs.End(obs.PhaseRefresh, start)
 }
 
 // proposeFlip carries out the Metropolis step for h[s][i].
@@ -733,6 +897,9 @@ func (sw *Sweeper) SetClusterK(k int) int {
 	if k == sw.opts.ClusterK {
 		return k
 	}
+	// The roll reads the clusters SetK rewrites and the suffixes Retarget
+	// resizes.
+	sw.Join()
 	sw.opts.ClusterK = k
 	cstart := sw.opts.Obs.Begin()
 	sw.up.cs.SetK(sw.Field, k)

@@ -33,6 +33,14 @@ GOMAXPROCS=4 go test -count=1 -race -run 'TestResultsBitwiseAcrossModes$' ./inte
 # ... and at the benchmark's two Ps, where the 4x4 rows run their per-slice
 # steps inline beside a forked boundary and the 6x6 row forks both.
 GOMAXPROCS=2 go test -count=1 -race -run 'TestResultsBitwiseAcrossModes$' ./internal/service/
+# Below the spin-fork crossover the stacks' roll and the boundary hooks run
+# beside the chain: the joins before Advance and the hooks' snapshots under
+# the race detector at one P (everything inline), two (the benchmark's) and
+# four. (The modes test above sets 1, 2 and 4 itself, for its every = 0 and
+# checkpoint-and-resume rows too.)
+for p in 1 2 4; do
+    GOMAXPROCS=$p go test -count=1 -race -run 'TestDeferredRollJoinedBeforeAdvance$|TestBoundaryHookOffCoreBitwise$' ./internal/update/
+done
 echo "== Verify: qmcdebug sanitizer build (NaN/Inf scans, drift asserts, pool bookkeeping)"
 go test -tags qmcdebug ./internal/...
 # go list honours GOFLAGS, so this lints the files the default build hides
