@@ -100,3 +100,33 @@ func TestWrapperNoAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestSeparableWrapperNoAllocs: from sepMinN sites up the wrap and the
+// block product apply the Kronecker factors — views of the operands'
+// storage, one strided batch, the factors packed once in the propagator —
+// and allocate nothing, square (the 12x12 workload) or rectangular.
+func TestSeparableWrapperNoAllocs(t *testing.T) {
+	for _, d := range [][2]int{{12, 12}, {16, 9}} {
+		p, f, _ := testChain(t, d[0], d[1], 4, 2, 8, 73)
+		n := d[0] * d[1]
+		w := NewWrapper(p)
+		if w.sep == nil {
+			t.Fatalf("N=%d: wrapper on the dense path, want the separable one from sepMinN = %d", n, sepMinN)
+		}
+		g, dst := randomDense(rng.New(79), n), mat.New(n, n)
+		for _, tc := range []struct {
+			name string
+			run  func()
+		}{
+			{"Wrap (up)", func() { w.Wrap(g, f, hubbard.Up, 3) }},
+			{"Wrap (down)", func() { w.Wrap(g, f, hubbard.Down, 3) }},
+			{"Cluster k=4", func() { w.Cluster(dst, f, hubbard.Up, 4, 4) }},
+			{"Cluster k=1", func() { w.Cluster(dst, f, hubbard.Down, 0, 1) }},
+		} {
+			tc.run()
+			if allocs := testing.AllocsPerRun(20, tc.run); allocs != 0 {
+				t.Errorf("%dx%d: %s allocated %.1f objects per call, want 0", d[0], d[1], tc.name, allocs)
+			}
+		}
+	}
+}

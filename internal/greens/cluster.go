@@ -98,29 +98,67 @@ func (cs *ClusterSet) Chain(c int) []*mat.Dense {
 //	G_l = B_l G_{l-1} B_l^{-1}
 //	    = V_l Bkin G Bkin^{-1} V_l^{-1}
 //
-// (Section III-B1). The two GEMMs dominate. They run against the
-// propagator's packed Bkin and Binv (blas.GemmPacked), and the diagonal
-// scalings — the fine-grained operations the paper parallelizes by hand and
-// offloads in its Algorithm 6/7 GPU variant — ride in those GEMMs'
-// write-back instead of separate passes over the result.
+// (Section III-B1). The kinetic products dominate. Up to sepMinN sites they
+// are dense GEMMs against the propagator's packed Bkin and Binv
+// (blas.GemmPacked), the paper's Algorithms 4-7 and what the device runs.
+// From sepMinN sites up, on a lattice whose propagator carries Kronecker
+// factors (hubbard.Separable), they are four small contractions each,
+// 2N²(Nx + Ny) flops instead of 2N³, equal to the dense product up to
+// rounding. Either way the diagonal scalings — the fine-grained operations
+// the paper parallelizes by hand and offloads in its Algorithm 6/7 GPU
+// variant — ride in the last GEMM's write-back instead of separate passes
+// over the result.
 type Wrapper struct {
 	prop    *hubbard.Propagator
+	sep     *hubbard.Separable // nil: the dense products
 	tmp     *mat.Dense
 	v, vinv []float64
 }
 
+// sepMinN is the lattice size from which the host wrap and block product
+// apply the kinetic propagator by its Kronecker factors (hubbard.Separable).
+// Below it the factored products' inner dimension, Nx or Ny, is too short
+// for the GEMM micro-kernel: per-call packing, write-back and partial tiles
+// cost back the flops saved. BenchmarkWrapSeparable times the wrap and a
+// k = 10 block product both ways at N = 36, 64, 100, 144 and 256
+// (EXPERIMENTS.md, "the separable kinetic propagator"). The separable wrap
+// loses at 6x6, comes within about 10% of the dense one at 8x8 and 10x10
+// (where Nx = 10 fills an 8-wide tile and a 2-wide one), and wins 1.6-1.9x
+// from 12x12; the block product wins from 8x8. A sweep wraps L times per NC
+// block products, so the wrap sets the gate: the constant only has to lie
+// in (100, 144], and no workload or golden lattice runs between them.
+// Lowering it to 64 would move the 8x8 bits for at most a tenth of the
+// wrap. The gate looks at N alone, so an unbenchmarked shape above it with
+// a short side (say 2x72) takes the factored path at whatever its tiles
+// give.
+const sepMinN = 144
+
 // NewWrapper allocates the scratch for N x N wrapping.
 func NewWrapper(p *hubbard.Propagator) *Wrapper {
 	n := p.Model.N()
-	return &Wrapper{prop: p, tmp: mat.New(n, n), v: make([]float64, n), vinv: make([]float64, n)}
+	w := &Wrapper{prop: p, tmp: mat.New(n, n), v: make([]float64, n), vinv: make([]float64, n)}
+	if n >= sepMinN {
+		w.sep = p.Sep
+	}
+	return w
 }
 
 // Cluster is the host BlockFunc: dst = B_{base+k-1} ... B_{base}, built by
-// alternating GEMMs with the fixed kinetic propagator and diagonal row
-// scalings (the CPU analogue of the paper's Algorithm 4). The product
-// ping-pongs between dst and the wrapper's scratch, starting on whichever
-// side makes it land in dst.
+// alternating kinetic products with diagonal row scalings (the CPU analogue
+// of the paper's Algorithm 4). The dense product ping-pongs between dst and
+// the wrapper's scratch, starting on whichever side makes it land in dst.
+// The separable one builds the transpose by right products instead, which
+// need no index shuffle (Bkin is symmetric),
+//
+//	A^T = Bkin V_{base} · Bkin V_{base+1} ⋯ Bkin V_{base+k-1},
+//
+// in the scratch and transposes it into dst once; dst must then be a whole
+// matrix (Stride == N), as the ClusterSet's are.
 func (w *Wrapper) Cluster(dst *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, base, k int) {
+	if w.sep != nil {
+		w.clusterSep(dst, f, sigma, base, k)
+		return
+	}
 	a, spare := dst, w.tmp
 	if k%2 == 0 {
 		a, spare = spare, a
@@ -137,19 +175,91 @@ func (w *Wrapper) Cluster(dst *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, 
 	}
 }
 
-// Wrap overwrites g with B_l G B_l^{-1} for the given slice and spin.
+// clusterSep is Cluster's separable product (see Cluster).
+//
+//qmc:hot
+func (w *Wrapper) clusterSep(dst *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, base, k int) {
+	sp, at := w.sep, w.tmp
+	// A^T = Bkin V_{base}
+	at.CopyFrom(w.prop.Bkin)
+	w.prop.VDiag(sigma, f, base, w.v)
+	at.ScaleCols(w.v)
+	for j := 1; j < k; j++ {
+		// A^T = (A^T Bkin) V_{base+j}, e^{dtau mu} folded into the scaling
+		w.prop.VDiag(sigma, f, base+j, w.v)
+		for i, v := range w.v {
+			w.v[i] = sp.Emu * v
+		}
+		kronRight(sp.Nx, sp.EyB, sp.ExB, at, dst, at, nil, w.v)
+	}
+	at.TransposeInto(dst)
+}
+
+// Wrap overwrites g with B_l G B_l^{-1} for the given slice and spin. On
+// the separable path g must be a whole matrix (Stride == N), as every
+// caller's is.
 //
 //qmc:hot
 func (w *Wrapper) Wrap(g *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, l int) {
 	obs.Add(obs.OpWraps, 1)
-	// tmp = Bkin * G
-	blas.GemmPacked(w.prop.BkinA, g, nil, nil, w.tmp)
-	// g = V_l (tmp * Binv) V_l^{-1}
 	w.prop.VDiag(sigma, f, l, w.v)
 	for i, v := range w.v {
 		w.vinv[i] = 1 / v
 	}
+	if sp := w.sep; sp != nil {
+		// g = V_l (E_y ⊗ E_x) G (E_y^{-1} ⊗ E_x^{-1}) V_l^{-1}: the
+		// e^{±dtau mu} of Bkin and Binv cancel exactly.
+		kronLeft(sp, g, w.tmp, g)
+		kronRight(sp.Nx, sp.EyInvB, sp.ExInvB, g, w.tmp, g, w.v, w.vinv)
+		return
+	}
+	// tmp = Bkin * G
+	blas.GemmPacked(w.prop.BkinA, g, nil, nil, w.tmp)
+	// g = V_l (tmp * Binv) V_l^{-1}
 	blas.GemmPacked(w.prop.BinvB, w.tmp, w.v, w.vinv, g)
+}
+
+// kronLeft sets out = (E_y ⊗ E_x)·x through tmp. x, tmp and out are N x N
+// with a tight stride, tmp distinct from both; out may be x. Column j of x,
+// read as the Nx x Ny matrix X_j (sites x-fastest), becomes E_x X_j E_y:
+//
+//   - left x: E_x times x as one Nx x (Ny·N) matrix, into tmp;
+//   - left y: every Nx x Ny block of that matrix times E_y (symmetric, so
+//     E_y^T), one strided batch, into out.
+//
+//qmc:hot
+func kronLeft(sp *hubbard.Separable, x, tmp, out *mat.Dense) {
+	n := x.Rows
+	xv, tv, ov := reshape(x, sp.Nx, sp.Ny*n), reshape(tmp, sp.Nx, sp.Ny*n), reshape(out, sp.Nx, sp.Ny*n)
+	blas.GemmPacked(sp.ExA, &xv, nil, nil, &tv)
+	blas.GemmBlockDiag(sp.EyB, &tv, nil, nil, &ov)
+}
+
+// kronRight sets out = diag(r)·x·(F_y ⊗ F_x)·diag(s) through tmp, the
+// factors given as the PackB operands fy (Ny x Ny) and fx (nx x nx), with
+// the shapes and aliasing of kronLeft; r and s may be nil (no scaling).
+// Column (x', y') of the result sums x's columns (x, y) with weight
+// F_y(y, y') F_x(x, x'):
+//
+//   - right y: x as one (N·nx) x Ny matrix times F_y, into tmp;
+//   - right x: each N x nx column block of tmp times F_x, one strided batch
+//     with the scalings in its write-back, into out.
+//
+//qmc:hot
+func kronRight(nx int, fy, fx *blas.Packed, x, tmp, out *mat.Dense, r, s []float64) {
+	n := x.Rows
+	xv, tv := reshape(x, n*nx, n/nx), reshape(tmp, n*nx, n/nx)
+	blas.GemmPacked(fy, &xv, nil, nil, &tv)
+	blas.GemmBlockDiag(fx, tmp, r, s, out)
+}
+
+// reshape views m's storage, which must have a tight stride, as a
+// rows x cols column-major matrix.
+func reshape(m *mat.Dense, rows, cols int) mat.Dense {
+	if m.Stride != m.Rows || rows*cols != m.Rows*m.Cols {
+		panic(fmt.Sprintf("greens: cannot view a %dx%d matrix of stride %d as %dx%d", m.Rows, m.Cols, m.Stride, rows, cols))
+	}
+	return mat.Dense{Rows: rows, Cols: cols, Stride: rows, Data: m.Data[:rows*cols]}
 }
 
 // WrapInverse undoes Wrap: g <- B_l^{-1} G B_l, used by tests to verify the

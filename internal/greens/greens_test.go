@@ -255,12 +255,13 @@ func TestWrapMatchesFreshGreen(t *testing.T) {
 // packed propagators with the scalings in the GEMM write-back against the
 // way they were computed before — plain Gemm calls against Bkin/Binv and
 // separate ScaleRows/ScaleCols passes — bit for bit, for both spins at a
-// partial-tile size (3x3), the 6x6 jobs' size and the 12x12 one.
+// partial-tile size (3x3), the 6x6 jobs' size and the 12x12 one, where the
+// dense path is forced (a 12x12 wrapper applies the Kronecker factors).
 func TestWrapperBitsMatchTwoPass(t *testing.T) {
 	for _, l := range []int{3, 6, 12} {
 		p, f, bs := testChain(t, l, l, 4, 2, 8, 33)
 		n := l * l
-		w, tmp := NewWrapper(p), mat.New(n, n)
+		w, tmp := denseWrapper(p), mat.New(n, n)
 		v := make([]float64, n)
 		for _, sigma := range []hubbard.Spin{hubbard.Up, hubbard.Down} {
 			g := green(t, bs, true)

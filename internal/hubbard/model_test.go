@@ -167,3 +167,66 @@ func TestHSDecouplingIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestSeparableFactors: on a single plane without t' the factors rebuild
+// the dense propagators, e^{+dtau mu}·E_y ⊗ E_x = Bkin and
+// e^{-dtau mu}·E_y^{-1} ⊗ E_x^{-1} = Binv (sites x-fastest), each factor's
+// inverse is its inverse, and the factors are symmetric — on a rectangle,
+// two-site rings and an anisotropic Ty with mu != 0. Stacked planes,
+// diagonal hopping and a one-site side have none.
+func TestSeparableFactors(t *testing.T) {
+	kron := func(c float64, ey, ex *mat.Dense) *mat.Dense {
+		nx, ny := ex.Rows, ey.Rows
+		k := mat.New(nx*ny, nx*ny)
+		for j := 0; j < nx*ny; j++ {
+			for i := 0; i < nx*ny; i++ {
+				k.Set(i, j, c*ey.At(i/nx, j/nx)*ex.At(i%nx, j%nx))
+			}
+		}
+		return k
+	}
+	for _, lat := range []*lattice.Lattice{
+		lattice.NewSquare(5, 3, 1),
+		lattice.NewSquare(2, 2, 1),
+		lattice.NewSquare(4, 6, 1).WithTy(0.3),
+	} {
+		m, err := NewModel(lat, 4, 0.35, 2, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewPropagator(m)
+		sp := p.Sep
+		if sp == nil || sp.Nx != lat.Nx || sp.Ny != lat.Ny {
+			t.Fatalf("%dx%d: factors %+v", lat.Nx, lat.Ny, sp)
+		}
+		if d := mat.RelDiff(kron(sp.Emu, sp.Ey, sp.Ex), p.Bkin); !(d <= 1e-14) {
+			t.Errorf("%dx%d: e^{dtau mu} E_y ⊗ E_x off Bkin by %g", lat.Nx, lat.Ny, d)
+		}
+		if d := mat.RelDiff(kron(sp.EmuInv, sp.EyInv, sp.ExInv), p.Binv); !(d <= 1e-14) {
+			t.Errorf("%dx%d: e^{-dtau mu} E_y^-1 ⊗ E_x^-1 off Binv by %g", lat.Nx, lat.Ny, d)
+		}
+		for _, f := range [][2]*mat.Dense{{sp.Ex, sp.ExInv}, {sp.Ey, sp.EyInv}} {
+			prod := mat.New(f[0].Rows, f[0].Rows)
+			blas.Gemm(false, false, 1, f[0], f[1], 0, prod)
+			if d := mat.RelDiff(prod, mat.Identity(f[0].Rows)); !(d <= 1e-14) {
+				t.Errorf("%dx%d: factor times inverse off I by %g", lat.Nx, lat.Ny, d)
+			}
+			if d := mat.RelDiff(f[0], f[0].Transpose()); !(d <= 1e-15) {
+				t.Errorf("%dx%d: factor asymmetric by %g", lat.Nx, lat.Ny, d)
+			}
+		}
+	}
+	for _, lat := range []*lattice.Lattice{
+		lattice.NewMultilayer(3, 3, 2, 1, 0.5),
+		lattice.NewSquare(4, 4, 1).WithTPrime(-0.2),
+		lattice.NewSquare(6, 1, 1),
+	} {
+		m, err := NewModel(lat, 4, 0, 2, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp := NewPropagator(m).Sep; sp != nil {
+			t.Errorf("%dx%dx%d t'=%g: Kronecker factors where K has none", lat.Nx, lat.Ny, lat.Layers, lat.TPrime)
+		}
+	}
+}

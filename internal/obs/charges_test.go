@@ -3,8 +3,10 @@ package obs_test
 import (
 	"testing"
 
+	"questgo/internal/blas"
 	"questgo/internal/gpu"
 	"questgo/internal/gpu/hw"
+	"questgo/internal/greens"
 	"questgo/internal/hubbard"
 	"questgo/internal/lapack"
 	"questgo/internal/lattice"
@@ -51,6 +53,26 @@ func TestKernelCharges(t *testing.T) {
 			g := mat.New(m.N(), m.N())
 			return func() { acc.Wrap(g, f, hubbard.Up, 0) }
 		}, map[obs.Op]int64{obs.OpWraps: 1}},
+
+		// One strided batch is one call of the whole batch's flops: 9 blocks
+		// of 5x4 by 4x3.
+		{"blas.GemmBlockDiag", func(t *testing.T) func() {
+			x, b, c := randomMatrix(5, 36), blas.PackB(randomMatrix(4, 3)), mat.New(5, 27)
+			return func() { blas.GemmBlockDiag(b, x, nil, nil, c) }
+		}, map[obs.Op]int64{obs.OpGemmCalls: 1, obs.OpGemmFlops: 2 * 5 * 27 * 4}},
+
+		// The separable wrap at 16x9 (N = 144 = sepMinN): four contractions,
+		// 2N²·Nx each along x and 2N²·Ny each along y.
+		{"greens.Wrapper.Wrap (separable)", func(t *testing.T) func() {
+			m, err := hubbard.NewModel(lattice.NewSquare(16, 9, 1), 4, 0, 1, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := hubbard.NewPropagator(m)
+			f := hubbard.NewRandomField(m.L, m.N(), rng.New(1))
+			w, g := greens.NewWrapper(p), randomMatrix(m.N(), m.N())
+			return func() { w.Wrap(g, f, hubbard.Up, 0) }
+		}, map[obs.Op]int64{obs.OpWraps: 1, obs.OpGemmCalls: 4, obs.OpGemmFlops: 4 * 144 * 144 * (16 + 9)}},
 
 		// 40x36: min(m, n) = 36 is one full 32-column panel plus a 4-column one.
 		{"lapack.QRPFactor", func(t *testing.T) func() {

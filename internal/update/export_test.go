@@ -1,7 +1,10 @@
 package update
 
+import "questgo/internal/hubbard"
+
 // Test-only windows for forks_test.go, which drives the device backend and
-// so cannot live in this package (internal/gpu imports it).
+// so cannot live in this package (internal/gpu imports it), and for
+// shadow_test.go.
 
 // NewHost is the host backend constructor behind NewSweeper.
 var NewHost NewBackend = newHost
@@ -21,3 +24,12 @@ func (sw *Sweeper) SetForkSteps(fork bool) { sw.forkSteps = fork }
 // SetOnRoll makes f run first on the stacks' deferred roll, on whichever
 // goroutine runs it, so a test can hold the roll in flight.
 func (sw *Sweeper) SetOnRoll(f func()) { sw.roll.onRun = f }
+
+// DenseKinetic returns a copy of p without its Kronecker factors, so a
+// Sweeper over it applies the kinetic propagator by dense GEMMs at any N:
+// the reference side of a shadow chain.
+func DenseKinetic(p *hubbard.Propagator) *hubbard.Propagator {
+	q := *p
+	q.Sep = nil
+	return &q
+}

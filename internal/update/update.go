@@ -7,8 +7,13 @@
 // into one GEMM) goes through a per-spin Backend of three kernels, so the
 // same chain runs on the host kernels (NewSweeper) or on simulated
 // accelerators (NewSweeperOn with gpu.NewBackend) — the paper's hybrid split
-// of Section VI — and produces the same chain bit for bit: cluster storage,
-// chain order and stratification stay with the Sweeper on every backend.
+// of Section VI. Cluster storage, chain order and stratification stay with
+// the Sweeper on every backend, so below the host's separable-propagator
+// gate (greens.Wrapper: from 144 sites up on a single plane without t')
+// every backend produces the same chain bit for bit. Above it the host
+// applies the kinetic propagator by its Kronecker factors and the device by
+// dense GEMMs, and the two agree to rounding: the same decisions, G within
+// the chain's rounding floor (shadow_test.go).
 //
 // Five optimizations sit on top of the paper's Algorithm 1:
 //

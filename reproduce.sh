@@ -41,6 +41,11 @@ GOMAXPROCS=2 go test -count=1 -race -run 'TestResultsBitwiseAcrossModes$' ./inte
 for p in 1 2 4; do
     GOMAXPROCS=$p go test -count=1 -race -run 'TestDeferredRollJoinedBeforeAdvance$|TestBoundaryHookOffCoreBitwise$' ./internal/update/
 done
+# From greens.sepMinN sites up the host applies the kinetic propagator by
+# its Kronecker factors, which rounds differently from the dense GEMMs: the
+# shadow chain steps a dense and a separable Sweeper at 12x12 and must find
+# the same decisions and boundary G's within the chain's rounding floor.
+go test -count=1 -run 'TestShadowChainSeparable$' -v ./internal/update/
 echo "== Verify: qmcdebug sanitizer build (NaN/Inf scans, drift asserts, pool bookkeeping)"
 go test -tags qmcdebug ./internal/...
 # go list honours GOFLAGS, so this lints the files the default build hides
