@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"questgo/internal/mat"
 	"questgo/internal/rng"
 )
 
@@ -112,6 +113,38 @@ func FuzzVecKernels(f *testing.F) {
 		for _, w := range []int{4, 8} {
 			checkPack(t, true, n, w, w+int(pad%9), alpha, seed)
 			checkPack(t, false, n, w, n+int(pad%9), alpha, seed)
+		}
+	})
+}
+
+// FuzzKronApply drives KronLeft and KronRight on the kernel init selected
+// against the two-stage GemmPacked composition they replace (kronCheck):
+// factor sizes 1 to 16 each, random factors and data from the seed, the
+// low bits of mode choosing the row and column scalings and the data kind
+// (random, underflowing to -0 through subnormals, or with ±Inf and NaN).
+// Every element must match bit for bit, out of place and in place.
+func FuzzKronApply(f *testing.F) {
+	f.Add(uint8(12), uint8(12), uint64(1), uint8(0))
+	f.Add(uint8(16), uint8(9), uint64(2), uint8(3))
+	f.Add(uint8(2), uint8(12), uint64(3), uint8(7))
+	f.Add(uint8(1), uint8(16), uint64(4), uint8(9))
+	f.Add(uint8(5), uint8(3), uint64(5), uint8(10))
+	f.Fuzz(func(t *testing.T, nx8, ny8 uint8, seed uint64, mode uint8) {
+		nx, ny := int(nx8%16)+1, int(ny8%16)+1
+		kind := [...]string{"random", "tiny", "nonfinite", "random"}[mode>>2&3]
+		r := rng.New(seed)
+		fx, fy := kronFactor(r, nx, kind), kronFactor(r, ny, kind)
+		x := mat.New(nx*ny, nx*ny)
+		kronData(r, x, kind)
+		var rs, ss []float64
+		if mode&1 != 0 {
+			rs = scaling(r, nx*ny, false)
+		}
+		if mode&2 != 0 {
+			ss = scaling(r, nx*ny, false)
+		}
+		if err := kronCheck(fx, fy, x, rs, ss); err != nil {
+			t.Fatalf("%dx%d %s scaled rows=%v cols=%v: %v", nx, ny, kind, rs != nil, ss != nil, err)
 		}
 	})
 }

@@ -17,13 +17,21 @@ package blas
 // per k step. Both read the same mr = 8 packed A and run the same FMA chain
 // over k for every element of C, so blas.Gemm's bits do not depend on which
 // of the two runs (TestGemmBitwiseAcrossKernels); only nr, the packed B
-// panel width, differs.
+// panel width, differs. The Kronecker-factor stage (kron) follows the same choice:
+// kronAVX512 beside the 8x8 kernel, kronAVX2 beside the 8x4, kronGo
+// beside the Go one.
 
 //go:noescape
 func dgemm8x4asm(kc int64, a, b, c *float64, ldc, mode, iw, jw int64, r, s *float64)
 
 //go:noescape
 func dgemm8x8asm(kc int64, a, b, c *float64, ldc, mode, iw, jw int64, r, s *float64)
+
+//go:noescape
+func kronAVX512(rows, k, m int64, a *float64, lda int64, b *float64, ldb int64, c *float64, ldc, mode int64, r, s *float64, nb, abs, bbs, cbs int64)
+
+//go:noescape
+func kronAVX2(rows, k, m int64, a *float64, lda int64, b *float64, ldb int64, c *float64, ldc, mode int64, r, s *float64, nb, abs, bbs, cbs int64)
 
 //go:noescape
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -72,6 +80,35 @@ func microKernel(kc int, a, b, c []float64, ldc, mode, iw, jw int, r, s []float6
 		dgemm8x8asm(int64(kc), &a[0], &b[0], &c[0], int64(ldc), int64(mode), int64(iw), int64(jw), pr, ps)
 	} else {
 		dgemm8x4asm(int64(kc), &a[0], &b[0], &c[0], int64(ldc), int64(mode), int64(iw), int64(jw), pr, ps)
+	}
+}
+
+// kron runs a batch of Kronecker-factor stage products (see kronGo) on
+// the kernel of the micro-kernel's family: the AVX-512 or AVX2 one where
+// an assembly micro-kernel runs, kronGo elsewhere, so a product's bits are
+// those of the GEMM the process would run for it. It checks the extents
+// the kernel will touch first, and like microKernel it is a plain
+// function.
+func kron(rows, k, m int, a []float64, lda int, b []float64, ldb int, c []float64, ldc, mode int, r, s []float64, nb, abs, bbs, cbs int) {
+	if kernMR != 8 {
+		kronGo(rows, k, m, a, lda, b, ldb, c, ldc, mode, r, s, nb, abs, bbs, cbs)
+		return
+	}
+	last := nb - 1
+	_, _, _ = a[last*abs+(k-1)*lda+rows-1], b[last*bbs+(m-1)*ldb+k-1], c[last*cbs+(m-1)*ldc+rows-1]
+	var pr, ps *float64
+	if r != nil {
+		_ = r[rows-1]
+		pr = &r[0]
+	}
+	if s != nil {
+		_ = s[nb*m-1]
+		ps = &s[0]
+	}
+	if kernNR == 8 {
+		kronAVX512(int64(rows), int64(k), int64(m), &a[0], int64(lda), &b[0], int64(ldb), &c[0], int64(ldc), int64(mode), pr, ps, int64(nb), int64(abs), int64(bbs), int64(cbs))
+	} else {
+		kronAVX2(int64(rows), int64(k), int64(m), &a[0], int64(lda), &b[0], int64(ldb), &c[0], int64(ldc), int64(mode), pr, ps, int64(nb), int64(abs), int64(bbs), int64(cbs))
 	}
 }
 

@@ -1077,6 +1077,488 @@ colsdone:
 	VZEROUPPER
 	RET
 
+// The two Kronecker-factor kernels below are the micro-kernels' arithmetic
+// over unpacked operands: one stage of blas.KronLeft/KronRight, the
+// rows x m product
+//
+//	C[i, q] = sum_t a[t*lda + i] * b[t + q*ldb]   t in [0, k), ascending
+//
+// finished by the micro-kernels' write-back (mode 1: acc + 0, mode 0:
+// C + acc, then (. * r[i]) * s[q], each factor left out when nil). A is
+// read in place, one row block of a column per k step, B's elements are
+// broadcast, and neither is packed. Rows go in blocks of 16
+// (AVX-512) or 8 (AVX2), the last one masked, so no row outside [0, rows)
+// of A, C or r is read or written; columns go in groups of 4, then one at
+// a time, so no column outside [0, m) of B, C or s is. Each element sees
+// the FMA chain over t from zero whatever its block or group, with a in
+// the operand slot the micro-kernel gives it (which decides whose NaN
+// survives where two meet), so each kernel stores the bits its GEMM
+// micro-kernel (dgemm8x8asm, dgemm8x4asm) stores for the same product.
+// rows, k and m are at least 1.
+//
+// One call runs a batch of nb >= 1 such products: after each, a, b and c
+// step by abs, bbs and cbs elements and s (when not nil) by m, in the
+// argument slots, which step only while another product follows, so
+// they never point past the operands.
+
+#define KZERO(lo, hi) VPXORQ lo, lo, lo; VPXORQ hi, hi, hi
+#define KADDZ(lo, hi) VADDPD Z16, lo, lo; VADDPD Z16, hi, hi
+#define KADDC(lo, hi) VMOVUPD.Z (AX), K1, Z10; VMOVUPD.Z 64(AX), K2, Z11; VADDPD Z10, lo, lo; VADDPD Z11, hi, hi; ADDQ R10, AX
+#define KMULR(lo, hi) VMULPD Z14, lo, lo; VMULPD Z15, hi, hi
+#define KMULS(lo, hi) VMULPD.BCST (AX), lo, lo; VMULPD.BCST (AX), hi, hi; ADDQ $8, AX
+#define KSTORE(lo, hi) VMOVUPD lo, K1, (DI); VMOVUPD hi, K2, 64(DI); ADDQ R10, DI
+
+// func kronAVX512(rows, k, m int64, a *float64, lda int64, b *float64, ldb int64, c *float64, ldc, mode int64, r, s *float64, nb, abs, bbs, cbs int64)
+//
+// Rows go in blocks of 16, two zmm halves masked by K1 and K2, with their
+// r factors in Z14/Z15 and zero in Z16; Z0-Z7 are a 4-column group's
+// accumulators, a column's halves side by side. A k step of the group is
+// two masked loads of a, four broadcasts of b and eight FMAs, each with a
+// as its first factor as in dgemm8x8asm. A block of 8 rows or fewer runs
+// its upper half masked off.
+TEXT ·kronAVX512(SB), NOSPLIT, $0-128
+	MOVQ   lda+32(FP), R8
+	SHLQ   $3, R8            // lda in bytes
+	MOVQ   ldb+48(FP), R9
+	SHLQ   $3, R9            // ldb in bytes
+	MOVQ   ldc+64(FP), R10
+	SHLQ   $3, R10           // ldc in bytes
+	LEAQ   (R9)(R9*2), R11   // 3 columns of b, in bytes
+	VPXORQ Z16, Z16, Z16
+	XORQ   DX, DX            // the row block's first row, in bytes
+
+krow:
+	MOVQ  rows+0(FP), CX
+	SHLQ  $3, CX
+	SUBQ  DX, CX
+	SHRQ  $3, CX             // rows left
+	CMPQ  CX, $16
+	JLE   kmask
+	MOVQ  $16, CX
+
+kmask:
+	MOVQ  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX                 // the block's live rows, one bit each
+	KMOVW AX, K1
+	SHRQ  $8, AX
+	KMOVW AX, K2
+	MOVQ  r+80(FP), AX
+	TESTQ AX, AX
+	JEQ   kcols
+	VMOVUPD.Z (AX)(DX*1), K1, Z14
+	VMOVUPD.Z 64(AX)(DX*1), K2, Z15
+
+kcols:
+	MOVQ b+40(FP), BX        // b's first column of the group
+	MOVQ c+56(FP), DI
+	ADDQ DX, DI              // C's column, this row block
+	MOVQ m+16(FP), CX        // columns left
+
+kgroup4:
+	CMPQ  CX, $4
+	JLT   kgroup1
+	KZERO(Z0, Z1)
+	KZERO(Z2, Z3)
+	KZERO(Z4, Z5)
+	KZERO(Z6, Z7)
+	MOVQ  a+24(FP), SI
+	ADDQ  DX, SI
+	MOVQ  BX, AX
+	MOVQ  k+8(FP), R13
+
+	PCALIGN $64
+kloop4:
+	VMOVUPD.Z    (SI), K1, Z8
+	VMOVUPD.Z    64(SI), K2, Z9
+	VBROADCASTSD (AX), Z10
+	VBROADCASTSD (AX)(R9*1), Z11
+	VBROADCASTSD (AX)(R9*2), Z12
+	VBROADCASTSD (AX)(R11*1), Z13
+	VFMADD231PD  Z10, Z8, Z0
+	VFMADD231PD  Z10, Z9, Z1
+	VFMADD231PD  Z11, Z8, Z2
+	VFMADD231PD  Z11, Z9, Z3
+	VFMADD231PD  Z12, Z8, Z4
+	VFMADD231PD  Z12, Z9, Z5
+	VFMADD231PD  Z13, Z8, Z6
+	VFMADD231PD  Z13, Z9, Z7
+	ADDQ         R8, SI
+	ADDQ         $8, AX
+	DECQ         R13
+	JNE          kloop4
+
+	MOVQ  mode+72(FP), AX
+	TESTQ $1, AX
+	JEQ   kacc4
+	KADDZ(Z0, Z1)
+	KADDZ(Z2, Z3)
+	KADDZ(Z4, Z5)
+	KADDZ(Z6, Z7)
+	JMP   kr4
+
+kacc4:
+	MOVQ DI, AX
+	KADDC(Z0, Z1)
+	KADDC(Z2, Z3)
+	KADDC(Z4, Z5)
+	KADDC(Z6, Z7)
+
+kr4:
+	MOVQ  r+80(FP), AX
+	TESTQ AX, AX
+	JEQ   ks4
+	KMULR(Z0, Z1)
+	KMULR(Z2, Z3)
+	KMULR(Z4, Z5)
+	KMULR(Z6, Z7)
+
+ks4:
+	MOVQ  s+88(FP), AX
+	TESTQ AX, AX
+	JEQ   kst4
+	MOVQ  m+16(FP), R13
+	SUBQ  CX, R13
+	LEAQ  (AX)(R13*8), AX    // s[q] for the group's first column q
+	KMULS(Z0, Z1)
+	KMULS(Z2, Z3)
+	KMULS(Z4, Z5)
+	KMULS(Z6, Z7)
+
+kst4:
+	KSTORE(Z0, Z1)
+	KSTORE(Z2, Z3)
+	KSTORE(Z4, Z5)
+	KSTORE(Z6, Z7)
+	LEAQ (BX)(R9*4), BX
+	SUBQ $4, CX
+	JMP  kgroup4
+
+kgroup1:
+	TESTQ CX, CX
+	JEQ   knext
+	KZERO(Z0, Z1)
+	MOVQ  a+24(FP), SI
+	ADDQ  DX, SI
+	MOVQ  BX, AX
+	MOVQ  k+8(FP), R13
+
+kloop1:
+	VMOVUPD.Z    (SI), K1, Z8
+	VMOVUPD.Z    64(SI), K2, Z9
+	VBROADCASTSD (AX), Z10
+	VFMADD231PD  Z10, Z8, Z0
+	VFMADD231PD  Z10, Z9, Z1
+	ADDQ         R8, SI
+	ADDQ         $8, AX
+	DECQ         R13
+	JNE          kloop1
+
+	MOVQ  mode+72(FP), AX
+	TESTQ $1, AX
+	JEQ   kacc1
+	KADDZ(Z0, Z1)
+	JMP   kr1
+
+kacc1:
+	MOVQ DI, AX
+	KADDC(Z0, Z1)
+
+kr1:
+	MOVQ  r+80(FP), AX
+	TESTQ AX, AX
+	JEQ   ks1
+	KMULR(Z0, Z1)
+
+ks1:
+	MOVQ  s+88(FP), AX
+	TESTQ AX, AX
+	JEQ   kst1
+	MOVQ  m+16(FP), R13
+	SUBQ  CX, R13
+	LEAQ  (AX)(R13*8), AX
+	KMULS(Z0, Z1)
+
+kst1:
+	KSTORE(Z0, Z1)
+	ADDQ R9, BX
+	DECQ CX
+	JMP  kgroup1
+
+knext:
+	ADDQ $128, DX
+	MOVQ rows+0(FP), AX
+	SHLQ $3, AX
+	CMPQ DX, AX
+	JLT  krow
+	DECQ nb+96(FP)
+	JEQ  kdone
+	MOVQ  abs+104(FP), AX
+	SHLQ  $3, AX
+	ADDQ  AX, a+24(FP)
+	MOVQ  bbs+112(FP), AX
+	SHLQ  $3, AX
+	ADDQ  AX, b+40(FP)
+	MOVQ  cbs+120(FP), AX
+	SHLQ  $3, AX
+	ADDQ  AX, c+56(FP)
+	MOVQ  s+88(FP), AX
+	TESTQ AX, AX
+	JEQ   kbatch
+	MOVQ  m+16(FP), BX
+	LEAQ  (AX)(BX*8), AX
+	MOVQ  AX, s+88(FP)
+
+kbatch:
+	XORQ DX, DX
+	JMP  krow
+
+kdone:
+	VZEROUPPER
+	RET
+
+#define YZERO(lo, hi) VXORPD lo, lo, lo; VXORPD hi, hi, hi
+#define YADDZ(lo, hi) VADDPD Y10, lo, lo; VADDPD Y10, hi, hi
+#define YADDC(lo, hi) VMASKMOVPD (AX), Y14, Y10; VMASKMOVPD 32(AX), Y15, Y11; VADDPD Y10, lo, lo; VADDPD Y11, hi, hi; ADDQ R10, AX
+#define YMULR(lo, hi) VMULPD Y12, lo, lo; VMULPD Y13, hi, hi
+#define YMULS(lo, hi) VBROADCASTSD (AX), Y10; VMULPD Y10, lo, lo; VMULPD Y10, hi, hi; ADDQ $8, AX
+#define YSTORE(lo, hi) VMOVUPD lo, (DI); VMOVUPD hi, 32(DI); ADDQ R10, DI
+#define YSTOREM(lo, hi) VMASKMOVPD lo, Y14, (DI); VMASKMOVPD hi, Y15, 32(DI); ADDQ R10, DI
+
+// func kronAVX2(rows, k, m int64, a *float64, lda int64, b *float64, ldb int64, c *float64, ldc, mode int64, r, s *float64, nb, abs, bbs, cbs int64)
+//
+// kronAVX512's loops at half the vector width: Y14/Y15 mask the row
+// block's live rows (edgeMask), Y12/Y13 hold its r factors, and a column's
+// 8 rows are two ymm accumulators. A k step of the 4-column group is two
+// masked loads of a, four broadcasts and eight FMAs, dgemm8x4asm's step. A
+// full row block stores unmasked.
+TEXT ·kronAVX2(SB), NOSPLIT, $0-128
+	MOVQ lda+32(FP), R8
+	SHLQ $3, R8
+	MOVQ ldb+48(FP), R9
+	SHLQ $3, R9
+	MOVQ ldc+64(FP), R10
+	SHLQ $3, R10
+	LEAQ (R9)(R9*2), R11
+	XORQ DX, DX
+
+yrow:
+	MOVQ    rows+0(FP), CX
+	SHLQ    $3, CX
+	SUBQ    DX, CX
+	SHRQ    $3, CX
+	CMPQ    CX, $8
+	JLE     ymask
+	MOVQ    $8, CX
+
+ymask:
+	MOVQ    $8, AX
+	SUBQ    CX, AX
+	LEAQ    edgeMask<>(SB), R12
+	LEAQ    (R12)(AX*8), R12
+	VMOVUPD (R12), Y14
+	VMOVUPD 32(R12), Y15
+	MOVQ    r+80(FP), AX
+	TESTQ   AX, AX
+	JEQ     ycols
+	VMASKMOVPD (AX)(DX*1), Y14, Y12
+	VMASKMOVPD 32(AX)(DX*1), Y15, Y13
+
+ycols:
+	MOVQ b+40(FP), BX
+	MOVQ c+56(FP), DI
+	ADDQ DX, DI
+	MOVQ m+16(FP), CX
+
+ygroup4:
+	CMPQ  CX, $4
+	JLT   ygroup1
+	YZERO(Y0, Y1)
+	YZERO(Y2, Y3)
+	YZERO(Y4, Y5)
+	YZERO(Y6, Y7)
+	MOVQ  a+24(FP), SI
+	ADDQ  DX, SI
+	MOVQ  BX, AX
+	MOVQ  k+8(FP), R13
+
+	PCALIGN $64
+yloop4:
+	VMASKMOVPD   (SI), Y14, Y8
+	VMASKMOVPD   32(SI), Y15, Y9
+	VBROADCASTSD (AX), Y10
+	VBROADCASTSD (AX)(R9*1), Y11
+	VFMADD231PD  Y8, Y10, Y0
+	VFMADD231PD  Y9, Y10, Y1
+	VFMADD231PD  Y8, Y11, Y2
+	VFMADD231PD  Y9, Y11, Y3
+	VBROADCASTSD (AX)(R9*2), Y10
+	VBROADCASTSD (AX)(R11*1), Y11
+	VFMADD231PD  Y8, Y10, Y4
+	VFMADD231PD  Y9, Y10, Y5
+	VFMADD231PD  Y8, Y11, Y6
+	VFMADD231PD  Y9, Y11, Y7
+	ADDQ         R8, SI
+	ADDQ         $8, AX
+	DECQ         R13
+	JNE          yloop4
+
+	VXORPD Y10, Y10, Y10
+	MOVQ   mode+72(FP), AX
+	TESTQ  $1, AX
+	JEQ    yacc4
+	YADDZ(Y0, Y1)
+	YADDZ(Y2, Y3)
+	YADDZ(Y4, Y5)
+	YADDZ(Y6, Y7)
+	JMP    yr4
+
+yacc4:
+	MOVQ DI, AX
+	YADDC(Y0, Y1)
+	YADDC(Y2, Y3)
+	YADDC(Y4, Y5)
+	YADDC(Y6, Y7)
+
+yr4:
+	MOVQ  r+80(FP), AX
+	TESTQ AX, AX
+	JEQ   ys4
+	YMULR(Y0, Y1)
+	YMULR(Y2, Y3)
+	YMULR(Y4, Y5)
+	YMULR(Y6, Y7)
+
+ys4:
+	MOVQ  s+88(FP), AX
+	TESTQ AX, AX
+	JEQ   yst4
+	MOVQ  m+16(FP), R13
+	SUBQ  CX, R13
+	LEAQ  (AX)(R13*8), AX
+	YMULS(Y0, Y1)
+	YMULS(Y2, Y3)
+	YMULS(Y4, Y5)
+	YMULS(Y6, Y7)
+
+yst4:
+	MOVQ rows+0(FP), AX
+	SHLQ $3, AX
+	SUBQ DX, AX
+	CMPQ AX, $64
+	JLT  yst4m
+	YSTORE(Y0, Y1)
+	YSTORE(Y2, Y3)
+	YSTORE(Y4, Y5)
+	YSTORE(Y6, Y7)
+	JMP  ynext4
+
+yst4m:
+	YSTOREM(Y0, Y1)
+	YSTOREM(Y2, Y3)
+	YSTOREM(Y4, Y5)
+	YSTOREM(Y6, Y7)
+
+ynext4:
+	LEAQ (BX)(R9*4), BX
+	SUBQ $4, CX
+	JMP  ygroup4
+
+ygroup1:
+	TESTQ CX, CX
+	JEQ   ynext
+	YZERO(Y0, Y1)
+	MOVQ  a+24(FP), SI
+	ADDQ  DX, SI
+	MOVQ  BX, AX
+	MOVQ  k+8(FP), R13
+
+yloop1:
+	VMASKMOVPD   (SI), Y14, Y8
+	VMASKMOVPD   32(SI), Y15, Y9
+	VBROADCASTSD (AX), Y10
+	VFMADD231PD  Y8, Y10, Y0
+	VFMADD231PD  Y9, Y10, Y1
+	ADDQ         R8, SI
+	ADDQ         $8, AX
+	DECQ         R13
+	JNE          yloop1
+
+	VXORPD Y10, Y10, Y10
+	MOVQ   mode+72(FP), AX
+	TESTQ  $1, AX
+	JEQ    yacc1
+	YADDZ(Y0, Y1)
+	JMP    yr1
+
+yacc1:
+	MOVQ DI, AX
+	YADDC(Y0, Y1)
+
+yr1:
+	MOVQ  r+80(FP), AX
+	TESTQ AX, AX
+	JEQ   ys1
+	YMULR(Y0, Y1)
+
+ys1:
+	MOVQ  s+88(FP), AX
+	TESTQ AX, AX
+	JEQ   yst1
+	MOVQ  m+16(FP), R13
+	SUBQ  CX, R13
+	LEAQ  (AX)(R13*8), AX
+	YMULS(Y0, Y1)
+
+yst1:
+	MOVQ rows+0(FP), AX
+	SHLQ $3, AX
+	SUBQ DX, AX
+	CMPQ AX, $64
+	JLT  yst1m
+	YSTORE(Y0, Y1)
+	JMP  ynext1
+
+yst1m:
+	YSTOREM(Y0, Y1)
+
+ynext1:
+	ADDQ R9, BX
+	DECQ CX
+	JMP  ygroup1
+
+ynext:
+	ADDQ $64, DX
+	MOVQ rows+0(FP), AX
+	SHLQ $3, AX
+	CMPQ DX, AX
+	JLT  yrow
+	DECQ nb+96(FP)
+	JEQ  ydone
+	MOVQ  abs+104(FP), AX
+	SHLQ  $3, AX
+	ADDQ  AX, a+24(FP)
+	MOVQ  bbs+112(FP), AX
+	SHLQ  $3, AX
+	ADDQ  AX, b+40(FP)
+	MOVQ  cbs+120(FP), AX
+	SHLQ  $3, AX
+	ADDQ  AX, c+56(FP)
+	MOVQ  s+88(FP), AX
+	TESTQ AX, AX
+	JEQ   ybatch
+	MOVQ  m+16(FP), BX
+	LEAQ  (AX)(BX*8), AX
+	MOVQ  AX, s+88(FP)
+
+ybatch:
+	XORQ DX, DX
+	JMP  yrow
+
+ydone:
+	VZEROUPPER
+	RET
+
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

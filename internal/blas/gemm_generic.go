@@ -7,6 +7,11 @@ func microKernel(kc int, a, b, c []float64, ldc, mode, iw, jw int, r, s []float6
 	microKernel4x4(kc, a, b, c, ldc, mode, iw, jw, r, s)
 }
 
+// kron is the portable Kronecker-factor stage (see gemm_amd64.go).
+func kron(rows, k, m int, a []float64, lda int, b []float64, ldb int, c []float64, ldc, mode int, r, s []float64, nb, abs, bbs, cbs int) {
+	kronGo(rows, k, m, a, lda, b, ldb, c, ldc, mode, r, s, nb, abs, bbs, cbs)
+}
+
 // The stride-1 layer (see gemm_amd64.go) is the portable loops alone here.
 
 func axpy(alpha float64, x, y []float64) { axpyGo(alpha, x, y) }

@@ -506,50 +506,3 @@ func TestGemmInsideParallelFor(t *testing.T) {
 		}
 	}
 }
-
-// TestGemmBlockDiagMatchesPerBlock: the strided batch
-// C = diag(r)·X·(I ⊗ B)·diag(s) holds, block by block, the bits of
-// GemmPacked on that block with its slice of s — at a tile-aligned block,
-// partial tiles in both directions, one row, a rectangular B and a single
-// block, unscaled and scaled — and allocates nothing in steady state.
-func TestGemmBlockDiagMatchesPerBlock(t *testing.T) {
-	r := rng.New(83)
-	for _, sh := range []struct{ m, k, n, blocks int }{
-		{8, 8, 8, 5}, {12, 12, 12, 144}, {10, 3, 7, 9}, {1, 5, 5, 4}, {13, 9, 2, 1},
-	} {
-		x, b := randomDense(r, sh.m, sh.k*sh.blocks), randomDense(r, sh.k, sh.n)
-		pb := PackB(b)
-		for _, scaled := range []bool{false, true} {
-			var rs, ss []float64
-			if scaled {
-				rs, ss = scaling(r, sh.m, false), scaling(r, sh.n*sh.blocks, false)
-			}
-			got, want := mat.New(sh.m, sh.n*sh.blocks), mat.New(sh.m, sh.n*sh.blocks)
-			for i := range got.Data {
-				got.Data[i] = math.NaN()
-			}
-			GemmBlockDiag(pb, x, rs, ss, got)
-			for j := 0; j < sh.blocks; j++ {
-				var sj []float64
-				if ss != nil {
-					sj = ss[j*sh.n : (j+1)*sh.n]
-				}
-				GemmPacked(pb, x.View(0, j*sh.k, sh.m, sh.k), rs, sj, want.View(0, j*sh.n, sh.m, sh.n))
-			}
-			if !sameBits(got, want) {
-				t.Fatalf("m=%d k=%d n=%d blocks=%d scaled=%v: GemmBlockDiag differs from per-block GemmPacked", sh.m, sh.k, sh.n, sh.blocks, scaled)
-			}
-			if !raceEnabled {
-				if allocs := testing.AllocsPerRun(10, func() { GemmBlockDiag(pb, x, rs, ss, got) }); allocs != 0 {
-					t.Errorf("m=%d k=%d n=%d blocks=%d: GemmBlockDiag allocated %.1f objects per call, want 0", sh.m, sh.k, sh.n, sh.blocks, allocs)
-				}
-			}
-		}
-	}
-	if msg := panicMessage(func() { GemmBlockDiag(PackA(mat.New(3, 3)), mat.New(2, 6), nil, nil, mat.New(2, 6)) }); !strings.Contains(msg, "GemmBlockDiag") {
-		t.Fatalf("a PackA operand: panic %q, want GemmBlockDiag's", msg)
-	}
-	if msg := panicMessage(func() { GemmBlockDiag(PackB(mat.New(3, 3)), mat.New(2, 7), nil, nil, mat.New(2, 7)) }); !strings.Contains(msg, "GemmBlockDiag") {
-		t.Fatalf("X's columns not whole blocks: panic %q, want GemmBlockDiag's", msg)
-	}
-}

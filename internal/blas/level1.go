@@ -7,12 +7,16 @@
 // level-2 bound because every pivot choice requires a matrix-vector product
 // to refresh column norms. This package reproduces that hierarchy in pure
 // Go plus one vector layer: Gemm is blocked, packed and parallel over an
-// 8x4 AVX2/FMA micro-kernel, and the stride-1 loops every other routine
-// reduces to — axpy, its column-blocked form axpyCols, the rank-1 update
-// that makes one axpy per column, dot, the Householder reflector update
-// that fuses a dot and an axpy per column, the diagonal scalings of a
-// product's write-back, and the two packing copies — run as AVX2 kernels
-// on the same CPUs (gemm_amd64.go).
+// 8x8 AVX-512 or 8x4 AVX2/FMA micro-kernel, and the stride-1 loops every
+// other routine reduces to — axpy, its column-blocked form axpyCols, the
+// rank-1 update that makes one axpy per column, dot, the Householder
+// reflector update that fuses a dot and an axpy per column, the diagonal
+// scalings of a product's write-back, and the two packing copies — run as
+// AVX2 kernels on the same CPUs (gemm_amd64.go). KronLeft and KronRight
+// apply a Kronecker product of two small factors, the separable kinetic
+// propagator, to an N x N matrix in one pass per side (kron.go): the
+// micro-kernel's FMA chain and write-back over unpacked operands, with
+// the bits of the two GEMM stages it fuses.
 // The Go loops in this package are the portable bodies: what a purego or
 // non-amd64 build runs everywhere, and what an AVX2 build runs on partial
 // panels only.

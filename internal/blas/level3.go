@@ -99,49 +99,6 @@ func GemmScaled(transA, transB bool, a, b *mat.Dense, r, s []float64, c *mat.Den
 	gemm(transA, transB, 1, a, b, 0, c, nil, nil, r, s)
 }
 
-// GemmBlockDiag computes C = diag(r)·X·(I ⊗ B)·diag(s), B the k×n operand
-// packed by PackB: the strided batch C_b = X_b·B over the column blocks
-// X_b = X[:, bk:(b+1)k] and C_b = C[:, bn:(b+1)n], with the scalings in the
-// write-back as in GemmPacked. It is the small-GEMM batch of a Kronecker
-// factor applied along a tensor index that no single GEMM view reaches.
-// Each block's bits are those of GemmPacked(p, X_b, r, s[bn:(b+1)n], C_b);
-// one context runs every block against B's panels, and the batch charges
-// obs as one call of its total flops. r and s may be nil (no scaling). C
-// must not alias X, r or s.
-//
-//qmc:hot
-func GemmBlockDiag(p *Packed, x *mat.Dense, r, s []float64, c *mat.Dense) {
-	k, n := p.src.Rows, p.src.Cols
-	if p.sideA || k == 0 || x.Cols%k != 0 || x.Rows != c.Rows || c.Cols != x.Cols/k*n {
-		panic(fmt.Sprintf("blas: GemmBlockDiag needs a PackB operand and X m x bk, C m x bn: B is %dx%d, X is %dx%d, C is %dx%d",
-			k, n, x.Rows, x.Cols, c.Rows, c.Cols))
-	}
-	blocks, m := x.Cols/k, x.Rows
-	checkScaling("row", r, m)
-	checkScaling("column", s, c.Cols)
-	if m == 0 || n == 0 || blocks == 0 {
-		return
-	}
-	obs.AddGemm(m, blocks*n, k)
-	ctx := gemmCtxPool.Get().(*gemmCtx)
-	ctx.as, ctx.bData, ctx.bs, ctx.cs = x.Stride, p.src.Data, p.src.Stride, c.Stride
-	ctx.transA, ctx.transB = false, false
-	ctx.alpha, ctx.beta = 1, 0
-	ctx.m, ctx.n, ctx.k = m, n, k
-	ctx.packedB, ctx.r = p.panels(), r
-	for b := 0; b < blocks; b++ {
-		ctx.aData, ctx.cData = x.Data[b*k*x.Stride:], c.Data[b*n*c.Stride:]
-		if s != nil {
-			ctx.s = s[b*n : (b+1)*n]
-		}
-		ctx.runPacked()
-	}
-	ctx.aData, ctx.bData, ctx.cData = nil, nil, nil
-	ctx.ap, ctx.bp, ctx.packedB, ctx.r, ctx.s = nil, nil, nil, nil, nil
-	gemmCtxPool.Put(ctx)
-	check.Finite("blas.GemmBlockDiag", c)
-}
-
 // runScale folds beta (not 0 or 1) into columns [jlo, jhi) of C.
 func (ctx *gemmCtx) runScale(jlo, jhi int) {
 	for j := jlo; j < jhi; j++ {

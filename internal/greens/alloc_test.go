@@ -102,9 +102,9 @@ func TestWrapperNoAllocs(t *testing.T) {
 }
 
 // TestSeparableWrapperNoAllocs: from sepMinN sites up the wrap and the
-// block product apply the Kronecker factors — views of the operands'
-// storage, one strided batch, the factors packed once in the propagator —
-// and allocate nothing, square (the 12x12 workload) or rectangular.
+// block product apply the Kronecker factors in place (blas.KronLeft and
+// KronRight, their scratch the wrapper's) and allocate nothing, square
+// (the 12x12 workload) or rectangular, at N = 144.
 func TestSeparableWrapperNoAllocs(t *testing.T) {
 	for _, d := range [][2]int{{12, 12}, {16, 9}} {
 		p, f, _ := testChain(t, d[0], d[1], 4, 2, 8, 73)

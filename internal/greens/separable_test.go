@@ -28,9 +28,11 @@ func sepWrapper(p *hubbard.Propagator) *Wrapper {
 // BenchmarkWrapSeparable times the host wrap and the block product (one
 // k = 10 cluster, nine kinetic products and the separable path's final
 // transpose) dense against separable at the square lattices around the
-// sepMinN crossover. Run it at -cpu 1: in a sweep from N = 36 up the two
-// spin sectors' wraps and products fork onto the two cores, so each runs
-// on one.
+// sepMinN crossover, and from 8x8 up the separable wrap's two sides alone:
+// left is (E_y ⊗ E_x)·G, right G·(E_y^{-1} ⊗ E_x^{-1}) with V_l and
+// V_l^{-1} in its write-back. Run it at -cpu 1: in a sweep from N = 36 up
+// the two spin sectors' wraps and products fork onto the two cores, so each
+// runs on one.
 //
 //	go test ./internal/greens -run NONE -bench WrapSeparable -cpu 1
 func BenchmarkWrapSeparable(b *testing.B) {
@@ -66,6 +68,24 @@ func BenchmarkWrapSeparable(b *testing.B) {
 				}
 			})
 		}
+		if l < 8 {
+			continue
+		}
+		sp, w := p.Sep, sepWrapper(p)
+		p.VDiag(hubbard.Up, f, 0, w.v)
+		for i, v := range w.v {
+			w.vinv[i] = 1 / v
+		}
+		b.Run(fmt.Sprintf("N=%d/left/sep", m.N()), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				blas.KronLeft(sp.Ex, sp.Ey, g0, w.tmp.Data, dst)
+			}
+		})
+		b.Run(fmt.Sprintf("N=%d/right/sep", m.N()), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				blas.KronRight(sp.ExInv, sp.EyInv, g0, w.v, w.vinv, w.tmp.Data, dst)
+			}
+		})
 	}
 }
 
@@ -111,11 +131,11 @@ func TestSeparableMatchesDense(t *testing.T) {
 		n := p.Model.N()
 		x, tmp, got, want := randomDense(rng.New(67), n), mat.New(n, n), mat.New(n, n), mat.New(n, n)
 
-		kronLeft(sp, x, tmp, got)
+		blas.KronLeft(sp.Ex, sp.Ey, x, tmp.Data, got)
 		got.Scale(sp.Emu)
 		blas.Gemm(false, false, 1, p.Bkin, x, 0, want)
 		check("separable Bkin·X", mat.RelDiff(got, want))
-		kronRight(sp.Nx, sp.EyInvB, sp.ExInvB, x, tmp, got, nil, nil)
+		blas.KronRight(sp.ExInv, sp.EyInv, x, nil, nil, tmp.Data, got)
 		got.Scale(sp.EmuInv)
 		blas.Gemm(false, false, 1, x, p.Binv, 0, want)
 		check("separable X·Binv", mat.RelDiff(got, want))
@@ -134,6 +154,86 @@ func TestSeparableMatchesDense(t *testing.T) {
 			}
 		}
 		t.Logf("%s: largest relative difference %.2g", tc.name, worst)
+	}
+}
+
+// twoStageLeft and twoStageRight are the separable products as they ran
+// before blas.KronLeft and KronRight fused their stages: each stage a
+// GemmPacked through the scratch tmp over a view of the operands' storage —
+// left x on X as Nx x (Ny·N), left y on every Nx x Ny block; right y on X
+// as (N·Nx) x Ny, right x on every N x Nx column block with the scalings.
+func twoStageLeft(sp *hubbard.Separable, x, tmp, out *mat.Dense) {
+	n := x.Rows
+	view := func(m *mat.Dense) *mat.Dense {
+		return &mat.Dense{Rows: sp.Nx, Cols: sp.Ny * n, Stride: sp.Nx, Data: m.Data}
+	}
+	tv, ov := view(tmp), view(out)
+	blas.GemmPacked(blas.PackA(sp.Ex), view(x), nil, nil, tv)
+	ey := blas.PackB(sp.Ey)
+	for b := 0; b < n; b++ {
+		blas.GemmPacked(ey, tv.View(0, b*sp.Ny, sp.Nx, sp.Ny), nil, nil, ov.View(0, b*sp.Ny, sp.Nx, sp.Ny))
+	}
+}
+
+func twoStageRight(nx int, fy, fx *mat.Dense, x, tmp, out *mat.Dense, r, s []float64) {
+	n, ny := x.Rows, fy.Rows
+	view := func(m *mat.Dense) *mat.Dense { return &mat.Dense{Rows: n * nx, Cols: ny, Stride: n * nx, Data: m.Data} }
+	blas.GemmPacked(blas.PackB(fy), view(x), nil, nil, view(tmp))
+	px := blas.PackB(fx)
+	for b := 0; b < ny; b++ {
+		var sb []float64
+		if s != nil {
+			sb = s[b*nx : (b+1)*nx]
+		}
+		blas.GemmPacked(px, tmp.View(0, b*nx, n, nx), r, sb, out.View(0, b*nx, n, nx))
+	}
+}
+
+// TestSeparableBitsMatchTwoStage: the separable wrap and block product,
+// now one fused Kronecker-factor pass per side, store the bits of the
+// two-stage composition they replaced, on the 12x12, 16x9 and 16x16
+// planes, both spins, μ ≠ 0.
+func TestSeparableBitsMatchTwoStage(t *testing.T) {
+	for _, d := range [][2]int{{12, 12}, {16, 9}, {16, 16}} {
+		p, f := kinModel(t, lattice.NewSquare(d[0], d[1], 1), 0.3)
+		sp, n := p.Sep, p.Model.N()
+		w := NewWrapper(p)
+		if w.sep == nil {
+			t.Fatalf("%dx%d: wrapper on the dense path", d[0], d[1])
+		}
+		tmp, v, vinv := mat.New(n, n), make([]float64, n), make([]float64, n)
+		for _, sigma := range []hubbard.Spin{hubbard.Up, hubbard.Down} {
+			got := randomDense(rng.New(73), n)
+			want := got.Clone()
+			w.Wrap(got, f, sigma, 6)
+			p.VDiag(sigma, f, 6, v)
+			for i := range v {
+				vinv[i] = 1 / v[i]
+			}
+			twoStageLeft(sp, want, tmp, want)
+			twoStageRight(sp.Nx, sp.EyInv, sp.ExInv, want, tmp, want, v, vinv)
+			if !bitsEqual(got, want) {
+				t.Fatalf("%dx%d sigma=%d: wrap differs from the two-stage composition", d[0], d[1], sigma)
+			}
+			for _, k := range []int{1, 3, 10} {
+				w.Cluster(got, f, sigma, 2, k)
+				at := mat.New(n, n)
+				at.CopyFrom(p.Bkin)
+				p.VDiag(sigma, f, 2, v)
+				at.ScaleCols(v)
+				for j := 1; j < k; j++ {
+					p.VDiag(sigma, f, 2+j, v)
+					for i := range v {
+						v[i] *= sp.Emu
+					}
+					twoStageRight(sp.Nx, sp.Ey, sp.Ex, at, want, at, nil, v)
+				}
+				at.TransposeInto(want)
+				if !bitsEqual(got, want) {
+					t.Fatalf("%dx%d sigma=%d k=%d: block product differs from the two-stage composition", d[0], d[1], sigma, k)
+				}
+			}
+		}
 	}
 }
 

@@ -125,17 +125,13 @@ type Propagator struct {
 // exactly, K_x and K_y being the Nx x Nx and Ny x Ny ring hopping matrices
 // (a doubled bond where the ring has two sites). No Trotter error enters: a
 // product with B costs 2N(Nx + Ny) flops a column instead of 2N². The
-// factors are symmetric; the packed operands are the sides the host's
-// separable wrap and block product (greens.Wrapper) apply them from.
+// factors are symmetric; the host's separable wrap and block product
+// (greens.Wrapper) apply them in place with blas.KronLeft and KronRight.
 type Separable struct {
 	Nx, Ny       int
 	Ex, Ey       *mat.Dense // exp(-dtau*K_x), exp(-dtau*K_y)
 	ExInv, EyInv *mat.Dense // exp(+dtau*K_x), exp(+dtau*K_y)
 	Emu, EmuInv  float64    // e^{+dtau*mu}, e^{-dtau*mu}
-
-	ExA            *blas.Packed // E_x as the left operand
-	ExB, EyB       *blas.Packed // E_x, E_y as the right operand
-	ExInvB, EyInvB *blas.Packed // E_x^{-1}, E_y^{-1} as the right operand
 }
 
 // NewPropagator builds the kinetic propagators for the model.
@@ -172,8 +168,6 @@ func newSeparable(m *Model) *Separable {
 		Nx: lat.Nx, Ny: lat.Ny,
 		Ex: ex, Ey: ey, ExInv: exInv, EyInv: eyInv,
 		Emu: math.Exp(m.Dtau * m.Mu), EmuInv: math.Exp(-m.Dtau * m.Mu),
-		ExA: blas.PackA(ex), ExB: blas.PackB(ex), EyB: blas.PackB(ey),
-		ExInvB: blas.PackB(exInv), EyInvB: blas.PackB(eyInv),
 	}
 }
 

@@ -54,15 +54,22 @@ func TestKernelCharges(t *testing.T) {
 			return func() { acc.Wrap(g, f, hubbard.Up, 0) }
 		}, map[obs.Op]int64{obs.OpWraps: 1}},
 
-		// One strided batch is one call of the whole batch's flops: 9 blocks
-		// of 5x4 by 4x3.
-		{"blas.GemmBlockDiag", func(t *testing.T) func() {
-			x, b, c := randomMatrix(5, 36), blas.PackB(randomMatrix(4, 3)), mat.New(5, 27)
-			return func() { blas.GemmBlockDiag(b, x, nil, nil, c) }
-		}, map[obs.Op]int64{obs.OpGemmCalls: 1, obs.OpGemmFlops: 2 * 5 * 27 * 4}},
+		// A Kronecker-factor product is one call per stage, each of the
+		// stage's flops: 2N²·Nx along x and 2N²·Ny along y, at 5x3.
+		{"blas.KronLeft", func(t *testing.T) func() {
+			fx, fy, x := randomMatrix(5, 5), randomMatrix(3, 3), randomMatrix(15, 15)
+			work := make([]float64, blas.KronWork(15))
+			return func() { blas.KronLeft(fx, fy, x, work, x) }
+		}, map[obs.Op]int64{obs.OpGemmCalls: 2, obs.OpGemmFlops: 2 * 15 * 15 * (5 + 3)}},
+		{"blas.KronRight", func(t *testing.T) func() {
+			fx, fy, x := randomMatrix(5, 5), randomMatrix(3, 3), randomMatrix(15, 15)
+			work := make([]float64, blas.KronWork(15))
+			return func() { blas.KronRight(fx, fy, x, nil, nil, work, x) }
+		}, map[obs.Op]int64{obs.OpGemmCalls: 2, obs.OpGemmFlops: 2 * 15 * 15 * (5 + 3)}},
 
-		// The separable wrap at 16x9 (N = 144 = sepMinN): four contractions,
-		// 2N²·Nx each along x and 2N²·Ny each along y.
+		// The separable wrap at 16x9 (N = 144 = sepMinN): KronLeft and
+		// KronRight, two stages each, 2N²·Nx each along x and 2N²·Ny each
+		// along y.
 		{"greens.Wrapper.Wrap (separable)", func(t *testing.T) func() {
 			m, err := hubbard.NewModel(lattice.NewSquare(16, 9, 1), 4, 0, 1, 4)
 			if err != nil {

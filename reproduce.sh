@@ -62,6 +62,7 @@ GOFLAGS=-tags=purego go run ./cmd/qmclint ./internal/blas ./internal/lapack ./in
 echo "== Verify: fuzz kernels against reference implementations, checkpoint decode (10s each)"
 go test ./internal/blas/ -run NoSuchTest -fuzz 'FuzzGemmPackedVsNaive$' -fuzztime 10s
 go test ./internal/blas/ -run NoSuchTest -fuzz 'FuzzVecKernels$' -fuzztime 10s
+go test ./internal/blas/ -run NoSuchTest -fuzz 'FuzzKronApply$' -fuzztime 10s
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzQRReconstruct$' -fuzztime 10s
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzGetrf$' -fuzztime 10s
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzQRPBlockedVsLevel2$' -fuzztime 10s
