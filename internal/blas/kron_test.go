@@ -210,22 +210,57 @@ func TestKronMatchesTwoStage(t *testing.T) {
 	}
 }
 
-// TestKronStageSlabs: a stage whose factor is longer than gemmKC splits
-// its chain into k slabs as the GEMM does — the second slab's write-back
-// adds into C and the last one scales — and holds GemmScaled's bits, under
-// every kernel the host offers.
-func TestKronStageSlabs(t *testing.T) {
+// TestKronStageMatchesGemm: one stage call — a batch of strided products,
+// operands read where they lie — stores each product's bits as GemmScaled
+// would, under every kernel the host offers: every row-block remainder,
+// column groups of 4 and single columns, batches with gaps between their
+// operands, and factors longer than gemmKC, whose chain splits into k
+// slabs as the GEMM's does (the second slab's write-back adds into C, the
+// last one scales). Around and between the products' C blocks, sentinels
+// must survive.
+func TestKronStageMatchesGemm(t *testing.T) {
+	const g = 3
 	underKernels(func(kernel string) {
 		r := rng.New(101)
-		for _, sh := range [][3]int{{13, 300, 5}, {8, 513, 9}, {3, 256, 4}} {
-			rows, k, m := sh[0], sh[1], sh[2]
-			a, b := randomDense(r, rows, k), randomDense(r, k, m)
-			rs, ss := scaling(r, rows, false), scaling(r, m, false)
-			got, want := mat.New(rows, m), mat.New(rows, m)
-			kronStage(rows, k, m, a.Data, a.Stride, b.Data, b.Stride, got.Data, got.Stride, rs, ss, 1, 0, 0, 0)
-			GemmScaled(false, false, a, b, rs, ss, want)
-			if !sameBits(got, want) {
-				t.Fatalf("%s %dx%d by %dx%d: the stage differs from GemmScaled", kernel, rows, k, k, m)
+		for _, sh := range []struct{ rows, k, m, nb int }{
+			{1, 1, 1, 1}, {5, 3, 3, 2}, {8, 12, 4, 3}, {12, 12, 12, 2}, {16, 9, 5, 2},
+			{17, 4, 9, 3}, {23, 7, 13, 1}, {13, 300, 5, 1}, {8, 513, 9, 2}, {3, 256, 4, 1},
+		} {
+			lda, ldb, ldc := sh.rows+2, sh.k+1, sh.rows+2*g
+			abs, bbs, cbs := lda*sh.k+5, ldb*sh.m+3, ldc*(sh.m+g)
+			a := randomDense(r, abs*sh.nb, 1).Data
+			b := randomDense(r, bbs*sh.nb, 1).Data
+			for _, scaled := range []bool{false, true} {
+				var rs, ss []float64
+				if scaled {
+					rs, ss = scaling(r, sh.rows, false), scaling(r, sh.m*sh.nb, false)
+				}
+				c := make([]float64, cbs*sh.nb+g*ldc)
+				for i := range c {
+					c[i] = sentinel
+				}
+				kronStage(sh.rows, sh.k, sh.m, a, lda, b, ldb, c[g+g*ldc:], ldc, rs, ss, sh.nb, abs, bbs, cbs)
+				for p := 0; p < sh.nb; p++ {
+					ap := &mat.Dense{Rows: sh.rows, Cols: sh.k, Stride: lda, Data: a[p*abs:]}
+					bp := &mat.Dense{Rows: sh.k, Cols: sh.m, Stride: ldb, Data: b[p*bbs:]}
+					got := &mat.Dense{Rows: sh.rows, Cols: sh.m, Stride: ldc, Data: c[g+g*ldc+p*cbs:]}
+					var sp []float64
+					if ss != nil {
+						sp = ss[p*sh.m : (p+1)*sh.m]
+					}
+					want := mat.New(sh.rows, sh.m)
+					GemmScaled(false, false, ap, bp, rs, sp, want)
+					if !sameBits(got, want) {
+						t.Fatalf("%s rows=%d k=%d m=%d product %d of %d scaled=%v: differs from GemmScaled", kernel, sh.rows, sh.k, sh.m, p, sh.nb, scaled)
+					}
+				}
+				for i, v := range c {
+					p, off := (i-g*ldc)/cbs, (i-g*ldc)%cbs
+					inBlock := i >= g*ldc && p < sh.nb && off%ldc >= g && off%ldc < g+sh.rows && off/ldc < sh.m
+					if !inBlock && math.Float64bits(v) != math.Float64bits(sentinel) {
+						t.Fatalf("%s rows=%d k=%d m=%d scaled=%v: wrote %v at offset %d, outside every product", kernel, sh.rows, sh.k, sh.m, scaled, v, i)
+					}
+				}
 			}
 		}
 	})
