@@ -86,7 +86,8 @@ func microKernel(kc int, a, b, c []float64, ldc, mode, iw, jw int, r, s []float6
 // kron runs a batch of Kronecker-factor stage products (see kronGo) on
 // the kernel of the micro-kernel's family: the AVX-512 or AVX2 one where
 // an assembly micro-kernel runs, kronGo elsewhere, so a product's bits are
-// those of the GEMM the process would run for it. It checks the extents
+// those of the GEMM the process would run for it (under kronGo, NaN
+// payloads aside). It checks the extents
 // the kernel will touch first, and like microKernel it is a plain
 // function.
 func kron(rows, k, m int, a []float64, lda int, b []float64, ldb int, c []float64, ldc, mode int, r, s []float64, nb, abs, bbs, cbs int) {

@@ -13,9 +13,10 @@ import (
 // N x N matrix (N = Nx·Ny) in 2N²(Nx + Ny) flops instead of a GEMM's 2N³.
 // Each side is two stages, each a batch of small products against one
 // factor, and each stage's element is the GEMM element for that product
-// bit for bit: the FMA chain (the Go family's multiply-add chain) over the
-// factor index, ascending from zero in slabs of gemmKC, finished by
-// runMacro's write-back rule. So the stage between is rounded as a GEMM
+// bit for bit (in the Go family, for non-NaN values; see kronGo): the FMA
+// chain (the Go family's multiply-add chain) over the factor index,
+// ascending from zero in slabs of gemmKC, finished by runMacro's
+// write-back rule. So the stage between is rounded as a GEMM
 // into a scratch matrix would round it, but it never leaves L1: the left
 // side runs both stages on a batch of kronRows columns at a time, the
 // right side on a block of kronRows rows, each reading X in place and
@@ -143,7 +144,11 @@ func kronStage(rows, k, m int, a []float64, lda int, b []float64, ldb int, c []f
 // C_p = c[p*cbs:], each sum a chain from zero finished by runMacro's
 // write-back (mode wbZero: acc + 0, else C + acc, then · r[i], then
 // · s[p*m + q], each factor left out when nil). The chain is written as
-// microKernel4x4's, so the bits are those of the portable GEMM.
+// microKernel4x4's, so a non-NaN element's bits are those of the portable
+// GEMM. A NaN is only a NaN: where two NaNs meet, the payload that survives
+// follows the compiler's choice of destination register, which differs
+// between this loop and microKernel4x4 and even between the elements of
+// that kernel's tile.
 func kronGo(rows, k, m int, a []float64, lda int, b []float64, ldb int, c []float64, ldc, mode int, r, s []float64, nb, abs, bbs, cbs int) {
 	var acc [16]float64
 	for p := 0; p < nb; p++ {

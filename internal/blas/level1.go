@@ -16,7 +16,8 @@
 // apply a Kronecker product of two small factors, the separable kinetic
 // propagator, to an N x N matrix in one pass per side (kron.go): the
 // micro-kernel's FMA chain and write-back over unpacked operands, with
-// the bits of the two GEMM stages it fuses.
+// the bits of the two GEMM stages it fuses (in the portable family, NaN
+// payloads aside).
 // The Go loops in this package are the portable bodies: what a purego or
 // non-amd64 build runs everywhere, and what an AVX2 build runs on partial
 // panels only.

@@ -80,65 +80,15 @@ func PutScratch(d *Dense) {
 // and must not alias m). Unlike Transpose it performs no allocation, so hot
 // paths can pair it with GetScratch.
 //
-// Below transposeTileMin it copies element by element, down m's columns.
-// From there up it moves 4 x 4 tiles, blocked so that one sweep over m's
-// columns writes only transposeBlock of dst's columns: the element loop's
-// stores, a stride of dst apart, fall into few cache sets when that stride
-// is a large power of two and evict each other. Either way every element
-// is copied, so the bits do not depend on the path.
-//
 //qmc:hot
 func (m *Dense) TransposeInto(dst *Dense) {
 	if dst.Rows != m.Cols || dst.Cols != m.Rows {
 		panic(fmt.Sprintf("mat: TransposeInto dimension mismatch: src is %dx%d but dst is %dx%d (want %dx%d)", m.Rows, m.Cols, dst.Rows, dst.Cols, m.Cols, m.Rows))
 	}
-	if max(m.Rows, m.Cols) < transposeTileMin {
-		transposeRange(m, dst, 0, m.Rows, 0, m.Cols)
-		return
-	}
-	r4, c4 := m.Rows&^3, m.Cols&^3
-	ss, ds := m.Stride, dst.Stride
-	for i0 := 0; i0 < r4; i0 += transposeBlock {
-		i1 := min(i0+transposeBlock, r4)
-		for j := 0; j < c4; j += 4 {
-			for i := i0; i < i1; i += 4 {
-				a := (*[4]float64)(m.Data[i+j*ss:])
-				b := (*[4]float64)(m.Data[i+(j+1)*ss:])
-				c := (*[4]float64)(m.Data[i+(j+2)*ss:])
-				d := (*[4]float64)(m.Data[i+(j+3)*ss:])
-				o0 := (*[4]float64)(dst.Data[j+i*ds:])
-				o1 := (*[4]float64)(dst.Data[j+(i+1)*ds:])
-				o2 := (*[4]float64)(dst.Data[j+(i+2)*ds:])
-				o3 := (*[4]float64)(dst.Data[j+(i+3)*ds:])
-				o0[0], o0[1], o0[2], o0[3] = a[0], b[0], c[0], d[0]
-				o1[0], o1[1], o1[2], o1[3] = a[1], b[1], c[1], d[1]
-				o2[0], o2[1], o2[2], o2[3] = a[2], b[2], c[2], d[2]
-				o3[0], o3[1], o3[2], o3[3] = a[3], b[3], c[3], d[3]
-			}
-		}
-	}
-	transposeRange(m, dst, r4, m.Rows, 0, m.Cols)
-	transposeRange(m, dst, 0, r4, c4, m.Cols)
-}
-
-// transposeTileMin is the order (the larger side) from which TransposeInto
-// moves tiles, and transposeBlock the rows of m one tiled sweep covers.
-// BenchmarkTransposeInto times both paths: the tiles tie with the element
-// loop up to N = 240 and win from 256, where the element loop's stores
-// alias (EXPERIMENTS.md, "the separable wrap and block product at register
-// speed").
-const (
-	transposeTileMin = 256
-	transposeBlock   = 64
-)
-
-// transposeRange copies m's rows [i0, i1) of columns [j0, j1) into dst
-// transposed, element by element.
-func transposeRange(m, dst *Dense, i0, i1, j0, j1 int) {
-	for j := j0; j < j1; j++ {
-		col := m.Data[i0+j*m.Stride : i1+j*m.Stride]
+	for j := 0; j < m.Cols; j++ {
+		col := m.Col(j)
 		for i, v := range col {
-			dst.Data[j+(i0+i)*dst.Stride] = v
+			dst.Data[j+i*dst.Stride] = v
 		}
 	}
 }

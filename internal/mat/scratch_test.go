@@ -51,38 +51,10 @@ func TestScratchDegenerateShapes(t *testing.T) {
 	}
 }
 
-// TestTransposeIntoTiled: the tiled path (from transposeTileMin up) and the
-// element loop store the same matrix, on square and ragged shapes, into a
-// view whose stride is not its height, touching nothing outside it.
-func TestTransposeIntoTiled(t *testing.T) {
-	for _, sh := range [][2]int{{256, 256}, {258, 257}, {3, 300}, {301, 6}, {255, 255}} {
-		m := New(sh[0], sh[1])
-		for i := range m.Data {
-			m.Data[i] = float64(i) + 0.5
-		}
-		big := New(sh[1]+3, sh[0]+2)
-		for i := range big.Data {
-			big.Data[i] = -1
-		}
-		dst := big.View(1, 2, sh[1], sh[0])
-		m.TransposeInto(dst)
-		for j := 0; j < big.Cols; j++ {
-			for i := 0; i < big.Rows; i++ {
-				want := -1.0
-				if i >= 1 && i < 1+sh[1] && j >= 2 && j < 2+sh[0] {
-					want = m.At(j-2, i-1)
-				}
-				if got := big.At(i, j); got != want {
-					t.Fatalf("%dx%d: element (%d,%d) of the padded destination is %g, want %g", sh[0], sh[1], i, j, got, want)
-				}
-			}
-		}
-	}
-}
-
 // BenchmarkTransposeInto times TransposeInto at the orders a sweep
 // transposes (the separable block product and the stratification stack's
-// Rebuild, from N = 144 up) and around the tiled path's threshold.
+// Rebuild, from N = 144 up) and beyond, where the element loop's stores, a
+// power-of-two stride apart, start to evict each other (N = 256).
 //
 //	go test ./internal/mat -run NONE -bench TransposeInto -cpu 1
 func BenchmarkTransposeInto(b *testing.B) {
