@@ -19,7 +19,8 @@ package blas
 // of the two runs (TestGemmBitwiseAcrossKernels); only nr, the packed B
 // panel width, differs. The Kronecker-factor stage (kron) follows the same choice:
 // kronAVX512 beside the 8x8 kernel, kronAVX2 beside the 8x4, kronGo
-// beside the Go one.
+// beside the Go one; so do the delayed update's site rows (delayRows) and
+// fill (delayFill).
 
 //go:noescape
 func dgemm8x4asm(kc int64, a, b, c *float64, ldc, mode, iw, jw int64, r, s *float64)
@@ -32,6 +33,18 @@ func kronAVX512(rows, k, m int64, a *float64, lda int64, b *float64, ldb int64, 
 
 //go:noescape
 func kronAVX2(rows, k, m int64, a *float64, lda int64, b *float64, ldb int64, c *float64, ldc, mode int64, r, s *float64, nb, abs, bbs, cbs int64)
+
+//go:noescape
+func delayRowsAVX512(m, r int64, sites *int, ldg, ldc, ldu int64, ga, sua, swa, cua, cwa, ua, wa, gb, sub, swb, cub, cwb, ub, wb *float64)
+
+//go:noescape
+func delayFillAVX512(n, m, hi int64, gm *float64, ldg int64, sites *int, scale, c *float64, ldc int64, a *float64, lda int64, row int64)
+
+//go:noescape
+func delayRowAVX2(m int64, c *float64, ldc int64, y0 *float64, sites *int, mul int64, scale, x *float64, incx int64)
+
+//go:noescape
+func delayFillAVX2(n, m, hi int64, gm *float64, ldg int64, sites *int, scale, c *float64, ldc int64, a *float64, lda int64, row int64)
 
 //go:noescape
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -233,4 +246,71 @@ func init() {
 	if b7&avx512fBit != 0 && xcr0&0xe6 == 0xe6 {
 		kernNR = 8
 	}
+}
+
+// delayRows computes row r of two sectors' pending columns (see
+// DelayRows) on the kernel of the micro-kernel's family: delayRowsAVX512,
+// all four rows at once, beside the 8x8 micro-kernel, delayRowAVX2, a row
+// at a time, beside the 8x4 one, and delayRowsCols elsewhere, so the bits
+// are those of the push the process runs.
+func delayRows(m, r int, sites []int, a, b *DelaySector) {
+	switch {
+	case kernMR != 8:
+		delayRowsCols(m, r, sites, a)
+		if b != a {
+			delayRowsCols(m, r, sites, b)
+		}
+	case kernNR == 8:
+		_ = sites[m-1]
+		delayRowsExtents(m, r, a)
+		delayRowsExtents(m, r, b)
+		delayRowsAVX512(int64(m), int64(r), &sites[0], int64(a.G.Stride), int64(a.CU.Stride), int64(a.U.Stride),
+			&a.G.Data[0], &a.SU[0], &a.SW[0], &a.CU.Data[0], &a.CW.Data[0], &a.U.Data[0], &a.W.Data[0],
+			&b.G.Data[0], &b.SU[0], &b.SW[0], &b.CU.Data[0], &b.CW.Data[0], &b.U.Data[0], &b.W.Data[0])
+	default:
+		_ = sites[m-1]
+		delayRowsSector(m, r, sites, a)
+		if b != a {
+			delayRowsSector(m, r, sites, b)
+		}
+	}
+}
+
+// delayRowsSector is one sector's two rows on delayRowAVX2.
+func delayRowsSector(m, r int, sites []int, d *DelaySector) {
+	ldg, ldc, ldu := int64(d.G.Stride), int64(d.CU.Stride), int64(d.U.Stride)
+	delayRowsExtents(m, r, d)
+	delayRowAVX2(int64(m), &d.CW.Data[0], ldc, &d.G.Data[r], &sites[0], ldg, &d.SU[0], &d.U.Data[r], ldu)
+	delayRowAVX2(int64(m), &d.CU.Data[0], ldc, &d.G.Data[r*d.G.Stride], &sites[0], 1, &d.SW[0], &d.W.Data[r], ldu)
+}
+
+// delayRowsExtents checks the extents the row kernels touch in one sector.
+func delayRowsExtents(m, r int, d *DelaySector) {
+	n, ldc, ldu := d.G.Rows, d.CU.Stride, d.U.Stride
+	_, _, _ = d.G.Data[(n-1)*d.G.Stride+n-1], d.SU[m-1], d.SW[m-1]
+	_, _ = d.CU.Data[(m-1)*ldc+m-1], d.CW.Data[(m-1)*ldc+m-1]
+	_, _ = d.U.Data[(m-1)*ldu+r], d.W.Data[(m-1)*ldu+r]
+}
+
+// delayFill fills the rows of one side DelayRows left out (see DelayFill):
+// delayFillAVX512 beside the 8x8 micro-kernel from 64 rows up (its tile),
+// delayFillAVX2 beside the 8x4 one from 32 rows up, delayFillCols
+// elsewhere.
+func delayFill(n, m, hi int, g []float64, ldg int, sites []int, scale, c []float64, ldc int, a []float64, lda int, rowSide bool) {
+	avx512 := kernNR == 8 && n >= 64
+	if !avx512 && (kernMR != 8 || n < 32) {
+		delayFillCols(n, m, hi, g, ldg, sites, scale, c, ldc, a, lda, rowSide)
+		return
+	}
+	_, _, _ = g[(n-1)*ldg+n-1], sites[m-1], scale[m-1]
+	_, _ = c[(m-1)*ldc+m-1], a[(m-1)*lda+n-1]
+	var row int64
+	if rowSide {
+		row = 1
+	}
+	if avx512 {
+		delayFillAVX512(int64(n), int64(m), int64(hi), &g[0], int64(ldg), &sites[0], &scale[0], &c[0], int64(ldc), &a[0], int64(lda), row)
+		return
+	}
+	delayFillAVX2(int64(n), int64(m), int64(hi), &g[0], int64(ldg), &sites[0], &scale[0], &c[0], int64(ldc), &a[0], int64(lda), row)
 }

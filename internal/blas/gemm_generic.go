@@ -37,3 +37,14 @@ func packRows(dst, src []float64, ld, kc, w, iw int, alpha float64) {
 func packCols(dst, src []float64, ld, kc, w, jw int, alpha float64) {
 	packColsGo(dst, src, ld, kc, w, jw, alpha)
 }
+
+func delayRows(m, r int, sites []int, a, b *DelaySector) {
+	delayRowsCols(m, r, sites, a)
+	if b != a {
+		delayRowsCols(m, r, sites, b)
+	}
+}
+
+func delayFill(n, m, hi int, g []float64, ldg int, sites []int, scale, c []float64, ldc int, a []float64, lda int, rowSide bool) {
+	delayFillCols(n, m, hi, g, ldg, sites, scale, c, ldc, a, lda, rowSide)
+}

@@ -17,7 +17,10 @@
 // propagator, to an N x N matrix in one pass per side (kron.go): the
 // micro-kernel's FMA chain and write-back over unpacked operands, with
 // the bits of the two GEMM stages it fuses (in the portable family, NaN
-// payloads aside).
+// payloads aside). DelayRows and DelayFill build the delayed update's
+// pending rank-1 pairs on demand (delay.go): the row of the site the
+// Metropolis loop visits, and at the flush everything else, with the bits
+// the push's AxpyCols gives them.
 // The Go loops in this package are the portable bodies: what a purego or
 // non-amd64 build runs everywhere, and what an AVX2 build runs on partial
 // panels only.

@@ -33,3 +33,18 @@ func DenseKinetic(p *hubbard.Propagator) *hubbard.Propagator {
 	q.Sep = nil
 	return &q
 }
+
+// SetOnDemand moves the sweeper to either delayed-update path whatever its
+// N: site rows on demand and a fill at the flush (true) or the eager push
+// (false). Call it between sweeps; the on-demand path needs a delay block
+// of at most blas.DelayRowsMax (blas.DelayRows panics otherwise).
+func (sw *Sweeper) SetOnDemand(on bool) {
+	for _, s := range []*spinState{sw.up, sw.dn} {
+		switch {
+		case !on:
+			s.od = nil
+		case s.od == nil:
+			s.od = newOnDemand(s.g, s.u, s.w)
+		}
+	}
+}

@@ -41,11 +41,17 @@
 //     Each spin owns its backend, so no scratch is shared across the fork,
 //     and the stack's stability samples reach the collector after the join
 //     in a fixed order, so the metrics repeat bit for bit too.
-//   - The Metropolis loop reads G, U and W through their storage, and an
-//     accepted flip builds each side of its rank-1 pair with one
-//     blas.AxpyCols: G's column or row, the pending updates and the scaling
-//     in one register-blocked pass, bitwise the per-column blas.Axpy calls
-//     it replaced.
+//   - The Metropolis loop reads G, U and W through their storage. Below
+//     onDemandMinN sites an accepted flip builds each side of its rank-1
+//     pair with one blas.AxpyCols: G's column or row, the pending updates
+//     and the scaling in one register-blocked pass, bitwise the per-column
+//     blas.Axpy calls it replaced. From onDemandMinN up the loop builds only
+//     what it reads, the row of the site it visits (blas.DelayRows, O(m²)
+//     for both sectors at once), an accepted flip records its site and
+//     its rows of U and W, and the flush fills the rest of both
+//     accumulators (blas.DelayFill) inside each sector's forked closure,
+//     before the same GEMM: the same U and W, bit for bit, with the
+//     N-length work moved off the chain's goroutine.
 //   - The sampled stack-vs-rebuild residual check (Options.StabilityEvery)
 //     runs beside the sweep, not inside it: the boundary's refresh snapshots
 //     what the check reads, Sweep hands the whole-chain rebuild to an idle
@@ -122,6 +128,10 @@ type spinState struct {
 	m    int        // pending update count
 	err  error      // the first error a refresh of this sector returned
 
+	// od is the sector's on-demand delayed update (see onDemandMinN), nil
+	// where it pushes eagerly.
+	od *onDemand
+
 	// Pre-bound closures for the spin fork, so the per-slice hot paths
 	// allocate nothing; their operands are the Sweeper's
 	// slice/cluster/boundary fields. stepFn flushes slice s and wraps into
@@ -161,6 +171,69 @@ func (s *spinState) effDiag(i int) float64 {
 	return gii
 }
 
+// onDemand is a sector's delayed update built on demand: the Metropolis
+// loop stores only the row of each site it visits (Sweeper.siteRows), an
+// accepted flip records its site, its U-side scale and its rows of the site
+// submatrices (spinState.record), and the flush fills the rest of U and W
+// before the GEMM (blas.DelayFill). sec is the sector as the kernels take
+// it: G, U, W, the nd x nd site submatrices cu and cw and the scales
+// (-factor on the U side, -1 on the W side), all stored here, in one
+// allocation. next is one past the last visited site, the first row the
+// loop has not stored.
+type onDemand struct {
+	sec            blas.DelaySector
+	next           int
+	sites          [blas.DelayRowsMax]int
+	su, sw         [blas.DelayRowsMax]float64
+	cu, cw         mat.Dense
+	cuData, cwData [blas.DelayRowsMax * blas.DelayRowsMax]float64
+}
+
+// newOnDemand builds the on-demand state of the sector over g, u and w
+// (N x nd, nd at most blas.DelayRowsMax).
+func newOnDemand(g, u, w *mat.Dense) *onDemand {
+	nd := u.Cols
+	od := &onDemand{}
+	od.cu = mat.Dense{Rows: nd, Cols: nd, Stride: nd, Data: od.cuData[:nd*nd]}
+	od.cw = mat.Dense{Rows: nd, Cols: nd, Stride: nd, Data: od.cwData[:nd*nd]}
+	od.sec = blas.DelaySector{G: g, U: u, W: w, CU: &od.cu, CW: &od.cw, SU: od.su[:nd], SW: od.sw[:nd]}
+	for t := range od.sec.SW {
+		od.sec.SW[t] = -1
+	}
+	return od
+}
+
+// siteRows stores row i of the pending columns of U and W in both sectors,
+// the row effDiag(i) and the push at i read, when they build their columns
+// on demand. The sectors push at the same sites, so the up sector's list
+// serves both.
+//
+//qmc:hot
+func (sw *Sweeper) siteRows(i int) {
+	up, dn := sw.up.od, sw.dn.od
+	if m := sw.up.m; m > 0 {
+		blas.DelayRows(m, i, up.sites[:m], &up.sec, &dn.sec)
+	}
+	up.next, dn.next = i+1, i+1
+}
+
+// record is push on demand: it appends the accepted flip at site i, whose
+// row siteRows(i) stored, as its site, its U-side scale -factor and its rows
+// of the site submatrices, and leaves the column to the flush's fill.
+//
+//qmc:hot
+func (s *spinState) record(i int, factor float64) {
+	od, m, ld := s.od, s.m, s.u.Stride
+	lc := od.cu.Stride
+	for t := 0; t < m; t++ {
+		od.cu.Data[m+t*lc] = s.u.Data[i+t*ld]
+		od.cw.Data[m+t*lc] = s.w.Data[i+t*ld]
+	}
+	od.sites[m] = i
+	od.su[m] = -factor
+	s.m++
+}
+
 // push appends the accepted flip at site i with amplitude factor = alpha/d:
 // it assembles the effective column G_eff(:, i) and row G_eff(i, :) straight
 // into the next u/w columns and scales them into the rank-1 pair. With our
@@ -180,10 +253,17 @@ func (s *spinState) effDiag(i int) float64 {
 // in column order, of one blas.Axpy per pending column and side, then the
 // one rounding of the scaling, so the pair is bitwise what a copy, a gather,
 // those calls and a scaling pass assembled — except for the sign bit of a
-// NaN, which a multiply by -1 keeps and a negation flips.
+// NaN, which a multiply by -1 keeps and a negation flips. A sector that
+// builds its pairs on demand records the flip instead (record); the
+// elements reach the GEMM with the same bits through blas.DelayRows and
+// blas.DelayFill.
 //
 //qmc:hot
 func (s *spinState) push(i int, factor float64) {
+	if s.od != nil {
+		s.record(i, factor)
+		return
+	}
 	n, m, ld := s.g.Rows, s.m, s.u.Stride
 	wc := s.w.Col(m)
 	blas.AxpyCols(n, m, s.u.Data[:m*ld], ld, s.w.Data[i:], ld, s.g.Col(i), 1, -factor, s.u.Col(m))
@@ -214,6 +294,9 @@ func (s *spinState) flush(slice int) {
 		return
 	}
 	obs.Add(obs.OpDelayedFlushes, 1)
+	if od := s.od; od != nil {
+		blas.DelayFill(s.m, od.next, od.sites[:s.m], &od.sec)
+	}
 	s.be.Flush(s.g, s.u, s.w, s.m, slice)
 	s.m = 0
 }
@@ -433,6 +516,9 @@ func (sw *Sweeper) newSpin(mk NewBackend, sigma hubbard.Spin) *spinState {
 	o := sw.opts
 	n := sw.Prop.Model.N()
 	s := &spinState{g: mat.New(n, n), u: mat.New(n, o.Delay), w: mat.New(n, o.Delay)}
+	if n >= onDemandMinN && o.Delay <= blas.DelayRowsMax {
+		s.od = newOnDemand(s.g, s.u, s.w)
+	}
 	cstart := o.Obs.Begin()
 	s.be = mk(sw.Prop, sigma, o.Delay)
 	s.cs = greens.NewClusterSetWith(sw.Prop, sw.Field, sigma, o.ClusterK, s.be.Cluster)
@@ -481,6 +567,22 @@ func (sw *Sweeper) newSpin(mk NewBackend, sigma hubbard.Spin) *spinState {
 // in that interval the 2-CPU measurements do not resolve: inline led at 20
 // and 25, and at 30 passes disagreed.
 const stepForkMinN = 36
+
+// onDemandMinN is the lattice size from which a sector builds its pending
+// rank-1 pairs on demand (spinState.od, for delay blocks of at most
+// blas.DelayRowsMax): the Metropolis loop stores only the row of each site
+// it visits, O(m²) at every site, and the flush fills the rest of both
+// accumulators before the GEMM, O(N·m²) per block on both sectors at once,
+// instead of the eager push's O(N·m) per accepted flip on the chain's
+// goroutine. U and W reach the GEMM bit for bit as the push builds them.
+// BenchmarkSweepOnDemand times a bare Sweep both ways at N = 36, 49, 64,
+// 100 and 144 (EXPERIMENTS.md, "site rows on demand"): the eager push wins
+// at 36 and 49, the two tie at 64 within the 2-CPU box's spread, and the
+// on-demand rows win at 100 and clearly at 144, so the gate is the
+// smallest size measured to win. Below it the per-site rows, the fill's
+// fixed cost per block and the recording cost more than the N-length
+// pushes they replace.
+const onDemandMinN = 100
 
 // offCore reports whether the sweep's off-path work — the stacks' roll and
 // the boundary hooks — is handed to an idle pool worker beside the chain:
@@ -795,6 +897,9 @@ func (sw *Sweeper) Join() {
 //
 //qmc:hot
 func (sw *Sweeper) proposeFlip(s, i int) {
+	if sw.up.od != nil {
+		sw.siteRows(i)
+	}
 	h := sw.Field.H[s][i]
 	aUp := sw.Prop.Alpha(hubbard.Up, h)
 	aDn := sw.Prop.Alpha(hubbard.Down, h)
@@ -809,13 +914,15 @@ func (sw *Sweeper) proposeFlip(s, i int) {
 	if ar < 1 && sw.Rng.Float64() >= ar {
 		return
 	}
-	// Accepted. A push is one AxpyCols pass per side, about 4*N*(m+1)
-	// flops: 0.03-0.08 us at N = 16, 0.06-0.23 us at N = 36 and 0.11-1.1 us
-	// at N = 144 from m = 0 to a full block (operands in cache, 2-CPU
-	// AVX-512 Xeon), against a pool hand-off's 0.6 us round trip. Forking
-	// the pair could gain a fraction of a microsecond on a nearly full block
-	// at N = 144 only and loses everywhere else, so the two run back to
-	// back.
+	// Accepted. An eager push (below onDemandMinN) is one AxpyCols pass
+	// per side, about 4*N*(m+1) flops: 0.03-0.08 us at N = 16 and
+	// 0.06-0.23 us at N = 36 from m = 0 to a full block (operands in cache,
+	// 2-CPU AVX-512 Xeon), against a pool hand-off's 0.6 us round trip, so
+	// the two run back to back. From onDemandMinN up the push records the
+	// flip (2m copies a sector) and the site rows above cost 0.12-0.5 us
+	// at N = 144 from m = 8 to a full block, for both sectors, at every
+	// visited site; the eager push there took 0.11-1.1 us a sector per
+	// accepted flip.
 	sw.accepted++
 	if r < 0 {
 		sw.sign = -sw.sign

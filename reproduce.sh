@@ -46,6 +46,11 @@ done
 # shadow chain steps a dense and a separable Sweeper at 12x12 and must find
 # the same decisions and boundary G's within the chain's rounding floor.
 go test -count=1 -run 'TestShadowChainSeparable$' -v ./internal/update/
+# From update.onDemandMinN sites up the delayed update builds the site rows
+# in the Metropolis loop and fills the rest at the flush, beside the other
+# sector: the same chain bit for bit as the eager push (the test sets
+# GOMAXPROCS 1, 2 and 4 itself), with the race detector on the fill's fork.
+go test -count=1 -race -run 'TestOnDemandMatchesEager$' ./internal/update/
 echo "== Verify: qmcdebug sanitizer build (NaN/Inf scans, drift asserts, pool bookkeeping)"
 go test -tags qmcdebug ./internal/...
 # go list honours GOFLAGS, so this lints the files the default build hides
@@ -63,6 +68,7 @@ echo "== Verify: fuzz kernels against reference implementations, checkpoint deco
 go test ./internal/blas/ -run NoSuchTest -fuzz 'FuzzGemmPackedVsNaive$' -fuzztime 10s
 go test ./internal/blas/ -run NoSuchTest -fuzz 'FuzzVecKernels$' -fuzztime 10s
 go test ./internal/blas/ -run NoSuchTest -fuzz 'FuzzKronApply$' -fuzztime 10s
+go test ./internal/blas/ -run NoSuchTest -fuzz 'FuzzDelayRows$' -fuzztime 10s
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzQRReconstruct$' -fuzztime 10s
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzGetrf$' -fuzztime 10s
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzQRPBlockedVsLevel2$' -fuzztime 10s
