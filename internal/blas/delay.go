@@ -28,97 +28,136 @@ import (
 // column t's rows up to s_t, and the rows after the last visited site when
 // the block flushes in mid-slice.
 
-// DelayRowsMax is the most pending columns DelayRows takes: the vector
-// kernel holds a row of each side in registers.
+// DelayRowsMax is the most pending columns a DelaySector holds: the
+// vector kernel keeps a row of each side in registers.
 const DelayRowsMax = 32
 
-// A DelaySector is one spin sector's operands of the on-demand delayed
-// update: its N x N Green's function G, its N-row accumulators U and W (one
-// stride), its site submatrices CU and CW (one stride) and the scales of
-// its pending columns, SU on the U side and SW on the W side.
+// A DelaySector is one spin sector's pending delay block in the form the
+// on-demand kernels take: its N x N Green's function G and N-row
+// accumulators U and W (N x nd, nd <= DelayRowsMax, one stride), and, per
+// recorded column t, its site s_t, its scales (SU = -factor on the U side,
+// -1 on the W side), its rows of the site submatrices CU(t, :t) and
+// CW(t, :t) (column-major at stride DelayRowsMax) and the bits of those
+// rows' entries that are not ±0, by column (nzu[t'] bit t: CU(t, t') is
+// not ±0), which the vector kernel masks its FMAs with. Record keeps them
+// consistent; DelayRows and DelayFill read them. DelayRows also leaves the
+// row it stored in lastU and lastW (row last), where Record copies it from:
+// the kernel's scattered stores to U and W would stall the loads.
 type DelaySector struct {
-	G, U, W, CU, CW *mat.Dense
-	SU, SW          []float64
+	g, u, w        *mat.Dense
+	last           int
+	sites          [DelayRowsMax]int
+	su, sw         [DelayRowsMax]float64
+	lastU, lastW   [DelayRowsMax]float64
+	nzu, nzw       [DelayRowsMax]uint32
+	cuData, cwData [DelayRowsMax * DelayRowsMax]float64
 }
 
-// check panics unless d holds m pending columns of an n-site lattice.
-func (d *DelaySector) check(name string, m, n int) {
-	if d.G.Rows != n || d.G.Cols != n || d.U.Rows != n || d.W.Rows != n || d.U.Cols < m || d.W.Cols < m ||
-		d.U.Stride != d.W.Stride || d.CU.Rows < m || d.CU.Cols < m || d.CW.Rows < m || d.CW.Cols < m ||
-		d.CU.Stride != d.CW.Stride || len(d.SU) < m || len(d.SW) < m {
-		panic(fmt.Sprintf("blas: %s bad sector for m=%d, N=%d: G %dx%d, U %dx%d (stride %d), W %dx%d (stride %d), CU %dx%d (stride %d), CW %dx%d (stride %d), %d+%d scales",
-			name, m, n, d.G.Rows, d.G.Cols, d.U.Rows, d.U.Cols, d.U.Stride, d.W.Rows, d.W.Cols, d.W.Stride,
-			d.CU.Rows, d.CU.Cols, d.CU.Stride, d.CW.Rows, d.CW.Cols, d.CW.Stride, len(d.SU), len(d.SW)))
+// NewDelaySector returns an empty block over g, u and w.
+func NewDelaySector(g, u, w *mat.Dense) *DelaySector {
+	n := g.Rows
+	if g.Cols != n || u.Rows != n || w.Rows != n || u.Cols != w.Cols || u.Stride != w.Stride || u.Cols > DelayRowsMax {
+		panic(fmt.Sprintf("blas: NewDelaySector bad shape: G %dx%d, U %dx%d (stride %d), W %dx%d (stride %d), at most %d columns",
+			g.Rows, g.Cols, u.Rows, u.Cols, u.Stride, w.Rows, w.Cols, w.Stride, DelayRowsMax))
 	}
+	d := &DelaySector{g: g, u: u, w: w, last: -1}
+	for t := range d.sw {
+		d.sw[t] = -1
+	}
+	return d
 }
 
-// DelayRows stores row r of the m pending columns of both sides of the
-// sectors a and b, U(r, t) and W(r, t) for t < m, in ascending t (each
-// reads the row's earlier elements); the columns were pushed at sites,
-// in both sectors. The two sectors must have the same shapes and strides;
-// b may be a (one sector). r must not be one of the sites: a column's row
-// at its own site carries the unit term and is DelayFill's. m is at most
-// DelayRowsMax.
+// Record makes the flip at site the block's column m, with U-side scale
+// scale (-factor): it stores the site and the scale, and copies row site
+// of U and W, columns < m, into row m of CU and CW. That row must be the
+// one the last DelayRows call stored (the loop's visit of the site), unless
+// m is 0: recording column 0 starts a new block.
 //
 //qmc:hot
-func DelayRows(m, r int, sites []int, a, b *DelaySector) {
-	n := a.G.Rows
-	a.check("DelayRows", m, n)
-	b.check("DelayRows", m, n)
-	if m > DelayRowsMax || r < 0 || r >= n || len(sites) < m || a.G.Stride != b.G.Stride ||
-		a.U.Stride != b.U.Stride || a.CU.Stride != b.CU.Stride {
-		panic(fmt.Sprintf("blas: DelayRows bad shape: m=%d (at most %d) r=%d N=%d, %d sites, sector strides G %d/%d, U %d/%d, C %d/%d",
-			m, DelayRowsMax, r, n, len(sites), a.G.Stride, b.G.Stride, a.U.Stride, b.U.Stride, a.CU.Stride, b.CU.Stride))
+func (d *DelaySector) Record(m, site int, scale float64) {
+	if uint(m) >= uint(d.u.Cols) || uint(site) >= uint(d.g.Rows) || m > 0 && site != d.last {
+		panic(fmt.Sprintf("blas: DelaySector.Record column %d of %d at site %d of %d, after DelayRows of row %d",
+			m, d.u.Cols, site, d.g.Rows, d.last))
 	}
-	checkSites("DelayRows", sites[:m], n, r)
 	if m == 0 {
-		return
+		d.nzu, d.nzw = [DelayRowsMax]uint32{}, [DelayRowsMax]uint32{}
 	}
-	delayRows(m, r, sites, a, b)
-}
-
-// DelayFill stores the elements of the sector's m pending columns that
-// DelayRows left out, on both sides, in ascending t: column t's rows
-// 0..sites[t] and hi..N-1 (hi = N when every row after the column's site
-// was visited), adding the unit term on the W side. Every other row r < hi
-// of column t must already hold DelayRows's element.
-//
-//qmc:hot
-func DelayFill(m, hi int, sites []int, d *DelaySector) {
-	n := d.G.Rows
-	d.check("DelayFill", m, n)
-	if hi < 0 || hi > n || len(sites) < m {
-		panic(fmt.Sprintf("blas: DelayFill bad shape: m=%d hi=%d N=%d, %d sites", m, hi, n, len(sites)))
-	}
-	checkSites("DelayFill", sites[:m], n, -1)
-	if m == 0 {
-		return
-	}
-	g, ldg, ldc := d.G.Data, d.G.Stride, d.CU.Stride
-	delayFill(n, m, hi, g, ldg, sites, d.SU, d.CW.Data, ldc, d.U.Data, d.U.Stride, false)
-	delayFill(n, m, hi, g, ldg, sites, d.SW, d.CU.Data, ldc, d.W.Data, d.W.Stride, true)
-}
-
-// checkSites panics unless every site lies in [0, n) and differs from r.
-func checkSites(name string, sites []int, n, r int) {
-	for _, s := range sites {
-		if uint(s) >= uint(n) || s == r {
-			panic(fmt.Sprintf("blas: %s site %d outside [0, %d) or at the row %d", name, s, n, r))
+	bit := uint32(1) << m
+	for t, cu := range d.lastU[:m] {
+		cw := d.lastW[t]
+		d.cuData[m+t*DelayRowsMax], d.cwData[m+t*DelayRowsMax] = cu, cw
+		if cu != 0 { // a NaN too
+			d.nzu[t] |= bit
+		}
+		if cw != 0 {
+			d.nzw[t] |= bit
 		}
 	}
+	d.sites[m], d.su[m] = site, scale
+}
+
+// DelayRows stores row r of the m recorded columns of both sides of the
+// sectors a and b, U(r, t) and W(r, t) for t < m, in ascending t (each
+// reads the row's earlier elements). The two sectors must have the same
+// shapes and strides; b may be a (one sector). r must not be a recorded
+// site: a column's row at its own site carries the unit term and is
+// DelayFill's.
+//
+//qmc:hot
+func DelayRows(m, r int, a, b *DelaySector) {
+	n := a.g.Rows
+	if uint(m) > uint(a.u.Cols) || uint(r) >= uint(n) || b.g.Rows != n || b.u.Cols != a.u.Cols ||
+		b.g.Stride != a.g.Stride || b.u.Stride != a.u.Stride {
+		panic(fmt.Sprintf("blas: DelayRows bad shape: m=%d r=%d; sector G %dx%d (stride %d), U %d columns (stride %d) against G %dx%d (stride %d), U %d columns (stride %d)",
+			m, r, a.g.Rows, a.g.Cols, a.g.Stride, a.u.Cols, a.u.Stride, b.g.Rows, b.g.Cols, b.g.Stride, b.u.Cols, b.u.Stride))
+	}
+	a.last, b.last = r, r
+	if m == 0 {
+		return
+	}
+	delayRows(m, r, a, b)
+}
+
+// DelayFill stores the elements of the sector's m recorded columns that
+// DelayRows left out, on both sides, in ascending t: column t's rows
+// 0..s_t and hi..N-1 (hi = N when every row after the column's site was
+// visited), adding the unit term on the W side. Every other row r < hi of
+// column t must already hold DelayRows's element.
+//
+//qmc:hot
+func DelayFill(m, hi int, d *DelaySector) {
+	n := d.g.Rows
+	if uint(m) > uint(d.u.Cols) || uint(hi) > uint(n) {
+		panic(fmt.Sprintf("blas: DelayFill bad shape: m=%d hi=%d N=%d, %d columns", m, hi, n, d.u.Cols))
+	}
+	if m == 0 {
+		return
+	}
+	g, ldg := d.g.Data, d.g.Stride
+	delayFill(n, m, hi, g, ldg, d.sites[:m], d.su[:m], d.cwData[:], DelayRowsMax, d.u.Data, d.u.Stride, false)
+	delayFill(n, m, hi, g, ldg, d.sites[:m], d.sw[:m], d.cuData[:], DelayRowsMax, d.w.Data, d.w.Stride, true)
 }
 
 // delayRowsCols is the body of delayRows built from axpyCols: each element
 // is the one-row axpyCols over its row's earlier elements, so its bits are
 // the push's in the family axpyCols runs. It is the portable body, and the
 // AVX2 one (where axpyCols is axpyColsAVX2).
-func delayRowsCols(m, r int, sites []int, d *DelaySector) {
-	g, ldg, ldc, ldu := d.G.Data, d.G.Stride, d.CU.Stride, d.U.Stride
-	u, w, cu, cw := d.U.Data[r:], d.W.Data[r:], d.CU.Data, d.CW.Data
+func delayRowsCols(m, r int, d *DelaySector) {
+	g, ldg, ldu := d.g.Data, d.g.Stride, d.u.Stride
+	u, w := d.u.Data[r:], d.w.Data[r:]
 	for t := 0; t < m; t++ {
-		s := sites[t]
-		axpyCols(1, t, u, ldu, cw[t:], ldc, g[r+s*ldg:], 1, d.SU[t], u[t*ldu:])
-		axpyCols(1, t, w, ldu, cu[t:], ldc, g[s+r*ldg:], 1, d.SW[t], w[t*ldu:])
+		s := d.sites[t]
+		axpyCols(1, t, u, ldu, d.cwData[t:], DelayRowsMax, g[r+s*ldg:], 1, d.su[t], u[t*ldu:])
+		axpyCols(1, t, w, ldu, d.cuData[t:], DelayRowsMax, g[s+r*ldg:], 1, d.sw[t], w[t*ldu:])
+	}
+	d.keepRow(m, r)
+}
+
+// keepRow copies row r of U and W, columns < m, into lastU and lastW.
+func (d *DelaySector) keepRow(m, r int) {
+	ldu := d.u.Stride
+	for t := range d.lastU[:m] {
+		d.lastU[t], d.lastW[t] = d.u.Data[r+t*ldu], d.w.Data[r+t*ldu]
 	}
 }
 

@@ -1,5 +1,6 @@
 //go:build amd64 && !purego
 
+#include "go_asm.h"
 #include "textflag.h"
 
 // The delayed update's on-demand kernels (delay.go). Every element keeps
@@ -177,119 +178,113 @@ GLOBL iota<>(SB), RODATA|NOPTR, $64
 	VADDSD  X30, X31, X31; \
 	VMOVSD  X31, (P)(CX*8)
 
-// DRGATHER loads block j's sites (kv: its live lanes) into Z27, their
-// multiples of ldg into Z28, and gathers the block's G elements of both
-// sectors: G(r, s_t) into the U rows (bases R8, R10: index s_t*ldg) and
-// G(s_t, r) into the W rows (bases R9, R11: index s_t).
+// DRGATHER loads block j's sites of sector A (SI) and B (R13) under kv
+// (the block's live lanes), their multiples of ldg (Z30), and gathers the
+// block's G elements: G(r, s_t) into the U rows (bases R8, R10: index
+// s_t*ldg) and G(s_t, r) into the W rows (bases R9, R11: index s_t).
 #define DRGATHER(off, kv, au, aw, bu, bw) \
-	VMOVDQU64.Z off(DX), kv, Z27; \
+	VMOVDQU64.Z DelaySector_sites+off(SI), kv, Z27; \
 	VPMULUDQ    Z30, Z27, Z28; \
 	VPXORQ      au, au, au; \
 	VPXORQ      aw, aw, aw; \
-	VPXORQ      bu, bu, bu; \
-	VPXORQ      bw, bw, bw; \
 	KMOVW       kv, K5; \
 	VGATHERQPD  (R8)(Z28*8), K5, au; \
 	KMOVW       kv, K6; \
 	VGATHERQPD  (R9)(Z27*8), K6, aw; \
+	VMOVDQU64.Z DelaySector_sites+off(R13), kv, Z27; \
+	VPMULUDQ    Z30, Z27, Z28; \
+	VPXORQ      bu, bu, bu; \
+	VPXORQ      bw, bw, bw; \
 	KMOVW       kv, K7; \
 	VGATHERQPD  (R10)(Z28*8), K7, bu; \
 	KMOVW       kv, K5; \
 	VGATHERQPD  (R11)(Z27*8), K5, bw
 
 // DRPIV broadcasts lane CX of the four rows' blocks, the step's finished
-// elements, into Z16-Z19, scales them by the step's scales as the final
-// pass scales the rows, and masks the lanes of the step's own block after
-// lane CX into K5 (kv: the block's live lanes).
-#define DRPIV(au, aw, bu, bw, kv) \
+// elements, into Z16-Z19 and scales them by the step's scales (SU and SW
+// of A and B at t' = BX) as the final pass scales the rows.
+#define DRPIV(au, aw, bu, bw) \
 	VPBROADCASTQ CX, Z24; \
 	VPERMPD      au, Z24, Z16; \
 	VPERMPD      aw, Z24, Z17; \
 	VPERMPD      bu, Z24, Z18; \
 	VPERMPD      bw, Z24, Z19; \
-	MOVQ         sua+56(FP), AX; \
-	VMULPD.BCST  (AX)(BX*8), Z16, Z16; \
-	MOVQ         swa+64(FP), AX; \
-	VMULPD.BCST  (AX)(BX*8), Z17, Z17; \
-	MOVQ         sub+112(FP), AX; \
-	VMULPD.BCST  (AX)(BX*8), Z18, Z18; \
-	MOVQ         swb+120(FP), AX; \
-	VMULPD.BCST  (AX)(BX*8), Z19, Z19; \
-	MOVQ         $0xfe, AX; \
-	SHLQ         CX, AX; \
-	KMOVW        AX, K5; \
-	KANDW        kv, K5, K5
+	VMULPD.BCST  DelaySector_su(SI)(BX*8), Z16, Z16; \
+	VMULPD.BCST  DelaySector_sw(SI)(BX*8), Z17, Z17; \
+	VMULPD.BCST  DelaySector_su(R13)(BX*8), Z18, Z18; \
+	VMULPD.BCST  DelaySector_sw(R13)(BX*8), Z19, Z19
 
-// DRBLK updates the lanes kin selects of one block of the four rows by the
-// step's elements: the blocks at off of the step's columns of the site
-// submatrices (CW of A, CU of A, CW of B, CU of B: R8-R11), masked loads,
-// their nonzero lanes (Z31 is zero; NEQ_UQ is true for a NaN) and the
-// masked FMAs.
-#define DRBLK(off, kin, au, aw, bu, bw) \
-	VMOVUPD.Z   off(R8), kin, Z20; \
-	VMOVUPD.Z   off(R9), kin, Z21; \
-	VMOVUPD.Z   off(R10), kin, Z22; \
-	VMOVUPD.Z   off(R11), kin, Z23; \
-	VCMPPD      $4, Z31, Z20, kin, K6; \
+// DRBLK updates block j (coefficients at byte off of a column, mask byte
+// j) of the four rows by the step's elements: each row's coefficients are
+// the block of column t' (R12 = t'·256 bytes) of its site submatrix (CW for
+// a U row, CU for a W row), loaded under that column's nonzero bits, which
+// also mask the FMA; Record sets them only for rows t' < t < m.
+#define DRBLK(j, off, au, aw, bu, bw) \
+	KMOVW       DelaySector_nzw+j(SI)(BX*4), K6; \
+	VMOVUPD.Z   DelaySector_cwData+off(SI)(R12*1), K6, Z20; \
 	VFMADD231PD Z16, Z20, K6, au; \
-	VCMPPD      $4, Z31, Z21, kin, K7; \
+	KMOVW       DelaySector_nzu+j(SI)(BX*4), K7; \
+	VMOVUPD.Z   DelaySector_cuData+off(SI)(R12*1), K7, Z21; \
 	VFMADD231PD Z17, Z21, K7, aw; \
-	VCMPPD      $4, Z31, Z22, kin, K6; \
+	KMOVW       DelaySector_nzw+j(R13)(BX*4), K6; \
+	VMOVUPD.Z   DelaySector_cwData+off(R13)(R12*1), K6, Z22; \
 	VFMADD231PD Z18, Z22, K6, bu; \
-	VCMPPD      $4, Z31, Z23, kin, K7; \
+	KMOVW       DelaySector_nzu+j(R13)(BX*4), K7; \
+	VMOVUPD.Z   DelaySector_cuData+off(R13)(R12*1), K7, Z23; \
 	VFMADD231PD Z19, Z23, K7, bw
 
-// DRSTORE scales one block of the four rows by the scales at off (R10,
-// R11, SI, R12) and scatters them to the rows, ldu apart (Z25 =
-// lane*ldu; bases AX, R13, R8, R9), then steps the bases a block of
-// columns on (BX bytes).
+// DRSTORE scales one block of the four rows by their scales, keeps them in
+// the sectors' lastU and lastW, and scatters them to the rows, ldu apart
+// (Z25 = lane·ldu; bases AX, DX, R8, R9), then steps the bases a block of
+// columns on (R10 bytes).
 #define DRSTORE(off, kv, au, aw, bu, bw) \
-	VMOVUPD.Z   off(R10), kv, Z20; \
-	VMOVUPD.Z   off(R11), kv, Z21; \
-	VMOVUPD.Z   off(SI), kv, Z22; \
-	VMOVUPD.Z   off(R12), kv, Z23; \
+	VMOVUPD.Z   DelaySector_su+off(SI), kv, Z20; \
+	VMOVUPD.Z   DelaySector_sw+off(SI), kv, Z21; \
+	VMOVUPD.Z   DelaySector_su+off(R13), kv, Z22; \
+	VMOVUPD.Z   DelaySector_sw+off(R13), kv, Z23; \
 	VMULPD      Z20, au, au; \
 	VMULPD      Z21, aw, aw; \
 	VMULPD      Z22, bu, bu; \
 	VMULPD      Z23, bw, bw; \
+	VMOVUPD     au, kv, DelaySector_lastU+off(SI); \
+	VMOVUPD     aw, kv, DelaySector_lastW+off(SI); \
+	VMOVUPD     bu, kv, DelaySector_lastU+off(R13); \
+	VMOVUPD     bw, kv, DelaySector_lastW+off(R13); \
 	KMOVW       kv, K5; \
 	VSCATTERQPD au, K5, (AX)(Z25*8); \
 	KMOVW       kv, K6; \
-	VSCATTERQPD aw, K6, (R13)(Z25*8); \
+	VSCATTERQPD aw, K6, (DX)(Z25*8); \
 	KMOVW       kv, K7; \
 	VSCATTERQPD bu, K7, (R8)(Z25*8); \
 	KMOVW       kv, K5; \
 	VSCATTERQPD bw, K5, (R9)(Z25*8); \
-	ADDQ        BX, AX; \
-	ADDQ        BX, R13; \
-	ADDQ        BX, R8; \
-	ADDQ        BX, R9
+	ADDQ        R10, AX; \
+	ADDQ        R10, DX; \
+	ADDQ        R10, R8; \
+	ADDQ        R10, R9
 
-// DRNEXT steps t' and the step's column pointers.
+// DRNEXT steps t', its column offset and its lane.
 #define DRNEXT \
 	INCQ BX; \
-	ADDQ R12, R8; \
-	ADDQ R12, R9; \
-	ADDQ R12, R10; \
-	ADDQ R12, R11; \
+	ADDQ $256, R12; \
 	INCQ CX
 
-// func delayRowsAVX512(m, r int64, sites *int, ldg, ldc, ldu int64, ga, sua, swa, cua, cwa, ua, wa, gb, sub, swb, cub, cwb, ub, wb *float64)
+// func delayRowsAVX512(m, r int64, sa, sb *DelaySector, ldg, ldu int64, ga, ua, wa, gb, ub, wb *float64)
 //
-// Row r of both sides of two sectors (A and B) for 0 < m <= 32,
-// right-looking and four rows abreast, so the four latency chains overlap:
-// the rows live in Z0-Z3 (U of A), Z4-Z7 (W of A), Z8-Z11 (U of B) and
-// Z12-Z15 (W of B), lane t of block t/8 holding element t, first the
-// gathered G elements. Step t' broadcasts its finished elements, scaled,
-// and adds them to every later element whose coefficient (CW(t, t') for a
-// U row, CU(t, t') for a W row: column t' of the site submatrix) is not
-// ±0, under an opmask, so each element still takes its FMAs in ascending
-// t'. Step t' runs in the section of its block (drsec0-drsec3), which
-// touches that block's lanes after t' and every later block with live
+// Row r of both sides of two sectors (A at SI, B at R13) for
+// 0 < m <= 32, right-looking and four rows abreast, so the four latency
+// chains overlap: the rows live in Z0-Z3 (U of A), Z4-Z7 (W of A), Z8-Z11
+// (U of B) and Z12-Z15 (W of B), lane t of block t/8 holding element t,
+// first the gathered G elements. Step t' broadcasts its finished elements,
+// scaled, and adds them to every later element whose coefficient (CW(t, t')
+// for a U row, CU(t, t') for a W row: column t' of the site submatrix) is
+// not ±0, under that column's nonzero bits, so each element still takes its
+// FMAs in ascending t'. Step t' runs in the section of its block
+// (drsec0-drsec3), which touches that block and every later block with live
 // lanes (DI of them); K1-K4 hold the live lanes of blocks 0-3. Last, each
 // block is scaled by its scales, as the steps scaled the broadcast
 // elements, and scattered to its row.
-TEXT ·delayRowsAVX512(SB), NOSPLIT, $0-160
+TEXT ·delayRowsAVX512(SB), NOSPLIT, $0-96
 	MOVQ  m+0(FP), DX
 	MOVQ  $1, AX
 	MOVQ  DX, CX
@@ -306,16 +301,17 @@ TEXT ·delayRowsAVX512(SB), NOSPLIT, $0-160
 	SHRQ  $3, DI             // live blocks
 
 	MOVQ         r+8(FP), CX
-	MOVQ         ldg+24(FP), BX
+	MOVQ         ldg+32(FP), BX
 	VPBROADCASTQ BX, Z30
 	IMULQ        CX, BX      // r*ldg
 	MOVQ         ga+48(FP), AX
 	LEAQ         (AX)(CX*8), R8  // G_A(r, 0)
 	LEAQ         (AX)(BX*8), R9  // G_A(0, r)
-	MOVQ         gb+104(FP), AX
+	MOVQ         gb+72(FP), AX
 	LEAQ         (AX)(CX*8), R10 // G_B(r, 0)
 	LEAQ         (AX)(BX*8), R11 // G_B(0, r)
-	MOVQ         sites+16(FP), DX
+	MOVQ         sa+16(FP), SI
+	MOVQ         sb+24(FP), R13
 	DRGATHER(0, K1, Z0, Z4, Z8, Z12)
 	CMPQ         DI, $2
 	JLT          drinit
@@ -328,31 +324,24 @@ TEXT ·delayRowsAVX512(SB), NOSPLIT, $0-160
 	DRGATHER(192, K4, Z3, Z7, Z11, Z15)
 
 drinit:
-	VPXORQ Z31, Z31, Z31
-	MOVQ   m+0(FP), DX
-	MOVQ   cwa+80(FP), R8    // the step's columns of the site submatrices
-	MOVQ   cua+72(FP), R9
-	MOVQ   cwb+136(FP), R10
-	MOVQ   cub+128(FP), R11
-	MOVQ   ldc+32(FP), R12
-	SHLQ   $3, R12
-	XORQ   BX, BX            // t'
-	XORQ   CX, CX            // t' mod 8
+	XORQ BX, BX              // t'
+	XORQ CX, CX              // t' mod 8
+	XORQ R12, R12            // t'·256: column t' of a site submatrix, in bytes
 
 drsec0:
 	CMPQ BX, DX
 	JGE  drfinish
-	DRPIV(Z0, Z4, Z8, Z12, K1)
-	DRBLK(0, K5, Z0, Z4, Z8, Z12)
+	DRPIV(Z0, Z4, Z8, Z12)
+	DRBLK(0, 0, Z0, Z4, Z8, Z12)
 	CMPQ DI, $2
 	JLT  drnext0
-	DRBLK(64, K2, Z1, Z5, Z9, Z13)
+	DRBLK(1, 64, Z1, Z5, Z9, Z13)
 	CMPQ DI, $3
 	JLT  drnext0
-	DRBLK(128, K3, Z2, Z6, Z10, Z14)
+	DRBLK(2, 128, Z2, Z6, Z10, Z14)
 	CMPQ DI, $4
 	JLT  drnext0
-	DRBLK(192, K4, Z3, Z7, Z11, Z15)
+	DRBLK(3, 192, Z3, Z7, Z11, Z15)
 
 drnext0:
 	DRNEXT
@@ -363,14 +352,14 @@ drnext0:
 drsec1:
 	CMPQ BX, DX
 	JGE  drfinish
-	DRPIV(Z1, Z5, Z9, Z13, K2)
-	DRBLK(64, K5, Z1, Z5, Z9, Z13)
+	DRPIV(Z1, Z5, Z9, Z13)
+	DRBLK(1, 64, Z1, Z5, Z9, Z13)
 	CMPQ DI, $3
 	JLT  drnext1
-	DRBLK(128, K3, Z2, Z6, Z10, Z14)
+	DRBLK(2, 128, Z2, Z6, Z10, Z14)
 	CMPQ DI, $4
 	JLT  drnext1
-	DRBLK(192, K4, Z3, Z7, Z11, Z15)
+	DRBLK(3, 192, Z3, Z7, Z11, Z15)
 
 drnext1:
 	DRNEXT
@@ -381,11 +370,11 @@ drnext1:
 drsec2:
 	CMPQ BX, DX
 	JGE  drfinish
-	DRPIV(Z2, Z6, Z10, Z14, K3)
-	DRBLK(128, K5, Z2, Z6, Z10, Z14)
+	DRPIV(Z2, Z6, Z10, Z14)
+	DRBLK(2, 128, Z2, Z6, Z10, Z14)
 	CMPQ DI, $4
 	JLT  drnext2
-	DRBLK(192, K4, Z3, Z7, Z11, Z15)
+	DRBLK(3, 192, Z3, Z7, Z11, Z15)
 
 drnext2:
 	DRNEXT
@@ -396,30 +385,26 @@ drnext2:
 drsec3:
 	CMPQ BX, DX
 	JGE  drfinish
-	DRPIV(Z3, Z7, Z11, Z15, K4)
-	DRBLK(192, K5, Z3, Z7, Z11, Z15)
+	DRPIV(Z3, Z7, Z11, Z15)
+	DRBLK(3, 192, Z3, Z7, Z11, Z15)
 	DRNEXT
 	JMP  drsec3
 
 drfinish:
-	MOVQ         ldu+40(FP), BX
-	VPBROADCASTQ BX, Z26
+	MOVQ         ldu+40(FP), R10
+	VPBROADCASTQ R10, Z26
 	VMOVDQU64    iota<>(SB), Z25
 	VPMULUDQ     Z26, Z25, Z25
-	SHLQ         $6, BX      // 8 columns, in bytes
+	SHLQ         $6, R10     // 8 columns, in bytes
 	MOVQ         r+8(FP), CX
-	MOVQ         ua+88(FP), AX
+	MOVQ         ua+56(FP), AX
 	LEAQ         (AX)(CX*8), AX
-	MOVQ         wa+96(FP), R13
-	LEAQ         (R13)(CX*8), R13
-	MOVQ         ub+144(FP), R8
+	MOVQ         wa+64(FP), DX
+	LEAQ         (DX)(CX*8), DX
+	MOVQ         ub+80(FP), R8
 	LEAQ         (R8)(CX*8), R8
-	MOVQ         wb+152(FP), R9
+	MOVQ         wb+88(FP), R9
 	LEAQ         (R9)(CX*8), R9
-	MOVQ         sua+56(FP), R10
-	MOVQ         swa+64(FP), R11
-	MOVQ         sub+112(FP), SI
-	MOVQ         swb+120(FP), R12
 	DRSTORE(0, K1, Z0, Z4, Z8, Z12)
 	CMPQ         DI, $2
 	JLT          drdone

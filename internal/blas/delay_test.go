@@ -94,23 +94,27 @@ func delayChain(t int, y0, scale float64, coef, x func(tp int) float64) float64 
 	return acc[0] * scale
 }
 
+// cw, cu and the matching setters index a sector's site submatrices.
+func (d *DelaySector) cwAt(t, tp int) float64 { return d.cwData[t+tp*DelayRowsMax] }
+func (d *DelaySector) cuAt(t, tp int) float64 { return d.cuData[t+tp*DelayRowsMax] }
+
 // delayRowRef is DelayRows of one sector by the per-element Axpy chain.
-func delayRowRef(m, r int, sites []int, d *DelaySector) {
+func delayRowRef(m, r int, d *DelaySector) {
 	for t := 0; t < m; t++ {
-		s := sites[t]
-		d.U.Set(r, t, delayChain(t, d.G.At(r, s), d.SU[t], func(tp int) float64 { return d.CW.At(t, tp) }, func(tp int) float64 { return d.U.At(r, tp) }))
-		d.W.Set(r, t, delayChain(t, d.G.At(s, r), d.SW[t], func(tp int) float64 { return d.CU.At(t, tp) }, func(tp int) float64 { return d.W.At(r, tp) }))
+		s := d.sites[t]
+		d.u.Set(r, t, delayChain(t, d.g.At(r, s), d.su[t], func(tp int) float64 { return d.cwAt(t, tp) }, func(tp int) float64 { return d.u.At(r, tp) }))
+		d.w.Set(r, t, delayChain(t, d.g.At(s, r), d.sw[t], func(tp int) float64 { return d.cuAt(t, tp) }, func(tp int) float64 { return d.w.At(r, tp) }))
 	}
 }
 
 // delayFillRef is DelayFill by the per-column Axpy chain over each of a
 // column's two row ranges, one side at a time.
-func delayFillRef(m, hi int, sites []int, d *DelaySector) {
-	delayFillSideRef(m, hi, d.G, sites, d.SU, d.CW, d.U, false)
-	delayFillSideRef(m, hi, d.G, sites, d.SW, d.CU, d.W, true)
+func delayFillRef(m, hi int, d *DelaySector) {
+	delayFillSideRef(m, hi, d.g, d.sites[:m], d.su[:], d.cwAt, d.u, false)
+	delayFillSideRef(m, hi, d.g, d.sites[:m], d.sw[:], d.cuAt, d.w, true)
 }
 
-func delayFillSideRef(m, hi int, g *mat.Dense, sites []int, scale []float64, c, a *mat.Dense, rowSide bool) {
+func delayFillSideRef(m, hi int, g *mat.Dense, sites []int, scale []float64, c func(t, tp int) float64, a *mat.Dense, rowSide bool) {
 	n := g.Rows
 	for t := 0; t < m; t++ {
 		s := sites[t]
@@ -128,7 +132,7 @@ func delayFillSideRef(m, hi int, g *mat.Dense, sites []int, scale []float64, c, 
 				}
 			}
 			for tp := 0; tp < t; tp++ {
-				Axpy(c.At(t, tp), a.Col(tp)[lo:up], y)
+				Axpy(c(t, tp), a.Col(tp)[lo:up], y)
 			}
 			for i, v := range y {
 				a.Set(lo+i, t, v*scale[t])
@@ -140,19 +144,35 @@ func delayFillSideRef(m, hi int, g *mat.Dense, sites []int, scale []float64, c, 
 	}
 }
 
-// delayRandomSector returns a sector with random data (NaNs in G and the
-// site submatrices when nan is set), room for cols columns.
-func delayRandomSector(r *rng.Rand, n, m, cols int, nan bool) *DelaySector {
-	su, sw := delayScales(r, m)
-	return &DelaySector{
-		G: delayDense(r, n, n, nan), U: delayDense(r, n, cols, false), W: delayDense(r, n, cols, false),
-		CU: delayDense(r, m+3, m+3, nan), CW: delayDense(r, m+3, m+3, nan), SU: su, SW: sw,
+// delayRandomSector returns a sector over random G, U and W (N x cols)
+// holding m columns at sites with random scales and site submatrices
+// (NaNs in G and the submatrices when nan is set), their nonzero bits set
+// as Record sets them.
+func delayRandomSector(r *rng.Rand, n, m, cols int, sites []int, nan bool) *DelaySector {
+	d := NewDelaySector(delayDense(r, n, n, nan), delayDense(r, n, cols, false), delayDense(r, n, cols, false))
+	su, _ := delayScales(r, m)
+	copy(d.su[:], su)
+	copy(d.sites[:], sites)
+	for k := range d.cuData {
+		d.cuData[k], d.cwData[k] = delayValue(r, nan), delayValue(r, nan)
 	}
+	for tp := 0; tp < m; tp++ {
+		for t := tp + 1; t < m; t++ {
+			if d.cuAt(t, tp) != 0 {
+				d.nzu[tp] |= 1 << t
+			}
+			if d.cwAt(t, tp) != 0 {
+				d.nzw[tp] |= 1 << t
+			}
+		}
+	}
+	return d
 }
 
+// clone copies d with its own U and W.
 func (d *DelaySector) clone() *DelaySector {
 	c := *d
-	c.U, c.W = d.U.Clone(), d.W.Clone()
+	c.u, c.w = d.u.Clone(), d.w.Clone()
 	return &c
 }
 
@@ -173,23 +193,23 @@ func TestDelayRowsMatchesAxpy(t *testing.T) {
 				for in(sites, row) {
 					row = (row + 1) % n
 				}
-				a := delayRandomSector(r, n, m, DelayRowsMax+1, true)
-				b := delayRandomSector(r, n, m, DelayRowsMax+1, true)
+				a := delayRandomSector(r, n, m, DelayRowsMax, sites, true)
+				b := delayRandomSector(r, n, m, DelayRowsMax, sites, true)
 				wa, wb := a.clone(), b.clone()
-				DelayRows(m, row, sites, a, b)
-				delayRowRef(m, row, sites, wa)
-				delayRowRef(m, row, sites, wb)
+				DelayRows(m, row, a, b)
+				delayRowRef(m, row, wa)
+				delayRowRef(m, row, wb)
 				for k, p := range [][2]*DelaySector{{a, wa}, {b, wb}} {
-					if !delayBitsEqual(p[0].U, p[1].U) || !delayBitsEqual(p[0].W, p[1].W) {
+					if !delayBitsEqual(p[0].u, p[1].u) || !delayBitsEqual(p[0].w, p[1].w) {
 						t.Fatalf("%s: N=%d m=%d r=%d: DelayRows differs from the Axpy chain in sector %d", kern, n, m, row, k)
 					}
 				}
 				// One sector, passed twice.
-				c := delayRandomSector(r, n, m, DelayRowsMax+1, true)
+				c := delayRandomSector(r, n, m, DelayRowsMax, sites, true)
 				wc := c.clone()
-				DelayRows(m, row, sites, c, c)
-				delayRowRef(m, row, sites, wc)
-				if !delayBitsEqual(c.U, wc.U) || !delayBitsEqual(c.W, wc.W) {
+				DelayRows(m, row, c, c)
+				delayRowRef(m, row, wc)
+				if !delayBitsEqual(c.u, wc.u) || !delayBitsEqual(c.w, wc.w) {
 					t.Fatalf("%s: N=%d m=%d r=%d: DelayRows of one sector differs from the Axpy chain", kern, n, m, row)
 				}
 			}
@@ -224,11 +244,11 @@ func TestDelayFillMatchesAxpy(t *testing.T) {
 					if len(sites) > 0 && part < n {
 						hi = sites[len(sites)-1] + 1 + int(r.Float64()*float64(n-part))
 					}
-					d := delayRandomSector(r, n, m, m+2, true)
+					d := delayRandomSector(r, n, m, max(m, 1), sites, true)
 					want := d.clone()
-					DelayFill(m, hi, sites, d)
-					delayFillRef(m, hi, sites, want)
-					if !delayBitsEqual(d.U, want.U) || !delayBitsEqual(d.W, want.W) {
+					DelayFill(m, hi, d)
+					delayFillRef(m, hi, want)
+					if !delayBitsEqual(d.u, want.u) || !delayBitsEqual(d.w, want.w) {
 						t.Fatalf("%s: N=%d m=%d hi=%d: DelayFill differs from the Axpy chain", kern, n, m, hi)
 					}
 				}
@@ -238,24 +258,19 @@ func TestDelayFillMatchesAxpy(t *testing.T) {
 }
 
 // delayOnDemand runs one delay block of sector d the on-demand way: the
-// loop visits rows from..hi-1, storing each row (DelayRows) and, at a site,
-// recording the column (its site, its U-side scale and its rows of the site
-// submatrices, as update's record does); then the fill.
+// loop visits rows from..hi-1, storing each row (DelayRows) and recording
+// a column at each of its sites (Record, as update's record does); then the
+// fill.
 func delayOnDemand(from, hi int, sites []int, factors []float64, d *DelaySector) {
 	m := 0
-	rec := make([]int, len(sites))
 	for row := from; row < hi; row++ {
-		DelayRows(m, row, rec, d, d)
+		DelayRows(m, row, d, d)
 		if m < len(sites) && sites[m] == row {
-			for tp := 0; tp < m; tp++ {
-				d.CU.Set(m, tp, d.U.At(row, tp))
-				d.CW.Set(m, tp, d.W.At(row, tp))
-			}
-			rec[m], d.SU[m] = row, -factors[m]
+			d.Record(m, row, -factors[m])
 			m++
 		}
 	}
-	DelayFill(m, hi, rec, d)
+	DelayFill(m, hi, d)
 }
 
 // delayEager is the push of every column of the block, the per-column Axpy
@@ -294,15 +309,11 @@ func delayFlowCheck(n, m, from, hi int, seed uint64, nan bool) error {
 		factors[t] = 4*r.Float64() - 2
 	}
 	nd := max(m, 1)
-	d := &DelaySector{G: g, U: mat.New(n, nd), W: mat.New(n, nd), CU: mat.New(nd, nd), CW: mat.New(nd, nd),
-		SU: make([]float64, nd), SW: make([]float64, nd)}
-	for t := range d.SW {
-		d.SW[t] = -1
-	}
+	d := NewDelaySector(g, mat.New(n, nd), mat.New(n, nd))
 	delayOnDemand(from, hi, sites, factors, d)
 	wu, ww := mat.New(n, nd), mat.New(n, nd)
-	delayEager(g, sites, factors, d.SW, wu, ww)
-	if !delayBitsEqual(d.U, wu) || !delayBitsEqual(d.W, ww) {
+	delayEager(g, sites, factors, d.sw[:], wu, ww)
+	if !delayBitsEqual(d.u, wu) || !delayBitsEqual(d.w, ww) {
 		return fmt.Errorf("N=%d m=%d rows %d..%d: the on-demand block differs from the eager push", n, m, from, hi)
 	}
 	return nil
@@ -349,8 +360,8 @@ func FuzzDelayRows(f *testing.F) {
 	})
 }
 
-// TestDelayNoAllocs: the rows run at every visited site and the fill at
-// every flush; neither allocates.
+// TestDelayNoAllocs: the rows run at every visited site, Record at every
+// accepted flip and the fill at every flush; none allocates.
 func TestDelayNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -358,37 +369,36 @@ func TestDelayNoAllocs(t *testing.T) {
 	const n, m = 144, 16
 	r := rng.New(11)
 	sites := delaySites(r, m, 0, n/2)
-	a, b := delayRandomSector(r, n, m, m, false), delayRandomSector(r, n, m, m, false)
-	if allocs := testing.AllocsPerRun(20, func() { DelayRows(m, n-1, sites, a, b) }); allocs != 0 {
+	a := delayRandomSector(r, n, m, m+1, sites, false)
+	b := delayRandomSector(r, n, m, m+1, sites, false)
+	if allocs := testing.AllocsPerRun(20, func() { DelayRows(m, n-1, a, b) }); allocs != 0 {
 		t.Errorf("DelayRows allocated %.1f objects per call, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(20, func() { DelayFill(m, n, sites, a) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(20, func() { a.Record(m, n-1, 0.5) }); allocs != 0 {
+		t.Errorf("Record allocated %.1f objects per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { DelayFill(m, n, a) }); allocs != 0 {
 		t.Errorf("DelayFill allocated %.1f objects per call, want 0", allocs)
 	}
 }
 
-// TestDelayShapeChecks: bad shapes, too many columns, sectors of different
-// strides and a site outside the lattice or at the row panic before any
-// kernel runs.
+// TestDelayShapeChecks: bad shapes, too many columns, sectors of other
+// shapes, a site or row outside the lattice and a Record whose row the last
+// DelayRows did not store panic before any kernel runs.
 func TestDelayShapeChecks(t *testing.T) {
-	sector := func(n, nd int) *DelaySector {
-		return &DelaySector{G: mat.New(n, n), U: mat.New(n, nd), W: mat.New(n, nd), CU: mat.New(nd, nd), CW: mat.New(nd, nd),
-			SU: make([]float64, nd), SW: make([]float64, nd)}
-	}
-	d, e := sector(8, 4), sector(8, 4)
-	e.CU, e.CW = mat.New(5, 5), mat.New(5, 5)
-	short := sector(8, 4)
-	short.SW = short.SW[:1]
-	big := sector(40, 40)
+	d := NewDelaySector(mat.New(8, 8), mat.New(8, 4), mat.New(8, 4))
+	e := NewDelaySector(mat.New(9, 9), mat.New(9, 4), mat.New(9, 4))
 	for name, f := range map[string]func(){
-		"m above DelayRowsMax": func() { DelayRows(DelayRowsMax+1, 0, make([]int, 40), big, big) },
-		"site outside":         func() { DelayRows(2, 0, []int{1, 8}, d, d) },
-		"site at row":          func() { DelayRows(2, 3, []int{1, 3}, d, d) },
-		"short scales":         func() { DelayRows(2, 0, []int{1, 2}, short, short) },
-		"sector strides":       func() { DelayRows(2, 0, []int{1, 2}, d, e) },
-		"fill hi":              func() { DelayFill(2, 9, []int{1, 2}, d) },
-		"fill site":            func() { DelayFill(2, 8, []int{-1, 2}, d) },
-		"fill too wide":        func() { DelayFill(5, 8, []int{1, 2, 3, 4, 5}, d) },
+		"too many columns": func() { NewDelaySector(mat.New(40, 40), mat.New(40, DelayRowsMax+1), mat.New(40, DelayRowsMax+1)) },
+		"U and W differ":   func() { NewDelaySector(mat.New(8, 8), mat.New(8, 4), mat.New(8, 3)) },
+		"record column":    func() { d.Record(4, 1, 1) },
+		"record site":      func() { d.Record(0, 8, 1) },
+		"record unvisited": func() { DelayRows(0, 3, d, d); d.Record(1, 5, 1) },
+		"rows m":           func() { DelayRows(5, 0, d, d) },
+		"rows r":           func() { DelayRows(2, 8, d, d) },
+		"rows sectors":     func() { DelayRows(2, 0, d, e) },
+		"fill hi":          func() { DelayFill(2, 9, d) },
+		"fill m":           func() { DelayFill(5, 8, d) },
 	} {
 		func() {
 			defer func() {
@@ -419,9 +429,18 @@ func BenchmarkDelay(b *testing.B) {
 		r := rng.New(uint64(m))
 		sites := delaySites(r, m, 0, n)
 		sector := func() *DelaySector {
-			su, sw := delayScales(r, m)
-			return &DelaySector{G: normal(r, n, n), U: normal(r, n, m+1), W: normal(r, n, m+1),
-				CU: normal(r, m, m), CW: normal(r, m, m), SU: su, SW: sw}
+			d := NewDelaySector(normal(r, n, n), normal(r, n, m), normal(r, n, m))
+			c := normal(r, DelayRowsMax, 2*DelayRowsMax)
+			copy(d.cuData[:], c.Data[:len(d.cuData)])
+			copy(d.cwData[:], c.Data[len(d.cuData):])
+			su, _ := delayScales(r, m)
+			copy(d.su[:], su)
+			copy(d.sites[:], sites)
+			for tp := 0; tp < m; tp++ {
+				d.nzu[tp] = uint32(1)<<m - 1<<(tp+1)
+				d.nzw[tp] = d.nzu[tp]
+			}
+			return d
 		}
 		up, dn := sector(), sector()
 		row := n - 1
@@ -430,20 +449,20 @@ func BenchmarkDelay(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("rows/m=%d", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				DelayRows(m, row, sites, up, dn)
+				DelayRows(m, row, up, dn)
 			}
 		})
-		u, g, cw := up.U, up.G, up.CW
+		u, w, g := up.u, up.w, up.g
 		b.Run(fmt.Sprintf("fill/m=%d", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				delayFill(n, m, n, g.Data, g.Stride, sites, up.SU, cw.Data, cw.Stride, u.Data, u.Stride, false)
+				delayFill(n, m, n, g.Data, g.Stride, sites, up.su[:], up.cwData[:], DelayRowsMax, u.Data, u.Stride, false)
 			}
 		})
-		w := up.W
+		bu := normal(r, n, m+1)
 		b.Run(fmt.Sprintf("axpycols/m=%d", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for t := 0; t < m; t++ {
-					AxpyCols(n, t, u.Data, u.Stride, w.Data[sites[t]:], w.Stride, g.Col(sites[t]), 1, up.SU[t], u.Col(m))
+					AxpyCols(n, t, bu.Data, bu.Stride, w.Data[sites[t]:], w.Stride, g.Col(sites[t]), 1, up.su[t], bu.Col(m))
 				}
 			}
 		})

@@ -35,7 +35,7 @@ func kronAVX512(rows, k, m int64, a *float64, lda int64, b *float64, ldb int64, 
 func kronAVX2(rows, k, m int64, a *float64, lda int64, b *float64, ldb int64, c *float64, ldc, mode int64, r, s *float64, nb, abs, bbs, cbs int64)
 
 //go:noescape
-func delayRowsAVX512(m, r int64, sites *int, ldg, ldc, ldu int64, ga, sua, swa, cua, cwa, ua, wa, gb, sub, swb, cub, cwb, ub, wb *float64)
+func delayRowsAVX512(m, r int64, sa, sb *DelaySector, ldg, ldu int64, ga, ua, wa, gb, ub, wb *float64)
 
 //go:noescape
 func delayFillAVX512(n, m, hi int64, gm *float64, ldg int64, sites *int, scale, c *float64, ldc int64, a *float64, lda int64, row int64)
@@ -248,48 +248,46 @@ func init() {
 	}
 }
 
-// delayRows computes row r of two sectors' pending columns (see
+// delayRows computes row r of two sectors' recorded columns (see
 // DelayRows) on the kernel of the micro-kernel's family: delayRowsAVX512,
 // all four rows at once, beside the 8x8 micro-kernel, delayRowAVX2, a row
 // at a time, beside the 8x4 one, and delayRowsCols elsewhere, so the bits
-// are those of the push the process runs.
-func delayRows(m, r int, sites []int, a, b *DelaySector) {
+// are those of the push the process runs. Record keeps the sites inside
+// the lattice, so only G, U and W's extents need checking here.
+func delayRows(m, r int, a, b *DelaySector) {
 	switch {
 	case kernMR != 8:
-		delayRowsCols(m, r, sites, a)
+		delayRowsCols(m, r, a)
 		if b != a {
-			delayRowsCols(m, r, sites, b)
+			delayRowsCols(m, r, b)
 		}
 	case kernNR == 8:
-		_ = sites[m-1]
-		delayRowsExtents(m, r, a)
-		delayRowsExtents(m, r, b)
-		delayRowsAVX512(int64(m), int64(r), &sites[0], int64(a.G.Stride), int64(a.CU.Stride), int64(a.U.Stride),
-			&a.G.Data[0], &a.SU[0], &a.SW[0], &a.CU.Data[0], &a.CW.Data[0], &a.U.Data[0], &a.W.Data[0],
-			&b.G.Data[0], &b.SU[0], &b.SW[0], &b.CU.Data[0], &b.CW.Data[0], &b.U.Data[0], &b.W.Data[0])
+		ga, gb := delayRowsExtents(m, r, a), delayRowsExtents(m, r, b)
+		delayRowsAVX512(int64(m), int64(r), a, b, int64(a.g.Stride), int64(a.u.Stride),
+			ga, &a.u.Data[0], &a.w.Data[0], gb, &b.u.Data[0], &b.w.Data[0])
 	default:
-		_ = sites[m-1]
-		delayRowsSector(m, r, sites, a)
+		delayRowsSector(m, r, a)
 		if b != a {
-			delayRowsSector(m, r, sites, b)
+			delayRowsSector(m, r, b)
 		}
 	}
 }
 
 // delayRowsSector is one sector's two rows on delayRowAVX2.
-func delayRowsSector(m, r int, sites []int, d *DelaySector) {
-	ldg, ldc, ldu := int64(d.G.Stride), int64(d.CU.Stride), int64(d.U.Stride)
+func delayRowsSector(m, r int, d *DelaySector) {
+	ldg, ldu := d.g.Stride, int64(d.u.Stride)
 	delayRowsExtents(m, r, d)
-	delayRowAVX2(int64(m), &d.CW.Data[0], ldc, &d.G.Data[r], &sites[0], ldg, &d.SU[0], &d.U.Data[r], ldu)
-	delayRowAVX2(int64(m), &d.CU.Data[0], ldc, &d.G.Data[r*d.G.Stride], &sites[0], 1, &d.SW[0], &d.W.Data[r], ldu)
+	delayRowAVX2(int64(m), &d.cwData[0], DelayRowsMax, &d.g.Data[r], &d.sites[0], int64(ldg), &d.su[0], &d.u.Data[r], ldu)
+	delayRowAVX2(int64(m), &d.cuData[0], DelayRowsMax, &d.g.Data[r*ldg], &d.sites[0], 1, &d.sw[0], &d.w.Data[r], ldu)
+	d.keepRow(m, r)
 }
 
-// delayRowsExtents checks the extents the row kernels touch in one sector.
-func delayRowsExtents(m, r int, d *DelaySector) {
-	n, ldc, ldu := d.G.Rows, d.CU.Stride, d.U.Stride
-	_, _, _ = d.G.Data[(n-1)*d.G.Stride+n-1], d.SU[m-1], d.SW[m-1]
-	_, _ = d.CU.Data[(m-1)*ldc+m-1], d.CW.Data[(m-1)*ldc+m-1]
-	_, _ = d.U.Data[(m-1)*ldu+r], d.W.Data[(m-1)*ldu+r]
+// delayRowsExtents checks the extents of G, U and W the row kernels touch
+// in one sector and returns G's first element.
+func delayRowsExtents(m, r int, d *DelaySector) *float64 {
+	n, ldu := d.g.Rows, d.u.Stride
+	_, _, _ = d.g.Data[(n-1)*d.g.Stride+n-1], d.u.Data[(m-1)*ldu+r], d.w.Data[(m-1)*ldu+r]
+	return &d.g.Data[0]
 }
 
 // delayFill fills the rows of one side DelayRows left out (see DelayFill):

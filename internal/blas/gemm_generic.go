@@ -38,10 +38,10 @@ func packCols(dst, src []float64, ld, kc, w, jw int, alpha float64) {
 	packColsGo(dst, src, ld, kc, w, jw, alpha)
 }
 
-func delayRows(m, r int, sites []int, a, b *DelaySector) {
-	delayRowsCols(m, r, sites, a)
+func delayRows(m, r int, a, b *DelaySector) {
+	delayRowsCols(m, r, a)
 	if b != a {
-		delayRowsCols(m, r, sites, b)
+		delayRowsCols(m, r, b)
 	}
 }
 

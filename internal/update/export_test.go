@@ -1,6 +1,9 @@
 package update
 
-import "questgo/internal/hubbard"
+import (
+	"questgo/internal/blas"
+	"questgo/internal/hubbard"
+)
 
 // Test-only windows for forks_test.go, which drives the device backend and
 // so cannot live in this package (internal/gpu imports it), and for
@@ -37,14 +40,14 @@ func DenseKinetic(p *hubbard.Propagator) *hubbard.Propagator {
 // SetOnDemand moves the sweeper to either delayed-update path whatever its
 // N: site rows on demand and a fill at the flush (true) or the eager push
 // (false). Call it between sweeps; the on-demand path needs a delay block
-// of at most blas.DelayRowsMax (blas.DelayRows panics otherwise).
+// of at most blas.DelayRowsMax (blas.NewDelaySector panics otherwise).
 func (sw *Sweeper) SetOnDemand(on bool) {
 	for _, s := range []*spinState{sw.up, sw.dn} {
 		switch {
 		case !on:
-			s.od = nil
-		case s.od == nil:
-			s.od = newOnDemand(s.g, s.u, s.w)
+			s.od.sec = nil
+		case s.od.sec == nil:
+			s.od.sec = blas.NewDelaySector(s.g, s.u, s.w)
 		}
 	}
 }

@@ -128,9 +128,9 @@ type spinState struct {
 	m    int        // pending update count
 	err  error      // the first error a refresh of this sector returned
 
-	// od is the sector's on-demand delayed update (see onDemandMinN), nil
-	// where it pushes eagerly.
-	od *onDemand
+	// od is the sector's on-demand delayed update (see onDemandMinN); its
+	// block is nil where the sector pushes eagerly.
+	od onDemand
 
 	// Pre-bound closures for the spin fork, so the per-slice hot paths
 	// allocate nothing; their operands are the Sweeper's
@@ -173,65 +173,26 @@ func (s *spinState) effDiag(i int) float64 {
 
 // onDemand is a sector's delayed update built on demand: the Metropolis
 // loop stores only the row of each site it visits (Sweeper.siteRows), an
-// accepted flip records its site, its U-side scale and its rows of the site
-// submatrices (spinState.record), and the flush fills the rest of U and W
-// before the GEMM (blas.DelayFill). sec is the sector as the kernels take
-// it: G, U, W, the nd x nd site submatrices cu and cw and the scales
-// (-factor on the U side, -1 on the W side), all stored here, in one
-// allocation. next is one past the last visited site, the first row the
-// loop has not stored.
+// accepted flip records its site, its U-side scale and its rows of U and W
+// (push, blas.DelaySector.Record), and the flush fills the rest of U and W
+// before the GEMM (blas.DelayFill). sec holds the recorded block; next is one past
+// the last visited site, the first row the loop has not stored.
 type onDemand struct {
-	sec            blas.DelaySector
-	next           int
-	sites          [blas.DelayRowsMax]int
-	su, sw         [blas.DelayRowsMax]float64
-	cu, cw         mat.Dense
-	cuData, cwData [blas.DelayRowsMax * blas.DelayRowsMax]float64
-}
-
-// newOnDemand builds the on-demand state of the sector over g, u and w
-// (N x nd, nd at most blas.DelayRowsMax).
-func newOnDemand(g, u, w *mat.Dense) *onDemand {
-	nd := u.Cols
-	od := &onDemand{}
-	od.cu = mat.Dense{Rows: nd, Cols: nd, Stride: nd, Data: od.cuData[:nd*nd]}
-	od.cw = mat.Dense{Rows: nd, Cols: nd, Stride: nd, Data: od.cwData[:nd*nd]}
-	od.sec = blas.DelaySector{G: g, U: u, W: w, CU: &od.cu, CW: &od.cw, SU: od.su[:nd], SW: od.sw[:nd]}
-	for t := range od.sec.SW {
-		od.sec.SW[t] = -1
-	}
-	return od
+	sec  *blas.DelaySector
+	next int
 }
 
 // siteRows stores row i of the pending columns of U and W in both sectors,
 // the row effDiag(i) and the push at i read, when they build their columns
-// on demand. The sectors push at the same sites, so the up sector's list
-// serves both.
+// on demand.
 //
 //qmc:hot
 func (sw *Sweeper) siteRows(i int) {
-	up, dn := sw.up.od, sw.dn.od
+	up, dn := &sw.up.od, &sw.dn.od
 	if m := sw.up.m; m > 0 {
-		blas.DelayRows(m, i, up.sites[:m], &up.sec, &dn.sec)
+		blas.DelayRows(m, i, up.sec, dn.sec)
 	}
 	up.next, dn.next = i+1, i+1
-}
-
-// record is push on demand: it appends the accepted flip at site i, whose
-// row siteRows(i) stored, as its site, its U-side scale -factor and its rows
-// of the site submatrices, and leaves the column to the flush's fill.
-//
-//qmc:hot
-func (s *spinState) record(i int, factor float64) {
-	od, m, ld := s.od, s.m, s.u.Stride
-	lc := od.cu.Stride
-	for t := 0; t < m; t++ {
-		od.cu.Data[m+t*lc] = s.u.Data[i+t*ld]
-		od.cw.Data[m+t*lc] = s.w.Data[i+t*ld]
-	}
-	od.sites[m] = i
-	od.su[m] = -factor
-	s.m++
 }
 
 // push appends the accepted flip at site i with amplitude factor = alpha/d:
@@ -254,14 +215,15 @@ func (s *spinState) record(i int, factor float64) {
 // one rounding of the scaling, so the pair is bitwise what a copy, a gather,
 // those calls and a scaling pass assembled — except for the sign bit of a
 // NaN, which a multiply by -1 keeps and a negation flips. A sector that
-// builds its pairs on demand records the flip instead (record); the
-// elements reach the GEMM with the same bits through blas.DelayRows and
-// blas.DelayFill.
+// builds its pairs on demand records the flip instead: its site, its scale
+// and the row siteRows(i) stored, no N-length work; the elements reach the
+// GEMM with the same bits through blas.DelayRows and blas.DelayFill.
 //
 //qmc:hot
 func (s *spinState) push(i int, factor float64) {
-	if s.od != nil {
-		s.record(i, factor)
+	if s.od.sec != nil {
+		s.od.sec.Record(s.m, i, -factor)
+		s.m++
 		return
 	}
 	n, m, ld := s.g.Rows, s.m, s.u.Stride
@@ -294,8 +256,8 @@ func (s *spinState) flush(slice int) {
 		return
 	}
 	obs.Add(obs.OpDelayedFlushes, 1)
-	if od := s.od; od != nil {
-		blas.DelayFill(s.m, od.next, od.sites[:s.m], &od.sec)
+	if s.od.sec != nil {
+		blas.DelayFill(s.m, s.od.next, s.od.sec)
 	}
 	s.be.Flush(s.g, s.u, s.w, s.m, slice)
 	s.m = 0
@@ -517,7 +479,7 @@ func (sw *Sweeper) newSpin(mk NewBackend, sigma hubbard.Spin) *spinState {
 	n := sw.Prop.Model.N()
 	s := &spinState{g: mat.New(n, n), u: mat.New(n, o.Delay), w: mat.New(n, o.Delay)}
 	if n >= onDemandMinN && o.Delay <= blas.DelayRowsMax {
-		s.od = newOnDemand(s.g, s.u, s.w)
+		s.od.sec = blas.NewDelaySector(s.g, s.u, s.w)
 	}
 	cstart := o.Obs.Begin()
 	s.be = mk(sw.Prop, sigma, o.Delay)
@@ -897,7 +859,7 @@ func (sw *Sweeper) Join() {
 //
 //qmc:hot
 func (sw *Sweeper) proposeFlip(s, i int) {
-	if sw.up.od != nil {
+	if sw.up.od.sec != nil {
 		sw.siteRows(i)
 	}
 	h := sw.Field.H[s][i]
@@ -919,7 +881,7 @@ func (sw *Sweeper) proposeFlip(s, i int) {
 	// 0.06-0.23 us at N = 36 from m = 0 to a full block (operands in cache,
 	// 2-CPU AVX-512 Xeon), against a pool hand-off's 0.6 us round trip, so
 	// the two run back to back. From onDemandMinN up the push records the
-	// flip (2m copies a sector) and the site rows above cost 0.12-0.5 us
+	// flip (2m copies a sector) and the site rows above cost 0.1-0.5 us
 	// at N = 144 from m = 8 to a full block, for both sectors, at every
 	// visited site; the eager push there took 0.11-1.1 us a sector per
 	// accepted flip.
