@@ -140,8 +140,8 @@ func DelayFill(m, hi int, d *DelaySector) {
 
 // delayRowsCols is the body of delayRows built from axpyCols: each element
 // is the one-row axpyCols over its row's earlier elements, so its bits are
-// the push's in the family axpyCols runs. It is the portable body, and the
-// AVX2 one (where axpyCols is axpyColsAVX2).
+// the push's in the family axpyCols runs. It serves every family but the
+// AVX-512 one.
 func delayRowsCols(m, r int, d *DelaySector) {
 	g, ldg, ldu := d.g.Data, d.g.Stride, d.u.Stride
 	u, w := d.u.Data[r:], d.w.Data[r:]

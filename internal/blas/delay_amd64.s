@@ -628,915 +628,3 @@ dfplain:
 dfdone:
 	VZEROUPPER
 	RET
-// liveMask<>+8*(4-iw) holds four qwords whose first iw are all ones: the
-// live lanes of a ymm block of iw elements.
-DATA liveMask<>+0(SB)/8, $-1
-DATA liveMask<>+8(SB)/8, $-1
-DATA liveMask<>+16(SB)/8, $-1
-DATA liveMask<>+24(SB)/8, $-1
-DATA liveMask<>+32(SB)/8, $0
-DATA liveMask<>+40(SB)/8, $0
-DATA liveMask<>+48(SB)/8, $0
-DATA liveMask<>+56(SB)/8, $0
-GLOBL liveMask<>(SB), RODATA|NOPTR, $64
-
-// gtMask<>+8*(3-l) holds four qwords whose lanes after l are all ones: the
-// lanes of a ymm block a right-looking step updates after its own lane l.
-DATA gtMask<>+0(SB)/8, $0
-DATA gtMask<>+8(SB)/8, $0
-DATA gtMask<>+16(SB)/8, $0
-DATA gtMask<>+24(SB)/8, $0
-DATA gtMask<>+32(SB)/8, $-1
-DATA gtMask<>+40(SB)/8, $-1
-DATA gtMask<>+48(SB)/8, $-1
-DATA gtMask<>+56(SB)/8, $-1
-GLOBL gtMask<>(SB), RODATA|NOPTR, $64
-
-// permLane<>+32*l holds the VPERMPS indices that broadcast qword lane l of
-// a ymm.
-DATA permLane<>+0(SB)/8, $0x0000000100000000
-DATA permLane<>+8(SB)/8, $0x0000000100000000
-DATA permLane<>+16(SB)/8, $0x0000000100000000
-DATA permLane<>+24(SB)/8, $0x0000000100000000
-DATA permLane<>+32(SB)/8, $0x0000000300000002
-DATA permLane<>+40(SB)/8, $0x0000000300000002
-DATA permLane<>+48(SB)/8, $0x0000000300000002
-DATA permLane<>+56(SB)/8, $0x0000000300000002
-DATA permLane<>+64(SB)/8, $0x0000000500000004
-DATA permLane<>+72(SB)/8, $0x0000000500000004
-DATA permLane<>+80(SB)/8, $0x0000000500000004
-DATA permLane<>+88(SB)/8, $0x0000000500000004
-DATA permLane<>+96(SB)/8, $0x0000000700000006
-DATA permLane<>+104(SB)/8, $0x0000000700000006
-DATA permLane<>+112(SB)/8, $0x0000000700000006
-DATA permLane<>+120(SB)/8, $0x0000000700000006
-GLOBL permLane<>(SB), RODATA|NOPTR, $128
-
-// rowMask4<>+32*b holds the ymm row mask of the four bits of b.
-DATA rowMask4<>+0(SB)/8, $0
-DATA rowMask4<>+8(SB)/8, $0
-DATA rowMask4<>+16(SB)/8, $0
-DATA rowMask4<>+24(SB)/8, $0
-DATA rowMask4<>+32(SB)/8, $-1
-DATA rowMask4<>+40(SB)/8, $0
-DATA rowMask4<>+48(SB)/8, $0
-DATA rowMask4<>+56(SB)/8, $0
-DATA rowMask4<>+64(SB)/8, $0
-DATA rowMask4<>+72(SB)/8, $-1
-DATA rowMask4<>+80(SB)/8, $0
-DATA rowMask4<>+88(SB)/8, $0
-DATA rowMask4<>+96(SB)/8, $-1
-DATA rowMask4<>+104(SB)/8, $-1
-DATA rowMask4<>+112(SB)/8, $0
-DATA rowMask4<>+120(SB)/8, $0
-DATA rowMask4<>+128(SB)/8, $0
-DATA rowMask4<>+136(SB)/8, $0
-DATA rowMask4<>+144(SB)/8, $-1
-DATA rowMask4<>+152(SB)/8, $0
-DATA rowMask4<>+160(SB)/8, $-1
-DATA rowMask4<>+168(SB)/8, $0
-DATA rowMask4<>+176(SB)/8, $-1
-DATA rowMask4<>+184(SB)/8, $0
-DATA rowMask4<>+192(SB)/8, $0
-DATA rowMask4<>+200(SB)/8, $-1
-DATA rowMask4<>+208(SB)/8, $-1
-DATA rowMask4<>+216(SB)/8, $0
-DATA rowMask4<>+224(SB)/8, $-1
-DATA rowMask4<>+232(SB)/8, $-1
-DATA rowMask4<>+240(SB)/8, $-1
-DATA rowMask4<>+248(SB)/8, $0
-DATA rowMask4<>+256(SB)/8, $0
-DATA rowMask4<>+264(SB)/8, $0
-DATA rowMask4<>+272(SB)/8, $0
-DATA rowMask4<>+280(SB)/8, $-1
-DATA rowMask4<>+288(SB)/8, $-1
-DATA rowMask4<>+296(SB)/8, $0
-DATA rowMask4<>+304(SB)/8, $0
-DATA rowMask4<>+312(SB)/8, $-1
-DATA rowMask4<>+320(SB)/8, $0
-DATA rowMask4<>+328(SB)/8, $-1
-DATA rowMask4<>+336(SB)/8, $0
-DATA rowMask4<>+344(SB)/8, $-1
-DATA rowMask4<>+352(SB)/8, $-1
-DATA rowMask4<>+360(SB)/8, $-1
-DATA rowMask4<>+368(SB)/8, $0
-DATA rowMask4<>+376(SB)/8, $-1
-DATA rowMask4<>+384(SB)/8, $0
-DATA rowMask4<>+392(SB)/8, $0
-DATA rowMask4<>+400(SB)/8, $-1
-DATA rowMask4<>+408(SB)/8, $-1
-DATA rowMask4<>+416(SB)/8, $-1
-DATA rowMask4<>+424(SB)/8, $0
-DATA rowMask4<>+432(SB)/8, $-1
-DATA rowMask4<>+440(SB)/8, $-1
-DATA rowMask4<>+448(SB)/8, $0
-DATA rowMask4<>+456(SB)/8, $-1
-DATA rowMask4<>+464(SB)/8, $-1
-DATA rowMask4<>+472(SB)/8, $-1
-DATA rowMask4<>+480(SB)/8, $-1
-DATA rowMask4<>+488(SB)/8, $-1
-DATA rowMask4<>+496(SB)/8, $-1
-DATA rowMask4<>+504(SB)/8, $-1
-GLOBL rowMask4<>(SB), RODATA|NOPTR, $512
-
-// YRBLK updates the lanes of one block of the row (yx) whose coefficient,
-// loaded at off(R8) under the lane mask in Y14 (zero elsewhere), is not
-// ±0, by the step's element Y8: the FMA into a copy, then a blend.
-#define YRBLK(off, yx) \
-	VMASKMOVPD  off(R8), Y14, Y9; \
-	VCMPPD      $4, Y12, Y9, Y11; \
-	VMOVAPD     yx, Y10; \
-	VFMADD231PD Y8, Y9, Y10; \
-	VBLENDVPD   Y11, Y10, yx, yx
-
-// func delayRowAVX2(m int64, c *float64, ldc int64, y0 *float64, sites *int, mul int64, scale, x *float64, incx int64)
-//
-// One row of one side for 0 < m <= 32, delayRowsAVX512's right-looking
-// steps at a quarter of the width, one row per call:
-//
-//	x[t*incx] = scale[t]*(y0[sites[t]*mul] + sum_t' c[t + t'*ldc]*x[t'*incx])
-//
-// over the t' < t whose coefficient is not ±0, in ascending t'. The row
-// lives in Y0-Y7, lane t of block t/4 holding element t, first the
-// gathered y0 elements. Step t' broadcasts lane t' (VPERMPS, permLane),
-// scales it, and updates the later lanes of its own block (gtMask) and
-// every later live block, each coefficient block loaded under the block's
-// live lanes (kept at 32j(SP)) so nothing past m is read. Last, the row goes
-// through the frame (256(SP)) and is scaled and stored element by element.
-TEXT ·delayRowAVX2(SB), NOSPLIT, $512-72
-	MOVQ m+0(FP), DX
-	LEAQ 3(DX), DI
-	SHRQ $2, DI              // live blocks
-	LEAQ liveMask<>(SB), R12
-	MOVQ    DX, CX
-	SUBQ    $0, CX
-	XORQ    AX, AX
-	CMPQ    CX, AX
-	CMOVQLT AX, CX
-	MOVQ    $4, AX
-	CMPQ    CX, AX
-	CMOVQGT AX, CX
-	MOVQ    $4, AX
-	SUBQ    CX, AX
-	VMOVUPD (R12)(AX*8), Y14
-	VMOVUPD Y14, 0(SP)      // block 0's live lanes
-	MOVQ    DX, CX
-	SUBQ    $4, CX
-	XORQ    AX, AX
-	CMPQ    CX, AX
-	CMOVQLT AX, CX
-	MOVQ    $4, AX
-	CMPQ    CX, AX
-	CMOVQGT AX, CX
-	MOVQ    $4, AX
-	SUBQ    CX, AX
-	VMOVUPD (R12)(AX*8), Y14
-	VMOVUPD Y14, 32(SP)      // block 1's live lanes
-	MOVQ    DX, CX
-	SUBQ    $8, CX
-	XORQ    AX, AX
-	CMPQ    CX, AX
-	CMOVQLT AX, CX
-	MOVQ    $4, AX
-	CMPQ    CX, AX
-	CMOVQGT AX, CX
-	MOVQ    $4, AX
-	SUBQ    CX, AX
-	VMOVUPD (R12)(AX*8), Y14
-	VMOVUPD Y14, 64(SP)      // block 2's live lanes
-	MOVQ    DX, CX
-	SUBQ    $12, CX
-	XORQ    AX, AX
-	CMPQ    CX, AX
-	CMOVQLT AX, CX
-	MOVQ    $4, AX
-	CMPQ    CX, AX
-	CMOVQGT AX, CX
-	MOVQ    $4, AX
-	SUBQ    CX, AX
-	VMOVUPD (R12)(AX*8), Y14
-	VMOVUPD Y14, 96(SP)      // block 3's live lanes
-	MOVQ    DX, CX
-	SUBQ    $16, CX
-	XORQ    AX, AX
-	CMPQ    CX, AX
-	CMOVQLT AX, CX
-	MOVQ    $4, AX
-	CMPQ    CX, AX
-	CMOVQGT AX, CX
-	MOVQ    $4, AX
-	SUBQ    CX, AX
-	VMOVUPD (R12)(AX*8), Y14
-	VMOVUPD Y14, 128(SP)      // block 4's live lanes
-	MOVQ    DX, CX
-	SUBQ    $20, CX
-	XORQ    AX, AX
-	CMPQ    CX, AX
-	CMOVQLT AX, CX
-	MOVQ    $4, AX
-	CMPQ    CX, AX
-	CMOVQGT AX, CX
-	MOVQ    $4, AX
-	SUBQ    CX, AX
-	VMOVUPD (R12)(AX*8), Y14
-	VMOVUPD Y14, 160(SP)      // block 5's live lanes
-	MOVQ    DX, CX
-	SUBQ    $24, CX
-	XORQ    AX, AX
-	CMPQ    CX, AX
-	CMOVQLT AX, CX
-	MOVQ    $4, AX
-	CMPQ    CX, AX
-	CMOVQGT AX, CX
-	MOVQ    $4, AX
-	SUBQ    CX, AX
-	VMOVUPD (R12)(AX*8), Y14
-	VMOVUPD Y14, 192(SP)      // block 6's live lanes
-	MOVQ    DX, CX
-	SUBQ    $28, CX
-	XORQ    AX, AX
-	CMPQ    CX, AX
-	CMOVQLT AX, CX
-	MOVQ    $4, AX
-	CMPQ    CX, AX
-	CMOVQGT AX, CX
-	MOVQ    $4, AX
-	SUBQ    CX, AX
-	VMOVUPD (R12)(AX*8), Y14
-	VMOVUPD Y14, 224(SP)      // block 7's live lanes
-	MOVQ         mul+40(FP), AX
-	VMOVQ        AX, X13
-	VPBROADCASTQ X13, Y13
-	MOVQ         sites+32(FP), SI
-	MOVQ         y0+24(FP), AX
-	VMOVUPD    0(SP), Y14
-	VPMASKMOVQ 0(SI), Y14, Y9
-	VPMULUDQ   Y13, Y9, Y9
-	VXORPD     Y0, Y0, Y0
-	VMOVUPD    0(SP), Y14
-	VGATHERQPD Y14, (AX)(Y9*8), Y0
-	CMPQ       DI, $2
-	JLT        yrinit
-	VMOVUPD    32(SP), Y14
-	VPMASKMOVQ 32(SI), Y14, Y9
-	VPMULUDQ   Y13, Y9, Y9
-	VXORPD     Y1, Y1, Y1
-	VMOVUPD    32(SP), Y14
-	VGATHERQPD Y14, (AX)(Y9*8), Y1
-	CMPQ       DI, $3
-	JLT        yrinit
-	VMOVUPD    64(SP), Y14
-	VPMASKMOVQ 64(SI), Y14, Y9
-	VPMULUDQ   Y13, Y9, Y9
-	VXORPD     Y2, Y2, Y2
-	VMOVUPD    64(SP), Y14
-	VGATHERQPD Y14, (AX)(Y9*8), Y2
-	CMPQ       DI, $4
-	JLT        yrinit
-	VMOVUPD    96(SP), Y14
-	VPMASKMOVQ 96(SI), Y14, Y9
-	VPMULUDQ   Y13, Y9, Y9
-	VXORPD     Y3, Y3, Y3
-	VMOVUPD    96(SP), Y14
-	VGATHERQPD Y14, (AX)(Y9*8), Y3
-	CMPQ       DI, $5
-	JLT        yrinit
-	VMOVUPD    128(SP), Y14
-	VPMASKMOVQ 128(SI), Y14, Y9
-	VPMULUDQ   Y13, Y9, Y9
-	VXORPD     Y4, Y4, Y4
-	VMOVUPD    128(SP), Y14
-	VGATHERQPD Y14, (AX)(Y9*8), Y4
-	CMPQ       DI, $6
-	JLT        yrinit
-	VMOVUPD    160(SP), Y14
-	VPMASKMOVQ 160(SI), Y14, Y9
-	VPMULUDQ   Y13, Y9, Y9
-	VXORPD     Y5, Y5, Y5
-	VMOVUPD    160(SP), Y14
-	VGATHERQPD Y14, (AX)(Y9*8), Y5
-	CMPQ       DI, $7
-	JLT        yrinit
-	VMOVUPD    192(SP), Y14
-	VPMASKMOVQ 192(SI), Y14, Y9
-	VPMULUDQ   Y13, Y9, Y9
-	VXORPD     Y6, Y6, Y6
-	VMOVUPD    192(SP), Y14
-	VGATHERQPD Y14, (AX)(Y9*8), Y6
-	CMPQ       DI, $8
-	JLT        yrinit
-	VMOVUPD    224(SP), Y14
-	VPMASKMOVQ 224(SI), Y14, Y9
-	VPMULUDQ   Y13, Y9, Y9
-	VXORPD     Y7, Y7, Y7
-	VMOVUPD    224(SP), Y14
-	VGATHERQPD Y14, (AX)(Y9*8), Y7
-
-yrinit:
-	VXORPD Y12, Y12, Y12
-	MOVQ   c+8(FP), R8       // C's column t'
-	MOVQ   ldc+16(FP), R9
-	SHLQ   $3, R9
-	MOVQ   scale+48(FP), R10
-	XORQ   BX, BX            // t'
-
-yrsec0:
-	XORQ CX, CX              // t' mod 4
-	LEAQ permLane<>(SB), R11
-	LEAQ gtMask<>+24(SB), R13
-
-yrstep0:
-	CMPQ         BX, DX
-	JGE          yrfinish
-	VMOVDQU      (R11), Y13
-	VPERMPS      Y0, Y13, Y8
-	VBROADCASTSD (R10)(BX*8), Y9
-	VMULPD       Y9, Y8, Y8
-	VMOVUPD      0(SP), Y14
-	VANDPD       (R13), Y14, Y14
-	YRBLK(0, Y0)
-	CMPQ         DI, $2
-	JLT          yrnext0
-	VMOVUPD      32(SP), Y14
-	YRBLK(32, Y1)
-	CMPQ         DI, $3
-	JLT          yrnext0
-	VMOVUPD      64(SP), Y14
-	YRBLK(64, Y2)
-	CMPQ         DI, $4
-	JLT          yrnext0
-	VMOVUPD      96(SP), Y14
-	YRBLK(96, Y3)
-	CMPQ         DI, $5
-	JLT          yrnext0
-	VMOVUPD      128(SP), Y14
-	YRBLK(128, Y4)
-	CMPQ         DI, $6
-	JLT          yrnext0
-	VMOVUPD      160(SP), Y14
-	YRBLK(160, Y5)
-	CMPQ         DI, $7
-	JLT          yrnext0
-	VMOVUPD      192(SP), Y14
-	YRBLK(192, Y6)
-	CMPQ         DI, $8
-	JLT          yrnext0
-	VMOVUPD      224(SP), Y14
-	YRBLK(224, Y7)
-
-yrnext0:
-	INCQ BX
-	ADDQ R9, R8
-	ADDQ $32, R11
-	SUBQ $8, R13
-	INCQ CX
-	CMPQ CX, $4
-	JLT  yrstep0
-
-yrsec1:
-	XORQ CX, CX              // t' mod 4
-	LEAQ permLane<>(SB), R11
-	LEAQ gtMask<>+24(SB), R13
-
-yrstep1:
-	CMPQ         BX, DX
-	JGE          yrfinish
-	VMOVDQU      (R11), Y13
-	VPERMPS      Y1, Y13, Y8
-	VBROADCASTSD (R10)(BX*8), Y9
-	VMULPD       Y9, Y8, Y8
-	VMOVUPD      32(SP), Y14
-	VANDPD       (R13), Y14, Y14
-	YRBLK(32, Y1)
-	CMPQ         DI, $3
-	JLT          yrnext1
-	VMOVUPD      64(SP), Y14
-	YRBLK(64, Y2)
-	CMPQ         DI, $4
-	JLT          yrnext1
-	VMOVUPD      96(SP), Y14
-	YRBLK(96, Y3)
-	CMPQ         DI, $5
-	JLT          yrnext1
-	VMOVUPD      128(SP), Y14
-	YRBLK(128, Y4)
-	CMPQ         DI, $6
-	JLT          yrnext1
-	VMOVUPD      160(SP), Y14
-	YRBLK(160, Y5)
-	CMPQ         DI, $7
-	JLT          yrnext1
-	VMOVUPD      192(SP), Y14
-	YRBLK(192, Y6)
-	CMPQ         DI, $8
-	JLT          yrnext1
-	VMOVUPD      224(SP), Y14
-	YRBLK(224, Y7)
-
-yrnext1:
-	INCQ BX
-	ADDQ R9, R8
-	ADDQ $32, R11
-	SUBQ $8, R13
-	INCQ CX
-	CMPQ CX, $4
-	JLT  yrstep1
-
-yrsec2:
-	XORQ CX, CX              // t' mod 4
-	LEAQ permLane<>(SB), R11
-	LEAQ gtMask<>+24(SB), R13
-
-yrstep2:
-	CMPQ         BX, DX
-	JGE          yrfinish
-	VMOVDQU      (R11), Y13
-	VPERMPS      Y2, Y13, Y8
-	VBROADCASTSD (R10)(BX*8), Y9
-	VMULPD       Y9, Y8, Y8
-	VMOVUPD      64(SP), Y14
-	VANDPD       (R13), Y14, Y14
-	YRBLK(64, Y2)
-	CMPQ         DI, $4
-	JLT          yrnext2
-	VMOVUPD      96(SP), Y14
-	YRBLK(96, Y3)
-	CMPQ         DI, $5
-	JLT          yrnext2
-	VMOVUPD      128(SP), Y14
-	YRBLK(128, Y4)
-	CMPQ         DI, $6
-	JLT          yrnext2
-	VMOVUPD      160(SP), Y14
-	YRBLK(160, Y5)
-	CMPQ         DI, $7
-	JLT          yrnext2
-	VMOVUPD      192(SP), Y14
-	YRBLK(192, Y6)
-	CMPQ         DI, $8
-	JLT          yrnext2
-	VMOVUPD      224(SP), Y14
-	YRBLK(224, Y7)
-
-yrnext2:
-	INCQ BX
-	ADDQ R9, R8
-	ADDQ $32, R11
-	SUBQ $8, R13
-	INCQ CX
-	CMPQ CX, $4
-	JLT  yrstep2
-
-yrsec3:
-	XORQ CX, CX              // t' mod 4
-	LEAQ permLane<>(SB), R11
-	LEAQ gtMask<>+24(SB), R13
-
-yrstep3:
-	CMPQ         BX, DX
-	JGE          yrfinish
-	VMOVDQU      (R11), Y13
-	VPERMPS      Y3, Y13, Y8
-	VBROADCASTSD (R10)(BX*8), Y9
-	VMULPD       Y9, Y8, Y8
-	VMOVUPD      96(SP), Y14
-	VANDPD       (R13), Y14, Y14
-	YRBLK(96, Y3)
-	CMPQ         DI, $5
-	JLT          yrnext3
-	VMOVUPD      128(SP), Y14
-	YRBLK(128, Y4)
-	CMPQ         DI, $6
-	JLT          yrnext3
-	VMOVUPD      160(SP), Y14
-	YRBLK(160, Y5)
-	CMPQ         DI, $7
-	JLT          yrnext3
-	VMOVUPD      192(SP), Y14
-	YRBLK(192, Y6)
-	CMPQ         DI, $8
-	JLT          yrnext3
-	VMOVUPD      224(SP), Y14
-	YRBLK(224, Y7)
-
-yrnext3:
-	INCQ BX
-	ADDQ R9, R8
-	ADDQ $32, R11
-	SUBQ $8, R13
-	INCQ CX
-	CMPQ CX, $4
-	JLT  yrstep3
-
-yrsec4:
-	XORQ CX, CX              // t' mod 4
-	LEAQ permLane<>(SB), R11
-	LEAQ gtMask<>+24(SB), R13
-
-yrstep4:
-	CMPQ         BX, DX
-	JGE          yrfinish
-	VMOVDQU      (R11), Y13
-	VPERMPS      Y4, Y13, Y8
-	VBROADCASTSD (R10)(BX*8), Y9
-	VMULPD       Y9, Y8, Y8
-	VMOVUPD      128(SP), Y14
-	VANDPD       (R13), Y14, Y14
-	YRBLK(128, Y4)
-	CMPQ         DI, $6
-	JLT          yrnext4
-	VMOVUPD      160(SP), Y14
-	YRBLK(160, Y5)
-	CMPQ         DI, $7
-	JLT          yrnext4
-	VMOVUPD      192(SP), Y14
-	YRBLK(192, Y6)
-	CMPQ         DI, $8
-	JLT          yrnext4
-	VMOVUPD      224(SP), Y14
-	YRBLK(224, Y7)
-
-yrnext4:
-	INCQ BX
-	ADDQ R9, R8
-	ADDQ $32, R11
-	SUBQ $8, R13
-	INCQ CX
-	CMPQ CX, $4
-	JLT  yrstep4
-
-yrsec5:
-	XORQ CX, CX              // t' mod 4
-	LEAQ permLane<>(SB), R11
-	LEAQ gtMask<>+24(SB), R13
-
-yrstep5:
-	CMPQ         BX, DX
-	JGE          yrfinish
-	VMOVDQU      (R11), Y13
-	VPERMPS      Y5, Y13, Y8
-	VBROADCASTSD (R10)(BX*8), Y9
-	VMULPD       Y9, Y8, Y8
-	VMOVUPD      160(SP), Y14
-	VANDPD       (R13), Y14, Y14
-	YRBLK(160, Y5)
-	CMPQ         DI, $7
-	JLT          yrnext5
-	VMOVUPD      192(SP), Y14
-	YRBLK(192, Y6)
-	CMPQ         DI, $8
-	JLT          yrnext5
-	VMOVUPD      224(SP), Y14
-	YRBLK(224, Y7)
-
-yrnext5:
-	INCQ BX
-	ADDQ R9, R8
-	ADDQ $32, R11
-	SUBQ $8, R13
-	INCQ CX
-	CMPQ CX, $4
-	JLT  yrstep5
-
-yrsec6:
-	XORQ CX, CX              // t' mod 4
-	LEAQ permLane<>(SB), R11
-	LEAQ gtMask<>+24(SB), R13
-
-yrstep6:
-	CMPQ         BX, DX
-	JGE          yrfinish
-	VMOVDQU      (R11), Y13
-	VPERMPS      Y6, Y13, Y8
-	VBROADCASTSD (R10)(BX*8), Y9
-	VMULPD       Y9, Y8, Y8
-	VMOVUPD      192(SP), Y14
-	VANDPD       (R13), Y14, Y14
-	YRBLK(192, Y6)
-	CMPQ         DI, $8
-	JLT          yrnext6
-	VMOVUPD      224(SP), Y14
-	YRBLK(224, Y7)
-
-yrnext6:
-	INCQ BX
-	ADDQ R9, R8
-	ADDQ $32, R11
-	SUBQ $8, R13
-	INCQ CX
-	CMPQ CX, $4
-	JLT  yrstep6
-
-yrsec7:
-	XORQ CX, CX              // t' mod 4
-	LEAQ permLane<>(SB), R11
-	LEAQ gtMask<>+24(SB), R13
-
-yrstep7:
-	CMPQ         BX, DX
-	JGE          yrfinish
-	VMOVDQU      (R11), Y13
-	VPERMPS      Y7, Y13, Y8
-	VBROADCASTSD (R10)(BX*8), Y9
-	VMULPD       Y9, Y8, Y8
-	VMOVUPD      224(SP), Y14
-	VANDPD       (R13), Y14, Y14
-	YRBLK(224, Y7)
-
-yrnext7:
-	INCQ BX
-	ADDQ R9, R8
-	ADDQ $32, R11
-	SUBQ $8, R13
-	INCQ CX
-	CMPQ CX, $4
-	JLT  yrstep7
-
-yrfinish:
-	VMOVUPD Y0, 256(SP)
-	VMOVUPD Y1, 288(SP)
-	VMOVUPD Y2, 320(SP)
-	VMOVUPD Y3, 352(SP)
-	VMOVUPD Y4, 384(SP)
-	VMOVUPD Y5, 416(SP)
-	VMOVUPD Y6, 448(SP)
-	VMOVUPD Y7, 480(SP)
-	MOVQ x+56(FP), AX
-	MOVQ incx+64(FP), CX
-	SHLQ $3, CX
-	XORQ BX, BX
-
-yrstore:
-	VMOVSD 256(SP)(BX*8), X0
-	VMULSD (R10)(BX*8), X0, X0
-	VMOVSD X0, (AX)
-	ADDQ   CX, AX
-	INCQ   BX
-	CMPQ   BX, DX
-	JLT    yrstore
-	VZEROUPPER
-	RET
-
-// func delayFillAVX2(n, m, hi int64, gm *float64, ldg int64, sites *int, scale, c *float64, ldc int64, a *float64, lda int64, row int64)
-//
-// delayFillAVX512's single-column path at half the width, for n >= 32:
-// tiles of 32 rows in Y0-Y7, one broadcast coefficient and eight FMAs per
-// earlier column whose coefficient is not ±0, the scaling, a store under
-// the column's row mask (R13, one bit a row; rowMask4 turns each four bits
-// into a ymm mask) and the unit term. The last tile starts at n-32 and its
-// floor (8(SP)) masks out the rows the tile before stored.
-TEXT ·delayFillAVX2(SB), NOSPLIT, $16-96
-	MOVQ lda+80(FP), R9
-	SHLQ $3, R9
-	MOVQ ldc+64(FP), R10
-	SHLQ $3, R10
-	XORQ R8, R8
-	MOVQ $0xffffffff, AX
-	MOVQ AX, 8(SP)
-
-yftile:
-	VMOVDQU      iota<>(SB), Y10
-	VMOVQ        R8, X11
-	VPBROADCASTQ X11, Y11
-	VPADDQ       Y11, Y10, Y10
-	MOVQ         ldg+32(FP), AX
-	VMOVQ        AX, X11
-	VPBROADCASTQ X11, Y11
-	VPMULUDQ     Y11, Y10, Y10   // (r0+lane)*ldg
-	SHLQ         $2, AX
-	VMOVQ        AX, X11
-	VPBROADCASTQ X11, Y11        // 4*ldg
-	XORQ         BX, BX
-	MOVQ         sites+40(FP), DX
-
-yfcol:
-	CMPQ BX, m+8(FP)
-	JGE  yfnexttile
-	MOVQ (DX)(BX*8), SI
-	// R13 = rows up to s_t or from max(hi, s_t+1) on, within the floor.
-	MOVQ    SI, CX
-	SUBQ    R8, CX
-	INCQ    CX
-	XORQ    AX, AX
-	CMPQ    CX, AX
-	CMOVQLT AX, CX
-	MOVQ    $32, AX
-	CMPQ    CX, AX
-	CMOVQGT AX, CX
-	MOVQ    $1, R13
-	SHLQ    CX, R13
-	DECQ    R13
-	MOVQ    hi+16(FP), CX
-	LEAQ    1(SI), AX
-	CMPQ    CX, AX
-	CMOVQLT AX, CX
-	SUBQ    R8, CX
-	XORQ    AX, AX
-	CMPQ    CX, AX
-	CMOVQLT AX, CX
-	MOVQ    $32, AX
-	CMPQ    CX, AX
-	CMOVQGT AX, CX
-	MOVQ    $-1, AX
-	SHLQ    CX, AX
-	ORQ     AX, R13
-	ANDQ    8(SP), R13
-	MOVQ    R13, 0(SP)
-	TESTQ   R13, R13
-	JEQ     yfskip
-
-	MOVQ  gm+24(FP), AX
-	MOVQ  row+88(FP), CX
-	TESTQ CX, CX
-	JNE   yfrow
-	MOVQ  ldg+32(FP), CX
-	IMULQ SI, CX
-	ADDQ  R8, CX
-	LEAQ  (AX)(CX*8), AX
-	VMOVUPD 0(AX), Y0
-	VMOVUPD 32(AX), Y1
-	VMOVUPD 64(AX), Y2
-	VMOVUPD 96(AX), Y3
-	VMOVUPD 128(AX), Y4
-	VMOVUPD 160(AX), Y5
-	VMOVUPD 192(AX), Y6
-	VMOVUPD 224(AX), Y7
-	JMP   yfchain
-
-yfrow:
-	LEAQ    (AX)(SI*8), AX
-	VMOVDQA Y10, Y12
-	VPCMPEQQ   Y13, Y13, Y13
-	VGATHERQPD Y13, (AX)(Y12*8), Y0
-	VPADDQ     Y11, Y12, Y12
-	VPCMPEQQ   Y13, Y13, Y13
-	VGATHERQPD Y13, (AX)(Y12*8), Y1
-	VPADDQ     Y11, Y12, Y12
-	VPCMPEQQ   Y13, Y13, Y13
-	VGATHERQPD Y13, (AX)(Y12*8), Y2
-	VPADDQ     Y11, Y12, Y12
-	VPCMPEQQ   Y13, Y13, Y13
-	VGATHERQPD Y13, (AX)(Y12*8), Y3
-	VPADDQ     Y11, Y12, Y12
-	VPCMPEQQ   Y13, Y13, Y13
-	VGATHERQPD Y13, (AX)(Y12*8), Y4
-	VPADDQ     Y11, Y12, Y12
-	VPCMPEQQ   Y13, Y13, Y13
-	VGATHERQPD Y13, (AX)(Y12*8), Y5
-	VPADDQ     Y11, Y12, Y12
-	VPCMPEQQ   Y13, Y13, Y13
-	VGATHERQPD Y13, (AX)(Y12*8), Y6
-	VPADDQ     Y11, Y12, Y12
-	VPCMPEQQ   Y13, Y13, Y13
-	VGATHERQPD Y13, (AX)(Y12*8), Y7
-
-yfchain:
-	MOVQ  c+56(FP), DI
-	LEAQ  (DI)(BX*8), DI
-	MOVQ  a+72(FP), R11
-	LEAQ  (R11)(R8*8), R11
-	MOVQ  BX, R12
-	TESTQ R12, R12
-	JEQ   yfscale
-
-	PCALIGN $64
-yfloop:
-	MOVQ         (DI), AX
-	SHLQ         $1, AX
-	JEQ          yfzero
-	VBROADCASTSD (DI), Y8
-	VFMADD231PD  0(R11), Y8, Y0
-	VFMADD231PD  32(R11), Y8, Y1
-	VFMADD231PD  64(R11), Y8, Y2
-	VFMADD231PD  96(R11), Y8, Y3
-	VFMADD231PD  128(R11), Y8, Y4
-	VFMADD231PD  160(R11), Y8, Y5
-	VFMADD231PD  192(R11), Y8, Y6
-	VFMADD231PD  224(R11), Y8, Y7
-
-yfzero:
-	ADDQ R10, DI
-	ADDQ R9, R11
-	DECQ R12
-	JNE  yfloop
-
-yfscale:
-	MOVQ         scale+48(FP), AX
-	VBROADCASTSD (AX)(BX*8), Y9
-	VMULPD       Y9, Y0, Y0
-	VMULPD       Y9, Y1, Y1
-	VMULPD       Y9, Y2, Y2
-	VMULPD       Y9, Y3, Y3
-	VMULPD       Y9, Y4, Y4
-	VMULPD       Y9, Y5, Y5
-	VMULPD       Y9, Y6, Y6
-	VMULPD       Y9, Y7, Y7
-	MOVQ $0xffffffff, AX
-	CMPQ R13, AX
-	JNE  yfpartial
-	VMOVUPD Y0, 0(R11)
-	VMOVUPD Y1, 32(R11)
-	VMOVUPD Y2, 64(R11)
-	VMOVUPD Y3, 96(R11)
-	VMOVUPD Y4, 128(R11)
-	VMOVUPD Y5, 160(R11)
-	VMOVUPD Y6, 192(R11)
-	VMOVUPD Y7, 224(R11)
-	JMP  yfunit
-
-yfpartial:
-	LEAQ rowMask4<>(SB), R12
-	MOVQ       R13, CX
-	SHRQ       $0, CX
-	ANDQ       $15, CX
-	SHLQ       $5, CX
-	VMOVDQU    (R12)(CX*1), Y13
-	VMASKMOVPD Y0, Y13, 0(R11)
-	MOVQ       R13, CX
-	SHRQ       $4, CX
-	ANDQ       $15, CX
-	SHLQ       $5, CX
-	VMOVDQU    (R12)(CX*1), Y13
-	VMASKMOVPD Y1, Y13, 32(R11)
-	MOVQ       R13, CX
-	SHRQ       $8, CX
-	ANDQ       $15, CX
-	SHLQ       $5, CX
-	VMOVDQU    (R12)(CX*1), Y13
-	VMASKMOVPD Y2, Y13, 64(R11)
-	MOVQ       R13, CX
-	SHRQ       $12, CX
-	ANDQ       $15, CX
-	SHLQ       $5, CX
-	VMOVDQU    (R12)(CX*1), Y13
-	VMASKMOVPD Y3, Y13, 96(R11)
-	MOVQ       R13, CX
-	SHRQ       $16, CX
-	ANDQ       $15, CX
-	SHLQ       $5, CX
-	VMOVDQU    (R12)(CX*1), Y13
-	VMASKMOVPD Y4, Y13, 128(R11)
-	MOVQ       R13, CX
-	SHRQ       $20, CX
-	ANDQ       $15, CX
-	SHLQ       $5, CX
-	VMOVDQU    (R12)(CX*1), Y13
-	VMASKMOVPD Y5, Y13, 160(R11)
-	MOVQ       R13, CX
-	SHRQ       $24, CX
-	ANDQ       $15, CX
-	SHLQ       $5, CX
-	VMOVDQU    (R12)(CX*1), Y13
-	VMASKMOVPD Y6, Y13, 192(R11)
-	MOVQ       R13, CX
-	SHRQ       $28, CX
-	ANDQ       $15, CX
-	SHLQ       $5, CX
-	VMOVDQU    (R12)(CX*1), Y13
-	VMASKMOVPD Y7, Y13, 224(R11)
-
-yfunit:
-	MOVQ    row+88(FP), CX
-	TESTQ   CX, CX
-	JEQ     yfskip
-	MOVQ    SI, CX
-	SUBQ    R8, CX
-	CMPQ    CX, $32
-	JAE     yfskip
-	BTQ     CX, R13
-	JCC     yfskip
-	MOVQ    $0x3ff0000000000000, AX
-	VMOVQ   AX, X14
-	VMOVSD  (R11)(CX*8), X15
-	VADDSD  X14, X15, X15
-	VMOVSD  X15, (R11)(CX*8)
-
-yfskip:
-	INCQ BX
-	JMP  yfcol
-
-yfnexttile:
-	MOVQ n+0(FP), AX
-	LEAQ 32(R8), CX
-	CMPQ CX, AX
-	JGE  yfdone
-	MOVQ $0xffffffff, DI
-	LEAQ 32(CX), R11
-	CMPQ R11, AX
-	JLE  yfplain
-	LEAQ -32(AX), R8
-	SUBQ R8, CX
-	SHLQ CX, DI
-	MOVQ $0xffffffff, AX
-	ANDQ AX, DI
-	MOVQ DI, 8(SP)
-	JMP  yftile
-
-yfplain:
-	MOVQ CX, R8
-	MOVQ DI, 8(SP)
-	JMP  yftile
-
-yfdone:
-	VZEROUPPER
-	RET

@@ -19,8 +19,9 @@ package blas
 // of the two runs (TestGemmBitwiseAcrossKernels); only nr, the packed B
 // panel width, differs. The Kronecker-factor stage (kron) follows the same choice:
 // kronAVX512 beside the 8x8 kernel, kronAVX2 beside the 8x4, kronGo
-// beside the Go one; so do the delayed update's site rows (delayRows) and
-// fill (delayFill).
+// beside the Go one. The delayed update's site rows (delayRows) and fill
+// (delayFill) have an AVX-512 body beside the 8x8 kernel and run their Go
+// bodies, built from axpyCols, beside the others.
 
 //go:noescape
 func dgemm8x4asm(kc int64, a, b, c *float64, ldc, mode, iw, jw int64, r, s *float64)
@@ -39,12 +40,6 @@ func delayRowsAVX512(m, r int64, sa, sb *DelaySector, ldg, ldu int64, ga, ua, wa
 
 //go:noescape
 func delayFillAVX512(n, m, hi int64, gm *float64, ldg int64, sites *int, scale, c *float64, ldc int64, a *float64, lda int64, row int64)
-
-//go:noescape
-func delayRowAVX2(m int64, c *float64, ldc int64, y0 *float64, sites *int, mul int64, scale, x *float64, incx int64)
-
-//go:noescape
-func delayFillAVX2(n, m, hi int64, gm *float64, ldg int64, sites *int, scale, c *float64, ldc int64, a *float64, lda int64, row int64)
 
 //go:noescape
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -248,41 +243,33 @@ func init() {
 	}
 }
 
+// DelayVectorized reports whether DelayRows and DelayFill run vector
+// kernels in this process: in the AVX-512 family (beside the 8x8 GEMM
+// micro-kernel). Elsewhere they run delayRowsCols and delayFillCols, the
+// same bits at the speed of the axpyCols calls they are built from, which
+// no measurement has shown to beat the eager push.
+func DelayVectorized() bool { return kernNR == 8 }
+
 // delayRows computes row r of two sectors' recorded columns (see
-// DelayRows) on the kernel of the micro-kernel's family: delayRowsAVX512,
-// all four rows at once, beside the 8x8 micro-kernel, delayRowAVX2, a row
-// at a time, beside the 8x4 one, and delayRowsCols elsewhere, so the bits
-// are those of the push the process runs. Record keeps the sites inside
-// the lattice, so only G, U and W's extents need checking here.
+// DelayRows): delayRowsAVX512, all four rows at once, beside the 8x8
+// micro-kernel, and delayRowsCols elsewhere, whose one-row axpyCols is the
+// family's own (axpyColsAVX2 beside the 8x4 kernel), so the bits are those
+// of the push the process runs. Record keeps the sites inside the lattice,
+// so only G, U and W's extents need checking here.
 func delayRows(m, r int, a, b *DelaySector) {
-	switch {
-	case kernMR != 8:
+	if !DelayVectorized() {
 		delayRowsCols(m, r, a)
 		if b != a {
 			delayRowsCols(m, r, b)
 		}
-	case kernNR == 8:
-		ga, gb := delayRowsExtents(m, r, a), delayRowsExtents(m, r, b)
-		delayRowsAVX512(int64(m), int64(r), a, b, int64(a.g.Stride), int64(a.u.Stride),
-			ga, &a.u.Data[0], &a.w.Data[0], gb, &b.u.Data[0], &b.w.Data[0])
-	default:
-		delayRowsSector(m, r, a)
-		if b != a {
-			delayRowsSector(m, r, b)
-		}
+		return
 	}
+	ga, gb := delayRowsExtents(m, r, a), delayRowsExtents(m, r, b)
+	delayRowsAVX512(int64(m), int64(r), a, b, int64(a.g.Stride), int64(a.u.Stride),
+		ga, &a.u.Data[0], &a.w.Data[0], gb, &b.u.Data[0], &b.w.Data[0])
 }
 
-// delayRowsSector is one sector's two rows on delayRowAVX2.
-func delayRowsSector(m, r int, d *DelaySector) {
-	ldg, ldu := d.g.Stride, int64(d.u.Stride)
-	delayRowsExtents(m, r, d)
-	delayRowAVX2(int64(m), &d.cwData[0], DelayRowsMax, &d.g.Data[r], &d.sites[0], int64(ldg), &d.su[0], &d.u.Data[r], ldu)
-	delayRowAVX2(int64(m), &d.cuData[0], DelayRowsMax, &d.g.Data[r*ldg], &d.sites[0], 1, &d.sw[0], &d.w.Data[r], ldu)
-	d.keepRow(m, r)
-}
-
-// delayRowsExtents checks the extents of G, U and W the row kernels touch
+// delayRowsExtents checks the extents of G, U and W the row kernel touches
 // in one sector and returns G's first element.
 func delayRowsExtents(m, r int, d *DelaySector) *float64 {
 	n, ldu := d.g.Rows, d.u.Stride
@@ -292,11 +279,9 @@ func delayRowsExtents(m, r int, d *DelaySector) *float64 {
 
 // delayFill fills the rows of one side DelayRows left out (see DelayFill):
 // delayFillAVX512 beside the 8x8 micro-kernel from 64 rows up (its tile),
-// delayFillAVX2 beside the 8x4 one from 32 rows up, delayFillCols
-// elsewhere.
+// delayFillCols elsewhere.
 func delayFill(n, m, hi int, g []float64, ldg int, sites []int, scale, c []float64, ldc int, a []float64, lda int, rowSide bool) {
-	avx512 := kernNR == 8 && n >= 64
-	if !avx512 && (kernMR != 8 || n < 32) {
+	if !DelayVectorized() || n < 64 {
 		delayFillCols(n, m, hi, g, ldg, sites, scale, c, ldc, a, lda, rowSide)
 		return
 	}
@@ -306,9 +291,5 @@ func delayFill(n, m, hi int, g []float64, ldg int, sites []int, scale, c []float
 	if rowSide {
 		row = 1
 	}
-	if avx512 {
-		delayFillAVX512(int64(n), int64(m), int64(hi), &g[0], int64(ldg), &sites[0], &scale[0], &c[0], int64(ldc), &a[0], int64(lda), row)
-		return
-	}
-	delayFillAVX2(int64(n), int64(m), int64(hi), &g[0], int64(ldg), &sites[0], &scale[0], &c[0], int64(ldc), &a[0], int64(lda), row)
+	delayFillAVX512(int64(n), int64(m), int64(hi), &g[0], int64(ldg), &sites[0], &scale[0], &c[0], int64(ldc), &a[0], int64(lda), row)
 }

@@ -38,6 +38,9 @@ func packCols(dst, src []float64, ld, kc, w, jw int, alpha float64) {
 	packColsGo(dst, src, ld, kc, w, jw, alpha)
 }
 
+// DelayVectorized is false in the portable build (see gemm_amd64.go).
+func DelayVectorized() bool { return false }
+
 func delayRows(m, r int, a, b *DelaySector) {
 	delayRowsCols(m, r, a)
 	if b != a {

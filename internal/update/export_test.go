@@ -37,6 +37,14 @@ func DenseKinetic(p *hubbard.Propagator) *hubbard.Propagator {
 	return &q
 }
 
+// OnDemandMinN is the lattice size from which the sectors build their
+// pending rank-1 pairs on demand, where the delay kernels are vectorized.
+const OnDemandMinN = onDemandMinN
+
+// OnDemand reports whether the sweeper builds its pending rank-1 pairs on
+// demand.
+func (sw *Sweeper) OnDemand() bool { return sw.up.od.sec != nil && sw.dn.od.sec != nil }
+
 // SetOnDemand moves the sweeper to either delayed-update path whatever its
 // N: site rows on demand and a fill at the flush (true) or the eager push
 // (false). Call it between sweeps; the on-demand path needs a delay block

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"questgo/internal/blas"
 	"questgo/internal/gpu"
 	"questgo/internal/obs"
 	"questgo/internal/rng"
@@ -81,6 +82,22 @@ func TestOnDemandMatchesEager(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOnDemandGate: a sweeper takes the on-demand path exactly from
+// OnDemandMinN sites up, with delay blocks blas.NewDelaySector holds, and
+// only where the blas delay kernels are vectorized; every other family
+// keeps the eager push.
+func TestOnDemandGate(t *testing.T) {
+	for _, c := range []struct{ nx, nd int }{{8, 8}, {10, 8}, {12, 16}, {12, blas.DelayRowsMax + 1}} {
+		p, f := model(t, c.nx, c.nx, 0, 4, 4)
+		sw := update.NewSweeperOn(p, f, rng.New(17), update.Options{ClusterK: 2, Delay: c.nd, PrePivot: true}, update.NewHost)
+		want := c.nx*c.nx >= update.OnDemandMinN && c.nd <= blas.DelayRowsMax && blas.DelayVectorized()
+		if got := sw.OnDemand(); got != want {
+			t.Errorf("%dx%d, delay %d, vectorized %v: on demand %v, want %v", c.nx, c.nx, c.nd, blas.DelayVectorized(), got, want)
+		}
+		sw.Join()
 	}
 }
 

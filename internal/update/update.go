@@ -45,7 +45,8 @@
 //     onDemandMinN sites an accepted flip builds each side of its rank-1
 //     pair with one blas.AxpyCols: G's column or row, the pending updates
 //     and the scaling in one register-blocked pass, bitwise the per-column
-//     blas.Axpy calls it replaced. From onDemandMinN up the loop builds only
+//     blas.Axpy calls it replaced. From onDemandMinN up, where the blas
+//     delay kernels are vectorized (the AVX-512 family), the loop builds only
 //     what it reads, the row of the site it visits (blas.DelayRows, O(m²)
 //     for both sectors at once), an accepted flip records its site and
 //     its rows of U and W, and the flush fills the rest of both
@@ -478,7 +479,7 @@ func (sw *Sweeper) newSpin(mk NewBackend, sigma hubbard.Spin) *spinState {
 	o := sw.opts
 	n := sw.Prop.Model.N()
 	s := &spinState{g: mat.New(n, n), u: mat.New(n, o.Delay), w: mat.New(n, o.Delay)}
-	if n >= onDemandMinN && o.Delay <= blas.DelayRowsMax {
+	if n >= onDemandMinN && o.Delay <= blas.DelayRowsMax && blas.DelayVectorized() {
 		s.od.sec = blas.NewDelaySector(s.g, s.u, s.w)
 	}
 	cstart := o.Obs.Begin()
@@ -543,7 +544,10 @@ const stepForkMinN = 36
 // on-demand rows win at 100 and clearly at 144, so the gate is the
 // smallest size measured to win. Below it the per-site rows, the fill's
 // fixed cost per block and the recording cost more than the N-length
-// pushes they replace.
+// pushes they replace. Those runs used the AVX-512 kernels, so the gate
+// also needs blas.DelayVectorized: in the other families the kernels are
+// the axpyCols-built Go bodies, and a scratch run of such scalar rows with
+// an AxpyCols fill was 10% slower at 12x12 than the eager push.
 const onDemandMinN = 100
 
 // offCore reports whether the sweep's off-path work — the stacks' roll and
@@ -880,11 +884,11 @@ func (sw *Sweeper) proposeFlip(s, i int) {
 	// per side, about 4*N*(m+1) flops: 0.03-0.08 us at N = 16 and
 	// 0.06-0.23 us at N = 36 from m = 0 to a full block (operands in cache,
 	// 2-CPU AVX-512 Xeon), against a pool hand-off's 0.6 us round trip, so
-	// the two run back to back. From onDemandMinN up the push records the
-	// flip (2m copies a sector) and the site rows above cost 0.1-0.5 us
-	// at N = 144 from m = 8 to a full block, for both sectors, at every
-	// visited site; the eager push there took 0.11-1.1 us a sector per
-	// accepted flip.
+	// the two run back to back. From onDemandMinN up, on AVX-512, the push
+	// records the flip (2m copies a sector) and the site rows above cost
+	// 0.1-0.5 us at N = 144 from m = 8 to a full block, for both sectors,
+	// at every visited site; the eager push there took 0.11-1.1 us a
+	// sector per accepted flip.
 	sw.accepted++
 	if r < 0 {
 		sw.sign = -sw.sign
