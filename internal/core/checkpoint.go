@@ -36,8 +36,6 @@ type Checkpoint struct {
 // Checkpoint snapshots the current chain state. Call it between sweeps
 // (e.g. from a WithProgress callback after the sweep completes).
 func (s *Simulation) Checkpoint() *Checkpoint {
-	// Nothing of the chain's own is left in flight across the snapshot.
-	s.sweeper.Join()
 	c := &Checkpoint{
 		Config:   s.cfg,
 		FieldH:   make([][]float64, len(s.field.H)),

@@ -35,7 +35,6 @@ func (s *Simulation) SampleSusceptibility(samples, every int) (*ChiResult, error
 		start := s.col.Begin()
 		chi, err := measure.MeasureSusceptibility(s.lat, s.prop, s.field, every, s.sweeper.ClusterK())
 		if err != nil {
-			s.sweeper.Join()
 			return nil, &ErrUnstable{Sweep: s.cfg.WarmSweeps + s.cfg.MeasSweeps + i + 1, Drift: s.sweeper.MaxWrapDrift(), Sign: s.sweeper.Sign(),
 				Reason: fmt.Sprintf("singular displaced Green's function: %v", err)}
 		}
@@ -45,7 +44,6 @@ func (s *Simulation) SampleSusceptibility(samples, every int) (*ChiResult, error
 		signs = append(signs, sg)
 		s.col.End(obs.PhaseMeasure, start)
 	}
-	s.sweeper.Join()
 	res := &ChiResult{Samples: samples}
 	res.AF, res.AFErr = signedAverage(af, signs)
 	res.Uniform, res.UniformErr = signedAverage(uni, signs)

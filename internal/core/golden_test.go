@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -55,9 +57,11 @@ func goldenDoc(t *testing.T, r *Results) []byte {
 //     check every 4 boundaries (forked slice steps), autopilot off and on,
 //     on the host and on two devices with graphs.
 //
-// GOLDEN_REGEN=1 rewrites the files of the running build's family instead;
-// a change that should move bits regenerates once per family (with and
-// without -tags purego) and says which fields moved and why.
+// GOLDEN_REGEN=1 rewrites the files of the running build's family instead,
+// and logs (go test -v) for each document every field that moved from the
+// file it replaces (regenReport); a change that should move bits
+// regenerates once per family (with and without -tags purego) and says
+// which fields moved and why.
 func TestResultsGolden(t *testing.T) {
 	dir := filepath.Join("testdata", "golden", goldenFamily())
 	regen := os.Getenv("GOLDEN_REGEN") != ""
@@ -106,6 +110,9 @@ func TestResultsGolden(t *testing.T) {
 		got := goldenDoc(t, res)
 		path := filepath.Join(dir, e.name+".json")
 		if regen {
+			if old, err := os.ReadFile(path); err == nil {
+				t.Logf("%s/%s.json:\n%s", goldenFamily(), e.name, regenReport(string(got), string(old)))
+			}
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -128,10 +135,93 @@ func TestResultsGolden(t *testing.T) {
 // position (the documents share one key order), each under the key path
 // that holds it, up to a screenful.
 func lineDiff(got, want string) string {
-	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
 	var out strings.Builder
-	var path []string // the keys open above the current line
 	n := 0
+	movedLines(got, want, func(path string, i int, a, b string) bool {
+		if n++; n > 20 {
+			out.WriteString("...\n")
+			return false
+		}
+		fmt.Fprintf(&out, "%s (line %d):\n got %s\nwant %s\n", path, i+1, strings.TrimSpace(a), strings.TrimSpace(b))
+		return true
+	})
+	return out.String()
+}
+
+// regenReport lists every field of a regenerated document got that moved
+// from the file want it replaces: its old and new value and, for numbers,
+// the relative change. It ends with the largest relative change of a
+// floating-point field and whether any integer or decision field moved (a
+// count, a flag, a reason: anything written without a fraction or an
+// exponent on both sides), which rounding alone never moves.
+func regenReport(got, want string) string {
+	var out strings.Builder
+	var exact []string
+	floats, maxRel := 0, 0.0
+	movedLines(got, want, func(path string, i int, a, b string) bool {
+		a, b = fieldValue(a), fieldValue(b)
+		fmt.Fprintf(&out, "  %s (line %d): %s -> %s", path, i+1, b, a)
+		rel := math.NaN()
+		x, errX := strconv.ParseFloat(b, 64)
+		y, errY := strconv.ParseFloat(a, 64)
+		if errX == nil && errY == nil && x != 0 {
+			rel = (y - x) / math.Abs(x)
+			fmt.Fprintf(&out, " (%+.3g relative)", rel)
+		}
+		out.WriteString("\n")
+		if isFloatLiteral(a) || isFloatLiteral(b) {
+			floats++
+			if !math.IsNaN(rel) {
+				maxRel = max(maxRel, math.Abs(rel))
+			}
+		} else {
+			exact = append(exact, path)
+		}
+		return true
+	})
+	if floats+len(exact) == 0 {
+		return "  no field moved\n"
+	}
+	if g, w := strings.Count(got, "\n"), strings.Count(want, "\n"); g != w {
+		fmt.Fprintf(&out, "  %d lines -> %d: past the first inserted or removed line the fields above are compared out of place\n", w, g)
+	}
+	fmt.Fprintf(&out, "  %d fields moved; ", floats+len(exact))
+	if floats > 0 {
+		fmt.Fprintf(&out, "largest relative change of a floating-point field %.3g\n", maxRel)
+	} else {
+		out.WriteString("no floating-point field moved\n")
+	}
+	if len(exact) == 0 {
+		out.WriteString("  no integer or decision field moved\n")
+	} else {
+		fmt.Fprintf(&out, "  integer or decision fields moved: %s\n", strings.Join(exact, ", "))
+	}
+	return out.String()
+}
+
+// fieldValue is the value a document line holds, without its key and its
+// trailing comma.
+func fieldValue(line string) string {
+	line = strings.TrimSpace(line)
+	if k, v, ok := strings.Cut(line, `": `); ok && strings.HasPrefix(k, `"`) {
+		line = v
+	}
+	return strings.TrimSuffix(line, ",")
+}
+
+// isFloatLiteral reports whether a JSON value is a number written with a
+// fraction or an exponent.
+func isFloatLiteral(v string) bool {
+	_, err := strconv.ParseFloat(v, 64)
+	return err == nil && strings.ContainsAny(v, ".eE")
+}
+
+// movedLines calls f with each line position at which got and want differ
+// — the key path that holds want's line there, the line's index and the two
+// lines — until f returns false.
+func movedLines(got, want string, f func(path string, i int, a, b string) bool) {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	var path []string // the keys open above the current line
 	for i := 0; i < max(len(g), len(w)); i++ {
 		var a, b string
 		if i < len(g) {
@@ -145,14 +235,32 @@ func lineDiff(got, want string) string {
 		if k, _, ok := strings.Cut(line, `": `); ok && strings.HasPrefix(k, `"`) {
 			path = append(path, strings.Trim(k, `"`))
 		}
-		if a == b {
-			continue
+		if a != b && !f(strings.Join(path, "."), i, a, b) {
+			return
 		}
-		if n++; n > 20 {
-			out.WriteString("...\n")
-			break
-		}
-		fmt.Fprintf(&out, "%s (line %d):\n got %s\nwant %s\n", strings.Join(path, "."), i+1, strings.TrimSpace(a), strings.TrimSpace(b))
 	}
-	return out.String()
+}
+
+// TestRegenReport: the regeneration report names each moved field with its
+// old and new value, takes the largest relative change over the
+// floating-point fields only, and lists the integer and decision fields
+// that moved.
+func TestRegenReport(t *testing.T) {
+	want := "{\n  \"a\": 1.5,\n  \"m\": {\n    \"n\": 10,\n    \"why\": \"grow\"\n  },\n  \"same\": 2\n}\n"
+	got := "{\n  \"a\": 1.5000000003,\n  \"m\": {\n    \"n\": 9,\n    \"why\": \"shrink\"\n  },\n  \"same\": 2\n}\n"
+	r := regenReport(got, want)
+	for _, line := range []string{
+		"  a (line 2): 1.5 -> 1.5000000003 (+2e-10 relative)\n",
+		"  m.n (line 4): 10 -> 9 (-0.1 relative)\n",
+		"  m.why (line 5): \"grow\" -> \"shrink\"\n",
+		"  3 fields moved; largest relative change of a floating-point field 2e-10\n",
+		"  integer or decision fields moved: m.n, m.why\n",
+	} {
+		if !strings.Contains(r, line) {
+			t.Errorf("report lacks %q:\n%s", line, r)
+		}
+	}
+	if r := regenReport(want, want); r != "  no field moved\n" {
+		t.Errorf("unchanged document: %q", r)
+	}
 }

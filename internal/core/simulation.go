@@ -392,10 +392,6 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 	// count that core as idle: see parallel.Enter.
 	parallel.Enter()
 	defer parallel.Leave()
-	// Every return joins the stacks' roll the last sweep left running, so
-	// the process-global op counts it adds to are complete (the Results
-	// path joins before it reads them).
-	defer s.sweeper.Join()
 	for w := 0; w < s.cfg.WarmSweeps; w++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -518,7 +514,6 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 		s.report(cb, "measure", m+1, s.cfg.MeasSweeps)
 	}
 
-	s.sweeper.Join()
 	// The final statistics (jackknife errors, vector averages) belong to the
 	// measurement phase of the breakdown.
 	fstart := s.col.Begin()

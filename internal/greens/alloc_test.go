@@ -35,11 +35,12 @@ func TestSortByNormDescNoAllocs(t *testing.T) {
 	}
 }
 
-// TestUDTStepNoAllocs: one UDT step — extendUDT under either pivot policy —
-// and the Green's function evaluation from its factors run on pooled
-// storage alone at the sizes the jobs and the stratification-bound
-// workloads run: the QR header, tau, pivots, the LU and every work vector
-// come back from their pools, and no view or closure escapes.
+// TestUDTStepNoAllocs: one UDT step — extendUDT under either pivot policy
+// and over a transposed operand — and the Green's function evaluation from
+// its factors run on pooled storage alone at the sizes the jobs and the
+// stratification-bound workloads run: the QR header, tau, pivots, the LU
+// and every work vector come back from their pools, and no view or closure
+// escapes.
 // Race instrumentation allocates on its own, hence the build tag.
 func TestUDTStepNoAllocs(t *testing.T) {
 	for _, n := range []int{16, 36, 64} {
@@ -51,8 +52,9 @@ func TestUDTStepNoAllocs(t *testing.T) {
 			name string
 			run  func()
 		}{
-			{"extendUDT (pre-pivot)", func() { extendUDT(u, b, true, work, r, tNew) }},
-			{"extendUDT (pivoted)", func() { extendUDT(u, b, false, work, r, tNew) }},
+			{"extendUDT (pre-pivot)", func() { extendUDT(u, b, false, true, work, r, tNew) }},
+			{"extendUDT (pivoted)", func() { extendUDT(u, b, false, false, work, r, tNew) }},
+			{"extendUDT (transposed operand)", func() { extendUDT(u, b, true, true, work, r, tNew) }},
 			{"GreenFromUDTInto", func() { _ = GreenFromUDTInto(g, u) }},
 		} {
 			tc.run() // warm the pools

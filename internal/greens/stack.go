@@ -42,9 +42,9 @@ import (
 // prefix alone — arithmetically identical to the from-scratch
 // stratification of Chain(0) — and then rolls: the suffix stack is rebuilt
 // from the now-current clusters and the prefix is reset for the next sweep.
-// GreenUnrolledInto evaluates without rolling, for a caller that runs the
-// roll (Rebuild) itself, off the critical path; update.Sweeper does below
-// its spin-fork crossover.
+// GreenUnrolledInto evaluates without rolling, for a caller that leaves the
+// roll to the next Advance or runs Rebuild itself, off the critical path;
+// update.Sweeper does both.
 type StratStack struct {
 	src      *ClusterSet
 	prePivot bool // Algorithm 3 (true) vs Algorithm 2 (false) steps
@@ -99,43 +99,46 @@ func (st *StratStack) Retarget(src *ClusterSet) {
 }
 
 // Rebuild recomputes every suffix snapshot from the source's current
-// clusters and resets the prefix. Called automatically when a sweep's
-// prefix completes; call it manually only if clusters changed outside the
-// Advance order (e.g. after loading a checkpointed field).
+// clusters and resets the prefix: the roll, which Advance runs by itself on
+// an un-rolled stack. Each cluster enters its step as the GEMM's transposed
+// operand; only the last, which starts the chain, is transposed in scratch.
 func (st *StratStack) Rebuild() {
 	work := mat.GetScratch(st.n, st.n)
 	r := mat.GetScratch(st.n, st.n)
 	tNew := mat.GetScratch(st.n, st.n)
-	bt := mat.GetScratch(st.n, st.n)
 	defer func() {
 		mat.PutScratch(work)
 		mat.PutScratch(r)
 		mat.PutScratch(tNew)
-		mat.PutScratch(bt)
 	}()
 	for j := st.nc - 1; j >= 1; j-- {
-		st.src.Cluster(j).TransposeInto(bt)
 		u := &st.suf[j]
 		if j == st.nc-1 {
-			initUDT(u, bt, work, r)
+			st.src.Cluster(j).TransposeInto(tNew)
+			initUDT(u, tNew, work, r)
 		} else {
 			u.Q.CopyFrom(st.suf[j+1].Q)
 			copy(u.D, st.suf[j+1].D)
 			u.T.CopyFrom(st.suf[j+1].T)
-			extendUDT(u, bt, st.prePivot, work, r, tNew)
+			extendUDT(u, st.src.Cluster(j), true, st.prePivot, work, r, tNew)
 		}
 	}
 	st.filled = 0
 }
 
+// Rolled reports whether Advance can extend the prefix without rolling
+// first (GreenUnrolledInto leaves a whole-chain stack un-rolled).
+func (st *StratStack) Rolled() bool { return st.filled < st.nc }
+
 // Advance absorbs the source's cluster filled — which the sweeper has
 // just recomputed from the re-sampled field — into the prefix UDT. Exactly
-// one extension step; must be called in cluster order 0, 1, ..., NC-1.
+// one extension step, after the roll (Rebuild) when the stack is not
+// Rolled; must be called in cluster order 0, 1, ..., NC-1.
 //
 //qmc:hot
 func (st *StratStack) Advance() {
-	if st.filled >= st.nc {
-		panic("greens: StratStack.Advance past the last cluster (missing roll: GreenInto or Rebuild)")
+	if !st.Rolled() {
+		st.Rebuild()
 	}
 	work := mat.GetScratch(st.n, st.n)
 	r := mat.GetScratch(st.n, st.n)
@@ -149,7 +152,7 @@ func (st *StratStack) Advance() {
 	if st.filled == 0 {
 		initUDT(&st.prefix, b, work, r)
 	} else {
-		extendUDT(&st.prefix, b, st.prePivot, work, r, tNew)
+		extendUDT(&st.prefix, b, false, st.prePivot, work, r, tNew)
 	}
 	st.filled++
 }
@@ -175,8 +178,8 @@ func (st *StratStack) GreenInto(dst *mat.Dense) error {
 
 // GreenUnrolledInto is GreenInto without the roll: at filled == NC it
 // evaluates the full prefix and leaves the stack as it is, so the caller
-// can run Rebuild later, off the critical path. Until that Rebuild, Advance
-// panics.
+// can run Rebuild later, off the critical path, or leave it to the next
+// Advance.
 //
 //qmc:hot
 func (st *StratStack) GreenUnrolledInto(dst *mat.Dense) error {

@@ -1,6 +1,7 @@
 package greens
 
 import (
+	"slices"
 	"testing"
 
 	"questgo/internal/hubbard"
@@ -168,6 +169,62 @@ func TestStratStackAutoRebuild(t *testing.T) {
 		GreenInto(want, cs.Chain(0), true)
 		if d := mat.RelDiff(got, want); d != 0 {
 			t.Fatalf("sweep %d: post-rebuild boundary-0 G not identical to full chain: %g", sweep, d)
+		}
+	}
+}
+
+// TestStratStackLazyRoll: a stack whose whole-chain evaluation leaves the
+// roll undone (GreenUnrolledInto) rolls at its next Advance, and matches an
+// eagerly rolled stack (GreenInto) bit for bit at every boundary of three
+// sweeps; Rolled is false only between the two.
+func TestStratStackLazyRoll(t *testing.T) {
+	_, f, cs := stackSetup(t, 2, 2, 6, 2, 8, 2, 43)
+	eager, lazy := NewStratStack(cs, true), NewStratStack(cs, true)
+	n := cs.Cluster(0).Rows
+	got, want := mat.New(n, n), mat.New(n, n)
+	r := rng.New(5)
+	for sweep := 0; sweep < 3; sweep++ {
+		for c := 0; c < cs.NC; c++ {
+			mutateCluster(f, c, cs.K, r)
+			cs.Recompute(f, c)
+			eager.Advance()
+			lazy.Advance()
+			_ = eager.GreenInto(want)
+			_ = lazy.GreenUnrolledInto(got)
+			if !slices.Equal(got.Data, want.Data) {
+				t.Fatalf("sweep %d boundary %d: lazily rolled G differs from the eager stack's", sweep, c+1)
+			}
+			if last := c == cs.NC-1; lazy.Rolled() == last || !eager.Rolled() {
+				t.Fatalf("sweep %d boundary %d: Rolled %v (eager %v)", sweep, c+1, lazy.Rolled(), eager.Rolled())
+			}
+		}
+	}
+}
+
+// TestRebuildTransposedOperandBitwise: Rebuild feeds each cluster to its
+// extension step as the GEMM's transposed operand; the suffix snapshots
+// equal bit for bit those built from stored transposes, at the job sizes
+// and under both pivoting policies.
+func TestRebuildTransposedOperandBitwise(t *testing.T) {
+	for _, nx := range []int{4, 6} {
+		for _, prePivot := range []bool{true, false} {
+			_, _, cs := stackSetup(t, nx, nx, 4, 2, 16, 4, 59)
+			st := NewStratStack(cs, prePivot)
+			n := st.n
+			ref := UDT{Q: mat.New(n, n), D: make([]float64, n), T: mat.New(n, n)}
+			bt, work, r, tNew := mat.New(n, n), mat.New(n, n), mat.New(n, n), mat.New(n, n)
+			for j := st.nc - 1; j >= 1; j-- {
+				cs.Cluster(j).TransposeInto(bt)
+				if j == st.nc-1 {
+					initUDT(&ref, bt, work, r)
+				} else {
+					extendUDT(&ref, bt, false, prePivot, work, r, tNew)
+				}
+				s := &st.suf[j]
+				if !slices.Equal(s.Q.Data, ref.Q.Data) || !slices.Equal(s.D, ref.D) || !slices.Equal(s.T.Data, ref.T.Data) {
+					t.Fatalf("N=%d prePivot=%v: suffix %d differs from the stored-transpose build", n, prePivot, j)
+				}
+			}
 		}
 	}
 }

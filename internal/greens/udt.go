@@ -148,17 +148,18 @@ func initUDT(u *UDT, b *mat.Dense, work, r *mat.Dense) {
 }
 
 // extendUDT absorbs one more matrix into the decomposition from the left:
-// u <- UDT of (b * Q D T). This is the per-cluster step 3 of the
+// u <- UDT of (op(b) * Q D T), op(b) = b^T with trans (packed, never
+// stored) and b otherwise. This is the per-cluster step 3 of the
 // stratification algorithms; prePivot selects Algorithm 3 (descending-norm
 // pre-pivot + blocked QR) vs Algorithm 2 (QRP). work, r and tNew are n x n
 // scratch.
 //
 //qmc:hot
-func extendUDT(u *UDT, b *mat.Dense, prePivot bool, work, r, tNew *mat.Dense) {
+func extendUDT(u *UDT, b *mat.Dense, trans, prePivot bool, work, r, tNew *mat.Dense) {
 	// Step 3a: C = (B Q) D. The parenthesization is essential: B * Q is a
 	// product of well-scaled matrices, and the graded D enters only as a
 	// final column scaling.
-	blas.GemmScaled(false, false, b, u.Q, nil, u.D, work)
+	blas.GemmScaled(trans, false, b, u.Q, nil, u.D, work)
 	// Step 3b (tNew doubles as the pre-pivot gather scratch).
 	perm := gradedQR(work, tNew, r, u.Q, u.D, prePivot)
 	// Step 3c/3d: T = (D^{-1} R) (P^T T_prev).
@@ -186,7 +187,7 @@ func stratifyInto(u *UDT, bs []*mat.Dense, prePivot bool) {
 	}()
 	initUDT(u, bs[0], work, r)
 	for i := 1; i < len(bs); i++ {
-		extendUDT(u, bs[i], prePivot, work, r, tNew)
+		extendUDT(u, bs[i], false, prePivot, work, r, tNew)
 	}
 }
 

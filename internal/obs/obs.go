@@ -24,7 +24,6 @@ package obs
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -250,7 +249,6 @@ type Collector struct {
 	phaseNS   [NumPhases]int64 // atomic
 	charges   int64            // atomic; Charge calls (End and Lap included)
 	forkWait  int64            // atomic ns; see AddForkWait
-	offCore   atomic.Int32     // off-core work in flight; see BeginOffCore
 	startOps  OpCounts
 	startTime time.Time
 	wallNS    int64 // atomic; set by Finish, 0 while running
@@ -291,7 +289,6 @@ func (c *Collector) Reset() {
 	if c == nil {
 		return
 	}
-	c.drainOffCore()
 	for i := range c.phaseNS {
 		atomic.StoreInt64(&c.phaseNS[i], 0)
 	}
@@ -390,42 +387,12 @@ func (c *Collector) PhaseDurations() PhaseDurations {
 	return pd
 }
 
-// OpDeltas returns the op counts accumulated since the last Reset, once
-// the off-core work in flight (BeginOffCore) has ended.
+// OpDeltas returns the op counts accumulated since the last Reset.
 func (c *Collector) OpDeltas() OpCounts {
 	if c == nil {
 		return OpCounts{}
 	}
-	c.drainOffCore()
 	return Counts().Sub(c.startOps)
-}
-
-// BeginOffCore registers one piece of work running beside the chain, off
-// the wall-clock phases, that adds to the process-global op counters (the
-// sweep's deferred stack roll); EndOffCore, called when it has run, on
-// whichever goroutine ran it, ends the registration. Reset and OpDeltas wait
-// for every registered piece to end, so the baseline and the deltas count
-// such work whole whoever reads them, and whenever.
-func (c *Collector) BeginOffCore() {
-	if c != nil {
-		c.offCore.Add(1)
-	}
-}
-
-// EndOffCore ends a registration made by BeginOffCore.
-func (c *Collector) EndOffCore() {
-	if c != nil {
-		c.offCore.Add(-1)
-	}
-}
-
-// drainOffCore waits for the registered off-core work to end. The work is
-// short (one stack roll) and already running on another goroutine, so the
-// wait polls, yielding its processor.
-func (c *Collector) drainOffCore() {
-	for c.offCore.Load() != 0 {
-		runtime.Gosched()
-	}
 }
 
 // SetStabilityListener attaches l to receive every subsequent stability

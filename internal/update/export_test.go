@@ -24,9 +24,16 @@ func (sw *Sweeper) Forks() int64 { return sw.forks }
 // (false), so the two can be compared at the same lattice size.
 func (sw *Sweeper) SetForkSteps(fork bool) { sw.forkSteps = fork }
 
-// SetOnRoll makes f run first on the stacks' deferred roll, on whichever
+// SetOnRoll makes f run first on the stacks' off-core roll, on whichever
 // goroutine runs it, so a test can hold the roll in flight.
-func (sw *Sweeper) SetOnRoll(f func()) { sw.roll.onRun = f }
+func (sw *Sweeper) SetOnRoll(f func()) {
+	run := sw.roll.run
+	sw.roll.run = func() { f(); run() }
+}
+
+// InFlight reports whether any of the sweep's tasks — the residual check,
+// the roll, a boundary hook — has been started and not yet joined.
+func (sw *Sweeper) InFlight() bool { return sw.probe.running || sw.roll.running || sw.hook.running }
 
 // DenseKinetic returns a copy of p without its Kronecker factors, so a
 // Sweeper over it applies the kinetic propagator by dense GEMMs at any N:

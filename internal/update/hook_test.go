@@ -93,7 +93,6 @@ func TestBoundaryHookOffCoreBitwise(t *testing.T) {
 		for s := 0; s < 4; s++ {
 			sw.Sweep()
 		}
-		sw.Join()
 	}
 	got, want := *runs[0], *runs[1]
 	if len(got) != 16 || len(want) != 16 {

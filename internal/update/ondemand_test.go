@@ -32,7 +32,6 @@ func onDemandRun(t testing.TB, nx, nd int, engine string, onDemand, serial bool)
 	for i := 0; i < sweeps; i++ {
 		sw.Sweep()
 	}
-	sw.Join()
 	got := &chainRun{
 		field:   f.H,
 		gUp:     slices.Clone(sw.GreenUp().Data),
@@ -97,7 +96,6 @@ func TestOnDemandGate(t *testing.T) {
 		if got := sw.OnDemand(); got != want {
 			t.Errorf("%dx%d, delay %d, vectorized %v: on demand %v, want %v", c.nx, c.nx, c.nd, blas.DelayVectorized(), got, want)
 		}
-		sw.Join()
 	}
 }
 

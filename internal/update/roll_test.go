@@ -1,7 +1,6 @@
 package update_test
 
 import (
-	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -14,26 +13,31 @@ import (
 	"questgo/internal/update"
 )
 
-// TestDeferredRollJoinedBeforeAdvance: below stepForkMinN the stacks' roll
-// after boundary 0 runs on a pool worker beside the chain, and everything
-// that needs a rolled stack joins it first. With two or more Ps the roll is
-// held in flight for 2 ms past Sweep's return, so a path that skipped the
-// join would call Advance on an un-rolled stack, which panics, or race
-// Retarget against the Rebuild (-race); at one P it runs inline. The rows
-// cover the next sweep's first boundary at NC = 4 (L = 40, beta = 4) and
-// at NC = 1 (L = 10, beta = 1; that boundary is boundary 0 itself), with
-// and without a collector, the residual check and a boundary hook, and a
-// SetClusterK between sweeps; each run's field, Green's functions, sign and
-// UDT-step count equal a SerialSpins run's, whose roll runs inline.
-func TestDeferredRollJoinedBeforeAdvance(t *testing.T) {
-	offCore := runtime.GOMAXPROCS(0) >= 2 // at one P every Start runs inline
+// TestRollJoinedWithinSweep: below stepForkMinN the stacks' roll that a
+// sweep's boundary 0 leaves undone runs at the next sweep's head, on a pool
+// worker beside the first cluster's slices, and is joined before the first
+// boundary fork, so nothing is in flight when Sweep returns. The roll is
+// held 2 ms on its goroutine, longer than a sweep here, so a sweep that
+// skipped the join would return with it in flight, would roll the stacks a
+// second time in the first boundary's Advance (UDT steps above the
+// SerialSpins run's) and would race that Advance (-race); at one P the roll
+// runs inline. The rows cover the first boundary at NC = 4 (L = 40,
+// beta = 4) and at NC = 1 (L = 10, beta = 1; that boundary is boundary 0
+// itself), with and without a collector, the residual check and a boundary
+// hook, and a SetClusterK between sweeps, whose Retarget rolls the stacks
+// itself. The rolls run are one per sweep after the first, minus the one
+// the resize made moot; each run's field, Green's functions, sign and
+// UDT-step count equal a SerialSpins run's, whose rolls run in the first
+// boundary fork's Advance.
+func TestRollJoinedWithinSweep(t *testing.T) {
+	const sweeps = 4
 	for _, tc := range []struct {
 		name   string
 		l, k   int
 		obs    bool
 		every  int
 		hook   bool
-		resize int // SetClusterK after the second sweep; 0 = none
+		resize int // SetClusterK before the third sweep; 0 = none
 	}{
 		{"NC=4", 40, 10, false, 0, false, 0},
 		{"NC=1", 10, 10, false, 0, false, 0},
@@ -41,11 +45,10 @@ func TestDeferredRollJoinedBeforeAdvance(t *testing.T) {
 		{"NC=4, SetClusterK 5 mid-run", 40, 10, true, 0, true, 5},
 	} {
 		type run struct {
-			field  *hubbard.Field
-			sw     *update.Sweeper
-			steps  int64
-			rolls  int
-			behind int // rolls still in flight when Sweep returned
+			field *hubbard.Field
+			sw    *update.Sweeper
+			steps int64
+			rolls int32
 		}
 		var runs [2]run
 		for i, serial := range []bool{false, true} {
@@ -58,36 +61,37 @@ func TestDeferredRollJoinedBeforeAdvance(t *testing.T) {
 			if tc.hook {
 				sw.SetBoundaryHook(func(_, _ *mat.Dense, _ float64) {})
 			}
-			var done atomic.Int32
-			r := &runs[i]
+			var started, done atomic.Int32
 			sw.SetOnRoll(func() {
+				started.Add(1)
 				time.Sleep(2 * time.Millisecond)
 				done.Add(1)
 			})
 			start := obs.Total(obs.OpUDTSteps)
-			for s := 0; s < 4; s++ {
+			for s := 0; s < sweeps; s++ {
 				if s == 2 && tc.resize > 0 {
 					sw.SetClusterK(tc.resize)
 				}
 				sw.Sweep()
-				if int(done.Load()) <= s {
-					r.behind++
+				if sw.InFlight() || started.Load() != done.Load() {
+					t.Errorf("%s, SerialSpins %v: sweep %d returned with work in flight", tc.name, serial, s+1)
 				}
 			}
-			sw.Join()
-			r.rolls = int(done.Load())
+			r := &runs[i]
+			r.rolls = done.Load()
 			r.steps = obs.Total(obs.OpUDTSteps) - start
 			r.field, r.sw = f, sw
 		}
 		got, want := runs[0], runs[1]
-		if got.rolls != 4 || want.rolls != 0 {
-			t.Errorf("%s: %d deferred rolls, %d under SerialSpins; want 4 and 0", tc.name, got.rolls, want.rolls)
+		rolls := int32(sweeps - 1)
+		if tc.resize > 0 {
+			rolls--
 		}
-		if (got.behind > 0) != offCore {
-			t.Errorf("%s: %d of 4 rolls outlived their sweep at GOMAXPROCS %d", tc.name, got.behind, runtime.GOMAXPROCS(0))
+		if got.rolls != rolls || want.rolls != 0 {
+			t.Errorf("%s: %d off-core rolls, %d under SerialSpins; want %d and 0", tc.name, got.rolls, want.rolls, rolls)
 		}
 		if got.steps != want.steps {
-			t.Errorf("%s: %d UDT steps after Join, %d under SerialSpins", tc.name, got.steps, want.steps)
+			t.Errorf("%s: %d UDT steps, %d under SerialSpins", tc.name, got.steps, want.steps)
 		}
 		same := got.sw.Sign() == want.sw.Sign() &&
 			slices.Equal(got.sw.GreenUp().Data, want.sw.GreenUp().Data) &&

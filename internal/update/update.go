@@ -62,13 +62,12 @@
 //   - Below stepForkMinN, where the per-slice steps run inline and the pool
 //     worker would idle between the boundary forks, the sweep's other
 //     off-path work runs beside the chain too (offCore): the stacks' roll,
-//     the suffix rebuild at boundary 0 that the next sweep needs only at
-//     its first boundary, and the boundary hooks, which no later step of
-//     the sweep reads. Each is handed to an idle worker (parallel.Start)
-//     and joined before anything reads what it writes or needs its worker;
-//     with no idle worker it runs inline, so nothing changes under
-//     SerialSpins, with another chain on every core, or from stepForkMinN
-//     up.
+//     the suffix rebuild the last sweep left to the first boundary's
+//     Advance, started at the sweep's head, and the boundary hooks, which
+//     no later step of the sweep reads. Each is a task handed to an idle
+//     worker (parallel.Start), inline when none is idle, and joined before
+//     anything reads what it writes or needs its worker, and within its
+//     sweep. Elsewhere that Advance runs the roll in each sector's fork.
 package update
 
 import (
@@ -316,10 +315,10 @@ type Sweeper struct {
 	forks     int64         // calls of fork, for the fork-count tests
 	forkWait  time.Duration // this sweep's fork wait so far (see timedFork)
 
-	// roll is the stacks' roll deferred from boundary 0 (see offCore);
-	// rollWait is the chain's wait at its in-sweep join, charged to the
-	// boundary fork's refresh share (timedFork).
-	roll     roll
+	// roll is the stacks' roll, run off-core at the sweep's head (see
+	// offCore); rollWait is the chain's time at its start and its join,
+	// charged to the first boundary fork's refresh share (timedFork).
+	roll     task
 	rollWait time.Duration
 
 	// boundaryHook, when set, runs after every stratified refresh (i.e. at
@@ -342,38 +341,57 @@ type Sweeper struct {
 	probe      probe
 }
 
+// task is a piece of a sweep's off-path work, pre-bound in run: the
+// residual check, the stacks' roll or a boundary hook. Sweep joins every
+// task it starts before it returns.
+type task struct {
+	running bool // started, not yet joined
+	pending parallel.Pending
+	run     func()
+}
+
+// start runs the task inline or hands it to an idle worker (parallel.Start,
+// inline when none is idle).
+//
+//qmc:hot
+func (t *task) start(inline bool) {
+	t.running = true
+	if inline {
+		t.run()
+		return
+	}
+	t.pending = parallel.Start(t.run)
+}
+
+// join waits for the task in flight, if any, and reports whether there was
+// one.
+//
+//qmc:hot
+func (t *task) join() bool {
+	if !t.running {
+		return false
+	}
+	t.pending.Wait()
+	t.running = false
+	return true
+}
+
 // probe is the StabilityEvery residual check of one boundary, run beside
 // the sweep. The spin-up refresh arms it with copies of what it reads: the
 // stack's Green's function, the boundary's cluster chain (ClusterSet.Chain
 // reuses its slice) and the chain's first cluster, which the next
 // boundary's Recompute rewrites. Sweep starts it after the boundary fork
-// (parallel.Start) and joins it before the boundary after the next one,
-// whose Recompute rewrites the chain's second cluster; before arming it
-// again; and before returning. The sample reaches the collector at the join,
-// on the chain's goroutine, so its order and value are those of an inline
-// check.
+// and joins it before the boundary after the next one, whose Recompute
+// rewrites the chain's second cluster; before arming it again; and before
+// returning. The sample reaches the collector at the join, on the chain's
+// goroutine, so its order and value are those of an inline check.
 type probe struct {
+	task                      // run: the rebuild and the residual
 	g, ref, head *mat.Dense   // stack's G, the rebuild, chain[0]'s copy; allocated at the first arm
 	chain        []*mat.Dense // the boundary's chain with head in place of its first cluster
 	armed        bool         // snapshot taken, not yet started
-	running      bool         // started, not yet joined
 	at           int64        // Sweeper.boundaries when started
 	res          float64      // RelDiff(g, ref), valid once joined
-	pending      parallel.Pending
-	run          func() // pre-bound: the rebuild and the residual
-}
-
-// roll is the suffix rebuild of both spins' stacks after boundary 0, run
-// beside the chain (offCore). Sweep starts it after the boundary-0 fork and
-// joins it before the next boundary fork, whose Advance needs a rolled stack
-// (the first, of the next sweep); SetClusterK and Join join it too. It is
-// registered with the collector while in flight (obs.BeginOffCore), so the
-// op counts a collector reports include it even before a join.
-type roll struct {
-	running bool
-	pending parallel.Pending
-	run     func() // pre-bound: Rebuild up, then down
-	onRun   func() // test-only: runs first on the roll's goroutine
 }
 
 // BoundaryHook receives the Green's functions of a boundary just refreshed
@@ -386,14 +404,12 @@ type roll struct {
 type BoundaryHook func(gup, gdn *mat.Dense, sign float64)
 
 // hookRun is a boundary hook's run beside the chain: the snapshot it reads,
-// allocated at the first, and the run in flight, joined before the next
-// boundary's fork.
+// allocated at the first, and the task, joined before the next boundary's
+// fork.
 type hookRun struct {
+	task     // run: the hook over the snapshot
 	gup, gdn *mat.Dense
 	sign     float64
-	running  bool
-	pending  parallel.Pending
-	run      func() // pre-bound: the hook over the snapshot
 }
 
 // arm snapshots the check of the boundary whose chain is chain and whose
@@ -453,12 +469,8 @@ func NewSweeperOn(p *hubbard.Propagator, f *hubbard.Field, r *rng.Rand, opts Opt
 		pb.res = mat.RelDiff(pb.g, pb.ref)
 	}
 	sw.roll.run = func() {
-		if sw.roll.onRun != nil {
-			sw.roll.onRun()
-		}
 		sw.up.st.Rebuild()
 		sw.dn.st.Rebuild()
-		sw.opts.Obs.EndOffCore()
 	}
 	hk := &sw.hook
 	hk.run = func() { sw.boundaryHook(hk.gup, hk.gdn, hk.sign) }
@@ -507,13 +519,10 @@ func (sw *Sweeper) newSpin(mk NewBackend, sigma hubbard.Spin) *spinState {
 		t = s.lap(obs.PhaseCluster, t)
 		// One prefix extension per boundary; refreshSpin combines it with
 		// the cached suffix. At boundary 0 the prefix spans the chain and
-		// the stack rolls for the next sweep, here or, off-core, after the
-		// fork (see Sweep).
+		// the roll is left to the next sweep: to this Advance at its first
+		// boundary, unless Sweep ran it off-core.
 		s.st.Advance()
 		sw.refreshSpin(s, trackDrift)
-		if sw.boundary == 0 && !sw.offCore() {
-			s.st.Rebuild()
-		}
 		s.lap(obs.PhaseRefresh, t)
 	}
 	return s
@@ -550,12 +559,12 @@ const stepForkMinN = 36
 // an AxpyCols fill was 10% slower at 12x12 than the eager push.
 const onDemandMinN = 100
 
-// offCore reports whether the sweep's off-path work — the stacks' roll and
-// the boundary hooks — is handed to an idle pool worker beside the chain:
-// where the per-slice steps run inline (below stepForkMinN), so the worker
-// is free between the boundary forks, and the spins fork at all (not under
-// SerialSpins). Either way the work is the same arithmetic on the same
-// operands.
+// offCore reports whether the sweep's off-path work — the stacks' roll at
+// its head and the boundary hooks — is handed to an idle pool worker beside
+// the chain: where the per-slice steps run inline (below stepForkMinN), so
+// the worker is free between the boundary forks, and the spins fork at all
+// (not under SerialSpins). Either way the work is the same arithmetic on
+// the same operands.
 func (sw *Sweeper) offCore() bool { return !sw.forkSteps && !sw.opts.SerialSpins }
 
 // step flushes slice sw.slice and wraps both sectors into sw.slice+1. From
@@ -594,8 +603,8 @@ func (sw *Sweeper) fork(up, dn func()) {
 // own phases (spinState.dur) and the join splits the fork's wall time — t
 // to now, hand-off and join wait included — over the phases in proportion
 // to the time the two sectors spent in each; a boundary fork's refresh share
-// also takes the chain's wait at the roll's join just before it (rollWait),
-// so that wait is refresh time without a charge of its own. What the wall
+// also takes the chain's time at the off-core roll's start and join
+// (rollWait), refresh time without a charge of its own. What the wall
 // time exceeds the longer sector by (the hand-off, the join wait, or the
 // shorter sector when no worker was idle) is fork wait, summed over the
 // sweep and handed to the collector once at its end; under SerialSpins
@@ -674,12 +683,8 @@ func (sw *Sweeper) startProbe(inline bool) {
 	if !p.armed {
 		return
 	}
-	p.armed, p.running, p.at = false, true, sw.boundaries
-	if inline {
-		p.run()
-		return
-	}
-	p.pending = parallel.Start(p.run)
+	p.armed, p.at = false, sw.boundaries
+	p.start(inline)
 }
 
 // probeDue reports whether the check in flight must be joined before the
@@ -690,18 +695,16 @@ func (sw *Sweeper) probeDue() bool {
 	return sw.probe.running && (sw.checkStrat || sw.boundaries-sw.probe.at > 1)
 }
 
-// joinProbe waits for the check in flight, if any, and records its
-// residual.
+// joinProbe waits for the check in flight, if any, records its residual
+// and reports whether there was one.
 //
 //qmc:hot
-func (sw *Sweeper) joinProbe() {
-	p := &sw.probe
-	if !p.running {
-		return
+func (sw *Sweeper) joinProbe() bool {
+	if !sw.probe.join() {
+		return false
 	}
-	p.pending.Wait()
-	p.running = false
-	sw.opts.Obs.SampleStratResidual(p.res)
+	sw.opts.Obs.SampleStratResidual(sw.probe.res)
+	return true
 }
 
 // setBoundary makes c the boundary the next refresh recomputes and decides
@@ -722,8 +725,9 @@ func (sw *Sweeper) SetBoundaryHook(h BoundaryHook) { sw.boundaryHook = h }
 // Sweep performs one full sweep: every (slice, site) pair is visited once
 // and a flip is proposed (Algorithm 1). On return the Green's functions
 // correspond to the full chain (cluster boundary 0), ready for equal-time
-// measurements, and every boundary hook of the sweep has returned. The
-// stacks' roll may still be running (offCore); Join waits for it.
+// measurements, and nothing the sweep started is in flight: every
+// boundary hook has returned, and so has the last residual check. The
+// stacks' roll for the next sweep is left to that sweep.
 //
 //qmc:hot
 func (sw *Sweeper) Sweep() {
@@ -732,6 +736,12 @@ func (sw *Sweeper) Sweep() {
 	n := model.N()
 	k := sw.opts.ClusterK
 	t := sw.opts.Obs.Begin()
+	if sw.offCore() && !sw.up.st.Rolled() {
+		// The roll runs beside the first cluster's slices, which read no
+		// cluster product, and is joined before the first boundary fork.
+		sw.roll.start(false)
+		t = sw.lapRoll(t)
+	}
 	for s := 0; s < model.L; s++ {
 		if s%k == 0 {
 			// First slice of a cluster: the boundary behind it left nothing
@@ -756,14 +766,12 @@ func (sw *Sweeper) Sweep() {
 			sw.joinProbe()
 			t = sw.opts.Obs.Lap(obs.PhaseRefresh, t)
 		}
-		// The fork needs the worker, and its Advance a rolled stack.
-		if sw.hook.running {
-			sw.hook.pending.Wait()
-			sw.hook.running = false
+		// The fork needs the worker, and its Advance the roll's stacks.
+		if sw.hook.join() {
 			t = sw.opts.Obs.Lap(obs.PhaseMeasure, t)
 		}
-		if sw.roll.running {
-			t = sw.joinRollBeforeFork(t)
+		if sw.roll.join() {
+			t = sw.lapRoll(t)
 		}
 		t = sw.timedFork(sw.up.boundaryFn, sw.dn.boundaryFn, t)
 		// Up before down, whichever sector's refresh finished first: the
@@ -771,14 +779,6 @@ func (sw *Sweeper) Sweep() {
 		// bit.
 		sw.report(sw.up)
 		sw.report(sw.dn)
-		if sw.boundary == 0 && sw.offCore() {
-			// The roll takes the worker first, so this boundary's hook runs
-			// inline beside it. The collector counts its ops whole
-			// (BeginOffCore) whenever they are read.
-			sw.opts.Obs.BeginOffCore()
-			sw.roll.running = true
-			sw.roll.pending = parallel.Start(sw.roll.run)
-		}
 		sw.startProbe(sw.opts.SerialSpins)
 		// The condition reports and the hand-offs are refresh bookkeeping;
 		// with a hook they would fall between two phases.
@@ -790,17 +790,16 @@ func (sw *Sweeper) Sweep() {
 	}
 	// No check outlives its sweep: the caller may resize the clusters, and
 	// the autopilot closes the sweep's sample window.
-	if sw.probe.running {
-		sw.joinProbe()
+	if sw.joinProbe() {
 		sw.opts.Obs.End(obs.PhaseRefresh, t)
 	}
 	sw.opts.Obs.AddForkWait(sw.forkWait)
 	sw.forkWait = 0
 }
 
-// runHook runs the boundary hook: offCore, at every boundary but the
-// sweep's last (boundary 0, whose roll holds the worker and after which
-// Sweep returns), over a snapshot on an idle worker, and inline otherwise.
+// runHook runs the boundary hook: offCore, over a snapshot on an idle
+// worker, and inline otherwise. Boundary 0's hook, the sweep's last, runs
+// inline too, because Sweep returns right after it.
 //
 //qmc:hot
 func (sw *Sweeper) runHook() {
@@ -816,47 +815,18 @@ func (sw *Sweeper) runHook() {
 	hk.gup.CopyFrom(sw.up.g)
 	hk.gdn.CopyFrom(sw.dn.g)
 	hk.sign = sw.sign
-	hk.running = true
-	hk.pending = parallel.Start(hk.run)
+	hk.start(false)
 }
 
-// joinRollBeforeFork joins the roll in flight before a boundary fork and
-// returns the stamp the fork starts at; the wait from t goes to the fork's
-// refresh share (rollWait).
-func (sw *Sweeper) joinRollBeforeFork(t time.Time) time.Time {
-	sw.joinRoll()
+// lapRoll adds the time since t, the off-core roll's start or join, to
+// rollWait and returns the new stamp.
+func (sw *Sweeper) lapRoll(t time.Time) time.Time {
 	if t.IsZero() {
 		return t
 	}
 	now := time.Now()
 	sw.rollWait += now.Sub(t)
 	return now
-}
-
-// joinRoll waits for the roll in flight, if any.
-//
-//qmc:hot
-func (sw *Sweeper) joinRoll() {
-	if !sw.roll.running {
-		return
-	}
-	sw.roll.pending.Wait()
-	sw.roll.running = false
-}
-
-// Join waits for the off-core work a sweep left running (the stacks' roll,
-// see offCore) and charges the wait to the refresh phase. The next sweep's
-// first boundary fork and SetClusterK join it by themselves; call Join
-// before reading the process-global op counts the roll adds to
-// (obs.Counts, obs.Total), before a checkpoint, and before the chain is
-// dropped. Joining with nothing in flight costs nothing.
-func (sw *Sweeper) Join() {
-	if !sw.roll.running {
-		return
-	}
-	start := sw.opts.Obs.Begin()
-	sw.joinRoll()
-	sw.opts.Obs.End(obs.PhaseRefresh, start)
 }
 
 // proposeFlip carries out the Metropolis step for h[s][i].
@@ -975,9 +945,6 @@ func (sw *Sweeper) SetClusterK(k int) int {
 	if k == sw.opts.ClusterK {
 		return k
 	}
-	// The roll reads the clusters SetK rewrites and the suffixes Retarget
-	// resizes.
-	sw.Join()
 	sw.opts.ClusterK = k
 	cstart := sw.opts.Obs.Begin()
 	sw.up.cs.SetK(sw.Field, k)

@@ -34,12 +34,13 @@ GOMAXPROCS=4 go test -count=1 -race -run 'TestResultsBitwiseAcrossModes$' ./inte
 # steps inline beside a forked boundary and the 6x6 row forks both.
 GOMAXPROCS=2 go test -count=1 -race -run 'TestResultsBitwiseAcrossModes$' ./internal/service/
 # Below the spin-fork crossover the stacks' roll and the boundary hooks run
-# beside the chain: the joins before Advance and the hooks' snapshots under
+# beside the chain: the roll's join before the first boundary's Advance
+# (nothing in flight when Sweep returns) and the hooks' snapshots under
 # the race detector at one P (everything inline), two (the benchmark's) and
 # four. (The modes test above sets 1, 2 and 4 itself, for its every = 0 and
 # checkpoint-and-resume rows too.)
 for p in 1 2 4; do
-    GOMAXPROCS=$p go test -count=1 -race -run 'TestDeferredRollJoinedBeforeAdvance$|TestBoundaryHookOffCoreBitwise$' ./internal/update/
+    GOMAXPROCS=$p go test -count=1 -race -run 'TestRollJoinedWithinSweep$|TestBoundaryHookOffCoreBitwise$' ./internal/update/
 done
 # From greens.sepMinN sites up the host applies the kinetic propagator by
 # its Kronecker factors, which rounds differently from the dense GEMMs: the
