@@ -47,8 +47,9 @@ func main() {
 		for i := 0; i < warm; i++ {
 			sw.Sweep()
 		}
-		// Accumulate G(k, tau) over measurement sweeps.
-		var acc stats.VectorAccumulator
+		// Accumulate G(k, tau) over measurement sweeps, sign weighted (the
+		// sign is 1 at half filling).
+		var acc *stats.Accumulator
 		var taus []int
 		for i := 0; i < sweeps; i++ {
 			sw.Sweep()
@@ -60,15 +61,18 @@ func main() {
 			// Flatten [tau][k] for the accumulator: keep two momenta.
 			kFS := 1 + nx*1 // (pi/2, pi/2) on a 4x4 grid
 			kAF := 2 + nx*2 // (pi, pi)
+			sg := sw.Sign()
 			row := make([]float64, 0, 2*len(d.Taus))
 			for ti := range d.Taus {
 				gk := d.GkTau(ti)
-				row = append(row, gk[kFS], gk[kAF])
+				row = append(row, sg*gk[kFS], sg*gk[kAF])
 			}
-			acc.Push(row)
+			if acc == nil {
+				acc = stats.NewAccumulator(len(row))
+			}
+			acc.Push(row, sg)
 		}
-		mean := acc.MeanVec()
-		errs := acc.ErrVec()
+		mean, errs := acc.Estimate()
 		dtau := beta / float64(slices)
 		fmt.Printf("U = %g:\n", u)
 		fmt.Println("  tau     G(k_FS,tau)          G(k_AF,tau)")

@@ -117,3 +117,29 @@ func TestLoadMissingFile(t *testing.T) {
 		t.Fatal("expected error for missing file")
 	}
 }
+
+// FuzzQUESTParse: Parse and every typed getter never panic on a hostile
+// input file, whatever key is asked for.
+func FuzzQUESTParse(f *testing.F) {
+	f.Add("# lattice\nnx = 8\nbeta = 2.5 # comment\nseed = 18446744073709551615\n", "nx")
+	f.Add("flag = yes\nflag = no\n", "FLAG")
+	f.Add("= 1\nx 1\n", "")
+	f.Fuzz(func(t *testing.T, text, key string) {
+		file, err := Parse(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		keys := []string{key}
+		for k := range file.values {
+			keys = append(keys, k)
+		}
+		for _, k := range keys {
+			file.Int(k, 0)
+			file.Float(k, 0)
+			file.Bool(k, false)
+			file.String(k, "")
+			file.Uint64(k, 0)
+		}
+		_ = file.Err()
+	})
+}

@@ -104,9 +104,10 @@ func TestAttractiveDopedSignFree(t *testing.T) {
 }
 
 // TestAttractiveErrorBarsNonNegative: error bars scale with |U|, not U. For
-// U < 0 the potential-energy error must stay non-negative and must widen,
-// not shrink, the total-energy error — on the single-walker path and the
-// merged one alike.
+// U < 0 the potential-energy error must stay non-negative, and the total
+// energy's error, taken from its own series, must be positive and no larger
+// than the kinetic and potential errors added — on the single-walker path
+// and the merged one alike.
 func TestAttractiveErrorBarsNonNegative(t *testing.T) {
 	cfg := Config{
 		Nx: 2, Ny: 2, Layers: 1, T: 1,
@@ -126,9 +127,12 @@ func TestAttractiveErrorBarsNonNegative(t *testing.T) {
 		if want := math.Abs(cfg.U) * res.DoubleOccErr; res.PotentialErr != want {
 			t.Fatalf("walkers=%d: PotentialErr = %v, want |U|*DoubleOccErr = %v", walkers, res.PotentialErr, want)
 		}
-		if res.EnergyErr < res.KineticErr || res.EnergyErr != res.KineticErr+res.PotentialErr {
-			t.Fatalf("walkers=%d: EnergyErr %v must be KineticErr %v + PotentialErr %v",
+		if sum := res.KineticErr + res.PotentialErr; res.EnergyErr <= 0 || res.EnergyErr > sum*(1+1e-12) {
+			t.Fatalf("walkers=%d: EnergyErr %v must be in (0, KineticErr %v + PotentialErr %v]",
 				walkers, res.EnergyErr, res.KineticErr, res.PotentialErr)
+		}
+		if sum := res.Kinetic + res.Potential; math.Abs(res.Energy-sum) > 1e-12*math.Abs(sum) {
+			t.Fatalf("walkers=%d: Energy %v, Kinetic + Potential %v", walkers, res.Energy, sum)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"questgo/internal/measure"
 	"questgo/internal/obs"
+	"questgo/internal/stats"
 )
 
 // ChiResult holds sampled imaginary-time spin susceptibilities.
@@ -29,7 +30,7 @@ func (s *Simulation) SampleSusceptibility(samples, every int) (*ChiResult, error
 	if every <= 0 {
 		every = s.sweeper.ClusterK()
 	}
-	var af, uni, signs []float64
+	acc := stats.NewAccumulator(2) // chi_AF, chi_uniform
 	for i := 0; i < samples; i++ {
 		s.sweeper.Sweep()
 		start := s.col.Begin()
@@ -39,13 +40,12 @@ func (s *Simulation) SampleSusceptibility(samples, every int) (*ChiResult, error
 				Reason: fmt.Sprintf("singular displaced Green's function: %v", err)}
 		}
 		sg := s.sweeper.Sign()
-		af = append(af, sg*chi.ChiAF())
-		uni = append(uni, sg*chi.ChiUniform())
-		signs = append(signs, sg)
+		acc.Push([]float64{sg * chi.ChiAF(), sg * chi.ChiUniform()}, sg)
 		s.col.End(obs.PhaseMeasure, start)
 	}
 	res := &ChiResult{Samples: samples}
-	res.AF, res.AFErr = signedAverage(af, signs)
-	res.Uniform, res.UniformErr = signedAverage(uni, signs)
+	mean, errs := acc.Estimate()
+	res.AF, res.AFErr = mean[0], errs[0]
+	res.Uniform, res.UniformErr = mean[1], errs[1]
 	return res, nil
 }

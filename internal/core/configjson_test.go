@@ -142,3 +142,30 @@ func TestConfigUnmarshalVersioning(t *testing.T) {
 		t.Fatalf("unknown field rejected: %v", err)
 	}
 }
+
+// FuzzConfigJSON: decoding a hostile job document and validating it never
+// panics, and a configuration that validates round-trips through its
+// canonical encoding to the same content hash — the service's cache key.
+func FuzzConfigJSON(f *testing.F) {
+	def, err := json.Marshal(DefaultConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(def)
+	f.Add([]byte(`{"nx":4,"ny":4,"layers":1,"beta":2,"l":10,"meas":1,"u":-0,"seed":18446744073709551615}`))
+	f.Add([]byte(`{"schema_version":"9.0","nx":4}`))
+	f.Add([]byte(`{"nx":1e3,"beta":1e308,"tprime":-1e-320}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var c Config
+		if json.Unmarshal(data, &c) != nil || c.Validate() != nil {
+			return
+		}
+		var back Config
+		if err := json.Unmarshal(c.CanonicalJSON(), &back); err != nil {
+			t.Fatalf("canonical encoding %s does not decode: %v", c.CanonicalJSON(), err)
+		}
+		if back.Hash() != c.Hash() {
+			t.Fatalf("hash %s after the round trip, %s before (%s)", back.Hash(), c.Hash(), c.CanonicalJSON())
+		}
+	})
+}

@@ -164,3 +164,32 @@ func TestMergeResultsErrorShrinks(t *testing.T) {
 			r6.DoubleOccErr, r2.DoubleOccErr)
 	}
 }
+
+// TestMergeResultsErrorRule pins the merged error: the walkers' own errors
+// in quadrature over W when the walkers agree, and the standard error
+// across their means when that is larger — element-wise for vectors.
+func TestMergeResultsErrorRule(t *testing.T) {
+	mk := func(x, e float64) *Results {
+		return &Results{
+			Density: x, DensityErr: e, SAF: x, SAFErr: e,
+			Nk: []float64{x, 1}, NkErr: []float64{e, e},
+		}
+	}
+	agree, err := MergeResults([]*Results{mk(1, 0.3), mk(1, 0.4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 0.25; math.Abs(agree.DensityErr-want) > 1e-15 || math.Abs(agree.NkErr[0]-want) > 1e-15 {
+		t.Fatalf("agreeing walkers: density error %v, n_k error %v, want √(0.3² + 0.4²)/2 = %v",
+			agree.DensityErr, agree.NkErr[0], want)
+	}
+	apart, err := MergeResults([]*Results{mk(1, 0.3), mk(3, 0.4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Means 1 and 3: standard error 1 across the walkers, above 0.25.
+	if apart.Density != 2 || apart.SAFErr != 1 || apart.NkErr[0] != 1 || math.Abs(apart.NkErr[1]-0.25) > 1e-15 {
+		t.Fatalf("disagreeing walkers: density %v ± %v, n_k errors %v; want 2 ± 1 and [1 0.25]",
+			apart.Density, apart.SAFErr, apart.NkErr)
+	}
+}

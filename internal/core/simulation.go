@@ -1,13 +1,14 @@
 // Package core ties the DQMC pieces together into the full simulation the
 // paper runs: warmup sweeps, measurement sweeps, sign-weighted observable
-// accumulation with binned/jackknife errors, and the per-phase timing
-// profile of Table I.
+// accumulation into log-binning accumulators (stats.Accumulator, one error
+// rule for every error bar), and the per-phase timing profile of Table I.
 package core
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"questgo/internal/autopilot"
@@ -148,8 +149,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Results aggregates the Monte Carlo estimates of a finished run. Scalar
-// observables are sign-weighted ratios <O*s>/<s> with jackknife errors.
+// Results aggregates the Monte Carlo estimates of a finished run. Every
+// observable, scalar or vector, is a sign-weighted ratio <O*s>/<s> with the
+// log-binning error of stats.Accumulator; Energy has its own series.
 //
 // Like Config, the struct is its own wire document: the JSON tags are the
 // keys and the declaration order is the key order (see json.go).
@@ -195,6 +197,17 @@ type Results struct {
 	// breakdown (the paper's Table I, see obs.Table), operation counts and
 	// stability telemetry.
 	Metrics *obs.Metrics `json:"metrics,omitempty"`
+}
+
+// nScalars is the number of sign-weighted scalar observables (scalars).
+const nScalars = 6
+
+// scalars lists the sign-weighted scalar observables with their errors in
+// the order a run accumulates them, ahead of n_k, C_zz and the layer
+// densities; MergeResults merges the same list.
+func (r *Results) scalars() [nScalars][2]*float64 {
+	return [nScalars][2]*float64{{&r.Density, &r.DensityErr}, {&r.DoubleOcc, &r.DoubleOccErr},
+		{&r.Kinetic, &r.KineticErr}, {&r.LocalMoment, &r.LocalMomentErr}, {&r.SAF, &r.SAFErr}, {&r.Energy, &r.EnergyErr}}
 }
 
 // measureDisplaced is the dynamic measurement a measurement sweep takes
@@ -404,12 +417,6 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 		s.report(cb, "warmup", w+1, s.cfg.WarmSweeps)
 	}
 
-	var (
-		signs                               []float64
-		density, docc, kinetic, moment, saf []float64
-		nkAcc, czzAcc                       stats.VectorAccumulator
-		layerAcc                            stats.VectorAccumulator
-	)
 	// Per-sweep collection: with MeasureBoundaries every cluster boundary
 	// contributes one sample (L/k per sweep) and the sweep records their
 	// average; otherwise a single measurement is taken after the sweep. The
@@ -429,11 +436,19 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 		s.sweeper.SetBoundaryHook(record)
 		defer s.sweeper.SetBoundaryHook(nil)
 	}
+	// One sample a sweep, sign weighted, of the scalars, n_k, C_zz and the
+	// layer densities, side by side.
 	planeN := s.lat.Nx * s.lat.Ny
-	nk, etnk := make([]float64, planeN), make([]float64, planeN)
-	czz := make([]float64, planeN)
-	layers := make([]float64, s.lat.Layers)
-	var dynAcc stats.VectorAccumulator
+	etCzz := nScalars + planeN
+	etLayers := etCzz + planeN
+	row := make([]float64, etLayers+s.lat.Layers)
+	etnk := make([]float64, planeN)
+	etAcc := stats.NewAccumulator(len(row))
+	// G(d, tau) is measured at tau = every, 2·every, ..., L/2 with every
+	// fixed here, so a cluster resize during measurement keeps the grid
+	// (MeasureDisplaced splits any tau at the current k).
+	every := min(s.sweeper.ClusterK(), s.cfg.L/2)
+	var dynAcc *stats.Accumulator
 	var dynTaus []int
 	for m := 0; m < s.cfg.MeasSweeps; m++ {
 		if err := ctx.Err(); err != nil {
@@ -450,103 +465,71 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 		if taken == 0 {
 			record(s.sweeper.GreenUp(), s.sweeper.GreenDn(), s.sweeper.Sign())
 		}
-		if s.cfg.MeasureDynamics {
-			k := s.sweeper.ClusterK()
-			// Ensure at least one tau fits in (0, L/2].
-			every := k
-			if every > s.cfg.L/2 {
-				every = s.cfg.L / 2
+		if s.cfg.MeasureDynamics && every >= 1 {
+			md, err := measureDisplaced(s.lat, s.prop, s.field, every, s.cfg.L/2, s.sweeper.ClusterK())
+			if err != nil {
+				return nil, &ErrUnstable{Sweep: sweep, Drift: s.sweeper.MaxWrapDrift(), Sign: s.sweeper.Sign(),
+					Reason: fmt.Sprintf("singular displaced Green's function: %v", err)}
 			}
-			if every >= 1 {
-				md, err := measureDisplaced(s.lat, s.prop, s.field, every, s.cfg.L/2, k)
-				if err != nil {
-					return nil, &ErrUnstable{Sweep: sweep, Drift: s.sweeper.MaxWrapDrift(), Sign: s.sweeper.Sign(),
-						Reason: fmt.Sprintf("singular displaced Green's function: %v", err)}
-				}
-				if len(md.Taus) > 0 {
-					dynTaus = md.Taus
-					sg := s.sweeper.Sign()
-					flat := make([]float64, 0, len(md.Taus)*len(md.GdTau[0]))
-					for _, row := range md.GdTau {
-						for _, v := range row {
-							flat = append(flat, sg*v)
-						}
-					}
-					dynAcc.Push(flat)
-				}
+			gd, sg := slices.Concat(md.GdTau...), s.sweeper.Sign()
+			for i := range gd {
+				gd[i] *= sg
 			}
+			if dynAcc == nil {
+				dynTaus, dynAcc = md.Taus, stats.NewAccumulator(len(gd))
+			}
+			dynAcc.Push(gd, sg)
 		}
 		// Average the sweep's samples, sign weighted.
 		inv := 1 / float64(taken)
-		var sSign, sDen, sDocc, sKin, sMom, sSAF float64
-		clear(nk)
-		clear(czz)
-		clear(layers)
+		var sSign float64
+		clear(row)
 		for _, et := range recs[:taken] {
 			sg := et.Sign
 			sSign += sg * inv
-			sDen += sg * et.Density() * inv
-			sDocc += sg * et.DoubleOcc * inv
-			sKin += sg * et.Kinetic * inv
-			sMom += sg * et.LocalMoment * inv
-			sSAF += sg * et.AFStructureFactor() * inv
+			for i, v := range [nScalars]float64{et.Density(), et.DoubleOcc, et.Kinetic,
+				et.LocalMoment, et.AFStructureFactor(), et.Kinetic + s.cfg.U*et.DoubleOcc} {
+				row[i] += sg * v * inv
+			}
 			et.MomentumDistributionInto(etnk)
-			for i := range nk {
-				nk[i] += sg * etnk[i] * inv
+			for i, v := range etnk {
+				row[nScalars+i] += sg * v * inv
 			}
-			for i := range czz {
-				czz[i] += sg * et.Czz[i] * inv
+			for i, v := range et.Czz {
+				row[etCzz+i] += sg * v * inv
 			}
-			for i := range layers {
-				layers[i] += et.LayerDensity[i] * inv
+			for i, v := range et.LayerDensity {
+				row[etLayers+i] += sg * v * inv
 			}
 		}
-		signs = append(signs, sSign)
-		density = append(density, sDen)
-		docc = append(docc, sDocc)
-		kinetic = append(kinetic, sKin)
-		moment = append(moment, sMom)
-		saf = append(saf, sSAF)
-		nkAcc.Push(nk)
-		czzAcc.Push(czz)
-		layerAcc.Push(layers)
+		etAcc.Push(row, sSign)
 		s.col.End(obs.PhaseMeasure, start)
 		s.report(cb, "measure", m+1, s.cfg.MeasSweeps)
 	}
 
-	// The final statistics (jackknife errors, vector averages) belong to the
-	// measurement phase of the breakdown.
+	// The final statistics belong to the measurement phase of the breakdown.
 	fstart := s.col.Begin()
 	res := &Results{
 		Config:       s.cfg,
-		AvgSign:      stats.Mean(signs),
+		AvgSign:      etAcc.AvgSign(),
 		Acceptance:   s.sweeper.AcceptanceRate(),
 		MaxWrapDrift: s.sweeper.MaxWrapDrift(),
 	}
-	res.Density, res.DensityErr = signedAverage(density, signs)
-	res.DoubleOcc, res.DoubleOccErr = signedAverage(docc, signs)
-	res.Kinetic, res.KineticErr = signedAverage(kinetic, signs)
-	res.LocalMoment, res.LocalMomentErr = signedAverage(moment, signs)
-	res.SAF, res.SAFErr = signedAverage(saf, signs)
+	mean, errs := etAcc.Estimate()
+	for i, f := range res.scalars() {
+		*f[0], *f[1] = mean[i], errs[i]
+	}
 	res.Potential = s.cfg.U * res.DoubleOcc
 	res.PotentialErr = math.Abs(s.cfg.U) * res.DoubleOccErr
-	res.Energy = res.Kinetic + res.Potential
-	res.EnergyErr = res.KineticErr + res.PotentialErr
-
-	avgSign := res.AvgSign
-	res.Nk = scaleCopy(nkAcc.MeanVec(), 1/avgSign)
-	res.NkErr = nkAcc.ErrVec()
-	res.Czz = scaleCopy(czzAcc.MeanVec(), 1/avgSign)
-	res.CzzErr = czzAcc.ErrVec()
-	res.LayerDensity = layerAcc.MeanVec()
-	if s.cfg.MeasureDynamics && len(dynTaus) > 0 {
+	res.Nk, res.NkErr = mean[nScalars:etCzz:etCzz], errs[nScalars:etCzz:etCzz]
+	res.Czz, res.CzzErr = mean[etCzz:etLayers:etLayers], errs[etCzz:etLayers:etLayers]
+	res.LayerDensity = mean[etLayers:]
+	if dynAcc != nil {
 		res.DisplacedTaus = dynTaus
-		mean := scaleCopy(dynAcc.MeanVec(), 1/avgSign)
-		errv := dynAcc.ErrVec()
-		per := len(mean) / len(dynTaus)
+		mean, errs := dynAcc.Estimate()
 		for i := range dynTaus {
-			res.GdTau = append(res.GdTau, mean[i*per:(i+1)*per])
-			res.GdTauErr = append(res.GdTauErr, errv[i*per:(i+1)*per])
+			res.GdTau = append(res.GdTau, mean[i*planeN:(i+1)*planeN:(i+1)*planeN])
+			res.GdTauErr = append(res.GdTauErr, errs[i*planeN:(i+1)*planeN:(i+1)*planeN])
 		}
 	}
 	s.col.End(obs.PhaseMeasure, fstart)
@@ -570,39 +553,4 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 		}
 	}
 	return res, nil
-}
-
-// signedAverage computes the sign-weighted ratio <O s>/<s> with a
-// jackknife error that propagates the correlation between numerator and
-// denominator.
-func signedAverage(os, signs []float64) (mean, err float64) {
-	n := len(os)
-	if n == 0 {
-		return 0, 0
-	}
-	idx := make([]float64, n)
-	for i := range idx {
-		idx[i] = float64(i)
-	}
-	f := func(sel []float64) float64 {
-		var num, den float64
-		for _, fi := range sel {
-			i := int(fi)
-			num += os[i]
-			den += signs[i]
-		}
-		if den == 0 {
-			return 0
-		}
-		return num / den
-	}
-	return stats.Jackknife(idx, f)
-}
-
-func scaleCopy(v []float64, s float64) []float64 {
-	out := make([]float64, len(v))
-	for i := range v {
-		out[i] = v[i] * s
-	}
-	return out
 }

@@ -21,8 +21,11 @@ import (
 // flushes of a slice run on the device that built its block. Because every
 // device executes the identical host arithmetic, the Markov chain is
 // bitwise independent of the device count and of command-graph mode —
-// sharding and graphs move modeled time, never numbers — and bitwise equal
-// to the host backend's, which the tests verify.
+// sharding and graphs move modeled time, never numbers. It is bitwise
+// equal to the host backend's below greens.sepMinN sites and on layered or
+// t′ ≠ 0 lattices, which the tests verify; from sepMinN up on a single
+// t′ = 0 plane the host wraps and clusters by the Kronecker factors while
+// the device runs dense GEMMs, so the two chains agree only to rounding.
 type backend struct {
 	accs []*Accelerator
 	k    int // block size of the latest Cluster call: slice s is in block s/k

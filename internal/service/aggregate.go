@@ -8,9 +8,9 @@ import (
 
 // Estimate is the streaming cross-shard aggregate published while a job
 // runs: the scalar observables of core.MergeResults over the shards landed
-// so far (each shard is an independent chain; across shards the spread of
-// the independent estimates is the honest error). With one landed shard the
-// shard's own jackknife errors are reported.
+// so far (each shard is an independent chain: the shards' own errors in
+// quadrature, or the spread of their estimates where that is larger). With
+// one landed shard the shard's own log-binning errors are reported.
 type Estimate struct {
 	SchemaVersion string `json:"schema_version,omitempty"`
 	// Shards is how many chains have landed in this aggregate.

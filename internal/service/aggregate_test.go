@@ -103,7 +103,7 @@ func TestAggregatorPartialEstimate(t *testing.T) {
 	if e == nil || e.Shards != 1 {
 		t.Fatalf("estimate after one shard: %+v", e)
 	}
-	// One shard: its own jackknife errors pass through.
+	// One shard: its own errors pass through.
 	if e.Density != r0.Density || e.DensityErr != r0.DensityErr {
 		t.Errorf("single-shard estimate not a passthrough: %+v vs %+v", e, r0)
 	}

@@ -8,8 +8,8 @@
 // with seeds derived by core.WalkerSeed, so a 1-shard job reproduces a
 // direct single-walker core.Run bit for bit and an n-shard job reproduces
 // Run(..., WithWalkers(n)). Shards are executed by a bounded worker pool;
-// results are aggregated as they land (binned/jackknife statistics via
-// internal/stats and core.MergeResults), a partial estimate is streamed
+// results are aggregated as they land (each shard's log-binning errors,
+// merged by core.MergeResults), a partial estimate is streamed
 // while the job runs, and the final merged document is stored in an LRU
 // result cache keyed on the deterministic Config content hash — a repeated
 // request for identical physics is served instantly.

@@ -65,7 +65,7 @@ echo "== Verify: portable micro-kernel build (-tags purego)"
 go test -tags purego ./internal/blas/ ./internal/lapack/ ./internal/greens/ ./internal/update/ ./internal/core/
 # ... and gemm_generic.go is invisible to hotalloc/poolpair/nakedpanic otherwise.
 GOFLAGS=-tags=purego go run ./cmd/qmclint ./internal/blas ./internal/lapack ./internal/mat
-echo "== Verify: fuzz kernels against reference implementations, checkpoint decode (10s each)"
+echo "== Verify: fuzz kernels against reference implementations, checkpoint, job-config and input-file decode (10s each)"
 go test ./internal/blas/ -run NoSuchTest -fuzz 'FuzzGemmPackedVsNaive$' -fuzztime 10s
 go test ./internal/blas/ -run NoSuchTest -fuzz 'FuzzVecKernels$' -fuzztime 10s
 go test ./internal/blas/ -run NoSuchTest -fuzz 'FuzzKronApply$' -fuzztime 10s
@@ -74,6 +74,8 @@ go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzQRReconstruct$' -fuzztime 
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzGetrf$' -fuzztime 10s
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzQRPBlockedVsLevel2$' -fuzztime 10s
 go test ./internal/core/ -run NoSuchTest -fuzz 'FuzzResumeCheckpoint$' -fuzztime 10s
+go test ./internal/core/ -run NoSuchTest -fuzz 'FuzzConfigJSON$' -fuzztime 10s
+go test ./internal/config/ -run NoSuchTest -fuzz 'FuzzQUESTParse$' -fuzztime 10s
 # The multi-size kernel series. 16 and 36 are the sizes service jobs run at
 # (4x4, and 6x6 with partial tiles), 144 the benchmark's large_dense.
 # (Blocked QRP >= level-2 at N=512 is TestQRPBlockedNotSlowerThanLevel2 in
