@@ -10,8 +10,8 @@
 //	     [-prepivot] [-progress] [-stability 8] [-autopilot] [-json out.json]
 //
 // Interrupting a run (SIGINT/SIGTERM) stops it at the next sweep boundary;
-// with -checkpoint set the Markov-chain state is saved there so the run can
-// continue with -resume.
+// with -checkpoint set the state is saved there and -resume continues that
+// run (a file written after a finished run starts a new -warm/-meas run).
 //
 // Example input file:
 //
@@ -162,9 +162,11 @@ func main() {
 			if lerr != nil {
 				fatal(lerr)
 			}
-			// Flags/input override the schedule for the continuation.
-			ck.Config.WarmSweeps = cfg.WarmSweeps
-			ck.Config.MeasSweeps = cfg.MeasSweeps
+			// A file written mid-run continues its own schedule; one written
+			// between runs takes the flags'/input's.
+			if ck.Sweeps == 0 {
+				ck.Config.WarmSweeps, ck.Config.MeasSweeps = cfg.WarmSweeps, cfg.MeasSweeps
+			}
 			cfg = ck.Config
 			if sim, err = questgo.Resume(ck); err != nil {
 				fatal(err)
@@ -173,16 +175,17 @@ func main() {
 			fatal(err)
 		}
 		banner(cfg)
-		if res, err = sim.RunContext(ctx, cb); err != nil {
-			// An interrupted chain is saved to resume; an unstable one is
-			// not worth resuming.
-			var unstable *questgo.ErrUnstable
-			if *ckptOut != "" && !errors.As(err, &unstable) {
-				if serr := sim.Checkpoint().Save(*ckptOut); serr == nil {
-					fmt.Fprintf(os.Stderr, "dqmc: %v; checkpoint written to %s\n", err, *ckptOut)
-					os.Exit(1)
-				}
+		res, err = sim.RunContext(ctx, cb)
+		// A finished or interrupted chain is saved to resume; an unstable
+		// one is not worth resuming.
+		var unstable *questgo.ErrUnstable
+		if *ckptOut != "" && !errors.As(err, &unstable) {
+			if serr := sim.Checkpoint().Save(*ckptOut); serr != nil {
+				fatal(fmt.Errorf("checkpoint: %w", serr))
 			}
+			fmt.Fprintf(os.Stderr, "dqmc: checkpoint written to %s\n", *ckptOut)
+		}
+		if err != nil {
 			fatal(err)
 		}
 	} else {
@@ -244,12 +247,6 @@ func main() {
 			fatal(fmt.Errorf("json: %w", err))
 		}
 		fmt.Printf("\nresults written to %s\n", *jsonOut)
-	}
-	if *ckptOut != "" && sim != nil {
-		if err := sim.Checkpoint().Save(*ckptOut); err != nil {
-			fatal(fmt.Errorf("checkpoint: %w", err))
-		}
-		fmt.Printf("\ncheckpoint written to %s\n", *ckptOut)
 	}
 }
 

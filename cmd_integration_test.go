@@ -3,6 +3,7 @@ package questgo
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -56,6 +57,55 @@ func TestCmdDQMC(t *testing.T) {
 		"-warm", "2", "-meas", "3")
 	if !strings.Contains(out, "U=-4 mu=0.3") {
 		t.Fatalf("dqmc -u -4 -mu 0.3 banner:\n%s", out)
+	}
+}
+
+// TestCmdDQMCResumeMidRun: a restart file written through the facade in
+// mid-measurement, resumed by `dqmc -resume f -json out` without schedule
+// flags, finishes with the uninterrupted run's Results apart from metrics.
+func TestCmdDQMCResumeMidRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration")
+	}
+	cfg := DefaultConfig()
+	cfg.Nx, cfg.Ny, cfg.L = 2, 2, 8
+	cfg.WarmSweeps, cfg.MeasSweeps, cfg.MeasureDynamics = 3, 6, true
+	want, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := NewSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if _, err := sim.RunContext(ctx, func(p Progress) {
+		if p.Stage == "measure" && p.Sweep == 2 {
+			cancel()
+		}
+	}); err != context.Canceled {
+		t.Fatalf("interrupted run returned %v", err)
+	}
+	dir := t.TempDir()
+	ckptPath, jsonPath := filepath.Join(dir, "run.ckpt"), filepath.Join(dir, "out.json")
+	if err := sim.Checkpoint().Save(ckptPath); err != nil {
+		t.Fatal(err)
+	}
+	runTool(t, "./cmd/dqmc", "-resume", ckptPath, "-json", jsonPath)
+	data, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Results
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	got.Metrics, want.Metrics = nil, nil
+	a, _ := json.Marshal(&got)
+	b, _ := json.Marshal(want)
+	if string(a) != string(b) {
+		t.Errorf("dqmc -resume of a mid-measurement file:\n got %s\nwant %s", a, b)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Restart: long DQMC runs (the paper's production jobs take 36 hours)
-// need checkpoint files. This example runs half a simulation, writes a
-// restart file, "crashes", resumes from disk and finishes — and verifies
-// that the resumed chain gives exactly the observables the uninterrupted
-// run would have produced.
+// need checkpoint files. This example stops a simulation in the middle of
+// its measurement sweeps, writes a restart file, "crashes", resumes from
+// disk and finishes — and verifies that the resumed run gives exactly the
+// Results the uninterrupted run would have produced.
 //
 // Run with:
 //
@@ -10,10 +10,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
+	"reflect"
 
 	"questgo"
 )
@@ -26,47 +28,47 @@ func main() {
 	cfg.Seed = 99
 
 	// Reference: the uninterrupted run.
-	simRef, err := questgo.NewSimulation(cfg)
+	ref, err := questgo.Run(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ref := simRef.Run()
 
-	// Interrupted: first half, checkpoint to disk, resume, second half.
-	first := cfg
-	first.WarmSweeps, first.MeasSweeps = 19, 1 // same 20 pre-measurement sweeps
-	sim1, err := questgo.NewSimulation(first)
+	// Interrupted: cancel after measurement sweep 15 and save the restart
+	// file, which carries the place in the schedule and the measurement.
+	sim1, err := questgo.NewSimulation(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim1.Run()
-
-	dir, err := os.MkdirTemp("", "questgo-restart")
-	if err != nil {
-		log.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if _, err := sim1.RunContext(ctx, func(p questgo.Progress) {
+		if p.Stage == "measure" && p.Sweep == 15 {
+			cancel()
+		}
+	}); err != context.Canceled {
+		log.Fatalf("interrupted run returned %v", err)
 	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "run.ckpt")
+	path := filepath.Join(os.TempDir(), fmt.Sprintf("questgo-restart-%d.ckpt", os.Getpid()))
+	defer os.Remove(path)
 	if err := sim1.Checkpoint().Save(path); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("checkpoint written: %s\n", path)
+	fmt.Printf("checkpoint written after measurement sweep 15 of 40: %s\n", path)
 
 	ck, err := questgo.LoadCheckpoint(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ck.Config.WarmSweeps, ck.Config.MeasSweeps = 0, 40
 	sim2, err := questgo.Resume(ck)
 	if err != nil {
 		log.Fatal(err)
 	}
 	res := sim2.Run()
 
-	fmt.Printf("\nuninterrupted: docc = %.6f, S(pi,pi) = %.4f\n", ref.DoubleOcc, ref.SAF)
-	fmt.Printf("resumed:       docc = %.6f, S(pi,pi) = %.4f\n", res.DoubleOcc, res.SAF)
-	if res.DoubleOcc == ref.DoubleOcc && res.SAF == ref.SAF {
-		fmt.Println("\nbit-for-bit identical: the restart file captures the full chain state.")
+	fmt.Printf("\nuninterrupted: docc = %.6f +- %.6f, S(pi,pi) = %.4f\n", ref.DoubleOcc, ref.DoubleOccErr, ref.SAF)
+	fmt.Printf("resumed:       docc = %.6f +- %.6f, S(pi,pi) = %.4f\n", res.DoubleOcc, res.DoubleOccErr, res.SAF)
+	if res.Metrics, ref.Metrics = nil, nil; reflect.DeepEqual(res, ref) {
+		fmt.Println("\nbit-for-bit identical Results: the restart file captures the chain and the measurement.")
 	} else {
 		fmt.Println("\nWARNING: resumed run diverged — this should never happen.")
 	}

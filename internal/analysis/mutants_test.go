@@ -82,8 +82,8 @@ var mutants = []struct {
 		"\tos.WriteFile(path, []byte(content), 0o644)\n",
 		ErrCheck, "result of os.WriteFile includes an error that is discarded"},
 	{"dropped checkpoint Save error in service", "internal/service/shard.go",
-		"\tif serr := ck.Save(sh.ckptPath); serr != nil {\n", "\tck.Save(sh.ckptPath)\n\tif serr := error(nil); serr != nil {\n",
-		ErrCheck, "result of ck.Save includes an error that is discarded"},
+		"\tif serr := sim.Checkpoint().Save(sh.ckptPath); serr != nil {\n", "\tsim.Checkpoint().Save(sh.ckptPath)\n\tif serr := error(nil); serr != nil {\n",
+		ErrCheck, "result of Save includes an error that is discarded"},
 
 	// The device clock cells are unexported in internal/gpu/hw: the engine
 	// cannot charge time outside an event-ordered stream.

@@ -181,7 +181,6 @@ func TestRunCancelCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.Config.MeasSweeps = 3
 	resumed, err := Resume(ck)
 	if err != nil {
 		t.Fatal(err)

@@ -2,18 +2,21 @@ package core
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"questgo/internal/autopilot"
 	"questgo/internal/obs"
 )
 
-// Checkpoint captures the complete Markov-chain state of a simulation: the
-// configuration, the Hubbard-Stratonovich field, the RNG state, and the
-// incrementally tracked fermion sign. A chain resumed from a checkpoint
-// reproduces the uninterrupted run sweep for sweep (verified by tests) —
+// Checkpoint captures the complete state of a simulation: the
+// configuration, the Hubbard-Stratonovich field, the RNG state, the
+// incrementally tracked fermion sign, and the place in the schedule with
+// the measurement so far. A simulation resumed from a checkpoint continues
+// the run and yields the uninterrupted run's Results (verified by tests) —
 // the long production runs of the paper (36 hours for N = 1024) are
 // exactly the kind of job that needs restart files.
 type Checkpoint struct {
@@ -21,26 +24,35 @@ type Checkpoint struct {
 	FieldH   [][]float64
 	RngState [4]uint64
 	Sign     float64
-	// Accepted/Proposed are the lifetime Metropolis counters, carried so a
-	// resumed run's acceptance rate covers the whole chain, not just the
-	// sweeps executed after the restart. Old restart files decode them as
-	// zero, which reproduces the previous post-restart behavior.
-	Accepted int64
-	Proposed int64
+	// Accepted/Proposed are the lifetime Metropolis counters and
+	// MaxWrapDrift the lifetime maximum wrap drift, carried so a resumed
+	// run's acceptance and drift cover the whole chain. Old restart files
+	// decode them as zero: they then cover the sweeps after the restart.
+	Accepted     int64
+	Proposed     int64
+	MaxWrapDrift float64
 	// Autopilot is the controller state when Config.Autopilot is on (nil
 	// otherwise): the resumed run continues with the adapted cluster size and
 	// check cadence instead of restarting the adaptation from the config.
 	Autopilot *autopilot.State
+	// Sweeps is the run's place in the schedule (the sweeps done of
+	// WarmSweeps + MeasSweeps) and Meas its measurement so far. Between
+	// runs, and in older files, they are 0 and nil: the schedule restarts.
+	Sweeps int
+	Meas   *Measurement
 }
 
-// Checkpoint snapshots the current chain state. Call it between sweeps
-// (e.g. from a WithProgress callback after the sweep completes).
+// Checkpoint snapshots the current state. Call it between sweeps: from a
+// WithProgress callback, or after RunContext has returned.
 func (s *Simulation) Checkpoint() *Checkpoint {
 	c := &Checkpoint{
-		Config:   s.cfg,
-		FieldH:   make([][]float64, len(s.field.H)),
-		RngState: s.rng.State(),
-		Sign:     s.sweeper.Sign(),
+		Config:       s.cfg,
+		FieldH:       make([][]float64, len(s.field.H)),
+		RngState:     s.rng.State(),
+		Sign:         s.sweeper.Sign(),
+		MaxWrapDrift: s.sweeper.MaxWrapDrift(),
+		Sweeps:       s.sweeps,
+		Meas:         s.meas.clone(),
 	}
 	c.Accepted, c.Proposed = s.sweeper.Counters()
 	for i, row := range s.field.H {
@@ -65,16 +77,14 @@ func (c *Checkpoint) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	if err := c.Encode(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	// Synced before the rename: a crash leaves no empty file at path.
+	if err = errors.Join(c.Encode(f), f.Sync(), f.Close()); err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		os.Remove(tmp)
-		return err
 	}
-	return os.Rename(tmp, path)
+	return err
 }
 
 // ReadCheckpoint deserializes a checkpoint from r.
@@ -96,10 +106,10 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return ReadCheckpoint(f)
 }
 
-// Resume reconstructs a Simulation whose Markov chain continues exactly
-// where the checkpoint left off. The caller chooses the remaining sweep
-// schedule through the checkpointed Config (adjust WarmSweeps/MeasSweeps
-// before calling if needed).
+// Resume reconstructs a Simulation that continues the checkpointed run
+// from its place in the schedule, with the Markov chain exactly where it
+// left off. The file is treated as hostile: every field is checked against
+// the config before anything runs.
 func Resume(c *Checkpoint) (*Simulation, error) {
 	switch {
 	case c.RngState == [4]uint64{}:
@@ -108,9 +118,14 @@ func Resume(c *Checkpoint) (*Simulation, error) {
 		return nil, fmt.Errorf("core: checkpoint sign %v, want +1 or -1", c.Sign)
 	case c.Accepted < 0 || c.Accepted > c.Proposed:
 		return nil, fmt.Errorf("core: checkpoint counters accepted %d of %d proposed", c.Accepted, c.Proposed)
+	case !(c.MaxWrapDrift >= 0 && c.MaxWrapDrift <= math.MaxFloat64):
+		return nil, fmt.Errorf("core: checkpoint wrap drift %v", c.MaxWrapDrift)
 	}
 	sim, err := newBase(c.Config, obs.New())
 	if err != nil {
+		return nil, err
+	}
+	if err := sim.checkPlace(c.Sweeps, c.Meas); err != nil {
 		return nil, err
 	}
 	n := sim.model.N()
@@ -138,5 +153,26 @@ func Resume(c *Checkpoint) (*Simulation, error) {
 	sim.startSweeper()
 	sim.sweeper.SetSign(c.Sign)
 	sim.sweeper.SetCounters(c.Accepted, c.Proposed)
+	sim.sweeper.SetMaxWrapDrift(c.MaxWrapDrift)
+	sim.sweeps, sim.meas = c.Sweeps, c.Meas.clone()
 	return sim, nil
+}
+
+// checkPlace reports whether the run can continue from sweep sweeps with
+// measurement m: one sample a measurement sweep done, on an allowed tau grid.
+func (s *Simulation) checkPlace(sweeps int, m *Measurement) error {
+	done := sweeps - s.cfg.WarmSweeps
+	if sweeps < 0 || done >= s.cfg.MeasSweeps || (m != nil) != (done > 0) {
+		return fmt.Errorf("core: checkpoint at sweep %d of %d + %d, measurement present: %v", sweeps, s.cfg.WarmSweeps, s.cfg.MeasSweeps, m != nil)
+	} else if m == nil {
+		return nil
+	}
+	planeN, dyn := s.lat.Nx*s.lat.Ny, s.cfg.MeasureDynamics && m.Every >= 1
+	if m.Every < min(1, s.cfg.L/2) || m.Every > s.cfg.L/2 || (m.Dyn != nil) != dyn {
+		return fmt.Errorf("core: checkpoint tau spacing %d for %d slices, G(d,tau) accumulator present: %v", m.Every, s.cfg.L, m.Dyn != nil)
+	}
+	if err := m.ET.Check(nScalars+2*planeN+s.lat.Layers, done); err != nil || !dyn {
+		return err
+	}
+	return m.Dyn.Check(s.cfg.L/2/m.Every*planeN, done)
 }

@@ -226,6 +226,26 @@ type Simulation struct {
 	group   *gpu.Group // nil unless cfg.Devices >= 1
 	col     *obs.Collector
 	pilot   *autopilot.Controller // nil unless cfg.Autopilot
+	// The run in progress: its sweeps done, warm-up included, and its
+	// measurement from the first measurement sweep on; 0 and nil between runs.
+	sweeps int
+	meas   *Measurement
+}
+
+// Measurement is a run's measurement so far: the equal-time accumulator,
+// the G(d, tau) one (nil without Config.MeasureDynamics) and the spacing
+// Every of its tau grid.
+type Measurement struct {
+	ET, Dyn *stats.Accumulator
+	Every   int
+}
+
+// clone deep-copies m (nil for nil).
+func (m *Measurement) clone() *Measurement {
+	if m == nil {
+		return nil
+	}
+	return &Measurement{ET: m.ET.Clone(), Dyn: m.Dyn.Clone(), Every: m.Every}
 }
 
 // New builds the lattice, propagators, initial field and Markov chain for
@@ -347,8 +367,8 @@ func (s *Simulation) autopilotStep() {
 // can stream "where is the time going" alongside "how far along are we".
 type Progress struct {
 	Stage string // "warmup" or "measure"
-	Sweep int
-	Total int
+	Sweep int    // sweeps of the stage done, a resumed run's included
+	Total int    // Config.WarmSweeps or Config.MeasSweeps
 
 	// Phases is the per-phase time accumulated since the run started; Wall
 	// is the elapsed wall time over the same window.
@@ -379,12 +399,12 @@ func (s *Simulation) report(cb func(Progress), stage string, sweep, total int) {
 	})
 }
 
-// RunContext executes the full schedule, stopping between sweeps when ctx is
-// canceled. On cancellation it returns ctx.Err() with nil results; the
-// simulation remains in a consistent state, so the caller can Checkpoint()
-// it and resume later (cmd/dqmc -checkpoint does). A chain that fails the
-// stability checks after a sweep returns an *ErrUnstable, also with nil
-// results; its state is not worth a checkpoint.
+// RunContext executes the schedule from the simulation's place in it,
+// stopping between sweeps when ctx is canceled. On cancellation it returns
+// ctx.Err() with nil results and keeps its place and measurement: a later
+// RunContext, or a Resume of its Checkpoint, yields the uninterrupted run's
+// Results. A chain that fails the stability checks after a sweep returns an
+// *ErrUnstable, also with nil results; its state is not worth a checkpoint.
 func (s *Simulation) RunContext(ctx context.Context, cb func(Progress)) (*Results, error) {
 	// Re-baseline the collector so constructor work (cluster building, stack
 	// setup — or a long gap between New and Run) is excluded from the run's
@@ -405,24 +425,12 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 	// count that core as idle: see parallel.Enter.
 	parallel.Enter()
 	defer parallel.Leave()
-	for w := 0; w < s.cfg.WarmSweeps; w++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s.sweeper.Sweep()
-		s.autopilotStep()
-		if err := s.checkStable(w + 1); err != nil {
-			return nil, err
-		}
-		s.report(cb, "warmup", w+1, s.cfg.WarmSweeps)
-	}
-
-	// Per-sweep collection: with MeasureBoundaries every cluster boundary
-	// contributes one sample (L/k per sweep) and the sweep records their
-	// average; otherwise a single measurement is taken after the sweep. The
-	// records are reused from sweep to sweep. The boundary hook may run on a
-	// pool worker beside the chain (update.BoundaryHook): it writes only
-	// recs and taken, which this goroutine reads once Sweep has returned.
+	// Per-sweep collection: with MeasureBoundaries every cluster boundary of
+	// a measurement sweep contributes one sample (L/k per sweep) and the
+	// sweep records their average; otherwise one is taken after the sweep.
+	// The records are reused. The boundary hook may run on a pool worker
+	// beside the chain (update.BoundaryHook): it writes only recs and taken,
+	// which this goroutine reads once Sweep has returned.
 	var recs []*measure.EqualTime
 	taken := 0
 	record := func(gup, gdn *mat.Dense, sign float64) {
@@ -432,10 +440,7 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 		measure.MeasureInto(recs[taken], s.lat, gup, gdn, sign)
 		taken++
 	}
-	if s.cfg.MeasureBoundaries {
-		s.sweeper.SetBoundaryHook(record)
-		defer s.sweeper.SetBoundaryHook(nil)
-	}
+	defer s.sweeper.SetBoundaryHook(nil)
 	// One sample a sweep, sign weighted, of the scalars, n_k, C_zz and the
 	// layer densities, side by side.
 	planeN := s.lat.Nx * s.lat.Ny
@@ -443,42 +448,50 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 	etLayers := etCzz + planeN
 	row := make([]float64, etLayers+s.lat.Layers)
 	etnk := make([]float64, planeN)
-	etAcc := stats.NewAccumulator(len(row))
-	// G(d, tau) is measured at tau = every, 2·every, ..., L/2 with every
-	// fixed here, so a cluster resize during measurement keeps the grid
-	// (MeasureDisplaced splits any tau at the current k).
-	every := min(s.sweeper.ClusterK(), s.cfg.L/2)
-	var dynAcc *stats.Accumulator
-	var dynTaus []int
-	for m := 0; m < s.cfg.MeasSweeps; m++ {
+	warm := s.cfg.WarmSweeps
+	for s.sweeps-warm < s.cfg.MeasSweeps {
 		if err := ctx.Err(); err != nil {
 			return nil, err
+		}
+		if s.sweeps >= warm && s.meas == nil {
+			// G(d, tau) is measured at tau = every, 2·every, ..., L/2 with
+			// every fixed here, so a cluster resize during measurement keeps
+			// the grid (MeasureDisplaced splits any tau at the current k).
+			s.meas = &Measurement{ET: stats.NewAccumulator(len(row)), Every: min(s.sweeper.ClusterK(), s.cfg.L/2)}
+			if every := s.meas.Every; s.cfg.MeasureDynamics && every >= 1 {
+				s.meas.Dyn = stats.NewAccumulator(s.cfg.L / 2 / every * planeN)
+			}
+		}
+		m := s.meas
+		if m != nil && s.cfg.MeasureBoundaries {
+			s.sweeper.SetBoundaryHook(record)
 		}
 		taken = 0
 		s.sweeper.Sweep()
 		s.autopilotStep()
-		sweep := s.cfg.WarmSweeps + m + 1
-		if err := s.checkStable(sweep); err != nil {
+		s.sweeps++
+		if err := s.checkStable(s.sweeps); err != nil {
 			return nil, err
+		}
+		if m == nil {
+			s.report(cb, "warmup", s.sweeps, warm)
+			continue
 		}
 		start := s.col.Begin()
 		if taken == 0 {
 			record(s.sweeper.GreenUp(), s.sweeper.GreenDn(), s.sweeper.Sign())
 		}
-		if s.cfg.MeasureDynamics && every >= 1 {
-			md, err := measureDisplaced(s.lat, s.prop, s.field, every, s.cfg.L/2, s.sweeper.ClusterK())
+		if m.Dyn != nil {
+			md, err := measureDisplaced(s.lat, s.prop, s.field, m.Every, s.cfg.L/2, s.sweeper.ClusterK())
 			if err != nil {
-				return nil, &ErrUnstable{Sweep: sweep, Drift: s.sweeper.MaxWrapDrift(), Sign: s.sweeper.Sign(),
+				return nil, &ErrUnstable{Sweep: s.sweeps, Drift: s.sweeper.MaxWrapDrift(), Sign: s.sweeper.Sign(),
 					Reason: fmt.Sprintf("singular displaced Green's function: %v", err)}
 			}
 			gd, sg := slices.Concat(md.GdTau...), s.sweeper.Sign()
 			for i := range gd {
 				gd[i] *= sg
 			}
-			if dynAcc == nil {
-				dynTaus, dynAcc = md.Taus, stats.NewAccumulator(len(gd))
-			}
-			dynAcc.Push(gd, sg)
+			m.Dyn.Push(gd, sg)
 		}
 		// Average the sweep's samples, sign weighted.
 		inv := 1 / float64(taken)
@@ -502,20 +515,22 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 				row[etLayers+i] += sg * v * inv
 			}
 		}
-		etAcc.Push(row, sSign)
+		m.ET.Push(row, sSign)
 		s.col.End(obs.PhaseMeasure, start)
-		s.report(cb, "measure", m+1, s.cfg.MeasSweeps)
+		s.report(cb, "measure", s.sweeps-warm, s.cfg.MeasSweeps)
 	}
+	m := s.meas
+	s.sweeps, s.meas = 0, nil
 
 	// The final statistics belong to the measurement phase of the breakdown.
 	fstart := s.col.Begin()
 	res := &Results{
 		Config:       s.cfg,
-		AvgSign:      etAcc.AvgSign(),
+		AvgSign:      m.ET.AvgSign(),
 		Acceptance:   s.sweeper.AcceptanceRate(),
 		MaxWrapDrift: s.sweeper.MaxWrapDrift(),
 	}
-	mean, errs := etAcc.Estimate()
+	mean, errs := m.ET.Estimate()
 	for i, f := range res.scalars() {
 		*f[0], *f[1] = mean[i], errs[i]
 	}
@@ -524,10 +539,10 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 	res.Nk, res.NkErr = mean[nScalars:etCzz:etCzz], errs[nScalars:etCzz:etCzz]
 	res.Czz, res.CzzErr = mean[etCzz:etLayers:etLayers], errs[etCzz:etLayers:etLayers]
 	res.LayerDensity = mean[etLayers:]
-	if dynAcc != nil {
-		res.DisplacedTaus = dynTaus
-		mean, errs := dynAcc.Estimate()
-		for i := range dynTaus {
+	if m.Dyn != nil {
+		mean, errs := m.Dyn.Estimate()
+		for i := range len(mean) / planeN {
+			res.DisplacedTaus = append(res.DisplacedTaus, (i+1)*m.Every)
 			res.GdTau = append(res.GdTau, mean[i*planeN:(i+1)*planeN:(i+1)*planeN])
 			res.GdTauErr = append(res.GdTauErr, errs[i*planeN:(i+1)*planeN:(i+1)*planeN])
 		}

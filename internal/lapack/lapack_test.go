@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"questgo/internal/blas"
 	"questgo/internal/mat"
@@ -216,6 +217,29 @@ func TestSymEigDiagonal(t *testing.T) {
 	}
 	if e := orthoError(vecs); e > 1e-13 {
 		t.Fatalf("eigenvectors not orthogonal: %g", e)
+	}
+}
+
+// TestSymEigOverflowEnds: the periodic 2x2 lattice's hopping matrix at
+// t = 1e185 (entries -2t), a value Config.Validate accepts, overflows the
+// QL iteration to NaN. SymEig must return (a non-finite spectrum) instead
+// of iterating forever.
+func TestSymEigOverflowEnds(t *testing.T) {
+	a := mat.New(4, 4)
+	for _, p := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}} {
+		a.Set(p[0], p[1], -2e185)
+		a.Set(p[1], p[0], -2e185)
+	}
+	done := make(chan []float64)
+	go func() {
+		vals, _ := SymEig(a)
+		done <- vals
+	}()
+	select {
+	case vals := <-done:
+		t.Logf("spectrum %v", vals)
+	case <-time.After(10 * time.Second):
+		t.Fatal("SymEig did not return within 10 s")
 	}
 }
 

@@ -190,7 +190,9 @@ func tql2(v *mat.Dense, d, e []float64) {
 				p = -s * s2 * c3 * el1 * e[l] / dl1
 				e[l] = s * p
 				d[l] = c * p
-				if math.Abs(e[l]) <= eps*tst1 {
+				// Negated, so a spectrum that overflowed to NaN ends the
+				// iteration instead of never meeting the test.
+				if !(math.Abs(e[l]) > eps*tst1) {
 					break
 				}
 			}

@@ -22,10 +22,9 @@ import (
 //
 //   - kill #1 at callback 4 = warmup sweep 4 of 8: resume restores the
 //     chain mid-warmup and warms the remaining 4 sweeps;
-//   - kill #2 at callback 14 = measurement sweep 6 of the resumed attempt:
-//     the measurement segment is atomic, so resume restarts it from the
-//     state captured at the warmup/measurement boundary and replays all 16
-//     measurement sweeps.
+//   - kill #2 at callback 14 = measurement sweep 6 of 16: the checkpoint
+//     carries the measurement so far, so resume continues with measurement
+//     sweep 7 instead of replaying the segment.
 func TestShardFaultRecoveryBitwise(t *testing.T) {
 	cfg := fastConfig()
 	cfg.WarmSweeps, cfg.MeasSweeps = 8, 16
@@ -250,9 +249,9 @@ func TestCancelCleansCheckpoints(t *testing.T) {
 
 // TestRunShardCheckpointContents drives runShard directly (no queue, no
 // timing) and inspects the restart file an interrupted attempt leaves
-// behind: a valid core checkpoint whose schedule has been advanced past the
-// completed warmup sweeps, consumable by a second attempt that finishes the
-// shard with the exact uninterrupted physics.
+// behind: a valid core checkpoint of the shard's own config at its place in
+// the warm-up, consumable by a second attempt that finishes the shard with
+// the exact uninterrupted physics.
 func TestRunShardCheckpointContents(t *testing.T) {
 	cfg := fastConfig()
 	cfg.WarmSweeps, cfg.MeasSweeps = 8, 16
@@ -295,11 +294,11 @@ func TestRunShardCheckpointContents(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load checkpoint: %v", err)
 	}
-	if got := ck.Config.WarmSweeps; got != cfg.WarmSweeps-3 {
-		t.Errorf("checkpoint warmup schedule = %d, want %d", got, cfg.WarmSweeps-3)
+	if ck.Config != cfg {
+		t.Errorf("checkpoint config = %+v, want the shard's %+v", ck.Config, cfg)
 	}
-	if ck.Config.MeasSweeps != cfg.MeasSweeps {
-		t.Errorf("checkpoint measurement schedule = %d, want %d", ck.Config.MeasSweeps, cfg.MeasSweeps)
+	if ck.Sweeps != 3 || ck.Meas != nil {
+		t.Errorf("checkpoint at sweep %d with measurement %v, want sweep 3 of the warm-up", ck.Sweeps, ck.Meas)
 	}
 	if ck.Proposed == 0 {
 		t.Errorf("checkpoint lost the Metropolis counters")
@@ -318,5 +317,102 @@ func TestRunShardCheckpointContents(t *testing.T) {
 	}
 	if _, err := os.Stat(sh.ckptPath); !os.IsNotExist(err) {
 		t.Errorf("checkpoint not removed after success: %v", err)
+	}
+}
+
+// TestShardProgressNeverRunsBackwards: a shard killed once in warm-up and
+// once in measurement reports its place in the run's own schedule across
+// the restarts — every progress event is at or past the one before it in
+// (stage, sweep), each against the config's WarmSweeps or MeasSweeps, and
+// the resumed attempts report no sweep twice.
+func TestShardProgressNeverRunsBackwards(t *testing.T) {
+	cfg := fastConfig()
+	cfg.WarmSweeps, cfg.MeasSweeps = 8, 16
+	var calls atomic.Int64
+	svc, err := New(Options{
+		Workers:       1,
+		CheckpointDir: t.TempDir(),
+		FaultHook: func(jobID string, shard, sweep int) bool {
+			n := calls.Add(1)
+			return n == 4 || n == 14 // warm-up sweep 4, measurement sweep 6
+		},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(func() { _ = svc.Close() })
+	req := JobRequest{Config: cfg}
+	if err := req.normalize(); err != nil {
+		t.Fatalf("normalize: %v", err)
+	}
+	j := newJob("jtest", req, cfg.Hash(), svc.ckptDir)
+	sh := j.shards[0]
+	for attempt := 1; ; attempt++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		sh.runCancel = cancel
+		_, err := svc.runShard(ctx, j, sh)
+		cancel()
+		if err == nil {
+			break
+		}
+		if attempt == 3 {
+			t.Fatalf("attempt %d: %v", attempt, err)
+		}
+	}
+	stage := map[string]int{"warmup": 0, "measure": 1}
+	total := map[string]int{"warmup": cfg.WarmSweeps, "measure": cfg.MeasSweeps}
+	last, n := [2]int{-1, 0}, 0
+	for _, e := range j.events {
+		if e.Type != "progress" {
+			continue
+		}
+		n++
+		at := [2]int{stage[e.Stage], e.Sweep}
+		if at[0] < last[0] || at[0] == last[0] && at[1] <= last[1] {
+			t.Errorf("progress %s %d/%d after %v", e.Stage, e.Sweep, e.Total, last)
+		}
+		if e.Total != total[e.Stage] {
+			t.Errorf("progress %s %d/%d: total is not the config's %d", e.Stage, e.Sweep, e.Total, total[e.Stage])
+		}
+		last = at
+	}
+	if n != cfg.WarmSweeps+cfg.MeasSweeps || calls.Load() != int64(n) {
+		t.Errorf("%d progress events over %d sweeps, want one a sweep of %d", n, calls.Load(), cfg.WarmSweeps+cfg.MeasSweeps)
+	}
+}
+
+// TestShardCheckpointSaveFailure: a shard killed mid-run whose checkpoint
+// cannot be written (a directory squats on its temp name) fails the job
+// with the save error at once, without a restart: there is nothing to
+// resume from.
+func TestShardCheckpointSaveFailure(t *testing.T) {
+	ckptDir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(ckptDir, "j000001-shard0000.ckpt.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	svc, cl := newTestServer(t, Options{
+		Workers:       1,
+		CheckpointDir: ckptDir,
+		FaultHook:     func(jobID string, shard, sweep int) bool { return sweep == 2 },
+	})
+	st, err := cl.Submit(context.Background(), JobRequest{Config: fastConfig(), NoCache: true})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if st.ID != "j000001" {
+		t.Fatalf("first job id = %s, the planted directory is not at its path", st.ID)
+	}
+	if _, err := cl.WaitResult(context.Background(), st.ID); err == nil {
+		t.Fatal("a shard whose checkpoint save fails must fail the job")
+	}
+	final, err := cl.Status(context.Background(), st.ID)
+	if err != nil {
+		t.Fatalf("status: %v", err)
+	}
+	if final.State != StateFailed || !strings.Contains(final.Error, "shard checkpoint save") {
+		t.Errorf("final state = %s (error %q), want failed with the save error", final.State, final.Error)
+	}
+	if got := svc.Stats().ShardRestarts; got != 0 {
+		t.Errorf("restart counter = %d, want 0 (a failed save is not a resumable interruption)", got)
 	}
 }

@@ -60,8 +60,9 @@ func docDiff(got, want string) string {
 // too. The 4x4 rows (N = 16) run their per-slice steps inline beside a
 // forked boundary, and with them the stacks' roll and the boundary
 // measurements beside the chain: with the check off no probe competes for
-// the worker, and one of those rows checkpoints at the end of the warm-up,
-// with the last roll in flight, and resumes from the checkpoint. The 6x6
+// the worker, and one of those rows checkpoints in mid-measurement and
+// resumes from the checkpoint, whose document must equal the uninterrupted
+// run's field for field. The 6x6
 // row (N = 36, delay 8 so delay blocks fill in mid-slice) sits at update's
 // crossover, where the steps and mid-slice flushes fork too.
 func TestResultsBitwiseAcrossModes(t *testing.T) {
@@ -94,10 +95,9 @@ func TestResultsBitwiseAcrossModes(t *testing.T) {
 	}
 }
 
-// runResumed runs cfg's warm-up, checkpoints from the progress callback
-// after its last sweep — while that sweep's stack roll is still in flight
-// where it runs beside the chain — and runs the measurement sweeps on the
-// chain resumed from the checkpoint.
+// runResumed runs cfg, checkpoints from the progress callback after
+// measurement sweep 2 — with the stacks' roll left to the next sweep — and
+// finishes the run on the chain resumed from the checkpoint.
 func runResumed(cfg core.Config) (*core.Results, error) {
 	sim, err := core.New(cfg)
 	if err != nil {
@@ -107,7 +107,7 @@ func runResumed(cfg core.Config) (*core.Results, error) {
 	defer cancel()
 	var ck *core.Checkpoint
 	_, err = sim.RunContext(ctx, func(p core.Progress) {
-		if p.Stage == "warmup" && p.Sweep == cfg.WarmSweeps {
+		if p.Stage == "measure" && p.Sweep == 2 {
 			ck = sim.Checkpoint()
 			cancel()
 		}
@@ -115,7 +115,6 @@ func runResumed(cfg core.Config) (*core.Results, error) {
 	if ck == nil {
 		return nil, fmt.Errorf("no checkpoint taken: %v", err)
 	}
-	ck.Config.WarmSweeps = 0
 	resumed, err := core.Resume(ck)
 	if err != nil {
 		return nil, err
@@ -171,19 +170,7 @@ func resultsBitwiseAcrossModes(t *testing.T, variant string, cfg core.Config, ru
 		t.Fatalf("%s: wait: %v", variant, err)
 	}
 	res := job.Results
-	a, b := modeDoc(t, res, false), modeDoc(t, first[0], false)
-	if first[0].Config.WarmSweeps != cfg.WarmSweeps {
-		// A resumed chain's document differs from an uninterrupted one's
-		// only where the resume shows: the schedule it was given and the
-		// drift of the warm-up it did not run.
-		norm := func(r *core.Results) string {
-			cp := *r
-			cp.Config.WarmSweeps, cp.MaxWrapDrift = 0, 0
-			return modeDoc(t, &cp, false)
-		}
-		a, b = norm(res), norm(first[0])
-	}
-	if a != b {
+	if a, b := modeDoc(t, res, false), modeDoc(t, first[0], false); a != b {
 		t.Errorf("%s: one-shard dqmcd job: document minus metrics differs from the host run's:\n%s", variant, docDiff(a, b))
 	}
 }

@@ -305,7 +305,6 @@ func (s *Server) runTask(t *shardTask) {
 			return
 		}
 		sh.state = StateQueued
-		sh.stage, sh.sweep = "", 0
 		j.emit(Event{Type: "shard", Shard: sh.idx, State: StateQueued, Restarts: sh.restarts})
 		s.sched.pushFront(t)
 	default:

@@ -15,11 +15,10 @@
 // request for identical physics is served instantly.
 //
 // A worker that dies mid-shard (fault injection, cancellation, crash
-// recovery) leaves a checkpoint behind: warmup progress is checkpointed
-// incrementally, and the measurement segment is atomic — it restarts from
-// the chain state captured at the warmup/measurement boundary, so the
-// re-run reproduces the uninterrupted measurement sequence exactly and the
-// aggregated observables are bitwise identical to an undisturbed run.
+// recovery) leaves a checkpoint behind: the chain, its place in the
+// schedule and the measurement so far. The next attempt continues the run
+// from there, so the aggregated observables are bitwise identical to an
+// undisturbed run.
 package service
 
 import (

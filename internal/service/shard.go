@@ -10,121 +10,57 @@ import (
 
 // runShard executes one attempt of one shard: fresh from the shard config,
 // or resumed from the checkpoint a previous interrupted attempt left
-// behind. On interruption (ctx canceled mid-run) it persists a resume point
-// and returns the context error; the queue decides whether to reschedule.
-//
-// Recovery preserves the exact trajectory. Two facts make that possible:
-//
-//   - Warmup is incrementally resumable: the chain state after warmup sweep
-//     w plus "warm-w more warmup sweeps, then the full measurement
-//     schedule" reproduces the uninterrupted run exactly (measurements all
-//     happen later).
-//
-//   - The measurement segment is atomic: measurement samples accumulate in
-//     memory and die with the worker, so a fault mid-measurement resumes
-//     from the chain state captured at the warmup/measurement boundary and
-//     replays the whole measurement segment. The chain is deterministic
-//     from that state, so the replayed samples — and therefore the
-//     aggregated observables — are bitwise identical to an undisturbed run.
+// behind. On interruption (ctx canceled mid-run) it saves the chain's
+// checkpoint and returns the context error; the queue decides whether to
+// reschedule. The checkpoint carries the run's place in the schedule and
+// its measurement so far, so the next attempt continues the run — warm-up
+// or measurement alike — and its Results are bitwise an undisturbed run's.
 func (s *Server) runShard(ctx context.Context, j *job, sh *shardState) (*core.Results, error) {
-	var (
-		sim *core.Simulation
-		cfg = sh.cfg
-		err error
-	)
+	var sim *core.Simulation
 	if _, statErr := os.Stat(sh.ckptPath); statErr == nil {
-		ck, lerr := core.LoadCheckpoint(sh.ckptPath)
-		if lerr != nil {
-			return nil, fmt.Errorf("shard checkpoint: %w", lerr)
+		ck, err := core.LoadCheckpoint(sh.ckptPath)
+		if err != nil {
+			return nil, fmt.Errorf("shard checkpoint: %w", err)
 		}
 		// Job ids restart with every server, so a reused CheckpointDir can
-		// hold another job's file at this path. Only the remaining warmup
-		// schedule (adjusted at save time below) may differ from the shard's
-		// own config; anything else is a foreign file and the shard starts
-		// fresh.
-		own := ck.Config
-		own.WarmSweeps = sh.cfg.WarmSweeps
-		if own == sh.cfg {
-			if sim, err = core.Resume(ck); err != nil {
-				return nil, fmt.Errorf("shard resume: %w", err)
-			}
-			cfg = ck.Config
-		} else {
+		// hold another job's file at this path: the shard starts fresh.
+		if ck.Config != sh.cfg {
 			_ = os.Remove(sh.ckptPath) // best effort: a finished run removes it again
+		} else if sim, err = core.Resume(ck); err != nil {
+			return nil, fmt.Errorf("shard resume: %w", err)
 		}
 	}
 	if sim == nil {
+		var err error
 		if sim, err = core.New(sh.cfg); err != nil {
 			return nil, err
 		}
 	}
 
-	// measStart is the resume point for faults inside the atomic
-	// measurement segment: the chain state with warmup fully consumed.
-	var measStart *core.Checkpoint
-	if cfg.WarmSweeps == 0 {
-		measStart = sim.Checkpoint()
-	}
-	var lastStage string
-	var lastSweep int
-	interrupted := false
-	cb := func(p core.Progress) {
-		lastStage, lastSweep = p.Stage, p.Sweep
-		if p.Stage == "warmup" && p.Sweep == p.Total {
-			ck := sim.Checkpoint()
-			ck.Config.WarmSweeps = 0
-			measStart = ck
-		}
+	res, runErr := sim.RunContext(ctx, func(p core.Progress) {
 		s.shardProgress(j, sh, p)
-		if hook := s.opts.FaultHook; hook != nil && !interrupted && hook(j.id, sh.idx, p.Sweep) {
-			// Kill this worker: cancel only the shard's run context. The
-			// cancel takes effect at the next sweep boundary, exactly like an
-			// external SIGKILL between sweeps.
-			interrupted = true
-			sh.interrupt()
+		if hook := s.opts.FaultHook; hook != nil && hook(j.id, sh.idx, p.Sweep) {
+			// Kill this worker: cancel only the shard's run context, which
+			// the worker owns for the attempt. The cancel takes effect at the
+			// next sweep boundary, exactly like an external SIGKILL between
+			// sweeps, so no sweep of this attempt consults the hook again.
+			sh.runCancel()
 		}
-	}
-	res, runErr := sim.RunContext(ctx, cb)
+	})
 	if runErr == nil {
 		_ = os.Remove(sh.ckptPath) // stale resume point, if any
-		// A resumed attempt ran a shrunken schedule; the result's provenance
-		// is the shard's full original config.
-		res.Config = sh.cfg
 		return res, nil
 	}
 	if ctx.Err() == nil {
 		return nil, runErr
 	}
-
-	// Interrupted between sweeps: persist the resume point.
-	var ck *core.Checkpoint
-	if lastStage == "warmup" && lastSweep < cfg.WarmSweeps {
-		ck = sim.Checkpoint()
-		ck.Config.WarmSweeps = cfg.WarmSweeps - lastSweep
-	} else if lastStage == "" && measStart == nil {
-		// Killed before the first sweep: resume is a fresh start.
-		ck = sim.Checkpoint()
-	} else {
-		// Warmup finished (possibly exactly at the boundary) or measurement
-		// underway: the measurement segment restarts whole.
-		ck = measStart
-	}
-	if serr := ck.Save(sh.ckptPath); serr != nil {
+	if serr := sim.Checkpoint().Save(sh.ckptPath); serr != nil {
 		// Deliberately not %w on runErr: without a saved resume point this is
 		// a real failure, and wrapping the context error would make the queue
 		// classify it as a resumable interruption.
 		return nil, fmt.Errorf("shard checkpoint save: %v (after %v)", serr, runErr)
 	}
 	return nil, runErr
-}
-
-// interrupt cancels the shard's current run context, if any. Safe to call
-// from the progress callback (the callback runs on the worker goroutine
-// that owns runCancel for the duration of the attempt).
-func (sh *shardState) interrupt() {
-	if sh.runCancel != nil {
-		sh.runCancel()
-	}
 }
 
 // shardProgress folds a per-sweep progress report into the shard status and

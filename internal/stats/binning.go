@@ -1,6 +1,11 @@
 package stats
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // minBins is the fewest bins a level needs before the error rule reads it.
 const minBins = 32
@@ -25,88 +30,119 @@ const minBins = 32
 // growing (e_{l+1} ≤ e_l + δ_l); failing that the largest l with M_l ≥ 32;
 // and level 0 while M_0 < 32. Fewer bins leave a level's own error too
 // uncertain to tell a plateau.
+// Its fields are exported for encoding/gob, which carries it in checkpoints.
 type Accumulator struct {
-	n      int       // samples pushed
-	ta     []float64 // Σa over every sample
-	tb     float64
-	ka     []float64 // the first sample, about which every moment is taken
-	kb     float64
+	N      int       // samples pushed
+	TA     []float64 // Σa over every sample
+	TB     float64
+	KA     []float64 // the first sample, about which every moment is taken
+	KB     float64
+	Levels []Level
 	carry  []float64
-	levels []level
 }
 
-// level holds the moments of its bins' sums less 2^l times the first
+// Level holds the moments of its bins' sums less 2^l times the first
 // sample, which keeps Σa² − M·Ā² from cancelling where a barely moves, and
 // its open bin: a complete level l−1 bin while M_{l−1} is odd.
-type level struct {
-	sa, saa, sab, open []float64
-	sb, sbb, openb     float64
+type Level struct {
+	SA, SAA, SAB, Open []float64
+	SB, SBB, OpenB     float64
 }
 
 // NewAccumulator returns an empty accumulator of vectors of length n.
 func NewAccumulator(n int) *Accumulator {
-	return &Accumulator{ta: make([]float64, n), ka: make([]float64, n), carry: make([]float64, n), levels: []level{newLevel(n)}}
+	return &Accumulator{TA: make([]float64, n), KA: make([]float64, n), carry: make([]float64, n), Levels: []Level{newLevel(n)}}
 }
 
-func newLevel(n int) level {
+func newLevel(n int) Level {
 	buf := make([]float64, 4*n)
-	return level{sa: buf[:n:n], saa: buf[n : 2*n : 2*n], sab: buf[2*n : 3*n : 3*n], open: buf[3*n:]}
+	return Level{SA: buf[:n:n], SAA: buf[n : 2*n : 2*n], SAB: buf[2*n : 3*n : 3*n], Open: buf[3*n:]}
+}
+
+// Check reports whether acc has the shape of an accumulator of vectors of
+// length n after samples pushes: a level per bit of the count and one
+// above them, every vector of length n. Check vets a decoded accumulator.
+func (acc *Accumulator) Check(n, samples int) error {
+	if acc == nil || acc.N != samples || len(acc.Levels) != bits.Len(uint(samples))+1 {
+		return fmt.Errorf("stats: not an accumulator of %d samples", samples)
+	}
+	ok := len(acc.TA) == n && len(acc.KA) == n
+	for _, lv := range acc.Levels {
+		ok = ok && len(lv.SA) == n && len(lv.SAA) == n && len(lv.SAB) == n && len(lv.Open) == n
+	}
+	if !ok {
+		return fmt.Errorf("stats: not an accumulator of width %d", n)
+	}
+	return nil
+}
+
+// Clone returns a deep copy of acc (nil for nil).
+func (acc *Accumulator) Clone() *Accumulator {
+	if acc == nil {
+		return nil
+	}
+	c := &Accumulator{N: acc.N, TA: slices.Clone(acc.TA), TB: acc.TB, KA: slices.Clone(acc.KA), KB: acc.KB}
+	for _, lv := range acc.Levels {
+		c.Levels = append(c.Levels, Level{slices.Clone(lv.SA), slices.Clone(lv.SAA), slices.Clone(lv.SAB), slices.Clone(lv.Open), lv.SB, lv.SBB, lv.OpenB})
+	}
+	return c
 }
 
 // Push records one sample: the sign-weighted observables a (not retained)
 // and the sign s.
 func (acc *Accumulator) Push(a []float64, s float64) {
-	if len(a) != len(acc.ta) {
+	if len(a) != len(acc.TA) {
 		panic("stats: sample length does not match the accumulator")
 	}
-	if acc.n == 0 {
-		copy(acc.ka, a)
-		acc.kb = s
+	if acc.N == 0 {
+		copy(acc.KA, a)
+		acc.KB = s
 	}
-	acc.n++
-	acc.tb += s
-	c, cb := acc.carry, s-acc.kb
+	acc.N++
+	acc.TB += s
+	acc.carry = append(acc.carry[:0], a...) // none yet once decoded
+	c, cb := acc.carry, s-acc.KB
 	for i, x := range a {
-		acc.ta[i] += x
-		c[i] = x - acc.ka[i]
+		acc.TA[i] += x
+		c[i] = x - acc.KA[i]
 	}
 	// The sample completes a level-0 bin; the M_l-th bin of level l opens
 	// the bin above when M_l is odd and completes it when M_l is even.
 	for l := 0; ; l++ {
-		lv := &acc.levels[l]
-		lv.sb += cb
-		lv.sbb += cb * cb
+		lv := &acc.Levels[l]
+		lv.SB += cb
+		lv.SBB += cb * cb
 		for i, x := range c {
-			lv.sa[i] += x
-			lv.saa[i] += x * x
-			lv.sab[i] += x * cb
+			lv.SA[i] += x
+			lv.SAA[i] += x * x
+			lv.SAB[i] += x * cb
 		}
-		if l+1 == len(acc.levels) {
-			acc.levels = append(acc.levels, newLevel(len(c)))
+		if l+1 == len(acc.Levels) {
+			acc.Levels = append(acc.Levels, newLevel(len(c)))
 		}
-		up := &acc.levels[l+1]
-		if acc.n>>l&1 == 1 {
-			copy(up.open, c)
-			up.openb = cb
+		up := &acc.Levels[l+1]
+		if acc.N>>l&1 == 1 {
+			copy(up.Open, c)
+			up.OpenB = cb
 			return
 		}
-		for i, x := range up.open {
+		for i, x := range up.Open {
 			c[i] += x
 		}
-		cb += up.openb
+		cb += up.OpenB
 	}
 }
 
 // AvgSign returns the mean of the signs, Σs/n (NaN before the first push).
-func (acc *Accumulator) AvgSign() float64 { return acc.tb / float64(acc.n) }
+func (acc *Accumulator) AvgSign() float64 { return acc.TB / float64(acc.N) }
 
 // Estimate returns every element's mean Σa/Σb (0 while Σb is 0) and its
 // error at the level the rule picks.
 func (acc *Accumulator) Estimate() (mean, err []float64) {
-	mean, err = make([]float64, len(acc.ta)), make([]float64, len(acc.ta))
+	mean, err = make([]float64, len(acc.TA)), make([]float64, len(acc.TA))
 	for i := range mean {
-		if acc.tb != 0 {
-			mean[i] = acc.ta[i] / acc.tb
+		if acc.TB != 0 {
+			mean[i] = acc.TA[i] / acc.TB
 		}
 		err[i] = acc.errAt(acc.level(i), i)
 	}
@@ -116,9 +152,9 @@ func (acc *Accumulator) Estimate() (mean, err []float64) {
 // level is the error rule's level for element i.
 func (acc *Accumulator) level(i int) int {
 	l := 0
-	for acc.n>>(l+1) >= minBins {
+	for acc.N>>(l+1) >= minBins {
 		e := acc.errAt(l, i)
-		if acc.errAt(l+1, i) <= e+e/math.Sqrt(float64(2*(acc.n>>l-1))) {
+		if acc.errAt(l+1, i) <= e+e/math.Sqrt(float64(2*(acc.N>>l-1))) {
 			break
 		}
 		l++
@@ -129,20 +165,20 @@ func (acc *Accumulator) level(i int) int {
 // errAt is e_l of element i: 0 below two bins or where the bins' sign sum
 // is 0.
 func (acc *Accumulator) errAt(l, i int) float64 {
-	lv := &acc.levels[l]
-	if acc.n>>l < 2 {
+	lv := &acc.Levels[l]
+	if acc.N>>l < 2 {
 		return 0
 	}
-	m, w := float64(acc.n>>l), math.Ldexp(1, l)
-	ma, mb := lv.sa[i]/m, lv.sb/m
-	b := mb + w*acc.kb
+	m, w := float64(acc.N>>l), math.Ldexp(1, l)
+	ma, mb := lv.SA[i]/m, lv.SB/m
+	b := mb + w*acc.KB
 	if b == 0 {
 		return 0
 	}
-	r := (ma + w*acc.ka[i]) / b
-	va := lv.saa[i] - lv.sa[i]*ma
-	cab := lv.sab[i] - lv.sa[i]*mb
-	vb := lv.sbb - lv.sb*mb
+	r := (ma + w*acc.KA[i]) / b
+	va := lv.SAA[i] - lv.SA[i]*ma
+	cab := lv.SAB[i] - lv.SA[i]*mb
+	vb := lv.SBB - lv.SB*mb
 	v := (va - 2*r*cab + r*r*vb) / (m - 1)
 	return math.Sqrt(max(v, 0)/m) / math.Abs(b)
 }

@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -229,5 +232,91 @@ func TestQuickAccumulatorMean(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAccumulatorGobResume: an accumulator has the shape Check expects after
+// every count of pushes, and one carried through encoding/gob (or a Clone)
+// at any count continues bit for bit: the same estimate after the rest of
+// the series as the accumulator that never stopped, with the original left
+// untouched by the copy's pushes.
+func TestAccumulatorGobResume(t *testing.T) {
+	r := rng.New(9)
+	const n, width = 100, 3
+	series := make([][]float64, n)
+	for i := range series {
+		series[i] = []float64{r.NormFloat64(), 2 + r.NormFloat64(), 1e6 + r.Float64()}
+	}
+	whole := NewAccumulator(width)
+	for _, a := range series {
+		whole.Push(a, 1)
+	}
+	wantMean, wantErr := whole.Estimate()
+	for cut := 0; cut < n; cut++ {
+		acc := NewAccumulator(width)
+		for _, a := range series[:cut] {
+			acc.Push(a, 1)
+		}
+		if err := acc.Check(width, cut); err != nil {
+			t.Fatalf("after %d pushes: %v", cut, err)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(acc); err != nil {
+			t.Fatal(err)
+		}
+		var back Accumulator
+		if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
+			t.Fatal(err)
+		}
+		if err := back.Check(width, cut); err != nil {
+			t.Fatalf("decoded after %d pushes: %v", cut, err)
+		}
+		before, _ := acc.Estimate()
+		for _, c := range []*Accumulator{&back, acc.Clone()} {
+			for _, a := range series[cut:] {
+				c.Push(a, 1)
+			}
+			mean, errs := c.Estimate()
+			if !slices.Equal(mean, wantMean) || !slices.Equal(errs, wantErr) {
+				t.Fatalf("resumed after %d pushes: %v ± %v, want %v ± %v", cut, mean, errs, wantMean, wantErr)
+			}
+		}
+		if after, _ := acc.Estimate(); !slices.Equal(after, before) && cut > 0 {
+			t.Fatalf("after %d pushes: pushing into a copy moved the original", cut)
+		}
+	}
+}
+
+// TestAccumulatorCheckRejects: a decoded accumulator whose count, level
+// count or vector lengths disagree is refused.
+func TestAccumulatorCheckRejects(t *testing.T) {
+	fresh := func() *Accumulator {
+		acc := NewAccumulator(2)
+		for i := range 5 {
+			acc.Push([]float64{float64(i), 1}, 1)
+		}
+		return acc
+	}
+	if err := fresh().Check(2, 5); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name           string
+		bad            func(*Accumulator) *Accumulator
+		width, samples int
+	}{
+		{"nil", func(*Accumulator) *Accumulator { return nil }, 2, 5},
+		{"width", func(a *Accumulator) *Accumulator { return a }, 3, 5},
+		{"samples", func(a *Accumulator) *Accumulator { return a }, 2, 4},
+		{"count and levels", func(a *Accumulator) *Accumulator { a.N = 8; return a }, 2, 8},
+		{"negative count", func(a *Accumulator) *Accumulator { a.N = -1; return a }, 2, -1},
+		{"extra level", func(a *Accumulator) *Accumulator { a.Levels = append(a.Levels, newLevel(2)); return a }, 2, 5},
+		{"short total", func(a *Accumulator) *Accumulator { a.TA = a.TA[:1]; return a }, 2, 5},
+		{"short open bin", func(a *Accumulator) *Accumulator { a.Levels[2].Open = nil; return a }, 2, 5},
+		{"long level moments", func(a *Accumulator) *Accumulator { a.Levels[0].SAA = append(a.Levels[0].SAA, 0); return a }, 2, 5},
+	} {
+		if tc.bad(fresh()).Check(tc.width, tc.samples) == nil {
+			t.Errorf("%s: Check accepted it", tc.name)
+		}
 	}
 }

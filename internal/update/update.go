@@ -914,6 +914,9 @@ func (sw *Sweeper) SetCounters(accepted, proposed int64) {
 // wrapped Green's function and its stratified recomputation.
 func (sw *Sweeper) MaxWrapDrift() float64 { return sw.maxWrapDrift }
 
+// SetMaxWrapDrift restores a checkpointed lifetime maximum wrap drift.
+func (sw *Sweeper) SetMaxWrapDrift(d float64) { sw.maxWrapDrift = d }
+
 // Err returns the first error a stratified refresh returned (up before down
 // at one boundary), or nil: lapack.ErrSingular where I + B...B is singular.
 // The chain runs on over the non-finite G, so callers check between sweeps.

@@ -55,8 +55,9 @@ type Simulation = core.Simulation
 // Progress reports a running simulation's position to WithProgress callbacks.
 type Progress = core.Progress
 
-// Checkpoint captures the Markov-chain state of a simulation for restart
-// files; see Simulation.Checkpoint, Resume, LoadCheckpoint.
+// Checkpoint captures a simulation's state for restart files: the Markov
+// chain, its place in the schedule and the measurement so far; see
+// Simulation.Checkpoint, Resume, LoadCheckpoint.
 type Checkpoint = core.Checkpoint
 
 // ChiResult holds sampled imaginary-time spin susceptibilities; see
@@ -94,8 +95,10 @@ func Run(ctx context.Context, cfg Config, opts ...RunOption) (*Results, error) {
 	return core.Run(ctx, cfg, opts...)
 }
 
-// Resume reconstructs a simulation from a checkpoint so the Markov chain
-// continues exactly where it left off.
+// Resume reconstructs a simulation from a checkpoint that continues its run
+// where it left off, warm-up or measurement alike: the resumed run's
+// Results are the uninterrupted run's. A checkpoint taken between runs
+// starts its config's schedule afresh from the saved chain.
 func Resume(c *Checkpoint) (*Simulation, error) { return core.Resume(c) }
 
 // LoadCheckpoint reads a restart file written with Checkpoint.Save.

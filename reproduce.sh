@@ -75,6 +75,7 @@ go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzGetrf$' -fuzztime 10s
 go test ./internal/lapack/ -run NoSuchTest -fuzz 'FuzzQRPBlockedVsLevel2$' -fuzztime 10s
 go test ./internal/core/ -run NoSuchTest -fuzz 'FuzzResumeCheckpoint$' -fuzztime 10s
 go test ./internal/core/ -run NoSuchTest -fuzz 'FuzzConfigJSON$' -fuzztime 10s
+go test ./internal/service/ -run NoSuchTest -fuzz 'FuzzJobRequest$' -fuzztime 10s
 go test ./internal/config/ -run NoSuchTest -fuzz 'FuzzQUESTParse$' -fuzztime 10s
 # The multi-size kernel series. 16 and 36 are the sizes service jobs run at
 # (4x4, and 6x6 with partial tiles), 144 the benchmark's large_dense.
