@@ -143,9 +143,23 @@ func TestCmdDQMCUnstable(t *testing.T) {
 				}
 			}
 		}
-		args := append(append(append([]string{}, rows...), dev...), "-k", "20", "-autopilot", "-stability", "2")
+		jsonPath := filepath.Join(dir, "autopilot.json")
+		args := append(append(append([]string{}, rows...), dev...), "-k", "20", "-autopilot", "-stability", "2", "-json", jsonPath)
 		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
 			t.Fatalf("dqmc %v: %v\n%s", args, err, out)
+		}
+		// It completes because the controller answered the drift: hold the
+		// shrink itself, not only the completion.
+		data, err := os.ReadFile(jsonPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res Results
+		if err := json.Unmarshal(data, &res); err != nil {
+			t.Fatal(err)
+		}
+		if ap := res.Metrics.Autopilot; ap == nil || ap.Shrinks < 1 || ap.FinalK >= 20 {
+			t.Errorf("dqmc %v: the autopilot did not shrink k = 20: %+v", args, ap)
 		}
 	}
 }

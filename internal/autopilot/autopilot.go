@@ -1,10 +1,10 @@
 // Package autopilot closes the loop from stability telemetry to sweep
-// control. A Controller subscribes to the live sample stream of an
-// obs.Collector (wrap drift, stack-vs-rebuild stratification residual,
-// log10 UDT condition) and adapts two knobs between sweeps: the cluster
-// size k (the wrapping count, which decides how much error the stratified
-// stack must absorb per boundary) and the stability-check cadence (how
-// often the expensive stack-vs-rebuild residual is evaluated).
+// control. After every sweep a Controller reads the sweep's window of
+// samples from the run's obs.Collector (wrap drift, stack-vs-rebuild
+// stratification residual, log10 UDT condition) and adapts two knobs: the
+// cluster size k (the wrapping count, which decides how much error the
+// stratified stack must absorb per boundary) and the stability-check
+// cadence (how often the expensive stack-vs-rebuild residual is evaluated).
 //
 // Control law, evaluated once per sweep from the window of samples the
 // sweep produced:
@@ -19,33 +19,37 @@
 //     failed. This monotone cap is what makes oscillation impossible — the
 //     set of reachable (k, cadence) pairs only ever shrinks.
 //   - After patience consecutive stable sweeps (drift and the last
-//     residual under their floors) outside a post-change cooldown, k
-//     stretches to the largest divisor of L at most twice the current k
-//     and the cadence doubles, both clamped by the caps.
+//     residual under their floors) outside a post-change cooldown, the
+//     cadence doubles, clamped by its cap. k never grows: it starts at its
+//     cap, and every step that lowers k lowers the cap with it.
 //
 // k is divisor-constrained: every step lands on a divisor of L so the
-// cluster partition stays exact. The controller is safe for concurrent
-// ObserveStability calls (the spin-parallel sweep samples from two
-// goroutines); EndSweep and the accessors take the same lock.
+// cluster partition stays exact. The Controller is a plain state machine:
+// EndSweep, the accessors and Restore are called from the sweep goroutine
+// between sweeps, and none of them locks.
 package autopilot
 
 import (
 	"math"
-	"sync"
 
 	"questgo/internal/obs"
 )
 
-// The control law's constants. The ceilings trigger shrink steps and the
-// floors gate grow steps. The condition ceiling (log10) is an overflow
+// DriftCeiling is the largest wrap drift a stable chain may reach: past it
+// the wrapped Green's functions the Metropolis ratios read have left the
+// stratified ones. The controller shrinks k above it; a run without the
+// controller fails (core.MaxStableWrapDrift).
+const DriftCeiling = 1e-3
+
+// The control law's other constants. The ceilings trigger shrink steps and
+// the floors gate grow steps. The condition ceiling (log10) is an overflow
 // guard: the graded UDT absorbs condition, so it scales with beta, not k,
 // and no condition floor gates growth. A wrap drift of ~1e-5 is the healthy
 // level of a well-stabilized beta = 32 chain, so the drift ceiling sits two
-// decades above it. The upper bounds are per run: k never exceeds the
-// configured k (stratification error grows exponentially in the cluster
-// size, so a k that looks to have decades of headroom can still be one
-// growth step from a cliff), and the cadence never exceeds
-// max(maxCheckEvery, the initial cadence).
+// decades above it. k never exceeds the configured k (stratification error
+// grows exponentially in the cluster size, so a k that looks to have
+// decades of headroom can still be one step from a cliff), and the cadence
+// never exceeds max(maxCheckEvery, the initial cadence).
 const (
 	patience          = 3 // consecutive stable sweeps before a grow step
 	cooldown          = 2 // sweeps after any change with no further change
@@ -54,7 +58,6 @@ const (
 	maxCheckEvery     = 16
 	defaultCheckEvery = 4 // the cadence when the config's is 0
 	condCeilLog10     = 280
-	driftCeil         = 1e-3
 	driftFloor        = 1e-4
 	residualCeil      = 1e-9
 	residualFloor     = 1e-10
@@ -63,8 +66,8 @@ const (
 
 // State is the controller's complete mutable state, exported so checkpoints
 // can persist it (gob) and resume mid-trajectory: the adapted k and cadence
-// plus the hysteresis caps and streak counters that make the next decision
-// reproducible.
+// plus the hysteresis caps, streak counters and last residual that make the
+// next decision reproducible.
 type State struct {
 	K               int
 	CheckEvery      int
@@ -77,6 +80,13 @@ type State struct {
 	Grows           int
 	NonFiniteEvents int
 	NonFinite       bool
+	// LastResidual is the most recent finite strat residual, ResidualSeen
+	// whether there was one: the residual is sampled at cadence frequency,
+	// so most sweep windows have none and growth gates on the last known
+	// reading. A checkpoint written before these fields decodes as no
+	// residual seen.
+	LastResidual float64
+	ResidualSeen bool
 }
 
 // Action is EndSweep's verdict: the knob settings the next sweep should run
@@ -88,29 +98,17 @@ type Action struct {
 	Reason     string
 }
 
-// Controller is the feedback controller. Create with New, attach with
-// obs.Collector.SetStabilityListener, call EndSweep between sweeps.
+// Controller is the feedback controller. Create with New, call EndSweep
+// with each sweep's window.
 type Controller struct {
 	// l is the number of imaginary-time slices (every k divides it); maxK
 	// and maxCheck are the run's upper bounds on k and the cadence.
 	l, maxK, maxCheck int
-
-	mu sync.Mutex
-	st State //qmc:guarded(mu)
-	// Per-sweep sample window: max and count per probe, reset by EndSweep.
-	winMax       [obs.NumProbes]float64 //qmc:guarded(mu)
-	winN         [obs.NumProbes]int64   //qmc:guarded(mu)
-	winNonFinite bool                   //qmc:guarded(mu)
-	// lastRes is the most recent finite strat residual across sweeps: the
-	// residual is sampled at cadence frequency, so most sweep windows have
-	// no residual sample and growth gates on the last known reading.
-	lastRes float64 //qmc:guarded(mu)
-	resSeen bool    //qmc:guarded(mu)
+	st                State
 
 	initialK          int
 	initialCheckEvery int
-	decisions         []obs.AutopilotDecision //qmc:guarded(mu)
-	decisionsDropped  bool                    //qmc:guarded(mu)
+	decisions         []obs.AutopilotDecision
 }
 
 // New builds a controller for a chain of l slices starting at cluster size
@@ -134,49 +132,17 @@ func New(l, k, checkEvery int) *Controller {
 	}
 }
 
-// ObserveStability implements obs.StabilityListener: it folds one sample
-// into the current sweep window. Called concurrently from the spin-parallel
-// sweep phases; must stay cheap (one mutex, no allocation).
-func (c *Controller) ObserveStability(p obs.StabilityProbe, v float64) {
-	c.mu.Lock()
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		c.winNonFinite = true
-	} else {
-		if c.winN[p] == 0 || v > c.winMax[p] {
-			c.winMax[p] = v
-		}
-		c.winN[p]++
-		if p == obs.ProbeStratResidual {
-			c.lastRes = v
-			c.resSeen = true
-		}
-	}
-	c.mu.Unlock()
-}
-
-// EndSweep evaluates the control law over the sweep's sample window and
-// returns the settings the next sweep should use. Call it exactly once per
-// completed sweep, from the sweep goroutine (not concurrently with itself).
-func (c *Controller) EndSweep() Action {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
+// EndSweep evaluates the control law over the window of samples one
+// completed sweep produced and returns the settings the next sweep should
+// use. Call it exactly once per sweep.
+func (c *Controller) EndSweep(w obs.Window) Action {
 	c.st.Sweep++
-	nonFinite := c.winNonFinite
-	var winMax [obs.NumProbes]float64
-	var winN [obs.NumProbes]int64
-	copy(winMax[:], c.winMax[:])
-	copy(winN[:], c.winN[:])
-	c.winNonFinite = false
-	for p := range c.winMax {
-		c.winMax[p] = 0
-		c.winN[p] = 0
+	if w.N[obs.ProbeStratResidual] > 0 {
+		c.st.LastResidual, c.st.ResidualSeen = w.Last[obs.ProbeStratResidual], true
 	}
-
 	prevK, prevCheck := c.st.K, c.st.CheckEvery
 
-	switch {
-	case nonFinite:
+	if w.NonFinite {
 		// Emergency: drop to the most conservative admissible settings and
 		// freeze the caps there. No recovery path from a NaN sweep.
 		c.st.NonFinite = true
@@ -193,10 +159,8 @@ func (c *Controller) EndSweep() Action {
 			return Action{K: c.st.K, CheckEvery: c.st.CheckEvery, Changed: true, Reason: "non_finite"}
 		}
 		return Action{K: c.st.K, CheckEvery: c.st.CheckEvery, Reason: "non_finite"}
-
-	case c.breach(winMax, winN) != "":
-		reason := c.breach(winMax, winN)
-		signal := c.breachSignal(reason, winMax)
+	}
+	if reason, signal := breach(w); reason != "" {
 		// Shrink k below the breached value and never allow growth back to
 		// it; same for the cadence. Both caps are monotone non-increasing,
 		// which is the no-oscillation guarantee.
@@ -220,7 +184,7 @@ func (c *Controller) EndSweep() Action {
 		return Action{K: c.st.K, CheckEvery: c.st.CheckEvery}
 	}
 
-	if !c.stable(winMax, winN) {
+	if !c.stable(w) {
 		c.st.StableStreak = 0
 		return Action{K: c.st.K, CheckEvery: c.st.CheckEvery}
 	}
@@ -229,74 +193,58 @@ func (c *Controller) EndSweep() Action {
 		return Action{K: c.st.K, CheckEvery: c.st.CheckEvery}
 	}
 
-	// Grow: stretch k geometrically (largest divisor of L at most 2k) and
-	// double the cadence, both clamped by the hysteresis caps.
-	c.st.K = largestDivisorBetween(c.l, prevK, min(2*prevK, c.maxK, c.st.KCap))
+	// Grow: double the cadence, clamped by its cap.
 	c.st.CheckEvery = max(prevCheck, min(2*prevCheck, c.maxCheck, c.st.CheckEveryCap))
 	c.st.StableStreak = 0
-	if c.st.K != prevK || c.st.CheckEvery != prevCheck {
+	if c.st.CheckEvery != prevCheck {
 		c.st.Grows++
 		c.st.CooldownLeft = cooldown
-		c.record("stable_grow", c.lastRes)
+		c.record("stable_grow", c.st.LastResidual)
 		return Action{K: c.st.K, CheckEvery: c.st.CheckEvery, Changed: true, Reason: "stable_grow"}
 	}
 	return Action{K: c.st.K, CheckEvery: c.st.CheckEvery}
 }
 
-// breach returns the name of the first breached ceiling in severity order
-// (residual, condition, drift), or "" if none.
-func (c *Controller) breach(winMax [obs.NumProbes]float64, winN [obs.NumProbes]int64) string {
-	if winN[obs.ProbeStratResidual] > 0 && winMax[obs.ProbeStratResidual] > residualCeil {
-		return "residual_ceiling"
+// breach returns the first breached ceiling in severity order (residual,
+// condition, drift) and the window's value behind it, or "" if none.
+func breach(w obs.Window) (string, float64) {
+	for _, b := range [...]struct {
+		p      obs.StabilityProbe
+		ceil   float64
+		reason string
+	}{
+		{obs.ProbeStratResidual, residualCeil, "residual_ceiling"},
+		{obs.ProbeUDTCond, condCeilLog10, "cond_ceiling"},
+		{obs.ProbeWrapDrift, DriftCeiling, "drift_ceiling"},
+	} {
+		if w.N[b.p] > 0 && w.Max[b.p] > b.ceil {
+			return b.reason, w.Max[b.p]
+		}
 	}
-	if winN[obs.ProbeUDTCond] > 0 && winMax[obs.ProbeUDTCond] > condCeilLog10 {
-		return "cond_ceiling"
-	}
-	if winN[obs.ProbeWrapDrift] > 0 && winMax[obs.ProbeWrapDrift] > driftCeil {
-		return "drift_ceiling"
-	}
-	return ""
-}
-
-// breachSignal returns the window value behind a breach reason.
-func (c *Controller) breachSignal(reason string, winMax [obs.NumProbes]float64) float64 {
-	switch reason {
-	case "residual_ceiling":
-		return winMax[obs.ProbeStratResidual]
-	case "cond_ceiling":
-		return winMax[obs.ProbeUDTCond]
-	case "drift_ceiling":
-		return winMax[obs.ProbeWrapDrift]
-	}
-	return 0
+	return "", 0
 }
 
 // stable reports whether the sweep window qualifies toward the growth
 // streak: at least one sample arrived, the sweep's drift is under its
 // floor, and the last known residual (sampled sparsely, at cadence
 // frequency) is under the residual floor.
-//
-//qmc:locked(mu)
-func (c *Controller) stable(winMax [obs.NumProbes]float64, winN [obs.NumProbes]int64) bool {
+func (c *Controller) stable(w obs.Window) bool {
 	var total int64
-	for _, n := range winN {
+	for _, n := range w.N {
 		total += n
 	}
 	if total == 0 {
 		return false
 	}
-	if winN[obs.ProbeWrapDrift] > 0 && winMax[obs.ProbeWrapDrift] > driftFloor {
+	if w.N[obs.ProbeWrapDrift] > 0 && w.Max[obs.ProbeWrapDrift] > driftFloor {
 		return false
 	}
-	return !c.resSeen || c.lastRes <= residualFloor
+	return !c.st.ResidualSeen || c.st.LastResidual <= residualFloor
 }
 
-// record appends to the capped decision log. Caller holds c.mu.
-//
-//qmc:locked(mu)
+// record appends to the capped decision log.
 func (c *Controller) record(reason string, signal float64) {
 	if len(c.decisions) >= maxDecisions {
-		c.decisionsDropped = true
 		return
 	}
 	if math.IsNaN(signal) || math.IsInf(signal, 0) {
@@ -312,34 +260,20 @@ func (c *Controller) record(reason string, signal float64) {
 }
 
 // K returns the current cluster size.
-func (c *Controller) K() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.st.K
-}
+func (c *Controller) K() int { return c.st.K }
 
 // CheckEvery returns the current stability-check cadence.
-func (c *Controller) CheckEvery() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.st.CheckEvery
-}
+func (c *Controller) CheckEvery() int { return c.st.CheckEvery }
 
 // State snapshots the controller state for checkpointing.
-func (c *Controller) State() State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.st
-}
+func (c *Controller) State() State { return c.st }
 
 // Restore overwrites the controller state from a checkpoint, clamping k to
 // a divisor of L in [1, the configured k] and the cadence and both caps to
 // their bounds, so a hand-edited checkpoint can neither desync the cluster
 // partition nor run past the limits a fresh controller keeps.
 func (c *Controller) Restore(s State) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s.K = largestDivisorBetween(c.l, 0, clamp(s.K, minK, c.maxK))
+	s.K = largestDivisorAtMost(c.l, clamp(s.K, minK, c.maxK))
 	s.KCap = clamp(s.KCap, minK, c.maxK)
 	s.CheckEvery = clamp(s.CheckEvery, minCheckEvery, c.maxCheck)
 	s.CheckEveryCap = clamp(s.CheckEveryCap, minCheckEvery, c.maxCheck)
@@ -352,8 +286,6 @@ func (c *Controller) Restore(s State) {
 
 // MetricsDoc renders the controller's trajectory for the metrics document.
 func (c *Controller) MetricsDoc() *obs.AutopilotMetrics {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	m := &obs.AutopilotMetrics{
 		Enabled:           true,
 		InitialK:          c.initialK,
@@ -381,18 +313,15 @@ func largestDivisorBelow(L, k int) int {
 	return minK
 }
 
-// largestDivisorBetween returns the largest divisor of L in (lo, hi], or lo
-// if none: the grow step.
-func largestDivisorBetween(L, lo, hi int) int {
-	if hi > L {
-		hi = L
-	}
-	for d := hi; d > lo; d-- {
+// largestDivisorAtMost returns the largest divisor of L that is <= k, or
+// minK if there is none: Restore's snap of a checkpointed k.
+func largestDivisorAtMost(L, k int) int {
+	for d := min(k, L); d > minK; d-- {
 		if L%d == 0 {
 			return d
 		}
 	}
-	return lo
+	return minK
 }
 
 // clamp returns v limited to [lo, hi].

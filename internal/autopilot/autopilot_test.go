@@ -3,18 +3,33 @@ package autopilot
 import (
 	"encoding/json"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"questgo/internal/obs"
 )
 
-// newTest returns a controller over L=40 that may grow to k=20, restored
-// to k=10 and cadence 2 so both knobs have room to grow.
+// newTest returns a controller over L = 40 at k = 10 and cadence 2, so a
+// shrink has divisors below it and the cadence room to grow.
 func newTest(t *testing.T) *Controller {
 	t.Helper()
-	c := New(40, 20, 2)
-	c.Restore(State{K: 10, CheckEvery: 2, KCap: 20, CheckEveryCap: maxCheckEvery})
-	return c
+	return New(40, 10, 2)
+}
+
+// sample is one stability reading.
+type sample struct {
+	p obs.StabilityProbe
+	v float64
+}
+
+// sweep records the samples in a collector, as a sweep does, and evaluates
+// the window they make.
+func sweep(c *Controller, samples ...sample) Action {
+	col := obs.New()
+	for _, s := range samples {
+		col.SampleStability(s.p, s.v)
+	}
+	return c.EndSweep(col.TakeWindow())
 }
 
 // stableSweeps feeds n fully-stable sweep windows and returns the last
@@ -29,10 +44,7 @@ func stableSweeps(c *Controller, n int) Action {
 
 // stableSweep feeds one fully-stable sweep window and evaluates it.
 func stableSweep(c *Controller) Action {
-	c.ObserveStability(obs.ProbeWrapDrift, 1e-12)
-	c.ObserveStability(obs.ProbeStratResidual, 1e-14)
-	c.ObserveStability(obs.ProbeUDTCond, 3)
-	return c.EndSweep()
+	return sweep(c, sample{obs.ProbeWrapDrift, 1e-12}, sample{obs.ProbeStratResidual, 1e-14}, sample{obs.ProbeUDTCond, 3})
 }
 
 // TestDefaults pins what New derives from its arguments and where each
@@ -55,12 +67,10 @@ func TestDefaults(t *testing.T) {
 		{obs.ProbeWrapDrift, 1e-3, "drift_ceiling"},
 	} {
 		c := New(40, 10, 2)
-		c.ObserveStability(tc.p, tc.ceil)
-		if a := c.EndSweep(); a.Changed || a.Reason != "" {
+		if a := sweep(c, sample{tc.p, tc.ceil}); a.Changed || a.Reason != "" {
 			t.Fatalf("%s at its ceiling %v acted: %+v", tc.verdict, tc.ceil, a)
 		}
-		c.ObserveStability(tc.p, tc.ceil*1.01)
-		if a := c.EndSweep(); !a.Changed || a.Reason != tc.verdict {
+		if a := sweep(c, sample{tc.p, tc.ceil * 1.01}); !a.Changed || a.Reason != tc.verdict {
 			t.Fatalf("%s above its ceiling %v did not shrink: %+v", tc.verdict, tc.ceil, a)
 		}
 	}
@@ -68,8 +78,7 @@ func TestDefaults(t *testing.T) {
 
 func TestShrinkOnResidualBreach(t *testing.T) {
 	c := newTest(t)
-	c.ObserveStability(obs.ProbeStratResidual, 1e-6) // >> ceiling 1e-9
-	a := c.EndSweep()
+	a := sweep(c, sample{obs.ProbeStratResidual, 1e-6}) // >> ceiling 1e-9
 	if !a.Changed || a.Reason != "residual_ceiling" {
 		t.Fatalf("breach not acted on: %+v", a)
 	}
@@ -85,6 +94,8 @@ func TestShrinkOnResidualBreach(t *testing.T) {
 	}
 }
 
+// TestGrowthNeedsPatienceAndCooldown: only the cadence grows, and only
+// after patience stable sweeps outside the cooldown of the last change.
 func TestGrowthNeedsPatienceAndCooldown(t *testing.T) {
 	c := newTest(t)
 	// Patience 3: the first two stable sweeps must not grow.
@@ -92,54 +103,106 @@ func TestGrowthNeedsPatienceAndCooldown(t *testing.T) {
 		t.Fatalf("grew after %d stable sweeps: %+v", patience-1, a)
 	}
 	a := stableSweep(c)
-	if !a.Changed || a.Reason != "stable_grow" {
-		t.Fatalf("no growth after patience met: %+v", a)
-	}
-	if a.K != 20 { // largest divisor of 40 in (10, 20]
-		t.Fatalf("grow k = %d, want 20", a.K)
-	}
-	if a.CheckEvery != 4 {
-		t.Fatalf("grow cadence = %d, want 4", a.CheckEvery)
+	if !a.Changed || a.Reason != "stable_grow" || a.K != 10 || a.CheckEvery != 4 {
+		t.Fatalf("after patience: %+v, want the cadence grown 2 -> 4 at k 10", a)
 	}
 	// Cooldown 2, then patience 3: the next four stable sweeps must not
 	// change anything, the fifth grows the cadence again.
 	if a := stableSweeps(c, cooldown+patience-1); a.Changed {
 		t.Fatalf("changed during cooldown: %+v", a)
 	}
-	if a := stableSweep(c); !a.Changed || a.CheckEvery != 8 {
-		t.Fatalf("no growth after cooldown and patience: %+v", a)
+	if a := stableSweep(c); !a.Changed || a.K != 10 || a.CheckEvery != 8 {
+		t.Fatalf("after cooldown and patience: %+v, want the cadence grown 4 -> 8 at k 10", a)
 	}
 }
 
-// TestNoOscillation drives the controller through the adversarial pattern
-// hysteresis exists for: k=20 always breaches, k<=10 is always stable. The
-// KCap must pin the controller below the breached k forever instead of
-// bouncing 10 <-> 20.
+// TestNoOscillation: a breach caps k and the cadence below the values that
+// breached, so hundreds of stable sweeps later neither is back.
 func TestNoOscillation(t *testing.T) {
 	c := newTest(t)
-	if a := stableSweeps(c, patience); a.K != 20 {
+	if a := stableSweeps(c, patience); a.CheckEvery != 4 {
 		t.Fatalf("setup grow failed: %+v", a)
 	}
-	// k=20 breaches.
-	c.ObserveStability(obs.ProbeStratResidual, 1e-6)
-	a := c.EndSweep()
-	if a.K >= 20 {
-		t.Fatalf("no shrink after breach: %+v", a)
+	// k = 10 at cadence 4 breaches: k 8, cadence 2, caps 8 and 3.
+	if a := sweep(c, sample{obs.ProbeStratResidual, 1e-6}); a.K != 8 || a.CheckEvery != 2 {
+		t.Fatalf("breach: %+v, want k 8 and cadence 2", a)
 	}
-	// Hundreds of stable sweeps later, k must never reach 20 again.
-	maxK := 0
-	for i := 0; i < 300; i++ {
+	maxK, maxCheck := 0, 0
+	for range 300 {
 		a := stableSweep(c)
-		if a.K > maxK {
-			maxK = a.K
+		maxK, maxCheck = max(maxK, a.K), max(maxCheck, a.CheckEvery)
+	}
+	if maxK != 8 || maxCheck != 3 {
+		t.Fatalf("after the breach k reached %d and the cadence %d, want 8 and 3", maxK, maxCheck)
+	}
+	if st := c.State(); st.KCap != 8 || st.CheckEveryCap != 3 {
+		t.Fatalf("caps %d and %d, want 8 and 3", st.KCap, st.CheckEveryCap)
+	}
+}
+
+// TestKAtItsCap: from New, every window leaves K == KCap — a shrink lowers
+// both, the emergency sets both to 1, a restore of State copies both — so k
+// has no room to grow and only the cadence does. Random windows drive every
+// k dividing L = 40, 48, 160 and 200 for 60 sweeps, with a restore of the
+// state into a fresh controller at sweep 30.
+func TestKAtItsCap(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	val := func(lo, hi float64) float64 { return math.Pow(10, lo+(hi-lo)*r.Float64()) }
+	for _, l := range []int{40, 48, 160, 200} {
+		for k := 1; k <= l; k++ {
+			if l%k != 0 {
+				continue
+			}
+			c := New(l, k, []int{0, 1, 2, 4}[r.IntN(4)])
+			for i := range 60 {
+				var ss []sample
+				if r.IntN(2) == 0 {
+					ss = append(ss, sample{obs.ProbeWrapDrift, val(-14, -2.5)})
+				}
+				if r.IntN(3) == 0 {
+					ss = append(ss, sample{obs.ProbeStratResidual, val(-16, -8.5)})
+				}
+				if r.IntN(4) == 0 {
+					ss = append(ss, sample{obs.ProbeUDTCond, val(0, 2.5)})
+				}
+				if r.IntN(100) == 0 {
+					ss = append(ss, sample{obs.ProbeWrapDrift, math.NaN()})
+				}
+				a := sweep(c, ss...)
+				if st := c.State(); st.K != st.KCap || a.K != st.K || l%a.K != 0 {
+					t.Fatalf("L %d, k %d, sweep %d: action %+v, state %+v: want k a divisor of L at its cap", l, k, i, a, st)
+				}
+				if i == 30 {
+					st := c.State()
+					c = New(l, k, 0)
+					c.Restore(st)
+				}
+			}
 		}
 	}
-	if maxK >= 20 {
-		t.Fatalf("controller re-grew to breached k = %d", maxK)
+}
+
+// TestRestoredLastResidual: the last residual is part of State, so a
+// controller restored between a residual and the windows without one
+// decides as the original does. A State without it forgets the residual of
+// 5e-10 (above the floor), and the restored controller grows the cadence on
+// the fourth window while the original holds.
+func TestRestoredLastResidual(t *testing.T) {
+	c := New(40, 10, 4)
+	if a := sweep(c, sample{obs.ProbeStratResidual, 1e-6}); a.K != 8 || a.CheckEvery != 2 {
+		t.Fatalf("shrink: %+v, want k 8 and cadence 2", a)
 	}
-	st := c.State()
-	if st.KCap >= 20 {
-		t.Fatalf("KCap %d not pinned below breached k", st.KCap)
+	sweep(c, sample{obs.ProbeStratResidual, 5e-10})
+	r := New(40, 10, 4)
+	r.Restore(c.State())
+	for i := range 10 {
+		w := sample{obs.ProbeWrapDrift, 1e-12}
+		if a, b := sweep(c, w), sweep(r, w); a != b {
+			t.Fatalf("window %d: original %+v, restored %+v", i+1, a, b)
+		}
+	}
+	if c.State() != r.State() {
+		t.Fatalf("states part: original %+v, restored %+v", c.State(), r.State())
 	}
 }
 
@@ -157,24 +220,25 @@ func TestDivisorSteps(t *testing.T) {
 			t.Fatalf("largestDivisorBelow(%d,%d) = %d, want %d", tc.L, tc.k, got, tc.want)
 		}
 	}
-	growCases := []struct{ L, lo, hi, want int }{
-		{40, 10, 20, 20},
-		{40, 20, 40, 40},
-		{40, 8, 16, 10},
-		{40, 5, 7, 5}, // no divisor in range: stay
-		{160, 8, 16, 16},
+	snapCases := []struct{ L, k, want int }{
+		{40, 20, 20},
+		{40, 40, 40},
+		{40, 16, 10},
+		{40, 7, 5},
+		{160, 16, 16},
+		{12, 100, 12}, // k past L: L itself
+		{12, 0, 1},
 	}
-	for _, tc := range growCases {
-		if got := largestDivisorBetween(tc.L, tc.lo, tc.hi); got != tc.want {
-			t.Fatalf("largestDivisorBetween(%d,%d,%d) = %d, want %d", tc.L, tc.lo, tc.hi, got, tc.want)
+	for _, tc := range snapCases {
+		if got := largestDivisorAtMost(tc.L, tc.k); got != tc.want {
+			t.Fatalf("largestDivisorAtMost(%d,%d) = %d, want %d", tc.L, tc.k, got, tc.want)
 		}
 	}
 }
 
 func TestNonFiniteEmergency(t *testing.T) {
 	c := newTest(t)
-	c.ObserveStability(obs.ProbeWrapDrift, math.NaN())
-	a := c.EndSweep()
+	a := sweep(c, sample{obs.ProbeWrapDrift, math.NaN()})
 	if !a.Changed || a.Reason != "non_finite" {
 		t.Fatalf("NaN sample not treated as emergency: %+v", a)
 	}
@@ -202,9 +266,8 @@ func TestNonFiniteEmergency(t *testing.T) {
 
 func TestStateRoundTrip(t *testing.T) {
 	c := newTest(t)
-	stableSweeps(c, patience) // grow
-	c.ObserveStability(obs.ProbeStratResidual, 1e-6)
-	c.EndSweep() // shrink
+	stableSweeps(c, patience)                      // grow
+	sweep(c, sample{obs.ProbeStratResidual, 1e-6}) // shrink
 	st := c.State()
 
 	c2 := newTest(t)
@@ -246,9 +309,10 @@ func TestRestoreClampsBadK(t *testing.T) {
 
 func TestMetricsDocTrajectory(t *testing.T) {
 	c := newTest(t)
-	stableSweeps(c, patience) // grow 10 -> 20
+	stableSweeps(c, patience) // grow the cadence 2 -> 4
 	doc := c.MetricsDoc()
-	if !doc.Enabled || doc.InitialK != 10 || doc.FinalK != 20 || doc.Grows != 1 || doc.Shrinks != 0 {
+	if !doc.Enabled || doc.InitialK != 10 || doc.FinalK != 10 || doc.InitialCheckEvery != 2 ||
+		doc.FinalCheckEvery != 4 || doc.Grows != 1 || doc.Shrinks != 0 {
 		t.Fatalf("trajectory doc: %+v", doc)
 	}
 	if len(doc.Decisions) != 1 || doc.Decisions[0].Reason != "stable_grow" {
@@ -261,8 +325,7 @@ func TestMetricsDocTrajectory(t *testing.T) {
 func TestUnstableSweepResetsStreak(t *testing.T) {
 	c := newTest(t)
 	stableSweeps(c, patience-1)
-	c.ObserveStability(obs.ProbeWrapDrift, 5e-4) // above floor 1e-4, below ceil 1e-3
-	if a := c.EndSweep(); a.Changed {
+	if a := sweep(c, sample{obs.ProbeWrapDrift, 5e-4}); a.Changed { // above floor 1e-4, below ceil 1e-3
 		t.Fatalf("mid-band sweep changed knobs: %+v", a)
 	}
 	// Streak was reset: patience-1 more stable sweeps must not be enough.

@@ -33,8 +33,8 @@ func unstableAutopilotConfig() Config {
 // TestAutopilotRun is the end-to-end smoke test: an autopilot run with the
 // spin-parallel sweeper completes, reports the controller trajectory in the
 // metrics document, and keeps k a divisor of L throughout. Running in the
-// -race suite, this also exercises the listener receiving samples from both
-// spin goroutines concurrently (satellite 5).
+// -race suite, this also exercises the collector's window taking samples
+// from both spin goroutines concurrently.
 func TestAutopilotRun(t *testing.T) {
 	cfg := autopilotTestConfig()
 	res, err := runOnce(cfg)
@@ -146,8 +146,8 @@ func TestAutopilotHoldsResidualWithFewerChecks(t *testing.T) {
 	}
 }
 
-// TestAutopilotRejectsWalkers: the walker group shares one collector whose
-// single listener cannot serve several controllers.
+// TestAutopilotRejectsWalkers: the walker group shares one collector, whose
+// one stability window cannot serve several controllers.
 func TestAutopilotRejectsWalkers(t *testing.T) {
 	cfg := autopilotTestConfig()
 	cfg.WarmSweeps, cfg.MeasSweeps = 0, 1

@@ -21,8 +21,10 @@ type ChiResult struct {
 // cluster size). Call after Run so the chain is equilibrated. Every
 // sampled tau stratifies the whole chain once per spin (one greens.Split),
 // so this costs considerably more per sweep than the equal-time
-// measurements. A singular split fails it with an *ErrUnstable (its Sweep
-// counts Run's sweeps and the samples so far) and no result.
+// measurements. Each sweep is followed by the autopilot's step and the
+// stability checks, as in Run; a chain that fails them, or a singular
+// split, fails it with an *ErrUnstable (its Sweep counts Run's sweeps and
+// the samples so far) and no result.
 func (s *Simulation) SampleSusceptibility(samples, every int) (*ChiResult, error) {
 	if samples < 1 {
 		samples = 1
@@ -32,11 +34,14 @@ func (s *Simulation) SampleSusceptibility(samples, every int) (*ChiResult, error
 	}
 	acc := stats.NewAccumulator(2) // chi_AF, chi_uniform
 	for i := 0; i < samples; i++ {
-		s.sweeper.Sweep()
+		sweep := s.cfg.WarmSweeps + s.cfg.MeasSweeps + i + 1
+		if err := s.step(sweep); err != nil {
+			return nil, err
+		}
 		start := s.col.Begin()
 		chi, err := measure.MeasureSusceptibility(s.lat, s.prop, s.field, every, s.sweeper.ClusterK())
 		if err != nil {
-			return nil, &ErrUnstable{Sweep: s.cfg.WarmSweeps + s.cfg.MeasSweeps + i + 1, Drift: s.sweeper.MaxWrapDrift(), Sign: s.sweeper.Sign(),
+			return nil, &ErrUnstable{Sweep: sweep, Drift: s.sweeper.MaxWrapDrift(), Sign: s.sweeper.Sign(),
 				Reason: fmt.Sprintf("singular displaced Green's function: %v", err)}
 		}
 		sg := s.sweeper.Sign()

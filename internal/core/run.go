@@ -51,8 +51,8 @@ func Run(ctx context.Context, cfg Config, options ...RunOption) (*Results, error
 		opt(&ro)
 	}
 	if ro.walkers > 1 && cfg.Autopilot {
-		// Walkers share one collector, so its single stability listener cannot
-		// route samples to per-walker controllers.
+		// Walkers share one collector, and a collector keeps one stability
+		// window: it cannot give per-walker controllers their own sweeps.
 		return nil, fmt.Errorf("core: autopilot supports a single walker, not %d", ro.walkers)
 	}
 	if ro.walkers <= 1 {

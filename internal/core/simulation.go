@@ -326,11 +326,6 @@ func (s *Simulation) startSweeper() {
 	} else {
 		s.sweeper = update.NewSweeper(s.prop, s.field, s.rng, opts)
 	}
-	if s.pilot != nil {
-		// Attached only now: the construction's own refresh is not part of
-		// any sweep's stability window.
-		s.col.SetStabilityListener(s.pilot)
-	}
 }
 
 // Model exposes the underlying Hubbard model (read-only use).
@@ -346,20 +341,20 @@ func (s *Simulation) Collector() *obs.Collector { return s.col }
 // snapped to a divisor of L, further adapted by the autopilot when enabled.
 func (s *Simulation) ClusterK() int { return s.sweeper.ClusterK() }
 
-// autopilotStep closes the control loop after a sweep: the controller folds
-// the sweep's stability window into a decision, and any change is applied to
-// the sweeper before the next sweep begins (the Green's function at boundary
-// 0 is independent of the clustering, so a resize is exact there).
-func (s *Simulation) autopilotStep() {
-	if s.pilot == nil {
-		return
+// step runs one sweep and what every sweep of the Simulation is followed
+// by: the autopilot's decision over the sweep's stability window, applied
+// before the next sweep begins (the Green's function at boundary 0 is
+// independent of the clustering, so a resize is exact there), then the
+// stability checks. sweep numbers the sweep for an *ErrUnstable.
+func (s *Simulation) step(sweep int) error {
+	s.sweeper.Sweep()
+	if s.pilot != nil {
+		if a := s.pilot.EndSweep(s.col.TakeWindow()); a.Changed {
+			s.sweeper.SetClusterK(a.K)
+			s.sweeper.SetStabilityEvery(a.CheckEvery)
+		}
 	}
-	a := s.pilot.EndSweep()
-	if !a.Changed {
-		return
-	}
-	s.sweeper.SetClusterK(a.K)
-	s.sweeper.SetStabilityEvery(a.CheckEvery)
+	return s.checkStable(sweep)
 }
 
 // Progress reports a running simulation's position; see WithProgress. Each
@@ -409,6 +404,8 @@ func (s *Simulation) RunContext(ctx context.Context, cb func(Progress)) (*Result
 	// Re-baseline the collector so constructor work (cluster building, stack
 	// setup — or a long gap between New and Run) is excluded from the run's
 	// wall time and the phase breakdown stays an honest partition of it. The
+	// reset also empties the stability window, which keeps the constructor's
+	// refresh samples out of the first sweep's autopilot decision. The
 	// device clocks re-baseline with it (allocations persist, so the memory
 	// high-water mark still covers the whole session).
 	s.col.Reset()
@@ -467,10 +464,8 @@ func (s *Simulation) runBody(ctx context.Context, cb func(Progress)) (*Results, 
 			s.sweeper.SetBoundaryHook(record)
 		}
 		taken = 0
-		s.sweeper.Sweep()
-		s.autopilotStep()
 		s.sweeps++
-		if err := s.checkStable(s.sweeps); err != nil {
+		if err := s.step(s.sweeps); err != nil {
 			return nil, err
 		}
 		if m == nil {

@@ -3,15 +3,16 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"questgo/internal/autopilot"
 )
 
 // MaxStableWrapDrift is the largest wrap drift (Results.MaxWrapDrift) a run
-// without the autopilot may reach: past it the wrapped Green's functions the
-// Metropolis ratios read have left the stratified ones, and the chain's
-// results cannot be trusted. The autopilot owns the drift when it is on — it
-// shrinks the clustering in response — so only a non-finite drift stops
-// such a run.
-const MaxStableWrapDrift = 1e-3
+// without the autopilot may reach: the autopilot's drift ceiling, past which
+// the chain's results cannot be trusted. The autopilot owns the drift when
+// it is on — it shrinks the clustering in response — so only a non-finite
+// drift stops such a run.
+const MaxStableWrapDrift = autopilot.DriftCeiling
 
 // ErrUnstable is the error Run (and RunContext) returns when the chain's
 // numerics fail between two sweeps: a stratified refresh met a singular

@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"questgo/internal/blas"
 	"questgo/internal/check"
+	"questgo/internal/greens"
 	"questgo/internal/hubbard"
 	"questgo/internal/lapack"
 	"questgo/internal/lattice"
@@ -65,6 +67,11 @@ func TestRunFailsUnstable(t *testing.T) {
 		if res.MaxWrapDrift <= MaxStableWrapDrift || math.Abs(res.AvgSign-1) > 1e-12 {
 			t.Errorf("devices=%d: autopilot run: drift %g, sign %g; want a drift past %g the autopilot answered, and sign 1",
 				devices, res.MaxWrapDrift, res.AvgSign, MaxStableWrapDrift)
+		}
+		// It completes because the controller answered the drift: hold the
+		// shrink itself, not only the completion.
+		if ap := res.Metrics.Autopilot; ap.Shrinks < 1 || ap.FinalK >= 20 {
+			t.Errorf("devices=%d: autopilot run did not shrink k = 20: %+v", devices, ap)
 		}
 	}
 }
@@ -158,6 +165,91 @@ func TestCheckStableSingular(t *testing.T) {
 	var u *ErrUnstable
 	if !errors.As(err, &u) || !strings.Contains(u.Reason, "singular") {
 		t.Fatalf("checkStable = %v, want an *ErrUnstable with a singular reason", err)
+	}
+}
+
+// nanWrapUp is the host backend that, once on is set, writes one NaN into
+// the up sector's wrapped G at its next wrap and turns itself off.
+type nanWrapUp struct {
+	*greens.Wrapper
+	on *bool
+}
+
+func (b nanWrapUp) Wrap(g *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, s int) {
+	b.Wrapper.Wrap(g, f, sigma, s)
+	if *b.on && sigma == hubbard.Up {
+		g.Data[0], *b.on = math.NaN(), false
+	}
+}
+
+func (nanWrapUp) Flush(g, u, w *mat.Dense, m, _ int) {
+	blas.Gemm(false, true, 1, u.View(0, 0, u.Rows, m), w.View(0, 0, w.Rows, m), 1, g)
+}
+
+// TestCheckStableNaNDrift: a sweep whose wrapped G went NaN fails the check
+// naming the drift, also after a regular sweep follows it. Under qmcdebug
+// the GEMM sanitizer stops the sweep first.
+func TestCheckStableNaNDrift(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nx, cfg.Ny, cfg.Beta, cfg.L, cfg.ClusterK = 2, 2, 1, 8, 4
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	on := false
+	mk := func(p *hubbard.Propagator, _ hubbard.Spin, _ int) update.Backend {
+		return nanWrapUp{greens.NewWrapper(p), &on}
+	}
+	sim.sweeper = update.NewSweeperOn(sim.prop, sim.field, sim.rng,
+		update.Options{ClusterK: 4, SerialSpins: true, Obs: sim.col}, mk)
+	sim.sweeper.Sweep()
+	if err := sim.checkStable(1); err != nil {
+		t.Fatalf("regular sweep: %v", err)
+	}
+	on = true
+	if check.Enabled {
+		if msg := panicMessage(sim.sweeper.Sweep); !strings.Contains(msg, "blas.Gemm produced non-finite") {
+			t.Fatalf("under qmcdebug: panic %q, want the GEMM sanitizer's", msg)
+		}
+		return
+	}
+	sim.sweeper.Sweep()
+	sim.sweeper.Sweep()
+	err = sim.checkStable(3)
+	var u *ErrUnstable
+	if !errors.As(err, &u) || !strings.Contains(u.Reason, "wrap drift is NaN") {
+		t.Fatalf("checkStable = %v, want an *ErrUnstable naming the NaN drift", err)
+	}
+}
+
+// TestSampleSusceptibilityChecked: the susceptibility sweeps take the same
+// after-sweep step as Run's: a singular chain fails them with an
+// *ErrUnstable naming the refresh, and a healthy one samples n finite
+// susceptibilities.
+func TestSampleSusceptibilityChecked(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Beta, cfg.L, cfg.WarmSweeps, cfg.MeasSweeps = 1, 8, 1, 1
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.RunContext(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	chi, err := sim.SampleSusceptibility(3, 0)
+	if err != nil || chi.Samples != 3 || math.IsNaN(chi.AF+chi.AFErr+chi.Uniform+chi.UniformErr) ||
+		math.IsInf(chi.AF+chi.AFErr+chi.Uniform+chi.UniformErr, 0) {
+		t.Fatalf("healthy chain: %+v, %v; want 3 finite samples", chi, err)
+	}
+	if check.Enabled {
+		return // the singular sweeper's construction panics; TestCheckStableSingular holds that
+	}
+	mk := func(*hubbard.Propagator, hubbard.Spin, int) update.Backend { return negIBackend{} }
+	sim.sweeper = update.NewSweeperOn(sim.prop, sim.field, sim.rng, update.Options{ClusterK: 8, SerialSpins: true}, mk)
+	chi, err = sim.SampleSusceptibility(2, 0)
+	var u *ErrUnstable
+	if !errors.As(err, &u) || chi != nil || !strings.Contains(u.Reason, "singular stratified refresh") || u.Sweep != 3 {
+		t.Fatalf("singular chain: %+v, %v; want no result and an *ErrUnstable after sweep 3 naming the refresh", chi, err)
 	}
 }
 

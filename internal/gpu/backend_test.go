@@ -156,8 +156,8 @@ func TestSweeperSteadyDeviceMemory(t *testing.T) {
 }
 
 // TestShardedSetClusterKUnderAutopilot covers the autopilot actuator on a
-// sharded sweeper: resizing k between sweeps (exactly as core's
-// autopilotStep does) on 2- and 4-device groups must keep the trajectory
+// sharded sweeper: resizing k between sweeps (exactly as core's after-sweep
+// step does) on 2- and 4-device groups must keep the trajectory
 // bitwise identical to the single-device sweeper under the same schedule,
 // and the final Green's function consistent with a fresh CPU evaluation.
 func TestShardedSetClusterKUnderAutopilot(t *testing.T) {

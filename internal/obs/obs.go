@@ -20,6 +20,12 @@
 // gives exact per-run counts; concurrent runs in one process (parallel
 // walkers) share the counters, which Run handles by snapshotting around the
 // whole walker group.
+//
+// Each stability sample is folded, under one lock, into two aggregates of
+// the same kind: the run's, which the Metrics document reports, and the
+// current window's, which TakeWindow hands over and clears. The autopilot
+// takes one window per sweep; it is the only reader of windows, so a
+// collector serves at most one controller.
 package obs
 
 import (
@@ -228,18 +234,13 @@ func (p StabilityProbe) String() string {
 	return "unknown"
 }
 
-// StabilityListener receives every stability sample as it is recorded — the
-// streaming counterpart of the end-of-run StabilityMetrics aggregates, and
-// the input side of the feedback controller in internal/autopilot.
-//
-// ObserveStability is called from the sweep's refresh path, possibly from
-// two goroutines at once (the spin-parallel phases), so implementations
-// must be safe for concurrent use and must not block: the sweep waits on
-// them at cluster-boundary frequency. Non-finite samples are delivered
-// unfiltered — a NaN reading is precisely the blow-up a listener exists to
-// react to.
-type StabilityListener interface {
-	ObserveStability(p StabilityProbe, v float64)
+// Window is one sweep's stability samples, as TakeWindow hands them over:
+// per probe the count, the maximum and the latest value of the finite
+// samples, and whether any sample of any probe was non-finite.
+type Window struct {
+	N         [NumProbes]int64
+	Max, Last [NumProbes]float64
+	NonFinite bool
 }
 
 // Collector accumulates one run's phase timings, op-counter deltas and
@@ -253,9 +254,10 @@ type Collector struct {
 	startTime time.Time
 	wallNS    int64 // atomic; set by Finish, 0 while running
 
-	mu       sync.Mutex
-	stab     stability
-	listener StabilityListener
+	mu sync.Mutex
+	// stab aggregates the run's samples since Reset, win the current
+	// sweep's since the last TakeWindow or Reset.
+	stab, win stability
 }
 
 // stability aggregates the sampled numerical diagnostics per probe. Only
@@ -264,11 +266,24 @@ type Collector struct {
 // would report "stable" through the exact blow-up the probes exist to
 // catch. Non-finite samples are counted separately with a sticky flag.
 type stability struct {
-	max           [NumProbes]float64
-	sum           [NumProbes]float64
-	n             [NumProbes]int64
-	nonFinite     [NumProbes]int64
-	nonFiniteSeen bool
+	max, sum, last [NumProbes]float64
+	n, nonFinite   [NumProbes]int64
+	nonFiniteSeen  bool
+}
+
+// add folds one sample of probe p into s.
+func (s *stability) add(p StabilityProbe, v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		s.nonFinite[p]++
+		s.nonFiniteSeen = true
+		return
+	}
+	if s.n[p] == 0 || v > s.max[p] {
+		s.max[p] = v
+	}
+	s.sum[p] += v
+	s.last[p] = v
+	s.n[p]++
 }
 
 // New returns a collector whose wall clock and op baseline start now.
@@ -281,10 +296,10 @@ func New() *Collector {
 // Enabled reports whether collection is active (non-nil receiver).
 func (c *Collector) Enabled() bool { return c != nil }
 
-// Reset zeroes the phase timers and stability samples and re-baselines the
-// wall clock and op counters. Run calls it once on entry so setup work
-// (cluster building, stack construction) is excluded from the run's
-// breakdown.
+// Reset zeroes the phase timers and stability samples, the current window's
+// included, and re-baselines the wall clock and op counters. Run calls it
+// once on entry so setup work (cluster building, stack construction) is
+// excluded from the run's breakdown.
 func (c *Collector) Reset() {
 	if c == nil {
 		return
@@ -297,7 +312,7 @@ func (c *Collector) Reset() {
 	c.startOps = Counts()
 	c.startTime = time.Now()
 	c.mu.Lock()
-	c.stab = stability{}
+	c.stab, c.win = stability{}, stability{}
 	c.mu.Unlock()
 }
 
@@ -395,45 +410,33 @@ func (c *Collector) OpDeltas() OpCounts {
 	return Counts().Sub(c.startOps)
 }
 
-// SetStabilityListener attaches l to receive every subsequent stability
-// sample (nil detaches). The listener survives Reset: it belongs to the
-// run's control plane, not to the aggregates being rebaselined. Safe on a
-// nil collector (no-op: with collection disabled there is no sample stream
-// to observe).
-func (c *Collector) SetStabilityListener(l StabilityListener) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.listener = l
-	c.mu.Unlock()
-}
-
-// SampleStability records one reading of probe p. Finite samples enter the
-// per-probe max/sum/count aggregates; non-finite samples (NaN, ±Inf) are
-// counted separately and set a sticky flag so the Metrics document can
-// never report a blown-up run as stable. Either way the attached listener
-// (if any) sees the raw value, outside the collector's lock.
+// SampleStability records one reading of probe p, in the run's aggregates
+// and in the current window. Finite samples enter the per-probe max/sum/count
+// aggregates; non-finite samples (NaN, ±Inf) are counted separately and set
+// a sticky flag so the Metrics document can never report a blown-up run as
+// stable.
 func (c *Collector) SampleStability(p StabilityProbe, v float64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		c.stab.nonFinite[p]++
-		c.stab.nonFiniteSeen = true
-	} else {
-		if v > c.stab.max[p] {
-			c.stab.max[p] = v
-		}
-		c.stab.sum[p] += v
-		c.stab.n[p]++
-	}
-	l := c.listener
+	c.stab.add(p, v)
+	c.win.add(p, v)
 	c.mu.Unlock()
-	if l != nil {
-		l.ObserveStability(p, v)
+}
+
+// TakeWindow returns the samples recorded since the last TakeWindow or
+// Reset and starts a new window. A sweep's window is what the autopilot
+// decides on. A nil collector returns an empty window.
+func (c *Collector) TakeWindow() Window {
+	if c == nil {
+		return Window{}
 	}
+	c.mu.Lock()
+	w := Window{N: c.win.n, Max: c.win.max, Last: c.win.last, NonFinite: c.win.nonFiniteSeen}
+	c.win = stability{}
+	c.mu.Unlock()
+	return w
 }
 
 // SampleWrapDrift records one relative difference between a wrapped Green's

@@ -148,53 +148,68 @@ func TestZeroSampleMeansRoundTrip(t *testing.T) {
 	}
 }
 
-// recordingListener captures the sample stream (thread-safely, as required
-// by the StabilityListener contract).
-type recordingListener struct {
-	mu      sync.Mutex
-	samples []struct {
-		p StabilityProbe
-		v float64
-	}
-}
-
-func (r *recordingListener) ObserveStability(p StabilityProbe, v float64) {
-	r.mu.Lock()
-	r.samples = append(r.samples, struct {
-		p StabilityProbe
-		v float64
-	}{p, v})
-	r.mu.Unlock()
-}
-
-// TestStabilityListenerStream asserts the listener sees every sample in
-// order, including non-finite ones, and survives Reset.
-func TestStabilityListenerStream(t *testing.T) {
+// TestTakeWindow: a window holds the finite samples' count, maximum and
+// latest value per probe and flags a non-finite one; TakeWindow clears it
+// but not the run's aggregates, Reset clears both, and no sample taken from
+// two goroutines at once is lost or counted in two windows.
+func TestTakeWindow(t *testing.T) {
 	c := New()
-	r := &recordingListener{}
-	c.SetStabilityListener(r)
 	c.SampleWrapDrift(1e-9)
+	c.SampleWrapDrift(3e-9)
+	c.SampleWrapDrift(2e-9)
 	c.SampleUDTCond(math.NaN())
-	c.Reset()
 	c.SampleStratResidual(3e-13)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.samples) != 3 {
-		t.Fatalf("listener saw %d samples, want 3 (must survive Reset)", len(r.samples))
+	w := c.TakeWindow()
+	want := Window{NonFinite: true}
+	want.N[ProbeWrapDrift], want.Max[ProbeWrapDrift], want.Last[ProbeWrapDrift] = 3, 3e-9, 2e-9
+	want.N[ProbeStratResidual], want.Max[ProbeStratResidual], want.Last[ProbeStratResidual] = 1, 3e-13, 3e-13
+	if w != want {
+		t.Fatalf("window %+v, want %+v", w, want)
 	}
-	if r.samples[0].p != ProbeWrapDrift || r.samples[0].v != 1e-9 {
-		t.Fatalf("sample 0: %+v", r.samples[0])
+	if w := c.TakeWindow(); w != (Window{}) {
+		t.Fatalf("second window %+v, want empty", w)
 	}
-	if r.samples[1].p != ProbeUDTCond || !math.IsNaN(r.samples[1].v) {
-		t.Fatalf("sample 1 must deliver the raw NaN: %+v", r.samples[1])
+	if s := c.Metrics().Stability; s.WrapDriftSamples != 3 || s.MaxWrapDrift != 3e-9 || !s.NonFiniteSeen {
+		t.Fatalf("TakeWindow disturbed the run's aggregates: %+v", s)
 	}
-	if r.samples[2].p != ProbeStratResidual || r.samples[2].v != 3e-13 {
-		t.Fatalf("sample 2: %+v", r.samples[2])
+	c.SampleStratResidual(1)
+	c.Reset()
+	if w := c.TakeWindow(); w != (Window{}) {
+		t.Fatalf("window after Reset %+v, want empty", w)
 	}
-	c.SetStabilityListener(nil)
-	c.SampleWrapDrift(1)
-	if len(r.samples) != 3 {
-		t.Fatal("detached listener still receives samples")
+	var nilc *Collector
+	if w := nilc.TakeWindow(); w != (Window{}) {
+		t.Fatalf("nil collector window %+v", w)
+	}
+
+	const per = 1000
+	stop, taken := make(chan struct{}), make(chan int64)
+	go func() {
+		var n int64
+		for {
+			select {
+			case <-stop:
+				taken <- n
+				return
+			default:
+				n += c.TakeWindow().N[ProbeWrapDrift]
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range per {
+				c.SampleWrapDrift(1e-12)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if n := <-taken + c.TakeWindow().N[ProbeWrapDrift]; n != 2*per {
+		t.Fatalf("windows held %d samples, want %d", n, 2*per)
 	}
 }
 

@@ -65,7 +65,7 @@ func (r *JobRequest) normalize() error {
 	}
 	if r.Shards > 1 && r.Config.Autopilot {
 		// Mirrors core.Run's WithWalkers restriction: the walker group shares
-		// one collector whose single stability listener cannot serve several
+		// one collector, whose one stability window cannot serve several
 		// controllers. Shards are separate simulations so they *could* pilot
 		// independently, but then an n-shard job would no longer reproduce
 		// Run(..., WithWalkers(n)); keep the two surfaces identical.

@@ -330,7 +330,8 @@ type Sweeper struct {
 	hook         hookRun
 	// maxWrapDrift records the largest relative difference between the
 	// wrapped Green's function and its stratified recomputation — the
-	// numerical-accuracy diagnostic that motivates the wrapping limit.
+	// numerical-accuracy diagnostic that motivates the wrapping limit. A NaN
+	// drift sticks: no later drift compares above it.
 	maxWrapDrift float64
 	// err is the first error a stratified refresh returned (see Err).
 	err error
@@ -664,7 +665,7 @@ func (sw *Sweeper) refreshSpin(s *spinState, trackDrift bool) {
 		// Loose bound: wrap drift is expected and merely bounded; only a
 		// blow-up indicates a propagator or stratification bug.
 		check.Drift("update.refreshSpin wrap", d, 0.05)
-		if d > sw.maxWrapDrift {
+		if d > sw.maxWrapDrift || d != d {
 			sw.maxWrapDrift = d
 		}
 		sw.opts.Obs.SampleWrapDrift(d)
@@ -911,7 +912,8 @@ func (sw *Sweeper) SetCounters(accepted, proposed int64) {
 }
 
 // MaxWrapDrift reports the largest observed relative difference between a
-// wrapped Green's function and its stratified recomputation.
+// wrapped Green's function and its stratified recomputation, NaN once any
+// was NaN.
 func (sw *Sweeper) MaxWrapDrift() float64 { return sw.maxWrapDrift }
 
 // SetMaxWrapDrift restores a checkpointed lifetime maximum wrap drift.

@@ -417,6 +417,55 @@ func TestSingularRefreshSetsErr(t *testing.T) {
 	}
 }
 
+// nanWrapUp is the host backend that, once on is set, writes one NaN into
+// the up sector's wrapped G at its next wrap and turns itself off.
+type nanWrapUp struct {
+	Backend
+	on *bool
+}
+
+func (b nanWrapUp) Wrap(g *mat.Dense, f *hubbard.Field, sigma hubbard.Spin, s int) {
+	b.Backend.Wrap(g, f, sigma, s)
+	if *b.on && sigma == hubbard.Up {
+		g.Data[0], *b.on = math.NaN(), false
+	}
+}
+
+// TestNaNWrapDriftSticks: a NaN in the wrapped G makes that boundary's
+// drift NaN, and the lifetime maximum keeps it through the regular
+// boundaries after, so a caller reading MaxWrapDrift sees the blow-up (a
+// plain d > max never takes a NaN). The collector counts the NaN sample.
+// Under qmcdebug a sanitizer stops the chain first: the NaN ratio accepts
+// its flip, and the flush's GEMM reads the NaN before the boundary does.
+func TestNaNWrapDriftSticks(t *testing.T) {
+	p, f := setup(t, 2, 2, 4, 1, 8, 3)
+	on := false
+	mk := func(p *hubbard.Propagator, sigma hubbard.Spin, nd int) Backend {
+		return nanWrapUp{newHost(p, sigma, nd), &on}
+	}
+	col := obs.New()
+	sw := NewSweeperOn(p, f, rng.New(1), Options{ClusterK: 4, SerialSpins: true, Obs: col}, mk)
+	sw.Sweep()
+	if d := sw.MaxWrapDrift(); math.IsNaN(d) || d > 1e-9 {
+		t.Fatalf("regular sweep: drift %g", d)
+	}
+	on = true
+	if check.Enabled {
+		if msg := panicMessage(sw.Sweep); !strings.Contains(msg, "blas.Gemm produced non-finite") {
+			t.Fatalf("under qmcdebug: panic %q, want the GEMM sanitizer's", msg)
+		}
+		return
+	}
+	sw.Sweep()
+	sw.Sweep()
+	if d := sw.MaxWrapDrift(); !math.IsNaN(d) {
+		t.Fatalf("MaxWrapDrift() = %g after a NaN wrap, want NaN", d)
+	}
+	if n := col.Metrics().Stability.NonFiniteWrapDrift; n != 1 {
+		t.Fatalf("collector counted %d non-finite drift samples, want 1", n)
+	}
+}
+
 // panicMessage runs f and returns what it panicked with, "" if it returned.
 func panicMessage(f func()) (msg string) {
 	defer func() {
